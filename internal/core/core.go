@@ -138,13 +138,3 @@ func SizeK(tSave, tSend time.Duration) uint64 {
 	}
 	return k
 }
-
-// nowFunc supplies trace timestamps; a nil function means zero timestamps.
-type nowFunc func() time.Duration
-
-func clockOrZero(f func() time.Duration) nowFunc {
-	if f == nil {
-		return func() time.Duration { return 0 }
-	}
-	return f
-}

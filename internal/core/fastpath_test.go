@@ -7,8 +7,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"antireplay/internal/store"
+	"antireplay/internal/watchdog"
 )
 
 func newFastReceiver(t *testing.T, cfg ReceiverConfig) (*Receiver, *store.Mem) {
@@ -90,6 +92,7 @@ func TestFastPathDifferential(t *testing.T) {
 // goroutines while resets and wakes fire concurrently; no sequence number
 // may ever be delivered twice across the whole history. Run with -race.
 func TestFastPathConcurrentExactlyOnce(t *testing.T) {
+	watchdog.Arm(t, 10*time.Second)
 	const (
 		goroutines = 8
 		perG       = 10000
@@ -167,6 +170,7 @@ func TestFastPathConcurrentExactlyOnce(t *testing.T) {
 // beyond committed+leap: horizon messages fall back to the slow path and
 // come back VerdictHorizon, exactly as the mutex path decides.
 func TestFastPathStrictHorizon(t *testing.T) {
+	watchdog.Arm(t, 10*time.Second)
 	block := make(chan struct{})
 	var m store.Mem
 	saver := &gatedSaver{inner: SyncSaver{Store: &m}, gate: block}
@@ -237,6 +241,7 @@ func TestFastPathTriggersSaves(t *testing.T) {
 // saves under -race, then resets and wakes: the recovered edge must leap
 // past everything delivered, so no pre-reset number is re-accepted.
 func TestFastPathConcurrentSaves(t *testing.T) {
+	watchdog.Arm(t, 10*time.Second)
 	const goroutines = 4
 	r, _ := newFastReceiver(t, ReceiverConfig{K: 20, W: 128})
 	var next atomic.Uint64
@@ -293,6 +298,7 @@ func TestNextNBatchedReservation(t *testing.T) {
 }
 
 func TestNextNHorizonTruncates(t *testing.T) {
+	watchdog.Arm(t, 10*time.Second)
 	block := make(chan struct{})
 	var m store.Mem
 	saver := &gatedSaver{inner: SyncSaver{Store: &m}, gate: block}

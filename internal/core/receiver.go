@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -151,13 +150,6 @@ type ReceiverConfig struct {
 	Clock func() time.Duration
 }
 
-func (c ReceiverConfig) leapFactor() float64 {
-	if c.LeapFactor == 0 {
-		return DefaultLeapFactor
-	}
-	return c.LeapFactor
-}
-
 // Validate reports configuration errors.
 func (c ReceiverConfig) Validate() error {
 	if c.W < 0 {
@@ -166,20 +158,12 @@ func (c ReceiverConfig) Validate() error {
 	if c.WakeBuffer < 0 {
 		return fmt.Errorf("%w: WakeBuffer must be >= 0", ErrConfig)
 	}
-	if c.Baseline {
-		return nil
-	}
-	if c.K == 0 {
-		return fmt.Errorf("%w: K must be >= 1", ErrConfig)
-	}
-	if c.Store == nil {
-		return fmt.Errorf("%w: Store is required", ErrConfig)
-	}
-	return nil
+	return validateSaveConfig(c.Baseline, c.K, c.Store)
 }
 
 // Receiver is the paper's process q: an anti-replay window with SAVE/FETCH
-// persistence of the right edge. Safe for concurrent use.
+// persistence of the right edge (the embedded pipeline). Safe for
+// concurrent use.
 //
 // With ReceiverConfig.Concurrent the receiver admits messages on a
 // wait-free fast path: the current seqwin.Atomic window is published
@@ -196,20 +180,17 @@ func (c ReceiverConfig) Validate() error {
 // receiver cannot rebuild a foreign window on wake, so it cannot let
 // stale fast-path admits race a Reinit.
 //
-// Locking discipline: r.state and r.win are mutated only under r.mu; the
-// fast path never reads them — it consumes the published window pointer,
-// which is non-nil only while the receiver is StateUp. Monotonic protocol
-// counters shared with the fast path (lst, committed) are atomics written
-// under r.mu or saveMu; delivered/discarded are sharded counters.
+// Locking discipline: state and win are mutated only under mu; the fast
+// path never reads them — it consumes the published window pointer, which
+// is non-nil only while the receiver is StateUp. The pipeline's lst and
+// committed are atomics the fast path reads; delivered/discarded are
+// sharded counters.
 type Receiver struct {
-	cfg     ReceiverConfig
-	saver   BackgroundSaver
-	now     nowFunc
-	leap    uint64 // Leap(K, leapFactor), precomputed
-	width   int    // window width (immutable)
-	k       uint64 // cfg.K, flattened for the per-packet trigger check
-	strict  bool   // cfg.StrictHorizon && !cfg.Baseline, flattened
-	traceOn bool   // cfg.Trace != nil, flattened
+	savePipeline
+	width      int  // window width (immutable)
+	strict     bool // cfg.StrictHorizon && !cfg.Baseline
+	wakeBuffer int  // cap on buffer
+	drain      func(seq uint64, v Verdict)
 
 	// fastWin publishes the current window to the admission fast path. It
 	// is non-nil exactly while the receiver is StateUp with an owned
@@ -217,29 +198,16 @@ type Receiver struct {
 	fastWin atomic.Pointer[seqwin.Atomic]
 	ownFast bool // the receiver owns (and may rebuild) its Atomic window
 
-	mu        sync.Mutex
-	win       seqwin.Window
-	state     State
-	gen       uint64
-	wakeErr   error
-	buffer    []uint64 // messages held during StateWaking
-	harvested bool     // r.win's delivery tally already folded into delivered
-
-	lst       atomic.Uint64 // last edge value handed to a SAVE (paper: lst)
-	committed atomic.Uint64 // last edge value known durable
-
-	saveMu  sync.Mutex // orders saver invocations; see startSave
-	saveGen uint64     // mirrors gen for startSave's torn-save check
+	// Guarded by mu.
+	win        seqwin.Window
+	buffer     []uint64 // messages held during StateWaking
+	harvested  bool     // win's delivery tally already folded into delivered
+	overflowed uint64
 
 	// delivered/discarded share one Tallies block: both are bumped on the
 	// admission path, and one 1 KiB block instead of two 1 KiB sharded
 	// counters halves the per-receiver tally footprint at million-SA scale.
-	tallies     stats.Tallies // lanes: tallyDelivered, tallyDiscarded
-	savesStart  atomic.Uint64
-	savesOK     uint64
-	savesFailed uint64
-	resets      uint64
-	overflowed  uint64
+	tallies stats.Tallies // lanes: tallyDelivered, tallyDiscarded
 }
 
 // Lane indices into Receiver.tallies.
@@ -267,23 +235,21 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 			win = seqwin.NewBitmap(w)
 		}
 	}
-	if cfg.WakeBuffer == 0 {
-		cfg.WakeBuffer = DefaultWakeBuffer
-	}
 	r := &Receiver{
-		cfg:     cfg,
-		saver:   cfg.Saver,
-		now:     clockOrZero(cfg.Clock),
-		win:     win,
-		width:   win.W(),
-		leap:    Leap(cfg.K, cfg.leapFactor()),
-		k:       cfg.K,
-		strict:  cfg.StrictHorizon && !cfg.Baseline,
-		traceOn: cfg.Trace != nil,
-		state:   StateUp,
+		savePipeline: savePipeline{
+			role: "receiver", initial: 0, k: cfg.K, leap: configuredLeap(cfg.K, cfg.LeapFactor),
+			store: cfg.Store, saver: cfg.Saver,
+			trace: cfg.Trace, node: cfg.Name, clock: cfg.Clock,
+			skipPostWakeSave: cfg.AblationSkipPostWakeSave,
+		},
+		win:        win,
+		width:      win.W(),
+		strict:     cfg.StrictHorizon && !cfg.Baseline,
+		wakeBuffer: cfg.WakeBuffer,
+		drain:      cfg.Drain,
 	}
-	if cfg.Baseline {
-		r.k = 0 // the fast path treats k == 0 as "no SAVE trigger"
+	if r.wakeBuffer == 0 {
+		r.wakeBuffer = DefaultWakeBuffer
 	}
 	if aw, ok := win.(*seqwin.Atomic); ok && cfg.Window == nil {
 		// The receiver built this window itself, so it may replace it on
@@ -291,17 +257,9 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 		r.ownFast = true
 		r.fastWin.Store(aw)
 	}
-	if !cfg.Baseline {
-		if r.saver == nil {
-			r.saver = SyncSaver{Store: cfg.Store}
-		}
-		if _, ok, err := cfg.Store.Fetch(); err != nil {
-			return nil, fmt.Errorf("core: probing receiver store: %w", err)
-		} else if !ok {
-			if err := cfg.Store.Save(0); err != nil {
-				return nil, fmt.Errorf("core: initializing receiver store: %w", err)
-			}
-		}
+	r.install = r.installLocked
+	if err := r.open(cfg.Baseline); err != nil {
+		return nil, err
 	}
 	return r, nil
 }
@@ -325,51 +283,6 @@ func (r *Receiver) Admit(s uint64) Verdict {
 	return r.admitSlow(s)
 }
 
-// startSave hands v to the background saver. All save bookkeeping that must
-// be consistent with the invocation — lst, the saves-started counter, the
-// trace event — happens here, atomically with the hand-off, because saves
-// are triggered under r.mu but invoked after it is released:
-//
-//   - Updating lst at trigger time (the pre-concurrency design) lets the
-//     next trigger wait another K admissions while the first save is still
-//     un-invoked; with C concurrent admitters the edge can then outrun the
-//     durable value by up to C*K — far beyond the 2K wake leap, breaking
-//     exactly-once delivery (or, for a sender, no-reuse) across a reset.
-//     Here lst means "largest value actually handed to the saver", so the
-//     window between trigger and invocation suppresses nothing.
-//   - Two triggers can reach this point out of order; deduplicating against
-//     lst — "largest value actually handed to the saver" — drops any
-//     invocation no fresher than one already handed over, which both
-//     collapses the trigger herd into one write and keeps the medium
-//     monotonic (an out-of-order stale write would regress it, and a reset
-//     then wakes below delivered traffic). saveDone's gen-checked failure
-//     rollback of lst reopens the dedup so a failed save's value can be
-//     retried (e.g. a retransmission re-triggering the same
-//     horizon-extension save).
-//   - gen is the generation captured at trigger time. A reset advances
-//     saveGen under this same lock, so a straggler from the old life is
-//     dropped — the paper's "torn save" — instead of writing into the new
-//     life's medium.
-//
-// force bypasses the dedup: the post-wake save must run even though the
-// (volatile, possibly larger) lst of the previous life is still visible.
-// done is not called for dropped or deduplicated invocations (their
-// callbacks are stale or subsumed by the fresher save's).
-func (r *Receiver) startSave(gen, v uint64, force bool, done func(v uint64, err error)) {
-	r.saveMu.Lock()
-	defer r.saveMu.Unlock()
-	if gen != r.saveGen {
-		return // a reset intervened; the write never reaches the medium
-	}
-	if !force && v <= r.lst.Load() {
-		return // an at-least-as-fresh save is already on its way
-	}
-	r.lst.Store(v)
-	r.savesStart.Add(1)
-	r.cfg.Trace.Record(trace.Event{At: r.now(), Kind: trace.KindSaveStart, Node: r.cfg.Name, Seq: v})
-	r.saver.StartSave(v, func(err error) { done(v, err) })
-}
-
 // admitFast decides s against the published concurrent window w, touching
 // no lock at all. It reports ok=false when the message needs the slow
 // path: s lies at or beyond the strict durable horizon. (Lifecycle is
@@ -391,12 +304,10 @@ func (r *Receiver) admitFast(w *seqwin.Atomic, s uint64) (Verdict, bool) {
 		// the fast path's delivery case costs no extra locked operation.
 		r.tallies.AddSpread(s, tallyDiscarded, 1)
 	}
-	if r.traceOn {
+	if r.trace != nil {
 		r.traceVerdict(s, v)
 	}
-	// k == 0 means baseline (no SAVE protocol); the racy lst read is
-	// re-checked under the mutex in saveFromFastPath.
-	if d == seqwin.DecisionNew && r.k != 0 && s >= r.k+r.lst.Load() {
+	if d == seqwin.DecisionNew && r.due(s) {
 		r.saveFromFastPath(s)
 	}
 	return v, true
@@ -408,7 +319,7 @@ func (r *Receiver) admitFast(w *seqwin.Atomic, s uint64) (Verdict, bool) {
 // per concurrent admitter (startSave collapses the herd into one write).
 func (r *Receiver) saveFromFastPath(edge uint64) {
 	r.mu.Lock()
-	if r.state != StateUp || edge < r.cfg.K+r.lst.Load() {
+	if r.state != StateUp || !r.due(edge) {
 		r.mu.Unlock()
 		return
 	}
@@ -418,81 +329,72 @@ func (r *Receiver) saveFromFastPath(edge uint64) {
 	gen := r.gen
 	r.mu.Unlock()
 
-	r.startSave(gen, edge, false, func(v uint64, err error) { r.saveDone(gen, v, err) })
+	r.startSave(handoff{gen: gen, v: edge})
 }
 
-// admitSlow is the original mutex-serialized admission path; it also backs
-// the fast path's fallback cases (down/waking/horizon).
+// admitSlow is the mutex-serialized admission path; it also backs the fast
+// path's fallback cases (down/waking/horizon).
 func (r *Receiver) admitSlow(s uint64) Verdict {
 	r.mu.Lock()
 	switch r.state {
 	case StateDown:
 		r.mu.Unlock()
-		r.cfg.Trace.Record(trace.Event{At: r.now(), Kind: trace.KindDiscardDown, Node: r.cfg.Name, Seq: s})
+		r.record(trace.KindDiscardDown, s)
 		return VerdictDown
 	case StateWaking:
-		if len(r.buffer) >= r.cfg.WakeBuffer {
+		if len(r.buffer) >= r.wakeBuffer {
 			r.overflowed++
 			r.mu.Unlock()
-			r.cfg.Trace.Record(trace.Event{At: r.now(), Kind: trace.KindBufferOverflow, Node: r.cfg.Name, Seq: s})
+			r.record(trace.KindBufferOverflow, s)
 			return VerdictOverflow
 		}
 		r.buffer = append(r.buffer, s)
 		r.mu.Unlock()
-		r.cfg.Trace.Record(trace.Event{At: r.now(), Kind: trace.KindBuffered, Node: r.cfg.Name, Seq: s})
+		r.record(trace.KindBuffered, s)
 		return VerdictBuffered
 	}
-	v, save := r.decideLocked(s)
+	return r.decideAndUnlock(s)
+}
+
+// decideAndUnlock decides s against the window of a receiver that is up.
+// It is entered with mu held and releases it before tracing the verdict
+// and starting any SAVE the decision triggered.
+func (r *Receiver) decideAndUnlock(s uint64) Verdict {
+	v, save, trigger := r.decideLocked(s)
+	gen := r.gen
 	r.mu.Unlock()
 
 	r.traceVerdict(s, v)
-	save()
+	if trigger {
+		r.startSave(handoff{gen: gen, v: save})
+	}
 	return v
 }
 
-// decideLocked applies the window decision and prepares any triggered SAVE.
-// The returned closure must be invoked after releasing the lock.
-func (r *Receiver) decideLocked(s uint64) (Verdict, func()) {
-	if r.cfg.StrictHorizon && !r.cfg.Baseline {
-		if horizon := r.committed.Load() + r.leap; s >= horizon {
-			r.tallies.Add(tallyDiscarded, 1)
-			// Extend the horizon: start a save of s itself so the stream
-			// resumes one save-latency later (retransmissions or subsequent
-			// packets then fall below the new horizon). Saving a value above
-			// the current edge is safe — it only widens the post-reset
-			// fresh-sacrifice window, exactly as the leap itself does.
-			if s > r.lst.Load() {
-				gen, val := r.gen, s
-				return VerdictHorizon, func() {
-					r.startSave(gen, val, false, func(v uint64, err error) { r.saveDone(gen, v, err) })
-				}
-			}
-			return VerdictHorizon, func() {}
-		}
+// decideLocked applies the window decision and reports the value of the
+// SAVE it triggers, if any.
+func (r *Receiver) decideLocked(s uint64) (v Verdict, save uint64, trigger bool) {
+	if r.strict && s >= r.committed.Load()+r.leap {
+		r.tallies.Add(tallyDiscarded, 1)
+		// Extend the horizon: start a save of s itself so the stream
+		// resumes one save-latency later (retransmissions or subsequent
+		// packets then fall below the new horizon). Saving a value above
+		// the current edge is safe — it only widens the post-reset
+		// fresh-sacrifice window, exactly as the leap itself does.
+		return VerdictHorizon, s, s > r.lst.Load()
 	}
 	d := r.win.Admit(s)
-	v := verdictOf(d)
-	if v.Delivered() {
-		if !r.ownFast {
-			// An owned Atomic window records its own deliveries as claim
-			// bits (see admitFast); counting here too would double-count
-			// the slow-path admits that land in the same window.
-			r.tallies.Add(tallyDelivered, 1)
-		}
-	} else {
+	v = verdictOf(d)
+	if !v.Delivered() {
 		r.tallies.Add(tallyDiscarded, 1)
-	}
-	if r.cfg.Baseline {
-		return v, func() {}
+	} else if !r.ownFast {
+		// An owned Atomic window records its own deliveries as claim bits
+		// (see admitFast); counting here too would double-count the
+		// slow-path admits that land in the same window.
+		r.tallies.Add(tallyDelivered, 1)
 	}
 	edge := r.win.Edge()
-	if edge < r.cfg.K+r.lst.Load() {
-		return v, func() {}
-	}
-	gen := r.gen
-	return v, func() {
-		r.startSave(gen, edge, false, func(sv uint64, err error) { r.saveDone(gen, sv, err) })
-	}
+	return v, edge, r.due(edge)
 }
 
 func (r *Receiver) traceVerdict(s uint64, v Verdict) {
@@ -509,197 +411,68 @@ func (r *Receiver) traceVerdict(s uint64, v Verdict) {
 	default:
 		return
 	}
-	r.cfg.Trace.Record(trace.Event{At: r.now(), Kind: k, Node: r.cfg.Name, Seq: s})
+	r.record(k, s)
 }
 
 // Reset crashes the receiver: window, counters and buffer are volatile and
 // considered lost; any in-flight save is discarded.
 func (r *Receiver) Reset() {
-	r.mu.Lock()
-	// Unpublish the fast path first: admits that already loaded the pointer
-	// finish against the superseded window (see the type comment); new ones
-	// fall to the slow path and observe StateDown.
-	r.fastWin.Store(nil)
-	if r.ownFast && !r.harvested {
-		// Fold the abandoned window's delivery tally into the receiver
-		// counter before the wake installs a fresh window. A fast-path admit
-		// still in flight against the old window can slip its claim in after
-		// this harvest; its delivery then goes uncounted — a bounded
-		// observability race on a crashing endpoint, never a protocol one.
-		r.tallies.Add(tallyDelivered, r.win.(*seqwin.Atomic).Delivered())
-		r.harvested = true
-	}
-	r.state = StateDown
-	r.gen++
-	gen := r.gen
-	r.resets++
-	r.wakeErr = nil
-	r.buffer = nil
-	r.mu.Unlock()
-
-	// Any save triggered in the old life is torn: startSave drops it via
-	// the generation check (the crash destroyed the write in transit).
-	r.saveMu.Lock()
-	r.saveGen = gen
-	r.saveMu.Unlock()
-
-	if c, ok := r.saver.(Canceler); ok {
-		c.Cancel()
-	}
-	r.cfg.Trace.Record(trace.Event{At: r.now(), Kind: trace.KindReset, Node: r.cfg.Name})
+	r.reset(func() {
+		// Unpublish the fast path first: admits that already loaded the
+		// pointer finish against the superseded window (see the type
+		// comment); new ones fall to the slow path and observe StateDown.
+		r.fastWin.Store(nil)
+		if r.ownFast && !r.harvested {
+			// Fold the abandoned window's delivery tally into the receiver
+			// counter before the wake installs a fresh window. A fast-path
+			// admit still in flight against the old window can slip its
+			// claim in after this harvest; its delivery then goes uncounted
+			// — a bounded observability race on a crashing endpoint, never a
+			// protocol one.
+			r.tallies.Add(tallyDelivered, r.win.(*seqwin.Atomic).Delivered())
+			r.harvested = true
+		}
+		r.buffer = nil
+	})
 }
 
-// Wake boots the receiver after a reset, implementing the paper's third
-// action of process q: FETCH(r); SAVE(r+2Kq); r := r+2Kq; mark the whole
-// window received. Messages arriving before the SAVE completes are buffered
-// and decided afterwards through the Drain callback. Wake on an endpoint
-// that is not down is a no-op; a failed FETCH or SAVE leaves it down with
-// the error available from LastWakeError.
-func (r *Receiver) Wake() {
-	r.mu.Lock()
-	if r.state != StateDown {
-		r.mu.Unlock()
-		return
-	}
-	if r.cfg.Baseline {
-		// §3: the reset receiver restarts with r=0 and a cleared window,
-		// accepting any previously used sequence number again.
-		r.reinstallLocked(0, false)
-		r.state = StateUp
-		r.publishLocked()
-		r.mu.Unlock()
-		r.cfg.Trace.Record(trace.Event{At: r.now(), Kind: trace.KindWake, Node: r.cfg.Name})
-		r.cfg.Trace.Record(trace.Event{At: r.now(), Kind: trace.KindWakeDone, Node: r.cfg.Name})
-		return
-	}
-	r.state = StateWaking
-	gen := r.gen
-	r.mu.Unlock()
-
-	r.cfg.Trace.Record(trace.Event{At: r.now(), Kind: trace.KindWake, Node: r.cfg.Name})
-
-	v, ok, err := r.cfg.Store.Fetch()
-	if err == nil && !ok {
-		err = ErrNoSavedState
-	}
-	r.cfg.Trace.Record(trace.Event{At: r.now(), Kind: trace.KindFetch, Node: r.cfg.Name, Seq: v})
-	if err != nil {
-		r.failWake(gen, fmt.Errorf("core: receiver wake fetch: %w", err))
-		return
-	}
-	leaped := v + r.leap
-	if r.cfg.AblationSkipPostWakeSave {
-		// UNSAFE ablation: resume without the durable leap record.
-		r.startSave(gen, leaped, true, func(v uint64, err error) { r.saveDone(gen, v, err) })
-		r.finishWake(gen, leaped, nil)
-		return
-	}
-	r.startSave(gen, leaped, true, func(v uint64, err error) { r.finishWake(gen, v, err) })
-}
-
-func (r *Receiver) failWake(gen uint64, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.gen != gen {
-		return
-	}
-	r.state = StateDown
-	r.wakeErr = err
-}
-
-// reinstallLocked rebuilds the window at the given edge. An owned
-// concurrent window is replaced by a freshly allocated one — never mutated
-// in place — because a fast-path admit that raced the preceding Reset may
-// still be operating on the old object; the superseded window is simply
-// abandoned to it. Other windows are reinitialized in place: they are only
-// ever touched under r.mu. Called with r.mu held and the fast path
-// unpublished.
-func (r *Receiver) reinstallLocked(edge uint64, allSeen bool) {
+// installLocked is the pipeline's install hook: it rebuilds the window at
+// edge — after the leap with every entry marked received (paper: r :=
+// fetched + 2Kq; every entry of wdw set to true), on a baseline wake
+// cleared (§3: any previously used number is accepted again) — re-opens
+// the fast path, and returns the step that decides the messages buffered
+// during the wake, in arrival order.
+//
+// An owned concurrent window is replaced by a freshly allocated one — never
+// mutated in place — because a fast-path admit that raced the preceding
+// Reset may still be operating on the old object; the superseded window is
+// simply abandoned to it. Other windows are reinitialized in place: they
+// are only ever touched under mu.
+func (r *Receiver) installLocked(edge uint64) func() {
+	allSeen := r.k != 0
 	if r.ownFast {
 		w := seqwin.NewAtomic(r.width)
 		w.Reinit(edge, allSeen)
 		r.win = w
 		r.harvested = false // the fresh window starts a new delivery tally
-		return
+		r.fastWin.Store(w)
+	} else {
+		r.win.Reinit(edge, allSeen)
 	}
-	r.win.Reinit(edge, allSeen)
-}
-
-// publishLocked re-opens the fast path over the current window; a no-op for
-// receivers without an owned concurrent window. Called with r.mu held and
-// r.state == StateUp.
-func (r *Receiver) publishLocked() {
-	if r.ownFast {
-		r.fastWin.Store(r.win.(*seqwin.Atomic))
-	}
-}
-
-func (r *Receiver) finishWake(gen, leaped uint64, err error) {
-	r.mu.Lock()
-	if r.gen != gen {
-		r.mu.Unlock()
-		return
-	}
-	if err != nil {
-		r.state = StateDown
-		r.wakeErr = fmt.Errorf("core: receiver post-wake save: %w", err)
-		r.mu.Unlock()
-		r.cfg.Trace.Record(trace.Event{At: r.now(), Kind: trace.KindSaveError, Node: r.cfg.Name, Seq: leaped})
-		return
-	}
-	// Paper: r := fetched + 2Kq; every entry of wdw set to true.
-	r.reinstallLocked(leaped, true)
-	r.state = StateUp
-	r.publishLocked()
-	r.lst.Store(leaped)
-	r.committed.Store(leaped)
 	buf := r.buffer
 	r.buffer = nil
-	r.mu.Unlock()
-
-	r.cfg.Trace.Record(trace.Event{At: r.now(), Kind: trace.KindSaveDone, Node: r.cfg.Name, Seq: leaped})
-	r.cfg.Trace.Record(trace.Event{At: r.now(), Kind: trace.KindWakeDone, Node: r.cfg.Name, Seq: leaped})
-
-	// Decide the buffered messages in arrival order.
-	for _, s := range buf {
-		r.mu.Lock()
-		v, save := r.decideLocked(s)
-		r.mu.Unlock()
-		r.traceVerdict(s, v)
-		save()
-		if r.cfg.Drain != nil {
-			r.cfg.Drain(s, v)
+	if len(buf) == 0 {
+		return nil
+	}
+	return func() {
+		for _, s := range buf {
+			r.mu.Lock()
+			v := r.decideAndUnlock(s)
+			if r.drain != nil {
+				r.drain(s, v)
+			}
 		}
 	}
-}
-
-func (r *Receiver) saveDone(gen, v uint64, err error) {
-	r.mu.Lock()
-	if r.gen != gen {
-		r.mu.Unlock()
-		return
-	}
-	if err != nil {
-		r.savesFailed++
-		// Roll lst back so the next trigger — or a retransmission
-		// re-triggering the same horizon-extension value — retries the
-		// save (lst doubles as startSave's dedup watermark), unless a
-		// newer save has been handed out meanwhile. The single CAS makes
-		// the newer-save check atomic with the rollback: startSave runs
-		// under saveMu, not r.mu, so a load-then-store pair here could
-		// interleave with its watermark update and regress lst below a
-		// value already handed to the saver.
-		r.lst.CompareAndSwap(v, r.committed.Load())
-		r.mu.Unlock()
-		r.cfg.Trace.Record(trace.Event{At: r.now(), Kind: trace.KindSaveError, Node: r.cfg.Name, Seq: v})
-		return
-	}
-	r.savesOK++
-	if v > r.committed.Load() {
-		r.committed.Store(v)
-	}
-	r.mu.Unlock()
-	r.cfg.Trace.Record(trace.Event{At: r.now(), Kind: trace.KindSaveDone, Node: r.cfg.Name, Seq: v})
 }
 
 // Edge returns the anti-replay window's right edge (paper: r).
@@ -729,30 +502,6 @@ func (r *Receiver) Occupancy() int {
 		return o.Occupancy()
 	}
 	return -1
-}
-
-// LastStored returns the last edge value handed to a SAVE (paper: lst).
-func (r *Receiver) LastStored() uint64 { return r.lst.Load() }
-
-// Committed returns the last edge value known durable — the floor under the
-// receiver's acceptance horizon. Unlike LastStored (optimistic: handed to a
-// save, not necessarily acknowledged) this only grows on completed SAVEs and
-// on the wake-up leap, so it is the regression witness disk-fault
-// experiments compare across reopen.
-func (r *Receiver) Committed() uint64 { return r.committed.Load() }
-
-// State returns the lifecycle state.
-func (r *Receiver) State() State {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.state
-}
-
-// LastWakeError returns the error that kept the last Wake from completing.
-func (r *Receiver) LastWakeError() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.wakeErr
 }
 
 // ReceiverStats is a snapshot of receiver counters.

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"antireplay/internal/store"
@@ -51,114 +48,45 @@ type SenderConfig struct {
 	Clock func() time.Duration
 }
 
-func (c SenderConfig) leapFactor() float64 {
-	if c.LeapFactor == 0 {
-		return DefaultLeapFactor
-	}
-	return c.LeapFactor
-}
-
 // Validate reports configuration errors.
 func (c SenderConfig) Validate() error {
-	if c.Baseline {
-		return nil
-	}
-	if c.K == 0 {
-		return fmt.Errorf("%w: K must be >= 1", ErrConfig)
-	}
-	if c.Store == nil {
-		return fmt.Errorf("%w: Store is required", ErrConfig)
-	}
-	return nil
+	return validateSaveConfig(c.Baseline, c.K, c.Store)
 }
 
 // Sender is the paper's process p: it hands out increasing sequence numbers
-// and maintains the durable counter through SAVE/FETCH. Safe for concurrent
-// use.
+// and maintains the durable counter through SAVE/FETCH (the embedded
+// pipeline). Safe for concurrent use.
 type Sender struct {
-	cfg   SenderConfig
-	saver BackgroundSaver
-	now   nowFunc
+	savePipeline
+	strict bool // cfg.StrictHorizon && !cfg.Baseline
 
-	mu        sync.Mutex
-	s         uint64 // next sequence number to hand out (paper: s)
-	committed uint64 // last value known durable
-
-	// lst is the last value actually handed to a SAVE (paper: lst),
-	// written by startSave under saveMu (and by wake/failure handling
-	// under mu); atomic so both lock domains can read it.
-	lst     atomic.Uint64
-	state   State
-	gen     uint64 // bumped by Reset; stales in-flight callbacks
-	wakeErr error
-
-	saveMu  sync.Mutex // orders saver invocations; see Receiver.startSave
-	saveGen uint64     // mirrors gen for startSave's torn-save check
-
-	sent        uint64
-	savesStart  atomic.Uint64
-	savesOK     uint64
-	savesFailed uint64
-	resets      uint64
+	// Guarded by mu.
+	s    uint64 // next sequence number to hand out (paper: s)
+	sent uint64
 }
 
 // NewSender validates cfg and returns a ready sender. For a resilient
 // sender whose store is empty, the initial counter (1) is saved
-// synchronously, making the first post-reset FETCH well defined — the
-// paper's lst "initially 1".
+// synchronously — the paper's lst "initially 1".
 func NewSender(cfg SenderConfig) (*Sender, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	x := &Sender{
-		cfg:   cfg,
-		saver: cfg.Saver,
-		now:   clockOrZero(cfg.Clock),
-		s:     1,
-		state: StateUp,
+		savePipeline: savePipeline{
+			role: "sender", initial: 1, k: cfg.K, leap: configuredLeap(cfg.K, cfg.LeapFactor),
+			store: cfg.Store, saver: cfg.Saver,
+			trace: cfg.Trace, node: cfg.Name, clock: cfg.Clock,
+			skipPostWakeSave: cfg.AblationSkipPostWakeSave,
+		},
+		strict: cfg.StrictHorizon && !cfg.Baseline,
+		s:      1,
 	}
-	x.lst.Store(1)
-	if !cfg.Baseline {
-		if x.saver == nil {
-			x.saver = SyncSaver{Store: cfg.Store}
-		}
-		if _, ok, err := cfg.Store.Fetch(); err != nil {
-			return nil, fmt.Errorf("core: probing sender store: %w", err)
-		} else if !ok {
-			if err := cfg.Store.Save(1); err != nil {
-				return nil, fmt.Errorf("core: initializing sender store: %w", err)
-			}
-		}
-		x.committed = 1
+	x.install = func(v uint64) func() { x.s = v; return nil }
+	if err := x.open(cfg.Baseline); err != nil {
+		return nil, err
 	}
 	return x, nil
-}
-
-// startSave hands v to the background saver; see Receiver.startSave for
-// the full rationale. The bookkeeping that must be consistent with the
-// hand-off — lst (which doubles as the dedup watermark), the
-// saves-started counter, the trace event — happens here: triggered saves
-// are invoked after x.mu is released, so with concurrent Next/NextN
-// callers a trigger-time lst update would let the counter outrun the
-// durable value by up to C*K, and out-of-order or post-reset straggler
-// invocations would regress the medium — both paths to sequence reuse
-// after a reset, the exact failure the protocol exists to prevent. force
-// bypasses the dedup for the post-wake save (the previous life's larger
-// lst is still visible). Deduplicated and torn (generation-stale) saves
-// are dropped without calling done.
-func (x *Sender) startSave(gen, v uint64, force bool, done func(v uint64, err error)) {
-	x.saveMu.Lock()
-	defer x.saveMu.Unlock()
-	if gen != x.saveGen {
-		return // a reset intervened; the write never reaches the medium
-	}
-	if !force && v <= x.lst.Load() {
-		return // an at-least-as-fresh save is already on its way
-	}
-	x.lst.Store(v)
-	x.savesStart.Add(1)
-	x.cfg.Trace.Record(trace.Event{At: x.now(), Kind: trace.KindSaveStart, Node: x.cfg.Name, Seq: v})
-	x.saver.StartSave(v, func(err error) { done(v, err) })
 }
 
 // Next returns the sequence number for the next outgoing message,
@@ -194,8 +122,8 @@ func (x *Sender) NextN(n int) (first uint64, count int, err error) {
 		return 0, 0, ErrWaking
 	}
 	grant := uint64(n)
-	if x.cfg.StrictHorizon && !x.cfg.Baseline {
-		horizon := x.committed + Leap(x.cfg.K, x.cfg.leapFactor())
+	if x.strict {
+		horizon := x.committed.Load() + x.leap
 		if x.s >= horizon {
 			x.mu.Unlock()
 			return 0, 0, ErrSaveLag
@@ -207,190 +135,30 @@ func (x *Sender) NextN(n int) (first uint64, count int, err error) {
 	first = x.s
 	x.s += grant
 	x.sent += grant
-	var (
-		saveVal uint64
-		gen     uint64
-		doSave  bool
-	)
-	if !x.cfg.Baseline && x.s >= x.cfg.K+x.lst.Load() {
-		saveVal, gen, doSave = x.s, x.gen, true
-	}
+	save := handoff{gen: x.gen, v: x.s}
+	trigger := x.due(x.s)
 	x.mu.Unlock()
 
-	if x.cfg.Trace != nil {
+	if x.trace != nil {
 		for i := uint64(0); i < grant; i++ {
-			x.cfg.Trace.Record(trace.Event{At: x.now(), Kind: trace.KindSend, Node: x.cfg.Name, Seq: first + i})
+			x.record(trace.KindSend, first+i)
 		}
 	}
-	if doSave {
-		x.startSave(gen, saveVal, false, func(v uint64, err error) { x.saveDone(gen, v, err) })
+	if trigger {
+		x.startSave(save)
 	}
 	return first, int(grant), nil
 }
 
 // Reset crashes the sender: all volatile state is considered lost and any
 // in-flight save is discarded (the write never reached the medium).
-func (x *Sender) Reset() {
-	x.mu.Lock()
-	x.state = StateDown
-	x.gen++
-	gen := x.gen
-	x.resets++
-	x.wakeErr = nil
-	x.mu.Unlock()
-
-	// Saves triggered in the old life are torn: startSave drops them via
-	// the generation check (the crash destroyed the write in transit).
-	x.saveMu.Lock()
-	x.saveGen = gen
-	x.saveMu.Unlock()
-
-	if c, ok := x.saver.(Canceler); ok {
-		c.Cancel()
-	}
-	x.cfg.Trace.Record(trace.Event{At: x.now(), Kind: trace.KindReset, Node: x.cfg.Name})
-}
-
-// Wake boots the sender after a reset, implementing the paper's third
-// action: FETCH(s); SAVE(s+2Kp); s := s+2Kp; only when that SAVE completes
-// does the sender leave the waiting state. Wake on an endpoint that is not
-// down is a no-op. A failed FETCH or SAVE leaves the endpoint down with the
-// error available from LastWakeError.
-func (x *Sender) Wake() {
-	x.mu.Lock()
-	if x.state != StateDown {
-		x.mu.Unlock()
-		return
-	}
-	if x.cfg.Baseline {
-		// §3: the reset sender restarts its counter at 1.
-		x.s = 1
-		x.lst.Store(1)
-		x.state = StateUp
-		x.mu.Unlock()
-		x.cfg.Trace.Record(trace.Event{At: x.now(), Kind: trace.KindWake, Node: x.cfg.Name, Seq: 1})
-		x.cfg.Trace.Record(trace.Event{At: x.now(), Kind: trace.KindWakeDone, Node: x.cfg.Name, Seq: 1})
-		return
-	}
-	x.state = StateWaking
-	gen := x.gen
-	x.mu.Unlock()
-
-	x.cfg.Trace.Record(trace.Event{At: x.now(), Kind: trace.KindWake, Node: x.cfg.Name})
-
-	v, ok, err := x.cfg.Store.Fetch()
-	if err == nil && !ok {
-		err = ErrNoSavedState
-	}
-	x.cfg.Trace.Record(trace.Event{At: x.now(), Kind: trace.KindFetch, Node: x.cfg.Name, Seq: v})
-	if err != nil {
-		x.failWake(gen, fmt.Errorf("core: sender wake fetch: %w", err))
-		return
-	}
-	leaped := v + Leap(x.cfg.K, x.cfg.leapFactor())
-	if x.cfg.AblationSkipPostWakeSave {
-		// UNSAFE ablation: resume without the durable leap record; a save is
-		// still started in the background, mimicking the naive fix.
-		x.startSave(gen, leaped, true, func(v uint64, err error) { x.saveDone(gen, v, err) })
-		x.finishWake(gen, leaped, nil)
-		return
-	}
-	x.startSave(gen, leaped, true, func(v uint64, err error) { x.finishWake(gen, v, err) })
-}
-
-func (x *Sender) failWake(gen uint64, err error) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	if x.gen != gen {
-		return
-	}
-	x.state = StateDown
-	x.wakeErr = err
-}
-
-func (x *Sender) finishWake(gen, leaped uint64, err error) {
-	x.mu.Lock()
-	if x.gen != gen {
-		x.mu.Unlock()
-		return
-	}
-	if err != nil {
-		x.state = StateDown
-		x.wakeErr = fmt.Errorf("core: sender post-wake save: %w", err)
-		x.mu.Unlock()
-		x.cfg.Trace.Record(trace.Event{At: x.now(), Kind: trace.KindSaveError, Node: x.cfg.Name, Seq: leaped})
-		return
-	}
-	x.s = leaped
-	x.lst.Store(leaped)
-	x.committed = leaped
-	x.state = StateUp
-	x.mu.Unlock()
-	x.cfg.Trace.Record(trace.Event{At: x.now(), Kind: trace.KindSaveDone, Node: x.cfg.Name, Seq: leaped})
-	x.cfg.Trace.Record(trace.Event{At: x.now(), Kind: trace.KindWakeDone, Node: x.cfg.Name, Seq: leaped})
-}
-
-// saveDone finalizes a background SAVE started by Next.
-func (x *Sender) saveDone(gen, v uint64, err error) {
-	x.mu.Lock()
-	if x.gen != gen {
-		x.mu.Unlock()
-		return // a reset intervened; the save was torn
-	}
-	if err != nil {
-		x.savesFailed++
-		// Roll lst back so the next send retries the save (lst doubles as
-		// startSave's dedup watermark), unless a newer save has been handed
-		// out meanwhile. CAS, not load-then-store: startSave updates the
-		// watermark under saveMu, not x.mu, and the rollback must not
-		// regress lst below a value it has already handed to the saver.
-		x.lst.CompareAndSwap(v, x.committed)
-		x.mu.Unlock()
-		x.cfg.Trace.Record(trace.Event{At: x.now(), Kind: trace.KindSaveError, Node: x.cfg.Name, Seq: v})
-		return
-	}
-	x.savesOK++
-	if v > x.committed {
-		x.committed = v
-	}
-	x.mu.Unlock()
-	x.cfg.Trace.Record(trace.Event{At: x.now(), Kind: trace.KindSaveDone, Node: x.cfg.Name, Seq: v})
-}
+func (x *Sender) Reset() { x.reset(nil) }
 
 // Seq returns the next sequence number to be handed out (paper: s).
 func (x *Sender) Seq() uint64 {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	return x.s
-}
-
-// LastStored returns the last value handed to a SAVE (paper: lst).
-func (x *Sender) LastStored() uint64 { return x.lst.Load() }
-
-// Committed returns the last value known durable — the floor under the
-// sender's horizon. Unlike LastStored (optimistic: handed to a save, not
-// necessarily acknowledged) this only grows on completed SAVEs and on the
-// wake-up leap, so it is the regression witness disk-fault experiments
-// compare across reopen.
-func (x *Sender) Committed() uint64 {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.committed
-}
-
-// State returns the lifecycle state.
-func (x *Sender) State() State {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.state
-}
-
-// LastWakeError returns the error that kept the last Wake from completing,
-// if any.
-func (x *Sender) LastWakeError() error {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.wakeErr
 }
 
 // SenderStats is a snapshot of sender counters.

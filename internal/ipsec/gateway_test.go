@@ -12,6 +12,7 @@ import (
 
 	"antireplay/internal/core"
 	"antireplay/internal/store"
+	"antireplay/internal/watchdog"
 )
 
 func newInboundT(t *testing.T, spi uint32) *InboundSA {
@@ -49,6 +50,7 @@ func TestSADShardDistribution(t *testing.T) {
 // Delete, Lookup, Open, Len, and Range. Run under -race this is the
 // regression test for the lock striping.
 func TestSADConcurrentStress(t *testing.T) {
+	watchdog.Arm(t, 10*time.Second)
 	d := NewSAD()
 	const spis = 128
 

@@ -6,8 +6,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"antireplay/internal/store"
+	"antireplay/internal/watchdog"
 )
 
 // TestRaceRCUDatapath hammers the RCU read side of both databases — SAD
@@ -23,6 +25,7 @@ import (
 //   - exactly-once: no sequence number is ever delivered twice, across all
 //     generations, under any interleaving of cutovers and lookups.
 func TestRaceRCUDatapath(t *testing.T) {
+	watchdog.Arm(t, 10*time.Second)
 	j, err := store.OpenJournal(filepath.Join(t.TempDir(), "j.log"), store.JournalWithoutSync())
 	if err != nil {
 		t.Fatal(err)

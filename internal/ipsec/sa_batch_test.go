@@ -9,9 +9,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"antireplay/internal/core"
 	"antireplay/internal/store"
+	"antireplay/internal/watchdog"
 )
 
 // batchGateway builds a gateway over a fresh journal with the given config;
@@ -106,6 +108,7 @@ func TestSealSeqExhausted(t *testing.T) {
 // concurrent Seals against a nearly-exhausted HardBytes budget must not all
 // pass the stale check. At most one packet may cross the boundary.
 func TestSealConcurrentHardBytes(t *testing.T) {
+	watchdog.Arm(t, 10*time.Second)
 	const (
 		goroutines = 8
 		perG       = 200
@@ -296,6 +299,7 @@ func TestGatewayBatchRoundTrip(t *testing.T) {
 // under -race: concurrent sealers and verifiers over multiple SAs, with
 // exactly-once delivery across the whole run.
 func TestGatewayBatchConcurrent(t *testing.T) {
+	watchdog.Arm(t, 10*time.Second)
 	g := batchGateway(t, GatewayConfig{K: 50, W: 1024, NoStrictHorizon: true})
 	const (
 		nSAs    = 4
@@ -368,6 +372,7 @@ func TestGatewayBatchConcurrent(t *testing.T) {
 // re-inference retry must deliver every packet exactly once even when a
 // racing Open moves the edge mid-verification.
 func TestOpenConcurrentESNBoundary(t *testing.T) {
+	watchdog.Arm(t, 10*time.Second)
 	const k = 25
 	base := uint64(1)<<32 - 200
 	var sm store.Mem

@@ -32,19 +32,20 @@ type pendingSave struct {
 	done func(error)
 }
 
-// saveBatch persists one drained batch: only the maximum value is written
-// (a durable v' >= v is at least as safe as a durable v, and letting a
-// stale value land last would shrink the counter and void the wake-up leap
-// bound), then every done callback receives that save's result. Both
-// AsyncSaver and SaverPool coalesce through this one implementation.
-func saveBatch(st Store, batch []pendingSave) {
+// saveBatch persists one drained batch through save: only the maximum value
+// is written (a durable v' >= v is at least as safe as a durable v, and
+// letting a stale value land last would shrink the counter and void the
+// wake-up leap bound), then every done callback receives that save's
+// result. AsyncSaver (plain Save) and SaverPool (Save under the pool's
+// bounded retry) both coalesce through this one implementation.
+func saveBatch(save func(v uint64) error, batch []pendingSave) {
 	maxV := batch[0].v
 	for _, p := range batch[1:] {
 		if p.v > maxV {
 			maxV = p.v
 		}
 	}
-	err := st.Save(maxV)
+	err := save(maxV)
 	for _, p := range batch {
 		if p.done != nil {
 			p.done(err)
@@ -91,7 +92,7 @@ func (a *AsyncSaver) worker() {
 		a.pending = nil
 		a.mu.Unlock()
 
-		saveBatch(a.inner, batch)
+		saveBatch(a.inner.Save, batch)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 
 	"antireplay/internal/storefault"
 	"antireplay/internal/telemetry"
+	"antireplay/internal/watchdog"
 )
 
 // faultyJournalAt opens a journal whose file layer sits on a fresh
@@ -402,6 +403,7 @@ func TestLanesRepairLane(t *testing.T) {
 // TestPoolRetryTransient: a transient save failure is retried within the
 // budget and succeeds without surfacing an error.
 func TestPoolRetryTransient(t *testing.T) {
+	watchdog.Arm(t, 10*time.Second)
 	p := NewSaverPool(1)
 	defer p.Close()
 	p.SetRetry(SaveRetry{Attempts: 3, Base: time.Microsecond})
@@ -427,6 +429,7 @@ func TestPoolRetryTransient(t *testing.T) {
 // TestPoolRetryExhaustion: a failure outlasting the budget surfaces
 // ErrSaveRetriesExhausted wrapping the last underlying error.
 func TestPoolRetryExhaustion(t *testing.T) {
+	watchdog.Arm(t, 10*time.Second)
 	p := NewSaverPool(1)
 	defer p.Close()
 	p.SetRetry(SaveRetry{Attempts: 3, Base: time.Microsecond})
@@ -450,6 +453,7 @@ func TestPoolRetryExhaustion(t *testing.T) {
 // TestPoolPoisonedFailsFast: a poisoned lane is a permanent failure — no
 // retry may re-sync it, and the original error comes back unwrapped.
 func TestPoolPoisonedFailsFast(t *testing.T) {
+	watchdog.Arm(t, 10*time.Second)
 	j, in := faultyJournalAt(t)
 	defer j.Close()
 	in.Arm(storefault.Fault{Op: storefault.OpSync, Count: 1, Err: syscall.EIO})

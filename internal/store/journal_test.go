@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"antireplay/internal/watchdog"
 )
 
 func journalAt(t *testing.T, opts ...JournalOption) *Journal {
@@ -465,6 +467,7 @@ func TestJournalCompactionNoThrash(t *testing.T) {
 // the last value whose SAVE was acknowledged — otherwise the wake-up leap
 // no longer covers the gap and sequence numbers could be reused.
 func TestJournalNoCounterRegression(t *testing.T) {
+	watchdog.Arm(t, 10*time.Second)
 	for _, torn := range []bool{false, true} {
 		name := "clean"
 		if torn {
@@ -543,6 +546,7 @@ func TestJournalNoCounterRegression(t *testing.T) {
 // TestJournalGroupCommit: concurrent saves must share fsyncs — that is the
 // journal's reason to exist.
 func TestJournalGroupCommit(t *testing.T) {
+	watchdog.Arm(t, 10*time.Second)
 	j := journalAt(t, JournalBatchDelay(200*time.Microsecond))
 	defer j.Close()
 	base := j.Syncs()

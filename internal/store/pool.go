@@ -228,9 +228,7 @@ type PoolSaver struct {
 // once (from a pool worker) with the result of the save that covered v.
 // After the pool is closed, done is invoked synchronously with ErrClosed.
 func (s *PoolSaver) StartSave(v uint64, done func(error)) {
-	if s.p != nil {
-		s.p.requested.Add(1)
-	}
+	s.p.requested.Add(1)
 	s.mu.Lock()
 	s.pending = append(s.pending, pendingSave{v: v, done: done})
 	enqueue := !s.active
@@ -297,27 +295,13 @@ func (s *PoolSaver) drain() {
 		s.pending = nil
 		s.mu.Unlock()
 
-		if s.p == nil {
-			saveBatch(s.st, batch)
-			continue
-		}
 		s.p.persisted.Add(1)
-		// Same coalescing as saveBatch — persist only the maximum — but the
-		// write goes through the pool's bounded retry.
-		maxV := batch[0].v
-		for _, ps := range batch[1:] {
-			if ps.v > maxV {
-				maxV = ps.v
-			}
-		}
-		err := s.p.saveWithRetry(s.st, maxV)
-		for _, ps := range batch {
-			if ps.done != nil {
-				ps.done(err)
-			}
-		}
+		saveBatch(s.save, batch)
 	}
 }
+
+// save persists v into the handle's store under the pool's retry policy.
+func (s *PoolSaver) save(v uint64) error { return s.p.saveWithRetry(s.st, v) }
 
 func (p *SaverPool) worker(sh *poolShard) {
 	defer p.wg.Done()

@@ -7,9 +7,12 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"antireplay/internal/watchdog"
 )
 
 func TestPoolSaverCompletes(t *testing.T) {
+	watchdog.Arm(t, 10*time.Second)
 	p := NewSaverPool(2)
 	var m Mem
 	s := p.Saver(&m)
@@ -33,6 +36,7 @@ func TestPoolSaverCompletes(t *testing.T) {
 // coalesce to the maximum and the durable value only grows, even with all
 // values queued before any worker runs.
 func TestPoolSaverMonotonic(t *testing.T) {
+	watchdog.Arm(t, 10*time.Second)
 	p := NewSaverPool(4)
 	var m Mem
 	s := p.Saver(&m)
@@ -53,6 +57,7 @@ func TestPoolSaverMonotonic(t *testing.T) {
 }
 
 func TestPoolManyHandles(t *testing.T) {
+	watchdog.Arm(t, 10*time.Second)
 	p := NewSaverPool(8)
 	const handles, saves = 100, 20
 	mems := make([]*Mem, handles)
@@ -90,6 +95,7 @@ func TestPoolManyHandles(t *testing.T) {
 }
 
 func TestPoolCloseDrains(t *testing.T) {
+	watchdog.Arm(t, 10*time.Second)
 	p := NewSaverPool(1)
 	slow := NewLatent(&Mem{}, 2*time.Millisecond)
 	var calls atomic.Uint64
@@ -103,6 +109,7 @@ func TestPoolCloseDrains(t *testing.T) {
 }
 
 func TestPoolStartSaveAfterClose(t *testing.T) {
+	watchdog.Arm(t, 10*time.Second)
 	p := NewSaverPool(1)
 	p.Close()
 	var m Mem
@@ -117,6 +124,7 @@ func TestPoolStartSaveAfterClose(t *testing.T) {
 }
 
 func TestPoolDoneCalledExactlyOnce(t *testing.T) {
+	watchdog.Arm(t, 10*time.Second)
 	p := NewSaverPool(4)
 	var m Mem
 	s := p.Saver(&m)
@@ -141,6 +149,7 @@ func TestPoolDoneCalledExactlyOnce(t *testing.T) {
 // end-to-end gateway persistence path. Every acknowledged save must be
 // durable and the fsync count must stay well below the save count.
 func TestPoolJournalGroupCommit(t *testing.T) {
+	watchdog.Arm(t, 10*time.Second)
 	j := journalAt(t, JournalBatchDelay(100*time.Microsecond))
 	p := NewSaverPool(8)
 	const handles, saves = 50, 10

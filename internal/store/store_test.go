@@ -9,6 +9,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"antireplay/internal/watchdog"
 )
 
 func TestMemEmptyFetch(t *testing.T) {
@@ -47,6 +49,7 @@ func TestMemSaveFetch(t *testing.T) {
 }
 
 func TestMemConcurrent(t *testing.T) {
+	watchdog.Arm(t, 10*time.Second)
 	var m Mem
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -223,6 +226,7 @@ func TestFileWithoutSync(t *testing.T) {
 }
 
 func TestFileConcurrent(t *testing.T) {
+	watchdog.Arm(t, 10*time.Second)
 	f := fileStore(t)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -346,6 +350,7 @@ func TestAsyncSaverClosed(t *testing.T) {
 }
 
 func TestAsyncSaverManyConcurrent(t *testing.T) {
+	watchdog.Arm(t, 10*time.Second)
 	var m Mem
 	a := NewAsyncSaver(&m)
 	var wg sync.WaitGroup
@@ -370,6 +375,7 @@ func TestAsyncSaverManyConcurrent(t *testing.T) {
 // TestAsyncSaverMonotonic: out-of-order completion must never let a stale
 // value overwrite a newer one — the durable counter only grows.
 func TestAsyncSaverMonotonic(t *testing.T) {
+	watchdog.Arm(t, 10*time.Second)
 	var m Mem
 	a := NewAsyncSaver(&m)
 	for i := uint64(1); i <= 500; i++ {

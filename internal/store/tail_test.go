@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"antireplay/internal/watchdog"
 )
 
 // drainTail pulls every currently-pending committed record from t.
@@ -213,6 +215,7 @@ func TestJournalCompactionDirFsync(t *testing.T) {
 }
 
 func TestSyncFollowerGatesSaves(t *testing.T) {
+	watchdog.Arm(t, 10*time.Second)
 	j, err := OpenJournal(filepath.Join(t.TempDir(), "j.log"), JournalWithoutSync())
 	if err != nil {
 		t.Fatal(err)
@@ -256,6 +259,7 @@ func TestSyncFollowerGatesSaves(t *testing.T) {
 }
 
 func TestClearSyncFollowerReleasesWaiters(t *testing.T) {
+	watchdog.Arm(t, 10*time.Second)
 	j, err := OpenJournal(filepath.Join(t.TempDir(), "j.log"), JournalWithoutSync())
 	if err != nil {
 		t.Fatal(err)
@@ -285,6 +289,7 @@ func TestClearSyncFollowerReleasesWaiters(t *testing.T) {
 }
 
 func TestFenceRejectsWritesAndReleasesWaiters(t *testing.T) {
+	watchdog.Arm(t, 10*time.Second)
 	j, err := OpenJournal(filepath.Join(t.TempDir(), "j.log"), JournalWithoutSync())
 	if err != nil {
 		t.Fatal(err)
