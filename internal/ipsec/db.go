@@ -2,6 +2,7 @@ package ipsec
 
 import (
 	"fmt"
+	"maps"
 	"net/netip"
 	"sync"
 	"sync/atomic"
@@ -155,10 +156,18 @@ func (s Selector) Matches(src, dst netip.Addr) bool {
 // view under the writer mutex, so a reader can never observe a half-updated
 // index — the property the old read-write lock provided, now without any
 // per-packet lock traffic.
+//
+// The index is two maps with disjoint keys: exact, and recent, which holds
+// the host routes added since exact was last rebuilt. An Add copies only
+// recent, and folds it into a new exact once len(recent)² outgrows
+// len(exact) — about √n copied per Add instead of n. Everything in exact
+// is older than everything in recent, so probing exact first is
+// first-match-wins, and a route that has reached exact costs the one probe
+// it always did.
 type spdView struct {
-	entries []spdEntry
-	exact   map[hostPair]*OutboundSA
-	scanAll bool // a non-host selector exists; the ordered scan decides
+	entries       []spdEntry
+	exact, recent map[hostPair]*OutboundSA
+	scanAll       bool // a non-host selector exists; the ordered scan decides
 }
 
 // SPD is the security policy database: an ordered list of selectors mapping
@@ -185,7 +194,7 @@ type hostPair struct {
 }
 
 // emptySPDView backs zero-value and fresh SPDs.
-var emptySPDView = &spdView{exact: map[hostPair]*OutboundSA{}}
+var emptySPDView = &spdView{}
 
 // NewSPD returns an empty policy database.
 func NewSPD() *SPD {
@@ -229,33 +238,41 @@ func rebuildSPDView(entries []spdEntry) *spdView {
 // Add appends a policy entry. The new view's entry list shares the old
 // backing array where capacity allows (published views only ever read
 // their own prefix, and in-place mutation happens solely on freshly copied
-// slices), so the slice work is amortized O(1); the host-route index is
-// copied and extended, which makes Add O(existing host routes) — the price
-// of lock-free readers. That is fine at control-plane rates; a caller
-// installing a very large table pays a quadratic total and should prefer
-// fewer, wider selectors (or accept the one-time cost — 10k entries
-// install in well under a second).
+// slices), so the slice work is amortized O(1); a host route copies the
+// recent half of the index — the price of lock-free readers, amortized
+// O(√n) per Add; see spdView.
 func (p *SPD) Add(sel Selector, sa *OutboundSA) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	old := p.view()
-	entries := append(old.entries, spdEntry{sel: sel, sa: sa})
-	v := &spdView{entries: entries, scanAll: old.scanAll}
+	v := &spdView{entries: append(old.entries, spdEntry{sel: sel, sa: sa}),
+		exact: old.exact, recent: old.recent, scanAll: old.scanAll}
 	switch {
 	case old.scanAll:
 		// The ordered scan already decides; no index to maintain.
-	case sel.Src.IsSingleIP() && sel.Dst.IsSingleIP():
-		v.exact = make(map[hostPair]*OutboundSA, len(old.exact)+1)
-		for k, sa := range old.exact {
-			v.exact[k] = sa
-		}
-		pair := hostPair{src: sel.Src.Addr(), dst: sel.Dst.Addr()}
-		if _, dup := v.exact[pair]; !dup {
-			// First match wins; a later duplicate never shadows it.
-			v.exact[pair] = sa
-		}
+	case !sel.Src.IsSingleIP() || !sel.Dst.IsSingleIP():
+		// A non-host selector: the ordered scan decides from here on.
+		v.exact, v.recent, v.scanAll = nil, nil, true
 	default:
-		v.scanAll = true // a non-host selector: the ordered scan decides
+		pair := hostPair{src: sel.Src.Addr(), dst: sel.Dst.Addr()}
+		_, inExact := old.exact[pair]
+		_, inRecent := old.recent[pair]
+		if inExact || inRecent {
+			break // first match wins; a later duplicate never shadows it
+		}
+		n := len(old.recent) + 1
+		fold := n*n > len(old.exact)
+		if fold {
+			n += len(old.exact)
+		}
+		grown := make(map[hostPair]*OutboundSA, n)
+		maps.Copy(grown, old.recent)
+		grown[pair] = sa
+		if v.recent = grown; fold {
+			// The fresh copy of recent absorbs exact and takes its place.
+			maps.Copy(grown, old.exact)
+			v.exact, v.recent = grown, nil
+		}
 	}
 	p.cur.Store(v)
 }
@@ -334,7 +351,11 @@ func (p *SPD) Range(fn func(Selector, *OutboundSA) bool) {
 func (p *SPD) Lookup(src, dst netip.Addr) (*OutboundSA, bool) {
 	v := p.view()
 	if !v.scanAll {
-		sa, ok := v.exact[hostPair{src: src, dst: dst}]
+		pair := hostPair{src: src, dst: dst}
+		if sa, ok := v.exact[pair]; ok {
+			return sa, true
+		}
+		sa, ok := v.recent[pair]
 		return sa, ok
 	}
 	for _, e := range v.entries {

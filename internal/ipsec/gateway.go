@@ -679,8 +679,11 @@ func (g *Gateway) lifecycle(kind string, sas int) {
 
 // WakeAll runs the paper's wake-up (FETCH + leap + SAVE) on every SA and
 // blocks until each endpoint is back up or fails, returning the first
-// failure. The post-wake SAVEs run through the shared pool, so the whole
-// population's recovery group-commits into a handful of fsyncs.
+// failure. Every post-wake SAVE is queued on the shared pool before any is
+// waited for, and a pool worker stages everything queued on it before it
+// commits (store.SaverPool), so the recovery costs about one fsync per
+// commit lane with SAs on it — not one per SA — and a worker's lanes commit
+// one after another: lanes/workers fsyncs deep, whatever the SA count.
 func (g *Gateway) WakeAll() error {
 	snap := g.snapshot()
 	g.lifecycle("wake", len(snap.outbound)+len(snap.inbound))

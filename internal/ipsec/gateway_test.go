@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -478,5 +479,151 @@ func TestGatewayDuplicateSPIAcrossGateways(t *testing.T) {
 	// A disjoint SPI on the shared journal is fine.
 	if _, err := g2.AddOutbound(0x9001, testKeys(false), gwSelector(2)); err != nil {
 		t.Errorf("g2 disjoint AddOutbound = %v, want nil", err)
+	}
+}
+
+// gateStore is a lane-less store whose Save blocks until the gate opens: a
+// pool worker that takes it stays inside that round, so everything queued
+// meanwhile lands in the worker's next one.
+type gateStore struct {
+	store.Mem
+	entered, gate chan struct{}
+}
+
+func (g *gateStore) Save(v uint64) error {
+	g.entered <- struct{}{}
+	<-g.gate
+	return g.Mem.Save(v)
+}
+
+// TestGatewayWakeAllCommitsPerLane: a wake-up queues every SA's post-wake
+// SAVE at once, and the pool's workers stage a whole round before they
+// commit, so 512 SAs over 64 lanes come back up for about one fsync per
+// lane — not one per SA — each resuming from exactly fetched + 2K.
+func TestGatewayWakeAllCommitsPerLane(t *testing.T) {
+	watchdog.Arm(t, 30*time.Second)
+	const lanes, pairs, k = 64, 256, 25
+	l, err := store.OpenLanes(t.TempDir(), store.LanesCount(lanes))
+	if err != nil {
+		t.Fatalf("OpenLanes: %v", err)
+	}
+	defer l.Close()
+	pool := store.NewSaverPool(0)
+	defer pool.Close()
+	g, err := NewGateway(GatewayConfig{Journal: l, Pool: pool, K: k, W: 64})
+	if err != nil {
+		t.Fatalf("NewGateway: %v", err)
+	}
+	defer g.Close()
+
+	// First-life installs save synchronously, one fsync each; four
+	// installers let them share commits.
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < pairs; i += 4 {
+				spi := uint32(0x7000 + i)
+				if _, err := g.AddOutbound(spi, testKeys(false), gwSelector(i)); err != nil {
+					t.Errorf("AddOutbound: %v", err)
+				}
+				if _, err := g.AddInbound(spi, testKeys(false)); err != nil {
+					t.Errorf("AddInbound: %v", err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	fetched := func(key string) uint64 {
+		v, ok, err := l.Cell(key).Fetch()
+		if err != nil || !ok {
+			t.Fatalf("Fetch %s = (%d, %v, %v)", key, v, ok, err)
+		}
+		return v
+	}
+
+	g.ResetAll()
+	// Park every worker, start the wake, and let the workers go only once
+	// every SA's post-wake SAVE is queued: the wake is then one round each.
+	hold := &gateStore{entered: make(chan struct{}), gate: make(chan struct{})}
+	for w := 0; w < store.DefaultPoolWorkers; w++ {
+		pool.Saver(hold).StartSave(1, nil)
+	}
+	for w := 0; w < store.DefaultPoolWorkers; w++ {
+		<-hold.entered
+	}
+	queued := pool.SavesRequested()
+	woken := make(chan error, 1)
+	go func() { woken <- g.WakeAll() }()
+	for pool.SavesRequested() < queued+2*pairs {
+		time.Sleep(50 * time.Microsecond)
+	}
+	before := l.Syncs()
+	close(hold.gate)
+	if err := <-woken; err != nil {
+		t.Fatalf("WakeAll: %v", err)
+	}
+	if got := l.Syncs() - before; got > 2*lanes {
+		t.Errorf("waking %d SAs over %d lanes cost %d fsyncs, want at most %d", 2*pairs, lanes, got, 2*lanes)
+	}
+	for i := 0; i < pairs; i++ {
+		spi := uint32(0x7000 + i)
+		out, _ := g.Outbound(spi)
+		in, _ := g.SAD().Lookup(spi)
+		if st := out.Sender().State(); st != core.StateUp {
+			t.Errorf("outbound %#x is %v after WakeAll, want up", spi, st)
+		}
+		if st := in.Receiver().State(); st != core.StateUp {
+			t.Errorf("inbound %#x is %v after WakeAll, want up", spi, st)
+		}
+		// First life: the cells held the initial values 1 and 0.
+		if got, durable := out.Sender().Committed(), fetched(OutboundKey(spi)); got != 1+2*k || durable != got {
+			t.Errorf("outbound %#x: Committed() = %d, durable %d, want both %d", spi, got, durable, 1+2*k)
+		}
+		if got, durable := in.Receiver().Committed(), fetched(InboundKey(spi)); got != 2*k || durable != got {
+			t.Errorf("inbound %#x: Committed() = %d, durable %d, want both %d", spi, got, durable, 2*k)
+		}
+	}
+}
+
+// TestSPDAddNotQuadratic: adding a host route to a large all-host table
+// copies the small recent half of the index, not the table, so installing n
+// routes is not quadratic — and every route stays reachable, first match
+// first, across the folds of recent into exact.
+func TestSPDAddNotQuadratic(t *testing.T) {
+	const have, add = 1 << 14, 512
+	p := NewSPD()
+	sas := make([]*OutboundSA, have+add)
+	for i := range sas {
+		sas[i] = &OutboundSA{}
+	}
+	for i := 0; i < have; i++ {
+		p.Add(gwSelector(i), sas[i])
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := have; i < have+add; i++ {
+		p.Add(gwSelector(i), sas[i])
+	}
+	runtime.ReadMemStats(&after)
+	// Copying the whole index — 16k routes of ~60 bytes — on every Add would
+	// allocate about a megabyte each time.
+	if perAdd := (after.TotalAlloc - before.TotalAlloc) / add; perAdd > 128<<10 {
+		t.Errorf("one Add into %d host routes allocated %d bytes on average, want far less than the table", have, perAdd)
+	}
+	for i := 0; i < have+add; i += 7 {
+		p.Add(gwSelector(i), &OutboundSA{}) // duplicates must not shadow, wherever the first one lives
+	}
+	for i := range sas {
+		if got, ok := p.Lookup(gwAddr(i)); !ok || got != sas[i] {
+			t.Fatalf("Lookup of route %d = (%p, %v), want the first SA added for it", i, got, ok)
+		}
+	}
+	if v := p.view(); len(v.exact)+len(v.recent) != have+add || len(v.recent)*len(v.recent) > len(v.exact) {
+		t.Errorf("index holds %d + %d routes, want %d with recent within its bound", len(v.exact), len(v.recent), have+add)
 	}
 }

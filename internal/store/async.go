@@ -22,7 +22,7 @@ type AsyncSaver struct {
 	inner   Store
 	mu      sync.Mutex
 	wg      sync.WaitGroup
-	pending []pendingSave
+	pending saveBatch
 	running bool
 	closed  bool
 }
@@ -32,21 +32,25 @@ type pendingSave struct {
 	done func(error)
 }
 
-// saveBatch persists one drained batch through save: only the maximum value
-// is written (a durable v' >= v is at least as safe as a durable v, and
+// saveBatch is one drained batch of queued saves. Only its maximum is
+// written (a durable v' >= v is at least as safe as a durable v, and
 // letting a stale value land last would shrink the counter and void the
 // wake-up leap bound), then every done callback receives that save's
-// result. AsyncSaver (plain Save) and SaverPool (Save under the pool's
-// bounded retry) both coalesce through this one implementation.
-func saveBatch(save func(v uint64) error, batch []pendingSave) {
-	maxV := batch[0].v
-	for _, p := range batch[1:] {
+// result. AsyncSaver and SaverPool both coalesce through this one type.
+type saveBatch []pendingSave
+
+func (b saveBatch) max() uint64 {
+	maxV := b[0].v
+	for _, p := range b[1:] {
 		if p.v > maxV {
 			maxV = p.v
 		}
 	}
-	err := save(maxV)
-	for _, p := range batch {
+	return maxV
+}
+
+func (b saveBatch) done(err error) {
+	for _, p := range b {
 		if p.done != nil {
 			p.done(err)
 		}
@@ -92,7 +96,7 @@ func (a *AsyncSaver) worker() {
 		a.pending = nil
 		a.mu.Unlock()
 
-		saveBatch(a.inner.Save, batch)
+		batch.done(a.inner.Save(batch.max()))
 	}
 }
 

@@ -759,35 +759,48 @@ var framePool = sync.Pool{New: func() any {
 	return &b
 }}
 
-// append is the shared save/tombstone path; see save and delete. The frame
-// is encoded into a pooled scratch buffer before the mutex is taken — the
-// mutex-held work is a memcpy and map/ring bookkeeping: no CRC, no syscall,
-// no allocation.
+// append is the shared save/tombstone path; see save and delete: stage the
+// record, then wait until it is durable.
 func (j *Journal) append(key string, v uint64, del bool) error {
+	seq, staged, err := j.stageRecord(key, v, del)
+	if !staged {
+		return err
+	}
+	return j.waitDurable(seq)
+}
+
+// stageRecord is the first half of append: it encodes the frame into a pooled
+// scratch buffer before the mutex is taken — the mutex-held work is a memcpy
+// and map/ring bookkeeping: no CRC, no syscall, no allocation — and returns
+// the record's commit sequence number without waiting for durability. staged
+// is false when nothing was staged: an error, or a tombstone for a key with
+// no durable state (a no-op).
+func (j *Journal) stageRecord(key string, v uint64, del bool) (seq uint64, staged bool, err error) {
 	if len(key) == 0 || len(key) > journalMaxKey {
-		return fmt.Errorf("%w: length %d", ErrBadKey, len(key))
+		return 0, false, fmt.Errorf("%w: length %d", ErrBadKey, len(key))
 	}
 	bp := framePool.Get().(*[]byte)
 	rec := appendRecord(j.ver, (*bp)[:0], key, v, del)
 	j.mu.Lock()
-	if err := j.usableLocked(); err != nil {
-		j.mu.Unlock()
-		*bp = rec[:0]
-		framePool.Put(bp)
-		return err
-	}
-	if del {
-		if _, seen := j.getVal(key); !seen {
-			j.mu.Unlock()
-			*bp = rec[:0]
-			framePool.Put(bp)
-			return nil // nothing durable to erase
+	if err = j.usableLocked(); err == nil {
+		if _, seen := j.getVal(key); seen || !del {
+			seq, staged = j.stageLocked(key, v, del, rec), true
 		}
 	}
-	mySeq := j.stageLocked(key, v, del, rec)
-	*bp = rec[:0] // staged (copied); recycle the scratch, grown or not
+	j.mu.Unlock()
+	*bp = rec[:0] // staged (copied) or dropped; recycle the scratch, grown or not
 	framePool.Put(bp)
-	return j.commitStagedLocked(mySeq)
+	return seq, staged, err
+}
+
+// waitDurable is the second half of append: it blocks until the staged
+// record numbered seq is durable, committing the staged batch itself when no
+// commit is in flight. Staging several records and then waiting for each
+// costs one write and one fsync for the lot: the first wait commits
+// everything staged so far and the rest return on the watermark.
+func (j *Journal) waitDurable(seq uint64) error {
+	j.mu.Lock()
+	return j.commitStagedLocked(seq)
 }
 
 // usableLocked reports why the journal cannot accept an append: poisoned by
@@ -1260,8 +1273,23 @@ type Cell struct {
 
 var _ Store = (*Cell)(nil)
 
-// Save durably appends v to the journal under the cell's key.
+// Save durably appends v to the journal under the cell's key: Stage, then
+// WaitDurable.
 func (c *Cell) Save(v uint64) error { return c.j.save(c.key, v) }
+
+// Stage appends v's record to the lane's staging buffer and returns its
+// commit sequence number without waiting for the record to be durable; the
+// save is complete only once WaitDurable(seq) returns nil. A caller holding
+// several cells stages them all and then waits for each, so one write and
+// one fsync per lane cover the lot (SaverPool's rounds).
+func (c *Cell) Stage(v uint64) (seq uint64, err error) {
+	seq, _, err = c.j.stageRecord(c.key, v, false)
+	return seq, err
+}
+
+// WaitDurable blocks until the record Stage numbered seq is durable in the
+// cell's lane, or returns the error that keeps it from being so.
+func (c *Cell) WaitDurable(seq uint64) error { return c.j.waitDurable(seq) }
 
 // Fetch returns the cell's recovered or last saved value.
 func (c *Cell) Fetch() (uint64, bool, error) { return c.j.fetch(c.key) }

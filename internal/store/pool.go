@@ -13,18 +13,28 @@ import (
 
 // SaverPool executes background SAVEs for many stores on a bounded set of
 // workers — the gateway-scale replacement for one AsyncSaver goroutine per
-// SA. Each store gets a PoolSaver handle with the same drain-the-queue,
-// persist-only-the-maximum coalescing AsyncSaver performs, and the same
-// monotonicity invariant: a handle is processed by at most one worker at a
-// time, so a stale value can never land after a newer one.
+// SA. Each store gets a PoolSaver handle with the same persist-only-the-
+// maximum coalescing AsyncSaver performs, and the same monotonicity
+// invariant: a handle is processed by at most one worker at a time, so a
+// stale value can never land after a newer one.
 //
 // The pool is sharded: each worker owns a private queue, and a handle is
 // pinned to one shard for its lifetime. Stores that report a commit lane
-// (Cell.Lane — cells of a laned journal) route by lane, so all of one
-// lane's background saves drain on one worker and group-commit into that
-// lane's fsyncs instead of scattering every lane's traffic across every
-// worker; lane-less stores round-robin. With 100k SAs a pool of a few
-// workers bounds goroutines and keeps the durable medium's queues short.
+// (Cell.Lane — cells of a laned journal) route by lane, so a lane's journal
+// only ever sees one saver; lane-less stores round-robin.
+//
+// A worker runs in rounds. It swaps out its whole queue, takes each handle's
+// coalesced maximum and stages it (Cell.Stage: a memcpy under the lane
+// mutex), then waits for each record in turn (Cell.WaitDurable): the first
+// wait on a lane commits everything the round staged there with one write
+// and one fsync, the rest return on the watermark. Callbacks run after each
+// handle's wait, and a handle that gained work meanwhile goes back on the
+// queue for the next round. A round therefore costs one fsync per lane with
+// work, not one per handle — a gateway's wake-up, which queues every SA's
+// post-wake SAVE at once, pays about one fsync per lane — and SAVEs that
+// arrive while the worker is inside an fsync share the next one. A worker
+// still commits its lanes one after another. Stores that cannot stage (Mem,
+// File, wrappers) take the same loop through saveStager.
 type SaverPool struct {
 	shards []poolShard
 	rr     atomic.Uint32 // round-robin cursor for lane-less handles
@@ -104,13 +114,13 @@ func permanentSaveErr(st Store, err error) bool {
 	return false
 }
 
-// saveWithRetry persists v into st under the pool's retry policy.
-func (p *SaverPool) saveWithRetry(st Store, v uint64) error {
-	r := p.retryPolicy()
-	err := st.Save(v)
+// retrySave applies the pool's retry policy to a save of v into st whose
+// first attempt returned err.
+func (p *SaverPool) retrySave(st Store, v uint64, err error) error {
 	if err == nil || permanentSaveErr(st, err) {
 		return err
 	}
+	r := p.retryPolicy()
 	delay := r.Base
 	for attempt := 1; attempt < r.Attempts; attempt++ {
 		p.retries.Add(1)
@@ -136,10 +146,11 @@ func (p *SaverPool) saveWithRetry(st Store, v uint64) error {
 
 // poolShard is one worker's private queue.
 type poolShard struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []*PoolSaver // handles with pending work, each present at most once
-	closed bool
+	mu      sync.Mutex
+	cond    *sync.Cond
+	queue   []*PoolSaver // handles with pending work, each present at most once
+	inRound int          // handles the worker took off the queue and has not finished
+	closed  bool
 }
 
 // DefaultPoolWorkers is the worker count NewSaverPool uses when given <= 0.
@@ -148,6 +159,22 @@ const DefaultPoolWorkers = 8
 // laner is implemented by stores that persist into one commit lane of a
 // laned medium; see Cell.Lane.
 type laner interface{ Lane() int }
+
+// stager is implemented by stores whose Save splits into a cheap Stage and a
+// blocking WaitDurable (journal cells), which is what lets a worker stage a
+// whole round and pay one commit per lane.
+type stager interface {
+	Stage(v uint64) (seq uint64, err error)
+	WaitDurable(seq uint64) error
+}
+
+// saveStager adapts a store that cannot stage to a worker's rounds: Stage
+// hands the value through as its own sequence number and the blocking Save
+// runs where a cell would wait.
+type saveStager struct{ Store }
+
+func (s saveStager) Stage(v uint64) (uint64, error) { return v, nil }
+func (s saveStager) WaitDurable(v uint64) error     { return s.Save(v) }
 
 // NewSaverPool starts a pool of the given number of workers (<= 0 means
 // DefaultPoolWorkers), one queue shard per worker.
@@ -179,6 +206,9 @@ func (p *SaverPool) Saver(st Store) *PoolSaver {
 		shard = int(p.rr.Add(1)-1) % len(p.shards)
 	}
 	s := &PoolSaver{p: p, sh: &p.shards[shard], st: st}
+	if s.sg, _ = st.(stager); s.sg == nil {
+		s.sg = saveStager{st}
+	}
 	s.idle = sync.NewCond(&s.mu)
 	return s
 }
@@ -198,14 +228,15 @@ func (p *SaverPool) SaveRetries() uint64 { return p.retries.Value() }
 // (each surfaced as ErrSaveRetriesExhausted).
 func (p *SaverPool) SaveGiveUps() uint64 { return p.giveUps.Value() }
 
-// QueueDepth returns how many handles currently have pending work across
-// all shards — the backlog a scrape watches for saver-pool saturation.
+// QueueDepth returns how many handles currently have unpersisted work
+// across all shards, queued or in a worker's current round — the backlog a
+// scrape watches for saver-pool saturation.
 func (p *SaverPool) QueueDepth() int {
 	depth := 0
 	for i := range p.shards {
 		sh := &p.shards[i]
 		sh.mu.Lock()
-		depth += len(sh.queue)
+		depth += len(sh.queue) + sh.inRound
 		sh.mu.Unlock()
 	}
 	return depth
@@ -217,11 +248,12 @@ type PoolSaver struct {
 	p  *SaverPool
 	sh *poolShard
 	st Store
+	sg stager // st itself, or saveStager{st}
 
 	mu      sync.Mutex
 	idle    *sync.Cond // broadcast when active clears (Flush waiters)
-	pending []pendingSave
-	active  bool // enqueued on the shard or being drained by its worker
+	pending saveBatch
+	active  bool // on the shard's queue or in its worker's current round
 }
 
 // StartSave queues v for persistence. done, if non-nil, is called exactly
@@ -272,39 +304,25 @@ func (s *PoolSaver) fail(err error) {
 	s.active = false
 	s.idle.Broadcast()
 	s.mu.Unlock()
-	for _, ps := range batch {
-		if ps.done != nil {
-			ps.done(err)
-		}
-	}
+	batch.done(err)
 }
 
-// drain persists the handle's queued saves, coalescing each batch to its
-// maximum, until none remain. Only the owning worker runs this, so saves
-// for one store never race and the durable value only grows.
-func (s *PoolSaver) drain() {
-	for {
-		s.mu.Lock()
-		if len(s.pending) == 0 {
-			s.active = false
-			s.idle.Broadcast()
-			s.mu.Unlock()
-			return
-		}
-		batch := s.pending
-		s.pending = nil
-		s.mu.Unlock()
-
-		s.p.persisted.Add(1)
-		saveBatch(s.save, batch)
-	}
+// roundSave is one handle's share of a worker round: the batch taken off the
+// handle, its maximum, and the staged record's sequence number or the error
+// staging returned.
+type roundSave struct {
+	batch  saveBatch
+	v, seq uint64
+	err    error
 }
 
-// save persists v into the handle's store under the pool's retry policy.
-func (s *PoolSaver) save(v uint64) error { return s.p.saveWithRetry(s.st, v) }
-
+// worker runs the shard's rounds. Only it takes handles off the queue and a
+// handle is on the queue at most once, so saves for one store never race and
+// the durable value only grows.
 func (p *SaverPool) worker(sh *poolShard) {
 	defer p.wg.Done()
+	var handles []*PoolSaver // the round's handles; trades slabs with the queue
+	var round []roundSave
 	for {
 		sh.mu.Lock()
 		for len(sh.queue) == 0 && !sh.closed {
@@ -315,10 +333,51 @@ func (p *SaverPool) worker(sh *poolShard) {
 			sh.mu.Unlock()
 			return
 		}
-		h := sh.queue[0]
-		sh.queue = sh.queue[1:]
+		handles, sh.queue = sh.queue, handles[:0]
+		sh.inRound = len(handles)
 		sh.mu.Unlock()
-		h.drain()
+
+		// Stage: every handle's coalesced maximum goes into its lane's
+		// staging buffer before anything waits, so the first wait on a lane
+		// commits them all.
+		round = round[:0]
+		for _, h := range handles {
+			h.mu.Lock()
+			rs := roundSave{batch: h.pending}
+			h.pending = nil
+			h.mu.Unlock()
+			rs.v = rs.batch.max()
+			rs.seq, rs.err = h.sg.Stage(rs.v)
+			round = append(round, rs)
+		}
+		p.persisted.Add(uint64(len(handles)))
+		// Wait, complete, and release or requeue, handle by handle.
+		for i, h := range handles {
+			rs := &round[i]
+			if rs.err == nil {
+				rs.err = h.sg.WaitDurable(rs.seq)
+			}
+			rs.batch.done(p.retrySave(h.st, rs.v, rs.err))
+
+			// The shard is updated inside the handle's lock (nothing takes
+			// the two the other way round), so QueueDepth never counts a
+			// handle that Flush already reports idle.
+			h.mu.Lock()
+			again := len(h.pending) > 0 // queued while the round ran: next round's work
+			sh.mu.Lock()
+			sh.inRound--
+			if again {
+				sh.queue = append(sh.queue, h)
+			}
+			sh.mu.Unlock()
+			if !again {
+				h.active = false
+				h.idle.Broadcast()
+			}
+			h.mu.Unlock()
+		}
+		clear(handles) // drop the references: a removed SA's handle must be collectable
+		clear(round)
 	}
 }
 
