@@ -34,114 +34,141 @@ import (
 	"math/rand"
 	"net/netip"
 	"os"
-	"path/filepath"
 	"time"
 
-	"antireplay/internal/cluster"
 	"antireplay/internal/core"
 	"antireplay/internal/experiments"
 	"antireplay/internal/ike"
 	"antireplay/internal/ipsec"
 	"antireplay/internal/netsim"
 	"antireplay/internal/rekey"
-	"antireplay/internal/store"
+	"antireplay/internal/testbed"
 	wirenet "antireplay/internal/wire"
 )
 
-// carrier moves sealed datagrams (and rekey exchange messages) from the
-// sender gateway to the receiver in the gateway modes: in process by
-// default, or across a real UDP-encapsulated loopback socket pair with
-// -transport=udp (per-peer demux by SPI, non-ESP marker for the IKE
-// control lane).
-type carrier struct {
-	ea, eb *wirenet.UDPEndpoint
-	la, lb *wirenet.UDPLink
+// simFlow is the gateway modes' topology and traffic source: a testbed pair
+// — sender and receiver gateways on fsynced media, joined in process by
+// default or, with -transport=udp, across a real UDP-encapsulated loopback
+// socket pair (per-peer demux by SPI, non-ESP marker for the IKE control
+// lane) — carrying one IKE-established tunnel from src to dst, with seeded
+// link loss and the outcome counts both modes report.
+type simFlow struct {
+	*testbed.Pair
+	rng      *rand.Rand
+	loss     float64
+	tele     *simTelemetry
+	src, dst netip.Addr
+	keys     ike.ChildKeys
+
+	delivered, sacrificed, lost uint64
 }
 
-const carrierTimeout = 5 * time.Second
-
-func newCarrier(transport string, spis ...uint32) (*carrier, error) {
-	switch transport {
-	case "", "mem":
-		return &carrier{}, nil
-	case "udp":
-	default:
-		return nil, fmt.Errorf("unknown -transport %q (mem or udp)", transport)
+func newSimFlow(seed int64, loss float64, k uint64, w, lanes int, transport string, tele *simTelemetry) (*simFlow, error) {
+	cfg := testbed.Config{
+		K: k, W: w, Lanes: lanes, Sync: true,
+		OnLifecycle: tele.onLifecycle(),
+		OnPromote:   tele.onPromote(),
+		OnPoison:    ipsec.LaneFaultRecorder(tele.events()),
+		OnStall:     tele.countStall,
 	}
-	ea, err := wirenet.ListenUDP("", wirenet.UDPConfig{})
+	if transport == "udp" {
+		cfg.Link = testbed.UDP
+	}
+	p, err := testbed.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	eb, err := wirenet.ListenUDP("", wirenet.UDPConfig{})
+	if p.Tx != nil {
+		fmt.Printf("transport: UDP loopback %v <-> %v\n", p.Rx.Peer(), p.Tx.Peer())
+		tele.registerLink(p.Tx)
+	}
+	f := &simFlow{
+		Pair: p, rng: rand.New(rand.NewSource(seed)), loss: loss, tele: tele,
+		src: netip.AddrFrom4([4]byte{10, 0, 0, 1}),
+		dst: netip.AddrFrom4([4]byte{10, 0, 0, 2}),
+	}
+	res, err := ike.Establish(f.ikeCfg("gw-a"), f.ikeCfg("gw-b"))
+	if err == nil {
+		f.keys = res.Keys
+		p.RegisterSPI(f.keys.SPIInitToResp)
+		err = testbed.Install(p.A.GW, p.B.GW, f.keys.SPIInitToResp, f.keys.InitToResp, f.src, f.dst)
+	}
 	if err != nil {
-		ea.Close()
+		p.Close()
 		return nil, err
 	}
-	la, err := ea.Link(eb.Addr())
+	return f, nil
+}
+
+// ikeCfg draws one IKE party's configuration from the flow's seed.
+func (f *simFlow) ikeCfg(id string) ike.Config {
+	return ike.Config{PSK: []byte("resetsim"), ID: id,
+		Rand: rand.New(rand.NewSource(f.rng.Int63()))}
+}
+
+// step seals one payload, loses it with the link's probability, and
+// otherwise carries it to the receiver, counting the outcome. The verdict
+// is zero for a packet the link lost.
+func (f *simFlow) step() (core.Verdict, error) {
+	wire, err := f.Seal(f.src, f.dst, []byte("resetsim payload"))
 	if err != nil {
-		ea.Close()
-		eb.Close()
-		return nil, err
+		return 0, err
 	}
-	lb, err := eb.Link(ea.Addr(), spis...)
+	if f.rng.Float64() < f.loss {
+		f.lost++
+		f.tele.countLost()
+		return 0, nil
+	}
+	_, verdict, err := f.Send(wire)
 	if err != nil {
-		ea.Close()
-		eb.Close()
-		return nil, err
+		return 0, err
 	}
-	return &carrier{ea: ea, eb: eb, la: la, lb: lb}, nil
+	if verdict.Delivered() {
+		f.delivered++
+		f.tele.countDelivered()
+	} else {
+		f.sacrificed++
+		f.tele.countSacrificed()
+	}
+	return verdict, nil
 }
 
-func (c *carrier) udp() bool { return c.la != nil }
-
-func (c *carrier) close() {
-	if c.udp() {
-		c.ea.Close()
-		c.eb.Close()
+// report plays the adversary — the entire recorded history replayed at the
+// receiver, over the same transport the live traffic used — and prints the
+// result: a second delivery of any wire is a safety violation and the exit
+// error.
+func (f *simFlow) report(across string) error {
+	if err := f.ReplayAll(); err != nil {
+		return err
 	}
+	fmt.Printf("replayed full history: %d re-accepted (MUST be 0)\n", f.Replays())
+	if f.Replays() > 0 {
+		return fmt.Errorf("SAFETY VIOLATION: %d replays accepted across %s", f.Replays(), across)
+	}
+	return nil
 }
 
-// deliver carries one sealed datagram to the receiver side and returns
-// the bytes the receiver should Open.
-func (c *carrier) deliver(w []byte) ([]byte, error) {
-	if !c.udp() {
-		return w, nil
-	}
-	if err := c.la.Send(w); err != nil {
-		return nil, err
-	}
-	return c.lb.RecvTimeout(carrierTimeout)
-}
-
-// registerSPI routes a new generation's inbound SPI to the receiver link
-// (a rekey riding the same wire).
-func (c *carrier) registerSPI(spi uint32) {
-	if c.udp() {
-		c.eb.RegisterSPI(c.lb, spi) //nolint:errcheck // demux falls back to peer address
-	}
-}
+// controlTimeout bounds each party's wait on the IKE control lane.
+const controlTimeout = 625 * time.Millisecond
 
 // timeoutConn is an ike.Conn over a link's control lane with a bounded
 // Recv, so a deliberately dropped exchange message cannot hang a party.
-type timeoutConn struct {
-	l *wirenet.UDPLink
-	d time.Duration
-}
+type timeoutConn struct{ l *wirenet.UDPLink }
 
 func (c timeoutConn) Send(p []byte) error { return c.l.SendControl(p) }
 
-func (c timeoutConn) Recv() ([]byte, error) { return c.l.RecvControlTimeout(c.d) }
+func (c timeoutConn) Recv() ([]byte, error) { return c.l.RecvControlTimeout(controlTimeout) }
 
 // rekeyExchange runs the one-round-trip rekey over the control lane,
 // with fault injection: a "lost" message is simply never sent (request)
 // or never processed (response), exactly as the in-process mode models
 // it. The responder serves concurrently, as a real peer would.
-func (c *carrier) rekeyExchange(ini *ike.RekeyInitiator, rsp *ike.RekeyResponder,
+func rekeyExchange(tx, rx *wirenet.UDPLink, ini *ike.RekeyInitiator, rsp *ike.RekeyResponder,
 	m1 []byte, reqLost, respLost bool) (ike.ChildKeys, error) {
 
 	srv := make(chan error, 1)
-	go func() { srv <- ike.ServeRekey(rsp, timeoutConn{c.lb, carrierTimeout / 8}) }()
-	conn := timeoutConn{c.la, carrierTimeout / 8}
+	go func() { srv <- ike.ServeRekey(rsp, timeoutConn{rx}) }()
+	conn := timeoutConn{tx}
 
 	if reqLost {
 		<-srv // responder times out on the dropped request
@@ -358,71 +385,11 @@ func main() {
 // window, and — the §3 safety claim under failover — that replaying the
 // entire history re-delivers nothing.
 func runFailoverSim(seed int64, msgs, failEvery uint64, loss float64, k uint64, w int, lanes, sas int, transport string, tele *simTelemetry) error {
-	dir, err := os.MkdirTemp("", "resetsim-failover-*")
+	p, err := newSimFlow(seed, loss, k, w, lanes, transport, tele)
 	if err != nil {
 		return err
 	}
-	defer os.RemoveAll(dir)
-	// openJ opens a node's medium by name — the laned journal when -lanes
-	// asks for one — and is also the reboot path, so a dead node comes back
-	// on the same medium shape it crashed with.
-	openJ := func(name string) (store.Medium, error) {
-		if lanes > 1 {
-			return store.OpenLanes(filepath.Join(dir, name), store.LanesCount(lanes),
-				store.LanesOnPoison(ipsec.LaneFaultRecorder(tele.events())))
-		}
-		return store.OpenJournal(filepath.Join(dir, name+".log"))
-	}
-
-	jA, err := openJ("sender")
-	if err != nil {
-		return err
-	}
-	defer jA.Close()
-	A, err := ipsec.NewGateway(ipsec.GatewayConfig{Journal: jA, K: k, W: w})
-	if err != nil {
-		return err
-	}
-	defer A.Close()
-	jB, err := openJ("node-a")
-	if err != nil {
-		return err
-	}
-	B, err := ipsec.NewGateway(ipsec.GatewayConfig{Journal: jB, K: k, W: w,
-		OnLifecycle: tele.onLifecycle()})
-	if err != nil {
-		jB.Close()
-		return err
-	}
-	nodeNames := map[store.Medium]string{jB: "node-a"}
-
-	rng := rand.New(rand.NewSource(seed))
-	res, err := ike.Establish(ike.Config{PSK: []byte("resetsim"), ID: "gw-a",
-		Rand: rand.New(rand.NewSource(rng.Int63()))},
-		ike.Config{PSK: []byte("resetsim"), ID: "gw-b",
-			Rand: rand.New(rand.NewSource(rng.Int63()))})
-	if err != nil {
-		return err
-	}
-	keys := res.Keys
-	srcA := netip.AddrFrom4([4]byte{10, 0, 0, 1})
-	dstB := netip.AddrFrom4([4]byte{10, 0, 0, 2})
-	selAB := ipsec.Selector{Src: netip.PrefixFrom(srcA, 32), Dst: netip.PrefixFrom(dstB, 32)}
-	if _, err := A.AddOutbound(keys.SPIInitToResp, keys.InitToResp, selAB); err != nil {
-		return err
-	}
-	if _, err := B.AddInbound(keys.SPIInitToResp, keys.InitToResp); err != nil {
-		return err
-	}
-	car, err := newCarrier(transport, keys.SPIInitToResp)
-	if err != nil {
-		return err
-	}
-	defer car.close()
-	if car.udp() {
-		fmt.Printf("transport: UDP loopback %v <-> %v\n", car.ea.Addr(), car.eb.Addr())
-		tele.registerLink(car.la)
-	}
+	defer p.Close()
 	// -sas extras: additional inbound SAs on the cluster node. They carry no
 	// traffic here, but they spread counters across the lanes, replicate,
 	// and are woken (FETCH + leap + SAVE, each) by every takeover.
@@ -431,87 +398,27 @@ func runFailoverSim(seed int64, msgs, failEvery uint64, loss float64, k uint64, 
 		if _, err := cryptorand.Read(km.AuthKey); err != nil {
 			return err
 		}
-		if _, err := B.AddInbound(uint32(0x00C0_0000+i), km); err != nil {
+		if _, err := p.B.GW.AddInbound(uint32(0x00C0_0000+i), km); err != nil {
 			return err
 		}
 	}
-
-	jS, err := openJ("node-b")
-	if err != nil {
+	if err := p.AddStandby(); err != nil {
 		return err
 	}
-	nodeNames[jS] = "node-b"
-	standby, err := cluster.NewStandby(cluster.Config{Source: jB, Journal: jS, K: k, W: w,
-		OnPromote: tele.onPromote(), OnLifecycle: tele.onLifecycle()})
-	if err != nil {
-		jS.Close()
-		return err
-	}
-	if err := standby.Start(); err != nil {
-		return err
-	}
-	if err := standby.Mirror(B.Snapshot()); err != nil {
-		return err
-	}
-	tele.setRoles(A, B, standby)
-	journals := []store.Medium{jB, jS}
-	defer func() {
-		for _, j := range journals {
-			j.Close()
-		}
-	}()
+	tele.setRoles(p.A.GW, p.B.GW, p.Standby)
 
 	var (
-		delivered, sacrificed, lost uint64
-		failovers                   int
-		sinceFailover               uint64
-		history                     [][]byte
-		seen                        = make(map[string]bool)
+		failovers     int
+		sinceFailover uint64
 	)
-	rxKey := ipsec.InboundKey(keys.SPIInitToResp)
+	rxKey := ipsec.InboundKey(p.keys.SPIInitToResp)
 	for i := uint64(0); i < msgs; i++ {
-		var wire []byte
-		for {
-			wire, err = A.Seal(srcA, dstB, []byte("resetsim payload"))
-			if err == nil {
-				break
-			}
-			if !errors.Is(err, core.ErrSaveLag) {
-				return err
-			}
-			tele.countSaveLagRetry()
-			time.Sleep(20 * time.Microsecond)
-		}
-		history = append(history, wire)
-		if rng.Float64() < loss {
-			lost++
-			tele.countLost()
-			continue
-		}
-		got, err := car.deliver(wire)
+		verdict, err := p.step()
 		if err != nil {
 			return err
 		}
-		for {
-			_, verdict, err := B.Open(got)
-			if err != nil {
-				return err
-			}
-			if verdict == core.VerdictHorizon {
-				tele.countHorizonStall()
-				time.Sleep(20 * time.Microsecond)
-				continue
-			}
-			if verdict.Delivered() {
-				delivered++
-				sinceFailover++
-				seen[string(wire)] = true
-				tele.countDelivered()
-			} else {
-				sacrificed++
-				tele.countSacrificed()
-			}
-			break
+		if verdict.Delivered() {
+			sinceFailover++
 		}
 		if sinceFailover < failEvery {
 			continue
@@ -519,65 +426,28 @@ func runFailoverSim(seed int64, msgs, failEvery uint64, loss float64, k uint64, 
 		sinceFailover = 0
 		failovers++
 		tele.countFailover()
-		lagRecords := standby.Stats().LagRecords
-		lagValues := standby.LagValues()
-		edge, _, _ := B.Journal().Cell(rxKey).Fetch()
-		B.ResetAll() // the crash: volatile counters lost, journal survives
-		gw2, epoch, err := standby.Takeover()
+		lagRecords := p.Standby.Stats().LagRecords
+		lagValues := p.Standby.LagValues()
+		edge, _, _ := p.B.Medium.Cell(rxKey).Fetch()
+		p.B.GW.ResetAll() // the crash: volatile counters lost, journal survives
+		epoch, err := p.Promote()
 		if err != nil {
 			return err
 		}
-		wakeEdge, _, _ := gw2.Journal().Cell(rxKey).Fetch()
+		wakeEdge, _, _ := p.B.Medium.Cell(rxKey).Fetch()
 		fmt.Printf("delivered=%d  failover %d: epoch %d, lag %d records / %d values, rx horizon %d -> %d\n",
-			delivered, failovers, epoch, lagRecords, lagValues, edge, wakeEdge)
+			p.delivered, failovers, epoch, lagRecords, lagValues, edge, wakeEdge)
 
 		// The dead node reboots into the next standby (failback roles).
-		deadJournal := B.Journal()
-		deadName := nodeNames[deadJournal]
-		B.Close()
-		deadJournal.Close()
-		reborn, err := openJ(deadName)
-		if err != nil {
+		if err := p.AddStandby(); err != nil {
 			return err
 		}
-		nodeNames[reborn] = deadName
-		journals = append(journals, reborn)
-		standby, err = cluster.NewStandby(cluster.Config{Source: gw2.Journal(), Journal: reborn, K: k, W: w,
-			OnPromote: tele.onPromote(), OnLifecycle: tele.onLifecycle()})
-		if err != nil {
-			return err
-		}
-		if err := standby.Start(); err != nil {
-			return err
-		}
-		if err := standby.Mirror(gw2.Snapshot()); err != nil {
-			return err
-		}
-		B = gw2
-		tele.setRoles(nil, B, standby)
+		tele.setRoles(nil, p.B.GW, p.Standby)
 	}
-	defer standby.Stop()
 
-	// Adversary: replay the entire recorded history at the final primary
-	// (over the same transport the live traffic used).
-	replays := 0
-	for _, wire := range history {
-		got, err := car.deliver(wire)
-		if err != nil {
-			return err
-		}
-		_, verdict, _ := B.Open(got)
-		if verdict.Delivered() && seen[string(wire)] {
-			replays++
-		}
-	}
 	fmt.Printf("\nsent=%d delivered=%d lost=%d sacrificed=%d failovers=%d\n",
-		msgs, delivered, lost, sacrificed, failovers)
-	fmt.Printf("replayed full history: %d re-accepted (MUST be 0)\n", replays)
-	if replays > 0 {
-		return fmt.Errorf("SAFETY VIOLATION: %d replays accepted across failovers", replays)
-	}
-	return nil
+		msgs, p.delivered, p.lost, p.sacrificed, failovers)
+	return p.report("failovers")
 }
 
 // runRekeySim is the -rekey-every mode: a journal-backed gateway pair whose
@@ -586,84 +456,21 @@ func runFailoverSim(seed int64, msgs, failEvery uint64, loss float64, k uint64, 
 // exchange's messages; resetAt > 0 crashes the receiver gateway
 // mid-exchange at the first rollover after that many deliveries.
 func runRekeySim(seed int64, msgs, rekeyEvery, resetAt uint64, loss float64, k uint64, w int, lanes int, transport string, tele *simTelemetry) error {
-	dir, err := os.MkdirTemp("", "resetsim-rekey-*")
+	p, err := newSimFlow(seed, loss, k, w, lanes, transport, tele)
 	if err != nil {
 		return err
 	}
-	defer os.RemoveAll(dir)
-	mkGateway := func(name string) (*ipsec.Gateway, error) {
-		var (
-			j   store.Medium
-			err error
-		)
-		if lanes > 1 {
-			j, err = store.OpenLanes(filepath.Join(dir, name), store.LanesCount(lanes),
-				store.LanesOnPoison(ipsec.LaneFaultRecorder(tele.events())))
-		} else {
-			j, err = store.OpenJournal(filepath.Join(dir, name+".journal"))
-		}
-		if err != nil {
-			return nil, err
-		}
-		return ipsec.NewGateway(ipsec.GatewayConfig{Journal: j, K: k, W: w,
-			OnLifecycle: tele.onLifecycle()})
-	}
-	gwA, err := mkGateway("a")
-	if err != nil {
+	defer p.Close()
+	gwA, gwB := p.A.GW, p.B.GW
+	if err := testbed.Install(gwB, gwA, p.keys.SPIRespToInit, p.keys.RespToInit, p.dst, p.src); err != nil {
 		return err
-	}
-	defer func() { gwA.Close(); gwA.Journal().Close() }()
-	gwB, err := mkGateway("b")
-	if err != nil {
-		return err
-	}
-	defer func() { gwB.Close(); gwB.Journal().Close() }()
-
-	rng := rand.New(rand.NewSource(seed))
-	ikeCfg := func(id string) ike.Config {
-		return ike.Config{PSK: []byte("resetsim"), ID: id,
-			Rand: rand.New(rand.NewSource(rng.Int63()))}
-	}
-	srcA := netip.AddrFrom4([4]byte{10, 0, 0, 1})
-	dstB := netip.AddrFrom4([4]byte{10, 0, 0, 2})
-	selAB := ipsec.Selector{Src: netip.PrefixFrom(srcA, 32), Dst: netip.PrefixFrom(dstB, 32)}
-	selBA := ipsec.Selector{Src: netip.PrefixFrom(dstB, 32), Dst: netip.PrefixFrom(srcA, 32)}
-
-	res, err := ike.Establish(ikeCfg("gw-a"), ikeCfg("gw-b"))
-	if err != nil {
-		return err
-	}
-	keys := res.Keys
-	if _, err := gwA.AddOutbound(keys.SPIInitToResp, keys.InitToResp, selAB); err != nil {
-		return err
-	}
-	if _, err := gwA.AddInbound(keys.SPIRespToInit, keys.RespToInit); err != nil {
-		return err
-	}
-	if _, err := gwB.AddInbound(keys.SPIInitToResp, keys.InitToResp); err != nil {
-		return err
-	}
-	if _, err := gwB.AddOutbound(keys.SPIRespToInit, keys.RespToInit, selBA); err != nil {
-		return err
-	}
-	car, err := newCarrier(transport, keys.SPIInitToResp)
-	if err != nil {
-		return err
-	}
-	defer car.close()
-	if car.udp() {
-		fmt.Printf("transport: UDP loopback %v <-> %v\n", car.ea.Addr(), car.eb.Addr())
-		tele.registerLink(car.la)
 	}
 	tele.setRoles(gwA, gwB, nil)
 
 	var (
-		delivered, sacrificed, lost uint64
-		resetsInjected              int
-		armReset                    bool
-		history                     [][]byte
-		seen                        = make(map[string]bool)
-		observer                    func(rekey.Event)
+		resetsInjected int
+		armReset       bool
+		observer       func(rekey.Event)
 	)
 	if tele != nil {
 		observer = rekey.EventObserver(tele.events())
@@ -671,11 +478,11 @@ func runRekeySim(seed int64, msgs, rekeyEvery, resetAt uint64, loss float64, k u
 	o, err := rekey.New(rekey.Config{
 		A: gwA, B: gwB, Observer: observer,
 		Exchange: func(oldAB, oldBA uint32) (ike.ChildKeys, error) {
-			ini, err := ike.NewRekeyInitiator(ikeCfg("gw-a"), oldAB, oldBA)
+			ini, err := ike.NewRekeyInitiator(p.ikeCfg("gw-a"), oldAB, oldBA)
 			if err != nil {
 				return ike.ChildKeys{}, err
 			}
-			rsp, err := ike.NewRekeyResponder(ikeCfg("gw-b"), oldAB, oldBA)
+			rsp, err := ike.NewRekeyResponder(p.ikeCfg("gw-b"), oldAB, oldBA)
 			if err != nil {
 				return ike.ChildKeys{}, err
 			}
@@ -686,16 +493,16 @@ func runRekeySim(seed int64, msgs, rekeyEvery, resetAt uint64, loss float64, k u
 			if armReset {
 				armReset = false
 				resetsInjected++
-				fmt.Printf("delivered=%d  receiver gateway reset mid-exchange\n", delivered)
+				fmt.Printf("delivered=%d  receiver gateway reset mid-exchange\n", p.delivered)
 				gwB.ResetAll()
 				gwB.WakeAll() //nolint:errcheck // recovery failures surface as exchange errors below
 			}
-			reqLost := rng.Float64() < loss
-			respLost := rng.Float64() < loss
-			if car.udp() {
+			reqLost := p.rng.Float64() < loss
+			respLost := p.rng.Float64() < loss
+			if p.Tx != nil {
 				// The exchange rides the socket's control lane (non-ESP
 				// marker), served concurrently by the responder side.
-				return car.rekeyExchange(ini, rsp, m1, reqLost, respLost)
+				return rekeyExchange(p.Tx, p.Rx, ini, rsp, m1, reqLost, respLost)
 			}
 			if reqLost {
 				return ike.ChildKeys{}, errors.New("rekey request lost")
@@ -716,69 +523,23 @@ func runRekeySim(seed int64, msgs, rekeyEvery, resetAt uint64, loss float64, k u
 	if err != nil {
 		return err
 	}
-	tun, err := o.Track(keys.SPIInitToResp, keys.SPIRespToInit)
+	tun, err := o.Track(p.keys.SPIInitToResp, p.keys.SPIRespToInit)
 	if err != nil {
 		return err
-	}
-
-	seal := func() ([]byte, error) {
-		for {
-			wire, err := gwA.Seal(srcA, dstB, []byte("resetsim payload"))
-			if err == nil {
-				history = append(history, wire)
-				return wire, nil
-			}
-			if !errors.Is(err, core.ErrSaveLag) {
-				return nil, err
-			}
-			tele.countSaveLagRetry()
-			time.Sleep(20 * time.Microsecond)
-		}
-	}
-	open := func(wire []byte) error {
-		for {
-			_, verdict, err := gwB.Open(wire)
-			if err != nil {
-				return err
-			}
-			switch {
-			case verdict == core.VerdictHorizon:
-				tele.countHorizonStall()
-				time.Sleep(20 * time.Microsecond)
-			case verdict.Delivered():
-				delivered++
-				seen[string(wire)] = true
-				tele.countDelivered()
-				return nil
-			default:
-				sacrificed++
-				tele.countSacrificed()
-				return nil
-			}
-		}
 	}
 
 	resetArmed := resetAt > 0
 	sinceRekey := uint64(0)
 	for i := uint64(0); i < msgs; i++ {
-		wire, err := seal()
+		verdict, err := p.step()
 		if err != nil {
 			return err
 		}
-		if rng.Float64() < loss {
-			lost++
-			tele.countLost()
-			continue
-		}
-		got, err := car.deliver(wire)
-		if err != nil {
-			return err
-		}
-		if err := open(got); err != nil {
-			return err
+		if verdict == 0 {
+			continue // lost on the link
 		}
 		sinceRekey++
-		if resetArmed && delivered >= resetAt {
+		if resetArmed && p.delivered >= resetAt {
 			resetArmed, armReset = false, true
 		}
 		if sinceRekey >= rekeyEvery {
@@ -787,9 +548,9 @@ func runRekeySim(seed int64, msgs, rekeyEvery, resetAt uint64, loss float64, k u
 				err := o.Rollover(tun)
 				if err == nil {
 					ab, ba := tun.SPIs()
-					car.registerSPI(ab) // new generation rides the same wire
+					p.RegisterSPI(ab) // new generation rides the same wire
 					fmt.Printf("delivered=%d  rolled over to SPIs %#x/%#x (attempt %d)\n",
-						delivered, ab, ba, attempt)
+						p.delivered, ab, ba, attempt)
 					break
 				}
 				if attempt >= 64 {
@@ -802,30 +563,11 @@ func runRekeySim(seed int64, msgs, rekeyEvery, resetAt uint64, loss float64, k u
 		}
 	}
 
-	// Adversary: replay the entire recorded history (over the same
-	// transport the live traffic used). A second delivery of any wire is a
-	// safety violation.
-	replays := 0
-	for _, wire := range history {
-		got, err := car.deliver(wire)
-		if err != nil {
-			return err
-		}
-		_, verdict, _ := gwB.Open(got)
-		if verdict.Delivered() && seen[string(wire)] {
-			replays++
-		}
-	}
-
 	st := o.Stats()
-	fmt.Printf("\nsent=%d delivered=%d lost=%d sacrificed=%d\n", msgs, delivered, lost, sacrificed)
+	fmt.Printf("\nsent=%d delivered=%d lost=%d sacrificed=%d\n", msgs, p.delivered, p.lost, p.sacrificed)
 	fmt.Printf("rollovers=%d exchange_failures=%d retired=%d resets_injected=%d\n",
 		st.Rollovers, st.ExchangeFailures, st.Retired, resetsInjected)
 	fmt.Printf("journal keys: A=%d B=%d (retired generations tombstoned)\n",
 		gwA.Journal().Keys(), gwB.Journal().Keys())
-	fmt.Printf("replayed full history: %d re-accepted (MUST be 0)\n", replays)
-	if replays > 0 {
-		return fmt.Errorf("SAFETY VIOLATION: %d replays accepted across rekeys", replays)
-	}
-	return nil
+	return p.report("rekeys")
 }

@@ -176,15 +176,15 @@ func (t *simTelemetry) countLost() {
 	}
 }
 
-func (t *simTelemetry) countHorizonStall() {
-	if t != nil {
-		t.horizon.Add(1)
-	}
-}
-
-func (t *simTelemetry) countSaveLagRetry() {
-	if t != nil {
+// countStall is the testbed's OnStall hook: one backoff pause at the
+// sender's (sealing) or the receiver's durable horizon.
+func (t *simTelemetry) countStall(sealing bool) {
+	switch {
+	case t == nil:
+	case sealing:
 		t.saveLag.Add(1)
+	default:
+		t.horizon.Add(1)
 	}
 }
 

@@ -1,21 +1,16 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"net/netip"
-	"os"
-	"path/filepath"
 	"time"
 
 	"antireplay/internal/adversary"
-	"antireplay/internal/cluster"
-	"antireplay/internal/core"
 	"antireplay/internal/ike"
 	"antireplay/internal/ipsec"
 	"antireplay/internal/rekey"
-	"antireplay/internal/store"
+	"antireplay/internal/testbed"
 	"antireplay/internal/tunnel"
 	"antireplay/internal/wire"
 )
@@ -197,58 +192,31 @@ func campaignsTable(cfg CampaignsConfig, only string) (*Table, error) {
 	return t, nil
 }
 
-// campLink is the receiver side of a gated path: everything the gate lets
-// through is handed to deliver (set once the victim pair exists).
-type campLink struct{ deliver func(p []byte) }
-
-func (l *campLink) Send(p []byte) error {
-	if l.deliver != nil {
-		l.deliver(append([]byte(nil), p...))
-	}
-	return nil
-}
-func (l *campLink) Recv() ([]byte, error) { return nil, wire.ErrNoDatagram }
-func (l *campLink) Close() error          { return nil }
-func (l *campLink) Stats() wire.Stats     { return wire.Stats{} }
-func (l *campLink) MTU() int              { return 64 << 10 }
-
 func campIKE(seed int64, id string) ike.Config {
 	return ike.Config{PSK: []byte("campaign-experiment"), Group: ike.TestGroup(),
 		Rand: rand.New(rand.NewSource(seed)), ID: id}
 }
 
 // gatedPair builds a tunnel peer pair whose a->b direction crosses a
-// GateLink, recording the full wiretap history and exactly-once delivery
-// accounting at b.
+// GateLink, with the wiretap and the exactly-once accounting of b's
+// deliveries (by payload) in the audit.
 type gatedPair struct {
-	a, b    *tunnel.Peer
-	gate    *wire.GateLink
-	history [][]byte
-
-	delivered map[string]bool
-	nDeliver  int
-	replays   int
+	testbed.Audit
+	a, b *tunnel.Peer
+	gate *wire.GateLink
 }
 
 func newGatedPair(cfg CampaignsConfig, k uint64, w int) (*gatedPair, error) {
-	g := &gatedPair{delivered: make(map[string]bool)}
-	link := &campLink{}
+	g := &gatedPair{}
+	link := &testbed.InlineLink{}
 	g.gate = wire.NewGateLink(link)
-	onData := func(p []byte) {
-		if g.delivered[string(p)] {
-			g.replays++
-			return
-		}
-		g.delivered[string(p)] = true
-		g.nDeliver++
-	}
 	a, b, err := tunnel.Pair(
 		tunnel.Config{Name: "victim-p", K: k},
-		tunnel.Config{Name: "victim-q", K: k, W: w, OnData: onData},
+		tunnel.Config{Name: "victim-q", K: k, W: w, OnData: func(p []byte) { g.Deliver(p) }},
 		campIKE(cfg.Seed+101, "p"), campIKE(cfg.Seed+102, "q"),
 		func(wireBytes []byte, deliver func([]byte)) {
-			link.deliver = deliver
-			g.history = append(g.history, append([]byte(nil), wireBytes...))
+			link.Deliver = deliver
+			g.Tap(wireBytes)
 			g.gate.Send(wireBytes) //nolint:errcheck // drops are the adversary's verdict
 		}, nil)
 	if err != nil {
@@ -258,12 +226,11 @@ func newGatedPair(cfg CampaignsConfig, k uint64, w int) (*gatedPair, error) {
 	return g, nil
 }
 
-// replayAll re-injects the entire wiretap history at b; OnData's
-// exactly-once map turns any second delivery into a replay count.
+// replayAll re-injects the entire wiretap history at b.
 func (g *gatedPair) replayAll() {
-	for _, w := range g.history {
+	g.ReplayAll(func(w []byte) {
 		g.b.Receive(w) //nolint:errcheck // rejections are the expected outcome
-	}
+	})
 }
 
 // snipeRow prices the window-edge snipe against window width w: every
@@ -296,9 +263,9 @@ func snipeRow(cfg CampaignsConfig, w int) (campRow, error) {
 	return campRow{
 		defense:   fmt.Sprintf("W=%d", w),
 		sent:      n,
-		delivered: g.nDeliver,
+		delivered: g.Delivered(),
 		cost:      fmt.Sprintf("held %d, dups %d", st.Held, st.DupsInjected),
-		replays:   g.replays,
+		replays:   g.Replays(),
 	}, nil
 }
 
@@ -352,9 +319,9 @@ func stormRow(cfg CampaignsConfig, k uint64) (campRow, error) {
 	return campRow{
 		defense:   fmt.Sprintf("K=%d", k),
 		sent:      sent,
-		delivered: g.nDeliver,
+		delivered: g.Delivered(),
 		cost:      fmt.Sprintf("dropped %d, parked reset", st.Dropped),
-		replays:   g.replays,
+		replays:   g.Replays(),
 	}, nil
 }
 
@@ -364,86 +331,33 @@ func stormRow(cfg CampaignsConfig, k uint64) (campRow, error) {
 // (MaxAttempts=2) abandons the trigger repeatedly before converging; a
 // deep one rides the suppression out in a single trigger.
 func rekeyCutRow(cfg CampaignsConfig, maxAttempts int) (campRow, error) {
-	dir, err := os.MkdirTemp("", "campaign-rekey-*")
+	p, err := testbed.New(testbed.Config{
+		K: 25, W: 64, Link: testbed.Gated,
+		// The soft lifetime trips midway through phase 1.
+		Lifetime: ipsec.Lifetime{SoftBytes: uint64(cfg.Packets) * 300 / 2},
+	})
 	if err != nil {
 		return campRow{}, err
 	}
-	defer os.RemoveAll(dir)
-
-	const k = 25
-	payload := make([]byte, 280)
-	mkGateway := func(name string) (*ipsec.Gateway, error) {
-		j, err := store.OpenJournal(filepath.Join(dir, name+".journal"), store.JournalWithoutSync())
-		if err != nil {
-			return nil, err
-		}
-		return ipsec.NewGateway(ipsec.GatewayConfig{
-			Journal: j, K: k, W: 64,
-			// The soft lifetime trips midway through phase 1.
-			Lifetime: ipsec.Lifetime{SoftBytes: uint64(cfg.Packets) * 300 / 2},
-		})
-	}
-	A, err := mkGateway("a")
-	if err != nil {
-		return campRow{}, err
-	}
-	defer func() { A.Close(); A.Journal().Close() }()
-	B, err := mkGateway("b")
-	if err != nil {
-		return campRow{}, err
-	}
-	defer func() { B.Close(); B.Journal().Close() }()
+	defer p.Close()
 
 	cut := adversary.NewRekeyCut(adversary.RekeyCutConfig{
 		SuppressExchanges: 6, BlackoutPackets: 48,
 	})
-	var (
-		history []([]byte)
-		seen    = make(map[string]bool)
-		row     campRow
-	)
-	open := func(w []byte) {
-		for tries := 0; ; tries++ {
-			_, v, err := B.Open(w)
-			if err != nil {
-				return
-			}
-			if v == core.VerdictHorizon && tries < 10000 {
-				time.Sleep(10 * time.Microsecond)
-				continue
-			}
-			if v.Delivered() {
-				if seen[string(w)] {
-					row.replays++
-				} else {
-					seen[string(w)] = true
-					row.delivered++
-				}
-			}
-			return
-		}
-	}
-	link := &campLink{deliver: open}
-	gate := wire.NewGateLink(link)
-	if err := cut.Arm(adversary.Hooks{Gate: gate}); err != nil {
+	if err := cut.Arm(adversary.Hooks{Gate: p.Gate}); err != nil {
 		return campRow{}, err
 	}
 
 	addrA := netip.AddrFrom4([4]byte{10, 0, 0, 1})
 	addrB := netip.AddrFrom4([4]byte{10, 0, 0, 2})
+	payload := make([]byte, 280)
 	send := func() error {
-		for tries := 0; ; tries++ {
-			w, err := A.Seal(addrA, addrB, payload)
-			if err == nil {
-				row.sent++
-				history = append(history, w)
-				return gate.Send(w)
-			}
-			if !errors.Is(err, core.ErrSaveLag) || tries > 10000 {
-				return err
-			}
-			time.Sleep(10 * time.Microsecond)
+		w, err := p.Seal(addrA, addrB, payload)
+		if err != nil {
+			return err
 		}
+		_, _, err = p.Send(w)
+		return err
 	}
 
 	res, err := ike.Establish(campIKE(cfg.Seed+201, "init"), campIKE(cfg.Seed+202, "resp"))
@@ -451,26 +365,18 @@ func rekeyCutRow(cfg CampaignsConfig, maxAttempts int) (campRow, error) {
 		return campRow{}, err
 	}
 	kk := res.Keys
-	sel := ipsec.Selector{Src: netip.PrefixFrom(addrA, 32), Dst: netip.PrefixFrom(addrB, 32)}
-	if _, err := A.AddOutbound(kk.SPIInitToResp, kk.InitToResp, sel); err != nil {
-		return campRow{}, err
-	}
-	if _, err := B.AddInbound(kk.SPIInitToResp, kk.InitToResp); err != nil {
+	if err := testbed.Install(p.A.GW, p.B.GW, kk.SPIInitToResp, kk.InitToResp, addrA, addrB); err != nil {
 		return campRow{}, err
 	}
 	// The reverse direction exists so the orchestrator can track the pair.
-	selR := ipsec.Selector{Src: netip.PrefixFrom(addrB, 32), Dst: netip.PrefixFrom(addrA, 32)}
-	if _, err := B.AddOutbound(kk.SPIRespToInit, kk.RespToInit, selR); err != nil {
-		return campRow{}, err
-	}
-	if _, err := A.AddInbound(kk.SPIRespToInit, kk.RespToInit); err != nil {
+	if err := testbed.Install(p.B.GW, p.A.GW, kk.SPIRespToInit, kk.RespToInit, addrB, addrA); err != nil {
 		return campRow{}, err
 	}
 
 	var vt time.Duration
 	exchangeSeed := cfg.Seed + 300
 	o, err := rekey.New(rekey.Config{
-		A: A, B: B,
+		A: p.A.GW, B: p.B.GW,
 		Grace:       time.Hour,
 		MaxAttempts: maxAttempts,
 		Clock:       func() time.Duration { vt += 10 * time.Microsecond; return vt },
@@ -484,26 +390,8 @@ func rekeyCutRow(cfg CampaignsConfig, maxAttempts int) (campRow, error) {
 				return ike.ChildKeys{}, fmt.Errorf("exchange messages eaten by the adversary")
 			}
 			exchangeSeed++
-			ini, err := ike.NewRekeyInitiator(campIKE(exchangeSeed, "gw-a"), oldAB, oldBA)
-			if err != nil {
-				return ike.ChildKeys{}, err
-			}
-			rsp, err := ike.NewRekeyResponder(campIKE(exchangeSeed+1000, "gw-b"), oldAB, oldBA)
-			if err != nil {
-				return ike.ChildKeys{}, err
-			}
-			m1, err := ini.Request()
-			if err != nil {
-				return ike.ChildKeys{}, err
-			}
-			m2, err := rsp.HandleRequest(m1)
-			if err != nil {
-				return ike.ChildKeys{}, err
-			}
-			if err := ini.HandleResponse(m2); err != nil {
-				return ike.ChildKeys{}, err
-			}
-			return ini.ChildKeys(), nil
+			res, err := ike.RekeyChild(campIKE(exchangeSeed, "gw-a"), campIKE(exchangeSeed+1000, "gw-b"), oldAB, oldBA)
+			return res.Keys, err
 		},
 	})
 	if err != nil {
@@ -535,18 +423,22 @@ func rekeyCutRow(cfg CampaignsConfig, maxAttempts int) (campRow, error) {
 		}
 	}
 	cut.Deactivate()
-	for _, w := range history {
-		open(w)
+	if err := p.ReplayAll(); err != nil {
+		return campRow{}, err
 	}
 
 	st := o.Stats()
 	cs := cut.Stats()
-	row.defense = fmt.Sprintf("MaxAttempts=%d", maxAttempts)
-	row.abandoned = st.Abandoned
-	row.rollovers = st.Rollovers
-	row.cost = fmt.Sprintf("suppressed %d, abandoned %d, blackout %d",
-		cs.Suppressed, st.Abandoned, cs.BlackoutDrops)
-	return row, nil
+	return campRow{
+		defense:   fmt.Sprintf("MaxAttempts=%d", maxAttempts),
+		sent:      p.Sent(),
+		delivered: p.Delivered(),
+		replays:   p.Replays(),
+		abandoned: st.Abandoned,
+		rollovers: st.Rollovers,
+		cost: fmt.Sprintf("suppressed %d, abandoned %d, blackout %d",
+			cs.Suppressed, st.Abandoned, cs.BlackoutDrops),
+	}, nil
 }
 
 // floodRow prices the failover-blackout replay flood against SAVE
@@ -556,165 +448,75 @@ func rekeyCutRow(cfg CampaignsConfig, maxAttempts int) (campRow, error) {
 // acceptances even then; the k knob prices the wake window's
 // false-reject bill (bounded by leap + replication lag).
 func floodRow(cfg CampaignsConfig, k uint64) (campRow, error) {
-	dir, err := os.MkdirTemp("", "campaign-flood-*")
+	flood := adversary.NewBlackoutFlood(adversary.BlackoutFloodConfig{MaxBurst: 256})
+	p, err := testbed.New(testbed.Config{
+		K: k, W: 64, Link: testbed.Gated,
+		// The campaign's hook point: the flood fires inside the takeover
+		// wake window, between the epoch fence and the wake itself; the
+		// pair lands it on the promoted node as that comes up.
+		OnPromote: func(epoch uint64) { flood.OnTakeover(epoch) },
+	})
 	if err != nil {
 		return campRow{}, err
 	}
-	defer os.RemoveAll(dir)
-	openJ := func(name string) (store.Medium, error) {
-		return store.OpenJournal(filepath.Join(dir, name+".log"), store.JournalWithoutSync())
-	}
-	jA, err := openJ("peer")
-	if err != nil {
+	defer p.Close()
+	if err := flood.Arm(adversary.Hooks{Gate: p.Gate}); err != nil {
 		return campRow{}, err
 	}
-	defer jA.Close()
-	j1, err := openJ("node1")
-	if err != nil {
-		return campRow{}, err
-	}
-	defer j1.Close()
-	j2, err := openJ("node2")
-	if err != nil {
-		return campRow{}, err
-	}
-	defer j2.Close()
-
-	A, err := ipsec.NewGateway(ipsec.GatewayConfig{Journal: jA, K: k, W: 64})
-	if err != nil {
-		return campRow{}, err
-	}
-	defer A.Close()
-	B1, err := ipsec.NewGateway(ipsec.GatewayConfig{Journal: j1, K: k, W: 64})
-	if err != nil {
-		return campRow{}, err
-	}
-	defer B1.Close()
 
 	rng := rand.New(rand.NewSource(cfg.Seed + 400))
 	keys := ipsec.KeyMaterial{AuthKey: make([]byte, ipsec.AuthKeySize)}
 	rng.Read(keys.AuthKey)
 	addrA := netip.AddrFrom4([4]byte{10, 2, 0, 1})
 	addrB := netip.AddrFrom4([4]byte{10, 2, 0, 2})
-	const ab = uint32(0xC100)
-	sel := ipsec.Selector{Src: netip.PrefixFrom(addrA, 32), Dst: netip.PrefixFrom(addrB, 32)}
-	if _, err := A.AddOutbound(ab, keys, sel); err != nil {
+	if err := testbed.Install(p.A.GW, p.B.GW, 0xC100, keys, addrA, addrB); err != nil {
 		return campRow{}, err
 	}
-	if _, err := B1.AddInbound(ab, keys); err != nil {
-		return campRow{}, err
-	}
-
-	var (
-		row       campRow
-		seen      = make(map[string]bool)
-		history   [][]byte
-		cur       = B1
-		buffering bool
-		pending   [][]byte
-	)
-	open := func(w []byte) {
-		for tries := 0; ; tries++ {
-			_, v, err := cur.Open(w)
-			if err != nil {
-				return
-			}
-			if v == core.VerdictHorizon && tries < 10000 {
-				time.Sleep(10 * time.Microsecond)
-				continue
-			}
-			if v.Delivered() {
-				if seen[string(w)] {
-					row.replays++
-				} else {
-					seen[string(w)] = true
-					row.delivered++
-				}
-			}
-			return
-		}
-	}
-	link := &campLink{deliver: func(p []byte) {
-		if buffering {
-			pending = append(pending, p)
-			return
-		}
-		open(p)
-	}}
-	gate := wire.NewGateLink(link)
-	flood := adversary.NewBlackoutFlood(adversary.BlackoutFloodConfig{MaxBurst: 256})
-	if err := flood.Arm(adversary.Hooks{Gate: gate}); err != nil {
-		return campRow{}, err
-	}
-
-	sb, err := cluster.NewStandby(cluster.Config{
-		Source: j1, Journal: j2, K: k,
-		// The campaign's hook point: the flood fires inside the takeover
-		// wake window, between the epoch fence and the wake itself.
-		OnPromote: func(epoch uint64) { flood.OnTakeover(epoch) },
-	})
-	if err != nil {
-		return campRow{}, err
-	}
-	defer sb.Stop()
-	if err := sb.Start(); err != nil {
-		return campRow{}, err
-	}
-	if err := sb.Mirror(B1.Snapshot()); err != nil {
+	if err := p.AddStandby(); err != nil {
 		return campRow{}, err
 	}
 
 	payload := make([]byte, 120)
-	send := func() error {
-		for tries := 0; ; tries++ {
-			w, err := A.Seal(addrA, addrB, payload)
-			if err == nil {
-				row.sent++
-				history = append(history, w)
-				return gate.Send(w)
-			}
-			if !errors.Is(err, core.ErrSaveLag) || tries > 10000 {
+	phase := func() error {
+		for i := 0; i < cfg.Packets; i++ {
+			w, err := p.Seal(addrA, addrB, payload)
+			if err != nil {
 				return err
 			}
-			time.Sleep(10 * time.Microsecond)
+			if _, _, err := p.Send(w); err != nil {
+				return err
+			}
 		}
+		return nil
 	}
 
 	// Phase 1: recorded traffic through the primary.
-	for i := 0; i < cfg.Packets; i++ {
-		if err := send(); err != nil {
-			return campRow{}, err
-		}
+	if err := phase(); err != nil {
+		return campRow{}, err
 	}
 
 	// Crash; the flood arms and fires inside the promotion wake window.
 	flood.Activate()
-	B1.ResetAll()
-	buffering = true
-	gw2, _, err := sb.Takeover()
-	if err != nil {
+	p.B.GW.ResetAll()
+	if _, err := p.Promote(); err != nil {
 		return campRow{}, err
 	}
-	cur = gw2
-	buffering = false
-	for _, p := range pending {
-		open(p) // the flood lands as the promoted node comes up
-	}
-	pending = nil
 	flood.Deactivate()
 
 	// Phase 2: fresh traffic pays the wake window's false-reject bill.
-	for i := 0; i < cfg.Packets; i++ {
-		if err := send(); err != nil {
-			return campRow{}, err
-		}
+	if err := phase(); err != nil {
+		return campRow{}, err
 	}
-	for _, w := range history {
-		open(w)
+	if err := p.ReplayAll(); err != nil {
+		return campRow{}, err
 	}
 
 	st := flood.Stats()
-	row.defense = fmt.Sprintf("K=%d", k)
-	row.cost = fmt.Sprintf("recorded %d, flooded %d", st.Recorded, st.Flooded)
-	return row, nil
+	return campRow{
+		defense:   fmt.Sprintf("K=%d", k),
+		sent:      p.Sent(),
+		delivered: p.Delivered(),
+		replays:   p.Replays(),
+		cost:      fmt.Sprintf("recorded %d, flooded %d", st.Recorded, st.Flooded),
+	}, nil
 }

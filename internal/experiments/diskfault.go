@@ -5,17 +5,14 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
-	"os"
 	"path/filepath"
-	"sync"
+	"sync/atomic"
 	"syscall"
-	"time"
 
-	"antireplay/internal/cluster"
-	"antireplay/internal/core"
 	"antireplay/internal/ipsec"
 	"antireplay/internal/store"
 	"antireplay/internal/storefault"
+	"antireplay/internal/testbed"
 )
 
 // DiskfaultConfig parameterizes the storage fault-domain experiment.
@@ -148,71 +145,36 @@ func diskfaultTable(cfg DiskfaultConfig, only string) (*Table, error) {
 	return t, nil
 }
 
-// diskPair is a sender gateway (clean medium) facing a victim gateway
-// whose laned medium sits on a fault injector, with exactly-once delivery
-// accounting and per-SA bookkeeping.
+// diskPair is a testbed pair whose victim (node B) sits on a fault
+// injector — the sender and any standby stay on clean media — with one
+// inbound SA per entry of spis spread over the victim's lanes.
 type diskPair struct {
-	dir   string
+	*testbed.Pair
 	in    *storefault.Injector
-	lanes *store.Lanes
-	a, b  *ipsec.Gateway
-	spis  []uint32 // one inbound SA per entry, spis[i] on lane laneOf[i]
-	lane  []int    // laneOf[i]: the victim lane hosting spis[i]
+	lanes *store.Lanes // the victim's medium
+	spis  []uint32     // one inbound SA per entry, spis[i] on lane lane[i]
+	lane  []int        // the victim lane hosting spis[i]
 	src   []netip.Addr
 	dst   netip.Addr
 
-	poisonMu sync.Mutex
-	poisoned []int // lanes reported by the LanesOnPoison hook, in order
-
-	history [][]byte
-	seen    map[string]bool
-	replays int
+	poisons atomic.Int32 // poison hook firings
 }
 
-// newDiskPair builds the pair over laneCount victim lanes and registers
-// SAs lane by lane until each lane in want hosts perLane of them (probing
-// SPIs through the lane hash). Extra lane options apply to the victim.
-func newDiskPair(cfg DiskfaultConfig, laneCount, perLane int, opts ...store.LanesOption) (*diskPair, error) {
-	dir, err := os.MkdirTemp("", "diskfault-*")
+// newDiskPair builds the pair over laneCount lanes (fsync on when sync)
+// and registers SAs lane by lane until every victim lane hosts perLane of
+// them (probing SPIs through the lane hash). Extra lane options apply to
+// the victim.
+func newDiskPair(cfg DiskfaultConfig, laneCount, perLane int, sync bool, opts ...store.LanesOption) (*diskPair, error) {
+	p := &diskPair{in: storefault.NewInjector(nil)}
+	pair, err := testbed.New(testbed.Config{
+		K: diskfaultK, W: 64, Lanes: laneCount, Sync: sync,
+		LaneOpts: append([]store.LanesOption{store.LanesWithFS(p.in)}, opts...),
+		OnPoison: func(int, error) { p.poisons.Add(1) },
+	})
 	if err != nil {
 		return nil, err
 	}
-	p := &diskPair{dir: dir, in: storefault.NewInjector(nil), seen: make(map[string]bool)}
-	fail := func(err error) (*diskPair, error) {
-		p.close()
-		return nil, err
-	}
-
-	lopts := append([]store.LanesOption{
-		store.LanesCount(laneCount),
-		store.LanesWithFS(p.in),
-		store.LanesOnPoison(func(lane int, err error) {
-			p.poisonMu.Lock()
-			p.poisoned = append(p.poisoned, lane)
-			p.poisonMu.Unlock()
-		}),
-	}, opts...)
-	lanes, err := store.OpenLanes(filepath.Join(dir, "victim"), lopts...)
-	if err != nil {
-		return fail(err)
-	}
-	p.lanes = lanes
-	b, err := ipsec.NewGateway(ipsec.GatewayConfig{Journal: lanes, K: diskfaultK, W: 64})
-	if err != nil {
-		return fail(err)
-	}
-	p.b = b
-
-	jA, err := store.OpenJournal(filepath.Join(dir, "sender.log"), store.JournalWithoutSync())
-	if err != nil {
-		return fail(err)
-	}
-	a, err := ipsec.NewGateway(ipsec.GatewayConfig{Journal: jA, K: diskfaultK, W: 64})
-	if err != nil {
-		jA.Close()
-		return fail(err)
-	}
-	p.a = a
+	p.Pair, p.lanes = pair, pair.B.Medium.(*store.Lanes)
 
 	// Probe SPIs through the victim's lane hash until every lane hosts
 	// perLane SAs: the traffic then exercises each fault domain, and
@@ -220,8 +182,8 @@ func newDiskPair(cfg DiskfaultConfig, laneCount, perLane int, opts ...store.Lane
 	rng := rand.New(rand.NewSource(cfg.Seed + 500))
 	p.dst = netip.AddrFrom4([4]byte{10, 9, 0, 1})
 	fill := make([]int, laneCount)
-	for spi := uint32(0xD100_0000); ; spi++ {
-		lane := laneIndex(lanes, ipsec.InboundKey(spi))
+	for spi := uint32(0xD100_0000); len(p.spis) < laneCount*perLane; spi++ {
+		lane := p.lanes.Cell(ipsec.InboundKey(spi)).Lane()
 		if fill[lane] >= perLane {
 			continue
 		}
@@ -230,115 +192,33 @@ func newDiskPair(cfg DiskfaultConfig, laneCount, perLane int, opts ...store.Lane
 		rng.Read(keys.AuthKey)
 		i := len(p.spis)
 		src := netip.AddrFrom4([4]byte{10, 3, byte(i >> 8), byte(i)})
-		sel := ipsec.Selector{Src: netip.PrefixFrom(src, 32), Dst: netip.PrefixFrom(p.dst, 32)}
-		if _, err := a.AddOutbound(spi, keys, sel); err != nil {
-			return fail(err)
-		}
-		if _, err := b.AddInbound(spi, keys); err != nil {
-			return fail(err)
+		if err := testbed.Install(p.A.GW, p.B.GW, spi, keys, src, p.dst); err != nil {
+			p.Close()
+			return nil, err
 		}
 		p.spis = append(p.spis, spi)
 		p.lane = append(p.lane, lane)
 		p.src = append(p.src, src)
-		done := true
-		for _, n := range fill {
-			if n < perLane {
-				done = false
-				break
-			}
-		}
-		if done {
-			break
-		}
 	}
 	return p, nil
 }
 
-// laneIndex resolves the victim lane hosting key.
-func laneIndex(l *store.Lanes, key string) int {
-	target := l.Lane(key)
-	for i, j := range l.LaneJournals() {
-		if j == target {
-			return i
-		}
-	}
-	return 0 // unreachable: Lane always returns one of LaneJournals
-}
-
-func (p *diskPair) close() {
-	if p.a != nil {
-		p.a.Close()
-		p.a.Journal().Close()
-	}
-	if p.b != nil {
-		p.b.Close()
-	}
-	if p.lanes != nil {
-		p.lanes.Close()
-	}
-	os.RemoveAll(p.dir)
-}
-
-// seal seals one payload for SA i, riding out transient save lag.
-func (p *diskPair) seal(i int, payload []byte) ([]byte, error) {
-	for tries := 0; ; tries++ {
-		w, err := p.a.Seal(p.src[i], p.dst, payload)
-		if err == nil {
-			p.history = append(p.history, w)
-			return w, nil
-		}
-		if !errors.Is(err, core.ErrSaveLag) || tries > 10000 {
-			return nil, err
-		}
-		time.Sleep(10 * time.Microsecond)
-	}
-}
-
-// open opens one wire at the victim for SA i. A horizon stall on a
-// quarantined lane is permanent until repair, so it is counted (false) at
-// once; on a healthy lane it is transient save lag and retried.
-func (p *diskPair) open(i int, w []byte) (bool, error) {
-	for tries := 0; ; tries++ {
-		_, v, err := p.b.Open(w)
-		if err != nil {
-			return false, err
-		}
-		if v == core.VerdictHorizon {
-			if p.lanes.LaneJournals()[p.lane[i]].Poisoned() != nil {
-				return false, nil // quarantined: stalled at the durable horizon
-			}
-			if tries > 10000 {
-				return false, fmt.Errorf("diskfault: SA %#x horizon-stalled on a healthy lane", p.spis[i])
-			}
-			time.Sleep(10 * time.Microsecond)
-			continue
-		}
-		if !v.Delivered() {
-			return false, nil
-		}
-		if p.seen[string(w)] {
-			p.replays++
-			return false, nil
-		}
-		p.seen[string(w)] = true
-		return true, nil
-	}
-}
-
-// phase sends n packets on every SA, returning per-SA delivery counts.
-func (p *diskPair) phase(n int, payload func(i, k int) []byte) ([]int, error) {
+// phase sends n packets, payloads labelled tag, on every SA and returns
+// per-SA delivery counts. A packet a quarantined lane's horizon stall
+// refuses is simply not counted.
+func (p *diskPair) phase(n int, tag string) ([]int, error) {
 	got := make([]int, len(p.spis))
 	for k := 0; k < n; k++ {
 		for i := range p.spis {
-			w, err := p.seal(i, payload(i, k))
+			w, err := p.Seal(p.src[i], p.dst, []byte(fmt.Sprintf("%s-%03d-%06d", tag, i, k)))
 			if err != nil {
 				return nil, err
 			}
-			ok, err := p.open(i, w)
+			_, v, err := p.Send(w)
 			if err != nil {
 				return nil, err
 			}
-			if ok {
+			if v.Delivered() {
 				got[i]++
 			}
 		}
@@ -346,28 +226,11 @@ func (p *diskPair) phase(n int, payload func(i, k int) []byte) ([]int, error) {
 	return got, nil
 }
 
-// replayAll re-injects the full wiretap history; the seen map turns any
-// second delivery into a replay count. Quarantined-lane stalls answer
-// VerdictHorizon immediately, so no retry loop is needed.
-func (p *diskPair) replayAll() {
-	for _, w := range p.history {
-		_, v, err := p.b.Open(w)
-		if err != nil || !v.Delivered() {
-			continue
-		}
-		if p.seen[string(w)] {
-			p.replays++
-		} else {
-			p.seen[string(w)] = true
-		}
-	}
-}
-
 // committedFloor snapshots every inbound SA's durable counter.
 func (p *diskPair) committedFloor() []uint64 {
 	floors := make([]uint64, len(p.spis))
 	for i, spi := range p.spis {
-		if sa, ok := p.b.SAD().Lookup(spi); ok {
+		if sa, ok := p.B.GW.SAD().Lookup(spi); ok {
 			floors[i] = sa.Receiver().Committed()
 		}
 	}
@@ -377,7 +240,7 @@ func (p *diskPair) committedFloor() []uint64 {
 // checkCommitted asserts no SA's durable counter regressed below floor.
 func (p *diskPair) checkCommitted(floors []uint64) error {
 	for i, spi := range p.spis {
-		sa, ok := p.b.SAD().Lookup(spi)
+		sa, ok := p.B.GW.SAD().Lookup(spi)
 		if !ok {
 			return fmt.Errorf("diskfault: SA %#x vanished", spi)
 		}
@@ -399,14 +262,13 @@ func laneFile(lane int) string { return fmt.Sprintf("lane-%03d.log", lane) }
 // must still deliver nothing twice.
 func fsyncStormRow(cfg DiskfaultConfig) (diskRow, error) {
 	const stormLanes = 8
-	p, err := newDiskPair(cfg, stormLanes, 2)
+	p, err := newDiskPair(cfg, stormLanes, 2, true)
 	if err != nil {
 		return diskRow{}, err
 	}
-	defer p.close()
+	defer p.Close()
 
-	payload := func(i, k int) []byte { return []byte(fmt.Sprintf("storm-%02d-%06d", i, k)) }
-	if _, err := p.phase(cfg.Packets, payload); err != nil {
+	if _, err := p.phase(cfg.Packets, "storm"); err != nil {
 		return diskRow{}, err
 	}
 	floors := p.committedFloor()
@@ -416,8 +278,7 @@ func fsyncStormRow(cfg DiskfaultConfig) (diskRow, error) {
 		storefault.Fault{Op: storefault.OpSync, Path: laneFile(0), Err: syscall.EIO},
 		storefault.Fault{Op: storefault.OpSync, Path: laneFile(1), Err: syscall.EIO},
 	)
-	payload2 := func(i, k int) []byte { return []byte(fmt.Sprintf("storm2-%02d-%06d", i, k)) }
-	got, err := p.phase(cfg.Packets, payload2)
+	got, err := p.phase(cfg.Packets, "storm2")
 	if err != nil {
 		return diskRow{}, err
 	}
@@ -444,22 +305,21 @@ func fsyncStormRow(cfg DiskfaultConfig) (diskRow, error) {
 	if q := p.lanes.Quarantined(); len(q) != 2 || !isFaulted(q[0]) || !isFaulted(q[1]) {
 		return diskRow{}, fmt.Errorf("quarantined lanes %v, want %v", q, faulted)
 	}
-	if d := p.b.Degraded(); len(d) != 2 {
+	if d := p.B.GW.Degraded(); len(d) != 2 {
 		return diskRow{}, fmt.Errorf("gateway degraded %v, want both faulted lanes", d)
 	}
-	p.poisonMu.Lock()
-	hooks := len(p.poisoned)
-	p.poisonMu.Unlock()
-	if hooks != 2 {
+	if hooks := p.poisons.Load(); hooks != 2 {
 		return diskRow{}, fmt.Errorf("poison hook fired %d times, want 2", hooks)
 	}
 	if err := p.checkCommitted(floors); err != nil {
 		return diskRow{}, err
 	}
-	p.replayAll()
+	if err := p.ReplayAll(); err != nil {
+		return diskRow{}, err
+	}
 	row.quarantined = 2
-	row.delivered = len(p.seen)
-	row.replays = p.replays
+	row.delivered = p.Delivered()
+	row.replays = p.Replays()
 	row.detail = fmt.Sprintf("%d SAs stalled at horizon, %d faults fired", stalledSAs, p.in.Fired())
 	return row, nil
 }
@@ -471,20 +331,18 @@ func fsyncStormRow(cfg DiskfaultConfig) (diskRow, error) {
 // delivered and no temp file strands.
 func enospcCompactRow(cfg DiskfaultConfig) (diskRow, error) {
 	const compactLanes = 4
-	p, err := newDiskPair(cfg, compactLanes, 2,
-		store.LanesWithoutSync(), store.LanesCompactAt(256))
+	p, err := newDiskPair(cfg, compactLanes, 2, false, store.LanesCompactAt(256))
 	if err != nil {
 		return diskRow{}, err
 	}
-	defer p.close()
+	defer p.Close()
 
 	// Phase 1 under compaction ENOSPC: the temp write fails, the old log
 	// stays authoritative, and the crossing is retried until the fault
 	// budget runs out.
 	p.in.Arm(storefault.Fault{Op: storefault.OpWrite, Path: ".compact", Count: 2, Err: syscall.ENOSPC})
 	n := 4 * cfg.Packets // enough appends to cross the 256 B threshold repeatedly
-	payload := func(i, k int) []byte { return []byte(fmt.Sprintf("enospc-%02d-%06d", i, k)) }
-	got, err := p.phase(n, payload)
+	got, err := p.phase(n, "enospc")
 	if err != nil {
 		return diskRow{}, err
 	}
@@ -508,14 +366,13 @@ func enospcCompactRow(cfg DiskfaultConfig) (diskRow, error) {
 	// poisons, no waiter sees an error. (On the first pair the fault
 	// could land on a threshold compaction's own temp write instead,
 	// which is the already-priced phase-1 shape.)
-	p2, err := newDiskPair(cfg, compactLanes, 2, store.LanesWithoutSync())
+	p2, err := newDiskPair(cfg, compactLanes, 2, false)
 	if err != nil {
 		return diskRow{}, err
 	}
-	defer p2.close()
+	defer p2.Close()
 	p2.in.Arm(storefault.Fault{Op: storefault.OpWrite, Path: laneFile(0), Count: 1, Err: syscall.ENOSPC})
-	payload2 := func(i, k int) []byte { return []byte(fmt.Sprintf("enospc2-%02d-%06d", i, k)) }
-	got2, err := p2.phase(n, payload2)
+	got2, err := p2.phase(n, "enospc2")
 	if err != nil {
 		return diskRow{}, err
 	}
@@ -544,7 +401,7 @@ func enospcCompactRow(cfg DiskfaultConfig) (diskRow, error) {
 	if rescues == 0 {
 		return diskRow{}, errors.New("lane-write ENOSPC was never rescued by compaction")
 	}
-	for _, dir := range []string{filepath.Join(p.dir, "victim"), filepath.Join(p2.dir, "victim")} {
+	for _, dir := range []string{p.lanes.Path(), p2.lanes.Path()} {
 		strays, err := filepath.Glob(filepath.Join(dir, "*.compact*"))
 		if err != nil {
 			return diskRow{}, err
@@ -553,10 +410,14 @@ func enospcCompactRow(cfg DiskfaultConfig) (diskRow, error) {
 			return diskRow{}, fmt.Errorf("stranded compaction temps: %v", strays)
 		}
 	}
-	p.replayAll()
-	p2.replayAll()
-	row.delivered = len(p.seen) + len(p2.seen)
-	row.replays = p.replays + p2.replays
+	if err := p.ReplayAll(); err != nil {
+		return diskRow{}, err
+	}
+	if err := p2.ReplayAll(); err != nil {
+		return diskRow{}, err
+	}
+	row.delivered = p.Delivered() + p2.Delivered()
+	row.replays = p.Replays() + p2.Replays()
 	row.detail = fmt.Sprintf("%d faults fired, %d rescues, %d compactions, 0 stray temps",
 		compactFired+p2.in.Fired(), rescues, compactions)
 	return row, nil
@@ -569,34 +430,17 @@ func enospcCompactRow(cfg DiskfaultConfig) (diskRow, error) {
 // (injector disarmed), the lane is repaired from the standby's replica,
 // the SAs are woken, and traffic on the dead lane resumes.
 func singleLaneEIORow(cfg DiskfaultConfig) (diskRow, error) {
-	p, err := newDiskPair(cfg, cfg.Lanes, 1, store.LanesWithoutSync())
+	p, err := newDiskPair(cfg, cfg.Lanes, 1, false)
 	if err != nil {
 		return diskRow{}, err
 	}
-	defer p.close()
+	defer p.Close()
 
-	sjPath := filepath.Join(p.dir, "standby")
-	sj, err := store.OpenLanes(sjPath, store.LanesCount(cfg.Lanes), store.LanesWithoutSync())
-	if err != nil {
-		return diskRow{}, err
-	}
-	defer sj.Close()
-	sb, err := cluster.NewStandby(cluster.Config{
-		Source: p.lanes, Journal: sj, K: diskfaultK, W: 64,
-	})
-	if err != nil {
-		return diskRow{}, err
-	}
-	if err := sb.Start(); err != nil {
-		return diskRow{}, err
-	}
-	defer sb.Stop()
-	if err := sb.Mirror(p.b.Snapshot()); err != nil {
+	if err := p.AddStandby(); err != nil {
 		return diskRow{}, err
 	}
 
-	payload := func(i, k int) []byte { return []byte(fmt.Sprintf("eio-%03d-%06d", i, k)) }
-	got1, err := p.phase(cfg.Packets, payload)
+	got1, err := p.phase(cfg.Packets, "eio")
 	if err != nil {
 		return diskRow{}, err
 	}
@@ -610,8 +454,7 @@ func singleLaneEIORow(cfg DiskfaultConfig) (diskRow, error) {
 	// Kill the last lane's disk: every write EIO, forever.
 	dead := cfg.Lanes - 1
 	p.in.Arm(storefault.Fault{Op: storefault.OpWrite, Path: laneFile(dead), Err: syscall.EIO})
-	payload2 := func(i, k int) []byte { return []byte(fmt.Sprintf("eio2-%03d-%06d", i, k)) }
-	got2, err := p.phase(cfg.Packets, payload2)
+	got2, err := p.phase(cfg.Packets, "eio2")
 	if err != nil {
 		return diskRow{}, err
 	}
@@ -635,7 +478,7 @@ func singleLaneEIORow(cfg DiskfaultConfig) (diskRow, error) {
 	if q := p.lanes.Quarantined(); len(q) != 1 || q[0] != dead {
 		return diskRow{}, fmt.Errorf("quarantined lanes %v, want [%d]", q, dead)
 	}
-	if d := p.b.Degraded(); len(d) != 1 || d[0] != dead {
+	if d := p.B.GW.Degraded(); len(d) != 1 || d[0] != dead {
 		return diskRow{}, fmt.Errorf("gateway degraded %v, want [%d]", d, dead)
 	}
 
@@ -643,13 +486,13 @@ func singleLaneEIORow(cfg DiskfaultConfig) (diskRow, error) {
 	// then wake the population (FETCH + 2K leap + SAVE) so the stalled
 	// SA's horizon unfreezes.
 	p.in.Disarm()
-	if err := sb.RepairSourceLane(dead); err != nil {
+	if err := p.Standby.RepairSourceLane(dead); err != nil {
 		return diskRow{}, fmt.Errorf("standby lane repair: %w", err)
 	}
 	if q := p.lanes.Quarantined(); len(q) != 0 {
 		return diskRow{}, fmt.Errorf("lanes still quarantined after repair: %v", q)
 	}
-	if err := p.b.WakeAll(); err != nil {
+	if err := p.B.GW.WakeAll(); err != nil {
 		return diskRow{}, fmt.Errorf("post-repair wake: %w", err)
 	}
 	if err := p.checkCommitted(floors); err != nil {
@@ -659,8 +502,7 @@ func singleLaneEIORow(cfg DiskfaultConfig) (diskRow, error) {
 	// Phase 3: the wake leap sacrifices at most 2K fresh packets per SA
 	// (the paper's bounded wake bill); past that, every lane — the
 	// repaired one included — must deliver again.
-	payload3 := func(i, k int) []byte { return []byte(fmt.Sprintf("eio3-%03d-%06d", i, k)) }
-	got3, err := p.phase(cfg.Packets, payload3)
+	got3, err := p.phase(cfg.Packets, "eio3")
 	if err != nil {
 		return diskRow{}, err
 	}
@@ -685,10 +527,12 @@ func singleLaneEIORow(cfg DiskfaultConfig) (diskRow, error) {
 	if repairs != 1 {
 		return diskRow{}, fmt.Errorf("repairs counter %d, want 1", repairs)
 	}
-	p.replayAll()
+	if err := p.ReplayAll(); err != nil {
+		return diskRow{}, err
+	}
 	row.sent = 3 * cfg.Packets * len(p.spis)
-	row.delivered = len(p.seen)
-	row.replays = p.replays
+	row.delivered = p.Delivered()
+	row.replays = p.Replays()
 	row.detail = fmt.Sprintf("repaired lane %d from standby, SA resumed %d pkts", dead, resumed)
 	return row, nil
 }

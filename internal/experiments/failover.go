@@ -8,12 +8,12 @@ import (
 	"path/filepath"
 	"time"
 
-	"antireplay/internal/cluster"
 	"antireplay/internal/core"
 	"antireplay/internal/dpd"
 	"antireplay/internal/ipsec"
 	"antireplay/internal/netsim"
 	"antireplay/internal/store"
+	"antireplay/internal/testbed"
 )
 
 // FailoverConfig parameterizes the HA failover experiment.
@@ -184,20 +184,18 @@ func ReplicationThroughput(records, producers int) (float64, error) {
 	return float64(per*producers) / elapsed.Seconds(), nil
 }
 
-// failoverSim bundles one row's topology and accounting.
+// failoverSim is one row's topology — a testbed pair whose B side is the
+// cluster — plus the simulation clock, the DPD monitor and the counts the
+// audit does not keep.
 type failoverSim struct {
+	*testbed.Pair
 	cfg  FailoverConfig
 	loss float64
 
 	e   *netsim.Engine
-	A   *ipsec.Gateway // the surviving peer
-	cur *ipsec.Gateway // current B-side primary (swapped by promotions)
 	mon *dpd.Monitor
 
 	abSPI, baSPI []uint32
-
-	history   [][]byte        // every A->B wire ever sealed (data + probes)
-	delivered map[string]bool // wire -> delivered at least once
 
 	nDelivered   int
 	nFalseReject int
@@ -211,76 +209,52 @@ func (s *failoverSim) addrB(i int) netip.Addr {
 	return netip.AddrFrom4([4]byte{10, 1, byte(i >> 8), byte(i)})
 }
 
-// sealA seals one A->B payload on tunnel i, retrying save-lag backpressure.
-func (s *failoverSim) sealA(i int, payload []byte) ([]byte, error) {
-	for tries := 0; ; tries++ {
-		w, err := s.A.Seal(s.addrA(i), s.addrB(i), payload)
-		if err == nil {
-			s.history = append(s.history, w)
-			return w, nil
-		}
-		if !errors.Is(err, core.ErrSaveLag) || tries > 100000 {
-			return nil, fmt.Errorf("seal A tunnel %d: %w", i, err)
-		}
-		time.Sleep(10 * time.Microsecond)
-	}
-}
-
-// openB opens one wire at the current B-side primary, deferring through
-// horizon backpressure; reports whether it delivered.
+// openB opens one wire at the current B-side primary and answers a
+// delivered DPD probe on the reverse SA; reports whether it delivered.
 func (s *failoverSim) openB(w []byte) (bool, error) {
-	for tries := 0; ; tries++ {
-		payload, v, err := s.cur.Open(w)
-		if err != nil {
-			return false, nil // down/unknown-SPI during a swap: network loss
-		}
-		if v == core.VerdictHorizon && tries < 100000 {
-			time.Sleep(10 * time.Microsecond)
-			continue
-		}
-		if !v.Delivered() {
-			return false, nil
-		}
-		s.delivered[string(w)] = true
-		// Control payloads: a probe is answered on the reverse SA.
-		if kind, probeSeq, ok := dpd.ParsePayload(payload); ok && kind == "probe" {
-			s.sendToA(0, dpd.AckPayload(probeSeq))
-		}
-		return true, nil
+	payload, v, err := s.Send(w)
+	if errors.Is(err, testbed.ErrStalled) {
+		return false, err
 	}
+	if err != nil || !v.Delivered() {
+		// An error is the node down or an unknown SPI during a swap:
+		// network loss, like any other refusal.
+		return false, nil
+	}
+	if kind, probeSeq, ok := dpd.ParsePayload(payload); ok && kind == "probe" {
+		return true, s.sendToA(0, dpd.AckPayload(probeSeq))
+	}
+	return true, nil
 }
 
 // sendToA seals a B->A payload on tunnel i at the current primary and
 // delivers it to A (subject to loss), feeding the DPD monitor.
-func (s *failoverSim) sendToA(i int, payload []byte) {
-	for tries := 0; ; tries++ {
-		w, err := s.cur.Seal(s.addrB(i), s.addrA(i), payload)
-		if err != nil {
-			if errors.Is(err, core.ErrSaveLag) && tries < 100000 {
-				time.Sleep(10 * time.Microsecond)
-				continue
-			}
-			return // down, draining, fenced: the reply is simply not sent
+func (s *failoverSim) sendToA(i int, payload []byte) error {
+	w, err := s.SealOn(s.B, s.addrB(i), s.addrA(i), payload)
+	if err != nil {
+		if errors.Is(err, testbed.ErrStalled) {
+			return err
 		}
-		if s.e.Rand().Float64() < s.loss {
-			return
-		}
-		pl, v, err := s.A.Open(w)
-		if err != nil || !v.Delivered() {
-			return
-		}
-		if kind, probeSeq, ok := dpd.ParsePayload(pl); ok {
-			switch kind {
-			case "ack":
-				s.mon.NoteAck(probeSeq)
-			case "resync":
-				s.mon.NoteInbound()
-			}
-		} else {
+		return nil // down, draining, fenced: the reply is simply not sent
+	}
+	if s.e.Rand().Float64() < s.loss {
+		return nil
+	}
+	pl, v, err := s.A.GW.Open(w)
+	if err != nil || !v.Delivered() {
+		return nil
+	}
+	if kind, probeSeq, ok := dpd.ParsePayload(pl); ok {
+		switch kind {
+		case "ack":
+			s.mon.NoteAck(probeSeq)
+		case "resync":
 			s.mon.NoteInbound()
 		}
-		return
+	} else {
+		s.mon.NoteInbound()
 	}
+	return nil
 }
 
 // phase drives rounds of bidirectional traffic across every tunnel,
@@ -290,7 +264,7 @@ func (s *failoverSim) phase(rounds int) error {
 	const interval = 20 * time.Microsecond
 	for n := 0; n < rounds; n++ {
 		for i := 0; i < s.cfg.Tunnels; i++ {
-			w, err := s.sealA(i, []byte(fmt.Sprintf("data %d/%d", n, i)))
+			w, err := s.Seal(s.addrA(i), s.addrB(i), []byte(fmt.Sprintf("data %d/%d", n, i)))
 			if err != nil {
 				return err
 			}
@@ -308,117 +282,43 @@ func (s *failoverSim) phase(rounds int) error {
 				}
 			}
 			// The echo keeps the peer's DPD monitor fed.
-			s.sendToA(i, []byte("echo"))
+			if err := s.sendToA(i, []byte("echo")); err != nil {
+				return err
+			}
 		}
 		s.e.RunFor(interval)
 	}
 	return nil
 }
 
-// replayAll replays the full recorded history into the current primary and
-// counts re-deliveries of wires that already delivered once.
-func (s *failoverSim) replayAll() int {
-	replays := 0
-	for _, w := range s.history {
-		_, v, _ := s.cur.Open(w)
-		if v.Delivered() {
-			if s.delivered[string(w)] {
-				replays++
-			}
-			s.delivered[string(w)] = true
-		}
-	}
-	return replays
-}
-
 func failoverRow(cfg FailoverConfig, loss float64) ([]string, error) {
-	dir, err := os.MkdirTemp("", "failover-*")
+	pair, err := testbed.New(testbed.Config{K: cfg.K, Lanes: cfg.Lanes})
 	if err != nil {
 		return nil, err
 	}
-	defer os.RemoveAll(dir)
-
-	// Each node's medium: a laned journal directory when cfg.Lanes asks for
-	// one, else the single-file journal (same helper reopens either — the
-	// failback reboot below must come back on the same medium shape).
-	openJ := func(name string) (store.Medium, error) {
-		if cfg.Lanes > 1 {
-			return store.OpenLanes(filepath.Join(dir, name),
-				store.LanesCount(cfg.Lanes), store.LanesWithoutSync())
-		}
-		return store.OpenJournal(filepath.Join(dir, name+".log"), store.JournalWithoutSync())
-	}
-	jA, err := openJ("peer")
-	if err != nil {
-		return nil, err
-	}
-	defer jA.Close()
-	j1, err := openJ("node1")
-	if err != nil {
-		return nil, err
-	}
-	defer j1.Close()
-	j2, err := openJ("node2")
-	if err != nil {
-		return nil, err
-	}
-	defer j2.Close()
-
-	s := &failoverSim{
-		cfg: cfg, loss: loss,
-		e:         netsim.NewEngine(cfg.Seed),
-		delivered: make(map[string]bool),
-	}
+	defer pair.Close()
+	s := &failoverSim{Pair: pair, cfg: cfg, loss: loss, e: netsim.NewEngine(cfg.Seed)}
 	rng := s.e.Rand()
 	keys := func() ipsec.KeyMaterial {
 		k := ipsec.KeyMaterial{AuthKey: make([]byte, ipsec.AuthKeySize)}
 		rng.Read(k.AuthKey)
 		return k
 	}
-
-	if s.A, err = ipsec.NewGateway(ipsec.GatewayConfig{Journal: jA, K: cfg.K}); err != nil {
-		return nil, err
-	}
-	defer s.A.Close()
-	B1, err := ipsec.NewGateway(ipsec.GatewayConfig{Journal: j1, K: cfg.K})
-	if err != nil {
-		return nil, err
-	}
-	defer B1.Close()
-	s.cur = B1
-
 	for i := 0; i < cfg.Tunnels; i++ {
 		ab, ba := uint32(0xA000+i), uint32(0xB000+i)
 		s.abSPI = append(s.abSPI, ab)
 		s.baSPI = append(s.baSPI, ba)
-		kAB, kBA := keys(), keys()
-		selAB := ipsec.Selector{Src: netip.PrefixFrom(s.addrA(i), 32), Dst: netip.PrefixFrom(s.addrB(i), 32)}
-		selBA := ipsec.Selector{Src: netip.PrefixFrom(s.addrB(i), 32), Dst: netip.PrefixFrom(s.addrA(i), 32)}
-		if _, err := s.A.AddOutbound(ab, kAB, selAB); err != nil {
+		if err := testbed.Install(s.A.GW, s.B.GW, ab, keys(), s.addrA(i), s.addrB(i)); err != nil {
 			return nil, err
 		}
-		if _, err := s.A.AddInbound(ba, kBA); err != nil {
-			return nil, err
-		}
-		if _, err := B1.AddInbound(ab, kAB); err != nil {
-			return nil, err
-		}
-		if _, err := B1.AddOutbound(ba, kBA, selBA); err != nil {
+		if err := testbed.Install(s.B.GW, s.A.GW, ba, keys(), s.addrB(i), s.addrA(i)); err != nil {
 			return nil, err
 		}
 	}
-
-	sb, err := cluster.NewStandby(cluster.Config{Source: j1, Journal: j2, K: cfg.K})
-	if err != nil {
+	if err := s.AddStandby(); err != nil {
 		return nil, err
 	}
-	defer sb.Stop()
-	if err := sb.Start(); err != nil {
-		return nil, err
-	}
-	if err := sb.Mirror(B1.Snapshot()); err != nil {
-		return nil, err
-	}
+	B1, sb := s.B.GW, s.Standby
 
 	// Dead-peer detection on the surviving peer, probing over tunnel 0.
 	s.mon, err = dpd.NewMonitor(dpd.Config{
@@ -428,7 +328,7 @@ func failoverRow(cfg FailoverConfig, loss float64) ([]string, error) {
 		MaxProbes:   2,
 		HoldTime:    time.Second,
 		SendProbe: func(probeSeq uint64) {
-			w, err := s.sealA(0, dpd.ProbePayload(probeSeq))
+			w, err := s.Seal(s.addrA(0), s.addrB(0), dpd.ProbePayload(probeSeq))
 			if err != nil {
 				return
 			}
@@ -467,13 +367,15 @@ func failoverRow(cfg FailoverConfig, loss float64) ([]string, error) {
 	// Epoch-fenced takeover; the promoted node announces itself with the §6
 	// secured resurrection message, whose leaped sequence number the peer
 	// necessarily accepts.
-	gw2, epoch1, err := sb.Takeover()
+	epoch1, err := s.Promote()
 	if err != nil {
 		return nil, err
 	}
-	s.cur = gw2
+	gw2 := s.B.GW
 	for s.mon.State() != dpd.StateAlive {
-		s.sendToA(0, dpd.ResyncPayload())
+		if err := s.sendToA(0, dpd.ResyncPayload()); err != nil {
+			return nil, err
+		}
 		s.e.RunFor(100 * time.Microsecond)
 		if s.e.Now()-crashAt > time.Second {
 			return nil, fmt.Errorf("peer never saw the resurrection (monitor %v)", s.mon.State())
@@ -511,27 +413,12 @@ func failoverRow(cfg FailoverConfig, loss float64) ([]string, error) {
 	if uint64(falseRejects) > windowBound {
 		return nil, fmt.Errorf("false rejects %d exceed window bound %d", falseRejects, windowBound)
 	}
-	replays := s.replayAll()
+	if err := s.ReplayAll(); err != nil {
+		return nil, err
+	}
 
 	// Node 1 reboots and re-syncs as the standby of the interim primary.
-	B1.Close()
-	if err := j1.Close(); err != nil {
-		return nil, err
-	}
-	j1b, err := openJ("node1")
-	if err != nil {
-		return nil, err
-	}
-	defer j1b.Close()
-	sb2, err := cluster.NewStandby(cluster.Config{Source: j2, Journal: j1b, K: cfg.K})
-	if err != nil {
-		return nil, err
-	}
-	defer sb2.Stop()
-	if err := sb2.Start(); err != nil {
-		return nil, err
-	}
-	if err := sb2.Mirror(gw2.Snapshot()); err != nil {
+	if err := s.AddStandby(); err != nil {
 		return nil, err
 	}
 	if err := s.phase(cfg.PacketsPerPhase / 4); err != nil {
@@ -546,10 +433,11 @@ func failoverRow(cfg FailoverConfig, loss float64) ([]string, error) {
 		out, _ := gw2.Outbound(ba)
 		used2[i] = out.Sender().Seq()
 	}
-	gw3, epoch2, err := sb2.Takeover()
+	epoch2, err := s.Promote()
 	if err != nil {
 		return nil, err
 	}
+	gw3 := s.B.GW
 
 	// The deposed primary keeps writing: its journal is fenced, so every SA
 	// stalls within its horizon — fewer than leap numbers each.
@@ -566,12 +454,11 @@ func failoverRow(cfg FailoverConfig, loss float64) ([]string, error) {
 		return nil, fmt.Errorf("deposed primary sealed %d packets, beyond its horizon (%d per SA)",
 			deposedSeals, leap)
 	}
-	if err := j2.Cell(ipsec.OutboundKey(s.baSPI[0])).Save(1 << 40); !errors.Is(err, store.ErrFenced) {
+	if err := s.C.Medium.Cell(ipsec.OutboundKey(s.baSPI[0])).Save(1 << 40); !errors.Is(err, store.ErrFenced) {
 		return nil, fmt.Errorf("deposed journal write = %v, want ErrFenced", err)
 	}
 
 	// The failback node serves; counters must not have regressed.
-	s.cur = gw3
 	regressions := 0
 	for i, ba := range s.baSPI {
 		out, ok := gw3.Outbound(ba)
@@ -585,7 +472,9 @@ func failoverRow(cfg FailoverConfig, loss float64) ([]string, error) {
 	if err := s.phase(cfg.PacketsPerPhase / 4); err != nil {
 		return nil, err
 	}
-	replays += s.replayAll()
+	if err := s.ReplayAll(); err != nil {
+		return nil, err
+	}
 
 	return []string{
 		fmt.Sprintf("%.0f%%", loss*100),
@@ -595,7 +484,7 @@ func failoverRow(cfg FailoverConfig, loss float64) ([]string, error) {
 		fmt.Sprintf("%d (pre %d)", falseRejects, preRejects),
 		fmt.Sprint(windowBound),
 		fmt.Sprint(blackout),
-		fmt.Sprint(replays),
+		fmt.Sprint(s.Replays()),
 		fmt.Sprint(deposedSeals),
 		fmt.Sprintf("%d->%d", epoch1, epoch2),
 		fmt.Sprint(regressions),

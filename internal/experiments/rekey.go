@@ -1,21 +1,17 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"net/netip"
-	"os"
-	"path/filepath"
 	"time"
 
-	"antireplay/internal/core"
 	"antireplay/internal/ike"
 	"antireplay/internal/ipsec"
 	"antireplay/internal/netsim"
 	"antireplay/internal/rekey"
 	"antireplay/internal/resetinj"
-	"antireplay/internal/store"
+	"antireplay/internal/testbed"
 )
 
 // RekeyConfig parameterizes the rekey-under-reset rollover experiment.
@@ -106,38 +102,20 @@ type rekeyRow struct {
 	sacrificed int
 	inflightOK int
 	falseRej   int
-	replays    int
 }
 
 func rekeyRolloverRow(cfg RekeyConfig, loss float64) ([]string, error) {
-	dir, err := os.MkdirTemp("", "rekey-*")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-
 	const k = 25
-	mkGateway := func(name string) (*ipsec.Gateway, error) {
-		j, err := store.OpenJournal(filepath.Join(dir, name+".journal"))
-		if err != nil {
-			return nil, err
-		}
-		return ipsec.NewGateway(ipsec.GatewayConfig{
-			Journal: j, K: k, W: 64,
-			// Soft lifetime trips after roughly one phase of traffic.
-			Lifetime: ipsec.Lifetime{SoftBytes: uint64(cfg.PacketsPerPhase) * 300 / 2},
-		})
-	}
-	A, err := mkGateway("a")
+	p, err := testbed.New(testbed.Config{
+		K: k, W: 64, Sync: true,
+		// Soft lifetime trips after roughly one phase of traffic.
+		Lifetime: ipsec.Lifetime{SoftBytes: uint64(cfg.PacketsPerPhase) * 300 / 2},
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer func() { A.Close(); A.Journal().Close() }()
-	B, err := mkGateway("b")
-	if err != nil {
-		return nil, err
-	}
-	defer func() { B.Close(); B.Journal().Close() }()
+	defer p.Close()
+	A, B := p.A.GW, p.B.GW
 
 	e := netsim.NewEngine(cfg.Seed)
 	rng := e.Rand()
@@ -154,48 +132,14 @@ func rekeyRolloverRow(cfg RekeyConfig, loss float64) ([]string, error) {
 
 	var (
 		row      rekeyRow
-		history  [][]byte
-		seen     = make(map[string]bool) // wire -> delivered at least once
-		addrFor  = make(map[uint32]int)  // live A->B SPI -> tunnel index
+		addrFor  = make(map[uint32]int) // live A->B SPI -> tunnel index
 		inflight [][]byte
 	)
 	addr := func(i int, side byte) netip.Addr {
 		return netip.AddrFrom4([4]byte{10, side, byte(i >> 8), byte(i)})
 	}
-	sel := func(i int, rev bool) ipsec.Selector {
-		src, dst := addr(i, 0), addr(i, 1)
-		if rev {
-			src, dst = dst, src
-		}
-		return ipsec.Selector{Src: netip.PrefixFrom(src, 32), Dst: netip.PrefixFrom(dst, 32)}
-	}
-
-	// seal seals one payload on tunnel i with save-lag retry.
 	seal := func(i int) ([]byte, error) {
-		for tries := 0; ; tries++ {
-			w, err := A.Seal(addr(i, 0), addr(i, 1), make([]byte, 280))
-			if err == nil {
-				history = append(history, w)
-				return w, nil
-			}
-			if !errors.Is(err, core.ErrSaveLag) || tries > 10000 {
-				return nil, err
-			}
-			time.Sleep(20 * time.Microsecond)
-		}
-	}
-	// open delivers one wire at B with horizon retry, recording delivery.
-	open := func(w []byte) (core.Verdict, error) {
-		for tries := 0; ; tries++ {
-			_, verdict, err := B.Open(w)
-			if verdict != core.VerdictHorizon || tries > 10000 {
-				if err == nil && verdict.Delivered() {
-					seen[string(w)] = true
-				}
-				return verdict, err
-			}
-			time.Sleep(20 * time.Microsecond)
-		}
+		return p.Seal(addr(i, 0), addr(i, 1), make([]byte, 280))
 	}
 	// phase pushes packets-per-tunnel of traffic with data loss p/2 and
 	// light reordering (batch shuffle), counting deliveries.
@@ -204,7 +148,7 @@ func rekeyRolloverRow(cfg RekeyConfig, loss float64) ([]string, error) {
 		flush := func() error {
 			rng.Shuffle(len(batch), func(a, b int) { batch[a], batch[b] = batch[b], batch[a] })
 			for _, w := range batch {
-				v, err := open(w)
+				_, v, err := p.Send(w)
 				if err != nil {
 					return err
 				}
@@ -281,7 +225,7 @@ func rekeyRolloverRow(cfg RekeyConfig, loss float64) ([]string, error) {
 				if err != nil {
 					return ike.ChildKeys{}, err
 				}
-				if v, err := open(w); err != nil {
+				if _, v, err := p.Send(w); err != nil {
 					return ike.ChildKeys{}, err
 				} else if v.Delivered() {
 					row.delivered++
@@ -313,16 +257,10 @@ func rekeyRolloverRow(cfg RekeyConfig, loss float64) ([]string, error) {
 			return nil, err
 		}
 		kk := res.Keys
-		if _, err := A.AddOutbound(kk.SPIInitToResp, kk.InitToResp, sel(i, false)); err != nil {
+		if err := testbed.Install(A, B, kk.SPIInitToResp, kk.InitToResp, addr(i, 0), addr(i, 1)); err != nil {
 			return nil, err
 		}
-		if _, err := A.AddInbound(kk.SPIRespToInit, kk.RespToInit); err != nil {
-			return nil, err
-		}
-		if _, err := B.AddInbound(kk.SPIInitToResp, kk.InitToResp); err != nil {
-			return nil, err
-		}
-		if _, err := B.AddOutbound(kk.SPIRespToInit, kk.RespToInit, sel(i, true)); err != nil {
+		if err := testbed.Install(B, A, kk.SPIRespToInit, kk.RespToInit, addr(i, 1), addr(i, 0)); err != nil {
 			return nil, err
 		}
 		if tunnels[i], err = o.Track(kk.SPIInitToResp, kk.SPIRespToInit); err != nil {
@@ -355,7 +293,7 @@ func rekeyRolloverRow(cfg RekeyConfig, loss float64) ([]string, error) {
 
 	// The in-flight old-SPI packets must all deliver during the drain.
 	for _, w := range inflight {
-		v, err := open(w)
+		_, v, err := p.Send(w)
 		if err != nil {
 			return nil, fmt.Errorf("in-flight old-SPI packet: %w", err)
 		}
@@ -380,14 +318,8 @@ func rekeyRolloverRow(cfg RekeyConfig, loss float64) ([]string, error) {
 
 	// Replay the entire history: a delivery of an already-delivered wire is
 	// a replay acceptance.
-	for _, w := range history {
-		_, verdict, _ := B.Open(w)
-		if verdict.Delivered() {
-			if seen[string(w)] {
-				row.replays++
-			}
-			seen[string(w)] = true
-		}
+	if err := p.ReplayAll(); err != nil {
+		return nil, err
 	}
 
 	// The retired generations' journal cells must be erased.
@@ -411,7 +343,7 @@ func rekeyRolloverRow(cfg RekeyConfig, loss float64) ([]string, error) {
 		fmt.Sprint(row.sacrificed),
 		fmt.Sprintf("%d/%d", row.inflightOK, len(inflight)),
 		fmt.Sprint(row.falseRej),
-		fmt.Sprint(row.replays),
+		fmt.Sprint(p.Replays()),
 		fmt.Sprintf("%d/%d", erased, len(oldKeys)),
 	}, nil
 }

@@ -32,14 +32,12 @@ func BenchmarkAdmitInOrder(b *testing.B) {
 		b.Run(fmt.Sprintf("bitmap/w=%d", w), func(b *testing.B) { benchInOrder(b, NewBitmap(w)) })
 		b.Run(fmt.Sprintf("atomic/w=%d", w), func(b *testing.B) { benchInOrder(b, NewAtomic(w)) })
 	}
-	b.Run("fixed64", func(b *testing.B) { benchInOrder(b, NewFixed64()) })
 }
 
 func BenchmarkAdmitInWindow(b *testing.B) {
 	b.Run("bool/w=64", func(b *testing.B) { benchInWindow(b, NewBool(64)) })
 	b.Run("bitmap/w=64", func(b *testing.B) { benchInWindow(b, NewBitmap(64)) })
 	b.Run("atomic/w=64", func(b *testing.B) { benchInWindow(b, NewAtomic(64)) })
-	b.Run("fixed64", func(b *testing.B) { benchInWindow(b, NewFixed64()) })
 }
 
 // BenchmarkAdmitAtomicParallel drives one Atomic window from every

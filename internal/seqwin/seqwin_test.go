@@ -8,18 +8,13 @@ import (
 	"testing/quick"
 )
 
-// allWindows returns one of each implementation at width w (Fixed64 only
-// when w == 64).
+// allWindows returns one of each implementation at width w.
 func allWindows(w int) map[string]Window {
-	ws := map[string]Window{
+	return map[string]Window{
 		"bool":   NewBool(w),
 		"bitmap": NewBitmap(w),
 		"atomic": NewAtomic(w),
 	}
-	if w == Fixed64Width {
-		ws["fixed64"] = NewFixed64()
-	}
-	return ws
 }
 
 func TestDecisionString(t *testing.T) {
@@ -399,33 +394,6 @@ func TestBitmapHugeJump(t *testing.T) {
 	}
 }
 
-func TestFixed64ShiftBoundaries(t *testing.T) {
-	win := NewFixed64()
-	win.Admit(10)
-	if d := win.Admit(10 + 63); d != DecisionNew {
-		t.Fatalf("shift 63 = %v, want new", d)
-	}
-	// Offset 63 is the last in-window position: 10 was seen, so duplicate
-	// (not stale), while 9 lies just below the window.
-	if d := win.Admit(10); d != DecisionDuplicate {
-		t.Errorf("Admit(10) = %v, want duplicate (offset 63 still in window)", d)
-	}
-	if d := win.Admit(11); d != DecisionInWindow {
-		t.Errorf("Admit(11) = %v, want in-window (offset 62, unseen)", d)
-	}
-	if d := win.Admit(9); d != DecisionStale {
-		t.Errorf("Admit(9) = %v, want stale", d)
-	}
-	win2 := NewFixed64()
-	win2.Admit(10)
-	if d := win2.Admit(10 + 64); d != DecisionNew {
-		t.Fatalf("shift 64 = %v, want new", d)
-	}
-	if d := win2.Admit(10); d != DecisionStale {
-		t.Errorf("Admit(10) after shift 64 = %v, want stale", d)
-	}
-}
-
 func TestNewBoolPanicsOnBadWidth(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -555,9 +523,6 @@ func TestWAccessors(t *testing.T) {
 	}
 	if got := NewBitmap(17).W(); got != 17 {
 		t.Errorf("Bitmap.W = %d, want 17", got)
-	}
-	if got := NewFixed64().W(); got != 64 {
-		t.Errorf("Fixed64.W = %d, want 64", got)
 	}
 }
 

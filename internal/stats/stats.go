@@ -1,8 +1,6 @@
 // Package stats provides small statistical helpers used by the experiment
 // harness: sample summaries (order statistics over accumulated
-// observations), online moments (Welford-style mean/variance without
-// retaining samples), fixed-width histograms, and least-squares linear
-// regression.
+// observations) and least-squares linear regression.
 //
 // The regression is what turns the paper's §3 "unbounded growth" claims
 // into measurements: the unbounded-baseline experiment fits the baseline
@@ -149,97 +147,6 @@ func (s *Sample) String() string {
 	return fmt.Sprintf("n=%d min=%g mean=%g max=%g std=%g",
 		s.Len(), s.Min(), s.Mean(), s.Max(), s.Std())
 }
-
-// Welford accumulates mean and variance online in a single pass using
-// Welford's algorithm. The zero value is ready for use.
-type Welford struct {
-	n    uint64
-	mean float64
-	m2   float64
-}
-
-// Add incorporates one observation.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of observations.
-func (w *Welford) N() uint64 { return w.n }
-
-// Mean returns the running mean; 0 when empty.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Var returns the unbiased running variance; 0 when n < 2.
-func (w *Welford) Var() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// Std returns the running standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
-
-// Histogram counts observations into uniform-width buckets over
-// [Lo, Lo+Width*len(buckets)). Out-of-range observations are tallied in
-// Under and Over.
-type Histogram struct {
-	lo      float64
-	width   float64
-	buckets []uint64
-	under   uint64
-	over    uint64
-	total   uint64
-}
-
-// NewHistogram returns a histogram of n buckets of the given width starting
-// at lo. It panics if n <= 0 or width <= 0 (programmer error).
-func NewHistogram(lo, width float64, n int) *Histogram {
-	if n <= 0 || width <= 0 {
-		panic(fmt.Sprintf("stats: invalid histogram shape n=%d width=%g", n, width))
-	}
-	return &Histogram{lo: lo, width: width, buckets: make([]uint64, n)}
-}
-
-// Add tallies one observation.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	if x < h.lo {
-		h.under++
-		return
-	}
-	i := int((x - h.lo) / h.width)
-	if i >= len(h.buckets) {
-		h.over++
-		return
-	}
-	h.buckets[i]++
-}
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) uint64 { return h.buckets[i] }
-
-// Buckets returns a copy of all bucket counts.
-func (h *Histogram) Buckets() []uint64 {
-	out := make([]uint64, len(h.buckets))
-	copy(out, h.buckets)
-	return out
-}
-
-// Under and Over return the out-of-range tallies; Total the grand total.
-func (h *Histogram) Under() uint64 { return h.under }
-
-// Over returns the count of observations at or above the upper bound.
-func (h *Histogram) Over() uint64 { return h.over }
-
-// Total returns the number of observations tallied.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// BucketLow returns the inclusive lower bound of bucket i.
-func (h *Histogram) BucketLow(i int) float64 { return h.lo + float64(i)*h.width }
 
 // Fit is the result of a least-squares linear regression y = Slope*x +
 // Intercept with coefficient of determination R2.

@@ -121,78 +121,6 @@ func TestPercentileWithinBounds(t *testing.T) {
 	}
 }
 
-func TestWelfordMatchesSample(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var s Sample
-	var w Welford
-	for i := 0; i < 1000; i++ {
-		x := rng.NormFloat64()*3 + 10
-		s.Add(x)
-		w.Add(x)
-	}
-	if w.N() != 1000 {
-		t.Fatalf("N = %d, want 1000", w.N())
-	}
-	if !almostEqual(w.Mean(), s.Mean(), 1e-9) {
-		t.Errorf("Welford Mean = %g, Sample Mean = %g", w.Mean(), s.Mean())
-	}
-	if !almostEqual(w.Var(), s.Var(), 1e-9) {
-		t.Errorf("Welford Var = %g, Sample Var = %g", w.Var(), s.Var())
-	}
-	if !almostEqual(w.Std(), s.Std(), 1e-9) {
-		t.Errorf("Welford Std = %g, Sample Std = %g", w.Std(), s.Std())
-	}
-}
-
-func TestWelfordEmpty(t *testing.T) {
-	var w Welford
-	if w.Mean() != 0 || w.Var() != 0 || w.N() != 0 {
-		t.Error("empty Welford should report zeros")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5) // [0,50) in 5 buckets
-	for _, x := range []float64{-1, 0, 5, 10, 15, 49.999, 50, 100} {
-		h.Add(x)
-	}
-	if got := h.Under(); got != 1 {
-		t.Errorf("Under = %d, want 1", got)
-	}
-	if got := h.Over(); got != 2 {
-		t.Errorf("Over = %d, want 2", got)
-	}
-	if got := h.Bucket(0); got != 2 { // 0, 5
-		t.Errorf("Bucket(0) = %d, want 2", got)
-	}
-	if got := h.Bucket(1); got != 2 { // 10, 15
-		t.Errorf("Bucket(1) = %d, want 2", got)
-	}
-	if got := h.Bucket(4); got != 1 { // 49.999
-		t.Errorf("Bucket(4) = %d, want 1", got)
-	}
-	if got := h.Total(); got != 8 {
-		t.Errorf("Total = %d, want 8", got)
-	}
-	if got := h.BucketLow(3); got != 30 {
-		t.Errorf("BucketLow(3) = %g, want 30", got)
-	}
-	b := h.Buckets()
-	b[0] = 999
-	if h.Bucket(0) == 999 {
-		t.Error("Buckets must return a copy")
-	}
-}
-
-func TestHistogramPanicsOnBadShape(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewHistogram(0,0,0) should panic")
-		}
-	}()
-	NewHistogram(0, 0, 0)
-}
-
 func TestLinearFitExactLine(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	ys := make([]float64, len(xs))

@@ -1,0 +1,279 @@
+package testbed
+
+import (
+	"errors"
+	"net/netip"
+	"sync/atomic"
+	"syscall"
+	"testing"
+	"time"
+
+	"antireplay/internal/core"
+	"antireplay/internal/ipsec"
+	"antireplay/internal/store"
+	"antireplay/internal/storefault"
+	"antireplay/internal/watchdog"
+)
+
+var (
+	addrA = netip.AddrFrom4([4]byte{10, 0, 0, 1})
+	addrB = netip.AddrFrom4([4]byte{10, 0, 0, 2})
+)
+
+const testSPI = 0x7e57
+
+// newPair builds a pair with one A->B SA installed.
+func newPair(t *testing.T, cfg Config) *Pair {
+	t.Helper()
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	keys := ipsec.KeyMaterial{AuthKey: make([]byte, ipsec.AuthKeySize)}
+	if err := Install(p.A.GW, p.B.GW, testSPI, keys, addrA, addrB); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// carry seals and sends n packets, returning how many B delivered.
+func carry(t *testing.T, p *Pair, n int) int {
+	t.Helper()
+	delivered := 0
+	for i := 0; i < n; i++ {
+		w, err := p.Seal(addrA, addrB, []byte("payload"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, v, err := p.Send(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Delivered() {
+			delivered++
+		}
+	}
+	return delivered
+}
+
+// TestAuditCountsSecondDelivery pins the ledger itself: a unit delivered
+// twice is one delivery and one replay, and ReplayAll re-injects every
+// tapped wire, oldest first.
+func TestAuditCountsSecondDelivery(t *testing.T) {
+	var a Audit
+	a.Tap([]byte("w1"))
+	a.Tap([]byte("w2"))
+	if !a.Deliver([]byte("w1")) {
+		t.Fatal("first delivery of w1 reported as a replay")
+	}
+	var order []string
+	a.ReplayAll(func(w []byte) {
+		order = append(order, string(w))
+		a.Deliver(w) // a receiver that accepts everything
+	})
+	if len(order) != 2 || order[0] != "w1" || order[1] != "w2" {
+		t.Fatalf("replay order %v, want [w1 w2]", order)
+	}
+	if a.Sent() != 2 || a.Delivered() != 2 || a.Replays() != 1 {
+		t.Fatalf("sent %d delivered %d replays %d, want 2 2 1 (w1 twice, w2 late)",
+			a.Sent(), a.Delivered(), a.Replays())
+	}
+}
+
+// TestReplayAllDeliversNothingTwice: a wire that delivered live and is
+// then replayed through ReplayAll stays counted once and is delivered zero
+// more times.
+func TestReplayAllDeliversNothingTwice(t *testing.T) {
+	watchdog.Arm(t, 30*time.Second)
+	p := newPair(t, Config{K: 4, W: 64})
+	const n = 40
+	if got := carry(t, p, n); got != n {
+		t.Fatalf("delivered %d of %d live", got, n)
+	}
+	if err := p.ReplayAll(); err != nil {
+		t.Fatal(err)
+	}
+	if p.Sent() != n || p.Delivered() != n || p.Replays() != 0 {
+		t.Fatalf("after replay: sent %d delivered %d replays %d, want %d %d 0",
+			p.Sent(), p.Delivered(), p.Replays(), n, n)
+	}
+}
+
+// TestSealStalledSaverIsAnError: a sender whose SAVEs never complete (a
+// sync follower that never acknowledges) stalls at its durable horizon;
+// Seal spends the budget backing off and then fails, wrapping both
+// ErrStalled and core.ErrSaveLag and naming the SA.
+func TestSealStalledSaverIsAnError(t *testing.T) {
+	watchdog.Arm(t, 6*stallBudget)
+	stalls := 0
+	p := newPair(t, Config{K: 4, W: 64, OnStall: func(sealing bool) {
+		if sealing {
+			stalls++
+		}
+	}})
+	j := p.A.Medium.LaneJournals()[0]
+	tl, err := j.Follow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.SyncFollower(tl); err != nil {
+		t.Fatal(err)
+	}
+	// Registered after newPair's cleanup, so it runs first: the gateway's
+	// Close must not wait on acks that never come.
+	t.Cleanup(tl.Close)
+
+	start := time.Now()
+	for i := 0; ; i++ {
+		if i > 100 {
+			t.Fatal("sender never reached its durable horizon")
+		}
+		if _, err = p.Seal(addrA, addrB, []byte("payload")); err != nil {
+			break
+		}
+	}
+	took := time.Since(start)
+	if !errors.Is(err, core.ErrSaveLag) || !errors.Is(err, ErrStalled) {
+		t.Fatalf("Seal error %v, want ErrStalled wrapping ErrSaveLag", err)
+	}
+	if took < stallBudget || took > 3*stallBudget {
+		t.Fatalf("Seal gave up after %v, budget %v", took, stallBudget)
+	}
+	if stalls == 0 {
+		t.Fatal("OnStall never saw a sealing pause")
+	}
+	t.Logf("after %v and %d pauses: %v", took, stalls, err)
+}
+
+// TestOpenPoisonedLaneReturnsAtOnce: once B's lane is quarantined its SAs
+// stall at the durable horizon until repair, so Open reports
+// VerdictHorizon without spending any of the budget.
+func TestOpenPoisonedLaneReturnsAtOnce(t *testing.T) {
+	watchdog.Arm(t, 30*time.Second)
+	in := storefault.NewInjector(nil)
+	var poisoned atomic.Int32 // the hook runs on a saver-pool worker
+	opening := 0
+	p := newPair(t, Config{
+		K: 4, W: 64, Lanes: 2,
+		LaneOpts: []store.LanesOption{store.LanesWithFS(in)},
+		OnPoison: func(int, error) { poisoned.Add(1) },
+		OnStall: func(sealing bool) {
+			if !sealing {
+				opening++
+			}
+		},
+	})
+	in.Arm(storefault.Fault{Op: storefault.OpWrite, Err: syscall.EIO})
+
+	// Drive the receiver to its horizon. The first stalled verdicts may
+	// arrive while the failing SAVE is still in flight and are retried; a
+	// VerdictHorizon that comes back without an error means the lane was
+	// found poisoned.
+	send := func() core.Verdict {
+		t.Helper()
+		w, err := p.Seal(addrA, addrB, []byte("payload"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, v, err := p.Send(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	for i := 0; send() != core.VerdictHorizon; i++ {
+		if i > 100 {
+			t.Fatal("receiver never reached its durable horizon")
+		}
+	}
+	if p.B.Medium.Cell(ipsec.InboundKey(testSPI)).Poisoned() == nil || poisoned.Load() != 1 {
+		t.Fatalf("lane not quarantined (hook fired %d times)", poisoned.Load())
+	}
+	opening = 0
+	start := time.Now()
+	if v := send(); v != core.VerdictHorizon {
+		t.Fatalf("verdict %v on a quarantined lane, want %v", v, core.VerdictHorizon)
+	}
+	if took := time.Since(start); opening != 0 || took > stallBudget/2 {
+		t.Fatalf("Open paused %d times and took %v on a poisoned lane", opening, took)
+	}
+	if err := p.ReplayAll(); err != nil || p.Replays() != 0 {
+		t.Fatalf("replay on a quarantined lane: %v, %d replays", err, p.Replays())
+	}
+}
+
+// TestReopenKeepsManifestAndCounters: a rebooted node comes back on the
+// lane count its manifest pins, whatever the configuration says by then,
+// with every committed counter, and without a gateway.
+func TestReopenKeepsManifestAndCounters(t *testing.T) {
+	watchdog.Arm(t, 30*time.Second)
+	p := newPair(t, Config{K: 4, W: 64, Lanes: 4})
+	if got := carry(t, p, 50); got != 50 {
+		t.Fatalf("delivered %d of 50", got)
+	}
+	want := p.B.Medium.Values()
+	if len(want) == 0 {
+		t.Fatal("nothing committed before the reboot")
+	}
+	p.cfg.Lanes = 8
+	if err := p.Reopen(p.B); err != nil {
+		t.Fatal(err)
+	}
+	if p.B.GW != nil {
+		t.Fatal("rebooted node still has a gateway")
+	}
+	if n := len(p.B.Medium.LaneJournals()); n != 4 {
+		t.Fatalf("reopened on %d lanes, manifest says 4", n)
+	}
+	got := p.B.Medium.Values()
+	if len(got) != len(want) {
+		t.Fatalf("reopened with %d counters, had %d", len(got), len(want))
+	}
+	for key, v := range want {
+		if got[key] < v {
+			t.Errorf("counter %s came back at %d, was committed at %d", key, got[key], v)
+		}
+	}
+}
+
+// TestPromoteSwapsAuditedReceiver: after a crash and a takeover, Open and
+// ReplayAll act on the promoted node, the deposed one is C, and the next
+// AddStandby reboots it as the new standby.
+func TestPromoteSwapsAuditedReceiver(t *testing.T) {
+	watchdog.Arm(t, 30*time.Second)
+	const k = 4
+	p := newPair(t, Config{K: k, W: 64, Lanes: 2})
+	if err := p.AddStandby(); err != nil {
+		t.Fatal(err)
+	}
+	if got := carry(t, p, 40); got != 40 {
+		t.Fatalf("delivered %d of 40 before the crash", got)
+	}
+	old := p.B
+	old.GW.ResetAll()
+	epoch, err := p.Promote()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if epoch != 1 || p.B == old || p.C != old || p.B.GW != p.Standby.Gateway() {
+		t.Fatalf("epoch %d, B %q, C %q: want epoch 1 and the standby's node swapped in", epoch, p.B.Name, p.C.Name)
+	}
+	// The deposed node is down: deliveries now can only be the promoted
+	// node's, after a wake sacrifice of at most the leap.
+	if got := carry(t, p, 40); got < 40-2*k || got == 40 {
+		t.Fatalf("promoted node delivered %d of 40, want a sacrifice of 1..%d", got, 2*k)
+	}
+	if err := p.ReplayAll(); err != nil || p.Replays() != 0 {
+		t.Fatalf("replay at the promoted node: %v, %d replays", err, p.Replays())
+	}
+	if err := p.AddStandby(); err != nil {
+		t.Fatal(err)
+	}
+	if p.C != old || old.GW != nil {
+		t.Fatal("failback standby is not the rebooted deposed node")
+	}
+	if _, err := p.Promote(); err != nil || p.B != old {
+		t.Fatalf("failback promotion: %v, B %q", err, p.B.Name)
+	}
+}
