@@ -135,12 +135,14 @@ func (t *simTelemetry) setRoles(sender, primary *ipsec.Gateway, standby *cluster
 	}
 }
 
-// registerLink adds the wire link's counters under apn_link (UDP mode).
-func (t *simTelemetry) registerLink(l wirenet.Link) {
+// registerLink adds the wire link's counters under apn_link and its
+// endpoint's under apn_endpoint (UDP mode).
+func (t *simTelemetry) registerLink(l *wirenet.UDPLink) {
 	if t == nil || l == nil {
 		return
 	}
 	t.reg.RegisterCollector("apn_link", wirenet.LinkCollector(l))
+	t.reg.RegisterCollector("apn_endpoint", l.Endpoint())
 }
 
 // addr returns the server's bound address ("" on a nil stack).

@@ -18,8 +18,9 @@ import (
 // duplicating link can legally produce while rejecting the hostile
 // fragment catalogue (overlap, tiny non-final, inconsistent totals,
 // out-of-bounds offsets) with bounded reassembly memory; the udp_* rows
-// measure real seal→UDP-loopback→verify line rate, gracefully skipped on
-// hosts without sockets.
+// measure real seal→UDP-loopback→verify line rate (pipelined) and, in the
+// one _rtt row, a stop-and-wait round trip, gracefully skipped on hosts
+// without sockets.
 
 // TransportConfig parameterizes the wire-layer experiment.
 type TransportConfig struct {
@@ -36,9 +37,10 @@ type TransportConfig struct {
 	FloodIDs int
 	// ReassemblyBytes bounds the reassembler's memory in the flood.
 	ReassemblyBytes int
-	// UDPPackets is the line-rate sample size per payload size.
+	// UDPPackets is the sample size of each udp_* row.
 	UDPPackets int
-	// UDPPayloads are the line-rate payload sizes.
+	// UDPPayloads are the line-rate payload sizes; the stop-and-wait row
+	// uses the first.
 	UDPPayloads []int
 }
 
@@ -94,7 +96,8 @@ func Transport(cfg TransportConfig) (*Table, error) {
 		Title: "wire layer: fragment handling and UDP loopback line rate",
 		Note: "fragment rows: sent datagrams vs delivered through a " +
 			fmt.Sprintf("%d-byte path MTU; hostile scenarios MUST deliver 0 and be counted. ", cfg.WireMTU) +
-			"udp rows: seal->socket->verify packets/sec on loopback (skipped without sockets).",
+			fmt.Sprintf("udp rows: seal->socket->verify packets/sec on loopback, tx and rx goroutines with %d datagrams in flight; ", udpWindow) +
+			"the _rtt row is stop-and-wait, one in flight, so its per_sec is 1/round-trip (skipped without sockets).",
 		Columns: []string{"scenario", "sent", "delivered", "hostile_drops", "other_drops", "per_sec", "detail"},
 	}
 	if err := fragScenarioRows(t, cfg); err != nil {
@@ -224,9 +227,15 @@ func fragScenarioRows(t *Table, cfg TransportConfig) error {
 	return nil
 }
 
-// udpLineRateRows measures seal→UDP-loopback→verify throughput. A host
-// that cannot open loopback sockets skips the rows instead of failing the
-// whole table.
+// udpWindow is how many datagrams the pipelined udp_* rows keep in flight:
+// enough to keep the endpoint's writer busy, well under a receive queue.
+const udpWindow = 64
+
+// udpLineRateRows measures seal→UDP-loopback→verify over real sockets: a
+// pipelined row per payload size (line rate) and one stop-and-wait row (a
+// round trip per datagram, the hand-off to the endpoint's writer included).
+// A host that cannot open loopback sockets skips the rows instead of
+// failing the whole table.
 func udpLineRateRows(t *Table, cfg TransportConfig) {
 	skip := func(why string) {
 		t.AddRow("udp_linerate", "-", "-", "-", "-", "-", "skipped: "+why)
@@ -254,17 +263,25 @@ func udpLineRateRows(t *Table, cfg TransportConfig) {
 		return
 	}
 
-	for _, size := range cfg.UDPPayloads {
-		row, err := udpLineRate(la, lb, size, cfg.UDPPackets)
+	row := func(name string, size, window int) {
+		cells, err := udpRate(la, lb, name, size, cfg.UDPPackets, window)
 		if err != nil {
-			t.AddRow(fmt.Sprintf("udp_%db", size), "-", "-", "-", "-", "-", "skipped: "+err.Error())
-			continue
+			cells = []string{name, "-", "-", "-", "-", "-", "skipped: " + err.Error()}
 		}
-		t.AddRow(row...)
+		t.AddRow(cells...)
+	}
+	for _, size := range cfg.UDPPayloads {
+		row(fmt.Sprintf("udp_%db", size), size, udpWindow)
+	}
+	if len(cfg.UDPPayloads) > 0 {
+		row(fmt.Sprintf("udp_%db_rtt", cfg.UDPPayloads[0]), cfg.UDPPayloads[0], 1)
 	}
 }
 
-func udpLineRate(la, lb *wire.UDPLink, payloadLen, packets int) ([]string, error) {
+// udpRate times packets sealed datagrams from la to lb with at most window
+// in flight. Above one, a tx goroutine seals and sends while the caller
+// receives and verifies; at one, the caller does both in turn.
+func udpRate(la, lb *wire.UDPLink, name string, payloadLen, packets, window int) ([]string, error) {
 	keys := ipsec.KeyMaterial{AuthKey: make([]byte, ipsec.AuthKeySize)}
 	for i := range keys.AuthKey {
 		keys.AuthKey[i] = byte(i + 1)
@@ -288,39 +305,75 @@ func udpLineRate(la, lb *wire.UDPLink, payloadLen, packets int) ([]string, error
 	}
 
 	payload := make([]byte, payloadLen)
-	delivered, drops := 0, 0
-	start := time.Now()
-	for i := 0; i < packets; i++ {
+	send := func() error {
 		w, err := tx.Seal(payload)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if err := la.Send(w); err != nil {
-			return nil, err
-		}
+		return la.Send(w)
+	}
+	delivered, drops := 0, 0
+	recv := func() error {
 		got, err := lb.RecvTimeout(2 * time.Second)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		_, verdict, err := rx.Open(got)
-		if err != nil {
-			return nil, err
-		}
 		if verdict.Delivered() {
 			delivered++
 		} else {
 			drops++
 		}
+		return err
+	}
+
+	start := time.Now()
+	if window == 1 {
+		for i := 0; i < packets && err == nil; i++ {
+			if err = send(); err == nil {
+				err = recv()
+			}
+		}
+	} else {
+		// A send takes a credit and a verified datagram returns it; stop
+		// releases the tx goroutine when the caller gives up first.
+		credits, stop, txErr := make(chan struct{}, window), make(chan struct{}), make(chan error, 1)
+		sendAll := func() error {
+			for i := 0; i < packets; i++ {
+				select {
+				case credits <- struct{}{}:
+				case <-stop:
+					return nil
+				}
+				if err := send(); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		go func() { txErr <- sendAll() }()
+		for i := 0; i < packets && err == nil; i++ {
+			if err = recv(); err == nil {
+				<-credits
+			}
+		}
+		close(stop)
+		if e := <-txErr; e != nil {
+			err = e // why nothing more arrived
+		}
 	}
 	elapsed := time.Since(start)
+	if err != nil {
+		return nil, err
+	}
 	if delivered != packets {
 		return nil, fmt.Errorf("delivered %d/%d", delivered, packets)
 	}
 	perSec := float64(packets) / elapsed.Seconds()
 	return []string{
-		fmt.Sprintf("udp_%db", payloadLen), itoa(packets), itoa(delivered), "0", itoa(drops),
+		name, itoa(packets), itoa(delivered), "0", itoa(drops),
 		fmt.Sprintf("%.0f", perSec),
-		fmt.Sprintf("seal->socket->verify, %v total", elapsed.Round(time.Millisecond)),
+		fmt.Sprintf("seal->socket->verify, %d in flight, %v total", window, elapsed.Round(time.Millisecond)),
 	}, nil
 }
 

@@ -15,6 +15,7 @@ var (
 	_ telemetry.Collector = GateStats{}
 	_ telemetry.Collector = ImpairStats{}
 	_ telemetry.Collector = FragStats{}
+	_ telemetry.Collector = (*UDPEndpoint)(nil)
 )
 
 // CollectTelemetry emits the link's transfer and drop counters.
@@ -26,6 +27,17 @@ func (s Stats) CollectTelemetry(emit telemetry.Emit) {
 	emit("tx_drops_total", telemetry.KindCounter, float64(s.TxDrops))
 	emit("rx_drops_total", telemetry.KindCounter, float64(s.RxDrops))
 	emit("keepalives_total", telemetry.KindCounter, float64(s.Keepalives))
+}
+
+// CollectTelemetry emits the endpoint's demux misses, the syscalls its
+// datapath has made and the transmit ring's depth. Datagrams per syscall —
+// whether batching is happening — is the links' tx_packets_total over
+// tx_syscalls_total.
+func (e *UDPEndpoint) CollectTelemetry(emit telemetry.Emit) {
+	emit("unrouted_total", telemetry.KindCounter, float64(e.unrouted.Load()))
+	emit("tx_syscalls_total", telemetry.KindCounter, float64(e.txCalls.Load()))
+	emit("rx_syscalls_total", telemetry.KindCounter, float64(e.rxCalls.Load()))
+	emit("tx_queue_depth", telemetry.KindGauge, float64(e.tx.depth()))
 }
 
 // CollectTelemetry emits the replay-gate's admission counters.

@@ -14,8 +14,11 @@
 //     wiretap (Tap) and injection (Inject) positions.
 //
 // A Link carries opaque datagrams — here, sealed ESP packets — between
-// exactly two peers. Send never blocks on the network (socket sends are
-// fire-and-forget datagrams; simulated sends schedule engine events).
+// exactly two peers. Send has copied the datagram when it returns and does
+// not wait for the network: a simulated send schedules engine events, a
+// socket send queues the datagram on its endpoint's transmit ring for the
+// endpoint's writer goroutine. It waits only while that ring is full, as a
+// blocking socket waits on a full send buffer.
 // Recv is pull-based: socket links block until a datagram or Close,
 // simulated links drain a queue filled by the engine and report
 // ErrNoDatagram when it is empty (simulations are single-threaded; their
@@ -47,7 +50,8 @@ type Stats struct {
 	// RxPackets and RxBytes count datagrams returned by Recv (or handed
 	// to an OnRecv handler).
 	RxPackets, RxBytes uint64
-	// TxDrops counts datagrams Send refused (oversize, closed socket).
+	// TxDrops counts datagrams Send refused (oversize) and, on socket
+	// links, datagrams Send accepted that the kernel then refused.
 	TxDrops uint64
 	// RxDrops counts inbound datagrams discarded before delivery
 	// (malformed encapsulation, demux miss, queue overflow).
