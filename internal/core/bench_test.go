@@ -91,3 +91,24 @@ func BenchmarkResetWakeCycle(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkReceiverResetWakeCycle is the receiver's side of the same cycle
+// at the gateway's shape (concurrent window, W = 1024): beyond the sender's
+// FETCH + leap + SAVE it builds and publishes the post-wake window, every
+// entry marked received — one allocation, the window's ring.
+func BenchmarkReceiverResetWakeCycle(b *testing.B) {
+	var m store.Mem
+	r, err := core.NewReceiver(core.ReceiverConfig{K: 25, Store: &m, W: 1024, Concurrent: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Reset()
+		r.Wake()
+		if r.State() != core.StateUp {
+			b.Fatal("not up after wake")
+		}
+	}
+}

@@ -69,6 +69,7 @@ type savePipeline struct {
 	// afterHandOff is a wake's afterWake step whose completion ran before
 	// the hand-off returned; the handing caller runs it once it has.
 	afterHandOff func()
+	wakeDone     func(error) // under mu, set while waking: owed the wake's outcome
 }
 
 // handoff is one triggered SAVE on its way to the saver.
@@ -252,6 +253,8 @@ func (p *savePipeline) reset(lose func()) {
 	gen := p.gen
 	p.resets++
 	p.wakeErr = nil
+	torn := p.wakeDone // non-nil: this reset tears a wake, whose save completes nothing now
+	p.wakeDone = nil
 	p.mu.Unlock()
 
 	p.saveMu.Lock()
@@ -262,6 +265,9 @@ func (p *savePipeline) reset(lose func()) {
 		c.Cancel()
 	}
 	p.record(trace.KindReset, 0)
+	if torn != nil {
+		torn(ErrDown)
+	}
 }
 
 // Wake boots the endpoint after a reset, implementing the paper's third
@@ -270,10 +276,27 @@ func (p *savePipeline) reset(lose func()) {
 // whole window received). Wake on an endpoint that is not down is a no-op;
 // a failed FETCH or SAVE leaves it down with the error available from
 // LastWakeError. A baseline endpoint (§3) restarts from its initial value.
-func (p *savePipeline) Wake() {
+func (p *savePipeline) Wake() { p.WakeNotify(nil) }
+
+// WakeNotify is Wake with a completion: done (nil for none) runs exactly
+// once, on whichever goroutine settles the wake, holding no lock — with nil
+// once the endpoint is up (at once if it already is), with the FETCH or SAVE
+// error that left it down, or with ErrDown when a Reset tears the wake.
+func (p *savePipeline) WakeNotify(done func(error)) {
 	p.mu.Lock()
-	if p.state != StateDown {
+	if p.state == StateWaking { // join the wake in flight
+		if first := p.wakeDone; done != nil {
+			p.wakeDone = func(err error) { first(err); done(err) }
+		}
 		p.mu.Unlock()
+		return
+	}
+	if done == nil {
+		done = func(error) {}
+	}
+	if p.state == StateUp {
+		p.mu.Unlock()
+		done(nil)
 		return
 	}
 	if p.k == 0 {
@@ -283,12 +306,14 @@ func (p *savePipeline) Wake() {
 		p.mu.Unlock()
 		p.record(trace.KindWake, p.initial)
 		p.record(trace.KindWakeDone, p.initial)
+		done(nil)
 		if afterWake != nil {
 			afterWake()
 		}
 		return
 	}
 	p.state = StateWaking
+	p.wakeDone = done
 	gen := p.gen
 	p.mu.Unlock()
 
@@ -317,13 +342,22 @@ func (p *savePipeline) Wake() {
 // superseded the wake-up of generation gen.
 func (p *savePipeline) failWake(gen uint64, err error) bool {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.gen != gen {
+		p.mu.Unlock()
 		return false
 	}
 	p.state = StateDown
 	p.wakeErr = err
+	p.settleWakeAndUnlock(err)
 	return true
+}
+
+// settleWakeAndUnlock releases mu, then hands over the outcome of the wake.
+func (p *savePipeline) settleWakeAndUnlock(err error) {
+	done := p.wakeDone
+	p.wakeDone = nil
+	p.mu.Unlock()
+	done(err)
 }
 
 // finishWake completes the wake-up once the post-wake SAVE has.
@@ -343,7 +377,7 @@ func (p *savePipeline) finishWake(gen, leaped uint64, err error) {
 	p.committed.Store(leaped)
 	afterWake := p.install(leaped)
 	p.state = StateUp
-	p.mu.Unlock()
+	p.settleWakeAndUnlock(nil)
 
 	p.record(trace.KindSaveDone, leaped)
 	p.record(trace.KindWakeDone, leaped)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"slices"
 	"testing"
 	"time"
@@ -198,6 +199,64 @@ func TestSavePipeline(t *testing.T) {
 				}
 				if p.State() != tc.wantState {
 					t.Errorf("state = %v (wake error %v), want %v", p.State(), p.LastWakeError(), tc.wantState)
+				}
+			})
+		}
+	}
+}
+
+// TestWakeNotify: the completion handed to WakeNotify runs exactly once with
+// the wake's outcome — nil when the endpoint is up (at once if it already
+// is), the error that left it down, ErrDown when a reset tears the wake —
+// and a second caller joins the wake in flight instead of starting another.
+func TestWakeNotify(t *testing.T) {
+	var outcomes []error
+	notify := func(m *machine) {
+		m.p.WakeNotify(func(err error) { outcomes = append(outcomes, err) })
+	}
+	cases := []struct {
+		name   string
+		script []completion
+		steps  []step
+		want   []error // outcomes after each step, cumulative
+		state  State
+	}{
+		{"already up", nil,
+			[]step{notify}, []error{nil}, StateUp},
+		{"saver completes inline", nil,
+			[]step{reset, notify}, []error{nil}, StateUp},
+		{"saver completes later", []completion{held},
+			[]step{reset, notify, fire(0, nil)}, []error{nil}, StateUp},
+		{"joins the wake in flight", []completion{held},
+			[]step{reset, wake, notify, notify, wake, fire(0, nil)}, []error{nil, nil}, StateUp},
+		{"post-wake save fails", []completion{inlineFail},
+			[]step{reset, notify}, []error{errFlaky}, StateDown},
+		{"reset tears the wake, the next one succeeds", []completion{held},
+			[]step{reset, notify, reset, fire(0, nil), notify}, []error{ErrDown, nil}, StateUp},
+		{"wake still in flight", []completion{held},
+			[]step{reset, notify}, nil, StateWaking},
+	}
+	for _, mc := range machines {
+		for _, tc := range cases {
+			t.Run(mc.name+"/"+tc.name, func(t *testing.T) {
+				watchdog.Arm(t, 5*time.Second)
+				var st store.Mem
+				saver := &scriptedSaver{st: &st, script: tc.script, held: map[int]func(error){}}
+				m := mc.build(t, &st, saver)
+				outcomes = nil
+				for _, s := range tc.steps {
+					s(m)
+				}
+				if len(outcomes) != len(tc.want) {
+					t.Fatalf("completions ran with %v, want %v", outcomes, tc.want)
+				}
+				for i, want := range tc.want {
+					if !errors.Is(outcomes[i], want) || (want == nil) != (outcomes[i] == nil) {
+						t.Errorf("completion %d ran with %v, want %v", i, outcomes[i], want)
+					}
+				}
+				if m.p.State() != tc.state {
+					t.Errorf("state = %v, want %v", m.p.State(), tc.state)
 				}
 			})
 		}

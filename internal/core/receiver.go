@@ -451,8 +451,7 @@ func (r *Receiver) Reset() {
 func (r *Receiver) installLocked(edge uint64) func() {
 	allSeen := r.k != 0
 	if r.ownFast {
-		w := seqwin.NewAtomic(r.width)
-		w.Reinit(edge, allSeen)
+		w := seqwin.NewAtomicAt(r.width, edge, allSeen)
 		r.win = w
 		r.harvested = false // the fresh window starts a new delivery tally
 		r.fastWin.Store(w)

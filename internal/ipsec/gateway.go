@@ -48,9 +48,9 @@ type GatewayConfig struct {
 	Clock func() time.Duration
 	// OnLifecycle, if non-nil, observes population-wide lifecycle
 	// transitions: kind is "reset", "wake", "wake-done", or "wake-failed",
-	// and sas is the SA population the transition covered. Called from
-	// ResetAll/WakeAll on the caller's goroutine; keep it fast (the
-	// telemetry event ring's Record is the intended consumer).
+	// and sas counts the SAs it covered ("wake-failed": those that failed).
+	// Called from ResetAll/WakeAll on the caller's goroutine; keep it fast
+	// (the telemetry event ring's Record is the intended consumer).
 	OnLifecycle func(kind string, sas int)
 }
 
@@ -678,53 +678,56 @@ func (g *Gateway) lifecycle(kind string, sas int) {
 }
 
 // WakeAll runs the paper's wake-up (FETCH + leap + SAVE) on every SA and
-// blocks until each endpoint is back up or fails, returning the first
-// failure. Every post-wake SAVE is queued on the shared pool before any is
-// waited for, and a pool worker stages everything queued on it before it
-// commits (store.SaverPool), so the recovery costs about one fsync per
-// commit lane with SAs on it — not one per SA — and a worker's lanes commit
-// one after another: lanes/workers fsyncs deep, whatever the SA count.
+// blocks until every wake it issued has settled, returning the first
+// failure. A wake costs what its fsyncs cost. Every post-wake SAVE is queued
+// on the shared pool before any is waited for, and a pool worker stages
+// everything queued on it before it commits (store.SaverPool): one fsync per
+// commit lane with SAs on it — not one per SA — a worker's lanes committing
+// one after another, lanes/workers fsyncs deep whatever the SA count. Each
+// inbound SA's post-wake window is one pass over its ring's words
+// (seqwin.NewAtomicAt). Nothing polls: WakeAll blocks once, on a countdown
+// the wakes' own completions decrement (core's WakeNotify).
+// An SA Reset under the wake fails it with an error wrapping core.ErrDown,
+// unless it has left the registry: one removed while waking is skipped.
+// OnLifecycle sees "wake-failed" with the number that failed, or "wake-done".
 func (g *Gateway) WakeAll() error {
 	snap := g.snapshot()
-	g.lifecycle("wake", len(snap.outbound)+len(snap.inbound))
+	n := len(snap.outbound) + len(snap.inbound)
+	g.lifecycle("wake", n)
+	var (
+		pending sync.WaitGroup
+		mu      sync.Mutex
+		failed  int
+		first   error // both under mu
+	)
+	pending.Add(n)
+	settle := func(dir string, spi uint32, err error, removed bool) {
+		if err != nil && !removed {
+			mu.Lock()
+			if failed++; first == nil {
+				first = fmt.Errorf("ipsec: gateway wake %s %#x: %w", dir, spi, err)
+			}
+			mu.Unlock()
+		}
+		pending.Done()
+	}
 	for _, sa := range snap.outbound {
-		sa.Sender().Wake()
+		sa.Sender().WakeNotify(func(err error) {
+			settle("outbound", sa.SPI(), err, errors.Is(err, core.ErrDown) && g.findOutbound(sa.SPI()) != sa)
+		})
 	}
 	for _, sa := range snap.inbound {
-		sa.Receiver().Wake()
+		sa.Receiver().WakeNotify(func(err error) {
+			cur, _ := g.sad.Lookup(sa.SPI())
+			settle("inbound", sa.SPI(), err, errors.Is(err, core.ErrDown) && cur != sa)
+		})
 	}
-	for _, sa := range snap.outbound {
-		for i := 0; sa.Sender().State() != core.StateUp; i++ {
-			if err := sa.Sender().LastWakeError(); err != nil {
-				g.lifecycle("wake-failed", 1)
-				return fmt.Errorf("ipsec: gateway wake outbound %#x: %w", sa.SPI(), err)
-			}
-			// An SA removed while waking is permanently down (removal
-			// resets it with no wake scheduled); without this check the
-			// wait would spin forever. The outbound registry is a linear
-			// scan under g.mu, so the re-check is throttled to every ~5ms
-			// of waiting rather than every 50µs poll.
-			if i%100 == 99 && g.findOutbound(sa.SPI()) != sa {
-				break
-			}
-			time.Sleep(50 * time.Microsecond)
-		}
+	pending.Wait()
+	if failed > 0 {
+		g.lifecycle("wake-failed", failed)
+		return first
 	}
-	for _, sa := range snap.inbound {
-		for sa.Receiver().State() != core.StateUp {
-			if err := sa.Receiver().LastWakeError(); err != nil {
-				g.lifecycle("wake-failed", 1)
-				return fmt.Errorf("ipsec: gateway wake inbound %#x: %w", sa.SPI(), err)
-			}
-			// Same removed-while-waking check; the SAD lookup is O(1)
-			// under a shard read-lock, so no throttling is needed.
-			if cur, ok := g.sad.Lookup(sa.SPI()); !ok || cur != sa {
-				break
-			}
-			time.Sleep(50 * time.Microsecond)
-		}
-	}
-	g.lifecycle("wake-done", len(snap.outbound)+len(snap.inbound))
+	g.lifecycle("wake-done", n)
 	return nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"net/netip"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -496,6 +497,19 @@ func (g *gateStore) Save(v uint64) error {
 	return g.Mem.Save(v)
 }
 
+// parkWorkers parks every worker of a default-size pool inside a round and
+// returns the call that lets them go.
+func parkWorkers(pool *store.SaverPool) (release func()) {
+	hold := &gateStore{entered: make(chan struct{}), gate: make(chan struct{})}
+	for w := 0; w < store.DefaultPoolWorkers; w++ {
+		pool.Saver(hold).StartSave(1, nil)
+	}
+	for w := 0; w < store.DefaultPoolWorkers; w++ {
+		<-hold.entered
+	}
+	return sync.OnceFunc(func() { close(hold.gate) })
+}
+
 // TestGatewayWakeAllCommitsPerLane: a wake-up queues every SA's post-wake
 // SAVE at once, and the pool's workers stage a whole round before they
 // commit, so 512 SAs over 64 lanes come back up for about one fsync per
@@ -549,13 +563,7 @@ func TestGatewayWakeAllCommitsPerLane(t *testing.T) {
 	g.ResetAll()
 	// Park every worker, start the wake, and let the workers go only once
 	// every SA's post-wake SAVE is queued: the wake is then one round each.
-	hold := &gateStore{entered: make(chan struct{}), gate: make(chan struct{})}
-	for w := 0; w < store.DefaultPoolWorkers; w++ {
-		pool.Saver(hold).StartSave(1, nil)
-	}
-	for w := 0; w < store.DefaultPoolWorkers; w++ {
-		<-hold.entered
-	}
+	release := parkWorkers(pool)
 	queued := pool.SavesRequested()
 	woken := make(chan error, 1)
 	go func() { woken <- g.WakeAll() }()
@@ -563,7 +571,7 @@ func TestGatewayWakeAllCommitsPerLane(t *testing.T) {
 		time.Sleep(50 * time.Microsecond)
 	}
 	before := l.Syncs()
-	close(hold.gate)
+	release()
 	if err := <-woken; err != nil {
 		t.Fatalf("WakeAll: %v", err)
 	}
@@ -586,6 +594,167 @@ func TestGatewayWakeAllCommitsPerLane(t *testing.T) {
 		}
 		if got, durable := in.Receiver().Committed(), fetched(InboundKey(spi)); got != 2*k || durable != got {
 			t.Errorf("inbound %#x: Committed() = %d, durable %d, want both %d", spi, got, durable, 2*k)
+		}
+	}
+}
+
+// wakeAllFixture is a gateway of pairs SA pairs (SPIs 0x7100+i) that has
+// been ResetAll and whose every pool worker is parked inside a round, so a
+// WakeAll started on it fetches, queues its post-wake SAVEs and cannot
+// finish until release() is called. wait blocks until n of those SAVEs are
+// queued; events records what OnLifecycle saw.
+type wakeAllFixture struct {
+	g       *Gateway
+	j       *store.Journal
+	release func()
+	wait    func(n int)
+	mu      sync.Mutex
+	events  []string
+}
+
+func newWakeAllFixture(t *testing.T, pairs int) *wakeAllFixture {
+	t.Helper()
+	j, err := store.OpenJournal(filepath.Join(t.TempDir(), "gw.journal"))
+	if err != nil {
+		t.Fatalf("OpenJournal: %v", err)
+	}
+	t.Cleanup(func() { j.Close() })
+	pool := store.NewSaverPool(0)
+	f := &wakeAllFixture{j: j}
+	f.g, err = NewGateway(GatewayConfig{Journal: j, Pool: pool, K: 5, W: 64,
+		OnLifecycle: func(kind string, sas int) {
+			f.mu.Lock()
+			f.events = append(f.events, fmt.Sprintf("%s=%d", kind, sas))
+			f.mu.Unlock()
+		}})
+	if err != nil {
+		t.Fatalf("NewGateway: %v", err)
+	}
+	for i := 0; i < pairs; i++ {
+		if _, err := f.g.AddOutbound(uint32(0x7100+i), testKeys(false), gwSelector(i)); err != nil {
+			t.Fatalf("AddOutbound: %v", err)
+		}
+		if _, err := f.g.AddInbound(uint32(0x7100+i), testKeys(false)); err != nil {
+			t.Fatalf("AddInbound: %v", err)
+		}
+	}
+	f.g.ResetAll()
+	f.release = parkWorkers(pool)
+	t.Cleanup(func() { f.release(); pool.Close(); f.g.Close() })
+	queued := pool.SavesRequested()
+	f.wait = func(n int) {
+		for pool.SavesRequested() < queued+uint64(n) {
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	return f
+}
+
+// wantEvents checks the lifecycle events seen since the fixture's ResetAll.
+func (f *wakeAllFixture) wantEvents(t *testing.T, want ...string) {
+	t.Helper()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if got := f.events[1:]; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("lifecycle events after the reset = %v, want %v", got, want)
+	}
+}
+
+// TestGatewayWakeAllResetDuringWake is the paper's reset-during-wake case at
+// gateway level: an SA Reset while WakeAll waits for it is down with no wake
+// error and still registered. WakeAll used to poll it forever; it now
+// returns an error wrapping core.ErrDown that names the SPI, having waited
+// for every other wake — and an SA removed while waking is still skipped.
+func TestGatewayWakeAllResetDuringWake(t *testing.T) {
+	watchdog.Arm(t, 30*time.Second)
+	const pairs = 8
+	f := newWakeAllFixture(t, pairs)
+	woken := make(chan error, 1)
+	go func() { woken <- f.g.WakeAll() }()
+	f.wait(2 * pairs)
+
+	torn, _ := f.g.SAD().Lookup(0x7103)
+	torn.Receiver().Reset()
+	gone, _ := f.g.Outbound(0x7105)
+	removed := make(chan bool, 1)
+	go func() { removed <- f.g.RemoveOutbound(0x7105) }() // flushes its saver: returns after release
+	for gone.Sender().State() != core.StateDown {
+		time.Sleep(50 * time.Microsecond)
+	}
+	select {
+	case err := <-woken:
+		t.Fatalf("WakeAll returned %v with %d wakes still in flight", err, 2*pairs-2)
+	case <-time.After(20 * time.Millisecond):
+	}
+	f.release()
+
+	err := <-woken
+	if !errors.Is(err, core.ErrDown) || !strings.Contains(fmt.Sprint(err), "inbound 0x7103") {
+		t.Fatalf("WakeAll = %v, want an error wrapping core.ErrDown that names inbound 0x7103", err)
+	}
+	if !<-removed {
+		t.Error("RemoveOutbound(0x7105) = false")
+	}
+	f.wantEvents(t, fmt.Sprintf("wake=%d", 2*pairs), "wake-failed=1")
+	for i := 0; i < pairs; i++ {
+		spi := uint32(0x7100 + i)
+		if out, ok := f.g.Outbound(spi); ok && out.Sender().State() != core.StateUp {
+			t.Errorf("outbound %#x is %v after WakeAll, want up", spi, out.Sender().State())
+		}
+		if in, _ := f.g.SAD().Lookup(spi); in != torn && in.Receiver().State() != core.StateUp {
+			t.Errorf("inbound %#x is %v after WakeAll, want up", spi, in.Receiver().State())
+		}
+	}
+	// The torn SA wakes like any other on the next pass.
+	if err := f.g.WakeAll(); err != nil || torn.Receiver().State() != core.StateUp {
+		t.Errorf("second WakeAll = %v, torn SA %v; want nil and up", err, torn.Receiver().State())
+	}
+}
+
+// TestGatewayWakeAllWaitsForAllOnFailure: two SAs whose FETCH finds nothing
+// fail at once, while every other post-wake SAVE is still queued. WakeAll
+// used to return at the first of them, report sas=1 and leave the rest in
+// flight; it now returns only when every wake it issued has settled, with
+// the first error, and reports both failures.
+func TestGatewayWakeAllWaitsForAllOnFailure(t *testing.T) {
+	watchdog.Arm(t, 30*time.Second)
+	const pairs = 8
+	f := newWakeAllFixture(t, pairs)
+	for _, key := range []string{OutboundKey(0x7100), InboundKey(0x7106)} {
+		if err := f.j.Delete(key); err != nil {
+			t.Fatalf("Delete %s: %v", key, err)
+		}
+	}
+	woken := make(chan error, 1)
+	go func() { woken <- f.g.WakeAll() }()
+	f.wait(2*pairs - 2)
+	select {
+	case err := <-woken:
+		t.Fatalf("WakeAll returned %v with %d wakes still in flight", err, 2*pairs-2)
+	case <-time.After(20 * time.Millisecond):
+	}
+	f.release()
+
+	err := <-woken
+	if !errors.Is(err, core.ErrNoSavedState) || !strings.Contains(fmt.Sprint(err), "outbound 0x7100") {
+		t.Fatalf("WakeAll = %v, want the first failure: core.ErrNoSavedState on outbound 0x7100", err)
+	}
+	f.wantEvents(t, fmt.Sprintf("wake=%d", 2*pairs), "wake-failed=2")
+	want := func(failed bool) core.State {
+		if failed {
+			return core.StateDown
+		}
+		return core.StateUp
+	}
+	for i := 0; i < pairs; i++ {
+		spi := uint32(0x7100 + i)
+		out, _ := f.g.Outbound(spi)
+		in, _ := f.g.SAD().Lookup(spi)
+		if st := out.Sender().State(); st != want(spi == 0x7100) {
+			t.Errorf("outbound %#x is %v when WakeAll returns, want %v", spi, st, want(spi == 0x7100))
+		}
+		if st := in.Receiver().State(); st != want(spi == 0x7106) {
+			t.Errorf("inbound %#x is %v when WakeAll returns, want %v", spi, st, want(spi == 0x7106))
 		}
 	}
 }

@@ -32,9 +32,11 @@ type ConcurrentWindow interface {
 // word, so any reader whose bit could have been wiped is guaranteed to see
 // the tag move and discard instead. The pad keeps each slot on its own
 // cache line so bit-sets on different words never false-share.
+// Both words go through sync/atomic's functions everywhere but in fill, which
+// owns the window while it runs and stores them plainly.
 type atomicWord struct {
-	bits atomic.Uint64
-	tag  atomic.Uint64
+	bits uint64
+	tag  uint64
 	_    [48]byte
 }
 
@@ -85,14 +87,19 @@ type Atomic struct {
 
 var _ ConcurrentWindow = (*Atomic)(nil)
 
-// NewAtomic returns a concurrency-safe window of width w (w >= 1). The ring
-// holds at least ceil(w/64)+1 words — the spare word is what guarantees a
-// live in-window number never shares a physical slot with a block being
-// recycled — rounded up to a power of two so the per-packet block-to-slot
-// map is a mask instead of a DIV (an extra ~10ns per admit on commodity
-// x86). Extra slots only retain more already-stale history; the tag
-// protocol ignores them. It panics if w < 1 (programmer error).
-func NewAtomic(w int) *Atomic {
+// NewAtomic returns a concurrency-safe window of width w (w >= 1) in the
+// initial state: edge 0, nothing seen. See NewAtomicAt.
+func NewAtomic(w int) *Atomic { return NewAtomicAt(w, 0, false) }
+
+// NewAtomicAt returns a concurrency-safe window of width w (w >= 1) installed
+// at edge, full or empty: what a receiver publishes on wake-up. The ring holds
+// at least ceil(w/64)+1 words — the spare word is what guarantees a live
+// in-window number never shares a physical slot with a block being recycled —
+// rounded up to a power of two so the per-packet block-to-slot map is a mask
+// instead of a DIV (an extra ~10ns per admit on commodity x86). Extra slots
+// only retain more already-stale history; the tag protocol ignores them. It
+// panics if w < 1 (programmer error).
+func NewAtomicAt(w int, edge uint64, allSeen bool) *Atomic {
 	if w < 1 {
 		panic(fmt.Sprintf("seqwin: window width %d < 1", w))
 	}
@@ -101,10 +108,34 @@ func NewAtomic(w int) *Atomic {
 		nwords <<= 1
 	}
 	a := &Atomic{w: w, mask: uint64(nwords - 1), words: make([]atomicWord, nwords)}
-	for i := range a.words {
-		a.words[i].tag.Store(stableTag(uint64(i)))
-	}
+	a.fill(edge, allSeen)
 	return a
+}
+
+// fill installs the window at edge in one pass over the ring: each slot gets
+// the tag of the newest block at or below the edge's that maps to it (slots
+// the edge has not reached yet keep blocks 0..n-1, as in a fresh window) and,
+// with allSeen, that block's share of (edge-w, edge] as one whole-word mask.
+// Two plain stores a ring word, whatever w is: the caller excludes every
+// other use, and what publishes the window orders them before the next admit.
+func (a *Atomic) fill(edge uint64, allSeen bool) {
+	a.edge.Store(edge)
+	uw := uint64(a.w)
+	first, mark := max(edge, uw)-uw+1, allSeen && edge > 0 // mark [first, edge] seen
+	a.preMarked = 0
+	top := edge / 64
+	for i := range a.words {
+		blk := top - (top-uint64(i))&a.mask
+		if blk > top {
+			blk = uint64(i) // wrapped below block 0: the edge is not a ring deep yet
+		}
+		var seen uint64
+		if lo, hi := max(first, blk*64), min(edge, blk*64+63); mark && lo <= hi {
+			seen, _ = windowMask(lo, hi)
+		}
+		a.words[i].bits, a.words[i].tag = seen, stableTag(blk)
+		a.preMarked += uint64(bits.OnesCount64(seen))
+	}
 }
 
 // stableTag is the tag of a slot stably holding block blk; stableTag-1 is
@@ -159,17 +190,17 @@ func (a *Atomic) recycle(from, to uint64) {
 	a.reMu.Lock()
 	for b := lo; b <= to; b++ {
 		wd := a.slot(b)
-		if wd.tag.Load() >= stableTag(b) {
+		if atomic.LoadUint64(&wd.tag) >= stableTag(b) {
 			continue
 		}
-		wd.tag.Store(stableTag(b) - 1) // announce: bits are about to be wiped
-		if old := wd.bits.Load(); old != 0 {
+		atomic.StoreUint64(&wd.tag, stableTag(b)-1) // announce: bits are about to be wiped
+		if old := atomic.LoadUint64(&wd.bits); old != 0 {
 			// Fold the outgoing block's deliveries into the wiped tally
 			// before the bits vanish; runs once per 64 in-order packets.
 			a.wiped.Add(uint64(bits.OnesCount64(old)))
 		}
-		wd.bits.Store(0)
-		wd.tag.Store(stableTag(b))
+		atomic.StoreUint64(&wd.bits, 0)
+		atomic.StoreUint64(&wd.tag, stableTag(b))
 	}
 	a.reMu.Unlock()
 }
@@ -186,7 +217,7 @@ func (a *Atomic) recycle(from, to uint64) {
 func (a *Atomic) Delivered() uint64 {
 	var live uint64
 	for i := range a.words {
-		live += uint64(bits.OnesCount64(a.words[i].bits.Load()))
+		live += uint64(bits.OnesCount64(atomic.LoadUint64(&a.words[i].bits)))
 	}
 	return a.wiped.Load() + live - a.preMarked
 }
@@ -213,7 +244,7 @@ func (a *Atomic) claim(s uint64, deliver Decision) Decision {
 		// "delivered" packet would leave no seen-bit behind and its replay
 		// would deliver again. The post-check ensures no recycle started
 		// after the pre-check read its stable tag.
-		switch tag := wd.tag.Load(); {
+		switch tag := atomic.LoadUint64(&wd.tag); {
 		case tag > want:
 			// The slot was (or is being) recycled past s's block: s is
 			// stale under an edge at least a full ring ahead. If s was
@@ -234,12 +265,12 @@ func (a *Atomic) claim(s uint64, deliver Decision) Decision {
 		// register holding `deliver` with the Or result.)
 		var old uint64
 		for {
-			old = wd.bits.Load()
-			if old&bit != 0 || wd.bits.CompareAndSwap(old, old|bit) {
+			old = atomic.LoadUint64(&wd.bits)
+			if old&bit != 0 || atomic.CompareAndSwapUint64(&wd.bits, old, old|bit) {
 				break
 			}
 		}
-		if wd.tag.Load() != want {
+		if atomic.LoadUint64(&wd.tag) != want {
 			// Recycled underneath us: the bit may have been wiped, so the
 			// verdict is a conservative Stale (s is already below the newer
 			// published edge). If our flip instead landed AFTER the wipe it
@@ -281,48 +312,18 @@ func (a *Atomic) Seen(s uint64) bool {
 	}
 	b := s / 64
 	wd := a.slot(b)
-	if tag := wd.tag.Load(); tag != stableTag(b) {
+	if tag := atomic.LoadUint64(&wd.tag); tag != stableTag(b) {
 		return tag > stableTag(b) // carried past: effectively stale; not yet recycled: unseen
 	}
-	return wd.bits.Load()&(uint64(1)<<(s%64)) != 0
+	return atomic.LoadUint64(&wd.bits)&(uint64(1)<<(s%64)) != 0
 }
 
 // Reinit reinstalls the window at edge, full or empty. Unlike Admit, Reinit
 // requires external serialization against concurrent use (core.Receiver
-// calls it only while its write gate excludes the admission fast path).
+// never calls it on a published window: it builds a new one, NewAtomicAt).
 func (a *Atomic) Reinit(edge uint64, allSeen bool) {
 	a.reMu.Lock()
 	defer a.reMu.Unlock()
 	a.wiped.Store(0)
-	a.preMarked = 0
-	a.edge.Store(edge)
-	n := uint64(len(a.words))
-	top := edge / 64
-	// Reset every slot to its initial identity, then install the blocks at
-	// and below the edge; slots above the edge's reach keep blocks 0..n-1
-	// exactly as a fresh window would.
-	for i := uint64(0); i < n; i++ {
-		a.words[i].bits.Store(0)
-		a.words[i].tag.Store(stableTag(i))
-	}
-	lo := uint64(0)
-	if top >= n {
-		lo = top - n + 1
-	}
-	for b := lo; b <= top; b++ {
-		a.slot(b).tag.Store(stableTag(b))
-	}
-	if !allSeen {
-		return
-	}
-	first := uint64(1)
-	if edge > uint64(a.w) {
-		first = edge - uint64(a.w) + 1
-	}
-	for s := first; s <= edge; s++ {
-		a.slot(s / 64).bits.Or(uint64(1) << (s % 64))
-	}
-	if edge >= first {
-		a.preMarked = edge - first + 1
-	}
+	a.fill(edge, allSeen)
 }

@@ -76,6 +76,28 @@ func BenchmarkAdmitBigSlide(b *testing.B) {
 	}
 }
 
+// BenchmarkAtomicReinstall is what a receiver's wake-up pays the window:
+// build it at the leaped edge with every entry marked received, as a new
+// window (NewAtomicAt, what core.Receiver publishes) and in place (Reinit).
+func BenchmarkAtomicReinstall(b *testing.B) {
+	for _, w := range []int{64, 1024} {
+		b.Run(fmt.Sprintf("new/w=%d", w), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				NewAtomicAt(w, uint64(i)*50+8192, true)
+			}
+		})
+		b.Run(fmt.Sprintf("reinit/w=%d", w), func(b *testing.B) {
+			win := NewAtomic(w)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				win.Reinit(uint64(i)*50+8192, true)
+			}
+		})
+	}
+}
+
 func BenchmarkInferESN(b *testing.B) {
 	var acc uint64
 	for i := 0; i < b.N; i++ {

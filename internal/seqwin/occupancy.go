@@ -1,6 +1,9 @@
 package seqwin
 
-import "math/bits"
+import (
+	"math/bits"
+	"sync/atomic"
+)
 
 // Occupier is the optional interface a window implements when it can
 // report how many numbers inside (edge-w, edge] are currently marked seen.
@@ -74,10 +77,10 @@ func (a *Atomic) Occupancy() int {
 	for s := lo; s <= edge; {
 		blk := s / 64
 		wd := a.slot(blk)
-		tag1 := wd.tag.Load()
-		word := wd.bits.Load()
+		tag1 := atomic.LoadUint64(&wd.tag)
+		word := atomic.LoadUint64(&wd.bits)
 		mask, next := windowMask(s, edge)
-		if tag1 == stableTag(blk) && wd.tag.Load() == tag1 {
+		if tag1 == stableTag(blk) && atomic.LoadUint64(&wd.tag) == tag1 {
 			n += bits.OnesCount64(word & mask)
 		}
 		s = next
