@@ -94,9 +94,11 @@ func SizeK(tSave, tSend time.Duration) uint64 { return core.SizeK(tSave, tSend) 
 func NewBitmapWindow(w int) Window { return seqwin.NewBitmap(w) }
 
 // NewAtomicWindow returns a concurrency-safe anti-replay window of width w
-// (Linux-xfrm/WireGuard style: CAS edge advances, atomic bit-sets). Passing
-// it — or setting ReceiverConfig.Concurrent — enables the Receiver's
-// lock-minimizing admission fast path.
+// (Linux-xfrm/WireGuard style: CAS edge advances, atomic bit-sets), for use
+// on its own. A Receiver builds one itself when ReceiverConfig.Window is nil
+// and admits on its lock-free fast path; a window passed in through
+// ReceiverConfig.Window, this one included, is driven under the receiver's
+// mutex.
 func NewAtomicWindow(w int) Window { return seqwin.NewAtomic(w) }
 
 // NewPaperWindow returns the paper's boolean-array window of width w

@@ -163,16 +163,6 @@ func BenchmarkTableDelivery(b *testing.B) {
 	b.ReportMetric(colValue(b, tbl, "dupes_delivered"), "dups")
 }
 
-// BenchmarkTableSaveOverhead regenerates the SAVE-overhead table
-// (ns/message vs K).
-func BenchmarkTableSaveOverhead(b *testing.B) {
-	cfg := experiments.OverheadConfig{Messages: 50000, Ks: []uint64{0, 1, 25, 1000}}
-	tbl := runTable(b, func() (*experiments.Table, error) {
-		return experiments.SaveOverhead(cfg)
-	})
-	b.ReportMetric(colValue(b, tbl, "ns_per_msg"), "ns-per-msg-K1000")
-}
-
 // BenchmarkTableHorizon regenerates the analysis-gap table (E13): the
 // paper's receiver duplicates a loss-jumped message once the jump exceeds
 // the leap; the strict-horizon variant never does.
@@ -182,41 +172,29 @@ func BenchmarkTableHorizon(b *testing.B) {
 	})
 }
 
-// BenchmarkTableGatewayPersistence regenerates the gateway-scale SAVE
-// comparison: 1k SAs multiplexed onto one group-committed journal versus
-// the per-SA-file pattern. The headline metric is the fsync reduction
-// (acceptance: >= 10x at 1000 SAs).
-func BenchmarkTableGatewayPersistence(b *testing.B) {
+// BenchmarkTableScale regenerates the PR 6 scale table at its 50k smoke
+// parameterization: laned vs single-journal cold-start recovery, the
+// 64-way laned SAVE cost, and heap per installed SA (the full million-SA
+// run is `go run ./cmd/benchtables -only scale`; BENCH_10.json holds one
+// single-shot run of it).
+func BenchmarkTableScale(b *testing.B) {
 	tbl := runTable(b, func() (*experiments.Table, error) {
-		return experiments.GatewayPersistence(experiments.DefaultGatewayConfig())
+		cfg := experiments.DefaultScaleConfig()
+		cfg.Cells = 50_000
+		cfg.SAs = 50_000
+		return experiments.Scale(cfg)
 	})
-	b.ReportMetric(colValue(b, tbl, "journal_fsyncs"), "journal-fsyncs-1k")
-	b.ReportMetric(colValue(b, tbl, "perfile_fsyncs"), "perfile-fsyncs-1k")
+	b.ReportMetric(colValue(b, tbl, "per_sec"), "sa-installs-per-sec")
 }
 
-// BenchmarkTableDatapath regenerates the concurrent-admission comparison:
-// the mutex-serialized receiver versus the seqwin.Atomic fast path across
-// goroutine counts (acceptance: >= 3x inbound throughput at 8 goroutines
-// on an 8-way host).
-func BenchmarkTableDatapath(b *testing.B) {
-	tbl := runTable(b, func() (*experiments.Table, error) {
-		cfg := experiments.DefaultDatapathConfig()
-		cfg.Packets = 1 << 18
-		return experiments.Datapath(cfg)
-	})
-	b.ReportMetric(colValue(b, tbl, "mutex_mpps"), "mutex-mpps-8g")
-	b.ReportMetric(colValue(b, tbl, "fast_mpps"), "fast-mpps-8g")
-}
-
-// benchAdmission drives one receiver from every benchmark goroutine, each
-// admitting globally unique increasing numbers (an atomic ticket counter),
-// the contention shape of a multi-queue gateway NIC.
-func benchAdmission(b *testing.B, concurrent bool) {
-	b.Helper()
+// BenchmarkParallelAdmission drives one receiver from every benchmark
+// goroutine, each admitting globally unique increasing numbers (an atomic
+// ticket counter), the contention shape of a multi-queue gateway NIC: one
+// atomic window-pointer load plus the seqwin.Atomic lock-free admission.
+// Run with -cpu 1,2,4,8.
+func BenchmarkParallelAdmission(b *testing.B) {
 	var m store.Mem
-	r, err := antireplay.NewReceiver(antireplay.ReceiverConfig{
-		K: 1 << 12, W: 1024, Store: &m, Concurrent: concurrent,
-	})
+	r, err := antireplay.NewReceiver(antireplay.ReceiverConfig{K: 1 << 12, W: 1024, Store: &m})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -227,45 +205,6 @@ func benchAdmission(b *testing.B, concurrent bool) {
 			r.Admit(ticket.Add(1))
 		}
 	})
-}
-
-// BenchmarkParallelAdmissionMutex is the baseline: every Admit serializes
-// on the receiver mutex. Run with -cpu 1,2,4,8 to see it stay flat.
-func BenchmarkParallelAdmissionMutex(b *testing.B) { benchAdmission(b, false) }
-
-// BenchmarkParallelAdmissionFastPath admits through the wait-free fast
-// path: one atomic window-pointer load plus the seqwin.Atomic lock-free
-// admission — no mutex, no read gate, no per-delivery counter update. Run
-// with -cpu 1,2,4,8; the acceptance target is >= 3x the mutex receiver at
-// 8 goroutines on an 8-way host, and PR 5's target is >= 2x the pre-PR
-// fast path even single-core.
-func BenchmarkParallelAdmissionFastPath(b *testing.B) { benchAdmission(b, true) }
-
-// BenchmarkTableHotpath regenerates the PR 5 hot-path table: pipelined
-// journal commit throughput, zero-alloc seal/open, and admission cost.
-func BenchmarkTableHotpath(b *testing.B) {
-	tbl := runTable(b, func() (*experiments.Table, error) {
-		cfg := experiments.DefaultHotpathConfig()
-		cfg.Records = 64000
-		cfg.Packets = 40000
-		return experiments.Hotpath(cfg)
-	})
-	b.ReportMetric(colValue(b, tbl, "ns_op"), "admission-fast-ns")
-}
-
-// BenchmarkTableScale regenerates the PR 6 scale table at its 50k smoke
-// parameterization: laned vs single-journal cold-start recovery, the
-// 64-way laned SAVE cost, and heap per installed SA (the full million-SA
-// run is `go run ./cmd/benchtables -only scale`, committed in
-// BENCH_6.json).
-func BenchmarkTableScale(b *testing.B) {
-	tbl := runTable(b, func() (*experiments.Table, error) {
-		cfg := experiments.DefaultScaleConfig()
-		cfg.Cells = 50_000
-		cfg.SAs = 50_000
-		return experiments.Scale(cfg)
-	})
-	b.ReportMetric(colValue(b, tbl, "per_sec"), "sa-installs-per-sec")
 }
 
 // BenchmarkJournalAppendParallel drives 64 goroutines of concurrent saves

@@ -7,10 +7,9 @@
 //	benchtables [-only id[,id...]] [-fast] [-outdir dir] [-json file]
 //
 // Without -outdir the tables print to stdout only. With -json the run also
-// writes a machine-readable results file (every table as structured rows,
-// plus derived headline metrics: replication throughput, failover blackout
-// time, the datapath numbers) — the format CI archives per PR to build a
-// performance trajectory over time.
+// writes every table as structured rows. The tables are evidence (bounds
+// held, replays rejected), not timing: what a packet or a save costs is
+// bench/'s job (bash bench/run.sh), which reports medians with a spread.
 package main
 
 import (
@@ -25,14 +24,11 @@ import (
 	"antireplay/internal/telemetry"
 )
 
-// jsonResults is the -json output shape. Metrics keys are stable strings;
-// values are numbers where possible (strings for durations as printed).
+// jsonResults is the -json output shape: the tables verbatim.
 type jsonResults struct {
-	GeneratedBy string            `json:"generated_by"`
-	Fast        bool              `json:"fast"`
-	Experiments []jsonTable       `json:"experiments"`
-	Metrics     map[string]any    `json:"metrics"`
-	Notes       map[string]string `json:"notes,omitempty"`
+	GeneratedBy string      `json:"generated_by"`
+	Fast        bool        `json:"fast"`
+	Experiments []jsonTable `json:"experiments"`
 }
 
 type jsonTable struct {
@@ -46,7 +42,7 @@ func main() {
 	only := flag.String("only", "", "comma-separated experiment ids (default: all)")
 	fast := flag.Bool("fast", false, "cheaper parameterizations (same shapes)")
 	outdir := flag.String("outdir", "", "also write <id>.txt and <id>.csv here")
-	jsonPath := flag.String("json", "", "write machine-readable results (tables + derived metrics) here")
+	jsonPath := flag.String("json", "", "write the tables as structured rows here")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	metrics := flag.String("metrics", "", "serve process metrics and pprof on this address for the run's duration (e.g. :9100; :0 picks a free port)")
 	flag.Parse()
@@ -128,132 +124,19 @@ func main() {
 	}
 }
 
-// writeJSON emits the machine-readable results file: every table verbatim
-// plus derived headline metrics. The replication-throughput micro-benchmark
-// always runs (it is cheap and self-contained); table-derived metrics are
-// included when their experiment was part of the run.
+// writeJSON emits every table of the run as structured rows.
 func writeJSON(path string, fast bool, tables []*experiments.Table) error {
-	out := jsonResults{
-		GeneratedBy: "benchtables",
-		Fast:        fast,
-		Metrics:     map[string]any{},
-		Notes: map[string]string{
-			"replication_records_per_sec": "save-to-ack throughput of the journal replication pipeline (8 concurrent producers, sync follower)",
-			"failover_blackout":           "virtual time from primary crash to DPD-confirmed resurrection of the promoted standby, per loss rate",
-			"hotpath":                     "PR 5 acceptance metrics: journal_append_recs_per_sec (64 parallel savers, no-fsync), admission_*_ns_op (per-packet anti-replay), hotpath_allocs_op (pinned 0 on every steady-state row)",
-			"pr5_pre_pr_baselines":        "medians of runs alternated with the pre-PR 5 tree on the same host/session: journal append 64-way 1296 ns/op, 3 allocs/op (PR 5: ~404 ns/op, 0 allocs — 3.2x); admission fast path 76.6 ns/op (PR 5: ~37.7 — 2.0x); parallel Seal 1678 ns/op, 12 allocs/op (PR 5 SealAppend: ~575, 0 allocs); replication save-to-ack 246970 rec/s pre-PR on this host (PR 4's committed figure was ~70k rec/s on a busier host)",
-			"scale":                       "PR 6 acceptance metrics: cold-start recovery of the same counter population through a single-lane generic journal vs the laned compact-cell medium (recover_lanes detail carries the speedup), 64-way laned SAVE ns_op/allocs_op, and live heap bytes per installed inbound SA",
-			"transport":                   "PR 7 acceptance metrics: transport_udp_per_sec is seal->UDP-loopback-socket->verify packets/sec per payload size ('-' = sockets unavailable, rows skipped); transport_hostile_drops shows every hostile fragment scenario rejected with zero deliveries and bounded reassembly memory",
-			"campaigns":                   "PR 8 acceptance metrics: campaigns_goodput per campaign/defense row must clear campaigns_floor (bounded degradation under a live stealth-DoS campaign), campaigns_replay_accepts must be 0 everywhere, and each campaign's hardened knob (wider W, smaller K, higher rekey MaxAttempts) measurably improves the bound — the experiment errors otherwise, so a present table is a passing table",
-		},
-	}
-	records := 100000
-	if fast {
-		records = 20000
-	}
-	if rps, err := experiments.ReplicationThroughput(records, 8); err == nil {
-		out.Metrics["replication_records_per_sec"] = int64(rps)
-	} else {
-		// Never discard the run's tables over one failed micro-benchmark;
-		// record the failure where a trajectory consumer will see it.
-		out.Notes["replication_records_per_sec_error"] = err.Error()
-	}
+	out := jsonResults{GeneratedBy: "benchtables", Fast: fast}
 	for _, tbl := range tables {
 		out.Experiments = append(out.Experiments, jsonTable{
 			ID: tbl.ID, Title: tbl.Title, Columns: tbl.Columns, Rows: tbl.Rows,
 		})
-		switch tbl.ID {
-		case "failover":
-			out.Metrics["failover_blackout"] = columnByLoss(tbl, "blackout")
-			out.Metrics["failover_false_rejects"] = columnByLoss(tbl, "false_rejects")
-			out.Metrics["failover_replay_accepts"] = columnByLoss(tbl, "replay_accepts")
-		case "datapath":
-			out.Metrics["datapath"] = tbl.Rows
-		case "hotpath":
-			// Flatten the PR 5 acceptance metrics: per-path throughput/cost
-			// plus the pinned zero-allocation contract.
-			perSec := columnByLoss(tbl, "per_sec")
-			nsOp := columnByLoss(tbl, "ns_op")
-			out.Metrics["journal_append_recs_per_sec"] = perSec["journal_save_64"]
-			out.Metrics["seal_append_pkts_per_sec"] = perSec["seal_append"]
-			out.Metrics["open_append_pkts_per_sec"] = perSec["open_append"]
-			out.Metrics["admission_fast_ns_op"] = nsOp["admission_fast"]
-			out.Metrics["admission_mutex_ns_op"] = nsOp["admission_mutex"]
-			out.Metrics["hotpath_allocs_op"] = columnByLoss(tbl, "allocs_op")
-		case "scale":
-			// PR 6 acceptance metrics: recovery side-by-side (the detail cell
-			// of recover_lanes carries the speedup), the laned 64-way SAVE
-			// cost, and live heap per installed SA.
-			out.Metrics["scale_recover_ms"] = columnByLoss(tbl, "ms")
-			out.Metrics["scale_per_sec"] = columnByLoss(tbl, "per_sec")
-			out.Metrics["scale_detail"] = columnByLoss(tbl, "detail")
-		case "transport":
-			// PR 7 acceptance metrics: UDP loopback seal->verify line rate
-			// per payload size, and the hostile-fragment rejections (every
-			// *_attack/tiny/inconsistent/oob row delivers 0).
-			out.Metrics["transport_udp_per_sec"] = columnByLoss(tbl, "per_sec")
-			out.Metrics["transport_hostile_drops"] = columnByLoss(tbl, "hostile_drops")
-			out.Metrics["transport_delivered"] = columnByLoss(tbl, "delivered")
-		case "campaigns":
-			// PR 8 acceptance metrics: goodput under each stealth-DoS
-			// campaign against its bounded-degradation floor, and the
-			// zero-replay SLO. Keys are campaign/defense-knob because each
-			// campaign contributes a baseline row and a hardened row.
-			out.Metrics["campaigns_goodput"] = columnByDefense(tbl, "goodput")
-			out.Metrics["campaigns_floor"] = columnByDefense(tbl, "floor")
-			out.Metrics["campaigns_replay_accepts"] = columnByDefense(tbl, "replay_accepts")
-		}
 	}
 	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// columnByLoss maps a table's first column (the sweep key) to the named
-// column's cells, so JSON consumers need no positional knowledge.
-func columnByLoss(tbl *experiments.Table, name string) map[string]string {
-	idx := -1
-	for i, c := range tbl.Columns {
-		if c == name {
-			idx = i
-			break
-		}
-	}
-	out := make(map[string]string, len(tbl.Rows))
-	if idx < 0 {
-		return out
-	}
-	for _, row := range tbl.Rows {
-		out[row[0]] = row[idx]
-	}
-	return out
-}
-
-// columnByDefense is columnByLoss for the campaigns table, whose first
-// column (the campaign name) repeats across its baseline and hardened
-// rows: keys are "campaign/defense" composites so neither row shadows
-// the other.
-func columnByDefense(tbl *experiments.Table, name string) map[string]string {
-	idx := -1
-	for i, c := range tbl.Columns {
-		if c == name {
-			idx = i
-			break
-		}
-	}
-	out := make(map[string]string, len(tbl.Rows))
-	if idx < 0 {
-		return out
-	}
-	for _, row := range tbl.Rows {
-		if len(row) < 2 {
-			continue
-		}
-		out[row[0]+"/"+row[1]] = row[idx]
-	}
-	return out
 }
 
 func writeTable(tbl *experiments.Table, dir string) error {

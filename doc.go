@@ -53,12 +53,13 @@
 // and Gateway binds a lock-striped SAD and an SPD to both (see README.md,
 // "Journal design notes").
 //
-// The per-packet datapath is concurrency-first. NewAtomicWindow (or
-// ReceiverConfig.Concurrent) selects a Linux-xfrm/WireGuard-style
-// anti-replay window whose admissions are CAS- and fetch-OR-based, and the
-// Receiver then runs a lock-minimizing fast path: concurrent Admits never
+// The per-packet datapath is concurrency-first. A Receiver left to build
+// its own window (ReceiverConfig.Window nil) gets a Linux-xfrm/WireGuard-
+// style anti-replay window whose admissions are CAS- and fetch-OR-based,
+// and runs a lock-minimizing fast path: concurrent Admits never
 // serialize on the receiver mutex, which is reserved for reset/wake
-// transitions and SAVE triggers. The batched entry points —
+// transitions and SAVE triggers. (A caller-supplied Window is driven under
+// that mutex.) The batched entry points —
 // OutboundSA.SealBatch and Sender.NextN outbound, InboundSA.VerifyBatch
 // and Gateway.VerifyBatch/SealBatch inbound — amortize lock acquisitions,
 // lifetime checks, and save triggers across a packet burst, returning

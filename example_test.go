@@ -158,7 +158,7 @@ func ExampleOutboundSA_SealAppend() {
 	keys := antireplay.KeyMaterial{AuthKey: make([]byte, antireplay.AuthKeySize)}
 	snd, _ := antireplay.NewSender(antireplay.SenderConfig{K: 25, Store: &txStore})
 	tx, _ := antireplay.NewOutboundSA(0x77, keys, snd, true, antireplay.Lifetime{}, nil)
-	rcv, _ := antireplay.NewReceiver(antireplay.ReceiverConfig{K: 25, Store: &rxStore, Concurrent: true})
+	rcv, _ := antireplay.NewReceiver(antireplay.ReceiverConfig{K: 25, Store: &rxStore})
 	rx, _ := antireplay.NewInboundSA(0x77, keys, rcv, true, antireplay.Lifetime{}, nil)
 
 	wireBuf := make([]byte, 0, 2048)  // reused across packets

@@ -98,7 +98,7 @@ func BenchmarkResetWakeCycle(b *testing.B) {
 // entry marked received — one allocation, the window's ring.
 func BenchmarkReceiverResetWakeCycle(b *testing.B) {
 	var m store.Mem
-	r, err := core.NewReceiver(core.ReceiverConfig{K: 25, Store: &m, W: 1024, Concurrent: true})
+	r, err := core.NewReceiver(core.ReceiverConfig{K: 25, Store: &m, W: 1024})
 	if err != nil {
 		b.Fatal(err)
 	}

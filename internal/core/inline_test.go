@@ -72,8 +72,8 @@ func TestWakeDrainTriggersSaveFromCompletion(t *testing.T) {
 				drained := make(chan core.Verdict, 1)
 				r := mustReceiver(t, core.ReceiverConfig{
 					K: k, W: 64, Store: st, Saver: saver,
-					StrictHorizon: strict, Concurrent: true,
-					Drain: func(_ uint64, v core.Verdict) { drained <- v },
+					StrictHorizon: strict,
+					Drain:         func(_ uint64, v core.Verdict) { drained <- v },
 				})
 				r.Reset()
 				// The store held 0, so the wake saves the leaped edge 2K;
@@ -117,7 +117,7 @@ func TestClosedPoolCompletesInline(t *testing.T) {
 	pool.Close()
 
 	x := mustSender(t, core.SenderConfig{K: k, Store: &ms, Saver: sndSaver})
-	r := mustReceiver(t, core.ReceiverConfig{K: k, W: 64, Store: &mr, Saver: rcvSaver, Concurrent: true})
+	r := mustReceiver(t, core.ReceiverConfig{K: k, W: 64, Store: &mr, Saver: rcvSaver})
 	sendN(t, x, 3*k)
 	for s := uint64(1); s <= 3*k; s++ {
 		r.Admit(s)

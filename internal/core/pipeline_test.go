@@ -82,7 +82,7 @@ var machines = []struct {
 		return &machine{p: &x.savePipeline, saver: saver, advance: func() { x.NextN(pipelineK) }, reset: x.Reset}
 	}},
 	{"receiver", func(t *testing.T, st store.Store, saver *scriptedSaver) *machine {
-		r, err := NewReceiver(ReceiverConfig{K: pipelineK, W: 64, Store: st, Saver: saver, Concurrent: true})
+		r, err := NewReceiver(ReceiverConfig{K: pipelineK, W: 64, Store: st, Saver: saver})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -97,19 +97,20 @@ type ReceiverConfig struct {
 	// LeapFactor scales the post-wake leap; zero means the paper's 2.
 	// Negative disables the leap (ablation only; unsafe).
 	LeapFactor float64
-	// W is the anti-replay window width used when Window is nil
-	// (a seqwin.Bitmap is created, or a seqwin.Atomic with Concurrent).
-	// Defaults to 64.
+	// W is the width of the seqwin.Atomic window the receiver builds when
+	// Window is nil. Defaults to 64.
 	W int
-	// Window overrides the window implementation.
+	// Window overrides the window implementation. The receiver drives a
+	// caller-supplied window — a seqwin.Atomic included — under its mutex
+	// only: it cannot rebuild a foreign window on wake, so it never
+	// publishes one to the fast path. The paper's Bool array and Bitmap
+	// come in here as test oracles.
 	Window seqwin.Window
-	// Concurrent selects a seqwin.Atomic window when Window is nil, which
-	// enables the lock-minimizing admission fast path: in-window and
-	// in-order messages are admitted with atomic operations under a shared
-	// read gate, falling back to the receiver mutex only for reset/wake
-	// transitions, SAVE triggers, and strict-horizon discards. A
-	// caller-provided Window enables the same fast path when it implements
-	// seqwin.ConcurrentWindow.
+	// Concurrent is ignored: every receiver that builds its own window
+	// admits on the fast path.
+	//
+	// Deprecated: ignored. Declared only so configurations that still set
+	// it keep compiling.
 	Concurrent bool
 	// Store is the durable cell holding the saved edge. Required unless
 	// Baseline is set.
@@ -165,8 +166,8 @@ func (c ReceiverConfig) Validate() error {
 // persistence of the right edge (the embedded pipeline). Safe for
 // concurrent use.
 //
-// With ReceiverConfig.Concurrent the receiver admits messages on a
-// wait-free fast path: the current seqwin.Atomic window is published
+// A receiver that built its own window (ReceiverConfig.Window nil) admits
+// on a wait-free fast path: the current seqwin.Atomic window is published
 // through an atomic pointer (RCU-style), so an admit is one pointer load
 // plus the window's own lock-free admission — no mutex, no read-write gate,
 // no shared-cacheline counter. Lifecycle transitions unpublish the pointer
@@ -176,7 +177,7 @@ func (c ReceiverConfig) Validate() error {
 // crash — the post-wake window starts beyond the leap with every slot
 // marked, so exactly-once delivery is preserved (the -race stress suites
 // exercise exactly this interleaving). A caller-provided Window (even a
-// ConcurrentWindow) is driven through the serialized slow path: the
+// seqwin.Atomic) is driven through the serialized slow path: the
 // receiver cannot rebuild a foreign window on wake, so it cannot let
 // stale fast-path admits race a Reinit.
 //
@@ -224,16 +225,14 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 		return nil, err
 	}
 	win := cfg.Window
+	var own *seqwin.Atomic
 	if win == nil {
 		w := cfg.W
 		if w == 0 {
 			w = 64
 		}
-		if cfg.Concurrent {
-			win = seqwin.NewAtomic(w)
-		} else {
-			win = seqwin.NewBitmap(w)
-		}
+		own = seqwin.NewAtomic(w)
+		win = own
 	}
 	r := &Receiver{
 		savePipeline: savePipeline{
@@ -251,11 +250,11 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 	if r.wakeBuffer == 0 {
 		r.wakeBuffer = DefaultWakeBuffer
 	}
-	if aw, ok := win.(*seqwin.Atomic); ok && cfg.Window == nil {
+	if own != nil {
 		// The receiver built this window itself, so it may replace it on
 		// wake — the precondition for the RCU fast path.
 		r.ownFast = true
-		r.fastWin.Store(aw)
+		r.fastWin.Store(own)
 	}
 	r.install = r.installLocked
 	if err := r.open(cfg.Baseline); err != nil {
@@ -271,9 +270,9 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 // callback (VerdictBuffered) or dropped if the buffer is full
 // (VerdictOverflow).
 //
-// With ReceiverConfig.Concurrent the common case completes on the wait-free
-// fast path — one atomic pointer load plus the window's own lock-free
-// admission; see the type comment.
+// With a window the receiver built itself the common case completes on the
+// wait-free fast path — one atomic pointer load plus the window's own
+// lock-free admission; see the type comment.
 func (r *Receiver) Admit(s uint64) Verdict {
 	if w := r.fastWin.Load(); w != nil {
 		if v, ok := r.admitFast(w, s); ok {

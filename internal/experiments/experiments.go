@@ -1,11 +1,18 @@
 // Package experiments regenerates every figure and table of the paper's
-// analysis, plus extension experiments beyond the paper (E1–E13).
+// analysis, plus extension experiments beyond the paper (the adversary,
+// fault, failover and rekey evidence). The tables are evidence — bounds
+// held, replays rejected — not timing: what a packet or a save costs is
+// bench/'s to report, as medians with a spread. The one exception, scale,
+// is a single-shot wall-clock table kept until bench/ has a scale workload.
 //
-// Each experiment is a pure function from a parameter struct (with a
-// Default* constructor) to a *Table; all randomness is seeded, so runs are
-// reproducible bit-for-bit. The cmd/benchtables binary and the root
-// bench_test.go both call these functions; each Table.Note records the
-// expected shapes next to paper claims.
+// Each experiment is a function from a parameter struct (with a Default*
+// constructor) to a *Table, and all randomness is seeded. Eleven tables run
+// on virtual time alone and reproduce bit-for-bit: TestRegistryRunsFast
+// holds them to testdata/tables_fast.golden. The rest (rekey, failover,
+// campaigns, diskfault, sizing, recovery, scale) race real goroutines or
+// read the wall clock and vary run to run. The cmd/benchtables binary and
+// the root bench_test.go both call these functions; each Table.Note records
+// the expected shapes next to paper claims.
 package experiments
 
 import (
@@ -168,30 +175,8 @@ func All() []Runner {
 			}
 			return Delivery(cfg)
 		}},
-		{ID: "overhead", Paper: "SAVE overhead amortization", Run: func(fast bool) (*Table, error) {
-			cfg := DefaultOverheadConfig()
-			if fast {
-				cfg.Messages = 20000
-			}
-			return SaveOverhead(cfg)
-		}},
 		{ID: "horizon", Paper: "analysis gap: loss jump + torn save (README.md)", Run: func(fast bool) (*Table, error) {
 			return LossJumpHorizon(DefaultHorizonConfig())
-		}},
-		{ID: "gateway", Paper: "gateway-scale SAVE: shared journal vs per-SA files", Run: func(fast bool) (*Table, error) {
-			cfg := DefaultGatewayConfig()
-			if fast {
-				cfg.SACounts = []int{100, 250}
-			}
-			return GatewayPersistence(cfg)
-		}},
-		{ID: "datapath", Paper: "extension: concurrent admission fast path vs mutex receiver", Run: func(fast bool) (*Table, error) {
-			cfg := DefaultDatapathConfig()
-			if fast {
-				cfg.Packets = 1 << 18
-				cfg.Goroutines = []int{1, 4}
-			}
-			return Datapath(cfg)
 		}},
 		{ID: "rekey", Paper: "extension: IKE-driven rollover under resets (make-before-break)", Run: func(fast bool) (*Table, error) {
 			cfg := DefaultRekeyConfig()
@@ -211,15 +196,7 @@ func All() []Runner {
 			}
 			return Failover(cfg)
 		}},
-		{ID: "hotpath", Paper: "extension: hot-path cost (commit pipeline, zero-alloc datapath, wait-free admission)", Run: func(fast bool) (*Table, error) {
-			cfg := DefaultHotpathConfig()
-			if fast {
-				cfg.Records = 64000
-				cfg.Packets = 40000
-			}
-			return Hotpath(cfg)
-		}},
-		{ID: "scale", Paper: "extension: journal lanes at million-SA scale (concurrent recovery, compact cells, per-SA heap)", Run: func(fast bool) (*Table, error) {
+		{ID: "scale", Paper: "extension, single-shot: journal lanes at million-SA scale (concurrent recovery, compact cells, per-SA heap)", Run: func(fast bool) (*Table, error) {
 			cfg := DefaultScaleConfig()
 			if fast {
 				cfg.Cells = 50_000
@@ -227,12 +204,11 @@ func All() []Runner {
 			}
 			return Scale(cfg)
 		}},
-		{ID: "transport", Paper: "extension: the wire layer (fragment attacks rejected, UDP loopback line rate)", Run: func(fast bool) (*Table, error) {
+		{ID: "transport", Paper: "extension: the wire layer (fragment attacks rejected, reassembly memory bounded)", Run: func(fast bool) (*Table, error) {
 			cfg := DefaultTransportConfig()
 			if fast {
 				cfg.Datagrams = 50
 				cfg.FloodIDs = 128
-				cfg.UDPPackets = 4000
 			}
 			return Transport(cfg)
 		}},

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"os"
-	"path/filepath"
 	"time"
 
 	"antireplay/internal/core"
@@ -97,91 +95,6 @@ func Failover(cfg FailoverConfig) (*Table, error) {
 		t.AddRow(row...)
 	}
 	return t, nil
-}
-
-// ReplicationThroughput measures the journal replication pipeline in its
-// deployment shape — concurrent producers saving into a source journal
-// whose sync follower applies the tailed record stream into a follower
-// journal in group-committed batches, acking each batch — and returns
-// records per second of end-to-end (save-to-ack) throughput. Used by
-// cmd/benchtables to seed the machine-readable perf trajectory.
-func ReplicationThroughput(records, producers int) (float64, error) {
-	dir, err := os.MkdirTemp("", "replthroughput-*")
-	if err != nil {
-		return 0, err
-	}
-	defer os.RemoveAll(dir)
-	src, err := store.OpenJournal(filepath.Join(dir, "src.log"), store.JournalWithoutSync())
-	if err != nil {
-		return 0, err
-	}
-	defer src.Close()
-	dst, err := store.OpenJournal(filepath.Join(dir, "dst.log"), store.JournalWithoutSync())
-	if err != nil {
-		return 0, err
-	}
-	defer dst.Close()
-
-	tl, err := src.Follow()
-	if err != nil {
-		return 0, err
-	}
-	defer tl.Close()
-	if err := src.SyncFollower(tl); err != nil {
-		return 0, err
-	}
-	applyDone := make(chan error, 1)
-	go func() {
-		buf := make([]store.TailRecord, 512)
-		for {
-			n, err := tl.Recv(buf)
-			if err != nil {
-				if errors.Is(err, store.ErrClosed) {
-					err = nil
-				}
-				applyDone <- err
-				return
-			}
-			if err := dst.Apply(buf[:n]); err != nil {
-				// Release the sync-follower gate before reporting, or the
-				// producers' Saves block forever on acks that never come.
-				tl.Close()
-				applyDone <- err
-				return
-			}
-			tl.Ack(buf[n-1].Seq + 1)
-		}
-	}()
-
-	if producers < 1 {
-		producers = 1
-	}
-	per := records / producers
-	errs := make(chan error, producers)
-	start := time.Now()
-	for p := 0; p < producers; p++ {
-		go func(p int) {
-			key := fmt.Sprintf("sa/%04d", p)
-			for i := 1; i <= per; i++ {
-				if err := src.Cell(key).Save(uint64(i)); err != nil {
-					errs <- err
-					return
-				}
-			}
-			errs <- nil
-		}(p)
-	}
-	for p := 0; p < producers; p++ {
-		if err := <-errs; err != nil {
-			return 0, err
-		}
-	}
-	elapsed := time.Since(start)
-	tl.Close()
-	if err := <-applyDone; err != nil {
-		return 0, err
-	}
-	return float64(per*producers) / elapsed.Seconds(), nil
 }
 
 // failoverSim is one row's topology — a testbed pair whose B side is the

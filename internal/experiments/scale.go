@@ -43,12 +43,13 @@ func Scale(cfg ScaleConfig) (*Table, error) {
 	t := &Table{
 		ID:    "scale",
 		Title: "million-SA scale: laned recovery, 64-way SAVE, per-SA heap",
-		Note: "Expect recover_lanes at least 2x faster than recover_single on the same population: lane " +
+		Note: "Single-shot wall-clock rows, one sample with no spread: the only record of the 1M-SA figures " +
+			"until bench/ has a scale workload. Expect recover_lanes at least 2x faster than recover_single on the same population: lane " +
 			"replay parses frames into packed uint64-keyed cells (no per-key string or map-bucket churn) " +
 			"and lanes recover concurrently. save_lanes_64 is the gateway-scale SAVE shape routed across " +
 			"lanes at 0 allocs_op; with ~one saver per lane each lane's group commit covers ~one frame, " +
-			"so the laned append trades the single log's cross-saver write batching (hotpath's " +
-			"journal_save_64, which this PR must not and does not regress) for per-lane committers and " +
+			"so the laned append trades the single log's cross-saver write batching " +
+			"(BenchmarkJournalAppendParallel) for per-lane committers and " +
 			"fsyncs that parallelize across cores and devices. sa_heap installs the full inbound SA " +
 			"population over the laned medium and reports live heap per SA; its install rate is bound by " +
 			"the SAD's copy-on-write snapshots, not the journal.",

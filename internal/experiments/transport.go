@@ -6,10 +6,7 @@ import (
 	"fmt"
 	"time"
 
-	"antireplay/internal/core"
-	"antireplay/internal/ipsec"
 	"antireplay/internal/netsim"
-	"antireplay/internal/store"
 	"antireplay/internal/wire"
 )
 
@@ -17,10 +14,8 @@ import (
 // table shows the reassembler delivering everything a lossy, reordering,
 // duplicating link can legally produce while rejecting the hostile
 // fragment catalogue (overlap, tiny non-final, inconsistent totals,
-// out-of-bounds offsets) with bounded reassembly memory; the udp_* rows
-// measure real seal→UDP-loopback→verify line rate (pipelined) and, in the
-// one _rtt row, a stop-and-wait round trip, gracefully skipped on hosts
-// without sockets.
+// out-of-bounds offsets) with bounded reassembly memory. What the socket
+// path costs is bench/'s udp_pipe workload (wire.send_ns, wire.recv_wait_ns).
 
 // TransportConfig parameterizes the wire-layer experiment.
 type TransportConfig struct {
@@ -37,11 +32,6 @@ type TransportConfig struct {
 	FloodIDs int
 	// ReassemblyBytes bounds the reassembler's memory in the flood.
 	ReassemblyBytes int
-	// UDPPackets is the sample size of each udp_* row.
-	UDPPackets int
-	// UDPPayloads are the line-rate payload sizes; the stop-and-wait row
-	// uses the first.
-	UDPPayloads []int
 }
 
 // DefaultTransportConfig returns the committed parameterization.
@@ -53,8 +43,6 @@ func DefaultTransportConfig() TransportConfig {
 		Datagrams:       200,
 		FloodIDs:        512,
 		ReassemblyBytes: 1 << 18, // 256 KiB: a quarter of the flood's appetite
-		UDPPackets:      20000,
-		UDPPayloads:     []int{64, 512, 1400},
 	}
 }
 
@@ -93,17 +81,14 @@ func espDatagram(spi uint32, n int) []byte {
 func Transport(cfg TransportConfig) (*Table, error) {
 	t := &Table{
 		ID:    "transport",
-		Title: "wire layer: fragment handling and UDP loopback line rate",
-		Note: "fragment rows: sent datagrams vs delivered through a " +
-			fmt.Sprintf("%d-byte path MTU; hostile scenarios MUST deliver 0 and be counted. ", cfg.WireMTU) +
-			fmt.Sprintf("udp rows: seal->socket->verify packets/sec on loopback, tx and rx goroutines with %d datagrams in flight; ", udpWindow) +
-			"the _rtt row is stop-and-wait, one in flight, so its per_sec is 1/round-trip (skipped without sockets).",
-		Columns: []string{"scenario", "sent", "delivered", "hostile_drops", "other_drops", "per_sec", "detail"},
+		Title: "wire layer: fragment handling",
+		Note: "sent datagrams vs delivered through a " +
+			fmt.Sprintf("%d-byte path MTU; hostile scenarios MUST deliver 0 and be counted.", cfg.WireMTU),
+		Columns: []string{"scenario", "sent", "delivered", "hostile_drops", "other_drops", "detail"},
 	}
 	if err := fragScenarioRows(t, cfg); err != nil {
 		return nil, err
 	}
-	udpLineRateRows(t, cfg)
 	return t, nil
 }
 
@@ -124,7 +109,7 @@ func fragScenarioRows(t *Table, cfg TransportConfig) error {
 		return fmt.Errorf("transport: clean path delivered %d/%d, hostile %d",
 			h.got, cfg.Datagrams, fs.HostileDrops)
 	}
-	t.AddRow("fragmentation", itoa(cfg.Datagrams), itoa(h.got), "0", "0", "-",
+	t.AddRow("fragmentation", itoa(cfg.Datagrams), itoa(h.got), "0", "0",
 		fmt.Sprintf("%d frames/datagram", fs.FragsRx/uint64(h.got)))
 
 	// Impaired path: the link duplicates and reorders fragments. Duplicate
@@ -146,7 +131,7 @@ func fragScenarioRows(t *Table, cfg TransportConfig) error {
 		return fmt.Errorf("transport: impaired path delivered %d/%d, hostile %d",
 			h.got, cfg.Datagrams, fs.HostileDrops)
 	}
-	t.AddRow("reorder_dup", itoa(cfg.Datagrams), itoa(h.got), "0", "0", "-",
+	t.AddRow("reorder_dup", itoa(cfg.Datagrams), itoa(h.got), "0", "0",
 		fmt.Sprintf("dup/reorder survived, %d frames", fs.FragsRx))
 
 	// Hostile scenarios: forged fragment sequences injected beneath the
@@ -194,7 +179,7 @@ func fragScenarioRows(t *Table, cfg TransportConfig) error {
 		if h.got != 0 || fs.HostileDrops == 0 {
 			return fmt.Errorf("transport: %s delivered %d, hostile %d", sc.name, h.got, fs.HostileDrops)
 		}
-		t.AddRow(sc.name, itoa(len(frames)), "0", u64(fs.HostileDrops), "0", "-", "rejected")
+		t.AddRow(sc.name, itoa(len(frames)), "0", u64(fs.HostileDrops), "0", "rejected")
 	}
 
 	// Memory-bound flood: many never-completing reassemblies. The pending
@@ -222,159 +207,9 @@ func fragScenarioRows(t *Table, cfg TransportConfig) error {
 	if h.got != 1 {
 		return fmt.Errorf("transport: post-flood datagram not delivered")
 	}
-	t.AddRow("memory_flood", itoa(cfg.FloodIDs), "0", "0", u64(fs.EvictDrops), "-",
+	t.AddRow("memory_flood", itoa(cfg.FloodIDs), "0", "0", u64(fs.EvictDrops),
 		fmt.Sprintf("pending %d <= bound %d, flow survives", fs.PendingBytes, cfg.ReassemblyBytes))
 	return nil
-}
-
-// udpWindow is how many datagrams the pipelined udp_* rows keep in flight:
-// enough to keep the endpoint's writer busy, well under a receive queue.
-const udpWindow = 64
-
-// udpLineRateRows measures seal→UDP-loopback→verify over real sockets: a
-// pipelined row per payload size (line rate) and one stop-and-wait row (a
-// round trip per datagram, the hand-off to the endpoint's writer included).
-// A host that cannot open loopback sockets skips the rows instead of
-// failing the whole table.
-func udpLineRateRows(t *Table, cfg TransportConfig) {
-	skip := func(why string) {
-		t.AddRow("udp_linerate", "-", "-", "-", "-", "-", "skipped: "+why)
-	}
-	ea, err := wire.ListenUDP("", wire.UDPConfig{})
-	if err != nil {
-		skip(err.Error())
-		return
-	}
-	defer ea.Close()
-	eb, err := wire.ListenUDP("", wire.UDPConfig{})
-	if err != nil {
-		skip(err.Error())
-		return
-	}
-	defer eb.Close()
-	la, err := ea.Link(eb.Addr())
-	if err != nil {
-		skip(err.Error())
-		return
-	}
-	lb, err := eb.Link(ea.Addr(), 0x42)
-	if err != nil {
-		skip(err.Error())
-		return
-	}
-
-	row := func(name string, size, window int) {
-		cells, err := udpRate(la, lb, name, size, cfg.UDPPackets, window)
-		if err != nil {
-			cells = []string{name, "-", "-", "-", "-", "-", "skipped: " + err.Error()}
-		}
-		t.AddRow(cells...)
-	}
-	for _, size := range cfg.UDPPayloads {
-		row(fmt.Sprintf("udp_%db", size), size, udpWindow)
-	}
-	if len(cfg.UDPPayloads) > 0 {
-		row(fmt.Sprintf("udp_%db_rtt", cfg.UDPPayloads[0]), cfg.UDPPayloads[0], 1)
-	}
-}
-
-// udpRate times packets sealed datagrams from la to lb with at most window
-// in flight. Above one, a tx goroutine seals and sends while the caller
-// receives and verifies; at one, the caller does both in turn.
-func udpRate(la, lb *wire.UDPLink, name string, payloadLen, packets, window int) ([]string, error) {
-	keys := ipsec.KeyMaterial{AuthKey: make([]byte, ipsec.AuthKeySize)}
-	for i := range keys.AuthKey {
-		keys.AuthKey[i] = byte(i + 1)
-	}
-	var mtx, mrx store.Mem
-	snd, err := core.NewSender(core.SenderConfig{K: 1 << 40, Store: &mtx})
-	if err != nil {
-		return nil, err
-	}
-	tx, err := ipsec.NewOutboundSA(0x42, keys, snd, true, ipsec.Lifetime{}, nil)
-	if err != nil {
-		return nil, err
-	}
-	rcv, err := core.NewReceiver(core.ReceiverConfig{K: 1 << 40, W: 1024, Store: &mrx})
-	if err != nil {
-		return nil, err
-	}
-	rx, err := ipsec.NewInboundSA(0x42, keys, rcv, true, ipsec.Lifetime{}, nil)
-	if err != nil {
-		return nil, err
-	}
-
-	payload := make([]byte, payloadLen)
-	send := func() error {
-		w, err := tx.Seal(payload)
-		if err != nil {
-			return err
-		}
-		return la.Send(w)
-	}
-	delivered, drops := 0, 0
-	recv := func() error {
-		got, err := lb.RecvTimeout(2 * time.Second)
-		if err != nil {
-			return err
-		}
-		_, verdict, err := rx.Open(got)
-		if verdict.Delivered() {
-			delivered++
-		} else {
-			drops++
-		}
-		return err
-	}
-
-	start := time.Now()
-	if window == 1 {
-		for i := 0; i < packets && err == nil; i++ {
-			if err = send(); err == nil {
-				err = recv()
-			}
-		}
-	} else {
-		// A send takes a credit and a verified datagram returns it; stop
-		// releases the tx goroutine when the caller gives up first.
-		credits, stop, txErr := make(chan struct{}, window), make(chan struct{}), make(chan error, 1)
-		sendAll := func() error {
-			for i := 0; i < packets; i++ {
-				select {
-				case credits <- struct{}{}:
-				case <-stop:
-					return nil
-				}
-				if err := send(); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		go func() { txErr <- sendAll() }()
-		for i := 0; i < packets && err == nil; i++ {
-			if err = recv(); err == nil {
-				<-credits
-			}
-		}
-		close(stop)
-		if e := <-txErr; e != nil {
-			err = e // why nothing more arrived
-		}
-	}
-	elapsed := time.Since(start)
-	if err != nil {
-		return nil, err
-	}
-	if delivered != packets {
-		return nil, fmt.Errorf("delivered %d/%d", delivered, packets)
-	}
-	perSec := float64(packets) / elapsed.Seconds()
-	return []string{
-		name, itoa(packets), itoa(delivered), "0", itoa(drops),
-		fmt.Sprintf("%.0f", perSec),
-		fmt.Sprintf("seal->socket->verify, %d in flight, %v total", window, elapsed.Round(time.Millisecond)),
-	}, nil
 }
 
 func itoa(n int) string { return fmt.Sprintf("%d", n) }

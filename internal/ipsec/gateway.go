@@ -386,9 +386,6 @@ func (g *Gateway) buildInbound(spi uint32, keys KeyMaterial, adopt bool) (*Inbou
 		Store:         cell,
 		Saver:         saver,
 		StrictHorizon: !g.cfg.NoStrictHorizon,
-		// Gateways admit from many NIC queues at once: use the concurrent
-		// window so per-packet admission runs on the receiver fast path.
-		Concurrent: true,
 	})
 	if err != nil {
 		g.releaseCell(key)

@@ -390,7 +390,7 @@ func TestOpenConcurrentESNBoundary(t *testing.T) {
 	if err := rm.Save(base - k); err != nil {
 		t.Fatal(err)
 	}
-	rcv, err := core.NewReceiver(core.ReceiverConfig{K: k, Store: &rm, W: 1024, Concurrent: true})
+	rcv, err := core.NewReceiver(core.ReceiverConfig{K: k, Store: &rm, W: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func newBenchOutbound(t testing.TB) *OutboundSA {
 func newBenchInbound(t testing.TB, spi uint32) *InboundSA {
 	t.Helper()
 	var m store.Mem
-	rcv, err := core.NewReceiver(core.ReceiverConfig{K: 1 << 30, W: 1024, Store: &m, Concurrent: true})
+	rcv, err := core.NewReceiver(core.ReceiverConfig{K: 1 << 30, W: 1024, Store: &m})
 	if err != nil {
 		t.Fatal(err)
 	}

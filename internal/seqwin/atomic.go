@@ -8,21 +8,6 @@ import (
 	"sync/atomic"
 )
 
-// ConcurrentWindow marks Window implementations whose Admit may be called
-// from many goroutines at once. A ConcurrentWindow guarantees the
-// Discrimination property under concurrency: no sequence number is ever
-// delivered (DecisionNew / DecisionInWindow) twice, in any interleaving.
-// It may conservatively discard a fresh number that races a large window
-// slide — the same trade every anti-replay window already makes for
-// out-of-window traffic. Reinit still requires external serialization
-// against concurrent Admits (core.Receiver provides it with its state gate).
-type ConcurrentWindow interface {
-	Window
-	// ConcurrentSafe is a marker: implementing it declares Admit
-	// goroutine-safe with exactly-once delivery.
-	ConcurrentSafe()
-}
-
 // atomicWord is one ring slot of an Atomic window: a 64-bit seen-bitmap plus
 // a tag recording which 64-number block the bitmap currently represents.
 // The tag is seqlock-encoded: 2*blk while the slot stably holds block blk,
@@ -45,7 +30,11 @@ type atomicWord struct {
 // with the right edge advanced by compare-and-swap and seen-bits set with
 // atomic fetch-OR instead of under a lock. Used serially it makes exactly
 // the decisions Bitmap makes (the differential tests enforce this); used
-// concurrently it never delivers the same number twice.
+// concurrently it never delivers the same number twice, in any
+// interleaving. It may conservatively discard a fresh number that races a
+// large window slide — the same trade every anti-replay window already
+// makes for out-of-window traffic. Reinit still requires external
+// serialization against concurrent Admits.
 //
 // The exactly-once argument has three legs:
 //
@@ -84,8 +73,6 @@ type Atomic struct {
 	wiped     atomic.Uint64 // popcount of bits wiped by recycles since Reinit
 	preMarked uint64        // bits pre-set by the last Reinit (not deliveries)
 }
-
-var _ ConcurrentWindow = (*Atomic)(nil)
 
 // NewAtomic returns a concurrency-safe window of width w (w >= 1) in the
 // initial state: edge 0, nothing seen. See NewAtomicAt.
@@ -141,9 +128,6 @@ func (a *Atomic) fill(edge uint64, allSeen bool) {
 // stableTag is the tag of a slot stably holding block blk; stableTag-1 is
 // the transitional tag while a slide recycles the slot into blk.
 func stableTag(blk uint64) uint64 { return blk * 2 }
-
-// ConcurrentSafe marks Atomic as safe for concurrent Admit.
-func (a *Atomic) ConcurrentSafe() {}
 
 func (a *Atomic) slot(blk uint64) *atomicWord { return &a.words[blk&a.mask] }
 
@@ -276,7 +260,7 @@ func (a *Atomic) claim(s uint64, deliver Decision) Decision {
 			// published edge). If our flip instead landed AFTER the wipe it
 			// pollutes the slot's new block, and the one number aliasing
 			// that bit position is later mis-reported Duplicate — a
-			// conservative discard the ConcurrentWindow contract permits.
+			// conservative discard the type comment permits.
 			// The pollution is deliberately NOT undone: from here we cannot
 			// distinguish our surviving flip from a wiped flip followed by
 			// a legitimate delivery of the aliasing number, and clearing a

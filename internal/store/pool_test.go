@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -150,27 +151,35 @@ func TestPoolDoneCalledExactlyOnce(t *testing.T) {
 
 // TestPoolJournalGroupCommit drives many handles over one journal: the
 // end-to-end gateway persistence path. Every acknowledged save must be
-// durable and the fsync count must stay well below the save count.
+// durable, the fsync count must stay well below the save count, and at
+// least 10x below what the same burst costs on one file store per handle
+// (a temp-file fsync plus a directory fsync each save).
 func TestPoolJournalGroupCommit(t *testing.T) {
 	watchdog.Arm(t, 10*time.Second)
-	j := journalAt(t, JournalBatchDelay(100*time.Microsecond))
-	p := NewSaverPool(8)
-	const handles, saves = 50, 10
-	var wg sync.WaitGroup
-	for h := 0; h < handles; h++ {
-		s := p.Saver(j.Cell(fmt.Sprintf("sa/%d", h)))
-		wg.Add(saves)
-		for i := uint64(1); i <= saves; i++ {
-			s.StartSave(i, func(err error) {
-				if err != nil {
-					t.Errorf("save: %v", err)
-				}
-				wg.Done()
-			})
+	const handles, saves = 250, 10
+	// burst queues every handle's saves back to back on a fresh pool, the
+	// shape a busy gateway produces, and returns once all are acknowledged.
+	burst := func(store func(h int) Store) {
+		p := NewSaverPool(8)
+		defer p.Close()
+		var wg sync.WaitGroup
+		for h := 0; h < handles; h++ {
+			s := p.Saver(store(h))
+			wg.Add(saves)
+			for i := uint64(1); i <= saves; i++ {
+				s.StartSave(i, func(err error) {
+					if err != nil {
+						t.Errorf("save: %v", err)
+					}
+					wg.Done()
+				})
+			}
 		}
+		wg.Wait()
 	}
-	wg.Wait()
-	p.Close()
+
+	j := journalAt(t, JournalBatchDelay(100*time.Microsecond))
+	burst(func(h int) Store { return j.Cell(fmt.Sprintf("sa/%d", h)) })
 	appends := j.Appends()
 	syncs := j.Syncs()
 	j.Close()
@@ -179,6 +188,20 @@ func TestPoolJournalGroupCommit(t *testing.T) {
 	}
 	if syncs*2 > appends {
 		t.Errorf("syncs = %d for %d appends: group commit should share fsyncs", syncs, appends)
+	}
+
+	dir := t.TempDir()
+	files := make([]*File, handles)
+	burst(func(h int) Store {
+		files[h] = NewFile(filepath.Join(dir, fmt.Sprintf("sa-%d.seq", h)))
+		return files[h]
+	})
+	var fileSyncs uint64
+	for _, f := range files {
+		fileSyncs += f.Syncs()
+	}
+	if syncs*10 > fileSyncs {
+		t.Errorf("journal fsyncs = %d, per-file = %d: want >= 10x reduction", syncs, fileSyncs)
 	}
 }
 
