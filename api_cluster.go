@@ -17,7 +17,7 @@ type (
 	// ReplicationStats reports a standby's replication progress: applied
 	// records, snapshot loads, and the instantaneous lag in records.
 	ReplicationStats = cluster.ReplicationStats
-	// JournalTail is a cursor over a Journal's committed record stream —
+	// JournalTail is a cursor over one lane's committed record stream —
 	// the shipping half of journal replication (snapshot-then-tail).
 	JournalTail = store.Tail
 	// TailRecord is one committed journal record as seen by a tail.

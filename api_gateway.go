@@ -11,24 +11,22 @@ import (
 
 // Gateway-scale persistence types, re-exported from the implementation.
 type (
-	// Journal is a single append-only log multiplexing many SAs' durable
-	// counters, with group-committed fsyncs and crash recovery by replay.
+	// Journal is one commit lane of a Lanes medium (Lanes.Lane,
+	// Lanes.LaneJournals): a single append-only log multiplexing many SAs'
+	// durable counters, with group-committed fsyncs and crash recovery by
+	// replay. It is opened only as part of its medium.
 	Journal = store.Journal
-	// JournalOption configures a Journal.
-	JournalOption = store.JournalOption
-	// JournalCell is one key of a Journal viewed as a Store.
+	// JournalCell is one key of a Lanes medium viewed as a Store.
 	JournalCell = store.Cell
 	// SaverPool runs background SAVEs for many stores on bounded workers.
 	SaverPool = store.SaverPool
 	// PoolSaver is one store's BackgroundSaver handle onto a SaverPool.
 	PoolSaver = store.PoolSaver
-	// Medium is the durable multi-counter surface shared by *Journal (one
-	// commit lane) and *Lanes (many); GatewayConfig.Journal and the
-	// cluster's Config accept either.
-	Medium = store.Medium
-	// Lanes is the laned persistent medium: a directory of commit-lane
-	// journals under one manifest, routed by the SAD's SPI hash, with
-	// parallel group commits and concurrent crash recovery.
+	// Lanes is the durable multi-counter medium GatewayConfig.Journal and
+	// the cluster's Config take: a directory of commit-lane journals under
+	// one manifest, routed by the SAD's SPI hash, with parallel group
+	// commits and concurrent crash recovery. LanesCount(1) is the
+	// single-journal form.
 	Lanes = store.Lanes
 	// LanesOption configures OpenLanes.
 	LanesOption = store.LanesOption
@@ -36,7 +34,7 @@ type (
 	// corrupt frames dropped mid-log, and whether a torn tail was cut.
 	RecoveryStats = store.RecoveryStats
 	// Gateway is a multi-SA IPsec endpoint persisting every SA into one
-	// shared Journal through one shared SaverPool.
+	// shared Lanes medium through one shared SaverPool.
 	Gateway = ipsec.Gateway
 	// GatewayConfig configures a Gateway.
 	GatewayConfig = ipsec.GatewayConfig
@@ -54,85 +52,53 @@ var (
 	ErrCellClaimed = store.ErrCellClaimed
 )
 
-// NewJournal opens (or creates) the group-committed save journal at path,
-// recovering each key's counter as the maximum over its valid records and
-// discarding a torn tail.
-func NewJournal(path string, opts ...JournalOption) (*Journal, error) {
-	return store.OpenJournal(path, opts...)
-}
-
-// JournalWithoutSync disables every fsync in a Journal (measurement only;
-// a power loss may lose recent saves).
-func JournalWithoutSync() JournalOption { return store.JournalWithoutSync() }
-
-// JournalCompactAt sets the log size in bytes that triggers compaction to
-// one record per key; <= 0 disables compaction.
-func JournalCompactAt(n int64) JournalOption { return store.JournalCompactAt(n) }
-
-// JournalBatchDelay makes the group-commit syncer linger for d before its
-// fsync so more concurrent SAVEs share it; durability is unchanged, save
-// latency grows by up to d.
-func JournalBatchDelay(d time.Duration) JournalOption {
-	return store.JournalBatchDelay(d)
-}
-
-// JournalStrictRecovery refuses (ErrCorrupt) to open a journal whose first
-// bad frame is followed by valid records, instead of truncating it as a
-// torn tail; prefer it on storage without its own integrity checking.
-func JournalStrictRecovery() JournalOption { return store.JournalStrictRecovery() }
-
-// JournalCompactCells stores the tx/ and rx/ SA keys of the journal in a
-// packed fixed-width form in memory (the on-disk format is unchanged),
-// shrinking the per-SA footprint and speeding recovery; laned journals
-// enable it on every lane automatically.
-func JournalCompactCells() JournalOption { return store.JournalCompactCells() }
-
 // RecoveryDropped returns the process-wide count of corrupt mid-log regions
 // dropped during journal recovery — the loud replacement for silently
 // truncating at the first bad frame.
 func RecoveryDropped() uint64 { return store.RecoveryDropped() }
 
-// NewLanes opens (or creates) the laned journal medium rooted at dir: N
-// commit lanes, each its own group-committed journal file, fsyncing and
-// recovering in parallel. An existing directory's manifest fixes the lane
-// count; LanesCount applies only to a fresh one.
+// NewLanes opens (or creates) the journal medium rooted at dir: N commit
+// lanes, each its own group-committed journal file, fsyncing and recovering
+// in parallel; each key's counter recovers as the maximum over its valid
+// records and a torn tail is discarded. An existing directory's manifest
+// fixes the lane count; LanesCount applies only to a fresh one.
 func NewLanes(dir string, opts ...LanesOption) (*Lanes, error) {
 	return store.OpenLanes(dir, opts...)
 }
 
 // LanesCount sets the lane count for a fresh lane directory (power of two,
-// up to 1024; default 64, matching the SAD's stripes).
+// up to 1024; default 64, matching the SAD's stripes; 1 is the
+// single-journal form).
 func LanesCount(n int) LanesOption { return store.LanesCount(n) }
 
-// LanesWithoutSync disables every fsync in every lane; see
-// JournalWithoutSync.
+// LanesWithoutSync disables every fsync in the medium (measurement only; a
+// power loss may lose recent saves).
 func LanesWithoutSync() LanesOption { return store.LanesWithoutSync() }
 
-// LanesCompactAt sets each lane's compaction threshold; see
-// JournalCompactAt.
+// LanesCompactAt sets the log size in bytes at which a lane compacts to one
+// record per key; <= 0 disables compaction.
 func LanesCompactAt(n int64) LanesOption { return store.LanesCompactAt(n) }
 
-// LanesBatchDelay sets each lane's group-commit linger; see
-// JournalBatchDelay.
+// LanesBatchDelay makes each lane's group-commit syncer linger for d before
+// its fsync so more concurrent SAVEs share it; durability is unchanged, save
+// latency grows by up to d.
 func LanesBatchDelay(d time.Duration) LanesOption { return store.LanesBatchDelay(d) }
 
 // LanesTailBuffer sets each lane's retained-record window for replication
-// tails; see JournalTailBuffer.
+// tails (default 4096 records); a follower that falls behind it
+// resynchronizes by snapshot.
 func LanesTailBuffer(n int) LanesOption { return store.LanesTailBuffer(n) }
 
-// LanesStrictRecovery makes every lane refuse mid-log corruption instead of
-// dropping the damaged region; see JournalStrictRecovery.
+// LanesStrictRecovery refuses (ErrCorrupt) to open a lane whose first bad
+// frame is followed by valid records, instead of dropping the damaged
+// region; prefer it on storage without its own integrity checking.
 func LanesStrictRecovery() LanesOption { return store.LanesStrictRecovery() }
-
-// LanesSpread places lane files round-robin across dirs (one per device to
-// parallelize fsyncs across spindles); the manifest stays in the root dir.
-func LanesSpread(dirs ...string) LanesOption { return store.LanesSpread(dirs...) }
 
 // NewSaverPool starts a pool of background-save workers (<= 0 means
 // store.DefaultPoolWorkers).
 func NewSaverPool(workers int) *SaverPool { return store.NewSaverPool(workers) }
 
-// NewJournalSender builds a resilient sender whose counter lives in journal
+// NewJournalSender builds a resilient sender whose counter lives in medium
 // j under key. pool may be nil for synchronous saves; with a pool, saves
 // coalesce per key and group-commit across keys. The cell is claimed
 // exclusively (ErrCellClaimed on a key already owned — release with
@@ -142,7 +108,7 @@ func NewSaverPool(workers int) *SaverPool { return store.NewSaverPool(workers) }
 // enabled: pool queueing can push a counter more than 2K past its durable
 // value, and the horizon turns that reuse window into bounded backpressure
 // (Next returns ErrSaveLag until the save lands).
-func NewJournalSender(j *Journal, key string, k uint64, pool *SaverPool) (*Sender, error) {
+func NewJournalSender(j *Lanes, key string, k uint64, pool *SaverPool) (*Sender, error) {
 	cell, resume, err := claimJournalCell(j, key)
 	if err != nil {
 		return nil, fmt.Errorf("antireplay: journal sender %q: %w", key, err)
@@ -166,7 +132,7 @@ func NewJournalSender(j *Journal, key string, k uint64, pool *SaverPool) (*Sende
 // claimJournalCell claims key and reports whether a prior life's state is
 // present (the caller must then resume via Reset+Wake, not restart at the
 // initial counter). The claim is released if the fetch fails.
-func claimJournalCell(j *Journal, key string) (*JournalCell, bool, error) {
+func claimJournalCell(j *Lanes, key string) (*JournalCell, bool, error) {
 	cell, err := j.ClaimCell(key)
 	if err != nil {
 		return nil, false, err
@@ -180,12 +146,12 @@ func claimJournalCell(j *Journal, key string) (*JournalCell, bool, error) {
 }
 
 // NewJournalReceiver builds a resilient receiver whose window edge lives in
-// journal j under key, with a window of width w. pool may be nil for
+// medium j under key, with a window of width w. pool may be nil for
 // synchronous saves. Cell claiming and prior-state resumption work as in
 // NewJournalSender, and the strict durable horizon is enabled: delivery at
 // or beyond committed+2K is deferred (VerdictHorizon) until the lagging
 // save lands.
-func NewJournalReceiver(j *Journal, key string, k uint64, w int, pool *SaverPool) (*Receiver, error) {
+func NewJournalReceiver(j *Lanes, key string, k uint64, w int, pool *SaverPool) (*Receiver, error) {
 	cell, resume, err := claimJournalCell(j, key)
 	if err != nil {
 		return nil, fmt.Errorf("antireplay: journal receiver %q: %w", key, err)

@@ -6,11 +6,10 @@ import (
 )
 
 // Storage fault-domain types, re-exported from the implementation. The
-// storefault layer sits under every durable medium (FileStore, Journal,
-// Lanes): the media perform their filesystem operations through FaultFS, so
-// a scheduled Injector can fail an exact fsync, tear a write short, or break
-// a rename — the failure classes the lane-quarantine machinery exists to
-// contain.
+// storefault layer sits under every durable medium (FileStore, Lanes): the
+// media perform their filesystem operations through FaultFS, so a scheduled
+// Injector can fail an exact fsync, tear a write short, or break a rename —
+// the failure classes the lane-quarantine machinery exists to contain.
 type (
 	// FaultFS is the filesystem surface the durable media use; the default
 	// is the zero-cost OS passthrough, tests swap in a FaultInjector.
@@ -65,7 +64,7 @@ var (
 
 // NewFaultInjector wraps base (nil means the OS passthrough) with an empty
 // fault schedule; Arm faults on it and pass it to the media via
-// FileWithFS/JournalWithFS/LanesWithFS.
+// FileWithFS/LanesWithFS.
 func NewFaultInjector(base FaultFS) *FaultInjector {
 	return storefault.NewInjector(base)
 }
@@ -77,20 +76,14 @@ func OSFaultFS() FaultFS { return storefault.OS() }
 // FileWithFS routes a FileStore's filesystem operations through fsys.
 func FileWithFS(fsys FaultFS) FileStoreOption { return store.FileWithFS(fsys) }
 
-// JournalWithFS routes a Journal's filesystem operations through fsys.
-func JournalWithFS(fsys FaultFS) JournalOption { return store.JournalWithFS(fsys) }
-
-// JournalOnPoison registers a callback invoked once, with the sticky I/O
-// error, at the moment a journal poisons itself (fsync failure, unrescued
-// write failure, or a failed compaction publish).
-func JournalOnPoison(fn func(error)) JournalOption { return store.JournalOnPoison(fn) }
-
-// LanesWithFS routes every lane's filesystem operations through fsys.
+// LanesWithFS routes the medium's filesystem operations — every lane's and
+// the manifest's — through fsys.
 func LanesWithFS(fsys FaultFS) LanesOption { return store.LanesWithFS(fsys) }
 
 // LanesOnPoison registers a callback invoked once per lane quarantine with
-// the lane index and the sticky error — the hook the telemetry layer's lane
-// fault events hang off.
+// the lane index and the sticky error, at the moment the lane poisons
+// itself (fsync failure, unrescued write failure, or a failed compaction
+// publish) — the hook the telemetry layer's lane fault events hang off.
 func LanesOnPoison(fn func(lane int, err error)) LanesOption {
 	return store.LanesOnPoison(fn)
 }

@@ -213,7 +213,7 @@ func main() {
 		leap     = flag.Float64("leap", 0, "leap factor override (0 = paper's 2)")
 		rekeyN   = flag.Uint64("rekey-every", 0, "roll the SA over every n delivered packets on a gateway pair (0 = plain flow mode)")
 		failN    = flag.Uint64("failover-every", 0, "crash the receiver gateway and promote its cluster standby every n delivered packets (0 = no cluster)")
-		lanesN   = flag.Int("lanes", 1, "journal commit lanes per node in the gateway modes (>1 opens the laned medium)")
+		lanesN   = flag.Int("lanes", 1, "journal commit lanes per node in the gateway modes")
 		sasN     = flag.Int("sas", 1, "total inbound SAs on the cluster node in failover mode (extras spread across lanes and wake on every takeover)")
 		trans    = flag.String("transport", "mem", "gateway-mode wire transport: mem (in-process) or udp (real UDP-encapsulated loopback sockets)")
 		campaign = flag.String("campaign", "", "run one stealth-DoS campaign (baseline + hardened rows) and exit: window_edge, save_storm, rekey_cutover, or blackout_flood")

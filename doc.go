@@ -48,10 +48,11 @@
 // host-level association with automatic recovery and rekeying.
 //
 // At gateway scale the per-SA file-and-goroutine pattern does not hold up:
-// a Journal multiplexes every SA's counter into one append-only log with
-// group-committed fsyncs, a SaverPool bounds the background-save workers,
-// and Gateway binds a lock-striped SAD and an SPD to both (see README.md,
-// "Journal design notes").
+// a Lanes medium (NewLanes) multiplexes every SA's counter into append-only
+// journal lanes with group-committed fsyncs — one log file with
+// LanesCount(1), 64 by default — a SaverPool bounds the background-save
+// workers, and Gateway binds a lock-striped SAD and an SPD to both (see
+// README.md, "Journal design notes").
 //
 // The per-packet datapath is concurrency-first. A Receiver left to build
 // its own window (ReceiverConfig.Window nil) gets a Linux-xfrm/WireGuard-
@@ -74,16 +75,16 @@
 // removes the assumption by never delivering at or beyond committed+leap,
 // making the no-duplicate-delivery guarantee unconditional.
 //
-// For high availability a Standby replicates a gateway's Journal into a
-// follower journal (snapshot-then-tail over the committed record stream,
-// registered as the journal's sync follower so replication joins fsync in
-// the durability contract) and keeps a warm, down-state image of the SA
-// population (Gateway.Snapshot / Standby.Mirror). Standby.Takeover is the
-// epoch-fenced promotion: fence the deposed journal, drain the stream,
-// durably bump the cluster epoch, and wake every SA from its replicated
-// counter — the paper's wake-up, pointed at the replica, so the no-reuse
-// and no-replay guarantees carry over to failover verbatim (see README.md,
-// "High availability").
+// For high availability a Standby replicates a gateway's Lanes into a
+// follower medium, lane to lane (snapshot-then-tail over the committed
+// record stream, registered as each lane's sync follower so replication
+// joins fsync in the durability contract) and keeps a warm, down-state
+// image of the SA population (Gateway.Snapshot / Standby.Mirror).
+// Standby.Takeover is the epoch-fenced promotion: fence the deposed medium,
+// drain the stream, durably bump the cluster epoch, and wake every SA from
+// its replicated counter — the paper's wake-up, pointed at the replica, so
+// the no-reuse and no-replay guarantees carry over to failover verbatim
+// (see README.md, "High availability").
 //
 // Everything is deterministic under the simulation engine (Engine,
 // SimSaver) used by the experiment harness that regenerates the paper's

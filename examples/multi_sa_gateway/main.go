@@ -65,8 +65,8 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	journal, err := antireplay.NewJournal(filepath.Join(dir, "gateway.journal"),
-		antireplay.JournalBatchDelay(200*time.Microsecond))
+	journal, err := antireplay.NewLanes(filepath.Join(dir, "gateway.journal"),
+		antireplay.LanesCount(1), antireplay.LanesBatchDelay(200*time.Microsecond))
 	if err != nil {
 		log.Fatal(err)
 	}

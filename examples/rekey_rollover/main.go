@@ -50,7 +50,7 @@ func ikeCfg(seed int64, id string) antireplay.IKEConfig {
 }
 
 func gateway(dir, name string, life antireplay.Lifetime) *antireplay.Gateway {
-	j, err := antireplay.NewJournal(filepath.Join(dir, name+".journal"))
+	j, err := antireplay.NewLanes(filepath.Join(dir, name+".journal"), antireplay.LanesCount(1))
 	if err != nil {
 		log.Fatal(err)
 	}

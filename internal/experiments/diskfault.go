@@ -174,7 +174,7 @@ func newDiskPair(cfg DiskfaultConfig, laneCount, perLane int, sync bool, opts ..
 	if err != nil {
 		return nil, err
 	}
-	p.Pair, p.lanes = pair, pair.B.Medium.(*store.Lanes)
+	p.Pair, p.lanes = pair, pair.B.Medium
 
 	// Probe SPIs through the victim's lane hash until every lane hosts
 	// perLane SAs: the traffic then exercises each fault domain, and

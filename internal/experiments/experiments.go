@@ -196,7 +196,7 @@ func All() []Runner {
 			}
 			return Failover(cfg)
 		}},
-		{ID: "scale", Paper: "extension, single-shot: journal lanes at million-SA scale (concurrent recovery, compact cells, per-SA heap)", Run: func(fast bool) (*Table, error) {
+		{ID: "scale", Paper: "extension, single-shot: journal lanes at million-SA scale (64-way SAVE, concurrent recovery of packed cells, per-SA heap; the one-lane-vs-64 recovery gap closed by construction)", Run: func(fast bool) (*Table, error) {
 			cfg := DefaultScaleConfig()
 			if fast {
 				cfg.Cells = 50_000

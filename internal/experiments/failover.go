@@ -29,9 +29,8 @@ type FailoverConfig struct {
 	PacketsPerPhase int
 	// K is the SAVE interval of every SA.
 	K uint64
-	// Lanes is the number of journal commit lanes per node; <= 1 runs the
-	// single-file journal. With more, every node's medium is a laned
-	// journal and replication runs lane-to-lane.
+	// Lanes is the number of journal commit lanes per node (replication
+	// runs lane-to-lane); <= 1 runs the single-journal form.
 	Lanes int
 }
 

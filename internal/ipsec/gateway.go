@@ -13,10 +13,10 @@ import (
 
 // GatewayConfig configures a Gateway.
 type GatewayConfig struct {
-	// Journal is the shared durable medium for every SA's counter —
-	// a *store.Journal for a single commit lane, or a *store.Lanes for
-	// the laned, million-SA-scale medium. Required.
-	Journal store.Medium
+	// Journal is the shared durable medium for every SA's counter: one
+	// lane (store.LanesCount(1)) for a small tunnel endpoint, 64 for a
+	// million-SA gateway. Required.
+	Journal *store.Lanes
 	// Pool executes the SAs' background SAVEs. Nil creates a pool of
 	// Workers workers owned (drained and stopped) by the gateway. A
 	// caller-provided pool is not closed by the gateway: close it before
@@ -59,12 +59,12 @@ type GatewayConfig struct {
 const DefaultGatewayK = 25
 
 // Gateway is a multi-SA IPsec endpoint whose every security association
-// persists its counter into one shared Journal through one shared
+// persists its counter into one shared store.Lanes through one shared
 // SaverPool: the gateway-scale deployment of the paper's SAVE/FETCH
 // protocol. Where the one-file-one-goroutine-per-SA pattern costs a file
 // descriptor, a goroutine, and a private fsync stream per tunnel, a Gateway
-// holds one log file and a bounded worker pool, and concurrent SAVEs across
-// SAs group-commit under shared fsyncs.
+// holds one log file a lane and a bounded worker pool, and concurrent SAVEs
+// across SAs group-commit under shared fsyncs.
 //
 // Outbound SAs register into an SPD keyed by traffic selectors; inbound SAs
 // into a lock-striped SAD keyed by SPI. ResetAll / WakeAll drive the
@@ -633,7 +633,7 @@ func (g *Gateway) SAD() *SAD { return g.sad }
 func (g *Gateway) SPD() *SPD { return g.spd }
 
 // Journal exposes the shared durable medium.
-func (g *Gateway) Journal() store.Medium { return g.cfg.Journal }
+func (g *Gateway) Journal() *store.Lanes { return g.cfg.Journal }
 
 // Degraded returns the quarantined commit-lane indices of the gateway's
 // medium — lanes whose journal an I/O failure poisoned — in lane order, or
@@ -644,15 +644,7 @@ func (g *Gateway) Journal() store.Medium { return g.cfg.Journal }
 // lane's SAs run at full speed. After the lane is repaired
 // (store.Lanes.RepairLane or cluster.Standby.RepairSourceLane), WakeAll
 // resumes the stalled SAs through the usual FETCH + leap + SAVE.
-func (g *Gateway) Degraded() []int {
-	var out []int
-	for i, j := range g.cfg.Journal.LaneJournals() {
-		if j.Poisoned() != nil {
-			out = append(out, i)
-		}
-	}
-	return out
-}
+func (g *Gateway) Degraded() []int { return g.cfg.Journal.Quarantined() }
 
 // ResetAll crashes every SA's endpoint, as a machine reset would: all
 // volatile counters and windows are lost; the journal survives.

@@ -179,12 +179,12 @@ func TestSADRange(t *testing.T) {
 	}
 }
 
-func testGateway(t *testing.T, opts ...store.JournalOption) (*Gateway, string) {
+func testGateway(t *testing.T, opts ...store.LanesOption) (*Gateway, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "gw.journal")
-	j, err := store.OpenJournal(path, opts...)
+	j, err := store.OpenLanes(path, append([]store.LanesOption{store.LanesCount(1)}, opts...)...)
 	if err != nil {
-		t.Fatalf("OpenJournal: %v", err)
+		t.Fatalf("OpenLanes: %v", err)
 	}
 	// Cleanups run after the test body's deferred g.Close has drained the
 	// owned pool.
@@ -367,9 +367,9 @@ func TestGatewayResetRecovery(t *testing.T) {
 // the first life's, so no SA ever reuses a sequence number.
 func TestGatewayRecoveryFromDisk(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "gw.journal")
-	j, err := store.OpenJournal(path)
+	j, err := store.OpenLanes(path, store.LanesCount(1))
 	if err != nil {
-		t.Fatalf("OpenJournal: %v", err)
+		t.Fatalf("OpenLanes: %v", err)
 	}
 	g, err := NewGateway(GatewayConfig{Journal: j, K: 5})
 	if err != nil {
@@ -395,7 +395,7 @@ func TestGatewayRecoveryFromDisk(t *testing.T) {
 		t.Fatalf("journal Close: %v", err)
 	}
 
-	j2, err := store.OpenJournal(path)
+	j2, err := store.OpenLanes(path, store.LanesCount(1))
 	if err != nil {
 		t.Fatalf("reopen journal: %v", err)
 	}
@@ -455,9 +455,9 @@ func TestGatewayAddAfterClose(t *testing.T) {
 // both own an SPI's cell.
 func TestGatewayDuplicateSPIAcrossGateways(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "shared.journal")
-	j, err := store.OpenJournal(path)
+	j, err := store.OpenLanes(path, store.LanesCount(1))
 	if err != nil {
-		t.Fatalf("OpenJournal: %v", err)
+		t.Fatalf("OpenLanes: %v", err)
 	}
 	defer j.Close()
 	g1, err := NewGateway(GatewayConfig{Journal: j, K: 5})
@@ -605,7 +605,7 @@ func TestGatewayWakeAllCommitsPerLane(t *testing.T) {
 // queued; events records what OnLifecycle saw.
 type wakeAllFixture struct {
 	g       *Gateway
-	j       *store.Journal
+	j       *store.Lanes
 	release func()
 	wait    func(n int)
 	mu      sync.Mutex
@@ -614,9 +614,9 @@ type wakeAllFixture struct {
 
 func newWakeAllFixture(t *testing.T, pairs int) *wakeAllFixture {
 	t.Helper()
-	j, err := store.OpenJournal(filepath.Join(t.TempDir(), "gw.journal"))
+	j, err := store.OpenLanes(filepath.Join(t.TempDir(), "gw.journal"), store.LanesCount(1))
 	if err != nil {
-		t.Fatalf("OpenJournal: %v", err)
+		t.Fatalf("OpenLanes: %v", err)
 	}
 	t.Cleanup(func() { j.Close() })
 	pool := store.NewSaverPool(0)

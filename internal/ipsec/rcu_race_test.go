@@ -26,7 +26,7 @@ import (
 //     generations, under any interleaving of cutovers and lookups.
 func TestRaceRCUDatapath(t *testing.T) {
 	watchdog.Arm(t, 10*time.Second)
-	j, err := store.OpenJournal(filepath.Join(t.TempDir(), "j.log"), store.JournalWithoutSync())
+	j, err := store.OpenLanes(filepath.Join(t.TempDir(), "j.log"), store.LanesCount(1), store.LanesWithoutSync())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,9 +20,9 @@ import (
 // the journal is closed by test cleanup after the gateway.
 func batchGateway(t *testing.T, cfg GatewayConfig) *Gateway {
 	t.Helper()
-	j, err := store.OpenJournal(filepath.Join(t.TempDir(), "gw.journal"))
+	j, err := store.OpenLanes(filepath.Join(t.TempDir(), "gw.journal"), store.LanesCount(1))
 	if err != nil {
-		t.Fatalf("OpenJournal: %v", err)
+		t.Fatalf("OpenLanes: %v", err)
 	}
 	t.Cleanup(func() { j.Close() })
 	cfg.Journal = j

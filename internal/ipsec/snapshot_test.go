@@ -26,7 +26,7 @@ func snapTestSelector(i int) Selector {
 }
 
 func TestGatewaySnapshotCapturesPopulation(t *testing.T) {
-	j, err := store.OpenJournal(filepath.Join(t.TempDir(), "gw.log"), store.JournalWithoutSync())
+	j, err := store.OpenLanes(filepath.Join(t.TempDir(), "gw.log"), store.LanesCount(1), store.LanesWithoutSync())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,12 +80,12 @@ func TestGatewaySnapshotCapturesPopulation(t *testing.T) {
 
 func TestGatewayAdoptBuildsDownImageAndWakes(t *testing.T) {
 	dir := t.TempDir()
-	jp, err := store.OpenJournal(filepath.Join(dir, "primary.log"), store.JournalWithoutSync())
+	jp, err := store.OpenLanes(filepath.Join(dir, "primary.log"), store.LanesCount(1), store.LanesWithoutSync())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer jp.Close()
-	jf, err := store.OpenJournal(filepath.Join(dir, "follower.log"), store.JournalWithoutSync())
+	jf, err := store.OpenLanes(filepath.Join(dir, "follower.log"), store.LanesCount(1), store.LanesWithoutSync())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestGatewayAdoptBuildsDownImageAndWakes(t *testing.T) {
 	for k, v := range jp.Values() {
 		recs = append(recs, store.TailRecord{Key: k, Val: v})
 	}
-	if err := jf.Apply(recs); err != nil {
+	if err := jf.LaneJournals()[0].Apply(recs); err != nil {
 		t.Fatal(err)
 	}
 
@@ -176,7 +176,7 @@ func TestGatewayAdoptBuildsDownImageAndWakes(t *testing.T) {
 }
 
 func TestGatewayAdoptForgetsWithoutTombstone(t *testing.T) {
-	j, err := store.OpenJournal(filepath.Join(t.TempDir(), "gw.log"), store.JournalWithoutSync())
+	j, err := store.OpenLanes(filepath.Join(t.TempDir(), "gw.log"), store.LanesCount(1), store.LanesWithoutSync())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestGatewayAdoptForgetsWithoutTombstone(t *testing.T) {
 	}
 	// Simulate the replication stream having delivered a counter for the
 	// adopted cell.
-	if err := j.Apply([]store.TailRecord{{Key: InboundKey(0x21), Val: 500}}); err != nil {
+	if err := j.LaneJournals()[0].Apply([]store.TailRecord{{Key: InboundKey(0x21), Val: 500}}); err != nil {
 		t.Fatal(err)
 	}
 	// The SA leaves the population: the claim is released but the cell's

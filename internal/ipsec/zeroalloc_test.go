@@ -99,7 +99,7 @@ func TestZeroAllocOpenAppend(t *testing.T) {
 func TestZeroAllocGatewayVerifyBatchInto(t *testing.T) {
 	skipUnderRace(t)
 	dir := t.TempDir()
-	j, err := store.OpenJournal(dir+"/j.log", store.JournalWithoutSync())
+	j, err := store.OpenLanes(dir+"/j.log", store.LanesCount(1), store.LanesWithoutSync())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestZeroAllocGatewayVerifyBatchInto(t *testing.T) {
 
 func newInstrumentedGateway(t *testing.T) (*Gateway, *telemetry.Registry) {
 	t.Helper()
-	j, err := store.OpenJournal(t.TempDir()+"/j.log", store.JournalWithoutSync())
+	j, err := store.OpenLanes(t.TempDir()+"/j.log", store.LanesCount(1), store.LanesWithoutSync())
 	if err != nil {
 		t.Fatal(err)
 	}

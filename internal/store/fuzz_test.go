@@ -2,6 +2,9 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -64,7 +67,7 @@ func fuzzJournalBytes(f *testing.F, recs map[string]uint64) []byte {
 	}
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "seed.journal")
-	j, err := OpenJournal(path, JournalWithoutSync())
+	j, err := openLane(path, LanesWithoutSync())
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -87,7 +90,10 @@ func fuzzJournalBytes(f *testing.F, recs map[string]uint64) []byte {
 // the frame decoder the stealth-reset story leans on hardest (a crashed
 // gateway trusts whatever this parser accepts). Invariants:
 //
-//   - OpenJournal never panics, whatever the file holds;
+//   - openLane never panics, whatever the file holds;
+//   - a refused open leaves the file byte-identical on disk, and a header
+//     with the right magic and any version but the current one — the
+//     retired IEEE-CRC version 1 is seeded — is refused with ErrCorrupt;
 //   - a frame parseFrame accepts re-encodes canonically to the exact
 //     bytes it was decoded from (accepting a non-canonical or truncated
 //     frame would let crafted corruption alias a different record);
@@ -106,16 +112,18 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte("ARJL"))
 	f.Add([]byte{})
+	// A version-1 file as the retired format wrote it: same frame layout,
+	// IEEE checksum.
+	v1 := binary.BigEndian.AppendUint16([]byte(journalMagic), 1)
+	frame := append(binary.BigEndian.AppendUint64([]byte{0, 4}, 41), "tx/a"...)
+	f.Add(binary.BigEndian.AppendUint32(append(append(v1, 0, 0), frame...), crc32.ChecksumIEEE(frame)))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		// Property 1: canonical re-encode of any accepted frame, in both
-		// on-disk format versions.
-		for _, ver := range []uint16{journalVersion1, journalVersion} {
-			if key, v, del, n, ok := parseFrame(ver, raw); ok {
-				re := appendRecord(ver, nil, string(key), v, del)
-				if !bytes.Equal(re, raw[:n]) {
-					t.Fatalf("ver %d: accepted frame is not canonical:\n got  % x\n want % x", ver, raw[:n], re)
-				}
+		// Property 1: canonical re-encode of any accepted frame.
+		if key, v, del, n, ok := parseFrame(raw); ok {
+			re := appendRecord(nil, string(key), v, del)
+			if !bytes.Equal(re, raw[:n]) {
+				t.Fatalf("accepted frame is not canonical:\n got  % x\n want % x", raw[:n], re)
 			}
 		}
 
@@ -125,12 +133,21 @@ func FuzzJournalReplay(f *testing.F) {
 		if err := os.WriteFile(path, raw, 0o600); err != nil {
 			t.Skip()
 		}
-		j, err := OpenJournal(path, JournalWithoutSync())
+		j, err := openLane(path, LanesWithoutSync())
+		otherVersion := len(raw) >= journalHeaderLen && string(raw[:4]) == journalMagic &&
+			binary.BigEndian.Uint16(raw[4:6]) != journalVersion
+		if otherVersion && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("open of a version-%d journal = %v, want ErrCorrupt", binary.BigEndian.Uint16(raw[4:6]), err)
+		}
 		if err != nil {
-			return // rejected: fine
+			// Rejected: fine, as long as nothing was written.
+			if onDisk, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(onDisk, raw) {
+				t.Fatalf("refused open (%v) modified the file (read err %v):\n got  % x\n want % x", err, rerr, onDisk, raw)
+			}
+			return
 		}
 		j.mu.Lock()
-		before := j.valsSnapshot()
+		before := j.valuesInto(map[string]uint64{})
 		j.mu.Unlock()
 		if err := j.Cell("fz/probe").Save(42); err != nil {
 			t.Fatalf("opened journal refuses a save: %v", err)
@@ -138,13 +155,13 @@ func FuzzJournalReplay(f *testing.F) {
 		if err := j.Close(); err != nil {
 			t.Fatalf("close: %v", err)
 		}
-		j2, err := OpenJournal(path, JournalWithoutSync())
+		j2, err := openLane(path, LanesWithoutSync())
 		if err != nil {
 			t.Fatalf("reopen after append: %v", err)
 		}
 		defer j2.Close()
 		j2.mu.Lock()
-		after := j2.valsSnapshot()
+		after := j2.valuesInto(map[string]uint64{})
 		j2.mu.Unlock()
 		if after["fz/probe"] != 42 {
 			t.Fatalf("saved record lost across reopen: %v", after["fz/probe"])

@@ -20,9 +20,9 @@ import (
 
 // Journal file layout (big endian):
 //
-//	header:  4 bytes magic "ARJL" | 2 bytes version (1) | 2 bytes reserved
+//	header:  4 bytes magic "ARJL" | 2 bytes version (2) | 2 bytes reserved
 //	record:  2 bytes flags|key length | 8 bytes value | key |
-//	         4 bytes CRC-32 (IEEE) of the preceding 10+n bytes
+//	         4 bytes CRC-32C (Castagnoli) of the preceding 10+n bytes
 //
 // The top bit of the length field marks a tombstone (the key's counter has
 // been retired — an SA removed or rekeyed away); the low 15 bits are the key
@@ -34,17 +34,13 @@ import (
 // every earlier record intact — exactly the persistent-memory property the
 // paper assumes of SAVE.
 //
-// Version 1 frames checksum with CRC-32 (IEEE); version 2 frames are
-// identical except the checksum is CRC-32C (Castagnoli), which commodity
-// x86/arm64 compute in hardware — the per-record CRC then costs a few
-// nanoseconds instead of a table walk, which matters at millions of saves
-// per second. New journals are created at version 2; a journal opened at
-// version 1 keeps appending (and compacting) version-1 frames forever, so
-// existing logs never mix checksum kinds.
+// The checksum is CRC-32C, which commodity x86/arm64 compute in hardware:
+// the per-record CRC costs a few nanoseconds instead of a table walk, which
+// matters at millions of saves per second. Any other header version is
+// refused with ErrCorrupt before a byte of the file is written.
 const (
 	journalMagic     = "ARJL"
 	journalVersion   = 2
-	journalVersion1  = 1
 	journalHeaderLen = 8
 	journalTombstone = 1 << 15
 	journalMaxKey    = journalTombstone - 1
@@ -54,21 +50,16 @@ const (
 // instruction where available.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// journalCRC returns the frame checksum for the given format version.
-func journalCRC(ver uint16, b []byte) uint32 {
-	if ver == journalVersion1 {
-		return crc32.ChecksumIEEE(b)
-	}
-	return crc32.Checksum(b, castagnoli)
-}
+// journalCRC returns a frame's checksum.
+func journalCRC(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 
-// DefaultCompactAt is the log size, in bytes, at which a Journal compacts
+// DefaultCompactAt is the log size, in bytes, at which a lane compacts
 // itself to one record per key.
 const DefaultCompactAt = 1 << 20
 
-// Journal is a single durable medium multiplexing many named counters: one
-// append-only, CRC-framed log file shared by every SA of a gateway, instead
-// of one file + one fsync stream per SA.
+// Journal is one commit lane of a Lanes medium, and exists only as that: one
+// append-only, CRC-framed log file multiplexing the named counters of every
+// SA routed to the lane, instead of one file + one fsync stream per SA.
 //
 // Save runs a pipelined group commit. The caller encodes its record frame
 // outside any lock (a stack buffer; appendRecord allocates nothing), then
@@ -85,7 +76,7 @@ const DefaultCompactAt = 1 << 20
 // tombstone the same way, retiring a key when its SA is removed or rekeyed
 // away.
 //
-// Recovery (OpenJournal) replays the log in order — keeping the maximum
+// Recovery (at OpenLanes) replays the log in order — keeping the maximum
 // value per key since the key's last tombstone — tolerates a torn tail (the
 // record a reset interrupted fails its CRC and is discarded), and truncates
 // the tail away so appends resume from a clean frame. When the log outgrows
@@ -94,7 +85,7 @@ const DefaultCompactAt = 1 << 20
 // uses.
 //
 // Cell projects one key as a store.Store, so core.Sender / core.Receiver
-// run unchanged over a shared journal; the paper's per-key guarantees (2K
+// run unchanged over a shared lane; the paper's per-key guarantees (2K
 // leap coverage, no replay acceptance) are preserved because each key's
 // record stream is independent and monotone.
 //
@@ -108,37 +99,35 @@ type Journal struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	f  storefault.File
-	fs storefault.FS // filesystem all journal I/O goes through (storefault.OS default)
-	// vals holds generic string-keyed counters. With the compact-cell
-	// representation (JournalCompactCells) the fixed-width SA keys —
-	// "tx/xxxxxxxx" and "rx/xxxxxxxx" — live in pvals instead, packed into
-	// one uint64 each: no per-key string header, no per-record string
-	// allocation on replay, and cheaper map operations at million-SA scale.
+	f storefault.File
+	// The fixed-width SA keys — "tx/xxxxxxxx" and "rx/xxxxxxxx" — live in
+	// pvals (and their claims in pclaims), packed into one uint64 each: no
+	// per-key string header, no per-record string allocation on replay, and
+	// cheaper map operations at million-SA scale. Every other key (the
+	// cluster epoch, a probe cell) lives in the string-keyed vals/claims.
 	// Every access goes through getVal/putVal/delVal, so the split is
-	// invisible outside this file; the on-disk format is identical either
-	// way (packed keys are re-encoded as their exact 11-byte names).
-	vals     map[string]uint64
-	pvals    map[uint64]uint64
-	claims   map[string]bool
-	pclaims  map[uint64]bool
-	logSize  int64
-	snapSize int64 // what a one-record-per-key snapshot would occupy
+	// invisible outside this file, and on disk a packed key is its exact
+	// 11-byte name.
+	vals        map[string]uint64
+	pvals       map[uint64]uint64
+	claims      map[string]bool
+	pclaims     map[uint64]bool
+	logSize     int64
+	snapSize    int64 // what a one-record-per-key snapshot would occupy
 	closed      bool
 	ioErr       error // sticky append-path write error (poison; see poisonLocked)
 	poisonFired bool  // onPoison already notified for the current poison
 	fenceErr    error // sticky cluster fence; appends refused (see Fence)
-	recovery RecoveryStats
+	recovery    RecoveryStats
 
 	// Replication state (see tail.go). tail is a ring of the most recent
-	// records of the logical append stream — bounded by tailCap — so
+	// records of the logical append stream — bounded by cfg.tailCap — so
 	// attached Tails can ship them; tailMin is the sequence number of the
 	// ring's first record. syncTail, when set, gates save acknowledgment on
 	// the follower's applied position.
 	tails    map[*Tail]bool
 	tail     tailRing
 	tailMin  uint64
-	tailCap  int
 	syncTail *Tail
 
 	// Commit-pipeline state. Every staged record gets a sequence number; a
@@ -156,15 +145,8 @@ type Journal struct {
 	failedSeq uint64
 	syncErr   error
 
-	// Options.
-	sync           bool
-	compactAt      int64
-	batchDelay     time.Duration
-	strictRecovery bool
-	compactCells   bool
-	onPoison       func(error) // fired once per poisoning, mu held; see JournalOnPoison
-	lane           int         // lane index within a Lanes group; -1 standalone
-	ver            uint16      // on-disk format version; fixes the frame CRC kind
+	cfg  *lanesConfig // the medium's options, shared by its lanes; read-only
+	lane int          // lane index within the Lanes medium
 
 	// Counters.
 	appends     uint64
@@ -217,101 +199,7 @@ func (r *tailRing) drop(k int) {
 	r.n -= k
 }
 
-// JournalOption configures a Journal.
-type JournalOption func(*Journal)
-
-// JournalWithoutSync disables every fsync in the journal (group commits and
-// compaction). As with File's WithoutSync, a power loss may then lose
-// recent saves; a process crash may not.
-func JournalWithoutSync() JournalOption {
-	return func(j *Journal) { j.sync = false }
-}
-
-// JournalCompactAt sets the log size, in bytes, that triggers compaction.
-// Values <= 0 disable compaction.
-func JournalCompactAt(n int64) JournalOption {
-	return func(j *Journal) { j.compactAt = n }
-}
-
-// JournalBatchDelay makes the group-commit syncer linger for d before
-// issuing its fsync, letting more concurrent SAVEs join the batch — the
-// classic commit-delay knob of write-ahead logs. Durability is unchanged
-// (every Save still returns only after its record is fsynced); each save's
-// latency grows by up to d. Zero (the default) commits eagerly.
-func JournalBatchDelay(d time.Duration) JournalOption {
-	return func(j *Journal) { j.batchDelay = d }
-}
-
-// DefaultTailBuffer is the number of recent records a Journal retains for
-// tailing readers when JournalTailBuffer is not given.
-const DefaultTailBuffer = 1 << 12
-
-// JournalTailBuffer sets the retained-record window for tailing readers
-// (Follow): at least n recent records stay available, and the buffer is
-// trimmed back to n once it reaches 2n (amortizing the trim to O(1) per
-// append). A reader that falls behind the window resynchronizes by
-// snapshot-then-tail (ErrTailLagged), so the buffer bounds replication
-// memory, not correctness. Values < 1 are clamped to 1.
-func JournalTailBuffer(n int) JournalOption {
-	return func(j *Journal) {
-		if n < 1 {
-			n = 1
-		}
-		j.tailCap = n
-	}
-}
-
-// JournalStrictRecovery makes OpenJournal refuse (ErrCorrupt) when
-// CRC-valid records follow the first bad frame, instead of truncating
-// everything from the bad frame as a torn tail. Truncation is always safe
-// for crash tears (the dropped records' SAVEs never completed), but it
-// silently rolls a counter back if an already-durable record is later
-// damaged by the medium itself; strict recovery surfaces that case, at the
-// price of refusing some legitimate multi-record power-loss tails whose
-// later pages persisted before earlier ones. Prefer it on storage without
-// its own integrity checking.
-func JournalStrictRecovery() JournalOption {
-	return func(j *Journal) { j.strictRecovery = true }
-}
-
-// JournalCompactCells switches the journal to the compact cell
-// representation: the fixed-width SA keys ("tx/" and "rx/" plus eight hex
-// digits) are held packed into one machine word each instead of as
-// individual heap strings, and replay decodes them straight from the log
-// bytes with no per-record allocation. At a million SAs this cuts both the
-// resident footprint of the key population and — by roughly 4x on commodity
-// hardware — the cold-start replay time, which is why Lanes enables it on
-// every lane. The on-disk format is unchanged (keys are re-encoded as their
-// exact 11-byte names), so a journal can move between representations
-// freely; keys outside the SA namespaces keep the generic string path.
-func JournalCompactCells() JournalOption {
-	return func(j *Journal) { j.compactCells = true }
-}
-
-// JournalWithFS routes every filesystem operation of the journal — recovery
-// reads, appends, fsyncs, compaction's temp/rename dance — through fsys
-// instead of the default passthrough (storefault.OS). This is where a fault
-// schedule (storefault.Injector) plugs in: the hot path pays one interface
-// dispatch per write/sync either way, so the zero-alloc gates hold with or
-// without an injector installed. A nil fsys keeps the default.
-func JournalWithFS(fsys storefault.FS) JournalOption {
-	return func(j *Journal) {
-		if fsys != nil {
-			j.fs = fsys
-		}
-	}
-}
-
-// JournalOnPoison registers a hook fired exactly once per poisoning: when a
-// commit failure (or a failed Close flush) marks the journal permanently
-// unusable, fn receives the sticky error. The hook runs with the journal
-// mutex held, so it must not call back into the journal — record an event,
-// bump a gauge, notify a quarantine manager. A successful Repair re-arms it.
-func JournalOnPoison(fn func(error)) JournalOption {
-	return func(j *Journal) { j.onPoison = fn }
-}
-
-// RecoveryStats reports what one OpenJournal replay found: how many
+// RecoveryStats reports what one lane's open-time replay found: how many
 // CRC-valid frames were applied, how many damaged regions were skipped
 // (each region is one or more frames whose original boundaries are
 // unknowable, so it counts once), and whether a torn tail was truncated.
@@ -340,29 +228,23 @@ func (j *Journal) RecoveryStats() RecoveryStats {
 	return j.recovery
 }
 
-// OpenJournal opens (or creates) the journal at path and recovers its state
-// by replaying the log: the value of each key is the maximum over its valid
+// openJournal opens (or creates) lane's log at path and recovers its state
+// by replaying it: the value of each key is the maximum over its valid
 // records, a damaged mid-log region is skipped (see RecoveryStats), and a
 // torn or corrupt tail is truncated away. A corrupt header returns
 // ErrCorrupt.
-func OpenJournal(path string, opts ...JournalOption) (*Journal, error) {
+func openJournal(path string, lane int, cfg *lanesConfig) (*Journal, error) {
 	j := &Journal{
-		path:      path,
-		fs:        storefault.OS(),
-		vals:      make(map[string]uint64),
-		sync:      true,
-		compactAt: DefaultCompactAt,
-		tailCap:   DefaultTailBuffer,
-		snapSize:  journalHeaderLen,
-		lane:      -1,
+		path:     path,
+		cfg:      cfg,
+		lane:     lane,
+		vals:     make(map[string]uint64),
+		pvals:    make(map[uint64]uint64),
+		claims:   make(map[string]bool),
+		pclaims:  make(map[uint64]bool),
+		snapSize: journalHeaderLen,
 	}
 	j.cond = sync.NewCond(&j.mu)
-	for _, o := range opts {
-		o(j)
-	}
-	if j.compactCells {
-		j.pvals = make(map[uint64]uint64)
-	}
 	if err := j.recover(); err != nil {
 		return nil, err
 	}
@@ -381,7 +263,7 @@ func (j *Journal) sweepStaleTemps() {
 		return
 	}
 	for _, p := range stale {
-		_ = j.fs.Remove(p)
+		_ = j.cfg.fs.Remove(p)
 	}
 }
 
@@ -451,47 +333,40 @@ func unpackKey(pk uint64) string {
 	return string(b[:])
 }
 
-// getVal looks up key in whichever representation holds it (mu held).
-func (j *Journal) getVal(key string) (uint64, bool) {
-	if j.compactCells {
-		if pk, ok := packKey(key); ok {
-			v, ok2 := j.pvals[pk]
-			return v, ok2
-		}
+// getVal looks up key in the table that owns it (mu held).
+func (j *Journal) getVal(key string) (v uint64, ok bool) {
+	if pk, packed := packKey(key); packed {
+		v, ok = j.pvals[pk]
+	} else {
+		v, ok = j.vals[key]
 	}
-	v, ok := j.vals[key]
 	return v, ok
 }
 
-// putVal stores key=v in whichever representation owns the key (mu held).
+// putVal stores key=v in the table that owns the key (mu held).
 func (j *Journal) putVal(key string, v uint64) {
-	if j.compactCells {
-		if pk, ok := packKey(key); ok {
-			j.pvals[pk] = v
-			return
-		}
+	if pk, packed := packKey(key); packed {
+		j.pvals[pk] = v
+	} else {
+		j.vals[key] = v
 	}
-	j.vals[key] = v
 }
 
-// delVal erases key from whichever representation owns it (mu held).
+// delVal erases key from the table that owns it (mu held).
 func (j *Journal) delVal(key string) {
-	if j.compactCells {
-		if pk, ok := packKey(key); ok {
-			delete(j.pvals, pk)
-			return
-		}
+	if pk, packed := packKey(key); packed {
+		delete(j.pvals, pk)
+	} else {
+		delete(j.vals, key)
 	}
-	delete(j.vals, key)
 }
 
-// numKeys returns the live key count across both representations (mu held).
+// numKeys returns the live key count across both tables (mu held).
 func (j *Journal) numKeys() int { return len(j.vals) + len(j.pvals) }
 
-// valsSnapshot merges both representations into one string-keyed map — the
-// shape Values and Tail.Snapshot expose (mu held).
-func (j *Journal) valsSnapshot() map[string]uint64 {
-	out := make(map[string]uint64, j.numKeys())
+// valuesInto copies both tables into out under their string names — the
+// shape Values and Tail.Snapshot expose — and returns it (mu held).
+func (j *Journal) valuesInto(out map[string]uint64) map[string]uint64 {
 	for k, v := range j.vals {
 		out[k] = v
 	}
@@ -503,7 +378,7 @@ func (j *Journal) valsSnapshot() map[string]uint64 {
 
 // recover replays the log into j.vals and leaves j.f positioned for appends.
 func (j *Journal) recover() error {
-	data, err := j.fs.ReadFile(j.path)
+	data, err := j.cfg.fs.ReadFile(j.path)
 	if os.IsNotExist(err) {
 		return j.create()
 	}
@@ -518,11 +393,8 @@ func (j *Journal) recover() error {
 	if string(data[0:4]) != journalMagic {
 		return fmt.Errorf("%w: journal magic %q", ErrCorrupt, data[0:4])
 	}
-	switch ver := binary.BigEndian.Uint16(data[4:6]); ver {
-	case journalVersion1, journalVersion:
-		j.ver = ver // appends continue in the file's own frame format
-	default:
-		return fmt.Errorf("%w: journal version %d, want <= %d", ErrCorrupt, ver, journalVersion)
+	if ver := binary.BigEndian.Uint16(data[4:6]); ver != journalVersion {
+		return fmt.Errorf("%w: journal version %d, want %d", ErrCorrupt, ver, journalVersion)
 	}
 
 	// Replay every CRC-valid frame, in order. A frame that does not parse
@@ -540,10 +412,10 @@ func (j *Journal) recover() error {
 	// a replay), whereas the old truncate-everything-behind-it answer
 	// silently rolled durable counters back. The skip is surfaced through
 	// RecoveryStats and the process-wide RecoveryDropped counter;
-	// JournalStrictRecovery instead refuses the open (ErrCorrupt), for
+	// LanesStrictRecovery instead refuses the open (ErrCorrupt), for
 	// deployments that want a human in the loop before trusting a medium
 	// that damaged an acknowledged record.
-	if j.compactCells && len(data) > 64*journalFrameOverhead {
+	if len(data) > 64*journalFrameOverhead {
 		// Presize for replay: SA frames are spiKeyLen-keyed, so the frame
 		// count is close to size/(overhead+spiKeyLen); duplicates per key
 		// only make this an overestimate, which is what a presize wants.
@@ -551,13 +423,13 @@ func (j *Journal) recover() error {
 	}
 	off := journalHeaderLen
 	for off < len(data) {
-		kb, v, del, n, ok := parseFrame(j.ver, data[off:])
+		kb, v, del, n, ok := parseFrame(data[off:])
 		if !ok {
-			next := probeValidFrame(j.ver, data, off+1)
+			next := probeValidFrame(data, off+1)
 			if next < 0 {
 				break // torn tail: truncate from off
 			}
-			if j.strictRecovery {
+			if j.cfg.strictRecovery {
 				return fmt.Errorf("%w: journal record at offset %d (valid records follow)", ErrCorrupt, off)
 			}
 			j.recovery.FramesDropped++
@@ -566,28 +438,23 @@ func (j *Journal) recover() error {
 			continue
 		}
 		j.recovery.FramesReplayed++
-		if j.compactCells {
-			if pk, pok := packKeyBytes(kb); pok {
-				// The compact fast path: no string is ever materialized, so
-				// a million-record replay allocates nothing per record.
-				if del {
-					if _, seen := j.pvals[pk]; seen {
-						j.snapSize -= int64(n)
-						delete(j.pvals, pk)
-					}
-				} else if cur, seen := j.pvals[pk]; !seen || v > cur {
-					if !seen {
-						j.snapSize += int64(n)
-					}
-					j.pvals[pk] = v
+		if pk, packed := packKeyBytes(kb); packed {
+			// The packed fast path: no string is ever materialized, so a
+			// million-record replay allocates nothing per record.
+			if del {
+				if _, seen := j.pvals[pk]; seen {
+					j.snapSize -= int64(n)
+					delete(j.pvals, pk)
 				}
-				off += n
-				continue
+			} else if cur, seen := j.pvals[pk]; !seen || v > cur {
+				if !seen {
+					j.snapSize += int64(n)
+				}
+				j.pvals[pk] = v
 			}
-		}
-		// Generic keys: the map[string(kb)] lookups below are alloc-free;
-		// only a first insert materializes the key string.
-		if del {
+		} else if del {
+			// Other keys: the map[string(kb)] lookups below are alloc-free;
+			// only a first insert materializes the key string.
 			if _, seen := j.vals[string(kb)]; seen {
 				j.snapSize -= int64(n)
 				delete(j.vals, string(kb))
@@ -602,7 +469,7 @@ func (j *Journal) recover() error {
 	}
 	j.recovery.TornTail = off < len(data)
 
-	f, err := j.fs.OpenFile(j.path, os.O_WRONLY, 0o600)
+	f, err := j.cfg.fs.OpenFile(j.path, os.O_WRONLY, 0o600)
 	if err != nil {
 		return fmt.Errorf("store: journal open: %w", err)
 	}
@@ -612,7 +479,7 @@ func (j *Journal) recover() error {
 			f.Close()
 			return fmt.Errorf("store: journal truncate tail: %w", err)
 		}
-		if j.sync {
+		if j.cfg.sync {
 			if err := f.Sync(); err != nil {
 				f.Close()
 				return fmt.Errorf("store: journal sync truncation: %w", err)
@@ -632,25 +499,21 @@ func (j *Journal) recover() error {
 // create writes a fresh journal file (header only) and syncs it and its
 // directory so the journal itself survives a reset.
 func (j *Journal) create() error {
-	f, err := j.fs.OpenFile(j.path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
+	f, err := j.cfg.fs.OpenFile(j.path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
 	if err != nil {
 		return fmt.Errorf("store: journal create: %w", err)
 	}
-	j.ver = journalVersion
-	hdr := make([]byte, journalHeaderLen)
-	copy(hdr[0:4], journalMagic)
-	binary.BigEndian.PutUint16(hdr[4:6], j.ver)
-	if _, err := f.Write(hdr); err != nil {
+	if _, err := f.Write(appendHeader(nil)); err != nil {
 		f.Close()
 		return fmt.Errorf("store: journal write header: %w", err)
 	}
-	if j.sync {
+	if j.cfg.sync {
 		if err := f.Sync(); err != nil {
 			f.Close()
 			return fmt.Errorf("store: journal sync header: %w", err)
 		}
 		j.syncs++
-		if err := syncDir(j.fs, filepath.Dir(j.path)); err != nil {
+		if err := syncDir(j.cfg.fs, filepath.Dir(j.path)); err != nil {
 			f.Close()
 			return err
 		}
@@ -659,6 +522,13 @@ func (j *Journal) create() error {
 	j.f = f
 	j.logSize = journalHeaderLen
 	return nil
+}
+
+// appendHeader encodes the journal file header.
+func appendHeader(buf []byte) []byte {
+	buf = append(buf, journalMagic...)
+	buf = binary.BigEndian.AppendUint16(buf, journalVersion)
+	return append(buf, 0, 0)
 }
 
 // minRecordLen is the size of a frame with an empty key (which save()
@@ -674,11 +544,10 @@ const (
 // accounting exact across deletes.
 func frameLen(key string) int64 { return int64(2 + 8 + len(key) + 4) }
 
-// parseFrame decodes one frame from b under the given format version,
-// returning the key (aliasing b — replay consumes it without allocating),
-// the value, the tombstone flag, the encoded length, and whether the frame
-// was complete and CRC-valid.
-func parseFrame(ver uint16, b []byte) (key []byte, v uint64, del bool, n int, ok bool) {
+// parseFrame decodes one frame from b, returning the key (aliasing b —
+// replay consumes it without allocating), the value, the tombstone flag,
+// the encoded length, and whether the frame was complete and CRC-valid.
+func parseFrame(b []byte) (key []byte, v uint64, del bool, n int, ok bool) {
 	if len(b) < minRecordLen {
 		return nil, 0, false, 0, false
 	}
@@ -690,7 +559,7 @@ func parseFrame(ver uint16, b []byte) (key []byte, v uint64, del bool, n int, ok
 	}
 	body := b[:2+8+kn]
 	want := binary.BigEndian.Uint32(b[2+8+kn : total])
-	if journalCRC(ver, body) != want {
+	if journalCRC(body) != want {
 		return nil, 0, false, 0, false
 	}
 	return b[10 : 10+kn], binary.BigEndian.Uint64(b[2:10]), lf&journalTombstone != 0, total, true
@@ -702,7 +571,7 @@ func parseFrame(ver uint16, b []byte) (key []byte, v uint64, del bool, n int, ok
 // work is budgeted so a large damaged region cannot turn the open into an
 // O(region²) stall; exhausting the budget without a valid frame returns -1,
 // the tear verdict.
-func probeValidFrame(ver uint16, data []byte, start int) int {
+func probeValidFrame(data []byte, start int) int {
 	budget := int64(1 << 22)
 	for probe := start; probe+minRecordLen <= len(data) && budget > 0; probe++ {
 		// The CRC only runs over complete frames; bill their declared
@@ -711,7 +580,7 @@ func probeValidFrame(ver uint16, data []byte, start int) int {
 		if probe+2+8+n2+4 > len(data) {
 			continue // incomplete frame: no CRC computed
 		}
-		if _, _, _, _, ok := parseFrame(ver, data[probe:]); ok {
+		if _, _, _, _, ok := parseFrame(data[probe:]); ok {
 			return probe
 		}
 		budget -= int64(2 + 8 + n2 + 4)
@@ -719,7 +588,7 @@ func probeValidFrame(ver uint16, data []byte, start int) int {
 	return -1
 }
 
-func appendRecord(ver uint16, buf []byte, key string, v uint64, del bool) []byte {
+func appendRecord(buf []byte, key string, v uint64, del bool) []byte {
 	start := len(buf)
 	lf := uint16(len(key))
 	if del {
@@ -728,29 +597,19 @@ func appendRecord(ver uint16, buf []byte, key string, v uint64, del bool) []byte
 	buf = binary.BigEndian.AppendUint16(buf, lf)
 	buf = binary.BigEndian.AppendUint64(buf, v)
 	buf = append(buf, key...)
-	return binary.BigEndian.AppendUint32(buf, journalCRC(ver, buf[start:]))
+	return binary.BigEndian.AppendUint32(buf, journalCRC(buf[start:]))
 }
 
 // appendPackedRecord encodes a save frame for a packed SA key without
 // materializing its string: compaction of a million-cell lane emits the
 // identical bytes appendRecord would, with zero per-key allocations.
-func appendPackedRecord(ver uint16, buf []byte, pk uint64, v uint64) []byte {
+func appendPackedRecord(buf []byte, pk uint64, v uint64) []byte {
 	start := len(buf)
 	buf = binary.BigEndian.AppendUint16(buf, spiKeyLen)
 	buf = binary.BigEndian.AppendUint64(buf, v)
 	buf = appendPackedKey(buf, pk)
-	return binary.BigEndian.AppendUint32(buf, journalCRC(ver, buf[start:]))
+	return binary.BigEndian.AppendUint32(buf, journalCRC(buf[start:]))
 }
-
-// save appends a record for key and waits until it is durable (or, without
-// sync, until it is written). Many concurrent saves share one fsync.
-func (j *Journal) save(key string, v uint64) error { return j.append(key, v, false) }
-
-// delete appends a tombstone for key and waits until it is durable, erasing
-// the key from the recovered state: a later save under the same key starts a
-// fresh counter life, and the next compaction drops the key entirely.
-// Deleting a key with no durable state is a no-op.
-func (j *Journal) delete(key string) error { return j.append(key, 0, true) }
 
 // framePool recycles encode scratch buffers so record framing (CRC
 // included) runs outside the journal mutex without a per-record allocation.
@@ -759,8 +618,9 @@ var framePool = sync.Pool{New: func() any {
 	return &b
 }}
 
-// append is the shared save/tombstone path; see save and delete: stage the
-// record, then wait until it is durable.
+// append is the shared save/tombstone path (Cell.Save, Delete): stage the
+// record, then wait until it is durable (or, without sync, written). Many
+// concurrent appends share one fsync.
 func (j *Journal) append(key string, v uint64, del bool) error {
 	seq, staged, err := j.stageRecord(key, v, del)
 	if !staged {
@@ -780,7 +640,7 @@ func (j *Journal) stageRecord(key string, v uint64, del bool) (seq uint64, stage
 		return 0, false, fmt.Errorf("%w: length %d", ErrBadKey, len(key))
 	}
 	bp := framePool.Get().(*[]byte)
-	rec := appendRecord(j.ver, (*bp)[:0], key, v, del)
+	rec := appendRecord((*bp)[:0], key, v, del)
 	j.mu.Lock()
 	if err = j.usableLocked(); err == nil {
 		if _, seen := j.getVal(key); seen || !del {
@@ -822,7 +682,7 @@ func (j *Journal) usableLocked() error {
 }
 
 // poisonLocked records a permanent I/O failure (mu held): the first call
-// sets the sticky error and fires the JournalOnPoison hook; later calls keep
+// sets the sticky error and fires the LanesOnPoison hook; later calls keep
 // the original error. Poison is the fsyncgate-correct answer to a failed
 // sync — the kernel may have marked the lost dirty pages clean, so retrying
 // the fsync could "succeed" over holes — and to a partial write, which
@@ -834,8 +694,8 @@ func (j *Journal) poisonLocked(err error) {
 	}
 	if !j.poisonFired {
 		j.poisonFired = true
-		if j.onPoison != nil {
-			j.onPoison(j.ioErr)
+		if j.cfg.onPoison != nil {
+			j.cfg.onPoison(j.lane, j.ioErr)
 		}
 	}
 }
@@ -872,7 +732,7 @@ func (j *Journal) Repairs() uint64 {
 // inode, torn frames and unsynced pages included, is discarded wholesale. On
 // success the poison, the failed-batch record, and the fired hook are all
 // cleared, so the journal accepts appends again and a later failure re-fires
-// JournalOnPoison. Repairing a closed or fenced journal is refused;
+// LanesOnPoison. Repairing a closed or fenced journal is refused;
 // repairing a healthy one is allowed (it is a forced compaction plus merge).
 //
 // Repair restores the medium, not the endpoints: SAs that saw the poison are
@@ -940,8 +800,8 @@ func (j *Journal) stageLocked(key string, v uint64, del bool, rec []byte) uint64
 		// lagging follower costs staging nothing but the zeroing of the shed
 		// records.
 		j.tail.push(TailRecord{Seq: mySeq, Key: key, Val: v, Del: del})
-		if j.tail.n >= 2*j.tailCap {
-			over := j.tail.n - j.tailCap
+		if j.tail.n >= 2*j.cfg.tailCap {
+			over := j.tail.n - j.cfg.tailCap
 			j.tail.drop(over)
 			j.tailMin += uint64(over)
 		}
@@ -1005,7 +865,7 @@ func (j *Journal) commitStagedLocked(mySeq uint64) error {
 				// Yield once before electing: concurrent savers mid-append
 				// get a chance to stage into this batch, so the commit that
 				// follows covers a group instead of a single record — the
-				// scheduling analogue of JournalBatchDelay, at ~100ns
+				// scheduling analogue of LanesBatchDelay, at ~100ns
 				// instead of a timer tick, and the lever that keeps batches
 				// forming even on a single-CPU host where the committer
 				// would otherwise run before anyone else could stage.
@@ -1028,12 +888,12 @@ func (j *Journal) commitStagedLocked(mySeq uint64) error {
 // covered by the watermark or recorded as failed.
 func (j *Journal) commitBatchLocked() {
 	j.syncing = true
-	if j.sync && j.batchDelay > 0 {
+	if j.cfg.sync && j.cfg.batchDelay > 0 {
 		// Linger so concurrent saves can join this batch. mu is released:
 		// stagings proceed during the wait and are covered by the swap
 		// below.
 		j.mu.Unlock()
-		time.Sleep(j.batchDelay)
+		time.Sleep(j.cfg.batchDelay)
 		j.mu.Lock()
 	}
 	// Compact when the log is both past the threshold and at least twice
@@ -1044,7 +904,7 @@ func (j *Journal) commitBatchLocked() {
 	// record, so on success the staged frames are simply discarded. An
 	// early failure (old log intact) falls through to a normal commit; a
 	// late failure poisons the journal and the waiters surface it.
-	if j.compactAt > 0 && j.logSize >= j.compactAt && j.logSize >= 2*j.snapSize {
+	if j.cfg.compactAt > 0 && j.logSize >= j.cfg.compactAt && j.logSize >= 2*j.snapSize {
 		if err := j.compactLocked(); err == nil || j.ioErr != nil {
 			j.syncing = false
 			j.cond.Broadcast()
@@ -1056,7 +916,7 @@ func (j *Journal) commitBatchLocked() {
 	j.spare = nil // owned by this commit until it completes
 	target := j.appendSeq
 	f := j.f
-	if j.sync {
+	if j.cfg.sync {
 		j.syncs++
 	}
 	j.mu.Unlock()
@@ -1066,7 +926,7 @@ func (j *Journal) commitBatchLocked() {
 	if len(buf) > 0 {
 		_, werr = f.Write(buf)
 	}
-	if werr == nil && j.sync {
+	if werr == nil && j.cfg.sync {
 		syncStep = true
 		werr = f.Sync()
 	}
@@ -1123,31 +983,29 @@ func (j *Journal) commitBatchLocked() {
 // as described inline.
 func (j *Journal) compactLocked() error {
 	dir := filepath.Dir(j.path)
-	tmp, err := j.fs.CreateTemp(dir, filepath.Base(j.path)+".compact*")
+	tmp, err := j.cfg.fs.CreateTemp(dir, filepath.Base(j.path)+".compact*")
 	if err != nil {
 		return fmt.Errorf("store: journal compact temp: %w", err)
 	}
 	tmpName := tmp.Name()
 	fail := func(step string, cause error) error {
 		tmp.Close()
-		j.fs.Remove(tmpName)
+		j.cfg.fs.Remove(tmpName)
 		return fmt.Errorf("store: journal compact %s: %w", step, cause)
 	}
 
 	buf := make([]byte, 0, journalHeaderLen+j.numKeys()*32)
-	buf = append(buf, journalMagic...)
-	buf = binary.BigEndian.AppendUint16(buf, j.ver) // preserve the file's frame format
-	buf = append(buf, 0, 0)
+	buf = appendHeader(buf)
 	for key, v := range j.vals {
-		buf = appendRecord(j.ver, buf, key, v, false)
+		buf = appendRecord(buf, key, v, false)
 	}
 	for pk, v := range j.pvals {
-		buf = appendPackedRecord(j.ver, buf, pk, v)
+		buf = appendPackedRecord(buf, pk, v)
 	}
 	if _, err := tmp.Write(buf); err != nil {
 		return fail("write", err)
 	}
-	if j.sync {
+	if j.cfg.sync {
 		if err := tmp.Sync(); err != nil {
 			return fail("sync", err)
 		}
@@ -1156,23 +1014,23 @@ func (j *Journal) compactLocked() error {
 	if err := tmp.Close(); err != nil {
 		return fail("close", err)
 	}
-	if err := j.fs.Rename(tmpName, j.path); err != nil {
-		j.fs.Remove(tmpName)
+	if err := j.cfg.fs.Rename(tmpName, j.path); err != nil {
+		j.cfg.fs.Remove(tmpName)
 		return fmt.Errorf("store: journal compact rename: %w", err)
 	}
 	// Past the rename the old log inode is unlinked: any failure before the
 	// handle is swapped must poison the journal, or later appends would
 	// land on the unlinked inode and report durability for writes a reboot
 	// cannot see.
-	if j.sync {
-		if err := syncDir(j.fs, dir); err != nil {
+	if j.cfg.sync {
+		if err := syncDir(j.cfg.fs, dir); err != nil {
 			j.poisonLocked(err)
 			return err
 		}
 		j.syncs++
 	}
 
-	f, err := j.fs.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o600)
+	f, err := j.cfg.fs.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o600)
 	if err != nil {
 		err = fmt.Errorf("store: journal compact reopen: %w", err)
 		j.poisonLocked(err)
@@ -1221,25 +1079,15 @@ func (j *Journal) ClaimCell(key string) (*Cell, error) {
 	if j.closed {
 		return nil, ErrClosed
 	}
-	if j.compactCells {
-		if pk, ok := packKey(key); ok {
-			if j.pclaims == nil {
-				j.pclaims = make(map[uint64]bool)
-			}
-			if j.pclaims[pk] {
-				return nil, fmt.Errorf("%w: %q", ErrCellClaimed, key)
-			}
-			j.pclaims[pk] = true
-			return &Cell{j: j, key: key}, nil
-		}
-	}
-	if j.claims == nil {
-		j.claims = make(map[string]bool)
-	}
-	if j.claims[key] {
+	pk, packed := packKey(key)
+	if packed && j.pclaims[pk] || !packed && j.claims[key] {
 		return nil, fmt.Errorf("%w: %q", ErrCellClaimed, key)
 	}
-	j.claims[key] = true
+	if packed {
+		j.pclaims[pk] = true
+	} else {
+		j.claims[key] = true
+	}
 	return &Cell{j: j, key: key}, nil
 }
 
@@ -1247,13 +1095,11 @@ func (j *Journal) ClaimCell(key string) (*Cell, error) {
 func (j *Journal) ReleaseCell(key string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.compactCells {
-		if pk, ok := packKey(key); ok {
-			delete(j.pclaims, pk)
-			return
-		}
+	if pk, packed := packKey(key); packed {
+		delete(j.pclaims, pk)
+	} else {
+		delete(j.claims, key)
 	}
-	delete(j.claims, key)
 }
 
 // Delete durably retires key: a tombstone record is appended and
@@ -1263,7 +1109,7 @@ func (j *Journal) ReleaseCell(key string) {
 // rekeyed-away SA must not leave a counter behind for a re-established SPI
 // to resurrect. Deleting a key with no durable state is a no-op; any
 // in-process claim on the key is untouched (release it separately).
-func (j *Journal) Delete(key string) error { return j.delete(key) }
+func (j *Journal) Delete(key string) error { return j.append(key, 0, true) }
 
 // Cell is one key of a Journal, seen through the Store interface.
 type Cell struct {
@@ -1275,7 +1121,7 @@ var _ Store = (*Cell)(nil)
 
 // Save durably appends v to the journal under the cell's key: Stage, then
 // WaitDurable.
-func (c *Cell) Save(v uint64) error { return c.j.save(c.key, v) }
+func (c *Cell) Save(v uint64) error { return c.j.append(c.key, v, false) }
 
 // Stage appends v's record to the lane's staging buffer and returns its
 // commit sequence number without waiting for the record to be durable; the
@@ -1295,15 +1141,14 @@ func (c *Cell) WaitDurable(seq uint64) error { return c.j.waitDurable(seq) }
 func (c *Cell) Fetch() (uint64, bool, error) { return c.j.fetch(c.key) }
 
 // Delete durably retires the cell's key; see Journal.Delete.
-func (c *Cell) Delete() error { return c.j.delete(c.key) }
+func (c *Cell) Delete() error { return c.j.Delete(c.key) }
 
 // Key returns the cell's journal key.
 func (c *Cell) Key() string { return c.key }
 
-// Lane returns the index of the commit lane this cell persists into, or -1
-// when its journal is a standalone medium. SaverPool routes handles by this
-// value, so all of one lane's background saves drain on one worker and
-// group-commit into that lane's fsyncs.
+// Lane returns the index of the commit lane this cell persists into.
+// SaverPool routes handles by this value, so all of one lane's background
+// saves drain on one worker and group-commit into that lane's fsyncs.
 func (c *Cell) Lane() int { return c.j.lane }
 
 // Poisoned reports the cell's lane poison state; see Journal.Poisoned.
@@ -1338,7 +1183,7 @@ func (j *Journal) Close() error {
 			}
 			j.stage = j.stage[:0]
 		}
-		if err == nil && j.sync {
+		if err == nil && j.cfg.sync {
 			if serr := j.f.Sync(); serr != nil {
 				err = fmt.Errorf("store: journal close sync: %w", serr)
 			}

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -14,11 +13,18 @@ import (
 	"antireplay/internal/watchdog"
 )
 
-func journalAt(t *testing.T, opts ...JournalOption) *Journal {
+// openLane opens one lane's log at path the way OpenLanes opens lane 0 of a
+// medium: the suites below drive a lane directly, so they can tear, flip and
+// rewrite its file between opens.
+func openLane(path string, opts ...LanesOption) (*Journal, error) {
+	return openJournal(path, 0, newLanesConfig(opts))
+}
+
+func journalAt(t *testing.T, opts ...LanesOption) *Journal {
 	t.Helper()
-	j, err := OpenJournal(filepath.Join(t.TempDir(), "sa.journal"), opts...)
+	j, err := openLane(filepath.Join(t.TempDir(), "sa.journal"), opts...)
 	if err != nil {
-		t.Fatalf("OpenJournal: %v", err)
+		t.Fatalf("openLane: %v", err)
 	}
 	return j
 }
@@ -52,9 +58,9 @@ func TestJournalSaveFetchRoundTrip(t *testing.T) {
 
 func TestJournalSurvivesReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sa.journal")
-	j, err := OpenJournal(path)
+	j, err := openLane(path)
 	if err != nil {
-		t.Fatalf("OpenJournal: %v", err)
+		t.Fatalf("openLane: %v", err)
 	}
 	for i := 0; i < 100; i++ {
 		if err := j.Cell(fmt.Sprintf("tx/%d", i)).Save(uint64(1000 + i)); err != nil {
@@ -66,7 +72,7 @@ func TestJournalSurvivesReopen(t *testing.T) {
 	}
 
 	// A fresh handle over the same path models the post-reset FETCH.
-	j2, err := OpenJournal(path)
+	j2, err := openLane(path)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -84,9 +90,9 @@ func TestJournalSurvivesReopen(t *testing.T) {
 
 func TestJournalRecoveryKeepsMaxPerKey(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sa.journal")
-	j, err := OpenJournal(path)
+	j, err := openLane(path)
 	if err != nil {
-		t.Fatalf("OpenJournal: %v", err)
+		t.Fatalf("openLane: %v", err)
 	}
 	// Appends are not required to be monotone at the journal layer; the
 	// recovered value must be the max, never a stale later append.
@@ -103,7 +109,7 @@ func TestJournalRecoveryKeepsMaxPerKey(t *testing.T) {
 	}
 	j.Close()
 
-	j2, err := OpenJournal(path)
+	j2, err := openLane(path)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -131,7 +137,7 @@ func corruptAndReopen(t *testing.T, j *Journal, mutate func([]byte) []byte) *Jou
 	if err := os.WriteFile(path, mutate(data), 0o600); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	j2, err := OpenJournal(path)
+	j2, err := openLane(path)
 	if err != nil {
 		t.Fatalf("reopen after corruption: %v", err)
 	}
@@ -160,7 +166,7 @@ func TestJournalTornTailGarbage(t *testing.T) {
 	}
 	path := j2.Path()
 	j2.Close()
-	j3, err := OpenJournal(path)
+	j3, err := openLane(path)
 	if err != nil {
 		t.Fatalf("second reopen: %v", err)
 	}
@@ -195,7 +201,7 @@ func TestJournalTruncatedMidRecord(t *testing.T) {
 // region, keeps replaying the valid records behind it, and surfaces the
 // loss through RecoveryStats (the old behavior silently truncated every
 // record behind the damage — durable counters rolled back with no signal);
-// JournalStrictRecovery still refuses with ErrCorrupt for deployments that
+// LanesStrictRecovery still refuses with ErrCorrupt for deployments that
 // want a human in the loop before trusting a medium that damaged an
 // acknowledged record.
 func TestJournalMidLogCorruption(t *testing.T) {
@@ -225,13 +231,13 @@ func TestJournalMidLogCorruption(t *testing.T) {
 			if err := os.WriteFile(path, data, 0o600); err != nil {
 				t.Fatalf("write: %v", err)
 			}
-			if _, err := OpenJournal(path, JournalStrictRecovery()); !errors.Is(err, ErrCorrupt) {
-				t.Errorf("strict OpenJournal (%s) = %v, want ErrCorrupt", name, err)
+			if _, err := openLane(path, LanesStrictRecovery()); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("strict openLane (%s) = %v, want ErrCorrupt", name, err)
 			}
 			dropped := RecoveryDropped()
-			j2, err := OpenJournal(path)
+			j2, err := openLane(path)
 			if err != nil {
-				t.Fatalf("tolerant OpenJournal (%s): %v", name, err)
+				t.Fatalf("tolerant openLane (%s): %v", name, err)
 			}
 			defer j2.Close()
 			if _, ok, _ := j2.Cell("a").Fetch(); ok {
@@ -276,9 +282,9 @@ func TestJournalMidLogByteFlipRegression(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o600); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	j2, err := OpenJournal(path)
+	j2, err := openLane(path)
 	if err != nil {
-		t.Fatalf("OpenJournal: %v", err)
+		t.Fatalf("openLane: %v", err)
 	}
 	rs := j2.RecoveryStats()
 	if rs.FramesDropped == 0 {
@@ -308,7 +314,7 @@ func TestJournalMidLogByteFlipRegression(t *testing.T) {
 	if err := j2.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	j3, err := OpenJournal(path)
+	j3, err := openLane(path)
 	if err != nil {
 		t.Fatalf("second reopen: %v", err)
 	}
@@ -345,8 +351,8 @@ func TestJournalCorruptHeader(t *testing.T) {
 	if err := os.WriteFile(path, []byte("XXXXXXXXXXXX"), 0o600); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	if _, err := OpenJournal(path); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("OpenJournal on bad magic = %v, want ErrCorrupt", err)
+	if _, err := openLane(path); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("openLane on bad magic = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -402,9 +408,9 @@ func TestJournalClosed(t *testing.T) {
 
 func TestJournalCompaction(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sa.journal")
-	j, err := OpenJournal(path, JournalCompactAt(2048))
+	j, err := openLane(path, LanesCompactAt(2048))
 	if err != nil {
-		t.Fatalf("OpenJournal: %v", err)
+		t.Fatalf("openLane: %v", err)
 	}
 	const keys = 10
 	for round := uint64(1); round <= 100; round++ {
@@ -422,7 +428,7 @@ func TestJournalCompaction(t *testing.T) {
 	}
 	j.Close()
 
-	j2, err := OpenJournal(path)
+	j2, err := openLane(path)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -441,7 +447,7 @@ func TestJournalCompaction(t *testing.T) {
 func TestJournalCompactionNoThrash(t *testing.T) {
 	// 100 keys x ~20 bytes ≈ 2KB snapshot, well past the 256-byte
 	// threshold; the old trigger would compact on every save.
-	j := journalAt(t, JournalCompactAt(256))
+	j := journalAt(t, LanesCompactAt(256))
 	const keys, rounds = 100, 20
 	for r := uint64(1); r <= rounds; r++ {
 		for k := 0; k < keys; k++ {
@@ -475,9 +481,9 @@ func TestJournalNoCounterRegression(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "sa.journal")
-			j, err := OpenJournal(path)
+			j, err := openLane(path)
 			if err != nil {
-				t.Fatalf("OpenJournal: %v", err)
+				t.Fatalf("openLane: %v", err)
 			}
 			pool := NewSaverPool(8)
 
@@ -522,7 +528,7 @@ func TestJournalNoCounterRegression(t *testing.T) {
 				f.Close()
 			}
 
-			j2, err := OpenJournal(path)
+			j2, err := openLane(path)
 			if err != nil {
 				t.Fatalf("recover: %v", err)
 			}
@@ -547,7 +553,7 @@ func TestJournalNoCounterRegression(t *testing.T) {
 // journal's reason to exist.
 func TestJournalGroupCommit(t *testing.T) {
 	watchdog.Arm(t, 10*time.Second)
-	j := journalAt(t, JournalBatchDelay(200*time.Microsecond))
+	j := journalAt(t, LanesBatchDelay(200*time.Microsecond))
 	defer j.Close()
 	base := j.Syncs()
 	const goroutines, saves = 16, 20
@@ -580,13 +586,13 @@ func TestJournalGroupCommit(t *testing.T) {
 }
 
 func TestJournalWithoutSync(t *testing.T) {
-	j := journalAt(t, JournalWithoutSync())
+	j := journalAt(t, LanesWithoutSync())
 	defer j.Close()
 	if err := j.Cell("a").Save(4); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
 	if got := j.Syncs(); got != 0 {
-		t.Errorf("Syncs = %d with JournalWithoutSync, want 0", got)
+		t.Errorf("Syncs = %d with LanesWithoutSync, want 0", got)
 	}
 	if v, ok, _ := j.Cell("a").Fetch(); !ok || v != 4 {
 		t.Errorf("Fetch = (%d, %v), want (4, true)", v, ok)
@@ -621,9 +627,9 @@ func TestJournalDeleteErasesKey(t *testing.T) {
 
 func TestJournalDeleteSurvivesReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sa.journal")
-	j, err := OpenJournal(path)
+	j, err := openLane(path)
 	if err != nil {
-		t.Fatalf("OpenJournal: %v", err)
+		t.Fatalf("openLane: %v", err)
 	}
 	if err := j.Cell("tx/old").Save(4096); err != nil {
 		t.Fatalf("Save: %v", err)
@@ -638,7 +644,7 @@ func TestJournalDeleteSurvivesReopen(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	j2, err := OpenJournal(path)
+	j2, err := openLane(path)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -658,7 +664,7 @@ func TestJournalDeleteSurvivesReopen(t *testing.T) {
 	if err := j2.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	j3, err := OpenJournal(path)
+	j3, err := openLane(path)
 	if err != nil {
 		t.Fatalf("second reopen: %v", err)
 	}
@@ -672,7 +678,7 @@ func TestJournalDeleteSurvivesReopen(t *testing.T) {
 func TestJournalCompactionDropsDeletedKeys(t *testing.T) {
 	// Compaction threshold low enough that the retired keys' records would
 	// dominate the snapshot if tombstones failed to erase them.
-	j := journalAt(t, JournalCompactAt(1024))
+	j := journalAt(t, LanesCompactAt(1024))
 	defer j.Close()
 	for i := 0; i < 32; i++ {
 		key := fmt.Sprintf("rx/%08x", i)
@@ -713,47 +719,5 @@ func TestJournalDeleteUnknownKeyNoOp(t *testing.T) {
 	}
 	if j.Appends() != before {
 		t.Error("deleting an unknown key appended a record")
-	}
-}
-
-// TestJournalV1Compat pins cross-version compatibility of the frame format:
-// a version-1 journal (IEEE CRC frames) must open, fetch, append — in v1
-// framing, never mixing checksum kinds within one file — and reopen under
-// the version-2 (CRC-32C) code.
-func TestJournalV1Compat(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v1.log")
-	var buf []byte
-	buf = append(buf, journalMagic...)
-	buf = binary.BigEndian.AppendUint16(buf, journalVersion1)
-	buf = append(buf, 0, 0)
-	buf = appendRecord(journalVersion1, buf, "tx/a", 41, false)
-	if err := os.WriteFile(path, buf, 0o600); err != nil {
-		t.Fatal(err)
-	}
-
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatalf("open v1 journal: %v", err)
-	}
-	if v, ok, _ := j.Cell("tx/a").Fetch(); !ok || v != 41 {
-		t.Fatalf("v1 fetch = %d,%v, want 41,true", v, ok)
-	}
-	if err := j.Cell("tx/a").Save(42); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	j2, err := OpenJournal(path)
-	if err != nil {
-		t.Fatalf("reopen v1 journal after append: %v", err)
-	}
-	defer j2.Close()
-	if v, ok, _ := j2.Cell("tx/a").Fetch(); !ok || v != 42 {
-		t.Fatalf("v1 reopen fetch = %d,%v, want 42,true", v, ok)
-	}
-	if j2.ver != journalVersion1 {
-		t.Fatalf("reopened version = %d, want %d (a v1 log must never upgrade in place)", j2.ver, journalVersion1)
 	}
 }

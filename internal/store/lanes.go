@@ -3,7 +3,6 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -12,66 +11,22 @@ import (
 	"antireplay/internal/storefault"
 )
 
-// This file shards the journal into commit lanes. A Lanes value is N
+// This file is the durable multi-counter medium. A Lanes value is N
 // independent Journals — each its own append-only CRC-framed segment with
-// its own staging buffer, elected committer, and fsync — behind the same
-// cell/claim/fence surface a single Journal exposes (the Medium interface).
-// Keys route to lanes by the same Fibonacci SPI hash the SAD uses for its
-// stripes, so the counters of SAs that never contend in the datapath never
-// contend in the commit path either: group commits parallelize across
-// lanes (and across devices, when lanes are spread over different paths),
-// cold-start recovery replays every lane concurrently and scales with
+// its own staging buffer, elected committer, and fsync — behind one
+// cell/claim/fence surface; with LanesCount(1) it is the single-journal
+// form. Keys route to lanes by the same Fibonacci SPI hash the SAD uses for
+// its stripes, so the counters of SAs that never contend in the datapath
+// never contend in the commit path either: group commits parallelize across
+// lanes, cold-start recovery replays every lane concurrently and scales with
 // cores, and compaction stalls one lane instead of the world.
 //
-// Durability per key is exactly a single Journal's — a key lives entirely
-// in its lane, so "SAVE completed" still means "this record's lane fsynced
-// it (and its sync follower applied it)". Cross-lane ordering is
-// deliberately unspecified, matching the paper's model: each SA's counter
-// stream is independent, and nothing in the protocol compares sequence
-// numbers across SAs.
-
-// Medium is the durable multi-counter surface shared by *Journal (one
-// commit lane) and *Lanes (many): everything a Gateway or a cluster
-// Standby needs from its persistent store. Code written against Medium
-// runs unchanged over either — the single-file journal of a small tunnel
-// endpoint or the 64-lane medium of a million-SA gateway.
-type Medium interface {
-	// Cell, ClaimCell, ReleaseCell and Delete project and retire one
-	// key's durable counter; see Journal.
-	Cell(key string) *Cell
-	ClaimCell(key string) (*Cell, error)
-	ReleaseCell(key string)
-	Delete(key string) error
-	// Values and Keys expose the live state; LogSize, Appends, Syncs and
-	// Compactions the medium's size and I/O counters (summed over lanes).
-	Values() map[string]uint64
-	Keys() int
-	LogSize() int64
-	Appends() uint64
-	Syncs() uint64
-	Compactions() uint64
-	// Fence and Fenced are the cluster promotion fence; fencing a laned
-	// medium fences every lane.
-	Fence(err error)
-	Fenced() error
-	// LaneJournals returns the underlying commit lanes — a one-element
-	// slice for a standalone Journal. Replication attaches per lane.
-	LaneJournals() []*Journal
-	// RecoveryStats aggregates what open-time replay found across lanes.
-	RecoveryStats() RecoveryStats
-	// Path is the medium's filesystem location: the log file of a
-	// standalone Journal, the lane directory of a Lanes.
-	Path() string
-	Close() error
-}
-
-var (
-	_ Medium = (*Journal)(nil)
-	_ Medium = (*Lanes)(nil)
-)
-
-// LaneJournals returns the journal itself as its only commit lane.
-func (j *Journal) LaneJournals() []*Journal { return []*Journal{j} }
+// Durability per key is exactly its lane's — a key lives entirely in one
+// lane, so "SAVE completed" means "this record's lane fsynced it (and its
+// sync follower applied it)". Cross-lane ordering is deliberately
+// unspecified, matching the paper's model: each SA's counter stream is
+// independent, and nothing in the protocol compares sequence numbers across
+// SAs.
 
 // DefaultLaneCount is the lane count OpenLanes uses when LanesCount is not
 // given — aligned with the SAD's 64 stripes (and hashed identically), so a
@@ -94,8 +49,8 @@ const (
 	laneManifestName  = "MANIFEST"
 )
 
-// Lanes is a laned persistent medium: a directory of N commit-lane
-// journals under one manifest. It implements Medium; every per-key
+// Lanes is the durable medium of a gateway or a cluster standby: a
+// directory of N commit-lane journals under one manifest. Every per-key
 // operation routes to the key's lane by SPI hash, and the aggregate
 // operations (Values, Fence, Close, ...) fan out. Safe for concurrent use.
 type Lanes struct {
@@ -104,18 +59,31 @@ type Lanes struct {
 	laneBits uint
 }
 
-// lanesConfig collects LanesOption state before the journals exist.
+// lanesConfig is the medium's option set; every lane reads the one copy.
 type lanesConfig struct {
-	count    int
-	spread   []string
-	jopts    []JournalOption
-	withSync bool
-	fs       storefault.FS
-	onPoison func(lane int, err error)
+	count          int
+	sync           bool
+	compactAt      int64
+	batchDelay     time.Duration
+	tailCap        int
+	strictRecovery bool
+	fs             storefault.FS
+	onPoison       func(lane int, err error)
 }
 
 // LanesOption configures OpenLanes.
 type LanesOption func(*lanesConfig)
+
+func newLanesConfig(opts []LanesOption) *lanesConfig {
+	cfg := &lanesConfig{
+		count: DefaultLaneCount, sync: true, compactAt: DefaultCompactAt,
+		tailCap: DefaultTailBuffer, fs: storefault.OS(),
+	}
+	for _, o := range opts {
+		o(cfg)
+	}
+	return cfg
+}
 
 // LanesCount sets the lane count for a FRESH directory (power of two,
 // 1..1024). An existing directory's manifest always wins; see OpenLanes.
@@ -123,43 +91,63 @@ func LanesCount(n int) LanesOption {
 	return func(c *lanesConfig) { c.count = n }
 }
 
-// LanesWithoutSync disables every fsync in every lane; see
-// JournalWithoutSync.
+// LanesWithoutSync disables every fsync in the medium (group commits,
+// compaction, the manifest). As with File's WithoutSync, a power loss may
+// then lose recent saves; a process crash may not.
 func LanesWithoutSync() LanesOption {
-	return func(c *lanesConfig) {
-		c.withSync = false
-		c.jopts = append(c.jopts, JournalWithoutSync())
-	}
+	return func(c *lanesConfig) { c.sync = false }
 }
 
-// LanesCompactAt sets each lane's compaction threshold (per lane, not
-// aggregate); see JournalCompactAt.
+// LanesCompactAt sets the log size, in bytes, at which a lane compacts (per
+// lane, not aggregate). Values <= 0 disable compaction.
 func LanesCompactAt(n int64) LanesOption {
-	return func(c *lanesConfig) { c.jopts = append(c.jopts, JournalCompactAt(n)) }
+	return func(c *lanesConfig) { c.compactAt = n }
 }
 
-// LanesBatchDelay sets each lane's group-commit linger; see
-// JournalBatchDelay.
+// LanesBatchDelay makes each lane's group-commit syncer linger for d before
+// issuing its fsync, letting more concurrent SAVEs join the batch — the
+// classic commit-delay knob of write-ahead logs. Durability is unchanged
+// (every Save still returns only after its record is fsynced); each save's
+// latency grows by up to d. Zero (the default) commits eagerly.
 func LanesBatchDelay(d time.Duration) LanesOption {
-	return func(c *lanesConfig) { c.jopts = append(c.jopts, JournalBatchDelay(d)) }
+	return func(c *lanesConfig) { c.batchDelay = d }
 }
+
+// DefaultTailBuffer is the number of recent records a lane retains for
+// tailing readers when LanesTailBuffer is not given.
+const DefaultTailBuffer = 1 << 12
 
 // LanesTailBuffer sets each lane's retained-record window for tailing
-// readers; see JournalTailBuffer.
+// readers (Follow): at least n recent records stay available, and the buffer
+// is trimmed back to n once it reaches 2n (amortizing the trim to O(1) per
+// append). A reader that falls behind the window resynchronizes by
+// snapshot-then-tail (ErrTailLagged), so the buffer bounds replication
+// memory, not correctness. Values < 1 are clamped to 1.
 func LanesTailBuffer(n int) LanesOption {
-	return func(c *lanesConfig) { c.jopts = append(c.jopts, JournalTailBuffer(n)) }
+	return func(c *lanesConfig) { c.tailCap = max(n, 1) }
 }
 
-// LanesStrictRecovery makes every lane refuse to open when CRC-valid
-// records follow a damaged frame; see JournalStrictRecovery.
+// LanesStrictRecovery makes OpenLanes refuse (ErrCorrupt) when CRC-valid
+// records follow the first bad frame of a lane, instead of skipping the
+// damaged region. Skipping is always safe for crash tears (the dropped
+// records' SAVEs never completed), but it silently rolls a counter back if
+// an already-durable record is later damaged by the medium itself; strict
+// recovery surfaces that case, at the price of refusing some legitimate
+// multi-record power-loss tails whose later pages persisted before earlier
+// ones. Prefer it on storage without its own integrity checking.
 func LanesStrictRecovery() LanesOption {
-	return func(c *lanesConfig) { c.jopts = append(c.jopts, JournalStrictRecovery()) }
+	return func(c *lanesConfig) { c.strictRecovery = true }
 }
 
-// LanesWithFS routes every lane's filesystem operations (and the manifest's)
-// through fsys; see JournalWithFS. This is how a disk-fault campaign scopes
-// itself to one lane: arm an Injector whose Fault.Path matches that lane's
-// file name and every other lane runs untouched passthrough.
+// LanesWithFS routes every filesystem operation of the medium — the
+// manifest, recovery reads, appends, fsyncs, compaction's temp/rename dance
+// — through fsys instead of the default passthrough (storefault.OS). This
+// is where a fault schedule (storefault.Injector) plugs in, and how a
+// disk-fault campaign scopes itself to one lane: arm a Fault whose Path
+// matches that lane's file name and every other lane runs untouched. The
+// hot path pays one interface dispatch per write/sync either way, so the
+// zero-alloc gates hold with or without an injector. A nil fsys keeps the
+// default.
 func LanesWithFS(fsys storefault.FS) LanesOption {
 	return func(c *lanesConfig) {
 		if fsys != nil {
@@ -168,53 +156,29 @@ func LanesWithFS(fsys storefault.FS) LanesOption {
 	}
 }
 
-// LanesOnPoison registers a hook fired once per lane poisoning with the lane
-// index and the sticky error. It runs with that lane's mutex held (see
-// JournalOnPoison); the other lanes are untouched — poisoning is exactly the
-// per-lane fault domain LaneHealth reports.
+// LanesOnPoison registers a hook fired exactly once per lane poisoning, with
+// the lane index and the sticky error: when a commit failure (or a failed
+// Close flush) marks the lane unusable. It runs with that lane's mutex held,
+// so it must not call back into the medium — record an event, bump a gauge,
+// notify a quarantine manager. The other lanes are untouched — poisoning is
+// exactly the per-lane fault domain LaneHealth reports — and a successful
+// RepairLane re-arms the hook.
 func LanesOnPoison(fn func(lane int, err error)) LanesOption {
 	return func(c *lanesConfig) { c.onPoison = fn }
 }
 
-// LanesSpread places lane files round-robin across the given directories
-// instead of the manifest directory — lanes on different devices commit on
-// different fsync streams, so the medium's aggregate fsync bandwidth is
-// the sum of the devices'. The manifest stays in the primary directory;
-// reopening must pass the same spread.
-func LanesSpread(dirs ...string) LanesOption {
-	return func(c *lanesConfig) { c.spread = append([]string(nil), dirs...) }
-}
-
-// laneFileName returns lane i's file name within its directory.
+// laneFileName returns lane i's file name within the manifest directory.
 func laneFileName(i int) string { return fmt.Sprintf("lane-%03d.log", i) }
 
-// lanePath returns lane i's full path under the configured spread.
-func (c *lanesConfig) lanePath(dir string, i int) string {
-	if len(c.spread) > 0 {
-		dir = c.spread[i%len(c.spread)]
-	}
-	return filepath.Join(dir, laneFileName(i))
-}
-
-// OpenLanes opens (or creates) the laned journal rooted at dir: the
-// manifest is read (or written, for a fresh directory), and every lane
-// replays its segment concurrently — cold-start recovery of the whole
-// medium costs one lane's replay per core instead of one serial pass, and
-// the per-lane maxima merge trivially because a key lives in exactly one
-// lane. Lanes always run with the compact cell representation
-// (JournalCompactCells): this is the medium built for million-SA scale.
+// OpenLanes opens (or creates) the medium rooted at dir: the manifest is
+// read (or published, for a fresh directory), and every lane replays its
+// segment concurrently — cold-start recovery of the whole medium costs one
+// lane's replay per core instead of one serial pass, and the per-lane
+// maxima merge trivially because a key lives in exactly one lane.
 func OpenLanes(dir string, opts ...LanesOption) (*Lanes, error) {
-	cfg := &lanesConfig{count: DefaultLaneCount, withSync: true, fs: storefault.OS()}
-	for _, o := range opts {
-		o(cfg)
-	}
+	cfg := newLanesConfig(opts)
 	if err := cfg.fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: lanes dir: %w", err)
-	}
-	for _, d := range cfg.spread {
-		if err := cfg.fs.MkdirAll(d, 0o755); err != nil {
-			return nil, fmt.Errorf("store: lanes spread dir: %w", err)
-		}
 	}
 	count, err := readOrWriteManifest(dir, cfg)
 	if err != nil {
@@ -227,8 +191,8 @@ func OpenLanes(dir string, opts ...LanesOption) (*Lanes, error) {
 
 	// Open every lane concurrently: on a many-core host the replays — the
 	// dominant cold-start cost — run in parallel; on one core they simply
-	// interleave. Each lane gets the compact cell representation and its
-	// lane index (cells report it for SaverPool routing).
+	// interleave. Each lane gets its index (cells report it for SaverPool
+	// routing).
 	lanes := make([]*Journal, count)
 	errs := make([]error, count)
 	var wg sync.WaitGroup
@@ -236,16 +200,11 @@ func OpenLanes(dir string, opts ...LanesOption) (*Lanes, error) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			opts := append([]JournalOption{JournalCompactCells(), JournalWithFS(cfg.fs)}, cfg.jopts...)
-			if fn := cfg.onPoison; fn != nil {
-				opts = append(opts, JournalOnPoison(func(err error) { fn(i, err) }))
-			}
-			j, err := OpenJournal(cfg.lanePath(dir, i), opts...)
+			j, err := openJournal(filepath.Join(dir, laneFileName(i)), i, cfg)
 			if err != nil {
 				errs[i] = fmt.Errorf("store: lane %d: %w", i, err)
 				return
 			}
-			j.lane = i
 			lanes[i] = j
 		}(i)
 	}
@@ -263,10 +222,14 @@ func OpenLanes(dir string, opts ...LanesOption) (*Lanes, error) {
 	return &Lanes{dir: dir, lanes: lanes, laneBits: bits}, nil
 }
 
-// readOrWriteManifest returns the directory's lane count, creating the
-// manifest for a fresh directory. The manifest is durable before any lane
-// file exists, so a reset between them recovers an empty laned medium
-// rather than a directory whose lane count is guesswork.
+// readOrWriteManifest returns the directory's lane count, publishing the
+// manifest for a fresh directory: written to a temp name, fsynced, renamed
+// into place and the directory fsynced — the dance File and compaction use —
+// so a reset at any point leaves the manifest either absent (the next open
+// starts over) or complete, never a short file that bricks the directory.
+// It is durable before any lane file exists, so a reset between them
+// recovers an empty medium rather than a directory whose lane count is
+// guesswork.
 func readOrWriteManifest(dir string, cfg *lanesConfig) (int, error) {
 	path := filepath.Join(dir, laneManifestName)
 	data, err := cfg.fs.ReadFile(path)
@@ -275,7 +238,7 @@ func readOrWriteManifest(dir string, cfg *lanesConfig) (int, error) {
 		if len(data) != laneManifestLen || string(data[0:4]) != laneManifestMagic {
 			return 0, fmt.Errorf("%w: lane manifest %q", ErrCorrupt, path)
 		}
-		if got, want := binary.BigEndian.Uint32(data[8:12]), crc32.Checksum(data[:8], castagnoli); got != want {
+		if got, want := binary.BigEndian.Uint32(data[8:12]), journalCRC(data[:8]); got != want {
 			return 0, fmt.Errorf("%w: lane manifest checksum", ErrCorrupt)
 		}
 		if ver := binary.BigEndian.Uint16(data[4:6]); ver != laneManifestVer {
@@ -295,25 +258,29 @@ func readOrWriteManifest(dir string, cfg *lanesConfig) (int, error) {
 		buf = append(buf, laneManifestMagic...)
 		buf = binary.BigEndian.AppendUint16(buf, laneManifestVer)
 		buf = binary.BigEndian.AppendUint16(buf, uint16(count))
-		buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
-		f, err := cfg.fs.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o600)
+		buf = binary.BigEndian.AppendUint32(buf, journalCRC(buf))
+		// A fixed temp name: what a reset strands here the next open
+		// truncates and reuses, so orphans never accumulate.
+		tmp := path + ".tmp"
+		f, err := cfg.fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
 		if err != nil {
 			return 0, fmt.Errorf("store: lane manifest create: %w", err)
 		}
-		if _, err := f.Write(buf); err != nil {
-			f.Close()
-			return 0, fmt.Errorf("store: lane manifest write: %w", err)
+		_, err = f.Write(buf)
+		if err == nil && cfg.sync {
+			err = f.Sync()
 		}
-		if cfg.withSync {
-			if err := f.Sync(); err != nil {
-				f.Close()
-				return 0, fmt.Errorf("store: lane manifest sync: %w", err)
-			}
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		if err := f.Close(); err != nil {
-			return 0, fmt.Errorf("store: lane manifest close: %w", err)
+		if err == nil {
+			err = cfg.fs.Rename(tmp, path)
 		}
-		if cfg.withSync {
+		if err != nil {
+			cfg.fs.Remove(tmp)
+			return 0, fmt.Errorf("store: lane manifest publish: %w", err)
+		}
+		if cfg.sync {
 			if err := syncDir(cfg.fs, dir); err != nil {
 				return 0, err
 			}
@@ -327,9 +294,8 @@ func readOrWriteManifest(dir string, cfg *lanesConfig) (int, error) {
 // laneOf routes a key to its lane. SA keys ("tx/xxxxxxxx", "rx/xxxxxxxx")
 // hash their SPI with the SAD's Fibonacci multiplier, so an SA's commit
 // lane is the same stripe its datapath admission runs on; other keys (the
-// cluster epoch, tests) hash their bytes first. With one lane every key
-// maps to lane 0 and Lanes degenerates to a Journal with routing overhead
-// of a few nanoseconds.
+// cluster epoch, a probe cell) hash their bytes first. With one lane every
+// key maps to lane 0.
 func (l *Lanes) laneOf(key string) int {
 	if l.laneBits == 0 {
 		return 0
@@ -352,8 +318,8 @@ func (l *Lanes) Lane(key string) *Journal { return l.lanes[l.laneOf(key)] }
 // LaneCount returns the number of commit lanes.
 func (l *Lanes) LaneCount() int { return len(l.lanes) }
 
-// LaneJournals returns the underlying commit lanes, in lane order. The
-// slice is shared; do not mutate it.
+// LaneJournals returns the underlying commit lanes, in lane order —
+// replication attaches per lane. The slice is shared; do not mutate it.
 func (l *Lanes) LaneJournals() []*Journal { return l.lanes }
 
 // Path returns the manifest directory.
@@ -374,19 +340,10 @@ func (l *Lanes) Delete(key string) error { return l.Lane(key).Delete(key) }
 // Values merges every lane's live state. Keys are disjoint across lanes
 // (routing is deterministic), so the merge is a plain union.
 func (l *Lanes) Values() map[string]uint64 {
-	n := 0
-	for _, j := range l.lanes {
-		n += j.Keys()
-	}
-	out := make(map[string]uint64, n)
+	out := make(map[string]uint64, l.Keys())
 	for _, j := range l.lanes {
 		j.mu.Lock()
-		for k, v := range j.vals {
-			out[k] = v
-		}
-		for pk, v := range j.pvals {
-			out[unpackKey(pk)] = v
-		}
+		j.valuesInto(out)
 		j.mu.Unlock()
 	}
 	return out

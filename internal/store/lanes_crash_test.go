@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -19,19 +18,13 @@ import (
 //     directory entry became durable ahead of the temp file's tail.
 //
 // Recovery must shrug at 1 and 2 (the temp is garbage by construction; the
-// renamed lane is self-contained) and handle 3 exactly like a torn tail,
-// on both frame format versions.
+// renamed lane is self-contained) and handle 3 exactly like a torn tail.
 
-// rawJournalFile writes a journal file from whole cloth: header in the
-// given format version, then the provided frames.
-func rawJournalFile(t *testing.T, path string, ver uint16, frames []byte) {
+// rawJournalFile writes a journal file from whole cloth: the header, then
+// the provided frames.
+func rawJournalFile(t *testing.T, path string, frames []byte) {
 	t.Helper()
-	buf := make([]byte, 0, journalHeaderLen+len(frames))
-	buf = append(buf, journalMagic...)
-	buf = binary.BigEndian.AppendUint16(buf, ver)
-	buf = append(buf, 0, 0)
-	buf = append(buf, frames...)
-	if err := os.WriteFile(path, buf, 0o600); err != nil {
+	if err := os.WriteFile(path, append(appendHeader(nil), frames...), 0o600); err != nil {
 		t.Fatalf("write %s: %v", path, err)
 	}
 }
@@ -73,9 +66,9 @@ func TestLanesCrashTornTempSegment(t *testing.T) {
 	}
 
 	// The torn temp: half a compacted snapshot, cut mid-frame.
-	frames := appendRecord(journalVersion, nil, "rx/00000000", 1, false)
-	frames = append(frames, appendRecord(journalVersion, nil, "rx/00000001", 2, false)[:7]...)
-	rawJournalFile(t, filepath.Join(dir, laneFileName(1)+".compact123456"), journalVersion, frames)
+	frames := appendRecord(nil, "rx/00000000", 1, false)
+	frames = append(frames, appendRecord(nil, "rx/00000001", 2, false)[:7]...)
+	rawJournalFile(t, filepath.Join(dir, laneFileName(1)+".compact123456"), frames)
 
 	l2, err := OpenLanes(dir, LanesWithoutSync())
 	if err != nil {
@@ -127,19 +120,19 @@ func TestLanesCrashRenameInterleaving(t *testing.T) {
 	// Lane 1: the compacted snapshot fully renamed over the log.
 	var frames []byte
 	for _, key := range owned[1] {
-		frames = appendRecord(journalVersion, frames, key, want[key], false)
+		frames = appendRecord(frames, key, want[key], false)
 	}
-	rawJournalFile(t, filepath.Join(dir, laneFileName(1)), journalVersion, frames)
+	rawJournalFile(t, filepath.Join(dir, laneFileName(1)), frames)
 
 	// Lane 2: untouched log, torn temp alongside.
 	var torn []byte
 	for _, key := range owned[2] {
-		torn = appendRecord(journalVersion, torn, key, want[key], false)
+		torn = appendRecord(torn, key, want[key], false)
 	}
 	if len(torn) < 10 {
 		t.Fatal("lane 2 owns too few keys for a torn temp; raise the key count")
 	}
-	rawJournalFile(t, filepath.Join(dir, laneFileName(2)+".compact777"), journalVersion, torn[:len(torn)-10])
+	rawJournalFile(t, filepath.Join(dir, laneFileName(2)+".compact777"), torn[:len(torn)-10])
 
 	l2, err := OpenLanes(dir, LanesWithoutSync())
 	if err != nil {
@@ -163,72 +156,70 @@ func TestLanesCrashRenameInterleaving(t *testing.T) {
 // TestLanesCrashTornRenamedSegment: the renamed log itself is torn — the
 // compaction temp's tail never reached disk but the rename did. The lane
 // must recover as a torn tail (complete frames kept, tear truncated,
-// TornTail reported) and stay writable, on both the v1 (CRC-32 IEEE) and
-// v2 (CRC-32C) frame formats.
+// TornTail reported) and stay writable. The subtest is named for the frame
+// format.
 func TestLanesCrashTornRenamedSegment(t *testing.T) {
-	for _, ver := range []uint16{journalVersion1, journalVersion} {
-		t.Run(fmt.Sprintf("v%d", ver), func(t *testing.T) {
-			dir := t.TempDir()
-			l, err := OpenLanes(dir, LanesCount(4), LanesWithoutSync())
-			if err != nil {
-				t.Fatalf("OpenLanes: %v", err)
-			}
-			want, owned := populateLanes(t, l, 64, 4)
-			if err := l.Close(); err != nil {
-				t.Fatalf("Close: %v", err)
-			}
+	t.Run("v2", func(t *testing.T) {
+		dir := t.TempDir()
+		l, err := OpenLanes(dir, LanesCount(4), LanesWithoutSync())
+		if err != nil {
+			t.Fatalf("OpenLanes: %v", err)
+		}
+		want, owned := populateLanes(t, l, 64, 4)
+		if err := l.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
 
-			// Lane 3's log becomes a compacted snapshot whose last frame is
-			// cut short.
-			keys := owned[3]
-			if len(keys) < 2 {
-				t.Fatal("lane 3 owns too few keys; raise the key count")
-			}
-			var frames []byte
-			for _, key := range keys {
-				frames = appendRecord(ver, frames, key, want[key], false)
-			}
-			rawJournalFile(t, filepath.Join(dir, laneFileName(3)), ver, frames[:len(frames)-5])
+		// Lane 3's log becomes a compacted snapshot whose last frame is
+		// cut short.
+		keys := owned[3]
+		if len(keys) < 2 {
+			t.Fatal("lane 3 owns too few keys; raise the key count")
+		}
+		var frames []byte
+		for _, key := range keys {
+			frames = appendRecord(frames, key, want[key], false)
+		}
+		rawJournalFile(t, filepath.Join(dir, laneFileName(3)), frames[:len(frames)-5])
 
-			l2, err := OpenLanes(dir, LanesWithoutSync())
-			if err != nil {
-				t.Fatalf("reopen: %v", err)
-			}
-			rs := l2.RecoveryStats()
-			if !rs.TornTail {
-				t.Error("RecoveryStats.TornTail = false, want true")
-			}
-			if rs.FramesDropped != 0 {
-				t.Errorf("FramesDropped = %d, want 0 (a tear is not mid-log corruption)", rs.FramesDropped)
-			}
-			got := l2.Values()
-			lost := keys[len(keys)-1] // only the cut frame's key may be short
-			for key, v := range want {
-				switch {
-				case key == lost:
-					if got[key] > v {
-						t.Fatalf("torn key %s = %d, above its true value %d", key, got[key], v)
-					}
-				case got[key] != v:
-					t.Fatalf("Values[%s] = %d, want %d", key, got[key], v)
+		l2, err := OpenLanes(dir, LanesWithoutSync())
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		rs := l2.RecoveryStats()
+		if !rs.TornTail {
+			t.Error("RecoveryStats.TornTail = false, want true")
+		}
+		if rs.FramesDropped != 0 {
+			t.Errorf("FramesDropped = %d, want 0 (a tear is not mid-log corruption)", rs.FramesDropped)
+		}
+		got := l2.Values()
+		lost := keys[len(keys)-1] // only the cut frame's key may be short
+		for key, v := range want {
+			switch {
+			case key == lost:
+				if got[key] > v {
+					t.Fatalf("torn key %s = %d, above its true value %d", key, got[key], v)
 				}
+			case got[key] != v:
+				t.Fatalf("Values[%s] = %d, want %d", key, got[key], v)
 			}
+		}
 
-			// The torn lane accepts writes and they survive another reopen.
-			if err := l2.Cell(lost).Save(want[lost] + 100); err != nil {
-				t.Fatalf("Save on recovered torn lane: %v", err)
-			}
-			if err := l2.Close(); err != nil {
-				t.Fatalf("Close: %v", err)
-			}
-			l3, err := OpenLanes(dir, LanesWithoutSync())
-			if err != nil {
-				t.Fatalf("third open: %v", err)
-			}
-			defer l3.Close()
-			if v, ok, err := l3.Cell(lost).Fetch(); err != nil || !ok || v != want[lost]+100 {
-				t.Fatalf("Fetch(%s) = (%d, %v, %v), want (%d, true, nil)", lost, v, ok, err, want[lost]+100)
-			}
-		})
-	}
+		// The torn lane accepts writes and they survive another reopen.
+		if err := l2.Cell(lost).Save(want[lost] + 100); err != nil {
+			t.Fatalf("Save on recovered torn lane: %v", err)
+		}
+		if err := l2.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		l3, err := OpenLanes(dir, LanesWithoutSync())
+		if err != nil {
+			t.Fatalf("third open: %v", err)
+		}
+		defer l3.Close()
+		if v, ok, err := l3.Cell(lost).Fetch(); err != nil || !ok || v != want[lost]+100 {
+			t.Fatalf("Fetch(%s) = (%d, %v, %v), want (%d, true, nil)", lost, v, ok, err, want[lost]+100)
+		}
+	})
 }

@@ -19,9 +19,9 @@ import (
 // stale value can never land after a newer one.
 //
 // The pool is sharded: each worker owns a private queue, and a handle is
-// pinned to one shard for its lifetime. Stores that report a commit lane
-// (Cell.Lane — cells of a laned journal) route by lane, so a lane's journal
-// only ever sees one saver; lane-less stores round-robin.
+// pinned to one shard for its lifetime. Journal cells report their commit
+// lane (Cell.Lane) and route by it, so a lane only ever sees one saver;
+// every other store (Mem, File, wrappers) round-robins.
 //
 // A worker runs in rounds. It swaps out its whole queue, takes each handle's
 // coalesced maximum and stages it (Cell.Stage: a memcpy under the lane
@@ -37,7 +37,7 @@ import (
 // File, wrappers) take the same loop through saveStager.
 type SaverPool struct {
 	shards []poolShard
-	rr     atomic.Uint32 // round-robin cursor for lane-less handles
+	rr     atomic.Uint32 // round-robin cursor for handles over stores that are not cells
 	wg     sync.WaitGroup
 
 	// requested counts StartSave calls; persisted counts the coalesced
@@ -196,13 +196,10 @@ func NewSaverPool(workers int) *SaverPool {
 // through the pool. Handles over lane-reporting stores pin to the lane's
 // shard; others round-robin across shards.
 func (p *SaverPool) Saver(st Store) *PoolSaver {
-	shard := -1
+	var shard int
 	if l, ok := st.(laner); ok {
-		if lane := l.Lane(); lane >= 0 {
-			shard = lane % len(p.shards)
-		}
-	}
-	if shard < 0 {
+		shard = l.Lane() % len(p.shards)
+	} else {
 		shard = int(p.rr.Add(1)-1) % len(p.shards)
 	}
 	s := &PoolSaver{p: p, sh: &p.shards[shard], st: st}

@@ -178,7 +178,7 @@ func TestPoolJournalGroupCommit(t *testing.T) {
 		wg.Wait()
 	}
 
-	j := journalAt(t, JournalBatchDelay(100*time.Microsecond))
+	j := journalAt(t, LanesBatchDelay(100*time.Microsecond))
 	burst(func(h int) Store { return j.Cell(fmt.Sprintf("sa/%d", h)) })
 	appends := j.Appends()
 	syncs := j.Syncs()

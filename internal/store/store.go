@@ -8,6 +8,10 @@
 // plays the role of the platter and deliberately survives protocol "resets",
 // which only clear volatile endpoint state), and File provides them on a
 // real filesystem via write-to-temp + fsync + atomic rename + checksum.
+// Lanes provides them for many named cells at once: the one durable
+// multi-counter medium, N group-committed Journal lanes under a manifest
+// (one lane is the single-journal form), each cell seen as a Store through
+// Cell.
 //
 // Fault-injection wrappers (Faulty) and a background saver (AsyncSaver,
 // mirroring the paper's "& SAVE(s) executed in background") support the

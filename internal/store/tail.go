@@ -27,7 +27,7 @@ type TailRecord struct {
 // primary's recoverable state.
 //
 // The journal retains a bounded in-memory window of recent records (see
-// JournalTailBuffer). A reader that falls behind the window — or that
+// LanesTailBuffer). A reader that falls behind the window — or that
 // attaches fresh — resynchronizes by snapshot-then-tail: Recv reports
 // ErrTailLagged, the reader calls Snapshot (the full live state plus the
 // cursor position that stream resumes from), applies it, and tails on. The
@@ -84,7 +84,7 @@ func (t *Tail) Snapshot() (vals map[string]uint64, next uint64, err error) {
 	if j.closed || t.closed {
 		return nil, 0, ErrClosed
 	}
-	vals = j.valsSnapshot()
+	vals = j.valuesInto(make(map[string]uint64, j.numKeys()))
 	t.next = j.appendSeq
 	t.lagged = false
 	return vals, t.next, nil
@@ -306,7 +306,7 @@ func (j *Journal) Fenced() error {
 func (j *Journal) Values() map[string]uint64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.valsSnapshot()
+	return j.valuesInto(make(map[string]uint64, j.numKeys()))
 }
 
 // Apply appends a batch of replicated records — the output of a Tail on
@@ -342,9 +342,9 @@ func (j *Journal) Apply(recs []TailRecord) error {
 		}
 		var rec []byte
 		if n := 2 + 8 + len(r.Key) + 4; n <= len(arr) {
-			rec = appendRecord(j.ver, arr[:0], r.Key, r.Val, r.Del)
+			rec = appendRecord(arr[:0], r.Key, r.Val, r.Del)
 		} else {
-			rec = appendRecord(j.ver, make([]byte, 0, 2+8+len(r.Key)+4), r.Key, r.Val, r.Del)
+			rec = appendRecord(make([]byte, 0, 2+8+len(r.Key)+4), r.Key, r.Val, r.Del)
 		}
 		last, wrote = j.stageLocked(r.Key, r.Val, r.Del, rec), true
 	}

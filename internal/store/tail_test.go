@@ -26,7 +26,7 @@ func drainTail(t *testing.T, tl *Tail) []TailRecord {
 }
 
 func TestTailStreamsCommittedRecordsInOrder(t *testing.T) {
-	j, err := OpenJournal(filepath.Join(t.TempDir(), "j.log"), JournalWithoutSync())
+	j, err := openLane(filepath.Join(t.TempDir(), "j.log"), LanesWithoutSync())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,8 +72,8 @@ func TestTailSnapshotThenTailAfterLag(t *testing.T) {
 	// A 4-record window guarantees a reader attached from the start lags
 	// out; it must resynchronize by snapshot and still converge on the
 	// journal's exact live state.
-	j, err := OpenJournal(filepath.Join(t.TempDir(), "j.log"),
-		JournalWithoutSync(), JournalTailBuffer(4))
+	j, err := openLane(filepath.Join(t.TempDir(), "j.log"),
+		LanesWithoutSync(), LanesTailBuffer(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +134,8 @@ func TestTailSurvivesCompaction(t *testing.T) {
 	// Compaction rewrites the log file under an attached reader; the
 	// logical record stream must be undisturbed: every record before and
 	// after the compaction arrives exactly once.
-	j, err := OpenJournal(filepath.Join(t.TempDir(), "j.log"),
-		JournalWithoutSync(), JournalCompactAt(256))
+	j, err := openLane(filepath.Join(t.TempDir(), "j.log"),
+		LanesWithoutSync(), LanesCompactAt(256))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestTailSurvivesCompaction(t *testing.T) {
 // directory entry back to the old (now-deleted) inode after compaction
 // already reported the state durable.
 func TestJournalCompactionDirFsync(t *testing.T) {
-	j, err := OpenJournal(filepath.Join(t.TempDir(), "j.log"), JournalCompactAt(256))
+	j, err := openLane(filepath.Join(t.TempDir(), "j.log"), LanesCompactAt(256))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestJournalCompactionDirFsync(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	j2, err := OpenJournal(j.Path())
+	j2, err := openLane(j.Path())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestJournalCompactionDirFsync(t *testing.T) {
 
 func TestSyncFollowerGatesSaves(t *testing.T) {
 	watchdog.Arm(t, 10*time.Second)
-	j, err := OpenJournal(filepath.Join(t.TempDir(), "j.log"), JournalWithoutSync())
+	j, err := openLane(filepath.Join(t.TempDir(), "j.log"), LanesWithoutSync())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestSyncFollowerGatesSaves(t *testing.T) {
 
 func TestClearSyncFollowerReleasesWaiters(t *testing.T) {
 	watchdog.Arm(t, 10*time.Second)
-	j, err := OpenJournal(filepath.Join(t.TempDir(), "j.log"), JournalWithoutSync())
+	j, err := openLane(filepath.Join(t.TempDir(), "j.log"), LanesWithoutSync())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestClearSyncFollowerReleasesWaiters(t *testing.T) {
 
 func TestFenceRejectsWritesAndReleasesWaiters(t *testing.T) {
 	watchdog.Arm(t, 10*time.Second)
-	j, err := OpenJournal(filepath.Join(t.TempDir(), "j.log"), JournalWithoutSync())
+	j, err := openLane(filepath.Join(t.TempDir(), "j.log"), LanesWithoutSync())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestFenceRejectsWritesAndReleasesWaiters(t *testing.T) {
 }
 
 func TestApplyIsIdempotentAndBatched(t *testing.T) {
-	j, err := OpenJournal(filepath.Join(t.TempDir(), "j.log"), JournalWithoutSync())
+	j, err := openLane(filepath.Join(t.TempDir(), "j.log"), LanesWithoutSync())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,12 +381,12 @@ func TestApplyIsIdempotentAndBatched(t *testing.T) {
 
 func TestApplyMirrorsTombstoneLifecycle(t *testing.T) {
 	dir := t.TempDir()
-	src, err := OpenJournal(filepath.Join(dir, "src.log"), JournalWithoutSync())
+	src, err := openLane(filepath.Join(dir, "src.log"), LanesWithoutSync())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer src.Close()
-	dst, err := OpenJournal(filepath.Join(dir, "dst.log"), JournalWithoutSync())
+	dst, err := openLane(filepath.Join(dir, "dst.log"), LanesWithoutSync())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +422,7 @@ func TestApplyMirrorsTombstoneLifecycle(t *testing.T) {
 	if err := dst.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenJournal(filepath.Join(dir, "dst.log"))
+	re, err := openLane(filepath.Join(dir, "dst.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,12 +434,12 @@ func TestApplyMirrorsTombstoneLifecycle(t *testing.T) {
 
 func TestSyncFollowerRegistrationRules(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenJournal(filepath.Join(dir, "j.log"), JournalWithoutSync())
+	j, err := openLane(filepath.Join(dir, "j.log"), LanesWithoutSync())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	other, err := OpenJournal(filepath.Join(dir, "other.log"), JournalWithoutSync())
+	other, err := openLane(filepath.Join(dir, "other.log"), LanesWithoutSync())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +475,7 @@ func TestSyncFollowerRegistrationRules(t *testing.T) {
 }
 
 func TestTailRecvAfterJournalClose(t *testing.T) {
-	j, err := OpenJournal(filepath.Join(t.TempDir(), "j.log"), JournalWithoutSync())
+	j, err := openLane(filepath.Join(t.TempDir(), "j.log"), LanesWithoutSync())
 	if err != nil {
 		t.Fatal(err)
 	}

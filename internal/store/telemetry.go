@@ -8,7 +8,6 @@ import (
 
 var (
 	_ telemetry.Collector = RecoveryStats{}
-	_ telemetry.Collector = (*Journal)(nil)
 	_ telemetry.Collector = (*Lanes)(nil)
 	_ telemetry.Collector = (*SaverPool)(nil)
 )
@@ -26,52 +25,26 @@ func (s RecoveryStats) CollectTelemetry(emit telemetry.Emit) {
 	emit("recovery_torn_tail", telemetry.KindGauge, torn)
 }
 
-// mediumTelemetry is the family set Journal and Lanes share: commit
-// pipeline counters, footprint gauges, the fence flag, and the recovery
-// scan's outcome.
-func mediumTelemetry(m Medium, emit telemetry.Emit, labels ...telemetry.Label) {
-	emit("appends_total", telemetry.KindCounter, float64(m.Appends()), labels...)
-	emit("syncs_total", telemetry.KindCounter, float64(m.Syncs()), labels...)
-	emit("compactions_total", telemetry.KindCounter, float64(m.Compactions()), labels...)
-	emit("keys", telemetry.KindGauge, float64(m.Keys()), labels...)
-	emit("log_size_bytes", telemetry.KindGauge, float64(m.LogSize()), labels...)
+// CollectTelemetry emits the medium's aggregate families — commit pipeline
+// counters, footprint gauges, the fence flag, the recovery scan's outcome —
+// plus the per-lane commit counters and quarantine flags under a lane label:
+// the per-lane view is what shows one hot lane saturating, or one
+// quarantined lane, while the aggregate looks healthy. Scrape-time only:
+// each sample takes the lanes' mutexes once.
+func (l *Lanes) CollectTelemetry(emit telemetry.Emit) {
+	emit("appends_total", telemetry.KindCounter, float64(l.Appends()))
+	emit("syncs_total", telemetry.KindCounter, float64(l.Syncs()))
+	emit("compactions_total", telemetry.KindCounter, float64(l.Compactions()))
+	emit("keys", telemetry.KindGauge, float64(l.Keys()))
+	emit("log_size_bytes", telemetry.KindGauge, float64(l.LogSize()))
 	fenced := 0.0
-	if m.Fenced() != nil {
+	if l.Fenced() != nil {
 		fenced = 1
 	}
-	emit("fenced", telemetry.KindGauge, fenced, labels...)
-}
-
-// faultTelemetry is the fault-domain family set every journal reports:
-// whether it is poisoned, and the rescue/repair counters around that state.
-func faultTelemetry(j *Journal, emit telemetry.Emit, labels ...telemetry.Label) {
-	poisoned := 0.0
-	if j.Poisoned() != nil {
-		poisoned = 1
-	}
-	emit("poisoned", telemetry.KindGauge, poisoned, labels...)
-	emit("enospc_rescues_total", telemetry.KindCounter, float64(j.Rescues()), labels...)
-	emit("repairs_total", telemetry.KindCounter, float64(j.Repairs()), labels...)
-}
-
-// CollectTelemetry emits the journal's live commit-pipeline counters,
-// footprint, fence state, fault-domain state, and recovery stats.
-// Scrape-time only: each sample takes the journal's mutex once.
-func (j *Journal) CollectTelemetry(emit telemetry.Emit) {
-	mediumTelemetry(j, emit)
-	faultTelemetry(j, emit)
-	j.RecoveryStats().CollectTelemetry(emit)
-}
-
-// CollectTelemetry emits the laned medium's aggregate families plus the
-// per-lane commit counters and quarantine flags under a lane label — the
-// per-lane view is what shows one hot lane saturating, or one quarantined
-// lane, while the aggregate looks healthy.
-func (l *Lanes) CollectTelemetry(emit telemetry.Emit) {
-	mediumTelemetry(l, emit)
+	emit("fenced", telemetry.KindGauge, fenced)
 	l.RecoveryStats().CollectTelemetry(emit)
 	quarantined := 0
-	for i, lane := range l.LaneJournals() {
+	for i, lane := range l.lanes {
 		label := telemetry.Label{Key: "lane", Value: strconv.Itoa(i)}
 		emit("lane_appends_total", telemetry.KindCounter, float64(lane.Appends()), label)
 		emit("lane_syncs_total", telemetry.KindCounter, float64(lane.Syncs()), label)
@@ -85,16 +58,6 @@ func (l *Lanes) CollectTelemetry(emit telemetry.Emit) {
 		emit("lane_repairs_total", telemetry.KindCounter, float64(lane.Repairs()), label)
 	}
 	emit("lanes_quarantined", telemetry.KindGauge, float64(quarantined))
-}
-
-// MediumCollector adapts any Medium (journal or lanes) for registration.
-func MediumCollector(m Medium) telemetry.Collector {
-	if c, ok := m.(telemetry.Collector); ok {
-		return c
-	}
-	return telemetry.CollectorFunc(func(emit telemetry.Emit) {
-		mediumTelemetry(m, emit)
-	})
 }
 
 // CollectTelemetry emits the saver pool's backlog and coalescing: queued

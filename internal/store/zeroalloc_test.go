@@ -19,8 +19,8 @@ func TestZeroAllocJournalSave(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	j, err := OpenJournal(filepath.Join(t.TempDir(), "j.log"),
-		JournalWithoutSync(), JournalCompactAt(0))
+	j, err := openLane(filepath.Join(t.TempDir(), "j.log"),
+		LanesWithoutSync(), LanesCompactAt(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,16 +85,16 @@ func TestZeroAllocLanesSave(t *testing.T) {
 }
 
 // TestZeroAllocInstrumentedJournalSave is the telemetry-attached variant:
-// the journal registered as a /metrics collector, scraped before and
-// after the measured window. Collection is read-side (the scrape reads
-// the journal's existing counters), so a steady-state Cell.Save must
-// still allocate nothing per record with the instruments live.
+// the medium (its single-journal form) registered as a /metrics collector,
+// scraped before and after the measured window. Collection is read-side
+// (the scrape reads the lanes' existing counters), so a steady-state
+// Cell.Save must still allocate nothing per record with the instruments
+// live.
 func TestZeroAllocInstrumentedJournalSave(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	j, err := OpenJournal(filepath.Join(t.TempDir(), "j.log"),
-		JournalWithoutSync(), JournalCompactAt(0))
+	j, err := OpenLanes(t.TempDir(), LanesCount(1), LanesWithoutSync(), LanesCompactAt(0))
 	if err != nil {
 		t.Fatal(err)
 	}

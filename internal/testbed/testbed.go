@@ -44,12 +44,12 @@ type Config struct {
 	// takes the gateway's defaults.
 	K uint64
 	W int
-	// Lanes is every node's commit-lane count; above 1 the media are laned
-	// journals (and replication runs lane to lane), else one log file.
+	// Lanes is every node's commit-lane count (replication runs lane to
+	// lane); zero takes one, the single-journal form.
 	Lanes int
 	// Sync leaves fsync on in every medium.
 	Sync bool
-	// LaneOpts are extra options on node "b"'s laned medium only: the
+	// LaneOpts are extra options on node "b"'s medium only: the
 	// fault injector and compaction threshold of the disk-fault campaigns,
 	// whose sender and standby stay on clean media.
 	LaneOpts []store.LanesOption
@@ -60,7 +60,7 @@ type Config struct {
 
 	// OnLifecycle observes every gateway's reset and wake transitions,
 	// OnPromote every takeover's wake window (cluster.Config.OnPromote),
-	// OnPoison every lane quarantine on any laned medium, and OnStall each
+	// OnPoison every lane quarantine on any medium, and OnStall each
 	// backoff pause (sealing reports which loop paused).
 	OnLifecycle func(kind string, sas int)
 	OnPromote   func(epoch uint64)
@@ -73,7 +73,7 @@ type Config struct {
 // Reopen, and while it follows the primary as the standby.
 type Node struct {
 	Name   string
-	Medium store.Medium
+	Medium *store.Lanes
 	GW     *ipsec.Gateway
 }
 
@@ -131,24 +131,18 @@ func New(cfg Config) (*Pair, error) {
 }
 
 // openMedium opens (or reopens) the medium called name.
-func (p *Pair) openMedium(name string) (store.Medium, error) {
-	if p.cfg.Lanes > 1 {
-		lo := []store.LanesOption{store.LanesCount(p.cfg.Lanes)}
-		if !p.cfg.Sync {
-			lo = append(lo, store.LanesWithoutSync())
-		}
-		if p.cfg.OnPoison != nil {
-			lo = append(lo, store.LanesOnPoison(p.cfg.OnPoison))
-		}
-		if name == "b" {
-			lo = append(lo, p.cfg.LaneOpts...)
-		}
-		return store.OpenLanes(filepath.Join(p.dir, name), lo...)
-	}
+func (p *Pair) openMedium(name string) (*store.Lanes, error) {
+	lo := []store.LanesOption{store.LanesCount(max(p.cfg.Lanes, 1))}
 	if !p.cfg.Sync {
-		return store.OpenJournal(filepath.Join(p.dir, name+".log"), store.JournalWithoutSync())
+		lo = append(lo, store.LanesWithoutSync())
 	}
-	return store.OpenJournal(filepath.Join(p.dir, name+".log"))
+	if p.cfg.OnPoison != nil {
+		lo = append(lo, store.LanesOnPoison(p.cfg.OnPoison))
+	}
+	if name == "b" {
+		lo = append(lo, p.cfg.LaneOpts...)
+	}
+	return store.OpenLanes(filepath.Join(p.dir, name), lo...)
 }
 
 // boot opens a node's medium and starts a gateway on it.
@@ -182,9 +176,7 @@ func (p *Pair) Reopen(n *Node) (err error) {
 			return err
 		}
 	}
-	if n.Medium, err = p.openMedium(n.Name); err != nil {
-		n.Medium = nil // not a nil pointer wrapped in the interface
-	}
+	n.Medium, err = p.openMedium(n.Name)
 	return err
 }
 
