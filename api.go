@@ -74,10 +74,14 @@ var (
 	ErrConfig = core.ErrConfig
 )
 
-// NewSender validates cfg and returns a ready sender.
+// NewSender validates cfg and returns a sender: up over an empty store,
+// born down (Next returns ErrDown) over one a prior life used. Call Wake
+// after it either way; it is a no-op on a sender that is up.
 func NewSender(cfg SenderConfig) (*Sender, error) { return core.NewSender(cfg) }
 
-// NewReceiver validates cfg and returns a ready receiver.
+// NewReceiver validates cfg and returns a receiver: up over an empty store,
+// born down (every Admit is VerdictDown) over one a prior life used. Call
+// Wake after it either way; it is a no-op on a receiver that is up.
 func NewReceiver(cfg ReceiverConfig) (*Receiver, error) { return core.NewReceiver(cfg) }
 
 // Leap computes the wake-up leap ceil(factor*k); the paper proves factor 2
@@ -110,28 +114,44 @@ func NewPaperWindow(w int) Window { return seqwin.NewBool(w) }
 func InferESN(edge uint64, lo uint32, w int) uint64 { return seqwin.InferESN(edge, lo, w) }
 
 // NewFileSender builds a resilient sender persisting to a file-backed store
-// at path with background (goroutine) saves. Close the returned saver when
-// done to wait for in-flight saves.
-func NewFileSender(path string, k uint64) (*Sender, *AsyncSaver, error) {
+// at path, with background saves on a pool of one worker, and wakes it: over
+// a file a prior life left it comes up at the saved counter + 2K, never at
+// 1, and a failed FETCH or post-wake SAVE is returned as the error. Close
+// the returned pool when done to wait for in-flight saves.
+func NewFileSender(path string, k uint64) (*Sender, *SaverPool, error) {
 	st := store.NewFile(path)
-	saver := store.NewAsyncSaver(st)
-	snd, err := core.NewSender(core.SenderConfig{K: k, Store: st, Saver: saver})
+	pool := store.NewSaverPool(1)
+	snd, err := core.NewSender(core.SenderConfig{K: k, Store: st, Saver: pool.Saver(st)})
+	if err == nil {
+		err = awaitWake(snd.WakeNotify)
+	}
 	if err != nil {
-		saver.Close()
+		pool.Close()
 		return nil, nil, fmt.Errorf("antireplay: file sender: %w", err)
 	}
-	return snd, saver, nil
+	return snd, pool, nil
 }
 
 // NewFileReceiver builds a resilient receiver persisting to a file-backed
-// store at path with background saves and a window of width w.
-func NewFileReceiver(path string, k uint64, w int) (*Receiver, *AsyncSaver, error) {
+// store at path with background saves and a window of width w; it is woken
+// as in NewFileSender, so nothing a prior life delivered is delivered again.
+func NewFileReceiver(path string, k uint64, w int) (*Receiver, *SaverPool, error) {
 	st := store.NewFile(path)
-	saver := store.NewAsyncSaver(st)
-	rcv, err := core.NewReceiver(core.ReceiverConfig{K: k, W: w, Store: st, Saver: saver})
+	pool := store.NewSaverPool(1)
+	rcv, err := core.NewReceiver(core.ReceiverConfig{K: k, W: w, Store: st, Saver: pool.Saver(st)})
+	if err == nil {
+		err = awaitWake(rcv.WakeNotify)
+	}
 	if err != nil {
-		saver.Close()
+		pool.Close()
 		return nil, nil, fmt.Errorf("antireplay: file receiver: %w", err)
 	}
-	return rcv, saver, nil
+	return rcv, pool, nil
+}
+
+// awaitWake starts a wake-up and blocks until it settles.
+func awaitWake(wakeNotify func(done func(error))) error {
+	settled := make(chan error, 1)
+	wakeNotify(func(err error) { settled <- err })
+	return <-settled
 }

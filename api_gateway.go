@@ -102,14 +102,13 @@ func NewSaverPool(workers int) *SaverPool { return store.NewSaverPool(workers) }
 // j under key. pool may be nil for synchronous saves; with a pool, saves
 // coalesce per key and group-commit across keys. The cell is claimed
 // exclusively (ErrCellClaimed on a key already owned — release with
-// j.ReleaseCell); if the journal holds a prior life's counter, the sender
-// resumes through the paper's wake-up rather than restarting at 1, and is
+// j.ReleaseCell) and the sender is woken: over a prior life's counter it is
 // briefly StateWaking when saves are pooled. The strict durable horizon is
 // enabled: pool queueing can push a counter more than 2K past its durable
 // value, and the horizon turns that reuse window into bounded backpressure
 // (Next returns ErrSaveLag until the save lands).
 func NewJournalSender(j *Lanes, key string, k uint64, pool *SaverPool) (*Sender, error) {
-	cell, resume, err := claimJournalCell(j, key)
+	cell, err := j.ClaimCell(key)
 	if err != nil {
 		return nil, fmt.Errorf("antireplay: journal sender %q: %w", key, err)
 	}
@@ -122,37 +121,18 @@ func NewJournalSender(j *Lanes, key string, k uint64, pool *SaverPool) (*Sender,
 		j.ReleaseCell(key)
 		return nil, fmt.Errorf("antireplay: journal sender %q: %w", key, err)
 	}
-	if resume {
-		snd.Reset()
-		snd.Wake()
-	}
+	snd.Wake()
 	return snd, nil
-}
-
-// claimJournalCell claims key and reports whether a prior life's state is
-// present (the caller must then resume via Reset+Wake, not restart at the
-// initial counter). The claim is released if the fetch fails.
-func claimJournalCell(j *Lanes, key string) (*JournalCell, bool, error) {
-	cell, err := j.ClaimCell(key)
-	if err != nil {
-		return nil, false, err
-	}
-	_, resume, err := cell.Fetch()
-	if err != nil {
-		j.ReleaseCell(key)
-		return nil, false, err
-	}
-	return cell, resume, nil
 }
 
 // NewJournalReceiver builds a resilient receiver whose window edge lives in
 // medium j under key, with a window of width w. pool may be nil for
-// synchronous saves. Cell claiming and prior-state resumption work as in
+// synchronous saves. Cell claiming and the wake work as in
 // NewJournalSender, and the strict durable horizon is enabled: delivery at
 // or beyond committed+2K is deferred (VerdictHorizon) until the lagging
 // save lands.
 func NewJournalReceiver(j *Lanes, key string, k uint64, w int, pool *SaverPool) (*Receiver, error) {
-	cell, resume, err := claimJournalCell(j, key)
+	cell, err := j.ClaimCell(key)
 	if err != nil {
 		return nil, fmt.Errorf("antireplay: journal receiver %q: %w", key, err)
 	}
@@ -165,10 +145,7 @@ func NewJournalReceiver(j *Lanes, key string, k uint64, w int, pool *SaverPool) 
 		j.ReleaseCell(key)
 		return nil, fmt.Errorf("antireplay: journal receiver %q: %w", key, err)
 	}
-	if resume {
-		rcv.Reset()
-		rcv.Wake()
-	}
+	rcv.Wake()
 	return rcv, nil
 }
 

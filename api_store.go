@@ -1,10 +1,6 @@
 package antireplay
 
-import (
-	"time"
-
-	"antireplay/internal/store"
-)
+import "antireplay/internal/store"
 
 // Persistence types, re-exported from the implementation.
 type (
@@ -18,19 +14,15 @@ type (
 	FileStore = store.File
 	// FileStoreOption configures a FileStore.
 	FileStoreOption = store.FileOption
-	// AsyncSaver runs saves on background goroutines.
-	AsyncSaver = store.AsyncSaver
 	// FaultyStore wraps a Store with fault injection for tests.
 	FaultyStore = store.Faulty
-	// LatentStore adds fixed latency to saves, emulating a slow medium.
-	LatentStore = store.Latent
 )
 
 // Store errors.
 var (
 	// ErrCorrupt reports a persisted record that failed validation.
 	ErrCorrupt = store.ErrCorrupt
-	// ErrSaverClosed reports a save on a closed AsyncSaver.
+	// ErrSaverClosed reports a save on a closed SaverPool.
 	ErrSaverClosed = store.ErrClosed
 )
 
@@ -42,13 +34,5 @@ func NewFileStore(path string, opts ...FileStoreOption) *FileStore {
 // WithoutSync disables the per-save fsync on a FileStore.
 func WithoutSync() FileStoreOption { return store.WithoutSync() }
 
-// NewAsyncSaver returns a background saver over st.
-func NewAsyncSaver(st Store) *AsyncSaver { return store.NewAsyncSaver(st) }
-
 // NewFaultyStore wraps st with fault injection.
 func NewFaultyStore(st Store) *FaultyStore { return store.NewFaulty(st) }
-
-// NewLatentStore wraps st so each save takes at least delay.
-func NewLatentStore(st Store, delay time.Duration) *LatentStore {
-	return store.NewLatent(st, delay)
-}

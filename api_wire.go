@@ -7,8 +7,7 @@ import (
 // Wire-layer types, re-exported from the implementation. A WireLink is the
 // transport-neutral datagram pipe the tunnel, DPD, and rekey layers ride:
 // the same interface is implemented by the deterministic simulator
-// (NewSimLinkPair), real UDP-encapsulated sockets (ListenWireUDP), and the
-// impairment middleware that composes adversaries over either.
+// (NewSimLinkPair) and real UDP-encapsulated sockets (ListenWireUDP).
 type (
 	// WireLink is one direction-pair of a datagram transport.
 	WireLink = wire.Link
@@ -28,11 +27,6 @@ type (
 	FragWireConfig = wire.FragConfig
 	// FragWireStats counts fragmentation work and hostile rejections.
 	FragWireStats = wire.FragStats
-	// ImpairWireLink composes loss/dup/reorder and adversary hooks over
-	// any link.
-	ImpairWireLink = wire.ImpairLink
-	// ImpairWireConfig is the seeded impairment model.
-	ImpairWireConfig = wire.ImpairConfig
 )
 
 // Wire-layer errors.
@@ -65,11 +59,4 @@ func ListenWireUDP(addr string, cfg UDPWireConfig) (*UDPEndpoint, error) {
 // with bounded reassembly memory.
 func NewFragWireLink(inner WireLink, cfg FragWireConfig) *FragWireLink {
 	return wire.NewFragLink(inner, cfg)
-}
-
-// NewImpairWireLink wraps a link with a seeded loss/dup/reorder model plus
-// the adversary's wiretap (Tap) and injection (Inject) hooks, so recorded
-// traffic can be replayed over any transport.
-func NewImpairWireLink(inner WireLink, cfg ImpairWireConfig) *ImpairWireLink {
-	return wire.NewImpairLink(inner, cfg)
 }

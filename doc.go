@@ -31,14 +31,22 @@
 // A Sender hands out sequence numbers; a Receiver admits them through an
 // anti-replay window. Both take a Store (persistent cell) and optionally a
 // BackgroundSaver. The zero-fuss constructors wire a file-backed store with
-// background (goroutine) saves:
+// background saves on a SaverPool of one worker, which they return; Close
+// it when done:
 //
-//	snd, saver, err := antireplay.NewFileSender("/var/lib/sa/tx.seq", 25)
+//	snd, pool, err := antireplay.NewFileSender("/var/lib/sa/tx.seq", 25)
 //	...
 //	seq, err := snd.Next()          // number an outgoing packet
 //	...
-//	snd.Reset()                     // crash (or process restart detected)
-//	snd.Wake()                      // FETCH + leap + SAVE, then resume
+//	pool.Close()                    // wait for in-flight saves
+//
+// A restart is the same call again. An endpoint built over a store that
+// already holds a value is born down — Next returns ErrDown, every Admit is
+// VerdictDown — and only Wake (FETCH + leap + SAVE) brings it up, so nothing
+// can come up at its initial counter over a prior life's state. NewFileSender
+// and NewFileReceiver call Wake and wait for it; after NewSender or
+// NewReceiver over your own store, call Wake yourself (a no-op over an empty
+// store). Reset and Wake also drive the crash of a live endpoint.
 //
 // The ipsec-flavoured types (OutboundSA, InboundSA, SAD, SPD) bind the
 // sequence-number service to an ESP-like packet format with HMAC-SHA256-96

@@ -14,8 +14,8 @@
 // wake-up (the §3 catastrophe's strongest shape), a sliding window of
 // recent traffic, or arbitrary programmed subsets. Injections bypass the
 // link's loss model because the adversary controls its own transmissions.
-// The experiment harness pairs every replayed packet with ground truth in a
-// trace.Matrix, so "replay accepted" is counted from the harness's
+// The experiment harness pairs every replayed packet with ground truth in
+// experiments.Matrix, so "replay accepted" is counted from the harness's
 // knowledge, not inferred from verdicts.
 package adversary
 

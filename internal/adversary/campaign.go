@@ -11,7 +11,7 @@ import (
 )
 
 // This file is the campaign engine: the step from the paper's replay-only
-// adversary (Recorder/Replayer, random ImpairLink loss) to the stealth-DoS
+// adversary (Recorder/Replayer, random link loss) to the stealth-DoS
 // attacker of Herzberg & Shulman — low-rate, well-timed interference that
 // never breaks the channel's cryptography and still degrades it. A
 // Campaign composes three powers over a victim wire.Link:

@@ -11,9 +11,15 @@
 // resumes — the receiver buffering any messages that arrive during that
 // final save (§4, "second consideration").
 //
+// A process that restarts is a reset too, so the same rule governs birth:
+// an endpoint built over a store that already holds a value is born
+// StateDown and only Wake brings it up; over an empty store it is born up
+// at its initial value. Whoever builds an endpoint calls Wake once it is
+// wired — a no-op on one that is up — and never inspects the store itself.
+//
 // Both endpoints are safe for concurrent use and are driven either by the
 // deterministic simulator (netsim.SimSaver, virtual time) or by real
-// goroutines (store.AsyncSaver, wall clock).
+// goroutines (store.SaverPool, wall clock).
 package core
 
 import (
@@ -78,7 +84,7 @@ func (s State) String() string {
 // "& SAVE(s) executed in background". done (possibly nil) must be invoked
 // exactly once with the save's result, unless the saver is canceled by a
 // reset first. netsim.SimSaver implements this over virtual time and
-// store.AsyncSaver over goroutines; SyncSaver degenerates to an immediate
+// store.PoolSaver over goroutines; SyncSaver degenerates to an immediate
 // synchronous save.
 type BackgroundSaver interface {
 	StartSave(v uint64, done func(error))

@@ -8,7 +8,6 @@ import (
 
 	"antireplay/internal/core"
 	"antireplay/internal/store"
-	"antireplay/internal/trace"
 )
 
 // manualSaver is a BackgroundSaver whose commits the test fires by hand,
@@ -545,29 +544,32 @@ func TestLeap(t *testing.T) {
 	}
 }
 
+// TestSenderTraceEvents follows a life, a reset and a wake through what the
+// sender keeps of them: its counters, its state and the store's FETCHes.
 func TestSenderTraceEvents(t *testing.T) {
+	const k = 2
 	var m store.Mem
-	tc := trace.NewCollector(64)
-	s := mustSender(t, core.SenderConfig{K: 2, Store: &m, Trace: tc, Name: "p"})
+	s := mustSender(t, core.SenderConfig{K: k, Store: &m})
 	sendN(t, s, 4)
-	if got := tc.Count(trace.KindSend); got != 4 {
-		t.Errorf("send events = %d, want 4", got)
+	if st := s.Stats(); st.Sent != 4 || st.SavesStarted != 2 || st.Resets != 0 {
+		t.Errorf("stats after 4 sends = %+v, want 4 sent, saves of 3 and 5, no reset", st)
 	}
-	if got := tc.Count(trace.KindSaveStart); got < 1 {
-		t.Errorf("save-start events = %d, want >= 1", got)
+	if got := m.Fetches(); got != 1 {
+		t.Errorf("fetches before the reset = %d, want 1 (the probe at birth)", got)
 	}
 	s.Reset()
+	if st := s.Stats(); st.Resets != 1 || s.State() != core.StateDown {
+		t.Errorf("after Reset: resets = %d, state = %v, want 1, down", st.Resets, s.State())
+	}
 	s.Wake()
-	if got := tc.Count(trace.KindReset); got != 1 {
-		t.Errorf("reset events = %d, want 1", got)
+	if st := s.Stats(); st.Resets != 1 || st.SavesStarted != 3 || s.State() != core.StateUp {
+		t.Errorf("after Wake: stats = %+v, state = %v, want 1 reset, the post-wake save, up", st, s.State())
 	}
-	if got := tc.Count(trace.KindWakeDone); got != 1 {
-		t.Errorf("wake-done events = %d, want 1", got)
+	if got := m.Fetches(); got != 2 {
+		t.Errorf("fetches after the wake = %d, want 2", got)
 	}
-	for _, ev := range tc.Events() {
-		if ev.Node != "p" {
-			t.Fatalf("event %+v has node %q, want p", ev, ev.Node)
-		}
+	if got, want := s.Seq(), uint64(5+2*k); got != want {
+		t.Errorf("woke at %d, want %d (fetched 5 + leap)", got, want)
 	}
 }
 

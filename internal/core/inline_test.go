@@ -3,6 +3,7 @@ package core_test
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -39,9 +40,9 @@ var saverKinds = []saverKind{
 	{"SyncSaver", func(store.Store) (core.BackgroundSaver, func(), func()) {
 		return nil, func() {}, func() {}
 	}},
-	{"AsyncSaver", func(st store.Store) (core.BackgroundSaver, func(), func()) {
-		a := store.NewAsyncSaver(st)
-		return a, func() {}, a.Close
+	{"PoolOfOne", func(st store.Store) (core.BackgroundSaver, func(), func()) {
+		p := store.NewSaverPool(1)
+		return p.Saver(st), func() {}, p.Close
 	}},
 	{"SaverPool", func(st store.Store) (core.BackgroundSaver, func(), func()) {
 		p := store.NewSaverPool(2)
@@ -138,5 +139,149 @@ func TestClosedPoolCompletesInline(t *testing.T) {
 	}
 	if r.State() != core.StateDown || !errors.Is(r.LastWakeError(), store.ErrClosed) {
 		t.Errorf("receiver after wake: state %v, error %v; want down with ErrClosed", r.State(), r.LastWakeError())
+	}
+}
+
+// TestWakeIsTheOnlyWayUpOverAUsedStore pins the restart rule where it
+// lives: an endpoint built over a store a prior life used is born down and
+// hands out or delivers nothing until Wake has fetched, leaped and saved;
+// over an empty store, or as a baseline, it is born up at its initial value.
+func TestWakeIsTheOnlyWayUpOverAUsedStore(t *testing.T) {
+	const (
+		k      = 10
+		w      = 64
+		stored = 1000
+	)
+	// wake starts a wake-up, lets a simulated saver run, and waits for the
+	// outcome.
+	wake := func(t *testing.T, wakeNotify func(func(error)), run func()) {
+		t.Helper()
+		settled := make(chan error, 1)
+		wakeNotify(func(err error) { settled <- err })
+		run()
+		if err := <-settled; err != nil {
+			t.Fatalf("Wake: %v", err)
+		}
+	}
+	for _, kind := range saverKinds {
+		t.Run(kind.name+"/sender/empty", func(t *testing.T) {
+			watchdog.Arm(t, 5*time.Second)
+			var m store.Mem
+			saver, _, stop := kind.make(&m)
+			defer stop()
+			x := mustSender(t, core.SenderConfig{K: k, Store: &m, Saver: saver})
+			if v, ok := m.Peek(); x.State() != core.StateUp || !ok || v != 1 {
+				t.Fatalf("state = %v, store = %d (%v), want up with 1 saved", x.State(), v, ok)
+			}
+			if seq, err := x.Next(); seq != 1 || err != nil {
+				t.Errorf("first Next = %d, %v, want 1", seq, err)
+			}
+		})
+		t.Run(kind.name+"/sender/used", func(t *testing.T) {
+			watchdog.Arm(t, 5*time.Second)
+			var m store.Mem
+			m.Save(stored) //nolint:errcheck // Mem.Save cannot fail
+			saver, run, stop := kind.make(&m)
+			defer stop()
+			x := mustSender(t, core.SenderConfig{K: k, Store: &m, Saver: saver})
+			if x.State() != core.StateDown {
+				t.Fatalf("state = %v, want down", x.State())
+			}
+			if seq, err := x.Next(); !errors.Is(err, core.ErrDown) {
+				t.Fatalf("Next before Wake = %d, %v, want ErrDown", seq, err)
+			}
+			wake(t, x.WakeNotify, run)
+			if seq, err := x.Next(); seq != stored+2*k || err != nil {
+				t.Errorf("first Next = %d, %v, want %d", seq, err, stored+2*k)
+			}
+			if v, _ := m.Peek(); v != stored+2*k {
+				t.Errorf("store = %d, want the leaped %d", v, stored+2*k)
+			}
+			if st := x.Stats(); st.Resets != 0 || st.Sent != 1 {
+				t.Errorf("stats = %+v, want no reset counted and one number sent", st)
+			}
+		})
+		t.Run(kind.name+"/sender/used+baseline", func(t *testing.T) {
+			var m store.Mem
+			m.Save(stored) //nolint:errcheck
+			saver, _, stop := kind.make(&m)
+			defer stop()
+			x := mustSender(t, core.SenderConfig{K: k, Store: &m, Saver: saver, Baseline: true})
+			if seq, err := x.Next(); seq != 1 || err != nil {
+				t.Errorf("baseline first Next = %d, %v, want 1 (§3)", seq, err)
+			}
+		})
+		t.Run(kind.name+"/receiver/empty", func(t *testing.T) {
+			watchdog.Arm(t, 5*time.Second)
+			var m store.Mem
+			saver, _, stop := kind.make(&m)
+			defer stop()
+			r := mustReceiver(t, core.ReceiverConfig{K: k, W: w, Store: &m, Saver: saver})
+			if v, ok := m.Peek(); r.State() != core.StateUp || r.Edge() != 0 || !ok || v != 0 {
+				t.Fatalf("state = %v, edge = %d, store = %d (%v), want up at 0 with 0 saved", r.State(), r.Edge(), v, ok)
+			}
+			if got := r.Admit(1); got != core.VerdictNew {
+				t.Errorf("Admit(1) = %v, want new", got)
+			}
+		})
+		t.Run(kind.name+"/receiver/used", func(t *testing.T) {
+			watchdog.Arm(t, 5*time.Second)
+			var m store.Mem
+			m.Save(stored) //nolint:errcheck
+			saver, run, stop := kind.make(&m)
+			defer stop()
+			var drained int
+			r := mustReceiver(t, core.ReceiverConfig{K: k, W: w, Store: &m, Saver: saver,
+				Drain: func(uint64, core.Verdict) { drained++ }})
+			if r.State() != core.StateDown {
+				t.Fatalf("state = %v, want down", r.State())
+			}
+			// Below, inside and above the stored edge, from four admitters
+			// at once: whichever path an Admit takes, it finds the machine off.
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for s := uint64(stored - 2*w); s <= stored+4*k; s++ {
+						if got := r.Admit(s); got != core.VerdictDown {
+							t.Errorf("Admit(%d) before Wake = %v, want down", s, got)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if st := r.Stats(); st.Delivered != 0 || drained != 0 {
+				t.Fatalf("before Wake: delivered %d, drained %d, want nothing", st.Delivered, drained)
+			}
+			wake(t, r.WakeNotify, run)
+			const edge = stored + 2*k
+			if r.State() != core.StateUp || r.Edge() != edge || r.Occupancy() != w {
+				t.Fatalf("after Wake: state %v, edge %d, occupancy %d; want up at %d, all %d seen",
+					r.State(), r.Edge(), r.Occupancy(), edge, w)
+			}
+			for s := uint64(edge - w + 1); s <= edge; s++ {
+				if got := r.Admit(s); got.Delivered() {
+					t.Fatalf("Admit(%d) inside the post-wake window = %v, want a discard", s, got)
+				}
+			}
+			if got := r.Admit(edge + 1); got != core.VerdictNew {
+				t.Errorf("Admit(%d) = %v, want new", edge+1, got)
+			}
+			if st := r.Stats(); st.Delivered != 1 || st.Resets != 0 {
+				t.Errorf("stats = %+v, want one delivery and no reset counted", st)
+			}
+		})
+		t.Run(kind.name+"/receiver/used+baseline", func(t *testing.T) {
+			var m store.Mem
+			m.Save(stored) //nolint:errcheck
+			saver, _, stop := kind.make(&m)
+			defer stop()
+			r := mustReceiver(t, core.ReceiverConfig{K: k, W: w, Store: &m, Saver: saver, Baseline: true})
+			if got := r.Admit(1); r.State() != core.StateUp || got != core.VerdictNew {
+				t.Errorf("baseline: state %v, Admit(1) = %v, want up, new (§3)", r.State(), got)
+			}
+		})
 	}
 }

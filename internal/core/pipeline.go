@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"antireplay/internal/store"
-	"antireplay/internal/trace"
 )
 
 // savePipeline is the paper's SAVE/FETCH machine, the part of processes p
@@ -37,13 +35,10 @@ type savePipeline struct {
 	leap             uint64 // Leap(K, LeapFactor)
 	store            store.Store
 	saver            BackgroundSaver
-	trace            *trace.Collector
-	node             string
-	clock            func() time.Duration
 	skipPostWakeSave bool
 	// install puts v — the leaped value, or initial on a baseline wake —
 	// into the endpoint's volatile state. It runs with mu held; a non-nil
-	// result runs once mu is released and the wake has been traced.
+	// result runs once mu is released.
 	install func(v uint64) (afterWake func())
 
 	mu          sync.Mutex
@@ -103,9 +98,15 @@ func configuredLeap(k uint64, factor float64) uint64 {
 	return Leap(k, factor)
 }
 
-// open brings a freshly built endpoint up. A resilient endpoint whose store
-// is empty saves the initial value synchronously, so the first post-reset
-// FETCH is well defined.
+// open decides how a freshly built endpoint is born, and is the one place
+// the restart rule lives: a used store means a reset endpoint. A resilient
+// endpoint FETCHes its store. Empty, this is a first life: the initial
+// value is saved synchronously, so the first post-reset FETCH is well
+// defined, and the endpoint is up. Holding a value, a prior life used
+// numbers up to 2K beyond it, so the endpoint is born StateDown — exactly
+// as if Reset had just run — and only Wake (FETCH, leap, SAVE) brings it
+// up; nothing can hand out or deliver the initial value over a used store.
+// A baseline endpoint never FETCHes and is always born up (§3).
 func (p *savePipeline) open(baseline bool) error {
 	p.state = StateUp
 	p.lst.Store(p.initial)
@@ -116,12 +117,18 @@ func (p *savePipeline) open(baseline bool) error {
 	if p.saver == nil {
 		p.saver = SyncSaver{Store: p.store}
 	}
-	if _, ok, err := p.store.Fetch(); err != nil {
+	v, used, err := p.store.Fetch()
+	if err != nil {
 		return fmt.Errorf("core: probing %s store: %w", p.role, err)
-	} else if !ok {
-		if err := p.store.Save(p.initial); err != nil {
-			return fmt.Errorf("core: initializing %s store: %w", p.role, err)
-		}
+	}
+	if used {
+		p.state = StateDown
+		p.lst.Store(v)
+		p.committed.Store(v)
+		return nil
+	}
+	if err := p.store.Save(p.initial); err != nil {
+		return fmt.Errorf("core: initializing %s store: %w", p.role, err)
 	}
 	p.committed.Store(p.initial)
 	return nil
@@ -132,17 +139,6 @@ func (p *savePipeline) open(baseline bool) error {
 // lock-free paths; startSave re-checks under its lock.
 func (p *savePipeline) due(live uint64) bool {
 	return p.k != 0 && live >= p.k+p.lst.Load()
-}
-
-func (p *savePipeline) record(k trace.Kind, seq uint64) {
-	if p.trace == nil {
-		return
-	}
-	var at time.Duration
-	if p.clock != nil {
-		at = p.clock()
-	}
-	p.trace.Record(trace.Event{At: at, Kind: k, Node: p.node, Seq: seq})
 }
 
 // startSave hands h to the saver, or drops it. Triggers are decided under
@@ -191,7 +187,6 @@ func (p *savePipeline) startSave(h handoff) {
 	p.saveMu.Unlock()
 
 	p.savesStart.Add(1)
-	p.record(trace.KindSaveStart, h.v)
 	p.saver.StartSave(h.v, func(err error) {
 		if h.wake {
 			p.finishWake(h.gen, h.v, err)
@@ -229,7 +224,6 @@ func (p *savePipeline) saveDone(gen, v uint64, err error) {
 		// not regress it below a value already on its way to the saver.
 		p.lst.CompareAndSwap(v, p.committed.Load())
 		p.mu.Unlock()
-		p.record(trace.KindSaveError, v)
 		return
 	}
 	p.savesOK++
@@ -237,7 +231,6 @@ func (p *savePipeline) saveDone(gen, v uint64, err error) {
 		p.committed.Store(v)
 	}
 	p.mu.Unlock()
-	p.record(trace.KindSaveDone, v)
 }
 
 // reset crashes the endpoint: volatile state is considered lost and any
@@ -264,7 +257,6 @@ func (p *savePipeline) reset(lose func()) {
 	if c, ok := p.saver.(Canceler); ok {
 		c.Cancel()
 	}
-	p.record(trace.KindReset, 0)
 	if torn != nil {
 		torn(ErrDown)
 	}
@@ -304,8 +296,6 @@ func (p *savePipeline) WakeNotify(done func(error)) {
 		afterWake := p.install(p.initial)
 		p.state = StateUp
 		p.mu.Unlock()
-		p.record(trace.KindWake, p.initial)
-		p.record(trace.KindWakeDone, p.initial)
 		done(nil)
 		if afterWake != nil {
 			afterWake()
@@ -317,12 +307,10 @@ func (p *savePipeline) WakeNotify(done func(error)) {
 	gen := p.gen
 	p.mu.Unlock()
 
-	p.record(trace.KindWake, 0)
 	v, ok, err := p.store.Fetch()
 	if err == nil && !ok {
 		err = ErrNoSavedState
 	}
-	p.record(trace.KindFetch, v)
 	if err != nil {
 		p.failWake(gen, fmt.Errorf("core: %s wake fetch: %w", p.role, err))
 		return
@@ -340,16 +328,15 @@ func (p *savePipeline) WakeNotify(done func(error)) {
 
 // failWake leaves the endpoint down with err, unless a reset has already
 // superseded the wake-up of generation gen.
-func (p *savePipeline) failWake(gen uint64, err error) bool {
+func (p *savePipeline) failWake(gen uint64, err error) {
 	p.mu.Lock()
 	if p.gen != gen {
 		p.mu.Unlock()
-		return false
+		return
 	}
 	p.state = StateDown
 	p.wakeErr = err
 	p.settleWakeAndUnlock(err)
-	return true
 }
 
 // settleWakeAndUnlock releases mu, then hands over the outcome of the wake.
@@ -363,9 +350,7 @@ func (p *savePipeline) settleWakeAndUnlock(err error) {
 // finishWake completes the wake-up once the post-wake SAVE has.
 func (p *savePipeline) finishWake(gen, leaped uint64, err error) {
 	if err != nil {
-		if p.failWake(gen, fmt.Errorf("core: %s post-wake save: %w", p.role, err)) {
-			p.record(trace.KindSaveError, leaped)
-		}
+		p.failWake(gen, fmt.Errorf("core: %s post-wake save: %w", p.role, err))
 		return
 	}
 	p.mu.Lock()
@@ -378,9 +363,6 @@ func (p *savePipeline) finishWake(gen, leaped uint64, err error) {
 	afterWake := p.install(leaped)
 	p.state = StateUp
 	p.settleWakeAndUnlock(nil)
-
-	p.record(trace.KindSaveDone, leaped)
-	p.record(trace.KindWakeDone, leaped)
 	if afterWake == nil {
 		return
 	}

@@ -3,12 +3,10 @@ package core
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"antireplay/internal/seqwin"
 	"antireplay/internal/stats"
 	"antireplay/internal/store"
-	"antireplay/internal/trace"
 )
 
 // Verdict is the receiver's outcome for one observed message.
@@ -141,14 +139,8 @@ type ReceiverConfig struct {
 	WakeBuffer int
 	// Drain receives the deferred verdict of each buffered message after
 	// the post-wake SAVE completes, in arrival order. Nil discards them
-	// (they are still counted in Stats and Trace).
+	// (they are still counted in Stats).
 	Drain func(seq uint64, v Verdict)
-	// Trace receives protocol events; nil discards them.
-	Trace *trace.Collector
-	// Name labels trace events (e.g. "q").
-	Name string
-	// Clock supplies trace timestamps; nil means zero timestamps.
-	Clock func() time.Duration
 }
 
 // Validate reports configuration errors.
@@ -217,9 +209,11 @@ const (
 	tallyDiscarded
 )
 
-// NewReceiver validates cfg and returns a ready receiver. For a resilient
-// receiver whose store is empty, the initial edge (0) is saved synchronously
-// — the paper's lst "initially 0".
+// NewReceiver validates cfg and returns a receiver: up at edge 0 over an
+// empty store (the initial edge is saved synchronously — the paper's lst
+// "initially 0") or with Baseline set, born StateDown — every Admit is
+// VerdictDown — over a store a prior life used (see savePipeline.open).
+// Call Wake after it either way: it is a no-op on a receiver that is up.
 func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -238,7 +232,6 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 		savePipeline: savePipeline{
 			role: "receiver", initial: 0, k: cfg.K, leap: configuredLeap(cfg.K, cfg.LeapFactor),
 			store: cfg.Store, saver: cfg.Saver,
-			trace: cfg.Trace, node: cfg.Name, clock: cfg.Clock,
 			skipPostWakeSave: cfg.AblationSkipPostWakeSave,
 		},
 		win:        win,
@@ -250,15 +243,19 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 	if r.wakeBuffer == 0 {
 		r.wakeBuffer = DefaultWakeBuffer
 	}
-	if own != nil {
-		// The receiver built this window itself, so it may replace it on
-		// wake — the precondition for the RCU fast path.
-		r.ownFast = true
-		r.fastWin.Store(own)
-	}
 	r.install = r.installLocked
 	if err := r.open(cfg.Baseline); err != nil {
 		return nil, err
+	}
+	if own != nil {
+		// The receiver built this window itself, so it may replace it on
+		// wake — the precondition for the RCU fast path. A receiver born
+		// down publishes nothing: its first window is the one Wake builds
+		// beyond the leap.
+		r.ownFast = true
+		if r.state == StateUp {
+			r.fastWin.Store(own)
+		}
 	}
 	return r, nil
 }
@@ -303,9 +300,6 @@ func (r *Receiver) admitFast(w *seqwin.Atomic, s uint64) (Verdict, bool) {
 		// the fast path's delivery case costs no extra locked operation.
 		r.tallies.AddSpread(s, tallyDiscarded, 1)
 	}
-	if r.trace != nil {
-		r.traceVerdict(s, v)
-	}
 	if d == seqwin.DecisionNew && r.due(s) {
 		r.saveFromFastPath(s)
 	}
@@ -338,32 +332,28 @@ func (r *Receiver) admitSlow(s uint64) Verdict {
 	switch r.state {
 	case StateDown:
 		r.mu.Unlock()
-		r.record(trace.KindDiscardDown, s)
 		return VerdictDown
 	case StateWaking:
 		if len(r.buffer) >= r.wakeBuffer {
 			r.overflowed++
 			r.mu.Unlock()
-			r.record(trace.KindBufferOverflow, s)
 			return VerdictOverflow
 		}
 		r.buffer = append(r.buffer, s)
 		r.mu.Unlock()
-		r.record(trace.KindBuffered, s)
 		return VerdictBuffered
 	}
 	return r.decideAndUnlock(s)
 }
 
 // decideAndUnlock decides s against the window of a receiver that is up.
-// It is entered with mu held and releases it before tracing the verdict
-// and starting any SAVE the decision triggered.
+// It is entered with mu held and releases it before starting any SAVE the
+// decision triggered.
 func (r *Receiver) decideAndUnlock(s uint64) Verdict {
 	v, save, trigger := r.decideLocked(s)
 	gen := r.gen
 	r.mu.Unlock()
 
-	r.traceVerdict(s, v)
 	if trigger {
 		r.startSave(handoff{gen: gen, v: save})
 	}
@@ -394,23 +384,6 @@ func (r *Receiver) decideLocked(s uint64) (v Verdict, save uint64, trigger bool)
 	}
 	edge := r.win.Edge()
 	return v, edge, r.due(edge)
-}
-
-func (r *Receiver) traceVerdict(s uint64, v Verdict) {
-	var k trace.Kind
-	switch v {
-	case VerdictNew, VerdictInWindow:
-		k = trace.KindDeliver
-	case VerdictDuplicate:
-		k = trace.KindDiscardDup
-	case VerdictStale:
-		k = trace.KindDiscardStale
-	case VerdictHorizon:
-		k = trace.KindDiscardHorizon
-	default:
-		return
-	}
-	r.record(k, s)
 }
 
 // Reset crashes the receiver: window, counters and buffer are volatile and

@@ -6,7 +6,6 @@ import (
 
 	"antireplay/internal/core"
 	"antireplay/internal/store"
-	"antireplay/internal/trace"
 )
 
 func TestReceiverVerdicts(t *testing.T) {
@@ -384,36 +383,40 @@ func TestReceiverWakeIdempotentWhenUp(t *testing.T) {
 	}
 }
 
+// TestReceiverTraceEvents follows a life, a reset and a wake through what
+// the receiver keeps of them: its counters, state, edge and the store's
+// FETCHes.
 func TestReceiverTraceEvents(t *testing.T) {
+	const k = 2
 	var m store.Mem
-	tc := trace.NewCollector(128)
 	sv := newManualSaver(&m)
-	r := mustReceiver(t, core.ReceiverConfig{K: 2, Store: &m, Saver: sv, Trace: tc, Name: "q"})
+	r := mustReceiver(t, core.ReceiverConfig{K: k, Store: &m, Saver: sv})
 
 	r.Admit(1)
 	r.Admit(1)
 	r.Admit(2)
 	sv.CommitAll(t)
 	r.Reset()
-	r.Admit(9)
+	if got := r.Admit(9); got != core.VerdictDown {
+		t.Errorf("Admit while down = %v, want down", got)
+	}
 	r.Wake()
-	r.Admit(10)
+	if got := r.Admit(10); got != core.VerdictBuffered || r.State() != core.StateWaking {
+		t.Errorf("Admit during the post-wake save = %v in state %v, want buffered, waking", got, r.State())
+	}
 	sv.CommitAll(t)
 
-	want := map[trace.Kind]uint64{
-		trace.KindDeliver:     2,
-		trace.KindDiscardDup:  1,
-		trace.KindDiscardDown: 1,
-		trace.KindBuffered:    1,
-		trace.KindReset:       1,
-		trace.KindWake:        1,
-		trace.KindWakeDone:    1,
-		trace.KindFetch:       1,
+	// Delivered 1, 2 and the buffered 10; discarded the duplicate 1; saved
+	// edge 2, the leaped edge 6 and, from the drain, edge 10.
+	want := core.ReceiverStats{Delivered: 3, Discarded: 1, SavesStarted: 3, SavesOK: 2, Resets: 1}
+	if st := r.Stats(); st != want {
+		t.Errorf("stats = %+v, want %+v", st, want)
 	}
-	for k, n := range want {
-		if got := tc.Count(k); got < n {
-			t.Errorf("trace %v = %d, want >= %d", k, got, n)
-		}
+	if r.State() != core.StateUp || r.Edge() != 10 {
+		t.Errorf("state = %v, edge = %d, want up at 10", r.State(), r.Edge())
+	}
+	if got := m.Fetches(); got != 2 {
+		t.Errorf("fetches = %d, want 2 (the probe at birth, the wake)", got)
 	}
 }
 

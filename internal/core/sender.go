@@ -1,11 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"antireplay/internal/store"
-	"antireplay/internal/trace"
-)
+import "antireplay/internal/store"
 
 // SenderConfig configures a Sender.
 type SenderConfig struct {
@@ -40,12 +35,6 @@ type SenderConfig struct {
 	// silent sequence reuse. With K sized per §4 (SizeK) the horizon is
 	// never hit and behaviour is identical to the paper's protocol.
 	StrictHorizon bool
-	// Trace receives protocol events; nil discards them.
-	Trace *trace.Collector
-	// Name labels trace events (e.g. "p").
-	Name string
-	// Clock supplies trace timestamps; nil means zero timestamps.
-	Clock func() time.Duration
 }
 
 // Validate reports configuration errors.
@@ -65,9 +54,11 @@ type Sender struct {
 	sent uint64
 }
 
-// NewSender validates cfg and returns a ready sender. For a resilient
-// sender whose store is empty, the initial counter (1) is saved
-// synchronously — the paper's lst "initially 1".
+// NewSender validates cfg and returns a sender: up at 1 over an empty store
+// (the initial counter is saved synchronously — the paper's lst "initially
+// 1") or with Baseline set, born StateDown over a store a prior life used
+// (see savePipeline.open). Call Wake after it either way: it is a no-op on
+// a sender that is up.
 func NewSender(cfg SenderConfig) (*Sender, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -76,7 +67,6 @@ func NewSender(cfg SenderConfig) (*Sender, error) {
 		savePipeline: savePipeline{
 			role: "sender", initial: 1, k: cfg.K, leap: configuredLeap(cfg.K, cfg.LeapFactor),
 			store: cfg.Store, saver: cfg.Saver,
-			trace: cfg.Trace, node: cfg.Name, clock: cfg.Clock,
 			skipPostWakeSave: cfg.AblationSkipPostWakeSave,
 		},
 		strict: cfg.StrictHorizon && !cfg.Baseline,
@@ -139,11 +129,6 @@ func (x *Sender) NextN(n int) (first uint64, count int, err error) {
 	trigger := x.due(x.s)
 	x.mu.Unlock()
 
-	if x.trace != nil {
-		for i := uint64(0); i < grant; i++ {
-			x.record(trace.KindSend, first+i)
-		}
-	}
 	if trigger {
 		x.startSave(save)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"antireplay/internal/core"
 	"antireplay/internal/netsim"
-	"antireplay/internal/trace"
 )
 
 // DeliveryConfig parameterizes the §2 w-Delivery / Discrimination check.
@@ -81,7 +80,7 @@ func Delivery(cfg DeliveryConfig) (*Table, error) {
 
 		perSeq := make(map[uint64]int)
 		dupes := 0
-		f.VerdictHook = func(seq uint64, _ trace.Truth, v core.Verdict) {
+		f.VerdictHook = func(seq uint64, _ bool, v core.Verdict) {
 			if v.Delivered() {
 				perSeq[seq]++
 				if perSeq[seq] > 1 {
@@ -96,7 +95,7 @@ func Delivery(cfg DeliveryConfig) (*Table, error) {
 		sent := f.Sent()
 		delivered := f.Matrix.FreshDelivered()
 		// Fresh discards are window-caused losses: stale verdicts from
-		// excessive reorder. (Network duplicates are TruthFresh copies too;
+		// excessive reorder. (Network duplicates are fresh copies too;
 		// subtract their legitimate duplicate-discards.)
 		st := f.Link.Stats()
 		freshDiscards := f.Matrix.FreshDiscarded()

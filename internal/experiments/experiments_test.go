@@ -93,6 +93,26 @@ func TestFlowCleanDelivery(t *testing.T) {
 	}
 }
 
+func TestMatrix(t *testing.T) {
+	var m Matrix
+	m.add(true, delivered)
+	m.add(true, delivered)
+	m.add(true, discarded)
+	m.add(false, discarded)
+	m.add(false, delivered)
+	m.add(false, unobserved)
+	if got := m.FreshDelivered(); got != 2 {
+		t.Errorf("FreshDelivered = %d, want 2", got)
+	}
+	if got := m.FreshDiscarded(); got != 1 {
+		t.Errorf("FreshDiscarded = %d, want 1", got)
+	}
+	want := "fresh{delivered:2 discarded:1 unobserved:0} replay{accepted:1 discarded:1 unobserved:1}"
+	if got := m.String(); got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
+}
+
 func TestFlowDeterminism(t *testing.T) {
 	run := func() (uint64, uint64) {
 		cfg := DefaultFlowConfig(42)

@@ -8,7 +8,6 @@ import (
 	"antireplay/internal/core"
 	"antireplay/internal/netsim"
 	"antireplay/internal/store"
-	"antireplay/internal/trace"
 )
 
 // Packet is the simulated wire unit: a sequence number plus the harness's
@@ -61,10 +60,9 @@ type Flow struct {
 	Sender   *core.Sender
 	Receiver *core.Receiver
 	Link     *netsim.Link[Packet]
-	Matrix   *trace.Matrix
+	Matrix   *Matrix
 	Recorder *adversary.Recorder[Packet]
 	Replayer *adversary.Replayer[Packet]
-	Trace    *trace.Collector
 
 	SenderStore   *store.Mem
 	ReceiverStore *store.Mem
@@ -73,7 +71,7 @@ type Flow struct {
 
 	// VerdictHook, when non-nil, observes every final verdict (including
 	// drained buffered packets) with the harness's ground truth.
-	VerdictHook func(seq uint64, truth trace.Truth, v core.Verdict)
+	VerdictHook func(seq uint64, fresh bool, v core.Verdict)
 
 	cfg           FlowConfig
 	sendEnabled   bool
@@ -81,16 +79,51 @@ type Flow struct {
 	lastSent      uint64
 	skippedSends  uint64
 	observed      uint64
-	bufferTruth   []bufferedTruth // truths of buffered packets, FIFO
+	bufferFresh   []bool // truths of buffered packets, FIFO
 	sendHooks     map[uint64]func()
 	observeHooks  map[uint64]func()
 	deliveredSeqs map[uint64]bool
 	dupDelivered  uint64
 }
 
-type bufferedTruth struct {
-	seq   uint64
-	truth trace.Truth
+// fate is what became of one packet at the receiver.
+type fate uint8
+
+const (
+	delivered  fate = iota // passed to the application
+	discarded              // rejected: stale, duplicate or beyond the horizon
+	unobserved             // never decided: the node was down or its wake buffer full
+)
+
+// Matrix tallies each packet's fate against the harness's ground truth
+// (fresh transmission, or a replay by the adversary or the network). The
+// paper's safety property is that no replay is delivered; FreshDiscarded is
+// what a reset sacrifices, which the paper bounds by 2K. Like the rest of
+// Flow it is driven from the engine's goroutine only.
+type Matrix struct {
+	fresh, replay [3]uint64 // indexed by fate
+}
+
+func (m *Matrix) add(fresh bool, f fate) {
+	if fresh {
+		m.fresh[f]++
+	} else {
+		m.replay[f]++
+	}
+}
+
+// FreshDelivered returns the count of fresh messages delivered.
+func (m *Matrix) FreshDelivered() uint64 { return m.fresh[delivered] }
+
+// FreshDiscarded returns the count of fresh messages wrongly discarded.
+func (m *Matrix) FreshDiscarded() uint64 { return m.fresh[discarded] }
+
+// String summarizes the matrix on one line.
+func (m *Matrix) String() string {
+	return fmt.Sprintf(
+		"fresh{delivered:%d discarded:%d unobserved:%d} replay{accepted:%d discarded:%d unobserved:%d}",
+		m.fresh[delivered], m.fresh[discarded], m.fresh[unobserved],
+		m.replay[delivered], m.replay[discarded], m.replay[unobserved])
 }
 
 // NewFlow builds the flow but schedules no traffic; call StartTraffic.
@@ -100,9 +133,8 @@ func NewFlow(cfg FlowConfig) (*Flow, error) {
 	}
 	f := &Flow{
 		Engine:        netsim.NewEngine(cfg.Seed),
-		Matrix:        &trace.Matrix{},
+		Matrix:        &Matrix{},
 		Recorder:      adversary.NewRecorder[Packet](),
-		Trace:         trace.NewCollector(0),
 		SenderStore:   &store.Mem{},
 		ReceiverStore: &store.Mem{},
 		cfg:           cfg,
@@ -117,9 +149,6 @@ func NewFlow(cfg FlowConfig) (*Flow, error) {
 		Saver:                    f.senderSaver,
 		Baseline:                 cfg.Baseline,
 		AblationSkipPostWakeSave: cfg.SkipPostWakeSave,
-		Trace:                    f.Trace,
-		Name:                     "p",
-		Clock:                    f.Engine.Now,
 	})
 	if err != nil {
 		return nil, err
@@ -135,9 +164,6 @@ func NewFlow(cfg FlowConfig) (*Flow, error) {
 		Baseline:                 cfg.Baseline,
 		AblationSkipPostWakeSave: cfg.SkipPostWakeSave,
 		WakeBuffer:               cfg.WakeBuffer,
-		Trace:                    f.Trace,
-		Name:                     "q",
-		Clock:                    f.Engine.Now,
 		Drain: func(seq uint64, v core.Verdict) {
 			f.drainVerdict(seq, v)
 		},
@@ -208,19 +234,15 @@ func (f *Flow) sendOne() {
 }
 
 func (f *Flow) deliver(p Packet) {
-	truth := trace.TruthFresh
-	if !p.Fresh {
-		truth = trace.TruthReplay
-	}
 	v := f.Receiver.Admit(p.Seq)
 	switch v {
 	case core.VerdictBuffered:
-		f.bufferTruth = append(f.bufferTruth, bufferedTruth{seq: p.Seq, truth: truth})
+		f.bufferFresh = append(f.bufferFresh, p.Fresh)
 		f.noteObserved()
 	case core.VerdictDown, core.VerdictOverflow:
-		f.Matrix.Add(truth, trace.VerdictUnobserved)
+		f.Matrix.add(p.Fresh, unobserved)
 	default:
-		f.recordVerdict(p.Seq, truth, v)
+		f.recordVerdict(p.Seq, p.Fresh, v)
 		f.noteObserved()
 	}
 }
@@ -236,17 +258,17 @@ func (f *Flow) noteObserved() {
 // drainVerdict resolves a buffered packet's truth in FIFO order (the
 // receiver drains its buffer in arrival order).
 func (f *Flow) drainVerdict(seq uint64, v core.Verdict) {
-	truth := trace.TruthFresh
-	if len(f.bufferTruth) > 0 {
-		truth = f.bufferTruth[0].truth
-		f.bufferTruth = f.bufferTruth[1:]
+	fresh := true
+	if len(f.bufferFresh) > 0 {
+		fresh = f.bufferFresh[0]
+		f.bufferFresh = f.bufferFresh[1:]
 	}
-	f.recordVerdict(seq, truth, v)
+	f.recordVerdict(seq, fresh, v)
 }
 
-func (f *Flow) recordVerdict(seq uint64, truth trace.Truth, v core.Verdict) {
+func (f *Flow) recordVerdict(seq uint64, fresh bool, v core.Verdict) {
 	if f.VerdictHook != nil {
-		f.VerdictHook(seq, truth, v)
+		f.VerdictHook(seq, fresh, v)
 	}
 	if v.Delivered() {
 		if f.deliveredSeqs[seq] {
@@ -254,10 +276,10 @@ func (f *Flow) recordVerdict(seq uint64, truth trace.Truth, v core.Verdict) {
 		} else {
 			f.deliveredSeqs[seq] = true
 		}
-		f.Matrix.Add(truth, trace.VerdictDelivered)
+		f.Matrix.add(fresh, delivered)
 		return
 	}
-	f.Matrix.Add(truth, trace.VerdictDiscarded)
+	f.Matrix.add(fresh, discarded)
 }
 
 // ResetSender schedules a sender reset at down and wake at up. The wake's

@@ -73,7 +73,6 @@ func prolongedRow(cfg ProlongedConfig, outage time.Duration) ([]string, error) {
 		K:     25,
 		Store: &bStore,
 		Saver: netsim.NewSimSaver(engine, &bStore, 100*time.Microsecond),
-		Clock: engine.Now,
 	})
 	if err != nil {
 		return nil, err
@@ -85,7 +84,6 @@ func prolongedRow(cfg ProlongedConfig, outage time.Duration) ([]string, error) {
 		W:     64,
 		Store: &aStore,
 		Saver: netsim.NewSimSaver(engine, &aStore, 100*time.Microsecond),
-		Clock: engine.Now,
 	})
 	if err != nil {
 		return nil, err

@@ -106,32 +106,26 @@ type Gateway struct {
 	cells map[string]*store.PoolSaver
 }
 
-// claimCell claims the journal cell for key and reads whether it holds a
-// prior life's state. An existing claim maps to ErrDuplicateSPI (two
-// endpoints over one cell would interleave counters); other failures —
-// e.g. a closed journal or gateway — pass through untouched. The gateway
-// mutex is held across the journal claim so a concurrent Close cannot
-// strand a claim outside the release set.
-func (g *Gateway) claimCell(key string, spi uint32, dir string) (*store.Cell, bool, error) {
+// claimCell claims the journal cell for key. An existing claim maps to
+// ErrDuplicateSPI (two endpoints over one cell would interleave counters);
+// other failures — e.g. a closed journal or gateway — pass through
+// untouched. The gateway mutex is held across the journal claim so a
+// concurrent Close cannot strand a claim outside the release set.
+func (g *Gateway) claimCell(key string, spi uint32, dir string) (*store.Cell, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.closed {
-		return nil, false, fmt.Errorf("ipsec: gateway %s %#x: %w", dir, spi, store.ErrClosed)
+		return nil, fmt.Errorf("ipsec: gateway %s %#x: %w", dir, spi, store.ErrClosed)
 	}
 	cell, err := g.cfg.Journal.ClaimCell(key)
 	if err != nil {
 		if errors.Is(err, store.ErrCellClaimed) {
-			return nil, false, fmt.Errorf("%w: %s %#x: %w", ErrDuplicateSPI, dir, spi, err)
+			return nil, fmt.Errorf("%w: %s %#x: %w", ErrDuplicateSPI, dir, spi, err)
 		}
-		return nil, false, fmt.Errorf("ipsec: gateway %s %#x: %w", dir, spi, err)
-	}
-	_, resume, err := cell.Fetch()
-	if err != nil {
-		g.cfg.Journal.ReleaseCell(key)
-		return nil, false, fmt.Errorf("ipsec: gateway %s %#x: %w", dir, spi, err)
+		return nil, fmt.Errorf("ipsec: gateway %s %#x: %w", dir, spi, err)
 	}
 	g.cells[key] = nil
-	return cell, resume, nil
+	return cell, nil
 }
 
 // registerSaver records a claimed key's pool handle for removal-time
@@ -203,16 +197,16 @@ func OutboundKey(spi uint32) string { return spiKey("tx/", spi) }
 // InboundKey is the journal key of an inbound SA's window edge.
 func InboundKey(spi uint32) string { return spiKey("rx/", spi) }
 
-// buildOutbound claims the journal cell for spi and constructs the SA over
-// a resilient sender, resuming through the paper's wake-up when the cell
-// holds a prior life's counter. With adopt set the SA is instead left in
-// the down state regardless of prior journal state — a standby's warm image
-// must not wake (and thereby leap and write) until takeover, when a single
-// WakeAll fetches the freshest replicated counters. The SA is not yet
-// registered; on error the claim is already released.
+// buildOutbound claims the journal cell for spi, constructs the SA over a
+// resilient sender and wakes it (a no-op unless the cell's prior life left
+// it born down; see core). With adopt set the SA is instead held down
+// whatever the cell holds — a standby's warm image must not wake (and
+// thereby leap and write) until takeover, when a single WakeAll fetches the
+// freshest replicated counters. The SA is not yet registered; on error the
+// claim is already released.
 func (g *Gateway) buildOutbound(spi uint32, keys KeyMaterial, adopt bool) (*OutboundSA, error) {
 	key := OutboundKey(spi)
-	cell, resume, err := g.claimCell(key, spi, "outbound")
+	cell, err := g.claimCell(key, spi, "outbound")
 	if err != nil {
 		return nil, err
 	}
@@ -236,10 +230,7 @@ func (g *Gateway) buildOutbound(spi uint32, keys KeyMaterial, adopt bool) (*Outb
 	if adopt {
 		// Warm standby image: hold the SA down; takeover wakes it.
 		snd.Reset()
-	} else if resume {
-		// The cell held a prior life's counter: starting at 1 would reuse
-		// every number below it. Resume via reset + wake instead.
-		snd.Reset()
+	} else {
 		snd.Wake()
 	}
 	return sa, nil
@@ -251,9 +242,9 @@ func (g *Gateway) buildOutbound(spi uint32, keys KeyMaterial, adopt bool) (*Outb
 // even from another gateway sharing the journal — is refused with
 // ErrDuplicateSPI, because two senders over one cell would emit overlapping
 // sequence numbers after a wake. If the journal already holds state for the
-// SPI (a prior process life), the SA resumes through the paper's wake-up
-// (FETCH + 2K leap + SAVE) rather than restarting at 1; it is briefly
-// StateWaking — WakeAll waits for it.
+// SPI (a prior process life), the SA comes up through the paper's wake-up
+// (FETCH + 2K leap + SAVE) and is briefly StateWaking — WakeAll waits for
+// it.
 func (g *Gateway) AddOutbound(spi uint32, keys KeyMaterial, sel Selector) (*OutboundSA, error) {
 	sa, err := g.buildOutbound(spi, keys, false)
 	if err != nil {
@@ -375,7 +366,7 @@ func (g *Gateway) Outbound(spi uint32) (*OutboundSA, bool) {
 // down-state semantics).
 func (g *Gateway) buildInbound(spi uint32, keys KeyMaterial, adopt bool) (*InboundSA, error) {
 	key := InboundKey(spi)
-	cell, resume, err := g.claimCell(key, spi, "inbound")
+	cell, err := g.claimCell(key, spi, "inbound")
 	if err != nil {
 		return nil, err
 	}
@@ -399,8 +390,7 @@ func (g *Gateway) buildInbound(spi uint32, keys KeyMaterial, adopt bool) (*Inbou
 	}
 	if adopt {
 		rcv.Reset()
-	} else if resume {
-		rcv.Reset()
+	} else {
 		rcv.Wake()
 	}
 	return sa, nil
@@ -408,9 +398,7 @@ func (g *Gateway) buildInbound(spi uint32, keys KeyMaterial, adopt bool) (*Inbou
 
 // AddInbound creates an inbound SA whose receiver persists into the shared
 // journal under InboundKey(spi), registers it in the SAD, and returns it.
-// Duplicate SPIs and prior journal state are handled as in AddOutbound: the
-// cell is claimed exclusively, and a recovered window edge resumes through
-// the wake-up leap instead of re-accepting old sequence numbers.
+// Duplicate SPIs and prior journal state are handled as in AddOutbound.
 func (g *Gateway) AddInbound(spi uint32, keys KeyMaterial) (*InboundSA, error) {
 	sa, err := g.buildInbound(spi, keys, false)
 	if err != nil {

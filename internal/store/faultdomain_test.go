@@ -479,7 +479,8 @@ func TestPoolPoisonedFailsFast(t *testing.T) {
 }
 
 // TestFaultyReadFaults covers the consolidated read-path injection: fail,
-// corrupt (matching both sentinels), and latency.
+// corrupt (matching both sentinels), and latency — which slows saves too,
+// the slow medium the pool tests borrow.
 func TestFaultyReadFaults(t *testing.T) {
 	f := NewFaulty(new(Mem))
 	if err := f.Save(7); err != nil {
@@ -504,6 +505,17 @@ func TestFaultyReadFaults(t *testing.T) {
 	}
 	if d := time.Since(start); d < 2*time.Millisecond {
 		t.Errorf("latent fetch took %v, want >= 2ms", d)
+	}
+	start = time.Now()
+	if err := f.Save(9); err != nil {
+		t.Fatalf("latent save: %v", err)
+	}
+	if d := time.Since(start); d < 2*time.Millisecond {
+		t.Errorf("latent save took %v, want >= 2ms", d)
+	}
+	f.SetLatency(0)
+	if v, ok, err := f.Fetch(); err != nil || !ok || v != 9 {
+		t.Errorf("fetch after the latent save = (%d, %v, %v), want (9, true, nil)", v, ok, err)
 	}
 }
 

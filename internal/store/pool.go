@@ -11,12 +11,15 @@ import (
 	"antireplay/internal/stats"
 )
 
-// SaverPool executes background SAVEs for many stores on a bounded set of
-// workers — the gateway-scale replacement for one AsyncSaver goroutine per
-// SA. Each store gets a PoolSaver handle with the same persist-only-the-
-// maximum coalescing AsyncSaver performs, and the same monotonicity
-// invariant: a handle is processed by at most one worker at a time, so a
-// stale value can never land after a newer one.
+// SaverPool executes background SAVEs — the paper's "& SAVE(s) {SAVE(s)
+// executed in background}" — for many stores on a bounded set of workers;
+// a pool of one worker is the single-SA form. Each store gets a PoolSaver
+// handle that coalesces its queued saves into their maximum (saveBatch). A
+// handle is processed by at most one worker at a time, and that is
+// essential, not an optimization: the saved values are monotonically
+// increasing counters, and saves committing out of order could let a stale
+// value land last and silently shrink the durable counter — which would
+// break the wake-up leap bound.
 //
 // The pool is sharded: each worker owns a private queue, and a handle is
 // pinned to one shard for its lifetime. Journal cells report their commit
@@ -237,6 +240,34 @@ func (p *SaverPool) QueueDepth() int {
 		sh.mu.Unlock()
 	}
 	return depth
+}
+
+type pendingSave struct {
+	v    uint64
+	done func(error)
+}
+
+// saveBatch is one drained batch of a handle's queued saves. Only its
+// maximum is written (a durable v' >= v is at least as safe as a durable
+// v), then every done callback receives that save's result.
+type saveBatch []pendingSave
+
+func (b saveBatch) max() uint64 {
+	maxV := b[0].v
+	for _, p := range b[1:] {
+		if p.v > maxV {
+			maxV = p.v
+		}
+	}
+	return maxV
+}
+
+func (b saveBatch) done(err error) {
+	for _, p := range b {
+		if p.done != nil {
+			p.done(err)
+		}
+	}
 }
 
 // PoolSaver queues saves for one store onto its pool shard. It satisfies

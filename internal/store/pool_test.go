@@ -15,48 +15,63 @@ import (
 	"antireplay/internal/watchdog"
 )
 
+// poolSizes are the pools the single-handle tests run over: one worker is
+// what the public single-SA constructors build, several what a gateway does.
+var poolSizes = []int{1, 4}
+
 func TestPoolSaverCompletes(t *testing.T) {
 	watchdog.Arm(t, 10*time.Second)
-	p := NewSaverPool(2)
-	var m Mem
-	s := p.Saver(&m)
-	done := make(chan error, 1)
-	s.StartSave(77, func(err error) { done <- err })
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("save err: %v", err)
+	for _, workers := range poolSizes {
+		p := NewSaverPool(workers)
+		var m Mem
+		s := p.Saver(&m)
+		done := make(chan error, 1)
+		s.StartSave(77, func(err error) { done <- err })
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%d workers: save err: %v", workers, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d workers: save did not complete", workers)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("save did not complete")
+		if v, ok := m.Peek(); !ok || v != 77 {
+			t.Errorf("%d workers: Peek = (%d, %v), want (77, true)", workers, v, ok)
+		}
+		p.Close()
 	}
-	if v, ok := m.Peek(); !ok || v != 77 {
-		t.Errorf("Peek = (%d, %v), want (77, true)", v, ok)
-	}
-	p.Close()
 }
 
-// TestPoolSaverMonotonic mirrors AsyncSaver's invariant: a handle's saves
-// coalesce to the maximum and the durable value only grows, even with all
-// values queued before any worker runs.
+// TestPoolSaverMonotonic: a handle's saves coalesce to the maximum and the
+// durable value only grows, even with all values queued before any worker
+// runs — with a completion on every save, and with none (Close then being
+// the only thing that waits for them).
 func TestPoolSaverMonotonic(t *testing.T) {
 	watchdog.Arm(t, 10*time.Second)
-	p := NewSaverPool(4)
-	var m Mem
-	s := p.Saver(&m)
-	var wg sync.WaitGroup
 	const n = 500
-	wg.Add(n)
-	for i := uint64(1); i <= n; i++ {
-		s.StartSave(i, func(error) { wg.Done() })
-	}
-	wg.Wait()
-	p.Close()
-	if v, ok := m.Peek(); !ok || v != n {
-		t.Errorf("Peek = (%d, %v), want (%d, true)", v, ok, n)
-	}
-	if saves := m.Saves(); saves == 0 || saves > n {
-		t.Errorf("Saves = %d, want in (0, %d] (coalesced)", saves, n)
+	for _, workers := range poolSizes {
+		for _, nilDone := range []bool{false, true} {
+			p := NewSaverPool(workers)
+			var m Mem
+			s := p.Saver(&m)
+			var wg sync.WaitGroup
+			for i := uint64(1); i <= n; i++ {
+				if nilDone {
+					s.StartSave(i, nil)
+					continue
+				}
+				wg.Add(1)
+				s.StartSave(i, func(error) { wg.Done() })
+			}
+			wg.Wait()
+			p.Close()
+			if v, ok := m.Peek(); !ok || v != n {
+				t.Errorf("%d workers, nil done %v: Peek = (%d, %v), want (%d, true)", workers, nilDone, v, ok, n)
+			}
+			if saves := m.Saves(); saves == 0 || saves > n {
+				t.Errorf("%d workers, nil done %v: Saves = %d, want in (0, %d] (coalesced)", workers, nilDone, saves, n)
+			}
+		}
 	}
 }
 
@@ -101,7 +116,8 @@ func TestPoolManyHandles(t *testing.T) {
 func TestPoolCloseDrains(t *testing.T) {
 	watchdog.Arm(t, 10*time.Second)
 	p := NewSaverPool(1)
-	slow := NewLatent(&Mem{}, 2*time.Millisecond)
+	slow := NewFaulty(&Mem{})
+	slow.SetLatency(2 * time.Millisecond)
 	var calls atomic.Uint64
 	for h := 0; h < 10; h++ {
 		p.Saver(slow).StartSave(uint64(h+1), func(error) { calls.Add(1) })
@@ -129,23 +145,25 @@ func TestPoolStartSaveAfterClose(t *testing.T) {
 
 func TestPoolDoneCalledExactlyOnce(t *testing.T) {
 	watchdog.Arm(t, 10*time.Second)
-	p := NewSaverPool(4)
-	var m Mem
-	s := p.Saver(&m)
-	var calls atomic.Uint64
 	const n = 200
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			defer wg.Done()
-			s.StartSave(uint64(i), func(error) { calls.Add(1) })
-		}(i)
-	}
-	wg.Wait()
-	p.Close()
-	if calls.Load() != n {
-		t.Errorf("done calls = %d, want exactly %d", calls.Load(), n)
+	for _, workers := range poolSizes {
+		p := NewSaverPool(workers)
+		var m Mem
+		s := p.Saver(&m)
+		var calls atomic.Uint64
+		var wg sync.WaitGroup
+		wg.Add(n)
+		for i := 0; i < n; i++ {
+			go func(i int) {
+				defer wg.Done()
+				s.StartSave(uint64(i), func(error) { calls.Add(1) })
+			}(i)
+		}
+		wg.Wait()
+		p.Close()
+		if calls.Load() != n {
+			t.Errorf("%d workers: done calls = %d, want exactly %d", workers, calls.Load(), n)
+		}
 	}
 }
 

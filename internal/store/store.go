@@ -13,9 +13,9 @@
 // (one lane is the single-journal form), each cell seen as a Store through
 // Cell.
 //
-// Fault-injection wrappers (Faulty) and a background saver (AsyncSaver,
-// mirroring the paper's "& SAVE(s) executed in background") support the
-// failure-mode experiments.
+// SaverPool runs the paper's "& SAVE(s) executed in background" for any
+// number of stores on bounded workers, and Faulty injects faults and
+// latency at the Store level for the failure-mode tests.
 package store
 
 import (

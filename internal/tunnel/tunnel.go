@@ -74,7 +74,7 @@ type Config struct {
 	OnVerdict func(v core.Verdict)
 	// Lifetime bounds each SA generation.
 	Lifetime ipsec.Lifetime
-	// Clock supplies trace/lifetime timestamps; nil means zero.
+	// Clock supplies lifetime timestamps; nil means zero.
 	Clock func() time.Duration
 }
 
@@ -144,7 +144,6 @@ func (p *Peer) install(outSPI uint32, outKeys ipsec.KeyMaterial, inSPI uint32, i
 	// bounded drops when persistence lags.
 	snd, err := core.NewSender(core.SenderConfig{
 		K: p.cfg.K, Store: txStore, Saver: txSaver,
-		Name: p.cfg.Name + "/tx", Clock: p.cfg.Clock,
 		StrictHorizon: true,
 	})
 	if err != nil {
@@ -152,7 +151,6 @@ func (p *Peer) install(outSPI uint32, outKeys ipsec.KeyMaterial, inSPI uint32, i
 	}
 	rcv, err := core.NewReceiver(core.ReceiverConfig{
 		K: p.cfg.K, W: p.cfg.W, Store: rxStore, Saver: rxSaver,
-		Name: p.cfg.Name + "/rx", Clock: p.cfg.Clock,
 		StrictHorizon: true,
 	})
 	if err != nil {
@@ -168,6 +166,10 @@ func (p *Peer) install(outSPI uint32, outKeys ipsec.KeyMaterial, inSPI uint32, i
 	}
 	p.out, p.in = out, in
 	p.txStore, p.rxStore = txStore, rxStore
+	// Over cells a prior life used, both halves were born down; on fresh
+	// ones this is a no-op.
+	rcv.Wake()
+	snd.Wake()
 	return nil
 }
 

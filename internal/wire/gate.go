@@ -36,16 +36,15 @@ type GateStats struct {
 // GateLink is programmable drop/hold middleware over any Link: every
 // datagram handed to Send is classified by the installed GateFunc as
 // pass, drop, or hold, and held datagrams accumulate until the
-// controller releases them. Unlike ImpairLink's seeded randomness, the
-// gate is *scheduled* interference — the actuator the adversary
-// campaign layer (internal/adversary) drives to aim drops and reorders
-// at protocol-significant moments: window edges, SAVE cadence, rekey
-// cutovers, failover blackouts.
+// controller releases them. Unlike a simulated link's seeded randomness
+// (netsim.LinkConfig), the gate is *scheduled* interference — the actuator
+// the adversary campaign layer (internal/adversary) drives to aim drops and
+// reorders at protocol-significant moments: window edges, SAVE cadence,
+// rekey cutovers, failover blackouts.
 //
-// GateLink carries the adversary hooks across transports like
-// ImpairLink does: Tap is the wiretap position (sees every datagram
-// handed to Send, before the gate decides), and Inject transmits
-// bypassing taps and the gate.
+// GateLink carries the adversary hooks across transports: Tap is the
+// wiretap position (sees every datagram handed to Send, before the gate
+// decides), and Inject transmits bypassing taps and the gate.
 type GateLink struct {
 	inner Link
 

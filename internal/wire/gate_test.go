@@ -98,9 +98,8 @@ func TestGateLinkTapSeesGatedTraffic(t *testing.T) {
 
 func TestGateLinkInjectBypassesGateAndImpairment(t *testing.T) {
 	e := netsim.NewEngine(1)
-	a, b := NewSimPair(e, netsim.LinkConfig{}, netsim.LinkConfig{})
-	imp := NewImpairLink(a, ImpairConfig{Seed: 3, LossProb: 1.0})
-	g := NewGateLink(imp)
+	a, b := NewSimPair(e, netsim.LinkConfig{LossProb: 1.0}, netsim.LinkConfig{})
+	g := NewGateLink(a)
 	g.SetGate(func([]byte) GateVerdict { return GateDrop })
 	var tapped int
 	g.Tap(func([]byte) { tapped++ })
@@ -138,48 +137,12 @@ func TestGateLinkCloseDiscardsHeld(t *testing.T) {
 	}
 }
 
-// TestImpairTapInjectReentry is the regression test for the tap->inject
-// deadlock: ImpairLink.Send used to invoke tap callbacks while holding
-// its mutex, so a tap that called Inject (which takes the same mutex —
-// exactly the campaign layer's duplicate-on-observe shape) deadlocked
-// the datapath. Taps must run outside the lock.
-func TestImpairTapInjectReentry(t *testing.T) {
-	e := netsim.NewEngine(1)
-	a, b := NewSimPair(e, netsim.LinkConfig{}, netsim.LinkConfig{})
-	imp := NewImpairLink(a, ImpairConfig{Seed: 9})
-	imp.Tap(func(p []byte) {
-		dup := append([]byte(nil), p...)
-		imp.Inject(dup) // re-entry: would self-deadlock before the fix
-	})
-
-	done := make(chan error, 1)
-	go func() { done <- imp.Send([]byte("observed")) }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Send deadlocked: tap could not call Inject")
-	}
-	e.Run()
-	n := 0
-	for {
-		if _, err := b.Recv(); err != nil {
-			break
-		}
-		n++
-	}
-	if n != 2 {
-		t.Fatalf("delivered %d datagrams, want original + injected copy", n)
-	}
-	if st := imp.ImpairStats(); st.Injected != 1 {
-		t.Fatalf("Injected = %d, want 1", st.Injected)
-	}
-}
-
-// TestGateTapInjectReentry pins the same re-entry contract for GateLink:
-// a tap and the gate function itself may call Inject and Release.
+// TestGateTapInjectReentry is the regression test for the tap->inject
+// deadlock: a link that invokes tap callbacks while holding its mutex
+// deadlocks the datapath as soon as a tap calls Inject (which takes the
+// same mutex — exactly the campaign layer's duplicate-on-observe shape).
+// Taps and the gate function itself run outside the lock, so both may call
+// Inject and Release.
 func TestGateTapInjectReentry(t *testing.T) {
 	e := netsim.NewEngine(1)
 	a, b := NewSimPair(e, netsim.LinkConfig{}, netsim.LinkConfig{})
@@ -212,14 +175,14 @@ func TestGateTapInjectReentry(t *testing.T) {
 	}
 }
 
-// TestImpairTapRegistrationRace is the -race regression for registering
-// a wiretap while traffic flows: the campaign layer arms taps on live
-// links from its own goroutine. Send must snapshot the tap list under
-// the lock, and a tap registered before Send starts must observe it.
-func TestImpairTapRegistrationRace(t *testing.T) {
+// TestGateTapRegistrationRace is the -race regression for registering a
+// wiretap while traffic flows: the campaign layer arms taps on live links
+// from its own goroutine. Send must snapshot the tap list under the lock,
+// and a tap registered before Send starts must observe it.
+func TestGateTapRegistrationRace(t *testing.T) {
 	e := netsim.NewEngine(1)
 	a, _ := NewSimPair(e, netsim.LinkConfig{}, netsim.LinkConfig{})
-	imp := NewImpairLink(a, ImpairConfig{Seed: 1})
+	g := NewGateLink(a)
 
 	stop := make(chan struct{})
 	var observed atomic.Uint64
@@ -233,11 +196,11 @@ func TestImpairTapRegistrationRace(t *testing.T) {
 				return
 			default:
 			}
-			imp.Tap(func([]byte) { observed.Add(1) })
+			g.Tap(func([]byte) { observed.Add(1) })
 		}
 	}()
 	for i := 0; i < 512; i++ {
-		if err := imp.Send([]byte{byte(i)}); err != nil {
+		if err := g.Send([]byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -246,8 +209,8 @@ func TestImpairTapRegistrationRace(t *testing.T) {
 
 	// A tap registered after the dust settles sees subsequent traffic.
 	seen := 0
-	imp.Tap(func([]byte) { seen++ })
-	if err := imp.Send([]byte("late")); err != nil {
+	g.Tap(func([]byte) { seen++ })
+	if err := g.Send([]byte("late")); err != nil {
 		t.Fatal(err)
 	}
 	if seen != 1 {

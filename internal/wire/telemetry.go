@@ -13,7 +13,6 @@ import "antireplay/internal/telemetry"
 var (
 	_ telemetry.Collector = Stats{}
 	_ telemetry.Collector = GateStats{}
-	_ telemetry.Collector = ImpairStats{}
 	_ telemetry.Collector = FragStats{}
 	_ telemetry.Collector = (*UDPEndpoint)(nil)
 )
@@ -50,14 +49,6 @@ func (s GateStats) CollectTelemetry(emit telemetry.Emit) {
 	emit("injected_total", telemetry.KindCounter, float64(s.Injected))
 }
 
-// CollectTelemetry emits the impairment middleware's interference counts.
-func (s ImpairStats) CollectTelemetry(emit telemetry.Emit) {
-	emit("lost_total", telemetry.KindCounter, float64(s.Lost))
-	emit("duplicated_total", telemetry.KindCounter, float64(s.Duplicated))
-	emit("reordered_total", telemetry.KindCounter, float64(s.Reordered))
-	emit("injected_total", telemetry.KindCounter, float64(s.Injected))
-}
-
 // CollectTelemetry emits the fragmentation layer's work and its headline
 // security counter (hostile_drops).
 func (s FragStats) CollectTelemetry(emit telemetry.Emit) {
@@ -76,16 +67,13 @@ func (s FragStats) CollectTelemetry(emit telemetry.Emit) {
 }
 
 // LinkCollector adapts a live Link: each scrape re-snapshots Stats, and
-// when the link is a GateLink, ImpairLink, or FragLink its layer stats
-// ride along under the same prefix.
+// when the link is a GateLink or FragLink its layer stats ride along under
+// the same prefix.
 func LinkCollector(l Link) telemetry.Collector {
 	return telemetry.CollectorFunc(func(emit telemetry.Emit) {
 		l.Stats().CollectTelemetry(emit)
 		if g, ok := l.(*GateLink); ok {
 			g.GateStats().CollectTelemetry(emit)
-		}
-		if im, ok := l.(*ImpairLink); ok {
-			im.ImpairStats().CollectTelemetry(emit)
 		}
 		if f, ok := l.(*FragLink); ok {
 			f.FragStats().CollectTelemetry(emit)

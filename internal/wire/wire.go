@@ -6,12 +6,12 @@
 //   - UDPLink is a real socket: RFC 3948-style UDP encapsulation of ESP
 //     with a non-ESP marker for control traffic, NAT-T keepalives, and
 //     per-peer demultiplexing by SPI at a shared UDPEndpoint;
-//   - FragLink and ImpairLink are middleware that compose over any Link:
+//   - FragLink and GateLink are middleware that compose over any Link:
 //     explicit fragmentation/reassembly with probe-based path-MTU
 //     discovery and hostile-fragment rejection (the IPv6
 //     fragment-handling catalogue: overlapping, tiny, atomic fragments),
-//     and seeded loss/duplication/reordering with the adversary's
-//     wiretap (Tap) and injection (Inject) positions.
+//     and scheduled drop/hold with the adversary's wiretap (Tap) and
+//     injection (Inject) positions.
 //
 // A Link carries opaque datagrams — here, sealed ESP packets — between
 // exactly two peers. Send has copied the datagram when it returns and does
@@ -42,7 +42,7 @@ var (
 )
 
 // Stats counts one link's traffic, both directions, as seen at this
-// endpoint. Middleware links (FragLink, ImpairLink) keep their own
+// endpoint. Middleware links (FragLink, GateLink) keep their own
 // additional counters; these are the universal ones.
 type Stats struct {
 	// TxPackets and TxBytes count datagrams accepted by Send.

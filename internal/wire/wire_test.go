@@ -2,23 +2,11 @@ package wire
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 	"time"
 
 	"antireplay/internal/netsim"
 )
-
-// testRecorder is a minimal wiretap recorder. (The real one lives in
-// internal/adversary, which now imports wire for the campaign engine —
-// an in-package test here cannot import it back.)
-type testRecorder struct{ msgs [][]byte }
-
-func (r *testRecorder) Tap() func([]byte) {
-	return func(p []byte) { r.msgs = append(r.msgs, p) }
-}
-func (r *testRecorder) Len() int           { return len(r.msgs) }
-func (r *testRecorder) Messages() [][]byte { return r.msgs }
 
 func TestSimPairRoundTrip(t *testing.T) {
 	e := netsim.NewEngine(1)
@@ -90,92 +78,6 @@ func TestSimLinkInlineDelivery(t *testing.T) {
 	}
 	if _, err := b.Recv(); err != ErrNoDatagram {
 		t.Fatalf("queue should be bypassed with a handler")
-	}
-}
-
-func TestImpairLinkLossAndTap(t *testing.T) {
-	e := netsim.NewEngine(1)
-	a, b := NewSimPair(e, netsim.LinkConfig{}, netsim.LinkConfig{})
-	imp := NewImpairLink(a, ImpairConfig{Seed: 42, LossProb: 0.5})
-
-	rec := &testRecorder{}
-	imp.Tap(rec.Tap())
-
-	const n = 200
-	for i := 0; i < n; i++ {
-		if err := imp.Send([]byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e.Run()
-	delivered := 0
-	for {
-		if _, err := b.Recv(); err != nil {
-			break
-		}
-		delivered++
-	}
-	st := imp.ImpairStats()
-	if rec.Len() != n {
-		t.Fatalf("wiretap saw %d, want all %d (taps precede loss)", rec.Len(), n)
-	}
-	if delivered+int(st.Lost) != n {
-		t.Fatalf("delivered %d + lost %d != %d", delivered, st.Lost, n)
-	}
-	if st.Lost == 0 || delivered == 0 {
-		t.Fatalf("degenerate loss split: %+v", st)
-	}
-
-	// The adversary injects a recorded datagram: bypasses taps and loss.
-	imp.Inject(rec.Messages()[0])
-	e.Run()
-	if _, err := b.Recv(); err != nil {
-		t.Fatalf("injection not delivered: %v", err)
-	}
-	if rec.Len() != n {
-		t.Fatalf("injection must bypass the wiretap")
-	}
-}
-
-func TestImpairLinkReorderAndDup(t *testing.T) {
-	e := netsim.NewEngine(1)
-	a, b := NewSimPair(e, netsim.LinkConfig{}, netsim.LinkConfig{})
-	imp := NewImpairLink(a, ImpairConfig{Seed: 7, ReorderProb: 0.3, DupProb: 0.2})
-
-	const n = 100
-	sent := make(map[string]int)
-	for i := 0; i < n; i++ {
-		p := []byte(fmt.Sprintf("m%03d", i))
-		sent[string(p)]++
-		if err := imp.Send(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := imp.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	e.Run()
-	got := make(map[string]int)
-	total := 0
-	for {
-		p, err := b.Recv()
-		if err != nil {
-			break
-		}
-		got[string(p)]++
-		total++
-	}
-	st := imp.ImpairStats()
-	if uint64(total) != uint64(n)+st.Duplicated {
-		t.Fatalf("delivered %d, want %d + %d dups", total, n, st.Duplicated)
-	}
-	for k := range sent {
-		if got[k] == 0 {
-			t.Fatalf("message %q vanished (no loss configured)", k)
-		}
-	}
-	if st.Reordered == 0 || st.Duplicated == 0 {
-		t.Fatalf("degenerate impairment: %+v", st)
 	}
 }
 
@@ -472,14 +374,13 @@ func TestFragPMTUDiscovery(t *testing.T) {
 func TestSeededDeterminism(t *testing.T) {
 	// Same seed ⇒ identical LinkStats and identical impairment decisions:
 	// the reproducibility contract the fragment/loss experiments rely on.
-	run := func(seed int64) (netsim.LinkStats, ImpairStats, FragStats, int) {
+	run := func(seed int64) (netsim.LinkStats, FragStats, int) {
 		e := netsim.NewEngine(seed)
 		a, b := NewSimPair(e,
 			netsim.LinkConfig{MTU: 300, LossProb: 0.2, DupProb: 0.1,
 				ReorderProb: 0.2, ReorderDelay: 3 * time.Millisecond, Delay: time.Millisecond},
 			netsim.LinkConfig{MTU: 300})
-		imp := NewImpairLink(a, ImpairConfig{Seed: seed + 1, LossProb: 0.1})
-		fa := NewFragLink(imp, FragConfig{Now: e.Now})
+		fa := NewFragLink(a, FragConfig{Now: e.Now})
 		fb := NewFragLink(b, FragConfig{Now: e.Now})
 		for i := 0; i < 300; i++ {
 			fa.Send(bytes.Repeat([]byte{byte(i)}, 50+(i*37)%900)) //nolint:errcheck // loss is the point
@@ -492,16 +393,13 @@ func TestSeededDeterminism(t *testing.T) {
 			}
 			delivered++
 		}
-		return a.Inner().Stats(), imp.ImpairStats(), fb.FragStats(), delivered
+		return a.Inner().Stats(), fb.FragStats(), delivered
 	}
 
-	l1, i1, f1, d1 := run(11)
-	l2, i2, f2, d2 := run(11)
+	l1, f1, d1 := run(11)
+	l2, f2, d2 := run(11)
 	if l1 != l2 {
 		t.Fatalf("same seed, different LinkStats:\n%+v\n%+v", l1, l2)
-	}
-	if i1 != i2 {
-		t.Fatalf("same seed, different ImpairStats:\n%+v\n%+v", i1, i2)
 	}
 	if f1 != f2 {
 		t.Fatalf("same seed, different FragStats:\n%+v\n%+v", f1, f2)
@@ -510,7 +408,7 @@ func TestSeededDeterminism(t *testing.T) {
 		t.Fatalf("same seed, different deliveries: %d vs %d", d1, d2)
 	}
 
-	l3, _, _, _ := run(12)
+	l3, _, _ := run(12)
 	if l1 == l3 {
 		t.Fatalf("different seeds produced identical LinkStats (suspicious): %+v", l1)
 	}
