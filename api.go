@@ -100,9 +100,9 @@ func NewBitmapWindow(w int) Window { return seqwin.NewBitmap(w) }
 // NewAtomicWindow returns a concurrency-safe anti-replay window of width w
 // (Linux-xfrm/WireGuard style: CAS edge advances, atomic bit-sets), for use
 // on its own. A Receiver builds one itself when ReceiverConfig.Window is nil
-// and admits on its lock-free fast path; a window passed in through
-// ReceiverConfig.Window, this one included, is driven under the receiver's
-// mutex.
+// and, with StrictHorizon, admits on its lock-free fast path; a window
+// passed in through ReceiverConfig.Window, this one included, is driven
+// under the receiver's mutex.
 func NewAtomicWindow(w int) Window { return seqwin.NewAtomic(w) }
 
 // NewPaperWindow returns the paper's boolean-array window of width w

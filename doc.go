@@ -65,10 +65,11 @@
 // The per-packet datapath is concurrency-first. A Receiver left to build
 // its own window (ReceiverConfig.Window nil) gets a Linux-xfrm/WireGuard-
 // style anti-replay window whose admissions are CAS- and fetch-OR-based,
-// and runs a lock-minimizing fast path: concurrent Admits never
-// serialize on the receiver mutex, which is reserved for reset/wake
-// transitions and SAVE triggers. (A caller-supplied Window is driven under
-// that mutex.) The batched entry points —
+// and with StrictHorizon set it runs a lock-minimizing fast path:
+// concurrent Admits never serialize on the receiver mutex, which is
+// reserved for reset/wake transitions and SAVE triggers. (Without the
+// horizon, or over a caller-supplied Window, every Admit takes that
+// mutex.) The batched entry points —
 // OutboundSA.SealBatch and Sender.NextN outbound, InboundSA.VerifyBatch
 // and Gateway.VerifyBatch/SealBatch inbound — amortize lock acquisitions,
 // lifetime checks, and save triggers across a packet burst, returning
@@ -78,10 +79,12 @@
 //
 // The paper's receiver-side theorem additionally requires that the window
 // edge advance at most Kq numbers per save interval — an assumption message
-// loss can break (see README.md's analysis-gap note and the "horizon"
-// experiment). The StrictHorizon option (default in Peer and Gateway)
+// loss can break, and so can a scheduler stalling one SAVE among concurrent
+// admitters (see README.md's analysis-gap note and the "horizon"
+// experiment). The StrictHorizon option (always on in Peer and Gateway)
 // removes the assumption by never delivering at or beyond committed+leap,
-// making the no-duplicate-delivery guarantee unconditional.
+// making the no-duplicate-delivery guarantee unconditional; exactly-once
+// under concurrent Admits or an in-process Reset is promised only with it.
 //
 // For high availability a Standby replicates a gateway's Lanes into a
 // follower medium, lane to lane (snapshot-then-tail over the committed

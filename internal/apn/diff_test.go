@@ -6,63 +6,12 @@ package apn
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
 	"antireplay/internal/core"
 	"antireplay/internal/seqwin"
 	"antireplay/internal/store"
 )
-
-// stepSaver is a core.BackgroundSaver committing only when the test fires
-// Commit, so that save timing can be mirrored onto the APN "save" action.
-type stepSaver struct {
-	mu      sync.Mutex
-	st      store.Store
-	pending []struct {
-		v    uint64
-		done func(error)
-	}
-}
-
-func (s *stepSaver) StartSave(v uint64, done func(error)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pending = append(s.pending, struct {
-		v    uint64
-		done func(error)
-	}{v, done})
-}
-
-func (s *stepSaver) Commit(t *testing.T) bool {
-	t.Helper()
-	s.mu.Lock()
-	if len(s.pending) == 0 {
-		s.mu.Unlock()
-		return false
-	}
-	p := s.pending[0]
-	s.pending = s.pending[1:]
-	s.mu.Unlock()
-	if err := s.st.Save(p.v); err != nil {
-		t.Fatalf("commit: %v", err)
-	}
-	if p.done != nil {
-		p.done(nil)
-	}
-	return true
-}
-
-func (s *stepSaver) CommitAll(t *testing.T) {
-	for s.Commit(t) {
-	}
-}
-
-func (s *stepSaver) Cancel() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pending = nil
-}
 
 func TestDifferentialSenderAPNvsCore(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
@@ -73,7 +22,7 @@ func TestDifferentialSenderAPNvsCore(t *testing.T) {
 		sys.Add(ap.Process())
 
 		var mem store.Mem
-		sv := &stepSaver{st: &mem}
+		sv := &core.HeldSaver{Store: &mem} // commits mirror the APN "save" action
 		cs, err := core.NewSender(core.SenderConfig{K: k, Store: &mem, Saver: sv})
 		if err != nil {
 			t.Fatalf("NewSender: %v", err)
@@ -99,7 +48,7 @@ func TestDifferentialSenderAPNvsCore(t *testing.T) {
 				if ap.SavePending() {
 					_ = sys.Exec("p", "save")
 				}
-				sv.CommitAll(t)
+				sv.CommitAll()
 			case r == 7 && !down: // reset both
 				ap.RequestReset()
 				_ = sys.Exec("p", "reset")
@@ -109,7 +58,7 @@ func TestDifferentialSenderAPNvsCore(t *testing.T) {
 				ap.RequestWake()
 				_ = sys.Exec("p", "wake")
 				cs.Wake()
-				sv.CommitAll(t) // complete the core post-wake save
+				sv.CommitAll() // complete the core post-wake save
 				down = false
 			}
 			if !down {
@@ -136,7 +85,7 @@ func TestDifferentialReceiverAPNvsCore(t *testing.T) {
 		sys.Add(aq.Process())
 
 		var mem store.Mem
-		sv := &stepSaver{st: &mem}
+		sv := &core.HeldSaver{Store: &mem} // commits mirror the APN "save" action
 		cr, err := core.NewReceiver(core.ReceiverConfig{
 			K:      k,
 			Store:  &mem,
@@ -176,7 +125,7 @@ func TestDifferentialReceiverAPNvsCore(t *testing.T) {
 				if aq.SavePending() {
 					_ = sys.Exec("q", "save")
 				}
-				sv.CommitAll(t)
+				sv.CommitAll()
 			case r == 7 && !down:
 				aq.RequestReset()
 				_ = sys.Exec("q", "reset")
@@ -186,7 +135,7 @@ func TestDifferentialReceiverAPNvsCore(t *testing.T) {
 				aq.RequestWake()
 				_ = sys.Exec("q", "wake")
 				cr.Wake()
-				sv.CommitAll(t)
+				sv.CommitAll()
 				down = false
 			}
 			if !down {

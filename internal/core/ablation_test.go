@@ -21,11 +21,11 @@ func TestLyingStorageBreaksTheLeapBound(t *testing.T) {
 	const k = 5
 	var m store.Mem
 	f := store.NewFaulty(&m)
-	sv := newManualSaver(f)
+	sv := &core.HeldSaver{Store: f}
 	s := mustSender(t, core.SenderConfig{K: k, Store: f, Saver: sv})
 
 	sendN(t, s, k) // SAVE(6)
-	sv.CommitAll(t)
+	sv.CommitAll()
 	// From here on, storage acknowledges but drops every write.
 	f.LoseSaves(1000)
 	sendN(t, s, 4*k) // several "successful" saves, none durable
@@ -33,7 +33,7 @@ func TestLyingStorageBreaksTheLeapBound(t *testing.T) {
 
 	s.Reset()
 	s.Wake()
-	sv.CommitAll(t) // post-wake save also lost, but reported fine
+	sv.CommitAll() // post-wake save also lost, but reported fine
 	if s.State() != core.StateUp {
 		t.Fatalf("state = %v (err %v)", s.State(), s.LastWakeError())
 	}
@@ -57,7 +57,7 @@ func TestLyingStorageBreaksTheLeapBound(t *testing.T) {
 func TestUndersizedKBreaksTheLeapBound(t *testing.T) {
 	const k = 5
 	var m store.Mem
-	sv := newManualSaver(&m)
+	sv := &core.HeldSaver{Store: &m}
 	s := mustSender(t, core.SenderConfig{K: k, Store: &m, Saver: sv})
 
 	// The "disk" never catches up: 10K messages flow with every save still
@@ -67,7 +67,7 @@ func TestUndersizedKBreaksTheLeapBound(t *testing.T) {
 
 	s.Reset() // tears every pending save; durable is still the initial 1
 	s.Wake()
-	sv.CommitAll(t)
+	sv.CommitAll()
 
 	resume := s.Seq()
 	if want := uint64(1 + 2*k); resume != want {
@@ -86,7 +86,7 @@ func TestProperlySizedKHoldsTheBound(t *testing.T) {
 	const k = 5
 	for resetAt := uint64(1); resetAt <= 6*k; resetAt++ {
 		var m store.Mem
-		sv := newManualSaver(&m)
+		sv := &core.HeldSaver{Store: &m}
 		s := mustSender(t, core.SenderConfig{K: k, Store: &m, Saver: sv})
 
 		var lastUsed uint64
@@ -98,12 +98,12 @@ func TestProperlySizedKHoldsTheBound(t *testing.T) {
 			lastUsed = seq
 			// The medium keeps pace: commits happen within K sends.
 			if i%k == 0 {
-				sv.CommitAll(t)
+				sv.CommitAll()
 			}
 		}
 		s.Reset()
 		s.Wake()
-		sv.CommitAll(t)
+		sv.CommitAll()
 
 		resume := s.Seq()
 		if resume <= lastUsed {

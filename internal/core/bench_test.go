@@ -44,9 +44,12 @@ func BenchmarkSenderNext(b *testing.B) {
 	})
 }
 
+// The receiver benchmarks build strict receivers: only those admit on the
+// wait-free path, and with the inline SyncSaver committed keeps pace with the
+// edge, so the horizon never discards.
 func BenchmarkReceiverAdmitInOrder(b *testing.B) {
 	var m store.Mem
-	r, err := core.NewReceiver(core.ReceiverConfig{K: 25, Store: &m, W: 64})
+	r, err := core.NewReceiver(core.ReceiverConfig{K: 25, Store: &m, W: 64, StrictHorizon: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -59,7 +62,7 @@ func BenchmarkReceiverAdmitInOrder(b *testing.B) {
 
 func BenchmarkReceiverAdmitReplay(b *testing.B) {
 	var m store.Mem
-	r, err := core.NewReceiver(core.ReceiverConfig{K: 1 << 40, Store: &m, W: 64})
+	r, err := core.NewReceiver(core.ReceiverConfig{K: 1 << 40, Store: &m, W: 64, StrictHorizon: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -98,7 +101,7 @@ func BenchmarkResetWakeCycle(b *testing.B) {
 // entry marked received — one allocation, the window's ring.
 func BenchmarkReceiverResetWakeCycle(b *testing.B) {
 	var m store.Mem
-	r, err := core.NewReceiver(core.ReceiverConfig{K: 25, Store: &m, W: 1024})
+	r, err := core.NewReceiver(core.ReceiverConfig{K: 25, Store: &m, W: 1024, StrictHorizon: true})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -19,13 +19,15 @@
 //
 // Both endpoints are safe for concurrent use and are driven either by the
 // deterministic simulator (netsim.SimSaver, virtual time) or by real
-// goroutines (store.SaverPool, wall clock).
+// goroutines (store.SaverPool, wall clock); HeldSaver is the saver of
+// hand-written schedules.
 package core
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"antireplay/internal/store"
@@ -109,6 +111,70 @@ func (s SyncSaver) StartSave(v uint64, done func(error)) {
 	err := s.Store.Save(v)
 	if done != nil {
 		done(err)
+	}
+}
+
+// HeldSaver is the BackgroundSaver deterministic schedules are written
+// with: StartSave only queues, and a save lands when the schedule says so —
+// Commit, CommitAll, Fail — or never, if a reset tears it first (Cancel).
+// No lock is held while the store or a completion runs.
+type HeldSaver struct {
+	Store store.Store
+
+	mu   sync.Mutex
+	held []func(error) // oldest first; nil error means save, then complete
+}
+
+// StartSave queues the save of v.
+func (h *HeldSaver) StartSave(v uint64, done func(error)) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.held = append(h.held, func(err error) {
+		if err == nil {
+			err = h.Store.Save(v)
+		}
+		if done != nil {
+			done(err)
+		}
+	})
+}
+
+// Cancel implements Canceler: a reset tears every queued save.
+func (h *HeldSaver) Cancel() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.held = nil
+}
+
+// Pending returns the number of queued saves.
+func (h *HeldSaver) Pending() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.held)
+}
+
+// Fail completes the oldest queued save with err without saving it (a nil
+// err saves it first); false means nothing was queued.
+func (h *HeldSaver) Fail(err error) bool {
+	h.mu.Lock()
+	if len(h.held) == 0 {
+		h.mu.Unlock()
+		return false
+	}
+	settle := h.held[0]
+	h.held = h.held[1:]
+	h.mu.Unlock()
+	settle(err)
+	return true
+}
+
+// Commit saves the oldest queued value and completes it with the store's
+// verdict; false means nothing was queued.
+func (h *HeldSaver) Commit() bool { return h.Fail(nil) }
+
+// CommitAll commits until nothing is queued, completions' own saves included.
+func (h *HeldSaver) CommitAll() {
+	for h.Commit() {
 	}
 }
 

@@ -3,109 +3,11 @@ package core_test
 import (
 	"errors"
 	"strings"
-	"sync"
 	"testing"
 
 	"antireplay/internal/core"
 	"antireplay/internal/store"
 )
-
-// manualSaver is a BackgroundSaver whose commits the test fires by hand,
-// giving precise control over the paper's "reset before/after the current
-// SAVE finishes" branches.
-type manualSaver struct {
-	mu      sync.Mutex
-	st      store.Store
-	pending []manualPending
-}
-
-type manualPending struct {
-	v    uint64
-	done func(error)
-}
-
-func newManualSaver(st store.Store) *manualSaver { return &manualSaver{st: st} }
-
-func (m *manualSaver) StartSave(v uint64, done func(error)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.pending = append(m.pending, manualPending{v: v, done: done})
-}
-
-// CommitAll completes every pending save in order.
-func (m *manualSaver) CommitAll(t *testing.T) {
-	t.Helper()
-	for {
-		m.mu.Lock()
-		if len(m.pending) == 0 {
-			m.mu.Unlock()
-			return
-		}
-		p := m.pending[0]
-		m.pending = m.pending[1:]
-		m.mu.Unlock()
-		if err := m.st.Save(p.v); err != nil {
-			t.Fatalf("manualSaver commit: %v", err)
-		}
-		if p.done != nil {
-			p.done(nil)
-		}
-	}
-}
-
-// Commit completes the oldest pending save, reporting whether one existed.
-func (m *manualSaver) Commit() bool {
-	m.mu.Lock()
-	if len(m.pending) == 0 {
-		m.mu.Unlock()
-		return false
-	}
-	p := m.pending[0]
-	m.pending = m.pending[1:]
-	m.mu.Unlock()
-	if err := m.st.Save(p.v); err != nil {
-		if p.done != nil {
-			p.done(err)
-		}
-		return true
-	}
-	if p.done != nil {
-		p.done(nil)
-	}
-	return true
-}
-
-// FailNext reports err to the oldest pending save without persisting.
-func (m *manualSaver) FailNext(err error) bool {
-	m.mu.Lock()
-	if len(m.pending) == 0 {
-		m.mu.Unlock()
-		return false
-	}
-	p := m.pending[0]
-	m.pending = m.pending[1:]
-	m.mu.Unlock()
-	if p.done != nil {
-		p.done(err)
-	}
-	return true
-}
-
-// Cancel implements core.Canceler: a reset tears all in-flight saves.
-func (m *manualSaver) Cancel() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.pending = nil
-}
-
-func (m *manualSaver) PendingCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.pending)
-}
-
-var _ core.BackgroundSaver = (*manualSaver)(nil)
-var _ core.Canceler = (*manualSaver)(nil)
 
 func mustSender(t *testing.T, cfg core.SenderConfig) *core.Sender {
 	t.Helper()
@@ -192,7 +94,7 @@ func TestReceiverConfigValidation(t *testing.T) {
 
 func TestSenderSequencesAndSaveTrigger(t *testing.T) {
 	var m store.Mem
-	sv := newManualSaver(&m)
+	sv := &core.HeldSaver{Store: &m}
 	s := mustSender(t, core.SenderConfig{K: 5, Store: &m, Saver: sv})
 
 	for want := uint64(1); want <= 5; want++ {
@@ -205,22 +107,22 @@ func TestSenderSequencesAndSaveTrigger(t *testing.T) {
 		}
 	}
 	// After sending 5 messages s=6 >= K+lst=6: exactly one save started.
-	if n := sv.PendingCount(); n != 1 {
+	if n := sv.Pending(); n != 1 {
 		t.Fatalf("pending saves = %d, want 1", n)
 	}
 	if got := s.LastStored(); got != 6 {
 		t.Errorf("LastStored = %d, want 6 (next-to-send at save time)", got)
 	}
-	sv.CommitAll(t)
+	sv.CommitAll()
 	if v, _ := m.Peek(); v != 6 {
 		t.Errorf("durable = %d, want 6", v)
 	}
 
 	sendN(t, s, 5) // s reaches 11 -> second save
-	if n := sv.PendingCount(); n != 1 {
+	if n := sv.Pending(); n != 1 {
 		t.Fatalf("pending saves = %d, want 1", n)
 	}
-	sv.CommitAll(t)
+	sv.CommitAll()
 	if v, _ := m.Peek(); v != 11 {
 		t.Errorf("durable = %d, want 11", v)
 	}
@@ -235,16 +137,16 @@ func TestSenderResetAfterSaveCompleted(t *testing.T) {
 	// at most Kp, and the leap of 2Kp lands strictly above every used seq.
 	const k = 5
 	var m store.Mem
-	sv := newManualSaver(&m)
+	sv := &core.HeldSaver{Store: &m}
 	s := mustSender(t, core.SenderConfig{K: k, Store: &m, Saver: sv})
 
 	sendN(t, s, k) // triggers SAVE(6)
-	sv.CommitAll(t)
+	sv.CommitAll()
 	lastUsed := sendN(t, s, 3) // seqs 6,7,8 used; durable stays 6
 
 	s.Reset()
 	s.Wake()
-	sv.CommitAll(t) // post-wake SAVE
+	sv.CommitAll() // post-wake SAVE
 
 	if got := s.State(); got != core.StateUp {
 		t.Fatalf("State = %v, want up (wake err: %v)", got, s.LastWakeError())
@@ -267,11 +169,11 @@ func TestSenderResetDuringSave(t *testing.T) {
 	// still lands strictly above every used sequence number.
 	const k = 5
 	var m store.Mem
-	sv := newManualSaver(&m)
+	sv := &core.HeldSaver{Store: &m}
 	s := mustSender(t, core.SenderConfig{K: k, Store: &m, Saver: sv})
 
 	sendN(t, s, k) // SAVE(6) pending
-	sv.CommitAll(t)
+	sv.CommitAll()
 	sendN(t, s, k) // SAVE(11) pending, NOT committed
 	lastUsed := sendN(t, s, k-1)
 	if lastUsed != 2*k+k-1 {
@@ -279,11 +181,11 @@ func TestSenderResetDuringSave(t *testing.T) {
 	}
 
 	s.Reset() // cancels the in-flight SAVE(11)
-	if sv.PendingCount() != 0 {
+	if sv.Pending() != 0 {
 		t.Fatal("reset must cancel in-flight saves")
 	}
 	s.Wake()
-	sv.CommitAll(t)
+	sv.CommitAll()
 
 	resume := s.Seq()
 	if want := uint64(6 + 2*k); resume != want {
@@ -300,16 +202,16 @@ func TestSenderWorstCaseLossBound(t *testing.T) {
 	// save starts.
 	for _, k := range []uint64{1, 5, 25, 100} {
 		var m store.Mem
-		sv := newManualSaver(&m)
+		sv := &core.HeldSaver{Store: &m}
 		s := mustSender(t, core.SenderConfig{K: k, Store: &m, Saver: sv})
 
 		sendN(t, s, int(k)) // SAVE(k+1) pending
-		sv.CommitAll(t)
+		sv.CommitAll()
 		lastUsed := uint64(k) // seqs 1..k used
 
 		s.Reset()
 		s.Wake()
-		sv.CommitAll(t)
+		sv.CommitAll()
 
 		resume := s.Seq()
 		lost := resume - lastUsed - 1
@@ -324,7 +226,7 @@ func TestSenderWorstCaseLossBound(t *testing.T) {
 
 func TestSenderDownAndWaking(t *testing.T) {
 	var m store.Mem
-	sv := newManualSaver(&m)
+	sv := &core.HeldSaver{Store: &m}
 	s := mustSender(t, core.SenderConfig{K: 5, Store: &m, Saver: sv})
 
 	s.Reset()
@@ -338,7 +240,7 @@ func TestSenderDownAndWaking(t *testing.T) {
 	if _, err := s.Next(); !errors.Is(err, core.ErrWaking) {
 		t.Errorf("Next while waking = %v, want ErrWaking", err)
 	}
-	sv.CommitAll(t)
+	sv.CommitAll()
 	if _, err := s.Next(); err != nil {
 		t.Errorf("Next after wake = %v, want nil", err)
 	}
@@ -375,20 +277,20 @@ func TestSenderDoubleResetBeforePostWakeSave(t *testing.T) {
 	// old durable value — fresh but farther.
 	const k = 5
 	var m store.Mem
-	sv := newManualSaver(&m)
+	sv := &core.HeldSaver{Store: &m}
 	s := mustSender(t, core.SenderConfig{K: k, Store: &m, Saver: sv})
 
 	lastUsed := sendN(t, s, int(k))
-	sv.CommitAll(t) // durable 6
+	sv.CommitAll() // durable 6
 
 	s.Reset()
 	s.Wake() // SAVE(16) pending
 	s.Reset()
-	if sv.PendingCount() != 0 {
+	if sv.Pending() != 0 {
 		t.Fatal("second reset must cancel the post-wake save")
 	}
 	s.Wake()
-	sv.CommitAll(t)
+	sv.CommitAll()
 
 	resume := s.Seq()
 	if want := uint64(6 + 2*k); resume != want {
@@ -402,20 +304,20 @@ func TestSenderDoubleResetBeforePostWakeSave(t *testing.T) {
 func TestSenderDoubleResetAfterPostWakeSaveCommitted(t *testing.T) {
 	const k = 5
 	var m store.Mem
-	sv := newManualSaver(&m)
+	sv := &core.HeldSaver{Store: &m}
 	s := mustSender(t, core.SenderConfig{K: k, Store: &m, Saver: sv})
 
 	sendN(t, s, int(k))
-	sv.CommitAll(t) // durable 6
+	sv.CommitAll() // durable 6
 
 	s.Reset()
 	s.Wake()
-	sv.CommitAll(t) // durable 16, resumed at 16
+	sv.CommitAll() // durable 16, resumed at 16
 	lastUsed := sendN(t, s, 2)
 
 	s.Reset()
 	s.Wake()
-	sv.CommitAll(t)
+	sv.CommitAll()
 	resume := s.Seq()
 	if want := uint64(16 + 2*k); resume != want {
 		t.Errorf("resume = %d, want %d", resume, want)
@@ -447,11 +349,11 @@ func TestSenderWakeFetchFailureStaysDown(t *testing.T) {
 
 func TestSenderWakePostSaveFailureStaysDown(t *testing.T) {
 	var m store.Mem
-	sv := newManualSaver(&m)
+	sv := &core.HeldSaver{Store: &m}
 	s := mustSender(t, core.SenderConfig{K: 5, Store: &m, Saver: sv})
 	s.Reset()
 	s.Wake()
-	if !sv.FailNext(errors.New("disk on fire")) {
+	if !sv.Fail(errors.New("disk on fire")) {
 		t.Fatal("no pending post-wake save")
 	}
 	if got := s.State(); got != core.StateDown {
@@ -465,11 +367,11 @@ func TestSenderWakePostSaveFailureStaysDown(t *testing.T) {
 func TestSenderBackgroundSaveFailureRetries(t *testing.T) {
 	const k = 5
 	var m store.Mem
-	sv := newManualSaver(&m)
+	sv := &core.HeldSaver{Store: &m}
 	s := mustSender(t, core.SenderConfig{K: k, Store: &m, Saver: sv})
 
 	sendN(t, s, int(k)) // SAVE(6) pending
-	if !sv.FailNext(errors.New("transient")) {
+	if !sv.Fail(errors.New("transient")) {
 		t.Fatal("no pending save")
 	}
 	if got := s.Stats().SavesFailed; got != 1 {
@@ -478,10 +380,10 @@ func TestSenderBackgroundSaveFailureRetries(t *testing.T) {
 	// lst rolled back to the durable value, so the very next send
 	// re-triggers a save.
 	sendN(t, s, 1)
-	if n := sv.PendingCount(); n != 1 {
+	if n := sv.Pending(); n != 1 {
 		t.Fatalf("pending saves after retry = %d, want 1", n)
 	}
-	sv.CommitAll(t)
+	sv.CommitAll()
 	if v, _ := m.Peek(); v != 7 {
 		t.Errorf("durable = %d, want 7", v)
 	}

@@ -23,8 +23,9 @@ func newFastReceiver(t *testing.T, cfg ReceiverConfig) (*Receiver, *store.Mem) {
 	if err != nil {
 		t.Fatalf("NewReceiver: %v", err)
 	}
-	if (r.fastWin.Load() != nil) != (cfg.Window == nil) {
-		t.Fatal("a default receiver publishes its window; one given a Window does not")
+	published, want := r.fastWin.Load() != nil, cfg.Window == nil && cfg.StrictHorizon && !cfg.Baseline
+	if published != want {
+		t.Fatalf("window published = %v, want %v: only a strict receiver that built its own window leaves the mutex out", published, want)
 	}
 	return r, &m
 }
@@ -34,7 +35,8 @@ func newFastReceiver(t *testing.T, cfg ReceiverConfig) (*Receiver, *store.Mem) {
 // reference windows (Bitmap, and the paper's Bool array), which run on the
 // mutex path. Verdict, edge, delivery tallies and the saved value must match
 // at every step, for every protocol variant and across the word boundaries
-// of the ring.
+// of the ring. Only the strict variant's default receiver is on the fast
+// path; the other two compare the Atomic window with its oracles.
 func TestFastPathDifferential(t *testing.T) {
 	variants := []struct {
 		name string
@@ -127,6 +129,9 @@ func differentialStream(t *testing.T, cfg ReceiverConfig) {
 // TestFastPathConcurrentExactlyOnce hammers the fast path from many
 // goroutines while resets and wakes fire concurrently; no sequence number
 // may ever be delivered twice across the whole history. Run with -race.
+// The receiver is strict: without the horizon a stalled SAVE hand-off breaks
+// the paper's K >= T_save/T_send and the duplicate is the protocol's own
+// (TestPaperProtocolLossJumpViolation pins that one deterministically).
 func TestFastPathConcurrentExactlyOnce(t *testing.T) {
 	watchdog.Arm(t, 10*time.Second)
 	const (
@@ -134,7 +139,7 @@ func TestFastPathConcurrentExactlyOnce(t *testing.T) {
 		perG       = 10000
 		span       = 64 * goroutines * perG
 	)
-	r, _ := newFastReceiver(t, ReceiverConfig{K: 50, W: 256})
+	r, _ := newFastReceiver(t, ReceiverConfig{K: 50, W: 256, StrictHorizon: true})
 
 	var delivered sync.Map // seq -> struct{}
 	var next atomic.Uint64
@@ -202,14 +207,62 @@ func TestFastPathConcurrentExactlyOnce(t *testing.T) {
 	})
 }
 
+// TestFastPathAdmitStraddlingWake is the schedule the concurrent test above
+// cannot force: an admitter loads the published window and stalls; the
+// receiver is reset and woken, which moves committed into the new life; the
+// admitter resumes with a number just past the new edge — below the new
+// life's horizon, far beyond the old one's — and the number is then replayed.
+// It may be delivered once.
+func TestFastPathAdmitStraddlingWake(t *testing.T) {
+	const k = 50
+	for _, name := range []string{"SyncSaver", "HeldSaver"} {
+		for _, w := range []int{64, 256} {
+			for _, past := range []uint64{1, 5, 2*k - 1} {
+				t.Run(fmt.Sprintf("%s/W=%d/edge+%d", name, w, past), func(t *testing.T) {
+					var m store.Mem
+					held := &HeldSaver{Store: &m} // holds nothing on the SyncSaver rows
+					var saver BackgroundSaver = SyncSaver{Store: &m}
+					if name == "HeldSaver" {
+						saver = held
+					}
+					r, err := NewReceiver(ReceiverConfig{K: k, W: w, Store: &m, Saver: saver, StrictHorizon: true})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for s := uint64(1); s <= k+10; s++ {
+						r.Admit(s)
+						held.CommitAll()
+					}
+					stalled := r.fastWin.Load() // what Admit does first
+					r.Reset()
+					r.Wake()
+					held.CommitAll()
+					s := r.Edge() + past
+					if r.State() != StateUp || s != 3*k+past {
+						t.Fatalf("woke %v at edge %d, want up at %d (saved %d + 2K)", r.State(), r.Edge(), 3*k, k)
+					}
+					v, ok := r.admitFast(stalled, s) // ...and Admit's next step, resumed
+					if !ok {
+						v = r.admitSlow(s)
+					}
+					if again := r.Admit(s); v.Delivered() && again.Delivered() {
+						t.Errorf("sequence %d delivered twice: %v into the superseded window, %v into the live one", s, v, again)
+					} else if !v.Delivered() {
+						t.Errorf("fresh sequence %d below the horizon: %v, want delivery", s, v)
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestFastPathStrictHorizon verifies the fast path never delivers at or
 // beyond committed+leap: horizon messages fall back to the slow path and
 // come back VerdictHorizon, exactly as the mutex path decides.
 func TestFastPathStrictHorizon(t *testing.T) {
 	watchdog.Arm(t, 10*time.Second)
-	block := make(chan struct{})
 	var m store.Mem
-	saver := &gatedSaver{inner: SyncSaver{Store: &m}, gate: block}
+	saver := &HeldSaver{Store: &m}
 	r, err := NewReceiver(ReceiverConfig{
 		K: 10, W: 64, Store: &m, Saver: saver,
 		StrictHorizon: true,
@@ -226,38 +279,18 @@ func TestFastPathStrictHorizon(t *testing.T) {
 	if v := r.Admit(20); v != VerdictHorizon {
 		t.Fatalf("Admit(20) = %v at horizon with saves blocked, want horizon", v)
 	}
-	close(block) // let the queued saves land
-	saver.wait()
+	saver.CommitAll() // let the queued saves land
 	// committed advanced; the stream resumes.
 	if v := r.Admit(21); !v.Delivered() {
 		t.Errorf("Admit(21) after save landed = %v, want delivery", v)
 	}
 }
 
-// gatedSaver delays every save until the gate closes, then saves
-// synchronously; it makes horizon scenarios deterministic.
-type gatedSaver struct {
-	inner SyncSaver
-	gate  <-chan struct{}
-	wg    sync.WaitGroup
-}
-
-func (g *gatedSaver) StartSave(v uint64, done func(error)) {
-	g.wg.Add(1)
-	go func() {
-		defer g.wg.Done()
-		<-g.gate
-		g.inner.StartSave(v, done)
-	}()
-}
-
-func (g *gatedSaver) wait() { g.wg.Wait() }
-
 // TestFastPathTriggersSaves checks the "edge advanced >= K" SAVE trigger
 // still fires from the fast path: a long in-order stream must keep lst
 // within K of the edge and actually persist values.
 func TestFastPathTriggersSaves(t *testing.T) {
-	r, m := newFastReceiver(t, ReceiverConfig{K: 25, W: 64})
+	r, m := newFastReceiver(t, ReceiverConfig{K: 25, W: 64, StrictHorizon: true})
 	for s := uint64(1); s <= 1000; s++ {
 		r.Admit(s)
 	}
@@ -279,7 +312,7 @@ func TestFastPathTriggersSaves(t *testing.T) {
 func TestFastPathConcurrentSaves(t *testing.T) {
 	watchdog.Arm(t, 10*time.Second)
 	const goroutines = 4
-	r, _ := newFastReceiver(t, ReceiverConfig{K: 20, W: 128})
+	r, _ := newFastReceiver(t, ReceiverConfig{K: 20, W: 128, StrictHorizon: true})
 	var next atomic.Uint64
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -335,9 +368,8 @@ func TestNextNBatchedReservation(t *testing.T) {
 
 func TestNextNHorizonTruncates(t *testing.T) {
 	watchdog.Arm(t, 10*time.Second)
-	block := make(chan struct{})
 	var m store.Mem
-	saver := &gatedSaver{inner: SyncSaver{Store: &m}, gate: block}
+	saver := &HeldSaver{Store: &m}
 	x, err := NewSender(SenderConfig{K: 10, Store: &m, Saver: saver, StrictHorizon: true})
 	if err != nil {
 		t.Fatalf("NewSender: %v", err)
@@ -350,8 +382,7 @@ func TestNextNHorizonTruncates(t *testing.T) {
 	if _, _, err = x.NextN(5); err != ErrSaveLag {
 		t.Fatalf("NextN at horizon = %v, want ErrSaveLag", err)
 	}
-	close(block)
-	saver.wait()
+	saver.CommitAll()
 	if _, n, err = x.NextN(5); err != nil || n != 5 {
 		t.Errorf("NextN after save landed = (n=%d, %v), want full grant", n, err)
 	}
@@ -373,20 +404,6 @@ func TestNextNDownAndWaking(t *testing.T) {
 	}
 }
 
-// failOnceSaver fails the first StartSave and saves synchronously after.
-type failOnceSaver struct {
-	inner  SyncSaver
-	failed atomic.Bool
-}
-
-func (f *failOnceSaver) StartSave(v uint64, done func(error)) {
-	if !f.failed.Swap(true) {
-		done(errFlaky)
-		return
-	}
-	f.inner.StartSave(v, done)
-}
-
 var errFlaky = errors.New("flaky medium")
 
 // TestFailedSaveRetriesSameValue pins the saveHi rollback in saveDone: after
@@ -395,7 +412,7 @@ var errFlaky = errors.New("flaky medium")
 // "already on its way" — or the horizon never extends and the stream wedges.
 func TestFailedSaveRetriesSameValue(t *testing.T) {
 	var m store.Mem
-	saver := &failOnceSaver{inner: SyncSaver{Store: &m}}
+	saver := &HeldSaver{Store: &m}
 	r, err := NewReceiver(ReceiverConfig{
 		K: 10, W: 64, Store: &m, Saver: saver, StrictHorizon: true,
 	})
@@ -403,15 +420,15 @@ func TestFailedSaveRetriesSameValue(t *testing.T) {
 		t.Fatalf("NewReceiver: %v", err)
 	}
 	// Horizon = committed(0) + 2K(20): 25 lands beyond it, triggering the
-	// horizon-extension save, which fails once.
-	if v := r.Admit(25); v != VerdictHorizon {
-		t.Fatalf("Admit(25) = %v, want horizon", v)
+	// horizon-extension save, which fails.
+	if v := r.Admit(25); v != VerdictHorizon || !saver.Fail(errFlaky) {
+		t.Fatalf("Admit(25) = %v with %d saves started, want horizon and one save", v, r.Stats().SavesStarted)
 	}
 	// The retransmission must re-trigger the same save; with the dedup
 	// watermark stuck this second save would be dropped and 25 discarded
 	// forever.
-	if v := r.Admit(25); v != VerdictHorizon {
-		t.Fatalf("retransmitted Admit(25) = %v, want horizon (save retried in background)", v)
+	if v := r.Admit(25); v != VerdictHorizon || !saver.Commit() {
+		t.Fatalf("retransmitted Admit(25) = %v, want horizon and the save handed over again", v)
 	}
 	if v := r.Admit(25); !v.Delivered() {
 		t.Fatalf("Admit(25) after retried save landed = %v, want delivery", v)

@@ -32,7 +32,7 @@ func TestSenderNeverReusesPaperMode(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed * 131))
 		k := uint64(1 + rng.Intn(40))
 		var m store.Mem
-		sv := newManualSaver(&m)
+		sv := &core.HeldSaver{Store: &m}
 		s := mustSender(t, core.SenderConfig{K: k, Store: &m, Saver: sv})
 
 		handedOut := make(map[uint64]int)
@@ -48,7 +48,7 @@ func TestSenderNeverReusesPaperMode(t *testing.T) {
 					t.Fatalf("seed %d K=%d step %d: INV1 violated: seq %d reused",
 						seed, k, step, seq)
 				}
-				for sv.PendingCount() > 1 {
+				for sv.Pending() > 1 {
 					sv.Commit()
 				}
 			case r < 14:
@@ -58,7 +58,7 @@ func TestSenderNeverReusesPaperMode(t *testing.T) {
 				down = true
 			case r < 19 && down:
 				s.Wake()
-				sv.CommitAll(t) // the §4 wake waits for its save; model that
+				sv.CommitAll() // the §4 wake waits for its save; model that
 				down = s.State() != core.StateUp
 			}
 		}
@@ -70,7 +70,7 @@ func TestSenderNeverReusesStrictMode(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed * 173))
 		k := uint64(1 + rng.Intn(40))
 		var m store.Mem
-		sv := newManualSaver(&m)
+		sv := &core.HeldSaver{Store: &m}
 		s := mustSender(t, core.SenderConfig{K: k, Store: &m, Saver: sv, StrictHorizon: true})
 
 		handedOut := make(map[uint64]int)
@@ -94,7 +94,7 @@ func TestSenderNeverReusesStrictMode(t *testing.T) {
 			case r < 19 && down:
 				s.Wake()
 				if rng.Intn(2) == 0 {
-					sv.CommitAll(t)
+					sv.CommitAll()
 				}
 				down = s.State() != core.StateUp
 			}
@@ -109,8 +109,8 @@ func TestReceiverNeverDuplicatesPaperMode(t *testing.T) {
 		w := 1 + rng.Intn(100)
 
 		var sm, rm store.Mem
-		ssv := newManualSaver(&sm)
-		rsv := newManualSaver(&rm)
+		ssv := &core.HeldSaver{Store: &sm}
+		rsv := &core.HeldSaver{Store: &rm}
 		snd := mustSender(t, core.SenderConfig{K: k, Store: &sm, Saver: ssv})
 
 		delivered := make(map[uint64]int)
@@ -144,10 +144,10 @@ func TestReceiverNeverDuplicatesPaperMode(t *testing.T) {
 				if v := rcv.Admit(seq); v.Delivered() {
 					check(seq)
 				}
-				for rsv.PendingCount() > 1 {
+				for rsv.Pending() > 1 {
 					rsv.Commit()
 				}
-				for ssv.PendingCount() > 1 {
+				for ssv.Pending() > 1 {
 					ssv.Commit()
 				}
 			case r < 12 && len(wire) > 0: // replays at any time
@@ -163,7 +163,7 @@ func TestReceiverNeverDuplicatesPaperMode(t *testing.T) {
 				rcvDown = true
 			case r < 16 && rcvDown:
 				rcv.Wake()
-				rsv.CommitAll(t)
+				rsv.CommitAll()
 				rcvDown = rcv.State() != core.StateUp
 			}
 		}
@@ -177,8 +177,8 @@ func TestReceiverNeverDuplicatesStrictMode(t *testing.T) {
 		w := 1 + rng.Intn(100)
 
 		var sm, rm store.Mem
-		ssv := newManualSaver(&sm)
-		rsv := newManualSaver(&rm)
+		ssv := &core.HeldSaver{Store: &sm}
+		rsv := &core.HeldSaver{Store: &rm}
 		snd := mustSender(t, core.SenderConfig{K: k, Store: &sm, Saver: ssv})
 
 		delivered := make(map[uint64]int)
@@ -217,14 +217,14 @@ func TestReceiverNeverDuplicatesStrictMode(t *testing.T) {
 				}
 			case r == 12: // commits lag freely
 				rsv.Commit()
-				ssv.CommitAll(t)
+				ssv.CommitAll()
 			case r == 13 && !rcvDown:
 				rcv.Reset()
 				rcvDown = true
 			case r < 16 && rcvDown:
 				rcv.Wake()
 				if rng.Intn(2) == 0 {
-					rsv.CommitAll(t)
+					rsv.CommitAll()
 				}
 				rcvDown = rcv.State() != core.StateUp
 			}

@@ -129,10 +129,15 @@ type ReceiverConfig struct {
 	// or beyond the durable horizon. This closes a gap in the paper's
 	// receiver-side analysis: its Figure 2 bound assumes the window edge
 	// advances at most Kq sequence numbers per save interval, which a
-	// loss-induced jump violates — two resets around such a jump let the
-	// paper's protocol deliver a message twice. With the guard the
-	// no-duplicate-delivery theorem holds unconditionally, at the cost of
-	// bounded drops while saves catch up to a jump.
+	// loss-induced jump — or a SAVE hand-off the scheduler stalls while
+	// other admitters run on — violates; a reset then wakes below numbers
+	// already delivered and the paper's protocol delivers them twice. With
+	// the guard the no-duplicate-delivery theorem holds unconditionally, at
+	// the cost of bounded drops while saves catch up. Exactly-once under
+	// concurrent admitters or an in-process Reset is promised only with it,
+	// and only with it does the receiver admit without its mutex; without
+	// it the receiver is the paper's process q, serialized, and inherits
+	// the paper's timing assumption K >= ceil(T_save / T_send).
 	StrictHorizon bool
 	// WakeBuffer caps the messages buffered during the post-wake SAVE;
 	// zero means DefaultWakeBuffer.
@@ -158,20 +163,24 @@ func (c ReceiverConfig) Validate() error {
 // persistence of the right edge (the embedded pipeline). Safe for
 // concurrent use.
 //
-// A receiver that built its own window (ReceiverConfig.Window nil) admits
-// on a wait-free fast path: the current seqwin.Atomic window is published
-// through an atomic pointer (RCU-style), so an admit is one pointer load
-// plus the window's own lock-free admission — no mutex, no read-write gate,
-// no shared-cacheline counter. Lifecycle transitions unpublish the pointer
-// (Reset) or install a freshly built window (Wake) under the mutex; an
-// admit that raced a reset completes against the superseded window object,
-// which is equivalent to the message having been admitted just before the
-// crash — the post-wake window starts beyond the leap with every slot
-// marked, so exactly-once delivery is preserved (the -race stress suites
-// exercise exactly this interleaving). A caller-provided Window (even a
-// seqwin.Atomic) is driven through the serialized slow path: the
-// receiver cannot rebuild a foreign window on wake, so it cannot let
-// stale fast-path admits race a Reinit.
+// A strict receiver (ReceiverConfig.StrictHorizon) that built its own
+// window admits on a wait-free fast path: the current seqwin.Atomic is
+// published through an atomic pointer (RCU-style), so an admit is the
+// horizon check plus the window's own lock-free admission — no mutex, no
+// shared-cacheline counter. Reset unpublishes the pointer and Wake
+// publishes a freshly built window, both under the mutex; a window is
+// never published twice. An admit that raced a reset completes against the
+// superseded window, which is equivalent to the message having arrived just
+// before the crash — on one premise, which admitFast establishes: every
+// fast-path delivery lies below the durable horizon of the life whose
+// window it landed in. Every later wake starts at or beyond that horizon
+// with every slot marked, so the number is never delivered again.
+//
+// The durable horizon is the only contract under which the mutex is left
+// out. Without StrictHorizon nothing bounds how far deliveries outrun the
+// saved edge while a SAVE hand-off is stalled, so that receiver — like one
+// given a Window, which it cannot rebuild on wake — decides under the
+// mutex: the paper's protocol as printed.
 //
 // Locking discipline: state and win are mutated only under mu; the fast
 // path never reads them — it consumes the published window pointer, which
@@ -186,10 +195,10 @@ type Receiver struct {
 	drain      func(seq uint64, v Verdict)
 
 	// fastWin publishes the current window to the admission fast path. It
-	// is non-nil exactly while the receiver is StateUp with an owned
-	// concurrent window; Reset stores nil, Wake installs a new window.
+	// is non-nil exactly while a strict receiver is StateUp with an owned
+	// window; Reset stores nil, Wake installs a new window.
 	fastWin atomic.Pointer[seqwin.Atomic]
-	ownFast bool // the receiver owns (and may rebuild) its Atomic window
+	ownWin  bool // the receiver owns its Atomic window: rebuilt on wake, claim-bit tally
 
 	// Guarded by mu.
 	win        seqwin.Window
@@ -249,11 +258,11 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 	}
 	if own != nil {
 		// The receiver built this window itself, so it may replace it on
-		// wake — the precondition for the RCU fast path. A receiver born
-		// down publishes nothing: its first window is the one Wake builds
-		// beyond the leap.
-		r.ownFast = true
-		if r.state == StateUp {
+		// wake — the precondition for the RCU fast path, which the durable
+		// horizon then opens. A receiver born down publishes nothing: its
+		// first window is the one Wake builds beyond the leap.
+		r.ownWin = true
+		if r.strict && r.state == StateUp {
 			r.fastWin.Store(own)
 		}
 	}
@@ -267,9 +276,8 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 // callback (VerdictBuffered) or dropped if the buffer is full
 // (VerdictOverflow).
 //
-// With a window the receiver built itself the common case completes on the
-// wait-free fast path — one atomic pointer load plus the window's own
-// lock-free admission; see the type comment.
+// On a strict receiver with a window it built itself the common case
+// completes on the wait-free fast path; see the type comment.
 func (r *Receiver) Admit(s uint64) Verdict {
 	if w := r.fastWin.Load(); w != nil {
 		if v, ok := r.admitFast(w, s); ok {
@@ -279,17 +287,22 @@ func (r *Receiver) Admit(s uint64) Verdict {
 	return r.admitSlow(s)
 }
 
-// admitFast decides s against the published concurrent window w, touching
-// no lock at all. It reports ok=false when the message needs the slow
-// path: s lies at or beyond the strict durable horizon. (Lifecycle is
-// handled before the call: a non-nil published window means the receiver
-// was StateUp when it was published; an admit racing a concurrent Reset
-// completes against the superseded window, equivalent to arriving just
-// before the crash.)
+// admitFast decides s against w, the window the caller loaded from fastWin,
+// touching no lock. It reports ok=false when the message needs the slow
+// path: s lies at or beyond the durable horizon, or w is no longer the
+// published window.
+//
+// The horizon s is held to must belong to the life w serves. committed is
+// read first and the pointer checked after: a window is never republished,
+// so w still published means no Reset had begun when committed was read,
+// hence c <= everything later FETCHed and s < c+leap <= fetched+leap, the
+// edge every later wake starts at, all marked. The caller may stall from
+// here on and land in a window a reset has since abandoned: that is s
+// arriving just before the crash. (A committed read after the check could be
+// the next life's, and s would be delivered into both windows.)
 func (r *Receiver) admitFast(w *seqwin.Atomic, s uint64) (Verdict, bool) {
-	if r.strict && s >= r.committed.Load()+r.leap {
-		// committed only grows, so a stale read errs toward the slow path,
-		// never toward delivering beyond the true horizon.
+	c := r.committed.Load()
+	if r.fastWin.Load() != w || s >= c+r.leap {
 		return 0, false
 	}
 	d := w.Admit(s)
@@ -326,7 +339,7 @@ func (r *Receiver) saveFromFastPath(edge uint64) {
 }
 
 // admitSlow is the mutex-serialized admission path; it also backs the fast
-// path's fallback cases (down/waking/horizon).
+// path's fallback cases (down/waking/horizon/superseded window).
 func (r *Receiver) admitSlow(s uint64) Verdict {
 	r.mu.Lock()
 	switch r.state {
@@ -376,7 +389,7 @@ func (r *Receiver) decideLocked(s uint64) (v Verdict, save uint64, trigger bool)
 	v = verdictOf(d)
 	if !v.Delivered() {
 		r.tallies.Add(tallyDiscarded, 1)
-	} else if !r.ownFast {
+	} else if !r.ownWin {
 		// An owned Atomic window records its own deliveries as claim bits
 		// (see admitFast); counting here too would double-count the
 		// slow-path admits that land in the same window.
@@ -394,7 +407,7 @@ func (r *Receiver) Reset() {
 		// pointer finish against the superseded window (see the type
 		// comment); new ones fall to the slow path and observe StateDown.
 		r.fastWin.Store(nil)
-		if r.ownFast && !r.harvested {
+		if r.ownWin && !r.harvested {
 			// Fold the abandoned window's delivery tally into the receiver
 			// counter before the wake installs a fresh window. A fast-path
 			// admit still in flight against the old window can slip its
@@ -415,18 +428,20 @@ func (r *Receiver) Reset() {
 // the fast path, and returns the step that decides the messages buffered
 // during the wake, in arrival order.
 //
-// An owned concurrent window is replaced by a freshly allocated one — never
-// mutated in place — because a fast-path admit that raced the preceding
-// Reset may still be operating on the old object; the superseded window is
-// simply abandoned to it. Other windows are reinitialized in place: they
-// are only ever touched under mu.
+// An owned window is replaced by a freshly allocated one — never mutated in
+// place — because a fast-path admit that raced the preceding Reset may still
+// be operating on the old object; the superseded window is simply abandoned
+// to it, and never published again, which admitFast relies on. Other
+// windows are reinitialized in place: they are only ever touched under mu.
 func (r *Receiver) installLocked(edge uint64) func() {
 	allSeen := r.k != 0
-	if r.ownFast {
+	if r.ownWin {
 		w := seqwin.NewAtomicAt(r.width, edge, allSeen)
 		r.win = w
 		r.harvested = false // the fresh window starts a new delivery tally
-		r.fastWin.Store(w)
+		if r.strict {
+			r.fastWin.Store(w)
+		}
 	} else {
 		r.win.Reinit(edge, allSeen)
 	}
@@ -491,7 +506,7 @@ func (r *Receiver) Stats() ReceiverStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	delivered := r.tallies.Value(tallyDelivered)
-	if r.ownFast && !r.harvested {
+	if r.ownWin && !r.harvested {
 		// The live window carries the current life's delivery tally; see
 		// seqwin.Atomic.Delivered.
 		delivered += r.win.(*seqwin.Atomic).Delivered()

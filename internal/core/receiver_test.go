@@ -35,20 +35,20 @@ func TestReceiverVerdicts(t *testing.T) {
 
 func TestReceiverSaveTrigger(t *testing.T) {
 	var m store.Mem
-	sv := newManualSaver(&m)
+	sv := &core.HeldSaver{Store: &m}
 	r := mustReceiver(t, core.ReceiverConfig{K: 10, Store: &m, Saver: sv})
 
 	for s := uint64(1); s <= 9; s++ {
 		r.Admit(s)
 	}
-	if sv.PendingCount() != 0 {
+	if sv.Pending() != 0 {
 		t.Fatal("no save expected before the edge advances K past lst")
 	}
 	r.Admit(10) // edge 10 >= K(10)+lst(0)
-	if sv.PendingCount() != 1 {
+	if sv.Pending() != 1 {
 		t.Fatal("save expected at edge 10")
 	}
-	sv.CommitAll(t)
+	sv.CommitAll()
 	if v, _ := m.Peek(); v != 10 {
 		t.Errorf("durable = %d, want 10", v)
 	}
@@ -56,14 +56,14 @@ func TestReceiverSaveTrigger(t *testing.T) {
 		t.Errorf("LastStored = %d, want 10", r.LastStored())
 	}
 	r.Admit(19)
-	if sv.PendingCount() != 0 {
+	if sv.Pending() != 0 {
 		t.Fatal("edge 19 < lst 10 + K 10: no save")
 	}
 	r.Admit(20)
-	if sv.PendingCount() != 1 {
+	if sv.Pending() != 1 {
 		t.Fatal("save expected at edge 20")
 	}
-	sv.CommitAll(t)
+	sv.CommitAll()
 }
 
 func TestReceiverResetAfterSaveCompleted(t *testing.T) {
@@ -72,13 +72,13 @@ func TestReceiverResetAfterSaveCompleted(t *testing.T) {
 	// replay is accepted; at most 2Kq fresh messages are discarded.
 	const k = 10
 	var m store.Mem
-	sv := newManualSaver(&m)
+	sv := &core.HeldSaver{Store: &m}
 	r := mustReceiver(t, core.ReceiverConfig{K: k, Store: &m, Saver: sv, W: 64})
 
 	for s := uint64(1); s <= k; s++ {
 		r.Admit(s)
 	}
-	sv.CommitAll(t) // durable k
+	sv.CommitAll() // durable k
 	for s := uint64(k + 1); s <= k+3; s++ {
 		r.Admit(s) // received but not durable
 	}
@@ -86,7 +86,7 @@ func TestReceiverResetAfterSaveCompleted(t *testing.T) {
 
 	r.Reset()
 	r.Wake()
-	sv.CommitAll(t)
+	sv.CommitAll()
 	if got := r.State(); got != core.StateUp {
 		t.Fatalf("State = %v (wake err %v)", got, r.LastWakeError())
 	}
@@ -129,13 +129,13 @@ func TestReceiverResetDuringSave(t *testing.T) {
 	// covers it exactly.
 	const k = 10
 	var m store.Mem
-	sv := newManualSaver(&m)
+	sv := &core.HeldSaver{Store: &m}
 	r := mustReceiver(t, core.ReceiverConfig{K: k, Store: &m, Saver: sv, W: 64})
 
 	for s := uint64(1); s <= k; s++ {
 		r.Admit(s) // SAVE(10) pending
 	}
-	sv.CommitAll(t) // durable 10
+	sv.CommitAll() // durable 10
 	for s := uint64(k + 1); s <= 2*k; s++ {
 		r.Admit(s) // SAVE(20) pending
 	}
@@ -145,11 +145,11 @@ func TestReceiverResetDuringSave(t *testing.T) {
 	lastReceived := uint64(2*k + 5)
 
 	r.Reset() // tears SAVE(20)
-	if sv.PendingCount() != 0 {
+	if sv.Pending() != 0 {
 		t.Fatal("reset must cancel in-flight saves")
 	}
 	r.Wake()
-	sv.CommitAll(t)
+	sv.CommitAll()
 
 	newEdge := r.Edge()
 	if want := uint64(k + 2*k); newEdge != want {
@@ -168,7 +168,7 @@ func TestReceiverResetDuringSave(t *testing.T) {
 func TestReceiverBuffersDuringWake(t *testing.T) {
 	const k = 10
 	var m store.Mem
-	sv := newManualSaver(&m)
+	sv := &core.HeldSaver{Store: &m}
 	type drained struct {
 		seq uint64
 		v   core.Verdict
@@ -182,7 +182,7 @@ func TestReceiverBuffersDuringWake(t *testing.T) {
 	for s := uint64(1); s <= k; s++ {
 		r.Admit(s)
 	}
-	sv.CommitAll(t) // durable 10
+	sv.CommitAll() // durable 10
 
 	r.Reset()
 	r.Wake() // post-wake SAVE(30) pending
@@ -198,7 +198,7 @@ func TestReceiverBuffersDuringWake(t *testing.T) {
 		t.Fatalf("Admit(32) while waking = %v, want buffered", v)
 	}
 
-	sv.CommitAll(t) // wake completes, buffer drains in arrival order
+	sv.CommitAll() // wake completes, buffer drains in arrival order
 
 	if len(drain) != 3 {
 		t.Fatalf("drained %d messages, want 3", len(drain))
@@ -216,7 +216,7 @@ func TestReceiverBuffersDuringWake(t *testing.T) {
 
 func TestReceiverWakeBufferOverflow(t *testing.T) {
 	var m store.Mem
-	sv := newManualSaver(&m)
+	sv := &core.HeldSaver{Store: &m}
 	r := mustReceiver(t, core.ReceiverConfig{K: 5, Store: &m, Saver: sv, WakeBuffer: 2})
 
 	r.Reset()
@@ -233,7 +233,7 @@ func TestReceiverWakeBufferOverflow(t *testing.T) {
 	if got := r.Stats().Overflowed; got != 1 {
 		t.Errorf("Overflowed = %d, want 1", got)
 	}
-	sv.CommitAll(t)
+	sv.CommitAll()
 }
 
 func TestReceiverDownDropsMessages(t *testing.T) {
@@ -273,13 +273,13 @@ func TestReceiverDoubleResetBeforePostWakeSave(t *testing.T) {
 	// durable value again.
 	const k = 10
 	var m store.Mem
-	sv := newManualSaver(&m)
+	sv := &core.HeldSaver{Store: &m}
 	r := mustReceiver(t, core.ReceiverConfig{K: k, Store: &m, Saver: sv, W: 64})
 
 	for s := uint64(1); s <= k; s++ {
 		r.Admit(s)
 	}
-	sv.CommitAll(t) // durable 10
+	sv.CommitAll() // durable 10
 	lastReceived := uint64(k)
 
 	r.Reset()
@@ -287,7 +287,7 @@ func TestReceiverDoubleResetBeforePostWakeSave(t *testing.T) {
 	r.Admit(7)
 	r.Reset() // buffer and save torn
 	r.Wake()
-	sv.CommitAll(t)
+	sv.CommitAll()
 
 	if got := r.State(); got != core.StateUp {
 		t.Fatalf("State = %v (wake err %v)", got, r.LastWakeError())
@@ -323,11 +323,11 @@ func TestReceiverWakeFetchFailure(t *testing.T) {
 
 func TestReceiverWakePostSaveFailure(t *testing.T) {
 	var m store.Mem
-	sv := newManualSaver(&m)
+	sv := &core.HeldSaver{Store: &m}
 	r := mustReceiver(t, core.ReceiverConfig{K: 5, Store: &m, Saver: sv})
 	r.Reset()
 	r.Wake()
-	if !sv.FailNext(errors.New("disk detached")) {
+	if !sv.Fail(errors.New("disk detached")) {
 		t.Fatal("no pending post-wake save")
 	}
 	if got := r.State(); got != core.StateDown {
@@ -341,13 +341,13 @@ func TestReceiverWakePostSaveFailure(t *testing.T) {
 func TestReceiverBackgroundSaveFailureRetries(t *testing.T) {
 	const k = 10
 	var m store.Mem
-	sv := newManualSaver(&m)
+	sv := &core.HeldSaver{Store: &m}
 	r := mustReceiver(t, core.ReceiverConfig{K: k, Store: &m, Saver: sv})
 
 	for s := uint64(1); s <= k; s++ {
 		r.Admit(s)
 	}
-	if !sv.FailNext(errors.New("transient")) {
+	if !sv.Fail(errors.New("transient")) {
 		t.Fatal("no pending save")
 	}
 	if got := r.Stats().SavesFailed; got != 1 {
@@ -355,10 +355,10 @@ func TestReceiverBackgroundSaveFailureRetries(t *testing.T) {
 	}
 	// lst rolled back to durable (0): the next edge advance re-triggers.
 	r.Admit(k + 1)
-	if sv.PendingCount() != 1 {
+	if sv.Pending() != 1 {
 		t.Fatal("expected retry save after rollback")
 	}
-	sv.CommitAll(t)
+	sv.CommitAll()
 	if v, _ := m.Peek(); v != k+1 {
 		t.Errorf("durable = %d, want %d", v, k+1)
 	}
@@ -389,13 +389,13 @@ func TestReceiverWakeIdempotentWhenUp(t *testing.T) {
 func TestReceiverTraceEvents(t *testing.T) {
 	const k = 2
 	var m store.Mem
-	sv := newManualSaver(&m)
+	sv := &core.HeldSaver{Store: &m}
 	r := mustReceiver(t, core.ReceiverConfig{K: k, Store: &m, Saver: sv})
 
 	r.Admit(1)
 	r.Admit(1)
 	r.Admit(2)
-	sv.CommitAll(t)
+	sv.CommitAll()
 	r.Reset()
 	if got := r.Admit(9); got != core.VerdictDown {
 		t.Errorf("Admit while down = %v, want down", got)
@@ -404,7 +404,7 @@ func TestReceiverTraceEvents(t *testing.T) {
 	if got := r.Admit(10); got != core.VerdictBuffered || r.State() != core.StateWaking {
 		t.Errorf("Admit during the post-wake save = %v in state %v, want buffered, waking", got, r.State())
 	}
-	sv.CommitAll(t)
+	sv.CommitAll()
 
 	// Delivered 1, 2 and the buffered 10; discarded the duplicate 1; saved
 	// edge 2, the leaped edge 6 and, from the drain, edge 10.

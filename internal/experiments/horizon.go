@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"antireplay/internal/core"
 	"antireplay/internal/store"
@@ -52,51 +51,9 @@ func LossJumpHorizon(cfg HorizonConfig) (*Table, error) {
 	return t, nil
 }
 
-// horizonSaver is a deterministic in-flight saver: commits only on demand,
-// tears on cancel.
-type horizonSaver struct {
-	mu      sync.Mutex
-	st      store.Store
-	pending []struct {
-		v    uint64
-		done func(error)
-	}
-}
-
-func (h *horizonSaver) StartSave(v uint64, done func(error)) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.pending = append(h.pending, struct {
-		v    uint64
-		done func(error)
-	}{v, done})
-}
-
-func (h *horizonSaver) Cancel() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.pending = nil
-}
-
-func (h *horizonSaver) commitAll() error {
-	h.mu.Lock()
-	batch := h.pending
-	h.pending = nil
-	h.mu.Unlock()
-	for _, p := range batch {
-		if err := h.st.Save(p.v); err != nil {
-			return err
-		}
-		if p.done != nil {
-			p.done(nil)
-		}
-	}
-	return nil
-}
-
 func horizonRow(k, jump uint64, strict bool) ([]string, error) {
 	var m store.Mem
-	sv := &horizonSaver{st: &m}
+	sv := &core.HeldSaver{Store: &m}
 	r, err := core.NewReceiver(core.ReceiverConfig{
 		K: k, W: 64, Store: &m, Saver: sv, StrictHorizon: strict,
 	})
@@ -108,9 +65,7 @@ func horizonRow(k, jump uint64, strict bool) ([]string, error) {
 	base := 2 * k
 	for s := uint64(1); s <= base; s++ {
 		r.Admit(s)
-		if err := sv.commitAll(); err != nil {
-			return nil, err
-		}
+		sv.CommitAll()
 	}
 
 	// Phase 2: seqs base+1 .. base+jump-1 are lost; base+jump arrives.
@@ -120,9 +75,7 @@ func horizonRow(k, jump uint64, strict bool) ([]string, error) {
 	// Phase 3: reset tears whatever save phase 2 started; wake.
 	r.Reset()
 	r.Wake()
-	if err := sv.commitAll(); err != nil {
-		return nil, err
-	}
+	sv.CommitAll()
 
 	// Phase 4: the adversary replays the jumped message.
 	replayDelivered := r.Admit(jumpSeq).Delivered()
@@ -132,9 +85,7 @@ func horizonRow(k, jump uint64, strict bool) ([]string, error) {
 	// Commit saves between attempts: the horizon catches up.
 	retransmitDelivered := false
 	for try := 0; try < 4 && !retransmitDelivered; try++ {
-		if err := sv.commitAll(); err != nil {
-			return nil, err
-		}
+		sv.CommitAll()
 		v := r.Admit(jumpSeq)
 		retransmitDelivered = v.Delivered()
 	}

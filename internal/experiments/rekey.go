@@ -10,7 +10,6 @@ import (
 	"antireplay/internal/ipsec"
 	"antireplay/internal/netsim"
 	"antireplay/internal/rekey"
-	"antireplay/internal/resetinj"
 	"antireplay/internal/testbed"
 )
 
@@ -48,17 +47,9 @@ func DefaultRekeyConfig() RekeyConfig {
 	}
 }
 
-// gatewayEndpoint adapts a whole Gateway to the resetinj crash interface:
-// Reset crashes every SA's volatile counters at once (the machine reset of
-// the paper's §3 multi-SA scenario) and Wake runs the population recovery.
-type gatewayEndpoint struct{ gw *ipsec.Gateway }
-
-func (ge gatewayEndpoint) Reset() { ge.gw.ResetAll() }
-func (ge gatewayEndpoint) Wake()  { ge.gw.WakeAll() } //nolint:errcheck // experiment wake errors surface as traffic failures
-
 // RekeyRollover demonstrates the make-before-break property end to end:
 // soft lifetimes trip IKE-driven rollovers on a gateway pair while the
-// receiver gateway is crashed mid-exchange (via resetinj on the simulation
+// receiver gateway is crashed mid-exchange (scheduled on the simulation
 // clock) and both the exchange and the data path suffer seeded loss and
 // reordering. For every row the experiment asserts the two safety outcomes
 // the rollover design exists for:
@@ -203,7 +194,7 @@ func rekeyRolloverRow(cfg RekeyConfig, loss float64) ([]string, error) {
 				return ike.ChildKeys{}, err
 			}
 			// Run the simulation forward between the two messages: this is
-			// where resetinj's scheduled receiver crash fires, mid-exchange.
+			// where the scheduled receiver crash fires, mid-exchange.
 			e.RunFor(2 * time.Millisecond)
 			if rng.Float64() < loss {
 				return ike.ChildKeys{}, fmt.Errorf("rekey request lost")
@@ -279,7 +270,8 @@ func rekeyRolloverRow(cfg RekeyConfig, loss float64) ([]string, error) {
 
 	// Schedule the receiver crash to strike mid-exchange of the first
 	// rollover attempt, then poll until every tunnel has rolled over.
-	resetinj.Schedule(e, gatewayEndpoint{B}, e.Now()+500*time.Microsecond, e.Now()+time.Millisecond)
+	e.After(500*time.Microsecond, B.ResetAll)
+	e.After(time.Millisecond, func() { B.WakeAll() }) //nolint:errcheck // a failed wake surfaces as traffic failures
 	for polls := 0; o.Stats().Rollovers < uint64(cfg.Tunnels); polls++ {
 		if polls > cfg.MaxAttempts*cfg.Tunnels {
 			return nil, fmt.Errorf("rollovers did not converge: %+v", o.Stats())

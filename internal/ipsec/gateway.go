@@ -11,7 +11,10 @@ import (
 	"antireplay/internal/store"
 )
 
-// GatewayConfig configures a Gateway.
+// GatewayConfig configures a Gateway. There is no switch for the durable
+// horizon: every SA is strict (core.SenderConfig.StrictHorizon), because a
+// shared saver pool queues one SA's SAVE behind the others' and K sized for
+// one SA's save latency is not sized for that.
 type GatewayConfig struct {
 	// Journal is the shared durable medium for every SA's counter: one
 	// lane (store.LanesCount(1)) for a small tunnel endpoint, 64 for a
@@ -32,16 +35,6 @@ type GatewayConfig struct {
 	W int
 	// ESN enables 64-bit extended sequence numbers on inbound SAs.
 	ESN bool
-	// NoStrictHorizon disables the durable-horizon guard (see
-	// core.SenderConfig.StrictHorizon) that gateways enable by default.
-	// With a shared saver pool, background SAVEs queue behind other SAs'
-	// work, so a burst can push a counter more than 2K past its durable
-	// value; the guard turns that window — where a reset would reuse
-	// sequence numbers or re-accept replays — into bounded backpressure
-	// (core.ErrSaveLag from Seal, a discarded-then-retried packet inbound).
-	// Disable only when K is provably sized for the medium's worst-case
-	// queueing delay.
-	NoStrictHorizon bool
 	// Lifetime bounds each SA; the zero value means unbounded.
 	Lifetime Lifetime
 	// Clock feeds SA lifetime accounting; nil means a frozen clock.
@@ -77,8 +70,8 @@ const DefaultGatewayK = 25
 // populate large gateways from a few concurrent goroutines and the journal
 // batches their registrations into shared fsyncs.
 //
-// By default every SA runs with the strict durable horizon, so the paper's
-// no-reuse and no-replay guarantees hold even when pool queueing lets the
+// Every SA runs with the strict durable horizon, so the paper's no-reuse
+// and no-replay guarantees hold even when pool queueing lets the
 // durable counter lag more than 2K: Seal then returns core.ErrSaveLag
 // (back off and retry) and inbound delivery briefly discards
 // (core.VerdictHorizon) until the lagging save lands.
@@ -215,7 +208,7 @@ func (g *Gateway) buildOutbound(spi uint32, keys KeyMaterial, adopt bool) (*Outb
 		K:             g.cfg.K,
 		Store:         cell,
 		Saver:         saver,
-		StrictHorizon: !g.cfg.NoStrictHorizon,
+		StrictHorizon: true,
 	})
 	if err != nil {
 		g.releaseCell(key)
@@ -376,7 +369,7 @@ func (g *Gateway) buildInbound(spi uint32, keys KeyMaterial, adopt bool) (*Inbou
 		W:             g.cfg.W,
 		Store:         cell,
 		Saver:         saver,
-		StrictHorizon: !g.cfg.NoStrictHorizon,
+		StrictHorizon: true,
 	})
 	if err != nil {
 		g.releaseCell(key)

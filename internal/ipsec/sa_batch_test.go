@@ -209,7 +209,7 @@ func TestSealBatchRoundTrip(t *testing.T) {
 // roll back to the packets actually sealed.
 func TestSealBatchHorizonTruncation(t *testing.T) {
 	var m store.Mem
-	blocked := &blockedSaver{}
+	blocked := &core.HeldSaver{} // never committed: it pins the durable horizon
 	snd, err := core.NewSender(core.SenderConfig{K: 10, Store: &m, Saver: blocked, StrictHorizon: true})
 	if err != nil {
 		t.Fatal(err)
@@ -234,11 +234,6 @@ func TestSealBatchHorizonTruncation(t *testing.T) {
 		t.Errorf("counters after truncation: bytes=%d packets=%d, want %d/20", b, p, 20*(1+Overhead))
 	}
 }
-
-// blockedSaver never completes a save; it pins the durable horizon.
-type blockedSaver struct{}
-
-func (blockedSaver) StartSave(v uint64, done func(error)) {}
 
 // TestGatewayBatchRoundTrip drives SealBatch/VerifyBatch through a Gateway
 // with several SAs, interleaving SPIs and invalid packets in one burst.
@@ -300,7 +295,7 @@ func TestGatewayBatchRoundTrip(t *testing.T) {
 // exactly-once delivery across the whole run.
 func TestGatewayBatchConcurrent(t *testing.T) {
 	watchdog.Arm(t, 10*time.Second)
-	g := batchGateway(t, GatewayConfig{K: 50, W: 1024, NoStrictHorizon: true})
+	g := batchGateway(t, GatewayConfig{K: 1024, W: 1024}) // 2K above every SA's 640 packets: the horizon never truncates a burst
 	const (
 		nSAs    = 4
 		bursts  = 40

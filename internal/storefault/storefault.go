@@ -85,9 +85,9 @@ func (osFS) CreateTemp(dir, pattern string) (File, error) {
 	return f, nil
 }
 
-func (osFS) ReadFile(name string) ([]byte, error)       { return os.ReadFile(name) }
-func (osFS) Rename(oldpath, newpath string) error       { return os.Rename(oldpath, newpath) }
-func (osFS) Remove(name string) error                   { return os.Remove(name) }
+func (osFS) ReadFile(name string) ([]byte, error)        { return os.ReadFile(name) }
+func (osFS) Rename(oldpath, newpath string) error        { return os.Rename(oldpath, newpath) }
+func (osFS) Remove(name string) error                    { return os.Remove(name) }
 func (osFS) MkdirAll(dir string, perm os.FileMode) error { return os.MkdirAll(dir, perm) }
 
 func (osFS) SyncDir(dir string) error {
