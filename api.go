@@ -1,12 +1,10 @@
 package antireplay
 
 import (
-	"fmt"
 	"time"
 
 	"antireplay/internal/core"
 	"antireplay/internal/seqwin"
-	"antireplay/internal/store"
 )
 
 // Core protocol types, re-exported from the implementation.
@@ -112,46 +110,3 @@ func NewPaperWindow(w int) Window { return seqwin.NewBool(w) }
 // InferESN reconstructs a 64-bit extended sequence number from a 32-bit
 // wire value, RFC 4303 Appendix A style.
 func InferESN(edge uint64, lo uint32, w int) uint64 { return seqwin.InferESN(edge, lo, w) }
-
-// NewFileSender builds a resilient sender persisting to a file-backed store
-// at path, with background saves on a pool of one worker, and wakes it: over
-// a file a prior life left it comes up at the saved counter + 2K, never at
-// 1, and a failed FETCH or post-wake SAVE is returned as the error. Close
-// the returned pool when done to wait for in-flight saves.
-func NewFileSender(path string, k uint64) (*Sender, *SaverPool, error) {
-	st := store.NewFile(path)
-	pool := store.NewSaverPool(1)
-	snd, err := core.NewSender(core.SenderConfig{K: k, Store: st, Saver: pool.Saver(st)})
-	if err == nil {
-		err = awaitWake(snd.WakeNotify)
-	}
-	if err != nil {
-		pool.Close()
-		return nil, nil, fmt.Errorf("antireplay: file sender: %w", err)
-	}
-	return snd, pool, nil
-}
-
-// NewFileReceiver builds a resilient receiver persisting to a file-backed
-// store at path with background saves and a window of width w; it is woken
-// as in NewFileSender, so nothing a prior life delivered is delivered again.
-func NewFileReceiver(path string, k uint64, w int) (*Receiver, *SaverPool, error) {
-	st := store.NewFile(path)
-	pool := store.NewSaverPool(1)
-	rcv, err := core.NewReceiver(core.ReceiverConfig{K: k, W: w, Store: st, Saver: pool.Saver(st)})
-	if err == nil {
-		err = awaitWake(rcv.WakeNotify)
-	}
-	if err != nil {
-		pool.Close()
-		return nil, nil, fmt.Errorf("antireplay: file receiver: %w", err)
-	}
-	return rcv, pool, nil
-}
-
-// awaitWake starts a wake-up and blocks until it settles.
-func awaitWake(wakeNotify func(done func(error))) error {
-	settled := make(chan error, 1)
-	wakeNotify(func(err error) { settled <- err })
-	return <-settled
-}

@@ -99,14 +99,16 @@ func LanesStrictRecovery() LanesOption { return store.LanesStrictRecovery() }
 func NewSaverPool(workers int) *SaverPool { return store.NewSaverPool(workers) }
 
 // NewJournalSender builds a resilient sender whose counter lives in medium
-// j under key. pool may be nil for synchronous saves; with a pool, saves
-// coalesce per key and group-commit across keys. The cell is claimed
-// exclusively (ErrCellClaimed on a key already owned — release with
-// j.ReleaseCell) and the sender is woken: over a prior life's counter it is
-// briefly StateWaking when saves are pooled. The strict durable horizon is
-// enabled: pool queueing can push a counter more than 2K past its durable
-// value, and the horizon turns that reuse window into bounded backpressure
-// (Next returns ErrSaveLag until the save lands).
+// j under key — NewLanes(dir, LanesCount(1)) is the form for one endpoint or
+// a pair. pool may be nil for synchronous saves; with a pool, saves coalesce
+// per key and group-commit across keys. The cell is claimed exclusively
+// (ErrCellClaimed on a key already owned — release with j.ReleaseCell) and
+// the sender is woken and waited for: it is returned up — over a prior
+// life's counter at that counter + 2K, never at 1 — or not at all, a failed
+// FETCH or post-wake SAVE being the error and the claim released. The strict
+// durable horizon is enabled: pool queueing can push a counter more than 2K
+// past its durable value, and the horizon turns that reuse window into
+// bounded backpressure (Next returns ErrSaveLag until the save lands).
 func NewJournalSender(j *Lanes, key string, k uint64, pool *SaverPool) (*Sender, error) {
 	cell, err := j.ClaimCell(key)
 	if err != nil {
@@ -117,20 +119,23 @@ func NewJournalSender(j *Lanes, key string, k uint64, pool *SaverPool) (*Sender,
 		cfg.Saver = pool.Saver(cell)
 	}
 	snd, err := core.NewSender(cfg)
+	if err == nil {
+		err = awaitWake(snd.WakeNotify)
+	}
 	if err != nil {
 		j.ReleaseCell(key)
 		return nil, fmt.Errorf("antireplay: journal sender %q: %w", key, err)
 	}
-	snd.Wake()
 	return snd, nil
 }
 
 // NewJournalReceiver builds a resilient receiver whose window edge lives in
 // medium j under key, with a window of width w. pool may be nil for
 // synchronous saves. Cell claiming and the wake work as in
-// NewJournalSender, and the strict durable horizon is enabled: delivery at
-// or beyond committed+2K is deferred (VerdictHorizon) until the lagging
-// save lands.
+// NewJournalSender — the receiver is returned up, past everything a prior
+// life delivered, or an error is — and the strict durable horizon is
+// enabled: delivery at or beyond committed+2K is deferred (VerdictHorizon)
+// until the lagging save lands.
 func NewJournalReceiver(j *Lanes, key string, k uint64, w int, pool *SaverPool) (*Receiver, error) {
 	cell, err := j.ClaimCell(key)
 	if err != nil {
@@ -141,12 +146,21 @@ func NewJournalReceiver(j *Lanes, key string, k uint64, w int, pool *SaverPool) 
 		cfg.Saver = pool.Saver(cell)
 	}
 	rcv, err := core.NewReceiver(cfg)
+	if err == nil {
+		err = awaitWake(rcv.WakeNotify)
+	}
 	if err != nil {
 		j.ReleaseCell(key)
 		return nil, fmt.Errorf("antireplay: journal receiver %q: %w", key, err)
 	}
-	rcv.Wake()
 	return rcv, nil
+}
+
+// awaitWake starts a wake-up and blocks until it settles.
+func awaitWake(wakeNotify func(done func(error))) error {
+	settled := make(chan error, 1)
+	wakeNotify(func(err error) { settled <- err })
+	return <-settled
 }
 
 // NewGateway builds a multi-SA gateway over a shared journal and pool; see

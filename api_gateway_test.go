@@ -1,8 +1,11 @@
 package antireplay_test
 
 import (
+	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -32,37 +35,11 @@ func TestJournalSenderReceiverRoundTrip(t *testing.T) {
 		t.Fatalf("NewJournalReceiver: %v", err)
 	}
 
-	// Next/Admit with retry: ErrSaveLag and VerdictHorizon are the strict
-	// horizon's bounded backpressure while a pooled save catches up.
-	next := func() uint64 {
-		t.Helper()
-		for {
-			seq, err := snd.Next()
-			if err == nil {
-				return seq
-			}
-			if !errors.Is(err, antireplay.ErrSaveLag) {
-				t.Fatalf("Next: %v", err)
-			}
-			time.Sleep(20 * time.Microsecond)
-		}
-	}
-	admit := func(seq uint64) antireplay.Verdict {
-		t.Helper()
-		for {
-			v := rcv.Admit(seq)
-			if v != antireplay.VerdictHorizon {
-				return v
-			}
-			time.Sleep(20 * time.Microsecond)
-		}
-	}
-
 	var lastSeq uint64
 	for i := 0; i < 100; i++ {
-		seq := next()
+		seq := nextSeq(t, snd)
 		lastSeq = seq
-		if v := admit(seq); !v.Delivered() {
+		if v := admitSeq(rcv, seq); !v.Delivered() {
 			t.Fatalf("Admit(%d) = %v, want delivered", seq, v)
 		}
 	}
@@ -85,7 +62,7 @@ func TestJournalSenderReceiverRoundTrip(t *testing.T) {
 		time.Sleep(100 * time.Microsecond)
 	}
 
-	seq := next()
+	seq := nextSeq(t, snd)
 	if seq <= lastSeq {
 		t.Errorf("post-wake seq %d <= pre-reset %d — sequence reuse", seq, lastSeq)
 	}
@@ -93,8 +70,121 @@ func TestJournalSenderReceiverRoundTrip(t *testing.T) {
 	if v := rcv.Admit(lastSeq); v.Delivered() {
 		t.Errorf("replayed seq %d delivered after wake, verdict %v", lastSeq, v)
 	}
-	if v := admit(seq); !v.Delivered() {
+	if v := admitSeq(rcv, seq); !v.Delivered() {
 		t.Errorf("fresh post-wake seq %d = %v, want delivered", seq, v)
+	}
+}
+
+// TestJournalConstructorsReturnUpOrError: over a journal whose cells a prior
+// life left at 100, NewJournalSender/NewJournalReceiver return an endpoint
+// that is up — past every number that life could have used — or the wake's
+// error with the claim released; never a nil error beside an endpoint that is
+// down or still waking.
+func TestJournalConstructorsReturnUpOrError(t *testing.T) {
+	const k, used = 10, 100
+	for name, workers := range map[string]int{"nil pool": 0, "pool of one": 1} {
+		usedJournal := func(t *testing.T, opts ...antireplay.LanesOption) (*antireplay.Lanes, *antireplay.SaverPool) {
+			t.Helper()
+			dir := t.TempDir()
+			opts = append(opts, antireplay.LanesCount(1))
+			j, err := antireplay.NewLanes(dir, opts...)
+			if err != nil {
+				t.Fatalf("NewLanes: %v", err)
+			}
+			for _, key := range []string{"tx", "rx"} {
+				if err := j.Cell(key).Save(used); err != nil {
+					t.Fatalf("seed %s: %v", key, err)
+				}
+			}
+			if err := j.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			if j, err = antireplay.NewLanes(dir, opts...); err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			t.Cleanup(func() { j.Close() })
+			if workers == 0 {
+				return j, nil
+			}
+			pool := antireplay.NewSaverPool(workers)
+			t.Cleanup(pool.Close)
+			return j, pool
+		}
+
+		t.Run(name+"/disk fails at wake", func(t *testing.T) {
+			in := antireplay.NewFaultInjector(nil)
+			j, pool := usedJournal(t, antireplay.LanesWithFS(in))
+			in.Arm(antireplay.Fault{Op: antireplay.FaultSync})
+			for i := 0; i < 2; i++ {
+				// The second round is the claim check: a failed
+				// constructor must have released the key.
+				snd, err := antireplay.NewJournalSender(j, "tx", k, pool)
+				if !errors.Is(err, antireplay.ErrInjected) || errors.Is(err, antireplay.ErrCellClaimed) || snd != nil {
+					t.Fatalf("NewJournalSender #%d over a failing disk: sender = %v, err = %v; want none and the injected error", i+1, snd != nil, err)
+				}
+				rcv, err := antireplay.NewJournalReceiver(j, "rx", k, 64, pool)
+				if !errors.Is(err, antireplay.ErrInjected) || errors.Is(err, antireplay.ErrCellClaimed) || rcv != nil {
+					t.Fatalf("NewJournalReceiver #%d over a failing disk: receiver = %v, err = %v; want none and the injected error", i+1, rcv != nil, err)
+				}
+			}
+		})
+
+		t.Run(name+"/healthy", func(t *testing.T) {
+			j, pool := usedJournal(t)
+			snd, err := antireplay.NewJournalSender(j, "tx", k, pool)
+			if err != nil {
+				t.Fatalf("NewJournalSender: %v", err)
+			}
+			if st := snd.State(); st != antireplay.StateUp {
+				t.Errorf("sender State() on return = %v, want up", st)
+			}
+			if seq, err := snd.Next(); err != nil || seq <= used {
+				t.Errorf("first Next() = (%d, %v), want a number above %d", seq, err, used)
+			}
+			rcv, err := antireplay.NewJournalReceiver(j, "rx", k, 64, pool)
+			if err != nil {
+				t.Fatalf("NewJournalReceiver: %v", err)
+			}
+			if st := rcv.State(); st != antireplay.StateUp {
+				t.Errorf("receiver State() on return = %v, want up", st)
+			}
+			for seq := uint64(1); seq <= used; seq++ {
+				if v := rcv.Admit(seq); v.Delivered() {
+					t.Fatalf("SAFETY: replay of %d delivered by a fresh constructor, verdict %v", seq, v)
+				}
+			}
+			if v := rcv.Admit(used + 2*k + 1); !v.Delivered() {
+				t.Errorf("Admit(%d) past the leaped edge = %v, want delivered", used+2*k+1, v)
+			}
+		})
+	}
+}
+
+// TestLanesRefusesOldCounterFile: the per-counter file format is gone, and
+// the path an old deployment kept one at must not open as a fresh medium —
+// that would restart the counter at 1. NewLanes fails naming the path and
+// leaves the file as it was, so the value can still be read out and seeded.
+func TestLanesRefusesOldCounterFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "tx.seq")
+	// "ARSQ", version 1, the counter big-endian at bytes 6..14, CRC-32.
+	old := []byte("ARSQ\x00\x01\x00\x00\x00\x00\x00\x00\x00\x64\x5a\x5a\x5a\x5a")
+	if err := os.WriteFile(path, old, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	j, err := antireplay.NewLanes(path, antireplay.LanesCount(1))
+	if err == nil {
+		j.Close()
+		t.Fatal("NewLanes over a regular file succeeded: the counter would restart at 1")
+	}
+	if !strings.Contains(err.Error(), path) {
+		t.Errorf("error %q does not name %s", err, path)
+	}
+	if got, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(got, old) {
+		t.Errorf("counter file after the refused open = %x (%v), want it untouched", got, rerr)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Errorf("refused open left %d entries beside the counter file, want none", len(entries)-1)
 	}
 }
 

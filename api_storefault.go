@@ -6,12 +6,12 @@ import (
 )
 
 // Storage fault-domain types, re-exported from the implementation. The
-// storefault layer sits under every durable medium (FileStore, Lanes): the
-// media perform their filesystem operations through FaultFS, so a scheduled
-// Injector can fail an exact fsync, tear a write short, or break a rename —
-// the failure classes the lane-quarantine machinery exists to contain.
+// storefault layer sits under the durable medium (Lanes), which performs its
+// filesystem operations through FaultFS, so a scheduled Injector can fail an
+// exact fsync, tear a write short, or break a rename — the failure classes
+// the lane-quarantine machinery exists to contain.
 type (
-	// FaultFS is the filesystem surface the durable media use; the default
+	// FaultFS is the filesystem surface the durable medium uses; the default
 	// is the zero-cost OS passthrough, tests swap in a FaultInjector.
 	FaultFS = storefault.FS
 	// FaultFile is the os.File-shaped handle FaultFS hands out.
@@ -63,8 +63,8 @@ var (
 )
 
 // NewFaultInjector wraps base (nil means the OS passthrough) with an empty
-// fault schedule; Arm faults on it and pass it to the media via
-// FileWithFS/LanesWithFS.
+// fault schedule; Arm faults on it and pass it to the medium via
+// LanesWithFS.
 func NewFaultInjector(base FaultFS) *FaultInjector {
 	return storefault.NewInjector(base)
 }
@@ -72,9 +72,6 @@ func NewFaultInjector(base FaultFS) *FaultInjector {
 // OSFaultFS returns the default passthrough FaultFS over the real
 // filesystem.
 func OSFaultFS() FaultFS { return storefault.OS() }
-
-// FileWithFS routes a FileStore's filesystem operations through fsys.
-func FileWithFS(fsys FaultFS) FileStoreOption { return store.FileWithFS(fsys) }
 
 // LanesWithFS routes the medium's filesystem operations — every lane's and
 // the manifest's — through fsys.

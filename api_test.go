@@ -3,7 +3,6 @@ package antireplay_test
 import (
 	"errors"
 	"math/rand"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -13,18 +12,67 @@ import (
 
 func testRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-func TestFileSenderReceiverRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	snd, ssaver, err := antireplay.NewFileSender(filepath.Join(dir, "tx.seq"), 25)
+// journalPair opens the one-lane medium at dir and builds the quick start's
+// pair on it: keys "tx" and "rx", one pool (zero workers means none, so saves
+// are synchronous). A restart is closing it and calling this again.
+func journalPair(t *testing.T, dir string, k uint64, w, workers int) (*antireplay.Sender, *antireplay.Receiver, func()) {
+	t.Helper()
+	j, err := antireplay.NewLanes(dir, antireplay.LanesCount(1))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("NewLanes: %v", err)
 	}
-	defer ssaver.Close()
-	rcv, rsaver, err := antireplay.NewFileReceiver(filepath.Join(dir, "rx.seq"), 25, 64)
+	var pool *antireplay.SaverPool
+	if workers > 0 {
+		pool = antireplay.NewSaverPool(workers)
+	}
+	snd, err := antireplay.NewJournalSender(j, "tx", k, pool)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("NewJournalSender: %v", err)
 	}
-	defer rsaver.Close()
+	rcv, err := antireplay.NewJournalReceiver(j, "rx", k, w, pool)
+	if err != nil {
+		t.Fatalf("NewJournalReceiver: %v", err)
+	}
+	return snd, rcv, func() {
+		if pool != nil {
+			pool.Close() // wait for in-flight saves
+		}
+		if err := j.Close(); err != nil {
+			t.Errorf("Lanes.Close: %v", err)
+		}
+	}
+}
+
+// nextSeq and admitSeq retry through the strict horizon's bounded
+// backpressure (ErrSaveLag, VerdictHorizon) while a pooled save catches up.
+func nextSeq(t *testing.T, snd *antireplay.Sender) uint64 {
+	t.Helper()
+	for {
+		seq, err := snd.Next()
+		if err == nil {
+			return seq
+		}
+		if !errors.Is(err, antireplay.ErrSaveLag) {
+			t.Fatalf("Next: %v", err)
+		}
+		time.Sleep(20 * time.Microsecond)
+	}
+}
+
+func admitSeq(rcv *antireplay.Receiver, seq uint64) antireplay.Verdict {
+	for {
+		if v := rcv.Admit(seq); v != antireplay.VerdictHorizon {
+			return v
+		}
+		time.Sleep(20 * time.Microsecond)
+	}
+}
+
+// TestJournalSyncSaveRoundTrip: the pair with no pool saves synchronously,
+// so the horizon never lags and every number is delivered first time.
+func TestJournalSyncSaveRoundTrip(t *testing.T) {
+	snd, rcv, closePair := journalPair(t, t.TempDir(), 25, 64, 0)
+	defer closePair()
 
 	for i := 0; i < 100; i++ {
 		seq, err := snd.Next()
@@ -40,46 +88,24 @@ func TestFileSenderReceiverRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFileEndpointsSurviveRestart(t *testing.T) {
-	// Full process-restart simulation: new Sender/Receiver values over the
-	// same files, as a rebooted host would create.
+func TestJournalEndpointsSurviveRestart(t *testing.T) {
+	// Full process-restart simulation: pool and medium closed, the directory
+	// reopened, new Sender/Receiver values over it, as a rebooted host would
+	// create.
 	dir := t.TempDir()
-	txPath := filepath.Join(dir, "tx.seq")
-	rxPath := filepath.Join(dir, "rx.seq")
-
-	snd, ssaver, err := antireplay.NewFileSender(txPath, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rcv, rsaver, err := antireplay.NewFileReceiver(rxPath, 10, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snd, rcv, closePair := journalPair(t, dir, 10, 64, 1)
 	var history []uint64
 	for i := 0; i < 50; i++ {
-		seq, err := snd.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
+		seq := nextSeq(t, snd)
 		history = append(history, seq)
-		rcv.Admit(seq)
+		admitSeq(rcv, seq)
 	}
-	ssaver.Close() // flush background saves, then "crash" both processes
-	rsaver.Close()
-
-	snd2, ssaver2, err := antireplay.NewFileSender(txPath, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ssaver2.Close()
-	rcv2, rsaver2, err := antireplay.NewFileReceiver(rxPath, 10, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rsaver2.Close()
+	closePair() // flush background saves, then "crash" both processes
 
 	// A restart is the constructors again and nothing else: they find the
-	// files used and come up through FETCH + leap + SAVE on their own.
+	// cells used and come up through FETCH + leap + SAVE on their own.
+	snd2, rcv2, closePair2 := journalPair(t, dir, 10, 64, 1)
+	defer closePair2()
 
 	// No replayed old message is accepted by the revived receiver.
 	for _, seq := range history {
@@ -101,17 +127,8 @@ func TestFileEndpointsSurviveRestart(t *testing.T) {
 // connected by a channel, with a concurrent reset/wake of the receiver
 // mid-stream — the "goroutines as protocol nodes" execution mode.
 func TestLiveGoroutinePipeline(t *testing.T) {
-	dir := t.TempDir()
-	snd, ssaver, err := antireplay.NewFileSender(filepath.Join(dir, "tx.seq"), 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ssaver.Close()
-	rcv, rsaver, err := antireplay.NewFileReceiver(filepath.Join(dir, "rx.seq"), 25, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rsaver.Close()
+	snd, rcv, closePair := journalPair(t, t.TempDir(), 25, 128, 1)
+	defer closePair()
 
 	const total = 5000
 	wire := make(chan uint64, 64)
@@ -124,8 +141,8 @@ func TestLiveGoroutinePipeline(t *testing.T) {
 		sent := 0
 		for sent < total {
 			seq, err := snd.Next()
-			if errors.Is(err, antireplay.ErrDown) || errors.Is(err, antireplay.ErrWaking) {
-				time.Sleep(time.Millisecond)
+			if errors.Is(err, antireplay.ErrSaveLag) {
+				time.Sleep(100 * time.Microsecond)
 				continue
 			}
 			if err != nil {

@@ -98,7 +98,7 @@ func BenchmarkTableSaveInterval(b *testing.B) {
 	tbl := runTable(b, func() (*experiments.Table, error) {
 		return experiments.SaveIntervalSizing(cfg)
 	})
-	b.ReportMetric(colValue(b, tbl, "K"), "K-file-fsync")
+	b.ReportMetric(colValue(b, tbl, "K"), "K-lane-fsync")
 }
 
 // BenchmarkTableConvergenceSender regenerates §5 condition (i) across K.

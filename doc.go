@@ -30,21 +30,25 @@
 //
 // A Sender hands out sequence numbers; a Receiver admits them through an
 // anti-replay window. Both take a Store (persistent cell) and optionally a
-// BackgroundSaver. The zero-fuss constructors wire a file-backed store with
-// background saves on a SaverPool of one worker, which they return; Close
-// it when done:
+// BackgroundSaver. The durable form is a cell of a journal medium, saved in
+// the background on a SaverPool — one directory, one pool, any number of
+// endpoints; close the pool, then the medium, when done:
 //
-//	snd, pool, err := antireplay.NewFileSender("/var/lib/sa/tx.seq", 25)
+//	journal, err := antireplay.NewLanes("/var/lib/sa", antireplay.LanesCount(1))
+//	pool := antireplay.NewSaverPool(1)
+//	snd, err := antireplay.NewJournalSender(journal, "tx", 25, pool)
 //	...
 //	seq, err := snd.Next()          // number an outgoing packet
 //	...
 //	pool.Close()                    // wait for in-flight saves
+//	journal.Close()
 //
-// A restart is the same call again. An endpoint built over a store that
+// A restart is the same calls again. An endpoint built over a store that
 // already holds a value is born down — Next returns ErrDown, every Admit is
 // VerdictDown — and only Wake (FETCH + leap + SAVE) brings it up, so nothing
-// can come up at its initial counter over a prior life's state. NewFileSender
-// and NewFileReceiver call Wake and wait for it; after NewSender or
+// can come up at its initial counter over a prior life's state.
+// NewJournalSender and NewJournalReceiver call Wake and wait for it: they
+// return an endpoint that is up, or the wake's error. After NewSender or
 // NewReceiver over your own store, call Wake yourself (a no-op over an empty
 // store). Reset and Wake also drive the crash of a live endpoint.
 //
@@ -55,12 +59,12 @@
 // the paper's §6 prolonged-reset recovery; Peer composes all of it into a
 // host-level association with automatic recovery and rekeying.
 //
-// At gateway scale the per-SA file-and-goroutine pattern does not hold up:
-// a Lanes medium (NewLanes) multiplexes every SA's counter into append-only
-// journal lanes with group-committed fsyncs — one log file with
-// LanesCount(1), 64 by default — a SaverPool bounds the background-save
-// workers, and Gateway binds a lock-striped SAD and an SPD to both (see
-// README.md, "Journal design notes").
+// At gateway scale the same medium carries every SA: Lanes (NewLanes)
+// multiplexes the counters into append-only journal lanes with
+// group-committed fsyncs — one log file with LanesCount(1), 64 by default —
+// a SaverPool bounds the background-save workers, and Gateway binds a
+// lock-striped SAD and an SPD to both (see README.md, "Journal design
+// notes").
 //
 // The per-packet datapath is concurrency-first. A Receiver left to build
 // its own window (ReceiverConfig.Window nil) gets a Linux-xfrm/WireGuard-

@@ -137,8 +137,8 @@ func main() {
 	}
 	appends, syncs := journal.Appends()-setupAppends, journal.Syncs()-setupSyncs
 	fmt.Printf("sealed %d packets: %d counter SAVEs appended, %d fsyncs "+
-		"(per-SA files would have cost %d fsyncs: 2 per save)\n\n",
-		*n**packets, appends, syncs, 2*appends)
+		"(a journal per SA would have cost %d fsyncs: one per save)\n\n",
+		*n**packets, appends, syncs, appends)
 
 	// The gateway resets: every volatile counter and window is lost; the
 	// journal survives.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"time"
 
 	"antireplay/internal/ike"
@@ -48,6 +47,11 @@ func RecoveryCost(cfg RecoveryConfig) (*Table, error) {
 		return nil, fmt.Errorf("experiments: recovery tempdir: %w", err)
 	}
 	defer os.RemoveAll(dir)
+	lanes, err := store.OpenLanes(dir, store.LanesCount(1))
+	if err != nil {
+		return nil, fmt.Errorf("experiments: recovery journal: %w", err)
+	}
+	defer lanes.Close()
 
 	var group *ike.Group
 	if cfg.FastDH {
@@ -78,10 +82,12 @@ func RecoveryCost(cfg RecoveryConfig) (*Table, error) {
 		ikeElapsed := time.Since(ikeStart)
 
 		// SAVE/FETCH path: per SA, one FETCH plus one synchronous SAVE of
-		// the leaped value on a real (fsynced) file store.
-		stores := make([]*store.File, n)
+		// the leaped value on its cell of a one-lane journal, fsync on — one
+		// SA after another, so every SAVE pays its own fsync (a gateway's
+		// WakeAll shares one per lane and costs less still).
+		stores := make([]*store.Cell, n)
 		for i := range stores {
-			stores[i] = store.NewFile(filepath.Join(dir, fmt.Sprintf("sa-%d-%d.dat", n, i)))
+			stores[i] = lanes.Cell(fmt.Sprintf("sa-%d-%d", n, i))
 			if err := stores[i].Save(uint64(1000 + i)); err != nil {
 				return nil, fmt.Errorf("experiments: recovery seed store: %w", err)
 			}

@@ -31,14 +31,17 @@ func DefaultSizingConfig() SizingConfig {
 // interval K is the maximum number of messages that can be sent during one
 // SAVE, so K = ceil(T_save / T_send). The paper's Pentium III constants
 // (100µs write, 4µs send, K = 25) are replayed through the formula, and the
-// same two costs are measured on this machine for an in-memory store, a
-// file store without fsync, and a file store with fsync.
+// same two costs are measured on this machine for an in-memory store and for
+// a cell of a one-lane journal without and with fsync — the T_save a gateway
+// actually pays.
 func SaveIntervalSizing(cfg SizingConfig) (*Table, error) {
 	t := &Table{
 		ID:    "sizing",
 		Title: "SAVE interval sizing: K = ceil(T_save / T_send) (§4)",
 		Note: "Paper's worked example on a Pentium III 730MHz appears as the first row. " +
-			"Measured rows use this machine's medians; K scales with the persistence medium.",
+			"Measured rows use this machine's medians (timings, not reproducible run to run): " +
+			"a lane row is one journal cell's Save, append + commit, without and with its fsync. " +
+			"K scales with the persistence medium.",
 		Columns: []string{"medium", "t_save_us", "t_send_us", "K"},
 	}
 
@@ -55,14 +58,24 @@ func SaveIntervalSizing(cfg SizingConfig) (*Table, error) {
 		return nil, fmt.Errorf("experiments: sizing tempdir: %w", err)
 	}
 	defer os.RemoveAll(dir)
+	nosync, err := store.OpenLanes(filepath.Join(dir, "nosync"), store.LanesCount(1), store.LanesWithoutSync())
+	if err != nil {
+		return nil, fmt.Errorf("experiments: sizing journal: %w", err)
+	}
+	defer nosync.Close()
+	fsync, err := store.OpenLanes(filepath.Join(dir, "fsync"), store.LanesCount(1))
+	if err != nil {
+		return nil, fmt.Errorf("experiments: sizing journal: %w", err)
+	}
+	defer fsync.Close()
 
 	media := []struct {
 		name string
 		st   store.Store
 	}{
 		{"mem", &store.Mem{}},
-		{"file-nosync", store.NewFile(filepath.Join(dir, "nosync.dat"), store.WithoutSync())},
-		{"file-fsync", store.NewFile(filepath.Join(dir, "fsync.dat"))},
+		{"lane-nosync", nosync.Cell("tx")},
+		{"lane-fsync", fsync.Cell("tx")},
 	}
 	for _, m := range media {
 		tSave, err := measureSaveCost(m.st, cfg.Samples)

@@ -27,40 +27,33 @@ func BenchmarkMemFetch(b *testing.B) {
 	}
 }
 
-// BenchmarkFileSave measures the paper's T_save on this machine's
-// filesystem — the numerator of the §4 sizing rule K = ceil(T_save/T_send).
-func BenchmarkFileSave(b *testing.B) {
+// BenchmarkCellSave measures the paper's T_save on this machine's
+// filesystem — the numerator of the §4 sizing rule K = ceil(T_save/T_send) —
+// as a gateway pays it: one cell's Save on a journal lane, append plus group
+// commit, with and without the fsync.
+func BenchmarkCellSave(b *testing.B) {
 	for _, tt := range []struct {
 		name string
-		opts []FileOption
+		opts []LanesOption
 	}{
 		{"fsync", nil},
-		{"nosync", []FileOption{WithoutSync()}},
+		{"nosync", []LanesOption{LanesWithoutSync()}},
 	} {
 		b.Run(tt.name, func(b *testing.B) {
-			f := NewFile(filepath.Join(b.TempDir(), "seq.dat"), tt.opts...)
+			j, err := openLane(filepath.Join(b.TempDir(), "lane.log"), tt.opts...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer j.Close()
+			c := j.Cell("tx/00000001")
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := f.Save(uint64(i)); err != nil {
+				if err := c.Save(uint64(i)); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-	}
-}
-
-func BenchmarkFileFetch(b *testing.B) {
-	f := NewFile(filepath.Join(b.TempDir(), "seq.dat"))
-	if err := f.Save(7); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := f.Fetch(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

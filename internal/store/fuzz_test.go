@@ -10,53 +10,6 @@ import (
 	"testing"
 )
 
-// FuzzFileFetch throws arbitrary file contents at the record parser: it
-// must never panic, and it must never return a valid value from a record
-// that was not produced by Save (magic+version+CRC make that overwhelmingly
-// unlikely; the fuzzer verifies we at least validate length and magic).
-func FuzzFileFetch(f *testing.F) {
-	// Seed with a genuine record and simple corruptions.
-	dir, err := os.MkdirTemp("", "fuzzstore-*")
-	if err != nil {
-		f.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
-	seedPath := filepath.Join(dir, "seed.dat")
-	if err := NewFile(seedPath).Save(12345); err != nil {
-		f.Fatal(err)
-	}
-	genuine, err := os.ReadFile(seedPath)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(genuine)
-	f.Add([]byte{})
-	f.Add([]byte("ARSQ"))
-	f.Add(make([]byte, recordLen))
-
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		path := filepath.Join(t.TempDir(), "seq.dat")
-		if err := os.WriteFile(path, raw, 0o600); err != nil {
-			t.Skip()
-		}
-		v, ok, err := NewFile(path).Fetch()
-		if err != nil {
-			return // rejected: fine
-		}
-		if !ok {
-			t.Fatal("Fetch returned ok=false with nil error for an existing file")
-		}
-		// If accepted, the record must round-trip exactly.
-		if len(raw) != recordLen {
-			t.Fatalf("accepted record of length %d", len(raw))
-		}
-		if string(raw[0:4]) != fileMagic {
-			t.Fatalf("accepted record with magic %q", raw[0:4])
-		}
-		_ = v
-	})
-}
-
 // fuzzJournalBytes builds a genuine journal file image: header plus the
 // given records in the current frame format.
 func fuzzJournalBytes(f *testing.F, recs map[string]uint64) []byte {

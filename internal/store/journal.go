@@ -1063,8 +1063,8 @@ func (j *Journal) fetch(key string) (uint64, bool, error) {
 }
 
 // Cell returns a Store view of one key: core.Sender and core.Receiver take
-// it wherever a dedicated File store would go, sharing the journal's single
-// fsync stream with every other cell.
+// it as their durable store, sharing the journal's single fsync stream with
+// every other cell.
 func (j *Journal) Cell(key string) *Cell { return &Cell{j: j, key: key} }
 
 // ClaimCell returns the cell for key after registering an exclusive

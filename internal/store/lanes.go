@@ -92,8 +92,8 @@ func LanesCount(n int) LanesOption {
 }
 
 // LanesWithoutSync disables every fsync in the medium (group commits,
-// compaction, the manifest). As with File's WithoutSync, a power loss may
-// then lose recent saves; a process crash may not.
+// compaction, the manifest). A power loss may then lose recent saves; a
+// process crash may not.
 func LanesWithoutSync() LanesOption {
 	return func(c *lanesConfig) { c.sync = false }
 }
@@ -224,8 +224,8 @@ func OpenLanes(dir string, opts ...LanesOption) (*Lanes, error) {
 
 // readOrWriteManifest returns the directory's lane count, publishing the
 // manifest for a fresh directory: written to a temp name, fsynced, renamed
-// into place and the directory fsynced — the dance File and compaction use —
-// so a reset at any point leaves the manifest either absent (the next open
+// into place and the directory fsynced — the dance compaction uses — so a
+// reset at any point leaves the manifest either absent (the next open
 // starts over) or complete, never a short file that bricks the directory.
 // It is durable before any lane file exists, so a reset between them
 // recovers an empty medium rather than a directory whose lane count is

@@ -6,12 +6,11 @@
 // readable (old value on a torn write). Store implementations here provide
 // those guarantees: Mem models a disk in a simulation (the struct itself
 // plays the role of the platter and deliberately survives protocol "resets",
-// which only clear volatile endpoint state), and File provides them on a
-// real filesystem via write-to-temp + fsync + atomic rename + checksum.
-// Lanes provides them for many named cells at once: the one durable
-// multi-counter medium, N group-committed Journal lanes under a manifest
-// (one lane is the single-journal form), each cell seen as a Store through
-// Cell.
+// which only clear volatile endpoint state), and Lanes provides them on a
+// real filesystem, for one named cell or a million: the one durable medium
+// and the one on-disk format, N group-committed Journal lanes of
+// checksummed append-only records under a manifest (one lane is the
+// single-journal form), each cell seen as a Store through Cell.
 //
 // SaverPool runs the paper's "& SAVE(s) executed in background" for any
 // number of stores on bounded workers, and Faulty injects faults and

@@ -169,11 +169,10 @@ func TestTailSurvivesCompaction(t *testing.T) {
 }
 
 // TestJournalCompactionDirFsync is the regression test for the compaction
-// durability bar: like File.Save, the compacted log must be written to a
-// temp file, fsynced, renamed over the log, and the parent directory
-// fsynced — without the final directory sync a power loss can roll the
-// directory entry back to the old (now-deleted) inode after compaction
-// already reported the state durable.
+// durability bar: the compacted log must be written to a temp file, fsynced,
+// renamed over the log, and the parent directory fsynced — without the final
+// directory sync a power loss can roll the directory entry back to the old
+// (now-deleted) inode after compaction already reported the state durable.
 func TestJournalCompactionDirFsync(t *testing.T) {
 	j, err := openLane(filepath.Join(t.TempDir(), "j.log"), LanesCompactAt(256))
 	if err != nil {

@@ -1,5 +1,5 @@
 // Package storefault is the injectable file layer under the store package's
-// durable media. Journal, Lanes, and File perform every filesystem operation
+// durable medium. Lanes and its Journals perform every filesystem operation
 // through the FS interface here instead of calling the os package directly,
 // so a fault schedule (Injector) can make fsync fail on the 7th sync of one
 // lane, tear a write short at a precise append count, return ENOSPC during a

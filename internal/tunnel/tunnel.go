@@ -39,8 +39,8 @@ var (
 )
 
 // StoreFactory builds the durable cell for a (SPI, direction) pair.
-// Directions are "tx" and "rx". A file-backed factory gives each SA its own
-// counter file, as a real gateway keeps per-SA state.
+// Directions are "tx" and "rx". A durable factory hands out the cells of one
+// store.Lanes medium, keyed per SA and direction as a gateway's are.
 type StoreFactory func(spi uint32, direction string) store.Store
 
 // MemStores is a StoreFactory producing independent in-memory stores.
