@@ -25,9 +25,6 @@ type (
 	SPD = ipsec.SPD
 	// Selector matches traffic to policies by address prefixes.
 	Selector = ipsec.Selector
-	// VerifyResult is the per-packet outcome of the batched inbound path
-	// (InboundSA.VerifyBatch, Gateway.VerifyBatch).
-	VerifyResult = ipsec.VerifyResult
 )
 
 // Lifetime states.

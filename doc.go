@@ -73,11 +73,10 @@
 // concurrent Admits never serialize on the receiver mutex, which is
 // reserved for reset/wake transitions and SAVE triggers. (Without the
 // horizon, or over a caller-supplied Window, every Admit takes that
-// mutex.) The batched entry points —
-// OutboundSA.SealBatch and Sender.NextN outbound, InboundSA.VerifyBatch
-// and Gateway.VerifyBatch/SealBatch inbound — amortize lock acquisitions,
-// lifetime checks, and save triggers across a packet burst, returning
-// per-packet VerifyResult values. Sequence exhaustion is a hard error: a
+// mutex.) Every packet takes the same path: Gateway.SealAppend and
+// OpenAppend (Seal and Open are their allocating forms) over
+// OutboundSA.SealAppend and InboundSA.OpenAppend, over Sender.Next and
+// Receiver.Admit. Sequence exhaustion is a hard error: a
 // non-ESN outbound SA refuses to wrap the 32-bit wire sequence number
 // (ErrSeqExhausted) instead of silently reusing it, per RFC 4303.
 //

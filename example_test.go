@@ -82,22 +82,6 @@ func ExampleEstablishSA() {
 	// replay verdict: duplicate
 }
 
-// Reserving a burst of sequence numbers in one lock acquisition — the
-// batched seal path's amortization primitive.
-func ExampleSender_NextN() {
-	var st antireplay.MemStore
-	snd, _ := antireplay.NewSender(antireplay.SenderConfig{K: 25, Store: &st})
-
-	first, count, _ := snd.NextN(8) // one critical section, 8 numbers
-	fmt.Printf("reserved %d numbers starting at %d\n", count, first)
-
-	seq, _ := snd.Next() // the burst really consumed them
-	fmt.Printf("next single number: %d\n", seq)
-	// Output:
-	// reserved 8 numbers starting at 1
-	// next single number: 9
-}
-
 // exampleGateway builds a journal-backed gateway in a temp dir; examples
 // share it via defer-cleanup.
 func exampleGateway(dir string) (*antireplay.Gateway, error) {
@@ -108,9 +92,11 @@ func exampleGateway(dir string) (*antireplay.Gateway, error) {
 	return antireplay.NewGateway(antireplay.GatewayConfig{Journal: journal, K: 25})
 }
 
-// Verifying a mixed burst in one call: packets are grouped by SPI (one SAD
-// lookup per SA) and outcomes come back positionally.
-func ExampleGateway_VerifyBatch() {
+// The gateway datapath, a packet at a time and without allocating: the SPD
+// routes each payload to its SA and SealAppend builds the wire into a reused
+// buffer; the SAD routes each wire by its SPI and OpenAppend decrypts into
+// another. A replayed wire authenticates and is refused by the window.
+func ExampleGateway_SealAppend() {
 	dir, _ := os.MkdirTemp("", "example-*")
 	defer os.RemoveAll(dir)
 	gw, err := exampleGateway(dir)
@@ -132,22 +118,28 @@ func ExampleGateway_VerifyBatch() {
 		return
 	}
 
-	wires, _ := gw.SealBatch(src, dst, [][]byte{
-		[]byte("one"), []byte("two"), []byte("three"),
-	})
-	wires = append(wires, wires[0]) // a replayed copy rides along
-
-	delivered, replays := 0, 0
-	for _, res := range gw.VerifyBatch(wires) {
-		switch {
-		case res.Delivered():
-			delivered++
-		case res.Err == nil && !res.Verdict.Delivered():
-			replays++
+	wire := make([]byte, 0, 2048)  // reused across packets
+	plain := make([]byte, 0, 2048) // reused across packets
+	for _, msg := range []string{"one", "two", "three"} {
+		if wire, err = gw.SealAppend(wire[:0], src, dst, []byte(msg)); err != nil {
+			fmt.Println(err)
+			return
 		}
+		var verdict antireplay.Verdict
+		if plain, verdict, err = gw.OpenAppend(plain[:0], wire); err != nil {
+			fmt.Println(err)
+			return
+		}
+		fmt.Printf("%s (%v)\n", plain, verdict)
 	}
-	fmt.Printf("delivered %d, rejected %d replay\n", delivered, replays)
-	// Output: delivered 3, rejected 1 replay
+	// wire still holds the last packet: open it again, as a replayer would.
+	plain, verdict, err := gw.OpenAppend(plain[:0], wire)
+	fmt.Printf("replay: %d bytes, %v, %v\n", len(plain), verdict, err)
+	// Output:
+	// one (new)
+	// two (new)
+	// three (new)
+	// replay: 0 bytes, duplicate, <nil>
 }
 
 // The zero-allocation datapath: SealAppend builds the wire bytes into a

@@ -67,8 +67,8 @@ func (l *verifyLink) MTU() int              { return 64 << 10 }
 // TestRaceCampaignDatapath is the -race stress test for the adversary
 // layer against the live datapath: a window-edge snipe (holds, late
 // releases, duplicate injections) and a rekey-cutover campaign (exchange
-// suppression, post-cutover blackouts) run concurrently with batched
-// seal/verify traffic, orchestrator-driven rollovers, and receiver
+// suppression, post-cutover blackouts) run concurrently with
+// seal/open traffic, orchestrator-driven rollovers, and receiver
 // gateway resets. Two gates stack over the verify link, so snipe
 // releases, cutover blackouts, sealer sends, and dup injections all race
 // through the same path the campaigns interfere with.
@@ -110,8 +110,9 @@ func TestRaceCampaignDatapath(t *testing.T) {
 	)
 	pipe := &verifyLink{}
 	pipe.deliver = func(p []byte) {
-		res := B.VerifyBatch([][]byte{p})[0]
-		if !res.Delivered() {
+		// Open, not OpenAppend: deliver runs on every sending, releasing and
+		// injecting goroutine at once, so there is no one buffer to reuse.
+		if _, v, err := B.Open(p); err != nil || !v.Delivered() {
 			return
 		}
 		mu.Lock()
@@ -176,39 +177,35 @@ func TestRaceCampaignDatapath(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
-	// Traffic: sealers batch-seal at A and push every wire through the
-	// gated path; verification happens at the bottom of the stack.
+	// Traffic: sealers seal at A and push every wire through the gated
+	// path; verification happens at the bottom of the stack. Each wire is
+	// sealed into a fresh buffer (SealAppend onto nil): the gates hold
+	// wires and the tap records them, so none can be reused.
 	const sealers = 4
 	payload := make([]byte, 256)
 	for s := 0; s < sealers; s++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			batch := make([][]byte, 8)
-			for i := range batch {
-				batch[i] = payload
-			}
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				wires, err := A.SealBatch(raceAddrA, raceAddrB, batch)
-				if err != nil && !errors.Is(err, core.ErrSaveLag) &&
-					!errors.Is(err, ipsec.ErrDraining) && !errors.Is(err, core.ErrWaking) {
-					t.Errorf("SealBatch: %v", err)
-					return
-				}
-				if len(wires) == 0 {
+				w, err := A.SealAppend(nil, raceAddrA, raceAddrB, payload)
+				if err != nil {
+					if !errors.Is(err, core.ErrSaveLag) &&
+						!errors.Is(err, ipsec.ErrDraining) && !errors.Is(err, core.ErrWaking) {
+						t.Errorf("SealAppend: %v", err)
+						return
+					}
 					time.Sleep(50 * time.Microsecond)
 					continue
 				}
-				for _, w := range wires {
-					if err := snipeGate.Send(w); err != nil {
-						t.Errorf("gate send: %v", err)
-						return
-					}
+				if err := snipeGate.Send(w); err != nil {
+					t.Errorf("gate send: %v", err)
+					return
 				}
 			}
 		}()
@@ -290,20 +287,18 @@ func TestRaceCampaignDatapath(t *testing.T) {
 	replaySet := history
 	mu.Unlock()
 	replays := 0
-	for start := 0; start < len(replaySet); start += 64 {
-		end := min(start+64, len(replaySet))
-		batch := replaySet[start:end]
-		results := B.VerifyBatch(batch)
-		mu.Lock()
-		for i, res := range results {
-			if !res.Delivered() {
-				continue
-			}
-			if delivered[string(batch[i])] > 0 {
-				replays++
-			}
-			delivered[string(batch[i])]++
+	var buf []byte
+	for _, w := range replaySet {
+		out, v, err := B.OpenAppend(buf[:0], w)
+		buf = out
+		if err != nil || !v.Delivered() {
+			continue
 		}
+		mu.Lock()
+		if delivered[string(w)] > 0 {
+			replays++
+		}
+		delivered[string(w)]++
 		mu.Unlock()
 	}
 	if replays != 0 {

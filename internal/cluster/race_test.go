@@ -16,8 +16,8 @@ import (
 	"antireplay/internal/store"
 )
 
-// TestRaceFailoverRekeyDatapath is the cluster's -race stress test: batched
-// seal/verify traffic hammers the datapath while the rekey orchestrator
+// TestRaceFailoverRekeyDatapath is the cluster's -race stress test:
+// seal/open traffic hammers the datapath while the rekey orchestrator
 // rolls the tunnel over and a controller repeatedly crashes the primary,
 // promotes the standby, hands the orchestrator over, and rebuilds a standby
 // on the rebooted node — failover, failback, failover again.
@@ -125,37 +125,36 @@ func TestRaceFailoverRekeyDatapath(t *testing.T) {
 		c.(*atomic.Int64).Add(1)
 	}
 
-	// Datapath workers: SealBatch at A, VerifyBatch at the current B.
+	// Datapath workers: SealAppend at A, OpenAppend at the current B.
 	for w := 0; w < workers; w++ {
 		trafficWG.Add(1)
 		go func(w int) {
 			defer trafficWG.Done()
+			var buf []byte // decrypted payloads; the ledger copies what it keeps
 			for n := 0; n < batches; n++ {
-				payloads := make([][]byte, batchLen)
-				for i := range payloads {
-					payloads[i] = []byte(fmt.Sprintf("p-%d-%d-%d", w, n, i))
-				}
-				// Seal, resuming after partial grants so no payload is ever
-				// sealed twice (a re-seal would forge a duplicate delivery).
-				var wires [][]byte
-				remaining := payloads
-				for tries := 0; len(remaining) > 0; tries++ {
-					ws, err := A.SealBatch(testAddr(0), testAddr(1), remaining)
-					wires = append(wires, ws...)
-					remaining = remaining[len(ws):]
-					if len(remaining) == 0 {
-						break
+				// Seal, retrying each payload until it goes through, so none
+				// is ever sealed twice (a re-seal would forge a duplicate
+				// delivery). Every wire gets its own buffer: history keeps it.
+				wires := make([][]byte, 0, batchLen)
+				for i := 0; i < batchLen; i++ {
+					payload := []byte(fmt.Sprintf("p-%d-%d-%d", w, n, i))
+					for tries := 0; ; tries++ {
+						wire, err := A.SealAppend(nil, testAddr(0), testAddr(1), payload)
+						if err == nil {
+							wires = append(wires, wire)
+							break
+						}
+						if tries > 200000 {
+							t.Errorf("worker %d: sealing stalled: %v", w, err)
+							return
+						}
+						if !errors.Is(err, core.ErrSaveLag) &&
+							!errors.Is(err, ipsec.ErrDraining) && !errors.Is(err, ipsec.ErrNoPolicy) {
+							t.Errorf("worker %d: seal: %v", w, err)
+							return
+						}
+						time.Sleep(20 * time.Microsecond)
 					}
-					if tries > 200000 {
-						t.Errorf("worker %d: sealing stalled: %v", w, err)
-						return
-					}
-					if err != nil && !errors.Is(err, core.ErrSaveLag) &&
-						!errors.Is(err, ipsec.ErrDraining) && !errors.Is(err, ipsec.ErrNoPolicy) {
-						t.Errorf("worker %d: seal: %v", w, err)
-						return
-					}
-					time.Sleep(20 * time.Microsecond)
 				}
 				histMu.Lock()
 				history = append(history, wires...)
@@ -168,15 +167,16 @@ func TestRaceFailoverRekeyDatapath(t *testing.T) {
 				pending := wires
 				for tries := 0; len(pending) > 0 && tries < 4000; tries++ {
 					gw := current.Load()
-					results := gw.VerifyBatch(pending)
 					retry := pending[:0]
-					for i, res := range results {
+					for _, wire := range pending {
+						out, v, err := gw.OpenAppend(buf[:0], wire)
+						buf = out
 						switch {
-						case res.Delivered():
-							countDelivery(res.Payload)
-						case res.Err == nil && (res.Verdict == core.VerdictHorizon ||
-							res.Verdict == core.VerdictDown):
-							retry = append(retry, pending[i])
+						case err != nil:
+						case v.Delivered():
+							countDelivery(out)
+						case v == core.VerdictHorizon || v == core.VerdictDown:
+							retry = append(retry, wire)
 						}
 					}
 					pending = retry

@@ -343,30 +343,7 @@ func TestFastPathConcurrentSaves(t *testing.T) {
 	}
 }
 
-func TestNextNBatchedReservation(t *testing.T) {
-	var m store.Mem
-	x, err := NewSender(SenderConfig{K: 25, Store: &m})
-	if err != nil {
-		t.Fatalf("NewSender: %v", err)
-	}
-	first, n, err := x.NextN(10)
-	if err != nil || first != 1 || n != 10 {
-		t.Fatalf("NextN(10) = (%d, %d, %v), want (1, 10, nil)", first, n, err)
-	}
-	seq, err := x.Next()
-	if err != nil || seq != 11 {
-		t.Fatalf("Next after NextN = (%d, %v), want (11, nil)", seq, err)
-	}
-	if first, n, err = x.NextN(0); first != 0 || n != 0 || err != nil {
-		t.Errorf("NextN(0) = (%d, %d, %v), want (0, 0, nil)", first, n, err)
-	}
-	st := x.Stats()
-	if st.Sent != 11 {
-		t.Errorf("Sent = %d, want 11", st.Sent)
-	}
-}
-
-func TestNextNHorizonTruncates(t *testing.T) {
+func TestNextHorizonBackpressure(t *testing.T) {
 	watchdog.Arm(t, 10*time.Second)
 	var m store.Mem
 	saver := &HeldSaver{Store: &m}
@@ -375,32 +352,36 @@ func TestNextNHorizonTruncates(t *testing.T) {
 		t.Fatalf("NewSender: %v", err)
 	}
 	// committed = 1, leap = 20: horizon is 21, so 20 numbers are available.
-	first, n, err := x.NextN(100)
-	if err != nil || first != 1 || n != 20 {
-		t.Fatalf("NextN(100) = (%d, %d, %v), want truncation to (1, 20, nil)", first, n, err)
+	for want := uint64(1); want <= 20; want++ {
+		if seq, err := x.Next(); err != nil || seq != want {
+			t.Fatalf("Next = (%d, %v), want (%d, nil)", seq, err, want)
+		}
 	}
-	if _, _, err = x.NextN(5); err != ErrSaveLag {
-		t.Fatalf("NextN at horizon = %v, want ErrSaveLag", err)
+	if _, err = x.Next(); err != ErrSaveLag {
+		t.Fatalf("Next at horizon = %v, want ErrSaveLag", err)
+	}
+	if st := x.Stats(); st.Sent != 20 {
+		t.Errorf("Sent = %d after a refused Next, want 20", st.Sent)
 	}
 	saver.CommitAll()
-	if _, n, err = x.NextN(5); err != nil || n != 5 {
-		t.Errorf("NextN after save landed = (n=%d, %v), want full grant", n, err)
+	if seq, err := x.Next(); err != nil || seq != 21 {
+		t.Errorf("Next after save landed = (%d, %v), want (21, nil)", seq, err)
 	}
 }
 
-func TestNextNDownAndWaking(t *testing.T) {
+func TestNextDownAndWaking(t *testing.T) {
 	var m store.Mem
 	x, err := NewSender(SenderConfig{K: 5, Store: &m})
 	if err != nil {
 		t.Fatalf("NewSender: %v", err)
 	}
 	x.Reset()
-	if _, _, err := x.NextN(3); err != ErrDown {
-		t.Errorf("NextN while down = %v, want ErrDown", err)
+	if _, err := x.Next(); err != ErrDown {
+		t.Errorf("Next while down = %v, want ErrDown", err)
 	}
 	x.Wake()
-	if _, n, err := x.NextN(3); err != nil || n != 3 {
-		t.Errorf("NextN after wake = (n=%d, %v), want full grant", n, err)
+	if _, err := x.Next(); err != nil {
+		t.Errorf("Next after wake = %v, want a number", err)
 	}
 }
 

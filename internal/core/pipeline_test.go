@@ -79,7 +79,11 @@ var machines = []struct {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return &machine{p: &x.savePipeline, saver: saver, advance: func() { x.NextN(pipelineK) }, reset: x.Reset}
+		return &machine{p: &x.savePipeline, saver: saver, advance: func() {
+			for i := 0; i < pipelineK; i++ {
+				x.Next()
+			}
+		}, reset: x.Reset}
 	}},
 	{"receiver", func(t *testing.T, st store.Store, saver *scriptedSaver) *machine {
 		r, err := NewReceiver(ReceiverConfig{K: pipelineK, W: 64, Store: st, Saver: saver})
@@ -184,7 +188,14 @@ func TestSavePipeline(t *testing.T) {
 						t.Fatalf("step %d: pipeline not idle (handing=%v)", i, p.handing)
 					}
 				}
-				want := slices.Clone(tc.wantCalls)
+				wantCalls, wantCommitted := tc.wantCalls, tc.wantCommitted
+				if mc.name == "sender" && tc.name == "failed save is retried" {
+					// A sender advances a number at a time, so its retry comes
+					// with the number after the failure, where the receiver's
+					// comes with its next jump of K.
+					wantCalls, wantCommitted = []uint64{k, k + 1}, k+1
+				}
+				want := slices.Clone(wantCalls)
 				for i := range want {
 					want[i] += initial
 				}
@@ -194,8 +205,8 @@ func TestSavePipeline(t *testing.T) {
 				if got := p.savesStart.Load(); got != uint64(len(saver.calls)) {
 					t.Errorf("SavesStarted = %d, saver saw %d", got, len(saver.calls))
 				}
-				if p.Committed() != initial+tc.wantCommitted {
-					t.Errorf("committed = %d, want %d", p.Committed(), initial+tc.wantCommitted)
+				if p.Committed() != initial+wantCommitted {
+					t.Errorf("committed = %d, want %d", p.Committed(), initial+wantCommitted)
 				}
 				if p.State() != tc.wantState {
 					t.Errorf("state = %v (wake error %v), want %v", p.State(), p.LastWakeError(), tc.wantState)

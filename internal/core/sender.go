@@ -82,49 +82,26 @@ func NewSender(cfg SenderConfig) (*Sender, error) {
 // Next returns the sequence number for the next outgoing message,
 // implementing the paper's first action of process p: emit s, increment,
 // and start a background SAVE once the counter has advanced K past lst.
-// It returns ErrDown or ErrWaking while the endpoint cannot send. Next is
-// the burst-of-one case of NextN; the reserve/trigger critical section
-// lives only there.
+// It returns ErrDown or ErrWaking while the endpoint cannot send and, under
+// StrictHorizon, ErrSaveLag once the counter has reached the durable
+// horizon. Reserve, horizon check and SAVE trigger are one critical section.
 func (x *Sender) Next() (uint64, error) {
-	seq, _, err := x.NextN(1)
-	return seq, err
-}
-
-// NextN reserves up to n consecutive sequence numbers in one lock
-// acquisition — the burst analogue of Next, used by the batched seal path
-// to amortize the sender mutex and the SAVE-trigger check across a whole
-// packet burst. It returns the first reserved number and how many were
-// granted. Under StrictHorizon the grant is truncated to the numbers below
-// the durable horizon: count may be less than n, and a zero grant returns
-// ErrSaveLag exactly as Next would. At most one background SAVE is started
-// per call, no matter how many save intervals the burst crosses.
-func (x *Sender) NextN(n int) (first uint64, count int, err error) {
-	if n <= 0 {
-		return 0, 0, nil
-	}
 	x.mu.Lock()
 	switch x.state {
 	case StateDown:
 		x.mu.Unlock()
-		return 0, 0, ErrDown
+		return 0, ErrDown
 	case StateWaking:
 		x.mu.Unlock()
-		return 0, 0, ErrWaking
+		return 0, ErrWaking
 	}
-	grant := uint64(n)
-	if x.strict {
-		horizon := x.committed.Load() + x.leap
-		if x.s >= horizon {
-			x.mu.Unlock()
-			return 0, 0, ErrSaveLag
-		}
-		if avail := horizon - x.s; grant > avail {
-			grant = avail
-		}
+	if x.strict && x.s >= x.committed.Load()+x.leap {
+		x.mu.Unlock()
+		return 0, ErrSaveLag
 	}
-	first = x.s
-	x.s += grant
-	x.sent += grant
+	seq := x.s
+	x.s++
+	x.sent++
 	save := handoff{gen: x.gen, v: x.s}
 	trigger := x.due(x.s)
 	x.mu.Unlock()
@@ -132,7 +109,7 @@ func (x *Sender) NextN(n int) (first uint64, count int, err error) {
 	if trigger {
 		x.startSave(save)
 	}
-	return first, int(grant), nil
+	return seq, nil
 }
 
 // Reset crashes the sender: all volatile state is considered lost and any

@@ -87,64 +87,6 @@ func BenchmarkOpen(b *testing.B) {
 	}
 }
 
-// BenchmarkSealBatch prices the batched outbound path against per-packet
-// Seal: one sender lock and one lifetime check per burst instead of per
-// packet.
-func BenchmarkSealBatch(b *testing.B) {
-	for _, burst := range []int{16, 64} {
-		b.Run(fmt.Sprintf("burst=%d", burst), func(b *testing.B) {
-			out, _ := benchPair(b, true)
-			payloads := make([][]byte, burst)
-			for i := range payloads {
-				payloads[i] = bytes.Repeat([]byte{0x42}, 256)
-			}
-			b.SetBytes(int64(burst * 256))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := out.SealBatch(payloads); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkVerifyBatch prices the batched inbound path: one hard-lifetime
-// check and one set of counter updates per burst.
-func BenchmarkVerifyBatch(b *testing.B) {
-	for _, burst := range []int{16, 64} {
-		b.Run(fmt.Sprintf("burst=%d", burst), func(b *testing.B) {
-			out, in := benchPair(b, true)
-			payload := bytes.Repeat([]byte{0x42}, 256)
-			b.SetBytes(int64(burst * 256))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer() // sealing the burst is the sender's cost
-				wires, err := out.SealBatch(repeatPayload(payload, burst))
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				for _, res := range in.VerifyBatch(wires) {
-					if !res.Delivered() {
-						b.Fatalf("verdict=%v err=%v", res.Verdict, res.Err)
-					}
-				}
-			}
-		})
-	}
-}
-
-func repeatPayload(p []byte, n int) [][]byte {
-	out := make([][]byte, n)
-	for i := range out {
-		out[i] = p
-	}
-	return out
-}
-
 func BenchmarkOpenReplayReject(b *testing.B) {
 	out, in := benchPair(b, true)
 	wire, err := out.Seal([]byte("payload"))

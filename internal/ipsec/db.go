@@ -1,13 +1,10 @@
 package ipsec
 
 import (
-	"fmt"
 	"maps"
 	"net/netip"
 	"sync"
 	"sync/atomic"
-
-	"antireplay/internal/core"
 )
 
 // sadShardBits sets the number of shards in a SAD (a power of two so the
@@ -123,19 +120,6 @@ func (d *SAD) Range(fn func(*InboundSA) bool) {
 			}
 		}
 	}
-}
-
-// Open routes wire bytes to the SA named by their SPI and opens them.
-func (d *SAD) Open(wire []byte) ([]byte, core.Verdict, error) {
-	spi, err := ParseSPI(wire)
-	if err != nil {
-		return nil, 0, err
-	}
-	sa, ok := d.Lookup(spi)
-	if !ok {
-		return nil, 0, fmt.Errorf("%w: %#x", ErrUnknownSPI, spi)
-	}
-	return sa.Open(wire)
 }
 
 // Selector matches traffic by source and destination prefix, after the
@@ -364,13 +348,4 @@ func (p *SPD) Lookup(src, dst netip.Addr) (*OutboundSA, bool) {
 		}
 	}
 	return nil, false
-}
-
-// Seal finds the policy for (src, dst) and seals payload through its SA.
-func (p *SPD) Seal(src, dst netip.Addr, payload []byte) ([]byte, error) {
-	sa, ok := p.Lookup(src, dst)
-	if !ok {
-		return nil, fmt.Errorf("%w: %v -> %v", ErrNoPolicy, src, dst)
-	}
-	return sa.Seal(payload)
 }

@@ -440,9 +440,14 @@ func (g *Gateway) RekeyInbound(oldSPI, newSPI uint32, keys KeyMaterial) (*Inboun
 	return sa, nil
 }
 
-// Seal routes payload through the SPD and seals it on the matching SA.
+// Seal routes payload through the SPD and seals it on the matching SA: the
+// allocating form of SealAppend, nil on error.
 func (g *Gateway) Seal(src, dst netip.Addr, payload []byte) ([]byte, error) {
-	return g.spd.Seal(src, dst, payload)
+	wire, err := g.SealAppend(make([]byte, 0, len(payload)+Overhead), src, dst, payload)
+	if err != nil {
+		return nil, err
+	}
+	return wire, nil
 }
 
 // SealAppend routes payload through the SPD and seals it on the matching SA,
@@ -458,9 +463,9 @@ func (g *Gateway) SealAppend(buf []byte, src, dst netip.Addr, payload []byte) ([
 }
 
 // Open routes wire bytes through the SAD and opens them on the SA named by
-// their SPI.
+// their SPI: the allocating form of OpenAppend.
 func (g *Gateway) Open(wire []byte) ([]byte, core.Verdict, error) {
-	return g.sad.Open(wire)
+	return g.OpenAppend(nil, wire)
 }
 
 // OpenAppend routes wire bytes through the SAD and opens them on the SA
@@ -477,134 +482,6 @@ func (g *Gateway) OpenAppend(buf []byte, wire []byte) (out []byte, v core.Verdic
 		return buf, 0, fmt.Errorf("%w: %#x", ErrUnknownSPI, spi)
 	}
 	return sa.OpenAppend(buf, wire)
-}
-
-// SealBatch routes a burst of payloads for one (src, dst) flow through a
-// single SPD lookup and seals them on the matching SA with one sequence
-// reservation (OutboundSA.SealBatch). It returns the sealed prefix; a
-// non-nil error explains why the burst was cut short.
-func (g *Gateway) SealBatch(src, dst netip.Addr, payloads [][]byte) ([][]byte, error) {
-	if len(payloads) == 0 {
-		return nil, nil
-	}
-	sa, ok := g.spd.Lookup(src, dst)
-	if !ok {
-		return nil, fmt.Errorf("%w: %v -> %v", ErrNoPolicy, src, dst)
-	}
-	return sa.SealBatch(payloads)
-}
-
-// verifyScratch is the reusable grouping state of one gateway VerifyBatch
-// call; pooled so steady-state batch verification allocates nothing beyond
-// what the caller provides. None of its slices are referenced by results.
-type verifyScratch struct {
-	spis    []uint32
-	grouped []bool
-	batch   [][]byte
-	idx     []int
-	res     []VerifyResult
-}
-
-var verifyScratchPool = sync.Pool{New: func() any { return new(verifyScratch) }}
-
-// fit readies the scratch for a burst of n packets.
-func (s *verifyScratch) fit(n int) {
-	if cap(s.spis) < n {
-		s.spis = make([]uint32, n)
-		s.grouped = make([]bool, n)
-		s.batch = make([][]byte, 0, n)
-		s.idx = make([]int, 0, n)
-		s.res = make([]VerifyResult, n)
-	}
-	s.spis = s.spis[:n]
-	s.grouped = s.grouped[:n]
-	for j := range s.grouped {
-		s.grouped[j] = false
-	}
-	s.res = s.res[:n]
-}
-
-// release clears every buffer reference — results AND the regrouped wire
-// slices — and returns the scratch to the pool, so a pooled scratch never
-// keeps a past burst's packet buffers alive.
-func (s *verifyScratch) release() {
-	for j := range s.res {
-		s.res[j] = VerifyResult{}
-	}
-	s.batch = s.batch[:cap(s.batch)]
-	for j := range s.batch {
-		s.batch[j] = nil
-	}
-	s.batch = s.batch[:0]
-	verifyScratchPool.Put(s)
-}
-
-// VerifyBatch verifies a burst of inbound packets, amortizing SAD lookups
-// and SA counter updates across the burst: packets are grouped by SPI (one
-// lookup per SA, preserving each SA's arrival order) and handed to
-// InboundSA.VerifyBatchInto. Results are positional: out[j] corresponds to
-// wires[j]. Bursts from a NIC queue typically hit a handful of SAs, so a
-// 64-packet batch costs a few lookups instead of 64. The burst's results
-// and payloads cost two allocations; VerifyBatchInto reuses caller storage
-// and allocates nothing.
-func (g *Gateway) VerifyBatch(wires [][]byte) []VerifyResult {
-	out := make([]VerifyResult, len(wires))
-	if len(wires) == 0 {
-		return out
-	}
-	g.VerifyBatchInto(out, make([]byte, 0, arenaCap(wires)), wires)
-	return out
-}
-
-// VerifyBatchInto is VerifyBatch writing results into out (len(out) must be
-// at least len(wires)) and appending delivered payloads into the arena buf,
-// which is returned; each result's Payload aliases the arena. Grouping
-// scratch is pooled, so with reused out and buf of sufficient capacity a
-// steady-state call performs zero allocations.
-func (g *Gateway) VerifyBatchInto(out []VerifyResult, buf []byte, wires [][]byte) []byte {
-	if len(wires) == 0 {
-		return buf
-	}
-	s := verifyScratchPool.Get().(*verifyScratch)
-	s.fit(len(wires))
-	for j, wire := range wires {
-		spi, err := ParseSPI(wire)
-		if err != nil {
-			out[j] = VerifyResult{Err: err}
-			s.grouped[j] = true
-			continue
-		}
-		s.spis[j] = spi
-	}
-	for j := range wires {
-		if s.grouped[j] {
-			continue
-		}
-		spi := s.spis[j]
-		s.batch, s.idx = s.batch[:0], s.idx[:0]
-		for k := j; k < len(wires); k++ {
-			if !s.grouped[k] && s.spis[k] == spi {
-				s.grouped[k] = true
-				s.batch = append(s.batch, wires[k])
-				s.idx = append(s.idx, k)
-			}
-		}
-		sa, ok := g.sad.Lookup(spi)
-		if !ok {
-			err := fmt.Errorf("%w: %#x", ErrUnknownSPI, spi)
-			for _, k := range s.idx {
-				out[k] = VerifyResult{Err: err}
-			}
-			continue
-		}
-		res := s.res[:len(s.batch)]
-		buf = sa.VerifyBatchInto(res, buf, s.batch)
-		for k, r := range res {
-			out[s.idx[k]] = r
-		}
-	}
-	s.release()
-	return buf
 }
 
 // SAD exposes the inbound database.

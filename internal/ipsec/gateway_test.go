@@ -93,7 +93,9 @@ func TestSADConcurrentStress(t *testing.T) {
 				case 3:
 					// Concurrent deletes make ErrUnknownSPI legitimate;
 					// only data races (caught by -race) and panics fail.
-					_, _, _ = d.Open(wires[spi-1])
+					if sa, ok := d.Lookup(spi); ok {
+						_, _, _ = sa.Open(wires[spi-1])
+					}
 				case 4:
 					if n := d.Len(); n < 0 || n > spis {
 						t.Errorf("Len = %d, want 0..%d", n, spis)

@@ -44,9 +44,6 @@ func TestGatewayRekeyOutboundCutover(t *testing.T) {
 	if _, err := old.Seal([]byte("stale")); !errors.Is(err, ErrDraining) {
 		t.Errorf("Seal on drained SA = %v, want ErrDraining", err)
 	}
-	if _, err := old.SealBatch([][]byte{[]byte("stale")}); !errors.Is(err, ErrDraining) {
-		t.Errorf("SealBatch on drained SA = %v, want ErrDraining", err)
-	}
 	if !old.Draining() || nu.Draining() {
 		t.Errorf("Draining: old %v new %v, want true false", old.Draining(), nu.Draining())
 	}

@@ -200,9 +200,10 @@ func (o *OutboundSA) Seal(payload []byte) ([]byte, error) {
 // SealAppend is Seal appending the wire bytes to dst instead of allocating:
 // the sealed packet is dst[len(dst):] of the returned slice. With a reused
 // dst of sufficient capacity a steady-state SealAppend performs zero
-// allocations — sequence reservation is atomic, the AES key schedule and
-// HMAC state are pooled per SA, and the wire is built in place. On error
-// dst is returned unchanged.
+// allocations — the sequence number comes from one short critical section
+// per packet (core.Sender.Next takes the sender's mutex; the receive side is
+// the wait-free one), the AES key schedule and HMAC state are pooled per SA,
+// and the wire is built in place. On error dst is returned unchanged.
 func (o *OutboundSA) SealAppend(dst []byte, payload []byte) ([]byte, error) {
 	if o.draining.Load() {
 		return dst, fmt.Errorf("%w: %#x", ErrDraining, o.spi)
@@ -224,70 +225,6 @@ func (o *OutboundSA) SealAppend(dst []byte, payload []byte) ([]byte, error) {
 	return out, nil
 }
 
-// SealBatch seals a burst of payloads, reserving all their sequence numbers
-// from the sender in one lock acquisition (core.Sender.NextN) and checking
-// the lifetime once for the whole burst. It returns the wires for the
-// sealed prefix; when fewer than len(payloads) were sealed, err reports why
-// the burst was cut short (core.ErrSaveLag backpressure truncating the
-// grant, ErrHardExpired, ErrSeqExhausted, ...). Lifetime accounting is
-// batch-granular: a burst may overshoot HardBytes by at most one burst.
-func (o *OutboundSA) SealBatch(payloads [][]byte) ([][]byte, error) {
-	if len(payloads) == 0 {
-		return nil, nil
-	}
-	if o.draining.Load() {
-		return nil, fmt.Errorf("%w: %#x", ErrDraining, o.spi)
-	}
-	var total uint64
-	for _, p := range payloads {
-		total += uint64(len(p)) + Overhead
-	}
-	if err := o.reserve(total); err != nil {
-		return nil, err
-	}
-	o.packets.Add(uint64(len(payloads) - 1)) // reserve counted one packet
-
-	first, n, err := o.seq.NextN(len(payloads))
-	if n < len(payloads) {
-		var unused uint64
-		for _, p := range payloads[n:] {
-			unused += uint64(len(p)) + Overhead
-		}
-		sub(&o.bytes, unused)
-		sub(&o.packets, uint64(len(payloads)-n))
-		if err == nil {
-			err = core.ErrSaveLag // NextN truncated the grant at the horizon
-		}
-	}
-	// One arena backs the whole burst (two allocations per batch instead of
-	// one per packet); its capacity is exact, so the per-packet appends
-	// never reallocate and the returned wires stay valid.
-	var arenaCap int
-	for _, p := range payloads[:n] {
-		arenaCap += len(p) + Overhead
-	}
-	arena := make([]byte, 0, arenaCap)
-	wires := make([][]byte, 0, n)
-	for i := 0; i < n; i++ {
-		mark := len(arena)
-		arena2, serr := o.sealSeqAppend(arena, first+uint64(i), payloads[i])
-		if serr != nil {
-			// Roll back the unsealed tail (the reserved numbers are burned,
-			// but the bytes were never sent).
-			var unused uint64
-			for _, p := range payloads[i:n] {
-				unused += uint64(len(p)) + Overhead
-			}
-			sub(&o.bytes, unused)
-			sub(&o.packets, uint64(n-i))
-			return wires, serr
-		}
-		arena = arena2
-		wires = append(wires, arena[mark:])
-	}
-	return wires, err
-}
-
 // State classifies the SA's lifetime position.
 func (o *OutboundSA) State() LifetimeState {
 	return lifetimeState(o.life, o.bytes.Load(), o.now()-o.born)
@@ -297,20 +234,6 @@ func (o *OutboundSA) State() LifetimeState {
 func (o *OutboundSA) Counters() (bytes, packets uint64) {
 	return o.bytes.Load(), o.packets.Load()
 }
-
-// VerifyResult is the outcome of verifying one inbound packet: exactly one
-// of Err != nil (the packet could not be checked: malformed, wrong SPI,
-// failed ICV, expired SA) or Verdict != 0 (the anti-replay decision;
-// Payload is non-nil only when Verdict.Delivered()).
-type VerifyResult struct {
-	Payload []byte
-	Verdict core.Verdict
-	Err     error
-}
-
-// Delivered reports whether the packet was verified, admitted, and carries
-// a payload.
-func (r VerifyResult) Delivered() bool { return r.Err == nil && r.Verdict.Delivered() }
 
 // InboundSA verifies and decapsulates one direction of traffic, admitting
 // sequence numbers through the reset-resilient receiver. Safe for
@@ -402,10 +325,8 @@ func (i *InboundSA) BeginDrain() { i.draining.Store(true) }
 func (i *InboundSA) Draining() bool { return i.draining.Load() }
 
 // verifyOneInto parses, authenticates, and admits one packet without
-// touching the SA counters (callers account singly or per batch). A
-// delivered payload is appended to dst (the result's Payload aliases the
-// returned slice); on any other outcome the returned slice has dst's
-// original length.
+// touching the SA counters. A delivered payload is appended to dst and is
+// out[len(dst):]; on any other outcome out has dst's original length.
 //
 // With ESN the 64-bit sequence number is inferred from a single edge
 // snapshot taken immediately before the ICV check. A concurrent Open can
@@ -416,13 +337,13 @@ func (i *InboundSA) Draining() bool { return i.draining.Load() }
 // yields a different number. The admission itself needs no snapshot
 // consistency: it admits the authenticated 64-bit value, which no longer
 // depends on the edge.
-func (i *InboundSA) verifyOneInto(dst []byte, wire []byte) (VerifyResult, []byte) {
+func (i *InboundSA) verifyOneInto(dst []byte, wire []byte) (out []byte, v core.Verdict, err error) {
 	if len(wire) < headerLen+icvLen {
-		return VerifyResult{Err: fmt.Errorf("%w: %d bytes", ErrShortPacket, len(wire))}, dst
+		return dst, 0, fmt.Errorf("%w: %d bytes", ErrShortPacket, len(wire))
 	}
 	spi, _ := ParseSPI(wire)
 	if spi != i.spi {
-		return VerifyResult{Err: fmt.Errorf("%w: packet SPI %#x, SA SPI %#x", ErrUnknownSPI, spi, i.spi)}, dst
+		return dst, 0, fmt.Errorf("%w: packet SPI %#x, SA SPI %#x", ErrUnknownSPI, spi, i.spi)
 	}
 	lo, _ := ParseSeqLo(wire)
 	seq64 := uint64(lo)
@@ -431,8 +352,7 @@ func (i *InboundSA) verifyOneInto(dst []byte, wire []byte) (VerifyResult, []byte
 		edge = i.replay.Edge()
 		seq64 = seqwin.InferESN(edge, lo, i.winW)
 	}
-	mark := len(dst)
-	out, err := openAppendState(i.crypto, i.spi, seq64, wire, dst)
+	out, err = openAppendState(i.crypto, i.spi, seq64, wire, dst)
 	if err != nil && i.esn {
 		if e2 := i.replay.Edge(); e2 != edge {
 			if s2 := seqwin.InferESN(e2, lo, i.winW); s2 != seq64 {
@@ -443,15 +363,14 @@ func (i *InboundSA) verifyOneInto(dst []byte, wire []byte) (VerifyResult, []byte
 		}
 	}
 	if err != nil {
-		return VerifyResult{Err: err}, dst
+		return dst, 0, err
 	}
-	verdict := i.replay.Admit(seq64)
-	if !verdict.Delivered() {
-		// Drop the decrypted bytes: the caller's arena length is restored,
-		// so rejected packets cost no arena space.
-		return VerifyResult{Verdict: verdict}, dst
+	v = i.replay.Admit(seq64)
+	if !v.Delivered() {
+		// Drop the decrypted bytes: the caller's buffer length is restored.
+		return dst, v, nil
 	}
-	return VerifyResult{Payload: out[mark:], Verdict: verdict}, out
+	return out, v, nil
 }
 
 // Open verifies wire bytes and returns the payload. The verdict reports the
@@ -461,12 +380,7 @@ func (i *InboundSA) verifyOneInto(dst []byte, wire []byte) (VerifyResult, []byte
 // then rejected by the window. Each delivered payload is freshly allocated;
 // the steady-state datapath form is OpenAppend.
 func (i *InboundSA) Open(wire []byte) ([]byte, core.Verdict, error) {
-	if i.hasLife && i.State() == LifetimeHard {
-		return nil, 0, ErrHardExpired
-	}
-	res, _ := i.verifyOneInto(nil, wire)
-	i.account(wire, res)
-	return res.Payload, res.Verdict, res.Err
+	return i.OpenAppend(nil, wire)
 }
 
 // OpenAppend is Open appending the decrypted payload to dst instead of
@@ -478,100 +392,24 @@ func (i *InboundSA) OpenAppend(dst []byte, wire []byte) (out []byte, v core.Verd
 	if i.hasLife && i.State() == LifetimeHard {
 		return dst, 0, ErrHardExpired
 	}
-	res, out := i.verifyOneInto(dst, wire)
-	i.account(wire, res)
-	return out, res.Verdict, res.Err
+	out, v, err = i.verifyOneInto(dst, wire)
+	i.account(wire, v, err)
+	return out, v, err
 }
 
 // account updates the SA counters for one verified (or rejected) packet.
-func (i *InboundSA) account(wire []byte, res VerifyResult) {
-	if res.Err != nil {
-		if isAuthErr(res.Err) {
+func (i *InboundSA) account(wire []byte, v core.Verdict, err error) {
+	if err != nil {
+		if isAuthErr(err) {
 			i.tallies.Add(tallyAuthFails, 1)
 		}
 		return
 	}
 	i.tallies.Add(tallyBytes, uint64(len(wire)))
 	i.tallies.Add(tallyPackets, 1)
-	if res.Verdict == core.VerdictDuplicate || res.Verdict == core.VerdictStale {
+	if v == core.VerdictDuplicate || v == core.VerdictStale {
 		i.tallies.Add(tallyReplays, 1)
 	}
-}
-
-// VerifyBatch verifies a burst of packets for this SA, checking the hard
-// lifetime once and folding all counter updates into one set of atomic adds
-// — the inbound analogue of SealBatch. Results are positional: out[j]
-// corresponds to wires[j]. Lifetime enforcement is batch-granular: a batch
-// admitted at its start runs to completion even if it crosses HardBytes.
-// The burst's payloads share one allocation; VerifyBatchInto reuses
-// caller-provided storage and allocates nothing.
-func (i *InboundSA) VerifyBatch(wires [][]byte) []VerifyResult {
-	out := make([]VerifyResult, len(wires))
-	if len(wires) == 0 {
-		return out
-	}
-	i.VerifyBatchInto(out, make([]byte, 0, arenaCap(wires)), wires)
-	return out
-}
-
-// arenaCap sizes a payload arena for a burst: the sum of the bursts'
-// maximum payload lengths.
-func arenaCap(wires [][]byte) int {
-	var n int
-	for _, w := range wires {
-		if len(w) > Overhead {
-			n += len(w) - Overhead
-		}
-	}
-	return n
-}
-
-// VerifyBatchInto is VerifyBatch writing results into out (len(out) must be
-// at least len(wires); extra entries are untouched) and appending delivered
-// payloads into the arena buf, which is returned. Each result's Payload
-// aliases the arena. With reused out and buf of sufficient capacity a
-// steady-state VerifyBatchInto performs zero allocations.
-func (i *InboundSA) VerifyBatchInto(out []VerifyResult, buf []byte, wires [][]byte) []byte {
-	if len(wires) == 0 {
-		return buf
-	}
-	if i.hasLife && i.State() == LifetimeHard {
-		for j := range wires {
-			out[j] = VerifyResult{Err: ErrHardExpired}
-		}
-		return buf
-	}
-	var bytes, packets, authFails, replays uint64
-	for j, wire := range wires {
-		res, buf2 := i.verifyOneInto(buf, wire)
-		buf = buf2
-		out[j] = res
-		switch {
-		case res.Err != nil:
-			if isAuthErr(res.Err) {
-				authFails++
-			}
-		default:
-			bytes += uint64(len(wire))
-			packets++
-			if res.Verdict == core.VerdictDuplicate || res.Verdict == core.VerdictStale {
-				replays++
-			}
-		}
-	}
-	if bytes > 0 {
-		i.tallies.Add(tallyBytes, bytes)
-	}
-	if packets > 0 {
-		i.tallies.Add(tallyPackets, packets)
-	}
-	if authFails > 0 {
-		i.tallies.Add(tallyAuthFails, authFails)
-	}
-	if replays > 0 {
-		i.tallies.Add(tallyReplays, replays)
-	}
-	return buf
 }
 
 // State classifies the SA's lifetime position.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net/netip"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -16,9 +17,9 @@ import (
 	"antireplay/internal/watchdog"
 )
 
-// batchGateway builds a gateway over a fresh journal with the given config;
-// the journal is closed by test cleanup after the gateway.
-func batchGateway(t *testing.T, cfg GatewayConfig) *Gateway {
+// datapathGateway builds a gateway over a fresh journal with the given
+// config; the journal is closed by test cleanup after the gateway.
+func datapathGateway(t *testing.T, cfg GatewayConfig) *Gateway {
 	t.Helper()
 	j, err := store.OpenLanes(filepath.Join(t.TempDir(), "gw.journal"), store.LanesCount(1))
 	if err != nil {
@@ -83,12 +84,9 @@ func TestSealSeqExhausted(t *testing.T) {
 	if sealed == 0 || sealed >= 50 {
 		t.Fatalf("sealed %d packets, want the boundary inside (0, 50)", sealed)
 	}
-	// The SA stays dead: every further Seal (and SealBatch) fails.
+	// The SA stays dead: every further Seal fails.
 	if _, err := out.Seal([]byte("p")); !errors.Is(err, ErrSeqExhausted) {
 		t.Errorf("Seal after exhaustion = %v, want ErrSeqExhausted", err)
-	}
-	if _, err := out.SealBatch([][]byte{[]byte("p")}); !errors.Is(err, ErrSeqExhausted) {
-		t.Errorf("SealBatch after exhaustion = %v, want ErrSeqExhausted", err)
 	}
 	// An ESN SA over the same region sails through: the wire half may wrap
 	// because the authenticated 64-bit number does not.
@@ -157,34 +155,32 @@ func TestSealConcurrentHardBytes(t *testing.T) {
 	}
 }
 
-// TestSealBatchRoundTrip seals a burst with SealBatch and verifies it with
-// VerifyBatch, checking positional results and payload integrity.
-func TestSealBatchRoundTrip(t *testing.T) {
+// TestSealAppendRoundTripCounters seals 32 packets into one reused buffer and
+// opens each twice into another: every first Open delivers its payload,
+// every second is a replay, and both SAs' counters say so.
+func TestSealAppendRoundTripCounters(t *testing.T) {
 	out, in := newPair(t, true, false)
-	payloads := make([][]byte, 32)
-	for i := range payloads {
-		payloads[i] = []byte(fmt.Sprintf("batch payload %02d", i))
-	}
-	wires, err := out.SealBatch(payloads)
-	if err != nil {
-		t.Fatalf("SealBatch: %v", err)
-	}
-	if len(wires) != len(payloads) {
-		t.Fatalf("sealed %d of %d", len(wires), len(payloads))
-	}
-	results := in.VerifyBatch(wires)
-	for j, res := range results {
-		if !res.Delivered() {
-			t.Fatalf("result %d: verdict=%v err=%v", j, res.Verdict, res.Err)
+	var wires [][]byte
+	var wantBytes uint64
+	wbuf, pbuf := make([]byte, 0, 128), make([]byte, 0, 128)
+	for i := 0; i < 32; i++ {
+		payload := []byte(fmt.Sprintf("payload %02d", i))
+		var err error
+		if wbuf, err = out.SealAppend(wbuf[:0], payload); err != nil {
+			t.Fatalf("SealAppend %d: %v", i, err)
 		}
-		if !bytes.Equal(res.Payload, payloads[j]) {
-			t.Fatalf("result %d: payload %q, want %q", j, res.Payload, payloads[j])
+		wantBytes += uint64(len(payload)) + Overhead
+		wires = append(wires, bytes.Clone(wbuf))
+		got, v, err := in.OpenAppend(pbuf[:0], wbuf)
+		if err != nil || !v.Delivered() || !bytes.Equal(got, payload) {
+			t.Fatalf("OpenAppend %d = (%q, %v, %v), want %q delivered", i, got, v, err, payload)
 		}
 	}
-	// Replaying the whole batch yields only discards, counted as replays.
-	for j, res := range in.VerifyBatch(wires) {
-		if res.Err != nil || res.Verdict.Delivered() {
-			t.Fatalf("replayed result %d delivered: verdict=%v err=%v", j, res.Verdict, res.Err)
+	// Replaying the whole stream yields only discards, counted as replays.
+	for j, wire := range wires {
+		got, v, err := in.OpenAppend(pbuf[:0], wire)
+		if err != nil || v.Delivered() || len(got) != 0 {
+			t.Fatalf("replay %d = (%q, %v, %v), want an empty discard", j, got, v, err)
 		}
 	}
 	_, packets, _, replays := in.Counters()
@@ -195,22 +191,19 @@ func TestSealBatchRoundTrip(t *testing.T) {
 	if po != 32 {
 		t.Errorf("outbound packets = %d, want 32", po)
 	}
-	var want uint64
-	for _, p := range payloads {
-		want += uint64(len(p)) + Overhead
-	}
-	if bo != want {
-		t.Errorf("outbound bytes = %d, want %d", bo, want)
+	if bo != wantBytes {
+		t.Errorf("outbound bytes = %d, want %d", bo, wantBytes)
 	}
 }
 
-// TestSealBatchHorizonTruncation: under StrictHorizon with saves stuck, a
-// burst is cut at the durable horizon with core.ErrSaveLag, and the counters
-// roll back to the packets actually sealed.
-func TestSealBatchHorizonTruncation(t *testing.T) {
+// TestSealAppendHorizonBackpressure: under StrictHorizon with saves stuck,
+// seals stop at the durable horizon with core.ErrSaveLag, the refused seal
+// leaves the counters at the packets actually sealed, and the save landing
+// lets the next one through.
+func TestSealAppendHorizonBackpressure(t *testing.T) {
 	var m store.Mem
-	blocked := &core.HeldSaver{} // never committed: it pins the durable horizon
-	snd, err := core.NewSender(core.SenderConfig{K: 10, Store: &m, Saver: blocked, StrictHorizon: true})
+	held := &core.HeldSaver{Store: &m} // pins the durable horizon until Commit
+	snd, err := core.NewSender(core.SenderConfig{K: 10, Store: &m, Saver: held, StrictHorizon: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,27 +211,30 @@ func TestSealBatchHorizonTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payloads := make([][]byte, 100)
-	for i := range payloads {
-		payloads[i] = []byte("x")
+	buf := make([]byte, 0, 64)
+	for i := 0; i < 20; i++ { // horizon = committed(1) + 2K(20), seq starts at 1
+		if buf, err = out.SealAppend(buf[:0], []byte("x")); err != nil {
+			t.Fatalf("SealAppend %d below the horizon: %v", i, err)
+		}
 	}
-	wires, err := out.SealBatch(payloads)
-	if !errors.Is(err, core.ErrSaveLag) {
-		t.Fatalf("SealBatch err = %v, want ErrSaveLag", err)
-	}
-	if len(wires) != 20 { // horizon = committed(1) + 2K(20), seq starts at 1
-		t.Fatalf("sealed %d, want 20 (horizon truncation)", len(wires))
+	if buf, err = out.SealAppend(buf[:0], []byte("x")); !errors.Is(err, core.ErrSaveLag) || len(buf) != 0 {
+		t.Fatalf("SealAppend at the horizon = (%d bytes, %v), want (0, ErrSaveLag)", len(buf), err)
 	}
 	b, p := out.Counters()
 	if p != 20 || b != 20*(1+Overhead) {
-		t.Errorf("counters after truncation: bytes=%d packets=%d, want %d/20", b, p, 20*(1+Overhead))
+		t.Errorf("counters after the refused seal: bytes=%d packets=%d, want %d/20", b, p, 20*(1+Overhead))
+	}
+	held.Commit()
+	if _, err = out.SealAppend(buf[:0], []byte("x")); err != nil {
+		t.Errorf("SealAppend after the save landed: %v", err)
 	}
 }
 
-// TestGatewayBatchRoundTrip drives SealBatch/VerifyBatch through a Gateway
-// with several SAs, interleaving SPIs and invalid packets in one burst.
-func TestGatewayBatchRoundTrip(t *testing.T) {
-	g := batchGateway(t, GatewayConfig{K: 25, W: 64})
+// TestGatewayOpenAppendMixedSPIs interleaves three SAs' packets through one
+// pair of reused buffers, then an unknown SPI and a short packet: each
+// packet reaches its own SA, and a refused one leaves the buffer empty.
+func TestGatewayOpenAppendMixedSPIs(t *testing.T) {
+	g := datapathGateway(t, GatewayConfig{K: 25, W: 64})
 	const nSAs = 3
 	for i := 0; i < nSAs; i++ {
 		spi := uint32(0x6000 + i)
@@ -249,53 +245,46 @@ func TestGatewayBatchRoundTrip(t *testing.T) {
 			t.Fatalf("AddInbound: %v", err)
 		}
 	}
-	// Seal one burst per SA, then interleave all bursts into one big batch.
-	var wires [][]byte
-	var wantPayload [][]byte
+	wbuf, pbuf := make([]byte, 0, 128), make([]byte, 0, 128)
 	for p := 0; p < 8; p++ {
 		for i := 0; i < nSAs; i++ {
 			payload := []byte(fmt.Sprintf("sa%d pkt%d", i, p))
 			src, dst := gwAddr(i)
-			burst, err := g.SealBatch(src, dst, [][]byte{payload})
-			if err != nil {
-				t.Fatalf("SealBatch sa%d: %v", i, err)
+			var err error
+			if wbuf, err = g.SealAppend(wbuf[:0], src, dst, payload); err != nil {
+				t.Fatalf("SealAppend sa%d: %v", i, err)
 			}
-			wires = append(wires, burst[0])
-			wantPayload = append(wantPayload, payload)
+			if spi, _ := ParseSPI(wbuf); spi != uint32(0x6000+i) {
+				t.Fatalf("sa%d sealed under SPI %#x", i, spi)
+			}
+			got, v, err := g.OpenAppend(pbuf[:0], wbuf)
+			if err != nil || !v.Delivered() || !bytes.Equal(got, payload) {
+				t.Fatalf("OpenAppend sa%d pkt%d = (%q, %v, %v), want %q delivered", i, p, got, v, err, payload)
+			}
 		}
 	}
-	// Splice in a packet for an unknown SPI and a short packet.
-	unknown := append([]byte(nil), wires[0]...)
+	unknown := bytes.Clone(wbuf)
 	unknown[3] ^= 0x77
-	wires = append(wires, unknown, []byte("tiny"))
-	wantPayload = append(wantPayload, nil, nil)
-
-	results := g.VerifyBatch(wires)
-	if len(results) != len(wires) {
-		t.Fatalf("got %d results for %d wires", len(results), len(wires))
+	if got, _, err := g.OpenAppend(pbuf[:0], unknown); !errors.Is(err, ErrUnknownSPI) || len(got) != 0 {
+		t.Errorf("unknown SPI = (%d bytes, %v), want (0, ErrUnknownSPI)", len(got), err)
 	}
-	for j, res := range results[:len(results)-2] {
-		if !res.Delivered() {
-			t.Fatalf("result %d: verdict=%v err=%v", j, res.Verdict, res.Err)
-		}
-		if !bytes.Equal(res.Payload, wantPayload[j]) {
-			t.Fatalf("result %d: payload %q, want %q", j, res.Payload, wantPayload[j])
-		}
+	if got, _, err := g.OpenAppend(pbuf[:0], []byte("tiny")); !errors.Is(err, ErrShortPacket) || len(got) != 0 {
+		t.Errorf("short packet = (%d bytes, %v), want (0, ErrShortPacket)", len(got), err)
 	}
-	if err := results[len(results)-2].Err; !errors.Is(err, ErrUnknownSPI) {
-		t.Errorf("unknown-SPI result err = %v, want ErrUnknownSPI", err)
+	if payload, _, err := g.Open([]byte("tiny")); !errors.Is(err, ErrShortPacket) || payload != nil {
+		t.Errorf("Open(short) = (%v, %v), want (nil, ErrShortPacket)", payload, err)
 	}
-	if err := results[len(results)-1].Err; !errors.Is(err, ErrShortPacket) {
-		t.Errorf("short-packet result err = %v, want ErrShortPacket", err)
+	if wire, err := g.Seal(netip.Addr{}, netip.Addr{}, []byte("x")); !errors.Is(err, ErrNoPolicy) || wire != nil {
+		t.Errorf("Seal(no policy) = (%v, %v), want (nil, ErrNoPolicy)", wire, err)
 	}
 }
 
-// TestGatewayBatchConcurrent stress-tests the batched gateway datapath
-// under -race: concurrent sealers and verifiers over multiple SAs, with
-// exactly-once delivery across the whole run.
-func TestGatewayBatchConcurrent(t *testing.T) {
+// TestGatewayConcurrentExactlyOnce stress-tests the gateway datapath under
+// -race: concurrent sealers over multiple SAs, every sealed wire opened by
+// two goroutines at once, exactly-once delivery across the whole run.
+func TestGatewayConcurrentExactlyOnce(t *testing.T) {
 	watchdog.Arm(t, 10*time.Second)
-	g := batchGateway(t, GatewayConfig{K: 1024, W: 1024}) // 2K above every SA's 640 packets: the horizon never truncates a burst
+	g := datapathGateway(t, GatewayConfig{K: 1024, W: 1024}) // 2K above every SA's 640 packets: no seal meets the horizon
 	const (
 		nSAs    = 4
 		bursts  = 40
@@ -317,36 +306,38 @@ func TestGatewayBatchConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
+			wires := make([][]byte, perB)
 			for b := 0; b < bursts; b++ {
-				sa := (s + b) % nSAs
-				payloads := make([][]byte, perB)
-				for p := range payloads {
-					payloads[p] = []byte(fmt.Sprintf("s%d b%d p%d", s, b, p))
+				src, dst := gwAddr((s + b) % nSAs)
+				for p := range wires {
+					var err error
+					wires[p], err = g.SealAppend(wires[p][:0], src, dst, []byte(fmt.Sprintf("s%d b%d p%d", s, b, p)))
+					if err != nil {
+						t.Errorf("SealAppend: %v", err)
+						return
+					}
 				}
-				src, dst := gwAddr(sa)
-				wires, err := g.SealBatch(src, dst, payloads)
-				if err != nil {
-					t.Errorf("SealBatch: %v", err)
-					return
-				}
-				// Verify the burst twice concurrently: every payload must be
-				// delivered exactly once across both verifications.
+				// Open the burst twice concurrently: every payload must be
+				// delivered exactly once across both passes.
 				var inner sync.WaitGroup
 				for v := 0; v < 2; v++ {
 					inner.Add(1)
 					go func() {
 						defer inner.Done()
-						for _, res := range g.VerifyBatch(wires) {
-							if res.Err != nil {
-								t.Errorf("VerifyBatch: %v", res.Err)
+						var buf []byte
+						for _, wire := range wires {
+							payload, verdict, err := g.OpenAppend(buf[:0], wire)
+							if err != nil {
+								t.Errorf("OpenAppend: %v", err)
 								return
 							}
-							if res.Delivered() {
-								if _, dup := delivered.LoadOrStore(string(res.Payload), struct{}{}); dup {
-									t.Errorf("payload %q delivered twice", res.Payload)
+							if verdict.Delivered() {
+								if _, dup := delivered.LoadOrStore(string(payload), struct{}{}); dup {
+									t.Errorf("payload %q delivered twice", payload)
 									return
 								}
 							}
+							buf = payload
 						}
 					}()
 				}

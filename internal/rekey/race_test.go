@@ -13,7 +13,7 @@ import (
 )
 
 // TestRekeyDuringResetStress is the -race stress test for the full
-// composition: concurrent SealBatch/VerifyBatch traffic across a gateway
+// composition: concurrent SealAppend/OpenAppend traffic across a gateway
 // pair while the orchestrator rolls the tunnel over on soft-lifetime expiry
 // and the receiver gateway is crashed both mid-exchange and at random.
 //
@@ -62,52 +62,51 @@ func TestRekeyDuringResetStress(t *testing.T) {
 		history   [][]byte
 		doubles   atomic.Uint64
 	)
-	record := func(wires [][]byte, results []ipsec.VerifyResult) {
+	// submit opens wire at B once, into buf, and enters it in the ledger.
+	// Every wire is sealed into its own buffer: history keeps it.
+	submit := func(buf, wire []byte) []byte {
+		out, v, err := B.OpenAppend(buf[:0], wire)
 		mu.Lock()
 		defer mu.Unlock()
-		for i, res := range results {
-			history = append(history, wires[i])
-			if res.Delivered() {
-				delivered[string(wires[i])]++
-				if delivered[string(wires[i])] > 1 {
-					doubles.Add(1)
-				}
+		history = append(history, wire)
+		if err == nil && v.Delivered() {
+			delivered[string(wire)]++
+			if delivered[string(wire)] > 1 {
+				doubles.Add(1)
 			}
 		}
+		return out
 	}
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
-	// Traffic: sealers batch-seal and immediately batch-verify their own
-	// wires, so every sealed wire is submitted exactly once.
+	// Traffic: sealers seal and immediately open their own wires, so every
+	// sealed wire is submitted exactly once.
 	const sealers = 4
 	payload := make([]byte, 512)
 	for s := 0; s < sealers; s++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			batch := make([][]byte, 8)
-			for i := range batch {
-				batch[i] = payload
-			}
+			var buf []byte
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				wires, err := A.SealBatch(addrA, addrB, batch)
-				if err != nil && !errors.Is(err, core.ErrSaveLag) &&
-					!errors.Is(err, ipsec.ErrDraining) && !errors.Is(err, core.ErrWaking) {
-					t.Errorf("SealBatch: %v", err)
-					return
-				}
-				if len(wires) == 0 {
+				wire, err := A.SealAppend(nil, addrA, addrB, payload)
+				if err != nil {
+					if !errors.Is(err, core.ErrSaveLag) &&
+						!errors.Is(err, ipsec.ErrDraining) && !errors.Is(err, core.ErrWaking) {
+						t.Errorf("SealAppend: %v", err)
+						return
+					}
 					time.Sleep(50 * time.Microsecond)
 					continue
 				}
-				record(wires, B.VerifyBatch(wires))
+				buf = submit(buf, wire)
 			}
 		}()
 	}
@@ -160,10 +159,10 @@ func TestRekeyDuringResetStress(t *testing.T) {
 		o.Poll() //nolint:errcheck
 		time.Sleep(time.Millisecond)
 	}
-	for i := 0; i < 4; i++ { // flush > 2K sacrificial packets
-		wires, err := A.SealBatch(addrA, addrB, [][]byte{payload, payload, payload, payload})
-		if err == nil {
-			record(wires, B.VerifyBatch(wires))
+	var buf []byte
+	for i := 0; i < 16; i++ { // flush > 2K sacrificial packets
+		if wire, err := A.SealAppend(nil, addrA, addrB, payload); err == nil {
+			buf = submit(buf, wire)
 		}
 	}
 
@@ -184,46 +183,43 @@ func TestRekeyDuringResetStress(t *testing.T) {
 	replaySet := history
 	mu.Unlock()
 	replays := 0
-	for start := 0; start < len(replaySet); start += 64 {
-		end := min(start+64, len(replaySet))
-		batch := replaySet[start:end]
-		results := B.VerifyBatch(batch)
-		mu.Lock()
-		for i, res := range results {
-			if !res.Delivered() {
-				continue
-			}
-			if delivered[string(batch[i])] > 0 {
-				replays++
-			}
-			delivered[string(batch[i])]++
+	for _, wire := range replaySet {
+		out, v, err := B.OpenAppend(buf[:0], wire)
+		buf = out
+		if err != nil || !v.Delivered() {
+			continue
 		}
+		mu.Lock()
+		if delivered[string(wire)] > 0 {
+			replays++
+		}
+		delivered[string(wire)]++
 		mu.Unlock()
 	}
 	if replays != 0 {
 		t.Fatalf("%d replay acceptances after convergence, want 0", replays)
 	}
 
-	// Zero legitimate rejections after convergence: fresh bursts deliver
+	// Zero legitimate rejections after convergence: fresh packets deliver
 	// completely (horizon verdicts are retried as a retransmission would
 	// be).
-	for round := 0; round < 8; round++ {
-		wires, err := A.SealBatch(addrA, addrB, [][]byte{payload, payload})
+	for i := 0; i < 16; i++ {
+		wire, err := A.SealAppend(nil, addrA, addrB, payload)
 		if errors.Is(err, core.ErrSaveLag) {
 			time.Sleep(100 * time.Microsecond)
 			continue
 		}
 		if err != nil {
-			t.Fatalf("post-convergence SealBatch: %v", err)
+			t.Fatalf("post-convergence SealAppend: %v", err)
 		}
-		for i, res := range B.VerifyBatch(wires) {
-			for attempt := 0; res.Verdict == core.VerdictHorizon && attempt < 10000; attempt++ {
-				time.Sleep(20 * time.Microsecond)
-				res = B.VerifyBatch(wires[i : i+1])[0]
-			}
-			if res.Err != nil || !res.Verdict.Delivered() {
-				t.Fatalf("post-convergence packet rejected: (%v, %v)", res.Verdict, res.Err)
-			}
+		out, v, err := B.OpenAppend(buf[:0], wire)
+		for attempt := 0; v == core.VerdictHorizon && attempt < 10000; attempt++ {
+			time.Sleep(20 * time.Microsecond)
+			out, v, err = B.OpenAppend(buf[:0], wire)
+		}
+		buf = out
+		if err != nil || !v.Delivered() {
+			t.Fatalf("post-convergence packet rejected: (%v, %v)", v, err)
 		}
 	}
 }

@@ -86,24 +86,6 @@ func (s *Sample) Max() float64 {
 	return m
 }
 
-// Var returns the unbiased sample variance (n-1 denominator); 0 when n < 2.
-func (s *Sample) Var() float64 {
-	n := len(s.xs)
-	if n < 2 {
-		return 0
-	}
-	mean := s.Mean()
-	var ss float64
-	for _, x := range s.xs {
-		d := x - mean
-		ss += d * d
-	}
-	return ss / float64(n-1)
-}
-
-// Std returns the sample standard deviation.
-func (s *Sample) Std() float64 { return math.Sqrt(s.Var()) }
-
 // Percentile returns the p-th percentile (0 <= p <= 100) using linear
 // interpolation between closest ranks. It returns 0 for an empty sample.
 func (s *Sample) Percentile(p float64) float64 {
@@ -144,8 +126,8 @@ func (s *Sample) Values() []float64 {
 
 // String summarizes the sample.
 func (s *Sample) String() string {
-	return fmt.Sprintf("n=%d min=%g mean=%g max=%g std=%g",
-		s.Len(), s.Min(), s.Mean(), s.Max(), s.Std())
+	return fmt.Sprintf("n=%d min=%g mean=%g max=%g",
+		s.Len(), s.Min(), s.Mean(), s.Max())
 }
 
 // Fit is the result of a least-squares linear regression y = Slope*x +

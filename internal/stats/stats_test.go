@@ -32,28 +32,11 @@ func TestSampleBasics(t *testing.T) {
 
 func TestSampleEmpty(t *testing.T) {
 	var s Sample
-	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 || s.Std() != 0 {
+	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 {
 		t.Error("empty sample should report zeros")
 	}
 	if s.Percentile(50) != 0 {
 		t.Error("empty percentile should be 0")
-	}
-}
-
-func TestSampleVariance(t *testing.T) {
-	var s Sample
-	s.Add(2, 4, 4, 4, 5, 5, 7, 9)
-	// population variance is 4; unbiased (n-1) variance is 32/7.
-	if got, want := s.Var(), 32.0/7.0; !almostEqual(got, want, 1e-12) {
-		t.Errorf("Var = %g, want %g", got, want)
-	}
-}
-
-func TestSampleSingleValueVariance(t *testing.T) {
-	var s Sample
-	s.Add(42)
-	if s.Var() != 0 {
-		t.Errorf("Var of single value = %g, want 0", s.Var())
 	}
 }
 
