@@ -27,8 +27,6 @@ type (
 	State = core.State
 	// BackgroundSaver executes asynchronous SAVEs.
 	BackgroundSaver = core.BackgroundSaver
-	// SyncSaver is a BackgroundSaver that saves synchronously.
-	SyncSaver = core.SyncSaver
 	// Window is the anti-replay window abstraction.
 	Window = seqwin.Window
 	// WindowDecision is a window's verdict for a sequence number.
@@ -92,9 +90,6 @@ func Leap(k uint64, factor float64) uint64 { return core.Leap(k, factor) }
 // measured save latency of your Store and your peak message rate.
 func SizeK(tSave, tSend time.Duration) uint64 { return core.SizeK(tSave, tSend) }
 
-// NewBitmapWindow returns an RFC 6479-style anti-replay window of width w.
-func NewBitmapWindow(w int) Window { return seqwin.NewBitmap(w) }
-
 // NewAtomicWindow returns a concurrency-safe anti-replay window of width w
 // (Linux-xfrm/WireGuard style: CAS edge advances, atomic bit-sets), for use
 // on its own. A Receiver builds one itself when ReceiverConfig.Window is nil
@@ -102,11 +97,3 @@ func NewBitmapWindow(w int) Window { return seqwin.NewBitmap(w) }
 // passed in through ReceiverConfig.Window, this one included, is driven
 // under the receiver's mutex.
 func NewAtomicWindow(w int) Window { return seqwin.NewAtomic(w) }
-
-// NewPaperWindow returns the paper's boolean-array window of width w
-// (identical behaviour, transliterated from the §2 specification).
-func NewPaperWindow(w int) Window { return seqwin.NewBool(w) }
-
-// InferESN reconstructs a 64-bit extended sequence number from a 32-bit
-// wire value, RFC 4303 Appendix A style.
-func InferESN(edge uint64, lo uint32, w int) uint64 { return seqwin.InferESN(edge, lo, w) }

@@ -31,10 +31,6 @@ type (
 	InboundSnapshot = ipsec.InboundSnapshot
 )
 
-// ClusterEpochKey is the journal key of the cluster epoch — the monotone
-// fencing counter every takeover durably bumps.
-const ClusterEpochKey = cluster.EpochKey
-
 // Cluster and replication errors.
 var (
 	// ErrFenced reports a write to a journal fenced off by a promotion, or

@@ -2,7 +2,6 @@ package antireplay
 
 import (
 	"fmt"
-	"time"
 
 	"antireplay/internal/core"
 	"antireplay/internal/ipsec"
@@ -40,9 +39,6 @@ type (
 	GatewayConfig = ipsec.GatewayConfig
 )
 
-// DefaultGatewayK is the SAVE interval a Gateway uses when none is given.
-const DefaultGatewayK = ipsec.DefaultGatewayK
-
 // Journal errors.
 var (
 	// ErrBadKey reports an empty or over-long journal key.
@@ -51,11 +47,6 @@ var (
 	// process (a Gateway claims its SAs' cells; see ErrDuplicateSPI).
 	ErrCellClaimed = store.ErrCellClaimed
 )
-
-// RecoveryDropped returns the process-wide count of corrupt mid-log regions
-// dropped during journal recovery — the loud replacement for silently
-// truncating at the first bad frame.
-func RecoveryDropped() uint64 { return store.RecoveryDropped() }
 
 // NewLanes opens (or creates) the journal medium rooted at dir: N commit
 // lanes, each its own group-committed journal file, fsyncing and recovering
@@ -70,24 +61,6 @@ func NewLanes(dir string, opts ...LanesOption) (*Lanes, error) {
 // up to 1024; default 64, matching the SAD's stripes; 1 is the
 // single-journal form).
 func LanesCount(n int) LanesOption { return store.LanesCount(n) }
-
-// LanesWithoutSync disables every fsync in the medium (measurement only; a
-// power loss may lose recent saves).
-func LanesWithoutSync() LanesOption { return store.LanesWithoutSync() }
-
-// LanesCompactAt sets the log size in bytes at which a lane compacts to one
-// record per key; <= 0 disables compaction.
-func LanesCompactAt(n int64) LanesOption { return store.LanesCompactAt(n) }
-
-// LanesBatchDelay makes each lane's group-commit syncer linger for d before
-// its fsync so more concurrent SAVEs share it; durability is unchanged, save
-// latency grows by up to d.
-func LanesBatchDelay(d time.Duration) LanesOption { return store.LanesBatchDelay(d) }
-
-// LanesTailBuffer sets each lane's retained-record window for replication
-// tails (default 4096 records); a follower that falls behind it
-// resynchronizes by snapshot.
-func LanesTailBuffer(n int) LanesOption { return store.LanesTailBuffer(n) }
 
 // LanesStrictRecovery refuses (ErrCorrupt) to open a lane whose first bad
 // frame is followed by valid records, instead of dropping the damaged
@@ -166,9 +139,6 @@ func awaitWake(wakeNotify func(done func(error))) error {
 // NewGateway builds a multi-SA gateway over a shared journal and pool; see
 // ipsec.GatewayConfig for the knobs.
 func NewGateway(cfg GatewayConfig) (*Gateway, error) { return ipsec.NewGateway(cfg) }
-
-// OutboundKey is the journal key a Gateway uses for an outbound SA.
-func OutboundKey(spi uint32) string { return ipsec.OutboundKey(spi) }
 
 // InboundKey is the journal key a Gateway uses for an inbound SA.
 func InboundKey(spi uint32) string { return ipsec.InboundKey(spi) }

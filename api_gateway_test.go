@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"antireplay"
+	"antireplay/internal/store"
+	"antireplay/internal/storefault"
 )
 
 // TestJournalSenderReceiverRoundTrip drives the public journal-backed
@@ -112,18 +114,18 @@ func TestJournalConstructorsReturnUpOrError(t *testing.T) {
 		}
 
 		t.Run(name+"/disk fails at wake", func(t *testing.T) {
-			in := antireplay.NewFaultInjector(nil)
-			j, pool := usedJournal(t, antireplay.LanesWithFS(in))
-			in.Arm(antireplay.Fault{Op: antireplay.FaultSync})
+			in := storefault.NewInjector(nil)
+			j, pool := usedJournal(t, store.LanesWithFS(in))
+			in.Arm(storefault.Fault{Op: storefault.OpSync})
 			for i := 0; i < 2; i++ {
 				// The second round is the claim check: a failed
 				// constructor must have released the key.
 				snd, err := antireplay.NewJournalSender(j, "tx", k, pool)
-				if !errors.Is(err, antireplay.ErrInjected) || errors.Is(err, antireplay.ErrCellClaimed) || snd != nil {
+				if !errors.Is(err, store.ErrInjected) || errors.Is(err, antireplay.ErrCellClaimed) || snd != nil {
 					t.Fatalf("NewJournalSender #%d over a failing disk: sender = %v, err = %v; want none and the injected error", i+1, snd != nil, err)
 				}
 				rcv, err := antireplay.NewJournalReceiver(j, "rx", k, 64, pool)
-				if !errors.Is(err, antireplay.ErrInjected) || errors.Is(err, antireplay.ErrCellClaimed) || rcv != nil {
+				if !errors.Is(err, store.ErrInjected) || errors.Is(err, antireplay.ErrCellClaimed) || rcv != nil {
 					t.Fatalf("NewJournalReceiver #%d over a failing disk: receiver = %v, err = %v; want none and the injected error", i+1, rcv != nil, err)
 				}
 			}
@@ -192,11 +194,12 @@ func TestLanesRefusesOldCounterFile(t *testing.T) {
 // cell, through the public constructors only.
 func TestJournalRecoveryPublic(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "gw.journal")
-	j, err := antireplay.NewLanes(path, antireplay.LanesCount(1), antireplay.LanesCompactAt(1<<16))
+	const key = "tx/00000042" // the SA-shaped key a Gateway gives outbound SPI 0x42
+	j, err := antireplay.NewLanes(path, antireplay.LanesCount(1))
 	if err != nil {
 		t.Fatalf("NewLanes: %v", err)
 	}
-	snd, err := antireplay.NewJournalSender(j, antireplay.OutboundKey(0x42), 5, nil)
+	snd, err := antireplay.NewJournalSender(j, key, 5, nil)
 	if err != nil {
 		t.Fatalf("NewJournalSender: %v", err)
 	}
@@ -214,7 +217,7 @@ func TestJournalRecoveryPublic(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer j2.Close()
-	v, ok, err := j2.Cell(antireplay.OutboundKey(0x42)).Fetch()
+	v, ok, err := j2.Cell(key).Fetch()
 	if err != nil || !ok {
 		t.Fatalf("Fetch after reopen = (ok=%v, err=%v)", ok, err)
 	}

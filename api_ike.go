@@ -14,10 +14,6 @@ type (
 	IKEConfig = ike.Config
 	// IKEGroup is a finite-field Diffie-Hellman group.
 	IKEGroup = ike.Group
-	// IKEInitiator drives the initiator side of a handshake.
-	IKEInitiator = ike.Initiator
-	// IKEResponder drives the responder side of a handshake.
-	IKEResponder = ike.Responder
 	// IKEStats accumulates handshake costs.
 	IKEStats = ike.Stats
 	// ChildKeys is the ESP keying a handshake produces.
@@ -39,9 +35,6 @@ var (
 func EstablishSA(initCfg, respCfg IKEConfig) (EstablishResult, error) {
 	return ike.Establish(initCfg, respCfg)
 }
-
-// Group14 returns the RFC 3526 2048-bit MODP group.
-func Group14() *IKEGroup { return ike.Group14() }
 
 // Dead-peer-detection types (§6), re-exported from the implementation.
 type (

@@ -81,11 +81,5 @@ func NewInboundSA(spi uint32, keys KeyMaterial, receiver *core.Receiver, esn boo
 	return ipsec.NewInboundSA(spi, keys, receiver, esn, life, clock)
 }
 
-// NewSAD returns an empty security association database.
-func NewSAD() *SAD { return ipsec.NewSAD() }
-
-// NewSPD returns an empty security policy database.
-func NewSPD() *SPD { return ipsec.NewSPD() }
-
 // ParseSPI extracts the SPI from wire bytes.
 func ParseSPI(wire []byte) (uint32, error) { return ipsec.ParseSPI(wire) }

@@ -21,13 +21,6 @@ type (
 	RekeyStats = rekey.Stats
 	// RekeyState is a tunnel's rollover lifecycle state.
 	RekeyState = rekey.State
-	// IKERekeyInitiator drives the initiating side of a CREATE_CHILD_SA-
-	// style rekey exchange, transcript-bound to the SA pair it replaces.
-	IKERekeyInitiator = ike.RekeyInitiator
-	// IKERekeyResponder drives the responding side of a rekey exchange.
-	IKERekeyResponder = ike.RekeyResponder
-	// IKERekeyResult summarizes a completed in-memory rekey exchange.
-	IKERekeyResult = ike.RekeyResult
 )
 
 // Tunnel rollover states.
@@ -35,9 +28,6 @@ const (
 	RekeySteady   = rekey.StateSteady
 	RekeyDraining = rekey.StateDraining
 )
-
-// DefaultRekeyMaxAttempts bounds exchange retries per rollover trigger.
-const DefaultRekeyMaxAttempts = rekey.DefaultMaxAttempts
 
 // Rekey errors.
 var (
@@ -57,23 +47,4 @@ var (
 // configurations, grace window, retry budget, clock).
 func NewRekeyOrchestrator(cfg RekeyConfig) (*RekeyOrchestrator, error) {
 	return rekey.New(cfg)
-}
-
-// NewIKERekeyInitiator returns an initiator that will roll over the child
-// SA pair (oldIR, oldRI).
-func NewIKERekeyInitiator(cfg IKEConfig, oldIR, oldRI uint32) (*IKERekeyInitiator, error) {
-	return ike.NewRekeyInitiator(cfg, oldIR, oldRI)
-}
-
-// NewIKERekeyResponder returns a responder that only completes a rekey of
-// the child SA pair (oldIR, oldRI).
-func NewIKERekeyResponder(cfg IKEConfig, oldIR, oldRI uint32) (*IKERekeyResponder, error) {
-	return ike.NewRekeyResponder(cfg, oldIR, oldRI)
-}
-
-// RekeyChildSA runs the complete one-round-trip rekey exchange in memory
-// for the child SA pair (oldIR, oldRI) — half the messages of EstablishSA,
-// with the successor keys bound to the generation they replace.
-func RekeyChildSA(initCfg, respCfg IKEConfig, oldIR, oldRI uint32) (IKERekeyResult, error) {
-	return ike.RekeyChild(initCfg, respCfg, oldIR, oldRI)
 }

@@ -9,8 +9,6 @@ type (
 	// MemStore is an in-memory Store (the simulated disk). The zero value
 	// is ready to use.
 	MemStore = store.Mem
-	// FaultyStore wraps a Store with fault injection for tests.
-	FaultyStore = store.Faulty
 )
 
 // Store errors.
@@ -19,7 +17,8 @@ var (
 	ErrCorrupt = store.ErrCorrupt
 	// ErrSaverClosed reports a save on a closed SaverPool.
 	ErrSaverClosed = store.ErrClosed
+	// ErrSaveRetriesExhausted wraps the final error of a save the
+	// SaverPool's bounded retry gave up on; the SA then stalls at its
+	// durable horizon instead of advancing on unsaved state.
+	ErrSaveRetriesExhausted = store.ErrSaveRetriesExhausted
 )
-
-// NewFaultyStore wraps st with fault injection.
-func NewFaultyStore(st Store) *FaultyStore { return store.NewFaulty(st) }

@@ -4,77 +4,27 @@ import (
 	"antireplay/internal/telemetry"
 )
 
-// Telemetry types, re-exported from the implementation.
+// Telemetry types a Gateway's, Standby's or Lanes' read-side methods name
+// (CollectTelemetry, TelemetrySAs), re-exported from the implementation.
+// The registry, HTTP server and event ring that consume them are wiring a
+// binary owns (see cmd/resetsim), not library surface.
 type (
-	// MetricsRegistry is the process-wide metrics registry: named
-	// counters, gauges, and fixed-bucket histograms with zero-allocation
-	// hot-path instruments, rendered in Prometheus text exposition
-	// format by WritePrometheus.
-	MetricsRegistry = telemetry.Registry
-	// MetricKind distinguishes counter, gauge, and histogram families.
+	// MetricKind distinguishes counter and gauge families.
 	MetricKind = telemetry.Kind
 	// MetricLabel is one name/value label pair on a metric series.
 	MetricLabel = telemetry.Label
-	// MetricsCollector is the read-side collection interface: a layer
-	// that owns counters implements CollectTelemetry and emits a
-	// snapshot at scrape time, leaving its hot paths untouched.
-	MetricsCollector = telemetry.Collector
-	// MetricsCollectorFunc adapts a function to MetricsCollector.
-	MetricsCollectorFunc = telemetry.CollectorFunc
-	// MetricsEmit receives one sample from a collector.
+	// MetricsEmit receives one sample from a CollectTelemetry method: a
+	// layer that owns counters emits a snapshot of them at scrape time,
+	// leaving its hot paths untouched.
 	MetricsEmit = telemetry.Emit
-	// MetricsHistogram is a fixed-bucket, zero-allocation histogram.
-	MetricsHistogram = telemetry.Histogram
-	// EventRing is the bounded lock-free lifecycle event journal: rekey
-	// transitions, promotions, resets, and wakes land here and are
-	// served as JSON by the telemetry server's /events endpoint.
-	EventRing = telemetry.Events
-	// LifecycleEvent is one entry in the EventRing.
-	LifecycleEvent = telemetry.Event
-	// TelemetryServer is the HTTP introspection server: /metrics
-	// (Prometheus), /healthz, /saz (per-SA JSON), /events, and pprof.
-	TelemetryServer = telemetry.Server
-	// TelemetryServerConfig wires a server's data sources.
-	TelemetryServerConfig = telemetry.ServerConfig
-	// HealthReport is the /healthz payload.
-	HealthReport = telemetry.Health
-	// HealthCheckResult is one named check inside a HealthReport.
-	HealthCheckResult = telemetry.HealthCheck
-	// SAIntrospection is one SA's /saz snapshot entry: sequence edge,
-	// durable horizon, window occupancy, and datapath tallies.
+	// SAIntrospection is one SA's snapshot entry (Gateway.TelemetrySAs):
+	// sequence edge, durable horizon, window occupancy, and datapath
+	// tallies.
 	SAIntrospection = telemetry.SAInfo
 )
 
 // Metric kinds.
 const (
-	MetricCounter   = telemetry.KindCounter
-	MetricGauge     = telemetry.KindGauge
-	MetricHistogram = telemetry.KindHistogram
-)
-
-// NewMetricsRegistry returns an empty metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return telemetry.NewRegistry() }
-
-// NewEventRing returns a lifecycle event ring retaining the last n events
-// (rounded up to a power of two, minimum 16).
-func NewEventRing(n int) *EventRing { return telemetry.NewEvents(n) }
-
-// NewTelemetryServer builds the HTTP introspection server; call
-// ListenAndServe to bind it.
-func NewTelemetryServer(cfg TelemetryServerConfig) *TelemetryServer {
-	return telemetry.NewServer(cfg)
-}
-
-// RegisterProcessMetrics registers Go runtime gauges (goroutines, heap,
-// GC cycles) on r under the given metric-name prefix.
-func RegisterProcessMetrics(r *MetricsRegistry, prefix string) {
-	telemetry.RegisterProcess(r, prefix)
-}
-
-// HistogramBuckets helpers, re-exported for TelemetryServer users.
-var (
-	// ExpBuckets returns n exponentially growing histogram bucket bounds.
-	ExpBuckets = telemetry.ExpBuckets
-	// LinearBuckets returns n linearly spaced histogram bucket bounds.
-	LinearBuckets = telemetry.LinearBuckets
+	MetricCounter = telemetry.KindCounter
+	MetricGauge   = telemetry.KindGauge
 )

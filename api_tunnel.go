@@ -8,8 +8,8 @@ import (
 // Host-level association types, re-exported from the implementation.
 type (
 	// Peer is one host's bidirectional endpoint: outbound + inbound SA,
-	// host-level Reset/Wake with automatic §6 resynchronization, DPD
-	// integration, and in-place rekeying.
+	// host-level Reset/Wake with automatic §6 resynchronization and DPD
+	// integration.
 	Peer = tunnel.Peer
 	// PeerConfig parameterizes a Peer.
 	PeerConfig = tunnel.Config
@@ -26,11 +26,6 @@ var (
 	ErrNotRecovered = tunnel.ErrNotRecovered
 )
 
-// NewPeer builds a host endpoint with the given keys and SPIs.
-func NewPeer(cfg PeerConfig, outSPI uint32, outKeys KeyMaterial, inSPI uint32, inKeys KeyMaterial) (*Peer, error) {
-	return tunnel.New(cfg, outSPI, outKeys, inSPI, inKeys)
-}
-
 // NewPeerPair runs one IKE handshake and returns two connected peers; the
 // couplers (nil = direct in-process delivery) can interpose a simulated or
 // real network.
@@ -38,15 +33,6 @@ func NewPeerPair(aCfg, bCfg PeerConfig, initCfg, respCfg IKEConfig,
 	aToB, bToA func(wire []byte, deliver func([]byte))) (*Peer, *Peer, error) {
 	return tunnel.Pair(aCfg, bCfg, initCfg, respCfg, aToB, bToA)
 }
-
-// RekeyPeers runs a fresh IKE handshake and installs the new SA generation
-// on both peers (new SPIs, keys, and sequence-number services).
-func RekeyPeers(a, b *Peer, initCfg, respCfg IKEConfig) (ChildKeys, error) {
-	return tunnel.Rekey(a, b, initCfg, respCfg)
-}
-
-// MemStores is a StoreFactory producing independent in-memory stores.
-func MemStores(spi uint32, direction string) Store { return tunnel.MemStores(spi, direction) }
 
 // compile-time check that the tunnel types interoperate with the ipsec
 // aliases exposed elsewhere in this package.

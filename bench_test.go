@@ -18,6 +18,7 @@ import (
 
 	"antireplay"
 	"antireplay/internal/experiments"
+	"antireplay/internal/ipsec"
 	"antireplay/internal/store"
 )
 
@@ -231,7 +232,7 @@ func BenchmarkJournalAppendLaggingFollower(b *testing.B) {
 
 func benchJournalAppend(b *testing.B, laggingFollower bool) {
 	b.Helper()
-	j, err := antireplay.NewLanes(filepath.Join(b.TempDir(), "j.log"), antireplay.LanesCount(1), antireplay.LanesWithoutSync())
+	j, err := store.OpenLanes(filepath.Join(b.TempDir(), "j.log"), store.LanesCount(1), store.LanesWithoutSync())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -246,7 +247,7 @@ func benchJournalAppend(b *testing.B, laggingFollower bool) {
 	const savers = 64
 	cells := make([]*store.Cell, savers)
 	for i := range cells {
-		cells[i] = j.Cell(antireplay.OutboundKey(uint32(i + 1)))
+		cells[i] = j.Cell(ipsec.OutboundKey(uint32(i + 1)))
 	}
 	per := b.N/savers + 1
 	b.ReportAllocs()

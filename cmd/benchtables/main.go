@@ -52,7 +52,7 @@ func main() {
 		// profile: the server carries the Go runtime gauges on /metrics
 		// plus the full pprof surface.
 		reg := telemetry.NewRegistry()
-		telemetry.RegisterProcess(reg, "apn_process")
+		reg.RegisterCollector("apn_process", telemetry.Process)
 		srv := telemetry.NewServer(telemetry.ServerConfig{Registry: reg})
 		if err := srv.ListenAndServe(*metrics); err != nil {
 			fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)

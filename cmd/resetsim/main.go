@@ -194,6 +194,26 @@ func rekeyExchange(tx, rx *wirenet.UDPLink, ini *ike.RekeyInitiator, rsp *ike.Re
 	return ini.ChildKeys(), nil
 }
 
+// runTable is the -campaign and -diskfault modes: render one named table,
+// or exit 1 with its error. -msgs retargets the phase length from the
+// mode's default only when given explicitly; the flow-mode default of 10000
+// would make the suite crawl.
+func runTable(msgs uint64, packets int, table func(packets int) (*experiments.Table, error)) {
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "msgs" {
+			packets = int(msgs)
+		}
+	})
+	tbl, err := table(packets)
+	if err == nil {
+		err = tbl.Render(os.Stdout)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "resetsim: %v\n", err)
+		os.Exit(1)
+	}
+}
+
 func main() {
 	var (
 		seed     = flag.Int64("seed", 1, "simulation seed")
@@ -223,45 +243,21 @@ func main() {
 	flag.Parse()
 
 	if *campaign != "" {
-		ccfg := experiments.DefaultCampaignsConfig()
-		ccfg.Seed = *seed
-		// -msgs retargets the campaign length only when given explicitly;
-		// the flow-mode default of 10000 would make the suite crawl.
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "msgs" {
-				ccfg.Packets = int(*msgs)
-			}
+		cfg := experiments.DefaultCampaignsConfig()
+		cfg.Seed = *seed
+		runTable(*msgs, cfg.Packets, func(packets int) (*experiments.Table, error) {
+			cfg.Packets = packets
+			return experiments.CampaignsOnly(cfg, *campaign)
 		})
-		tbl, err := experiments.CampaignsOnly(ccfg, *campaign)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "resetsim: %v\n", err)
-			os.Exit(1)
-		}
-		if err := tbl.Render(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "resetsim: %v\n", err)
-			os.Exit(1)
-		}
 		return
 	}
 	if *diskflt != "" {
-		dcfg := experiments.DefaultDiskfaultConfig()
-		dcfg.Seed = *seed
-		// -msgs retargets the per-SA phase length only when given
-		// explicitly, as with -campaign.
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "msgs" {
-				dcfg.Packets = int(*msgs)
-			}
+		cfg := experiments.DefaultDiskfaultConfig()
+		cfg.Seed = *seed
+		runTable(*msgs, cfg.Packets, func(packets int) (*experiments.Table, error) {
+			cfg.Packets = packets
+			return experiments.DiskfaultOnly(cfg, *diskflt)
 		})
-		tbl, err := experiments.DiskfaultOnly(dcfg, *diskflt)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "resetsim: %v\n", err)
-			os.Exit(1)
-		}
-		if err := tbl.Render(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "resetsim: %v\n", err)
-			os.Exit(1)
-		}
 		return
 	}
 	if *rekeyN > 0 && *failN > 0 {

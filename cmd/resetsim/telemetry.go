@@ -29,14 +29,9 @@ type simTelemetry struct {
 	ev  *telemetry.Events
 	srv *telemetry.Server
 
-	// Sim-loop instruments, vended once at construction (the hot loop
-	// never does a registry lookup).
-	delivered  *stats.ShardedCounter
-	sacrificed *stats.ShardedCounter
-	lost       *stats.ShardedCounter
-	horizon    *stats.ShardedCounter
-	saveLag    *stats.ShardedCounter
-	failovers  *stats.ShardedCounter
+	// Sim-loop counters, owned here and emitted under apn_sim at scrape
+	// time (the hot loop pays one padded atomic add).
+	delivered, sacrificed, lost, horizon, saveLag, failovers stats.ShardedCounter
 
 	mu      sync.Mutex
 	sender  *ipsec.Gateway
@@ -51,16 +46,18 @@ func newSimTelemetry(addr string) (*simTelemetry, error) {
 		reg: telemetry.NewRegistry(),
 		ev:  telemetry.NewEvents(256),
 	}
-	telemetry.RegisterProcess(t.reg, "apn_process")
-	t.delivered = t.reg.Counter("apn_sim_delivered_total", "Packets delivered end to end.")
-	t.sacrificed = t.reg.Counter("apn_sim_false_rejects_total",
-		"Legitimate packets the receiver discarded (the post-wake sacrificed window).")
-	t.lost = t.reg.Counter("apn_sim_lost_total", "Packets dropped by simulated link loss.")
-	t.horizon = t.reg.Counter("apn_sim_horizon_stalls_total",
-		"Deliveries retried because the receiver's durable horizon lagged (VerdictHorizon).")
-	t.saveLag = t.reg.Counter("apn_sim_save_lag_retries_total",
-		"Seals retried because the sender's durable horizon lagged (ErrSaveLag).")
-	t.failovers = t.reg.Counter("apn_sim_failovers_total", "Primary crashes followed by standby takeover.")
+	t.reg.RegisterCollector("apn_process", telemetry.Process)
+	t.reg.RegisterCollector("apn_sim", telemetry.CollectorFunc(func(emit telemetry.Emit) {
+		emit("delivered_total", telemetry.KindCounter, float64(t.delivered.Value()))
+		// Legitimate packets the receiver discarded: the post-wake sacrificed window.
+		emit("false_rejects_total", telemetry.KindCounter, float64(t.sacrificed.Value()))
+		emit("lost_total", telemetry.KindCounter, float64(t.lost.Value()))
+		// Retries at the receiver's (VerdictHorizon) and the sender's
+		// (ErrSaveLag) durable horizon.
+		emit("horizon_stalls_total", telemetry.KindCounter, float64(t.horizon.Value()))
+		emit("save_lag_retries_total", telemetry.KindCounter, float64(t.saveLag.Value()))
+		emit("failovers_total", telemetry.KindCounter, float64(t.failovers.Value()))
+	}))
 
 	// Role collectors resolve the current holder at scrape time.
 	t.reg.RegisterCollector("apn_gateway", telemetry.CollectorFunc(func(emit telemetry.Emit) {

@@ -56,8 +56,9 @@
 // sequence-number service to an ESP-like packet format with HMAC-SHA256-96
 // integrity and AES-CTR confidentiality; EstablishSA runs a miniature IKE
 // handshake to derive keys; the DPD types implement dead-peer detection and
-// the paper's §6 prolonged-reset recovery; Peer composes all of it into a
-// host-level association with automatic recovery and rekeying.
+// the paper's §6 prolonged-reset recovery; Peer (NewPeerPair) composes all
+// of it into a host-level association with automatic recovery. Rekeying is
+// RekeyOrchestrator's: make-before-break rollover between two gateways.
 //
 // At gateway scale the same medium carries every SA: Lanes (NewLanes)
 // multiplexes the counters into append-only journal lanes with

@@ -65,15 +65,13 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	journal, err := antireplay.NewLanes(filepath.Join(dir, "gateway.journal"),
-		antireplay.LanesCount(1), antireplay.LanesBatchDelay(200*time.Microsecond))
+	journal, err := antireplay.NewLanes(filepath.Join(dir, "gateway.journal"), antireplay.LanesCount(1))
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer journal.Close() // after gw.Close has drained the owned pool
 	gw, err := antireplay.NewGateway(antireplay.GatewayConfig{
-		Journal: journal,
-		Workers: 8, // gateway-owned saver pool, drained by gw.Close
+		Journal: journal, // the saver pool is the gateway's own, drained by gw.Close
 		K:       25,
 	})
 	if err != nil {

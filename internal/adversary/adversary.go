@@ -68,24 +68,6 @@ func (r *Recorder[T]) Messages() []T {
 	return out
 }
 
-// MaxBy returns the recorded message maximizing key, and false when empty.
-func (r *Recorder[T]) MaxBy(key func(T) uint64) (T, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var best T
-	if len(r.msgs) == 0 {
-		return best, false
-	}
-	best = r.msgs[0]
-	bk := key(best)
-	for _, m := range r.msgs[1:] {
-		if k := key(m); k > bk {
-			best, bk = m, k
-		}
-	}
-	return best, true
-}
-
 // Injector abstracts the adversary's write access to the channel; a
 // *netsim.Link[T] satisfies it.
 type Injector[T any] interface {
@@ -134,29 +116,4 @@ func (a *Replayer[T]) ReplayAllAt(start time.Duration, gap time.Duration) int {
 		a.engine.At(start+time.Duration(i)*gap, func() { a.doInject(m) })
 	}
 	return len(msgs)
-}
-
-// ReplayMaxAt schedules, at virtual time start, a single replay of the
-// recorded message with the largest key. This is the §3 window-shift attack
-// after a double reset: replaying the highest-sequence message forces the
-// receiver's window edge far beyond the reset sender's counter, blackholing
-// all fresh traffic. It reports whether a message was available.
-func (a *Replayer[T]) ReplayMaxAt(start time.Duration, key func(T) uint64) bool {
-	m, ok := a.recorder.MaxBy(key)
-	if !ok {
-		return false
-	}
-	a.engine.At(start, func() { a.doInject(m) })
-	return true
-}
-
-// ReplayIndexAt schedules a replay of the i-th recorded message (capture
-// order) at virtual time start. It reports whether the index existed.
-func (a *Replayer[T]) ReplayIndexAt(start time.Duration, i int) bool {
-	msgs := a.recorder.Messages()
-	if i < 0 || i >= len(msgs) {
-		return false
-	}
-	a.engine.At(start, func() { a.doInject(msgs[i]) })
-	return true
 }

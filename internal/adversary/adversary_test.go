@@ -33,20 +33,6 @@ func TestRecorderTapAndMessages(t *testing.T) {
 	}
 }
 
-func TestRecorderMaxBy(t *testing.T) {
-	r := NewRecorder[pkt]()
-	if _, ok := r.MaxBy(func(p pkt) uint64 { return p.seq }); ok {
-		t.Error("MaxBy on empty should report false")
-	}
-	for _, s := range []uint64{5, 9, 3, 9, 1} {
-		r.Record(pkt{seq: s})
-	}
-	m, ok := r.MaxBy(func(p pkt) uint64 { return p.seq })
-	if !ok || m.seq != 9 {
-		t.Errorf("MaxBy = %v %v, want seq 9", m, ok)
-	}
-}
-
 func TestRecorderConcurrent(t *testing.T) {
 	r := NewRecorder[uint64]()
 	var wg sync.WaitGroup
@@ -110,55 +96,6 @@ func TestReplayAllAtInOrder(t *testing.T) {
 	}
 }
 
-func TestReplayMaxAt(t *testing.T) {
-	e, link, _, rep, delivered := replaySetup(t, 2)
-	for _, s := range []uint64{3, 7, 2} {
-		link.Send(pkt{seq: s, fresh: true})
-	}
-	e.Run()
-	*delivered = nil
-
-	if !rep.ReplayMaxAt(5*time.Millisecond, func(p pkt) uint64 { return p.seq }) {
-		t.Fatal("ReplayMaxAt = false")
-	}
-	e.Run()
-	if len(*delivered) != 1 || (*delivered)[0].seq != 7 {
-		t.Errorf("delivered = %v, want [seq 7]", *delivered)
-	}
-}
-
-func TestReplayMaxAtEmpty(t *testing.T) {
-	_, _, _, rep, _ := replaySetup(t, 3)
-	if rep.ReplayMaxAt(time.Millisecond, func(p pkt) uint64 { return p.seq }) {
-		t.Error("ReplayMaxAt on empty recorder should report false")
-	}
-}
-
-func TestReplayIndexAt(t *testing.T) {
-	e, link, _, rep, delivered := replaySetup(t, 4)
-	for s := uint64(1); s <= 3; s++ {
-		link.Send(pkt{seq: s, fresh: true})
-	}
-	e.Run()
-	*delivered = nil
-
-	if !rep.ReplayIndexAt(time.Millisecond, 1) {
-		t.Fatal("ReplayIndexAt(1) = false")
-	}
-	if rep.ReplayIndexAt(time.Millisecond, 7) {
-		t.Error("ReplayIndexAt out of range should report false")
-	}
-	if rep.ReplayIndexAt(time.Millisecond, -1) {
-		t.Error("ReplayIndexAt(-1) should report false")
-	}
-	e.Run()
-	if len(*delivered) != 1 || (*delivered)[0].seq != 2 {
-		t.Errorf("delivered = %v, want [seq 2]", *delivered)
-	}
-}
-
-// TestReplayBypassesLoss: the adversary's injections are not subject to the
-// network's loss model (it controls its own transmissions).
 func TestReplayBypassesLoss(t *testing.T) {
 	e := netsim.NewEngine(5)
 	var delivered []pkt

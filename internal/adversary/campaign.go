@@ -1,12 +1,9 @@
 package adversary
 
 import (
-	"fmt"
 	"sync/atomic"
-	"time"
 
 	"antireplay/internal/ipsec"
-	"antireplay/internal/netsim"
 	"antireplay/internal/wire"
 )
 
@@ -24,18 +21,16 @@ import (
 //     victim's own impairment.
 //
 // Campaigns are armed once against a path and then activated in timed
-// phases (Script). Everything a campaign decides is computed from bytes
+// phases (the harness schedules Activate/Deactivate on its clock).
+// Everything a campaign decides is computed from bytes
 // it could see on a real wire — ESP sequence numbers are cleartext — plus
 // protocol knowledge (the SAVE interval K, rollover events it can detect
 // by SPI changes); nothing peeks at victim internals.
 
 // Hooks bundles the adversary's access to one direction of a victim
 // path. Gate is required (it is both the actuator and, via its taps, the
-// default wiretap); Engine is the virtual clock for scheduled phases and
-// may be nil in wall-clock harnesses (the -race stress tests).
+// default wiretap).
 type Hooks struct {
-	// Engine is the simulation clock for Script-scheduled phases.
-	Engine *netsim.Engine
 	// Gate is the drop/hold/inject actuator spliced into the victim path.
 	Gate *wire.GateLink
 	// Tap overrides the wiretap registration; nil uses Gate.Tap.
@@ -72,26 +67,6 @@ func (p *phase) Deactivate() { p.active.Store(false) }
 
 func (p *phase) attacking() bool { return p.active.Load() }
 
-// Script schedules campaign activation windows on the simulation clock —
-// the "timed attack phases" of a stealth campaign. A campaign may appear
-// in several windows; windows of different campaigns may overlap.
-type Script struct {
-	engine *netsim.Engine
-}
-
-// NewScript returns a scheduler over engine.
-func NewScript(engine *netsim.Engine) *Script { return &Script{engine: engine} }
-
-// Window activates c at virtual time from and deactivates it at until.
-func (s *Script) Window(c Campaign, from, until time.Duration) error {
-	if until <= from {
-		return fmt.Errorf("adversary: window [%v, %v) is empty", from, until)
-	}
-	s.engine.At(from, c.Activate)
-	s.engine.At(until, c.Deactivate)
-	return nil
-}
-
 // ESPSeq extracts the low 32 bits of a sealed ESP datagram's sequence
 // number — cleartext on the wire, the campaign's view of the victim's
 // counter. Reports false for datagrams too short to be ESP (control
@@ -102,13 +77,4 @@ func ESPSeq(p []byte) (uint64, bool) {
 		return 0, false
 	}
 	return uint64(seq), true
-}
-
-// ESPSPI extracts a sealed ESP datagram's SPI; false for non-ESP bytes.
-func ESPSPI(p []byte) (uint32, bool) {
-	spi, err := ipsec.ParseSPI(p)
-	if err != nil {
-		return 0, false
-	}
-	return spi, true
 }

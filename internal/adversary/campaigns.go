@@ -428,9 +428,6 @@ func (c *BlackoutFlood) OnTakeover(uint64) {
 	}
 }
 
-// Recorded returns how many datagrams the wiretap has captured.
-func (c *BlackoutFlood) Recorded() int { return c.rec.Len() }
-
 // Stats returns a snapshot of the campaign counters.
 func (c *BlackoutFlood) Stats() BlackoutFloodStats {
 	c.mu.Lock()

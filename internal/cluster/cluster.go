@@ -71,8 +71,11 @@ var (
 	ErrNotRunning = errors.New("cluster: standby not running")
 )
 
-// DefaultBatchMax is the apply-batch size used when Config.BatchMax is 0.
-const DefaultBatchMax = 256
+// batchMax bounds records per receive from the source's tail. The
+// replication loop coalesces consecutive receives that are already
+// committed, so one apply batch — one follower group commit and one Ack —
+// covers up to 4*batchMax records.
+const batchMax = 256
 
 // Config parameterizes a Standby.
 type Config struct {
@@ -84,20 +87,14 @@ type Config struct {
 	// replication runs lane-to-lane, so the key-to-lane hash must agree on
 	// both sides. Required.
 	Journal *store.Lanes
-	// K, W, ESN, Workers, Lifetime and Clock configure the warm gateway
-	// image exactly as ipsec.GatewayConfig does; they should match the
-	// primary's settings.
+	// K, W, ESN, Lifetime and Clock configure the warm gateway image
+	// exactly as ipsec.GatewayConfig does; they should match the primary's
+	// settings.
 	K        uint64
 	W        int
 	ESN      bool
-	Workers  int
 	Lifetime ipsec.Lifetime
 	Clock    func() time.Duration
-	// BatchMax bounds records per receive from the source's tail. The
-	// replication loop coalesces consecutive receives that are already
-	// committed, so one apply batch — one follower group commit and one
-	// Ack — covers up to 4*BatchMax records. Zero means DefaultBatchMax.
-	BatchMax int
 	// OnPromote, when set, is called during Takeover inside the wake
 	// window — after the deposed primary is fenced and the epoch durably
 	// bumped, immediately before the standby's gateway image wakes. It
@@ -224,9 +221,6 @@ func NewStandby(cfg Config) (*Standby, error) {
 		return nil, fmt.Errorf("%w: lane counts differ (source %d, follower %d)",
 			ErrConfig, len(srcLanes), len(dstLanes))
 	}
-	if cfg.BatchMax <= 0 {
-		cfg.BatchMax = DefaultBatchMax
-	}
 	localEpoch := journalEpoch(cfg.Journal)
 	if srcEpoch := journalEpoch(cfg.Source); srcEpoch < localEpoch {
 		return nil, fmt.Errorf("%w: source epoch %d < local epoch %d",
@@ -237,7 +231,6 @@ func NewStandby(cfg Config) (*Standby, error) {
 		K:           cfg.K,
 		W:           cfg.W,
 		ESN:         cfg.ESN,
-		Workers:     cfg.Workers,
 		Lifetime:    cfg.Lifetime,
 		Clock:       cfg.Clock,
 		OnLifecycle: cfg.OnLifecycle,
@@ -343,8 +336,8 @@ func (s *Standby) totalLag() uint64 {
 func (l *laneRepl) run() {
 	s := l.s
 	defer s.wg.Done()
-	buf := make([]store.TailRecord, s.cfg.BatchMax)
-	batch := make([]store.TailRecord, 0, 4*s.cfg.BatchMax)
+	buf := make([]store.TailRecord, batchMax)
+	batch := make([]store.TailRecord, 0, 4*batchMax)
 	needSnap := true
 	for {
 		if needSnap {
@@ -368,7 +361,7 @@ func (l *laneRepl) run() {
 			return
 		}
 		batch = append(batch[:0], buf[:n]...)
-		for len(batch)+len(buf) <= 4*s.cfg.BatchMax {
+		for len(batch)+len(buf) <= 4*batchMax {
 			m, terr := l.tl.TryRecv(buf)
 			if terr != nil || m == 0 {
 				// Apply what we have; the next blocking Recv surfaces any
@@ -466,10 +459,6 @@ func (s *Standby) Mirror(snap ipsec.GatewaySnapshot) error {
 	}
 	return s.gw.Adopt(snap)
 }
-
-// Gateway exposes the standby's gateway image: down-state while standing
-// by, live after Takeover.
-func (s *Standby) Gateway() *ipsec.Gateway { return s.gw }
 
 // Stats returns a snapshot of replication progress. LagRecords is
 // recomputed against the source's commit watermark at call time — an

@@ -124,7 +124,8 @@ func TestFlowDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		f.AtSendCount(2000, f.StopTraffic)
-		f.ResetReceiver(2*time.Millisecond, 3*time.Millisecond)
+		f.Engine.At(2*time.Millisecond, f.Receiver.Reset)
+		f.Engine.At(3*time.Millisecond, f.Receiver.Wake)
 		f.StartTraffic(time.Hour)
 		f.Run(time.Second)
 		return f.Matrix.FreshDelivered(), f.Matrix.FreshDiscarded()

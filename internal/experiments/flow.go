@@ -282,19 +282,6 @@ func (f *Flow) recordVerdict(seq uint64, fresh bool, v core.Verdict) {
 	f.Matrix.add(fresh, discarded)
 }
 
-// ResetSender schedules a sender reset at down and wake at up. The wake's
-// post-wake SAVE runs on the sender's saver (SaveDelay of virtual time).
-func (f *Flow) ResetSender(down, up time.Duration) {
-	f.Engine.At(down, f.Sender.Reset)
-	f.Engine.At(up, f.Sender.Wake)
-}
-
-// ResetReceiver schedules a receiver reset and wake.
-func (f *Flow) ResetReceiver(down, up time.Duration) {
-	f.Engine.At(down, f.Receiver.Reset)
-	f.Engine.At(up, f.Receiver.Wake)
-}
-
 // Run advances virtual time to t.
 func (f *Flow) Run(t time.Duration) { f.Engine.RunUntil(t) }
 

@@ -14,27 +14,6 @@ type Conn interface {
 	Recv() ([]byte, error)
 }
 
-// RekeyOverConn drives the initiating side of a child-SA rekey exchange
-// over c: request out, response in, successor keys derived. The returned
-// keys are valid only on a nil error.
-func RekeyOverConn(ini *RekeyInitiator, c Conn) (ChildKeys, error) {
-	req, err := ini.Request()
-	if err != nil {
-		return ChildKeys{}, err
-	}
-	if err := c.Send(req); err != nil {
-		return ChildKeys{}, fmt.Errorf("ike: rekey request send: %w", err)
-	}
-	resp, err := c.Recv()
-	if err != nil {
-		return ChildKeys{}, fmt.Errorf("ike: rekey response recv: %w", err)
-	}
-	if err := ini.HandleResponse(resp); err != nil {
-		return ChildKeys{}, err
-	}
-	return ini.ChildKeys(), nil
-}
-
 // ServeRekey answers one rekey request arriving on c: request in, response
 // out. On success the responder holds the successor keys (rsp.ChildKeys).
 func ServeRekey(rsp *RekeyResponder, c Conn) error {

@@ -21,13 +21,11 @@ type GatewayConfig struct {
 	// million-SA gateway. Required.
 	Journal *store.Lanes
 	// Pool executes the SAs' background SAVEs. Nil creates a pool of
-	// Workers workers owned (drained and stopped) by the gateway. A
-	// caller-provided pool is not closed by the gateway: close it before
-	// Gateway.Close, or its queued saves race the journal closing.
+	// store.DefaultPoolWorkers workers owned (drained and stopped) by the
+	// gateway. A caller-provided pool is not closed by the gateway: close
+	// it before Gateway.Close, or its queued saves race the journal
+	// closing.
 	Pool *store.SaverPool
-	// Workers sizes the owned pool when Pool is nil; <= 0 means
-	// store.DefaultPoolWorkers.
-	Workers int
 	// K is the SAVE interval applied to each SA's sender/receiver.
 	// Zero means DefaultGatewayK.
 	K uint64
@@ -86,8 +84,9 @@ type Gateway struct {
 
 	mu     sync.Mutex
 	closed bool
-	// outbound SAs are tracked here because the SPD has no iteration;
-	// inbound SAs live only in the SAD (iterated via Range).
+	// outbound SAs are tracked here, not read back from the SPD: a drained
+	// predecessor stays registered after a cutover has taken it out of the
+	// SPD. Inbound SAs live only in the SAD (iterated via Range).
 	outbound []*OutboundSA
 	// cells holds the journal keys this gateway owns (released on
 	// RemoveInbound/RemoveOutbound and Close) mapped to each key's pool
@@ -163,7 +162,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		cells: make(map[string]*store.PoolSaver),
 	}
 	if g.pool == nil {
-		g.pool = store.NewSaverPool(cfg.Workers)
+		g.pool = store.NewSaverPool(0)
 		g.ownPool = true
 	}
 	return g, nil

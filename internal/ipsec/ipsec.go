@@ -44,8 +44,6 @@ var (
 	ErrShortPacket = errors.New("ipsec: packet too short")
 	// ErrAuth reports an ICV verification failure.
 	ErrAuth = errors.New("ipsec: integrity check failed")
-	// ErrReplay reports a packet rejected by the anti-replay service.
-	ErrReplay = errors.New("ipsec: anti-replay discard")
 	// ErrUnknownSPI reports an inbound packet with no matching SA.
 	ErrUnknownSPI = errors.New("ipsec: unknown SPI")
 	// ErrHardExpired reports an SA past its hard lifetime.

@@ -117,17 +117,9 @@ func LifecycleRecorder(ev *telemetry.Events) func(kind string, sas int) {
 // each lane poisoning lands in the ring as a lane/quarantine event carrying
 // the lane index and the fault text. The hook runs under the poisoned
 // lane's mutex, which is safe here — the ring's Record never calls back
-// into the store. Record the matching lane/repair event with
-// RecordLaneRepair wherever the repair is driven. Nil-ring safe.
+// into the store. Nil-ring safe.
 func LaneFaultRecorder(ev *telemetry.Events) func(lane int, err error) {
 	return func(lane int, err error) {
 		ev.RecordDetail("lane", "quarantine", 0, uint64(lane), err.Error())
 	}
-}
-
-// RecordLaneRepair records the lane/repair lifecycle event after a
-// successful lane repair — the bookend to LaneFaultRecorder's
-// lane/quarantine. Nil-ring safe.
-func RecordLaneRepair(ev *telemetry.Events, lane int) {
-	ev.Record("lane", "repair", 0, uint64(lane))
 }

@@ -5,18 +5,6 @@ import (
 	"testing"
 )
 
-func TestGaugeSetValue(t *testing.T) {
-	var g Gauge
-	if g.Value() != 0 {
-		t.Fatalf("zero gauge = %d, want 0", g.Value())
-	}
-	g.Set(42)
-	g.Set(7) // gauges overwrite, they do not accumulate
-	if g.Value() != 7 {
-		t.Fatalf("gauge = %d, want 7", g.Value())
-	}
-}
-
 func TestCounterAccumulatesConcurrently(t *testing.T) {
 	var c Counter
 	var wg sync.WaitGroup

@@ -38,25 +38,6 @@ func (c *ShardedCounter) Add(d uint64) {
 	c.s[(p>>6^p>>14)&(counterStripes-1)].v.Add(d)
 }
 
-// AddSpread increments the counter by d, picking the stripe from the
-// caller-supplied hint — typically a sequence number or flow hash the caller
-// already holds in a register. It trades the per-goroutine affinity of Add
-// for a pick that costs one AND: per-packet hot paths use it with the packet
-// sequence number, which spreads concurrent adders 1/stripes across cache
-// lines at effectively zero instruction cost.
-func (c *ShardedCounter) AddSpread(hint, d uint64) {
-	c.s[hint&(counterStripes-1)].v.Add(d)
-}
-
-// Sub decrements the counter by d (two's-complement add). As with Add, the
-// stripes are an implementation detail: the sum is what counts, so the
-// decrement may land on a different stripe than the increments it undoes.
-func (c *ShardedCounter) Sub(d uint64) {
-	if d > 0 {
-		c.Add(^(d - 1))
-	}
-}
-
 // Value returns the current sum of all stripes.
 func (c *ShardedCounter) Value() uint64 {
 	var t uint64
@@ -96,8 +77,12 @@ func (t *Tallies) Add(lane int, d uint64) {
 	t.s[(p>>6^p>>14)&(counterStripes-1)].v[lane].Add(d)
 }
 
-// AddSpread increments lane by d with a caller-supplied stripe hint; see
-// ShardedCounter.AddSpread.
+// AddSpread increments lane by d, picking the stripe from the
+// caller-supplied hint — typically a sequence number or flow hash the caller
+// already holds in a register. It trades the per-goroutine affinity of Add
+// for a pick that costs one AND: per-packet hot paths use it with the packet
+// sequence number, which spreads concurrent adders 1/stripes across cache
+// lines at effectively zero instruction cost.
 func (t *Tallies) AddSpread(hint uint64, lane int, d uint64) {
 	t.s[hint&(counterStripes-1)].v[lane].Add(d)
 }

@@ -286,7 +286,7 @@ func TestJournalRepair(t *testing.T) {
 }
 
 // TestLanesQuarantineIsolation: poisoning one lane quarantines it alone —
-// sibling lanes keep saving, LaneHealth and Quarantined report exactly the
+// sibling lanes keep saving, Poisoned and Quarantined report exactly the
 // failed lane, and the poison hook fires once with its index.
 func TestLanesQuarantineIsolation(t *testing.T) {
 	dir := t.TempDir()
@@ -332,9 +332,9 @@ func TestLanesQuarantineIsolation(t *testing.T) {
 	if q := l.Quarantined(); len(q) != 1 || q[0] != sick {
 		t.Fatalf("Quarantined() = %v, want [%d]", q, sick)
 	}
-	for _, st := range l.LaneHealth() {
-		if (st.Err != nil) != (st.Lane == sick) {
-			t.Errorf("LaneHealth lane %d err %v, sick lane is %d", st.Lane, st.Err, sick)
+	for i, j := range l.LaneJournals() {
+		if err := j.Poisoned(); (err != nil) != (i == sick) {
+			t.Errorf("lane %d Poisoned() = %v, sick lane is %d", i, err, sick)
 		}
 	}
 	// Sibling lanes are untouched.
@@ -406,7 +406,6 @@ func TestPoolRetryTransient(t *testing.T) {
 	watchdog.Arm(t, 10*time.Second)
 	p := NewSaverPool(1)
 	defer p.Close()
-	p.SetRetry(SaveRetry{Attempts: 3, Base: time.Microsecond})
 	f := NewFaulty(new(Mem))
 	f.FailSaves(1)
 	s := p.Saver(f)
@@ -432,7 +431,6 @@ func TestPoolRetryExhaustion(t *testing.T) {
 	watchdog.Arm(t, 10*time.Second)
 	p := NewSaverPool(1)
 	defer p.Close()
-	p.SetRetry(SaveRetry{Attempts: 3, Base: time.Microsecond})
 	f := NewFaulty(new(Mem))
 	f.FailSaves(100)
 	s := p.Saver(f)
@@ -462,7 +460,6 @@ func TestPoolPoisonedFailsFast(t *testing.T) {
 	}
 	p := NewSaverPool(1)
 	defer p.Close()
-	p.SetRetry(SaveRetry{Attempts: 5, Base: time.Microsecond})
 	s := p.Saver(j.Cell("tx/1"))
 	errc := make(chan error, 1)
 	s.StartSave(2, func(err error) { errc <- err })

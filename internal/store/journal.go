@@ -14,7 +14,6 @@ import (
 	"syscall"
 	"time"
 
-	"antireplay/internal/stats"
 	"antireplay/internal/storefault"
 )
 
@@ -81,8 +80,7 @@ const DefaultCompactAt = 1 << 20
 // record a reset interrupted fails its CRC and is discarded), and truncates
 // the tail away so appends resume from a clean frame. When the log outgrows
 // a threshold it is compacted to one record per live key (tombstoned keys
-// vanish) via the same write-temp + fsync + rename + dir-fsync dance File
-// uses.
+// vanish) via write-temp + fsync + rename + dir-fsync.
 //
 // Cell projects one key as a store.Store, so core.Sender / core.Receiver
 // run unchanged over a shared lane; the paper's per-key guarantees (2K
@@ -211,15 +209,6 @@ type RecoveryStats struct {
 	FramesDropped  uint64
 	TornTail       bool
 }
-
-// recoveryDropped accumulates damaged-region skips across every journal
-// recovery in the process — the operational alarm ("this medium is eating
-// frames") an operator dashboard scrapes without holding journal handles.
-var recoveryDropped stats.Counter
-
-// RecoveryDropped returns the process-wide count of damaged log regions
-// skipped during journal recovery; see RecoveryStats.FramesDropped.
-func RecoveryDropped() uint64 { return recoveryDropped.Value() }
 
 // RecoveryStats returns what this handle's open-time replay found.
 func (j *Journal) RecoveryStats() RecoveryStats {
@@ -411,7 +400,7 @@ func (j *Journal) recover() error {
 	// recovered value only widens the wake-up sacrifice, never re-accepts
 	// a replay), whereas the old truncate-everything-behind-it answer
 	// silently rolled durable counters back. The skip is surfaced through
-	// RecoveryStats and the process-wide RecoveryDropped counter;
+	// RecoveryStats (the medium's collector emits it);
 	// LanesStrictRecovery instead refuses the open (ErrCorrupt), for
 	// deployments that want a human in the loop before trusting a medium
 	// that damaged an acknowledged record.
@@ -433,7 +422,6 @@ func (j *Journal) recover() error {
 				return fmt.Errorf("%w: journal record at offset %d (valid records follow)", ErrCorrupt, off)
 			}
 			j.recovery.FramesDropped++
-			recoveryDropped.Add(1)
 			off = next
 			continue
 		}
@@ -864,11 +852,11 @@ func (j *Journal) commitStagedLocked(mySeq uint64) error {
 			if !yielded {
 				// Yield once before electing: concurrent savers mid-append
 				// get a chance to stage into this batch, so the commit that
-				// follows covers a group instead of a single record — the
-				// scheduling analogue of LanesBatchDelay, at ~100ns
-				// instead of a timer tick, and the lever that keeps batches
-				// forming even on a single-CPU host where the committer
-				// would otherwise run before anyone else could stage.
+				// follows covers a group instead of a single record — a
+				// commit delay of ~100ns instead of a timer tick, and the
+				// lever that keeps batches forming even on a single-CPU
+				// host where the committer would otherwise run before
+				// anyone else could stage.
 				yielded = true
 				j.mu.Unlock()
 				runtime.Gosched()
@@ -1139,12 +1127,6 @@ func (c *Cell) WaitDurable(seq uint64) error { return c.j.waitDurable(seq) }
 
 // Fetch returns the cell's recovered or last saved value.
 func (c *Cell) Fetch() (uint64, bool, error) { return c.j.fetch(c.key) }
-
-// Delete durably retires the cell's key; see Journal.Delete.
-func (c *Cell) Delete() error { return c.j.Delete(c.key) }
-
-// Key returns the cell's journal key.
-func (c *Cell) Key() string { return c.key }
 
 // Lane returns the index of the commit lane this cell persists into.
 // SaverPool routes handles by this value, so all of one lane's background

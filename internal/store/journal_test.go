@@ -234,7 +234,6 @@ func TestJournalMidLogCorruption(t *testing.T) {
 			if _, err := openLane(path, LanesStrictRecovery()); !errors.Is(err, ErrCorrupt) {
 				t.Errorf("strict openLane (%s) = %v, want ErrCorrupt", name, err)
 			}
-			dropped := RecoveryDropped()
 			j2, err := openLane(path)
 			if err != nil {
 				t.Fatalf("tolerant openLane (%s): %v", name, err)
@@ -249,9 +248,6 @@ func TestJournalMidLogCorruption(t *testing.T) {
 			rs := j2.RecoveryStats()
 			if rs.FramesDropped != 1 || rs.FramesReplayed != 1 || rs.TornTail {
 				t.Errorf("tolerant recovery (%s): stats = %+v, want 1 dropped region, 1 replayed, no torn tail", name, rs)
-			}
-			if got := RecoveryDropped(); got != dropped+1 {
-				t.Errorf("tolerant recovery (%s): RecoveryDropped = %d, want %d", name, got, dropped+1)
 			}
 		})
 	}
@@ -553,7 +549,7 @@ func TestJournalNoCounterRegression(t *testing.T) {
 // journal's reason to exist.
 func TestJournalGroupCommit(t *testing.T) {
 	watchdog.Arm(t, 10*time.Second)
-	j := journalAt(t, LanesBatchDelay(200*time.Microsecond))
+	j := journalAt(t, func(c *lanesConfig) { c.batchDelay = 200 * time.Microsecond })
 	defer j.Close()
 	base := j.Syncs()
 	const goroutines, saves = 16, 20
@@ -606,7 +602,7 @@ func TestJournalDeleteErasesKey(t *testing.T) {
 	if err := c.Save(500); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	if err := c.Delete(); err != nil {
+	if err := j.Delete("rx/1"); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	if _, ok, err := c.Fetch(); err != nil || ok {

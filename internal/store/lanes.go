@@ -60,6 +60,10 @@ type Lanes struct {
 }
 
 // lanesConfig is the medium's option set; every lane reads the one copy.
+// batchDelay (a lane's committer lingers that long before its fsync so more
+// concurrent SAVEs join the batch) has no option that sets it: it is zero
+// everywhere but in the two group-commit tests, whose fsync ratios need the
+// burst queued while the CPU is contended.
 type lanesConfig struct {
 	count          int
 	sync           bool
@@ -104,28 +108,13 @@ func LanesCompactAt(n int64) LanesOption {
 	return func(c *lanesConfig) { c.compactAt = n }
 }
 
-// LanesBatchDelay makes each lane's group-commit syncer linger for d before
-// issuing its fsync, letting more concurrent SAVEs join the batch — the
-// classic commit-delay knob of write-ahead logs. Durability is unchanged
-// (every Save still returns only after its record is fsynced); each save's
-// latency grows by up to d. Zero (the default) commits eagerly.
-func LanesBatchDelay(d time.Duration) LanesOption {
-	return func(c *lanesConfig) { c.batchDelay = d }
-}
-
-// DefaultTailBuffer is the number of recent records a lane retains for
-// tailing readers when LanesTailBuffer is not given.
+// DefaultTailBuffer is each lane's retained-record window for tailing
+// readers (Follow): at least that many recent records stay available, and
+// the buffer is trimmed back to it once it reaches twice that (amortizing
+// the trim to O(1) per append). A reader that falls behind the window
+// resynchronizes by snapshot-then-tail (ErrTailLagged), so the buffer bounds
+// replication memory, not correctness.
 const DefaultTailBuffer = 1 << 12
-
-// LanesTailBuffer sets each lane's retained-record window for tailing
-// readers (Follow): at least n recent records stay available, and the buffer
-// is trimmed back to n once it reaches 2n (amortizing the trim to O(1) per
-// append). A reader that falls behind the window resynchronizes by
-// snapshot-then-tail (ErrTailLagged), so the buffer bounds replication
-// memory, not correctness. Values < 1 are clamped to 1.
-func LanesTailBuffer(n int) LanesOption {
-	return func(c *lanesConfig) { c.tailCap = max(n, 1) }
-}
 
 // LanesStrictRecovery makes OpenLanes refuse (ErrCorrupt) when CRC-valid
 // records follow the first bad frame of a lane, instead of skipping the
@@ -161,7 +150,7 @@ func LanesWithFS(fsys storefault.FS) LanesOption {
 // Close flush) marks the lane unusable. It runs with that lane's mutex held,
 // so it must not call back into the medium — record an event, bump a gauge,
 // notify a quarantine manager. The other lanes are untouched — poisoning is
-// exactly the per-lane fault domain LaneHealth reports — and a successful
+// exactly the per-lane fault domain Quarantined reports — and a successful
 // RepairLane re-arms the hook.
 func LanesOnPoison(fn func(lane int, err error)) LanesOption {
 	return func(c *lanesConfig) { c.onPoison = fn }
@@ -406,27 +395,11 @@ func (l *Lanes) RecoveryStats() RecoveryStats {
 	return rs
 }
 
-// LaneStatus is one lane's fault-domain state: its index and the sticky I/O
-// error that quarantined it (nil while healthy).
-type LaneStatus struct {
-	Lane int
-	Err  error
-}
-
-// LaneHealth reports every lane's fault-domain state, in lane order. A lane
-// with a non-nil Err is quarantined: its keys' saves return that original
-// error (never a retried "success"), while every other lane commits at full
-// speed — the blast radius of a disk fault is the lane, not the medium.
-func (l *Lanes) LaneHealth() []LaneStatus {
-	out := make([]LaneStatus, len(l.lanes))
-	for i, j := range l.lanes {
-		out[i] = LaneStatus{Lane: i, Err: j.Poisoned()}
-	}
-	return out
-}
-
 // Quarantined returns the indices of poisoned lanes, in lane order; empty
-// while the whole medium is healthy.
+// while the whole medium is healthy. A quarantined lane's keys' saves return
+// its original error (Journal.Poisoned; never a retried "success"), while
+// every other lane commits at full speed — the blast radius of a disk fault
+// is the lane, not the medium.
 func (l *Lanes) Quarantined() []int {
 	var out []int
 	for i, j := range l.lanes {

@@ -24,7 +24,7 @@ import (
 // The pool is sharded: each worker owns a private queue, and a handle is
 // pinned to one shard for its lifetime. Journal cells report their commit
 // lane (Cell.Lane) and route by it, so a lane only ever sees one saver;
-// every other store (Mem, File, wrappers) round-robins.
+// every other store (Mem, wrappers) round-robins.
 //
 // A worker runs in rounds. It swaps out its whole queue, takes each handle's
 // coalesced maximum and stages it (Cell.Stage: a memcpy under the lane
@@ -37,7 +37,7 @@ import (
 // post-wake SAVE at once, pays about one fsync per lane — and SAVEs that
 // arrive while the worker is inside an fsync share the next one. A worker
 // still commits its lanes one after another. Stores that cannot stage (Mem,
-// File, wrappers) take the same loop through saveStager.
+// wrappers) take the same loop through saveStager.
 type SaverPool struct {
 	shards []poolShard
 	rr     atomic.Uint32 // round-robin cursor for handles over stores that are not cells
@@ -54,50 +54,24 @@ type SaverPool struct {
 	// SA at its durable horizon until the medium recovers.
 	retries stats.Counter
 	giveUps stats.Counter
-
-	retryMu sync.Mutex
-	retry   SaveRetry
 }
 
-// SaveRetry bounds the pool's retry of transiently failing saves: a batch's
-// Save is attempted up to Attempts times total, sleeping a jittered,
-// exponentially growing delay (starting at Base, capped at Max) between
-// attempts. Permanent failures — a closed or fenced store, or a poisoned
-// journal lane (which must never see a retried sync reported as success) —
-// are returned immediately, unwrapped. A retry budget that runs out returns
-// the last error wrapped in ErrSaveRetriesExhausted.
-type SaveRetry struct {
-	Attempts int           // total Save attempts per batch; < 1 clamps to 1
-	Base     time.Duration // first inter-attempt delay
-	Max      time.Duration // delay cap; 0 means uncapped
-}
-
-// DefaultSaveRetry is the retry policy a new pool starts with: a couple of
-// quick retries absorb blips (a transient EINTR-class error, a store
-// mid-reopen) without materially delaying the worker, while anything
-// longer-lived fails fast enough that the SA's horizon stall — the paper's
-// bounded-degradation answer — takes over.
-func DefaultSaveRetry() SaveRetry {
-	return SaveRetry{Attempts: 3, Base: 200 * time.Microsecond, Max: 5 * time.Millisecond}
-}
-
-// SetRetry replaces the pool's retry policy; it may be called at any time
-// and applies to batches drained after the call.
-func (p *SaverPool) SetRetry(r SaveRetry) {
-	if r.Attempts < 1 {
-		r.Attempts = 1
-	}
-	p.retryMu.Lock()
-	p.retry = r
-	p.retryMu.Unlock()
-}
-
-// retryPolicy snapshots the current policy.
-func (p *SaverPool) retryPolicy() SaveRetry {
-	p.retryMu.Lock()
-	defer p.retryMu.Unlock()
-	return p.retry
-}
+// The pool's retry of transiently failing saves: a batch's Save is attempted
+// up to saveAttempts times total, sleeping a jittered, exponentially growing
+// delay (starting at saveRetryBase, capped at saveRetryMax) between attempts.
+// Permanent failures — a closed or fenced store, or a poisoned journal lane
+// (which must never see a retried sync reported as success) — are returned
+// immediately, unwrapped. A retry budget that runs out returns the last
+// error wrapped in ErrSaveRetriesExhausted. A couple of quick retries absorb
+// blips (a transient EINTR-class error, a store mid-reopen) without
+// materially delaying the worker, while anything longer-lived fails fast
+// enough that the SA's horizon stall — the paper's bounded-degradation
+// answer — takes over.
+const (
+	saveAttempts  = 3
+	saveRetryBase = 200 * time.Microsecond
+	saveRetryMax  = 5 * time.Millisecond
+)
 
 // poisoner is implemented by stores backed by a journal lane that can be
 // poisoned by an I/O failure; see Journal.Poisoned.
@@ -123,28 +97,19 @@ func (p *SaverPool) retrySave(st Store, v uint64, err error) error {
 	if err == nil || permanentSaveErr(st, err) {
 		return err
 	}
-	r := p.retryPolicy()
-	delay := r.Base
-	for attempt := 1; attempt < r.Attempts; attempt++ {
+	delay := saveRetryBase
+	for attempt := 1; attempt < saveAttempts; attempt++ {
 		p.retries.Add(1)
-		if delay > 0 {
-			// Full jitter around the nominal delay so a burst of failing
-			// handles does not re-converge on the medium in lockstep.
-			time.Sleep(delay/2 + time.Duration(rand.Int64N(int64(delay/2)+1)))
-		}
-		delay *= 2
-		if r.Max > 0 && delay > r.Max {
-			delay = r.Max
-		}
+		// Full jitter around the nominal delay so a burst of failing
+		// handles does not re-converge on the medium in lockstep.
+		time.Sleep(delay/2 + time.Duration(rand.Int64N(int64(delay/2)+1)))
+		delay = min(2*delay, saveRetryMax)
 		if err = st.Save(v); err == nil || permanentSaveErr(st, err) {
 			return err
 		}
 	}
-	if r.Attempts > 1 {
-		p.giveUps.Add(1)
-		return fmt.Errorf("%w (%d attempts): %w", ErrSaveRetriesExhausted, r.Attempts, err)
-	}
-	return err
+	p.giveUps.Add(1)
+	return fmt.Errorf("%w (%d attempts): %w", ErrSaveRetriesExhausted, saveAttempts, err)
 }
 
 // poolShard is one worker's private queue.
@@ -185,7 +150,7 @@ func NewSaverPool(workers int) *SaverPool {
 	if workers <= 0 {
 		workers = DefaultPoolWorkers
 	}
-	p := &SaverPool{shards: make([]poolShard, workers), retry: DefaultSaveRetry()}
+	p := &SaverPool{shards: make([]poolShard, workers)}
 	p.wg.Add(workers)
 	for i := range p.shards {
 		sh := &p.shards[i]

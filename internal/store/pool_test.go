@@ -196,7 +196,7 @@ func TestPoolJournalGroupCommit(t *testing.T) {
 		wg.Wait()
 	}
 
-	j := journalAt(t, LanesBatchDelay(100*time.Microsecond))
+	j := journalAt(t, func(c *lanesConfig) { c.batchDelay = 100 * time.Microsecond })
 	burst(func(h int) Store { return j.Cell(fmt.Sprintf("sa/%d", h)) })
 	appends := j.Appends()
 	syncs := j.Syncs()
@@ -486,14 +486,14 @@ func TestPoolCloseDuringRound(t *testing.T) {
 }
 
 // TestPoolRoundRetriesTransient: inside a round of several handles a
-// transient failure still gets DefaultSaveRetry's attempts, and a failure
+// transient failure still gets the pool's retry attempts, and a failure
 // that outlasts them surfaces ErrSaveRetriesExhausted over the cause,
 // without disturbing the round's other handles.
 func TestPoolRoundRetriesTransient(t *testing.T) {
 	watchdog.Arm(t, 10*time.Second)
 	p := NewSaverPool(1)
 	defer p.Close()
-	attempts := DefaultSaveRetry().Attempts
+	const attempts = saveAttempts
 	blip, dead, fine := NewFaulty(&Mem{}), NewFaulty(&Mem{}), &Mem{}
 	blip.FailSaves(attempts - 1)
 	dead.FailSaves(1 << 20)

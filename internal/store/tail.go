@@ -27,7 +27,7 @@ type TailRecord struct {
 // primary's recoverable state.
 //
 // The journal retains a bounded in-memory window of recent records (see
-// LanesTailBuffer). A reader that falls behind the window — or that
+// DefaultTailBuffer). A reader that falls behind the window — or that
 // attaches fresh — resynchronizes by snapshot-then-tail: Recv reports
 // ErrTailLagged, the reader calls Snapshot (the full live state plus the
 // cursor position that stream resumes from), applies it, and tails on. The
@@ -44,8 +44,6 @@ type Tail struct {
 	next    uint64 // sequence number of the next record to deliver
 	ackNext uint64 // every record with seq < ackNext is applied downstream
 	closed  bool
-	lagged  bool   // cursor behind the window; cleared by Snapshot
-	resyncs uint64 // distinct lag episodes (snapshot reloads needed)
 }
 
 // Follow attaches a new tailing reader positioned at the end of the current
@@ -86,7 +84,6 @@ func (t *Tail) Snapshot() (vals map[string]uint64, next uint64, err error) {
 	}
 	vals = j.valuesInto(make(map[string]uint64, j.numKeys()))
 	t.next = j.appendSeq
-	t.lagged = false
 	return vals, t.next, nil
 }
 
@@ -136,12 +133,6 @@ func (t *Tail) recvLocked(buf []TailRecord) (int, error) {
 		return 0, ErrClosed
 	}
 	if t.next < j.tailMin {
-		if !t.lagged {
-			// One lag episode counts once, no matter how many Recv/TryRecv
-			// calls observe it before the snapshot resync clears it.
-			t.lagged = true
-			t.resyncs++
-		}
 		return 0, ErrTailLagged
 	}
 	n := 0
@@ -183,28 +174,6 @@ func (t *Tail) Lag() uint64 {
 		return committed - t.ackNext
 	}
 	return 0
-}
-
-// Pending returns the number of committed records not yet received through
-// Recv — how much a drain loop still has to pull before the cursor reaches
-// the end of the durable stream.
-func (t *Tail) Pending() uint64 {
-	j := t.j
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if committed := j.syncedSeq.Load(); t.next < committed {
-		return committed - t.next
-	}
-	return 0
-}
-
-// Resyncs returns how many times the reader fell behind the retained window
-// and had to resynchronize by snapshot (ErrTailLagged occurrences).
-func (t *Tail) Resyncs() uint64 {
-	j := t.j
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return t.resyncs
 }
 
 // Close detaches the reader. If it was the journal's sync follower the
@@ -257,16 +226,6 @@ func (j *Journal) SyncFollower(t *Tail) error {
 	}
 	j.syncTail = t
 	return nil
-}
-
-// ClearSyncFollower removes the sync-follower registration (graceful
-// degradation to local-only durability), releasing any savers blocked on
-// replication acks.
-func (j *Journal) ClearSyncFollower() {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.syncTail = nil
-	j.cond.Broadcast()
 }
 
 // Fence permanently rejects all further writes to the journal with err

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -11,25 +12,35 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // TestMetricsGolden pins the exact exposition bytes for a representative
-// registry — instruments of every kind, labels, funcs, and a collector —
-// so a formatting regression (family ordering, TYPE headers, label
-// escaping, histogram cumulative buckets) diffs loudly instead of
-// breaking scrapers quietly. Regenerate with: go test ./internal/telemetry
+// registry — both kinds, labels, escaping, and a family fed by two
+// collectors — so a formatting regression (family ordering, TYPE headers,
+// label escaping, value rendering) diffs loudly instead of breaking
+// scrapers quietly. Regenerate with: go test ./internal/telemetry
 // -run TestMetricsGolden -update
 func TestMetricsGolden(t *testing.T) {
 	r := NewRegistry()
 
-	r.Counter("apn_gateway_sealed_total", "Packets sealed.").Add(12345)
-	r.Counter("apn_journal_appends_total", "Journal appends.", Label{"lane", "0"}).Add(100)
-	r.Counter("apn_journal_appends_total", "Journal appends.", Label{"lane", "1"}).Add(200)
-	r.Gauge("apn_pool_queue_depth", "Savers queued.").Set(4)
-	r.GaugeFunc("apn_cluster_lag_records", "Replication lag.", func() float64 { return 17 })
-	r.CounterFunc("apn_cluster_applied_total", "Applied records.", func() uint64 { return 999 })
-	h := r.Histogram("apn_save_latency_seconds", "SAVE latency.", ExpBuckets(0.0001, 10, 4))
-	h.Observe(0.00005)
-	h.Observe(0.0005)
-	h.Observe(0.25)
-	r.Gauge("apn_label_escape", "Escaping.", Label{"path", `C:\logs "a"` + "\nb"}).Set(1)
+	r.RegisterCollector("apn_gateway", CollectorFunc(func(emit Emit) {
+		emit("sealed_total", KindCounter, 12345)
+	}))
+	// One family, two collectors: the lanes of one medium registered apart.
+	for lane, appends := range []float64{100, 200} {
+		lane, appends := lane, appends
+		r.RegisterCollector("apn_journal", CollectorFunc(func(emit Emit) {
+			emit("appends_total", KindCounter, appends, Label{"lane", strconv.Itoa(lane)})
+		}))
+	}
+	r.RegisterCollector("apn_pool", CollectorFunc(func(emit Emit) {
+		emit("queue_depth", KindGauge, 4)
+	}))
+	r.RegisterCollector("apn_cluster", CollectorFunc(func(emit Emit) {
+		emit("lag_records", KindGauge, 17)
+		emit("lag_ratio", KindGauge, 0.25)
+		emit("applied_total", KindCounter, 999)
+	}))
+	r.RegisterCollector("apn_label", CollectorFunc(func(emit Emit) {
+		emit("escape", KindGauge, 1, Label{"path", `C:\logs "a"` + "\nb"})
+	}))
 	r.RegisterCollector("apn_link", CollectorFunc(func(emit Emit) {
 		emit("tx_packets_total", KindCounter, 42)
 		emit("rx_drops_total", KindCounter, 7)

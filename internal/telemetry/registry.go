@@ -7,48 +7,26 @@ import (
 	"sort"
 	"strings"
 	"sync"
-
-	"antireplay/internal/stats"
 )
 
-// Registry holds every registered metric family and renders them in the
-// Prometheus text exposition format (version 0.0.4).
+// Registry is a list of (prefix, Collector) pairs rendered in the
+// Prometheus text exposition format (version 0.0.4). There is one
+// registration style, and it is pull: every layer that has numbers — the
+// gateway, the journal, the saver pool, the cluster, the wire links, the
+// sim loop — already counts into fields of its own, so the registry calls
+// back at scrape time and the hot paths carry no instrument of this
+// package. A binary with counters of its own keeps them (a
+// stats.ShardedCounter is one padded atomic add) and emits them from a
+// CollectorFunc.
 //
-// Two registration styles coexist:
-//
-//   - Vended instruments (Counter, Gauge, Histogram): the registry creates
-//     the primitive and hands the caller a direct pointer. The handle is
-//     pre-resolved — increments are one atomic op on a cache-line-padded
-//     word, 0 allocs/op, no lookup of any kind. Use these for new
-//     instrumentation on hot paths.
-//   - Read-side sampling (CounterFunc, GaugeFunc, RegisterCollector):
-//     the registry calls back at scrape time. Use these for layers that
-//     already count into their own fields; the hot path is untouched.
-//
-// Registration methods panic on malformed names or duplicate series —
-// metric names are compile-time constants in practice, so a bad one is a
-// programmer error caught by the first test that touches the package.
-// Scrapes (WritePrometheus) and registrations may race freely.
+// RegisterCollector panics on a malformed prefix or a nil collector —
+// prefixes are compile-time constants, so a bad one is a programmer error
+// caught by the first test that touches the package. What a collector
+// emits is validated by Lint, not per scrape. Scrapes and registrations
+// may race freely.
 type Registry struct {
-	mu       sync.Mutex
-	families map[string]*family
-	sources  []source
-}
-
-type family struct {
-	name, help string
-	kind       Kind
-	series     []*series
-	labelKeys  string // canonical sorted label-key signature of the family
-}
-
-type series struct {
-	labels    string // pre-rendered {k="v",...} or ""
-	counter   *stats.ShardedCounter
-	gauge     *stats.Gauge
-	counterFn func() uint64
-	gaugeFn   func() float64
-	hist      *Histogram
+	mu      sync.Mutex
+	sources []source
 }
 
 type source struct {
@@ -57,51 +35,11 @@ type source struct {
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{families: make(map[string]*family)}
-}
+func NewRegistry() *Registry { return &Registry{} }
 
-// Counter registers a monotone counter series and returns its pre-resolved
-// handle: a sharded counter whose Add is safe for any concurrency and
-// allocation-free.
-func (r *Registry) Counter(name, help string, labels ...Label) *stats.ShardedCounter {
-	c := &stats.ShardedCounter{}
-	r.add(name, help, KindCounter, labels, &series{counter: c})
-	return c
-}
-
-// Gauge registers a gauge series and returns its pre-resolved handle.
-func (r *Registry) Gauge(name, help string, labels ...Label) *stats.Gauge {
-	g := &stats.Gauge{}
-	r.add(name, help, KindGauge, labels, &series{gauge: g})
-	return g
-}
-
-// Histogram registers a fixed-bucket histogram series and returns its
-// pre-resolved handle. Buckets are the upper bounds, in increasing order;
-// the +Inf bucket is implicit.
-func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Label) *Histogram {
-	h := NewHistogram(buckets)
-	r.add(name, help, KindHistogram, labels, &series{hist: h})
-	h.resolveLabels(renderLabels(labels))
-	return h
-}
-
-// CounterFunc registers a counter series sampled from fn at scrape time.
-// fn must be safe to call from any goroutine and must be monotone.
-func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...Label) {
-	r.add(name, help, KindCounter, labels, &series{counterFn: fn})
-}
-
-// GaugeFunc registers a gauge series sampled from fn at scrape time.
-// fn must be safe to call from any goroutine.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	r.add(name, help, KindGauge, labels, &series{gaugeFn: fn})
-}
-
-// RegisterCollector registers a whole collector under a name prefix: every
-// sample it emits at scrape time appears as <prefix>_<name>. The prefix is
-// validated now; emitted names are validated by Lint, not per scrape.
+// RegisterCollector registers a collector under a name prefix: every
+// sample it emits at scrape time appears as <prefix>_<name>. Two collectors
+// may feed one family (same full name, different labels).
 func (r *Registry) RegisterCollector(prefix string, c Collector) {
 	if err := checkName(prefix); err != nil {
 		panic(fmt.Sprintf("telemetry: collector prefix %q: %v", prefix, err))
@@ -114,156 +52,53 @@ func (r *Registry) RegisterCollector(prefix string, c Collector) {
 	r.sources = append(r.sources, source{prefix: prefix, c: c})
 }
 
-func (r *Registry) add(name, help string, kind Kind, labels []Label, s *series) {
-	if err := lintSeries(name, kind, labels); err != nil {
-		panic(fmt.Sprintf("telemetry: register %s: %v", name, err))
-	}
-	s.labels = renderLabels(labels)
-	sig := labelSignature(labels)
+// collect runs every registered collector, handing emit each sample under
+// its full name. Called with r.mu NOT held (collectors may take other
+// locks).
+func (r *Registry) collect(emit Emit) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.families[name]
-	if f == nil {
-		f = &family{name: name, help: help, kind: kind, labelKeys: sig}
-		r.families[name] = f
-	}
-	if f.kind != kind {
-		panic(fmt.Sprintf("telemetry: register %s: kind %v conflicts with existing %v", name, kind, f.kind))
-	}
-	if f.labelKeys != sig {
-		panic(fmt.Sprintf("telemetry: register %s: label keys [%s] conflict with existing [%s]", name, sig, f.labelKeys))
-	}
-	for _, existing := range f.series {
-		if existing.labels == s.labels {
-			panic(fmt.Sprintf("telemetry: register %s%s: duplicate series", name, s.labels))
-		}
-	}
-	f.series = append(f.series, s)
-}
-
-func labelSignature(labels []Label) string {
-	keys := make([]string, len(labels))
-	for i, l := range labels {
-		keys[i] = l.Key
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, ",")
-}
-
-// dynSample is one collector-emitted sample gathered during a scrape.
-type dynSample struct {
-	labels string
-	value  float64
-}
-
-type dynFamily struct {
-	kind    Kind
-	samples []dynSample
-}
-
-// gather runs every registered collector and groups the samples by family
-// name. Called with r.mu NOT held (collectors may re-enter other locks).
-func (r *Registry) gather() map[string]*dynFamily {
-	r.mu.Lock()
-	srcs := make([]source, len(r.sources))
-	copy(srcs, r.sources)
+	srcs := append([]source(nil), r.sources...)
 	r.mu.Unlock()
-
-	fams := make(map[string]*dynFamily)
 	for _, src := range srcs {
-		prefix := src.prefix
+		prefix := src.prefix + "_"
 		src.c.CollectTelemetry(func(name string, kind Kind, value float64, labels ...Label) {
-			full := prefix + "_" + name
-			f := fams[full]
-			if f == nil {
-				f = &dynFamily{kind: kind}
-				fams[full] = f
-			}
-			f.samples = append(f.samples, dynSample{labels: renderLabels(labels), value: value})
+			emit(prefix+name, kind, value, labels...)
 		})
 	}
-	return fams
 }
 
-// WritePrometheus renders every family — vended instruments, sampled
-// funcs, and collector output — in the text exposition format, families in
-// lexicographic order for deterministic output.
+// family is one metric name's samples gathered during a scrape. Its kind
+// is the first sample's; Lint reports a later one that disagrees.
+type family struct {
+	kind    Kind
+	samples []string // rendered "<labels> <value>" tails, in emission order
+}
+
+// WritePrometheus runs every collector and renders the families in
+// lexicographic order, samples in emission order, for deterministic
+// output.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	dyn := r.gather()
-
-	r.mu.Lock()
-	static := make([]*family, 0, len(r.families))
-	for _, name := range sortedKeys(r.families) {
-		static = append(static, r.families[name])
-	}
-	r.mu.Unlock()
-
-	seen := make(map[string]bool, len(static))
-	for _, f := range static {
-		seen[f.name] = true
-		if f.help != "" {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.name, escapeHelp(f.help)); err != nil {
-				return err
-			}
+	fams := make(map[string]*family)
+	r.collect(func(name string, kind Kind, value float64, labels ...Label) {
+		f := fams[name]
+		if f == nil {
+			f = &family{kind: kind}
+			fams[name] = f
 		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind); err != nil {
+		f.samples = append(f.samples, renderLabels(labels)+" "+formatValue(value))
+	})
+	for _, name := range sortedKeys(fams) {
+		f := fams[name]
+		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", name, f.kind); err != nil {
 			return err
 		}
-		for _, s := range f.series {
-			if err := writeSeries(w, f.name, f.kind, s); err != nil {
-				return err
-			}
-		}
-		// A collector may add samples to a statically-declared family
-		// (same name): they ride along under the family's TYPE header.
-		if df, ok := dyn[f.name]; ok && df.kind == f.kind {
-			for _, smp := range df.samples {
-				if _, err := fmt.Fprintf(w, "%s%s %s\n", f.name, smp.labels, formatValue(smp.value)); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	for _, name := range sortedKeys(dyn) {
-		if seen[name] {
-			continue
-		}
-		df := dyn[name]
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", name, df.kind); err != nil {
-			return err
-		}
-		for _, smp := range df.samples {
-			if _, err := fmt.Fprintf(w, "%s%s %s\n", name, smp.labels, formatValue(smp.value)); err != nil {
+		for _, smp := range f.samples {
+			if _, err := fmt.Fprintf(w, "%s%s\n", name, smp); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
-}
-
-func writeSeries(w io.Writer, name string, kind Kind, s *series) error {
-	switch {
-	case s.counter != nil:
-		_, err := fmt.Fprintf(w, "%s%s %d\n", name, s.labels, s.counter.Value())
-		return err
-	case s.gauge != nil:
-		_, err := fmt.Fprintf(w, "%s%s %d\n", name, s.labels, s.gauge.Value())
-		return err
-	case s.counterFn != nil:
-		_, err := fmt.Fprintf(w, "%s%s %d\n", name, s.labels, s.counterFn())
-		return err
-	case s.gaugeFn != nil:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", name, s.labels, formatValue(s.gaugeFn()))
-		return err
-	case s.hist != nil:
-		return s.hist.write(w, name, s.labels, kind)
-	}
-	return nil
-}
-
-func escapeHelp(h string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`)
-	return r.Replace(h)
 }
 
 // ---- promlint-style validation ----
@@ -273,8 +108,8 @@ var (
 	labelRe = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
 )
 
-// reservedSuffixes are histogram-internal series suffixes that a family
-// name must not end with, or its exposition collides with a histogram's.
+// reservedSuffixes are the series suffixes of a Prometheus histogram or
+// summary; a family name ending in one collides with theirs.
 var reservedSuffixes = []string{"_bucket", "_sum", "_count"}
 
 func checkName(name string) error {
@@ -289,9 +124,8 @@ func checkName(name string) error {
 	return nil
 }
 
-// lintSeries is the registration-time subset of the validator: name shape,
-// kind/suffix agreement, label hygiene.
-func lintSeries(name string, kind Kind, labels []Label) error {
+// lintFamily checks a family's name shape and kind/suffix agreement.
+func lintFamily(name string, kind Kind) error {
 	if err := checkName(name); err != nil {
 		return err
 	}
@@ -300,20 +134,22 @@ func lintSeries(name string, kind Kind, labels []Label) error {
 		if !strings.HasSuffix(name, "_total") {
 			return fmt.Errorf("counter name must end in _total")
 		}
-	case KindGauge, KindHistogram:
+	case KindGauge:
 		if strings.HasSuffix(name, "_total") {
-			return fmt.Errorf("%v name must not end in _total", kind)
+			return fmt.Errorf("gauge name must not end in _total")
 		}
 	default:
 		return fmt.Errorf("unknown kind %d", kind)
 	}
+	return nil
+}
+
+// lintLabels checks one sample's label hygiene.
+func lintLabels(labels []Label) error {
 	seen := make(map[string]bool, len(labels))
 	for _, l := range labels {
 		if !labelRe.MatchString(l.Key) {
 			return fmt.Errorf("label key %q must match %s", l.Key, labelRe)
-		}
-		if strings.HasPrefix(l.Key, "__") {
-			return fmt.Errorf("label key %q is reserved", l.Key)
 		}
 		if l.Key == "le" {
 			return fmt.Errorf("label key \"le\" is reserved for histogram buckets")
@@ -326,33 +162,34 @@ func lintSeries(name string, kind Kind, labels []Label) error {
 	return nil
 }
 
-// Lint validates every registered family — including one live sample of
-// every collector — against the promlint-style rules: name shape, counter
-// _total suffix, no _total on gauges, reserved suffixes and label keys,
-// and kind consistency for collector families. It returns one error per
-// violation; an instrumented stack with a clean Lint is safe to scrape.
+// Lint validates one live sample of every collector against the
+// promlint-style rules: name shape, counter _total suffix, no _total on
+// gauges, reserved suffixes and label keys, one kind per family (however
+// many collectors feed it) and no series emitted twice. It returns one
+// error per violation; an instrumented stack with a clean Lint is safe to
+// scrape.
 func (r *Registry) Lint() []error {
 	var errs []error
-	dyn := r.gather()
-	r.mu.Lock()
-	for name, f := range r.families {
-		if df, ok := dyn[name]; ok && df.kind != f.kind {
-			errs = append(errs, fmt.Errorf("%s: collector emits kind %v but family is %v", name, df.kind, f.kind))
+	kinds := make(map[string]Kind)
+	seen := make(map[string]bool)
+	r.collect(func(name string, kind Kind, _ float64, labels ...Label) {
+		if first, ok := kinds[name]; !ok {
+			kinds[name] = kind
+			if err := lintFamily(name, kind); err != nil {
+				errs = append(errs, fmt.Errorf("%s: %v", name, err))
+			}
+		} else if first != kind {
+			errs = append(errs, fmt.Errorf("%s: kind %v conflicts with existing %v", name, kind, first))
 		}
-	}
-	r.mu.Unlock()
-	for name, df := range dyn {
-		if err := lintSeries(name, df.kind, nil); err != nil {
+		if err := lintLabels(labels); err != nil {
 			errs = append(errs, fmt.Errorf("%s: %v", name, err))
 		}
-		seen := make(map[string]bool, len(df.samples))
-		for _, smp := range df.samples {
-			if seen[smp.labels] {
-				errs = append(errs, fmt.Errorf("%s%s: duplicate series from collector", name, smp.labels))
-			}
-			seen[smp.labels] = true
+		series := name + renderLabels(labels)
+		if seen[series] {
+			errs = append(errs, fmt.Errorf("%s: duplicate series", series))
 		}
-	}
+		seen[series] = true
+	})
 	sort.Slice(errs, func(i, j int) bool { return errs[i].Error() < errs[j].Error() })
 	return errs
 }

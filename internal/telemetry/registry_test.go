@@ -3,6 +3,7 @@ package telemetry
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -16,52 +17,22 @@ func mustPanic(t *testing.T, what string, fn func()) {
 	fn()
 }
 
-func TestRegistryVendedInstruments(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("apn_test_events_total", "Test events.")
-	g := r.Gauge("apn_test_depth", "Test depth.")
-	h := r.Histogram("apn_test_latency_seconds", "Test latency.", []float64{0.01, 0.1})
-
-	c.Add(3)
-	g.Set(7)
-	h.Observe(0.005)
-	h.Observe(0.5)
-
+func scrape(t *testing.T, r *Registry) string {
+	t.Helper()
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	out := b.String()
-	for _, want := range []string{
-		"# TYPE apn_test_events_total counter",
-		"apn_test_events_total 3",
-		"# TYPE apn_test_depth gauge",
-		"apn_test_depth 7",
-		"# TYPE apn_test_latency_seconds histogram",
-		`apn_test_latency_seconds_bucket{le="0.01"} 1`,
-		`apn_test_latency_seconds_bucket{le="0.1"} 1`,
-		`apn_test_latency_seconds_bucket{le="+Inf"} 2`,
-		"apn_test_latency_seconds_sum 0.505",
-		"apn_test_latency_seconds_count 2",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q:\n%s", want, out)
-		}
-	}
+	return b.String()
 }
 
 func TestRegistryLabels(t *testing.T) {
 	r := NewRegistry()
-	c0 := r.Counter("apn_lane_appends_total", "Per-lane appends.", Label{"lane", "0"})
-	c1 := r.Counter("apn_lane_appends_total", "Per-lane appends.", Label{"lane", "1"})
-	c0.Add(1)
-	c1.Add(2)
-
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
+	r.RegisterCollector("apn_lane", CollectorFunc(func(emit Emit) {
+		emit("appends_total", KindCounter, 1, Label{"lane", "0"})
+		emit("appends_total", KindCounter, 2, Label{"lane", "1"})
+	}))
+	out := scrape(t, r)
 	if !strings.Contains(out, `apn_lane_appends_total{lane="0"} 1`) ||
 		!strings.Contains(out, `apn_lane_appends_total{lane="1"} 2`) {
 		t.Errorf("labelled series missing:\n%s", out)
@@ -74,24 +45,18 @@ func TestRegistryLabels(t *testing.T) {
 
 func TestRegistryFuncsAndCollectors(t *testing.T) {
 	r := NewRegistry()
-	r.CounterFunc("apn_applied_total", "Applied records.", func() uint64 { return 42 })
-	r.GaugeFunc("apn_lag_ratio", "Lag ratio.", func() float64 { return 0.25 })
 	r.RegisterCollector("apn_link", CollectorFunc(func(emit Emit) {
 		emit("tx_packets_total", KindCounter, 9)
 		emit("rx_drops_total", KindCounter, 1, Label{"dir", "rx"})
+		emit("lag_ratio", KindGauge, 0.25)
 	}))
-
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
+	out := scrape(t, r)
 	for _, want := range []string{
-		"apn_applied_total 42",
-		"apn_lag_ratio 0.25",
 		"# TYPE apn_link_tx_packets_total counter",
 		"apn_link_tx_packets_total 9",
 		`apn_link_rx_drops_total{dir="rx"} 1`,
+		"# TYPE apn_link_lag_ratio gauge",
+		"apn_link_lag_ratio 0.25",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
@@ -101,36 +66,64 @@ func TestRegistryFuncsAndCollectors(t *testing.T) {
 
 func TestRegistryRejectsBadRegistrations(t *testing.T) {
 	r := NewRegistry()
-	mustPanic(t, "counter without _total", func() { r.Counter("apn_bad", "") })
-	mustPanic(t, "gauge with _total", func() { r.Gauge("apn_bad_total", "") })
-	mustPanic(t, "uppercase name", func() { r.Counter("APN_bad_total", "") })
-	mustPanic(t, "reserved suffix", func() { r.Gauge("apn_bad_bucket", "") })
-	mustPanic(t, "reserved label", func() { r.Counter("apn_x_total", "", Label{"le", "1"}) })
-	mustPanic(t, "bad label key", func() { r.Counter("apn_y_total", "", Label{"Lane", "1"}) })
+	none := CollectorFunc(func(Emit) {})
+	mustPanic(t, "uppercase prefix", func() { r.RegisterCollector("APN_bad", none) })
+	mustPanic(t, "empty prefix", func() { r.RegisterCollector("", none) })
+	mustPanic(t, "reserved suffix", func() { r.RegisterCollector("apn_bad_bucket", none) })
+	mustPanic(t, "nil collector", func() { r.RegisterCollector("apn_ok", nil) })
 
-	r.Counter("apn_dup_total", "", Label{"lane", "0"})
-	mustPanic(t, "duplicate series", func() { r.Counter("apn_dup_total", "", Label{"lane", "0"}) })
-	mustPanic(t, "kind conflict", func() { r.GaugeFunc("apn_dup_total", "", nil, Label{"lane", "1"}) })
-	mustPanic(t, "label-key conflict", func() { r.Counter("apn_dup_total", "", Label{"shard", "0"}) })
+	// What a collector emits is Lint's to reject, one error per case.
+	for _, c := range []struct {
+		what string
+		emit func(emit Emit)
+	}{
+		{"counter without _total", func(emit Emit) { emit("bad", KindCounter, 1) }},
+		{"gauge with _total", func(emit Emit) { emit("bad_total", KindGauge, 1) }},
+		{"uppercase name", func(emit Emit) { emit("Bad_total", KindCounter, 1) }},
+		{"reserved suffix", func(emit Emit) { emit("bad_sum", KindGauge, 1) }},
+		{"unknown kind", func(emit Emit) { emit("bad", Kind(9), 1) }},
+		{"reserved label", func(emit Emit) { emit("x_total", KindCounter, 1, Label{"le", "1"}) }},
+		{"bad label key", func(emit Emit) { emit("y_total", KindCounter, 1, Label{"Lane", "1"}) }},
+		{"duplicate label key", func(emit Emit) { emit("z_total", KindCounter, 1, Label{"lane", "0"}, Label{"lane", "1"}) }},
+		{"duplicate series", func(emit Emit) {
+			emit("dup_total", KindCounter, 1, Label{"lane", "0"})
+			emit("dup_total", KindCounter, 2, Label{"lane", "0"})
+		}},
+		{"kind conflict", func(emit Emit) {
+			emit("dup_total", KindCounter, 1, Label{"lane", "0"})
+			emit("dup_total", KindGauge, 1, Label{"lane", "1"})
+		}},
+	} {
+		r := NewRegistry()
+		r.RegisterCollector("apn", CollectorFunc(c.emit))
+		if errs := r.Lint(); len(errs) != 1 {
+			t.Errorf("%s: want 1 lint error, got %v", c.what, errs)
+		}
+	}
 }
 
 func TestRegistryLint(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("apn_good_total", "Fine.")
+	r.RegisterCollector("apn_good", CollectorFunc(func(emit Emit) { emit("events_total", KindCounter, 1) }))
 	r.RegisterCollector("apn_src", CollectorFunc(func(emit Emit) {
 		emit("bad_gauge_total", KindGauge, 1) // gauge with _total
 		emit("dup_total", KindCounter, 1)
 		emit("dup_total", KindCounter, 2) // duplicate series
 	}))
+	// A second collector feeding the first one's family with another kind.
+	r.RegisterCollector("apn_good", CollectorFunc(func(emit Emit) { emit("events_total", KindGauge, 1, Label{"lane", "1"}) }))
 	errs := r.Lint()
-	if len(errs) != 2 {
-		t.Fatalf("want 2 lint errors, got %d: %v", len(errs), errs)
+	if len(errs) != 3 {
+		t.Fatalf("want 3 lint errors, got %d: %v", len(errs), errs)
 	}
 }
 
 func TestRegistryConcurrentScrapeAndAdd(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("apn_spin_total", "")
+	var c atomic.Uint64
+	r.RegisterCollector("apn_spin", CollectorFunc(func(emit Emit) {
+		emit("events_total", KindCounter, float64(c.Load()))
+	}))
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)
@@ -146,30 +139,10 @@ func TestRegistryConcurrentScrapeAndAdd(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 50; i++ {
-		var b strings.Builder
-		if err := r.WritePrometheus(&b); err != nil {
-			t.Fatal(err)
-		}
+		scrape(t, r)
+		// Registrations race scrapes too.
+		r.RegisterCollector("apn_late", CollectorFunc(func(Emit) {}))
 	}
 	close(stop)
 	wg.Wait()
-}
-
-func TestHistogramBuckets(t *testing.T) {
-	h := NewHistogram(ExpBuckets(0.001, 10, 3)) // 0.001, 0.01, 0.1
-	for _, v := range []float64{0.0005, 0.002, 0.05, 5} {
-		h.Observe(v)
-	}
-	if h.Count() != 4 {
-		t.Errorf("count = %d, want 4", h.Count())
-	}
-	if got := h.Sum(); got != 0.0005+0.002+0.05+5 {
-		t.Errorf("sum = %g", got)
-	}
-	mustPanic(t, "unsorted buckets", func() { NewHistogram([]float64{1, 1}) })
-
-	lin := LinearBuckets(10, 10, 3)
-	if lin[0] != 10 || lin[2] != 30 {
-		t.Errorf("LinearBuckets = %v", lin)
-	}
 }

@@ -209,22 +209,13 @@ func writeJSON(w http.ResponseWriter, v any) {
 	enc.Encode(v) //nolint:errcheck // client gone mid-write
 }
 
-// RegisterProcess adds the process-level runtime families — goroutines,
-// heap, GC — under the given prefix, so every binary that mounts a
-// telemetry server gets the basics without touching runtime/metrics.
-func RegisterProcess(r *Registry, prefix string) {
-	r.GaugeFunc(prefix+"_goroutines", "Current goroutine count.",
-		func() float64 { return float64(runtime.NumGoroutine()) })
-	r.GaugeFunc(prefix+"_heap_alloc_bytes", "Bytes of allocated heap objects.",
-		func() float64 {
-			var m runtime.MemStats
-			runtime.ReadMemStats(&m)
-			return float64(m.HeapAlloc)
-		})
-	r.CounterFunc(prefix+"_gc_cycles_total", "Completed GC cycles.",
-		func() uint64 {
-			var m runtime.MemStats
-			runtime.ReadMemStats(&m)
-			return uint64(m.NumGC)
-		})
-}
+// Process is the collector of the process-level runtime families —
+// goroutines, heap, GC — so every binary that mounts a telemetry server
+// gets the basics without touching runtime/metrics.
+var Process Collector = CollectorFunc(func(emit Emit) {
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	emit("goroutines", KindGauge, float64(runtime.NumGoroutine()))
+	emit("heap_alloc_bytes", KindGauge, float64(m.HeapAlloc))
+	emit("gc_cycles_total", KindCounter, float64(m.NumGC))
+})

@@ -32,7 +32,7 @@ func get(t *testing.T, url string) (int, string) {
 
 func TestServerMetricsEndpoint(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("apn_hits_total", "Hits.").Add(5)
+	r.RegisterCollector("apn", CollectorFunc(func(emit Emit) { emit("hits_total", KindCounter, 5) }))
 	ts := testServer(t, ServerConfig{Registry: r})
 
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -113,7 +113,7 @@ func TestServerEmptySources(t *testing.T) {
 
 func TestServerListenAndServe(t *testing.T) {
 	r := NewRegistry()
-	RegisterProcess(r, "apn_process")
+	r.RegisterCollector("apn_process", Process)
 	s := NewServer(ServerConfig{Registry: r})
 	if err := s.ListenAndServe("127.0.0.1:0"); err != nil {
 		t.Fatal(err)

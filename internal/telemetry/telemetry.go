@@ -1,23 +1,16 @@
 // Package telemetry is the observability substrate for the whole stack: a
-// process-wide metrics registry whose instruments are the existing
-// zero-alloc stats primitives, a bounded lock-free lifecycle event journal,
-// and an HTTP introspection server exposing Prometheus text exposition,
-// health, per-SA state, the event ring, and pprof.
+// metrics registry that samples the layers' own counters at scrape time, a
+// bounded lock-free lifecycle event journal, and an HTTP introspection
+// server exposing Prometheus text exposition, health, per-SA state, the
+// event ring, and pprof.
 //
-// The package sits below every other layer: it imports only internal/stats
-// and the standard library, so any package that owns a counter can depend
-// on it without a cycle. Instrument handles are resolved once, at
-// registration — the hot path holds a *stats.ShardedCounter, *stats.Gauge,
-// or *Histogram directly and pays exactly the primitive's cost (one padded
-// atomic add), never a map lookup or an interface call. That is what keeps
-// the instrumented seal/open/save paths at 0 allocs/op under the CI
-// zero-alloc gate.
-//
-// Layers that already keep their numbers in snapshot structs or accessor
-// methods register read-side instead: a CounterFunc/GaugeFunc samples an
-// accessor at scrape time, and a Collector walks a whole stats struct. Both
-// cost nothing between scrapes, so existing hot paths are untouched by
-// instrumentation.
+// The package sits below every other layer: it imports only the standard
+// library, so any package that owns a counter can depend on it without a
+// cycle. There is one way in: a layer implements Collector (or wraps a
+// function in CollectorFunc) and emits a snapshot of the fields it already
+// keeps. That costs nothing between scrapes, which is what keeps the
+// instrumented seal/open/save paths at 0 allocs/op under the CI zero-alloc
+// gate — there is no instrument of this package on any of them.
 package telemetry
 
 import (
@@ -35,8 +28,6 @@ const (
 	KindCounter Kind = iota + 1
 	// KindGauge is a value that can go up and down.
 	KindGauge
-	// KindHistogram is a fixed-bucket distribution.
-	KindHistogram
 )
 
 // String returns the Prometheus TYPE keyword.
@@ -46,8 +37,6 @@ func (k Kind) String() string {
 		return "counter"
 	case KindGauge:
 		return "gauge"
-	case KindHistogram:
-		return "histogram"
 	default:
 		return "untyped"
 	}
@@ -105,15 +94,6 @@ func escapeLabelValue(v string) string {
 	}
 	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 	return r.Replace(v)
-}
-
-// mergeLabels renders base labels plus one extra pair (the histogram "le"
-// label), keeping the extra pair last as the exposition format prefers.
-func mergeLabels(labels []Label, key, value string) string {
-	all := make([]Label, 0, len(labels)+1)
-	all = append(all, labels...)
-	all = append(all, Label{key, value})
-	return renderLabels(all)
 }
 
 // sortedKeys returns the map's keys in sorted order, for deterministic

@@ -3,9 +3,6 @@ package tunnel
 import (
 	"sync"
 	"testing"
-
-	"antireplay/internal/netsim"
-	"antireplay/internal/wire"
 )
 
 // TestSetTransportRace is the -race regression for the transport swap: the
@@ -45,71 +42,4 @@ func TestSetTransportRace(t *testing.T) {
 	}
 	close(stop)
 	swapper.Wait()
-}
-
-// TestAttachLinkSimPair drives a peer pair over wire.SimLinks end to end:
-// transports point at Link.Send, inline delivery routes into Receive.
-func TestAttachLinkSimPair(t *testing.T) {
-	e := netsim.NewEngine(11)
-	la, lb := wire.NewSimPair(e, netsim.LinkConfig{}, netsim.LinkConfig{})
-
-	var atB, atA []string
-	a, b, err := Pair(
-		Config{Name: "a", K: 25, OnData: func(p []byte) { atA = append(atA, string(p)) }},
-		Config{Name: "b", K: 25, OnData: func(p []byte) { atB = append(atB, string(p)) }},
-		ikeCfg(21, "a"), ikeCfg(22, "b"), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.AttachLink(la)
-	b.AttachLink(lb)
-
-	if err := a.Send([]byte("over-the-wire")); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Send([]byte("and-back")); err != nil {
-		t.Fatal(err)
-	}
-	e.Run()
-	if len(atB) != 1 || atB[0] != "over-the-wire" {
-		t.Errorf("atB = %v", atB)
-	}
-	if len(atA) != 1 || atA[0] != "and-back" {
-		t.Errorf("atA = %v", atA)
-	}
-	if s := la.Stats(); s.TxPackets != 1 {
-		t.Errorf("la TxPackets = %d, want 1", s.TxPackets)
-	}
-}
-
-// TestServeDrainsQueuedDatagrams covers the pull path: without inline
-// delivery registered, datagrams queue on the link until Serve pumps them.
-func TestServeDrainsQueuedDatagrams(t *testing.T) {
-	e := netsim.NewEngine(13)
-	la, lb := wire.NewSimPair(e, netsim.LinkConfig{}, netsim.LinkConfig{})
-
-	var atB []string
-	a, b, err := Pair(
-		Config{Name: "a", K: 25},
-		Config{Name: "b", K: 25, OnData: func(p []byte) { atB = append(atB, string(p)) }},
-		ikeCfg(31, "a"), ikeCfg(32, "b"), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Transports only — receive side pulls explicitly.
-	a.SetTransport(func(w []byte) { la.Send(w) }) //nolint:errcheck
-	b.SetTransport(func(w []byte) { lb.Send(w) }) //nolint:errcheck
-
-	for i := 0; i < 3; i++ {
-		if err := a.Send([]byte("queued")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e.Run()
-	if err := b.Serve(lb); err != nil {
-		t.Fatalf("Serve: %v", err)
-	}
-	if len(atB) != 3 {
-		t.Errorf("delivered %d, want 3", len(atB))
-	}
 }

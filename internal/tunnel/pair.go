@@ -6,30 +6,6 @@ import (
 	"antireplay/internal/ike"
 )
 
-// Rekey runs a fresh IKE handshake between two locally held peers and
-// atomically installs the new generation on both: new SPIs, new keys, fresh
-// sequence-number services. a plays the IKE initiator; a's outbound
-// direction is the handshake's initiator-to-responder child SA.
-//
-// (A deployment with the peers on different machines runs the same
-// handshake message-by-message with ike.Initiator/ike.Responder and then
-// calls InstallKeys on each side; Rekey is the in-process composition used
-// by tests, examples, and single-host experiments.)
-func Rekey(a, b *Peer, initCfg, respCfg ike.Config) (ike.ChildKeys, error) {
-	res, err := ike.Establish(initCfg, respCfg)
-	if err != nil {
-		return ike.ChildKeys{}, fmt.Errorf("tunnel: rekey handshake: %w", err)
-	}
-	k := res.Keys
-	if err := a.InstallKeys(k.SPIInitToResp, k.InitToResp, k.SPIRespToInit, k.RespToInit); err != nil {
-		return k, fmt.Errorf("tunnel: rekey %s: %w", a.Name(), err)
-	}
-	if err := b.InstallKeys(k.SPIRespToInit, k.RespToInit, k.SPIInitToResp, k.InitToResp); err != nil {
-		return k, fmt.Errorf("tunnel: rekey %s: %w", b.Name(), err)
-	}
-	return k, nil
-}
-
 // Pair builds two connected peers from one IKE handshake, wiring a's
 // transport to b.Receive and vice versa through the supplied couplers
 // (which may add a simulated network in between; nil couples directly).

@@ -11,10 +11,9 @@
 //     resurrection with the secured "I am up" message, which the peer's
 //     window provably cannot confuse with a replay.
 //
-// A Peer also supports in-place rekeying (Rekey/InstallKeys): when the SA
-// pair approaches its lifetime, fresh keys and SPIs replace the old ones
-// and both sequence-number services restart on fresh stores, as a new SA
-// does in RFC 4301.
+// A Peer is one SA pair for life: there is no in-place rekey. Rollover is
+// internal/rekey's — make-before-break between two gateways, the old
+// generation drained and its journal cells tombstoned.
 package tunnel
 
 import (
@@ -27,7 +26,6 @@ import (
 	"antireplay/internal/dpd"
 	"antireplay/internal/ipsec"
 	"antireplay/internal/store"
-	"antireplay/internal/wire"
 )
 
 // Sentinel errors.
@@ -95,17 +93,12 @@ type Peer struct {
 
 	// transport is the current wire-transmit callback. It is read on the
 	// datapath (Send, probe auto-ack, AnnounceWhenUp) and may be replaced
-	// concurrently (failover re-pointing a standby, a rekey swapping the
-	// socket), so it lives behind an atomic pointer rather than in cfg.
+	// concurrently (failover re-pointing a standby), so it lives behind an
+	// atomic pointer rather than in cfg.
 	transport atomic.Pointer[transportFn]
 
 	out *ipsec.OutboundSA
 	in  *ipsec.InboundSA
-
-	txStore store.Store
-	rxStore store.Store
-
-	generation int // bumped by each rekey
 }
 
 // New builds a peer with the given keys and SPIs: outKeys/outSPI secure
@@ -121,14 +114,6 @@ func New(cfg Config, outSPI uint32, outKeys ipsec.KeyMaterial, inSPI uint32, inK
 	if cfg.Transport != nil {
 		p.transport.Store(&cfg.Transport)
 	}
-	if err := p.install(outSPI, outKeys, inSPI, inKeys); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// install wires fresh SAs (initial setup and rekey share this path).
-func (p *Peer) install(outSPI uint32, outKeys ipsec.KeyMaterial, inSPI uint32, inKeys ipsec.KeyMaterial) error {
 	txStore := p.cfg.Stores(outSPI, "tx")
 	rxStore := p.cfg.Stores(inSPI, "rx")
 
@@ -147,30 +132,29 @@ func (p *Peer) install(outSPI uint32, outKeys ipsec.KeyMaterial, inSPI uint32, i
 		StrictHorizon: true,
 	})
 	if err != nil {
-		return fmt.Errorf("tunnel: %s sender: %w", p.cfg.Name, err)
+		return nil, fmt.Errorf("tunnel: %s sender: %w", p.cfg.Name, err)
 	}
 	rcv, err := core.NewReceiver(core.ReceiverConfig{
 		K: p.cfg.K, W: p.cfg.W, Store: rxStore, Saver: rxSaver,
 		StrictHorizon: true,
 	})
 	if err != nil {
-		return fmt.Errorf("tunnel: %s receiver: %w", p.cfg.Name, err)
+		return nil, fmt.Errorf("tunnel: %s receiver: %w", p.cfg.Name, err)
 	}
 	out, err := ipsec.NewOutboundSA(outSPI, outKeys, snd, true, p.cfg.Lifetime, p.cfg.Clock)
 	if err != nil {
-		return fmt.Errorf("tunnel: %s outbound SA: %w", p.cfg.Name, err)
+		return nil, fmt.Errorf("tunnel: %s outbound SA: %w", p.cfg.Name, err)
 	}
 	in, err := ipsec.NewInboundSA(inSPI, inKeys, rcv, true, p.cfg.Lifetime, p.cfg.Clock)
 	if err != nil {
-		return fmt.Errorf("tunnel: %s inbound SA: %w", p.cfg.Name, err)
+		return nil, fmt.Errorf("tunnel: %s inbound SA: %w", p.cfg.Name, err)
 	}
 	p.out, p.in = out, in
-	p.txStore, p.rxStore = txStore, rxStore
 	// Over cells a prior life used, both halves were born down; on fresh
 	// ones this is a no-op.
 	rcv.Wake()
 	snd.Wake()
-	return nil
+	return p, nil
 }
 
 // SetTransport installs or replaces the wire transport. It is safe to call
@@ -192,49 +176,8 @@ func (p *Peer) transportFunc() transportFn {
 	return nil
 }
 
-// AttachLink points the peer's transport at l and, when l supports inline
-// delivery (simulated links), routes every received datagram into Receive.
-// For blocking links (sockets) pair it with Serve.
-func (p *Peer) AttachLink(l wire.Link) {
-	p.SetTransport(func(w []byte) {
-		l.Send(w) //nolint:errcheck // datapath sends are fire-and-forget
-	})
-	if ir, ok := l.(wire.InlineReceiver); ok {
-		ir.OnRecv(func(b []byte) {
-			p.Receive(b) //nolint:errcheck // rejections are the protocol's verdict, not a pump error
-		})
-	}
-}
-
-// Serve pumps l.Recv into Receive until the link closes (blocking links)
-// or runs dry (simulated links return wire.ErrNoDatagram). Authentication
-// and replay rejections are protocol verdicts, not pump errors, and do not
-// stop the loop.
-func (p *Peer) Serve(l wire.Link) error {
-	for {
-		b, err := l.Recv()
-		switch {
-		case err == nil:
-			p.Receive(b) //nolint:errcheck
-		case errors.Is(err, wire.ErrNoDatagram), errors.Is(err, wire.ErrClosed):
-			return nil
-		default:
-			return err
-		}
-	}
-}
-
-// Name returns the host label.
-func (p *Peer) Name() string { return p.cfg.Name }
-
-// Outbound and Inbound expose the SA halves (e.g. for stats).
+// Outbound exposes the sending half (e.g. for stats).
 func (p *Peer) Outbound() *ipsec.OutboundSA { return p.out }
-
-// Inbound returns the receiving half.
-func (p *Peer) Inbound() *ipsec.InboundSA { return p.in }
-
-// Generation returns how many rekeys have occurred.
-func (p *Peer) Generation() int { return p.generation }
 
 // Send seals payload and transmits it.
 func (p *Peer) Send(payload []byte) error {
@@ -339,21 +282,4 @@ func (p *Peer) AnnounceWhenUp() error {
 		transport(wire)
 	}
 	return nil
-}
-
-// InstallKeys replaces both SAs with a fresh generation (new SPIs, keys,
-// counters, and durable cells) — the RFC 4301 rekey. Traffic sealed with
-// the old keys is no longer accepted; callers coordinate the switchover
-// with the peer (see Rekey).
-func (p *Peer) InstallKeys(outSPI uint32, outKeys ipsec.KeyMaterial, inSPI uint32, inKeys ipsec.KeyMaterial) error {
-	if err := p.install(outSPI, outKeys, inSPI, inKeys); err != nil {
-		return err
-	}
-	p.generation++
-	return nil
-}
-
-// NeedsRekey reports whether either SA has passed its soft lifetime.
-func (p *Peer) NeedsRekey() bool {
-	return p.out.State() != ipsec.LifetimeOK || p.in.State() != ipsec.LifetimeOK
 }

@@ -268,109 +268,6 @@ func TestProbeAutoAck(t *testing.T) {
 	}
 }
 
-func TestRekeySwitchesGeneration(t *testing.T) {
-	var got []string
-	a, b := directPair(t,
-		Config{Name: "a", K: 25},
-		Config{Name: "b", K: 25, OnData: func(p []byte) { got = append(got, string(p)) }},
-	)
-	if err := a.Send([]byte("gen0")); err != nil {
-		t.Fatal(err)
-	}
-	oldOutSPI := a.Outbound().SPI()
-
-	// Capture an old-generation packet for a cross-generation replay.
-	oldWire, err := a.Outbound().Seal([]byte("old-generation"))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := Rekey(a, b, ikeCfg(20, "a"), ikeCfg(21, "b")); err != nil {
-		t.Fatalf("Rekey: %v", err)
-	}
-	if a.Generation() != 1 || b.Generation() != 1 {
-		t.Errorf("generations = %d/%d, want 1/1", a.Generation(), b.Generation())
-	}
-	if a.Outbound().SPI() == oldOutSPI {
-		t.Error("rekey must change the SPI")
-	}
-
-	// Old-generation traffic fails outright: wrong SPI/keys.
-	if _, err := b.Receive(oldWire); err == nil {
-		t.Error("old-generation packet accepted after rekey")
-	}
-
-	// New-generation traffic flows, numbering restarted.
-	if err := a.Send([]byte("gen1")); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[1] != "gen1" {
-		t.Errorf("got = %v", got)
-	}
-	if bytes, packets := a.Outbound().Counters(); packets != 1 || bytes == 0 {
-		t.Errorf("new generation counters = (%d, %d), want fresh", bytes, packets)
-	}
-}
-
-func TestNeedsRekeyOnSoftLifetime(t *testing.T) {
-	a, b := directPair(t,
-		Config{Name: "a", K: 25, Lifetime: ipsec.Lifetime{SoftBytes: 64}},
-		Config{Name: "b", K: 25},
-	)
-	_ = b
-	if a.NeedsRekey() {
-		t.Fatal("fresh SA should not need rekey")
-	}
-	if err := a.Send(make([]byte, 100)); err != nil {
-		t.Fatal(err)
-	}
-	if !a.NeedsRekey() {
-		t.Error("soft-expired SA should need rekey")
-	}
-}
-
-func TestRekeyAfterResetKeepsSafety(t *testing.T) {
-	// Reset + wake + rekey in sequence: across all of it, b never delivers
-	// the same payload twice.
-	var got []string
-	a, b := directPair(t,
-		Config{Name: "a", K: 25},
-		Config{Name: "b", K: 25, OnData: func(p []byte) { got = append(got, string(p)) }},
-	)
-	for i := 0; i < 10; i++ {
-		if err := a.Send([]byte(fmt.Sprintf("pre-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a.Reset()
-	if err := a.Wake(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := a.Send([]byte(fmt.Sprintf("mid-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := Rekey(a, b, ikeCfg(30, "a"), ikeCfg(31, "b")); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := a.Send([]byte(fmt.Sprintf("post-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	seen := map[string]bool{}
-	for _, s := range got {
-		if seen[s] {
-			t.Fatalf("payload %q delivered twice", s)
-		}
-		seen[s] = true
-	}
-	if len(got) != 30 {
-		t.Errorf("delivered %d, want 30", len(got))
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	_, err := New(Config{Name: "x"}, 1, testKeys(), 2, testKeys())
 	if !errors.Is(err, core.ErrConfig) {
@@ -438,13 +335,13 @@ func TestNewOverUsedCellsWakes(t *testing.T) {
 		}
 	}
 	used := a.Outbound().Sender().Seq() - 1
-	if got := b.Inbound().Receiver().Stats().Delivered; got != 5*k {
+	if got := b.in.Receiver().Stats().Delivered; got != 5*k {
 		t.Fatalf("first life delivered %d, want %d", got, 5*k)
 	}
 
 	firstLife := recorded
 	a2, b2 := boot()
-	if snd, rcv := a2.Outbound().Sender(), b2.Inbound().Receiver(); snd.State() != core.StateUp || rcv.State() != core.StateUp {
+	if snd, rcv := a2.Outbound().Sender(), b2.in.Receiver(); snd.State() != core.StateUp || rcv.State() != core.StateUp {
 		t.Fatalf("after restart: sender %v (%v), receiver %v (%v), want both up",
 			snd.State(), snd.LastWakeError(), rcv.State(), rcv.LastWakeError())
 	}
@@ -455,7 +352,7 @@ func TestNewOverUsedCellsWakes(t *testing.T) {
 			t.Fatalf("SAFETY: replay of first-life packet %d delivered after restart (%v)", i, v)
 		}
 	}
-	if got := b2.Inbound().Receiver().Stats().Delivered; got != 0 {
+	if got := b2.in.Receiver().Stats().Delivered; got != 0 {
 		t.Fatalf("SAFETY: restarted receiver delivered %d replays", got)
 	}
 	if first := a2.Outbound().Sender().Seq(); first <= used {

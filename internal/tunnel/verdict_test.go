@@ -33,8 +33,8 @@ func TestOnVerdictUnderSnipe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.AttachLink(gate)
-	b.AttachLink(lb)
+	a.SetTransport(func(w []byte) { gate.Send(w) }) //nolint:errcheck // fire-and-forget
+	lb.OnRecv(func(w []byte) { b.Receive(w) })      //nolint:errcheck // verdicts observed through OnVerdict
 
 	// ESPSeq reads the cleartext sequence number straight off the sealed
 	// datagrams a hands to the gate — the campaign sees only wire bytes.
@@ -113,9 +113,8 @@ func TestOnVerdictNarrowWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.AttachLink(gate)
-	b.AttachLink(lb)
-	_ = b
+	a.SetTransport(func(w []byte) { gate.Send(w) }) //nolint:errcheck // fire-and-forget
+	lb.OnRecv(func(w []byte) { b.Receive(w) })      //nolint:errcheck // verdicts observed through OnVerdict
 
 	snipe := NewSnipe(t, gate)
 	snipe.Activate()

@@ -127,14 +127,25 @@ func TestTransportUDPRekeyExchange(t *testing.T) {
 	srvErr := make(chan error, 1)
 	go func() { srvErr <- ike.ServeRekey(rsp, lb.Control()) }()
 
-	keys, err := ike.RekeyOverConn(ini, la.Control())
+	// The initiating side, message by message: request out, response in.
+	req, err := ini.Request()
 	if err != nil {
-		t.Fatalf("RekeyOverConn: %v", err)
+		t.Fatal(err)
+	}
+	if err := la.Control().Send(req); err != nil {
+		t.Fatalf("request send: %v", err)
 	}
 	if err := <-srvErr; err != nil {
 		t.Fatalf("ServeRekey: %v", err)
 	}
-	if !reflect.DeepEqual(keys, rsp.ChildKeys()) {
+	resp, err := la.Control().Recv()
+	if err != nil {
+		t.Fatalf("response recv: %v", err)
+	}
+	if err := ini.HandleResponse(resp); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ini.ChildKeys(), rsp.ChildKeys()) {
 		t.Fatalf("keys diverge across the socket exchange")
 	}
 }

@@ -36,8 +36,9 @@ const (
 	maxRecvDatagram = 1 << 16
 	natKeepalive    = 0xFF
 
-	defaultRecvQueue  = 512
-	defaultReadBuffer = 1 << 22
+	defaultRecvQueue = 512
+	// socketBuffer sizes the socket's receive and send buffers (4 MiB).
+	socketBuffer = 1 << 22
 
 	// The transmit ring. A slot holds any datagram of a 1500-byte-MTU
 	// path; a longer one keeps its place and carries its own copy.
@@ -59,8 +60,6 @@ type UDPConfig struct {
 	// RecvQueue bounds each link's buffered inbound datagrams (beyond it
 	// they drop, as a socket buffer would). 0 means 512.
 	RecvQueue int
-	// ReadBuffer sizes the socket receive buffer. 0 means 4 MiB.
-	ReadBuffer int
 }
 
 // UDPEndpoint owns one UDP socket and routes its traffic to links.
@@ -94,9 +93,6 @@ func listenUDP(addr string, cfg UDPConfig, mkIO func(*net.UDPConn) batchIO) (*UD
 	if cfg.RecvQueue == 0 {
 		cfg.RecvQueue = defaultRecvQueue
 	}
-	if cfg.ReadBuffer == 0 {
-		cfg.ReadBuffer = defaultReadBuffer
-	}
 	ua, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("wire: %w", err)
@@ -105,8 +101,8 @@ func listenUDP(addr string, cfg UDPConfig, mkIO func(*net.UDPConn) batchIO) (*UD
 	if err != nil {
 		return nil, fmt.Errorf("wire: %w", err)
 	}
-	conn.SetReadBuffer(cfg.ReadBuffer)  //nolint:errcheck // best-effort sizing
-	conn.SetWriteBuffer(cfg.ReadBuffer) //nolint:errcheck
+	conn.SetReadBuffer(socketBuffer)  //nolint:errcheck // best-effort sizing
+	conn.SetWriteBuffer(socketBuffer) //nolint:errcheck
 	e := &UDPEndpoint{conn: conn, cfg: cfg, io: mkIO(conn),
 		wrote: make(chan struct{}), read: make(chan struct{}),
 		bySPI:  make(map[uint32]*UDPLink),
