@@ -9,7 +9,7 @@ import (
 type (
 	// RekeyOrchestrator watches tracked tunnels between two gateways and
 	// performs IKE-driven make-before-break SA rollover: install successor
-	// inbound SAs (counters durable first), cut outbound traffic over,
+	// inbound SAs (counters staged first), cut outbound traffic over,
 	// drain the old generation behind a grace window, then retire it and
 	// tombstone its journal cells.
 	RekeyOrchestrator = rekey.Orchestrator

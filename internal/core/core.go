@@ -14,8 +14,10 @@
 // A process that restarts is a reset too, so the same rule governs birth:
 // an endpoint built over a store that already holds a value is born
 // StateDown and only Wake brings it up; over an empty store it is born up
-// at its initial value. Whoever builds an endpoint calls Wake once it is
-// wired — a no-op on one that is up — and never inspects the store itself.
+// at its initial value, staged in a journal cell and durable before the
+// first Next or Admit returns, or saved synchronously in any other store.
+// Whoever builds an endpoint calls Wake once it is wired — a no-op on one
+// that is up — and never inspects the store itself.
 //
 // Both endpoints are safe for concurrent use and are driven either by the
 // deterministic simulator (netsim.SimSaver, virtual time) or by real

@@ -48,6 +48,7 @@ type savePipeline struct {
 	savesOK     uint64
 	savesFailed uint64
 	resets      uint64
+	birth       uint64 // 1 + seq of the record open staged, until durable; else 0
 
 	// lst is the largest value handed to the saver (paper: lst), written
 	// under saveMu or, on wake, under mu; committed is the largest value
@@ -100,12 +101,13 @@ func configuredLeap(k uint64, factor float64) uint64 {
 
 // open decides how a freshly built endpoint is born, and is the one place
 // the restart rule lives: a used store means a reset endpoint. A resilient
-// endpoint FETCHes its store. Empty, this is a first life: the initial
-// value is saved synchronously, so the first post-reset FETCH is well
-// defined, and the endpoint is up. Holding a value, a prior life used
-// numbers up to 2K beyond it, so the endpoint is born StateDown — exactly
-// as if Reset had just run — and only Wake (FETCH, leap, SAVE) brings it
-// up; nothing can hand out or deliver the initial value over a used store.
+// endpoint FETCHes its store. Empty, this is a first life, up at once: a
+// store.Stager (a journal cell) stages the initial value, which the first
+// Next or Admit waits for (awaitBirthLocked); any other store saves it
+// synchronously. Holding a value, a prior life used numbers up to 2K beyond
+// it, so the endpoint is born StateDown — exactly as if Reset had just run —
+// and only Wake (FETCH, leap, SAVE) brings it up; nothing can hand out or
+// deliver the initial value over a used store.
 // A baseline endpoint never FETCHes and is always born up (§3).
 func (p *savePipeline) open(baseline bool) error {
 	p.state = StateUp
@@ -127,11 +129,38 @@ func (p *savePipeline) open(baseline bool) error {
 		p.committed.Store(v)
 		return nil
 	}
+	if sg, ok := p.store.(store.Stager); ok {
+		seq, err := sg.Stage(p.initial)
+		if err != nil {
+			return fmt.Errorf("core: initializing %s store: %w", p.role, err)
+		}
+		p.birth = seq + 1
+		return nil
+	}
 	if err := p.store.Save(p.initial); err != nil {
 		return fmt.Errorf("core: initializing %s store: %w", p.role, err)
 	}
 	p.committed.Store(p.initial)
 	return nil
+}
+
+// awaitBirthLocked waits, mu released, until the staged birth is durable.
+// born reports that this call cleared it; the caller re-reads the state (a
+// Reset or Wake may have run). An error leaves the birth pending.
+func (p *savePipeline) awaitBirthLocked() (born bool, err error) {
+	seq, gen := p.birth-1, p.gen
+	p.mu.Unlock()
+	err = p.store.(store.Stager).WaitDurable(seq)
+	p.mu.Lock()
+	switch {
+	case p.birth == 0 || p.gen != gen:
+		return false, nil
+	case err != nil:
+		return false, fmt.Errorf("core: %s birth: %w", p.role, err)
+	}
+	p.birth = 0
+	p.committed.Store(p.initial)
+	return true, nil
 }
 
 // due reports whether live — the counter, the window edge — has moved K
@@ -302,6 +331,7 @@ func (p *savePipeline) WakeNotify(done func(error)) {
 		}
 		return
 	}
+	p.birth = 0 // the FETCH reads it, the post-wake SAVE lands after it
 	p.state = StateWaking
 	p.wakeDone = done
 	gen := p.gen

@@ -196,7 +196,7 @@ type Receiver struct {
 
 	// fastWin publishes the current window to the admission fast path. It
 	// is non-nil exactly while a strict receiver is StateUp with an owned
-	// window; Reset stores nil, Wake installs a new window.
+	// window and no birth pending; Reset stores nil, Wake a new window.
 	fastWin atomic.Pointer[seqwin.Atomic]
 	ownWin  bool // the receiver owns its Atomic window: rebuilt on wake, claim-bit tally
 
@@ -219,10 +219,9 @@ const (
 )
 
 // NewReceiver validates cfg and returns a receiver: up at edge 0 over an
-// empty store (the initial edge is saved synchronously — the paper's lst
-// "initially 0") or with Baseline set, born StateDown — every Admit is
-// VerdictDown — over a store a prior life used (see savePipeline.open).
-// Call Wake after it either way: it is a no-op on a receiver that is up.
+// empty store (lst "initially 0", staged or saved; see savePipeline.open)
+// or with Baseline set, born StateDown — every Admit is VerdictDown — over
+// a store a prior life used. Call Wake after it either way: a no-op if up.
 func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -262,7 +261,7 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 		// horizon then opens. A receiver born down publishes nothing: its
 		// first window is the one Wake builds beyond the leap.
 		r.ownWin = true
-		if r.strict && r.state == StateUp {
+		if r.strict && r.state == StateUp && r.birth == 0 {
 			r.fastWin.Store(own)
 		}
 	}
@@ -274,7 +273,8 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 // past the last saved value. While the machine is down the message is
 // unobserved (VerdictDown); while waking it is buffered for the Drain
 // callback (VerdictBuffered) or dropped if the buffer is full
-// (VerdictOverflow).
+// (VerdictOverflow). A staged first life's first call waits for its birth
+// (see savePipeline.open) and discards s as VerdictHorizon if that fails.
 //
 // On a strict receiver with a window it built itself the common case
 // completes on the wait-free fast path; see the type comment.
@@ -342,6 +342,17 @@ func (r *Receiver) saveFromFastPath(edge uint64) {
 // path's fallback cases (down/waking/horizon/superseded window).
 func (r *Receiver) admitSlow(s uint64) Verdict {
 	r.mu.Lock()
+	if r.birth != 0 && r.state == StateUp {
+		born, err := r.awaitBirthLocked()
+		if err != nil {
+			r.tallies.Add(tallyDiscarded, 1)
+			r.mu.Unlock()
+			return VerdictHorizon
+		}
+		if born && r.strict && r.ownWin {
+			r.fastWin.Store(r.win.(*seqwin.Atomic)) // held back by NewReceiver
+		}
+	}
 	switch r.state {
 	case StateDown:
 		r.mu.Unlock()

@@ -55,10 +55,9 @@ type Sender struct {
 }
 
 // NewSender validates cfg and returns a sender: up at 1 over an empty store
-// (the initial counter is saved synchronously — the paper's lst "initially
-// 1") or with Baseline set, born StateDown over a store a prior life used
-// (see savePipeline.open). Call Wake after it either way: it is a no-op on
-// a sender that is up.
+// (the paper's lst "initially 1", staged or saved; see savePipeline.open)
+// or with Baseline set, born StateDown over a store a prior life used. Call
+// Wake after it either way: it is a no-op on a sender that is up.
 func NewSender(cfg SenderConfig) (*Sender, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -85,8 +84,16 @@ func NewSender(cfg SenderConfig) (*Sender, error) {
 // It returns ErrDown or ErrWaking while the endpoint cannot send and, under
 // StrictHorizon, ErrSaveLag once the counter has reached the durable
 // horizon. Reserve, horizon check and SAVE trigger are one critical section.
+// A staged first life's first call waits for its birth (see open) and
+// returns the medium's error, wrapped, if that fails.
 func (x *Sender) Next() (uint64, error) {
 	x.mu.Lock()
+	if x.birth != 0 && x.state == StateUp {
+		if _, err := x.awaitBirthLocked(); err != nil {
+			x.mu.Unlock()
+			return 0, err
+		}
+	}
 	switch x.state {
 	case StateDown:
 		x.mu.Unlock()

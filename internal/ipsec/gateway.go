@@ -63,10 +63,10 @@ const DefaultGatewayK = 25
 // "host with multiple existing SAs" scenario — with recovery cost one
 // journal replay instead of one IKE renegotiation per SA.
 //
-// Registering an SA durably initializes its counter, costing one group
-// commit; sequential AddOutbound/AddInbound calls cannot share commits, so
-// populate large gateways from a few concurrent goroutines and the journal
-// batches their registrations into shared fsyncs.
+// Registering an SA over an empty cell only stages its initial counter; the
+// SA's first Seal or Open waits until it is durable, so a lane's
+// registrations share one commit, paid by the first packet to come, and
+// AddOutbound/AddInbound cost CPU, not fsyncs.
 //
 // Every SA runs with the strict durable horizon, so the paper's no-reuse
 // and no-replay guarantees hold even when pool queueing lets the
@@ -195,8 +195,12 @@ func InboundKey(spi uint32) string { return spiKey("rx/", spi) }
 // whatever the cell holds — a standby's warm image must not wake (and
 // thereby leap and write) until takeover, when a single WakeAll fetches the
 // freshest replicated counters. The SA is not yet registered; on error the
-// claim is already released.
+// claim is already released. Keys are checked before the claim: a cell the
+// sender has touched holds its birth, and a retry over it would be born down.
 func (g *Gateway) buildOutbound(spi uint32, keys KeyMaterial, adopt bool) (*OutboundSA, error) {
+	if err := keys.Validate(); err != nil {
+		return nil, fmt.Errorf("ipsec: gateway outbound %#x: %w", spi, err)
+	}
 	key := OutboundKey(spi)
 	cell, err := g.claimCell(key, spi, "outbound")
 	if err != nil {
@@ -233,10 +237,11 @@ func (g *Gateway) buildOutbound(spi uint32, keys KeyMaterial, adopt bool) (*Outb
 // returns it. The journal cell is claimed exclusively: reusing a live SPI —
 // even from another gateway sharing the journal — is refused with
 // ErrDuplicateSPI, because two senders over one cell would emit overlapping
-// sequence numbers after a wake. If the journal already holds state for the
-// SPI (a prior process life), the SA comes up through the paper's wake-up
-// (FETCH + 2K leap + SAVE) and is briefly StateWaking — WakeAll waits for
-// it.
+// sequence numbers after a wake. Over an empty cell the SA is up at once;
+// its first Seal waits for the staged initial counter to be durable. If the
+// journal already holds state for the SPI (a prior process life), the SA
+// comes up through the paper's wake-up (FETCH + 2K leap + SAVE) and is
+// briefly StateWaking — WakeAll waits for it.
 func (g *Gateway) AddOutbound(spi uint32, keys KeyMaterial, sel Selector) (*OutboundSA, error) {
 	sa, err := g.buildOutbound(spi, keys, false)
 	if err != nil {
@@ -259,12 +264,12 @@ func (g *Gateway) AddOutbound(spi uint32, keys KeyMaterial, sel Selector) (*Outb
 }
 
 // RekeyOutbound performs the outbound half of a make-before-break rollover:
-// it builds a successor SA for newSPI (counter durably initialized in the
-// shared journal before any cutover — a reset mid-rekey recovers both
-// generations independently), atomically repoints every SPD entry from the
-// old SA to the successor, and retires the old SA from new traffic
-// (BeginDrain: further Seals on it fail with ErrDraining). The old SA stays
-// registered so its journal cell remains owned; retire it with
+// it builds a successor SA for newSPI (counter staged in the shared journal
+// before the cutover, durable before its first number — a reset mid-rekey
+// recovers both generations independently), atomically repoints every SPD
+// entry from the old SA to the successor, and retires the old SA from new
+// traffic (BeginDrain: further Seals on it fail with ErrDraining). The old
+// SA stays registered so its journal cell remains owned; retire it with
 // RemoveOutbound once the peer has confirmed its inbound cutover and any
 // in-flight packets have drained.
 //
@@ -355,8 +360,11 @@ func (g *Gateway) Outbound(spi uint32) (*OutboundSA, bool) {
 
 // buildInbound claims the journal cell for spi and constructs the SA over a
 // resilient fast-path receiver; see buildOutbound (including the adopt
-// down-state semantics).
+// down-state semantics and why keys are checked first).
 func (g *Gateway) buildInbound(spi uint32, keys KeyMaterial, adopt bool) (*InboundSA, error) {
+	if err := keys.Validate(); err != nil {
+		return nil, fmt.Errorf("ipsec: gateway inbound %#x: %w", spi, err)
+	}
 	key := InboundKey(spi)
 	cell, err := g.claimCell(key, spi, "inbound")
 	if err != nil {
@@ -409,15 +417,16 @@ func (g *Gateway) AddInbound(spi uint32, keys KeyMaterial) (*InboundSA, error) {
 
 // RekeyInbound performs the inbound "make" half of a make-before-break
 // rollover: the successor SA for newSPI is installed in the SAD — its window
-// edge durably initialized in the journal — while the old SA keeps
-// verifying, so the peer can cut its outbound side over whenever it likes
-// and packets of both generations authenticate during the overlap. The old
-// SA is deliberately NOT marked draining here: the make step can still be
-// rolled back if the wider rollover fails, and until the cutover actually
-// happens the old generation is simply live. The orchestrator marks it
-// draining (InboundSA.BeginDrain, advisory — it still verifies) once both
-// outbound sides have cut over, and retires it with RemoveInbound after the
-// grace window. The successor records its lineage as in RekeyOutbound.
+// edge staged in the journal, durable before its first delivery — while the
+// old SA keeps verifying, so the peer can cut its outbound side over
+// whenever it likes and packets of both generations authenticate during the
+// overlap. The old SA is deliberately NOT marked draining here: the make
+// step can still be rolled back if the wider rollover fails, and until the
+// cutover actually happens the old generation is simply live. The
+// orchestrator marks it draining (InboundSA.BeginDrain, advisory — it still
+// verifies) once both outbound sides have cut over, and retires it with
+// RemoveInbound after the grace window. The successor records its lineage
+// as in RekeyOutbound.
 func (g *Gateway) RekeyInbound(oldSPI, newSPI uint32, keys KeyMaterial) (*InboundSA, error) {
 	old, ok := g.sad.Lookup(oldSPI)
 	if !ok {

@@ -532,8 +532,8 @@ func TestGatewayWakeAllCommitsPerLane(t *testing.T) {
 	}
 	defer g.Close()
 
-	// First-life installs save synchronously, one fsync each; four
-	// installers let them share commits.
+	// Four installers at once; every SA's birth is only staged, and the
+	// wake below clears it (its post-wake SAVE covers the record).
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)

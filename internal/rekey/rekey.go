@@ -22,11 +22,11 @@
 //
 // Ordering is what makes the rollover safe against resets:
 //
-//   - The successor's counters are durably initialized in the shared
-//     journal (a synchronous group-committed save inside RekeyInbound /
-//     RekeyOutbound) before any traffic is cut over, so a reset mid-rekey
-//     recovers both generations through the ordinary wake-up leap — never
-//     replaying one generation's numbers into the other.
+//   - The successor's counters are staged in the shared journal inside
+//     RekeyInbound / RekeyOutbound before any cutover and are durable before
+//     its first number, so a reset mid-rekey recovers both generations
+//     through the ordinary wake-up leap — never replaying one generation's
+//     numbers into the other.
 //   - New inbound SAs are installed on both gateways before either outbound
 //     cutover, so there is no instant at which a packet can be sealed that
 //     its peer cannot verify (make-before-break).
@@ -344,7 +344,7 @@ func (o *Orchestrator) rolloverLocked(t *Tunnel) error {
 	t.attempts = 0
 
 	// Make: both successor inbound SAs exist — and their window edges are
-	// durable in the journals — before any cutover.
+	// staged in the journals — before any cutover.
 	if _, err := o.cfg.B.RekeyInbound(t.abSPI, keys.SPIInitToResp, keys.InitToResp); err != nil {
 		return fmt.Errorf("rekey: install B inbound: %w", err)
 	}

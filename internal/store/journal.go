@@ -1106,6 +1106,7 @@ type Cell struct {
 }
 
 var _ Store = (*Cell)(nil)
+var _ Stager = (*Cell)(nil)
 
 // Save durably appends v to the journal under the cell's key: Stage, then
 // WaitDurable.

@@ -128,14 +128,6 @@ const DefaultPoolWorkers = 8
 // laned medium; see Cell.Lane.
 type laner interface{ Lane() int }
 
-// stager is implemented by stores whose Save splits into a cheap Stage and a
-// blocking WaitDurable (journal cells), which is what lets a worker stage a
-// whole round and pay one commit per lane.
-type stager interface {
-	Stage(v uint64) (seq uint64, err error)
-	WaitDurable(seq uint64) error
-}
-
 // saveStager adapts a store that cannot stage to a worker's rounds: Stage
 // hands the value through as its own sequence number and the blocking Save
 // runs where a cell would wait.
@@ -171,7 +163,7 @@ func (p *SaverPool) Saver(st Store) *PoolSaver {
 		shard = int(p.rr.Add(1)-1) % len(p.shards)
 	}
 	s := &PoolSaver{p: p, sh: &p.shards[shard], st: st}
-	if s.sg, _ = st.(stager); s.sg == nil {
+	if s.sg, _ = st.(Stager); s.sg == nil {
 		s.sg = saveStager{st}
 	}
 	s.idle = sync.NewCond(&s.mu)
@@ -241,7 +233,7 @@ type PoolSaver struct {
 	p  *SaverPool
 	sh *poolShard
 	st Store
-	sg stager // st itself, or saveStager{st}
+	sg Stager // st itself, or saveStager{st}
 
 	mu      sync.Mutex
 	idle    *sync.Cond // broadcast when active clears (Flush waiters)

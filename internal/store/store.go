@@ -71,6 +71,12 @@ type Store interface {
 	Fetch() (v uint64, ok bool, err error)
 }
 
+// Stager is a store whose Save splits into Stage and WaitDurable (Cell).
+type Stager interface {
+	Stage(v uint64) (seq uint64, err error)
+	WaitDurable(seq uint64) error
+}
+
 // Mem is an in-memory Store for simulations. The zero value is an empty
 // store ready for use. It is safe for concurrent use.
 //

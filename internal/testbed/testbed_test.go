@@ -103,7 +103,9 @@ func TestReplayAllDeliversNothingTwice(t *testing.T) {
 // TestSealStalledSaverIsAnError: a sender whose SAVEs never complete (a
 // sync follower that never acknowledges) stalls at its durable horizon;
 // Seal spends the budget backing off and then fails, wrapping both
-// ErrStalled and core.ErrSaveLag and naming the SA.
+// ErrStalled and core.ErrSaveLag and naming the SA. The first Seal runs
+// before the follower attaches: it waits for the SA's birth record, which
+// such a follower would hold forever (TestFirstSealWaitsForSyncFollower).
 func TestSealStalledSaverIsAnError(t *testing.T) {
 	watchdog.Arm(t, 6*stallBudget)
 	stalls := 0
@@ -112,6 +114,9 @@ func TestSealStalledSaverIsAnError(t *testing.T) {
 			stalls++
 		}
 	}})
+	if _, err := p.Seal(addrA, addrB, []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
 	j := p.A.Medium.LaneJournals()[0]
 	tl, err := j.Follow()
 	if err != nil {
@@ -144,6 +149,59 @@ func TestSealStalledSaverIsAnError(t *testing.T) {
 		t.Fatal("OnStall never saw a sealing pause")
 	}
 	t.Logf("after %v and %d pauses: %v", took, stalls, err)
+}
+
+// TestFirstSealWaitsForSyncFollower pins where a sync follower that does
+// not acknowledge stalls an SA installed before it attached: not at
+// AddOutbound, which only staged the birth record, but at the first Seal,
+// which waits for that record to be durable — acknowledged by the follower,
+// or released by its Close — and then returns the first number.
+func TestFirstSealWaitsForSyncFollower(t *testing.T) {
+	watchdog.Arm(t, 30*time.Second)
+	for _, release := range []string{"ack", "close"} {
+		t.Run(release, func(t *testing.T) {
+			p := newPair(t, Config{K: 4, W: 64})
+			j := p.A.Medium.LaneJournals()[0]
+			tl, err := j.Follow()
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(tl.Close)
+			if err := j.SyncFollower(tl); err != nil {
+				t.Fatal(err)
+			}
+			type sealed struct {
+				w   []byte
+				err error
+			}
+			done := make(chan sealed, 1)
+			go func() {
+				w, err := p.A.GW.Seal(addrA, addrB, []byte("payload"))
+				done <- sealed{w, err}
+			}()
+			select {
+			case s := <-done:
+				t.Fatalf("first Seal returned before the follower acknowledged the birth: %v", s.err)
+			case <-time.After(100 * time.Millisecond):
+			}
+			if release == "ack" {
+				_, next, err := tl.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				tl.Ack(next)
+			} else {
+				tl.Close()
+			}
+			s := <-done
+			if s.err != nil {
+				t.Fatalf("first Seal after the follower's %s: %v", release, s.err)
+			}
+			if seq, err := ipsec.ParseSeqLo(s.w); err != nil || seq != 1 {
+				t.Fatalf("first Seal carried sequence %d (%v), want 1", seq, err)
+			}
+		})
+	}
 }
 
 // TestOpenPoisonedLaneReturnsAtOnce: once B's lane is quarantined its SAs
