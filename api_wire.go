@@ -6,8 +6,8 @@ import (
 
 // Wire-layer types, re-exported from the implementation: the real
 // UDP-encapsulated socket transport (ListenWireUDP). The deterministic
-// simulator and the fragmentation and gate middleware implement the same
-// internal/wire.Link contract and stay internal.
+// simulator and the gate middleware implement the same internal/wire.Link
+// contract and stay internal.
 type (
 	// WireStats counts a link's traffic.
 	WireStats = wire.Stats
@@ -23,7 +23,7 @@ type (
 var (
 	// ErrWireClosed reports use of a closed link.
 	ErrWireClosed = wire.ErrClosed
-	// ErrWireTooLarge reports a datagram over the link's MTU.
+	// ErrWireTooLarge reports a datagram over the UDP payload ceiling.
 	ErrWireTooLarge = wire.ErrTooLarge
 	// ErrWireNoDatagram reports an empty non-blocking receive.
 	ErrWireNoDatagram = wire.ErrNoDatagram

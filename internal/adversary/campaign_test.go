@@ -27,7 +27,6 @@ func (s *sinkLink) Send(p []byte) error {
 func (s *sinkLink) Recv() ([]byte, error) { return nil, wire.ErrNoDatagram }
 func (s *sinkLink) Close() error          { return nil }
 func (s *sinkLink) Stats() wire.Stats     { return wire.Stats{} }
-func (s *sinkLink) MTU() int              { return 64 << 10 }
 
 func (s *sinkLink) arrivals() [][]byte {
 	s.mu.Lock()

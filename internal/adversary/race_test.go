@@ -62,7 +62,6 @@ func (l *verifyLink) Send(p []byte) error   { l.deliver(p); return nil }
 func (l *verifyLink) Recv() ([]byte, error) { return nil, wire.ErrNoDatagram }
 func (l *verifyLink) Close() error          { return nil }
 func (l *verifyLink) Stats() wire.Stats     { return wire.Stats{} }
-func (l *verifyLink) MTU() int              { return 64 << 10 }
 
 // TestRaceCampaignDatapath is the -race stress test for the adversary
 // layer against the live datapath: a window-edge snipe (holds, late

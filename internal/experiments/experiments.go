@@ -204,14 +204,6 @@ func All() []Runner {
 			}
 			return Scale(cfg)
 		}},
-		{ID: "transport", Paper: "extension: the wire layer (fragment attacks rejected, reassembly memory bounded)", Run: func(fast bool) (*Table, error) {
-			cfg := DefaultTransportConfig()
-			if fast {
-				cfg.Datagrams = 50
-				cfg.FloodIDs = 128
-			}
-			return Transport(cfg)
-		}},
 		{ID: "campaigns", Paper: "extension: stealth-DoS campaigns (bounded degradation, zero replay acceptance)", Run: func(fast bool) (*Table, error) {
 			cfg := DefaultCampaignsConfig()
 			if fast {

@@ -467,8 +467,8 @@ func TestLossJumpHorizonCliff(t *testing.T) {
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"fig1", "fig2", "unbounded", "sizing", "convsender",
 		"convreceiver", "recovery", "prolonged", "doublereset", "leap",
-		"delivery", "horizon", "rekey", "failover", "scale", "transport",
-		"campaigns", "diskfault"}
+		"delivery", "horizon", "rekey", "failover", "scale", "campaigns",
+		"diskfault"}
 	rs := All()
 	if len(rs) != len(want) {
 		t.Fatalf("registry has %d entries, want %d", len(rs), len(want))
@@ -496,8 +496,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // campaigns, diskfault, sizing, recovery, scale) race real goroutines or
 // read the wall clock and vary.
 var goldenTables = []string{"fig1", "fig2", "unbounded", "convsender",
-	"convreceiver", "prolonged", "doublereset", "leap", "delivery", "horizon",
-	"transport"}
+	"convreceiver", "prolonged", "doublereset", "leap", "delivery", "horizon"}
 
 // TestRegistryRunsFast executes every experiment in fast mode end to end
 // and compares the rendered deterministic tables against

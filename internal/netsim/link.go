@@ -23,12 +23,6 @@ type LinkConfig struct {
 	// ReorderDelay bounds the extra hold-back delay. Together with the send
 	// rate it bounds the reorder degree the link can induce.
 	ReorderDelay time.Duration
-	// MTU, when positive, drops (and counts as Oversize) messages larger
-	// than MTU bytes. Size is defined for []byte-carrying links (the wire
-	// layer's); messages of other types are never oversize. Keeping the
-	// drop in the simulated link makes simulated and real transports agree
-	// on when fragmentation must trigger.
-	MTU int
 }
 
 // Validate reports configuration errors.
@@ -51,9 +45,6 @@ func (c LinkConfig) Validate() error {
 	if c.ReorderProb > 0 && c.ReorderDelay == 0 {
 		return fmt.Errorf("netsim: ReorderProb > 0 requires ReorderDelay > 0")
 	}
-	if c.MTU < 0 {
-		return fmt.Errorf("netsim: MTU = %d must be >= 0", c.MTU)
-	}
 	return nil
 }
 
@@ -64,7 +55,6 @@ type LinkStats struct {
 	Lost       uint64
 	Duplicated uint64
 	Reordered  uint64
-	Oversize   uint64 // messages dropped for exceeding the configured MTU
 	Delivered  uint64 // deliveries performed (including duplicates, injections)
 }
 
@@ -116,12 +106,6 @@ func (l *Link[T]) Send(v T) {
 	// link (the adversary's tap->inject shape) without deadlocking.
 	for _, tap := range taps {
 		tap(v)
-	}
-	if l.cfg.MTU > 0 {
-		if b, ok := any(v).([]byte); ok && len(b) > l.cfg.MTU {
-			l.count(func(s *LinkStats) { s.Oversize++ })
-			return
-		}
 	}
 	rng := l.engine.Rand()
 	if l.cfg.LossProb > 0 && rng.Float64() < l.cfg.LossProb {

@@ -360,47 +360,6 @@ func TestSimSaverDelayAccessor(t *testing.T) {
 	}
 }
 
-func TestLinkConfigValidateMTU(t *testing.T) {
-	if err := (LinkConfig{MTU: 1500}).Validate(); err != nil {
-		t.Errorf("MTU 1500: Validate = %v, want nil", err)
-	}
-	if err := (LinkConfig{MTU: -1}).Validate(); err == nil {
-		t.Error("MTU -1: Validate = nil, want error")
-	}
-}
-
-func TestLinkMTUDropsOversize(t *testing.T) {
-	e := NewEngine(1)
-	var got [][]byte
-	link := NewLink[[]byte](e, LinkConfig{MTU: 64}, func(v []byte) { got = append(got, v) })
-	link.Send(make([]byte, 64)) // at the MTU: carried
-	link.Send(make([]byte, 65)) // over: dropped and counted
-	e.Run()
-	if len(got) != 1 || len(got[0]) != 64 {
-		t.Fatalf("delivered %d messages", len(got))
-	}
-	st := link.Stats()
-	if st.Oversize != 1 || st.Sent != 2 || st.Delivered != 1 {
-		t.Errorf("stats = %+v", st)
-	}
-}
-
-func TestLinkMTUIgnoresNonByteMessages(t *testing.T) {
-	// Size is only defined for []byte-carrying links; other types are
-	// never oversize.
-	e := NewEngine(1)
-	var got []uint64
-	link := NewLink[uint64](e, LinkConfig{MTU: 1}, func(v uint64) { got = append(got, v) })
-	link.Send(1 << 40)
-	e.Run()
-	if len(got) != 1 {
-		t.Fatalf("delivered %d messages", len(got))
-	}
-	if st := link.Stats(); st.Oversize != 0 {
-		t.Errorf("Oversize = %d on a non-[]byte link", st.Oversize)
-	}
-}
-
 func TestLinkStatsDeterministicAcrossRuns(t *testing.T) {
 	// Same seed => identical LinkStats, bit for bit; a different seed must
 	// disturb at least one impairment counter.
@@ -413,10 +372,9 @@ func TestLinkStatsDeterministicAcrossRuns(t *testing.T) {
 			DupProb:      0.15,
 			ReorderProb:  0.25,
 			ReorderDelay: 5 * time.Millisecond,
-			MTU:          256,
 		}, func([]byte) {})
 		for i := 0; i < 500; i++ {
-			n := 16 + (i*37)%400 // some above the MTU, deterministically
+			n := 16 + (i*37)%400
 			i := i
 			e.At(time.Duration(i)*50*time.Microsecond, func() { link.Send(make([]byte, n)) })
 		}
@@ -430,7 +388,7 @@ func TestLinkStatsDeterministicAcrossRuns(t *testing.T) {
 	if c := run(43); c == a {
 		t.Fatalf("different seed, identical stats: %+v", c)
 	}
-	if a.Oversize == 0 || a.Lost == 0 || a.Duplicated == 0 || a.Reordered == 0 {
+	if a.Lost == 0 || a.Duplicated == 0 || a.Reordered == 0 {
 		t.Fatalf("impairments not exercised: %+v", a)
 	}
 }

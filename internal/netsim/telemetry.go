@@ -13,6 +13,5 @@ func (s LinkStats) CollectTelemetry(emit telemetry.Emit) {
 	emit("lost_total", telemetry.KindCounter, float64(s.Lost))
 	emit("duplicated_total", telemetry.KindCounter, float64(s.Duplicated))
 	emit("reordered_total", telemetry.KindCounter, float64(s.Reordered))
-	emit("oversize_total", telemetry.KindCounter, float64(s.Oversize))
 	emit("delivered_total", telemetry.KindCounter, float64(s.Delivered))
 }

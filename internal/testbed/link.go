@@ -36,7 +36,6 @@ func (l *InlineLink) Send(p []byte) error {
 func (l *InlineLink) Recv() ([]byte, error) { return nil, wire.ErrNoDatagram }
 func (l *InlineLink) Close() error          { return nil }
 func (l *InlineLink) Stats() wire.Stats     { return wire.Stats{} }
-func (l *InlineLink) MTU() int              { return 64 << 10 }
 
 // listenUDP opens the UDP kind's loopback socket pair: A's endpoint and
 // link Tx, B's endpoint and link Rx.

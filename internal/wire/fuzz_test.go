@@ -1,105 +1,187 @@
 package wire
 
 import (
-	"encoding/binary"
+	"bytes"
+	"net/netip"
 	"testing"
-	"time"
 )
 
-// fuzzInnerLink is the null inner link beneath the fuzzed FragLink: probe
-// acks vanish, Recv never yields (the fuzzer drives handleFrame directly).
-type fuzzInnerLink struct{}
+// The fuzzed endpoint's peers: a link with registered SPIs, a link without
+// any (routed by address only, as testbed's are), and a stranger no link
+// belongs to.
+var (
+	fuzzPeerSPI  = netip.MustParseAddrPort("192.0.2.1:4500")
+	fuzzPeerBare = netip.MustParseAddrPort("192.0.2.2:4500")
+	fuzzStranger = netip.MustParseAddrPort("192.0.2.3:4500")
+	fuzzPeers    = [...]netip.AddrPort{fuzzPeerSPI, fuzzPeerBare, fuzzStranger}
+)
 
-func (fuzzInnerLink) Send([]byte) error     { return nil }
-func (fuzzInnerLink) Recv() ([]byte, error) { return nil, ErrNoDatagram }
-func (fuzzInnerLink) Close() error          { return nil }
-func (fuzzInnerLink) Stats() Stats          { return Stats{} }
-func (fuzzInnerLink) MTU() int              { return 0 }
+// fuzzRecvQueue is small so that the fuzzer reaches full lanes.
+const fuzzRecvQueue = 4
 
-// fuzzFrameStream splits raw fuzz input into a frame sequence with 2-byte
-// big-endian length prefixes (a short final chunk is taken as-is), so one
-// input drives a whole hostile conversation: interleaved ids, splinters,
-// forged headers, retransmissions.
-func fuzzFrameStream(raw []byte) [][]byte {
-	var frames [][]byte
+// fuzzBatches splits raw fuzz input into receive batches. Each record is a
+// header byte, a length byte and that many payload bytes (a short final
+// record takes what is left): the header's low bits pick the peer, its top
+// bit ends the batch after this record.
+func fuzzBatches(raw []byte) [][]datagram {
+	var batches [][]datagram
+	var cur []datagram
 	for off := 0; off+2 <= len(raw); {
-		n := int(binary.BigEndian.Uint16(raw[off : off+2]))
+		hdr, n := raw[off], int(raw[off+1])
 		off += 2
-		if n > len(raw)-off {
-			n = len(raw) - off
-		}
-		frames = append(frames, raw[off:off+n])
+		n = min(n, len(raw)-off)
+		cur = append(cur, datagram{raw[off : off+n], fuzzPeers[int(hdr&0x7F)%len(fuzzPeers)]})
 		off += n
+		if hdr&0x80 != 0 {
+			batches, cur = append(batches, cur), nil
+		}
 	}
-	return frames
+	return append(batches, cur)
 }
 
-// prefixFrames is the seed-side inverse of fuzzFrameStream.
-func prefixFrames(frames ...[]byte) []byte {
-	var raw []byte
-	for _, f := range frames {
-		var lp [2]byte
-		binary.BigEndian.PutUint16(lp[:], uint16(len(f)))
-		raw = append(raw, lp[:]...)
-		raw = append(raw, f...)
+// fuzzRecord is the seed-side inverse of fuzzBatches.
+func fuzzRecord(peer int, last bool, p []byte) []byte {
+	hdr := byte(peer)
+	if last {
+		hdr |= 0x80
 	}
-	return raw
+	return append([]byte{hdr, byte(len(p))}, p...)
 }
 
-// FuzzFragReassembly throws arbitrary frame sequences at the reassembly
-// state machine. Invariants, no matter how hostile the stream:
+// FuzzUDPDeliver throws arbitrary datagram batches from three peers at the
+// RFC 3948 demux (UDPEndpoint.deliver), with no socket. A model routes each
+// input the way the encapsulation says it must go. Invariants:
 //
 //   - never panic;
-//   - PendingBytes stays within [0, MaxReassemblyBytes] — buffered
-//     reassembly memory is bounded even when every frame lies;
-//   - a frame without the version magic (or shorter than the header)
-//     never delivers a datagram;
-//   - every delivered datagram fits MaxDatagram.
-func FuzzFragReassembly(f *testing.F) {
-	const memBound = 1 << 16
-
-	// Seeds: a legitimate whole-datagram frame, a clean two-fragment
-	// reassembly, and one of each hostile class the catalogue rejects.
-	whole := []byte("a perfectly ordinary datagram")
-	f.Add(prefixFrames(EncodeFrame(7, 0, 1, 0, len(whole), whole)))
-	big := make([]byte, 300)
-	for i := range big {
-		big[i] = byte(i)
+//   - a lone 0xFF is a keepalive and is never queued;
+//   - a zero-marker datagram lands only on its peer's control lane, with
+//     the marker stripped;
+//   - any other datagram lands on the data lane of its SPI's link, else of
+//     its peer's link, else it is counted in unrouted;
+//   - a full lane drops and counts what it cannot hold;
+//   - every queued slice equals its input, after the input buffer has been
+//     overwritten, and has cap == len;
+//   - queued + RxDrops + unrouted + keepalives = inputs.
+func FuzzUDPDeliver(f *testing.F) {
+	esp := func(spi byte, body string) []byte { return append([]byte{0, 0, 0, spi}, body...) }
+	ctrl := func(body string) []byte { return append([]byte{0, 0, 0, 0}, body...) }
+	var all []byte
+	for peer := range fuzzPeers {
+		all = append(all, fuzzRecord(peer, false, esp(0x10, "esp"))...)
+		all = append(all, fuzzRecord(peer, false, esp(0x77, "unknown SPI"))...)
+		all = append(all, fuzzRecord(peer, false, ctrl("ike"))...)
+		all = append(all, fuzzRecord(peer, peer == 1, []byte{natKeepalive})...)
 	}
-	f.Add(prefixFrames(
-		EncodeFrame(7, FragFlagFrag, 2, 0, len(big), big[:150]),
-		EncodeFrame(7, FragFlagFrag, 2, 150, len(big), big[150:]),
-	))
-	f.Add(prefixFrames([]byte{0, 0, 0, 7, 0x00, 0, 0, 0, 3, 0, 0, 0, 9})) // bad magic
-	f.Add(prefixFrames(EncodeFrame(7, FragFlagFrag, 4, 0, 500, big[:4]))) // tiny splinter
-	f.Add(prefixFrames(                                                   // overlapping rewrite
-		EncodeFrame(7, FragFlagFrag, 5, 0, len(big), big[:150]),
-		EncodeFrame(7, FragFlagFrag, 5, 100, len(big), big[:150]),
-	))
-	f.Add(prefixFrames(EncodeFrame(probeSPI, FragFlagProbe, 6, 0, 200, make([]byte, 187))))
+	f.Add(all)
+	f.Add(fuzzRecord(1, false, esp(0x11, "SPI beats address")))
+	f.Add(fuzzRecord(0, false, []byte{0, 0, 0}))                    // short of a marker
+	f.Add(fuzzRecord(2, true, ctrl("")))                            // marker alone, from nobody
+	f.Add(fuzzRecord(0, false, []byte{natKeepalive, natKeepalive})) // not a keepalive
+	var flood []byte
+	for i := 0; i < 2*fuzzRecvQueue; i++ {
+		flood = append(flood, fuzzRecord(0, i == fuzzRecvQueue, esp(0x10, "x"))...)
+		flood = append(flood, fuzzRecord(1, false, ctrl("y"))...)
+	}
+	f.Add(flood)
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		l := NewFragLink(fuzzInnerLink{}, FragConfig{
-			MaxReassemblyBytes: memBound,
-			MaxPending:         32,
-			MinFragPayload:     8,
-			Now:                func() time.Duration { return 0 },
-		})
-		for _, frame := range fuzzFrameStream(raw) {
-			p, ok := l.handleFrame(frame)
-			if ok {
-				if len(frame) < fragHdrLen || frame[4]&flagMagicMsk != flagMagic {
-					t.Fatalf("delivered a datagram from a frame without the version magic: % x", frame)
+		e := &UDPEndpoint{cfg: UDPConfig{RecvQueue: fuzzRecvQueue},
+			bySPI:  make(map[uint32]*UDPLink),
+			byAddr: make(map[netip.AddrPort]*UDPLink)}
+		withSPIs, err := e.Link(fuzzPeerSPI, 0x10, 0x11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bare, err := e.Link(fuzzPeerBare)
+		if err != nil {
+			t.Fatal(err)
+		}
+		links := map[netip.AddrPort]*UDPLink{fuzzPeerSPI: withSPIs, fuzzPeerBare: bare}
+
+		// The model: what each lane must hold, in order, and each counter.
+		want := map[chan []byte][][]byte{}
+		wantDrops, wantKeepalives := map[*UDPLink]uint64{}, map[*UDPLink]uint64{}
+		var wantUnrouted, inputs uint64
+		route := func(m datagram) {
+			p, l, ctrl := m.p, links[m.addr], false
+			switch {
+			case len(p) == 1 && p[0] == natKeepalive:
+				if l != nil {
+					wantKeepalives[l]++
+					return
 				}
-				if len(p) > MaxDatagram {
-					t.Fatalf("delivered %d bytes > MaxDatagram %d", len(p), MaxDatagram)
+			case len(p) >= 4 && p[0]|p[1]|p[2]|p[3] == 0:
+				p, ctrl = p[4:], true
+			case len(p) >= 4 && p[0] == 0 && p[1] == 0 && p[2] == 0 && (p[3] == 0x10 || p[3] == 0x11):
+				l = withSPIs
+			}
+			if l == nil {
+				wantUnrouted++
+				return
+			}
+			ch := l.data
+			if ctrl {
+				ch = l.ctrl
+			}
+			if len(want[ch]) == fuzzRecvQueue {
+				wantDrops[l]++
+				return
+			}
+			want[ch] = append(want[ch], bytes.Clone(p))
+		}
+
+		for _, batch := range fuzzBatches(bytes.Clone(raw)) {
+			for _, m := range batch {
+				inputs++
+				route(m)
+			}
+			e.deliver(batch)
+			for _, m := range batch {
+				for i := range m.p {
+					m.p[i] ^= 0xA5 // the read buffer is reused by the next receive
 				}
 			}
-			fs := l.FragStats()
-			if fs.PendingBytes < 0 || fs.PendingBytes > memBound {
-				t.Fatalf("PendingBytes = %d outside [0, %d]", fs.PendingBytes, memBound)
+		}
+
+		var queued, drops, keepalives uint64
+		for _, l := range links {
+			for _, ch := range []chan []byte{l.data, l.ctrl} {
+				var got [][]byte
+				for len(ch) > 0 {
+					got = append(got, <-ch)
+				}
+				if len(got) != len(want[ch]) {
+					t.Fatalf("link %v lane holds %d datagrams, want %d", l.peer, len(got), len(want[ch]))
+				}
+				for i, p := range got {
+					if !bytes.Equal(p, want[ch][i]) {
+						t.Fatalf("link %v datagram %d = % x, want % x", l.peer, i, p, want[ch][i])
+					}
+					if cap(p) != len(p) {
+						t.Fatalf("link %v datagram %d has cap %d > len %d", l.peer, i, cap(p), len(p))
+					}
+				}
+				queued += uint64(len(got))
 			}
+			s := l.Stats()
+			if s.RxDrops != wantDrops[l] || s.Keepalives != wantKeepalives[l] {
+				t.Fatalf("link %v: RxDrops %d, keepalives %d; want %d, %d",
+					l.peer, s.RxDrops, s.Keepalives, wantDrops[l], wantKeepalives[l])
+			}
+			if n := uint64(len(want[l.data]) + len(want[l.ctrl])); s.RxPackets != n {
+				t.Fatalf("link %v: RxPackets %d, queued %d", l.peer, s.RxPackets, n)
+			}
+			drops += s.RxDrops
+			keepalives += s.Keepalives
+		}
+		unrouted := e.Unrouted()
+		if unrouted != wantUnrouted {
+			t.Fatalf("unrouted = %d, want %d", unrouted, wantUnrouted)
+		}
+		if queued+drops+unrouted+keepalives != inputs {
+			t.Fatalf("queued %d + drops %d + unrouted %d + keepalives %d != %d inputs",
+				queued, drops, unrouted, keepalives, inputs)
 		}
 	})
 }

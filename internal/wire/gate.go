@@ -96,7 +96,7 @@ func (l *GateLink) Send(p []byte) error {
 		return nil
 	case GateHold:
 		l.mu.Lock()
-		l.held = append(l.held, p)
+		l.held = append(l.held, append([]byte(nil), p...)) // p is the caller's again once Send returns
 		l.gstats.Held++
 		l.mu.Unlock()
 		return nil
@@ -185,12 +185,6 @@ func (l *GateLink) Close() error {
 // Stats returns the inner link's counters (the gate's own are in
 // GateStats).
 func (l *GateLink) Stats() Stats { return l.inner.Stats() }
-
-// MTU returns the inner link's MTU.
-func (l *GateLink) MTU() int { return l.inner.MTU() }
-
-// Inner exposes the wrapped link.
-func (l *GateLink) Inner() Link { return l.inner }
 
 var (
 	_ Link     = (*GateLink)(nil)

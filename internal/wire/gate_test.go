@@ -77,6 +77,20 @@ func TestGateLinkPassDropHold(t *testing.T) {
 	if st.Passed != 3 || st.Dropped != 2 || st.Held != 2 || st.Released != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
+
+	// A held datagram is the gate's copy: the caller reuses its buffer as
+	// soon as Send returns, and Release still delivers what was sent.
+	g.SetGate(func([]byte) GateVerdict { return GateHold })
+	buf := []byte("original")
+	if err := g.Send(buf); err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, "CLOBBER!")
+	g.Release(-1)
+	e.Run()
+	if p, err = b.Recv(); err != nil || string(p) != "original" {
+		t.Fatalf("released after the caller reused its buffer = %q, %v; want \"original\"", p, err)
+	}
 }
 
 func TestGateLinkTapSeesGatedTraffic(t *testing.T) {

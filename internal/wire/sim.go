@@ -19,7 +19,6 @@ import (
 // loss.
 type SimLink struct {
 	out *netsim.Link[[]byte] // the channel toward the peer
-	mtu int
 
 	mu      sync.Mutex
 	queue   [][]byte
@@ -33,12 +32,10 @@ type SimLink struct {
 const simQueueBound = 4096
 
 // NewSimPair builds two cross-connected SimLinks over engine: ab is the
-// impairment model of the a→b direction, ba of b→a. The netsim MTU field
-// of each direction bounds that direction's datagram size, so simulated
-// and real links agree on when fragmentation must trigger.
+// impairment model (delay, loss, duplication, reorder) of the a→b
+// direction, ba of b→a. Datagrams of any size are carried whole.
 func NewSimPair(engine *netsim.Engine, ab, ba netsim.LinkConfig) (a, b *SimLink) {
-	a = &SimLink{mtu: ab.MTU}
-	b = &SimLink{mtu: ba.MTU}
+	a, b = &SimLink{}, &SimLink{}
 	a.out = netsim.NewLink(engine, ab, b.deliver)
 	b.out = netsim.NewLink(engine, ba, a.deliver)
 	return a, b
@@ -69,10 +66,9 @@ func (l *SimLink) deliver(p []byte) {
 	l.mu.Unlock()
 }
 
-// Send transmits p toward the peer through the simulated impairments.
-// Oversize datagrams (beyond the direction's MTU) are handed to the link
-// anyway — the netsim layer drops and counts them, keeping the wiretap's
-// view honest — and reported here as ErrTooLarge.
+// Send transmits a copy of p toward the peer through the simulated
+// impairments: the engine delivers later, when the caller may already have
+// reused p.
 func (l *SimLink) Send(p []byte) error {
 	l.mu.Lock()
 	if l.closed {
@@ -80,18 +76,10 @@ func (l *SimLink) Send(p []byte) error {
 		l.mu.Unlock()
 		return ErrClosed
 	}
-	oversize := l.mtu > 0 && len(p) > l.mtu
-	if oversize {
-		l.stats.TxDrops++
-	} else {
-		l.stats.TxPackets++
-		l.stats.TxBytes += uint64(len(p))
-	}
+	l.stats.TxPackets++
+	l.stats.TxBytes += uint64(len(p))
 	l.mu.Unlock()
-	l.out.Send(p)
-	if oversize {
-		return ErrTooLarge
-	}
+	l.out.Send(append([]byte(nil), p...))
 	return nil
 }
 
@@ -135,21 +123,14 @@ func (l *SimLink) Stats() Stats {
 	return l.stats
 }
 
-// MTU returns this direction's configured MTU (0 = unlimited).
-func (l *SimLink) MTU() int { return l.mtu }
-
 // Tap registers fn at the wiretap position of the channel toward the
 // peer: it observes every datagram handed to Send, including ones the
 // network then loses.
 func (l *SimLink) Tap(fn func(p []byte)) { l.out.Tap(fn) }
 
-// Inject writes p into the channel toward the peer, bypassing taps,
-// loss, and the MTU check — the adversary's transmitter.
+// Inject writes p into the channel toward the peer, bypassing taps and
+// loss — the adversary's transmitter.
 func (l *SimLink) Inject(p []byte) { l.out.Inject(p) }
-
-// Inner exposes the underlying netsim link toward the peer (its stats
-// carry the loss/duplication/reorder/oversize accounting).
-func (l *SimLink) Inner() *netsim.Link[[]byte] { return l.out }
 
 var (
 	_ Link           = (*SimLink)(nil)

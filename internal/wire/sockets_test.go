@@ -164,75 +164,3 @@ func TestTransportUDPKeepalive(t *testing.T) {
 	}
 	t.Fatalf("keepalives: sent=%d seen=%d", la.KeepalivesSent(), lb.Stats().Keepalives)
 }
-
-func TestTransportUDPFragmentation(t *testing.T) {
-	la, lb := udpPair(t, UDPConfig{MTU: 512})
-	fa := NewFragLink(la, FragConfig{})
-	fb := NewFragLink(lb, FragConfig{})
-
-	want := esp(0x10, bytes.Repeat([]byte("fragment-me."), 300)) // ~3.6 KiB
-	if err := fa.Send(want); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	type res struct {
-		p   []byte
-		err error
-	}
-	ch := make(chan res, 1)
-	go func() {
-		p, err := fb.Recv()
-		ch <- res{p, err}
-	}()
-	select {
-	case r := <-ch:
-		if r.err != nil {
-			t.Fatalf("Recv: %v", r.err)
-		}
-		if !bytes.Equal(r.p, want) {
-			t.Fatalf("reassembly mismatch: %d bytes, want %d", len(r.p), len(want))
-		}
-	case <-time.After(sockTimeout):
-		t.Fatal("reassembly timed out")
-	}
-	if fs := fb.FragStats(); fs.Reassembled != 1 || fs.FragsRx == 0 {
-		t.Errorf("frag stats = %+v", fs)
-	}
-}
-
-func TestTransportUDPPMTUDiscovery(t *testing.T) {
-	la, lb := udpPair(t, UDPConfig{MTU: 512})
-	fa := NewFragLink(la, FragConfig{WireMTU: 1400})
-	fb := NewFragLink(lb, FragConfig{})
-
-	// fb must pump to answer probes; fa pumps to absorb acks.
-	stop := make(chan struct{})
-	go func() {
-		for {
-			if _, err := fb.Recv(); err != nil {
-				return
-			}
-		}
-	}()
-	go func() {
-		for {
-			if _, err := fa.Recv(); err != nil {
-				return
-			}
-		}
-	}()
-	defer close(stop)
-
-	// 1024/1400 exceed the socket's MTU and never leave; 256/512 survive
-	// and are acked.
-	fa.DiscoverPMTU([]int{256, 512, 1024, 1400})
-	deadline := time.Now().Add(sockTimeout)
-	for time.Now().Before(deadline) {
-		if fa.FragStats().ProbeAcks >= 2 {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if got := fa.AdoptPMTU(); got != 512 {
-		t.Fatalf("AdoptPMTU = %d, want 512", got)
-	}
-}

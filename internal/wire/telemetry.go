@@ -13,7 +13,6 @@ import "antireplay/internal/telemetry"
 var (
 	_ telemetry.Collector = Stats{}
 	_ telemetry.Collector = GateStats{}
-	_ telemetry.Collector = FragStats{}
 	_ telemetry.Collector = (*UDPEndpoint)(nil)
 )
 
@@ -49,34 +48,14 @@ func (s GateStats) CollectTelemetry(emit telemetry.Emit) {
 	emit("injected_total", telemetry.KindCounter, float64(s.Injected))
 }
 
-// CollectTelemetry emits the fragmentation layer's work and its headline
-// security counter (hostile_drops).
-func (s FragStats) CollectTelemetry(emit telemetry.Emit) {
-	emit("frags_tx_total", telemetry.KindCounter, float64(s.FragsTx))
-	emit("frags_rx_total", telemetry.KindCounter, float64(s.FragsRx))
-	emit("reassembled_total", telemetry.KindCounter, float64(s.Reassembled))
-	emit("atomic_frags_total", telemetry.KindCounter, float64(s.AtomicFrags))
-	emit("hostile_drops_total", telemetry.KindCounter, float64(s.HostileDrops))
-	emit("timeout_drops_total", telemetry.KindCounter, float64(s.TimeoutDrops))
-	emit("evict_drops_total", telemetry.KindCounter, float64(s.EvictDrops))
-	emit("bad_frames_total", telemetry.KindCounter, float64(s.BadFrames))
-	emit("probes_tx_total", telemetry.KindCounter, float64(s.ProbesTx))
-	emit("probes_rx_total", telemetry.KindCounter, float64(s.ProbesRx))
-	emit("probe_acks_total", telemetry.KindCounter, float64(s.ProbeAcks))
-	emit("reassembly_pending_bytes", telemetry.KindGauge, float64(s.PendingBytes))
-}
-
 // LinkCollector adapts a live Link: each scrape re-snapshots Stats, and
-// when the link is a GateLink or FragLink its layer stats ride along under
-// the same prefix.
+// when the link is a GateLink its gate stats ride along under the same
+// prefix.
 func LinkCollector(l Link) telemetry.Collector {
 	return telemetry.CollectorFunc(func(emit telemetry.Emit) {
 		l.Stats().CollectTelemetry(emit)
 		if g, ok := l.(*GateLink); ok {
 			g.GateStats().CollectTelemetry(emit)
-		}
-		if f, ok := l.(*FragLink); ok {
-			f.FragStats().CollectTelemetry(emit)
 		}
 	})
 }

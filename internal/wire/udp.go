@@ -21,8 +21,8 @@ import (
 //
 // One UDPEndpoint owns one socket and demultiplexes inbound datagrams to
 // its links: ESP by SPI (falling back to the peer address for SPIs
-// registered nowhere, so fragment frames carrying a demux SPI route the
-// same as whole packets), non-ESP and keepalives by peer address.
+// registered nowhere, so a link opened without SPIs, as testbed's are,
+// still receives its peer's ESP), non-ESP and keepalives by peer address.
 //
 // Outbound, Send copies the datagram into the endpoint's transmit ring and
 // returns; one writer goroutine hands whatever has queued to the kernel in
@@ -50,10 +50,6 @@ const (
 
 // UDPConfig parameterizes an endpoint and its links.
 type UDPConfig struct {
-	// MTU, when positive, refuses Sends larger than MTU bytes, so a real
-	// link and a simulated one agree on when fragmentation triggers.
-	// 0 allows anything up to the UDP ceiling.
-	MTU int
 	// KeepaliveInterval sends a NAT-T keepalive on each link that has
 	// been transmit-idle this long. 0 disables keepalives.
 	KeepaliveInterval time.Duration
@@ -234,8 +230,9 @@ func (e *UDPEndpoint) deliver(msgs []datagram) {
 		case len(p) == 1 && p[0] == natKeepalive:
 			if l = e.byAddr[m.addr]; l != nil {
 				l.ctr.keepalives.Add(1)
+				continue
 			}
-			continue
+			// A keepalive from no known peer is a demux miss like any other.
 		case len(p) >= 4 && demuxSPI(p) == 0:
 			// Non-ESP marker: control traffic, routed by peer address.
 			l, p, ctrl = e.byAddr[m.addr], p[4:], true
@@ -422,9 +419,9 @@ func (l *UDPLink) SendControl(p []byte) error { return l.queue(4, p) }
 
 func (l *UDPLink) queue(marker int, p []byte) error {
 	n := marker + len(p)
-	if max := min(l.MTU(), maxUDPDatagram); n > max {
+	if n > maxUDPDatagram {
 		l.ctr.txDrops.Add(1)
-		return fmt.Errorf("%w: %d > %d", ErrTooLarge, n, max)
+		return fmt.Errorf("%w: %d > %d", ErrTooLarge, n, maxUDPDatagram)
 	}
 	if err := l.ep.tx.put(l, marker, p); err != nil {
 		return err
@@ -571,14 +568,6 @@ func (l *UDPLink) Stats() Stats {
 		TxDrops: c.txDrops.Load(), RxDrops: c.rxDrops.Load(),
 		Keepalives: c.keepalives.Load(),
 	}
-}
-
-// MTU returns the configured MTU, or the UDP ceiling.
-func (l *UDPLink) MTU() int {
-	if l.ep.cfg.MTU > 0 {
-		return l.ep.cfg.MTU
-	}
-	return maxUDPDatagram
 }
 
 var _ Link = (*UDPLink)(nil)

@@ -1,17 +1,18 @@
 // Package wire is the transport layer: the Link contract every packet path
-// in the repo rides, with three families of implementations —
+// in the repo rides, with three implementations —
 //
 //   - SimLink adapts the deterministic netsim engine (the original
 //     in-process wire every experiment grew up on);
 //   - UDPLink is a real socket: RFC 3948-style UDP encapsulation of ESP
 //     with a non-ESP marker for control traffic, NAT-T keepalives, and
 //     per-peer demultiplexing by SPI at a shared UDPEndpoint;
-//   - FragLink and GateLink are middleware that compose over any Link:
-//     explicit fragmentation/reassembly with probe-based path-MTU
-//     discovery and hostile-fragment rejection (the IPv6
-//     fragment-handling catalogue: overlapping, tiny, atomic fragments),
-//     and scheduled drop/hold with the adversary's wiretap (Tap) and
-//     injection (Inject) positions.
+//   - GateLink is middleware that composes over any Link: scheduled
+//     drop/hold with the adversary's wiretap (Tap) and injection (Inject)
+//     positions.
+//
+// Links carry whole datagrams. ESP-in-UDP leaves fragmentation to IP, so
+// nothing here splits or reassembles; a socket link refuses a datagram
+// above the UDP payload ceiling.
 //
 // A Link carries opaque datagrams — here, sealed ESP packets — between
 // exactly two peers. Send has copied the datagram when it returns and does
@@ -33,17 +34,16 @@ import "errors"
 var (
 	// ErrClosed reports an operation on a closed link.
 	ErrClosed = errors.New("wire: link closed")
-	// ErrTooLarge reports a datagram exceeding the link MTU on a link
-	// that does not fragment (FragLink splits instead).
-	ErrTooLarge = errors.New("wire: datagram exceeds MTU")
+	// ErrTooLarge reports a datagram above the UDP payload ceiling.
+	ErrTooLarge = errors.New("wire: datagram exceeds the UDP payload ceiling")
 	// ErrNoDatagram reports an empty receive queue on a non-blocking
 	// (simulated) link; the caller is expected to run the engine further.
 	ErrNoDatagram = errors.New("wire: no datagram queued")
 )
 
 // Stats counts one link's traffic, both directions, as seen at this
-// endpoint. Middleware links (FragLink, GateLink) keep their own
-// additional counters; these are the universal ones.
+// endpoint. GateLink keeps its own additional counters; these are the
+// universal ones.
 type Stats struct {
 	// TxPackets and TxBytes count datagrams accepted by Send.
 	TxPackets, TxBytes uint64
@@ -66,9 +66,10 @@ type Stats struct {
 // receiver (the tunnel's shape); Stats and Close may be called from any
 // goroutine.
 type Link interface {
-	// Send transmits one datagram toward the peer. It returns ErrTooLarge
-	// when the datagram exceeds MTU on a non-fragmenting link and
-	// ErrClosed after Close; network loss is not an error.
+	// Send transmits one datagram toward the peer. It has copied p when
+	// it returns. It returns ErrTooLarge when a socket link cannot carry
+	// the datagram and ErrClosed after Close; network loss is not an
+	// error.
 	Send(p []byte) error
 	// Recv returns the next datagram from the peer. Socket links block
 	// until traffic, Close (ErrClosed), or a deadline; simulated links
@@ -78,9 +79,6 @@ type Link interface {
 	Close() error
 	// Stats returns a snapshot of the traffic counters.
 	Stats() Stats
-	// MTU returns the largest datagram Send accepts, or 0 when the link
-	// imposes no limit.
-	MTU() int
 }
 
 // Handler consumes inbound datagrams inline.
@@ -108,9 +106,8 @@ type Injector interface {
 	Inject(p []byte)
 }
 
-// demuxSPI reads the leading 32-bit SPI of an ESP datagram, the key both
-// the UDP endpoint and the fragment framing route by. Short or non-ESP
-// datagrams demux to 0 (the control channel).
+// demuxSPI reads the leading 32-bit SPI of an ESP datagram, the key the
+// UDP endpoint routes by. Short or non-ESP datagrams demux to 0.
 func demuxSPI(p []byte) uint32 {
 	if len(p) < 4 {
 		return 0
