@@ -9,6 +9,7 @@ import (
 	"antireplay/internal/ipsec"
 	"antireplay/internal/stats"
 	"antireplay/internal/telemetry"
+	"antireplay/internal/testbed"
 	wirenet "antireplay/internal/wire"
 )
 
@@ -19,24 +20,29 @@ const lagHealthyAge = 5 * time.Second
 
 // simTelemetry is the -metrics stack of the gateway modes: one registry,
 // one lifecycle event ring, and one HTTP server, with the collector set
-// tracking the cluster roles as failovers swap them. The role pointers
-// are re-read under a mutex at every scrape, so the sim loop retargets
-// them with one setter call after each takeover and the endpoints always
-// describe the current primary. A nil *simTelemetry is inert: every
-// method no-ops, so the sim code calls it unconditionally.
+// tracking the testbed's roles as takeovers swap them. The roles are
+// re-read under a mutex at every scrape and retargeted by the testbed's
+// OnRoles hook, so the endpoints always describe the current primary. A nil
+// *simTelemetry is inert: every method called on it no-ops.
 type simTelemetry struct {
 	reg *telemetry.Registry
 	ev  *telemetry.Events
 	srv *telemetry.Server
 
-	// Sim-loop counters, owned here and emitted under apn_sim at scrape
-	// time (the hot loop pays one padded atomic add).
-	delivered, sacrificed, lost, horizon, saveLag, failovers stats.ShardedCounter
+	// Backoff pauses, owned here and emitted under apn_sim at scrape time.
+	horizon, saveLag stats.ShardedCounter
 
-	mu      sync.Mutex
-	sender  *ipsec.Gateway
-	primary *ipsec.Gateway
-	standby *cluster.Standby
+	mu  sync.Mutex
+	cur roles
+}
+
+// roles are the pair's current role holders: the sender gateway, the
+// serving primary, its standby (nil before the first) and, on a UDP pair,
+// the sender's socket link.
+type roles struct {
+	sender, primary *ipsec.Gateway
+	standby         *cluster.Standby
+	link            *wirenet.UDPLink
 }
 
 // newSimTelemetry builds the stack and binds the server to addr (":0"
@@ -48,36 +54,42 @@ func newSimTelemetry(addr string) (*simTelemetry, error) {
 	}
 	t.reg.RegisterCollector("apn_process", telemetry.Process)
 	t.reg.RegisterCollector("apn_sim", telemetry.CollectorFunc(func(emit telemetry.Emit) {
-		emit("delivered_total", telemetry.KindCounter, float64(t.delivered.Value()))
-		// Legitimate packets the receiver discarded: the post-wake sacrificed window.
-		emit("false_rejects_total", telemetry.KindCounter, float64(t.sacrificed.Value()))
-		emit("lost_total", telemetry.KindCounter, float64(t.lost.Value()))
 		// Retries at the receiver's (VerdictHorizon) and the sender's
 		// (ErrSaveLag) durable horizon.
 		emit("horizon_stalls_total", telemetry.KindCounter, float64(t.horizon.Value()))
 		emit("save_lag_retries_total", telemetry.KindCounter, float64(t.saveLag.Value()))
-		emit("failovers_total", telemetry.KindCounter, float64(t.failovers.Value()))
 	}))
 
 	// Role collectors resolve the current holder at scrape time.
 	t.reg.RegisterCollector("apn_gateway", telemetry.CollectorFunc(func(emit telemetry.Emit) {
-		if g := t.getPrimary(); g != nil {
+		if g := t.roles().primary; g != nil {
 			g.CollectTelemetry(emit)
 		}
 	}))
 	t.reg.RegisterCollector("apn_sender", telemetry.CollectorFunc(func(emit telemetry.Emit) {
-		if g := t.getSender(); g != nil {
+		if g := t.roles().sender; g != nil {
 			g.CollectTelemetry(emit)
 		}
 	}))
 	t.reg.RegisterCollector("apn_journal", telemetry.CollectorFunc(func(emit telemetry.Emit) {
-		if g := t.getPrimary(); g != nil {
+		if g := t.roles().primary; g != nil {
 			g.Journal().CollectTelemetry(emit)
 		}
 	}))
 	t.reg.RegisterCollector("apn_cluster", telemetry.CollectorFunc(func(emit telemetry.Emit) {
-		if s := t.getStandby(); s != nil {
+		if s := t.roles().standby; s != nil {
 			s.CollectTelemetry(emit)
+		}
+	}))
+	// The wire link's counters and its endpoint's, on a UDP pair.
+	t.reg.RegisterCollector("apn_link", telemetry.CollectorFunc(func(emit telemetry.Emit) {
+		if l := t.roles().link; l != nil {
+			wirenet.LinkCollector(l).CollectTelemetry(emit)
+		}
+	}))
+	t.reg.RegisterCollector("apn_endpoint", telemetry.CollectorFunc(func(emit telemetry.Emit) {
+		if l := t.roles().link; l != nil {
+			l.Endpoint().CollectTelemetry(emit)
 		}
 	}))
 
@@ -93,136 +105,52 @@ func newSimTelemetry(addr string) (*simTelemetry, error) {
 	return t, nil
 }
 
-func (t *simTelemetry) getSender() *ipsec.Gateway {
+func (t *simTelemetry) roles() roles {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.sender
+	return t.cur
 }
 
-func (t *simTelemetry) getPrimary() *ipsec.Gateway {
+// setRoles is the testbed's OnRoles hook: it retargets the scrape at the
+// pair's current role holders.
+func (t *simTelemetry) setRoles(p *testbed.Pair) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.primary
+	t.cur = roles{sender: p.A.GW, primary: p.B.GW, standby: p.Standby, link: p.Tx}
 }
 
-func (t *simTelemetry) getStandby() *cluster.Standby {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.standby
+// instrument attaches the stack to a scenario's topology: resets, wakes,
+// takeovers and lane quarantines land in the event ring, backoff pauses in
+// the apn_sim counters, and role changes retarget the scrape.
+func (t *simTelemetry) instrument(bed *testbed.Config) {
+	bed.OnLifecycle = ipsec.LifecycleRecorder(t.ev)
+	bed.OnPromote = func(epoch uint64) { t.ev.Record("cluster", "promote", 0, epoch) }
+	bed.OnPoison = ipsec.LaneFaultRecorder(t.ev)
+	bed.OnStall = t.countStall
+	bed.OnRoles = t.setRoles
 }
 
-// setRoles retargets the scrape at the current role holders; any nil
-// argument leaves that role unchanged.
-func (t *simTelemetry) setRoles(sender, primary *ipsec.Gateway, standby *cluster.Standby) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if sender != nil {
-		t.sender = sender
-	}
-	if primary != nil {
-		t.primary = primary
-	}
-	if standby != nil {
-		t.standby = standby
-	}
-}
-
-// registerLink adds the wire link's counters under apn_link and its
-// endpoint's under apn_endpoint (UDP mode).
-func (t *simTelemetry) registerLink(l *wirenet.UDPLink) {
-	if t == nil || l == nil {
-		return
-	}
-	t.reg.RegisterCollector("apn_link", wirenet.LinkCollector(l))
-	t.reg.RegisterCollector("apn_endpoint", l.Endpoint())
-}
-
-// addr returns the server's bound address ("" on a nil stack).
-func (t *simTelemetry) addr() string {
-	if t == nil {
-		return ""
-	}
-	return t.srv.Addr()
-}
+// addr returns the server's bound address.
+func (t *simTelemetry) addr() string { return t.srv.Addr() }
 
 func (t *simTelemetry) close() {
-	if t != nil {
-		t.srv.Close() //nolint:errcheck // shutdown on exit
-	}
-}
-
-// Hot-loop accounting; nil-safe.
-func (t *simTelemetry) countDelivered() {
-	if t != nil {
-		t.delivered.Add(1)
-	}
-}
-
-func (t *simTelemetry) countSacrificed() {
-	if t != nil {
-		t.sacrificed.Add(1)
-	}
-}
-
-func (t *simTelemetry) countLost() {
-	if t != nil {
-		t.lost.Add(1)
-	}
+	t.srv.Close() //nolint:errcheck // shutdown on exit
 }
 
 // countStall is the testbed's OnStall hook: one backoff pause at the
 // sender's (sealing) or the receiver's durable horizon.
 func (t *simTelemetry) countStall(sealing bool) {
-	switch {
-	case t == nil:
-	case sealing:
+	if sealing {
 		t.saveLag.Add(1)
-	default:
+	} else {
 		t.horizon.Add(1)
 	}
-}
-
-func (t *simTelemetry) countFailover() {
-	if t != nil {
-		t.failovers.Add(1)
-	}
-}
-
-// events returns the ring for direct Record calls (nil on a nil stack;
-// the ring itself is nil-safe too).
-func (t *simTelemetry) events() *telemetry.Events {
-	if t == nil {
-		return nil
-	}
-	return t.ev
-}
-
-// onLifecycle is the ipsec.GatewayConfig.OnLifecycle /
-// cluster.Config.OnLifecycle hook; nil when the stack is off so the
-// gateways skip the callback entirely.
-func (t *simTelemetry) onLifecycle() func(kind string, sas int) {
-	if t == nil {
-		return nil
-	}
-	return ipsec.LifecycleRecorder(t.ev)
-}
-
-// onPromote is the cluster.Config.OnPromote hook: the epoch-fenced
-// takeover instant lands in the event ring.
-func (t *simTelemetry) onPromote() func(epoch uint64) {
-	if t == nil {
-		return nil
-	}
-	return func(epoch uint64) { t.ev.Record("cluster", "promote", 0, epoch) }
 }
 
 // health builds the /healthz report from the current role holders.
 func (t *simTelemetry) health() telemetry.Health {
 	h := telemetry.Health{OK: true}
-	if g := t.getPrimary(); g != nil {
+	if g := t.roles().primary; g != nil {
 		detail := ""
 		fenced := g.Journal().Fenced()
 		if fenced != nil {
@@ -238,7 +166,7 @@ func (t *simTelemetry) health() telemetry.Health {
 			h.Check("storage_lanes", true, "")
 		}
 	}
-	if s := t.getStandby(); s != nil {
+	if s := t.roles().standby; s != nil {
 		st := s.Stats()
 		errDetail := ""
 		if st.Err != nil {
@@ -253,7 +181,7 @@ func (t *simTelemetry) health() telemetry.Health {
 
 // sas builds the /saz snapshot from the current primary.
 func (t *simTelemetry) sas() []telemetry.SAInfo {
-	if g := t.getPrimary(); g != nil {
+	if g := t.roles().primary; g != nil {
 		return g.TelemetrySAs()
 	}
 	return nil

@@ -22,10 +22,10 @@
 //
 //	go run ./examples/rekey_rollover
 //
-// The interactive companion is `go run ./cmd/resetsim -rekey-every n`,
-// which rolls a tunnel over every n delivered packets under configurable
-// loss (-loss, applied to both data and rekey messages) and receiver
-// crashes injected mid-exchange (-reset-receiver).
+// The interactive companion is `go run ./cmd/resetsim -rekey -loss p`,
+// one row of the rekey table: soft lifetimes trip rollovers under loss p
+// on the rekey messages (p/2 on data) with the receiver gateway crashed
+// mid-exchange, over loopback sockets with -transport=udp.
 package main
 
 import (

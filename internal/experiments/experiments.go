@@ -6,13 +6,15 @@
 // is a single-shot wall-clock table kept until bench/ has a scale workload.
 //
 // Each experiment is a function from a parameter struct (with a Default*
-// constructor) to a *Table, and all randomness is seeded. Eleven tables run
+// constructor) to a *Table, and all randomness is seeded. Ten tables run
 // on virtual time alone and reproduce bit-for-bit: TestRegistryRunsFast
 // holds them to testdata/tables_fast.golden. The rest (rekey, failover,
 // campaigns, diskfault, sizing, recovery, scale) race real goroutines or
 // read the wall clock and vary run to run. The cmd/benchtables binary and
-// the root bench_test.go both call these functions; each Table.Note records
-// the expected shapes next to paper claims.
+// the root bench_test.go both call these functions, and cmd/resetsim
+// renders one row of the gateway-level ones (campaigns, diskfault,
+// failover, rekey); each Table.Note records the expected shapes next to
+// paper claims.
 package experiments
 
 import (

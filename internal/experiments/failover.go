@@ -27,11 +27,10 @@ type FailoverConfig struct {
 	// each traffic phase (before the failover, between the failovers, and
 	// after the failback).
 	PacketsPerPhase int
-	// K is the SAVE interval of every SA.
-	K uint64
-	// Lanes is the number of journal commit lanes per node (replication
-	// runs lane-to-lane); <= 1 runs the single-journal form.
-	Lanes int
+	// Bed is every row's topology: K (the SAVE interval, which the
+	// asserted bounds read, so it must be set), window, lanes per node
+	// (replication runs lane to lane), fsync, link and hooks.
+	Bed testbed.Config
 }
 
 // DefaultFailoverConfig sweeps loss up to 25% over laned journals.
@@ -41,8 +40,7 @@ func DefaultFailoverConfig() FailoverConfig {
 		LossProbs:       []float64{0, 0.05, 0.25},
 		Tunnels:         4,
 		PacketsPerPhase: 200,
-		K:               25,
-		Lanes:           8,
+		Bed:             testbed.Config{K: 25, Lanes: 8},
 	}
 }
 
@@ -57,7 +55,7 @@ func DefaultFailoverConfig() FailoverConfig {
 // brain whose deposed writer must stall and whose journal writes must be
 // rejected.
 //
-// Asserted invariants (the test fails a row otherwise):
+// Asserted invariants (the row is an error otherwise):
 //
 //   - zero replay acceptances: after every promotion, replaying the entire
 //     recorded wire history re-delivers nothing;
@@ -204,7 +202,7 @@ func (s *failoverSim) phase(rounds int) error {
 }
 
 func failoverRow(cfg FailoverConfig, loss float64) ([]string, error) {
-	pair, err := testbed.New(testbed.Config{K: cfg.K, Lanes: cfg.Lanes})
+	pair, err := testbed.New(cfg.Bed)
 	if err != nil {
 		return nil, err
 	}
@@ -309,8 +307,9 @@ func failoverRow(cfg FailoverConfig, loss float64) ([]string, error) {
 		}
 		windowBound += wake - edgeAtCrash[i]
 	}
-	leap := core.Leap(cfg.K, core.DefaultLeapFactor)
-	if bound := lagValues + uint64(cfg.Tunnels)*(leap+2*cfg.K); windowBound > bound {
+	k := cfg.Bed.K
+	leap := core.Leap(k, core.DefaultLeapFactor)
+	if bound := lagValues + uint64(cfg.Tunnels)*(leap+2*k); windowBound > bound {
 		return nil, fmt.Errorf("window bound %d exceeds lag-derived bound %d (lag_values=%d)",
 			windowBound, bound, lagValues)
 	}
@@ -386,6 +385,10 @@ func failoverRow(cfg FailoverConfig, loss float64) ([]string, error) {
 	}
 	if err := s.ReplayAll(); err != nil {
 		return nil, err
+	}
+	if s.Replays() > 0 || regressions > 0 {
+		return nil, fmt.Errorf("%d replays accepted, %d counters regressed across the failovers",
+			s.Replays(), regressions)
 	}
 
 	return []string{

@@ -63,8 +63,8 @@ func TestFailoverAcceptance(t *testing.T) {
 		if fr > wb {
 			t.Errorf("loss %s: false_rejects %d > window_bound %d", loss, fr, wb)
 		}
-		leap := int(2 * cfg.K)
-		if lagBound := num(row, "lag_values") + cfg.Tunnels*(leap+int(2*cfg.K)); wb > lagBound {
+		leap := int(2 * cfg.Bed.K)
+		if lagBound := num(row, "lag_values") + cfg.Tunnels*(leap+int(2*cfg.Bed.K)); wb > lagBound {
 			t.Errorf("loss %s: window_bound %d exceeds lag-derived bound %d", loss, wb, lagBound)
 		}
 		// Split brain: the deposed primary stalls inside its horizon.

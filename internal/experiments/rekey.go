@@ -25,14 +25,22 @@ type RekeyConfig struct {
 	// PacketsPerPhase is the data traffic per tunnel before and after the
 	// rollover.
 	PacketsPerPhase int
-	// InFlight is the number of old-SPI packets left in flight across each
-	// tunnel's cutover.
-	InFlight int
-	// MaxAttempts bounds IKE retries per rollover trigger.
-	MaxAttempts int
 	// FastDH selects the small test group instead of group 14.
 	FastDH bool
+	// Bed is every row's topology: K (which sizes the sacrifice flush, so
+	// it must be set), window, lanes, fsync, link and hooks. Each row sets
+	// its soft lifetime itself. On a UDP link the exchange rides the
+	// control lane.
+	Bed testbed.Config
 }
+
+const (
+	// rekeyInFlight is the number of old-SPI packets left in flight across
+	// each tunnel's cutover.
+	rekeyInFlight = 8
+	// rekeyMaxAttempts bounds IKE retries per rollover trigger.
+	rekeyMaxAttempts = 64
+)
 
 // DefaultRekeyConfig sweeps IKE loss up to the acceptance point (>= 5%)
 // and beyond.
@@ -42,8 +50,7 @@ func DefaultRekeyConfig() RekeyConfig {
 		LossProbs:       []float64{0, 0.05, 0.25},
 		Tunnels:         4,
 		PacketsPerPhase: 200,
-		InFlight:        8,
-		MaxAttempts:     64,
+		Bed:             testbed.Config{K: 25, W: 64, Sync: true},
 	}
 }
 
@@ -51,8 +58,8 @@ func DefaultRekeyConfig() RekeyConfig {
 // soft lifetimes trip IKE-driven rollovers on a gateway pair while the
 // receiver gateway is crashed mid-exchange (scheduled on the simulation
 // clock) and both the exchange and the data path suffer seeded loss and
-// reordering. For every row the experiment asserts the two safety outcomes
-// the rollover design exists for:
+// reordering. Every row asserts the two safety outcomes the rollover design
+// exists for, and is an error otherwise:
 //
 //   - in-flight old-SPI packets sealed after the receiver's recovery but
 //     before the cutover all deliver during the drain window
@@ -96,12 +103,10 @@ type rekeyRow struct {
 }
 
 func rekeyRolloverRow(cfg RekeyConfig, loss float64) ([]string, error) {
-	const k = 25
-	p, err := testbed.New(testbed.Config{
-		K: k, W: 64, Sync: true,
-		// Soft lifetime trips after roughly one phase of traffic.
-		Lifetime: ipsec.Lifetime{SoftBytes: uint64(cfg.PacketsPerPhase) * 300 / 2},
-	})
+	bed, k := cfg.Bed, int(cfg.Bed.K)
+	// Soft lifetime trips after roughly one phase of traffic.
+	bed.Lifetime = ipsec.Lifetime{SoftBytes: uint64(cfg.PacketsPerPhase) * 300 / 2}
+	p, err := testbed.New(bed)
 	if err != nil {
 		return nil, err
 	}
@@ -176,8 +181,8 @@ func rekeyRolloverRow(cfg RekeyConfig, loss float64) ([]string, error) {
 		// Each exchange attempt advances the virtual clock 2ms; the grace
 		// window outlasts the worst-case retry budget, so no drained
 		// generation can retire while its in-flight packets are unchecked.
-		Grace:       time.Duration(cfg.MaxAttempts*cfg.Tunnels+10) * 2 * time.Millisecond,
-		MaxAttempts: cfg.MaxAttempts,
+		Grace:       time.Duration(rekeyMaxAttempts*cfg.Tunnels+10) * 2 * time.Millisecond,
+		MaxAttempts: rekeyMaxAttempts,
 		Clock:       e.Now,
 		Exchange: func(oldAB, oldBA uint32) (ike.ChildKeys, error) {
 			row.attempts++
@@ -199,7 +204,7 @@ func rekeyRolloverRow(cfg RekeyConfig, loss float64) ([]string, error) {
 			if rng.Float64() < loss {
 				return ike.ChildKeys{}, fmt.Errorf("rekey request lost")
 			}
-			m2, err := rsp.HandleRequest(m1)
+			m2, err := p.RoundTrip(m1, rsp.HandleRequest)
 			if err != nil {
 				return ike.ChildKeys{}, err
 			}
@@ -224,7 +229,7 @@ func rekeyRolloverRow(cfg RekeyConfig, loss float64) ([]string, error) {
 					row.sacrificed++
 				}
 			}
-			for n := 0; n < cfg.InFlight; n++ {
+			for n := 0; n < rekeyInFlight; n++ {
 				w, err := seal(ti)
 				if err != nil {
 					return ike.ChildKeys{}, err
@@ -273,7 +278,7 @@ func rekeyRolloverRow(cfg RekeyConfig, loss float64) ([]string, error) {
 	e.After(500*time.Microsecond, B.ResetAll)
 	e.After(time.Millisecond, func() { B.WakeAll() }) //nolint:errcheck // a failed wake surfaces as traffic failures
 	for polls := 0; o.Stats().Rollovers < uint64(cfg.Tunnels); polls++ {
-		if polls > cfg.MaxAttempts*cfg.Tunnels {
+		if polls > rekeyMaxAttempts*cfg.Tunnels {
 			return nil, fmt.Errorf("rollovers did not converge: %+v", o.Stats())
 		}
 		o.Poll() //nolint:errcheck // lost exchanges retry on the next poll
@@ -303,7 +308,7 @@ func rekeyRolloverRow(cfg RekeyConfig, loss float64) ([]string, error) {
 	if err := phase(cfg.PacketsPerPhase / 4); err != nil {
 		return nil, err
 	}
-	e.RunFor(time.Duration(cfg.MaxAttempts*cfg.Tunnels+20) * 2 * time.Millisecond)
+	e.RunFor(time.Duration(rekeyMaxAttempts*cfg.Tunnels+20) * 2 * time.Millisecond)
 	if err := o.Poll(); err != nil {
 		return nil, err
 	}
@@ -326,6 +331,10 @@ func rekeyRolloverRow(cfg RekeyConfig, loss float64) ([]string, error) {
 		}
 	}
 
+	if p.Replays() > 0 || row.falseRej > 0 || erased < len(oldKeys) {
+		return nil, fmt.Errorf("%d replays accepted, %d in-flight packets falsely rejected, %d/%d retired cells erased",
+			p.Replays(), row.falseRej, erased, len(oldKeys))
+	}
 	st := o.Stats()
 	return []string{
 		fmt.Sprintf("%.0f%%", loss*100),

@@ -21,13 +21,3 @@ func (s Stats) CollectTelemetry(emit telemetry.Emit) {
 func (o *Orchestrator) CollectTelemetry(emit telemetry.Emit) {
 	o.Stats().CollectTelemetry(emit)
 }
-
-// EventObserver adapts a telemetry event ring to Config.Observer: every
-// rekey lifecycle event lands in the ring under layer "rekey". Safe under
-// the Observer contract (fast, no call-backs — one atomic claim and a
-// pointer store). Compose with an existing observer by calling both.
-func EventObserver(ev *telemetry.Events) func(Event) {
-	return func(e Event) {
-		ev.RecordDetail("rekey", e.Kind.String(), e.ABSPI, uint64(e.Attempt), "")
-	}
-}

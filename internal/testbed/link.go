@@ -16,7 +16,8 @@ const (
 	// adversary's position, where campaigns drop, hold and inject.
 	Gated
 	// UDP crosses a real UDP-encapsulated loopback socket pair (Pair.Tx,
-	// Pair.Rx), demultiplexed by SPI.
+	// Pair.Rx): wires on the ESP lane, RoundTrip's messages on the control
+	// lane behind the non-ESP marker.
 	UDP
 )
 
@@ -63,4 +64,31 @@ func (p *Pair) cross(w []byte) ([]byte, error) {
 		return nil, err
 	}
 	return p.Rx.RecvTimeout(udpTimeout)
+}
+
+// RoundTrip carries one control request from A to B, answers it there with
+// serve, and carries the reply back: an IKE exchange's one round trip. On a
+// UDP pair both messages ride the control lane and B serves concurrently,
+// as a real peer would; on the in-process kinds it is a direct call.
+func (p *Pair) RoundTrip(req []byte, serve func(req []byte) ([]byte, error)) ([]byte, error) {
+	if p.Tx == nil {
+		return serve(req)
+	}
+	served := make(chan error, 1)
+	go func() {
+		got, err := p.Rx.RecvControlTimeout(udpTimeout)
+		if err == nil {
+			if got, err = serve(got); err == nil {
+				err = p.Rx.SendControl(got)
+			}
+		}
+		served <- err
+	}()
+	if err := p.Tx.SendControl(req); err != nil {
+		return nil, err
+	}
+	if err := <-served; err != nil {
+		return nil, err
+	}
+	return p.Tx.RecvControlTimeout(udpTimeout)
 }

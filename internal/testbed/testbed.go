@@ -1,6 +1,7 @@
 // Package testbed is the one place a gateway topology is built and
-// audited. The campaign, disk-fault, failover and rekey tables and
-// resetsim's gateway modes all run one shape: a sender gateway A, a
+// audited. The campaign, disk-fault, failover and rekey tables (which
+// resetsim's -campaign, -diskfault, -failover and -rekey modes render) all
+// run one shape: a sender gateway A, a
 // receiver gateway B that may crash, an optional cluster standby that may
 // be promoted in B's place, a wire the adversary may sit on, and an
 // exactly-once audit of what B delivers. The fixture owns the temp dir,
@@ -60,12 +61,15 @@ type Config struct {
 
 	// OnLifecycle observes every gateway's reset and wake transitions,
 	// OnPromote every takeover's wake window (cluster.Config.OnPromote),
-	// OnPoison every lane quarantine on any medium, and OnStall each
-	// backoff pause (sealing reports which loop paused).
+	// OnPoison every lane quarantine on any medium, OnStall each backoff
+	// pause (sealing reports which loop paused), and OnRoles the pair
+	// whenever its roles change — the sender A, the serving primary B and
+	// the standby — after New, AddStandby and Promote.
 	OnLifecycle func(kind string, sas int)
 	OnPromote   func(epoch uint64)
 	OnPoison    func(lane int, err error)
 	OnStall     func(sealing bool)
+	OnRoles     func(p *Pair)
 }
 
 // Node is one machine: a named medium under the pair's temp dir and the
@@ -127,7 +131,15 @@ func New(cfg Config) (*Pair, error) {
 		p.Close()
 		return nil, err
 	}
+	p.rolesChanged()
 	return p, nil
+}
+
+// rolesChanged reports the current roles to OnRoles, if set.
+func (p *Pair) rolesChanged() {
+	if p.cfg.OnRoles != nil {
+		p.cfg.OnRoles(p)
+	}
 }
 
 // openMedium opens (or reopens) the medium called name.
@@ -201,7 +213,11 @@ func (p *Pair) AddStandby() error {
 	if err := sb.Start(); err != nil {
 		return err
 	}
-	return sb.Mirror(p.B.GW.Snapshot())
+	if err := sb.Mirror(p.B.GW.Snapshot()); err != nil {
+		return err
+	}
+	p.rolesChanged()
+	return nil
 }
 
 // Promote runs the standby's epoch-fenced takeover and swaps its node in
@@ -218,6 +234,7 @@ func (p *Pair) Promote() (epoch uint64, err error) {
 	}
 	p.C.GW = gw
 	p.B, p.C = p.C, p.B
+	p.rolesChanged()
 	for _, w := range p.held {
 		p.arrive(w)
 	}
@@ -256,14 +273,6 @@ func Install(from, to *ipsec.Gateway, spi uint32, keys ipsec.KeyMaterial, src, d
 	}
 	_, err := to.AddInbound(spi, keys)
 	return err
-}
-
-// RegisterSPI routes an inbound SPI to B's socket link, at set-up and
-// when a rekey's new generation rides the same wire; a no-op off UDP.
-func (p *Pair) RegisterSPI(spi uint32) {
-	if p.Rx != nil {
-		p.eb.RegisterSPI(p.Rx, spi) //nolint:errcheck // demux falls back to peer address
-	}
 }
 
 // pause spends one pause of the stall budget that began at *since (set on

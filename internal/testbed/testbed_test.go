@@ -2,6 +2,7 @@ package testbed
 
 import (
 	"errors"
+	"fmt"
 	"net/netip"
 	"sync/atomic"
 	"syscall"
@@ -297,11 +298,18 @@ func TestReopenKeepsManifestAndCounters(t *testing.T) {
 
 // TestPromoteSwapsAuditedReceiver: after a crash and a takeover, Open and
 // ReplayAll act on the promoted node, the deposed one is C, and the next
-// AddStandby reboots it as the new standby.
+// AddStandby reboots it as the new standby. OnRoles sees every change.
 func TestPromoteSwapsAuditedReceiver(t *testing.T) {
 	watchdog.Arm(t, 30*time.Second)
 	const k = 4
-	p := newPair(t, Config{K: k, W: 64, Lanes: 2})
+	var roles []string
+	p := newPair(t, Config{K: k, W: 64, Lanes: 2, OnRoles: func(p *Pair) {
+		r := p.A.Name + ">" + p.B.Name
+		if p.Standby != nil {
+			r += "+standby"
+		}
+		roles = append(roles, r)
+	}})
 	if err := p.AddStandby(); err != nil {
 		t.Fatal(err)
 	}
@@ -333,5 +341,9 @@ func TestPromoteSwapsAuditedReceiver(t *testing.T) {
 	}
 	if _, err := p.Promote(); err != nil || p.B != old {
 		t.Fatalf("failback promotion: %v, B %q", err, p.B.Name)
+	}
+	want := "[a>b a>b+standby a>c+standby a>c+standby a>b+standby]"
+	if got := fmt.Sprint(roles); got != want {
+		t.Errorf("OnRoles saw %s, want %s (New, AddStandby, Promote, AddStandby, Promote)", got, want)
 	}
 }

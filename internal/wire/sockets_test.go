@@ -124,21 +124,32 @@ func TestTransportUDPRekeyExchange(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The responding side serves concurrently, as a real peer would:
+	// request in on B's control lane, response out on it.
 	srvErr := make(chan error, 1)
-	go func() { srvErr <- ike.ServeRekey(rsp, lb.Control()) }()
+	go func() {
+		req, err := lb.RecvControlTimeout(sockTimeout)
+		if err == nil {
+			var resp []byte
+			if resp, err = rsp.HandleRequest(req); err == nil {
+				err = lb.SendControl(resp)
+			}
+		}
+		srvErr <- err
+	}()
 
 	// The initiating side, message by message: request out, response in.
 	req, err := ini.Request()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := la.Control().Send(req); err != nil {
+	if err := la.SendControl(req); err != nil {
 		t.Fatalf("request send: %v", err)
 	}
 	if err := <-srvErr; err != nil {
-		t.Fatalf("ServeRekey: %v", err)
+		t.Fatalf("responder: %v", err)
 	}
-	resp, err := la.Control().Recv()
+	resp, err := la.RecvControlTimeout(sockTimeout)
 	if err != nil {
 		t.Fatalf("response recv: %v", err)
 	}

@@ -461,11 +461,8 @@ func (l *UDPLink) Recv() ([]byte, error) { return l.recv(l.data, -1) }
 // RecvTimeout is Recv bounded by d; it returns ErrNoDatagram on timeout.
 func (l *UDPLink) RecvTimeout(d time.Duration) ([]byte, error) { return l.recv(l.data, d) }
 
-// RecvControl blocks for the next non-ESP datagram (IKE traffic).
-func (l *UDPLink) RecvControl() ([]byte, error) { return l.recv(l.ctrl, -1) }
-
-// RecvControlTimeout is RecvControl bounded by d (ErrNoDatagram on
-// timeout).
+// RecvControlTimeout waits at most d for the next non-ESP datagram (IKE
+// traffic); it returns ErrNoDatagram on timeout.
 func (l *UDPLink) RecvControlTimeout(d time.Duration) ([]byte, error) { return l.recv(l.ctrl, d) }
 
 // recv waits for a datagram on ch, for at most d unless d is negative.
@@ -517,20 +514,6 @@ func (l *UDPLink) keepalive(iv time.Duration) {
 
 // KeepalivesSent returns NAT-T keepalives this link transmitted.
 func (l *UDPLink) KeepalivesSent() uint64 { return l.keepsSent.Load() }
-
-// ControlConn is the link's control plane (non-ESP-marker datagrams) as a
-// plain send/recv pair — the channel IKE exchanges ride. It satisfies
-// ike.Conn structurally.
-type ControlConn struct{ l *UDPLink }
-
-// Control returns the control-plane view of the link.
-func (l *UDPLink) Control() *ControlConn { return &ControlConn{l} }
-
-// Send transmits one control message behind the non-ESP marker.
-func (c *ControlConn) Send(p []byte) error { return c.l.SendControl(p) }
-
-// Recv blocks for the next control message.
-func (c *ControlConn) Recv() ([]byte, error) { return c.l.RecvControl() }
 
 // Peer returns the remote address.
 func (l *UDPLink) Peer() netip.AddrPort { return l.peer }
