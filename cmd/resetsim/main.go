@@ -20,12 +20,14 @@
 //	resetsim -rekey -loss 0.05 -transport=udp
 //	resetsim -failover -sas 2 -msgs 4000 -metrics=:0
 //
-// With -campaign=<name> the simulation instead runs one of the stealth-DoS
-// campaigns from the adversary layer (window_edge, save_storm, rekey_cutover,
-// blackout_flood) at its baseline and hardened defense settings and prints
-// the bounded-degradation table row pair:
+// With -campaign=<name> it renders one scenario's rows of the campaigns
+// table (the stealth-DoS campaigns window_edge, save_storm, rekey_cutover and
+// blackout_flood, each at its baseline and hardened defense) or of the
+// diskfault table (fsync_storm, enospc_compact, single_lane_eio); -msgs sets
+// the phase length:
 //
 //	resetsim -campaign=window_edge -msgs 600
+//	resetsim -campaign=fsync_storm
 package main
 
 import (
@@ -78,6 +80,12 @@ func gatewayTable(failover bool, seed int64, loss float64, tunnels, packets int,
 	return experiments.RekeyRollover(cfg)
 }
 
+// campaignTable is the -campaign mode: the named scenario's rows of the
+// campaigns or diskfault table, with packets a phase when packets > 0.
+func campaignTable(seed int64, packets int, name string) (*experiments.Table, error) {
+	return experiments.Campaign(experiments.CampaignsConfig{Seed: seed, Packets: packets}, name)
+}
+
 func main() {
 	var (
 		seed     = flag.Int64("seed", 1, "simulation seed")
@@ -100,8 +108,7 @@ func main() {
 		lanesN   = flag.Int("lanes", 1, "journal commit lanes per node in the gateway modes")
 		sasN     = flag.Int("sas", 1, "tunnels (SA pairs) between the gateways in the gateway modes")
 		trans    = flag.String("transport", "mem", "gateway-mode wire transport: mem (in-process) or udp (real UDP-encapsulated loopback sockets)")
-		campaign = flag.String("campaign", "", "run one stealth-DoS campaign (baseline + hardened rows) and exit: window_edge, save_storm, rekey_cutover, or blackout_flood")
-		diskflt  = flag.String("diskfault", "", "run one disk-chaos campaign and exit: fsync_storm, enospc_compact, or single_lane_eio")
+		campaign = flag.String("campaign", "", "run one campaigns or diskfault scenario's rows and exit: window_edge, save_storm, rekey_cutover, blackout_flood, fsync_storm, enospc_compact, or single_lane_eio")
 		metrics  = flag.String("metrics", "", "serve /metrics, /healthz, /saz, /events, and pprof on this address in the gateway modes (e.g. :9100; :0 picks a free port)")
 	)
 	flag.Parse()
@@ -113,21 +120,7 @@ func main() {
 		packets = int(*msgs)
 	}
 	if *campaign != "" {
-		cfg := experiments.DefaultCampaignsConfig()
-		cfg.Seed = *seed
-		if packets > 0 {
-			cfg.Packets = packets
-		}
-		runTable(func() (*experiments.Table, error) { return experiments.CampaignsOnly(cfg, *campaign) })
-		return
-	}
-	if *diskflt != "" {
-		cfg := experiments.DefaultDiskfaultConfig()
-		cfg.Seed = *seed
-		if packets > 0 {
-			cfg.Packets = packets
-		}
-		runTable(func() (*experiments.Table, error) { return experiments.DiskfaultOnly(cfg, *diskflt) })
+		runTable(func() (*experiments.Table, error) { return campaignTable(*seed, packets, *campaign) })
 		return
 	}
 	if *rekey && *failover {

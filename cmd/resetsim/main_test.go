@@ -76,6 +76,27 @@ func TestGatewayModesRenderRegistryTables(t *testing.T) {
 	}
 }
 
+// TestCampaignModeRendersDiskfaultRow: -campaign takes the diskfault
+// table's names too; -campaign=fsync_storm -msgs 30 renders that one row
+// with the registry table's columns.
+func TestCampaignModeRendersDiskfaultRow(t *testing.T) {
+	r, _ := experiments.ByID("diskfault")
+	want, err := r.Run(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := campaignTable(1, 30, "fsync_storm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.ID != "diskfault" || !reflect.DeepEqual(got.Columns, want.Columns) {
+		t.Errorf("-campaign=fsync_storm renders %s %v, registry diskfault %v", got.ID, got.Columns, want.Columns)
+	}
+	if len(got.Rows) != 1 || got.Rows[0][0] != "fsync_storm" {
+		t.Errorf("-campaign=fsync_storm rows %v, want the one fsync_storm row", got.Rows)
+	}
+}
+
 // TestFailoverMetricsScrape is the acceptance test for the telemetry
 // layer: the -failover scenario runs with the -metrics stack attached, and
 // a scrape taken mid-run — once the failed-over primary has a standby of

@@ -11,33 +11,30 @@ import (
 	"antireplay/internal/ipsec"
 	"antireplay/internal/rekey"
 	"antireplay/internal/testbed"
-	"antireplay/internal/tunnel"
-	"antireplay/internal/wire"
 )
 
-// CampaignsConfig parameterizes the stealth-DoS campaign experiment.
+// CampaignsConfig parameterizes the campaigns and diskfault tables.
 type CampaignsConfig struct {
 	// Seed drives all randomness (key material, IKE nonces).
 	Seed int64
-	// Packets scales each row's traffic phases.
+	// Packets scales each row's traffic phases (per SA on the diskfault
+	// rows); zero takes the table's own scale, 600 for campaigns and 40 for
+	// diskfault.
 	Packets int
-}
-
-// DefaultCampaignsConfig runs each campaign over ~600-packet phases.
-func DefaultCampaignsConfig() CampaignsConfig {
-	return CampaignsConfig{Seed: 1, Packets: 600}
+	// Lanes is the lane count of single_lane_eio; zero takes 64, so its
+	// one quarantined lane prices exactly the 1/64 fault domain. The other
+	// rows use small fixed lane counts: their point is the fault shape, not
+	// the fan-out.
+	Lanes int
 }
 
 // campRow is one row's raw accounting before formatting.
 type campRow struct {
-	defense   string // the defense-knob setting this row prices
-	sent      int    // data packets the victim sender emitted
-	delivered int    // unique payloads the victim receiver delivered
-	cost      string // campaign-side cost/effect accounting
-	replays   int    // wires delivered more than once (the hard SLO: 0)
-
-	// rollover bookkeeping, used by the rekey_cutover rows only.
-	abandoned, rollovers uint64
+	head      []string // the table's own cells between the name and sent
+	sent      int      // data packets sealed at the sender
+	delivered int      // unique wires the receiver delivered
+	replays   int      // wires delivered more than once (the hard SLO: 0)
+	cost      string   // campaign-side cost/effect accounting
 }
 
 func (r campRow) goodput() float64 {
@@ -47,46 +44,13 @@ func (r campRow) goodput() float64 {
 	return float64(r.delivered) / float64(r.sent)
 }
 
-// Campaigns runs the four stealth-DoS campaigns of the adversary layer,
-// each twice — once against a baseline configuration and once against a
-// hardened one — and asserts the bounded-degradation SLOs:
-//
-//   - goodput >= the row's configured floor (the attack's damage is
-//     bounded, and the bound is priced in the table);
-//   - zero replay acceptances: no wire is ever delivered twice, not even
-//     under edge-adjacent duplicate injection or a recorded-traffic flood
-//     into the failover wake window;
-//   - each defense knob measurably improves its campaign's bound:
-//     window sizing (W) recovers the sniper's hostages, a smaller SAVE
-//     interval (K) shrinks both the storm-parked reset sacrifice and the
-//     takeover wake window, and a deeper retry budget (MaxAttempts) rides
-//     through exchange suppression without abandoning the rollover.
-//
-// Every campaign computes its decisions from bytes observable on the wire
-// (cleartext ESP sequence numbers, SPI changes) plus protocol knowledge
-// (K); none peeks at victim state.
-func Campaigns(cfg CampaignsConfig) (*Table, error) {
-	return campaignsTable(cfg, "")
-}
-
-// CampaignsOnly runs a single named campaign's baseline+hardened rows
-// (resetsim's -campaign flag).
-func CampaignsOnly(cfg CampaignsConfig, name string) (*Table, error) {
-	for _, n := range CampaignNames() {
-		if n == name {
-			return campaignsTable(cfg, name)
-		}
-	}
-	return nil, fmt.Errorf("experiments: unknown campaign %q (have %v)", name, CampaignNames())
-}
-
-// CampaignNames lists the campaign ids in presentation order.
-func CampaignNames() []string {
-	return []string{"window_edge", "save_storm", "rekey_cutover", "blackout_flood"}
-}
-
-func campaignsTable(cfg CampaignsConfig, only string) (*Table, error) {
-	t := &Table{
+// campaignTables are the two tables the scenarios fill, each with the
+// traffic scale a zero Packets takes.
+var campaignTables = map[string]struct {
+	Table
+	packets int
+}{
+	"campaigns": {Table{
 		ID:    "campaigns",
 		Title: "Stealth-DoS campaigns: bounded degradation, zero replay acceptance",
 		Note: "Each campaign runs against a baseline and a hardened defense knob. " +
@@ -99,138 +63,207 @@ func campaignsTable(cfg CampaignsConfig, only string) (*Table, error) {
 			"through exchange suppression without abandoning the rollover.",
 		Columns: []string{"campaign", "defense", "sent", "delivered", "goodput",
 			"floor", "attack_cost", "replay_accepts"},
-	}
+	}, 600},
+	"diskfault": {Table{
+		ID:    "diskfault",
+		Title: "Storage fault domains: quarantine, bounded degradation, lane repair",
+		Note: "Each campaign injects scheduled I/O faults under a live gateway. " +
+			"Expect replay_accepts = 0 on every row, and every SA on a healthy lane " +
+			"at full throughput (the row fails otherwise): a poisoned lane " +
+			"quarantines alone, its SAs stalling at the durable horizon after the " +
+			"bounded 2K grace. ENOSPC rows are transient: rescued by compaction, " +
+			"no quarantine, no stranded temps. The EIO row repairs the dead " +
+			"lane from the standby's replica and the stalled SAs resume.",
+		Columns: []string{"campaign", "fault", "lanes", "quarantined", "stalled", "sent",
+			"delivered", "goodput", "floor", "detail", "replay_accepts"},
+	}, 40},
+}
 
-	specs := []struct {
-		campaign             string
-		baseFloor, hardFloor float64
-		run                  func(hardened bool) (campRow, error)
-	}{
-		{"window_edge", 0.90, 0.99, func(hardened bool) (campRow, error) {
-			w := 64 // narrower than the snipe's HoldDepth: hostages land stale
-			if hardened {
-				w = 256 // wider: hostages land inside the window, merely late
-			}
-			return snipeRow(cfg, w)
-		}},
-		{"save_storm", 0.50, 0.72, func(hardened bool) (campRow, error) {
-			k := uint64(240) // big K: wake leap 2K makes the parked reset expensive
-			if hardened {
-				k = 30 // adaptive-K defense: smaller leap, smaller sacrifice
-			}
-			return stormRow(cfg, k)
-		}},
-		{"rekey_cutover", 0.85, 0.85, func(hardened bool) (campRow, error) {
-			attempts := 2 // shallow retry budget: suppression forces abandonment
-			if hardened {
-				attempts = 12 // outlasts the bounded suppression in one trigger
-			}
-			return rekeyCutRow(cfg, attempts)
-		}},
-		{"blackout_flood", 0.45, 0.82, func(hardened bool) (campRow, error) {
-			k := uint64(200) // wake window after takeover ~ leap = 2K
-			if hardened {
-				k = 25
-			}
-			return floodRow(cfg, k)
-		}},
-	}
+// campaignScenarios are every row group of both tables, in presentation
+// order, with one floor per row. The table loop holds every row to its
+// floor and to zero replay acceptances: no wire is ever delivered twice,
+// not under edge-adjacent duplicate injection, a recorded-traffic flood
+// into the failover wake window, a quarantine or a lane repair, and not
+// when the whole wiretap is replayed afterwards. Each run holds its own
+// rows to the rest: a campaign's hardened knob must improve its bound, and
+// a disk fault must stay in its lane, never regress a durable counter, and
+// leave repair able to restore service.
+//
+// Every campaign computes its decisions from bytes observable on the wire
+// (cleartext ESP sequence numbers, SPI changes) plus protocol knowledge
+// (K); none peeks at victim state.
+var campaignScenarios = []struct {
+	table, name string
+	floors      []float64
+	run         func(cfg CampaignsConfig) ([]campRow, error)
+}{
+	// W=64 is narrower than the snipe's HoldDepth, so hostages land stale;
+	// W=256 holds them, merely late.
+	{"campaigns", "window_edge", []float64{0.90, 0.99}, func(cfg CampaignsConfig) ([]campRow, error) {
+		return hardened(cfg, snipeRow, 64, 256)
+	}},
+	// The wake leap 2K makes the parked reset expensive at K=240; the
+	// adaptive-K defense shrinks the leap and the sacrifice.
+	{"campaigns", "save_storm", []float64{0.50, 0.72}, func(cfg CampaignsConfig) ([]campRow, error) {
+		return hardened(cfg, stormRow, 240, 30)
+	}},
+	{"campaigns", "rekey_cutover", []float64{0.85, 0.85}, rekeyCutRows},
+	// The wake window after takeover is about the leap, 2K.
+	{"campaigns", "blackout_flood", []float64{0.45, 0.82}, func(cfg CampaignsConfig) ([]campRow, error) {
+		return hardened(cfg, floodRow, 200, 25)
+	}},
+	{"diskfault", "fsync_storm", []float64{0.75}, fsyncStormRow},
+	{"diskfault", "enospc_compact", []float64{0.99}, enospcCompactRow},
+	{"diskfault", "single_lane_eio", []float64{0.75}, singleLaneEIORow},
+}
 
-	for _, spec := range specs {
-		if only != "" && spec.campaign != only {
+// Campaign runs the rows of one named scenario of either table (resetsim's
+// -campaign flag).
+func Campaign(cfg CampaignsConfig, name string) (*Table, error) {
+	var names []string
+	for _, s := range campaignScenarios {
+		if s.name == name {
+			return campaignTable(s.table, cfg, name)
+		}
+		names = append(names, s.name)
+	}
+	return nil, fmt.Errorf("experiments: unknown campaign %q (have %v)", name, names)
+}
+
+// campaignTable runs table id's scenarios, or only the one called only,
+// and holds every row to the shared floors.
+func campaignTable(id string, cfg CampaignsConfig, only string) (*Table, error) {
+	spec := campaignTables[id]
+	t := spec.Table
+	if cfg.Packets == 0 {
+		cfg.Packets = spec.packets
+	}
+	if cfg.Lanes == 0 {
+		cfg.Lanes = 64
+	}
+	for _, s := range campaignScenarios {
+		if s.table != id || (only != "" && s.name != only) {
 			continue
 		}
-		base, err := spec.run(false)
+		rows, err := s.run(cfg)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: campaign %s baseline: %w", spec.campaign, err)
+			return nil, fmt.Errorf("experiments: %s %s: %w", id, s.name, err)
 		}
-		hard, err := spec.run(true)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: campaign %s hardened: %w", spec.campaign, err)
-		}
-		for _, r := range []struct {
-			row   campRow
-			floor float64
-		}{{base, spec.baseFloor}, {hard, spec.hardFloor}} {
-			if r.row.replays != 0 {
-				return nil, fmt.Errorf("experiments: campaign %s (%s): %d replay acceptances",
-					spec.campaign, r.row.defense, r.row.replays)
+		for i, r := range rows {
+			if r.replays != 0 {
+				return nil, fmt.Errorf("experiments: %s %s (%s): %d replay acceptances",
+					id, s.name, r.head[0], r.replays)
 			}
-			if g := r.row.goodput(); g < r.floor {
-				return nil, fmt.Errorf("experiments: campaign %s (%s): goodput %.3f below floor %.2f",
-					spec.campaign, r.row.defense, g, r.floor)
+			if g := r.goodput(); g < s.floors[i] {
+				return nil, fmt.Errorf("experiments: %s %s (%s): goodput %.3f below floor %.2f",
+					id, s.name, r.head[0], g, s.floors[i])
 			}
-		}
-		// The knob must measurably improve the bound.
-		switch spec.campaign {
-		case "rekey_cutover":
-			if base.abandoned == 0 || hard.abandoned != 0 {
-				return nil, fmt.Errorf("experiments: campaign rekey_cutover: abandoned base=%d hard=%d, want >0 / 0",
-					base.abandoned, hard.abandoned)
-			}
-			if base.rollovers == 0 || hard.rollovers == 0 {
-				return nil, fmt.Errorf("experiments: campaign rekey_cutover: rollover never converged (base=%d hard=%d)",
-					base.rollovers, hard.rollovers)
-			}
-		default:
-			if hard.goodput() <= base.goodput() {
-				return nil, fmt.Errorf("experiments: campaign %s: hardened goodput %.3f <= baseline %.3f",
-					spec.campaign, hard.goodput(), base.goodput())
-			}
-		}
-		for _, r := range []struct {
-			row   campRow
-			floor float64
-		}{{base, spec.baseFloor}, {hard, spec.hardFloor}} {
-			t.AddRow(spec.campaign, r.row.defense,
-				fmt.Sprint(r.row.sent), fmt.Sprint(r.row.delivered),
-				fmt.Sprintf("%.1f%%", 100*r.row.goodput()),
-				fmt.Sprintf("%.0f%%", 100*r.floor),
-				r.row.cost, fmt.Sprint(r.row.replays))
+			cells := append([]string{s.name}, r.head...)
+			t.AddRow(append(cells, fmt.Sprint(r.sent), fmt.Sprint(r.delivered),
+				fmt.Sprintf("%.1f%%", 100*r.goodput()), fmt.Sprintf("%.0f%%", 100*s.floors[i]),
+				r.cost, fmt.Sprint(r.replays))...)
 		}
 	}
-	return t, nil
+	return &t, nil
 }
 
-func campIKE(seed int64, id string) ike.Config {
-	return ike.Config{PSK: []byte("campaign-experiment"), Group: ike.TestGroup(),
-		Rand: rand.New(rand.NewSource(seed)), ID: id}
+// hardened runs one campaign at its baseline and its hardened knob setting
+// and requires the hardened row to deliver a larger share.
+func hardened[K any](cfg CampaignsConfig, row func(CampaignsConfig, K) (campRow, error), base, hard K) ([]campRow, error) {
+	b, err := row(cfg, base)
+	if err != nil {
+		return nil, fmt.Errorf("baseline: %w", err)
+	}
+	h, err := row(cfg, hard)
+	if err != nil {
+		return nil, fmt.Errorf("hardened: %w", err)
+	}
+	if h.goodput() <= b.goodput() {
+		return nil, fmt.Errorf("hardened goodput %.3f <= baseline %.3f", h.goodput(), b.goodput())
+	}
+	return []campRow{b, h}, nil
 }
 
-// gatedPair builds a tunnel peer pair whose a->b direction crosses a
-// GateLink, with the wiretap and the exactly-once accounting of b's
-// deliveries (by payload) in the audit.
-type gatedPair struct {
-	testbed.Audit
-	a, b *tunnel.Peer
-	gate *wire.GateLink
+// campPayload is every row's payload size.
+const campPayload = 280
+
+// campPair is one row's topology: a testbed pair whose i-th SA from A to B
+// carries src[i] -> dst.
+type campPair struct {
+	*testbed.Pair
+	spis []uint32
+	src  []netip.Addr
+	dst  netip.Addr
 }
 
-func newGatedPair(cfg CampaignsConfig, k uint64, w int) (*gatedPair, error) {
-	g := &gatedPair{}
-	link := &testbed.InlineLink{}
-	g.gate = wire.NewGateLink(link)
-	a, b, err := tunnel.Pair(
-		tunnel.Config{Name: "victim-p", K: k},
-		tunnel.Config{Name: "victim-q", K: k, W: w, OnData: func(p []byte) { g.Deliver(p) }},
-		campIKE(cfg.Seed+101, "p"), campIKE(cfg.Seed+102, "q"),
-		func(wireBytes []byte, deliver func([]byte)) {
-			link.Deliver = deliver
-			g.Tap(wireBytes)
-			g.gate.Send(wireBytes) //nolint:errcheck // drops are the adversary's verdict
-		}, nil)
+func newCampPair(bed testbed.Config) (*campPair, error) {
+	p, err := testbed.New(bed)
 	if err != nil {
 		return nil, err
 	}
-	g.a, g.b = a, b
-	return g, nil
+	return &campPair{Pair: p, dst: netip.AddrFrom4([4]byte{10, 9, 0, 1})}, nil
 }
 
-// replayAll re-injects the entire wiretap history at b.
-func (g *gatedPair) replayAll() {
-	g.ReplayAll(func(w []byte) {
-		g.b.Receive(w) //nolint:errcheck // rejections are the expected outcome
-	})
+// oneSAPair is a gated pair carrying one SA with seeded keys, the
+// adversary on the gate.
+func oneSAPair(cfg CampaignsConfig, bed testbed.Config) (*campPair, error) {
+	bed.Link = testbed.Gated
+	p, err := newCampPair(bed)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.install(0xC100, randKeys(rand.New(rand.NewSource(cfg.Seed+400)))); err != nil {
+		p.Close()
+		return nil, err
+	}
+	return p, nil
+}
+
+func randKeys(rng *rand.Rand) ipsec.KeyMaterial {
+	keys := ipsec.KeyMaterial{AuthKey: make([]byte, ipsec.AuthKeySize)}
+	rng.Read(keys.AuthKey)
+	return keys
+}
+
+// install adds one SA from A to B under the next source address.
+func (p *campPair) install(spi uint32, keys ipsec.KeyMaterial) error {
+	i := len(p.spis)
+	src := netip.AddrFrom4([4]byte{10, 3, byte(i >> 8), byte(i)})
+	if err := testbed.Install(p.A.GW, p.B.GW, spi, keys, src, p.dst); err != nil {
+		return err
+	}
+	p.spis, p.src = append(p.spis, spi), append(p.src, src)
+	return nil
+}
+
+// send is every row's traffic: n rounds of one packet per SA, each sealed
+// at A and sent to B. It returns each SA's deliveries as Send reported
+// them, so a packet a quarantined lane refuses is not counted; through a
+// gate Send reports none, and the audit holds the count.
+func (p *campPair) send(n int) ([]int, error) {
+	got := make([]int, len(p.spis))
+	payload := make([]byte, campPayload)
+	for k := 0; k < n; k++ {
+		for i, src := range p.src {
+			w, err := p.Seal(src, p.dst, payload)
+			if err != nil {
+				return nil, err
+			}
+			_, v, err := p.Send(w)
+			if err != nil {
+				return nil, err
+			}
+			if v.Delivered() {
+				got[i]++
+			}
+		}
+	}
+	return got, nil
+}
+
+// row is the audit's account of the traffic so far.
+func (p *campPair) row(cost string, head ...string) campRow {
+	return campRow{head: head, sent: p.Sent(), delivered: p.Delivered(), replays: p.Replays(), cost: cost}
 }
 
 // snipeRow prices the window-edge snipe against window width w: every
@@ -240,33 +273,27 @@ func (g *gatedPair) replayAll() {
 // them (with ESN the deep-late packets fail ICV under the wrong inferred
 // epoch — either way, goodput the victim never sees).
 func snipeRow(cfg CampaignsConfig, w int) (campRow, error) {
-	g, err := newGatedPair(cfg, 25, w)
+	p, err := oneSAPair(cfg, testbed.Config{K: 25, W: w})
 	if err != nil {
 		return campRow{}, err
 	}
+	defer p.Close()
 	snipe := adversary.NewWindowEdgeSnipe(adversary.SnipeConfig{
 		HoldEvery: 16, HoldDepth: 96, DupEvery: 10,
 	})
-	if err := snipe.Arm(adversary.Hooks{Gate: g.gate}); err != nil {
+	if err := snipe.Arm(adversary.Hooks{Gate: p.Gate}); err != nil {
 		return campRow{}, err
 	}
 	snipe.Activate()
-	n := cfg.Packets
-	for i := 0; i < n; i++ {
-		if err := g.a.Send([]byte(fmt.Sprintf("pkt-%06d", i))); err != nil {
-			return campRow{}, err
-		}
+	if _, err := p.send(cfg.Packets); err != nil {
+		return campRow{}, err
 	}
 	snipe.Deactivate()
-	g.replayAll()
+	if err := p.ReplayAll(); err != nil {
+		return campRow{}, err
+	}
 	st := snipe.Stats()
-	return campRow{
-		defense:   fmt.Sprintf("W=%d", w),
-		sent:      n,
-		delivered: g.Delivered(),
-		cost:      fmt.Sprintf("held %d, dups %d", st.Held, st.DupsInjected),
-		replays:   g.Replays(),
-	}, nil
+	return p.row(fmt.Sprintf("held %d, dups %d", st.Held, st.DupsInjected), fmt.Sprintf("W=%d", w)), nil
 }
 
 // stormRow prices the SAVE-storm against SAVE interval k: the storm
@@ -275,69 +302,86 @@ func snipeRow(cfg CampaignsConfig, w int) (campRow, error) {
 // The wake sacrifice is bounded by the leap (2K), so the adaptive-K
 // defense — a smaller K — shrinks the reset bill the storm set up.
 func stormRow(cfg CampaignsConfig, k uint64) (campRow, error) {
-	g, err := newGatedPair(cfg, k, 64)
+	p, err := oneSAPair(cfg, testbed.Config{K: k, W: 64})
 	if err != nil {
 		return campRow{}, err
 	}
+	defer p.Close()
 	storm, err := adversary.NewSaveStorm(adversary.StormConfig{K: k})
 	if err != nil {
 		return campRow{}, err
 	}
-	if err := storm.Arm(adversary.Hooks{Gate: g.gate}); err != nil {
+	if err := storm.Arm(adversary.Hooks{Gate: p.Gate}); err != nil {
 		return campRow{}, err
 	}
 	storm.Activate()
-	sent := 0
-	send := func() error {
-		sent++
-		return g.a.Send([]byte(fmt.Sprintf("s-%06d", sent)))
-	}
-	for i := 0; i < 2*cfg.Packets; i++ {
-		if err := send(); err != nil {
-			return campRow{}, err
-		}
-	}
-	// Walk the sender into the strike zone so the crash lands at the
-	// storm's point of maximal damage, then crash and wake the receiver.
-	for extra := uint64(0); !storm.Parked() && extra < k; extra++ {
-		if err := send(); err != nil {
-			return campRow{}, err
-		}
-	}
-	g.b.Reset()
-	if err := g.b.Wake(); err != nil {
+	if _, err := p.send(2 * cfg.Packets); err != nil {
 		return campRow{}, err
 	}
-	for i := 0; i < 2*cfg.Packets; i++ {
-		if err := send(); err != nil {
+	// Walk the sender into the strike zone so the crash lands at the
+	// storm's point of maximal damage, let the receiver's last SAVE land,
+	// then crash and wake the receiver.
+	for extra := uint64(0); !storm.Parked() && extra < k; extra++ {
+		if _, err := p.send(1); err != nil {
 			return campRow{}, err
 		}
 	}
+	if err := p.Settle(); err != nil {
+		return campRow{}, err
+	}
+	p.B.GW.ResetAll()
+	if err := p.B.GW.WakeAll(); err != nil {
+		return campRow{}, err
+	}
+	if _, err := p.send(2 * cfg.Packets); err != nil {
+		return campRow{}, err
+	}
 	storm.Deactivate()
-	g.replayAll()
+	if err := p.ReplayAll(); err != nil {
+		return campRow{}, err
+	}
 	st := storm.Stats()
-	return campRow{
-		defense:   fmt.Sprintf("K=%d", k),
-		sent:      sent,
-		delivered: g.Delivered(),
-		cost:      fmt.Sprintf("dropped %d, parked reset", st.Dropped),
-		replays:   g.Replays(),
-	}, nil
+	return p.row(fmt.Sprintf("dropped %d, parked reset", st.Dropped), fmt.Sprintf("K=%d", k)), nil
 }
 
-// rekeyCutRow prices exchange suppression against the retry budget: the
-// campaign eats the first 6 exchange attempts and fires a 48-packet
-// blackout at the cutover it cannot ultimately prevent. A shallow budget
-// (MaxAttempts=2) abandons the trigger repeatedly before converging; a
-// deep one rides the suppression out in a single trigger.
-func rekeyCutRow(cfg CampaignsConfig, maxAttempts int) (campRow, error) {
-	p, err := testbed.New(testbed.Config{
+func campIKE(seed int64, id string) ike.Config {
+	return ike.Config{PSK: []byte("campaign-experiment"), Group: ike.TestGroup(),
+		Rand: rand.New(rand.NewSource(seed)), ID: id}
+}
+
+// rekeyCutRows prices exchange suppression against the retry budget. A
+// shallow budget (MaxAttempts=2) abandons the trigger repeatedly before
+// converging; a deep one (12) rides the suppression out in one trigger.
+func rekeyCutRows(cfg CampaignsConfig) ([]campRow, error) {
+	base, bs, err := rekeyCutRow(cfg, 2)
+	if err != nil {
+		return nil, fmt.Errorf("baseline: %w", err)
+	}
+	hard, hs, err := rekeyCutRow(cfg, 12)
+	if err != nil {
+		return nil, fmt.Errorf("hardened: %w", err)
+	}
+	if bs.Abandoned == 0 || hs.Abandoned != 0 {
+		return nil, fmt.Errorf("abandoned base=%d hard=%d, want >0 / 0", bs.Abandoned, hs.Abandoned)
+	}
+	if bs.Rollovers == 0 || hs.Rollovers == 0 {
+		return nil, fmt.Errorf("rollover never converged (base=%d hard=%d)", bs.Rollovers, hs.Rollovers)
+	}
+	return []campRow{base, hard}, nil
+}
+
+// rekeyCutRow runs one retry budget: the campaign eats the first 6
+// exchange attempts and fires a 48-packet blackout at the cutover it
+// cannot ultimately prevent.
+func rekeyCutRow(cfg CampaignsConfig, maxAttempts int) (campRow, rekey.Stats, error) {
+	p, err := newCampPair(testbed.Config{
 		K: 25, W: 64, Link: testbed.Gated,
-		// The soft lifetime trips midway through phase 1.
+		// The soft lifetime (about 300 wire bytes a packet) trips midway
+		// through phase 1.
 		Lifetime: ipsec.Lifetime{SoftBytes: uint64(cfg.Packets) * 300 / 2},
 	})
 	if err != nil {
-		return campRow{}, err
+		return campRow{}, rekey.Stats{}, err
 	}
 	defer p.Close()
 
@@ -345,32 +389,20 @@ func rekeyCutRow(cfg CampaignsConfig, maxAttempts int) (campRow, error) {
 		SuppressExchanges: 6, BlackoutPackets: 48,
 	})
 	if err := cut.Arm(adversary.Hooks{Gate: p.Gate}); err != nil {
-		return campRow{}, err
-	}
-
-	addrA := netip.AddrFrom4([4]byte{10, 0, 0, 1})
-	addrB := netip.AddrFrom4([4]byte{10, 0, 0, 2})
-	payload := make([]byte, 280)
-	send := func() error {
-		w, err := p.Seal(addrA, addrB, payload)
-		if err != nil {
-			return err
-		}
-		_, _, err = p.Send(w)
-		return err
+		return campRow{}, rekey.Stats{}, err
 	}
 
 	res, err := ike.Establish(campIKE(cfg.Seed+201, "init"), campIKE(cfg.Seed+202, "resp"))
 	if err != nil {
-		return campRow{}, err
+		return campRow{}, rekey.Stats{}, err
 	}
 	kk := res.Keys
-	if err := testbed.Install(p.A.GW, p.B.GW, kk.SPIInitToResp, kk.InitToResp, addrA, addrB); err != nil {
-		return campRow{}, err
+	if err := p.install(kk.SPIInitToResp, kk.InitToResp); err != nil {
+		return campRow{}, rekey.Stats{}, err
 	}
 	// The reverse direction exists so the orchestrator can track the pair.
-	if err := testbed.Install(p.B.GW, p.A.GW, kk.SPIRespToInit, kk.RespToInit, addrB, addrA); err != nil {
-		return campRow{}, err
+	if err := testbed.Install(p.B.GW, p.A.GW, kk.SPIRespToInit, kk.RespToInit, p.dst, p.src[0]); err != nil {
+		return campRow{}, rekey.Stats{}, err
 	}
 
 	var vt time.Duration
@@ -395,50 +427,37 @@ func rekeyCutRow(cfg CampaignsConfig, maxAttempts int) (campRow, error) {
 		},
 	})
 	if err != nil {
-		return campRow{}, err
+		return campRow{}, rekey.Stats{}, err
 	}
 	if _, err := o.Track(kk.SPIInitToResp, kk.SPIRespToInit); err != nil {
-		return campRow{}, err
+		return campRow{}, rekey.Stats{}, err
 	}
 
 	// Phase 1: traffic past the soft lifetime, then the attack window
 	// opens and the rollover fights through the suppression.
-	for i := 0; i < cfg.Packets; i++ {
-		if err := send(); err != nil {
-			return campRow{}, err
-		}
+	if _, err := p.send(cfg.Packets); err != nil {
+		return campRow{}, rekey.Stats{}, err
 	}
 	cut.Activate()
 	for polls := 0; o.Stats().Rollovers < 1; polls++ {
 		if polls > 8*maxAttempts+40 {
-			return campRow{}, fmt.Errorf("rollover never converged: %+v", o.Stats())
+			return campRow{}, rekey.Stats{}, fmt.Errorf("rollover never converged: %+v", o.Stats())
 		}
 		o.Poll() //nolint:errcheck // suppressed exchanges retry on the next poll
 	}
 
 	// Phase 2: the cutover blackout eats a bounded run of packets.
-	for i := 0; i < cfg.Packets; i++ {
-		if err := send(); err != nil {
-			return campRow{}, err
-		}
+	if _, err := p.send(cfg.Packets); err != nil {
+		return campRow{}, rekey.Stats{}, err
 	}
 	cut.Deactivate()
 	if err := p.ReplayAll(); err != nil {
-		return campRow{}, err
+		return campRow{}, rekey.Stats{}, err
 	}
 
-	st := o.Stats()
-	cs := cut.Stats()
-	return campRow{
-		defense:   fmt.Sprintf("MaxAttempts=%d", maxAttempts),
-		sent:      p.Sent(),
-		delivered: p.Delivered(),
-		replays:   p.Replays(),
-		abandoned: st.Abandoned,
-		rollovers: st.Rollovers,
-		cost: fmt.Sprintf("suppressed %d, abandoned %d, blackout %d",
-			cs.Suppressed, st.Abandoned, cs.BlackoutDrops),
-	}, nil
+	st, cs := o.Stats(), cut.Stats()
+	return p.row(fmt.Sprintf("suppressed %d, abandoned %d, blackout %d", cs.Suppressed, st.Abandoned, cs.BlackoutDrops),
+		fmt.Sprintf("MaxAttempts=%d", maxAttempts)), st, nil
 }
 
 // floodRow prices the failover-blackout replay flood against SAVE
@@ -449,8 +468,8 @@ func rekeyCutRow(cfg CampaignsConfig, maxAttempts int) (campRow, error) {
 // false-reject bill (bounded by leap + replication lag).
 func floodRow(cfg CampaignsConfig, k uint64) (campRow, error) {
 	flood := adversary.NewBlackoutFlood(adversary.BlackoutFloodConfig{MaxBurst: 256})
-	p, err := testbed.New(testbed.Config{
-		K: k, W: 64, Link: testbed.Gated,
+	p, err := oneSAPair(cfg, testbed.Config{
+		K: k, W: 64,
 		// The campaign's hook point: the flood fires inside the takeover
 		// wake window, between the epoch fence and the wake itself; the
 		// pair lands it on the promoted node as that comes up.
@@ -463,39 +482,20 @@ func floodRow(cfg CampaignsConfig, k uint64) (campRow, error) {
 	if err := flood.Arm(adversary.Hooks{Gate: p.Gate}); err != nil {
 		return campRow{}, err
 	}
-
-	rng := rand.New(rand.NewSource(cfg.Seed + 400))
-	keys := ipsec.KeyMaterial{AuthKey: make([]byte, ipsec.AuthKeySize)}
-	rng.Read(keys.AuthKey)
-	addrA := netip.AddrFrom4([4]byte{10, 2, 0, 1})
-	addrB := netip.AddrFrom4([4]byte{10, 2, 0, 2})
-	if err := testbed.Install(p.A.GW, p.B.GW, 0xC100, keys, addrA, addrB); err != nil {
-		return campRow{}, err
-	}
 	if err := p.AddStandby(); err != nil {
 		return campRow{}, err
 	}
 
-	payload := make([]byte, 120)
-	phase := func() error {
-		for i := 0; i < cfg.Packets; i++ {
-			w, err := p.Seal(addrA, addrB, payload)
-			if err != nil {
-				return err
-			}
-			if _, _, err := p.Send(w); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
 	// Phase 1: recorded traffic through the primary.
-	if err := phase(); err != nil {
+	if _, err := p.send(cfg.Packets); err != nil {
 		return campRow{}, err
 	}
 
-	// Crash; the flood arms and fires inside the promotion wake window.
+	// Let the primary's last SAVE land (and reach the sync standby), then
+	// crash it; the flood arms and fires inside the promotion wake window.
+	if err := p.Settle(); err != nil {
+		return campRow{}, err
+	}
 	flood.Activate()
 	p.B.GW.ResetAll()
 	if _, err := p.Promote(); err != nil {
@@ -504,7 +504,7 @@ func floodRow(cfg CampaignsConfig, k uint64) (campRow, error) {
 	flood.Deactivate()
 
 	// Phase 2: fresh traffic pays the wake window's false-reject bill.
-	if err := phase(); err != nil {
+	if _, err := p.send(cfg.Packets); err != nil {
 		return campRow{}, err
 	}
 	if err := p.ReplayAll(); err != nil {
@@ -512,11 +512,5 @@ func floodRow(cfg CampaignsConfig, k uint64) (campRow, error) {
 	}
 
 	st := flood.Stats()
-	return campRow{
-		defense:   fmt.Sprintf("K=%d", k),
-		sent:      p.Sent(),
-		delivered: p.Delivered(),
-		replays:   p.Replays(),
-		cost:      fmt.Sprintf("recorded %d, flooded %d", st.Recorded, st.Flooded),
-	}, nil
+	return p.row(fmt.Sprintf("recorded %d, flooded %d", st.Recorded, st.Flooded), fmt.Sprintf("K=%d", k)), nil
 }

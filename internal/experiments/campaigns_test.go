@@ -12,10 +12,7 @@ import (
 // the table honest — every campaign present, both rows per campaign,
 // zero in every replay_accepts cell.
 func TestCampaignsAcceptance(t *testing.T) {
-	cfg := DefaultCampaignsConfig()
-	cfg.Packets = 240
-
-	tbl, err := Campaigns(cfg)
+	tbl, err := campaignTable("campaigns", CampaignsConfig{Seed: 1, Packets: 240}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,32 +39,42 @@ func TestCampaignsAcceptance(t *testing.T) {
 				name, row[col["delivered"]], sent)
 		}
 	}
-	for _, name := range CampaignNames() {
-		if rowsPer[name] != 2 {
-			t.Errorf("campaign %s: %d rows, want 2 (baseline + hardened)", name, rowsPer[name])
+	for _, s := range campaignScenarios {
+		if s.table == "campaigns" && rowsPer[s.name] != 2 {
+			t.Errorf("campaign %s: %d rows, want 2 (baseline + hardened)", s.name, rowsPer[s.name])
 		}
 	}
 }
 
-// TestCampaignsOnly checks the single-campaign filter used by resetsim's
-// -campaign flag, including the unknown-name error.
-func TestCampaignsOnly(t *testing.T) {
-	cfg := DefaultCampaignsConfig()
-	cfg.Packets = 120
-
-	tbl, err := CampaignsOnly(cfg, "window_edge")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(tbl.Rows))
-	}
-	for _, row := range tbl.Rows {
-		if row[0] != "window_edge" {
-			t.Errorf("row campaign = %q, want window_edge", row[0])
+// TestCampaignFilter checks the one filter behind resetsim's -campaign
+// flag: a name from either table renders that table with only that
+// scenario's rows, and an unknown name is an error.
+func TestCampaignFilter(t *testing.T) {
+	for _, tc := range []struct {
+		name, table string
+		rows        int
+	}{
+		{"window_edge", "campaigns", 2},
+		{"enospc_compact", "diskfault", 1},
+		{"no_such_campaign", "", 0},
+	} {
+		tbl, err := Campaign(CampaignsConfig{Seed: 1, Packets: 120}, tc.name)
+		if tc.table == "" {
+			if err == nil {
+				t.Errorf("%s: unknown campaign accepted", tc.name)
+			}
+			continue
 		}
-	}
-	if _, err := CampaignsOnly(cfg, "no_such_campaign"); err == nil {
-		t.Error("unknown campaign accepted")
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if tbl.ID != tc.table || len(tbl.Rows) != tc.rows {
+			t.Fatalf("%s: table %s with %d rows, want %s with %d", tc.name, tbl.ID, len(tbl.Rows), tc.table, tc.rows)
+		}
+		for _, row := range tbl.Rows {
+			if row[0] != tc.name {
+				t.Errorf("%s: row campaign = %q", tc.name, row[0])
+			}
+		}
 	}
 }

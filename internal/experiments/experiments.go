@@ -5,16 +5,16 @@
 // bench/'s to report, as medians with a spread. The one exception, scale,
 // is a single-shot wall-clock table kept until bench/ has a scale workload.
 //
-// Each experiment is a function from a parameter struct (with a Default*
-// constructor) to a *Table, and all randomness is seeded. Ten tables run
-// on virtual time alone and reproduce bit-for-bit: TestRegistryRunsFast
-// holds them to testdata/tables_fast.golden. The rest (rekey, failover,
-// campaigns, diskfault, sizing, recovery, scale) race real goroutines or
-// read the wall clock and vary run to run. The cmd/benchtables binary and
-// the root bench_test.go both call these functions, and cmd/resetsim
-// renders one row of the gateway-level ones (campaigns, diskfault,
-// failover, rekey); each Table.Note records the expected shapes next to
-// paper claims.
+// Each experiment is a function from a parameter struct to a *Table, and
+// all randomness is seeded. Eleven tables reproduce bit-for-bit, ten on
+// virtual time alone and campaigns because its crashes wait for the
+// receiver's SAVEs to land: TestRegistryRunsFast holds them to
+// testdata/tables_fast.golden. The rest (rekey, failover, diskfault,
+// sizing, recovery, scale) race real goroutines or read the wall clock and
+// vary run to run. The cmd/benchtables binary and the root bench_test.go
+// both call these functions, and cmd/resetsim renders one scenario of the
+// gateway-level ones (campaigns, diskfault, failover, rekey); each
+// Table.Note records the expected shapes next to paper claims.
 package experiments
 
 import (
@@ -207,19 +207,18 @@ func All() []Runner {
 			return Scale(cfg)
 		}},
 		{ID: "campaigns", Paper: "extension: stealth-DoS campaigns (bounded degradation, zero replay acceptance)", Run: func(fast bool) (*Table, error) {
-			cfg := DefaultCampaignsConfig()
+			cfg := CampaignsConfig{Seed: 1}
 			if fast {
 				cfg.Packets = 240
 			}
-			return Campaigns(cfg)
+			return campaignTable("campaigns", cfg, "")
 		}},
 		{ID: "diskfault", Paper: "extension: storage fault domains (lane quarantine, bounded degradation, standby lane repair)", Run: func(fast bool) (*Table, error) {
-			cfg := DefaultDiskfaultConfig()
+			cfg := CampaignsConfig{Seed: 1}
 			if fast {
-				cfg.Packets = 30
-				cfg.Lanes = 16
+				cfg.Packets, cfg.Lanes = 30, 16
 			}
-			return Diskfault(cfg)
+			return campaignTable("diskfault", cfg, "")
 		}},
 	}
 }

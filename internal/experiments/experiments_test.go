@@ -492,11 +492,14 @@ func TestRegistryComplete(t *testing.T) {
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // goldenTables are the tables whose -fast rendering is byte-identical run
-// to run: virtual time and seeded draws only. The rest (rekey, failover,
-// campaigns, diskfault, sizing, recovery, scale) race real goroutines or
-// read the wall clock and vary.
+// to run: virtual time and seeded draws, and campaigns, whose crashes wait
+// for the receiver's SAVEs to land (testbed.Pair.Settle). The rest (rekey,
+// failover, diskfault, sizing, recovery, scale) race real goroutines or
+// read the wall clock and vary; diskfault's fault lands on whichever SAVE
+// is in flight when the injector is armed.
 var goldenTables = []string{"fig1", "fig2", "unbounded", "convsender",
-	"convreceiver", "prolonged", "doublereset", "leap", "delivery", "horizon"}
+	"convreceiver", "prolonged", "doublereset", "leap", "delivery", "horizon",
+	"campaigns"}
 
 // TestRegistryRunsFast executes every experiment in fast mode end to end
 // and compares the rendered deterministic tables against

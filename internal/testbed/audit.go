@@ -16,10 +16,9 @@ func (a *Audit) Tap(w []byte) {
 	a.history = append(a.history, append([]byte(nil), w...))
 }
 
-// Deliver accounts one delivery at the receiver, keyed by whatever
-// identifies the delivered unit (the wire at a gateway, the payload at a
-// tunnel peer). It reports whether this was the first delivery of key; a
-// second one is counted as a replay acceptance.
+// Deliver accounts one delivery at the receiver, keyed by the delivered
+// wire. It reports whether this was the first delivery of key; a second
+// one is counted as a replay acceptance.
 func (a *Audit) Deliver(key []byte) bool {
 	if a.seen[string(key)] {
 		a.replays++

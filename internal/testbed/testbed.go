@@ -1,12 +1,11 @@
 // Package testbed is the one place a gateway topology is built and
 // audited. The campaign, disk-fault, failover and rekey tables (which
-// resetsim's -campaign, -diskfault, -failover and -rekey modes render) all
-// run one shape: a sender gateway A, a
-// receiver gateway B that may crash, an optional cluster standby that may
-// be promoted in B's place, a wire the adversary may sit on, and an
-// exactly-once audit of what B delivers. The fixture owns the temp dir,
-// media, gateways, link, standby hand-overs, the two backpressure loops
-// under one stall budget, and the Audit.
+// resetsim's -campaign, -failover and -rekey modes render) all run one
+// shape: a sender gateway A, a receiver gateway B that may crash, an
+// optional cluster standby that may be promoted in B's place, a wire the
+// adversary may sit on, and an exactly-once audit of what B delivers. The
+// fixture owns the temp dir, media, gateways, link, standby hand-overs, the
+// backpressure loops under one stall budget, and the Audit.
 package testbed
 
 import (
@@ -35,7 +34,7 @@ const (
 )
 
 // ErrStalled marks an exhausted stall budget in the errors of Seal, Open,
-// Send and ReplayAll, for callers that count the receiver's ordinary
+// Send, ReplayAll and Settle, for callers that count the receiver's ordinary
 // refusals as loss.
 var ErrStalled = errors.New("stall budget exhausted")
 
@@ -307,6 +306,28 @@ func (p *Pair) SealOn(n *Node, src, dst netip.Addr, payload []byte) ([]byte, err
 			}
 			return nil, fmt.Errorf("testbed: seal on node %s SA %#x: %w after %v: %w",
 				n.Name, spi, ErrStalled, stallBudget, err)
+		}
+	}
+}
+
+// Settle waits until no inbound SA on B has a SAVE in flight, so a crash
+// that follows lands after every SAVE the traffic started: whether that
+// SAVE reached the medium (and a sync standby) is part of the scenario, not
+// of the scheduler. An exhausted budget is an error wrapping ErrStalled.
+func (p *Pair) Settle() error {
+	var since time.Time
+	for {
+		busy := false
+		p.B.GW.SAD().Range(func(sa *ipsec.InboundSA) bool {
+			st := sa.Receiver().Stats()
+			busy = st.SavesStarted != st.SavesOK+st.SavesFailed
+			return !busy
+		})
+		if !busy {
+			return nil
+		}
+		if !p.pause(&since, false) {
+			return fmt.Errorf("testbed: settle on node %s: %w after %v", p.B.Name, ErrStalled, stallBudget)
 		}
 	}
 }

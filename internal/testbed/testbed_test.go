@@ -152,6 +152,44 @@ func TestSealStalledSaverIsAnError(t *testing.T) {
 	t.Logf("after %v and %d pauses: %v", took, stalls, err)
 }
 
+// TestSettleWaitsForReceiverSaves: Settle returns once no inbound SA on
+// B has a SAVE in flight, and a SAVE that never lands (a sync follower on
+// B's medium that never acknowledges) exhausts the budget as ErrStalled.
+func TestSettleWaitsForReceiverSaves(t *testing.T) {
+	watchdog.Arm(t, 6*stallBudget)
+	p := newPair(t, Config{K: 4, W: 64})
+	carry(t, p, 10)
+	if err := p.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	sa, _ := p.B.GW.SAD().Lookup(testSPI)
+	if st := sa.Receiver().Stats(); st.SavesStarted == 0 || st.SavesStarted != st.SavesOK+st.SavesFailed {
+		t.Fatalf("settled receiver %+v, want saves started and all finished", st)
+	}
+
+	j := p.B.Medium.LaneJournals()[0]
+	tl, err := j.Follow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.SyncFollower(tl); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tl.Close) // runs before newPair's cleanup closes the gateways
+	for i := 0; ; i++ {
+		if st := sa.Receiver().Stats(); st.SavesStarted != st.SavesOK+st.SavesFailed {
+			break
+		}
+		if i > 8 {
+			t.Fatal("receiver never started a SAVE")
+		}
+		carry(t, p, 1)
+	}
+	if err := p.Settle(); !errors.Is(err, ErrStalled) {
+		t.Fatalf("Settle over a SAVE that never lands: %v, want ErrStalled", err)
+	}
+}
+
 // TestFirstSealWaitsForSyncFollower pins where a sync follower that does
 // not acknowledge stalls an SA installed before it attached: not at
 // AddOutbound, which only staged the birth record, but at the first Seal,
