@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"net/netip"
+	"reflect"
 	"testing"
 )
 
@@ -30,13 +31,54 @@ func fuzzBatches(raw []byte) [][]datagram {
 		hdr, n := raw[off], int(raw[off+1])
 		off += 2
 		n = min(n, len(raw)-off)
-		cur = append(cur, datagram{raw[off : off+n], fuzzPeers[int(hdr&0x7F)%len(fuzzPeers)]})
+		cur = append(cur, datagram{p: raw[off : off+n], addr: fuzzPeers[int(hdr&0x7F)%len(fuzzPeers)]})
 		off += n
 		if hdr&0x80 != 0 {
 			batches, cur = append(batches, cur), nil
 		}
 	}
 	return append(batches, cur)
+}
+
+// fuzzEndpoint is a socketless endpoint with links to fuzzPeerSPI (SPIs 0x10
+// and 0x11) and fuzzPeerBare (none), keyed by peer.
+func fuzzEndpoint(t *testing.T) (*UDPEndpoint, map[netip.AddrPort]*UDPLink) {
+	e := &UDPEndpoint{cfg: UDPConfig{RecvQueue: fuzzRecvQueue},
+		bySPI:  make(map[uint32]*UDPLink),
+		byAddr: make(map[netip.AddrPort]*UDPLink)}
+	withSPIs, err := e.Link(fuzzPeerSPI, 0x10, 0x11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare, err := e.Link(fuzzPeerBare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e, map[netip.AddrPort]*UDPLink{fuzzPeerSPI: withSPIs, fuzzPeerBare: bare}
+}
+
+// coalesce is what GRO makes of a batch, cut back as the read loop cuts it:
+// the kernel joins a run by segmentRun's rule into one buffer and reports
+// its first datagram's length as the segment size.
+func coalesce(batch []datagram) []datagram {
+	var out []datagram
+	for i := 0; i < len(batch); {
+		k, buf := segmentRun(batch[i:]), []byte(nil)
+		for _, m := range batch[i : i+k] {
+			buf = append(buf, m.p...)
+		}
+		out = splitSegments(out, buf, len(batch[i].p), batch[i].addr)
+		i += k
+	}
+	return out
+}
+
+// drain empties a lane.
+func drain(ch chan []byte) (got [][]byte) {
+	for len(ch) > 0 {
+		got = append(got, <-ch)
+	}
+	return got
 }
 
 // fuzzRecord is the seed-side inverse of fuzzBatches.
@@ -61,7 +103,9 @@ func fuzzRecord(peer int, last bool, p []byte) []byte {
 //   - a full lane drops and counts what it cannot hold;
 //   - every queued slice equals its input, after the input buffer has been
 //     overwritten, and has cap == len;
-//   - queued + RxDrops + unrouted + keepalives = inputs.
+//   - queued + RxDrops + unrouted + keepalives = inputs;
+//   - each batch coalesced the kernel's way and split as the read loop
+//     splits it leaves a twin endpoint with the same lanes and counters.
 func FuzzUDPDeliver(f *testing.F) {
 	esp := func(spi byte, body string) []byte { return append([]byte{0, 0, 0, spi}, body...) }
 	ctrl := func(body string) []byte { return append([]byte{0, 0, 0, 0}, body...) }
@@ -86,18 +130,10 @@ func FuzzUDPDeliver(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		e := &UDPEndpoint{cfg: UDPConfig{RecvQueue: fuzzRecvQueue},
-			bySPI:  make(map[uint32]*UDPLink),
-			byAddr: make(map[netip.AddrPort]*UDPLink)}
-		withSPIs, err := e.Link(fuzzPeerSPI, 0x10, 0x11)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bare, err := e.Link(fuzzPeerBare)
-		if err != nil {
-			t.Fatal(err)
-		}
-		links := map[netip.AddrPort]*UDPLink{fuzzPeerSPI: withSPIs, fuzzPeerBare: bare}
+		e, links := fuzzEndpoint(t)
+		withSPIs := links[fuzzPeerSPI]
+		// The same batches, coalesced and split again, into a twin.
+		e2, links2 := fuzzEndpoint(t)
 
 		// The model: what each lane must hold, in order, and each counter.
 		want := map[chan []byte][][]byte{}
@@ -136,20 +172,28 @@ func FuzzUDPDeliver(f *testing.F) {
 				inputs++
 				route(m)
 			}
+			split := coalesce(batch)
 			e.deliver(batch)
-			for _, m := range batch {
+			e2.deliver(split)
+			for _, m := range append(batch, split...) {
 				for i := range m.p {
 					m.p[i] ^= 0xA5 // the read buffer is reused by the next receive
 				}
 			}
 		}
 
+		if u, u2 := e.Unrouted(), e2.Unrouted(); u != u2 {
+			t.Fatalf("unrouted = %d, %d after coalescing", u, u2)
+		}
 		var queued, drops, keepalives uint64
-		for _, l := range links {
-			for _, ch := range []chan []byte{l.data, l.ctrl} {
-				var got [][]byte
-				for len(ch) > 0 {
-					got = append(got, <-ch)
+		for peer, l := range links {
+			if s, s2 := l.Stats(), links2[peer].Stats(); s != s2 {
+				t.Fatalf("link %v stats = %+v, %+v after coalescing", peer, s, s2)
+			}
+			for _, lane := range [][2]chan []byte{{l.data, links2[peer].data}, {l.ctrl, links2[peer].ctrl}} {
+				ch, got := lane[0], drain(lane[0])
+				if got2 := drain(lane[1]); !reflect.DeepEqual(got, got2) {
+					t.Fatalf("link %v lane holds %q, %q after coalescing", peer, got, got2)
 				}
 				if len(got) != len(want[ch]) {
 					t.Fatalf("link %v lane holds %d datagrams, want %d", l.peer, len(got), len(want[ch]))

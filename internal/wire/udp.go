@@ -32,7 +32,7 @@ const (
 	// maxUDPDatagram is the IPv4 UDP payload ceiling.
 	maxUDPDatagram = 65507
 	// maxRecvDatagram sizes receive buffers: no UDP datagram, IPv6
-	// included, is longer, so none arrives truncated.
+	// included, is longer; only a coalesced run can arrive truncated.
 	maxRecvDatagram = 1 << 16
 	natKeepalive    = 0xFF
 
@@ -245,6 +245,10 @@ func (e *UDPEndpoint) deliver(msgs []datagram) {
 			e.unrouted.Add(1)
 			continue
 		}
+		if m.trunc {
+			l.ctr.rxDrops.Add(1)
+			continue
+		}
 		ch, q := l.data, chunk[:len(p):len(p)]
 		if ctrl {
 			ch = l.ctrl
@@ -256,8 +260,44 @@ func (e *UDPEndpoint) deliver(msgs []datagram) {
 
 // datagram is one UDP payload and the peer it goes to or came from.
 type datagram struct {
-	p    []byte
-	addr netip.AddrPort
+	p     []byte
+	addr  netip.AddrPort
+	trunc bool // longer than the receive buffer: counted, never delivered
+}
+
+// maxSegments caps a segmented run: the kernel's UDP_GRO_CNT_MAX, and within
+// UDP_MAX_SEGMENTS on every kernel that has UDP_SEGMENT.
+const maxSegments = 64
+
+// segmentRun returns how many datagrams from msgs[0] on can cross the kernel
+// as one segmented message: to one peer, all as long as the first but a
+// shorter last, at most maxSegments and maxUDPDatagram bytes. An empty
+// datagram, or one longer than a ring slot, goes alone.
+func segmentRun(msgs []datagram) int {
+	seg := len(msgs[0].p)
+	if seg == 0 || seg > txSlotSize {
+		return 1
+	}
+	n, total := 1, seg
+	for ; n < len(msgs) && n < maxSegments; n++ {
+		m := msgs[n]
+		if m.addr != msgs[0].addr || len(m.p) == 0 || len(m.p) > seg || total+len(m.p) > maxUDPDatagram {
+			break
+		}
+		if total += len(m.p); len(m.p) < seg {
+			return n + 1
+		}
+	}
+	return n
+}
+
+// splitSegments appends to out the datagrams of one received buffer that the
+// kernel coalesced at segment size seg (0: it did not).
+func splitSegments(out []datagram, p []byte, seg int, from netip.AddrPort) []datagram {
+	for ; seg > 0 && len(p) > seg; p = p[seg:] {
+		out = append(out, datagram{p: p[:seg], addr: from})
+	}
+	return append(out, datagram{p: p, addr: from})
 }
 
 // batchIO moves datagrams between an endpoint and its socket, one syscall a
@@ -294,7 +334,7 @@ func (o *loopIO) recv() ([]datagram, error) {
 	if err != nil {
 		return nil, err
 	}
-	o.rx[0] = datagram{o.buf[:n], from}
+	o.rx[0] = datagram{p: o.buf[:n], addr: from}
 	return o.rx[:], nil
 }
 
@@ -379,7 +419,7 @@ func (e *UDPEndpoint) writeLoop() {
 func (e *UDPEndpoint) flush(head uint64, msgs []datagram) {
 	for i := range msgs {
 		s := e.tx.slot(head + uint64(i))
-		msgs[i], s.p = datagram{s.p, s.link.peer}, nil // nil: a slot must not pin a long datagram's copy
+		msgs[i], s.p = datagram{p: s.p, addr: s.link.peer}, nil // nil: a slot must not pin a long datagram's copy
 	}
 	for i := 0; i < len(msgs); {
 		n, err := e.io.send(msgs[i:])

@@ -16,9 +16,19 @@ import (
 // call. Both architectures are little-endian with the 64-bit struct msghdr;
 // elsewhere udp_other.go keeps the portable loop.
 
-// rxBatch is how many datagrams one recvmmsg may return; each has a
+// rxBatch is how many messages one recvmmsg may return; each has a
 // maximum-size buffer, 64 KiB of endpoint.
 const rxBatch = 16
+
+// Segmentation offload: socket options at level IPPROTO_UDP that package
+// syscall predates. A message sent with a UDP_SEGMENT cmsg is a run of
+// datagrams of that size; a socket with UDP_GRO set receives a run as one
+// buffer, its segment size in a UDP_GRO cmsg.
+const udpSegment, udpGRO = 103, 104
+
+// ctlSpace is one header's control buffer: room for UDP_SEGMENT's uint16 out
+// or UDP_GRO's int in. cmsgData is the offset of a cmsg's data.
+var ctlSpace, cmsgData = syscall.CmsgSpace(4), syscall.CmsgLen(0)
 
 // sysSendmmsg: package syscall was frozen before amd64 gained the number.
 var sysSendmmsg = map[string]uintptr{"amd64": 307, "arm64": 269}[runtime.GOARCH]
@@ -29,12 +39,14 @@ type mmsghdr struct {
 	n   uint32 // bytes moved, set by the kernel
 }
 
-// mmsgVec is a vector of message headers, each wired to a one-entry iovec
-// and a name buffer wide enough for either family, and the syscall over it.
+// mmsgVec is a vector of message headers, each wired to a one-entry iovec,
+// a name buffer wide enough for either family and a control buffer, and the
+// syscall over it.
 type mmsgVec struct {
 	hdrs  []mmsghdr
 	iovs  []syscall.Iovec
 	names []syscall.RawSockaddrInet6
+	ctl   []byte // ctlSpace bytes a header
 	// call makes the syscall over the first n headers and returns how many
 	// messages the kernel moved.
 	call func(n int) (int, error)
@@ -44,10 +56,11 @@ type mmsgVec struct {
 // made per call, they would cost the heap three objects a syscall.
 func newMmsgVec(size int, trap uintptr, park func(func(fd uintptr) bool) error) *mmsgVec {
 	v := &mmsgVec{hdrs: make([]mmsghdr, size), iovs: make([]syscall.Iovec, size),
-		names: make([]syscall.RawSockaddrInet6, size)}
+		names: make([]syscall.RawSockaddrInet6, size), ctl: make([]byte, size*ctlSpace)}
 	for i := range v.hdrs {
 		h := &v.hdrs[i].hdr
 		h.Name, h.Iov, h.Iovlen = (*byte)(unsafe.Pointer(&v.names[i])), &v.iovs[i], 1
+		h.Control = &v.ctl[i*ctlSpace]
 	}
 	var n, moved uintptr
 	var errno syscall.Errno
@@ -77,13 +90,27 @@ func (v *mmsgVec) setBuf(i int, p []byte) {
 	v.iovs[i].SetLen(len(p))
 }
 
+// groSize returns the segment size of received message i's UDP_GRO cmsg, 0
+// if the kernel did not coalesce it.
+func (v *mmsgVec) groSize(i int) int {
+	c := (*syscall.Cmsghdr)(unsafe.Pointer(&v.ctl[i*ctlSpace])) // a stale one unless Controllen covers it
+	if v.hdrs[i].hdr.Controllen < uint64(cmsgData+4) || c.Level != syscall.IPPROTO_UDP || c.Type != udpGRO {
+		return 0
+	}
+	return int(*(*int32)(unsafe.Pointer(&v.ctl[i*ctlSpace+cmsgData])))
+}
+
 // mmsgIO is batchIO over sendmmsg and recvmmsg.
 type mmsgIO struct {
-	inet6  bool   // the socket's family
-	slow   loopIO // sends what putAddr cannot address
-	tx, rx *mmsgVec
-	bufs   []byte // rxBatch receive buffers of maxRecvDatagram each
-	out    []datagram
+	inet6 bool // the socket's family
+	// segment: send runs as one message each. Off for good once ListenUDP's
+	// UDP_GRO or UDP_SEGMENT probe, or EIO on a segmented message, refuses.
+	segment bool
+	slow    loopIO // sends what putAddr cannot address
+	tx, rx  *mmsgVec
+	runs    []int  // datagrams in each message of the last sendmmsg
+	bufs    []byte // rxBatch receive buffers of maxRecvDatagram each
+	out     []datagram
 	// The zone of the last scoped source address, by interface index.
 	zoneIdx  uint32
 	zoneName string
@@ -100,40 +127,93 @@ func newBatchIO(conn *net.UDPConn) batchIO {
 		inet6: conn.LocalAddr().(*net.UDPAddr).IP.To4() == nil,
 		tx:    newMmsgVec(txRingSlots, sysSendmmsg, rc.Write),
 		rx:    newMmsgVec(rxBatch, syscall.SYS_RECVMMSG, rc.Read),
-		bufs:  make([]byte, rxBatch*maxRecvDatagram), out: make([]datagram, rxBatch)}
-	for i := range m.out {
+		runs:  make([]int, txRingSlots), bufs: make([]byte, rxBatch*maxRecvDatagram)}
+	for i := range rxBatch {
 		m.rx.setBuf(i, m.bufs[i*maxRecvDatagram:][:maxRecvDatagram])
 	}
+	for i := range m.tx.hdrs {
+		c := (*syscall.Cmsghdr)(unsafe.Pointer(&m.tx.ctl[i*ctlSpace]))
+		c.Level, c.Type = syscall.IPPROTO_UDP, udpSegment
+		c.SetLen(syscall.CmsgLen(2))
+	}
+	rc.Control(func(fd uintptr) { //nolint:errcheck // a closed socket fails its first call
+		_, err := syscall.GetsockoptInt(int(fd), syscall.IPPROTO_UDP, udpSegment)
+		m.segment = syscall.SetsockoptInt(int(fd), syscall.IPPROTO_UDP, udpGRO, 1) == nil && err == nil
+	})
 	return m
 }
 
 func (m *mmsgIO) send(msgs []datagram) (int, error) {
-	n := 0
-	for ; n < len(msgs) && n < len(m.tx.hdrs); n++ {
-		nameLen, ok := m.putAddr(&m.tx.names[n], msgs[n].addr)
+	n, first, err := m.sendRuns(msgs, m.segment)
+	if err != nil && first > 1 {
+		// A refused segmented message: its datagrams go again one message
+		// each, so that a verdict stays one datagram's. EIO is the path
+		// saying it cannot segment at all.
+		m.segment = err != syscall.EIO
+		n, _, err = m.sendRuns(msgs[:first], false)
+	}
+	return n, err
+}
+
+// sendRuns is one sendmmsg over a prefix of msgs, one segmentRun a message if
+// segment is set, else one datagram. It returns the datagrams the kernel took
+// and how many the first message held.
+func (m *mmsgIO) sendRuns(msgs []datagram, segment bool) (n, first int, err error) {
+	v, h := m.tx, 0
+	for msgs = msgs[:min(len(msgs), len(v.iovs))]; n < len(msgs); h++ {
+		nameLen, ok := m.putAddr(&v.names[h], msgs[n].addr)
 		if !ok {
 			break
 		}
-		m.tx.hdrs[n].hdr.Namelen = nameLen
-		m.tx.setBuf(n, msgs[n].p)
+		k := 1
+		if segment {
+			k = segmentRun(msgs[n:])
+		}
+		hdr := &v.hdrs[h].hdr
+		hdr.Namelen, hdr.Iov, hdr.Iovlen = nameLen, &v.iovs[n], uint64(k)
+		hdr.SetControllen(0)
+		if k > 1 {
+			*(*uint16)(unsafe.Pointer(&v.ctl[h*ctlSpace+cmsgData])) = uint16(len(msgs[n].p))
+			hdr.SetControllen(ctlSpace)
+		}
+		for i := range k {
+			v.setBuf(n+i, msgs[n+i].p)
+		}
+		m.runs[h], n = k, n+k
 	}
-	if n == 0 {
+	if h == 0 {
 		// A scoped address, or one of the other family: the net package
 		// resolves the zone, or names the error.
-		return m.slow.send(msgs)
+		n, err = m.slow.send(msgs)
+		return n, 1, err
 	}
-	return m.tx.call(n)
+	moved, err := v.call(h)
+	n = 0
+	for _, k := range m.runs[:moved] {
+		n += k
+	}
+	return n, m.runs[0], err
 }
 
 func (m *mmsgIO) recv() ([]datagram, error) {
 	for i := range m.rx.hdrs {
-		m.rx.hdrs[i].hdr.Namelen = syscall.SizeofSockaddrInet6 // the kernel wrote the last sender's
+		// The kernel wrote the last sender's name and control lengths.
+		m.rx.hdrs[i].hdr.Namelen = syscall.SizeofSockaddrInet6
+		m.rx.hdrs[i].hdr.SetControllen(ctlSpace)
 	}
 	got, err := m.rx.call(rxBatch)
-	for i := range m.out[:got] {
-		m.out[i] = datagram{m.bufs[i*maxRecvDatagram:][:m.rx.hdrs[i].n], m.addrOf(&m.rx.names[i])}
+	m.out = m.out[:0]
+	for i := range got {
+		h := &m.rx.hdrs[i]
+		p, from := m.bufs[i*maxRecvDatagram:][:h.n], m.addrOf(&m.rx.names[i])
+		if h.hdr.Flags&syscall.MSG_TRUNC != 0 {
+			// Only a coalesced run outgrows the buffer; deliver counts it lost.
+			m.out = append(m.out, datagram{p: p, addr: from, trunc: true})
+			continue
+		}
+		m.out = splitSegments(m.out, p, m.rx.groSize(i), from)
 	}
-	return m.out[:got], err
+	return m.out, err
 }
 
 // swap16 converts a port between host and network byte order.

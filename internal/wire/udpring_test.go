@@ -8,6 +8,8 @@ import (
 	"errors"
 	"net"
 	"runtime"
+	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -90,10 +92,15 @@ func numbered(buf []byte, spi uint32, i int) []byte {
 	case i%97 == 0:
 		n = txSlotSize + 1 + i%1000
 	}
-	p := buf[:n]
+	return stamp(buf[:n], spi, i)
+}
+
+// stamp fills p (at least 12 bytes) as datagram i of a stream: SPI, index,
+// then a fill that depends on the index.
+func stamp(p []byte, spi uint32, i int) []byte {
 	binary.BigEndian.PutUint32(p, spi)
 	binary.BigEndian.PutUint64(p[4:], uint64(i))
-	for j := 12; j < n; j++ {
+	for j := 12; j < len(p); j++ {
 		p[j] = byte(i + j)
 	}
 	return p
@@ -378,4 +385,209 @@ func TestTransportUDPIPv6(t *testing.T) {
 			t.Errorf("unrouted = %d", n)
 		}
 	})
+}
+
+// heldIO makes the writer wait in send while hold is locked, so that a ring
+// filled meanwhile goes out in at most two flushes.
+type heldIO struct {
+	batchIO
+	hold *sync.Mutex
+}
+
+func (h heldIO) send(msgs []datagram) (int, error) {
+	h.hold.Lock()
+	h.hold.Unlock() //nolint:staticcheck // a gate, not a critical section
+	return h.batchIO.send(msgs)
+}
+
+// sendHeld sends n same-size datagrams from index from through la while its
+// writer is held, then waits for the ring to drain.
+func sendHeld(t *testing.T, la *UDPLink, hold *sync.Mutex, from, n, size int) {
+	t.Helper()
+	buf := make([]byte, size)
+	hold.Lock()
+	for i := from; i < from+n; i++ {
+		if err := la.Send(stamp(buf, 0x10, i)); err != nil {
+			t.Fatalf("Send %d: %v", i, err)
+		}
+	}
+	hold.Unlock()
+	waitFor(t, "the ring to drain", func() bool { return la.ep.tx.depth() == 0 })
+}
+
+// recvStamped receives datagrams from through to-1 of size bytes, in order.
+func recvStamped(t *testing.T, lb *UDPLink, from, to, size int) {
+	t.Helper()
+	want := make([]byte, size)
+	for i := from; i < to; i++ {
+		got, err := lb.RecvTimeout(sockTimeout)
+		if err != nil {
+			t.Fatalf("datagram %d: %v", i, err)
+		}
+		if !bytes.Equal(got, stamp(want, 0x10, i)) {
+			t.Fatalf("datagram %d: got %d bytes starting %x", i, len(got), got[:min(12, len(got))])
+		}
+	}
+}
+
+// segmenting reports whether an endpoint's batchIO (under a gateIO and a
+// heldIO) is mmsgIO with segmentation offload on.
+func segmenting(e *UDPEndpoint) bool {
+	m, ok := e.io.(*gateIO).batchIO.(heldIO).batchIO.(*mmsgIO)
+	return ok && m.segment
+}
+
+// Same-size datagrams to one peer cross the kernel as runs, one message a
+// run each way, and arrive whole and in order. A mixed run — two peers, a
+// control datagram, a shorter one, one longer than a slot — keeps each
+// endpoint's FIFO and each datagram's lane.
+func TestTransportUDPSegmented(t *testing.T) {
+	t.Run("uniform", func(t *testing.T) {
+		var hold sync.Mutex
+		la, lb, txGate, rxGate := gatedPair(t, "", UDPConfig{}, func(c *net.UDPConn) batchIO { return heldIO{newBatchIO(c), &hold} })
+		close(txGate)
+		const total, size = 2 * txRingSlots, 84
+		sendHeld(t, la, &hold, 0, txRingSlots, size)
+		sendHeld(t, la, &hold, txRingSlots, txRingSlots, size)
+		close(rxGate)
+		recvStamped(t, lb, 0, total, size)
+		if s := la.Stats(); s.TxPackets != total || s.TxDrops != 0 {
+			t.Errorf("sender stats = %+v", s)
+		}
+		if s := lb.Stats(); s.RxPackets != total || s.RxDrops != 0 {
+			t.Errorf("receiver stats = %+v", s)
+		}
+		if !segmenting(la.ep) || !segmenting(lb.ep) {
+			t.Skip("no segmentation offload here: call counts not checked")
+		}
+		tx, rx := la.ep.txCalls.Load(), lb.ep.rxCalls.Load()
+		t.Logf("%d datagrams: %d send calls, %d receive calls", total, tx, rx)
+		// Unsegmented, recvmmsg takes rxBatch datagrams a call: total/16.
+		if tx > total/16 || rx > total/64 {
+			t.Errorf("%d datagrams took %d send and %d receive calls, want <= %d and <= %d", total, tx, rx, total/16, total/64)
+		}
+	})
+	t.Run("mixed", func(t *testing.T) {
+		var hold sync.Mutex
+		la, lb, txGate, rxGate := gatedPair(t, "", UDPConfig{}, func(c *net.UDPConn) batchIO { return heldIO{newBatchIO(c), &hold} })
+		close(txGate)
+		ec, err := ListenUDP("", UDPConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ec.Close() })
+		toC, err := la.ep.Link(ec.Addr(), 0x40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lc, err := ec.Link(la.ep.Addr(), 0x30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// a→b runs broken by three to c, by a control datagram of the runs'
+		// size (marker included), a shorter one and one longer than a slot.
+		type lane struct {
+			rx   *UDPLink
+			ctrl bool
+		}
+		type step struct {
+			to   *UDPLink
+			spi  uint32
+			size int
+			on   lane // where it must arrive
+		}
+		var steps []step
+		add := func(n int, to *UDPLink, ctrl bool, size int) {
+			st := step{to, 0x10, size, lane{lb, ctrl}}
+			if to == toC {
+				st.spi, st.on.rx = 0x30, lc
+			}
+			for range n {
+				steps = append(steps, st)
+			}
+		}
+		add(4, la, false, 100)
+		add(3, toC, false, 100)
+		add(1, la, true, 96)
+		add(2, la, false, 100)
+		add(1, la, false, 60)
+		add(2, la, false, 100)
+		add(1, la, false, txSlotSize+100)
+		add(2, la, false, 100)
+		want := map[lane][][]byte{}
+		hold.Lock()
+		for i, st := range steps {
+			p := stamp(make([]byte, st.size), st.spi, i)
+			send := st.to.Send
+			if st.on.ctrl {
+				send = st.to.SendControl
+			}
+			if err := send(p); err != nil {
+				t.Fatal(err)
+			}
+			want[st.on] = append(want[st.on], p)
+		}
+		hold.Unlock()
+		waitFor(t, "the ring to drain", func() bool { return la.ep.tx.depth() == 0 })
+		close(rxGate)
+		for ln, ps := range want {
+			for i, w := range ps {
+				recv := ln.rx.RecvTimeout
+				if ln.ctrl {
+					recv = ln.rx.RecvControlTimeout
+				}
+				if got, err := recv(sockTimeout); err != nil || !bytes.Equal(got, w) {
+					t.Fatalf("%v control=%v datagram %d: %d bytes, %v; want %d bytes", ln.rx.peer, ln.ctrl, i, len(got), err, len(w))
+				}
+			}
+		}
+		if _, err := lb.RecvTimeout(20 * time.Millisecond); err != ErrNoDatagram {
+			t.Fatalf("b data lane after: %v, want ErrNoDatagram", err)
+		}
+		if n := lb.ep.Unrouted() + ec.Unrouted(); n != 0 {
+			t.Errorf("unrouted = %d", n)
+		}
+	})
+}
+
+// A path that cannot segment says EIO: the refused run's datagrams go again
+// one message each, and segmentation stays off for the endpoint.
+func TestTransportUDPSegmentEIO(t *testing.T) {
+	var hold sync.Mutex
+	var m *mmsgIO
+	refused := 0
+	la, lb, txGate, rxGate := gatedPair(t, "", UDPConfig{}, func(c *net.UDPConn) batchIO {
+		io := newBatchIO(c)
+		if mm, ok := io.(*mmsgIO); ok && m == nil {
+			m = mm
+			call := m.tx.call
+			m.tx.call = func(n int) (int, error) {
+				for i := range n {
+					if m.tx.hdrs[i].hdr.Iovlen > 1 {
+						if refused++; i == 0 {
+							return 0, syscall.EIO
+						}
+						return call(i)
+					}
+				}
+				return call(n)
+			}
+		}
+		return heldIO{io, &hold}
+	})
+	close(txGate)
+	close(rxGate)
+	if m == nil || !m.segment {
+		t.Skip("no segmentation offload here")
+	}
+	const total, size = 2 * txRingSlots, 84
+	sendHeld(t, la, &hold, 0, txRingSlots, size)
+	sendHeld(t, la, &hold, txRingSlots, txRingSlots, size)
+	recvStamped(t, lb, 0, total, size)
+	if s := la.Stats(); s.TxPackets != total || s.TxDrops != 0 {
+		t.Errorf("sender stats = %+v", s)
+	}
+	if refused != 1 || m.segment {
+		t.Errorf("%d segmented messages offered, segmentation on after EIO = %v; want 1, false", refused, m.segment)
+	}
 }
