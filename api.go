@@ -90,10 +90,9 @@ func Leap(k uint64, factor float64) uint64 { return core.Leap(k, factor) }
 // measured save latency of your Store and your peak message rate.
 func SizeK(tSave, tSend time.Duration) uint64 { return core.SizeK(tSave, tSend) }
 
-// NewAtomicWindow returns a concurrency-safe anti-replay window of width w
-// (Linux-xfrm/WireGuard style: CAS edge advances, atomic bit-sets), for use
-// on its own. A Receiver builds one itself when ReceiverConfig.Window is nil
-// and, with StrictHorizon, admits on its lock-free fast path; a window
-// passed in through ReceiverConfig.Window, this one included, is driven
-// under the receiver's mutex.
-func NewAtomicWindow(w int) Window { return seqwin.NewAtomic(w) }
+// NewAtomicWindow returns an anti-replay window of width w for use on its
+// own: the RFC 6479 ring (seqwin.Bitmap) a Receiver builds itself when
+// ReceiverConfig.Window is nil. Despite the name it is not safe for
+// concurrent use — like every Window, callers serialize; a Receiver drives
+// its window under its mutex.
+func NewAtomicWindow(w int) Window { return seqwin.NewBitmap(w) }

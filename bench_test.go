@@ -190,11 +190,11 @@ func BenchmarkTableScale(b *testing.B) {
 
 // BenchmarkParallelAdmission drives one receiver from every benchmark
 // goroutine, each admitting globally unique increasing numbers (an atomic
-// ticket counter), the contention shape of a multi-queue gateway NIC: one
-// atomic window-pointer load, the horizon check and the seqwin.Atomic
-// lock-free admission. Strict, because only a strict receiver leaves the
-// mutex out; the inline save over Mem keeps the horizon 2K = 8192 ahead.
-// Run with -cpu 1,2,4,8.
+// ticket counter), the contention shape of a multi-queue gateway NIC: every
+// admission takes the receiver's mutex, checks the strict horizon and
+// decides on the Bitmap window, so this is the instrument for what that
+// mutex costs under contention. The inline save over Mem keeps the horizon
+// 2K = 8192 ahead. Run with -cpu 1,2,4,8.
 func BenchmarkParallelAdmission(b *testing.B) {
 	var m store.Mem
 	r, err := antireplay.NewReceiver(antireplay.ReceiverConfig{K: 1 << 12, W: 1024, Store: &m, StrictHorizon: true})

@@ -67,14 +67,11 @@
 // lock-striped SAD and an SPD to both (see README.md, "Journal design
 // notes").
 //
-// The per-packet datapath is concurrency-first. A Receiver left to build
-// its own window (ReceiverConfig.Window nil) gets a Linux-xfrm/WireGuard-
-// style anti-replay window whose admissions are CAS- and fetch-OR-based,
-// and with StrictHorizon set it runs a lock-minimizing fast path:
-// concurrent Admits never serialize on the receiver mutex, which is
-// reserved for reset/wake transitions and SAVE triggers. (Without the
-// horizon, or over a caller-supplied Window, every Admit takes that
-// mutex.) Every packet takes the same path: Gateway.SealAppend and
+// A Receiver left to build its own window (ReceiverConfig.Window nil) gets
+// an RFC 6479 ring of 64-bit words, and every Admit decides under the
+// receiver's mutex, as the paper's process q is one serialized process;
+// only the SAVE hand-off runs outside it. Every packet takes the same
+// path: Gateway.SealAppend and
 // OpenAppend (Seal and Open are their allocating forms) over
 // OutboundSA.SealAppend and InboundSA.OpenAppend, over Sender.Next and
 // Receiver.Admit. Sequence exhaustion is a hard error: a

@@ -44,9 +44,9 @@ func BenchmarkSenderNext(b *testing.B) {
 	})
 }
 
-// The receiver benchmarks build strict receivers: only those admit on the
-// wait-free path, and with the inline SyncSaver committed keeps pace with the
-// edge, so the horizon never discards.
+// The receiver benchmarks build strict receivers, as a gateway does; with
+// the inline SyncSaver committed keeps pace with the edge, so the horizon
+// never discards.
 func BenchmarkReceiverAdmitInOrder(b *testing.B) {
 	var m store.Mem
 	r, err := core.NewReceiver(core.ReceiverConfig{K: 25, Store: &m, W: 64, StrictHorizon: true})
@@ -96,9 +96,9 @@ func BenchmarkResetWakeCycle(b *testing.B) {
 }
 
 // BenchmarkReceiverResetWakeCycle is the receiver's side of the same cycle
-// at the gateway's shape (concurrent window, W = 1024): beyond the sender's
-// FETCH + leap + SAVE it builds and publishes the post-wake window, every
-// entry marked received — one allocation, the window's ring.
+// at the gateway's shape (W = 1024): beyond the sender's FETCH + leap + SAVE
+// it reinstalls the window in place, every entry marked received, in one
+// pass over the ring's words — no allocation of its own.
 func BenchmarkReceiverResetWakeCycle(b *testing.B) {
 	var m store.Mem
 	r, err := core.NewReceiver(core.ReceiverConfig{K: 25, Store: &m, W: 1024, StrictHorizon: true})

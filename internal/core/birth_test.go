@@ -25,9 +25,8 @@ func openCells(t *testing.T) (l *store.Lanes, tx, rx *store.Cell) {
 
 // TestBirthStagedUntilFirstUse: over a journal cell a first life stages its
 // initial value and returns without an fsync; committed stays below the
-// sender's initial value and a strict receiver keeps its fast path shut.
-// The first Next pays one commit for both births on the lane, the first
-// Admit none, and then the fast path opens.
+// sender's initial value. The first Next pays one commit for both births on
+// the lane, the first Admit none, and then both births are cleared.
 func TestBirthStagedUntilFirstUse(t *testing.T) {
 	watchdog.Arm(t, 5*time.Second)
 	const k = 10
@@ -47,8 +46,8 @@ func TestBirthStagedUntilFirstUse(t *testing.T) {
 	if x.State() != StateUp || x.birth == 0 || x.Committed() != 0 {
 		t.Errorf("sender: state %v, birth pending %v, committed %d; want up, pending, 0", x.State(), x.birth != 0, x.Committed())
 	}
-	if r.State() != StateUp || r.birth == 0 || r.fastWin.Load() != nil {
-		t.Errorf("receiver: state %v, birth pending %v, fast path open %v; want up, pending, shut", r.State(), r.birth != 0, r.fastWin.Load() != nil)
+	if r.State() != StateUp || r.birth == 0 {
+		t.Errorf("receiver: state %v, birth pending %v; want up, pending", r.State(), r.birth != 0)
 	}
 	if seq, err := x.Next(); seq != 1 || err != nil {
 		t.Fatalf("first Next = %d, %v; want 1", seq, err)
@@ -59,9 +58,9 @@ func TestBirthStagedUntilFirstUse(t *testing.T) {
 	if got := l.Syncs() - syncs; got != 1 {
 		t.Errorf("two births cost %d fsyncs, want 1: one lane commit", got)
 	}
-	if x.birth != 0 || x.Committed() != 1 || r.birth != 0 || r.fastWin.Load() == nil {
-		t.Errorf("after first use: sender birth pending %v committed %d, receiver birth pending %v fast path open %v",
-			x.birth != 0, x.Committed(), r.birth != 0, r.fastWin.Load() != nil)
+	if x.birth != 0 || x.Committed() != 1 || r.birth != 0 {
+		t.Errorf("after first use: sender birth pending %v committed %d, receiver birth pending %v",
+			x.birth != 0, x.Committed(), r.birth != 0)
 	}
 }
 
@@ -94,9 +93,9 @@ func TestBirthResetThenWake(t *testing.T) {
 		t.Errorf("sender after wake: state %v (%v), birth pending %v, committed %d; want up, cleared, %d",
 			x.State(), x.LastWakeError(), x.birth != 0, x.Committed(), 1+2*k)
 	}
-	if r.State() != StateUp || r.birth != 0 || r.Committed() != 2*k || r.fastWin.Load() == nil {
-		t.Errorf("receiver after wake: state %v (%v), birth pending %v, committed %d, fast path open %v; want up, cleared, %d, open",
-			r.State(), r.LastWakeError(), r.birth != 0, r.Committed(), r.fastWin.Load() != nil, 2*k)
+	if r.State() != StateUp || r.birth != 0 || r.Committed() != 2*k {
+		t.Errorf("receiver after wake: state %v (%v), birth pending %v, committed %d; want up, cleared, %d",
+			r.State(), r.LastWakeError(), r.birth != 0, r.Committed(), 2*k)
 	}
 	if seq, err := x.Next(); seq != 1+2*k || err != nil {
 		t.Errorf("first Next after wake = %d, %v; want %d", seq, err, 1+2*k)

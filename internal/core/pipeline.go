@@ -52,8 +52,9 @@ type savePipeline struct {
 
 	// lst is the largest value handed to the saver (paper: lst), written
 	// under saveMu or, on wake, under mu; committed is the largest value
-	// known durable. Atomic so the per-packet trigger and horizon checks
-	// read them without a lock.
+	// known durable. Atomic because the per-packet trigger and horizon
+	// checks read them under mu while saveMu moves lst, and LastStored and
+	// Committed read them under no lock.
 	lst        atomic.Uint64
 	committed  atomic.Uint64
 	savesStart atomic.Uint64
@@ -145,27 +146,27 @@ func (p *savePipeline) open(baseline bool) error {
 }
 
 // awaitBirthLocked waits, mu released, until the staged birth is durable.
-// born reports that this call cleared it; the caller re-reads the state (a
-// Reset or Wake may have run). An error leaves the birth pending.
-func (p *savePipeline) awaitBirthLocked() (born bool, err error) {
+// The caller re-reads the state (a Reset or Wake may have run). An error
+// leaves the birth pending.
+func (p *savePipeline) awaitBirthLocked() error {
 	seq, gen := p.birth-1, p.gen
 	p.mu.Unlock()
-	err = p.store.(store.Stager).WaitDurable(seq)
+	err := p.store.(store.Stager).WaitDurable(seq)
 	p.mu.Lock()
 	switch {
 	case p.birth == 0 || p.gen != gen:
-		return false, nil
+		return nil
 	case err != nil:
-		return false, fmt.Errorf("core: %s birth: %w", p.role, err)
+		return fmt.Errorf("core: %s birth: %w", p.role, err)
 	}
 	p.birth = 0
 	p.committed.Store(p.initial)
-	return true, nil
+	return nil
 }
 
 // due reports whether live — the counter, the window edge — has moved K
-// past the last value handed to a SAVE. The read of lst is racy on the
-// lock-free paths; startSave re-checks under its lock.
+// past the last value handed to a SAVE. Callers hold mu, but lst moves
+// under saveMu, so the read is racy; startSave re-checks under its lock.
 func (p *savePipeline) due(live uint64) bool {
 	return p.k != 0 && live >= p.k+p.lst.Load()
 }

@@ -89,7 +89,7 @@ func NewSender(cfg SenderConfig) (*Sender, error) {
 func (x *Sender) Next() (uint64, error) {
 	x.mu.Lock()
 	if x.birth != 0 && x.state == StateUp {
-		if _, err := x.awaitBirthLocked(); err != nil {
+		if err := x.awaitBirthLocked(); err != nil {
 			x.mu.Unlock()
 			return 0, err
 		}

@@ -359,7 +359,7 @@ func (g *Gateway) Outbound(spi uint32) (*OutboundSA, bool) {
 }
 
 // buildInbound claims the journal cell for spi and constructs the SA over a
-// resilient fast-path receiver; see buildOutbound (including the adopt
+// resilient receiver; see buildOutbound (including the adopt
 // down-state semantics and why keys are checked first).
 func (g *Gateway) buildInbound(spi uint32, keys KeyMaterial, adopt bool) (*InboundSA, error) {
 	if err := keys.Validate(); err != nil {
@@ -540,7 +540,7 @@ func (g *Gateway) lifecycle(kind string, sas int) {
 // commit lane with SAs on it — not one per SA — a worker's lanes committing
 // one after another, lanes/workers fsyncs deep whatever the SA count. Each
 // inbound SA's post-wake window is one pass over its ring's words
-// (seqwin.NewAtomicAt). Nothing polls: WakeAll blocks once, on a countdown
+// (seqwin.Bitmap.Reinit). Nothing polls: WakeAll blocks once, on a countdown
 // the wakes' own completions decrement (core's WakeNotify).
 // An SA Reset under the wake fails it with an error wrapping core.ErrDown,
 // unless it has left the registry: one removed while waking is skipped.

@@ -237,8 +237,8 @@ func (o *OutboundSA) Counters() (bytes, packets uint64) {
 
 // InboundSA verifies and decapsulates one direction of traffic, admitting
 // sequence numbers through the reset-resilient receiver. Safe for
-// concurrent use; with a fast-path receiver (ipsec.Gateway's default)
-// concurrent Opens do not serialize on any SA-wide lock.
+// concurrent use: concurrent Opens verify and decrypt in parallel and
+// serialize only on the receiver's admission.
 type InboundSA struct {
 	spi     uint32
 	keys    KeyMaterial

@@ -10,8 +10,8 @@ var _ telemetry.Collector = (*Gateway)(nil)
 // CollectTelemetry emits the gateway's population-wide datapath counters:
 // seal volume summed over outbound SAs, verify/admission outcomes summed
 // over inbound SAs, and the population gauges (per direction, plus how
-// many SAs are draining after a rekey cutover and how many are off the
-// StateUp fast path mid-reset/wake). Sums re-walk the SA population at
+// many SAs are draining after a rekey cutover and how many are not
+// StateUp mid-reset/wake). Sums re-walk the SA population at
 // scrape time — the hot paths keep their per-SA sharded tallies and never
 // see the scrape.
 func (g *Gateway) CollectTelemetry(emit telemetry.Emit) {

@@ -2,7 +2,6 @@ package seqwin
 
 import (
 	"fmt"
-	"sync/atomic"
 	"testing"
 )
 
@@ -30,29 +29,12 @@ func BenchmarkAdmitInOrder(b *testing.B) {
 	for _, w := range []int{64, 1024} {
 		b.Run(fmt.Sprintf("bool/w=%d", w), func(b *testing.B) { benchInOrder(b, NewBool(w)) })
 		b.Run(fmt.Sprintf("bitmap/w=%d", w), func(b *testing.B) { benchInOrder(b, NewBitmap(w)) })
-		b.Run(fmt.Sprintf("atomic/w=%d", w), func(b *testing.B) { benchInOrder(b, NewAtomic(w)) })
 	}
 }
 
 func BenchmarkAdmitInWindow(b *testing.B) {
 	b.Run("bool/w=64", func(b *testing.B) { benchInWindow(b, NewBool(64)) })
 	b.Run("bitmap/w=64", func(b *testing.B) { benchInWindow(b, NewBitmap(64)) })
-	b.Run("atomic/w=64", func(b *testing.B) { benchInWindow(b, NewAtomic(64)) })
-}
-
-// BenchmarkAdmitAtomicParallel drives one Atomic window from every
-// benchmark goroutine (globally unique increasing numbers) — the raw
-// window-level scaling that the receiver fast path builds on. Run with
-// -cpu 1,2,4,8.
-func BenchmarkAdmitAtomicParallel(b *testing.B) {
-	win := NewAtomic(1024)
-	var ticket atomic.Uint64
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			win.Admit(ticket.Add(1))
-		}
-	})
 }
 
 func BenchmarkAdmitBigSlide(b *testing.B) {
@@ -76,19 +58,12 @@ func BenchmarkAdmitBigSlide(b *testing.B) {
 	}
 }
 
-// BenchmarkAtomicReinstall is what a receiver's wake-up pays the window:
-// build it at the leaped edge with every entry marked received, as a new
-// window (NewAtomicAt, what core.Receiver publishes) and in place (Reinit).
-func BenchmarkAtomicReinstall(b *testing.B) {
+// BenchmarkBitmapReinstall is what a receiver's wake-up pays the window:
+// reinstall it in place at the leaped edge with every entry marked received.
+func BenchmarkBitmapReinstall(b *testing.B) {
 	for _, w := range []int{64, 1024} {
-		b.Run(fmt.Sprintf("new/w=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				NewAtomicAt(w, uint64(i)*50+8192, true)
-			}
-		})
 		b.Run(fmt.Sprintf("reinit/w=%d", w), func(b *testing.B) {
-			win := NewAtomic(w)
+			win := NewBitmap(w)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -13,24 +13,30 @@ import "fmt"
 // whether that sequence number has been accepted.
 type Bitmap struct {
 	words []uint64
+	mask  uint64 // len(words)-1; the ring size is a power of two
 	r     uint64 // right edge
 	w     int    // logical window width
 }
 
 var _ Window = (*Bitmap)(nil)
 
-// NewBitmap returns a window of width w (w >= 1). The ring is sized to
-// ceil(w/64)+1 words, guaranteeing the spare word RFC 6479 requires.
-// It panics if w < 1 (programmer error).
+// NewBitmap returns a window of width w (w >= 1). The ring holds at least
+// ceil(w/64)+1 words, the spare word RFC 6479 requires, rounded up to a
+// power of two so the per-packet block-to-word map is a mask instead of a
+// DIV. Extra words only retain more already-stale history. It panics if
+// w < 1 (programmer error).
 func NewBitmap(w int) *Bitmap {
 	if w < 1 {
 		panic(fmt.Sprintf("seqwin: window width %d < 1", w))
 	}
-	nwords := (w+63)/64 + 1
-	return &Bitmap{words: make([]uint64, nwords), w: w}
+	nwords := 1
+	for nwords < (w+63)/64+1 {
+		nwords <<= 1
+	}
+	return &Bitmap{words: make([]uint64, nwords), mask: uint64(nwords - 1), w: w}
 }
 
-func (b *Bitmap) wordOf(s uint64) int { return int((s / 64) % uint64(len(b.words))) }
+func (b *Bitmap) wordOf(s uint64) int { return int((s / 64) & b.mask) }
 
 func (b *Bitmap) bit(s uint64) uint64 { return uint64(1) << (s % 64) }
 
@@ -59,13 +65,11 @@ func (b *Bitmap) advance(s uint64) {
 	cur := b.r / 64
 	dst := s / 64
 	if dst-cur >= uint64(len(b.words)) {
-		for i := range b.words {
-			b.words[i] = 0
-		}
+		clear(b.words)
 		return
 	}
 	for wd := cur + 1; wd <= dst; wd++ {
-		b.words[wd%uint64(len(b.words))] = 0
+		b.words[wd&b.mask] = 0
 	}
 }
 
@@ -89,20 +93,19 @@ func (b *Bitmap) Seen(s uint64) bool {
 
 // Reinit reinstalls the window at edge, marking every number in
 // (edge-w, edge] as seen when allSeen is set and clearing the window
-// otherwise.
+// otherwise. It is one pass over the ring: each 64-number block of the
+// window gets its share as one whole-word mask, whatever w is — what a
+// receiver's wake-up pays the window.
 func (b *Bitmap) Reinit(edge uint64, allSeen bool) {
-	for i := range b.words {
-		b.words[i] = 0
-	}
+	clear(b.words)
 	b.r = edge
 	if !allSeen {
 		return
 	}
-	lo := uint64(1)
-	if edge > uint64(b.w) {
-		lo = edge - uint64(b.w) + 1
-	}
-	for s := lo; s <= edge; s++ {
-		b.words[b.wordOf(s)] |= b.bit(s)
+	uw := uint64(b.w)
+	for s := max(edge, uw) - uw + 1; s <= edge; {
+		m, next := windowMask(s, edge)
+		b.words[b.wordOf(s)] |= m
+		s = next
 	}
 }

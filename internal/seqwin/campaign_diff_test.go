@@ -5,14 +5,16 @@ import (
 	"testing"
 )
 
-// TestDifferentialCampaignSchedules runs Atomic and Bitmap in lockstep
-// over ten thousand randomized campaign-shaped admit schedules — the
-// traffic the adversary layer's stealth campaigns produce: window-edge
+// TestDifferentialCampaignSchedules runs Bitmap and the paper's Bool in
+// lockstep over ten thousand randomized campaign-shaped admit schedules —
+// the traffic the adversary layer's stealth campaigns produce: window-edge
 // hostages released deep behind the edge, edge-adjacent duplicate
 // injections, save-storm loss bursts, blackout replay floods, and
-// reset/wake-leap reinitializations. Used serially the two
-// implementations must be bit-identical: same decision on every admit,
-// same edge after it, same Seen verdict across and beyond the window.
+// reset/wake-leap reinstalls. The two must agree bit for bit: same decision
+// on every admit, same edge after it, same Seen verdict across and beyond
+// the window. Every reinstall marks the window seen, the paper's post-wake
+// state: a cleared Bool deliberately drops the right-edge invariant (see
+// Bool.Reinit), so it is no oracle for a cleared install.
 // (TestDifferential covers generic random walks; this pins the shapes
 // campaigns actually generate, at 10x the schedule count.)
 func TestDifferentialCampaignSchedules(t *testing.T) {
@@ -23,17 +25,17 @@ func TestDifferentialCampaignSchedules(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(i)*2654435761 + 99))
 		w := widths[rng.Intn(len(widths))]
 		bm := NewBitmap(w)
-		at := NewAtomic(w)
+		bo := NewBool(w)
 
 		admit := func(step int, s uint64) {
-			db, da := bm.Admit(s), at.Admit(s)
-			if db != da {
-				t.Fatalf("schedule %d step %d w=%d: Admit(%d): Bitmap=%v Atomic=%v",
-					i, step, w, s, db, da)
+			db, do := bm.Admit(s), bo.Admit(s)
+			if db != do {
+				t.Fatalf("schedule %d step %d w=%d: Admit(%d): Bitmap=%v Bool=%v",
+					i, step, w, s, db, do)
 			}
-			if be, ae := bm.Edge(), at.Edge(); be != ae {
-				t.Fatalf("schedule %d step %d w=%d: after Admit(%d): edge Bitmap=%d Atomic=%d",
-					i, step, w, s, be, ae)
+			if be, oe := bm.Edge(), bo.Edge(); be != oe {
+				t.Fatalf("schedule %d step %d w=%d: after Admit(%d): edge Bitmap=%d Bool=%d",
+					i, step, w, s, be, oe)
 			}
 		}
 
@@ -77,12 +79,11 @@ func TestDifferentialCampaignSchedules(t *testing.T) {
 			case 5: // reset + wake: both windows leap to the same edge
 				leap := uint64(rng.Intn(2*w) + 1)
 				edge := bm.Edge() + leap
-				allSeen := rng.Intn(2) == 0
-				bm.Reinit(edge, allSeen)
-				at.Reinit(edge, allSeen)
-				if be, ae := bm.Edge(), at.Edge(); be != ae {
-					t.Fatalf("schedule %d step %d w=%d: after Reinit(%d, %v): edge Bitmap=%d Atomic=%d",
-						i, step, w, edge, allSeen, be, ae)
+				bm.Reinit(edge, true)
+				bo.Reinit(edge, true)
+				if be, oe := bm.Edge(), bo.Edge(); be != oe {
+					t.Fatalf("schedule %d step %d w=%d: after Reinit(%d): edge Bitmap=%d Bool=%d",
+						i, step, w, edge, be, oe)
 				}
 				if next <= edge {
 					next = edge + 1
@@ -101,9 +102,9 @@ func TestDifferentialCampaignSchedules(t *testing.T) {
 			lo = e - uint64(2*w)
 		}
 		for s := lo; s <= e+uint64(w); s++ {
-			if bs, as := bm.Seen(s), at.Seen(s); bs != as {
-				t.Fatalf("schedule %d w=%d: Seen(%d): Bitmap=%v Atomic=%v (edge %d)",
-					i, w, s, bs, as, e)
+			if bs, os := bm.Seen(s), bo.Seen(s); bs != os {
+				t.Fatalf("schedule %d w=%d: Seen(%d): Bitmap=%v Bool=%v (edge %d)",
+					i, w, s, bs, os, e)
 			}
 		}
 	}

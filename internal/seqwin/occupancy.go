@@ -1,25 +1,18 @@
 package seqwin
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "math/bits"
 
 // Occupier is the optional interface a window implements when it can
 // report how many numbers inside (edge-w, edge] are currently marked seen.
 // Occupancy is a diagnostic gauge: a nearly full window under loss-free
 // in-order traffic is healthy, a sparse one betrays loss or reordering,
 // and a full window immediately after a wake betrays the paper's
-// mark-all-seen reinstall. Implementations may return a moment-in-time
-// approximation under concurrent admits.
+// mark-all-seen reinstall.
 type Occupier interface {
 	Occupancy() int
 }
 
-var (
-	_ Occupier = (*Bitmap)(nil)
-	_ Occupier = (*Atomic)(nil)
-)
+var _ Occupier = (*Bitmap)(nil)
 
 // windowMask returns the bitmask selecting the in-window bits of the
 // 64-number block containing s, for a window spanning [lo, hi]: bits
@@ -54,35 +47,6 @@ func (b *Bitmap) Occupancy() int {
 	for s := lo; s <= b.r; {
 		mask, next := windowMask(s, b.r)
 		n += bits.OnesCount64(b.words[b.wordOf(s)] & mask)
-		s = next
-	}
-	return n
-}
-
-// Occupancy counts the seen-marked numbers in (edge-w, edge] under the tag
-// protocol: a block's bits are only trusted while its slot stably holds
-// that block, so bits belonging to recycled-away history never inflate the
-// count. Under concurrent admits the result is a moment-in-time snapshot —
-// a block that slides mid-scan is simply skipped for that scrape.
-func (a *Atomic) Occupancy() int {
-	edge := a.edge.Load()
-	if edge == 0 {
-		return 0
-	}
-	lo := uint64(1)
-	if edge > uint64(a.w) {
-		lo = edge - uint64(a.w) + 1
-	}
-	n := 0
-	for s := lo; s <= edge; {
-		blk := s / 64
-		wd := a.slot(blk)
-		tag1 := atomic.LoadUint64(&wd.tag)
-		word := atomic.LoadUint64(&wd.bits)
-		mask, next := windowMask(s, edge)
-		if tag1 == stableTag(blk) && atomic.LoadUint64(&wd.tag) == tag1 {
-			n += bits.OnesCount64(word & mask)
-		}
 		s = next
 	}
 	return n

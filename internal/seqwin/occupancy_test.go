@@ -48,7 +48,3 @@ func testOccupancy(t *testing.T, name string, mk func(w int) Window) {
 func TestBitmapOccupancy(t *testing.T) {
 	testOccupancy(t, "bitmap", func(w int) Window { return NewBitmap(w) })
 }
-
-func TestAtomicOccupancy(t *testing.T) {
-	testOccupancy(t, "atomic", func(w int) Window { return NewAtomic(w) })
-}

@@ -1,14 +1,14 @@
 // Package seqwin implements anti-replay sequence-number windows.
 //
-// Three implementations share one interface, plus ESN inference:
+// Two implementations share one interface, plus ESN inference:
 //
 //   - Bool: a direct transliteration of the paper's array-of-boolean window
 //     (process q, §2), preserving its exact slide semantics, including the
 //     invariant that the right-edge cell remains true from initialization.
+//     It is the oracle the tests hold Bitmap to.
 //   - Bitmap: an RFC 6479-style ring of uint64 words for arbitrary window
-//     sizes, clearing whole words as the window advances.
-//   - Atomic: the concurrent window of the production path (CAS edge,
-//     seqlock-tagged ring words), serially bit-identical to Bitmap.
+//     sizes, clearing whole words as the window advances: the window of the
+//     production path, driven under the receiver's mutex.
 //   - ESN inference (InferESN): reconstruction of 64-bit extended sequence
 //     numbers from the 32-bit wire value, RFC 4303 Appendix A style.
 //

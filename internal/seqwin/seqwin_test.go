@@ -13,7 +13,6 @@ func allWindows(w int) map[string]Window {
 	return map[string]Window{
 		"bool":   NewBool(w),
 		"bitmap": NewBitmap(w),
-		"atomic": NewAtomic(w),
 	}
 }
 
@@ -410,6 +409,15 @@ func TestNewBitmapPanicsOnBadWidth(t *testing.T) {
 		}
 	}()
 	NewBitmap(-1)
+}
+
+func TestInferESNPanicsOnBadWidth(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("InferESN with w=0 should panic (ww-1 underflows)")
+		}
+	}()
+	InferESN(100, 50, 0)
 }
 
 func TestSeenReporting(t *testing.T) {

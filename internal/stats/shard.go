@@ -77,16 +77,6 @@ func (t *Tallies) Add(lane int, d uint64) {
 	t.s[(p>>6^p>>14)&(counterStripes-1)].v[lane].Add(d)
 }
 
-// AddSpread increments lane by d, picking the stripe from the
-// caller-supplied hint — typically a sequence number or flow hash the caller
-// already holds in a register. It trades the per-goroutine affinity of Add
-// for a pick that costs one AND: per-packet hot paths use it with the packet
-// sequence number, which spreads concurrent adders 1/stripes across cache
-// lines at effectively zero instruction cost.
-func (t *Tallies) AddSpread(hint uint64, lane int, d uint64) {
-	t.s[hint&(counterStripes-1)].v[lane].Add(d)
-}
-
 // Value returns the current sum of lane across all stripes.
 func (t *Tallies) Value(lane int) uint64 {
 	var sum uint64
