@@ -95,9 +95,11 @@ type BackgroundSaver interface {
 }
 
 // Canceler is optionally implemented by savers whose in-flight saves a reset
-// must discard (a real crash destroys the write in transit).
+// must discard (a real crash destroys the write in transit). Cancel returns
+// how many saves it tore: their done never runs, so the endpoint counts them
+// as failed.
 type Canceler interface {
-	Cancel()
+	Cancel() int
 }
 
 // SyncSaver is a BackgroundSaver that saves synchronously: StartSave
@@ -142,10 +144,12 @@ func (h *HeldSaver) StartSave(v uint64, done func(error)) {
 }
 
 // Cancel implements Canceler: a reset tears every queued save.
-func (h *HeldSaver) Cancel() {
+func (h *HeldSaver) Cancel() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	torn := len(h.held)
 	h.held = nil
+	return torn
 }
 
 // Pending returns the number of queued saves.

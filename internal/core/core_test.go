@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -500,5 +501,79 @@ func TestVerdictStringsAndDelivered(t *testing.T) {
 	}
 	if !strings.HasPrefix(core.Verdict(99).String(), "verdict(") {
 		t.Error("invalid verdict should format as verdict(n)")
+	}
+}
+
+// lateSaver is a HeldSaver a reset does not cancel: a save the reset tears
+// still completes, after it, as a pool's does.
+type lateSaver struct{ held *core.HeldSaver }
+
+func (l lateSaver) StartSave(v uint64, done func(error)) { l.held.StartSave(v, done) }
+
+// TestSaveCountersBalanceAtQuiesce: an endpoint counts every save it hands
+// its saver exactly once, as OK or failed — the wake's own SAVE, a save a
+// reset tears (dropped by a Canceler, or completing late) and a failed one
+// alike — so SavesStarted − SavesOK − SavesFailed is the saves in flight,
+// zero once the saver has nothing left.
+func TestSaveCountersBalanceAtQuiesce(t *testing.T) {
+	for _, side := range []string{"sender", "receiver"} {
+		for _, cancels := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/cancels=%v", side, cancels), func(t *testing.T) {
+				var m store.Mem
+				held := &core.HeldSaver{Store: &m}
+				var saver core.BackgroundSaver = held
+				if !cancels {
+					saver = lateSaver{held}
+				}
+				var (
+					traffic     func(n int)
+					counts      func() (started, ok, failed uint64)
+					reset, wake func()
+				)
+				if side == "sender" {
+					s := mustSender(t, core.SenderConfig{K: 4, Store: &m, Saver: saver})
+					traffic = func(n int) { sendN(t, s, n) }
+					counts = func() (uint64, uint64, uint64) {
+						st := s.Stats()
+						return st.SavesStarted, st.SavesOK, st.SavesFailed
+					}
+					reset, wake = s.Reset, s.Wake
+				} else {
+					r := mustReceiver(t, core.ReceiverConfig{K: 4, Store: &m, Saver: saver})
+					next := uint64(1)
+					traffic = func(n int) {
+						for ; n > 0; n-- {
+							r.Admit(next)
+							next++
+						}
+					}
+					counts = func() (uint64, uint64, uint64) {
+						st := r.Stats()
+						return st.SavesStarted, st.SavesOK, st.SavesFailed
+					}
+					reset, wake = r.Reset, r.Wake
+				}
+				quiesce := func(when string) {
+					t.Helper()
+					held.CommitAll()
+					if started, ok, failed := counts(); started == 0 || started != ok+failed {
+						t.Errorf("%s: %d saves started, %d ok, %d failed: want every one settled", when, started, ok, failed)
+					}
+				}
+
+				traffic(10)
+				quiesce("first life")
+				traffic(10) // its last save is held, then torn
+				reset()
+				wake()
+				quiesce("torn save, then a wake")
+				traffic(10)
+				reset()
+				wake()
+				held.Fail(errors.New("disk")) // the wake's SAVE fails: still down
+				wake()
+				quiesce("failed wake, then a wake")
+			})
+		}
 	}
 }

@@ -238,15 +238,27 @@ func (p *savePipeline) startSave(h handoff) {
 	}
 }
 
+// countDone records a save's completion, torn or not, under mu: every save
+// startSave hands over is counted once as OK or failed — here, or as failed
+// by the reset whose Cancel dropped it — so SavesStarted − SavesOK −
+// SavesFailed is the saves in flight.
+func (p *savePipeline) countDone(err error) {
+	if err != nil {
+		p.savesFailed++
+	} else {
+		p.savesOK++
+	}
+}
+
 // saveDone finalizes a background SAVE.
 func (p *savePipeline) saveDone(gen, v uint64, err error) {
 	p.mu.Lock()
+	p.countDone(err)
 	if p.gen != gen {
 		p.mu.Unlock()
 		return // a reset intervened; the save was torn
 	}
 	if err != nil {
-		p.savesFailed++
 		// Roll lst back so the next trigger — or a retransmission
 		// re-triggering the same value — retries the save, unless a newer
 		// one has been accepted meanwhile. One CAS, not load-then-store:
@@ -256,7 +268,6 @@ func (p *savePipeline) saveDone(gen, v uint64, err error) {
 		p.mu.Unlock()
 		return
 	}
-	p.savesOK++
 	if v > p.committed.Load() {
 		p.committed.Store(v)
 	}
@@ -285,7 +296,10 @@ func (p *savePipeline) reset(lose func()) {
 	p.saveMu.Unlock()
 
 	if c, ok := p.saver.(Canceler); ok {
-		c.Cancel()
+		n := c.Cancel()
+		p.mu.Lock()
+		p.savesFailed += uint64(n)
+		p.mu.Unlock()
 	}
 	if torn != nil {
 		torn(ErrDown)
@@ -343,7 +357,8 @@ func (p *savePipeline) WakeNotify(done func(error)) {
 		err = ErrNoSavedState
 	}
 	if err != nil {
-		p.failWake(gen, fmt.Errorf("core: %s wake fetch: %w", p.role, err))
+		p.mu.Lock()
+		p.failWakeAndUnlock(gen, fmt.Errorf("core: %s wake fetch: %w", p.role, err))
 		return
 	}
 	leaped := v + p.leap
@@ -351,16 +366,16 @@ func (p *savePipeline) WakeNotify(done func(error)) {
 		// UNSAFE ablation: resume without the durable leap record; the save
 		// still starts in the background, mimicking the naive fix.
 		p.startSave(handoff{gen: gen, v: leaped, force: true})
-		p.finishWake(gen, leaped, nil)
+		p.mu.Lock()
+		p.upAndUnlock(gen, leaped)
 		return
 	}
 	p.startSave(handoff{gen: gen, v: leaped, force: true, wake: true})
 }
 
-// failWake leaves the endpoint down with err, unless a reset has already
-// superseded the wake-up of generation gen.
-func (p *savePipeline) failWake(gen uint64, err error) {
-	p.mu.Lock()
+// failWakeAndUnlock leaves the endpoint down with err, unless a reset has
+// already superseded the wake-up of generation gen, and releases mu.
+func (p *savePipeline) failWakeAndUnlock(gen uint64, err error) {
 	if p.gen != gen {
 		p.mu.Unlock()
 		return
@@ -380,11 +395,18 @@ func (p *savePipeline) settleWakeAndUnlock(err error) {
 
 // finishWake completes the wake-up once the post-wake SAVE has.
 func (p *savePipeline) finishWake(gen, leaped uint64, err error) {
+	p.mu.Lock()
+	p.countDone(err)
 	if err != nil {
-		p.failWake(gen, fmt.Errorf("core: %s post-wake save: %w", p.role, err))
+		p.failWakeAndUnlock(gen, fmt.Errorf("core: %s post-wake save: %w", p.role, err))
 		return
 	}
-	p.mu.Lock()
+	p.upAndUnlock(gen, leaped)
+}
+
+// upAndUnlock brings the endpoint up at leaped, unless a reset has already
+// superseded the wake-up of generation gen, and releases mu.
+func (p *savePipeline) upAndUnlock(gen, leaped uint64) {
 	if p.gen != gen {
 		p.mu.Unlock()
 		return

@@ -408,7 +408,7 @@ func TestReceiverTraceEvents(t *testing.T) {
 
 	// Delivered 1, 2 and the buffered 10; discarded the duplicate 1; saved
 	// edge 2, the leaped edge 6 and, from the drain, edge 10.
-	want := core.ReceiverStats{Delivered: 3, Discarded: 1, SavesStarted: 3, SavesOK: 2, Resets: 1}
+	want := core.ReceiverStats{Delivered: 3, Discarded: 1, SavesStarted: 3, SavesOK: 3, Resets: 1}
 	if st := r.Stats(); st != want {
 		t.Errorf("stats = %+v, want %+v", st, want)
 	}

@@ -5,16 +5,16 @@
 // bench/'s to report, as medians with a spread. The one exception, scale,
 // is a single-shot wall-clock table kept until bench/ has a scale workload.
 //
-// Each experiment is a function from a parameter struct to a *Table, and
-// all randomness is seeded. Twelve tables reproduce bit-for-bit, ten on
-// virtual time alone and campaigns and diskfault because their crashes and
-// faults wait for the receiver's SAVEs to land: TestRegistryRunsFast holds
-// them to testdata/tables_fast.golden. The rest (rekey, failover, sizing,
-// recovery, scale) race real goroutines or read the wall clock and vary
-// run to run. The cmd/benchtables binary and the root bench_test.go
-// both call these functions, and cmd/resetsim renders one scenario of the
-// gateway-level ones (campaigns, diskfault, failover, rekey); each
-// Table.Note records the expected shapes next to paper claims.
+// Each experiment is a function from its parameters to a *Table, and all
+// randomness is seeded. Every table but scale reproduces bit-for-bit and
+// TestRegistryRunsFast holds it to testdata/tables_fast.golden: most run on
+// virtual time alone; sizing and recovery report a formula and counted
+// work; and campaigns, diskfault, failover and rekey script the race
+// between a SAVE and the traffic or crash after it (testbed.Pair.Settle).
+// The cmd/benchtables binary and the root bench_test.go both call these
+// functions, and cmd/resetsim renders one scenario of the gateway-level
+// ones (campaigns, diskfault, failover, rekey); each Table.Note records
+// the expected shapes next to paper claims.
 package experiments
 
 import (
@@ -141,11 +141,7 @@ func All() []Runner {
 			return UnboundedBaseline(cfg)
 		}},
 		{ID: "sizing", Paper: "§4 SAVE-interval sizing example", Run: func(fast bool) (*Table, error) {
-			cfg := DefaultSizingConfig()
-			if fast {
-				cfg.Samples = 32
-			}
-			return SaveIntervalSizing(cfg)
+			return SaveIntervalSizing()
 		}},
 		{ID: "convsender", Paper: "§5 condition (i): sender convergence", Run: func(fast bool) (*Table, error) {
 			return ConvergenceSender(DefaultConvergenceConfig())
@@ -154,12 +150,7 @@ func All() []Runner {
 			return ConvergenceReceiver(DefaultConvergenceConfig())
 		}},
 		{ID: "recovery", Paper: "§3 cost of SA re-establishment vs SAVE/FETCH", Run: func(fast bool) (*Table, error) {
-			cfg := DefaultRecoveryConfig()
-			if fast {
-				cfg.FastDH = true
-				cfg.SACounts = []int{1, 4, 16}
-			}
-			return RecoveryCost(cfg)
+			return RecoveryCost(DefaultRecoveryConfig())
 		}},
 		{ID: "prolonged", Paper: "§6 prolonged resets with DPD", Run: func(fast bool) (*Table, error) {
 			return ProlongedReset(DefaultProlongedConfig())
@@ -183,7 +174,6 @@ func All() []Runner {
 		{ID: "rekey", Paper: "extension: IKE-driven rollover under resets (make-before-break)", Run: func(fast bool) (*Table, error) {
 			cfg := DefaultRekeyConfig()
 			if fast {
-				cfg.FastDH = true
 				cfg.Tunnels = 2
 				cfg.LossProbs = []float64{0, 0.25}
 			}

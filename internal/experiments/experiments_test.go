@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"antireplay/internal/core"
 )
 
 func col(t *testing.T, tbl *Table, name string) int {
@@ -225,21 +227,19 @@ func TestUnboundedShape(t *testing.T) {
 }
 
 func TestSizingTable(t *testing.T) {
-	cfg := DefaultSizingConfig()
-	cfg.Samples = 25
-	tbl, err := SaveIntervalSizing(cfg)
+	tbl, err := SaveIntervalSizing()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != 4 {
-		t.Fatalf("rows = %d, want 4 (paper + 3 media)", len(tbl.Rows))
+	if len(tbl.Rows) != len(sizingInputs) {
+		t.Fatalf("rows = %d, want %d (paper + stated inputs)", len(tbl.Rows), len(sizingInputs))
 	}
-	if tbl.Rows[0][col(t, tbl, "K")] != "25" {
-		t.Errorf("paper row K = %s, want 25", tbl.Rows[0][col(t, tbl, "K")])
+	if got := tbl.Rows[0]; got[0] != "paper-pentium3-disk" || got[1] != "100.00" || got[2] != "4.00" || got[3] != "25" {
+		t.Errorf("paper row = %v, want 100us save, 4us send, K = 25", got)
 	}
-	for _, row := range tbl.Rows[1:] {
-		if mustUint(t, row[col(t, tbl, "K")]) < 1 {
-			t.Errorf("measured K < 1: %v", row)
+	for i, in := range sizingInputs {
+		if got, want := mustUint(t, tbl.Rows[i][col(t, tbl, "K")]), core.SizeK(in.save, in.send); got != want || got < 1 {
+			t.Errorf("%s: K = %d, want ceil(%v / %v) = %d", in.medium, got, in.save, in.send, want)
 		}
 	}
 }
@@ -256,8 +256,8 @@ func TestSizingKRule(t *testing.T) {
 		{time.Microsecond, 0, 1},
 	}
 	for _, tt := range tests {
-		if got := sizingK(tt.save, tt.send); got != tt.want {
-			t.Errorf("sizingK(%v, %v) = %d, want %d", tt.save, tt.send, got, tt.want)
+		if got := core.SizeK(tt.save, tt.send); got != tt.want {
+			t.Errorf("SizeK(%v, %v) = %d, want %d", tt.save, tt.send, got, tt.want)
 		}
 	}
 }
@@ -296,23 +296,23 @@ func TestConvergenceReceiverBounds(t *testing.T) {
 }
 
 func TestRecoveryCostShape(t *testing.T) {
-	cfg := RecoveryConfig{SACounts: []int{1, 4, 16}, FastDH: true, Seed: 1}
+	cfg := RecoveryConfig{SACounts: []int{1, 4, 16}, Seed: 1}
 	tbl, err := RecoveryCost(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	msgsCol := col(t, tbl, "ike_msgs")
-	modCol := col(t, tbl, "ike_modexps")
 	for i, row := range tbl.Rows {
 		n := uint64(cfg.SACounts[i])
-		if got := mustUint(t, row[msgsCol]); got != 4*n {
-			t.Errorf("n=%d: ike_msgs = %d, want %d", n, got, 4*n)
-		}
-		if got := mustUint(t, row[modCol]); got != 4*n {
-			t.Errorf("n=%d: ike_modexps = %d, want %d", n, got, 4*n)
-		}
-		if row[col(t, tbl, "sf_msgs")] != "0" {
-			t.Errorf("SAVE/FETCH should need zero messages: %v", row)
+		for _, c := range []struct {
+			name string
+			want uint64
+		}{
+			{"ike_msgs", 4 * n}, {"ike_modexps", 4 * n},
+			{"sf_msgs", 0}, {"sf_fetches", n}, {"sf_saves", n}, {"sf_fsyncs", n},
+		} {
+			if got := mustUint(t, row[col(t, tbl, c.name)]); got != c.want {
+				t.Errorf("n=%d: %s = %d, want %d", n, c.name, got, c.want)
+			}
 		}
 	}
 }
@@ -491,20 +491,12 @@ func TestRegistryComplete(t *testing.T) {
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
-// goldenTables are the tables whose -fast rendering is byte-identical run
-// to run: virtual time and seeded draws, and campaigns and diskfault, whose
-// crashes and fault arming wait for the receiver's SAVEs to land
-// (testbed.Pair.Settle). The rest (rekey, failover, sizing, recovery,
-// scale) race real goroutines or read the wall clock and vary.
-var goldenTables = []string{"fig1", "fig2", "unbounded", "convsender",
-	"convreceiver", "prolonged", "doublereset", "leap", "delivery", "horizon",
-	"campaigns", "diskfault"}
-
 // TestRegistryRunsFast executes every experiment in fast mode end to end
-// and compares the rendered deterministic tables against
+// and compares every rendered table but scale against
 // testdata/tables_fast.golden, so a change that moves a byte of the paper's
-// evidence fails here. Regenerate with: go test ./internal/experiments
-// -run TestRegistryRunsFast -update
+// evidence fails here. scale reads the wall clock: it times a component, the
+// one table that stays bench/'s to replace. Regenerate with: go test
+// ./internal/experiments -run TestRegistryRunsFast -update
 func TestRegistryRunsFast(t *testing.T) {
 	if testing.Short() {
 		t.Skip("registry sweep is slow")
@@ -527,10 +519,13 @@ func TestRegistryRunsFast(t *testing.T) {
 		})
 	}
 	var got strings.Builder
-	for _, id := range goldenTables {
-		tbl, ok := rendered[id]
+	for _, r := range All() {
+		if r.ID == "scale" {
+			continue
+		}
+		tbl, ok := rendered[r.ID]
 		if !ok {
-			t.Logf("no golden comparison: %s did not render (failed, or filtered out by -run)", id)
+			t.Logf("no golden comparison: %s did not render (failed, or filtered out by -run)", r.ID)
 			return
 		}
 		got.WriteString(tbl)
@@ -551,6 +546,6 @@ func TestRegistryRunsFast(t *testing.T) {
 		t.Fatalf("read golden (regenerate with -update): %v", err)
 	}
 	if got.String() != string(want) {
-		t.Errorf("deterministic tables differ from golden.\n--- got ---\n%s--- want ---\n%s", got.String(), want)
+		t.Errorf("tables differ from golden.\n--- got ---\n%s--- want ---\n%s", got.String(), want)
 	}
 }

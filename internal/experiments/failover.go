@@ -138,7 +138,9 @@ func (s *failoverSim) openB(w []byte) (bool, error) {
 }
 
 // sendToA seals a B->A payload on tunnel i at the current primary and
-// delivers it to A (subject to loss), feeding the DPD monitor.
+// delivers it to A (subject to loss), feeding the DPD monitor. A rides out
+// its own durable horizon (the promoted node's leaped numbers reach it
+// first) as B does, so the blackout is counted in virtual time only.
 func (s *failoverSim) sendToA(i int, payload []byte) error {
 	w, err := s.SealOn(s.B, s.addrB(i), s.addrA(i), payload)
 	if err != nil {
@@ -150,7 +152,10 @@ func (s *failoverSim) sendToA(i int, payload []byte) error {
 	if s.e.Rand().Float64() < s.loss {
 		return nil
 	}
-	pl, v, err := s.A.GW.Open(w)
+	pl, v, err := s.OpenOn(s.A, w)
+	if errors.Is(err, testbed.ErrStalled) {
+		return err
+	}
 	if err != nil || !v.Delivered() {
 		return nil
 	}
@@ -169,7 +174,11 @@ func (s *failoverSim) sendToA(i int, payload []byte) error {
 
 // phase drives rounds of bidirectional traffic across every tunnel,
 // counting deliveries, network losses, and false rejects (a non-lost fresh
-// packet the receiver discarded).
+// packet the receiver discarded). B settles after every round, so no SAVE
+// is in flight when the traffic reaches a strict horizon — whose discard
+// would start a SAVE at a value the scheduler picked — or when the phase
+// ends in a crash or a promotion: what the standby holds, and where the
+// deposed primary's horizon stands, is the scenario's.
 func (s *failoverSim) phase(rounds int) error {
 	const interval = 20 * time.Microsecond
 	for n := 0; n < rounds; n++ {
@@ -197,6 +206,9 @@ func (s *failoverSim) phase(rounds int) error {
 			}
 		}
 		s.e.RunFor(interval)
+		if err := s.Settle(); err != nil {
+			return err
+		}
 	}
 	return nil
 }

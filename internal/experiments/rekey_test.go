@@ -12,7 +12,6 @@ import (
 // replay acceptances, and every retired generation's journal cells erased.
 func TestRekeyRolloverAcceptance(t *testing.T) {
 	cfg := DefaultRekeyConfig()
-	cfg.FastDH = true
 	cfg.LossProbs = []float64{0.05, 0.25}
 	tab, err := RekeyRollover(cfg)
 	if err != nil {

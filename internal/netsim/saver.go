@@ -48,10 +48,13 @@ func (s *SimSaver) StartSave(v uint64, done func(error)) {
 }
 
 // Cancel discards all in-flight saves (a machine reset: the write never
-// reaches the platter). Already-committed values are untouched.
-func (s *SimSaver) Cancel() {
+// reaches the platter) and returns how many it tore. Already-committed
+// values are untouched.
+func (s *SimSaver) Cancel() int {
+	torn := s.inflight
 	s.epoch++
 	s.inflight = 0
+	return torn
 }
 
 // InFlight reports whether a save is pending commit.

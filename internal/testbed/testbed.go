@@ -310,26 +310,35 @@ func (p *Pair) SealOn(n *Node, src, dst netip.Addr, payload []byte) ([]byte, err
 	}
 }
 
-// Settle waits until no inbound SA on B has a SAVE in flight, so a crash
-// that follows lands after every SAVE the traffic started: whether that
-// SAVE reached the medium (and a sync standby) is part of the scenario, not
-// of the scheduler. An exhausted budget is an error wrapping ErrStalled.
+// Settle waits until no SA on B, inbound or outbound, has a SAVE in
+// flight, so a crash that follows lands after every SAVE the traffic
+// started: whether that SAVE reached the medium (and a sync standby) is
+// part of the scenario, not of the scheduler. An exhausted budget is an
+// error wrapping ErrStalled.
 func (p *Pair) Settle() error {
 	var since time.Time
-	for {
-		busy := false
-		p.B.GW.SAD().Range(func(sa *ipsec.InboundSA) bool {
-			st := sa.Receiver().Stats()
-			busy = st.SavesStarted != st.SavesOK+st.SavesFailed
-			return !busy
-		})
-		if !busy {
-			return nil
-		}
+	for !p.settled() {
 		if !p.pause(&since, false) {
 			return fmt.Errorf("testbed: settle on node %s: %w after %v", p.B.Name, ErrStalled, stallBudget)
 		}
 	}
+	return nil
+}
+
+// settled reports whether every save B's endpoints started has completed.
+func (p *Pair) settled() bool {
+	idle := true
+	p.B.GW.SAD().Range(func(sa *ipsec.InboundSA) bool {
+		st := sa.Receiver().Stats()
+		idle = st.SavesStarted == st.SavesOK+st.SavesFailed
+		return idle
+	})
+	p.B.GW.SPD().Range(func(_ ipsec.Selector, sa *ipsec.OutboundSA) bool {
+		st := sa.Sender().Stats()
+		idle = idle && st.SavesStarted == st.SavesOK+st.SavesFailed
+		return idle
+	})
+	return idle
 }
 
 // Seal seals payload at A and taps the wire into the audit.
@@ -341,32 +350,36 @@ func (p *Pair) Seal(src, dst netip.Addr, payload []byte) ([]byte, error) {
 	return w, err
 }
 
-// Open opens one wire at B, backing off while the receiver's durable
-// horizon discards it, and accounts a delivery in the audit. On a lane the
-// medium reports poisoned the stall lasts until repair, so VerdictHorizon
-// is returned at once; on a healthy lane an exhausted budget is an error.
-// Errors from the gateway itself (unknown SPI, failed ICV, node down) are
-// returned as they came, for the caller to count or ignore.
+// Open opens one wire at B (see OpenOn) and accounts a delivery in the
+// audit.
 func (p *Pair) Open(w []byte) ([]byte, core.Verdict, error) {
+	payload, v, err := p.OpenOn(p.B, w)
+	if err == nil && v.Delivered() {
+		p.Deliver(w)
+	}
+	return payload, v, err
+}
+
+// OpenOn opens one wire at n, backing off while the receiver's durable
+// horizon discards it. On a lane the medium reports poisoned the stall
+// lasts until repair, so VerdictHorizon is returned at once; on a healthy
+// lane an exhausted budget is an error. Errors from the gateway itself
+// (unknown SPI, failed ICV, node down) are returned as they came, for the
+// caller to count or ignore.
+func (p *Pair) OpenOn(n *Node, w []byte) ([]byte, core.Verdict, error) {
 	var since time.Time
 	for {
-		payload, v, err := p.B.GW.Open(w)
-		if err != nil {
-			return nil, v, err
-		}
-		if v != core.VerdictHorizon {
-			if v.Delivered() {
-				p.Deliver(w)
-			}
-			return payload, v, nil
+		payload, v, err := n.GW.Open(w)
+		if err != nil || v != core.VerdictHorizon {
+			return payload, v, err
 		}
 		spi, _ := ipsec.ParseSPI(w) // Open parsed it already
-		if p.B.Medium.Cell(ipsec.InboundKey(spi)).Poisoned() != nil {
+		if n.Medium.Cell(ipsec.InboundKey(spi)).Poisoned() != nil {
 			return nil, v, nil
 		}
 		if !p.pause(&since, false) {
 			return nil, v, fmt.Errorf("testbed: open on node %s SA %#x: %w after %v: last verdict %v on a healthy lane",
-				p.B.Name, spi, ErrStalled, stallBudget, v)
+				n.Name, spi, ErrStalled, stallBudget, v)
 		}
 	}
 }

@@ -190,6 +190,40 @@ func TestSettleWaitsForReceiverSaves(t *testing.T) {
 	}
 }
 
+// TestSettleAfterWakeAll: a wake's own SAVE counts as finished once it
+// lands, so Settle on a B that has reset and woken — its inbound SA and an
+// outbound one back to A, both past a few background SAVEs — returns at
+// once instead of spending the stall budget.
+func TestSettleAfterWakeAll(t *testing.T) {
+	watchdog.Arm(t, 6*stallBudget)
+	p := newPair(t, Config{K: 4, W: 64, Sync: true})
+	keys := ipsec.KeyMaterial{AuthKey: make([]byte, ipsec.AuthKeySize)}
+	if err := Install(p.B.GW, p.A.GW, testSPI+1, keys, addrB, addrA); err != nil {
+		t.Fatal(err)
+	}
+	carry(t, p, 10)
+	for i := 0; i < 10; i++ {
+		if _, err := p.SealOn(p.B, addrB, addrA, []byte("reply")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.B.GW.ResetAll()
+	if err := p.B.GW.WakeAll(); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := p.Settle(); err != nil {
+		t.Fatalf("Settle after WakeAll: %v", err)
+	}
+	if took := time.Since(start); took > stallBudget/10 {
+		t.Fatalf("Settle after WakeAll took %v, budget %v", took, stallBudget)
+	}
+	out, _ := p.B.GW.Outbound(testSPI + 1)
+	if st := out.Sender().Stats(); st.SavesStarted < 3 || st.SavesStarted != st.SavesOK+st.SavesFailed {
+		t.Fatalf("settled sender %+v, want its saves and the wake's all finished", st)
+	}
+}
+
 // TestFirstSealWaitsForSyncFollower pins where a sync follower that does
 // not acknowledge stalls an SA installed before it attached: not at
 // AddOutbound, which only staged the birth record, but at the first Seal,
