@@ -10,10 +10,10 @@ import (
 
 // Gateway-scale persistence types, re-exported from the implementation.
 type (
-	// Journal is one commit lane of a Lanes medium (Lanes.Lane,
-	// Lanes.LaneJournals): a single append-only log multiplexing many SAs'
-	// durable counters, with group-committed fsyncs and crash recovery by
-	// replay. It is opened only as part of its medium.
+	// Journal is one commit lane of a Lanes medium (Lanes.LaneJournals):
+	// a single append-only log multiplexing many SAs' durable counters,
+	// with group-committed fsyncs and crash recovery by replay. It is
+	// opened only as part of its medium.
 	Journal = store.Journal
 	// JournalCell is one key of a Lanes medium viewed as a Store.
 	JournalCell = store.Cell

@@ -511,12 +511,13 @@ func (s *Standby) LagValues() uint64 {
 
 // RepairSourceLane re-seeds one quarantined lane of the PRIMARY's medium
 // from this standby's follower lane — the standby-assisted half of lane
-// repair. The donor is the follower lane's applied state which, thanks to
+// repair, through the medium's one repair entry point (Lanes.RepairLane with
+// the follower medium as donor). The donor lane's applied state, thanks to
 // the sync-follower registration, covers every save the primary ever
-// acknowledged on that lane; Journal.Repair merges it max-wins with the
-// primary's own in-memory values (so nothing staged after the fault is lost
-// either) and rewrites the lane's log from scratch, clearing the
-// quarantine. The primary's stalled SAs then resume via its WakeAll.
+// acknowledged on that lane; it is merged max-wins with the primary's own
+// in-memory values (so nothing staged after the fault is lost either) and
+// the lane's log is rewritten from scratch, clearing the quarantine. The
+// primary's stalled SAs then resume via its WakeAll.
 //
 // Repairing from a promoted standby is refused: after takeover the old
 // primary is fenced, and "repairing" it would revive a deposed writer.
@@ -527,11 +528,7 @@ func (s *Standby) RepairSourceLane(lane int) error {
 	if promoted {
 		return ErrPromoted
 	}
-	if lane < 0 || lane >= len(s.lanes) {
-		return fmt.Errorf("cluster: repair lane %d: standby has %d lanes", lane, len(s.lanes))
-	}
-	l := s.lanes[lane]
-	return l.src.Repair(l.dst.Values())
+	return s.cfg.Source.RepairLane(lane, s.cfg.Journal)
 }
 
 // Stop gracefully detaches the standby without promoting it: the sync-

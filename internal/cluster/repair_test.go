@@ -43,10 +43,9 @@ func repairLanes(t *testing.T, laneCount int) (*store.Lanes, *store.Lanes, *Stan
 // laneKey probes for a key the lane hash places on the given lane.
 func laneKey(t *testing.T, l *store.Lanes, lane int) string {
 	t.Helper()
-	target := l.LaneJournals()[lane]
 	for i := 0; i < 1<<16; i++ {
 		k := fmt.Sprintf("sa/%d", i)
-		if l.Lane(k) == target {
+		if l.Cell(k).Lane() == lane {
 			return k
 		}
 	}

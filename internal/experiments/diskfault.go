@@ -189,11 +189,7 @@ func enospcCompactRow(cfg CampaignsConfig) ([]campRow, error) {
 		return nil, fmt.Errorf("compaction ENOSPC fired %d times, want 2 (threshold never crossed?)", compactFired)
 	}
 
-	var compactions uint64
-	for _, j := range p.lanes.LaneJournals() {
-		compactions += j.Compactions()
-	}
-	if compactions == 0 {
+	if p.lanes.Compactions() == 0 {
 		return nil, errors.New("compaction never succeeded after the transient ENOSPC")
 	}
 
@@ -230,8 +226,8 @@ func enospcCompactRow(cfg CampaignsConfig) ([]campRow, error) {
 		return nil, fmt.Errorf("rescued ENOSPC quarantined lanes %v, want none", q)
 	}
 	var rescues uint64
-	for _, j := range p2.lanes.LaneJournals() {
-		rescues += j.Rescues()
+	for _, s := range p2.lanes.LaneStats() {
+		rescues += s.Rescues
 	}
 	if rescues == 0 {
 		return nil, errors.New("lane-write ENOSPC was never rescued by compaction")
@@ -358,8 +354,8 @@ func singleLaneEIORow(cfg CampaignsConfig) ([]campRow, error) {
 		}
 	}
 	var repairs uint64
-	for _, j := range p.lanes.LaneJournals() {
-		repairs += j.Repairs()
+	for _, s := range p.lanes.LaneStats() {
+		repairs += s.Repairs
 	}
 	if repairs != 1 {
 		return nil, fmt.Errorf("repairs counter %d, want 1", repairs)

@@ -508,8 +508,9 @@ func (g *Gateway) Journal() *store.Lanes { return g.cfg.Journal }
 // beyond the horizon is discarded with core.VerdictHorizon) — the
 // paper-correct behaviour when SAVE cannot complete — while every other
 // lane's SAs run at full speed. After the lane is repaired
-// (store.Lanes.RepairLane or cluster.Standby.RepairSourceLane), WakeAll
-// resumes the stalled SAs through the usual FETCH + leap + SAVE.
+// (store.Lanes.RepairLane, which cluster.Standby.RepairSourceLane calls with
+// its follower medium as donor), WakeAll resumes the stalled SAs through the
+// usual FETCH + leap + SAVE.
 func (g *Gateway) Degraded() []int { return g.cfg.Journal.Quarantined() }
 
 // ResetAll crashes every SA's endpoint, as a machine reset would: all

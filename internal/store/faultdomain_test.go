@@ -46,14 +46,14 @@ func TestJournalFsyncPoison(t *testing.T) {
 	if !errors.Is(err, syscall.EIO) {
 		t.Fatalf("Save under failed fsync = %v, want EIO", err)
 	}
-	if perr := j.Poisoned(); !errors.Is(perr, syscall.EIO) {
+	if perr := j.poisoned(); !errors.Is(perr, syscall.EIO) {
 		t.Fatalf("Poisoned() = %v, want the EIO", perr)
 	}
 
 	// The fault budget is spent: the disk would now "work" again. The
 	// journal must refuse anyway — retrying the sync could succeed over
 	// holes the failed fsync left.
-	atFailure := j.Syncs()
+	atFailure := j.stats().Syncs
 	for i := 0; i < 3; i++ {
 		if err := c.Save(uint64(9 + i)); !errors.Is(err, syscall.EIO) {
 			t.Fatalf("Save after poison = %v, want the original EIO", err)
@@ -62,26 +62,43 @@ func TestJournalFsyncPoison(t *testing.T) {
 	if err := j.Cell("tx/2").Save(1); !errors.Is(err, syscall.EIO) {
 		t.Fatalf("Save on a sibling cell after poison = %v, want the original EIO", err)
 	}
-	if got := j.Syncs(); got != atFailure {
+	if got := j.stats().Syncs; got != atFailure {
 		t.Errorf("Syncs() grew %d -> %d after poison: a sync was retried", atFailure, got)
 	}
 }
 
 // TestJournalPoisonNotMaskedByClose: closing a poisoned journal reports
 // the poison, not a bland ErrClosed — the caller tearing the stack down
-// must still see what actually went wrong with its data.
+// must still see what actually went wrong with its data. The poison may
+// predate Close or come from Close's own last commit of a staged record:
+// either way the hook fires once and the record's waiter sees the error.
 func TestJournalPoisonNotMaskedByClose(t *testing.T) {
-	j, in := faultyJournalAt(t)
-	in.Arm(storefault.Fault{Op: storefault.OpSync, Count: 1, Err: syscall.EIO})
-	if err := j.Cell("tx/1").Save(1); !errors.Is(err, syscall.EIO) {
-		t.Fatalf("Save = %v, want EIO", err)
-	}
-	if err := j.Close(); !errors.Is(err, syscall.EIO) {
-		t.Fatalf("Close on poisoned journal = %v, want the original EIO", err)
-	}
-	// And after close, the original error still outranks ErrClosed.
-	if err := j.Cell("tx/1").Save(2); !errors.Is(err, syscall.EIO) {
-		t.Fatalf("Save after close = %v, want the original EIO", err)
+	for _, atClose := range []bool{false, true} {
+		hooks := 0
+		j, in := faultyJournalAt(t, LanesOnPoison(func(int, error) { hooks++ }))
+		in.Arm(storefault.Fault{Op: storefault.OpSync, Count: 1, Err: syscall.EIO})
+		seq, err := j.Cell("tx/1").Stage(1)
+		if err != nil {
+			t.Fatalf("Stage: %v", err)
+		}
+		if !atClose {
+			if err := j.Cell("tx/1").WaitDurable(seq); !errors.Is(err, syscall.EIO) {
+				t.Fatalf("Save = %v, want EIO", err)
+			}
+		}
+		if err := j.Close(); !errors.Is(err, syscall.EIO) {
+			t.Fatalf("Close on poisoned journal (poisoned at close: %v) = %v, want the original EIO", atClose, err)
+		}
+		if err := j.Cell("tx/1").WaitDurable(seq); !errors.Is(err, syscall.EIO) {
+			t.Fatalf("WaitDurable after close (poisoned at close: %v) = %v, want the original EIO", atClose, err)
+		}
+		if hooks != 1 {
+			t.Fatalf("poison hook fired %d times (poisoned at close: %v), want 1", hooks, atClose)
+		}
+		// And after close, the original error still outranks ErrClosed.
+		if err := j.Cell("tx/1").Save(2); !errors.Is(err, syscall.EIO) {
+			t.Fatalf("Save after close = %v, want the original EIO", err)
+		}
 	}
 }
 
@@ -139,11 +156,11 @@ func TestJournalENOSPCWriteRescue(t *testing.T) {
 	if err := c.Save(2); err != nil {
 		t.Fatalf("Save under rescuable ENOSPC = %v, want nil", err)
 	}
-	if j.Poisoned() != nil {
-		t.Fatalf("journal poisoned by a rescued ENOSPC: %v", j.Poisoned())
+	if j.poisoned() != nil {
+		t.Fatalf("journal poisoned by a rescued ENOSPC: %v", j.poisoned())
 	}
-	if j.Rescues() != 1 {
-		t.Errorf("Rescues() = %d, want 1", j.Rescues())
+	if j.stats().Rescues != 1 {
+		t.Errorf("Rescues() = %d, want 1", j.stats().Rescues)
 	}
 	v, ok, err := c.Fetch()
 	if err != nil || !ok || v != 2 {
@@ -160,7 +177,7 @@ func TestJournalENOSPCSyncPoisons(t *testing.T) {
 	if err := j.Cell("tx/1").Save(1); !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("Save = %v, want ENOSPC", err)
 	}
-	if j.Poisoned() == nil {
+	if j.poisoned() == nil {
 		t.Fatal("ENOSPC at the sync step did not poison")
 	}
 }
@@ -190,8 +207,8 @@ func TestJournalCompactRenameFailure(t *testing.T) {
 	if in.Fired() == 0 {
 		t.Fatal("compaction rename fault never fired")
 	}
-	if j.Poisoned() != nil {
-		t.Fatalf("early compaction failure poisoned the journal: %v", j.Poisoned())
+	if j.poisoned() != nil {
+		t.Fatalf("early compaction failure poisoned the journal: %v", j.poisoned())
 	}
 	if err := j.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -260,14 +277,14 @@ func TestJournalRepair(t *testing.T) {
 	// Donor (the standby's replica) knows a value ahead of ours and one
 	// behind; merge is max-wins.
 	donor := map[string]uint64{"tx/1": 12, "tx/2": 3}
-	if err := j.Repair(donor); err != nil {
+	if err := j.repair(donor); err != nil {
 		t.Fatalf("Repair: %v", err)
 	}
-	if j.Poisoned() != nil {
-		t.Fatalf("still poisoned after repair: %v", j.Poisoned())
+	if j.poisoned() != nil {
+		t.Fatalf("still poisoned after repair: %v", j.poisoned())
 	}
-	if j.Repairs() != 1 {
-		t.Errorf("Repairs() = %d, want 1", j.Repairs())
+	if j.stats().Repairs != 1 {
+		t.Errorf("Repairs() = %d, want 1", j.stats().Repairs)
 	}
 	if v, ok, _ := c.Fetch(); !ok || v != 12 {
 		t.Errorf("tx/1 after repair = (%d, %v), want (12, true)", v, ok)
@@ -280,7 +297,7 @@ func TestJournalRepair(t *testing.T) {
 	if err := c.Save(14); !errors.Is(err, syscall.EIO) {
 		t.Fatalf("Save after re-fault = %v, want EIO", err)
 	}
-	if j.Poisoned() == nil {
+	if j.poisoned() == nil {
 		t.Fatal("second fsync failure did not re-poison")
 	}
 }
@@ -333,7 +350,7 @@ func TestLanesQuarantineIsolation(t *testing.T) {
 		t.Fatalf("Quarantined() = %v, want [%d]", q, sick)
 	}
 	for i, j := range l.LaneJournals() {
-		if err := j.Poisoned(); (err != nil) != (i == sick) {
+		if err := j.poisoned(); (err != nil) != (i == sick) {
 			t.Errorf("lane %d Poisoned() = %v, sick lane is %d", i, err, sick)
 		}
 	}
@@ -348,8 +365,8 @@ func TestLanesQuarantineIsolation(t *testing.T) {
 	}
 }
 
-// TestLanesRepairLane: the per-lane repair path filters the donor to the
-// lane's own keys, clears the quarantine, and the lane resumes.
+// TestLanesRepairLane: the per-lane repair path merges only the donor
+// medium's same-numbered lane, clears the quarantine, and the lane resumes.
 func TestLanesRepairLane(t *testing.T) {
 	dir := t.TempDir()
 	in := storefault.NewInjector(nil)
@@ -368,14 +385,26 @@ func TestLanesRepairLane(t *testing.T) {
 	if err := l.Cell(sickKey).Save(5); !errors.Is(err, syscall.EIO) {
 		t.Fatalf("Save = %v, want EIO", err)
 	}
-	// The donor carries the whole medium's values; RepairLane must apply
-	// only the sick lane's keys (a foreign key landing on the wrong lane
-	// would corrupt routing).
-	donor := map[string]uint64{sickKey: 6}
-	for i := 0; len(donor) < 8; i++ {
+	// The donor is a whole medium of the same shape — a replication
+	// follower, say — with keys on every lane; RepairLane must merge only
+	// its same-numbered lane (a foreign key landing on the wrong lane would
+	// corrupt routing).
+	donor, err := OpenLanes(t.TempDir(), LanesCount(4), LanesWithoutSync())
+	if err != nil {
+		t.Fatalf("OpenLanes: %v", err)
+	}
+	defer donor.Close()
+	if err := donor.Cell(sickKey).Save(6); err != nil {
+		t.Fatalf("donor Save: %v", err)
+	}
+	var foreign []string
+	for i := 0; len(foreign) < 7; i++ {
 		key := fmt.Sprintf("rx/%08x", i)
 		if l.laneOf(key) != sick {
-			donor[key] = uint64(100 + i)
+			if err := donor.Cell(key).Save(uint64(100 + i)); err != nil {
+				t.Fatalf("donor Save: %v", err)
+			}
+			foreign = append(foreign, key)
 		}
 	}
 	if err := l.RepairLane(sick, donor); err != nil {
@@ -387,10 +416,7 @@ func TestLanesRepairLane(t *testing.T) {
 	if v, ok, _ := l.Cell(sickKey).Fetch(); !ok || v != 6 {
 		t.Errorf("repaired key = (%d, %v), want (6, true)", v, ok)
 	}
-	for key := range donor {
-		if key == sickKey {
-			continue
-		}
+	for _, key := range foreign {
 		if _, ok, _ := l.Cell(key).Fetch(); ok {
 			t.Errorf("foreign donor key %q leaked onto lane %d", key, l.laneOf(key))
 		}

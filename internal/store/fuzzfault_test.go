@@ -90,15 +90,16 @@ func FuzzFaultScheduleRecovery(f *testing.F) {
 			err := j.Cell(keys[k]).Save(next[k])
 			if err == nil {
 				acked[k] = next[k]
-				// An ENOSPC write rescue compacts and retries once, so a
+				// An ENOSPC write rescue compacts in place of the failed
+				// batch (the snapshot holds it; nothing is retried), so a
 				// success after a poison-check matters: a poisoned journal
 				// must never ack.
-				if poisoned && j.Poisoned() != nil {
-					t.Fatalf("save acked on a poisoned journal (poison %v)", j.Poisoned())
+				if poisoned && j.poisoned() != nil {
+					t.Fatalf("save acked on a poisoned journal (poison %v)", j.poisoned())
 				}
 				continue
 			}
-			if j.Poisoned() != nil {
+			if j.poisoned() != nil {
 				poisoned = true
 			}
 		}

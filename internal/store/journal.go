@@ -98,25 +98,20 @@ type Journal struct {
 	cond *sync.Cond
 
 	f storefault.File
-	// The fixed-width SA keys — "tx/xxxxxxxx" and "rx/xxxxxxxx" — live in
-	// pvals (and their claims in pclaims), packed into one uint64 each: no
-	// per-key string header, no per-record string allocation on replay, and
-	// cheaper map operations at million-SA scale. Every other key (the
-	// cluster epoch, a probe cell) lives in the string-keyed vals/claims.
-	// Every access goes through getVal/putVal/delVal, so the split is
-	// invisible outside this file, and on disk a packed key is its exact
-	// 11-byte name.
-	vals        map[string]uint64
-	pvals       map[uint64]uint64
-	claims      map[string]bool
-	pclaims     map[uint64]bool
+	// Every key is one word (see wordOf): an SA key packs into it, any
+	// other key (the cluster epoch, a probe cell) is interned into names on
+	// first use. vals and claims are the only key tables; on disk a key is
+	// always its exact bytes (appendKey).
+	vals        map[uint64]uint64
+	claims      map[uint64]bool
+	names       []string          // interned named keys, by word index
+	named       map[string]uint64 // named key -> word
 	logSize     int64
 	snapSize    int64 // what a one-record-per-key snapshot would occupy
 	closed      bool
 	ioErr       error // sticky append-path write error (poison; see poisonLocked)
 	poisonFired bool  // onPoison already notified for the current poison
 	fenceErr    error // sticky cluster fence; appends refused (see Fence)
-	recovery    RecoveryStats
 
 	// Replication state (see tail.go). tail is a ring of the most recent
 	// records of the logical append stream — bounded by cfg.tailCap — so
@@ -146,12 +141,7 @@ type Journal struct {
 	cfg  *lanesConfig // the medium's options, shared by its lanes; read-only
 	lane int          // lane index within the Lanes medium
 
-	// Counters.
-	appends     uint64
-	syncs       uint64
-	compactions uint64
-	rescues     uint64 // ENOSPC write failures absorbed by an emergency compaction
-	repairs     uint64 // successful Repair calls clearing a poison
+	counts LaneStats // the counters; stats fills in the rest
 }
 
 // tailRing is a ring buffer of recent TailRecords: pushes are O(1) and the
@@ -210,11 +200,26 @@ type RecoveryStats struct {
 	TornTail       bool
 }
 
-// RecoveryStats returns what this handle's open-time replay found.
-func (j *Journal) RecoveryStats() RecoveryStats {
+// LaneStats is one lane's counters, read under one hold of its mutex.
+type LaneStats struct {
+	Keys        int    // distinct live counters
+	LogSize     int64  // log bytes
+	Appends     uint64 // records appended through this handle
+	Syncs       uint64 // fsyncs: group commits, compactions and setup
+	Compactions uint64
+	Rescues     uint64        // ENOSPC write failures absorbed by an emergency compaction
+	Repairs     uint64        // repairs that cleared or rewrote the lane (RepairLane)
+	Recovery    RecoveryStats // what the open-time replay found
+	Poisoned    error         // the sticky I/O error quarantining the lane, or nil
+}
+
+// stats reads every counter of the lane at once.
+func (j *Journal) stats() LaneStats {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.recovery
+	s := j.counts
+	s.Keys, s.LogSize, s.Poisoned = len(j.vals), j.logSize, j.ioErr
+	return s
 }
 
 // openJournal opens (or creates) lane's log at path and recovers its state
@@ -227,10 +232,9 @@ func openJournal(path string, lane int, cfg *lanesConfig) (*Journal, error) {
 		path:     path,
 		cfg:      cfg,
 		lane:     lane,
-		vals:     make(map[string]uint64),
-		pvals:    make(map[uint64]uint64),
-		claims:   make(map[string]bool),
-		pclaims:  make(map[uint64]bool),
+		vals:     make(map[uint64]uint64),
+		claims:   make(map[uint64]bool),
+		named:    make(map[string]uint64),
 		snapSize: journalHeaderLen,
 	}
 	j.cond = sync.NewCond(&j.mu)
@@ -256,20 +260,22 @@ func (j *Journal) sweepStaleTemps() {
 	}
 }
 
-// Packed SA keys. spiKeyLen-byte journal keys of the form "tx/xxxxxxxx" or
-// "rx/xxxxxxxx" (exactly eight lowercase hex digits — the format
-// ipsec.OutboundKey/InboundKey pin on disk) pack losslessly into a uint64:
-// bit 33 marks the word as packed, bit 32 carries the direction, the low 32
-// bits the SPI. packKey/unpackKey are exact inverses over that key shape,
-// so the representation never changes which bytes reach the log.
+// Key words. An SA key — "tx/xxxxxxxx" or "rx/xxxxxxxx", exactly eight
+// lowercase hex digits, the format ipsec.OutboundKey/InboundKey pin on disk
+// — packs losslessly into its word: bit 33 marks the word as packed, bit 32
+// carries the direction, the low 32 bits the SPI. Any other key is interned
+// per journal on first use, and its word is namedMark plus its index into
+// names. appendKey inverts both, so the representation never changes which
+// bytes reach the log.
 const (
 	spiKeyLen   = 11
 	packedMark  = 1 << 33 // distinguishes a packed word from any zero value
 	packedRxBit = 1 << 32 // direction: set for "rx/", clear for "tx/"
+	namedMark   = 1 << 34 // an interned key: the low bits index names
 )
 
-// packKeyAny packs an SA-shaped key held as either string or []byte.
-func packKeyAny[T string | []byte](k T) (uint64, bool) {
+// packKey packs an SA-shaped key held as either string or []byte.
+func packKey[K string | []byte](k K) (uint64, bool) {
 	if len(k) != spiKeyLen || k[2] != '/' || k[1] != 'x' {
 		return 0, false
 	}
@@ -296,71 +302,48 @@ func packKeyAny[T string | []byte](k T) (uint64, bool) {
 	return packedMark | pk | spi, true
 }
 
-func packKey(key string) (uint64, bool)    { return packKeyAny(key) }
-func packKeyBytes(b []byte) (uint64, bool) { return packKeyAny(b) }
+// wordOf returns key's word in j, interning a named key on first use (mu
+// held). Looking up a []byte key allocates nothing, so replay materializes
+// a string only the first time it meets a named key.
+func wordOf[K string | []byte](j *Journal, key K) uint64 {
+	if w, ok := packKey(key); ok {
+		return w
+	}
+	if w, ok := j.named[string(key)]; ok {
+		return w
+	}
+	name := string(key)
+	w := namedMark | uint64(len(j.names))
+	j.names = append(j.names, name)
+	j.named[name] = w
+	return w
+}
 
-// appendPackedKey re-encodes a packed key as its exact on-disk bytes.
-func appendPackedKey(buf []byte, pk uint64) []byte {
+// appendKey appends word w's key to buf as its exact on-disk bytes (mu
+// held).
+func (j *Journal) appendKey(buf []byte, w uint64) []byte {
+	if w&namedMark != 0 {
+		return append(buf, j.names[w&^namedMark]...)
+	}
 	dir := "tx/"
-	if pk&packedRxBit != 0 {
+	if w&packedRxBit != 0 {
 		dir = "rx/"
 	}
 	buf = append(buf, dir...)
 	for i := 0; i < 8; i++ {
-		buf = append(buf, hexDigits[(pk>>(28-4*i))&0xf])
+		buf = append(buf, hexDigits[(w>>(28-4*i))&0xf])
 	}
 	return buf
 }
 
 const hexDigits = "0123456789abcdef"
 
-// unpackKey materializes a packed key as a string (Values, compaction
-// fallback, tail records).
-func unpackKey(pk uint64) string {
-	var b [spiKeyLen]byte
-	_ = appendPackedKey(b[:0], pk)
-	return string(b[:])
-}
-
-// getVal looks up key in the table that owns it (mu held).
-func (j *Journal) getVal(key string) (v uint64, ok bool) {
-	if pk, packed := packKey(key); packed {
-		v, ok = j.pvals[pk]
-	} else {
-		v, ok = j.vals[key]
-	}
-	return v, ok
-}
-
-// putVal stores key=v in the table that owns the key (mu held).
-func (j *Journal) putVal(key string, v uint64) {
-	if pk, packed := packKey(key); packed {
-		j.pvals[pk] = v
-	} else {
-		j.vals[key] = v
-	}
-}
-
-// delVal erases key from the table that owns it (mu held).
-func (j *Journal) delVal(key string) {
-	if pk, packed := packKey(key); packed {
-		delete(j.pvals, pk)
-	} else {
-		delete(j.vals, key)
-	}
-}
-
-// numKeys returns the live key count across both tables (mu held).
-func (j *Journal) numKeys() int { return len(j.vals) + len(j.pvals) }
-
-// valuesInto copies both tables into out under their string names — the
-// shape Values and Tail.Snapshot expose — and returns it (mu held).
+// valuesInto copies the value table into out under the keys' string names
+// — the shape Values and Tail.Snapshot expose — and returns it (mu held).
 func (j *Journal) valuesInto(out map[string]uint64) map[string]uint64 {
-	for k, v := range j.vals {
-		out[k] = v
-	}
-	for pk, v := range j.pvals {
-		out[unpackKey(pk)] = v
+	var kb [spiKeyLen]byte
+	for w, v := range j.vals {
+		out[string(j.appendKey(kb[:0], w))] = v
 	}
 	return out
 }
@@ -408,7 +391,7 @@ func (j *Journal) recover() error {
 		// Presize for replay: SA frames are spiKeyLen-keyed, so the frame
 		// count is close to size/(overhead+spiKeyLen); duplicates per key
 		// only make this an overestimate, which is what a presize wants.
-		j.pvals = make(map[uint64]uint64, len(data)/(journalFrameOverhead+spiKeyLen))
+		j.vals = make(map[uint64]uint64, len(data)/(journalFrameOverhead+spiKeyLen))
 	}
 	off := journalHeaderLen
 	for off < len(data) {
@@ -421,41 +404,28 @@ func (j *Journal) recover() error {
 			if j.cfg.strictRecovery {
 				return fmt.Errorf("%w: journal record at offset %d (valid records follow)", ErrCorrupt, off)
 			}
-			j.recovery.FramesDropped++
+			j.counts.Recovery.FramesDropped++
 			off = next
 			continue
 		}
-		j.recovery.FramesReplayed++
-		if pk, packed := packKeyBytes(kb); packed {
-			// The packed fast path: no string is ever materialized, so a
-			// million-record replay allocates nothing per record.
-			if del {
-				if _, seen := j.pvals[pk]; seen {
-					j.snapSize -= int64(n)
-					delete(j.pvals, pk)
-				}
-			} else if cur, seen := j.pvals[pk]; !seen || v > cur {
-				if !seen {
-					j.snapSize += int64(n)
-				}
-				j.pvals[pk] = v
-			}
-		} else if del {
-			// Other keys: the map[string(kb)] lookups below are alloc-free;
-			// only a first insert materializes the key string.
-			if _, seen := j.vals[string(kb)]; seen {
+		j.counts.Recovery.FramesReplayed++
+		// One word per key: a packed key never materializes a string, so a
+		// million-record replay allocates nothing per record.
+		w := wordOf(j, kb)
+		if del {
+			if _, seen := j.vals[w]; seen {
 				j.snapSize -= int64(n)
-				delete(j.vals, string(kb))
+				delete(j.vals, w)
 			}
-		} else if cur, seen := j.vals[string(kb)]; !seen || v > cur {
+		} else if cur, seen := j.vals[w]; !seen || v > cur {
 			if !seen {
 				j.snapSize += int64(n)
 			}
-			j.vals[string(kb)] = v
+			j.vals[w] = v
 		}
 		off += n
 	}
-	j.recovery.TornTail = off < len(data)
+	j.counts.Recovery.TornTail = off < len(data)
 
 	f, err := j.cfg.fs.OpenFile(j.path, os.O_WRONLY, 0o600)
 	if err != nil {
@@ -472,7 +442,7 @@ func (j *Journal) recover() error {
 				f.Close()
 				return fmt.Errorf("store: journal sync truncation: %w", err)
 			}
-			j.syncs++
+			j.counts.Syncs++
 		}
 	}
 	if _, err := f.Seek(int64(off), io.SeekStart); err != nil {
@@ -500,12 +470,12 @@ func (j *Journal) create() error {
 			f.Close()
 			return fmt.Errorf("store: journal sync header: %w", err)
 		}
-		j.syncs++
+		j.counts.Syncs++
 		if err := syncDir(j.cfg.fs, filepath.Dir(j.path)); err != nil {
 			f.Close()
 			return err
 		}
-		j.syncs++
+		j.counts.Syncs++
 	}
 	j.f = f
 	j.logSize = journalHeaderLen
@@ -576,7 +546,9 @@ func probeValidFrame(data []byte, start int) int {
 	return -1
 }
 
-func appendRecord(buf []byte, key string, v uint64, del bool) []byte {
+// appendRecord appends one frame for key, held as a string (a save) or as
+// bytes (compaction's appendKey output).
+func appendRecord[K string | []byte](buf []byte, key K, v uint64, del bool) []byte {
 	start := len(buf)
 	lf := uint16(len(key))
 	if del {
@@ -585,17 +557,6 @@ func appendRecord(buf []byte, key string, v uint64, del bool) []byte {
 	buf = binary.BigEndian.AppendUint16(buf, lf)
 	buf = binary.BigEndian.AppendUint64(buf, v)
 	buf = append(buf, key...)
-	return binary.BigEndian.AppendUint32(buf, journalCRC(buf[start:]))
-}
-
-// appendPackedRecord encodes a save frame for a packed SA key without
-// materializing its string: compaction of a million-cell lane emits the
-// identical bytes appendRecord would, with zero per-key allocations.
-func appendPackedRecord(buf []byte, pk uint64, v uint64) []byte {
-	start := len(buf)
-	buf = binary.BigEndian.AppendUint16(buf, spiKeyLen)
-	buf = binary.BigEndian.AppendUint64(buf, v)
-	buf = appendPackedKey(buf, pk)
 	return binary.BigEndian.AppendUint32(buf, journalCRC(buf[start:]))
 }
 
@@ -631,8 +592,9 @@ func (j *Journal) stageRecord(key string, v uint64, del bool) (seq uint64, stage
 	rec := appendRecord((*bp)[:0], key, v, del)
 	j.mu.Lock()
 	if err = j.usableLocked(); err == nil {
-		if _, seen := j.getVal(key); seen || !del {
-			seq, staged = j.stageLocked(key, v, del, rec), true
+		w := wordOf(j, key)
+		if _, seen := j.vals[w]; seen || !del {
+			seq, staged = j.stageLocked(w, key, v, del, rec), true
 		}
 	}
 	j.mu.Unlock()
@@ -675,7 +637,7 @@ func (j *Journal) usableLocked() error {
 // sync — the kernel may have marked the lost dirty pages clean, so retrying
 // the fsync could "succeed" over holes — and to a partial write, which
 // leaves a torn frame under anything appended after it. The journal refuses
-// everything until Repair rewrites the log from in-memory state.
+// everything until repair rewrites the log from in-memory state.
 func (j *Journal) poisonLocked(err error) {
 	if j.ioErr == nil {
 		j.ioErr = err
@@ -688,33 +650,18 @@ func (j *Journal) poisonLocked(err error) {
 	}
 }
 
-// Poisoned returns the sticky I/O error that quarantined this journal, or
+// poisoned returns the sticky I/O error that quarantined this journal, or
 // nil. Unlike Save it never reports closed/fenced states: only a real media
 // failure shows here, which is exactly what lane-health checks key off.
-func (j *Journal) Poisoned() error {
+func (j *Journal) poisoned() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.ioErr
 }
 
-// Rescues returns how many ENOSPC append failures were absorbed by an
-// emergency compaction instead of poisoning the journal.
-func (j *Journal) Rescues() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.rescues
-}
-
-// Repairs returns how many successful Repair calls this handle has served.
-func (j *Journal) Repairs() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.repairs
-}
-
-// Repair clears a poisoned journal by rewriting the log from in-memory
-// state, optionally merged (max-wins) with donor values — typically a
-// replication follower's Values snapshot, which may carry records the failed
+// repair clears a poisoned journal by rewriting the log from in-memory
+// state, optionally merged (max-wins) with donor values — the same lane of a
+// replication follower (Lanes.RepairLane), which may carry records the failed
 // local commit lost. The rewrite reuses the compaction path: write a temp,
 // fsync, rename over the wedged log, fsync the directory, reopen — the old
 // inode, torn frames and unsynced pages included, is discarded wholesale. On
@@ -723,10 +670,10 @@ func (j *Journal) Repairs() uint64 {
 // LanesOnPoison. Repairing a closed or fenced journal is refused;
 // repairing a healthy one is allowed (it is a forced compaction plus merge).
 //
-// Repair restores the medium, not the endpoints: SAs that saw the poison are
+// A repair restores the medium, not the endpoints: SAs that saw the poison are
 // stalled at their durable horizon and resume via the gateway's WakeAll —
 // paying the usual reset sacrifice — once the lane is writable again.
-func (j *Journal) Repair(donor map[string]uint64) error {
+func (j *Journal) repair(donor map[string]uint64) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	for j.syncing {
@@ -739,8 +686,9 @@ func (j *Journal) Repair(donor map[string]uint64) error {
 		return j.fenceErr
 	}
 	for key, v := range donor {
-		if cur, ok := j.getVal(key); !ok || v > cur {
-			j.putVal(key, v)
+		w := wordOf(j, key)
+		if cur, ok := j.vals[w]; !ok || v > cur {
+			j.vals[w] = v
 		}
 	}
 	prev := j.ioErr
@@ -754,27 +702,27 @@ func (j *Journal) Repair(donor map[string]uint64) error {
 	j.failedSeq = 0
 	j.syncErr = nil
 	j.poisonFired = false
-	j.repairs++
+	j.counts.Repairs++
 	j.cond.Broadcast()
 	return nil
 }
 
 // stageLocked stages one encoded record frame: the bookkeeping that must be
 // atomic with sequence assignment (vals, sizes, the tail ring) plus a
-// memcpy of the frame into the staging buffer. The caller holds mu and has
-// already validated the key and journal state; durability is the caller's
-// next step (commitStagedLocked).
-func (j *Journal) stageLocked(key string, v uint64, del bool, rec []byte) uint64 {
-	j.appends++
+// memcpy of the frame into the staging buffer; w is key's word. The caller
+// holds mu and has already validated the key and journal state; durability
+// is the caller's next step (commitStagedLocked).
+func (j *Journal) stageLocked(w uint64, key string, v uint64, del bool, rec []byte) uint64 {
+	j.counts.Appends++
 	j.logSize += int64(len(rec))
 	if del {
 		j.snapSize -= frameLen(key)
-		j.delVal(key)
-	} else if cur, seen := j.getVal(key); !seen || v > cur {
+		delete(j.vals, w)
+	} else if cur, seen := j.vals[w]; !seen || v > cur {
 		if !seen {
 			j.snapSize += int64(len(rec))
 		}
-		j.putVal(key, v)
+		j.vals[w] = v
 	}
 	mySeq := j.appendSeq
 	j.appendSeq++
@@ -905,7 +853,7 @@ func (j *Journal) commitBatchLocked() {
 	target := j.appendSeq
 	f := j.f
 	if j.cfg.sync {
-		j.syncs++
+		j.counts.Syncs++
 	}
 	j.mu.Unlock()
 
@@ -940,7 +888,7 @@ func (j *Journal) commitBatchLocked() {
 		// error poisons below. ENOSPC from the SYNC step never rescues:
 		// fsyncgate applies regardless of errno.
 		if cerr := j.compactLocked(); cerr == nil {
-			j.rescues++
+			j.counts.Rescues++
 			j.cond.Broadcast()
 			return
 		}
@@ -982,13 +930,12 @@ func (j *Journal) compactLocked() error {
 		return fmt.Errorf("store: journal compact %s: %w", step, cause)
 	}
 
-	buf := make([]byte, 0, journalHeaderLen+j.numKeys()*32)
+	buf := make([]byte, 0, journalHeaderLen+len(j.vals)*32)
 	buf = appendHeader(buf)
-	for key, v := range j.vals {
-		buf = appendRecord(buf, key, v, false)
-	}
-	for pk, v := range j.pvals {
-		buf = appendPackedRecord(buf, pk, v)
+	var kb []byte
+	for w, v := range j.vals {
+		kb = j.appendKey(kb[:0], w)
+		buf = appendRecord(buf, kb, v, false)
 	}
 	if _, err := tmp.Write(buf); err != nil {
 		return fail("write", err)
@@ -997,7 +944,7 @@ func (j *Journal) compactLocked() error {
 		if err := tmp.Sync(); err != nil {
 			return fail("sync", err)
 		}
-		j.syncs++
+		j.counts.Syncs++
 	}
 	if err := tmp.Close(); err != nil {
 		return fail("close", err)
@@ -1015,7 +962,7 @@ func (j *Journal) compactLocked() error {
 			j.poisonLocked(err)
 			return err
 		}
-		j.syncs++
+		j.counts.Syncs++
 	}
 
 	f, err := j.cfg.fs.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o600)
@@ -1028,7 +975,7 @@ func (j *Journal) compactLocked() error {
 	j.f = f
 	j.logSize = int64(len(buf))
 	j.snapSize = int64(len(buf)) // exact by construction: one record per key
-	j.compactions++
+	j.counts.Compactions++
 	// The snapshot holds every value ever staged: all outstanding saves are
 	// now durable, and any still-staged frames are redundant with it.
 	j.stage = j.stage[:0]
@@ -1046,7 +993,7 @@ func (j *Journal) fetch(key string) (uint64, bool, error) {
 	if j.closed {
 		return 0, false, ErrClosed
 	}
-	v, ok := j.getVal(key)
+	v, ok := j.vals[wordOf(j, key)]
 	return v, ok, nil
 }
 
@@ -1067,15 +1014,11 @@ func (j *Journal) ClaimCell(key string) (*Cell, error) {
 	if j.closed {
 		return nil, ErrClosed
 	}
-	pk, packed := packKey(key)
-	if packed && j.pclaims[pk] || !packed && j.claims[key] {
+	w := wordOf(j, key)
+	if j.claims[w] {
 		return nil, fmt.Errorf("%w: %q", ErrCellClaimed, key)
 	}
-	if packed {
-		j.pclaims[pk] = true
-	} else {
-		j.claims[key] = true
-	}
+	j.claims[w] = true
 	return &Cell{j: j, key: key}, nil
 }
 
@@ -1083,11 +1026,7 @@ func (j *Journal) ClaimCell(key string) (*Cell, error) {
 func (j *Journal) ReleaseCell(key string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if pk, packed := packKey(key); packed {
-		delete(j.pclaims, pk)
-	} else {
-		delete(j.claims, key)
-	}
+	delete(j.claims, wordOf(j, key))
 }
 
 // Delete durably retires key: a tombstone record is appended and
@@ -1134,102 +1073,35 @@ func (c *Cell) Fetch() (uint64, bool, error) { return c.j.fetch(c.key) }
 // saves drain on one worker and group-commit into that lane's fsyncs.
 func (c *Cell) Lane() int { return c.j.lane }
 
-// Poisoned reports the cell's lane poison state; see Journal.Poisoned.
-// SaverPool uses it to fail a save into a poisoned lane fast instead of
+// Poisoned returns the sticky I/O error that quarantined the cell's lane, or
+// nil. SaverPool uses it to fail a save into a poisoned lane fast instead of
 // retrying a sync whose page-cache state is undefined.
-func (c *Cell) Poisoned() error { return c.j.Poisoned() }
+func (c *Cell) Poisoned() error { return c.j.poisoned() }
 
-// Close waits for any in-flight group commit, flushes whatever is still
-// staged, syncs, and closes the log. Further saves and fetches return
-// ErrClosed.
+// Close waits for any in-flight group commit, commits whatever is still
+// staged through the one commit path, and closes the log. Further saves and
+// fetches return ErrClosed. A journal poisoned before or by that last commit
+// reports its original failure: the shutdown must not launder a durability
+// loss into a clean exit.
 func (j *Journal) Close() error {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.closed {
-		j.mu.Unlock()
 		return nil
 	}
 	j.closed = true
 	for j.syncing {
 		j.cond.Wait()
 	}
-	var err error
-	if j.ioErr != nil {
-		// A poisoned journal reports its original failure from Close too:
-		// the shutdown must not launder a durability loss into a clean exit.
-		err = j.ioErr
-	} else if j.syncedSeq.Load() < j.appendSeq {
-		// Final flush: drain the staging buffer and make it durable, so a
-		// clean Close never strands a staged record behind the watermark.
-		if len(j.stage) > 0 {
-			if _, werr := j.f.Write(j.stage); werr != nil {
-				err = fmt.Errorf("store: journal close flush: %w", werr)
-			}
-			j.stage = j.stage[:0]
-		}
-		if err == nil && j.cfg.sync {
-			if serr := j.f.Sync(); serr != nil {
-				err = fmt.Errorf("store: journal close sync: %w", serr)
-			}
-			j.syncs++
-		}
-		if err == nil {
-			j.syncedSeq.Store(j.appendSeq)
-		} else {
-			// Record the failure for savers still waiting in
-			// commitStagedLocked, or they would elect themselves committer
-			// over the closed file and mask the real error.
-			if j.failedSeq < j.appendSeq {
-				j.failedSeq = j.appendSeq
-				j.syncErr = err
-			}
-			j.poisonLocked(err)
-		}
+	if j.ioErr == nil && j.syncedSeq.Load() < j.appendSeq {
+		j.commitBatchLocked()
 	}
+	err := j.ioErr
 	if cerr := j.f.Close(); err == nil && cerr != nil {
 		err = fmt.Errorf("store: journal close: %w", cerr)
 	}
 	j.cond.Broadcast()
-	j.mu.Unlock()
 	return err
-}
-
-// Path returns the backing log path.
-func (j *Journal) Path() string { return j.path }
-
-// Keys returns the number of distinct counters in the journal.
-func (j *Journal) Keys() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.numKeys()
-}
-
-// LogSize returns the current log size in bytes.
-func (j *Journal) LogSize() int64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.logSize
-}
-
-// Appends returns the number of records appended through this handle.
-func (j *Journal) Appends() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.appends
-}
-
-// Syncs returns the number of fsync calls issued (group commits,
-// compactions, and setup), the quantity group commit exists to minimize.
-func (j *Journal) Syncs() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.syncs
-}
-
-// Compactions returns the number of completed compactions.
-func (j *Journal) Compactions() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.compactions
 }
 
 // syncDir fsyncs a directory through fsys, making a completed rename within

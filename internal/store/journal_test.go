@@ -77,8 +77,8 @@ func TestJournalSurvivesReopen(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer j2.Close()
-	if j2.Keys() != 100 {
-		t.Errorf("Keys = %d, want 100", j2.Keys())
+	if j2.stats().Keys != 100 {
+		t.Errorf("Keys = %d, want 100", j2.stats().Keys)
 	}
 	for i := 0; i < 100; i++ {
 		got, ok, err := j2.Cell(fmt.Sprintf("tx/%d", i)).Fetch()
@@ -126,7 +126,7 @@ func TestJournalRecoveryKeepsMaxPerKey(t *testing.T) {
 // handle.
 func corruptAndReopen(t *testing.T, j *Journal, mutate func([]byte) []byte) *Journal {
 	t.Helper()
-	path := j.Path()
+	path := j.path
 	if err := j.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -164,7 +164,7 @@ func TestJournalTornTailGarbage(t *testing.T) {
 	if err := j2.Cell("tx/1").Save(110); err != nil {
 		t.Fatalf("Save after recovery: %v", err)
 	}
-	path := j2.Path()
+	path := j2.path
 	j2.Close()
 	j3, err := openLane(path)
 	if err != nil {
@@ -212,7 +212,7 @@ func TestJournalMidLogCorruption(t *testing.T) {
 	if err := j.Cell("b").Save(8); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	path := j.Path()
+	path := j.path
 	if err := j.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -245,7 +245,7 @@ func TestJournalMidLogCorruption(t *testing.T) {
 			if v, ok, _ := j2.Cell("b").Fetch(); !ok || v != 8 {
 				t.Errorf("tolerant recovery (%s): Fetch(b) = (%d, %v), want (8, true): valid record behind the damage must survive", name, v, ok)
 			}
-			rs := j2.RecoveryStats()
+			rs := j2.stats().Recovery
 			if rs.FramesDropped != 1 || rs.FramesReplayed != 1 || rs.TornTail {
 				t.Errorf("tolerant recovery (%s): stats = %+v, want 1 dropped region, 1 replayed, no torn tail", name, rs)
 			}
@@ -265,7 +265,7 @@ func TestJournalMidLogByteFlipRegression(t *testing.T) {
 			t.Fatalf("Save: %v", err)
 		}
 	}
-	path := j.Path()
+	path := j.path
 	if err := j.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -282,7 +282,7 @@ func TestJournalMidLogByteFlipRegression(t *testing.T) {
 	if err != nil {
 		t.Fatalf("openLane: %v", err)
 	}
-	rs := j2.RecoveryStats()
+	rs := j2.stats().Recovery
 	if rs.FramesDropped == 0 {
 		t.Fatalf("RecoveryStats = %+v, want a dropped region", rs)
 	}
@@ -416,10 +416,10 @@ func TestJournalCompaction(t *testing.T) {
 			}
 		}
 	}
-	if j.Compactions() == 0 {
+	if j.stats().Compactions == 0 {
 		t.Error("Compactions = 0, want > 0 for a 1000-record log capped at 2KB")
 	}
-	if size := j.LogSize(); size > 4096 {
+	if size := j.stats().LogSize; size > 4096 {
 		t.Errorf("LogSize = %d after compaction, want bounded (<= 4096)", size)
 	}
 	j.Close()
@@ -453,7 +453,7 @@ func TestJournalCompactionNoThrash(t *testing.T) {
 		}
 	}
 	saves := uint64(keys * rounds)
-	if c := j.Compactions(); c == 0 || c > saves/10 {
+	if c := j.stats().Compactions; c == 0 || c > saves/10 {
 		t.Errorf("Compactions = %d over %d saves, want amortized (0 < c <= %d)", c, saves, saves/10)
 	}
 	for k := 0; k < keys; k++ {
@@ -551,7 +551,7 @@ func TestJournalGroupCommit(t *testing.T) {
 	watchdog.Arm(t, 10*time.Second)
 	j := journalAt(t, func(c *lanesConfig) { c.batchDelay = 200 * time.Microsecond })
 	defer j.Close()
-	base := j.Syncs()
+	base := j.stats().Syncs
 	const goroutines, saves = 16, 20
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -569,15 +569,15 @@ func TestJournalGroupCommit(t *testing.T) {
 	}
 	wg.Wait()
 	total := goroutines * saves
-	syncs := j.Syncs() - base
+	syncs := j.stats().Syncs - base
 	if syncs == 0 {
 		t.Fatal("Syncs = 0, want > 0 (durable saves must fsync)")
 	}
 	if syncs >= uint64(total) {
 		t.Errorf("Syncs = %d for %d saves, want group commit to share fsyncs", syncs, total)
 	}
-	if j.Appends() != uint64(total) {
-		t.Errorf("Appends = %d, want %d", j.Appends(), total)
+	if j.stats().Appends != uint64(total) {
+		t.Errorf("Appends = %d, want %d", j.stats().Appends, total)
 	}
 }
 
@@ -587,7 +587,7 @@ func TestJournalWithoutSync(t *testing.T) {
 	if err := j.Cell("a").Save(4); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	if got := j.Syncs(); got != 0 {
+	if got := j.stats().Syncs; got != 0 {
 		t.Errorf("Syncs = %d with LanesWithoutSync, want 0", got)
 	}
 	if v, ok, _ := j.Cell("a").Fetch(); !ok || v != 4 {
@@ -608,8 +608,8 @@ func TestJournalDeleteErasesKey(t *testing.T) {
 	if _, ok, err := c.Fetch(); err != nil || ok {
 		t.Errorf("Fetch after Delete = (ok=%v, err=%v), want (false, nil)", ok, err)
 	}
-	if j.Keys() != 0 {
-		t.Errorf("Keys after Delete = %d, want 0", j.Keys())
+	if j.stats().Keys != 0 {
+		t.Errorf("Keys after Delete = %d, want 0", j.stats().Keys)
 	}
 	// A fresh life under the same key must not see the old counter.
 	if err := c.Save(1); err != nil {
@@ -693,10 +693,10 @@ func TestJournalCompactionDropsDeletedKeys(t *testing.T) {
 			t.Fatalf("Save: %v", err)
 		}
 	}
-	if j.Compactions() == 0 {
+	if j.stats().Compactions == 0 {
 		t.Fatal("no compaction ran; lower the threshold")
 	}
-	if got, want := j.Keys(), 16+1; got != want {
+	if got, want := j.stats().Keys, 16+1; got != want {
 		t.Errorf("Keys after compaction = %d, want %d", got, want)
 	}
 	for i := 0; i < 32; i += 2 {
@@ -709,11 +709,11 @@ func TestJournalCompactionDropsDeletedKeys(t *testing.T) {
 func TestJournalDeleteUnknownKeyNoOp(t *testing.T) {
 	j := journalAt(t)
 	defer j.Close()
-	before := j.Appends()
+	before := j.stats().Appends
 	if err := j.Delete("never/saved"); err != nil {
 		t.Fatalf("Delete unknown: %v", err)
 	}
-	if j.Appends() != before {
+	if j.stats().Appends != before {
 		t.Error("deleting an unknown key appended a record")
 	}
 }

@@ -301,9 +301,6 @@ func (l *Lanes) laneOf(key string) int {
 	return int((h * 2654435761) >> (32 - l.laneBits))
 }
 
-// Lane returns the journal of the lane that owns key.
-func (l *Lanes) Lane(key string) *Journal { return l.lanes[l.laneOf(key)] }
-
 // LaneCount returns the number of commit lanes.
 func (l *Lanes) LaneCount() int { return len(l.lanes) }
 
@@ -315,16 +312,16 @@ func (l *Lanes) LaneJournals() []*Journal { return l.lanes }
 func (l *Lanes) Path() string { return l.dir }
 
 // Cell returns a Store view of one key in its lane; see Journal.Cell.
-func (l *Lanes) Cell(key string) *Cell { return l.Lane(key).Cell(key) }
+func (l *Lanes) Cell(key string) *Cell { return l.lanes[l.laneOf(key)].Cell(key) }
 
 // ClaimCell claims key's cell in its lane; see Journal.ClaimCell.
-func (l *Lanes) ClaimCell(key string) (*Cell, error) { return l.Lane(key).ClaimCell(key) }
+func (l *Lanes) ClaimCell(key string) (*Cell, error) { return l.lanes[l.laneOf(key)].ClaimCell(key) }
 
 // ReleaseCell drops the claim on key, if held; see Journal.ReleaseCell.
-func (l *Lanes) ReleaseCell(key string) { l.Lane(key).ReleaseCell(key) }
+func (l *Lanes) ReleaseCell(key string) { l.lanes[l.laneOf(key)].ReleaseCell(key) }
 
 // Delete durably retires key in its lane; see Journal.Delete.
-func (l *Lanes) Delete(key string) error { return l.Lane(key).Delete(key) }
+func (l *Lanes) Delete(key string) error { return l.lanes[l.laneOf(key)].Delete(key) }
 
 // Values merges every lane's live state. Keys are disjoint across lanes
 // (routing is deterministic), so the merge is a plain union.
@@ -338,72 +335,59 @@ func (l *Lanes) Values() map[string]uint64 {
 	return out
 }
 
-// Keys returns the number of distinct counters across all lanes.
-func (l *Lanes) Keys() int {
-	n := 0
-	for _, j := range l.lanes {
-		n += j.Keys()
+// LaneStats returns every lane's counters, in lane order, each read under
+// one hold of its lane's mutex.
+func (l *Lanes) LaneStats() []LaneStats {
+	out := make([]LaneStats, len(l.lanes))
+	for i, j := range l.lanes {
+		out[i] = j.stats()
 	}
-	return n
+	return out
 }
+
+// sumStats adds up the lane counters the medium reports in aggregate (the
+// getters below and its collector); per-lane health stays per lane.
+func sumStats(lanes []LaneStats) (t LaneStats) {
+	for _, s := range lanes {
+		t.Keys += s.Keys
+		t.LogSize += s.LogSize
+		t.Appends += s.Appends
+		t.Syncs += s.Syncs
+		t.Compactions += s.Compactions
+		t.Recovery.FramesReplayed += s.Recovery.FramesReplayed
+		t.Recovery.FramesDropped += s.Recovery.FramesDropped
+		t.Recovery.TornTail = t.Recovery.TornTail || s.Recovery.TornTail
+	}
+	return t
+}
+
+// Keys returns the number of distinct counters across all lanes.
+func (l *Lanes) Keys() int { return sumStats(l.LaneStats()).Keys }
 
 // LogSize returns the medium's aggregate log size in bytes.
-func (l *Lanes) LogSize() int64 {
-	var n int64
-	for _, j := range l.lanes {
-		n += j.LogSize()
-	}
-	return n
-}
+func (l *Lanes) LogSize() int64 { return sumStats(l.LaneStats()).LogSize }
 
 // Appends returns the aggregate record count appended across lanes.
-func (l *Lanes) Appends() uint64 {
-	var n uint64
-	for _, j := range l.lanes {
-		n += j.Appends()
-	}
-	return n
-}
+func (l *Lanes) Appends() uint64 { return sumStats(l.LaneStats()).Appends }
 
 // Syncs returns the aggregate fsync count across lanes.
-func (l *Lanes) Syncs() uint64 {
-	var n uint64
-	for _, j := range l.lanes {
-		n += j.Syncs()
-	}
-	return n
-}
+func (l *Lanes) Syncs() uint64 { return sumStats(l.LaneStats()).Syncs }
 
 // Compactions returns the aggregate completed compactions across lanes.
-func (l *Lanes) Compactions() uint64 {
-	var n uint64
-	for _, j := range l.lanes {
-		n += j.Compactions()
-	}
-	return n
-}
+func (l *Lanes) Compactions() uint64 { return sumStats(l.LaneStats()).Compactions }
 
 // RecoveryStats aggregates what every lane's open-time replay found.
-func (l *Lanes) RecoveryStats() RecoveryStats {
-	var rs RecoveryStats
-	for _, j := range l.lanes {
-		s := j.RecoveryStats()
-		rs.FramesReplayed += s.FramesReplayed
-		rs.FramesDropped += s.FramesDropped
-		rs.TornTail = rs.TornTail || s.TornTail
-	}
-	return rs
-}
+func (l *Lanes) RecoveryStats() RecoveryStats { return sumStats(l.LaneStats()).Recovery }
 
 // Quarantined returns the indices of poisoned lanes, in lane order; empty
 // while the whole medium is healthy. A quarantined lane's keys' saves return
-// its original error (Journal.Poisoned; never a retried "success"), while
+// its original error (Cell.Poisoned; never a retried "success"), while
 // every other lane commits at full speed — the blast radius of a disk fault
 // is the lane, not the medium.
 func (l *Lanes) Quarantined() []int {
 	var out []int
 	for i, j := range l.lanes {
-		if j.Poisoned() != nil {
+		if j.poisoned() != nil {
 			out = append(out, i)
 		}
 	}
@@ -411,23 +395,24 @@ func (l *Lanes) Quarantined() []int {
 }
 
 // RepairLane rewrites lane's log from in-memory state merged (max-wins) with
-// donor values, clearing its quarantine on success; see Journal.Repair.
-// Donor keys that do not route to lane are ignored, so a whole-medium Values
-// snapshot — a replication follower's, say — can be passed as-is.
-func (l *Lanes) RepairLane(lane int, donor map[string]uint64) error {
+// the same lane of donor, clearing its quarantine on success. The donor is
+// typically the medium's replication follower, whose lane i holds exactly
+// this medium's lane-i keys: a donor with another lane count is refused. A
+// nil donor rewrites the lane from its own state. The rewrite reuses the
+// compaction path (write a temp, fsync, rename over the wedged log, fsync the
+// directory, reopen), and a repaired lane re-arms LanesOnPoison.
+func (l *Lanes) RepairLane(lane int, donor *Lanes) error {
 	if lane < 0 || lane >= len(l.lanes) {
 		return fmt.Errorf("store: repair lane %d: medium has %d lanes", lane, len(l.lanes))
 	}
-	var scoped map[string]uint64
-	if len(donor) > 0 {
-		scoped = make(map[string]uint64)
-		for k, v := range donor {
-			if l.laneOf(k) == lane {
-				scoped[k] = v
-			}
+	var vals map[string]uint64
+	if donor != nil {
+		if len(donor.lanes) != len(l.lanes) {
+			return fmt.Errorf("store: repair lane %d: donor has %d lanes, medium %d", lane, len(donor.lanes), len(l.lanes))
 		}
+		vals = donor.lanes[lane].Values()
 	}
-	return l.lanes[lane].Repair(scoped)
+	return l.lanes[lane].repair(vals)
 }
 
 // Fence permanently rejects writes on every lane; see Journal.Fence. A

@@ -308,10 +308,13 @@ func reopenFresh(t *testing.T, dir string, fsys storefault.FS) {
 }
 
 // TestLanesKeyTables drives one script — save, raise, stale save, tombstone,
-// re-save, forced compaction, close, reopen, claim twice — over a packed SA
-// key, its near misses (which must take the string table and stay distinct
-// keys) and a generic key, all in the same lane: the two in-memory tables
-// must be indistinguishable from outside, on disk and across recovery.
+// re-save, Tail to Apply, repair from a donor medium, close, reopen, claim
+// twice — over packed SA keys, their near misses (named keys that must stay
+// distinct) and a generic named key, all in the same lane. Every key is one
+// word in one table: packed or interned, it must be indistinguishable from
+// outside, on disk, across replication and across recovery. Reading or
+// releasing an absent key changes nothing visible, and a donor medium with
+// another lane count is refused.
 func TestLanesKeyTables(t *testing.T) {
 	keys := []string{
 		"rx/0000002a", // packed
@@ -321,31 +324,50 @@ func TestLanesKeyTables(t *testing.T) {
 		"sa/0000002a", // wrong namespace
 		"probe/t-save",
 	}
-	for i, k := range keys {
-		pk, packed := packKey(k)
-		if want := i < 2; packed != want {
-			t.Fatalf("packKey(%q) packed = %v, want %v", k, packed, want)
-		}
-		if packed && unpackKey(pk) != k {
-			t.Fatalf("unpackKey(packKey(%q)) = %q", k, unpackKey(pk))
-		}
-		if bk, bp := packKeyBytes([]byte(k)); bp != packed || bk != pk {
-			t.Fatalf("packKeyBytes(%q) = (%#x, %v), packKey = (%#x, %v)", k, bk, bp, pk, packed)
-		}
-	}
-	for _, spi := range []uint32{0, 1, 0x2a, 0xdeadbeef, 0xffffffff} {
-		for _, dir := range []string{"tx", "rx"} {
-			k := fmt.Sprintf("%s/%08x", dir, spi)
-			if pk, ok := packKey(k); !ok || unpackKey(pk) != k {
-				t.Fatalf("packKey/unpackKey(%q) = (%#x, %v) -> %q", k, pk, ok, unpackKey(pk))
-			}
-		}
-	}
 
 	dir := t.TempDir()
 	l, err := OpenLanes(dir, LanesCount(1), LanesWithoutSync())
 	if err != nil {
 		t.Fatalf("OpenLanes: %v", err)
+	}
+	// The follower medium: it applies l's record stream, then donates to
+	// l's repair.
+	f, err := OpenLanes(t.TempDir(), LanesCount(1), LanesWithoutSync())
+	if err != nil {
+		t.Fatalf("OpenLanes: %v", err)
+	}
+	defer f.Close()
+
+	// Words, on a scratch lane so interning them leaves l and f alone.
+	j := journalAt(t, LanesWithoutSync())
+	defer j.Close()
+	for i, k := range keys {
+		w := wordOf(j, k)
+		if packed := w&packedMark != 0; packed != (i < 2) || packed == (w&namedMark != 0) {
+			t.Fatalf("wordOf(%q) = %#x, want packed %v", k, w, i < 2)
+		}
+		if got := string(j.appendKey(nil, w)); got != k {
+			t.Fatalf("appendKey(wordOf(%q)) = %q", k, got)
+		}
+		if again, bw := wordOf(j, k), wordOf(j, []byte(k)); again != w || bw != w {
+			t.Fatalf("wordOf(%q) = %#x, then %#x, as bytes %#x", k, w, again, bw)
+		}
+	}
+	if len(j.names) != len(keys)-2 {
+		t.Fatalf("interned %d names, want %d", len(j.names), len(keys)-2)
+	}
+	for _, spi := range []uint32{0, 1, 0x2a, 0xdeadbeef, 0xffffffff} {
+		for _, dir := range []string{"tx", "rx"} {
+			k := fmt.Sprintf("%s/%08x", dir, spi)
+			if pk, ok := packKey(k); !ok || string(j.appendKey(nil, pk)) != k {
+				t.Fatalf("packKey/appendKey(%q) = (%#x, %v) -> %q", k, pk, ok, j.appendKey(nil, pk))
+			}
+		}
+	}
+
+	tl, err := l.LaneJournals()[0].Follow()
+	if err != nil {
+		t.Fatalf("Follow: %v", err)
 	}
 	// Every key gets its own value band, so two keys aliasing one slot
 	// would show as the wrong (larger) value on one of them.
@@ -370,7 +392,7 @@ func TestLanesKeyTables(t *testing.T) {
 			t.Fatalf("%s: Keys = %d, len(Values) = %d, want %d", step, l.Keys(), len(vals), want)
 		}
 	}
-	saveAll := func(step string, off uint64) {
+	saveAll := func(l *Lanes, step string, off uint64) {
 		t.Helper()
 		for i, k := range keys {
 			if err := l.Cell(k).Save(band(i) + off); err != nil {
@@ -379,11 +401,18 @@ func TestLanesKeyTables(t *testing.T) {
 		}
 	}
 	check(l, "empty", 0, false)
-	saveAll("save", 5)
+	saveAll(l, "save", 5)
 	check(l, "save", 5, true)
-	saveAll("raise", 9)
+	for _, k := range []string{"absent/named", "tx/0000beef"} {
+		if v, ok, err := l.Cell(k).Fetch(); ok || err != nil {
+			t.Fatalf("Fetch(%q) of an absent key = (%d, %v, %v)", k, v, ok, err)
+		}
+		l.ReleaseCell(k)
+	}
+	check(l, "absent fetch and release", 5, true)
+	saveAll(l, "raise", 9)
 	check(l, "raise", 9, true)
-	saveAll("stale save", 7)
+	saveAll(l, "stale save", 7)
 	check(l, "stale save", 9, true) // the live value is the maximum of a life
 	for _, k := range keys {
 		if err := l.Delete(k); err != nil {
@@ -391,9 +420,24 @@ func TestLanesKeyTables(t *testing.T) {
 		}
 	}
 	check(l, "tombstone", 0, false)
-	saveAll("re-save", 3)
-	check(l, "re-save", 3, true)                 // a fresh life, below the retired one
-	if err := l.RepairLane(0, nil); err != nil { // on a healthy lane: a forced compaction
+	saveAll(l, "re-save", 3)
+	check(l, "re-save", 3, true) // a fresh life, below the retired one
+	if err := f.LaneJournals()[0].Apply(drainTail(t, tl)); err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	tl.Close()
+	check(f, "apply", 3, true)
+
+	two, err := OpenLanes(t.TempDir(), LanesCount(2), LanesWithoutSync())
+	if err != nil {
+		t.Fatalf("OpenLanes: %v", err)
+	}
+	defer two.Close()
+	if err := l.RepairLane(0, two); err == nil {
+		t.Fatal("RepairLane accepted a donor with 2 lanes for a 1-lane medium")
+	}
+	saveAll(f, "donor", 8)
+	if err := l.RepairLane(0, f); err != nil { // on a healthy lane: a forced compaction
 		t.Fatalf("RepairLane: %v", err)
 	}
 	if got := l.Compactions(); got != 1 {
@@ -402,7 +446,7 @@ func TestLanesKeyTables(t *testing.T) {
 	if got, want := l.LogSize(), int64(journalHeaderLen); got <= want {
 		t.Fatalf("LogSize after compaction = %d, want one record per key above the %d-byte header", got, want)
 	}
-	check(l, "compact", 3, true)
+	check(l, "repair", 8, true) // max-wins with the donor
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -415,7 +459,7 @@ func TestLanesKeyTables(t *testing.T) {
 	if rs := l.RecoveryStats(); rs.FramesReplayed != uint64(len(keys)) || rs.FramesDropped != 0 || rs.TornTail {
 		t.Fatalf("RecoveryStats = %+v, want %d frames replayed from the compacted log", rs, len(keys))
 	}
-	check(l, "reopen", 3, true)
+	check(l, "reopen", 8, true)
 	for _, k := range keys {
 		if _, err := l.ClaimCell(k); err != nil {
 			t.Fatalf("ClaimCell(%q): %v", k, err)

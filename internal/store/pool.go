@@ -74,7 +74,7 @@ const (
 )
 
 // poisoner is implemented by stores backed by a journal lane that can be
-// poisoned by an I/O failure; see Journal.Poisoned.
+// poisoned by an I/O failure; see Cell.Poisoned.
 type poisoner interface{ Poisoned() error }
 
 // permanentSaveErr reports whether err from st cannot be cured by retrying:

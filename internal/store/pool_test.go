@@ -198,8 +198,8 @@ func TestPoolJournalGroupCommit(t *testing.T) {
 
 	j := journalAt(t, func(c *lanesConfig) { c.batchDelay = 100 * time.Microsecond })
 	burst(func(h int) Store { return j.Cell(fmt.Sprintf("sa/%d", h)) })
-	appends := j.Appends()
-	syncs := j.Syncs()
+	appends := j.stats().Appends
+	syncs := j.stats().Syncs
 	j.Close()
 	if appends == 0 || syncs == 0 {
 		t.Fatalf("appends=%d syncs=%d, want both > 0", appends, syncs)
@@ -219,11 +219,11 @@ func TestPoolJournalGroupCommit(t *testing.T) {
 			t.Fatalf("openLane: %v", err)
 		}
 		defer own[h].Close()
-		opening += own[h].Syncs()
+		opening += own[h].stats().Syncs
 	}
 	burst(func(h int) Store { return own[h].Cell("sa") })
 	for _, o := range own {
-		ownSyncs += o.Syncs()
+		ownSyncs += o.stats().Syncs
 	}
 	if ownSyncs -= opening; syncs*10 > ownSyncs {
 		t.Errorf("shared journal fsyncs = %d, one journal per handle = %d: want >= 10x reduction", syncs, ownSyncs)
@@ -283,10 +283,10 @@ func TestPoolGroupCommitOneLane(t *testing.T) {
 			wg.Done()
 		})
 	}
-	before := j.Syncs()
+	before := j.stats().Syncs
 	release()
 	wg.Wait()
-	if got := j.Syncs() - before; got != 1 {
+	if got := j.stats().Syncs - before; got != 1 {
 		t.Errorf("%d handles queued behind one round cost %d fsyncs, want exactly 1", handles, got)
 	}
 	for h := 0; h < handles; h++ {
@@ -375,9 +375,9 @@ func TestPoolRoundPoisonedLane(t *testing.T) {
 					}
 					continue
 				}
-				if !errors.Is(err, syscall.EIO) || err != l.LaneJournals()[sick].Poisoned() {
+				if !errors.Is(err, syscall.EIO) || err != l.LaneJournals()[sick].poisoned() {
 					t.Errorf("round %d: sick lane key %s: err = %v, want the lane's original %v",
-						round, k, err, l.LaneJournals()[sick].Poisoned())
+						round, k, err, l.LaneJournals()[sick].poisoned())
 				}
 			}
 		}

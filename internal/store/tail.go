@@ -82,7 +82,7 @@ func (t *Tail) Snapshot() (vals map[string]uint64, next uint64, err error) {
 	if j.closed || t.closed {
 		return nil, 0, ErrClosed
 	}
-	vals = j.valuesInto(make(map[string]uint64, j.numKeys()))
+	vals = j.valuesInto(make(map[string]uint64, len(j.vals)))
 	t.next = j.appendSeq
 	return vals, t.next, nil
 }
@@ -104,7 +104,7 @@ func (t *Tail) Recv(buf []TailRecord) (int, error) {
 		if n > 0 || err != nil {
 			return n, err
 		}
-		if j.closed {
+		if j.closed && !j.syncing { // Close's last commit may still deliver
 			return 0, ErrClosed
 		}
 		j.cond.Wait()
@@ -265,7 +265,7 @@ func (j *Journal) Fenced() error {
 func (j *Journal) Values() map[string]uint64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.valuesInto(make(map[string]uint64, j.numKeys()))
+	return j.valuesInto(make(map[string]uint64, len(j.vals)))
 }
 
 // Apply appends a batch of replicated records — the output of a Tail on
@@ -288,16 +288,13 @@ func (j *Journal) Apply(recs []TailRecord) error {
 	var last uint64
 	wrote := false
 	for _, r := range recs {
-		if r.Del {
-			if _, seen := j.getVal(r.Key); !seen {
-				continue
-			}
-		} else if cur, seen := j.getVal(r.Key); seen && r.Val <= cur {
-			continue
-		}
 		if len(r.Key) == 0 || len(r.Key) > journalMaxKey {
 			j.mu.Unlock()
 			return fmt.Errorf("%w: length %d", ErrBadKey, len(r.Key))
+		}
+		w := wordOf(j, r.Key) // after the check: a bad key is never interned
+		if cur, seen := j.vals[w]; r.Del && !seen || !r.Del && seen && r.Val <= cur {
+			continue
 		}
 		var rec []byte
 		if n := 2 + 8 + len(r.Key) + 4; n <= len(arr) {
@@ -305,7 +302,7 @@ func (j *Journal) Apply(recs []TailRecord) error {
 		} else {
 			rec = appendRecord(make([]byte, 0, 2+8+len(r.Key)+4), r.Key, r.Val, r.Del)
 		}
-		last, wrote = j.stageLocked(r.Key, r.Val, r.Del, rec), true
+		last, wrote = j.stageLocked(w, r.Key, r.Val, r.Del, rec), true
 	}
 	if !wrote {
 		j.mu.Unlock()

@@ -3,10 +3,13 @@ package store
 import (
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"antireplay/internal/storefault"
 	"antireplay/internal/watchdog"
 )
 
@@ -152,7 +155,7 @@ func TestTailSurvivesCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if j.Compactions() == 0 {
+	if j.stats().Compactions == 0 {
 		t.Fatal("workload did not trigger compaction; shrink CompactAt")
 	}
 
@@ -179,19 +182,19 @@ func TestJournalCompactionDirFsync(t *testing.T) {
 	}
 	defer j.Close()
 
-	for i := 1; j.Compactions() == 0; i++ {
+	for i := 1; j.stats().Compactions == 0; i++ {
 		if i > 10000 {
 			t.Fatal("workload did not trigger compaction")
 		}
-		before := j.Syncs()
+		before := j.stats().Syncs
 		if err := j.Cell("x").Save(uint64(i)); err != nil {
 			t.Fatal(err)
 		}
-		if j.Compactions() == 1 {
+		if j.stats().Compactions == 1 {
 			// The compacting save must have issued exactly the bar's two
 			// fsyncs: the temp snapshot file and the parent directory.
 			// (No group-commit fsync joins it: compaction subsumes it.)
-			if got := j.Syncs() - before; got != 2 {
+			if got := j.stats().Syncs - before; got != 2 {
 				t.Fatalf("compaction issued %d fsyncs, want 2 (temp file + parent dir)", got)
 			}
 		}
@@ -202,7 +205,7 @@ func TestJournalCompactionDirFsync(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	j2, err := openLane(j.Path())
+	j2, err := openLane(j.path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,12 +374,21 @@ func TestApplyIsIdempotentAndBatched(t *testing.T) {
 	// The canonical idempotency case: re-applying a batch that ends in the
 	// key's final state is a pure no-op.
 	final := []TailRecord{{Key: "b", Val: 20}}
-	before := j.Appends()
+	before := j.stats().Appends
 	if err := j.Apply(final); err != nil {
 		t.Fatal(err)
 	}
-	if j.Appends() != before {
-		t.Errorf("no-op apply appended %d records", j.Appends()-before)
+	if j.stats().Appends != before {
+		t.Errorf("no-op apply appended %d records", j.stats().Appends-before)
+	}
+	// A malformed replicated key is refused, even where it would be a
+	// no-op, and is never interned.
+	names := len(j.names)
+	if err := j.Apply([]TailRecord{{Key: "", Del: true}}); !errors.Is(err, ErrBadKey) {
+		t.Errorf("Apply of an empty key = %v, want ErrBadKey", err)
+	}
+	if len(j.names) != names {
+		t.Errorf("Apply interned a refused key: %d names, want %d", len(j.names), names)
 	}
 }
 
@@ -502,4 +514,62 @@ func TestTailRecvAfterJournalClose(t *testing.T) {
 	if _, err := j.Follow(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Follow after close = %v, want ErrClosed", err)
 	}
+
+	// Close commits a staged record through the commit path, which releases
+	// the mutex for its fsync: a Recv landing then must wait for that commit
+	// and deliver the record, not report ErrClosed with it unsent.
+	watchdog.Arm(t, 10*time.Second)
+	g := syncGate{FS: storefault.OS(), armed: new(atomic.Bool), entered: make(chan struct{}), release: make(chan struct{})}
+	if j, err = openLane(filepath.Join(t.TempDir(), "held.log"), LanesWithFS(g)); err != nil {
+		t.Fatal(err)
+	}
+	if tl, err = j.Follow(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Cell("b").Stage(2); err != nil {
+		t.Fatal(err)
+	}
+	g.armed.Store(true)
+	closed := make(chan error, 1)
+	go func() { closed <- j.Close() }()
+	<-g.entered
+	go func() {
+		time.Sleep(10 * time.Millisecond) // let Recv reach its wait first
+		close(g.release)
+	}()
+	if n, err := tl.Recv(buf); err != nil || n != 1 || buf[0].Val != 2 {
+		t.Fatalf("Recv during Close's last commit = %d,%v, want the staged record", n, err)
+	}
+	if err := <-closed; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
+
+// syncGate is a filesystem whose file fsyncs, once armed, announce
+// themselves on entered and wait for release.
+type syncGate struct {
+	storefault.FS
+	armed            *atomic.Bool
+	entered, release chan struct{}
+}
+
+func (g syncGate) OpenFile(name string, flag int, perm os.FileMode) (storefault.File, error) {
+	f, err := g.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return gatedFile{f, g}, nil
+}
+
+type gatedFile struct {
+	storefault.File
+	g syncGate
+}
+
+func (f gatedFile) Sync() error {
+	if f.g.armed.Load() {
+		f.g.entered <- struct{}{}
+		<-f.g.release
+	}
+	return f.File.Sync()
 }

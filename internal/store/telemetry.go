@@ -30,32 +30,34 @@ func (s RecoveryStats) CollectTelemetry(emit telemetry.Emit) {
 // plus the per-lane commit counters and quarantine flags under a lane label:
 // the per-lane view is what shows one hot lane saturating, or one
 // quarantined lane, while the aggregate looks healthy. Scrape-time only:
-// each sample takes the lanes' mutexes once.
+// a scrape takes each lane's mutex once (LaneStats).
 func (l *Lanes) CollectTelemetry(emit telemetry.Emit) {
-	emit("appends_total", telemetry.KindCounter, float64(l.Appends()))
-	emit("syncs_total", telemetry.KindCounter, float64(l.Syncs()))
-	emit("compactions_total", telemetry.KindCounter, float64(l.Compactions()))
-	emit("keys", telemetry.KindGauge, float64(l.Keys()))
-	emit("log_size_bytes", telemetry.KindGauge, float64(l.LogSize()))
+	lanes := l.LaneStats()
+	t := sumStats(lanes)
+	emit("appends_total", telemetry.KindCounter, float64(t.Appends))
+	emit("syncs_total", telemetry.KindCounter, float64(t.Syncs))
+	emit("compactions_total", telemetry.KindCounter, float64(t.Compactions))
+	emit("keys", telemetry.KindGauge, float64(t.Keys))
+	emit("log_size_bytes", telemetry.KindGauge, float64(t.LogSize))
 	fenced := 0.0
 	if l.Fenced() != nil {
 		fenced = 1
 	}
 	emit("fenced", telemetry.KindGauge, fenced)
-	l.RecoveryStats().CollectTelemetry(emit)
+	t.Recovery.CollectTelemetry(emit)
 	quarantined := 0
-	for i, lane := range l.lanes {
+	for i, s := range lanes {
 		label := telemetry.Label{Key: "lane", Value: strconv.Itoa(i)}
-		emit("lane_appends_total", telemetry.KindCounter, float64(lane.Appends()), label)
-		emit("lane_syncs_total", telemetry.KindCounter, float64(lane.Syncs()), label)
+		emit("lane_appends_total", telemetry.KindCounter, float64(s.Appends), label)
+		emit("lane_syncs_total", telemetry.KindCounter, float64(s.Syncs), label)
 		health := 0.0
-		if lane.Poisoned() != nil {
+		if s.Poisoned != nil {
 			health = 1
 			quarantined++
 		}
 		emit("lane_quarantined", telemetry.KindGauge, health, label)
-		emit("lane_enospc_rescues_total", telemetry.KindCounter, float64(lane.Rescues()), label)
-		emit("lane_repairs_total", telemetry.KindCounter, float64(lane.Repairs()), label)
+		emit("lane_enospc_rescues_total", telemetry.KindCounter, float64(s.Rescues), label)
+		emit("lane_repairs_total", telemetry.KindCounter, float64(s.Repairs), label)
 	}
 	emit("lanes_quarantined", telemetry.KindGauge, float64(quarantined))
 }

@@ -139,3 +139,38 @@ func TestZeroAllocInstrumentedJournalSave(t *testing.T) {
 		t.Errorf("appends_total stuck at %v, instruments not live", after)
 	}
 }
+
+// TestZeroAllocReplay pins replay's allocation contract: reopening a lane
+// of 100k records over 1k packed SA keys and one named key allocates per
+// open (the file read, the presized table, the interned name), not per
+// record. A string materialized per record would read at least 1.
+func TestZeroAllocReplay(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const records, packed = 100_000, 1000
+	var frames []byte
+	for i := 0; i < records; i++ {
+		key := fmt.Sprintf("tx/%08x", i%packed)
+		if i%(packed+1) == packed {
+			key = "cluster/epoch"
+		}
+		frames = appendRecord(frames, key, uint64(i), false)
+	}
+	path := filepath.Join(t.TempDir(), "lane.log")
+	rawJournalFile(t, path, frames)
+	perRecord := testing.AllocsPerRun(3, func() {
+		j, err := openLane(path, LanesWithoutSync())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := j.stats().Keys; n != packed+1 {
+			t.Fatalf("replayed %d keys, want %d", n, packed+1)
+		}
+		j.Close()
+	}) / records
+	if perRecord > 1.0/16 {
+		t.Errorf("replay allocates %.4f per record, want <= 1/16", perRecord)
+	}
+	t.Logf("replay allocates %.4f per record", perRecord)
+}
