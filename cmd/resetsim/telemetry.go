@@ -3,11 +3,11 @@ package main
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"antireplay/internal/cluster"
 	"antireplay/internal/ipsec"
-	"antireplay/internal/stats"
 	"antireplay/internal/telemetry"
 	"antireplay/internal/testbed"
 	wirenet "antireplay/internal/wire"
@@ -30,7 +30,7 @@ type simTelemetry struct {
 	srv *telemetry.Server
 
 	// Backoff pauses, owned here and emitted under apn_sim at scrape time.
-	horizon, saveLag stats.ShardedCounter
+	horizon, saveLag atomic.Uint64
 
 	mu  sync.Mutex
 	cur roles
@@ -56,8 +56,8 @@ func newSimTelemetry(addr string) (*simTelemetry, error) {
 	t.reg.RegisterCollector("apn_sim", telemetry.CollectorFunc(func(emit telemetry.Emit) {
 		// Retries at the receiver's (VerdictHorizon) and the sender's
 		// (ErrSaveLag) durable horizon.
-		emit("horizon_stalls_total", telemetry.KindCounter, float64(t.horizon.Value()))
-		emit("save_lag_retries_total", telemetry.KindCounter, float64(t.saveLag.Value()))
+		emit("horizon_stalls_total", telemetry.KindCounter, float64(t.horizon.Load()))
+		emit("save_lag_retries_total", telemetry.KindCounter, float64(t.saveLag.Load()))
 	}))
 
 	// Role collectors resolve the current holder at scrape time.

@@ -48,7 +48,6 @@ import (
 	"time"
 
 	"antireplay/internal/ipsec"
-	"antireplay/internal/stats"
 	"antireplay/internal/store"
 )
 
@@ -148,8 +147,8 @@ type Standby struct {
 	gw    *ipsec.Gateway
 	lanes []*laneRepl
 
-	applied   stats.Counter
-	snapshots stats.Counter
+	applied   atomic.Uint64
+	snapshots atomic.Uint64
 
 	// op serializes the control-plane operations that act on the gateway
 	// image — Mirror and Takeover — so a mirror can never run Adopt on an
@@ -481,8 +480,8 @@ func (s *Standby) Stats() ReplicationStats {
 		}
 	}
 	return ReplicationStats{
-		AppliedRecords: s.applied.Value(),
-		SnapshotLoads:  s.snapshots.Value(),
+		AppliedRecords: s.applied.Load(),
+		SnapshotLoads:  s.snapshots.Load(),
 		LagRecords:     lag,
 		LastAckAge:     oldest,
 		SourceEpoch:    epoch,

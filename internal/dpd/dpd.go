@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"antireplay/internal/netsim"
-	"antireplay/internal/stats"
 	"antireplay/internal/telemetry"
 )
 
@@ -126,9 +125,9 @@ type Monitor struct {
 	tries int
 
 	pub        atomic.Uint32 // state mirror for cross-goroutine readers
-	probesSent stats.Counter
-	acks       stats.Counter
-	deaths     stats.Counter
+	probesSent atomic.Uint64
+	acks       atomic.Uint64
+	deaths     atomic.Uint64
 }
 
 // NewMonitor validates cfg and returns a monitor in StateAlive with its
@@ -153,7 +152,7 @@ func (m *Monitor) State() PeerState { return PeerState(m.pub.Load()) }
 // Stats returns (probes sent, acks received, dead declarations). Readable
 // from any goroutine.
 func (m *Monitor) Stats() (probes, acks, deaths uint64) {
-	return m.probesSent.Value(), m.acks.Value(), m.deaths.Value()
+	return m.probesSent.Load(), m.acks.Load(), m.deaths.Load()
 }
 
 // CollectTelemetry emits the probe counters and the peer-state belief as

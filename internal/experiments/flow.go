@@ -36,8 +36,6 @@ type FlowConfig struct {
 	Baseline bool
 	// SkipPostWakeSave selects the unsafe ablation on both endpoints.
 	SkipPostWakeSave bool
-	// WakeBuffer caps the receiver's post-wake buffer (0 = default).
-	WakeBuffer int
 }
 
 // DefaultFlowConfig uses the paper's measured constants: a send every 4µs,
@@ -163,7 +161,6 @@ func NewFlow(cfg FlowConfig) (*Flow, error) {
 		Saver:                    f.receiverSaver,
 		Baseline:                 cfg.Baseline,
 		AblationSkipPostWakeSave: cfg.SkipPostWakeSave,
-		WakeBuffer:               cfg.WakeBuffer,
 		Drain: func(seq uint64, v core.Verdict) {
 			f.drainVerdict(seq, v)
 		},

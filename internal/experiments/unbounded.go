@@ -1,10 +1,9 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"time"
-
-	"antireplay/internal/stats"
 )
 
 // UnboundedConfig parameterizes the §3 baseline-failure demonstration.
@@ -62,20 +61,58 @@ func UnboundedBaseline(cfg UnboundedConfig) (*Table, error) {
 	}
 
 	note := "Expect: baseline damage grows ~linearly in x (slope ~1); resilient stays <= 2K."
-	if fit, err := stats.LinearFit(xs, baseReplay); err == nil {
-		note += fmt.Sprintf(" Baseline replay slope=%.3f (r2=%.3f).", fit.Slope, fit.R2)
+	if slope, _, r2, err := linearFit(xs, baseReplay); err == nil {
+		note += fmt.Sprintf(" Baseline replay slope=%.3f (r2=%.3f).", slope, r2)
 	}
-	if fit, err := stats.LinearFit(xs, baseDiscard); err == nil {
-		note += fmt.Sprintf(" Baseline discard slope=%.3f (r2=%.3f).", fit.Slope, fit.R2)
+	if slope, _, r2, err := linearFit(xs, baseDiscard); err == nil {
+		note += fmt.Sprintf(" Baseline discard slope=%.3f (r2=%.3f).", slope, r2)
 	}
-	if fit, err := stats.LinearFit(xs, resReplay); err == nil {
-		note += fmt.Sprintf(" Resilient replay slope=%.3f.", fit.Slope)
+	if slope, _, _, err := linearFit(xs, resReplay); err == nil {
+		note += fmt.Sprintf(" Resilient replay slope=%.3f.", slope)
 	}
-	if fit, err := stats.LinearFit(xs, resDiscard); err == nil {
-		note += fmt.Sprintf(" Resilient discard slope=%.3f.", fit.Slope)
+	if slope, _, _, err := linearFit(xs, resDiscard); err == nil {
+		note += fmt.Sprintf(" Resilient discard slope=%.3f.", slope)
 	}
 	t.Note = note
 	return t, nil
+}
+
+// linearFit is the least-squares line y = slope*x + intercept through the
+// paired observations, with r2 its coefficient of determination. It is what
+// turns §3's "grows without bound" into a measurement: UnboundedBaseline
+// fits damage against pre-reset traffic, so "grows linearly" is a fitted
+// slope rather than a narrative. It fails on mismatched lengths, fewer than
+// two points, or constant x (a vertical line).
+func linearFit(xs, ys []float64) (slope, intercept, r2 float64, err error) {
+	if len(xs) != len(ys) {
+		return 0, 0, 0, fmt.Errorf("linear fit: len(xs)=%d len(ys)=%d", len(xs), len(ys))
+	}
+	if len(xs) < 2 {
+		return 0, 0, 0, errors.New("linear fit needs >= 2 points")
+	}
+	n := float64(len(xs))
+	var sx, sy float64
+	for i := range xs {
+		sx += xs[i]
+		sy += ys[i]
+	}
+	mx, my := sx/n, sy/n
+	var sxx, sxy, syy float64
+	for i := range xs {
+		dx, dy := xs[i]-mx, ys[i]-my
+		sxx += dx * dx
+		sxy += dx * dy
+		syy += dy * dy
+	}
+	if sxx == 0 {
+		return 0, 0, 0, errors.New("linear fit undefined for constant x")
+	}
+	slope = sxy / sxx
+	r2 = 1 // constant y is fit exactly by a horizontal line
+	if syy != 0 {
+		r2 = (sxy * sxy) / (sxx * syy)
+	}
+	return slope, my - slope*mx, r2, nil
 }
 
 // receiverResetReplayDamage sends x messages, resets+wakes the receiver,

@@ -12,10 +12,11 @@ import (
 // entries, the SAD stripe slot, the inbound SA (window, HMAC states,
 // receiver), its journal cell, and the pool handle. The compact cell
 // representation is what keeps the journal side near-zero (a packed uint64
-// key instead of map+string per counter); measured ~3.2 KiB/SA on the
-// reference host, pinned with headroom so a regression trips loudly, not
-// flakily.
-const saHeapBudget = 4096
+// key instead of map+string per counter). Measured 2,154 B/SA while the
+// inbound SA carried a 1 KiB sharded tally block, 1,067 B/SA with four
+// plain atomic counters (2-vCPU Xeon, with and without -race); pinned with
+// headroom so a regression trips loudly, not flakily.
+const saHeapBudget = 1536
 
 // TestSAFootprint pins heap bytes per installed SA so the compact cell
 // representation can't silently regress. 100k inbound SAs are installed on

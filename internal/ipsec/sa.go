@@ -9,7 +9,6 @@ import (
 
 	"antireplay/internal/core"
 	"antireplay/internal/seqwin"
-	"antireplay/internal/stats"
 )
 
 // sub decrements an atomic counter by d (Add with two's complement).
@@ -201,9 +200,9 @@ func (o *OutboundSA) Seal(payload []byte) ([]byte, error) {
 // the sealed packet is dst[len(dst):] of the returned slice. With a reused
 // dst of sufficient capacity a steady-state SealAppend performs zero
 // allocations — the sequence number comes from one short critical section
-// per packet (core.Sender.Next takes the sender's mutex; the receive side is
-// the wait-free one), the AES key schedule and HMAC state are pooled per SA,
-// and the wire is built in place. On error dst is returned unchanged.
+// per packet (core.Sender.Next takes the sender's mutex, as Receiver.Admit
+// takes the receiver's), the AES key schedule and HMAC state are pooled per
+// SA, and the wire is built in place. On error dst is returned unchanged.
 func (o *OutboundSA) SealAppend(dst []byte, payload []byte) ([]byte, error) {
 	if o.draining.Load() {
 		return dst, fmt.Errorf("%w: %#x", ErrDraining, o.spi)
@@ -259,23 +258,10 @@ type InboundSA struct {
 	prevSPI    uint32
 	draining   atomic.Bool
 
-	// Per-packet tallies are sharded so a many-queue gateway's counters do
-	// not serialize its admission path on one cache line, and packed into
-	// one Tallies block — the four counters move together per packet, and
-	// four separate ShardedCounters would cost 4 KiB per SA where the block
-	// costs 1 KiB, the dominant term at million-SA scale. (The outbound
-	// byte counter stays a single atomic: hard-lifetime reservation CASes
-	// it, which a sharded counter cannot do.)
-	tallies stats.Tallies
+	// Unsharded: every admitted packet already serializes on the receiver's
+	// mutex. Auth failures are the one count bumped without taking it.
+	bytes, packets, authFails, replays atomic.Uint64
 }
-
-// Lane indices into InboundSA.tallies.
-const (
-	tallyBytes = iota
-	tallyPackets
-	tallyAuthFails
-	tallyReplays
-)
 
 // NewInboundSA builds an inbound SA. receiver provides the anti-replay
 // service; esn enables 64-bit extended sequence number reconstruction.
@@ -401,14 +387,14 @@ func (i *InboundSA) OpenAppend(dst []byte, wire []byte) (out []byte, v core.Verd
 func (i *InboundSA) account(wire []byte, v core.Verdict, err error) {
 	if err != nil {
 		if isAuthErr(err) {
-			i.tallies.Add(tallyAuthFails, 1)
+			i.authFails.Add(1)
 		}
 		return
 	}
-	i.tallies.Add(tallyBytes, uint64(len(wire)))
-	i.tallies.Add(tallyPackets, 1)
+	i.bytes.Add(uint64(len(wire)))
+	i.packets.Add(1)
 	if v == core.VerdictDuplicate || v == core.VerdictStale {
-		i.tallies.Add(tallyReplays, 1)
+		i.replays.Add(1)
 	}
 }
 
@@ -417,13 +403,12 @@ func (i *InboundSA) State() LifetimeState {
 	if !i.hasLife {
 		return LifetimeOK
 	}
-	return lifetimeState(i.life, i.tallies.Value(tallyBytes), i.now()-i.born)
+	return lifetimeState(i.life, i.bytes.Load(), i.now()-i.born)
 }
 
 // Counters returns (bytes, packets, authFailures, replayDiscards).
 func (i *InboundSA) Counters() (bytes, packets, authFails, replays uint64) {
-	return i.tallies.Value(tallyBytes), i.tallies.Value(tallyPackets),
-		i.tallies.Value(tallyAuthFails), i.tallies.Value(tallyReplays)
+	return i.bytes.Load(), i.packets.Load(), i.authFails.Load(), i.replays.Load()
 }
 
 func lifetimeState(l Lifetime, bytes uint64, age time.Duration) LifetimeState {

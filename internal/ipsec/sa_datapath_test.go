@@ -281,7 +281,8 @@ func TestGatewayOpenAppendMixedSPIs(t *testing.T) {
 
 // TestGatewayConcurrentExactlyOnce stress-tests the gateway datapath under
 // -race: concurrent sealers over multiple SAs, every sealed wire opened by
-// two goroutines at once, exactly-once delivery across the whole run.
+// two goroutines at once, exactly-once delivery across the whole run, and
+// inbound counters that are exact once the openers quiesce.
 func TestGatewayConcurrentExactlyOnce(t *testing.T) {
 	watchdog.Arm(t, 10*time.Second)
 	g := datapathGateway(t, GatewayConfig{K: 1024, W: 1024}) // 2K above every SA's 640 packets: no seal meets the horizon
@@ -291,16 +292,19 @@ func TestGatewayConcurrentExactlyOnce(t *testing.T) {
 		perB    = 16
 		senders = 4
 	)
-	for i := 0; i < nSAs; i++ {
+	ins := make([]*InboundSA, nSAs)
+	for i := range ins {
 		spi := uint32(0x7000 + i)
 		if _, err := g.AddOutbound(spi, testKeys(false), gwSelector(i)); err != nil {
 			t.Fatalf("AddOutbound: %v", err)
 		}
-		if _, err := g.AddInbound(spi, testKeys(false)); err != nil {
+		var err error
+		if ins[i], err = g.AddInbound(spi, testKeys(false)); err != nil {
 			t.Fatalf("AddInbound: %v", err)
 		}
 	}
 	var delivered sync.Map // payload string -> struct{}
+	var sealedBytes atomic.Uint64
 	var wg sync.WaitGroup
 	for s := 0; s < senders; s++ {
 		wg.Add(1)
@@ -316,6 +320,7 @@ func TestGatewayConcurrentExactlyOnce(t *testing.T) {
 						t.Errorf("SealAppend: %v", err)
 						return
 					}
+					sealedBytes.Add(uint64(len(wires[p])))
 				}
 				// Open the burst twice concurrently: every payload must be
 				// delivered exactly once across both passes.
@@ -350,6 +355,24 @@ func TestGatewayConcurrentExactlyOnce(t *testing.T) {
 	delivered.Range(func(_, _ any) bool { count++; return true })
 	if want := senders * bursts * perB; count != want {
 		t.Errorf("delivered %d unique payloads, want %d", count, want)
+	}
+	// Each wire was opened twice: one delivery and one replay discard.
+	var wireBytes, packets, authFails, replays uint64
+	for _, in := range ins {
+		b, p, a, r := in.Counters()
+		wireBytes, packets, authFails, replays = wireBytes+b, packets+p, authFails+a, replays+r
+	}
+	if want := uint64(2 * senders * bursts * perB); packets != want {
+		t.Errorf("packets = %d, want %d", packets, want)
+	}
+	if want := uint64(senders * bursts * perB); replays != want {
+		t.Errorf("replays = %d, want %d", replays, want)
+	}
+	if want := 2 * sealedBytes.Load(); wireBytes != want {
+		t.Errorf("bytes = %d, want %d (twice the sealed wire bytes)", wireBytes, want)
+	}
+	if authFails != 0 {
+		t.Errorf("authFails = %d, want 0", authFails)
 	}
 }
 

@@ -12,7 +12,7 @@ var _ telemetry.Collector = (*Gateway)(nil)
 // over inbound SAs, and the population gauges (per direction, plus how
 // many SAs are draining after a rekey cutover and how many are not
 // StateUp mid-reset/wake). Sums re-walk the SA population at
-// scrape time — the hot paths keep their per-SA sharded tallies and never
+// scrape time — the hot paths keep their per-SA atomic counters and never
 // see the scrape.
 func (g *Gateway) CollectTelemetry(emit telemetry.Emit) {
 	snap := g.snapshot()

@@ -100,7 +100,7 @@ func TestZeroAllocOpenAppend(t *testing.T) {
 // telemetry layer fully attached — the gateway registered as a /metrics
 // collector and the lifecycle hook set. Collection is read-side (the
 // scrape walks the SA population; the datapath only bumps its existing
-// sharded tallies), so registration must not cost the hot path a single
+// atomic counters), so registration must not cost the hot path a single
 // allocation. A scrape before and after the measured window proves the
 // instruments are actually live, not just registered.
 

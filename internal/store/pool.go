@@ -7,8 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"antireplay/internal/stats"
 )
 
 // SaverPool executes background SAVEs — the paper's "& SAVE(s) {SAVE(s)
@@ -46,14 +44,14 @@ type SaverPool struct {
 	// requested counts StartSave calls; persisted counts the coalesced
 	// writes that actually reached the stores. The difference is the
 	// pool's coalescing win — saves absorbed into a later write.
-	requested stats.Counter
-	persisted stats.Counter
+	requested atomic.Uint64
+	persisted atomic.Uint64
 	// retries counts additional Save attempts after a transient failure;
 	// giveUps counts batches whose whole retry budget failed — each one
 	// surfaced to the callbacks as ErrSaveRetriesExhausted, stalling that
 	// SA at its durable horizon until the medium recovers.
-	retries stats.Counter
-	giveUps stats.Counter
+	retries atomic.Uint64
+	giveUps atomic.Uint64
 }
 
 // The pool's retry of transiently failing saves: a batch's Save is attempted
@@ -172,18 +170,18 @@ func (p *SaverPool) Saver(st Store) *PoolSaver {
 
 // SavesRequested returns how many saves handles have queued (StartSave
 // calls) over the pool's lifetime.
-func (p *SaverPool) SavesRequested() uint64 { return p.requested.Value() }
+func (p *SaverPool) SavesRequested() uint64 { return p.requested.Load() }
 
 // SavesPersisted returns how many coalesced writes reached the stores.
 // SavesRequested minus SavesPersisted is the coalescing win.
-func (p *SaverPool) SavesPersisted() uint64 { return p.persisted.Value() }
+func (p *SaverPool) SavesPersisted() uint64 { return p.persisted.Load() }
 
 // SaveRetries returns how many extra Save attempts transient failures cost.
-func (p *SaverPool) SaveRetries() uint64 { return p.retries.Value() }
+func (p *SaverPool) SaveRetries() uint64 { return p.retries.Load() }
 
 // SaveGiveUps returns how many batches exhausted their whole retry budget
 // (each surfaced as ErrSaveRetriesExhausted).
-func (p *SaverPool) SaveGiveUps() uint64 { return p.giveUps.Value() }
+func (p *SaverPool) SaveGiveUps() uint64 { return p.giveUps.Load() }
 
 // QueueDepth returns how many handles currently have unpersisted work
 // across all shards, queued or in a worker's current round — the backlog a

@@ -15,9 +15,8 @@ import (
 // gateway, the journal, the saver pool, the cluster, the wire links, the
 // sim loop — already counts into fields of its own, so the registry calls
 // back at scrape time and the hot paths carry no instrument of this
-// package. A binary with counters of its own keeps them (a
-// stats.ShardedCounter is one padded atomic add) and emits them from a
-// CollectorFunc.
+// package. A binary with counters of its own keeps them (an atomic.Uint64
+// is one atomic add) and emits them from a CollectorFunc.
 //
 // RegisterCollector panics on a malformed prefix or a nil collector —
 // prefixes are compile-time constants, so a bad one is a programmer error
