@@ -38,9 +38,10 @@ const (
 const (
 	// ESPOverhead is the bytes the encapsulation adds to a payload.
 	ESPOverhead = ipsec.Overhead
-	// AuthKeySize is the HMAC-SHA256 key length.
+	// AuthKeySize is the KeyMaterial.AuthKey length; its first 4 bytes are
+	// the AES-GCM salt (RFC 4106), XORed with the SPI into the nonce.
 	AuthKeySize = ipsec.AuthKeySize
-	// EncKeySize is the AES-128 key length.
+	// EncKeySize is the AES-128-GCM key length.
 	EncKeySize = ipsec.EncKeySize
 )
 

@@ -262,9 +262,9 @@ func benchJournalAppend(b *testing.B, laggingFollower bool) {
 
 // BenchmarkSealParallel seals 64-byte payloads (auth+enc) from every
 // benchmark goroutine through one outbound SA's zero-allocation append path:
-// sequence reservation is atomic under the sender mutex, the AES key
-// schedule and HMAC state come from the SA's crypto pool, and the wire is
-// built into a per-goroutine reused buffer — 0 allocs/op in steady state.
+// sequence reservation is atomic under the sender mutex, every goroutine
+// shares the SA's one AES-GCM state, and the wire is built into a
+// per-goroutine reused buffer — 0 allocs/op in steady state.
 func BenchmarkSealParallel(b *testing.B) {
 	var m store.Mem
 	snd, err := antireplay.NewSender(antireplay.SenderConfig{K: 1 << 40, Store: &m})

@@ -53,8 +53,9 @@
 // store). Reset and Wake also drive the crash of a live endpoint.
 //
 // The ipsec-flavoured types (OutboundSA, InboundSA, SAD, SPD) bind the
-// sequence-number service to an ESP-like packet format with HMAC-SHA256-96
-// integrity and AES-CTR confidentiality; EstablishSA runs a miniature IKE
+// sequence-number service to an ESP-like packet format sealed with
+// AES-128-GCM, its nonce the SA's salt XOR its SPI and the 64-bit sequence
+// number (RFC 4106 with RFC 8750's implicit IV); EstablishSA runs a miniature IKE
 // handshake to derive keys; the DPD types implement dead-peer detection and
 // the paper's §6 prolonged-reset recovery (examples/vpn_tunnel composes them
 // into a bidirectional host pair). Rekeying is RekeyOrchestrator's:

@@ -106,7 +106,10 @@ func ExampleGateway_SealAppend() {
 	}
 	defer func() { gw.Close(); gw.Journal().Close() }()
 
-	keys := antireplay.KeyMaterial{AuthKey: make([]byte, antireplay.AuthKeySize)}
+	keys := antireplay.KeyMaterial{
+		AuthKey: make([]byte, antireplay.AuthKeySize),
+		EncKey:  make([]byte, antireplay.EncKeySize),
+	}
 	src, dst := netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("10.0.0.2")
 	sel := antireplay.Selector{Src: netip.PrefixFrom(src, 32), Dst: netip.PrefixFrom(dst, 32)}
 	if _, err := gw.AddOutbound(0x1001, keys, sel); err != nil {
@@ -143,11 +146,15 @@ func ExampleGateway_SealAppend() {
 }
 
 // The zero-allocation datapath: SealAppend builds the wire bytes into a
-// reused buffer and OpenAppend decrypts into another — per-SA crypto state
-// is pooled, so a steady-state packet costs no allocation at all.
+// reused buffer and OpenAppend decrypts into another — the SA's AES-GCM
+// state is built once and shared, so a steady-state packet costs no
+// allocation at all.
 func ExampleOutboundSA_SealAppend() {
 	var txStore, rxStore antireplay.MemStore
-	keys := antireplay.KeyMaterial{AuthKey: make([]byte, antireplay.AuthKeySize)}
+	keys := antireplay.KeyMaterial{
+		AuthKey: make([]byte, antireplay.AuthKeySize),
+		EncKey:  make([]byte, antireplay.EncKeySize),
+	}
 	snd, _ := antireplay.NewSender(antireplay.SenderConfig{K: 25, Store: &txStore})
 	tx, _ := antireplay.NewOutboundSA(0x77, keys, snd, true, antireplay.Lifetime{}, nil)
 	rcv, _ := antireplay.NewReceiver(antireplay.ReceiverConfig{K: 25, Store: &rxStore})
@@ -187,7 +194,10 @@ func ExampleGateway_RekeyOutbound() {
 	}
 	defer func() { gw.Close(); gw.Journal().Close() }()
 
-	keys := antireplay.KeyMaterial{AuthKey: make([]byte, antireplay.AuthKeySize)}
+	keys := antireplay.KeyMaterial{
+		AuthKey: make([]byte, antireplay.AuthKeySize),
+		EncKey:  make([]byte, antireplay.EncKeySize),
+	}
 	src, dst := netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("10.0.0.2")
 	sel := antireplay.Selector{Src: netip.PrefixFrom(src, 32), Dst: netip.PrefixFrom(dst, 32)}
 	old, _ := gw.AddOutbound(0x100, keys, sel)
@@ -227,7 +237,10 @@ func ExampleNewStandby() {
 	}
 	defer func() { primary.Close(); primary.Journal().Close() }()
 
-	keys := antireplay.KeyMaterial{AuthKey: make([]byte, antireplay.AuthKeySize)}
+	keys := antireplay.KeyMaterial{
+		AuthKey: make([]byte, antireplay.AuthKeySize),
+		EncKey:  make([]byte, antireplay.EncKeySize),
+	}
 	if _, err := primary.AddInbound(0x2001, keys); err != nil {
 		fmt.Println(err)
 		return

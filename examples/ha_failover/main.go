@@ -34,8 +34,12 @@ func tunnelAddr(i int) (src, dst netip.Addr) {
 }
 
 func keyMaterial(rng *rand.Rand) antireplay.KeyMaterial {
-	k := antireplay.KeyMaterial{AuthKey: make([]byte, antireplay.AuthKeySize)}
+	k := antireplay.KeyMaterial{
+		AuthKey: make([]byte, antireplay.AuthKeySize),
+		EncKey:  make([]byte, antireplay.EncKeySize),
+	}
 	rng.Read(k.AuthKey)
+	rng.Read(k.EncKey)
 	return k
 }
 

@@ -82,7 +82,10 @@ func main() {
 	fmt.Printf("gateway with %d SA pairs, one per branch office\n", *n)
 	fmt.Printf("persistence: 1 journal + 1 saver pool (8 workers) for all %d counters\n\n", 2**n)
 
-	keys := antireplay.KeyMaterial{AuthKey: bytes.Repeat([]byte{0xA1}, antireplay.AuthKeySize)}
+	keys := antireplay.KeyMaterial{
+		AuthKey: bytes.Repeat([]byte{0xA1}, antireplay.AuthKeySize),
+		EncKey:  bytes.Repeat([]byte{0xB2}, antireplay.EncKeySize),
+	}
 	for i := 0; i < *n; i++ {
 		spi := uint32(0x1000 + i)
 		src, dst := branchAddr(i)

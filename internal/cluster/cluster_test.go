@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net/netip"
@@ -16,11 +17,10 @@ import (
 const testK = 10
 
 func testKeys(b byte) ipsec.KeyMaterial {
-	k := ipsec.KeyMaterial{AuthKey: make([]byte, ipsec.AuthKeySize)}
-	for i := range k.AuthKey {
-		k.AuthKey[i] = b
+	return ipsec.KeyMaterial{
+		AuthKey: bytes.Repeat([]byte{b}, ipsec.AuthKeySize),
+		EncKey:  bytes.Repeat([]byte{b}, ipsec.EncKeySize),
 	}
-	return k
 }
 
 func testAddr(side byte) netip.Addr { return netip.AddrFrom4([4]byte{10, side, 0, 1}) }

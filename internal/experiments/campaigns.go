@@ -219,10 +219,12 @@ func oneSAPair(cfg CampaignsConfig, bed testbed.Config) (*campPair, error) {
 	return p, nil
 }
 
+// randKeys draws one AuthKeySize block and takes the AES key from its tail,
+// so the tables' rng sequence does not depend on the suite's key sizes.
 func randKeys(rng *rand.Rand) ipsec.KeyMaterial {
-	keys := ipsec.KeyMaterial{AuthKey: make([]byte, ipsec.AuthKeySize)}
-	rng.Read(keys.AuthKey)
-	return keys
+	b := make([]byte, ipsec.AuthKeySize)
+	rng.Read(b)
+	return ipsec.KeyMaterial{AuthKey: b, EncKey: b[ipsec.AuthKeySize-ipsec.EncKeySize:]}
 }
 
 // install adds one SA from A to B under the next source address.

@@ -221,19 +221,14 @@ func failoverRow(cfg FailoverConfig, loss float64) ([]string, error) {
 	defer pair.Close()
 	s := &failoverSim{Pair: pair, cfg: cfg, loss: loss, e: netsim.NewEngine(cfg.Seed)}
 	rng := s.e.Rand()
-	keys := func() ipsec.KeyMaterial {
-		k := ipsec.KeyMaterial{AuthKey: make([]byte, ipsec.AuthKeySize)}
-		rng.Read(k.AuthKey)
-		return k
-	}
 	for i := 0; i < cfg.Tunnels; i++ {
 		ab, ba := uint32(0xA000+i), uint32(0xB000+i)
 		s.abSPI = append(s.abSPI, ab)
 		s.baSPI = append(s.baSPI, ba)
-		if err := testbed.Install(s.A.GW, s.B.GW, ab, keys(), s.addrA(i), s.addrB(i)); err != nil {
+		if err := testbed.Install(s.A.GW, s.B.GW, ab, randKeys(rng), s.addrA(i), s.addrB(i)); err != nil {
 			return nil, err
 		}
-		if err := testbed.Install(s.B.GW, s.A.GW, ba, keys(), s.addrB(i), s.addrA(i)); err != nil {
+		if err := testbed.Install(s.B.GW, s.A.GW, ba, randKeys(rng), s.addrB(i), s.addrA(i)); err != nil {
 			return nil, err
 		}
 	}

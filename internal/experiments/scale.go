@@ -174,7 +174,10 @@ func scaleFootprintRow(t *Table, cfg ScaleConfig, dir string) error {
 	}
 	defer gw.Close()
 
-	keys := ipsec.KeyMaterial{AuthKey: bytes.Repeat([]byte{0x5A}, ipsec.AuthKeySize)}
+	keys := ipsec.KeyMaterial{
+		AuthKey: bytes.Repeat([]byte{0x5A}, ipsec.AuthKeySize),
+		EncKey:  bytes.Repeat([]byte{0xA5}, ipsec.EncKeySize),
+	}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)

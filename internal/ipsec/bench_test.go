@@ -11,7 +11,7 @@ import (
 
 // benchPair builds SAs with a huge K so background saves never trigger
 // inside the measurement loop.
-func benchPair(b *testing.B, enc bool) (*OutboundSA, *InboundSA) {
+func benchPair(b *testing.B) (*OutboundSA, *InboundSA) {
 	b.Helper()
 	var sm, rm store.Mem
 	snd, err := core.NewSender(core.SenderConfig{K: 1 << 40, Store: &sm})
@@ -22,9 +22,9 @@ func benchPair(b *testing.B, enc bool) (*OutboundSA, *InboundSA) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	keys := KeyMaterial{AuthKey: bytes.Repeat([]byte{1}, AuthKeySize)}
-	if enc {
-		keys.EncKey = bytes.Repeat([]byte{2}, EncKeySize)
+	keys := KeyMaterial{
+		AuthKey: bytes.Repeat([]byte{1}, AuthKeySize),
+		EncKey:  bytes.Repeat([]byte{2}, EncKeySize),
 	}
 	out, err := NewOutboundSA(1, keys, snd, false, Lifetime{}, nil)
 	if err != nil {
@@ -41,31 +41,25 @@ func benchPair(b *testing.B, enc bool) (*OutboundSA, *InboundSA) {
 // denominator of the §4 sizing rule.
 func BenchmarkSeal(b *testing.B) {
 	for _, size := range []int{64, 1000, 1500} {
-		for _, enc := range []bool{false, true} {
-			mode := "auth"
-			if enc {
-				mode = "auth+enc"
-			}
-			b.Run(fmt.Sprintf("%s/%dB", mode, size), func(b *testing.B) {
-				out, _ := benchPair(b, enc)
-				payload := bytes.Repeat([]byte{0x42}, size)
-				b.SetBytes(int64(size))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := out.Seal(payload); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("auth+enc/%dB", size), func(b *testing.B) {
+			out, _ := benchPair(b)
+			payload := bytes.Repeat([]byte{0x42}, size)
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := out.Seal(payload); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
 func BenchmarkOpen(b *testing.B) {
 	for _, size := range []int{64, 1000} {
 		b.Run(fmt.Sprintf("auth+enc/%dB", size), func(b *testing.B) {
-			out, in := benchPair(b, true)
+			out, in := benchPair(b)
 			payload := bytes.Repeat([]byte{0x42}, size)
 			wires := make([][]byte, b.N)
 			for i := range wires {
@@ -88,7 +82,7 @@ func BenchmarkOpen(b *testing.B) {
 }
 
 func BenchmarkOpenReplayReject(b *testing.B) {
-	out, in := benchPair(b, true)
+	out, in := benchPair(b)
 	wire, err := out.Seal([]byte("payload"))
 	if err != nil {
 		b.Fatal(err)

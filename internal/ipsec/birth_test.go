@@ -37,11 +37,11 @@ func birthGateway(t *testing.T, dir string, opts ...store.LanesOption) (*Gateway
 // addPair installs the outbound and inbound SA of spi with flow i.
 func addPair(t *testing.T, g *Gateway, spi uint32, i int) (*OutboundSA, *InboundSA) {
 	t.Helper()
-	out, err := g.AddOutbound(spi, testKeys(false), gwSelector(i))
+	out, err := g.AddOutbound(spi, testKeys(), gwSelector(i))
 	if err != nil {
 		t.Fatalf("AddOutbound %#x: %v", spi, err)
 	}
-	in, err := g.AddInbound(spi, testKeys(false))
+	in, err := g.AddInbound(spi, testKeys())
 	if err != nil {
 		t.Fatalf("AddInbound %#x: %v", spi, err)
 	}
@@ -166,10 +166,10 @@ func TestGatewayBirthConcurrentFirstUse(t *testing.T) {
 	}
 	ga, ackedA, ackA := held()
 	gb, ackedB, ackB := held()
-	if _, err := ga.AddOutbound(spi, testKeys(false), gwSelector(1)); err != nil {
+	if _, err := ga.AddOutbound(spi, testKeys(), gwSelector(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := gb.AddInbound(spi, testKeys(false)); err != nil {
+	if _, err := gb.AddInbound(spi, testKeys()); err != nil {
 		t.Fatal(err)
 	}
 	src, dst := gwAddr(1)
@@ -245,7 +245,7 @@ func TestGatewayBirthPoison(t *testing.T) {
 		if err := l.Cell("probe").Save(1); !errors.Is(err, syscall.EIO) {
 			t.Fatalf("probe save: %v, want EIO", err)
 		}
-		if _, err := g.AddOutbound(0x1, testKeys(false), gwSelector(1)); !errors.Is(err, syscall.EIO) {
+		if _, err := g.AddOutbound(0x1, testKeys(), gwSelector(1)); !errors.Is(err, syscall.EIO) {
 			t.Fatalf("AddOutbound on a poisoned lane: %v, want the lane's EIO", err)
 		}
 	})
@@ -267,7 +267,7 @@ func TestGatewayBirthPoison(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		twin, err := NewOutboundSA(spi, testKeys(false), snd, false, Lifetime{}, nil)
+		twin, err := NewOutboundSA(spi, testKeys(), snd, false, Lifetime{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -326,7 +326,7 @@ func TestGatewayBadKeysLeaveNoBirth(t *testing.T) {
 			if v, ok, _ := l.Cell(tc.key).Fetch(); ok {
 				t.Fatalf("refused install left %s = %d in the journal", tc.key, v)
 			}
-			if err := tc.add(testKeys(false)); err != nil {
+			if err := tc.add(testKeys()); err != nil {
 				t.Fatalf("retry with good keys: %v", err)
 			}
 			if st := tc.state(); st != core.StateUp {

@@ -9,13 +9,15 @@ import (
 )
 
 // saHeapBudget is the pinned per-SA heap budget in bytes: gateway map
-// entries, the SAD stripe slot, the inbound SA (window, HMAC states,
-// receiver), its journal cell, and the pool handle. The compact cell
-// representation is what keeps the journal side near-zero (a packed uint64
-// key instead of map+string per counter). Measured 2,154 B/SA while the
-// inbound SA carried a 1 KiB sharded tally block, 1,067 B/SA with four
-// plain atomic counters (2-vCPU Xeon, with and without -race); pinned with
-// headroom so a regression trips loudly, not flakily.
+// entries, the SAD stripe slot, the inbound SA (window, keys, an AEAD
+// pointer that stays nil until the first packet, receiver), its journal
+// cell, and the pool handle. The compact cell representation is what keeps
+// the journal side near-zero (a packed uint64 key instead of map+string per
+// counter). Measured 2,154 B/SA while the inbound SA carried a 1 KiB
+// sharded tally block, 1,067 B/SA with four plain atomic counters and a
+// per-SA pool of HMAC states, 955 B/SA with the AES-GCM suite (2-vCPU
+// Xeon, with and without -race); pinned with headroom so a regression
+// trips loudly, not flakily.
 const saHeapBudget = 1536
 
 // TestSAFootprint pins heap bytes per installed SA so the compact cell
@@ -40,7 +42,10 @@ func TestSAFootprint(t *testing.T) {
 	}
 	defer gw.Close()
 
-	keys := KeyMaterial{AuthKey: bytes.Repeat([]byte{0x5A}, AuthKeySize)}
+	keys := KeyMaterial{
+		AuthKey: bytes.Repeat([]byte{0x5A}, AuthKeySize),
+		EncKey:  bytes.Repeat([]byte{0xA5}, EncKeySize),
+	}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)

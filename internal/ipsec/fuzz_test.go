@@ -51,7 +51,7 @@ func FuzzOpen(f *testing.F) {
 		}
 		if verdict.Delivered() && !bytes.Equal(wire, genuine) {
 			// Any delivered packet must be byte-identical to one actually
-			// sealed (the fuzzer cannot forge the HMAC); the only sealed
+			// sealed (the fuzzer cannot forge the GCM tag); the only sealed
 			// packet in this corpus run is `genuine`, and even that one
 			// delivers at most once.
 			t.Fatalf("forged packet delivered: wire=%x payload=%q", wire, payload)

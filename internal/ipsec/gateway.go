@@ -461,7 +461,7 @@ func (g *Gateway) Seal(src, dst netip.Addr, payload []byte) ([]byte, error) {
 // SealAppend routes payload through the SPD and seals it on the matching SA,
 // appending the wire bytes to buf (OutboundSA.SealAppend): the gateway-level
 // zero-allocation send path — the SPD lookup is one atomic snapshot load and
-// the seal reuses pooled crypto state and the caller's buffer.
+// the seal shares the SA's AES-GCM state and reuses the caller's buffer.
 func (g *Gateway) SealAppend(buf []byte, src, dst netip.Addr, payload []byte) ([]byte, error) {
 	sa, ok := g.spd.Lookup(src, dst)
 	if !ok {

@@ -23,7 +23,7 @@ func newInboundT(t *testing.T, spi uint32) *InboundSA {
 	if err != nil {
 		t.Fatalf("NewReceiver: %v", err)
 	}
-	sa, err := NewInboundSA(spi, testKeys(false), rcv, false, Lifetime{}, nil)
+	sa, err := NewInboundSA(spi, testKeys(), rcv, false, Lifetime{}, nil)
 	if err != nil {
 		t.Fatalf("NewInboundSA: %v", err)
 	}
@@ -64,7 +64,7 @@ func TestSADConcurrentStress(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewSender: %v", err)
 		}
-		out, err := NewOutboundSA(spi, testKeys(false), snd, false, Lifetime{}, nil)
+		out, err := NewOutboundSA(spi, testKeys(), snd, false, Lifetime{}, nil)
 		if err != nil {
 			t.Fatalf("NewOutboundSA: %v", err)
 		}
@@ -117,7 +117,7 @@ func TestSPDExactFastPath(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewSender: %v", err)
 		}
-		sa, err := NewOutboundSA(spi, testKeys(false), snd, false, Lifetime{}, nil)
+		sa, err := NewOutboundSA(spi, testKeys(), snd, false, Lifetime{}, nil)
 		if err != nil {
 			t.Fatalf("NewOutboundSA: %v", err)
 		}
@@ -253,10 +253,10 @@ func TestGatewaySealOpenAcrossSAs(t *testing.T) {
 	const n = 16
 	for i := 0; i < n; i++ {
 		spi := uint32(0x1000 + i)
-		if _, err := g.AddOutbound(spi, testKeys(true), gwSelector(i)); err != nil {
+		if _, err := g.AddOutbound(spi, testKeys(), gwSelector(i)); err != nil {
 			t.Fatalf("AddOutbound: %v", err)
 		}
-		if _, err := g.AddInbound(spi, testKeys(true)); err != nil {
+		if _, err := g.AddInbound(spi, testKeys()); err != nil {
 			t.Fatalf("AddInbound: %v", err)
 		}
 	}
@@ -265,10 +265,10 @@ func TestGatewaySealOpenAcrossSAs(t *testing.T) {
 	}
 	// A live SPI must not be registrable twice in either direction: two
 	// endpoints over one journal cell would collide after a wake.
-	if _, err := g.AddOutbound(0x1000, testKeys(true), gwSelector(99)); !errors.Is(err, ErrDuplicateSPI) {
+	if _, err := g.AddOutbound(0x1000, testKeys(), gwSelector(99)); !errors.Is(err, ErrDuplicateSPI) {
 		t.Errorf("duplicate AddOutbound = %v, want ErrDuplicateSPI", err)
 	}
-	if _, err := g.AddInbound(0x1000, testKeys(true)); !errors.Is(err, ErrDuplicateSPI) {
+	if _, err := g.AddInbound(0x1000, testKeys()); !errors.Is(err, ErrDuplicateSPI) {
 		t.Errorf("duplicate AddInbound = %v, want ErrDuplicateSPI", err)
 	}
 	for i := 0; i < n; i++ {
@@ -282,91 +282,190 @@ func TestGatewaySealOpenAcrossSAs(t *testing.T) {
 	}
 }
 
+// sealLog records every (SPI, seq64) a test seals, across resets and
+// process lives. Under GCM the nonce is (salt XOR SPI) || seq64, so with
+// the one key set every SA here shares, (SPI, seq64) names the nonce, and
+// sealing one number twice is not just a replay the window would refuse:
+// two ciphertexts under one (key, nonce) give away the authentication key,
+// and with it forgeries. The gateways here run without ESN, so the wire's
+// 32 sequence bits are the whole seq64.
+type sealLog struct {
+	mu   sync.Mutex
+	seen map[uint64]bool // SPI<<32 | seq64
+}
+
+func (l *sealLog) add(wire []byte) error {
+	spi, _ := ParseSPI(wire)
+	seq, _ := ParseSeqLo(wire)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.seen == nil {
+		l.seen = make(map[uint64]bool)
+	}
+	key := uint64(spi)<<32 | uint64(seq)
+	if l.seen[key] {
+		return fmt.Errorf("SPI %#x sealed seq %d twice: GCM nonce reuse", spi, seq)
+	}
+	l.seen[key] = true
+	return nil
+}
+
+// sealConcurrently seals per packets from each of m goroutines, spread
+// round-robin over gateway SAs 0..n-1, and adds every wire to sealed. Once
+// each goroutine has sealed one packet it runs during on the calling
+// goroutine while they go on, so a ResetAll/WakeAll lands among their
+// seals: a seal refused by backpressure, or by an SA that is down or
+// waking, is retried. It returns each SA's wires.
+func sealConcurrently(t *testing.T, g *Gateway, n, m, per int, sealed *sealLog, during func()) [][][]byte {
+	t.Helper()
+	wires := make([][][]byte, n)
+	var mu sync.Mutex
+	var wg, first sync.WaitGroup
+	deadline := time.Now().Add(5 * time.Second)
+	for s := 0; s < m; s++ {
+		wg.Add(1)
+		first.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			var once sync.Once
+			started := func() { once.Do(first.Done) }
+			defer started() // a sealer that gives up must not hold during back
+			for p := 0; p < per; {
+				i := (s + p) % n
+				src, dst := gwAddr(i)
+				wire, err := g.Seal(src, dst, []byte("traffic"))
+				switch {
+				case err == nil:
+					if err := sealed.add(wire); err != nil {
+						t.Error(err)
+					}
+					mu.Lock()
+					wires[i] = append(wires[i], wire)
+					mu.Unlock()
+					started()
+					p++
+				case errors.Is(err, core.ErrSaveLag) || errors.Is(err, core.ErrDown) || errors.Is(err, core.ErrWaking):
+					if time.Now().After(deadline) {
+						t.Errorf("sealer %d: %v never cleared", s, err)
+						return
+					}
+					time.Sleep(20 * time.Microsecond)
+				default:
+					t.Errorf("sealer %d: Seal: %v", s, err)
+					return
+				}
+			}
+		}(s)
+	}
+	if during != nil {
+		first.Wait()
+		during()
+	}
+	wg.Wait()
+	return wires
+}
+
 // TestGatewayResetRecovery is the paper's multi-SA reset scenario on the
-// shared journal: after ResetAll/WakeAll, no sequence number is reused
-// (fresh seals land above the pre-reset counters) and replayed packets are
-// rejected by every SA.
+// shared journal: four sealers run while ResetAll/WakeAll rounds land
+// among their seals, and across every round no (SPI, seq64) is sealed
+// twice; after each wake, replayed packets are rejected by every SA and
+// fresh traffic flows.
 func TestGatewayResetRecovery(t *testing.T) {
 	g, _ := testGateway(t)
 	defer g.Close()
-	const n = 8
+	const n, sealers, rounds = 8, 4, 3
 	outs := make([]*OutboundSA, n)
 	ins := make([]*InboundSA, n)
 	for i := 0; i < n; i++ {
 		spi := uint32(0x2000 + i)
-		out, err := g.AddOutbound(spi, testKeys(false), gwSelector(i))
+		out, err := g.AddOutbound(spi, testKeys(), gwSelector(i))
 		if err != nil {
 			t.Fatalf("AddOutbound: %v", err)
 		}
 		outs[i] = out
-		in, err := g.AddInbound(spi, testKeys(false))
+		in, err := g.AddInbound(spi, testKeys())
 		if err != nil {
 			t.Fatalf("AddInbound: %v", err)
 		}
 		ins[i] = in
 	}
 
-	replays := make([][]byte, n)
-	preSeq := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		src, dst := gwAddr(i)
-		for p := 0; p < 30; p++ {
-			wire := gwSeal(t, g, src, dst, []byte("pre-reset"))
+	var sealed sealLog
+	for round := 0; round < rounds; round++ {
+		pre := sealConcurrently(t, g, n, sealers, 20, &sealed, nil)
+		for i := range pre {
+			for _, wire := range pre[i] {
+				if _, verdict := gwOpen(t, g, wire); !verdict.Delivered() {
+					t.Fatalf("round %d: Open pre-reset: %v", round, verdict)
+				}
+			}
+		}
+
+		// Let each sender's saves overtake its receiver's before the reset.
+		// Post-wake the sender leaps to durable_s + leap·K and the receiver
+		// sacrifices everything at or below durable_r + leap·K, so fresh
+		// traffic flows immediately only when durable_s >= durable_r per SA
+		// — not what holds when concurrent sealers stop: a receiver that
+		// meets its horizon saves the discarded number itself, which can be
+		// above its sender's last save, and the first post-wake seals are
+		// then (correctly, per the paper) sacrificed. So a lagging sender
+		// seals on, unopened and still logged, until its committed value
+		// covers everything its receiver has handed to the saver.
+		for i := 0; i < n; i++ {
+			src, dst := gwAddr(i)
+			snd, rcv := outs[i].Sender(), ins[i].Receiver()
+			for a := 0; snd.Committed() < rcv.LastStored(); a++ {
+				if a >= 10000 {
+					t.Fatalf("SA %d: sender durable %d stuck below receiver durable %d",
+						i, snd.Committed(), rcv.LastStored())
+				}
+				if snd.LastStored() < rcv.LastStored() {
+					if err := sealed.add(gwSeal(t, g, src, dst, []byte("top-up"))); err != nil {
+						t.Fatal(err)
+					}
+					continue
+				}
+				time.Sleep(20 * time.Microsecond)
+			}
+		}
+
+		sealConcurrently(t, g, n, sealers, 20, &sealed, func() {
+			g.ResetAll()
+			if _, err := outs[0].Seal([]byte("down")); err == nil {
+				t.Error("Seal while down succeeded, want error")
+			}
+			if err := g.WakeAll(); err != nil {
+				t.Errorf("WakeAll: %v", err)
+			}
+		})
+		if t.Failed() {
+			t.FailNow()
+		}
+
+		for i := 0; i < n; i++ {
+			// Replays of pre-reset traffic must be rejected...
+			if _, verdict, err := g.Open(pre[i][0]); err != nil || verdict.Delivered() {
+				t.Errorf("round %d SA %d: replay after reset = (%v, %v), want discarded", round, i, verdict, err)
+			}
+			// ...and fresh traffic must flow.
+			src, dst := gwAddr(i)
+			wire := gwSeal(t, g, src, dst, []byte("post-reset"))
+			if err := sealed.add(wire); err != nil {
+				t.Error(err)
+			}
 			if _, verdict := gwOpen(t, g, wire); !verdict.Delivered() {
-				t.Fatalf("Open pre-reset: %v", verdict)
+				t.Errorf("round %d SA %d: fresh post-reset = %v, want delivered", round, i, verdict)
 			}
-			replays[i] = wire
-		}
-		preSeq[i] = outs[i].Sender().Seq()
-	}
-
-	// Let the async saver pool drain before the reset. Post-wake the sender
-	// leaps to durable_s + leap·K and the receiver sacrifices everything at
-	// or below durable_r + leap·K, so fresh traffic flows immediately only
-	// when durable_s >= durable_r per SA. That holds at quiescence (the
-	// sender saves ahead of its seq) but not necessarily mid-flight: under
-	// heavy parallel load the receiver's last save can commit while the
-	// sender's is still queued, and the first post-wake seal is then
-	// (correctly, per the paper) sacrificed — not what this test asserts.
-	for i := 0; i < n; i++ {
-		for a := 0; outs[i].Sender().LastStored() < ins[i].Receiver().LastStored(); a++ {
-			if a >= 10000 {
-				t.Fatalf("SA %d: sender durable %d stuck below receiver durable %d",
-					i, outs[i].Sender().LastStored(), ins[i].Receiver().LastStored())
-			}
-			time.Sleep(20 * time.Microsecond)
-		}
-	}
-
-	g.ResetAll()
-	if _, err := outs[0].Seal([]byte("down")); err == nil {
-		t.Fatal("Seal while down succeeded, want error")
-	}
-	if err := g.WakeAll(); err != nil {
-		t.Fatalf("WakeAll: %v", err)
-	}
-
-	for i := 0; i < n; i++ {
-		// The leaped counter must clear everything handed out pre-reset.
-		if got := outs[i].Sender().Seq(); got < preSeq[i] {
-			t.Errorf("SA %d: post-wake seq %d < pre-reset %d — sequence reuse", i, got, preSeq[i])
-		}
-		// Replays of pre-reset traffic must be rejected...
-		if _, verdict, err := g.Open(replays[i]); err != nil || verdict.Delivered() {
-			t.Errorf("SA %d: replay after reset = (%v, %v), want discarded", i, verdict, err)
-		}
-		// ...and fresh traffic must flow.
-		src, dst := gwAddr(i)
-		wire := gwSeal(t, g, src, dst, []byte("post-reset"))
-		if _, verdict := gwOpen(t, g, wire); !verdict.Delivered() {
-			t.Errorf("SA %d: fresh post-reset = %v, want delivered", i, verdict)
 		}
 	}
 }
 
 // TestGatewayRecoveryFromDisk reboots the whole gateway process: a second
-// gateway over the same journal path must resume with counters at or above
-// the first life's, so no SA ever reuses a sequence number.
+// gateway over the same journal path resumes every SA above the first
+// life's numbers, so across a ResetAll/WakeAll in the first life, the
+// reopen and concurrent sealers in both, no (SPI, seq64) is sealed twice.
+// The first life ends as a crash does, with each SA at its own offset
+// from its last SAVE.
 func TestGatewayRecoveryFromDisk(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "gw.journal")
 	j, err := store.OpenLanes(path, store.LanesCount(1))
@@ -377,19 +476,29 @@ func TestGatewayRecoveryFromDisk(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewGateway: %v", err)
 	}
-	const n = 8
-	lastSeq := make([]uint64, n)
+	const n, sealers = 8, 4
 	for i := 0; i < n; i++ {
-		out, err := g.AddOutbound(uint32(0x3000+i), testKeys(false), gwSelector(i))
-		if err != nil {
+		if _, err := g.AddOutbound(uint32(0x3000+i), testKeys(), gwSelector(i)); err != nil {
 			t.Fatalf("AddOutbound: %v", err)
 		}
-		src, dst := gwAddr(i)
-		for p := 0; p < 40; p++ {
-			gwSeal(t, g, src, dst, []byte("x"))
-		}
-		lastSeq[i] = out.Sender().Seq()
 	}
+	var sealed sealLog
+	sealConcurrently(t, g, n, sealers, 40, &sealed, func() {
+		g.ResetAll()
+		if err := g.WakeAll(); err != nil {
+			t.Errorf("WakeAll: %v", err)
+		}
+	})
+	sealConcurrently(t, g, n, sealers, 40, &sealed, nil)
+	for i := 0; i < n; i++ {
+		src, dst := gwAddr(i)
+		for p := 0; p <= i; p++ {
+			if err := sealed.add(gwSeal(t, g, src, dst, []byte("tail"))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	g.ResetAll()
 	if err := g.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -407,24 +516,18 @@ func TestGatewayRecoveryFromDisk(t *testing.T) {
 		t.Fatalf("NewGateway 2: %v", err)
 	}
 	defer g2.Close()
-	outs := make([]*OutboundSA, n)
 	for i := 0; i < n; i++ {
 		// AddOutbound sees the prior life's counter in the journal and
 		// resumes through the paper's wake-up on its own; no hand-rolled
 		// Reset/Wake needed.
-		outs[i], err = g2.AddOutbound(uint32(0x3000+i), testKeys(false), gwSelector(i))
-		if err != nil {
+		if _, err := g2.AddOutbound(uint32(0x3000+i), testKeys(), gwSelector(i)); err != nil {
 			t.Fatalf("AddOutbound 2: %v", err)
 		}
 	}
 	if err := g2.WakeAll(); err != nil {
 		t.Fatalf("WakeAll: %v", err)
 	}
-	for i := 0; i < n; i++ {
-		if got := outs[i].Sender().Seq(); got < lastSeq[i] {
-			t.Errorf("SA %d: rebooted seq %d < pre-reboot %d — reuse across process restart", i, got, lastSeq[i])
-		}
-	}
+	sealConcurrently(t, g2, n, sealers, 40, &sealed, nil)
 }
 
 // TestGatewayAddAfterClose: registration on a closed gateway must fail
@@ -435,10 +538,10 @@ func TestGatewayAddAfterClose(t *testing.T) {
 	if err := g.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if _, err := g.AddOutbound(0x1, testKeys(false), gwSelector(1)); !errors.Is(err, store.ErrClosed) {
+	if _, err := g.AddOutbound(0x1, testKeys(), gwSelector(1)); !errors.Is(err, store.ErrClosed) {
 		t.Errorf("AddOutbound after Close = %v, want ErrClosed", err)
 	}
-	if _, err := g.AddInbound(0x1, testKeys(false)); !errors.Is(err, store.ErrClosed) {
+	if _, err := g.AddInbound(0x1, testKeys()); !errors.Is(err, store.ErrClosed) {
 		t.Errorf("AddInbound after Close = %v, want ErrClosed", err)
 	}
 	// The failed Adds left no claim behind: a successor gateway owns the SPI.
@@ -447,7 +550,7 @@ func TestGatewayAddAfterClose(t *testing.T) {
 		t.Fatalf("NewGateway: %v", err)
 	}
 	defer g2.Close()
-	if _, err := g2.AddOutbound(0x1, testKeys(false), gwSelector(1)); err != nil {
+	if _, err := g2.AddOutbound(0x1, testKeys(), gwSelector(1)); err != nil {
 		t.Errorf("successor AddOutbound = %v, want nil", err)
 	}
 }
@@ -473,14 +576,14 @@ func TestGatewayDuplicateSPIAcrossGateways(t *testing.T) {
 	}
 	defer g2.Close()
 
-	if _, err := g1.AddOutbound(0x9000, testKeys(false), gwSelector(1)); err != nil {
+	if _, err := g1.AddOutbound(0x9000, testKeys(), gwSelector(1)); err != nil {
 		t.Fatalf("g1 AddOutbound: %v", err)
 	}
-	if _, err := g2.AddOutbound(0x9000, testKeys(false), gwSelector(2)); !errors.Is(err, ErrDuplicateSPI) {
+	if _, err := g2.AddOutbound(0x9000, testKeys(), gwSelector(2)); !errors.Is(err, ErrDuplicateSPI) {
 		t.Errorf("g2 duplicate AddOutbound = %v, want ErrDuplicateSPI", err)
 	}
 	// A disjoint SPI on the shared journal is fine.
-	if _, err := g2.AddOutbound(0x9001, testKeys(false), gwSelector(2)); err != nil {
+	if _, err := g2.AddOutbound(0x9001, testKeys(), gwSelector(2)); err != nil {
 		t.Errorf("g2 disjoint AddOutbound = %v, want nil", err)
 	}
 }
@@ -541,10 +644,10 @@ func TestGatewayWakeAllCommitsPerLane(t *testing.T) {
 			defer wg.Done()
 			for i := w; i < pairs; i += 4 {
 				spi := uint32(0x7000 + i)
-				if _, err := g.AddOutbound(spi, testKeys(false), gwSelector(i)); err != nil {
+				if _, err := g.AddOutbound(spi, testKeys(), gwSelector(i)); err != nil {
 					t.Errorf("AddOutbound: %v", err)
 				}
-				if _, err := g.AddInbound(spi, testKeys(false)); err != nil {
+				if _, err := g.AddInbound(spi, testKeys()); err != nil {
 					t.Errorf("AddInbound: %v", err)
 				}
 			}
@@ -633,10 +736,10 @@ func newWakeAllFixture(t *testing.T, pairs int) *wakeAllFixture {
 		t.Fatalf("NewGateway: %v", err)
 	}
 	for i := 0; i < pairs; i++ {
-		if _, err := f.g.AddOutbound(uint32(0x7100+i), testKeys(false), gwSelector(i)); err != nil {
+		if _, err := f.g.AddOutbound(uint32(0x7100+i), testKeys(), gwSelector(i)); err != nil {
 			t.Fatalf("AddOutbound: %v", err)
 		}
-		if _, err := f.g.AddInbound(uint32(0x7100+i), testKeys(false)); err != nil {
+		if _, err := f.g.AddInbound(uint32(0x7100+i), testKeys()); err != nil {
 			t.Fatalf("AddInbound: %v", err)
 		}
 	}

@@ -1,41 +1,39 @@
 // Package ipsec is a userspace miniature of the IPsec data plane the paper
 // runs on: security associations (SAs) with keys, algorithms and lifetimes;
-// an ESP-like packet format with HMAC-SHA256-96 integrity and AES-CTR
-// confidentiality; a security association database (SAD) and a simple
-// security policy database (SPD).
+// an ESP-like packet format sealed with AES-128-GCM (RFC 4106); a security
+// association database (SAD) and a simple security policy database (SPD).
 //
 // The anti-replay service is provided by internal/core: an outbound SA
 // numbers packets through a core.Sender and an inbound SA admits them
 // through a core.Receiver, so the SAVE/FETCH reset protection applies to
 // real authenticated packets, not just abstract sequence numbers.
 //
-// Wire format (big endian), loosely after RFC 4303 but simplified — the
-// 64-bit CTR nonce is derived from the sequence number instead of carrying
-// an explicit IV, which is safe here precisely because the paper's protocol
-// guarantees sequence numbers are never reused across resets:
+// Wire format (big endian), after RFC 4303 with RFC 4106's AES-GCM and RFC
+// 8750's implicit IV: no IV travels on the wire, because the 12-byte GCM
+// nonce is (salt XOR SPI) || seq64. The SPI keeps SAs sharing keys apart;
+// seq64 keeps one SA's packets apart, since the paper's protocol never
+// reuses a sequence number across resets. Under GCM a reused nonce would
+// leak the authentication key, not only a keystream:
 //
-//	offset 0  4  SPI
-//	offset 4  4  sequence number (low 32 bits)
-//	offset 8  n  payload (encrypted when the SA has an encryption key)
-//	offset 8+n 12 ICV = HMAC-SHA256-96 over SPI || seq64 || payload-bytes
+//	offset 0    4  SPI
+//	offset 4    4  sequence number (low 32 bits)
+//	offset 8    n  ciphertext (AES-128-GCM of the payload)
+//	offset 8+n 16  ICV = GCM tag over AAD SPI || seq64 and the ciphertext
 //
 // The full 64-bit sequence number is authenticated (ESN style): the high 32
-// bits enter the MAC but not the wire, and the receiver reconstructs them
-// with seqwin.InferESN before verifying.
+// bits enter the nonce and the AAD but not the wire, and the receiver
+// reconstructs them with seqwin.InferESN before verifying.
 package ipsec
 
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/hmac"
-	"crypto/sha256"
-	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // Sentinel errors.
@@ -66,21 +64,26 @@ var (
 
 const (
 	headerLen = 8
-	icvLen    = 12
+	icvLen    = 16
+	saltLen   = 4
 	// Overhead is the total bytes the ESP encapsulation adds to a payload.
 	Overhead = headerLen + icvLen
-	// AuthKeySize is the required HMAC-SHA256 key length.
+	// AuthKeySize is the required KeyMaterial.AuthKey length; the first 4
+	// bytes are the GCM salt.
 	AuthKeySize = 32
-	// EncKeySize is the required AES-128 key length (0 = no encryption).
+	// EncKeySize is the required AES-128-GCM key length.
 	EncKeySize = 16
 )
 
 // KeyMaterial is the symmetric keying of one SA direction.
 type KeyMaterial struct {
-	// AuthKey keys the HMAC-SHA256-96 ICV. Must be AuthKeySize bytes.
+	// AuthKey's first 4 bytes are the RFC 4106 salt, XORed with the SPI
+	// into the fixed part of every GCM nonce; the rest is unused. Must be AuthKeySize bytes. The
+	// name and size are those of the HMAC key the salt replaced, kept so
+	// that ike's key split and callers sizing keys by AuthKeySize stay
+	// valid.
 	AuthKey []byte
-	// EncKey keys AES-CTR. Either EncKeySize bytes or empty for
-	// integrity-only SAs.
+	// EncKey keys AES-128-GCM. Must be EncKeySize bytes.
 	EncKey []byte
 }
 
@@ -89,127 +92,81 @@ func (k KeyMaterial) Validate() error {
 	if len(k.AuthKey) != AuthKeySize {
 		return fmt.Errorf("%w: auth key %d bytes, want %d", ErrKeySize, len(k.AuthKey), AuthKeySize)
 	}
-	if len(k.EncKey) != 0 && len(k.EncKey) != EncKeySize {
-		return fmt.Errorf("%w: enc key %d bytes, want 0 or %d", ErrKeySize, len(k.EncKey), EncKeySize)
+	if len(k.EncKey) != EncKeySize {
+		return fmt.Errorf("%w: enc key %d bytes, want %d", ErrKeySize, len(k.EncKey), EncKeySize)
 	}
 	return nil
 }
 
-// cryptoState is the reusable scratch for one in-flight seal or open: a
-// keyed HMAC instance, the SA's expanded AES block, and fixed buffers for
-// the MAC sum and the CTR keystream. States are pooled per SA (cryptoPool),
-// so steady-state datapath crypto performs no allocation — the classic
-// "expand keys once, never allocate per packet" shape of kernel IPsec
-// implementations.
-type cryptoState struct {
-	mac hash.Hash    // HMAC-SHA256 keyed with the SA's auth key
-	blk cipher.Block // AES-128 block keyed with the SA's enc key; nil if none
-	hdr [12]byte     // MAC header scratch (kept here so it never escapes)
-	sum [sha256.Size]byte
-	ctr [aes.BlockSize]byte
-	ks  [aes.BlockSize]byte
+// suite is one SA's validated keys and its AES-128-GCM state. The AEAD is
+// built on the SA's first seal or open, so an installed but idle SA pays one
+// pointer for it; cipher.AEAD is safe for concurrent use, so every packet
+// on the SA shares it.
+type suite struct {
+	keys KeyMaterial
+	aead atomic.Pointer[cipher.AEAD]
 }
 
-// cryptoPool hands out cryptoStates for one SA's immutable KeyMaterial.
-type cryptoPool struct {
-	p sync.Pool
-}
-
-// newCryptoPool builds the pool; keys must already be validated.
-func newCryptoPool(keys KeyMaterial) *cryptoPool {
-	cp := &cryptoPool{}
-	cp.p.New = func() any {
-		st := &cryptoState{mac: hmac.New(sha256.New, keys.AuthKey)}
-		if len(keys.EncKey) > 0 {
-			blk, err := aes.NewCipher(keys.EncKey)
-			if err != nil {
-				// Validate() pinned the key length; aes.NewCipher cannot
-				// fail on a validated key.
-				panic(fmt.Sprintf("ipsec: aes: %v", err))
-			}
-			st.blk = blk
-		}
-		return st
+func (s *suite) get() cipher.AEAD {
+	if a := s.aead.Load(); a != nil {
+		return *a
 	}
-	return cp
-}
-
-func (cp *cryptoPool) get() *cryptoState   { return cp.p.Get().(*cryptoState) }
-func (cp *cryptoPool) put(st *cryptoState) { cp.p.Put(st) }
-
-// icvInto computes the HMAC-SHA256-96 ICV over SPI || seq64 || body into the
-// state's sum buffer, returning the truncated slice (valid until the next
-// icvInto on the same state).
-func (st *cryptoState) icvInto(spi uint32, seq64 uint64, body []byte) []byte {
-	st.mac.Reset()
-	binary.BigEndian.PutUint32(st.hdr[0:4], spi)
-	binary.BigEndian.PutUint64(st.hdr[4:12], seq64)
-	st.mac.Write(st.hdr[:])
-	st.mac.Write(body)
-	return st.mac.Sum(st.sum[:0])[:icvLen]
-}
-
-// ctrXOR applies AES-CTR in place with a nonce derived from (spi, seq64),
-// block by block through the state's cached cipher. Byte-identical to
-// cipher.NewCTR over the same IV for any packet shorter than 2^32 blocks
-// (the stdlib CTR carries into byte 11 only past a 64GiB keystream).
-func (st *cryptoState) ctrXOR(spi uint32, seq64 uint64, data []byte) {
-	binary.BigEndian.PutUint32(st.ctr[0:4], spi)
-	binary.BigEndian.PutUint64(st.ctr[4:12], seq64)
-	var ctr32 uint32
-	for i := 0; i < len(data); i += aes.BlockSize {
-		binary.BigEndian.PutUint32(st.ctr[12:16], ctr32)
-		ctr32++
-		st.blk.Encrypt(st.ks[:], st.ctr[:])
-		n := len(data) - i
-		if n > aes.BlockSize {
-			n = aes.BlockSize
-		}
-		subtle.XORBytes(data[i:i+n], data[i:i+n], st.ks[:n])
+	blk, err := aes.NewCipher(s.keys.EncKey)
+	var a cipher.AEAD
+	if err == nil {
+		a, err = cipher.NewGCM(blk)
 	}
+	if err != nil {
+		// Validate pinned the key length; neither call fails on it.
+		panic(fmt.Sprintf("ipsec: aes-gcm: %v", err))
+	}
+	s.aead.CompareAndSwap(nil, &a)
+	return a
 }
 
-// sealAppendState appends the wire bytes for (spi, seq64, payload) to dst
-// using pooled crypto scratch. It allocates only when dst lacks capacity.
-func sealAppendState(cp *cryptoPool, spi uint32, seq64 uint64, payload, dst []byte) []byte {
-	st := cp.get()
-	start := len(dst)
-	n := headerLen + len(payload) + icvLen
-	dst = slices.Grow(dst, n)[:start+n]
-	out := dst[start:]
-	binary.BigEndian.PutUint32(out[0:4], spi)
-	binary.BigEndian.PutUint32(out[4:8], uint32(seq64))
-	body := out[headerLen : headerLen+len(payload)]
-	copy(body, payload)
-	if st.blk != nil {
-		st.ctrXOR(spi, seq64, body)
-	}
-	copy(out[headerLen+len(payload):], st.icvInto(spi, seq64, body))
-	cp.put(st)
+// nonceAAD is one seal's or open's GCM nonce, (salt XOR SPI) || seq64, and
+// AAD, SPI || seq64. Arguments to an interface method escape, so it comes
+// from a pool, not the stack.
+type nonceAAD struct {
+	nonce, aad [12]byte
+}
+
+var nonceAADPool = sync.Pool{New: func() any { return new(nonceAAD) }}
+
+func (s *suite) nonceAndAAD(spi uint32, seq64 uint64) *nonceAAD {
+	na := nonceAADPool.Get().(*nonceAAD)
+	binary.BigEndian.PutUint32(na.nonce[:saltLen], binary.BigEndian.Uint32(s.keys.AuthKey)^spi)
+	binary.BigEndian.PutUint64(na.nonce[saltLen:], seq64)
+	binary.BigEndian.PutUint32(na.aad[:4], spi)
+	binary.BigEndian.PutUint64(na.aad[4:], seq64)
+	return na
+}
+
+// seal appends the wire bytes for (spi, seq64, payload) to dst. It
+// allocates only when dst lacks capacity.
+func (s *suite) seal(spi uint32, seq64 uint64, payload, dst []byte) []byte {
+	aead := s.get()
+	na := s.nonceAndAAD(spi, seq64)
+	dst = slices.Grow(dst, headerLen+len(payload)+icvLen)
+	dst = binary.BigEndian.AppendUint32(dst, spi)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(seq64))
+	dst = aead.Seal(dst, na.nonce[:], payload, na.aad[:])
+	nonceAADPool.Put(na)
 	return dst
 }
 
-// openAppendState verifies wire bytes given the reconstructed seq64 and
-// appends the decrypted payload to dst, using pooled crypto scratch. On
-// error dst is returned unchanged.
-func openAppendState(cp *cryptoPool, spi uint32, seq64 uint64, wire, dst []byte) ([]byte, error) {
-	st := cp.get()
-	body := wire[headerLen : len(wire)-icvLen]
-	want := st.icvInto(spi, seq64, body)
-	got := wire[len(wire)-icvLen:]
-	if !hmac.Equal(want, got) {
-		cp.put(st)
+// open verifies wire bytes given the reconstructed seq64 and appends the
+// decrypted payload to dst. On error dst is returned with its length
+// unchanged.
+func (s *suite) open(spi uint32, seq64 uint64, wire, dst []byte) ([]byte, error) {
+	aead := s.get()
+	na := s.nonceAndAAD(spi, seq64)
+	out, err := aead.Open(dst, na.nonce[:], wire[headerLen:], na.aad[:])
+	nonceAADPool.Put(na)
+	if err != nil {
 		return dst, ErrAuth
 	}
-	start := len(dst)
-	dst = slices.Grow(dst, len(body))[:start+len(body)]
-	payload := dst[start:]
-	copy(payload, body)
-	if st.blk != nil {
-		st.ctrXOR(spi, seq64, payload)
-	}
-	cp.put(st)
-	return dst, nil
+	return out, nil
 }
 
 // ParseSPI extracts the SPI from wire bytes without validating the rest.

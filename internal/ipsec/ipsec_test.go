@@ -2,7 +2,9 @@ package ipsec
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"net/netip"
 	"testing"
 	"time"
@@ -11,12 +13,11 @@ import (
 	"antireplay/internal/store"
 )
 
-func testKeys(enc bool) KeyMaterial {
-	k := KeyMaterial{AuthKey: bytes.Repeat([]byte{0xA1}, AuthKeySize)}
-	if enc {
-		k.EncKey = bytes.Repeat([]byte{0xB2}, EncKeySize)
+func testKeys() KeyMaterial {
+	return KeyMaterial{
+		AuthKey: bytes.Repeat([]byte{0xA1}, AuthKeySize),
+		EncKey:  bytes.Repeat([]byte{0xB2}, EncKeySize),
 	}
-	return k
 }
 
 func newSenderT(t *testing.T, k uint64) (*core.Sender, *store.Mem) {
@@ -39,15 +40,15 @@ func newReceiverT(t *testing.T, k uint64, w int) (*core.Receiver, *store.Mem) {
 	return r, &m
 }
 
-func newPair(t *testing.T, enc, esn bool) (*OutboundSA, *InboundSA) {
+func newPair(t *testing.T) (*OutboundSA, *InboundSA) {
 	t.Helper()
 	snd, _ := newSenderT(t, 25)
 	rcv, _ := newReceiverT(t, 25, 64)
-	out, err := NewOutboundSA(0x1001, testKeys(enc), snd, false, Lifetime{}, nil)
+	out, err := NewOutboundSA(0x1001, testKeys(), snd, false, Lifetime{}, nil)
 	if err != nil {
 		t.Fatalf("NewOutboundSA: %v", err)
 	}
-	in, err := NewInboundSA(0x1001, testKeys(enc), rcv, esn, Lifetime{}, nil)
+	in, err := NewInboundSA(0x1001, testKeys(), rcv, false, Lifetime{}, nil)
 	if err != nil {
 		t.Fatalf("NewInboundSA: %v", err)
 	}
@@ -60,8 +61,8 @@ func TestKeyMaterialValidate(t *testing.T) {
 		k    KeyMaterial
 		ok   bool
 	}{
-		{"auth only", testKeys(false), true},
-		{"auth+enc", testKeys(true), true},
+		{"auth only", KeyMaterial{AuthKey: make([]byte, AuthKeySize)}, false},
+		{"auth+enc", testKeys(), true},
 		{"short auth", KeyMaterial{AuthKey: make([]byte, 16)}, false},
 		{"no auth", KeyMaterial{}, false},
 		{"bad enc", KeyMaterial{AuthKey: make([]byte, 32), EncKey: make([]byte, 8)}, false},
@@ -80,43 +81,81 @@ func TestKeyMaterialValidate(t *testing.T) {
 }
 
 func TestSealOpenRoundTrip(t *testing.T) {
-	for _, enc := range []bool{false, true} {
-		name := "integrity-only"
-		if enc {
-			name = "encrypted"
+	t.Run("encrypted", func(t *testing.T) {
+		out, in := newPair(t)
+		payload := []byte("attack at dawn")
+		wire, err := out.Seal(payload)
+		if err != nil {
+			t.Fatalf("Seal: %v", err)
 		}
-		t.Run(name, func(t *testing.T) {
-			out, in := newPair(t, enc, false)
-			payload := []byte("attack at dawn")
-			wire, err := out.Seal(payload)
-			if err != nil {
-				t.Fatalf("Seal: %v", err)
+		if len(wire) != len(payload)+Overhead {
+			t.Errorf("wire len = %d, want %d", len(wire), len(payload)+Overhead)
+		}
+		if bytes.Contains(wire, payload) {
+			t.Error("plaintext visible in encrypted packet")
+		}
+		got, verdict, err := in.Open(wire)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		if !verdict.Delivered() {
+			t.Fatalf("verdict = %v, want delivered", verdict)
+		}
+		if !bytes.Equal(got, payload) {
+			t.Errorf("payload = %q, want %q", got, payload)
+		}
+	})
+
+	// The wire format pinned by a fixed vector: SPI | seq_lo | AES-128-GCM
+	// ciphertext | 16-byte tag, under nonce (salt XOR SPI) || seq64 and AAD
+	// SPI || seq64, with an ESN whose high half (2) is on no wire byte. The
+	// hex was computed with crypto/cipher's GCM directly over that nonce
+	// (dbdc89fa0000000200000007) and AAD, not through this package.
+	t.Run("known-answer", func(t *testing.T) {
+		keys := KeyMaterial{AuthKey: make([]byte, AuthKeySize), EncKey: make([]byte, EncKeySize)}
+		copy(keys.AuthKey, []byte{0xca, 0xfe, 0xba, 0xbe})
+		for i := range keys.EncKey {
+			keys.EncKey[i] = byte(i)
+		}
+		const spi, seq64 = 0x11223344, 0x0000000200000007
+		s := &suite{keys: keys}
+		wire := s.seal(spi, seq64, []byte("attack at dawn"), nil)
+		const want = "11223344" + "00000007" +
+			"ee15d17a46db95c50e245ebbf59b" + "a4c8f249762157796202c98b87286594"
+		if got := hex.EncodeToString(wire); got != want {
+			t.Fatalf("wire = %s, want %s", got, want)
+		}
+		dst := append(make([]byte, 0, 64), "kept"...)
+		got, err := s.open(spi, seq64, wire, dst)
+		if err != nil || string(got[len(dst):]) != "attack at dawn" {
+			t.Fatalf("open = (%q, %v)", got, err)
+		}
+		// A wrongly inferred high half, or any flipped tag byte, fails
+		// authentication and leaves dst as it was.
+		refused := func(what string, seq uint64, w []byte) {
+			t.Helper()
+			got, err := s.open(spi, seq, w, dst)
+			if !errors.Is(err, ErrAuth) || string(got) != "kept" {
+				t.Errorf("%s: open = (%q, %v), want (\"kept\", ErrAuth)", what, got, err)
 			}
-			if len(wire) != len(payload)+Overhead {
-				t.Errorf("wire len = %d, want %d", len(wire), len(payload)+Overhead)
-			}
-			if enc && bytes.Contains(wire, payload) {
-				t.Error("plaintext visible in encrypted packet")
-			}
-			if !enc && !bytes.Contains(wire, payload) {
-				t.Error("integrity-only packet should carry plaintext")
-			}
-			got, verdict, err := in.Open(wire)
-			if err != nil {
-				t.Fatalf("Open: %v", err)
-			}
-			if !verdict.Delivered() {
-				t.Fatalf("verdict = %v, want delivered", verdict)
-			}
-			if !bytes.Equal(got, payload) {
-				t.Errorf("payload = %q, want %q", got, payload)
-			}
-		})
-	}
+		}
+		refused("high half 1", seq64-1<<32, wire)
+		for i := len(wire) - icvLen; i < len(wire); i++ {
+			w := bytes.Clone(wire)
+			w[i] ^= 0x80
+			refused(fmt.Sprintf("tag byte %d", i), seq64, w)
+		}
+		// The same keys under another SPI seal the same number under
+		// another nonce: SAs that share keys never share a (key, nonce).
+		other := s.seal(spi+1, seq64, []byte("attack at dawn"), nil)
+		if bytes.Equal(other[headerLen:headerLen+14], wire[headerLen:headerLen+14]) {
+			t.Error("same keys, SPIs one apart: same keystream at the same seq64")
+		}
+	})
 }
 
 func TestOpenEmptyPayload(t *testing.T) {
-	out, in := newPair(t, true, false)
+	out, in := newPair(t)
 	wire, err := out.Seal(nil)
 	if err != nil {
 		t.Fatalf("Seal: %v", err)
@@ -131,7 +170,7 @@ func TestOpenEmptyPayload(t *testing.T) {
 }
 
 func TestTamperDetection(t *testing.T) {
-	out, in := newPair(t, true, false)
+	out, in := newPair(t)
 	wire, err := out.Seal([]byte("payload payload payload"))
 	if err != nil {
 		t.Fatalf("Seal: %v", err)
@@ -172,7 +211,7 @@ func TestTamperDetection(t *testing.T) {
 }
 
 func TestWrongKeyRejected(t *testing.T) {
-	out, _ := newPair(t, true, false)
+	out, _ := newPair(t)
 	rcv, _ := newReceiverT(t, 25, 64)
 	otherKeys := KeyMaterial{AuthKey: bytes.Repeat([]byte{0xFF}, AuthKeySize), EncKey: bytes.Repeat([]byte{0xEE}, EncKeySize)}
 	in, err := NewInboundSA(0x1001, otherKeys, rcv, false, Lifetime{}, nil)
@@ -186,7 +225,7 @@ func TestWrongKeyRejected(t *testing.T) {
 }
 
 func TestReplayRejected(t *testing.T) {
-	out, in := newPair(t, true, false)
+	out, in := newPair(t)
 	wire, _ := out.Seal([]byte("once"))
 	if _, v, err := in.Open(wire); err != nil || !v.Delivered() {
 		t.Fatalf("first Open = %v %v", v, err)
@@ -208,7 +247,7 @@ func TestReplayRejected(t *testing.T) {
 }
 
 func TestShortPacket(t *testing.T) {
-	_, in := newPair(t, false, false)
+	_, in := newPair(t)
 	if _, _, err := in.Open(make([]byte, 5)); !errors.Is(err, ErrShortPacket) {
 		t.Errorf("Open(short) = %v, want ErrShortPacket", err)
 	}
@@ -252,11 +291,11 @@ func TestESNAcrossSubspaceBoundary(t *testing.T) {
 	rcv.Reset()
 	rcv.Wake() // edge = base + 2k
 
-	out, err := NewOutboundSA(7, testKeys(true), snd, true, Lifetime{}, nil)
+	out, err := NewOutboundSA(7, testKeys(), snd, true, Lifetime{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := NewInboundSA(7, testKeys(true), rcv, true, Lifetime{}, nil)
+	in, err := NewInboundSA(7, testKeys(), rcv, true, Lifetime{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +327,7 @@ func TestESNAcrossSubspaceBoundary(t *testing.T) {
 
 func TestLifetimeBytes(t *testing.T) {
 	snd, _ := newSenderT(t, 25)
-	out, err := NewOutboundSA(1, testKeys(false), snd, false, Lifetime{SoftBytes: 40, HardBytes: 80}, nil)
+	out, err := NewOutboundSA(1, testKeys(), snd, false, Lifetime{SoftBytes: 40, HardBytes: 80}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +355,7 @@ func TestLifetimeTime(t *testing.T) {
 	var now time.Duration
 	clock := func() time.Duration { return now }
 	snd, _ := newSenderT(t, 25)
-	out, err := NewOutboundSA(1, testKeys(false), snd, false, Lifetime{SoftTime: time.Hour, HardTime: 2 * time.Hour}, clock)
+	out, err := NewOutboundSA(1, testKeys(), snd, false, Lifetime{SoftTime: time.Hour, HardTime: 2 * time.Hour}, clock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,15 +379,15 @@ func TestLifetimeStateString(t *testing.T) {
 }
 
 func TestSADRouting(t *testing.T) {
-	out1, in1 := newPair(t, true, false)
+	out1, in1 := newPair(t)
 	_ = out1
 	snd2, _ := newSenderT(t, 25)
 	rcv2, _ := newReceiverT(t, 25, 64)
-	out2, err := NewOutboundSA(0x2002, testKeys(false), snd2, false, Lifetime{}, nil)
+	out2, err := NewOutboundSA(0x2002, testKeys(), snd2, false, Lifetime{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in2, err := NewInboundSA(0x2002, testKeys(false), rcv2, false, Lifetime{}, nil)
+	in2, err := NewInboundSA(0x2002, testKeys(), rcv2, false, Lifetime{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,11 +427,11 @@ func TestSADRouting(t *testing.T) {
 func TestSPDFirstMatch(t *testing.T) {
 	sndA, _ := newSenderT(t, 25)
 	sndB, _ := newSenderT(t, 25)
-	saA, err := NewOutboundSA(1, testKeys(false), sndA, false, Lifetime{}, nil)
+	saA, err := NewOutboundSA(1, testKeys(), sndA, false, Lifetime{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	saB, err := NewOutboundSA(2, testKeys(false), sndB, false, Lifetime{}, nil)
+	saB, err := NewOutboundSA(2, testKeys(), sndB, false, Lifetime{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +466,7 @@ func TestSPDFirstMatch(t *testing.T) {
 func TestInboundSAResetRecoveryEndToEnd(t *testing.T) {
 	// The full paper scenario over authenticated packets: receiver resets,
 	// wakes with the leap, rejects authentic replays, accepts fresh traffic.
-	out, in := newPair(t, true, false)
+	out, in := newPair(t)
 	var history [][]byte
 	for i := 0; i < 60; i++ {
 		wire, err := out.Seal([]byte{byte(i)})
@@ -476,7 +515,7 @@ func TestInboundSAResetRecoveryEndToEnd(t *testing.T) {
 }
 
 func TestOutboundCounters(t *testing.T) {
-	out, _ := newPair(t, false, false)
+	out, _ := newPair(t)
 	if _, err := out.Seal(make([]byte, 10)); err != nil {
 		t.Fatal(err)
 	}

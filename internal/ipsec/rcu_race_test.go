@@ -43,10 +43,10 @@ func TestRaceRCUDatapath(t *testing.T) {
 		Src: netip.MustParsePrefix("10.0.0.1/32"),
 		Dst: netip.MustParsePrefix("10.0.1.1/32"),
 	}
-	if _, err := g.AddOutbound(1, testKeys(false), sel); err != nil {
+	if _, err := g.AddOutbound(1, testKeys(), sel); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.AddInbound(1, testKeys(false)); err != nil {
+	if _, err := g.AddInbound(1, testKeys()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -64,11 +64,11 @@ func TestRaceRCUDatapath(t *testing.T) {
 		spi := uint32(1)
 		for i := 0; i < 24; i++ {
 			next := spi + 1
-			if _, err := g.RekeyInbound(spi, next, testKeys(false)); err != nil {
+			if _, err := g.RekeyInbound(spi, next, testKeys()); err != nil {
 				t.Errorf("RekeyInbound: %v", err)
 				return
 			}
-			if _, err := g.RekeyOutbound(spi, next, testKeys(false)); err != nil {
+			if _, err := g.RekeyOutbound(spi, next, testKeys()); err != nil {
 				t.Errorf("RekeyOutbound: %v", err)
 				return
 			}
@@ -89,10 +89,10 @@ func TestRaceRCUDatapath(t *testing.T) {
 		}
 		for i := uint32(0); !stop.Load(); i++ {
 			spi := 0x9000 + i%8
-			if sa, err := g.AddInbound(spi, testKeys(false)); err == nil && sa == nil {
+			if sa, err := g.AddInbound(spi, testKeys()); err == nil && sa == nil {
 				t.Error("AddInbound returned nil SA without error")
 			}
-			if _, err := g.AddOutbound(spi, testKeys(false), churnSel); err == nil {
+			if _, err := g.AddOutbound(spi, testKeys(), churnSel); err == nil {
 				g.RemoveOutbound(spi)
 			}
 			g.RemoveInbound(spi)

@@ -11,7 +11,10 @@ import (
 // testKeys2 is a second key set so old- and new-generation traffic cannot
 // cross-authenticate.
 func testKeys2() KeyMaterial {
-	return KeyMaterial{AuthKey: bytes.Repeat([]byte{0xC3}, AuthKeySize)}
+	return KeyMaterial{
+		AuthKey: bytes.Repeat([]byte{0xC3}, AuthKeySize),
+		EncKey:  bytes.Repeat([]byte{0xD4}, EncKeySize),
+	}
 }
 
 // TestGatewayRekeyOutboundCutover: after RekeyOutbound, gateway traffic for
@@ -21,7 +24,7 @@ func TestGatewayRekeyOutboundCutover(t *testing.T) {
 	g, _ := testGateway(t)
 	defer g.Close()
 	src, dst := gwAddr(1)
-	old, err := g.AddOutbound(0x100, testKeys(false), gwSelector(1))
+	old, err := g.AddOutbound(0x100, testKeys(), gwSelector(1))
 	if err != nil {
 		t.Fatalf("AddOutbound: %v", err)
 	}
@@ -55,10 +58,10 @@ func TestGatewayRekeyInboundOverlap(t *testing.T) {
 	g, _ := testGateway(t)
 	defer g.Close()
 	src, dst := gwAddr(2)
-	if _, err := g.AddOutbound(0x101, testKeys(false), gwSelector(2)); err != nil {
+	if _, err := g.AddOutbound(0x101, testKeys(), gwSelector(2)); err != nil {
 		t.Fatalf("AddOutbound: %v", err)
 	}
-	oldIn, err := g.AddInbound(0x101, testKeys(false))
+	oldIn, err := g.AddInbound(0x101, testKeys())
 	if err != nil {
 		t.Fatalf("AddInbound: %v", err)
 	}
@@ -100,11 +103,11 @@ func TestGatewayRemoveReAddFreshLife(t *testing.T) {
 	g, _ := testGateway(t)
 	defer g.Close()
 	src, dst := gwAddr(3)
-	out, err := g.AddOutbound(0x300, testKeys(false), gwSelector(3))
+	out, err := g.AddOutbound(0x300, testKeys(), gwSelector(3))
 	if err != nil {
 		t.Fatalf("AddOutbound: %v", err)
 	}
-	in, err := g.AddInbound(0x300, testKeys(false))
+	in, err := g.AddInbound(0x300, testKeys())
 	if err != nil {
 		t.Fatalf("AddInbound: %v", err)
 	}
@@ -164,7 +167,7 @@ func TestGatewayRevertOutbound(t *testing.T) {
 	g, _ := testGateway(t)
 	defer g.Close()
 	src, dst := gwAddr(4)
-	old, err := g.AddOutbound(0x400, testKeys(false), gwSelector(4))
+	old, err := g.AddOutbound(0x400, testKeys(), gwSelector(4))
 	if err != nil {
 		t.Fatalf("AddOutbound: %v", err)
 	}
@@ -200,7 +203,7 @@ func TestSPDReplaceAndRemove(t *testing.T) {
 	mkSA := func(spi uint32) *OutboundSA {
 		snd, m := newSenderT(t, 5)
 		_ = m
-		sa, err := NewOutboundSA(spi, testKeys(false), snd, false, Lifetime{}, nil)
+		sa, err := NewOutboundSA(spi, testKeys(), snd, false, Lifetime{}, nil)
 		if err != nil {
 			t.Fatalf("NewOutboundSA: %v", err)
 		}

@@ -61,8 +61,7 @@ func (s LifetimeState) String() string {
 // the sender's own sequence allocation.
 type OutboundSA struct {
 	spi    uint32
-	keys   KeyMaterial
-	crypto *cryptoPool
+	crypto suite
 	seq    *core.Sender
 	esn    bool
 	life   Lifetime
@@ -93,7 +92,7 @@ func NewOutboundSA(spi uint32, keys KeyMaterial, sender *core.Sender, esn bool, 
 		return nil, fmt.Errorf("%w: nil sender", core.ErrConfig)
 	}
 	o := &OutboundSA{
-		spi: spi, keys: keys, crypto: newCryptoPool(keys),
+		spi: spi, crypto: suite{keys: keys},
 		seq: sender, esn: esn, life: life, now: clockOrZero(clock),
 	}
 	o.born = o.now()
@@ -174,11 +173,11 @@ func (o *OutboundSA) unreserve(n uint64) {
 func (o *OutboundSA) sealSeqAppend(dst []byte, seq64 uint64, payload []byte) ([]byte, error) {
 	if !o.esn && seq64 > math.MaxUint32 {
 		// RFC 4303 §3.3.3: without ESN the sender MUST NOT let the sequence
-		// number cycle — reusing a wire number would also reuse the CTR
+		// number cycle — reusing a wire number would also reuse the GCM
 		// nonce. The SA is permanently exhausted; rekey to continue.
 		return dst, fmt.Errorf("%w: sequence %d exceeds the 32-bit wire space", ErrSeqExhausted, seq64)
 	}
-	return sealAppendState(o.crypto, o.spi, seq64, payload, dst), nil
+	return o.crypto.seal(o.spi, seq64, payload, dst), nil
 }
 
 // Seal encapsulates payload, assigning the next sequence number. It fails
@@ -201,8 +200,12 @@ func (o *OutboundSA) Seal(payload []byte) ([]byte, error) {
 // dst of sufficient capacity a steady-state SealAppend performs zero
 // allocations — the sequence number comes from one short critical section
 // per packet (core.Sender.Next takes the sender's mutex, as Receiver.Admit
-// takes the receiver's), the AES key schedule and HMAC state are pooled per
-// SA, and the wire is built in place. On error dst is returned unchanged.
+// takes the receiver's), the SA's AES-GCM state is built once and shared,
+// and the wire is built in place. On error dst is returned unchanged.
+//
+// dst's spare capacity must not partly overlap payload: the GCM seal panics
+// on an inexact overlap. The one overlap allowed is exact, payload already
+// at dst[len(dst)+8:], where its ciphertext goes.
 func (o *OutboundSA) SealAppend(dst []byte, payload []byte) ([]byte, error) {
 	if o.draining.Load() {
 		return dst, fmt.Errorf("%w: %#x", ErrDraining, o.spi)
@@ -240,8 +243,7 @@ func (o *OutboundSA) Counters() (bytes, packets uint64) {
 // serialize only on the receiver's admission.
 type InboundSA struct {
 	spi     uint32
-	keys    KeyMaterial
-	crypto  *cryptoPool
+	crypto  suite
 	replay  *core.Receiver
 	esn     bool
 	winW    int  // receiver window width, immutable
@@ -273,7 +275,7 @@ func NewInboundSA(spi uint32, keys KeyMaterial, receiver *core.Receiver, esn boo
 		return nil, fmt.Errorf("%w: nil receiver", core.ErrConfig)
 	}
 	i := &InboundSA{
-		spi: spi, keys: keys, crypto: newCryptoPool(keys), replay: receiver,
+		spi: spi, crypto: suite{keys: keys}, replay: receiver,
 		esn: esn, winW: receiver.W(), hasLife: life != Lifetime{},
 		life: life, now: clockOrZero(clock),
 	}
@@ -338,11 +340,11 @@ func (i *InboundSA) verifyOneInto(dst []byte, wire []byte) (out []byte, v core.V
 		edge = i.replay.Edge()
 		seq64 = seqwin.InferESN(edge, lo, i.winW)
 	}
-	out, err = openAppendState(i.crypto, i.spi, seq64, wire, dst)
+	out, err = i.crypto.open(i.spi, seq64, wire, dst)
 	if err != nil && i.esn {
 		if e2 := i.replay.Edge(); e2 != edge {
 			if s2 := seqwin.InferESN(e2, lo, i.winW); s2 != seq64 {
-				if out2, err2 := openAppendState(i.crypto, i.spi, s2, wire, dst); err2 == nil {
+				if out2, err2 := i.crypto.open(i.spi, s2, wire, dst); err2 == nil {
 					out, err, seq64 = out2, nil, s2
 				}
 			}
@@ -374,6 +376,10 @@ func (i *InboundSA) Open(wire []byte) ([]byte, core.Verdict, error) {
 // slice; on any other outcome out retains dst's length. With a reused dst
 // of sufficient capacity a steady-state OpenAppend performs zero
 // allocations.
+//
+// dst's spare capacity must not overlap wire at all: the GCM open panics on
+// an inexact overlap, and a failed open clears its output, which in place
+// would wipe the ciphertext an ESN retry at a 2^32 boundary still needs.
 func (i *InboundSA) OpenAppend(dst []byte, wire []byte) (out []byte, v core.Verdict, err error) {
 	if i.hasLife && i.State() == LifetimeHard {
 		return dst, 0, ErrHardExpired

@@ -60,7 +60,7 @@ func seededSender(t *testing.T, k, seed uint64) *core.Sender {
 func TestSealSeqExhausted(t *testing.T) {
 	const k = 10
 	snd := seededSender(t, k, math.MaxUint32-2*k-5) // resumes at 2^32 - 6
-	out, err := NewOutboundSA(0x5EED, testKeys(false), snd, false, Lifetime{}, nil)
+	out, err := NewOutboundSA(0x5EED, testKeys(), snd, false, Lifetime{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestSealSeqExhausted(t *testing.T) {
 	// An ESN SA over the same region sails through: the wire half may wrap
 	// because the authenticated 64-bit number does not.
 	sndESN := seededSender(t, k, math.MaxUint32-2*k-5)
-	outESN, err := NewOutboundSA(0x5EEE, testKeys(false), sndESN, true, Lifetime{}, nil)
+	outESN, err := NewOutboundSA(0x5EEE, testKeys(), sndESN, true, Lifetime{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestSealConcurrentHardBytes(t *testing.T) {
 	)
 	hard := uint64(50 * wireLen) // far fewer than goroutines*perG packets
 	snd, _ := newSenderT(t, 1<<20)
-	out, err := NewOutboundSA(1, testKeys(false), snd, false, Lifetime{HardBytes: hard}, nil)
+	out, err := NewOutboundSA(1, testKeys(), snd, false, Lifetime{HardBytes: hard}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestSealConcurrentHardBytes(t *testing.T) {
 // opens each twice into another: every first Open delivers its payload,
 // every second is a replay, and both SAs' counters say so.
 func TestSealAppendRoundTripCounters(t *testing.T) {
-	out, in := newPair(t, true, false)
+	out, in := newPair(t)
 	var wires [][]byte
 	var wantBytes uint64
 	wbuf, pbuf := make([]byte, 0, 128), make([]byte, 0, 128)
@@ -207,7 +207,7 @@ func TestSealAppendHorizonBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := NewOutboundSA(2, testKeys(false), snd, false, Lifetime{}, nil)
+	out, err := NewOutboundSA(2, testKeys(), snd, false, Lifetime{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,10 +238,10 @@ func TestGatewayOpenAppendMixedSPIs(t *testing.T) {
 	const nSAs = 3
 	for i := 0; i < nSAs; i++ {
 		spi := uint32(0x6000 + i)
-		if _, err := g.AddOutbound(spi, testKeys(true), gwSelector(i)); err != nil {
+		if _, err := g.AddOutbound(spi, testKeys(), gwSelector(i)); err != nil {
 			t.Fatalf("AddOutbound: %v", err)
 		}
-		if _, err := g.AddInbound(spi, testKeys(true)); err != nil {
+		if _, err := g.AddInbound(spi, testKeys()); err != nil {
 			t.Fatalf("AddInbound: %v", err)
 		}
 	}
@@ -295,11 +295,11 @@ func TestGatewayConcurrentExactlyOnce(t *testing.T) {
 	ins := make([]*InboundSA, nSAs)
 	for i := range ins {
 		spi := uint32(0x7000 + i)
-		if _, err := g.AddOutbound(spi, testKeys(false), gwSelector(i)); err != nil {
+		if _, err := g.AddOutbound(spi, testKeys(), gwSelector(i)); err != nil {
 			t.Fatalf("AddOutbound: %v", err)
 		}
 		var err error
-		if ins[i], err = g.AddInbound(spi, testKeys(false)); err != nil {
+		if ins[i], err = g.AddInbound(spi, testKeys()); err != nil {
 			t.Fatalf("AddInbound: %v", err)
 		}
 	}
@@ -406,11 +406,11 @@ func TestOpenConcurrentESNBoundary(t *testing.T) {
 	rcv.Reset()
 	rcv.Wake()
 
-	out, err := NewOutboundSA(9, testKeys(true), snd, true, Lifetime{}, nil)
+	out, err := NewOutboundSA(9, testKeys(), snd, true, Lifetime{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := NewInboundSA(9, testKeys(true), rcv, true, Lifetime{}, nil)
+	in, err := NewInboundSA(9, testKeys(), rcv, true, Lifetime{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

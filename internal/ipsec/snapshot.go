@@ -1,6 +1,7 @@
 package ipsec
 
 import (
+	"bytes"
 	"fmt"
 
 	"antireplay/internal/store"
@@ -40,11 +41,7 @@ type InboundSnapshot struct {
 
 // copyKeys deep-copies key material so snapshots do not alias live SA state.
 func copyKeys(k KeyMaterial) KeyMaterial {
-	out := KeyMaterial{AuthKey: append([]byte(nil), k.AuthKey...)}
-	if len(k.EncKey) > 0 {
-		out.EncKey = append([]byte(nil), k.EncKey...)
-	}
-	return out
+	return KeyMaterial{AuthKey: bytes.Clone(k.AuthKey), EncKey: bytes.Clone(k.EncKey)}
 }
 
 // Snapshot exports the gateway's control-plane state for a standby's mirror
@@ -67,7 +64,7 @@ func (g *Gateway) Snapshot() GatewaySnapshot {
 	for _, sa := range outs {
 		snap.Outbound = append(snap.Outbound, OutboundSnapshot{
 			SPI:        sa.SPI(),
-			Keys:       copyKeys(sa.keys),
+			Keys:       copyKeys(sa.crypto.keys),
 			Selectors:  append([]Selector(nil), sels[sa]...),
 			Generation: sa.Generation(),
 			PrevSPI:    sa.PrevSPI(),
@@ -77,7 +74,7 @@ func (g *Gateway) Snapshot() GatewaySnapshot {
 	g.sad.Range(func(sa *InboundSA) bool {
 		snap.Inbound = append(snap.Inbound, InboundSnapshot{
 			SPI:        sa.SPI(),
-			Keys:       copyKeys(sa.keys),
+			Keys:       copyKeys(sa.crypto.keys),
 			Generation: sa.Generation(),
 			PrevSPI:    sa.PrevSPI(),
 			Draining:   sa.Draining(),

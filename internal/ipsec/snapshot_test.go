@@ -1,6 +1,7 @@
 package ipsec
 
 import (
+	"bytes"
 	"errors"
 	"net/netip"
 	"path/filepath"
@@ -12,11 +13,10 @@ import (
 )
 
 func snapTestKeys(b byte) KeyMaterial {
-	k := KeyMaterial{AuthKey: make([]byte, AuthKeySize)}
-	for i := range k.AuthKey {
-		k.AuthKey[i] = b
+	return KeyMaterial{
+		AuthKey: bytes.Repeat([]byte{b}, AuthKeySize),
+		EncKey:  bytes.Repeat([]byte{^b}, EncKeySize),
 	}
-	return k
 }
 
 func snapTestSelector(i int) Selector {
@@ -73,7 +73,9 @@ func TestGatewaySnapshotCapturesPopulation(t *testing.T) {
 	}
 	// Keys are deep copies, not aliases.
 	snap.Inbound[0].Keys.AuthKey[0] ^= 0xff
-	if gw.Snapshot().Inbound[0].Keys.AuthKey[0] == snap.Inbound[0].Keys.AuthKey[0] {
+	snap.Inbound[0].Keys.EncKey[0] ^= 0xff
+	live := gw.Snapshot().Inbound[0].Keys
+	if live.AuthKey[0] == snap.Inbound[0].Keys.AuthKey[0] || live.EncKey[0] == snap.Inbound[0].Keys.EncKey[0] {
 		t.Error("snapshot keys alias live SA key material")
 	}
 }

@@ -32,7 +32,7 @@ func newBenchOutbound(t testing.TB) *OutboundSA {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa, err := NewOutboundSA(0x1001, testKeys(true), snd, true, Lifetime{}, nil)
+	sa, err := NewOutboundSA(0x1001, testKeys(), snd, true, Lifetime{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func newBenchInbound(t testing.TB, spi uint32) *InboundSA {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa, err := NewInboundSA(spi, testKeys(true), rcv, true, Lifetime{}, nil)
+	sa, err := NewInboundSA(spi, testKeys(), rcv, true, Lifetime{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestZeroAllocInstrumentedSealAppend(t *testing.T) {
 	g, reg := newInstrumentedGateway(t)
 	src := netip.MustParseAddr("10.0.0.1")
 	dst := netip.MustParseAddr("10.0.1.1")
-	if _, err := g.AddOutbound(0x77, testKeys(true), Selector{
+	if _, err := g.AddOutbound(0x77, testKeys(), Selector{
 		Src: netip.PrefixFrom(src, 32), Dst: netip.PrefixFrom(dst, 32),
 	}); err != nil {
 		t.Fatal(err)
@@ -174,12 +174,12 @@ func TestZeroAllocInstrumentedOpenAppend(t *testing.T) {
 	g, reg := newInstrumentedGateway(t)
 	src := netip.MustParseAddr("10.0.0.1")
 	dst := netip.MustParseAddr("10.0.1.1")
-	if _, err := g.AddOutbound(0x77, testKeys(true), Selector{
+	if _, err := g.AddOutbound(0x77, testKeys(), Selector{
 		Src: netip.PrefixFrom(src, 32), Dst: netip.PrefixFrom(dst, 32),
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.AddInbound(0x77, testKeys(true)); err != nil {
+	if _, err := g.AddInbound(0x77, testKeys()); err != nil {
 		t.Fatal(err)
 	}
 	wires := make([][]byte, 600)

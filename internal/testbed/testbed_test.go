@@ -31,7 +31,10 @@ func newPair(t *testing.T, cfg Config) *Pair {
 		t.Fatal(err)
 	}
 	t.Cleanup(p.Close)
-	keys := ipsec.KeyMaterial{AuthKey: make([]byte, ipsec.AuthKeySize)}
+	keys := ipsec.KeyMaterial{
+		AuthKey: make([]byte, ipsec.AuthKeySize),
+		EncKey:  make([]byte, ipsec.EncKeySize),
+	}
 	if err := Install(p.A.GW, p.B.GW, testSPI, keys, addrA, addrB); err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +200,10 @@ func TestSettleWaitsForReceiverSaves(t *testing.T) {
 func TestSettleAfterWakeAll(t *testing.T) {
 	watchdog.Arm(t, 6*stallBudget)
 	p := newPair(t, Config{K: 4, W: 64, Sync: true})
-	keys := ipsec.KeyMaterial{AuthKey: make([]byte, ipsec.AuthKeySize)}
+	keys := ipsec.KeyMaterial{
+		AuthKey: make([]byte, ipsec.AuthKeySize),
+		EncKey:  make([]byte, ipsec.EncKeySize),
+	}
 	if err := Install(p.B.GW, p.A.GW, testSPI+1, keys, addrB, addrA); err != nil {
 		t.Fatal(err)
 	}
