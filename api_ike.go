@@ -12,10 +12,6 @@ import (
 type (
 	// IKEConfig parameterizes one handshake party.
 	IKEConfig = ike.Config
-	// IKEGroup is a finite-field Diffie-Hellman group.
-	IKEGroup = ike.Group
-	// IKEStats accumulates handshake costs.
-	IKEStats = ike.Stats
 	// ChildKeys is the ESP keying a handshake produces.
 	ChildKeys = ike.ChildKeys
 	// EstablishResult summarizes a completed handshake.

@@ -119,7 +119,7 @@ func BenchmarkTableRecoveryCost(b *testing.B) {
 	tbl := runTable(b, func() (*experiments.Table, error) {
 		return experiments.RecoveryCost(experiments.DefaultRecoveryConfig())
 	})
-	b.ReportMetric(colValue(b, tbl, "ike_modexps"), "ike-modexps")
+	b.ReportMetric(colValue(b, tbl, "ike_dh"), "ike-dh")
 	b.ReportMetric(colValue(b, tbl, "sf_fsyncs"), "sf-fsyncs")
 }
 

@@ -62,8 +62,8 @@ func TestDesignCoversLayers(t *testing.T) {
 // it was exported for nobody.
 var signatureNeeded = []struct{ why, names string }{
 	{"result, parameter and field types of kept constructors, methods and config structs: a caller holding the value must be able to name it", `
-		BackgroundSaver ChildKeys Engine EstablishResult GatewaySnapshot IKEGroup
-		IKEStats InboundSnapshot Journal JournalCell JournalTail LanesOption
+		BackgroundSaver ChildKeys Engine EstablishResult GatewaySnapshot
+		InboundSnapshot Journal JournalCell JournalTail LanesOption
 		LifetimeState LinkStats MetricKind MetricLabel MetricsEmit OutboundSnapshot
 		PoolSaver ReceiverStats RecoveryStats RekeyOrchestrator RekeyState
 		RekeyStats RekeyTunnel ReplicationStats SAD SAIntrospection SPD SenderStats

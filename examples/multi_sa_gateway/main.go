@@ -6,7 +6,7 @@
 // branches group-commit under shared fsyncs.
 //
 // After a reset, the IETF remedy renegotiates every SA with IKE (4 messages
-// and 4 modular exponentiations each); the paper's remedy replays one local
+// and 4 X25519 operations each); the paper's remedy replays one local
 // journal and re-SAVEs one leaped counter per SA — no network, no
 // asymmetric crypto.
 //
@@ -56,7 +56,7 @@ func seal(gw *antireplay.Gateway, src, dst netip.Addr, payload []byte) ([]byte, 
 func main() {
 	n := flag.Int("n", 16, "number of SA pairs (branch offices)")
 	packets := flag.Int("packets", 100, "packets per branch before the reset")
-	fast := flag.Bool("fast", false, "skip the real 2048-bit DH (prints message counts only)")
+	fast := flag.Bool("fast", false, "skip the IKE handshakes (prints message and DH counts only)")
 	flag.Parse()
 
 	dir, err := os.MkdirTemp("", "multi-sa-*")
@@ -159,12 +159,12 @@ func main() {
 
 	// Remedy B (IETF): renegotiate every SA with IKE.
 	if *fast {
-		fmt.Printf("  IKE renegotiation:   (skipped; would be %d messages, %d DH modexps)\n",
+		fmt.Printf("  IKE renegotiation:   (skipped; would be %d messages, %d X25519 operations)\n",
 			4**n, 4**n)
 		return
 	}
 	start = time.Now()
-	msgs, modexps := 0, 0
+	msgs, dh := 0, 0
 	for i := 0; i < *n; i++ {
 		res, err := antireplay.EstablishSA(
 			antireplay.IKEConfig{PSK: []byte("gw-psk"), Rand: rand.New(rand.NewSource(int64(i) + 1)), ID: "gw"},
@@ -174,11 +174,11 @@ func main() {
 			log.Fatal(err)
 		}
 		msgs += res.Messages
-		modexps += res.InitiatorStats.ModExps + res.ResponderStats.ModExps
+		dh += res.DH
 	}
 	ike := time.Since(start)
-	fmt.Printf("  IKE renegotiation:   %10v   %d network messages, %d DH modexps (2048-bit)\n",
-		ike, msgs, modexps)
+	fmt.Printf("  IKE renegotiation:   %10v   %d network messages, %d X25519 operations\n",
+		ike, msgs, dh)
 	fmt.Printf("\nSAVE/FETCH is %.0fx faster and sends nothing on the wire.\n",
 		float64(ike)/float64(saveFetch))
 	fmt.Println("(and the IKE numbers exclude the network round trips a real WAN would add)")

@@ -44,8 +44,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("IKE: established child SAs %#x (east->west) and %#x (west->east) in %v\n",
-		res.Keys.SPIInitToResp, res.Keys.SPIRespToInit, res.Elapsed.Round(time.Microsecond))
+	fmt.Printf("IKE: established child SAs %#x (east->west) and %#x (west->east)\n",
+		res.Keys.SPIInitToResp, res.Keys.SPIRespToInit)
 
 	east := &gateway{name: "east"}
 	west := &gateway{name: "west"}

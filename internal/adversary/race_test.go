@@ -27,10 +27,9 @@ var (
 
 func raceIKE(seed int64, id string) ike.Config {
 	return ike.Config{
-		PSK:   []byte("campaign-race-psk"),
-		Rand:  rand.New(rand.NewSource(seed)),
-		Group: ike.TestGroup(),
-		ID:    id,
+		PSK:  []byte("campaign-race-psk"),
+		Rand: rand.New(rand.NewSource(seed)),
+		ID:   id,
 	}
 }
 

@@ -347,7 +347,7 @@ func stormRow(cfg CampaignsConfig, k uint64) (campRow, error) {
 }
 
 func campIKE(seed int64, id string) ike.Config {
-	return ike.Config{PSK: []byte("campaign-experiment"), Group: ike.TestGroup(),
+	return ike.Config{PSK: []byte("campaign-experiment"),
 		Rand: rand.New(rand.NewSource(seed)), ID: id}
 }
 

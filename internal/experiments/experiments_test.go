@@ -307,7 +307,7 @@ func TestRecoveryCostShape(t *testing.T) {
 			name string
 			want uint64
 		}{
-			{"ike_msgs", 4 * n}, {"ike_modexps", 4 * n},
+			{"ike_msgs", 4 * n}, {"ike_dh", 4 * n},
 			{"sf_msgs", 0}, {"sf_fetches", n}, {"sf_saves", n}, {"sf_fsyncs", n},
 		} {
 			if got := mustUint(t, row[col(t, tbl, c.name)]); got != c.want {

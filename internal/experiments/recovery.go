@@ -24,21 +24,19 @@ func DefaultRecoveryConfig() RecoveryConfig {
 
 // RecoveryCost counts the work of the two ways to recover from a reset: the
 // IETF remedy — delete and renegotiate every SA with IKE (4 messages, 4
-// modular exponentiations per SA pair) — against the paper's SAVE/FETCH
-// wake-up (one FETCH and one synchronous SAVE per SA, no network traffic,
-// no asymmetric crypto). The paper's §3 motivation is exactly this gap,
-// "especially for a host with multiple existing SAs". The exchanges run
-// over ike.TestGroup: a larger group changes what a modexp costs, not how
-// many there are.
+// X25519 operations per SA pair) — against the paper's SAVE/FETCH wake-up
+// (one FETCH and one synchronous SAVE per SA, no network traffic, no
+// asymmetric crypto). The paper's §3 motivation is exactly this gap,
+// "especially for a host with multiple existing SAs".
 func RecoveryCost(cfg RecoveryConfig) (*Table, error) {
 	t := &Table{
 		ID:    "recovery",
 		Title: "Reset recovery: IKE re-establishment vs SAVE/FETCH (§3)",
 		Note: "Expect IKE work to grow linearly in the SA count — 4 messages and 4 " +
-			"modular exponentiations per SA — against one FETCH, one SAVE and one fsync " +
+			"X25519 operations per SA — against one FETCH, one SAVE and one fsync " +
 			"per SA and zero network messages for SAVE/FETCH (one SA after another on a " +
 			"one-lane journal, fsync on; a gateway's WakeAll shares one fsync per lane).",
-		Columns: []string{"n_sas", "ike_msgs", "ike_modexps",
+		Columns: []string{"n_sas", "ike_msgs", "ike_dh",
 			"sf_msgs", "sf_fetches", "sf_saves", "sf_fsyncs"},
 	}
 
@@ -55,13 +53,12 @@ func RecoveryCost(cfg RecoveryConfig) (*Table, error) {
 
 	for _, n := range cfg.SACounts {
 		// IKE path: n full handshakes.
-		msgs, modexps := 0, 0
+		msgs, dh := 0, 0
 		for i := 0; i < n; i++ {
 			icfg := ike.Config{
-				PSK:   []byte("recovery-bench-psk"),
-				Rand:  rand.New(rand.NewSource(cfg.Seed + int64(i))),
-				Group: ike.TestGroup(),
-				ID:    "initiator",
+				PSK:  []byte("recovery-bench-psk"),
+				Rand: rand.New(rand.NewSource(cfg.Seed + int64(i))),
+				ID:   "initiator",
 			}
 			rcfg := icfg
 			rcfg.Rand = rand.New(rand.NewSource(cfg.Seed + int64(i) + 1e6))
@@ -71,7 +68,7 @@ func RecoveryCost(cfg RecoveryConfig) (*Table, error) {
 				return nil, fmt.Errorf("experiments: recovery handshake: %w", err)
 			}
 			msgs += res.Messages
-			modexps += res.InitiatorStats.ModExps + res.ResponderStats.ModExps
+			dh += res.DH
 		}
 
 		// SAVE/FETCH path: per SA, one FETCH plus one synchronous SAVE of
@@ -97,7 +94,7 @@ func RecoveryCost(cfg RecoveryConfig) (*Table, error) {
 			}
 			saves++
 		}
-		t.AddRow(fmt.Sprint(n), fmt.Sprint(msgs), fmt.Sprint(modexps), "0",
+		t.AddRow(fmt.Sprint(n), fmt.Sprint(msgs), fmt.Sprint(dh), "0",
 			fmt.Sprint(fetches), fmt.Sprint(saves), fmt.Sprint(lanes.Syncs()-syncs))
 	}
 	return t, nil

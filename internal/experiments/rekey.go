@@ -69,8 +69,7 @@ func DefaultRekeyConfig() RekeyConfig {
 // The "sacrificed" column is the paper's own receiver-reset cost — up to 2K
 // fresh messages per reset, unrelated to the rollover — reported so the
 // zero-false-reject claim is measured on top of, not instead of, the
-// protocol's documented behavior. The exchanges run over ike.TestGroup: a
-// larger group changes what an exchange costs, not a cell of the table.
+// protocol's documented behavior.
 func RekeyRollover(cfg RekeyConfig) (*Table, error) {
 	t := &Table{
 		ID:    "rekey",
@@ -117,7 +116,7 @@ func rekeyRolloverRow(cfg RekeyConfig, loss float64) ([]string, error) {
 	// Every party of every exchange draws a distinct seed from the engine's
 	// deterministic source, so repeated rollovers negotiate distinct SPIs.
 	ikeCfg := func(id string) ike.Config {
-		return ike.Config{PSK: []byte("rekey-experiment"), Group: ike.TestGroup(),
+		return ike.Config{PSK: []byte("rekey-experiment"),
 			Rand: rand.New(rand.NewSource(rng.Int63())), ID: id}
 	}
 

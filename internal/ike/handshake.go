@@ -1,10 +1,9 @@
 package ike
 
 import (
+	"crypto/ecdh"
 	"crypto/hmac"
 	"fmt"
-	"math/big"
-	"time"
 )
 
 // Handshake phases.
@@ -20,14 +19,12 @@ const (
 
 // Initiator drives the initiator side of the handshake.
 type Initiator struct {
-	cfg   Config
-	stats Stats
-	ph    phase
+	cfg Config
+	ph  phase
 
 	spiI, spiR uint64
 	ni, nr     []byte
-	priv       *big.Int
-	pub        []byte
+	priv       *ecdh.PrivateKey
 
 	skeyseed   []byte
 	transcript []byte
@@ -48,22 +45,19 @@ func (i *Initiator) InitRequest() ([]byte, error) {
 	if i.ph != phaseIdle {
 		return nil, fmt.Errorf("%w: InitRequest in phase %d", ErrState, i.ph)
 	}
-	g := i.cfg.group()
 	i.spiI = i.cfg.Rand.Uint64()
 	i.ni = randBytes(i.cfg.Rand, nonceLen)
-	i.priv = new(big.Int).SetBytes(randBytes(i.cfg.Rand, g.Bits/8))
-	i.pub = modExp(&i.stats, g.G, i.priv, g.P).Bytes()
+	i.priv = keyPair(i.cfg.Rand)
 
-	msg := marshalInit(msgInitReq, initMsg{spi: i.spiI, nonce: i.ni, ke: i.pub})
+	msg := marshalInit(msgInitReq, initMsg{spi: i.spiI, nonce: i.ni, ke: i.priv.PublicKey().Bytes()})
 	i.transcript = append(i.transcript, msg...)
-	i.stats.MsgsOut++
-	i.stats.BytesOut += len(msg)
 	i.ph = phaseInitSent
 	return msg, nil
 }
 
 // HandleInitResponse consumes message 2 and produces message 3 (AUTH
-// request). The shared secret and SKEYSEED are computed here.
+// request). The shared secret and SKEYSEED are computed here; a bad KE
+// leaves the initiator as it was.
 func (i *Initiator) HandleInitResponse(b []byte) ([]byte, error) {
 	if i.ph != phaseInitSent {
 		return nil, fmt.Errorf("%w: HandleInitResponse in phase %d", ErrState, i.ph)
@@ -72,13 +66,14 @@ func (i *Initiator) HandleInitResponse(b []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	secret, err := sharedSecret(i.priv, m.ke)
+	if err != nil {
+		return nil, err
+	}
 	i.spiR = m.spi
 	i.nr = m.nonce
 	i.transcript = append(i.transcript, b...)
-
-	g := i.cfg.group()
-	secret := modExp(&i.stats, new(big.Int).SetBytes(m.ke), i.priv, g.P)
-	i.skeyseed = prf(append(append([]byte{}, i.ni...), i.nr...), secret.Bytes())
+	i.skeyseed = prf(append(append([]byte{}, i.ni...), i.nr...), secret)
 
 	i.childSPI = uint32(i.cfg.Rand.Uint64())
 	auth := authTag(i.cfg.PSK, i.transcript, "initiator")
@@ -86,8 +81,6 @@ func (i *Initiator) HandleInitResponse(b []byte) ([]byte, error) {
 		spiI: i.spiI, spiR: i.spiR,
 		id: []byte(i.cfg.ID), auth: auth, childSPI: i.childSPI,
 	})
-	i.stats.MsgsOut++
-	i.stats.BytesOut += len(msg)
 	i.ph = phaseAuthSent
 	return msg, nil
 }
@@ -118,18 +111,13 @@ func (i *Initiator) Established() bool { return i.ph == phaseDone }
 // ChildKeys returns the negotiated child SA keying (valid once Established).
 func (i *Initiator) ChildKeys() ChildKeys { return i.keys }
 
-// Stats returns the initiator's accumulated costs.
-func (i *Initiator) Stats() Stats { return i.stats }
-
 // Responder drives the responder side of the handshake.
 type Responder struct {
-	cfg   Config
-	stats Stats
-	ph    phase
+	cfg Config
+	ph  phase
 
 	spiI, spiR uint64
 	ni, nr     []byte
-	priv       *big.Int
 
 	skeyseed   []byte
 	transcript []byte
@@ -145,7 +133,8 @@ func NewResponder(cfg Config) (*Responder, error) {
 	return &Responder{cfg: cfg}, nil
 }
 
-// HandleInitRequest consumes message 1 and produces message 2.
+// HandleInitRequest consumes message 1 and produces message 2; a bad KE
+// leaves the responder as it was.
 func (r *Responder) HandleInitRequest(b []byte) ([]byte, error) {
 	if r.ph != phaseIdle {
 		return nil, fmt.Errorf("%w: HandleInitRequest in phase %d", ErrState, r.ph)
@@ -154,23 +143,18 @@ func (r *Responder) HandleInitRequest(b []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.spiI = m.spi
-	r.ni = m.nonce
-	r.transcript = append(r.transcript, b...)
+	spiR := r.cfg.Rand.Uint64()
+	nr := randBytes(r.cfg.Rand, nonceLen)
+	priv := keyPair(r.cfg.Rand)
+	secret, err := sharedSecret(priv, m.ke)
+	if err != nil {
+		return nil, err
+	}
+	r.spiI, r.ni, r.spiR, r.nr = m.spi, m.nonce, spiR, nr
+	r.skeyseed = prf(append(append([]byte{}, r.ni...), r.nr...), secret)
 
-	g := r.cfg.group()
-	r.spiR = r.cfg.Rand.Uint64()
-	r.nr = randBytes(r.cfg.Rand, nonceLen)
-	r.priv = new(big.Int).SetBytes(randBytes(r.cfg.Rand, g.Bits/8))
-	pub := modExp(&r.stats, g.G, r.priv, g.P)
-
-	secret := modExp(&r.stats, new(big.Int).SetBytes(m.ke), r.priv, g.P)
-	r.skeyseed = prf(append(append([]byte{}, r.ni...), r.nr...), secret.Bytes())
-
-	msg := marshalInit(msgInitResp, initMsg{spi: r.spiR, nonce: r.nr, ke: pub.Bytes()})
-	r.transcript = append(r.transcript, msg...)
-	r.stats.MsgsOut++
-	r.stats.BytesOut += len(msg)
+	msg := marshalInit(msgInitResp, initMsg{spi: r.spiR, nonce: r.nr, ke: priv.PublicKey().Bytes()})
+	r.transcript = append(append(r.transcript, b...), msg...)
 	r.ph = phaseInitHandled
 	return msg, nil
 }
@@ -198,8 +182,6 @@ func (r *Responder) HandleAuthRequest(b []byte) ([]byte, error) {
 		spiI: r.spiI, spiR: r.spiR,
 		id: []byte(r.cfg.ID), auth: auth, childSPI: r.childSPI,
 	})
-	r.stats.MsgsOut++
-	r.stats.BytesOut += len(msg)
 	r.ph = phaseDone
 	return msg, nil
 }
@@ -210,21 +192,16 @@ func (r *Responder) Established() bool { return r.ph == phaseDone }
 // ChildKeys returns the negotiated child SA keying (valid once Established).
 func (r *Responder) ChildKeys() ChildKeys { return r.keys }
 
-// Stats returns the responder's accumulated costs.
-func (r *Responder) Stats() Stats { return r.stats }
-
 // EstablishResult summarizes a completed in-memory handshake.
 type EstablishResult struct {
 	// Keys is the negotiated child keying (identical on both sides).
 	Keys ChildKeys
-	// InitiatorStats and ResponderStats are each party's costs.
-	InitiatorStats Stats
-	ResponderStats Stats
 	// Messages and Bytes total the wire traffic (4 messages).
 	Messages int
 	Bytes    int
-	// Elapsed is the wall-clock duration of the whole handshake.
-	Elapsed time.Duration
+	// DH counts both parties' X25519 operations (4: each party's key pair
+	// and shared secret).
+	DH int
 }
 
 // Establish runs the complete 4-message handshake in memory and returns the
@@ -232,7 +209,6 @@ type EstablishResult struct {
 // experiments multiply when pricing the IETF teardown-and-renegotiate
 // remedy.
 func Establish(initCfg, respCfg Config) (EstablishResult, error) {
-	start := time.Now()
 	ini, err := NewInitiator(initCfg)
 	if err != nil {
 		return EstablishResult{}, fmt.Errorf("ike: initiator: %w", err)
@@ -261,11 +237,9 @@ func Establish(initCfg, respCfg Config) (EstablishResult, error) {
 		return EstablishResult{}, err
 	}
 	return EstablishResult{
-		Keys:           ini.ChildKeys(),
-		InitiatorStats: ini.Stats(),
-		ResponderStats: rsp.Stats(),
-		Messages:       4,
-		Bytes:          len(m1) + len(m2) + len(m3) + len(m4),
-		Elapsed:        time.Since(start),
+		Keys:     ini.ChildKeys(),
+		Messages: 4,
+		Bytes:    len(m1) + len(m2) + len(m3) + len(m4),
+		DH:       4,
 	}, nil
 }

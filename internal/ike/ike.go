@@ -11,27 +11,25 @@
 //  3. AUTH  request:  IDi, AUTHi = prf(prf(PSK, pad), transcript), child SPI
 //  4. AUTH  response: IDr, AUTHr, child SPI
 //
-// with real 2048-bit MODP group-14 Diffie-Hellman (RFC 3526) via math/big,
-// HMAC-SHA256 as the PRF, and RFC 7296-style PRF+ key expansion into child
-// SA key material. The modular exponentiations are real work, so the
-// recovery-cost experiments measure genuine asymmetric-crypto time rather
-// than a synthetic constant.
+// with X25519 Diffie-Hellman (RFC 7748, as RFC 8031 defines it for IKEv2)
+// via crypto/ecdh, HMAC-SHA256 as the PRF, and RFC 7296-style PRF+ key
+// expansion into child SA key material. A peer's KE value is checked: one
+// that is not 32 bytes, or that yields the all-zero secret, is ErrBadMessage.
+// The recovery-cost experiments count the exchange's messages and X25519
+// operations.
 //
 // Randomness comes from a caller-supplied seeded source for experiment
 // reproducibility; this package must not be used for actual security.
 package ike
 
 import (
+	"crypto/ecdh"
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/big"
 	"math/rand"
-	"strings"
-	"sync"
-	"time"
 
 	"antireplay/internal/ipsec"
 )
@@ -48,56 +46,6 @@ var (
 	ErrConfig = errors.New("ike: invalid configuration")
 )
 
-// Group is a finite-field Diffie-Hellman group.
-type Group struct {
-	// P is the prime modulus.
-	P *big.Int
-	// G is the generator.
-	G *big.Int
-	// Bits is the modulus size.
-	Bits int
-}
-
-// RFC 3526 §3: the 2048-bit MODP group (group 14).
-const group14Hex = "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD1" +
-	"29024E088A67CC74020BBEA63B139B22514A08798E3404DD" +
-	"EF9519B3CD3A431B302B0A6DF25F14374FE1356D6D51C245" +
-	"E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED" +
-	"EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3D" +
-	"C2007CB8A163BF0598DA48361C55D39A69163FA8FD24CF5F" +
-	"83655D23DCA3AD961C62F356208552BB9ED529077096966D" +
-	"670C354E4ABC9804F1746C08CA18217C32905E462E36CE3B" +
-	"E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9" +
-	"DE2BCBF6955817183995497CEA956AE515D2261898FA0510" +
-	"15728E5A8AACAA68FFFFFFFFFFFFFFFF"
-
-var (
-	group14Once sync.Once
-	group14     *Group
-)
-
-// Group14 returns the RFC 3526 2048-bit MODP group.
-func Group14() *Group {
-	group14Once.Do(func() {
-		p, ok := new(big.Int).SetString(strings.ToLower(group14Hex), 16)
-		if !ok {
-			panic("ike: invalid group 14 prime literal")
-		}
-		group14 = &Group{P: p, G: big.NewInt(2), Bits: 2048}
-	})
-	return group14
-}
-
-// TestGroup returns a tiny (insecure) group for fast unit tests: the
-// 512-bit prime keeps modexp under a microsecond. Never use outside tests
-// or explicitly-flagged fast experiment modes.
-func TestGroup() *Group {
-	// 2^512 - 569 is prime.
-	p := new(big.Int).Lsh(big.NewInt(1), 512)
-	p.Sub(p, big.NewInt(569))
-	return &Group{P: p, G: big.NewInt(3), Bits: 512}
-}
-
 // Config parameterizes one handshake party.
 type Config struct {
 	// PSK is the pre-shared key authenticating the peers. Required.
@@ -105,8 +53,6 @@ type Config struct {
 	// Rand supplies nonces, SPIs and DH private keys. Required (seed it for
 	// reproducible experiments).
 	Rand *rand.Rand
-	// Group is the DH group; nil means Group14.
-	Group *Group
 	// ID identifies the party in AUTH payloads (e.g. "gw-east").
 	ID string
 }
@@ -120,25 +66,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("%w: Rand required", ErrConfig)
 	}
 	return nil
-}
-
-func (c Config) group() *Group {
-	if c.Group == nil {
-		return Group14()
-	}
-	return c.Group
-}
-
-// Stats accumulates a party's handshake costs.
-type Stats struct {
-	// ModExps counts modular exponentiations performed.
-	ModExps int
-	// ModExpTime is the wall-clock time spent in them.
-	ModExpTime time.Duration
-	// MsgsOut counts handshake messages produced.
-	MsgsOut int
-	// BytesOut counts handshake bytes produced.
-	BytesOut int
 }
 
 // prf is HMAC-SHA256.
@@ -165,13 +92,32 @@ func prfPlus(key, seed []byte, n int) []byte {
 	return out[:n]
 }
 
-// modExp computes g^x mod p, charging the cost to st.
-func modExp(st *Stats, g, x, p *big.Int) *big.Int {
-	start := time.Now()
-	r := new(big.Int).Exp(g, x, p)
-	st.ModExps++
-	st.ModExpTime += time.Since(start)
-	return r
+// keyPair draws an X25519 private key from rng. It draws 64 bytes and keeps
+// the first 32: the width is part of the seeded-stream contract, because the
+// SPIs drawn after it are pinned (TestSeededExchangePinned). It does not use
+// GenerateKey, which may read one extra byte and so makes a seeded stream
+// nondeterministic.
+func keyPair(rng *rand.Rand) *ecdh.PrivateKey {
+	priv, err := ecdh.X25519().NewPrivateKey(randBytes(rng, 64)[:32])
+	if err != nil {
+		panic("ike: X25519 unavailable: " + err.Error())
+	}
+	return priv
+}
+
+// sharedSecret computes the X25519 secret with the peer's KE value. A value
+// that is not 32 bytes, or a low-order point whose secret is all zeros
+// (RFC 7748 §6.1), is ErrBadMessage.
+func sharedSecret(priv *ecdh.PrivateKey, peerKE []byte) ([]byte, error) {
+	pub, err := ecdh.X25519().NewPublicKey(peerKE)
+	if err != nil {
+		return nil, fmt.Errorf("%w: KE %d bytes, want 32", ErrBadMessage, len(peerKE))
+	}
+	secret, err := priv.ECDH(pub)
+	if err != nil {
+		return nil, fmt.Errorf("%w: KE is a low-order point", ErrBadMessage)
+	}
+	return secret, nil
 }
 
 func randBytes(rng *rand.Rand, n int) []byte {

@@ -13,10 +13,9 @@ import (
 
 func cfg(seed int64, id string) Config {
 	return Config{
-		PSK:   []byte("swordfish-psk"),
-		Rand:  rand.New(rand.NewSource(seed)),
-		Group: TestGroup(),
-		ID:    id,
+		PSK:  []byte("swordfish-psk"),
+		Rand: rand.New(rand.NewSource(seed)),
+		ID:   id,
 	}
 }
 
@@ -53,13 +52,12 @@ func TestEstablishDerivesMatchingKeys(t *testing.T) {
 	if res.Messages != 4 {
 		t.Errorf("Messages = %d, want 4", res.Messages)
 	}
-	if res.Bytes == 0 || res.Elapsed <= 0 {
+	if res.Bytes == 0 {
 		t.Errorf("missing cost accounting: %+v", res)
 	}
-	// Each party: one keypair generation + one shared-secret computation.
-	if res.InitiatorStats.ModExps != 2 || res.ResponderStats.ModExps != 2 {
-		t.Errorf("ModExps = %d/%d, want 2/2",
-			res.InitiatorStats.ModExps, res.ResponderStats.ModExps)
+	// Each party: one key pair + one shared secret.
+	if res.DH != 4 {
+		t.Errorf("DH = %d, want 4", res.DH)
 	}
 }
 
@@ -172,29 +170,6 @@ func TestMalformedMessages(t *testing.T) {
 	}
 }
 
-func TestGroup14Properties(t *testing.T) {
-	g := Group14()
-	if g.Bits != 2048 {
-		t.Errorf("Bits = %d, want 2048", g.Bits)
-	}
-	if g.P.BitLen() != 2048 {
-		t.Errorf("P.BitLen = %d, want 2048", g.P.BitLen())
-	}
-	if !g.P.ProbablyPrime(16) {
-		t.Error("group 14 modulus not prime")
-	}
-	if Group14() != g {
-		t.Error("Group14 should return the cached instance")
-	}
-}
-
-func TestTestGroupPrime(t *testing.T) {
-	g := TestGroup()
-	if !g.P.ProbablyPrime(16) {
-		t.Error("test group modulus not prime")
-	}
-}
-
 func TestNegotiatedKeysDriveIPsec(t *testing.T) {
 	// End-to-end: IKE-negotiated keys secure an ESP exchange.
 	res, err := Establish(cfg(20, "east"), cfg(21, "west"))
@@ -245,7 +220,7 @@ func TestPrfPlusLengths(t *testing.T) {
 	}
 }
 
-func BenchmarkEstablishGroup14(b *testing.B) {
+func BenchmarkEstablish(b *testing.B) {
 	psk := []byte("bench-psk")
 	for i := 0; i < b.N; i++ {
 		ic := Config{PSK: psk, Rand: rand.New(rand.NewSource(int64(i) + 1)), ID: "i"}

@@ -19,7 +19,7 @@ const nonceLen = 32
 type initMsg struct {
 	spi   uint64
 	nonce []byte // nonceLen
-	ke    []byte // DH public value, variable length
+	ke    []byte // X25519 public value; length-framed, so a wrong one is refused
 }
 
 func marshalInit(tag byte, m initMsg) []byte {

@@ -1,18 +1,17 @@
 package ike
 
 import (
+	"crypto/ecdh"
 	"crypto/hmac"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/big"
-	"time"
 )
 
 // This file implements the CREATE_CHILD_SA-style rekey exchange: one round
 // trip that replaces an existing child SA pair with a successor generation
 // (fresh SPIs, fresh nonces, fresh DH — the PFS variant of RFC 7296 §1.3.2),
-// priced with the same real modular exponentiations as the full handshake.
+// with the same X25519 operations as the full handshake.
 //
 //	REKEY request:  oldSPIs, Ni, KEi, child SPI (initiator's inbound), AUTHi
 //	REKEY response: oldSPIs, Nr, KEr, child SPI (responder's inbound), AUTHr
@@ -34,7 +33,7 @@ type rekeyMsg struct {
 	oldIR, oldRI uint32 // the SA pair being rekeyed (init->resp, resp->init)
 	childSPI     uint32 // proposer's inbound SPI for the successor pair
 	nonce        []byte // nonceLen
-	ke           []byte // DH public value
+	ke           []byte // X25519 public value
 	auth         [32]byte
 }
 
@@ -103,13 +102,12 @@ func deriveRekeyKeys(skeyseed, ni, nr []byte, oldIR, oldRI, newIR, newRI uint32)
 
 // RekeyInitiator drives the initiating side of a child-SA rekey exchange.
 type RekeyInitiator struct {
-	cfg   Config
-	stats Stats
-	ph    phase
+	cfg Config
+	ph  phase
 
 	oldIR, oldRI uint32
 	ni           []byte
-	priv         *big.Int
+	priv         *ecdh.PrivateKey
 	childSPI     uint32 // initiator-chosen SPI for resp->init successor
 	transcript   []byte
 	keys         ChildKeys
@@ -131,27 +129,25 @@ func (i *RekeyInitiator) Request() ([]byte, error) {
 	if i.ph != phaseIdle {
 		return nil, fmt.Errorf("%w: rekey Request in phase %d", ErrState, i.ph)
 	}
-	g := i.cfg.group()
 	i.ni = randBytes(i.cfg.Rand, nonceLen)
-	i.priv = new(big.Int).SetBytes(randBytes(i.cfg.Rand, g.Bits/8))
+	i.priv = keyPair(i.cfg.Rand)
 	i.childSPI = uint32(i.cfg.Rand.Uint64())
 	m := rekeyMsg{
 		oldIR: i.oldIR, oldRI: i.oldRI, childSPI: i.childSPI,
-		nonce: i.ni, ke: modExp(&i.stats, g.G, i.priv, g.P).Bytes(),
+		nonce: i.ni, ke: i.priv.PublicKey().Bytes(),
 	}
 	body := marshalRekey(msgRekeyReq, m)
 	body = body[:len(body)-32] // auth covers everything before itself
 	i.transcript = append(i.transcript, body...)
 	m.auth = authTag(i.cfg.PSK, i.transcript, "rekey-initiator")
 	msg := marshalRekey(msgRekeyReq, m)
-	i.stats.MsgsOut++
-	i.stats.BytesOut += len(msg)
 	i.ph = phaseInitSent
 	return msg, nil
 }
 
 // HandleResponse consumes the rekey response, verifies its AUTH over the
-// bound transcript, and derives the successor keys.
+// bound transcript, and derives the successor keys; a bad KE leaves the
+// initiator as it was.
 func (i *RekeyInitiator) HandleResponse(b []byte) error {
 	if i.ph != phaseInitSent {
 		return fmt.Errorf("%w: rekey HandleResponse in phase %d", ErrState, i.ph)
@@ -169,9 +165,11 @@ func (i *RekeyInitiator) HandleResponse(b []byte) error {
 	if !hmac.Equal(want[:], m.auth[:]) {
 		return ErrAuthFailed
 	}
-	g := i.cfg.group()
-	secret := modExp(&i.stats, new(big.Int).SetBytes(m.ke), i.priv, g.P)
-	skeyseed := prf(append(append([]byte{}, i.ni...), m.nonce...), secret.Bytes())
+	secret, err := sharedSecret(i.priv, m.ke)
+	if err != nil {
+		return err
+	}
+	skeyseed := prf(append(append([]byte{}, i.ni...), m.nonce...), secret)
 	// m.childSPI is the responder-chosen successor SPI for init->resp.
 	i.keys = deriveRekeyKeys(skeyseed, i.ni, m.nonce, i.oldIR, i.oldRI, m.childSPI, i.childSPI)
 	i.ph = phaseDone
@@ -184,14 +182,10 @@ func (i *RekeyInitiator) Established() bool { return i.ph == phaseDone }
 // ChildKeys returns the successor keying (valid once Established).
 func (i *RekeyInitiator) ChildKeys() ChildKeys { return i.keys }
 
-// Stats returns the initiator's accumulated costs.
-func (i *RekeyInitiator) Stats() Stats { return i.stats }
-
 // RekeyResponder drives the responding side of a child-SA rekey exchange.
 type RekeyResponder struct {
-	cfg   Config
-	stats Stats
-	ph    phase
+	cfg Config
+	ph  phase
 
 	oldIR, oldRI uint32
 	childSPI     uint32 // responder-chosen SPI for init->resp successor
@@ -209,7 +203,7 @@ func NewRekeyResponder(cfg Config, oldIR, oldRI uint32) (*RekeyResponder, error)
 }
 
 // HandleRequest consumes the rekey request and produces the response,
-// deriving the successor keys.
+// deriving the successor keys; a bad KE leaves the responder as it was.
 func (r *RekeyResponder) HandleRequest(b []byte) ([]byte, error) {
 	if r.ph != phaseIdle {
 		return nil, fmt.Errorf("%w: rekey HandleRequest in phase %d", ErrState, r.ph)
@@ -228,12 +222,13 @@ func (r *RekeyResponder) HandleRequest(b []byte) ([]byte, error) {
 		return nil, ErrAuthFailed
 	}
 
-	g := r.cfg.group()
 	nr := randBytes(r.cfg.Rand, nonceLen)
-	priv := new(big.Int).SetBytes(randBytes(r.cfg.Rand, g.Bits/8))
-	pub := modExp(&r.stats, g.G, priv, g.P)
-	secret := modExp(&r.stats, new(big.Int).SetBytes(m.ke), priv, g.P)
-	skeyseed := prf(append(append([]byte{}, m.nonce...), nr...), secret.Bytes())
+	priv := keyPair(r.cfg.Rand)
+	secret, err := sharedSecret(priv, m.ke)
+	if err != nil {
+		return nil, err
+	}
+	skeyseed := prf(append(append([]byte{}, m.nonce...), nr...), secret)
 
 	r.childSPI = uint32(r.cfg.Rand.Uint64())
 	// m.childSPI is the initiator-chosen successor SPI for resp->init.
@@ -241,14 +236,12 @@ func (r *RekeyResponder) HandleRequest(b []byte) ([]byte, error) {
 
 	resp := rekeyMsg{
 		oldIR: r.oldIR, oldRI: r.oldRI, childSPI: r.childSPI,
-		nonce: nr, ke: pub.Bytes(),
+		nonce: nr, ke: priv.PublicKey().Bytes(),
 	}
 	body := marshalRekey(msgRekeyResp, resp)
 	transcript = append(transcript, body[:len(body)-32]...)
 	resp.auth = authTag(r.cfg.PSK, transcript, "rekey-responder")
 	msg := marshalRekey(msgRekeyResp, resp)
-	r.stats.MsgsOut++
-	r.stats.BytesOut += len(msg)
 	r.ph = phaseDone
 	return msg, nil
 }
@@ -259,21 +252,16 @@ func (r *RekeyResponder) Established() bool { return r.ph == phaseDone }
 // ChildKeys returns the successor keying (valid once Established).
 func (r *RekeyResponder) ChildKeys() ChildKeys { return r.keys }
 
-// Stats returns the responder's accumulated costs.
-func (r *RekeyResponder) Stats() Stats { return r.stats }
-
 // RekeyResult summarizes a completed in-memory rekey exchange.
 type RekeyResult struct {
 	// Keys is the successor generation's keying (identical on both sides).
 	Keys ChildKeys
-	// InitiatorStats and ResponderStats are each party's costs.
-	InitiatorStats Stats
-	ResponderStats Stats
 	// Messages and Bytes total the wire traffic (2 messages).
 	Messages int
 	Bytes    int
-	// Elapsed is the wall-clock duration of the whole exchange.
-	Elapsed time.Duration
+	// DH counts both parties' X25519 operations (4: each party's key pair
+	// and shared secret).
+	DH int
 }
 
 // RekeyChild runs the complete one-round-trip rekey exchange in memory for
@@ -283,7 +271,6 @@ type RekeyResult struct {
 // handshake. Both configurations must name the same old SPI pair or the
 // exchange fails with ErrRekeyBinding.
 func RekeyChild(initCfg, respCfg Config, oldIR, oldRI uint32) (RekeyResult, error) {
-	start := time.Now()
 	ini, err := NewRekeyInitiator(initCfg, oldIR, oldRI)
 	if err != nil {
 		return RekeyResult{}, fmt.Errorf("ike: rekey initiator: %w", err)
@@ -304,11 +291,9 @@ func RekeyChild(initCfg, respCfg Config, oldIR, oldRI uint32) (RekeyResult, erro
 		return RekeyResult{}, err
 	}
 	return RekeyResult{
-		Keys:           ini.ChildKeys(),
-		InitiatorStats: ini.Stats(),
-		ResponderStats: rsp.Stats(),
-		Messages:       2,
-		Bytes:          len(m1) + len(m2),
-		Elapsed:        time.Since(start),
+		Keys:     ini.ChildKeys(),
+		Messages: 2,
+		Bytes:    len(m1) + len(m2),
+		DH:       4,
 	}, nil
 }

@@ -8,10 +8,9 @@ import (
 
 func rekeyCfg(seed int64, id string) Config {
 	return Config{
-		PSK:   []byte("rekey-test-psk"),
-		Rand:  rand.New(rand.NewSource(seed)),
-		Group: TestGroup(),
-		ID:    id,
+		PSK:  []byte("rekey-test-psk"),
+		Rand: rand.New(rand.NewSource(seed)),
+		ID:   id,
 	}
 }
 
@@ -37,10 +36,9 @@ func TestRekeyChildDerivesMatchingKeys(t *testing.T) {
 		t.Errorf("Messages = %d, want 2", res.Messages)
 	}
 	// One round trip must cost half the full handshake's messages but the
-	// same modexp shape (2 per side: own public value + shared secret).
-	if res.InitiatorStats.ModExps != 2 || res.ResponderStats.ModExps != 2 {
-		t.Errorf("ModExps = (%d, %d), want (2, 2)",
-			res.InitiatorStats.ModExps, res.ResponderStats.ModExps)
+	// same DH shape (2 per side: own key pair + shared secret).
+	if res.DH != 4 {
+		t.Errorf("DH = %d, want 4", res.DH)
 	}
 }
 

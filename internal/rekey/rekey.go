@@ -101,7 +101,7 @@ type Config struct {
 	// exchange's init->resp child SA. Required.
 	A, B *ipsec.Gateway
 	// IKEInit and IKEResp configure the rekey exchange parties (PSK,
-	// randomness, DH group). Required unless Exchange is set.
+	// randomness, ID). Required unless Exchange is set.
 	IKEInit, IKEResp ike.Config
 	// Grace is the drain window between outbound cutover and retirement of
 	// the old generation. Zero retires on the first Poll after cutover.

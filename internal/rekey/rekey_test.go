@@ -23,10 +23,9 @@ var (
 
 func ikeCfg(seed int64, id string) ike.Config {
 	return ike.Config{
-		PSK:   []byte("orchestrator-psk"),
-		Rand:  rand.New(rand.NewSource(seed)),
-		Group: ike.TestGroup(),
-		ID:    id,
+		PSK:  []byte("orchestrator-psk"),
+		Rand: rand.New(rand.NewSource(seed)),
+		ID:   id,
 	}
 }
 

@@ -109,10 +109,9 @@ func TestTransportUDPRekeyExchange(t *testing.T) {
 
 	cfg := func(seed int64, id string) ike.Config {
 		return ike.Config{
-			PSK:   []byte("sockets-test-psk"),
-			Rand:  rand.New(rand.NewSource(seed)),
-			Group: ike.TestGroup(),
-			ID:    id,
+			PSK:  []byte("sockets-test-psk"),
+			Rand: rand.New(rand.NewSource(seed)),
+			ID:   id,
 		}
 	}
 	ini, err := ike.NewRekeyInitiator(cfg(1, "a"), 0x10, 0x20)
