@@ -57,7 +57,7 @@ func fuzzEndpoint(t *testing.T) (*UDPEndpoint, map[netip.AddrPort]*UDPLink) {
 	return e, map[netip.AddrPort]*UDPLink{fuzzPeerSPI: withSPIs, fuzzPeerBare: bare}
 }
 
-// coalesce is what GRO makes of a batch, cut back as the read loop cuts it:
+// coalesce is what GRO makes of a batch, cut back as a receive cuts it:
 // the kernel joins a run by segmentRun's rule into one buffer and reports
 // its first datagram's length as the segment size.
 func coalesce(batch []datagram) []datagram {
@@ -104,8 +104,8 @@ func fuzzRecord(peer int, last bool, p []byte) []byte {
 //   - every queued slice equals its input, after the input buffer has been
 //     overwritten, and has cap == len;
 //   - queued + RxDrops + unrouted + keepalives = inputs;
-//   - each batch coalesced the kernel's way and split as the read loop
-//     splits it leaves a twin endpoint with the same lanes and counters.
+//   - each batch coalesced the kernel's way and split as a receive splits
+//     it leaves a twin endpoint with the same lanes and counters.
 func FuzzUDPDeliver(f *testing.F) {
 	esp := func(spi byte, body string) []byte { return append([]byte{0, 0, 0, spi}, body...) }
 	ctrl := func(body string) []byte { return append([]byte{0, 0, 0, 0}, body...) }

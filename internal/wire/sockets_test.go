@@ -162,15 +162,18 @@ func TestTransportUDPRekeyExchange(t *testing.T) {
 
 func TestTransportUDPKeepalive(t *testing.T) {
 	la, lb := udpPair(t, UDPConfig{KeepaliveInterval: 30 * time.Millisecond})
-	_ = la
 
-	// Neither side transmits; keepalives must flow and be absorbed.
+	// Neither side transmits; keepalives must flow and be absorbed. A
+	// datagram leaves b's socket only through a receive, so b polls one, and
+	// no keepalive may ever come out of it.
 	deadline := time.Now().Add(sockTimeout)
 	for time.Now().Before(deadline) {
+		if p, err := lb.RecvTimeout(10 * time.Millisecond); err != ErrNoDatagram {
+			t.Fatalf("RecvTimeout = %x, %v; want ErrNoDatagram", p, err)
+		}
 		if lb.Stats().Keepalives > 0 && la.KeepalivesSent() > 0 {
 			return
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("keepalives: sent=%d seen=%d", la.KeepalivesSent(), lb.Stats().Keepalives)
 }

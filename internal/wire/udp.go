@@ -1,9 +1,11 @@
 package wire
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"net/netip"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,8 +28,10 @@ import (
 //
 // Outbound, Send copies the datagram into the endpoint's transmit ring and
 // returns; one writer goroutine hands whatever has queued to the kernel in
-// one call. Inbound, the read loop routes together whatever one call
-// returns. DESIGN.md, "Transmit ring and batched syscalls", has the rules.
+// one call. Inbound, a receive that finds its lane empty takes the
+// endpoint's one read turn, reads the socket itself and routes all that one
+// call returns, to every link. DESIGN.md, "Transmit ring and batched
+// syscalls", has the rules.
 const (
 	// maxUDPDatagram is the IPv4 UDP payload ceiling.
 	maxUDPDatagram = 65507
@@ -60,12 +64,16 @@ type UDPConfig struct {
 
 // UDPEndpoint owns one UDP socket and routes its traffic to links.
 type UDPEndpoint struct {
-	conn *net.UDPConn
-	cfg  UDPConfig
-	io   batchIO
-	tx   txRing
-	// Closed by the writer and the reader goroutine as they exit.
-	wrote, read chan struct{}
+	conn  *net.UDPConn
+	cfg   UDPConfig
+	io    batchIO
+	tx    txRing
+	wrote chan struct{} // closed by the writer goroutine as it exits
+	// turn holds the one right to read the socket. rmu orders reader, the
+	// link whose receive last took it, against that link's Close.
+	turn   chan struct{}
+	rmu    sync.Mutex
+	reader *UDPLink
 
 	mu     sync.Mutex
 	bySPI  map[uint32]*UDPLink
@@ -76,7 +84,7 @@ type UDPEndpoint struct {
 }
 
 // ListenUDP opens an endpoint on addr ("" means 127.0.0.1:0 — the
-// loopback-first default) and starts its demux loop and its writer.
+// loopback-first default) and starts its writer.
 func ListenUDP(addr string, cfg UDPConfig) (*UDPEndpoint, error) {
 	return listenUDP(addr, cfg, newBatchIO)
 }
@@ -100,12 +108,12 @@ func listenUDP(addr string, cfg UDPConfig, mkIO func(*net.UDPConn) batchIO) (*UD
 	conn.SetReadBuffer(socketBuffer)  //nolint:errcheck // best-effort sizing
 	conn.SetWriteBuffer(socketBuffer) //nolint:errcheck
 	e := &UDPEndpoint{conn: conn, cfg: cfg, io: mkIO(conn),
-		wrote: make(chan struct{}), read: make(chan struct{}),
+		wrote: make(chan struct{}), turn: make(chan struct{}, 1),
 		bySPI:  make(map[uint32]*UDPLink),
 		byAddr: make(map[netip.AddrPort]*UDPLink)}
 	e.tx.slots = make([]txSlot, txRingSlots)
 	e.tx.cond.L = &e.tx.mu
-	go e.readLoop()
+	e.turn <- struct{}{}
 	go e.writeLoop()
 	return e, nil
 }
@@ -169,8 +177,8 @@ func (e *UDPEndpoint) RegisterSPI(l *UDPLink, spi uint32) error {
 
 // Close shuts the endpoint down: every link's pending Recv and every Send
 // blocked on a full ring return ErrClosed, what Send had already accepted
-// is handed to the kernel, and the socket closes. The reader and the writer
-// goroutine have exited when it returns.
+// is handed to the kernel, and the socket closes. The writer goroutine has
+// exited when it returns.
 func (e *UDPEndpoint) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -192,25 +200,11 @@ func (e *UDPEndpoint) Close() error {
 	e.tx.cond.Broadcast()
 	e.tx.mu.Unlock()
 	<-e.wrote
-	err := e.conn.Close()
-	<-e.read
-	return err
+	return e.conn.Close()
 }
 
 // Unrouted returns datagrams that matched no link (demux misses).
 func (e *UDPEndpoint) Unrouted() uint64 { return e.unrouted.Load() }
-
-func (e *UDPEndpoint) readLoop() {
-	defer close(e.read)
-	for {
-		msgs, err := e.io.recv()
-		if err != nil {
-			return // socket closed
-		}
-		e.rxCalls.Add(1)
-		e.deliver(msgs)
-	}
-}
 
 // deliver routes one received batch under one acquisition of the endpoint
 // lock. The copies the links keep are cut from one allocation, each with
@@ -492,7 +486,7 @@ func (l *UDPLink) enqueue(ch chan []byte, p []byte) {
 	}
 	l.ctr.rxPackets.Add(1)
 	l.ctr.rxBytes.Add(uint64(len(p)))
-	ch <- p // cannot block: the read loop is the only producer
+	ch <- p // cannot block: the turn holder is the only producer
 }
 
 // Recv blocks for the next ESP datagram, ErrClosed after Close.
@@ -505,27 +499,82 @@ func (l *UDPLink) RecvTimeout(d time.Duration) ([]byte, error) { return l.recv(l
 // traffic); it returns ErrNoDatagram on timeout.
 func (l *UDPLink) RecvControlTimeout(d time.Duration) ([]byte, error) { return l.recv(l.ctrl, d) }
 
-// recv waits for a datagram on ch, for at most d unless d is negative.
+// recv waits for a datagram on ch, for at most d unless d is negative. While
+// ch is empty it contends for the endpoint's read turn.
 func (l *UDPLink) recv(ch chan []byte, d time.Duration) ([]byte, error) {
+	if p, ok := take(ch); ok {
+		return p, nil
+	}
+	var deadline time.Time
 	var timeout <-chan time.Time
 	if d >= 0 {
+		deadline = time.Now().Add(d)
 		t := time.NewTimer(d)
 		defer t.Stop()
 		timeout = t.C
 	}
-	select {
-	case p := <-ch:
-		return p, nil
-	case <-timeout:
-		return nil, ErrNoDatagram
-	case <-l.done:
-		// Drain what arrived before the close.
+	e := l.ep
+	for {
 		select {
 		case p := <-ch:
 			return p, nil
-		default:
+		case <-timeout:
+			return nil, ErrNoDatagram
+		case <-l.done:
+			if p, ok := take(ch); ok {
+				return p, nil
+			}
+			return nil, ErrClosed
+		case <-e.turn:
+		}
+		// Only the turn holder fills ch: what is there now is not read past.
+		p, ok := take(ch)
+		var err error
+		if !ok {
+			err = l.read(deadline)
+			p, ok = take(ch)
+		}
+		e.turn <- struct{}{}
+		switch {
+		case ok:
+			return p, nil
+		case err == nil: // the batch was all for other lanes
+		case d >= 0 && !l.isClosed() && errors.Is(err, os.ErrDeadlineExceeded):
+			return nil, ErrNoDatagram
+		default: // the socket or the link is closed
 			return nil, ErrClosed
 		}
+	}
+}
+
+// read is the turn holder's one receive call, deadline zero for none. Under
+// rmu, l's Close either finds l the reader and expires the read, or stops it.
+func (l *UDPLink) read(deadline time.Time) error {
+	e := l.ep
+	e.rmu.Lock()
+	if l.isClosed() {
+		e.rmu.Unlock()
+		return ErrClosed
+	}
+	e.reader = l
+	e.conn.SetReadDeadline(deadline) //nolint:errcheck // a closed socket fails the read below
+	e.rmu.Unlock()
+	msgs, err := e.io.recv()
+	if err != nil {
+		return err
+	}
+	e.rxCalls.Add(1)
+	e.deliver(msgs)
+	return nil
+}
+
+// take returns the next datagram on ch without waiting.
+func take(ch chan []byte) ([]byte, bool) {
+	select {
+	case p := <-ch:
+		return p, true
+	default:
+		return nil, false
 	}
 }
 
@@ -568,6 +617,11 @@ func (l *UDPLink) Close() error {
 	l.once.Do(func() {
 		close(l.done)
 		e := l.ep
+		e.rmu.Lock()
+		if e.reader == l {
+			e.conn.SetReadDeadline(time.Now()) //nolint:errcheck // the read returns either way
+		}
+		e.rmu.Unlock()
 		e.mu.Lock()
 		for _, spi := range l.spis {
 			if e.bySPI[spi] == l {

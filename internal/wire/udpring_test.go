@@ -6,7 +6,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"net"
+	"net/netip"
 	"runtime"
 	"sync"
 	"syscall"
@@ -16,7 +18,7 @@ import (
 	"antireplay/internal/watchdog"
 )
 
-// The transmit ring, the writer goroutine and the batched read loop, over
+// The transmit ring, the writer goroutine and the shared read turn, over
 // real loopback sockets. Every test runs twice: over the platform's batchIO
 // (sendmmsg/recvmmsg on Linux) and over the portable loop, which no
 // platform this suite runs on would otherwise use.
@@ -240,6 +242,137 @@ func TestTransportUDPMixedBatch(t *testing.T) {
 		}
 		if _, loop := lb.ep.io.(*gateIO).batchIO.(*loopIO); !loop && lb.ep.rxCalls.Load() != 1 {
 			t.Errorf("four datagrams took %d receive calls, want 1", lb.ep.rxCalls.Load())
+		}
+	})
+}
+
+// The links of one endpoint share its read turn. Whichever receive holds it
+// routes its whole batch, so every datagram arrives once, on its own lane, in
+// order, though three receives on two links take turns at the socket, one of
+// them bounded. A receive waiting behind a held turn still times out, the
+// holder's Close releases it, and the next receive takes the turn over.
+func TestTransportUDPSharedTurn(t *testing.T) {
+	ioKinds(t, func(t *testing.T, mkIO func(*net.UDPConn) batchIO) {
+		watchdog.Arm(t, 30*time.Second)
+		e, err := listenUDP("", UDPConfig{}, mkIO)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { e.Close() })
+		ep, err := listenUDP("", UDPConfig{}, mkIO)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ep.Close() })
+		// X is the peer's link and takes its control traffic; Y shares the
+		// peer's wire by SPI alone.
+		lx, err := e.Link(ep.Addr(), 0x10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ly, err := e.Link(netip.MustParseAddrPort("127.0.0.1:9"), 0x30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lp, err := ep.Link(e.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		const total = 1200
+		credits := make(chan struct{}, 64) // fewer in flight than a lane holds
+		type lane struct {
+			name string
+			spi  uint32
+			recv func() ([]byte, error)
+			got  []int
+			err  error
+		}
+		lanes := []*lane{{name: "X data", spi: 0x10, recv: lx.Recv}, {name: "Y data", spi: 0x30, recv: ly.Recv},
+			{name: "X control", spi: 0xC0, recv: func() ([]byte, error) {
+				for deadline := time.Now().Add(sockTimeout); ; {
+					p, err := lx.RecvControlTimeout(2 * time.Millisecond)
+					if err != ErrNoDatagram || time.Now().After(deadline) {
+						return p, err
+					}
+				}
+			}}}
+		var wg sync.WaitGroup
+		for _, ln := range lanes {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for range total / len(lanes) {
+					p, err := ln.recv()
+					if err != nil {
+						ln.err = err
+						return
+					}
+					if binary.BigEndian.Uint32(p) != ln.spi {
+						ln.err = fmt.Errorf("datagram for SPI %#x", binary.BigEndian.Uint32(p))
+						return
+					}
+					ln.got = append(ln.got, int(binary.BigEndian.Uint64(p[4:])))
+					<-credits
+				}
+			}()
+		}
+		buf := make([]byte, 64)
+		for i := range total {
+			credits <- struct{}{}
+			ln := lanes[i%len(lanes)]
+			send := lp.Send
+			if ln.spi == 0xC0 {
+				send = lp.SendControl
+			}
+			if err := send(stamp(buf[:16+i%48], ln.spi, i)); err != nil {
+				t.Fatalf("send %d: %v", i, err)
+			}
+		}
+		wg.Wait()
+		for k, ln := range lanes {
+			if ln.err != nil {
+				t.Fatalf("%s: %v after %d datagrams", ln.name, ln.err, len(ln.got))
+			}
+			for j, i := range ln.got {
+				if i != k+j*len(lanes) {
+					t.Fatalf("%s: datagram %d is #%d, want #%d", ln.name, j, i, k+j*len(lanes))
+				}
+			}
+		}
+		if x, y := lx.Stats(), ly.Stats(); x.RxPackets != 2*total/3 || y.RxPackets != total/3 || x.RxDrops+y.RxDrops+e.Unrouted() != 0 {
+			t.Errorf("X %+v, Y %+v, unrouted %d", x, y, e.Unrouted())
+		}
+
+		// X's unbounded Recv holds the turn with nothing in flight.
+		xDone := make(chan error, 1)
+		go func() { _, err := lx.Recv(); xDone <- err }()
+		waitFor(t, "X's Recv to hold the turn", func() bool {
+			e.rmu.Lock()
+			defer e.rmu.Unlock()
+			return len(e.turn) == 0 && e.reader == lx
+		})
+		start := time.Now()
+		if _, err := ly.RecvTimeout(20 * time.Millisecond); err != ErrNoDatagram || time.Since(start) > time.Second {
+			t.Fatalf("Y's RecvTimeout behind X: %v after %v, want ErrNoDatagram in under 1s", err, time.Since(start))
+		}
+		start = time.Now()
+		lx.Close()
+		select {
+		case err := <-xDone:
+			if err != ErrClosed || time.Since(start) > time.Second {
+				t.Fatalf("X's Recv after Close: %v after %v, want ErrClosed in under 1s", err, time.Since(start))
+			}
+		case <-time.After(time.Second):
+			t.Fatal("X's Recv still reading 1s after Close")
+		}
+		// Y's unbounded read must not inherit the deadline X's Close set.
+		want := stamp(buf[:32], 0x30, total)
+		if err := lp.Send(want); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := ly.Recv(); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("Y's Recv after X closed: %x, %v", got, err)
 		}
 	})
 }
