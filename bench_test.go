@@ -1,184 +1,19 @@
-// Root benchmark harness: one testing.B benchmark per figure/table of the
-// paper (run `go run ./cmd/benchtables -list` for the index). Each benchmark executes the same
-// experiment function that cmd/benchtables uses to regenerate the artifact,
-// reports its headline metric via b.ReportMetric, and logs the full table
-// under -v.
-//
-// Regenerate all artifacts as text/CSV with:
-//
-//	go run ./cmd/benchtables -outdir results
+// Root benchmarks of the library's contended paths: parallel admission on
+// one receiver, parallel journal appends (with and without a lagging
+// follower) and parallel seals on one SA. The paper's tables are
+// `go run ./cmd/benchtables`; the end-to-end benchmark is bench/run.sh.
 package antireplay_test
 
 import (
 	"path/filepath"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"antireplay"
-	"antireplay/internal/experiments"
 	"antireplay/internal/ipsec"
 	"antireplay/internal/store"
 )
-
-// runTable executes an experiment once per iteration, logging the rendered
-// table on the first iteration.
-func runTable(b *testing.B, run func() (*experiments.Table, error)) *experiments.Table {
-	b.Helper()
-	var last *experiments.Table
-	for i := 0; i < b.N; i++ {
-		tbl, err := run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = tbl
-	}
-	b.StopTimer()
-	if last != nil {
-		b.Log("\n" + last.String())
-	}
-	return last
-}
-
-// colValue returns the named column of the last row as a float.
-func colValue(b *testing.B, tbl *experiments.Table, name string) float64 {
-	b.Helper()
-	for i, c := range tbl.Columns {
-		if c != name {
-			continue
-		}
-		v, err := strconv.ParseFloat(tbl.Rows[len(tbl.Rows)-1][i], 64)
-		if err != nil {
-			b.Fatalf("parse %s: %v", name, err)
-		}
-		return v
-	}
-	b.Fatalf("no column %q", name)
-	return 0
-}
-
-// BenchmarkFig1SenderReset regenerates Figure 1: sequence numbers lost to a
-// sender reset across the save cycle, bounded by 2Kp.
-func BenchmarkFig1SenderReset(b *testing.B) {
-	tbl := runTable(b, func() (*experiments.Table, error) {
-		return experiments.Fig1SenderReset(experiments.DefaultFig1Config())
-	})
-	b.ReportMetric(colValue(b, tbl, "lost"), "lost-seqs")
-	b.ReportMetric(colValue(b, tbl, "bound_2K"), "bound")
-}
-
-// BenchmarkFig2ReceiverReset regenerates Figure 2: fresh messages
-// sacrificed to a receiver reset, bounded by 2Kq, with zero duplicate
-// deliveries under full-history replay.
-func BenchmarkFig2ReceiverReset(b *testing.B) {
-	tbl := runTable(b, func() (*experiments.Table, error) {
-		return experiments.Fig2ReceiverReset(experiments.DefaultFig2Config())
-	})
-	b.ReportMetric(colValue(b, tbl, "sacrificed"), "sacrificed")
-	b.ReportMetric(colValue(b, tbl, "dup_delivered"), "dups")
-}
-
-// BenchmarkTableUnbounded regenerates the §3 comparison: baseline damage
-// grows linearly with pre-reset traffic; the resilient protocol stays flat.
-func BenchmarkTableUnbounded(b *testing.B) {
-	tbl := runTable(b, func() (*experiments.Table, error) {
-		cfg := experiments.DefaultUnboundedConfig()
-		cfg.Traffic = []uint64{500, 1000, 2000}
-		return experiments.UnboundedBaseline(cfg)
-	})
-	// Last row is the resilient protocol at the largest x: flat damage.
-	b.ReportMetric(colValue(b, tbl, "replays_delivered_again"), "resilient-dups")
-}
-
-// BenchmarkTableSaveInterval regenerates the §4 sizing example
-// (K = ceil(T_save/T_send)) on the paper's and the stated inputs.
-func BenchmarkTableSaveInterval(b *testing.B) {
-	runTable(b, experiments.SaveIntervalSizing)
-}
-
-// BenchmarkTableConvergenceSender regenerates §5 condition (i) across K.
-func BenchmarkTableConvergenceSender(b *testing.B) {
-	tbl := runTable(b, func() (*experiments.Table, error) {
-		return experiments.ConvergenceSender(experiments.DefaultConvergenceConfig())
-	})
-	b.ReportMetric(colValue(b, tbl, "lost"), "lost-at-K400")
-}
-
-// BenchmarkTableConvergenceReceiver regenerates §5 condition (ii) across K.
-func BenchmarkTableConvergenceReceiver(b *testing.B) {
-	tbl := runTable(b, func() (*experiments.Table, error) {
-		return experiments.ConvergenceReceiver(experiments.DefaultConvergenceConfig())
-	})
-	b.ReportMetric(colValue(b, tbl, "sacrificed"), "sacrificed-at-K400")
-}
-
-// BenchmarkTableRecoveryCost regenerates the §3 recovery comparison (IKE
-// renegotiation vs SAVE/FETCH) and reports the work counted at 64 SAs.
-func BenchmarkTableRecoveryCost(b *testing.B) {
-	tbl := runTable(b, func() (*experiments.Table, error) {
-		return experiments.RecoveryCost(experiments.DefaultRecoveryConfig())
-	})
-	b.ReportMetric(colValue(b, tbl, "ike_dh"), "ike-dh")
-	b.ReportMetric(colValue(b, tbl, "sf_fsyncs"), "sf-fsyncs")
-}
-
-// BenchmarkTableProlongedReset regenerates the §6 DPD/hold-time sweep.
-func BenchmarkTableProlongedReset(b *testing.B) {
-	runTable(b, func() (*experiments.Table, error) {
-		return experiments.ProlongedReset(experiments.DefaultProlongedConfig())
-	})
-}
-
-// BenchmarkTableDoubleReset regenerates the §4 second-consideration
-// experiment (paper vs unsafe ablation).
-func BenchmarkTableDoubleReset(b *testing.B) {
-	runTable(b, func() (*experiments.Table, error) {
-		return experiments.DoubleReset(experiments.DefaultDoubleResetConfig())
-	})
-}
-
-// BenchmarkTableLeapAblation regenerates the leap-factor ablation (why 2K).
-func BenchmarkTableLeapAblation(b *testing.B) {
-	runTable(b, func() (*experiments.Table, error) {
-		return experiments.LeapAblation(experiments.DefaultLeapConfig())
-	})
-}
-
-// BenchmarkTableDelivery regenerates the §2 w-Delivery / Discrimination
-// verification under link impairments.
-func BenchmarkTableDelivery(b *testing.B) {
-	cfg := experiments.DefaultDeliveryConfig()
-	cfg.Messages = 3000
-	tbl := runTable(b, func() (*experiments.Table, error) {
-		return experiments.Delivery(cfg)
-	})
-	b.ReportMetric(colValue(b, tbl, "dupes_delivered"), "dups")
-}
-
-// BenchmarkTableHorizon regenerates the analysis-gap table (E13): the
-// paper's receiver duplicates a loss-jumped message once the jump exceeds
-// the leap; the strict-horizon variant never does.
-func BenchmarkTableHorizon(b *testing.B) {
-	runTable(b, func() (*experiments.Table, error) {
-		return experiments.LossJumpHorizon(experiments.DefaultHorizonConfig())
-	})
-}
-
-// BenchmarkTableScale regenerates the PR 6 scale table at its 50k smoke
-// parameterization: laned vs single-journal cold-start recovery, the
-// 64-way laned SAVE cost, and heap per installed SA (the full million-SA
-// run is `go run ./cmd/benchtables -only scale`; BENCH_10.json holds one
-// single-shot run of it).
-func BenchmarkTableScale(b *testing.B) {
-	tbl := runTable(b, func() (*experiments.Table, error) {
-		cfg := experiments.DefaultScaleConfig()
-		cfg.Cells = 50_000
-		cfg.SAs = 50_000
-		return experiments.Scale(cfg)
-	})
-	b.ReportMetric(colValue(b, tbl, "per_sec"), "sa-installs-per-sec")
-}
 
 // BenchmarkParallelAdmission drives one receiver from every benchmark
 // goroutine, each admitting globally unique increasing numbers (an atomic

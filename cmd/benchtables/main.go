@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	benchtables [-only id[,id...]] [-fast] [-outdir dir] [-json file]
+//	benchtables [-only id[,id...]] [-outdir dir] [-json file] [-metrics addr] [-list]
 //
 // Without -outdir the tables print to stdout only. With -json the run also
 // writes every table as structured rows. The tables are evidence (bounds
@@ -27,7 +27,6 @@ import (
 // jsonResults is the -json output shape: the tables verbatim.
 type jsonResults struct {
 	GeneratedBy string      `json:"generated_by"`
-	Fast        bool        `json:"fast"`
 	Experiments []jsonTable `json:"experiments"`
 }
 
@@ -40,7 +39,6 @@ type jsonTable struct {
 
 func main() {
 	only := flag.String("only", "", "comma-separated experiment ids (default: all)")
-	fast := flag.Bool("fast", false, "cheaper parameterizations (same shapes)")
 	outdir := flag.String("outdir", "", "also write <id>.txt and <id>.csv here")
 	jsonPath := flag.String("json", "", "write the tables as structured rows here")
 	list := flag.Bool("list", false, "list experiment ids and exit")
@@ -94,7 +92,7 @@ func main() {
 	var tables []*experiments.Table
 	for _, r := range runners {
 		fmt.Printf("# %s — %s\n", r.ID, r.Paper)
-		tbl, err := r.Run(*fast)
+		tbl, err := r.Run()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchtables: %s: %v\n", r.ID, err)
 			failed = true
@@ -114,7 +112,7 @@ func main() {
 		}
 	}
 	if *jsonPath != "" {
-		if err := writeJSON(*jsonPath, *fast, tables); err != nil {
+		if err := writeJSON(*jsonPath, tables); err != nil {
 			fmt.Fprintf(os.Stderr, "benchtables: json: %v\n", err)
 			failed = true
 		}
@@ -125,8 +123,8 @@ func main() {
 }
 
 // writeJSON emits every table of the run as structured rows.
-func writeJSON(path string, fast bool, tables []*experiments.Table) error {
-	out := jsonResults{GeneratedBy: "benchtables", Fast: fast}
+func writeJSON(path string, tables []*experiments.Table) error {
+	out := jsonResults{GeneratedBy: "benchtables"}
 	for _, tbl := range tables {
 		out.Experiments = append(out.Experiments, jsonTable{
 			ID: tbl.ID, Title: tbl.Title, Columns: tbl.Columns, Rows: tbl.Rows,

@@ -23,14 +23,15 @@
 // With -campaign=<name> it renders one scenario's rows of the campaigns
 // table (the stealth-DoS campaigns window_edge, save_storm, rekey_cutover and
 // blackout_flood, each at its baseline and hardened defense) or of the
-// diskfault table (fsync_storm, enospc_compact, single_lane_eio); -msgs sets
-// the phase length:
+// diskfault table (fsync_storm, enospc_compact, single_lane_eio), in memory;
+// -msgs sets the phase length, and a gateway-mode flag next to it exits 2:
 //
 //	resetsim -campaign=window_edge -msgs 600
 //	resetsim -campaign=fsync_storm
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -41,11 +42,74 @@ import (
 	"antireplay/internal/testbed"
 )
 
-// given reports whether the flag called name was set on the command line.
-func given(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) { set = set || f.Name == name })
-	return set
+// options is the command line.
+type options struct {
+	seed                       int64
+	kp, kq                     uint64
+	w                          int
+	msgs                       uint64
+	baseline                   bool
+	loss, reorder, dup         float64
+	reorderDelay, outage       time.Duration
+	resetSender, resetReceiver uint64
+	replay                     bool
+	leap                       float64
+	rekey, failover            bool
+	lanes, sas                 int
+	transport, campaign        string
+	metrics                    string
+	given                      map[string]bool // the flags set on the command line
+}
+
+// parseFlags reads args; a malformed flag exits 2 with the usage. What the
+// flags mean together is validate's to check.
+func parseFlags(args []string) *options {
+	fs := flag.NewFlagSet("resetsim", flag.ExitOnError)
+	o := &options{given: make(map[string]bool)}
+	fs.Int64Var(&o.seed, "seed", 1, "simulation seed")
+	fs.Uint64Var(&o.kp, "kp", 25, "sender SAVE interval Kp")
+	fs.Uint64Var(&o.kq, "kq", 25, "receiver SAVE interval Kq")
+	fs.IntVar(&o.w, "w", 64, "anti-replay window width")
+	fs.Uint64Var(&o.msgs, "msgs", 10000, "messages to send")
+	fs.BoolVar(&o.baseline, "baseline", false, "use the §2 baseline (no SAVE/FETCH)")
+	fs.Float64Var(&o.loss, "loss", 0, "link loss probability")
+	fs.Float64Var(&o.reorder, "reorder", 0, "link reorder probability")
+	fs.DurationVar(&o.reorderDelay, "reorder-delay", 200*time.Microsecond, "max reorder hold-back")
+	fs.Float64Var(&o.dup, "dup", 0, "link duplication probability")
+	fs.Uint64Var(&o.resetSender, "reset-sender", 0, "reset the sender after this many sends (0 = never)")
+	fs.Uint64Var(&o.resetReceiver, "reset-receiver", 0, "reset the receiver after observing this many messages (0 = never)")
+	fs.DurationVar(&o.outage, "outage", time.Millisecond, "reset outage duration")
+	fs.BoolVar(&o.replay, "replay", false, "adversary replays the full history after the receiver wake-up")
+	fs.Float64Var(&o.leap, "leap", 0, "leap factor override (0 = paper's 2)")
+	fs.BoolVar(&o.rekey, "rekey", false, "run the rekey scenario's row (IKE rollover, receiver crashed mid-exchange) and exit")
+	fs.BoolVar(&o.failover, "failover", false, "run the failover scenario's row (crash, takeover, split-brain failback) and exit")
+	fs.IntVar(&o.lanes, "lanes", 1, "journal commit lanes per node in the gateway modes")
+	fs.IntVar(&o.sas, "sas", 1, "tunnels (SA pairs) between the gateways in the gateway modes")
+	fs.StringVar(&o.transport, "transport", "mem", "gateway-mode wire transport: mem (in-process) or udp (real UDP-encapsulated loopback sockets)")
+	fs.StringVar(&o.campaign, "campaign", "", "run one campaigns or diskfault scenario's rows and exit: window_edge, save_storm, rekey_cutover, blackout_flood, fsync_storm, enospc_compact, or single_lane_eio")
+	fs.StringVar(&o.metrics, "metrics", "", "serve /metrics, /healthz, /saz, /events, and pprof on this address in the gateway modes (e.g. :9100; :0 picks a free port)")
+	fs.Parse(args) //nolint:errcheck // ExitOnError: a parse error exits
+	fs.Visit(func(f *flag.Flag) { o.given[f.Name] = true })
+	return o
+}
+
+// validate checks the flags together before any mode runs: a flag that
+// belongs to another mode is an error, not ignored.
+func (o *options) validate() error {
+	gateway := o.rekey || o.failover
+	switch {
+	case o.campaign != "" && (gateway || o.given["transport"] || o.given["metrics"]):
+		return errors.New("-campaign runs in memory on its own: -rekey, -failover, -transport and -metrics do not apply")
+	case o.rekey && o.failover:
+		return errors.New("-rekey and -failover are separate modes")
+	case o.transport != "mem" && o.transport != "udp":
+		return fmt.Errorf("unknown -transport %q (mem or udp)", o.transport)
+	case (o.transport == "udp" || o.metrics != "") && !gateway:
+		return errors.New("-transport=udp and -metrics apply to the gateway modes (-rekey / -failover)")
+	case gateway && (o.sas < 1 || o.kq < 1):
+		return errors.New("the gateway modes need -sas >= 1 and -kq >= 1")
+	}
+	return nil
 }
 
 // runTable is the table modes: render one table, or exit 1 with its error.
@@ -61,21 +125,15 @@ func runTable(table func() (*experiments.Table, error)) {
 }
 
 // gatewayTable is the -failover and -rekey modes: the scenario's one row at
-// loss over bed, with tunnels SA pairs and, when packets > 0, that many
-// rounds a phase.
+// loss over bed, with tunnels SA pairs and packets rounds a phase (the
+// tables' 200 when zero).
 func gatewayTable(failover bool, seed int64, loss float64, tunnels, packets int, bed testbed.Config) (*experiments.Table, error) {
-	if failover {
-		cfg := experiments.DefaultFailoverConfig()
-		cfg.Seed, cfg.LossProbs, cfg.Tunnels, cfg.Bed = seed, []float64{loss}, tunnels, bed
-		if packets > 0 {
-			cfg.PacketsPerPhase = packets
-		}
-		return experiments.Failover(cfg)
+	if packets == 0 {
+		packets = 200
 	}
-	cfg := experiments.DefaultRekeyConfig()
-	cfg.Seed, cfg.LossProbs, cfg.Tunnels, cfg.Bed = seed, []float64{loss}, tunnels, bed
-	if packets > 0 {
-		cfg.PacketsPerPhase = packets
+	cfg := experiments.PairConfig{Seed: seed, LossProbs: []float64{loss}, Tunnels: tunnels, PacketsPerPhase: packets, Bed: bed}
+	if failover {
+		return experiments.Failover(cfg)
 	}
 	return experiments.RekeyRollover(cfg)
 }
@@ -87,67 +145,31 @@ func campaignTable(seed int64, packets int, name string) (*experiments.Table, er
 }
 
 func main() {
-	var (
-		seed     = flag.Int64("seed", 1, "simulation seed")
-		kp       = flag.Uint64("kp", 25, "sender SAVE interval Kp")
-		kq       = flag.Uint64("kq", 25, "receiver SAVE interval Kq")
-		w        = flag.Int("w", 64, "anti-replay window width")
-		msgs     = flag.Uint64("msgs", 10000, "messages to send")
-		baseline = flag.Bool("baseline", false, "use the §2 baseline (no SAVE/FETCH)")
-		loss     = flag.Float64("loss", 0, "link loss probability")
-		reorder  = flag.Float64("reorder", 0, "link reorder probability")
-		reorderD = flag.Duration("reorder-delay", 200*time.Microsecond, "max reorder hold-back")
-		dup      = flag.Float64("dup", 0, "link duplication probability")
-		rstSnd   = flag.Uint64("reset-sender", 0, "reset the sender after this many sends (0 = never)")
-		rstRcv   = flag.Uint64("reset-receiver", 0, "reset the receiver after observing this many messages (0 = never)")
-		outage   = flag.Duration("outage", time.Millisecond, "reset outage duration")
-		replay   = flag.Bool("replay", false, "adversary replays the full history after the receiver wake-up")
-		leap     = flag.Float64("leap", 0, "leap factor override (0 = paper's 2)")
-		rekey    = flag.Bool("rekey", false, "run the rekey scenario's row (IKE rollover, receiver crashed mid-exchange) and exit")
-		failover = flag.Bool("failover", false, "run the failover scenario's row (crash, takeover, split-brain failback) and exit")
-		lanesN   = flag.Int("lanes", 1, "journal commit lanes per node in the gateway modes")
-		sasN     = flag.Int("sas", 1, "tunnels (SA pairs) between the gateways in the gateway modes")
-		trans    = flag.String("transport", "mem", "gateway-mode wire transport: mem (in-process) or udp (real UDP-encapsulated loopback sockets)")
-		campaign = flag.String("campaign", "", "run one campaigns or diskfault scenario's rows and exit: window_edge, save_storm, rekey_cutover, blackout_flood, fsync_storm, enospc_compact, or single_lane_eio")
-		metrics  = flag.String("metrics", "", "serve /metrics, /healthz, /saz, /events, and pprof on this address in the gateway modes (e.g. :9100; :0 picks a free port)")
-	)
-	flag.Parse()
+	o := parseFlags(os.Args[1:])
+	if err := o.validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "resetsim: %v\n", err)
+		os.Exit(2)
+	}
 
 	// -msgs retargets a table mode's phase length only when given: the
 	// flow mode's default of 10000 would make the suite crawl.
 	packets := 0
-	if given("msgs") {
-		packets = int(*msgs)
+	if o.given["msgs"] {
+		packets = int(o.msgs)
 	}
-	if *campaign != "" {
-		runTable(func() (*experiments.Table, error) { return campaignTable(*seed, packets, *campaign) })
+	if o.campaign != "" {
+		runTable(func() (*experiments.Table, error) { return campaignTable(o.seed, packets, o.campaign) })
 		return
 	}
-	if *rekey && *failover {
-		fmt.Fprintln(os.Stderr, "resetsim: -rekey and -failover are separate modes")
-		os.Exit(2)
-	}
-	if *trans != "mem" && *trans != "udp" {
-		fmt.Fprintf(os.Stderr, "resetsim: unknown -transport %q (mem or udp)\n", *trans)
-		os.Exit(2)
-	}
-	if (*trans == "udp" || *metrics != "") && !*rekey && !*failover {
-		fmt.Fprintln(os.Stderr, "resetsim: -transport=udp and -metrics apply to the gateway modes (-rekey / -failover)")
-		os.Exit(2)
-	}
-	if (*rekey || *failover) && (*sasN < 1 || *kq < 1) {
-		fmt.Fprintln(os.Stderr, "resetsim: the gateway modes need -sas >= 1 and -kq >= 1")
-		os.Exit(2)
-	}
-	if *rekey || *failover {
-		bed := testbed.Config{K: *kq, W: *w, Lanes: *lanesN, Sync: true}
-		if *trans == "udp" {
+	if o.rekey || o.failover {
+		bed := testbed.Config{K: o.kq, W: o.w, Lanes: o.lanes, Sync: true}
+		if o.transport == "udp" {
 			bed.Link = testbed.UDP
 		}
 		var tele *simTelemetry
-		if *metrics != "" {
+		if o.metrics != "" {
 			var err error
-			if tele, err = newSimTelemetry(*metrics); err != nil {
+			if tele, err = newSimTelemetry(o.metrics); err != nil {
 				fmt.Fprintf(os.Stderr, "resetsim: %v\n", err)
 				os.Exit(1)
 			}
@@ -156,24 +178,24 @@ func main() {
 			tele.instrument(&bed)
 		}
 		runTable(func() (*experiments.Table, error) {
-			return gatewayTable(*failover, *seed, *loss, *sasN, packets, bed)
+			return gatewayTable(o.failover, o.seed, o.loss, o.sas, packets, bed)
 		})
 		tele.dumpEvents()
 		return
 	}
 
-	cfg := experiments.DefaultFlowConfig(*seed)
-	cfg.Kp, cfg.Kq, cfg.W = *kp, *kq, *w
-	cfg.Baseline = *baseline
-	cfg.LeapFactor = *leap
+	cfg := experiments.DefaultFlowConfig(o.seed)
+	cfg.Kp, cfg.Kq, cfg.W = o.kp, o.kq, o.w
+	cfg.Baseline = o.baseline
+	cfg.LeapFactor = o.leap
 	cfg.Link = netsim.LinkConfig{
 		Delay:        cfg.Link.Delay,
-		LossProb:     *loss,
-		DupProb:      *dup,
-		ReorderProb:  *reorder,
-		ReorderDelay: *reorderD,
+		LossProb:     o.loss,
+		DupProb:      o.dup,
+		ReorderProb:  o.reorder,
+		ReorderDelay: o.reorderDelay,
 	}
-	if *reorder == 0 {
+	if o.reorder == 0 {
 		cfg.Link.ReorderDelay = 0
 	}
 
@@ -183,17 +205,17 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *rstSnd > 0 {
-		f.AtSendCount(*rstSnd, func() {
-			fmt.Printf("t=%v  sender reset (wake in %v)\n", f.Engine.Now(), *outage)
+	if o.resetSender > 0 {
+		f.AtSendCount(o.resetSender, func() {
+			fmt.Printf("t=%v  sender reset (wake in %v)\n", f.Engine.Now(), o.outage)
 			f.Sender.Reset()
-			f.Engine.After(*outage, f.Sender.Wake)
+			f.Engine.After(o.outage, f.Sender.Wake)
 		})
 	}
-	if *rstRcv > 0 {
-		f.AtObserveCount(*rstRcv, func() {
-			fmt.Printf("t=%v  receiver reset (wake in %v)\n", f.Engine.Now(), *outage)
-			if *replay {
+	if o.resetReceiver > 0 {
+		f.AtObserveCount(o.resetReceiver, func() {
+			fmt.Printf("t=%v  receiver reset (wake in %v)\n", f.Engine.Now(), o.outage)
+			if o.replay {
 				// The replay attack is strongest while the sender is quiet
 				// (fresh traffic would slam the window shut ahead of the
 				// replays); give the adversary its §3 best case.
@@ -201,9 +223,9 @@ func main() {
 				fmt.Printf("t=%v  sender goes quiet (adversary's best case)\n", f.Engine.Now())
 			}
 			f.Receiver.Reset()
-			f.Engine.After(*outage, func() {
+			f.Engine.After(o.outage, func() {
 				f.Receiver.Wake()
-				if *replay {
+				if o.replay {
 					at := f.Engine.Now() + cfg.SaveDelay*2
 					n := f.Replayer.ReplayAllAt(at, cfg.SendInterval)
 					fmt.Printf("t=%v  adversary schedules %d replays\n", f.Engine.Now(), n)
@@ -212,9 +234,9 @@ func main() {
 		})
 	}
 
-	f.AtSendCount(*msgs, f.StopTraffic)
+	f.AtSendCount(o.msgs, f.StopTraffic)
 	f.StartTraffic(time.Hour)
-	f.Run(time.Duration(*msgs)*cfg.SendInterval*4 + *outage*4 + time.Second)
+	f.Run(time.Duration(o.msgs)*cfg.SendInterval*4 + o.outage*4 + time.Second)
 
 	fmt.Printf("\nsent=%d skipped_while_down=%d last_seq=%d\n", f.Sent(), f.SkippedSends(), f.LastSent())
 	fmt.Printf("link: %+v\n", f.Link.Stats())
@@ -223,7 +245,7 @@ func main() {
 	fmt.Printf("sender:   %+v\n", f.Sender.Stats())
 	fmt.Printf("receiver: %+v (edge %d)\n", f.Receiver.Stats(), f.Receiver.Edge())
 
-	if f.DupDeliveries() > 0 && !*baseline {
+	if f.DupDeliveries() > 0 && !o.baseline {
 		fmt.Fprintln(os.Stderr, "resetsim: SAFETY VIOLATION under the resilient protocol")
 		os.Exit(1)
 	}

@@ -49,6 +49,36 @@ func metricValue(exposition, prefix string) (float64, bool) {
 	return 0, false
 }
 
+// TestValidate is the command line's one check, made before any mode runs:
+// each mode's flags belong to it alone, and -campaign runs in memory on its
+// own.
+func TestValidate(t *testing.T) {
+	for _, tc := range []struct {
+		args string
+		ok   bool
+	}{
+		{"-msgs 2000 -reset-receiver 1500 -replay", true},
+		{"-campaign=window_edge -msgs 600", true},
+		{"-campaign=window_edge -msgs 600 -transport=bogus -rekey -failover -metrics=:0", false},
+		{"-campaign=window_edge -rekey", false},
+		{"-campaign=window_edge -failover", false},
+		{"-campaign=window_edge -transport=mem", false},
+		{"-campaign=fsync_storm -metrics=:0", false},
+		{"-rekey", true},
+		{"-failover -transport=udp -metrics=:0 -sas 2 -lanes 8", true},
+		{"-rekey -failover", false},
+		{"-failover -transport=bogus", false},
+		{"-transport=udp", false},
+		{"-metrics=:0", false},
+		{"-rekey -sas 0", false},
+		{"-failover -kq 0", false},
+	} {
+		if err := parseFlags(strings.Fields(tc.args)).validate(); (err == nil) != tc.ok {
+			t.Errorf("resetsim %s: validate = %v, want ok %v", tc.args, err, tc.ok)
+		}
+	}
+}
+
 // TestGatewayModesRenderRegistryTables pins -failover and -rekey to the
 // benchtables scenarios: each mode's table has the registry runner's ID and
 // columns, and its one row passed the scenario's asserted invariants.
@@ -59,7 +89,7 @@ func TestGatewayModesRenderRegistryTables(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: not registered", id)
 		}
-		want, err := r.Run(true)
+		want, err := r.Run()
 		if err != nil {
 			t.Fatalf("%s: registry run: %v", id, err)
 		}
@@ -81,7 +111,7 @@ func TestGatewayModesRenderRegistryTables(t *testing.T) {
 // with the registry table's columns.
 func TestCampaignModeRendersDiskfaultRow(t *testing.T) {
 	r, _ := experiments.ByID("diskfault")
-	want, err := r.Run(true)
+	want, err := r.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,11 +21,6 @@ type CampaignsConfig struct {
 	// rows); zero takes the table's own scale, 600 for campaigns and 40 for
 	// diskfault.
 	Packets int
-	// Lanes is the lane count of single_lane_eio; zero takes 64, so its
-	// one quarantined lane prices exactly the 1/64 fault domain. The other
-	// rows use small fixed lane counts: their point is the fault shape, not
-	// the fan-out.
-	Lanes int
 }
 
 // campRow is one row's raw accounting before formatting.
@@ -137,9 +132,6 @@ func campaignTable(id string, cfg CampaignsConfig, only string) (*Table, error) 
 	t := spec.Table
 	if cfg.Packets == 0 {
 		cfg.Packets = spec.packets
-	}
-	if cfg.Lanes == 0 {
-		cfg.Lanes = 64
 	}
 	for _, s := range campaignScenarios {
 		if s.table != id || (only != "" && s.name != only) {

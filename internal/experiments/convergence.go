@@ -5,26 +5,17 @@ import (
 	"time"
 )
 
-// ConvergenceConfig parameterizes the §5 convergence sweeps.
-type ConvergenceConfig struct {
-	// Ks is the sweep of SAVE intervals.
-	Ks []uint64
-	// Seed drives the simulations.
-	Seed int64
-}
+// convergenceKs is the sweep of SAVE intervals both convergence tables
+// run, two orders of magnitude.
+var convergenceKs = []uint64{2, 5, 25, 100, 400}
 
-// DefaultConvergenceConfig sweeps K over two orders of magnitude.
-func DefaultConvergenceConfig() ConvergenceConfig {
-	return ConvergenceConfig{Ks: []uint64{2, 5, 25, 100, 400}, Seed: 1}
-}
-
-// ConvergenceSender verifies §5 condition (i) across K in the paper's worst
+// convergenceSender verifies §5 condition (i) across K in the paper's worst
 // case: the SAVE captures the counter and commits, and the reset strikes
 // before any further message is sent ("s-Kp+1 has not been used"). The
 // wake-up then resumes at fetched+2K, wasting exactly 2K sequence numbers —
 // and, because the resumed counter exceeds everything previously used, the
 // receiver discards no fresh message.
-func ConvergenceSender(cfg ConvergenceConfig) (*Table, error) {
+func convergenceSender() (*Table, error) {
 	t := &Table{
 		ID:    "convsender",
 		Title: "Sender convergence across K (§5 condition i, worst case)",
@@ -32,10 +23,9 @@ func ConvergenceSender(cfg ConvergenceConfig) (*Table, error) {
 		Columns: []string{"K", "last_used", "fetched", "resumed", "lost",
 			"bound_2K", "tight", "fresh_discards", "ok"},
 	}
-	for _, k := range cfg.Ks {
-		fc := DefaultFlowConfig(cfg.Seed)
+	for _, k := range convergenceKs {
+		fc := DefaultFlowConfig(1)
 		fc.Kp, fc.Kq = k, k
-		fc.W = 64
 		fc.SaveDelay = time.Duration(k/2+1) * fc.SendInterval
 		f, err := NewFlow(fc)
 		if err != nil {
@@ -79,13 +69,13 @@ func ConvergenceSender(cfg ConvergenceConfig) (*Table, error) {
 	return t, nil
 }
 
-// ConvergenceReceiver verifies §5 condition (ii) across K in the paper's
+// convergenceReceiver verifies §5 condition (ii) across K in the paper's
 // worst case: the SAVE of edge r commits and the reset strikes before any
 // further message is received. The wake-up reinstalls the edge at
 // fetched+2K, so the next 2K fresh messages — exactly the numbers between
 // r and r+2K — are sacrificed, and nothing is ever delivered twice even
 // though the adversary replays the entire history.
-func ConvergenceReceiver(cfg ConvergenceConfig) (*Table, error) {
+func convergenceReceiver() (*Table, error) {
 	t := &Table{
 		ID:    "convreceiver",
 		Title: "Receiver convergence across K (§5 condition ii, worst case)",
@@ -93,10 +83,9 @@ func ConvergenceReceiver(cfg ConvergenceConfig) (*Table, error) {
 		Columns: []string{"K", "last_recv", "fetched", "resumed_edge",
 			"sacrificed", "bound_2K", "tight", "replayed", "dup_delivered", "ok"},
 	}
-	for _, k := range cfg.Ks {
-		fc := DefaultFlowConfig(cfg.Seed)
+	for _, k := range convergenceKs {
+		fc := DefaultFlowConfig(1)
 		fc.Kp, fc.Kq = k, k
-		fc.W = 64
 		fc.SaveDelay = time.Duration(k/2+1) * fc.SendInterval
 		f, err := NewFlow(fc)
 		if err != nil {

@@ -8,70 +8,43 @@ import (
 	"antireplay/internal/netsim"
 )
 
-// DeliveryConfig parameterizes the §2 w-Delivery / Discrimination check.
-type DeliveryConfig struct {
-	// Messages is the number of fresh messages per row.
-	Messages uint64
-	// W is the window width.
-	W int
-	// Rows is the sweep of link impairments.
-	Rows []DeliveryRow
-	// Seed drives the simulation.
-	Seed int64
-}
-
-// DeliveryRow is one impairment setting.
-type DeliveryRow struct {
-	Name    string
-	Loss    float64
-	Dup     float64
-	Reorder float64
-	// ReorderDelay in send intervals; it determines the worst reorder
-	// degree the link can induce.
-	ReorderDelayIntervals int
-}
-
-// DefaultDeliveryConfig sweeps clean, lossy, duplicating, mildly reordering
-// (degree < w) and violently reordering (degree can exceed w) links.
-func DefaultDeliveryConfig() DeliveryConfig {
-	return DeliveryConfig{
-		Messages: 10000,
-		W:        64,
-		Seed:     1,
-		Rows: []DeliveryRow{
-			{Name: "clean"},
-			{Name: "loss-5%", Loss: 0.05},
-			{Name: "dup-5%", Dup: 0.05},
-			{Name: "reorder<w", Reorder: 0.3, ReorderDelayIntervals: 32},
-			{Name: "reorder>w", Reorder: 0.3, ReorderDelayIntervals: 256},
-			{Name: "all-mild", Loss: 0.02, Dup: 0.02, Reorder: 0.2, ReorderDelayIntervals: 16},
-		},
-	}
-}
-
-// Delivery verifies the §2 conditions on the full stack: Discrimination (no
-// sequence number is ever delivered twice, even under network duplication)
-// and w-Delivery (messages neither lost nor reordered by degree >= w are
-// delivered — so the only window-caused fresh discards appear when the
-// reorder delay can exceed w send intervals).
-func Delivery(cfg DeliveryConfig) (*Table, error) {
+// delivery verifies the §2 conditions on the full stack, messages fresh
+// messages a row: Discrimination (no sequence number is ever delivered
+// twice, even under network duplication) and w-Delivery (messages neither
+// lost nor reordered by degree >= w are delivered — so the only
+// window-caused fresh discards appear when the reorder delay can exceed w
+// send intervals). The rows sweep clean, lossy, duplicating, mildly
+// reordering (degree < w) and violently reordering (degree can exceed w)
+// links.
+func delivery(messages uint64) (*Table, error) {
+	base := DefaultFlowConfig(1)
 	t := &Table{
 		ID:    "delivery",
 		Title: "w-Delivery and Discrimination under link impairments (§2)",
 		Note: fmt.Sprintf("w=%d. Expect: dupes_delivered=0 in every row; window_discards=0 unless "+
-			"the reorder delay exceeds w send intervals; delivered ~= sent*(1-loss).", cfg.W),
+			"the reorder delay exceeds w send intervals; delivered ~= sent*(1-loss).", base.W),
 		Columns: []string{"link", "sent", "delivered", "dupes_delivered",
 			"window_discards", "net_lost"},
 	}
-	for _, row := range cfg.Rows {
-		fc := DefaultFlowConfig(cfg.Seed)
-		fc.W = cfg.W
+	for _, row := range []struct {
+		name               string
+		loss, dup, reorder float64
+		reorderIntervals   int // reorder delay in send intervals: the worst reorder degree
+	}{
+		{name: "clean"},
+		{name: "loss-5%", loss: 0.05},
+		{name: "dup-5%", dup: 0.05},
+		{name: "reorder<w", reorder: 0.3, reorderIntervals: 32},
+		{name: "reorder>w", reorder: 0.3, reorderIntervals: 256},
+		{name: "all-mild", loss: 0.02, dup: 0.02, reorder: 0.2, reorderIntervals: 16},
+	} {
+		fc := base
 		fc.Link = netsim.LinkConfig{
 			Delay:        fc.SendInterval * 10,
-			LossProb:     row.Loss,
-			DupProb:      row.Dup,
-			ReorderProb:  row.Reorder,
-			ReorderDelay: time.Duration(row.ReorderDelayIntervals) * fc.SendInterval,
+			LossProb:     row.loss,
+			DupProb:      row.dup,
+			ReorderProb:  row.reorder,
+			ReorderDelay: time.Duration(row.reorderIntervals) * fc.SendInterval,
 		}
 		f, err := NewFlow(fc)
 		if err != nil {
@@ -88,9 +61,9 @@ func Delivery(cfg DeliveryConfig) (*Table, error) {
 				}
 			}
 		}
-		f.AtSendCount(cfg.Messages, f.StopTraffic)
+		f.AtSendCount(messages, f.StopTraffic)
 		f.StartTraffic(time.Hour)
-		f.Run(time.Duration(cfg.Messages)*fc.SendInterval*4 + time.Second)
+		f.Run(time.Duration(messages)*fc.SendInterval*4 + time.Second)
 
 		sent := f.Sent()
 		delivered := f.Matrix.FreshDelivered()
@@ -103,7 +76,7 @@ func Delivery(cfg DeliveryConfig) (*Table, error) {
 		if windowDiscards < 0 {
 			windowDiscards = 0
 		}
-		t.AddRow(row.Name, fmt.Sprint(sent), fmt.Sprint(delivered),
+		t.AddRow(row.name, fmt.Sprint(sent), fmt.Sprint(delivered),
 			fmt.Sprint(dupes), fmt.Sprint(windowDiscards), fmt.Sprint(st.Lost))
 	}
 	return t, nil

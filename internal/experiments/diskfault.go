@@ -258,14 +258,17 @@ func enospcCompactRow(cfg CampaignsConfig) ([]campRow, error) {
 	return []campRow{row}, nil
 }
 
-// singleLaneEIORow kills one lane of cfg.Lanes under live replication:
+// singleLaneEIORow kills one lane of 64 under live replication:
 // every write to that lane fails EIO, forever, while a cluster standby
 // tails the medium. Only that lane quarantines and only its SA stalls —
 // the other lanes keep full throughput. Then the "disk is replaced"
 // (injector disarmed), the lane is repaired from the standby's replica,
 // the SAs are woken, and traffic on the dead lane resumes.
 func singleLaneEIORow(cfg CampaignsConfig) ([]campRow, error) {
-	p, err := newDiskPair(cfg, cfg.Lanes, 1, false)
+	// The one quarantined lane prices exactly the 1/64 fault domain; the
+	// other rows use small lane counts, their point being the fault shape.
+	const eioLanes = 64
+	p, err := newDiskPair(cfg, eioLanes, 1, false)
 	if err != nil {
 		return nil, err
 	}
@@ -287,7 +290,7 @@ func singleLaneEIORow(cfg CampaignsConfig) ([]campRow, error) {
 	floors := p.committedFloor()
 
 	// Kill the last lane's disk: every write EIO, forever.
-	dead := cfg.Lanes - 1
+	dead := eioLanes - 1
 	if err := p.Settle(); err != nil {
 		return nil, err
 	}
@@ -364,5 +367,5 @@ func singleLaneEIORow(cfg CampaignsConfig) ([]campRow, error) {
 		return nil, err
 	}
 	return []campRow{p.row(fmt.Sprintf("repaired lane %d from standby, SA resumed %d pkts", dead, resumed),
-		fmt.Sprintf("write EIO forever on lane %d (replicated)", dead), fmt.Sprint(cfg.Lanes), "1", fmt.Sprint(stalled))}, nil
+		fmt.Sprintf("write EIO forever on lane %d (replicated)", dead), fmt.Sprint(eioLanes), "1", fmt.Sprint(stalled))}, nil
 }

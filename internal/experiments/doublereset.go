@@ -5,28 +5,15 @@ import (
 	"time"
 )
 
-// DoubleResetConfig parameterizes the §4 "second consideration" experiment.
-type DoubleResetConfig struct {
-	// K is the SAVE interval.
-	K uint64
-	// Seed drives the simulation.
-	Seed int64
-}
-
-// DefaultDoubleResetConfig uses the paper's K = 25.
-func DefaultDoubleResetConfig() DoubleResetConfig {
-	return DoubleResetConfig{K: 25, Seed: 1}
-}
-
-// DoubleReset reproduces the §4 second consideration: a second reset
-// strikes after the wake-up but before the post-wake SAVE has committed.
-// Under the paper's protocol the endpoint refuses to serve until that SAVE
-// completes, so no sequence number is consumed in the vulnerable window and
-// nothing can be reused. The ablation variant resumes immediately after
+// doubleReset reproduces the §4 second consideration, at the paper's K: a
+// second reset strikes after the wake-up but before the post-wake SAVE has
+// committed. Under the paper's protocol the endpoint refuses to serve until
+// that SAVE completes, so no sequence number is consumed in the vulnerable
+// window and nothing can be reused. The ablation variant resumes immediately after
 // FETCH+leap — the naive implementation — and demonstrably reuses sequence
 // numbers (sender) and re-accepts replays (receiver) after the second
 // reset.
-func DoubleReset(cfg DoubleResetConfig) (*Table, error) {
+func doubleReset() (*Table, error) {
 	t := &Table{
 		ID:    "doublereset",
 		Title: "Double reset before the post-wake SAVE commits (§4)",
@@ -37,7 +24,7 @@ func DoubleReset(cfg DoubleResetConfig) (*Table, error) {
 	}
 
 	for _, ablation := range []bool{false, true} {
-		sent, reused, err := doubleResetSender(cfg, ablation)
+		sent, reused, err := doubleResetSender(ablation)
 		if err != nil {
 			return nil, err
 		}
@@ -48,7 +35,7 @@ func DoubleReset(cfg DoubleResetConfig) (*Table, error) {
 		t.AddRow(name, "sender", fmt.Sprint(sent), fmt.Sprint(reused), "-",
 			fmt.Sprint(reused == 0))
 
-		dups, err := doubleResetReceiver(cfg, ablation)
+		dups, err := doubleResetReceiver(ablation)
 		if err != nil {
 			return nil, err
 		}
@@ -63,9 +50,8 @@ func DoubleReset(cfg DoubleResetConfig) (*Table, error) {
 // before the save commits, wake, traffic. It reports how many sequence
 // numbers were handed out inside the vulnerable window and how many were
 // reused afterwards.
-func doubleResetSender(cfg DoubleResetConfig, ablation bool) (sent int, reused int, err error) {
-	fc := DefaultFlowConfig(cfg.Seed)
-	fc.Kp, fc.Kq = cfg.K, cfg.K
+func doubleResetSender(ablation bool) (sent int, reused int, err error) {
+	fc := DefaultFlowConfig(1)
 	fc.SkipPostWakeSave = ablation
 	f, err := NewFlow(fc)
 	if err != nil {
@@ -83,7 +69,7 @@ func doubleResetSender(cfg DoubleResetConfig, ablation bool) (sent int, reused i
 	}
 
 	// Warm-up traffic directly (no link needed for this experiment).
-	for i := 0; i < int(3*cfg.K); i++ {
+	for i := 0; i < 3*paperK; i++ {
 		record()
 	}
 	f.Run(fc.SaveDelay * 10) // let background saves commit
@@ -104,7 +90,7 @@ func doubleResetSender(cfg DoubleResetConfig, ablation bool) (sent int, reused i
 	f.Engine.After(time.Millisecond, f.Sender.Wake)
 	f.Run(f.Engine.Now() + time.Millisecond + fc.SaveDelay*4)
 
-	for i := 0; i < int(3*cfg.K); i++ {
+	for i := 0; i < 3*paperK; i++ {
 		record()
 	}
 	for _, n := range used {
@@ -124,9 +110,8 @@ func doubleResetSender(cfg DoubleResetConfig, ablation bool) (sent int, reused i
 // deliveries, the safety violation the paper's synchronous post-wake SAVE
 // prevents. The paper variant buffers instead of delivering, so nothing can
 // repeat.
-func doubleResetReceiver(cfg DoubleResetConfig, ablation bool) (dups uint64, err error) {
-	fc := DefaultFlowConfig(cfg.Seed)
-	fc.Kp, fc.Kq = cfg.K, cfg.K
+func doubleResetReceiver(ablation bool) (dups uint64, err error) {
+	fc := DefaultFlowConfig(1)
 	fc.SkipPostWakeSave = ablation
 	f, err := NewFlow(fc)
 	if err != nil {
@@ -134,7 +119,7 @@ func doubleResetReceiver(cfg DoubleResetConfig, ablation bool) (dups uint64, err
 	}
 
 	f.StartTraffic(time.Hour)
-	f.Run(time.Duration(3*cfg.K) * fc.SendInterval * 2)
+	f.Run(time.Duration(3*paperK) * fc.SendInterval * 2)
 
 	// Long first outage: the sender races ~250 numbers ahead.
 	f.Receiver.Reset()

@@ -5,16 +5,16 @@
 // bench/'s to report, as medians with a spread. The one exception, scale,
 // is a single-shot wall-clock table kept until bench/ has a scale workload.
 //
-// Each experiment is a function from its parameters to a *Table, and all
+// Each experiment is a registry entry with one parameterization, and all
 // randomness is seeded. Every table but scale reproduces bit-for-bit and
-// TestRegistryRunsFast holds it to testdata/tables_fast.golden: most run on
-// virtual time alone; sizing and recovery report a formula and counted
-// work; and campaigns, diskfault, failover and rekey script the race
-// between a SAVE and the traffic or crash after it (testbed.Pair.Settle).
-// The cmd/benchtables binary and the root bench_test.go both call these
-// functions, and cmd/resetsim renders one scenario of the gateway-level
-// ones (campaigns, diskfault, failover, rekey); each Table.Note records
-// the expected shapes next to paper claims.
+// TestRegistryRunsFast holds it to testdata/tables.golden, exactly what
+// cmd/benchtables prints: most run on virtual time alone; sizing and
+// recovery report a formula and counted work; and campaigns, diskfault,
+// failover and rekey script the race between a SAVE and the traffic or
+// crash after it (testbed.Pair.Settle). The cmd/benchtables binary runs the
+// registry, and cmd/resetsim renders one scenario of the gateway-level
+// ones (campaigns, diskfault, failover, rekey) and drives a Flow of its
+// own; each Table.Note records the expected shapes next to paper claims.
 package experiments
 
 import (
@@ -22,6 +22,8 @@ import (
 	"io"
 	"strings"
 	"text/tabwriter"
+
+	"antireplay/internal/testbed"
 )
 
 // Table is one experiment's rendered result.
@@ -117,98 +119,47 @@ type Runner struct {
 	ID string
 	// Paper names the paper artifact reproduced.
 	Paper string
-	// Run executes the experiment with default parameters. fast selects a
-	// cheaper parameterization where one exists (same shape, less work).
-	Run func(fast bool) (*Table, error)
+	// Run executes the experiment at its one parameterization.
+	Run func() (*Table, error)
 }
 
 // All returns the experiment registry in presentation order.
 func All() []Runner {
 	return []Runner{
-		{ID: "fig1", Paper: "Figure 1 (sender reset analysis)", Run: func(fast bool) (*Table, error) {
-			cfg := DefaultFig1Config()
-			return Fig1SenderReset(cfg)
+		{ID: "fig1", Paper: "Figure 1 (sender reset analysis)", Run: fig1SenderReset},
+		{ID: "fig2", Paper: "Figure 2 (receiver reset analysis)", Run: fig2ReceiverReset},
+		{ID: "unbounded", Paper: "§3 unbounded failures of the baseline", Run: func() (*Table, error) {
+			return unboundedBaseline(500, 1000, 2000, 4000)
 		}},
-		{ID: "fig2", Paper: "Figure 2 (receiver reset analysis)", Run: func(fast bool) (*Table, error) {
-			cfg := DefaultFig2Config()
-			return Fig2ReceiverReset(cfg)
+		{ID: "sizing", Paper: "§4 SAVE-interval sizing example", Run: saveIntervalSizing},
+		{ID: "convsender", Paper: "§5 condition (i): sender convergence", Run: convergenceSender},
+		{ID: "convreceiver", Paper: "§5 condition (ii): receiver convergence", Run: convergenceReceiver},
+		{ID: "recovery", Paper: "§3 cost of SA re-establishment vs SAVE/FETCH", Run: func() (*Table, error) {
+			return recoveryCost(1, 4, 16, 64)
 		}},
-		{ID: "unbounded", Paper: "§3 unbounded failures of the baseline", Run: func(fast bool) (*Table, error) {
-			cfg := DefaultUnboundedConfig()
-			if fast {
-				cfg.Traffic = cfg.Traffic[:2]
-			}
-			return UnboundedBaseline(cfg)
+		{ID: "prolonged", Paper: "§6 prolonged resets with DPD", Run: prolongedReset},
+		{ID: "doublereset", Paper: "§4 second consideration: double reset", Run: doubleReset},
+		{ID: "leap", Paper: "leap-number ablation (why 2K)", Run: leapAblation},
+		{ID: "delivery", Paper: "§2 w-Delivery and Discrimination", Run: func() (*Table, error) {
+			return delivery(10000)
 		}},
-		{ID: "sizing", Paper: "§4 SAVE-interval sizing example", Run: func(fast bool) (*Table, error) {
-			return SaveIntervalSizing()
+		{ID: "horizon", Paper: "analysis gap: loss jump + torn save (README.md)", Run: lossJumpHorizon},
+		{ID: "rekey", Paper: "extension: IKE-driven rollover under resets (make-before-break)", Run: func() (*Table, error) {
+			return RekeyRollover(PairConfig{Seed: 1, LossProbs: []float64{0, 0.05, 0.25}, Tunnels: 4, PacketsPerPhase: 200,
+				Bed: testbed.Config{K: 25, W: 64, Sync: true}})
 		}},
-		{ID: "convsender", Paper: "§5 condition (i): sender convergence", Run: func(fast bool) (*Table, error) {
-			return ConvergenceSender(DefaultConvergenceConfig())
+		{ID: "failover", Paper: "extension: HA failover as the paper's reset (epoch-fenced takeover)", Run: func() (*Table, error) {
+			return Failover(PairConfig{Seed: 1, LossProbs: []float64{0, 0.05, 0.25}, Tunnels: 4, PacketsPerPhase: 200,
+				Bed: testbed.Config{K: 25, Lanes: 8}})
 		}},
-		{ID: "convreceiver", Paper: "§5 condition (ii): receiver convergence", Run: func(fast bool) (*Table, error) {
-			return ConvergenceReceiver(DefaultConvergenceConfig())
+		{ID: "scale", Paper: "extension, single-shot: journal lanes at million-SA scale (64-way SAVE, concurrent recovery of packed cells, per-SA heap; the one-lane-vs-64 recovery gap closed by construction)", Run: func() (*Table, error) {
+			return scale(1_000_000)
 		}},
-		{ID: "recovery", Paper: "§3 cost of SA re-establishment vs SAVE/FETCH", Run: func(fast bool) (*Table, error) {
-			return RecoveryCost(DefaultRecoveryConfig())
+		{ID: "campaigns", Paper: "extension: stealth-DoS campaigns (bounded degradation, zero replay acceptance)", Run: func() (*Table, error) {
+			return campaignTable("campaigns", CampaignsConfig{Seed: 1}, "")
 		}},
-		{ID: "prolonged", Paper: "§6 prolonged resets with DPD", Run: func(fast bool) (*Table, error) {
-			return ProlongedReset(DefaultProlongedConfig())
-		}},
-		{ID: "doublereset", Paper: "§4 second consideration: double reset", Run: func(fast bool) (*Table, error) {
-			return DoubleReset(DefaultDoubleResetConfig())
-		}},
-		{ID: "leap", Paper: "leap-number ablation (why 2K)", Run: func(fast bool) (*Table, error) {
-			return LeapAblation(DefaultLeapConfig())
-		}},
-		{ID: "delivery", Paper: "§2 w-Delivery and Discrimination", Run: func(fast bool) (*Table, error) {
-			cfg := DefaultDeliveryConfig()
-			if fast {
-				cfg.Messages = 2000
-			}
-			return Delivery(cfg)
-		}},
-		{ID: "horizon", Paper: "analysis gap: loss jump + torn save (README.md)", Run: func(fast bool) (*Table, error) {
-			return LossJumpHorizon(DefaultHorizonConfig())
-		}},
-		{ID: "rekey", Paper: "extension: IKE-driven rollover under resets (make-before-break)", Run: func(fast bool) (*Table, error) {
-			cfg := DefaultRekeyConfig()
-			if fast {
-				cfg.Tunnels = 2
-				cfg.LossProbs = []float64{0, 0.25}
-			}
-			return RekeyRollover(cfg)
-		}},
-		{ID: "failover", Paper: "extension: HA failover as the paper's reset (epoch-fenced takeover)", Run: func(fast bool) (*Table, error) {
-			cfg := DefaultFailoverConfig()
-			if fast {
-				cfg.Tunnels = 2
-				cfg.PacketsPerPhase = 80
-				cfg.LossProbs = []float64{0, 0.25}
-			}
-			return Failover(cfg)
-		}},
-		{ID: "scale", Paper: "extension, single-shot: journal lanes at million-SA scale (64-way SAVE, concurrent recovery of packed cells, per-SA heap; the one-lane-vs-64 recovery gap closed by construction)", Run: func(fast bool) (*Table, error) {
-			cfg := DefaultScaleConfig()
-			if fast {
-				cfg.Cells = 50_000
-				cfg.SAs = 50_000
-			}
-			return Scale(cfg)
-		}},
-		{ID: "campaigns", Paper: "extension: stealth-DoS campaigns (bounded degradation, zero replay acceptance)", Run: func(fast bool) (*Table, error) {
-			cfg := CampaignsConfig{Seed: 1}
-			if fast {
-				cfg.Packets = 240
-			}
-			return campaignTable("campaigns", cfg, "")
-		}},
-		{ID: "diskfault", Paper: "extension: storage fault domains (lane quarantine, bounded degradation, standby lane repair)", Run: func(fast bool) (*Table, error) {
-			cfg := CampaignsConfig{Seed: 1}
-			if fast {
-				cfg.Packets, cfg.Lanes = 30, 16
-			}
-			return campaignTable("diskfault", cfg, "")
+		{ID: "diskfault", Paper: "extension: storage fault domains (lane quarantine, bounded degradation, standby lane repair)", Run: func() (*Table, error) {
+			return campaignTable("diskfault", CampaignsConfig{Seed: 1}, "")
 		}},
 	}
 }

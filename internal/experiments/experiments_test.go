@@ -140,7 +140,7 @@ func TestFlowDeterminism(t *testing.T) {
 }
 
 func TestFig1Bounds(t *testing.T) {
-	tbl, err := Fig1SenderReset(DefaultFig1Config())
+	tbl, err := fig1SenderReset()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestFig1Bounds(t *testing.T) {
 }
 
 func TestFig2Bounds(t *testing.T) {
-	tbl, err := Fig2ReceiverReset(DefaultFig2Config())
+	tbl, err := fig2ReceiverReset()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,9 +186,7 @@ func TestFig2Bounds(t *testing.T) {
 }
 
 func TestUnboundedShape(t *testing.T) {
-	cfg := DefaultUnboundedConfig()
-	cfg.Traffic = []uint64{300, 600, 1200}
-	tbl, err := UnboundedBaseline(cfg)
+	tbl, err := unboundedBaseline(300, 600, 1200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +225,7 @@ func TestUnboundedShape(t *testing.T) {
 }
 
 func TestSizingTable(t *testing.T) {
-	tbl, err := SaveIntervalSizing()
+	tbl, err := saveIntervalSizing()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +261,7 @@ func TestSizingKRule(t *testing.T) {
 }
 
 func TestConvergenceSenderTight(t *testing.T) {
-	tbl, err := ConvergenceSender(DefaultConvergenceConfig())
+	tbl, err := convergenceSender()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +276,7 @@ func TestConvergenceSenderTight(t *testing.T) {
 }
 
 func TestConvergenceReceiverBounds(t *testing.T) {
-	tbl, err := ConvergenceReceiver(DefaultConvergenceConfig())
+	tbl, err := convergenceReceiver()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,13 +294,13 @@ func TestConvergenceReceiverBounds(t *testing.T) {
 }
 
 func TestRecoveryCostShape(t *testing.T) {
-	cfg := RecoveryConfig{SACounts: []int{1, 4, 16}, Seed: 1}
-	tbl, err := RecoveryCost(cfg)
+	counts := []int{1, 4, 16}
+	tbl, err := recoveryCost(counts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, row := range tbl.Rows {
-		n := uint64(cfg.SACounts[i])
+		n := uint64(counts[i])
 		for _, c := range []struct {
 			name string
 			want uint64
@@ -318,7 +316,7 @@ func TestRecoveryCostShape(t *testing.T) {
 }
 
 func TestProlongedResetRegimes(t *testing.T) {
-	tbl, err := ProlongedReset(DefaultProlongedConfig())
+	tbl, err := prolongedReset()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +353,7 @@ func TestProlongedResetRegimes(t *testing.T) {
 }
 
 func TestDoubleResetAblation(t *testing.T) {
-	tbl, err := DoubleReset(DefaultDoubleResetConfig())
+	tbl, err := doubleReset()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +376,7 @@ func TestDoubleResetAblation(t *testing.T) {
 }
 
 func TestLeapAblationCliff(t *testing.T) {
-	tbl, err := LeapAblation(DefaultLeapConfig())
+	tbl, err := leapAblation()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,9 +404,7 @@ func TestLeapAblationCliff(t *testing.T) {
 }
 
 func TestDeliveryConditions(t *testing.T) {
-	cfg := DefaultDeliveryConfig()
-	cfg.Messages = 3000
-	tbl, err := Delivery(cfg)
+	tbl, err := delivery(3000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +430,7 @@ func TestDeliveryConditions(t *testing.T) {
 }
 
 func TestLossJumpHorizonCliff(t *testing.T) {
-	tbl, err := LossJumpHorizon(DefaultHorizonConfig())
+	tbl, err := lossJumpHorizon()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +438,7 @@ func TestLossJumpHorizonCliff(t *testing.T) {
 	varCol := col(t, tbl, "variant")
 	dupCol := col(t, tbl, "dup_delivery")
 	safeCol := col(t, tbl, "safe")
-	leap := 2 * DefaultHorizonConfig().K
+	leap := uint64(2 * paperK)
 	for _, row := range tbl.Rows {
 		jump := mustUint(t, row[jumpCol])
 		switch row[varCol] {
@@ -491,21 +487,28 @@ func TestRegistryComplete(t *testing.T) {
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
-// TestRegistryRunsFast executes every experiment in fast mode end to end
-// and compares every rendered table but scale against
-// testdata/tables_fast.golden, so a change that moves a byte of the paper's
-// evidence fails here. scale reads the wall clock: it times a component, the
-// one table that stays bench/'s to replace. Regenerate with: go test
-// ./internal/experiments -run TestRegistryRunsFast -update
+// TestRegistryRunsFast executes every experiment but scale end to end at
+// its one parameterization and compares the rendered tables against
+// testdata/tables.golden, which is what cmd/benchtables prints for them, so
+// a change that moves a byte of the paper's evidence fails here. scale reads
+// the wall clock at a million SAs: it times a component, the one table that
+// stays bench/'s to replace, and TestScaleSmoke runs it small. Regenerate
+// with: go test ./internal/experiments -run TestRegistryRunsFast -update
 func TestRegistryRunsFast(t *testing.T) {
 	if testing.Short() {
 		t.Skip("registry sweep is slow")
 	}
-	rendered := map[string]string{}
+	var runners []Runner
 	for _, r := range All() {
+		if r.ID != "scale" {
+			runners = append(runners, r)
+		}
+	}
+	rendered := map[string]string{}
+	for _, r := range runners {
 		r := r
 		t.Run(r.ID, func(t *testing.T) {
-			tbl, err := r.Run(true)
+			tbl, err := r.Run()
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
@@ -519,10 +522,7 @@ func TestRegistryRunsFast(t *testing.T) {
 		})
 	}
 	var got strings.Builder
-	for _, r := range All() {
-		if r.ID == "scale" {
-			continue
-		}
+	for _, r := range runners {
 		tbl, ok := rendered[r.ID]
 		if !ok {
 			t.Logf("no golden comparison: %s did not render (failed, or filtered out by -run)", r.ID)
@@ -531,7 +531,7 @@ func TestRegistryRunsFast(t *testing.T) {
 		got.WriteString(tbl)
 		got.WriteString("\n")
 	}
-	golden := filepath.Join("testdata", "tables_fast.golden")
+	golden := filepath.Join("testdata", "tables.golden")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -547,5 +547,24 @@ func TestRegistryRunsFast(t *testing.T) {
 	}
 	if got.String() != string(want) {
 		t.Errorf("tables differ from golden.\n--- got ---\n%s--- want ---\n%s", got.String(), want)
+	}
+}
+
+// TestScaleSmoke runs the scale table at 50k SAs, the registry's million
+// scaled down: every row renders, and the recovery row's own check (every
+// populated key recovered) holds.
+func TestScaleSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scale smoke is slow")
+	}
+	tbl, err := scale(50_000)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if len(tbl.Rows) == 0 {
+		t.Error("empty table")
+	}
+	if tbl.ID != "scale" {
+		t.Errorf("table ID %s, want scale", tbl.ID)
 	}
 }

@@ -14,34 +14,27 @@ import (
 	"antireplay/internal/testbed"
 )
 
-// FailoverConfig parameterizes the HA failover experiment.
-type FailoverConfig struct {
-	// Seed drives all randomness (loss draws, key material).
+// PairConfig parameterizes the two gateway-pair tables, failover and
+// rekey, and resetsim's one-row -failover and -rekey modes.
+type PairConfig struct {
+	// Seed drives all randomness (loss draws, key material, IKE nonces).
 	Seed int64
-	// LossProbs is the sweep of per-direction packet loss probabilities;
-	// DPD probes and acks are lost with the same probability.
+	// LossProbs is the sweep of loss probabilities, one row each. failover
+	// loses packets in each direction, DPD probes and acks included, with
+	// it; rekey loses IKE messages with it and data packets with half of it.
 	LossProbs []float64
-	// Tunnels is the number of SA pairs between the peer and the cluster.
+	// Tunnels is the number of SA pairs between the gateways.
 	Tunnels int
-	// PacketsPerPhase is the number of bidirectional rounds per tunnel in
-	// each traffic phase (before the failover, between the failovers, and
-	// after the failback).
+	// PacketsPerPhase is the traffic per tunnel in each phase: rounds
+	// before, between and after failover's failovers, packets before
+	// rekey's rollover and a quarter of that after it.
 	PacketsPerPhase int
-	// Bed is every row's topology: K (the SAVE interval, which the
-	// asserted bounds read, so it must be set), window, lanes per node
-	// (replication runs lane to lane), fsync, link and hooks.
+	// Bed is every row's topology: K (which the asserted bounds and the
+	// rekey sacrifice flush read, so it must be set), window, lanes per
+	// node (replication runs lane to lane), fsync, link and hooks. rekey
+	// sets each row's soft lifetime itself; on a UDP link its exchange
+	// rides the control lane.
 	Bed testbed.Config
-}
-
-// DefaultFailoverConfig sweeps loss up to 25% over laned journals.
-func DefaultFailoverConfig() FailoverConfig {
-	return FailoverConfig{
-		Seed:            1,
-		LossProbs:       []float64{0, 0.05, 0.25},
-		Tunnels:         4,
-		PacketsPerPhase: 200,
-		Bed:             testbed.Config{K: 25, Lanes: 8},
-	}
 }
 
 // Failover runs the cluster subsystem end to end: a peer gateway drives
@@ -67,7 +60,7 @@ func DefaultFailoverConfig() FailoverConfig {
 //     sender resumes at or above the interim primary's last used number;
 //   - the split-brained deposed primary stalls within its horizon (at most
 //     leap sequence numbers per SA) and its journal rejects writes.
-func Failover(cfg FailoverConfig) (*Table, error) {
+func Failover(cfg PairConfig) (*Table, error) {
 	t := &Table{
 		ID:    "failover",
 		Title: "HA cluster: journal replication, epoch-fenced takeover, failback",
@@ -99,7 +92,7 @@ func Failover(cfg FailoverConfig) (*Table, error) {
 // audit does not keep.
 type failoverSim struct {
 	*testbed.Pair
-	cfg  FailoverConfig
+	cfg  PairConfig
 	loss float64
 
 	e   *netsim.Engine
@@ -213,7 +206,7 @@ func (s *failoverSim) phase(rounds int) error {
 	return nil
 }
 
-func failoverRow(cfg FailoverConfig, loss float64) ([]string, error) {
+func failoverRow(cfg PairConfig, loss float64) ([]string, error) {
 	pair, err := testbed.New(cfg.Bed)
 	if err != nil {
 		return nil, err

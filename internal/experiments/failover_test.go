@@ -4,6 +4,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"antireplay/internal/testbed"
 )
 
 // TestFailoverAcceptance runs the HA failover experiment and asserts the
@@ -13,10 +15,8 @@ import (
 // regression); the assertions here pin the reported numbers so a silently
 // weakened experiment cannot pass either.
 func TestFailoverAcceptance(t *testing.T) {
-	cfg := DefaultFailoverConfig()
-	cfg.Tunnels = 2
-	cfg.PacketsPerPhase = 80
-	cfg.LossProbs = []float64{0, 0.25}
+	cfg := PairConfig{Seed: 1, LossProbs: []float64{0, 0.25}, Tunnels: 2, PacketsPerPhase: 80,
+		Bed: testbed.Config{K: 25, Lanes: 8}}
 
 	tbl, err := Failover(cfg)
 	if err != nil {

@@ -5,49 +5,30 @@ import (
 	"time"
 )
 
-// Fig1Config parameterizes the sender-reset analysis (paper Figure 1).
-type Fig1Config struct {
-	// K is Kp; the save delay is sized so one SAVE spans K/2 sends, giving
-	// the cycle both an in-flight and a committed phase to reset within.
-	K uint64
-	// ResetOffsets are the send counts (relative to a save-cycle start in
-	// steady state) at which to inject the reset, in [0, K).
-	ResetOffsets []uint64
-	// Seed drives the simulation.
-	Seed int64
-}
+// figOffsets sweep one full save cycle of both figures' K, the paper's 25
+// (DefaultFlowConfig's): each is the send or receive count, relative to a
+// steady-state save-cycle start, at which the reset strikes.
+var figOffsets = []uint64{0, 2, 5, 9, 12, 13, 15, 18, 21, 24}
 
-// DefaultFig1Config sweeps a full save cycle at the paper's K = 25.
-func DefaultFig1Config() Fig1Config {
-	return Fig1Config{
-		K:            25,
-		ResetOffsets: []uint64{0, 2, 5, 9, 12, 13, 15, 18, 21, 24},
-		Seed:         1,
-	}
-}
-
-// Fig1SenderReset reproduces Figure 1: a reset strikes the sender at a
+// fig1SenderReset reproduces Figure 1: a reset strikes the sender at a
 // chosen offset within a steady-state save cycle; the experiment reports the
 // value FETCH returns, the gap to the last used sequence number, the resume
 // point, and the number of lost sequence numbers — all bounded by 2Kp —
 // plus the count of fresh messages the receiver discards after the wake-up
 // (zero, §5 condition (i)).
-func Fig1SenderReset(cfg Fig1Config) (*Table, error) {
+func fig1SenderReset() (*Table, error) {
 	t := &Table{
 		ID:    "fig1",
 		Title: "Sender reset within a save cycle (paper Fig. 1)",
 		Note: fmt.Sprintf("Kp=%d, leap=2Kp=%d. Expect: lost <= 2Kp always; "+
 			"gap largest when the reset lands mid-save (torn write); zero fresh discards after wake.",
-			cfg.K, 2*cfg.K),
+			paperK, 2*paperK),
 		Columns: []string{"reset@send", "save", "fetched", "last_used", "gap",
 			"resumed", "lost", "bound_2K", "ok", "fresh_discards"},
 	}
 
-	for _, off := range cfg.ResetOffsets {
-		if off >= cfg.K {
-			return nil, fmt.Errorf("experiments: fig1 offset %d >= K %d", off, cfg.K)
-		}
-		row, err := fig1Row(cfg, off)
+	for _, off := range figOffsets {
+		row, err := fig1Row(off)
 		if err != nil {
 			return nil, err
 		}
@@ -56,20 +37,18 @@ func Fig1SenderReset(cfg Fig1Config) (*Table, error) {
 	return t, nil
 }
 
-func fig1Row(cfg Fig1Config, off uint64) ([]string, error) {
-	fc := DefaultFlowConfig(cfg.Seed)
-	fc.Kp = cfg.K
-	fc.Kq = cfg.K
+func fig1Row(off uint64) ([]string, error) {
+	fc := DefaultFlowConfig(1)
 	// Size the save to span half a trigger interval: the cycle has an
 	// in-flight phase (offsets < K/2) and a committed phase (offsets >= K/2).
-	fc.SaveDelay = time.Duration(cfg.K/2) * fc.SendInterval
+	fc.SaveDelay = time.Duration(paperK/2) * fc.SendInterval
 	f, err := NewFlow(fc)
 	if err != nil {
 		return nil, err
 	}
 
 	// Steady state: the 4th save cycle starts at send 4K (s = 4K+1, SAVE(4K+1)).
-	cycleStart := 4 * cfg.K
+	cycleStart := uint64(4 * paperK)
 	resetAt := cycleStart + off
 	const outage = time.Millisecond
 
@@ -95,10 +74,10 @@ func fig1Row(cfg Fig1Config, off uint64) ([]string, error) {
 	horizon := time.Duration(resetAt)*fc.SendInterval + outage + 10*time.Millisecond
 	f.Run(horizon)
 
-	resumed := fetched + 2*cfg.K
+	resumed := fetched + 2*paperK
 	gap := lastUsed - fetched
 	lost := resumed - lastUsed - 1
-	bound := 2 * cfg.K
+	bound := uint64(2 * paperK)
 	saveState := "committed"
 	if inFlight {
 		saveState = "in-flight"
@@ -113,45 +92,23 @@ func fig1Row(cfg Fig1Config, off uint64) ([]string, error) {
 	}, nil
 }
 
-// Fig2Config parameterizes the receiver-reset analysis (paper Figure 2).
-type Fig2Config struct {
-	// K is Kq.
-	K uint64
-	// ResetOffsets are receive counts within a steady-state save cycle.
-	ResetOffsets []uint64
-	// Seed drives the simulation.
-	Seed int64
-}
-
-// DefaultFig2Config sweeps a full save cycle at the paper's K = 25.
-func DefaultFig2Config() Fig2Config {
-	return Fig2Config{
-		K:            25,
-		ResetOffsets: []uint64{0, 2, 5, 9, 12, 13, 15, 18, 21, 24},
-		Seed:         1,
-	}
-}
-
-// Fig2ReceiverReset reproduces Figure 2: a reset strikes the receiver at a
+// fig2ReceiverReset reproduces Figure 2: a reset strikes the receiver at a
 // chosen offset within a save cycle. After the wake-up the adversary replays
 // the entire recorded history while the sender keeps transmitting. The
 // experiment reports the fetched edge, the resume edge, the number of fresh
 // messages sacrificed (bounded by 2Kq, §5 condition (ii)), and the number
 // of replays accepted (zero — the safety theorem).
-func Fig2ReceiverReset(cfg Fig2Config) (*Table, error) {
+func fig2ReceiverReset() (*Table, error) {
 	t := &Table{
 		ID:    "fig2",
 		Title: "Receiver reset within a save cycle (paper Fig. 2)",
 		Note: fmt.Sprintf("Kq=%d, leap=2Kq=%d. Expect: fresh sacrifices <= 2Kq; "+
-			"no sequence number is ever delivered twice (dup_delivered = 0).", cfg.K, 2*cfg.K),
+			"no sequence number is ever delivered twice (dup_delivered = 0).", paperK, 2*paperK),
 		Columns: []string{"reset@recv", "save", "fetched", "last_recv",
 			"resumed_edge", "sacrificed", "bound_2K", "replayed", "dup_delivered", "ok"},
 	}
-	for _, off := range cfg.ResetOffsets {
-		if off >= cfg.K {
-			return nil, fmt.Errorf("experiments: fig2 offset %d >= K %d", off, cfg.K)
-		}
-		row, err := fig2Row(cfg, off)
+	for _, off := range figOffsets {
+		row, err := fig2Row(off)
 		if err != nil {
 			return nil, err
 		}
@@ -160,17 +117,15 @@ func Fig2ReceiverReset(cfg Fig2Config) (*Table, error) {
 	return t, nil
 }
 
-func fig2Row(cfg Fig2Config, off uint64) ([]string, error) {
-	fc := DefaultFlowConfig(cfg.Seed)
-	fc.Kp = cfg.K
-	fc.Kq = cfg.K
-	fc.SaveDelay = time.Duration(cfg.K/2) * fc.SendInterval
+func fig2Row(off uint64) ([]string, error) {
+	fc := DefaultFlowConfig(1)
+	fc.SaveDelay = time.Duration(paperK/2) * fc.SendInterval
 	f, err := NewFlow(fc)
 	if err != nil {
 		return nil, err
 	}
 
-	cycleStart := 4 * cfg.K
+	cycleStart := uint64(4 * paperK)
 	resetAt := cycleStart + off
 	// A short outage keeps the sender's counter below the leaped edge at
 	// wake time, exposing the fresh-sacrifice window the paper bounds.
@@ -200,11 +155,11 @@ func fig2Row(cfg Fig2Config, off uint64) ([]string, error) {
 	horizon := time.Duration(resetAt)*fc.SendInterval + outage + 20*time.Millisecond
 	f.Run(horizon)
 
-	resumedEdge := fetched + 2*cfg.K
+	resumedEdge := fetched + 2*paperK
 	sacrificed := f.Matrix.FreshDiscarded()
 	replayed := f.Replayer.Injected()
 	dups := f.DupDeliveries()
-	bound := 2 * cfg.K
+	bound := uint64(2 * paperK)
 	saveState := "committed"
 	if inFlight {
 		saveState = "in-flight"

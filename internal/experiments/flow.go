@@ -38,13 +38,16 @@ type FlowConfig struct {
 	SkipPostWakeSave bool
 }
 
+// paperK is the paper's worked SAVE interval, K = ceil(100µs / 4µs).
+const paperK = 25
+
 // DefaultFlowConfig uses the paper's measured constants: a send every 4µs,
 // a 100µs save, K = 25 on both sides, a 64-wide window, and a clean link.
 func DefaultFlowConfig(seed int64) FlowConfig {
 	return FlowConfig{
 		Seed:         seed,
-		Kp:           25,
-		Kq:           25,
+		Kp:           paperK,
+		Kq:           paperK,
 		W:            64,
 		SendInterval: 4 * time.Microsecond,
 		SaveDelay:    100 * time.Microsecond,

@@ -7,41 +7,28 @@ import (
 	"antireplay/internal/store"
 )
 
-// HorizonConfig parameterizes the loss-jump experiment (E13).
-type HorizonConfig struct {
-	// K is the SAVE interval.
-	K uint64
-	// Jumps is the sweep of loss-gap sizes: after 2K in-order deliveries,
-	// seqs up to base+jump are lost and base+jump arrives.
-	Jumps []uint64
-}
-
-// DefaultHorizonConfig sweeps jumps across the 2K cliff for K = 25.
-func DefaultHorizonConfig() HorizonConfig {
-	return HorizonConfig{K: 25, Jumps: []uint64{10, 40, 49, 51, 60, 200, 1000}}
-}
-
-// LossJumpHorizon documents the reproduction's negative result (the
+// lossJumpHorizon documents the reproduction's negative result (the
 // analysis-gap note in README.md's "Tests and benchmarks" section): the
 // paper's receiver-side theorem fails when a loss-induced sequence
 // jump larger than the leap is delivered and its save is torn by a reset —
 // the jumped message is then delivered twice. The strict-horizon variant
 // drops the jump instead (extending its durable horizon with a save) and
 // never duplicates; the jump is delivered exactly once when retransmitted
-// after the horizon catches up.
-func LossJumpHorizon(cfg HorizonConfig) (*Table, error) {
+// after the horizon catches up. The jumps sweep across the 2K cliff at the
+// paper's K.
+func lossJumpHorizon() (*Table, error) {
 	t := &Table{
 		ID:    "horizon",
 		Title: "Loss-jump + torn save + reset: paper protocol vs strict horizon",
 		Note: fmt.Sprintf("K=%d, leap=2K=%d. Expect: paper variant delivers the jumped message twice once "+
 			"jump > leap (the analysis gap); strict variant never duplicates and still delivers the "+
-			"retransmission exactly once.", cfg.K, 2*cfg.K),
+			"retransmission exactly once.", paperK, 2*paperK),
 		Columns: []string{"jump", "variant", "jump_delivered", "replay_delivered",
 			"dup_delivery", "retransmit_delivered", "safe"},
 	}
-	for _, jump := range cfg.Jumps {
+	for _, jump := range []uint64{10, 40, 49, 51, 60, 200, 1000} {
 		for _, strict := range []bool{false, true} {
-			row, err := horizonRow(cfg.K, jump, strict)
+			row, err := horizonRow(jump, strict)
 			if err != nil {
 				return nil, err
 			}
@@ -51,7 +38,8 @@ func LossJumpHorizon(cfg HorizonConfig) (*Table, error) {
 	return t, nil
 }
 
-func horizonRow(k, jump uint64, strict bool) ([]string, error) {
+func horizonRow(jump uint64, strict bool) ([]string, error) {
+	const k uint64 = paperK
 	var m store.Mem
 	sv := &core.HeldSaver{Store: &m}
 	r, err := core.NewReceiver(core.ReceiverConfig{

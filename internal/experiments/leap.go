@@ -5,43 +5,31 @@ import (
 	"time"
 )
 
-// LeapConfig parameterizes the leap-number ablation.
-type LeapConfig struct {
-	// K is the SAVE interval.
-	K uint64
-	// Factors is the sweep of leap multipliers λ (leap = ceil(λ*K)).
-	// A zero entry means "no leap at all".
-	Factors []float64
-	// Seed drives the simulation.
-	Seed int64
-}
+// leapK is the leap table's SAVE interval.
+const leapK = 24
 
-// DefaultLeapConfig sweeps λ from 0 to the paper's 2 and one beyond.
-func DefaultLeapConfig() LeapConfig {
-	return LeapConfig{K: 24, Factors: []float64{0, 0.5, 1, 1.5, 2, 3}, Seed: 1}
-}
-
-// LeapAblation answers "why 2K?": the reset is injected at the worst point
-// of the save cycle (the save has been in flight for almost a full trigger
-// interval, so FETCH returns a value nearly 2K behind). With λ < 2 the
+// leapAblation answers "why 2K?", sweeping λ from 0 to the paper's 2 and
+// one beyond. The reset is injected at the worst point of the save cycle
+// (the save has been in flight for almost a full trigger interval, so
+// FETCH returns a value nearly 2K behind). With λ < 2 the
 // leaped sender collides with already-used sequence numbers (fresh
 // discards) and the leaped receiver's edge lands below already-received
 // numbers (replays accepted — a safety violation). λ = 2 is the smallest
 // safe multiplier; larger values only waste more numbers.
-func LeapAblation(cfg LeapConfig) (*Table, error) {
+func leapAblation() (*Table, error) {
 	t := &Table{
 		ID:    "leap",
 		Title: "Leap-number ablation: leap = ceil(λK) under a worst-case reset",
 		Note: fmt.Sprintf("K=%d, reset just before the next SAVE starts with the previous one torn. "+
-			"Expect: λ<2 rows unsafe (duplicate deliveries / fresh discards); λ>=2 rows safe.", cfg.K),
+			"Expect: λ<2 rows unsafe (duplicate deliveries / fresh discards); λ>=2 rows safe.", leapK),
 		Columns: []string{"lambda", "sender_fresh_discards", "receiver_dup_deliveries", "safe"},
 	}
-	for _, lambda := range cfg.Factors {
-		fd, err := leapSenderDamage(cfg, lambda)
+	for _, lambda := range []float64{0, 0.5, 1, 1.5, 2, 3} {
+		fd, err := leapSenderDamage(lambda)
 		if err != nil {
 			return nil, err
 		}
-		ra, err := leapReceiverDamage(cfg, lambda)
+		ra, err := leapReceiverDamage(lambda)
 		if err != nil {
 			return nil, err
 		}
@@ -52,12 +40,12 @@ func LeapAblation(cfg LeapConfig) (*Table, error) {
 }
 
 // leapFlowConfig sizes the save to span a whole trigger interval, making
-// the torn-save gap approach its 2K maximum.
-func leapFlowConfig(cfg LeapConfig, lambda float64) FlowConfig {
-	fc := DefaultFlowConfig(cfg.Seed)
-	fc.Kp, fc.Kq = cfg.K, cfg.K
-	fc.W = 64
-	fc.SaveDelay = time.Duration(cfg.K) * fc.SendInterval
+// the torn-save gap approach its 2K maximum. A zero lambda means no leap
+// at all.
+func leapFlowConfig(lambda float64) FlowConfig {
+	fc := DefaultFlowConfig(1)
+	fc.Kp, fc.Kq = leapK, leapK
+	fc.SaveDelay = leapK * fc.SendInterval
 	if lambda == 0 {
 		fc.LeapFactor = -1 // disable the leap entirely
 	} else {
@@ -66,12 +54,12 @@ func leapFlowConfig(cfg LeapConfig, lambda float64) FlowConfig {
 	return fc
 }
 
-func leapSenderDamage(cfg LeapConfig, lambda float64) (uint64, error) {
-	f, err := NewFlow(leapFlowConfig(cfg, lambda))
+func leapSenderDamage(lambda float64) (uint64, error) {
+	f, err := NewFlow(leapFlowConfig(lambda))
 	if err != nil {
 		return 0, err
 	}
-	resetAt := 4*cfg.K - 1 // just before the next save starts; current one torn
+	resetAt := uint64(4*leapK - 1) // just before the next save starts; current one torn
 	f.AtSendCount(resetAt, func() {
 		f.Sender.Reset()
 		f.Engine.After(time.Millisecond, f.Sender.Wake)
@@ -82,13 +70,13 @@ func leapSenderDamage(cfg LeapConfig, lambda float64) (uint64, error) {
 	return f.Matrix.FreshDiscarded(), nil
 }
 
-func leapReceiverDamage(cfg LeapConfig, lambda float64) (uint64, error) {
-	f, err := NewFlow(leapFlowConfig(cfg, lambda))
+func leapReceiverDamage(lambda float64) (uint64, error) {
+	f, err := NewFlow(leapFlowConfig(lambda))
 	if err != nil {
 		return 0, err
 	}
 	fc := f.cfg
-	resetAt := 4*cfg.K - 1
+	resetAt := uint64(4*leapK - 1)
 	f.AtObserveCount(resetAt, func() {
 		f.StopTraffic() // isolate the replay damage from fresh-traffic effects
 		f.Receiver.Reset()

@@ -10,52 +10,35 @@ import (
 	"antireplay/internal/store"
 )
 
-// ProlongedConfig parameterizes the §6 prolonged-reset scenario.
-type ProlongedConfig struct {
-	// Outages is the sweep of reset durations.
-	Outages []time.Duration
-	// IdleTimeout, AckTimeout, MaxProbes, HoldTime configure DPD at the
-	// surviving host.
-	IdleTimeout time.Duration
-	AckTimeout  time.Duration
-	MaxProbes   int
-	HoldTime    time.Duration
-	// Seed drives the simulation.
-	Seed int64
+// prolongedDPD is the surviving host's dead-peer detection: death is
+// declared after 10s+3*2s=16s and SAs are held for 60s.
+var prolongedDPD = dpd.Config{
+	IdleTimeout: 10 * time.Second,
+	AckTimeout:  2 * time.Second,
+	MaxProbes:   3,
+	HoldTime:    60 * time.Second,
 }
 
-// DefaultProlongedConfig detects death after 10s+3*2s=16s and holds SAs for
-// 60s, sweeping outages across the alive/dead/expired regimes.
-func DefaultProlongedConfig() ProlongedConfig {
-	return ProlongedConfig{
-		Outages:     []time.Duration{5 * time.Second, 30 * time.Second, 70 * time.Second, 120 * time.Second},
-		IdleTimeout: 10 * time.Second,
-		AckTimeout:  2 * time.Second,
-		MaxProbes:   3,
-		HoldTime:    60 * time.Second,
-		Seed:        1,
-	}
-}
-
-// ProlongedReset reproduces the §6 remark: host A keeps its SAs alive for a
-// hold time after detecting that host B is unreachable. If B wakes within
+// prolongedReset reproduces the §6 remark, its outages sweeping the alive,
+// dead and expired regimes: host A keeps its SAs alive for a hold time
+// after detecting that host B is unreachable. If B wakes within
 // the hold time, its secured "I am up" message — whose sequence number was
 // leaped past everything used before the reset — revives the association
 // with no renegotiation; a replayed pre-reset message cannot, because its
 // sequence number falls at or below A's window edge. Past the hold time the
 // SA is expired and only IKE can recover.
-func ProlongedReset(cfg ProlongedConfig) (*Table, error) {
+func prolongedReset() (*Table, error) {
 	t := &Table{
 		ID:    "prolonged",
 		Title: "Prolonged resets with dead-peer detection (§6)",
 		Note: fmt.Sprintf("Death declared at %v, SAs held %v. Expect revival iff the wake lands before expiry; "+
 			"replayed announcements never revive.",
-			cfg.IdleTimeout+time.Duration(cfg.MaxProbes)*cfg.AckTimeout, cfg.HoldTime),
+			prolongedDPD.IdleTimeout+time.Duration(prolongedDPD.MaxProbes)*prolongedDPD.AckTimeout, prolongedDPD.HoldTime),
 		Columns: []string{"outage", "state_at_wake", "resync_verdict",
 			"revived", "replayed_resync_delivered", "ike_required"},
 	}
-	for _, outage := range cfg.Outages {
-		row, err := prolongedRow(cfg, outage)
+	for _, outage := range []time.Duration{5 * time.Second, 30 * time.Second, 70 * time.Second, 120 * time.Second} {
+		row, err := prolongedRow(outage)
 		if err != nil {
 			return nil, err
 		}
@@ -64,13 +47,13 @@ func ProlongedReset(cfg ProlongedConfig) (*Table, error) {
 	return t, nil
 }
 
-func prolongedRow(cfg ProlongedConfig, outage time.Duration) ([]string, error) {
-	engine := netsim.NewEngine(cfg.Seed)
+func prolongedRow(outage time.Duration) ([]string, error) {
+	engine := netsim.NewEngine(1)
 
 	// Host B's sending state (B -> A direction), with SAVE/FETCH.
 	var bStore store.Mem
 	bSender, err := core.NewSender(core.SenderConfig{
-		K:     25,
+		K:     paperK,
 		Store: &bStore,
 		Saver: netsim.NewSimSaver(engine, &bStore, 100*time.Microsecond),
 	})
@@ -80,7 +63,7 @@ func prolongedRow(cfg ProlongedConfig, outage time.Duration) ([]string, error) {
 	// Host A's receiving state for B's traffic.
 	var aStore store.Mem
 	aReceiver, err := core.NewReceiver(core.ReceiverConfig{
-		K:     25,
+		K:     paperK,
 		W:     64,
 		Store: &aStore,
 		Saver: netsim.NewSimSaver(engine, &aStore, 100*time.Microsecond),
@@ -89,14 +72,10 @@ func prolongedRow(cfg ProlongedConfig, outage time.Duration) ([]string, error) {
 		return nil, err
 	}
 
-	mon, err := dpd.NewMonitor(dpd.Config{
-		Engine:      engine,
-		IdleTimeout: cfg.IdleTimeout,
-		AckTimeout:  cfg.AckTimeout,
-		MaxProbes:   cfg.MaxProbes,
-		HoldTime:    cfg.HoldTime,
-		SendProbe:   func(uint64) {}, // B is down; probes vanish
-	})
+	dc := prolongedDPD
+	dc.Engine = engine
+	dc.SendProbe = func(uint64) {} // B is down; probes vanish
+	mon, err := dpd.NewMonitor(dc)
 	if err != nil {
 		return nil, err
 	}

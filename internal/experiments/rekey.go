@@ -13,25 +13,6 @@ import (
 	"antireplay/internal/testbed"
 )
 
-// RekeyConfig parameterizes the rekey-under-reset rollover experiment.
-type RekeyConfig struct {
-	// Seed drives all randomness (IKE nonces, loss draws, reorder shuffles).
-	Seed int64
-	// LossProbs is the sweep of per-message IKE loss probabilities; data
-	// packets are additionally lost with half each probability.
-	LossProbs []float64
-	// Tunnels is the number of tunnels tracked per row.
-	Tunnels int
-	// PacketsPerPhase is the data traffic per tunnel before and after the
-	// rollover.
-	PacketsPerPhase int
-	// Bed is every row's topology: K (which sizes the sacrifice flush, so
-	// it must be set), window, lanes, fsync, link and hooks. Each row sets
-	// its soft lifetime itself. On a UDP link the exchange rides the
-	// control lane.
-	Bed testbed.Config
-}
-
 const (
 	// rekeyInFlight is the number of old-SPI packets left in flight across
 	// each tunnel's cutover.
@@ -39,18 +20,6 @@ const (
 	// rekeyMaxAttempts bounds IKE retries per rollover trigger.
 	rekeyMaxAttempts = 64
 )
-
-// DefaultRekeyConfig sweeps IKE loss up to the acceptance point (>= 5%)
-// and beyond.
-func DefaultRekeyConfig() RekeyConfig {
-	return RekeyConfig{
-		Seed:            1,
-		LossProbs:       []float64{0, 0.05, 0.25},
-		Tunnels:         4,
-		PacketsPerPhase: 200,
-		Bed:             testbed.Config{K: 25, W: 64, Sync: true},
-	}
-}
 
 // RekeyRollover demonstrates the make-before-break property end to end:
 // soft lifetimes trip IKE-driven rollovers on a gateway pair while the
@@ -70,7 +39,7 @@ func DefaultRekeyConfig() RekeyConfig {
 // fresh messages per reset, unrelated to the rollover — reported so the
 // zero-false-reject claim is measured on top of, not instead of, the
 // protocol's documented behavior.
-func RekeyRollover(cfg RekeyConfig) (*Table, error) {
+func RekeyRollover(cfg PairConfig) (*Table, error) {
 	t := &Table{
 		ID:    "rekey",
 		Title: "IKE-driven SA rollover under receiver resets (make-before-break)",
@@ -100,7 +69,7 @@ type rekeyRow struct {
 	falseRej   int
 }
 
-func rekeyRolloverRow(cfg RekeyConfig, loss float64) ([]string, error) {
+func rekeyRolloverRow(cfg PairConfig, loss float64) ([]string, error) {
 	bed, k := cfg.Bed, int(cfg.Bed.K)
 	// Soft lifetime trips after roughly one phase of traffic.
 	bed.Lifetime = ipsec.Lifetime{SoftBytes: uint64(cfg.PacketsPerPhase) * 300 / 2}

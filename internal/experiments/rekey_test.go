@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"antireplay/internal/testbed"
 )
 
 // TestRekeyRolloverAcceptance is the acceptance gate for the rekey
@@ -11,9 +13,8 @@ import (
 // converges with zero false rejections of in-flight old-SPI packets, zero
 // replay acceptances, and every retired generation's journal cells erased.
 func TestRekeyRolloverAcceptance(t *testing.T) {
-	cfg := DefaultRekeyConfig()
-	cfg.LossProbs = []float64{0.05, 0.25}
-	tab, err := RekeyRollover(cfg)
+	tab, err := RekeyRollover(PairConfig{Seed: 1, LossProbs: []float64{0.05, 0.25}, Tunnels: 4, PacketsPerPhase: 200,
+		Bed: testbed.Config{K: 25, W: 64, Sync: true}})
 	if err != nil {
 		t.Fatalf("RekeyRollover: %v", err)
 	}
@@ -47,16 +48,5 @@ func TestRekeyRolloverAcceptance(t *testing.T) {
 		if parts := strings.Split(erased, "/"); len(parts) != 2 || parts[0] != parts[1] {
 			t.Errorf("loss %s: cells_erased = %s, want all erased", loss, erased)
 		}
-	}
-}
-
-// TestRekeyExperimentRegistered keeps the registry entry wired up.
-func TestRekeyExperimentRegistered(t *testing.T) {
-	r, ok := ByID("rekey")
-	if !ok {
-		t.Fatal("rekey experiment not registered")
-	}
-	if _, err := r.Run(true); err != nil {
-		t.Fatalf("fast run: %v", err)
 	}
 }

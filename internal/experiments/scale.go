@@ -14,31 +14,16 @@ import (
 	"antireplay/internal/store"
 )
 
-// ScaleConfig parameterizes the million-SA scale experiment.
-type ScaleConfig struct {
-	// Cells is the number of distinct SA counters populated into the
-	// medium for the recovery row.
-	Cells int
-	// Lanes is the medium's commit-lane count.
-	Lanes int
-	// Savers is the concurrent saver count for the steady-state SAVE row.
-	Savers int
-	// SAs is the inbound SA count for the heap-footprint row.
-	SAs int
-}
+// scaleLanes is the medium's commit-lane count, and the concurrent saver
+// count of the steady-state SAVE row.
+const scaleLanes = 64
 
-// DefaultScaleConfig returns the headline parameterization: one million
-// counters and one million SAs.
-func DefaultScaleConfig() ScaleConfig {
-	return ScaleConfig{Cells: 1_000_000, Lanes: 64, Savers: 64, SAs: 1_000_000}
-}
-
-// Scale measures the journal lanes at gateway scale: the steady-state cost
+// scale measures the journal lanes at gateway scale: the steady-state cost
 // of 64 concurrent savers spread across lanes, cold-start recovery of a
-// counter population (packed-key cells, lanes replayed concurrently), and
-// the pinned per-SA heap footprint of a fully installed inbound SA
-// population.
-func Scale(cfg ScaleConfig) (*Table, error) {
+// population of sas counters (packed-key cells, lanes replayed
+// concurrently), and the pinned per-SA heap footprint of sas fully
+// installed inbound SAs. The registry runs a million; TestScaleSmoke 50k.
+func scale(sas int) (*Table, error) {
 	t := &Table{
 		ID:    "scale",
 		Title: "million-SA scale: laned recovery, 64-way SAVE, per-SA heap",
@@ -61,10 +46,10 @@ func Scale(cfg ScaleConfig) (*Table, error) {
 	}
 	defer os.RemoveAll(dir)
 
-	if err := scaleRecoveryRows(t, cfg, dir); err != nil {
+	if err := scaleRecoveryRows(t, sas, dir); err != nil {
 		return nil, err
 	}
-	if err := scaleFootprintRow(t, cfg, dir); err != nil {
+	if err := scaleFootprintRow(t, sas, dir); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -75,16 +60,16 @@ func addScaleRow(t *Table, path string, ops int, elapsed time.Duration, detail s
 		fmt.Sprintf("%.0f", float64(ops)/elapsed.Seconds()), detail)
 }
 
-// scaleRecoveryRows populates the cell population into the medium, measures
-// the 64-way steady-state SAVE on it, then closes it and times the
-// cold-start replay.
-func scaleRecoveryRows(t *Table, cfg ScaleConfig, dir string) error {
+// scaleRecoveryRows populates cells counters into the medium, measures the
+// 64-way steady-state SAVE on it, then closes it and times the cold-start
+// replay.
+func scaleRecoveryRows(t *Table, cells int, dir string) error {
 	lanesDir := filepath.Join(dir, "lanes")
-	lanes, err := store.OpenLanes(lanesDir, store.LanesCount(cfg.Lanes), store.LanesWithoutSync())
+	lanes, err := store.OpenLanes(lanesDir, store.LanesCount(scaleLanes), store.LanesWithoutSync())
 	if err != nil {
 		return err
 	}
-	for i := 0; i < cfg.Cells; i++ {
+	for i := 0; i < cells; i++ {
 		if err := lanes.Cell(fmt.Sprintf("rx/%08x", i)).Save(uint64(i + 1)); err != nil {
 			return err
 		}
@@ -93,28 +78,28 @@ func scaleRecoveryRows(t *Table, cfg ScaleConfig, dir string) error {
 	// Steady-state 64-way SAVE across lanes, before the close so the savers
 	// run against warm staging slabs. The extra frames land in the lane logs
 	// and are replayed below.
-	cells := make([]*store.Cell, cfg.Savers)
-	for i := range cells {
-		cells[i] = lanes.Cell(fmt.Sprintf("rx/%08x", i))
+	savers := make([]*store.Cell, scaleLanes)
+	for i := range savers {
+		savers[i] = lanes.Cell(fmt.Sprintf("rx/%08x", i))
 	}
-	per := cfg.Cells / cfg.Savers / 4
+	per := cells / scaleLanes / 4
 	if per < 1000 {
 		per = 1000
 	}
 	var wg sync.WaitGroup
-	errs := make(chan error, cfg.Savers)
+	errs := make(chan error, scaleLanes)
 	start := time.Now()
-	for g := 0; g < cfg.Savers; g++ {
+	for _, c := range savers {
 		wg.Add(1)
 		go func(c *store.Cell) {
 			defer wg.Done()
 			for i := 1; i <= per; i++ {
-				if err := c.Save(uint64(cfg.Cells + i)); err != nil {
+				if err := c.Save(uint64(cells + i)); err != nil {
 					errs <- err
 					return
 				}
 			}
-		}(cells[g])
+		}(c)
 	}
 	wg.Wait()
 	saveElapsed := time.Since(start)
@@ -123,10 +108,10 @@ func scaleRecoveryRows(t *Table, cfg ScaleConfig, dir string) error {
 		return err
 	default:
 	}
-	v := uint64(2 * cfg.Cells)
+	v := uint64(2 * cells)
 	allocs := testing.AllocsPerRun(500, func() {
 		v++
-		if err := cells[0].Save(v); err != nil {
+		if err := savers[0].Save(v); err != nil {
 			errs <- err
 		}
 	})
@@ -135,7 +120,7 @@ func scaleRecoveryRows(t *Table, cfg ScaleConfig, dir string) error {
 		return err
 	default:
 	}
-	ops := per * cfg.Savers
+	ops := per * scaleLanes
 	addScaleRow(t, "save_lanes_64", ops, saveElapsed,
 		fmt.Sprintf("ns_op=%.1f allocs_op=%.2f", float64(saveElapsed.Nanoseconds())/float64(ops), allocs))
 
@@ -151,19 +136,19 @@ func scaleRecoveryRows(t *Table, cfg ScaleConfig, dir string) error {
 	}
 	lanesElapsed := time.Since(start)
 	defer lanes2.Close()
-	if got := lanes2.Keys(); got != cfg.Cells {
-		return fmt.Errorf("scale: lanes recovered %d keys, want %d", got, cfg.Cells)
+	if got := lanes2.Keys(); got != cells {
+		return fmt.Errorf("scale: lanes recovered %d keys, want %d", got, cells)
 	}
-	addScaleRow(t, "recover_lanes", cfg.Cells, lanesElapsed,
+	addScaleRow(t, "recover_lanes", cells, lanesElapsed,
 		fmt.Sprintf("%d lanes, packed cells", lanes2.LaneCount()))
 	return nil
 }
 
-// scaleFootprintRow installs the full inbound SA population on one gateway
-// and reports the live heap cost per SA.
-func scaleFootprintRow(t *Table, cfg ScaleConfig, dir string) error {
+// scaleFootprintRow installs sas inbound SAs on one gateway and reports the
+// live heap cost per SA.
+func scaleFootprintRow(t *Table, sas int, dir string) error {
 	lanes, err := store.OpenLanes(filepath.Join(dir, "sas"),
-		store.LanesCount(cfg.Lanes), store.LanesWithoutSync())
+		store.LanesCount(scaleLanes), store.LanesWithoutSync())
 	if err != nil {
 		return err
 	}
@@ -182,7 +167,7 @@ func scaleFootprintRow(t *Table, cfg ScaleConfig, dir string) error {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	for i := 0; i < cfg.SAs; i++ {
+	for i := 0; i < sas; i++ {
 		if _, err := gw.AddInbound(uint32(i+1), keys); err != nil {
 			return fmt.Errorf("scale: AddInbound %d: %w", i, err)
 		}
@@ -191,7 +176,7 @@ func scaleFootprintRow(t *Table, cfg ScaleConfig, dir string) error {
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	heap := after.HeapAlloc - before.HeapAlloc
-	addScaleRow(t, "sa_heap", cfg.SAs, elapsed,
-		fmt.Sprintf("bytes_per_sa=%d heap_mib=%.0f", heap/uint64(cfg.SAs), float64(heap)/(1<<20)))
+	addScaleRow(t, "sa_heap", sas, elapsed,
+		fmt.Sprintf("bytes_per_sa=%d heap_mib=%.0f", heap/uint64(sas), float64(heap)/(1<<20)))
 	return nil
 }

@@ -21,13 +21,13 @@ var sizingInputs = []struct {
 	{"page-cache-64B", 5 * time.Microsecond, time.Microsecond},
 }
 
-// SaveIntervalSizing reproduces the paper's §4 sizing example: the SAVE
+// saveIntervalSizing reproduces the paper's §4 sizing example: the SAVE
 // interval K is the maximum number of messages that can be sent during one
 // SAVE, K = ceil(T_save / T_send). The paper's Pentium III constants (100µs
 // write, 4µs send, K = 25) and the stated inputs of sizingInputs go through
 // core.SizeK; what a save and a send cost on a given host is bench/'s to
 // measure.
-func SaveIntervalSizing() (*Table, error) {
+func saveIntervalSizing() (*Table, error) {
 	t := &Table{
 		ID:    "sizing",
 		Title: "SAVE interval sizing: K = ceil(T_save / T_send) (§4)",

@@ -6,28 +6,15 @@ import (
 	"time"
 )
 
-// UnboundedConfig parameterizes the §3 baseline-failure demonstration.
-type UnboundedConfig struct {
-	// Traffic is the sweep of pre-reset message counts x.
-	Traffic []uint64
-	// Seed drives the simulation.
-	Seed int64
-}
-
-// DefaultUnboundedConfig doubles x from 500 to 4000.
-func DefaultUnboundedConfig() UnboundedConfig {
-	return UnboundedConfig{Traffic: []uint64{500, 1000, 2000, 4000}, Seed: 1}
-}
-
-// UnboundedBaseline reproduces the §3 claims: under the baseline (§2)
-// protocol, the damage of a reset grows without bound in the amount of
-// pre-reset traffic x — the adversary replays all x messages into a freshly
+// unboundedBaseline reproduces the §3 claims, one row pair per pre-reset
+// message count x in traffic: under the baseline (§2) protocol, the damage
+// of a reset grows without bound in x — the adversary replays all x messages into a freshly
 // reset receiver and they are all accepted; a freshly reset sender has all
 // its messages discarded until its counter climbs past the receiver's old
 // edge (≈ x discards). The resilient protocol holds both at <= 2K
 // regardless of x. A least-squares fit of damage against x demonstrates
 // slope ≈ 1 (unbounded) vs slope ≈ 0 (bounded).
-func UnboundedBaseline(cfg UnboundedConfig) (*Table, error) {
+func unboundedBaseline(traffic ...uint64) (*Table, error) {
 	t := &Table{
 		ID:    "unbounded",
 		Title: "Baseline vs resilient damage as pre-reset traffic grows (§3)",
@@ -36,13 +23,13 @@ func UnboundedBaseline(cfg UnboundedConfig) (*Table, error) {
 	}
 
 	var xs, baseReplay, baseDiscard, resReplay, resDiscard []float64
-	for _, x := range cfg.Traffic {
+	for _, x := range traffic {
 		for _, baseline := range []bool{true, false} {
-			ra, err := receiverResetReplayDamage(cfg.Seed, x, baseline)
+			ra, err := receiverResetReplayDamage(x, baseline)
 			if err != nil {
 				return nil, err
 			}
-			fd, err := senderResetDiscardDamage(cfg.Seed, x, baseline)
+			fd, err := senderResetDiscardDamage(x, baseline)
 			if err != nil {
 				return nil, err
 			}
@@ -79,7 +66,7 @@ func UnboundedBaseline(cfg UnboundedConfig) (*Table, error) {
 
 // linearFit is the least-squares line y = slope*x + intercept through the
 // paired observations, with r2 its coefficient of determination. It is what
-// turns §3's "grows without bound" into a measurement: UnboundedBaseline
+// turns §3's "grows without bound" into a measurement: unboundedBaseline
 // fits damage against pre-reset traffic, so "grows linearly" is a fitted
 // slope rather than a narrative. It fails on mismatched lengths, fewer than
 // two points, or constant x (a vertical line).
@@ -118,8 +105,8 @@ func linearFit(xs, ys []float64) (slope, intercept, r2 float64, err error) {
 // receiverResetReplayDamage sends x messages, resets+wakes the receiver,
 // replays the full history, and counts the messages delivered a second
 // time (the §3 replay damage).
-func receiverResetReplayDamage(seed int64, x uint64, baseline bool) (uint64, error) {
-	fc := DefaultFlowConfig(seed)
+func receiverResetReplayDamage(x uint64, baseline bool) (uint64, error) {
+	fc := DefaultFlowConfig(1)
 	fc.Baseline = baseline
 	f, err := NewFlow(fc)
 	if err != nil {
@@ -141,8 +128,8 @@ func receiverResetReplayDamage(seed int64, x uint64, baseline bool) (uint64, err
 
 // senderResetDiscardDamage sends x messages, resets+wakes the sender, and
 // counts how many of the next 2x fresh messages the receiver discards.
-func senderResetDiscardDamage(seed int64, x uint64, baseline bool) (uint64, error) {
-	fc := DefaultFlowConfig(seed)
+func senderResetDiscardDamage(x uint64, baseline bool) (uint64, error) {
+	fc := DefaultFlowConfig(1)
 	fc.Baseline = baseline
 	f, err := NewFlow(fc)
 	if err != nil {
