@@ -5,8 +5,8 @@ import (
 )
 
 // Wire-layer types, re-exported from the implementation: the real
-// UDP-encapsulated socket transport (ListenWireUDP). The gate middleware
-// implements the same internal/wire.Link contract and stays internal.
+// UDP-encapsulated socket transport (ListenWireUDP), the wire layer's one
+// link.
 type (
 	// WireStats counts a link's traffic.
 	WireStats = wire.Stats

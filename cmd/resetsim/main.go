@@ -227,7 +227,7 @@ func main() {
 				f.Receiver.Wake()
 				if o.replay {
 					at := f.Engine.Now() + cfg.SaveDelay*2
-					n := f.Replayer.ReplayAllAt(at, cfg.SendInterval)
+					n := f.ReplayAllAt(at, cfg.SendInterval)
 					fmt.Printf("t=%v  adversary schedules %d replays\n", f.Engine.Now(), n)
 				}
 			})

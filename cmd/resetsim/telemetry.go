@@ -84,7 +84,7 @@ func newSimTelemetry(addr string) (*simTelemetry, error) {
 	// The wire link's counters and its endpoint's, on a UDP pair.
 	t.reg.RegisterCollector("apn_link", telemetry.CollectorFunc(func(emit telemetry.Emit) {
 		if l := t.roles().link; l != nil {
-			wirenet.LinkCollector(l).CollectTelemetry(emit)
+			l.Stats().CollectTelemetry(emit)
 		}
 	}))
 	t.reg.RegisterCollector("apn_endpoint", telemetry.CollectorFunc(func(emit telemetry.Emit) {

@@ -1,119 +1,124 @@
-// Package adversary implements the paper's replay attacker: a wiretap that
-// records every message the sender transmits, plus injection strategies that
-// replay recorded traffic into the receiver.
+// Package adversary is the attacker's position on one direction of a
+// path: a Gate every datagram the sender transmits crosses, and the
+// stealth-DoS campaigns of Herzberg & Shulman that decide at it — low-rate,
+// well-timed interference that never breaks the channel's cryptography and
+// still degrades it.
 //
 // The adversary is Dolev-Yao-restricted to replay: it cannot forge message
-// contents (the SA's integrity key prevents that), only re-insert copies of
-// messages it has observed — "an adversary can insert in the message stream
-// from p to q a copy of any message t that was sent earlier by p" (§2).
+// contents (the SA's integrity key prevents that), only observe, drop,
+// delay, and re-insert copies of messages it has seen — "an adversary can
+// insert in the message stream from p to q a copy of any message t that was
+// sent earlier by p" (§2). A campaign has three powers at its gate:
 //
-// Recorder taps a link at the wiretap position (seeing what the sender
-// transmits, including messages the network then loses — the adversary's
-// antenna is not subject to the victim's packet loss), and Replayer turns
-// the recording into injection schedules: everything at once after a
-// wake-up (the §3 catastrophe's strongest shape), a sliding window of
-// recent traffic, or arbitrary programmed subsets. Injections bypass the
-// link's loss model because the adversary controls its own transmissions.
-// The experiment harness pairs every replayed packet with ground truth in
-// experiments.Matrix, so "replay accepted" is counted from the harness's
-// knowledge, not inferred from verdicts.
+//   - the wiretap: its decider sees every datagram handed to Send,
+//     including ones it then drops;
+//   - the gate: drop or hold *chosen* datagrams, not random ones — loss
+//     aimed at window edges, SAVE cadence, cutovers — and Release held
+//     ones later;
+//   - injection (Inject): transmit recorded copies, bypassing the decider.
+//
+// Everything a campaign decides is computed from bytes it could see on a
+// real wire — ESP sequence numbers are cleartext — plus protocol knowledge
+// (the SAVE interval K, the cutovers and takeovers it is told of); nothing
+// peeks at victim internals. A campaign built over a gate observes from
+// the start and interferes only between Activate and Deactivate, so its
+// intelligence (window edges, cadence) is warm when its phase opens.
+//
+// The paper's own replay-only adversary, recording a simulated link and
+// replaying it after a wake, is experiments.Flow's wiretap.
 package adversary
 
 import (
+	"encoding/binary"
 	"sync"
-	"time"
-
-	"antireplay/internal/netsim"
+	"sync/atomic"
 )
 
-// Recorder captures wire traffic of type T for later replay.
-// It is safe for concurrent use.
-type Recorder[T any] struct {
+// verdict is a decider's classification of one datagram.
+type verdict uint8
+
+const (
+	// pass delivers the datagram now.
+	pass verdict = iota
+	// drop discards it silently (targeted loss — on a real network the
+	// sender cannot tell this from congestion).
+	drop
+	// hold queues a copy until Release: the delay/reorder primitive, whose
+	// traffic re-enters the path after the receiver's window edge moved.
+	hold
+)
+
+// Gate is the adversary's position on one direction of a path: Send asks
+// the decider of the campaign built over the gate (none passes everything)
+// whether to deliver, drop or hold each datagram. It is safe for
+// concurrent senders; the decider runs outside the gate's lock, so it may
+// call Release and Inject; and the caller may reuse p once Send returns.
+type Gate struct {
+	deliver func(p []byte)
+	decide  func(p []byte) verdict
+
 	mu   sync.Mutex
-	msgs []T
+	held [][]byte
 }
 
-// NewRecorder returns an empty recorder.
-func NewRecorder[T any]() *Recorder[T] { return &Recorder[T]{} }
+// NewGate returns a gate that hands what it lets through to deliver, on
+// the goroutine that sent, released or injected it.
+func NewGate(deliver func(p []byte)) *Gate { return &Gate{deliver: deliver} }
 
-// Tap returns a callback suitable for Link.Tap that records each message.
-func (r *Recorder[T]) Tap() func(T) {
-	return func(v T) {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		r.msgs = append(r.msgs, v)
+// Send puts p through the decider and delivers, drops or holds it.
+func (g *Gate) Send(p []byte) {
+	v := pass
+	if g.decide != nil {
+		v = g.decide(p)
+	}
+	switch v {
+	case pass:
+		g.deliver(p)
+	case hold:
+		g.mu.Lock()
+		g.held = append(g.held, append([]byte(nil), p...))
+		g.mu.Unlock()
 	}
 }
 
-// Record stores one message directly.
-func (r *Recorder[T]) Record(v T) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.msgs = append(r.msgs, v)
-}
-
-// Len returns the number of recorded messages.
-func (r *Recorder[T]) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.msgs)
-}
-
-// Messages returns a copy of the recorded messages in capture order.
-func (r *Recorder[T]) Messages() []T {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]T, len(r.msgs))
-	copy(out, r.msgs)
-	return out
-}
-
-// Injector abstracts the adversary's write access to the channel; a
-// *netsim.Link[T] satisfies it.
-type Injector[T any] interface {
-	Inject(v T)
-}
-
-var _ Injector[int] = (*netsim.Link[int])(nil)
-
-// Replayer schedules replay attacks on a simulation engine.
-type Replayer[T any] struct {
-	engine   *netsim.Engine
-	inject   Injector[T]
-	recorder *Recorder[T]
-	injected uint64
-	mu       sync.Mutex
-}
-
-// NewReplayer returns a replayer injecting recorder's captures into inject.
-func NewReplayer[T any](engine *netsim.Engine, inject Injector[T], recorder *Recorder[T]) *Replayer[T] {
-	return &Replayer[T]{engine: engine, inject: inject, recorder: recorder}
-}
-
-// Injected returns how many messages the adversary has injected so far.
-func (a *Replayer[T]) Injected() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.injected
-}
-
-func (a *Replayer[T]) doInject(v T) {
-	a.mu.Lock()
-	a.injected++
-	a.mu.Unlock()
-	a.inject.Inject(v)
-}
-
-// ReplayAllAt schedules, starting at virtual time start, an in-order replay
-// of everything recorded by then, one injection every gap. This is the §3
-// attack against a freshly reset receiver: "an adversary can replay in order
-// all the messages with sequence numbers within the range from 1 to x".
-// It returns the number of messages scheduled.
-func (a *Replayer[T]) ReplayAllAt(start time.Duration, gap time.Duration) int {
-	msgs := a.recorder.Messages()
-	for i, m := range msgs {
-		m := m
-		a.engine.At(start+time.Duration(i)*gap, func() { a.doInject(m) })
+// Release delivers up to n held datagrams in hold order (n < 0 means all)
+// and returns how many went out.
+func (g *Gate) Release(n int) int {
+	g.mu.Lock()
+	if n < 0 || n > len(g.held) {
+		n = len(g.held)
 	}
-	return len(msgs)
+	batch := g.held[:n:n]
+	g.held = g.held[n:]
+	g.mu.Unlock()
+	for _, p := range batch {
+		g.deliver(p)
+	}
+	return n
+}
+
+// Inject delivers p past the decider: the adversary controls its own
+// transmissions.
+func (g *Gate) Inject(p []byte) { g.deliver(p) }
+
+// phase is the activation latch every campaign embeds.
+type phase struct{ active atomic.Bool }
+
+// Activate opens the campaign's attack window.
+func (p *phase) Activate() { p.active.Store(true) }
+
+// Deactivate closes it; the campaign keeps observing.
+func (p *phase) Deactivate() { p.active.Store(false) }
+
+func (p *phase) attacking() bool { return p.active.Load() }
+
+// espSeq reads the low 32 bits of an ESP datagram's sequence number from
+// its cleartext header (SPI, then sequence number): the campaign's view of
+// the victim's counter. It reports false for datagrams shorter than that
+// header.
+func espSeq(p []byte) (uint64, bool) {
+	if len(p) < 8 {
+		return 0, false
+	}
+	return uint64(binary.BigEndian.Uint32(p[4:8])), true
 }

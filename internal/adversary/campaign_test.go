@@ -1,53 +1,10 @@
 package adversary
 
 import (
-	"encoding/binary"
-	"sync"
 	"testing"
 
 	"antireplay/internal/seqwin"
-	"antireplay/internal/wire"
 )
-
-// sinkLink is a minimal wire.Link that collects everything sent through
-// it, in arrival order — the "receiver side of the wire" for campaign
-// physics tests that want to replay arrivals into an anti-replay window.
-type sinkLink struct {
-	mu   sync.Mutex
-	sent [][]byte
-}
-
-func (s *sinkLink) Send(p []byte) error {
-	s.mu.Lock()
-	s.sent = append(s.sent, append([]byte(nil), p...))
-	s.mu.Unlock()
-	return nil
-}
-
-func (s *sinkLink) Recv() ([]byte, error) { return nil, wire.ErrNoDatagram }
-func (s *sinkLink) Close() error          { return nil }
-func (s *sinkLink) Stats() wire.Stats     { return wire.Stats{} }
-
-func (s *sinkLink) arrivals() [][]byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([][]byte(nil), s.sent...)
-}
-
-// rawSeq is the test's stand-in for ESPSeq: the datagram is just an
-// 8-byte big-endian counter.
-func rawSeq(p []byte) (uint64, bool) {
-	if len(p) < 8 {
-		return 0, false
-	}
-	return binary.BigEndian.Uint64(p), true
-}
-
-func seqPacket(s uint64) []byte {
-	p := make([]byte, 8)
-	binary.BigEndian.PutUint64(p, s)
-	return p
-}
 
 // admitAll replays arrivals into a fresh Bitmap window of width w and
 // returns (delivered unique count, duplicate discards, stale discards).
@@ -55,9 +12,9 @@ func admitAll(t *testing.T, arrivals [][]byte, w int) (delivered, dups, stale in
 	t.Helper()
 	win := seqwin.NewBitmap(w)
 	for _, p := range arrivals {
-		s, ok := rawSeq(p)
+		s, ok := espSeq(p)
 		if !ok {
-			t.Fatalf("non-seq arrival %x", p)
+			t.Fatalf("non-ESP arrival %x", p)
 		}
 		switch d := win.Admit(s); d {
 		case seqwin.DecisionNew, seqwin.DecisionInWindow:
@@ -73,246 +30,252 @@ func admitAll(t *testing.T, arrivals [][]byte, w int) (delivered, dups, stale in
 	return delivered, dups, stale
 }
 
+// snipeRun sends 1..n through an active window-edge snipe, frees its
+// hostages, and returns the campaign and what reached the far end.
+func snipeRun(t *testing.T, n uint64) (*WindowEdgeSnipe, [][]byte) {
+	t.Helper()
+	s := &sink{}
+	c := NewWindowEdgeSnipe(NewGate(s.deliver))
+	c.Activate()
+	for seq := uint64(1); seq <= n; seq++ {
+		c.gate.Send(espPacket(seq))
+	}
+	c.Deactivate()
+	return c, s.arrivals()
+}
+
 // TestWindowEdgeSnipeWindowWidth is the campaign's core physics: a
-// hostage released HoldDepth packets late lands inside a window wider
-// than HoldDepth (delivered) and below the edge of a narrower one
-// (silently discarded). The defense knob is the window width.
+// hostage released snipeHoldDepth packets late lands inside the table's
+// hardened window (W=256, delivered) and below the edge of its baseline
+// one (W=64, silently discarded). The defense knob is the window width.
 func TestWindowEdgeSnipeWindowWidth(t *testing.T) {
 	const n = 1000
-	run := func() (*WindowEdgeSnipe, [][]byte) {
-		sink := &sinkLink{}
-		gate := wire.NewGateLink(sink)
-		c := NewWindowEdgeSnipe(SnipeConfig{SeqOf: rawSeq, HoldEvery: 16, HoldDepth: 96})
-		if err := c.Arm(gate); err != nil {
-			t.Fatal(err)
-		}
-		c.Activate()
-		for s := uint64(1); s <= n; s++ {
-			if err := gate.Send(seqPacket(s)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		c.Deactivate() // frees remaining hostages
-		return c, sink.arrivals()
+	c, arrivals := snipeRun(t, n)
+	if c.Held != n/snipeHoldEvery {
+		t.Fatalf("Held=%d, want %d", c.Held, n/snipeHoldEvery)
 	}
-
-	c, arrivals := run()
-	st := c.Stats()
-	if st.Observed != n || st.Edge != n {
-		t.Fatalf("Observed=%d Edge=%d, want %d", st.Observed, st.Edge, n)
-	}
-	if st.Held == 0 || st.Held != st.Released {
-		t.Fatalf("Held=%d Released=%d: every hostage must be freed", st.Held, st.Released)
-	}
-	if len(arrivals) != n {
-		t.Fatalf("arrivals=%d, want %d (holds delay, never destroy)", len(arrivals), n)
+	if len(arrivals) != n+int(c.Dups) {
+		t.Fatalf("arrivals=%d, want %d originals + %d duplicates (holds delay, never destroy)",
+			len(arrivals), n, c.Dups)
 	}
 
 	// Wide window: every hostage lands inside, nothing is lost.
-	delivered, dups, stale := admitAll(t, arrivals, 128)
-	if delivered != n || dups != 0 || stale != 0 {
-		t.Errorf("w=128: delivered=%d dups=%d stale=%d, want %d/0/0", delivered, dups, stale, n)
+	delivered, dups, stale := admitAll(t, arrivals, 256)
+	if delivered != n || dups != int(c.Dups) || stale != 0 {
+		t.Errorf("W=256: delivered=%d dups=%d stale=%d, want %d/%d/0", delivered, dups, stale, n, c.Dups)
 	}
 
 	// Narrow window: matured hostages land below the edge and are
 	// discarded as stale — goodput lost without a single drop on the wire.
-	_, arrivals = run()
 	delivered, dups, stale = admitAll(t, arrivals, 64)
 	if stale == 0 {
-		t.Errorf("w=64: no stale discards; the snipe should cost goodput")
+		t.Errorf("W=64: no stale discards; the snipe should cost goodput")
 	}
-	if dups != 0 {
-		t.Errorf("w=64: dups=%d, want 0", dups)
-	}
-	if delivered+stale != n {
-		t.Errorf("w=64: delivered+stale = %d+%d, want %d", delivered, stale, n)
+	if dups != int(c.Dups) || delivered+stale != n {
+		t.Errorf("W=64: delivered=%d dups=%d stale=%d, want delivered+stale=%d and %d dups",
+			delivered, dups, stale, n, c.Dups)
 	}
 }
 
-// TestWindowEdgeSnipeDuplicates checks the dup injector: every injected
-// copy is edge-adjacent, and the receiver window must reject all of them
-// (zero replay acceptance) while still delivering the originals.
+// TestWindowEdgeSnipeDuplicates checks the duplicate injector: a copy of
+// every snipeDupEvery-th packet that is not taken hostage, each edge-
+// adjacent, and the receiver window rejects every one of them (zero
+// replay acceptance) while still delivering the originals.
 func TestWindowEdgeSnipeDuplicates(t *testing.T) {
 	const n = 500
-	sink := &sinkLink{}
-	gate := wire.NewGateLink(sink)
-	c := NewWindowEdgeSnipe(SnipeConfig{SeqOf: rawSeq, HoldEvery: 1 << 30, DupEvery: 10})
-	if err := c.Arm(gate); err != nil {
-		t.Fatal(err)
+	c, arrivals := snipeRun(t, n)
+	// Multiples of 10 that are not multiples of 16: 50 - 6.
+	if c.Dups != 44 {
+		t.Fatalf("Dups=%d, want 44", c.Dups)
 	}
-	c.Activate()
-	for s := uint64(1); s <= n; s++ {
-		if err := gate.Send(seqPacket(s)); err != nil {
-			t.Fatal(err)
+	for _, w := range []int{64, 256} {
+		if _, dups, _ := admitAll(t, arrivals, w); dups != int(c.Dups) {
+			t.Errorf("W=%d: window rejected %d duplicates, want %d", w, dups, c.Dups)
 		}
-	}
-	st := c.Stats()
-	if st.DupsInjected != n/10 {
-		t.Fatalf("DupsInjected=%d, want %d", st.DupsInjected, n/10)
-	}
-	arrivals := sink.arrivals()
-	if len(arrivals) != n+n/10 {
-		t.Fatalf("arrivals=%d, want %d", len(arrivals), n+n/10)
-	}
-	delivered, dups, stale := admitAll(t, arrivals, 64)
-	if delivered != n || stale != 0 {
-		t.Errorf("delivered=%d stale=%d, want %d/0", delivered, stale, n)
-	}
-	if dups != n/10 {
-		t.Errorf("window rejected %d duplicates, want %d", dups, n/10)
 	}
 }
 
-// TestSaveStormStrikeZone checks the storm drops exactly the strike zone
-// [mK-BurstLen, mK) while attacking, nothing while dormant, and that
-// Parked reports the maximal-damage instants.
+// TestSaveStormStrikeZone checks, at both SAVE intervals the table runs,
+// that the storm drops exactly the strike zone [mK-K/8, mK) while
+// attacking and nothing while dormant, and that Parked reports the
+// maximal-damage instants.
 func TestSaveStormStrikeZone(t *testing.T) {
-	c, err := NewSaveStorm(StormConfig{SeqOf: rawSeq, K: 100, BurstLen: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := &sinkLink{}
-	gate := wire.NewGateLink(sink)
-	if err := c.Arm(gate); err != nil {
-		t.Fatal(err)
-	}
+	for _, k := range []uint64{240, 30} {
+		s := &sink{}
+		g := NewGate(s.deliver)
+		c := NewSaveStorm(g, k)
 
-	// Dormant: the armed campaign only observes.
-	for s := uint64(1); s <= 100; s++ {
-		if err := gate.Send(seqPacket(s)); err != nil {
-			t.Fatal(err)
+		// Dormant: the campaign only observes.
+		for seq := uint64(1); seq <= k; seq++ {
+			g.Send(espPacket(seq))
 		}
-	}
-	if st := c.Stats(); st.Dropped != 0 || st.Observed != 100 {
-		t.Fatalf("dormant: Dropped=%d Observed=%d, want 0/100", st.Dropped, st.Observed)
-	}
+		if c.Dropped != 0 || len(s.arrivals()) != int(k) {
+			t.Fatalf("K=%d dormant: Dropped=%d arrivals=%d, want 0/%d", k, c.Dropped, len(s.arrivals()), k)
+		}
 
-	c.Activate()
-	var wantDropped uint64
-	for s := uint64(101); s <= 300; s++ {
-		if err := gate.Send(seqPacket(s)); err != nil {
-			t.Fatal(err)
+		c.Activate()
+		var want uint64
+		for seq := k + 1; seq <= 3*k; seq++ {
+			g.Send(espPacket(seq))
+			inZone := seq%k >= k-k/8
+			if inZone {
+				want++
+			}
+			if got := c.Parked(); got != inZone {
+				t.Fatalf("K=%d seq %d: Parked=%v, want %v", k, seq, got, inZone)
+			}
 		}
-		inZone := s%100 >= 92
-		if inZone {
-			wantDropped++
+		if c.Dropped != want || want != 2*(k/8) {
+			t.Errorf("K=%d: Dropped=%d, want %d (K/8 per K: the cost is bounded)", k, c.Dropped, 2*(k/8))
 		}
-		if got := c.Parked(); got != inZone {
-			t.Fatalf("seq %d: Parked=%v, want %v", s, got, inZone)
+		if got := len(s.arrivals()); got != 3*int(k)-int(want) {
+			t.Errorf("K=%d: arrivals=%d, want %d", k, got, 3*int(k)-int(want))
 		}
-	}
-	st := c.Stats()
-	if st.Dropped != wantDropped {
-		t.Errorf("Dropped=%d, want %d", st.Dropped, wantDropped)
-	}
-	if got := len(sink.arrivals()); got != 300-int(wantDropped) {
-		t.Errorf("arrivals=%d, want %d", got, 300-int(wantDropped))
-	}
-
-	// Config validation: K is required, BurstLen must stay stealthy.
-	if _, err := NewSaveStorm(StormConfig{}); err == nil {
-		t.Error("K=0 accepted")
-	}
-	if _, err := NewSaveStorm(StormConfig{K: 8, BurstLen: 8}); err == nil {
-		t.Error("BurstLen >= K accepted")
 	}
 }
 
-// TestRekeyCutSuppressAndBlackout checks the two timed weapons: bounded
-// exchange suppression while attacking, and a packet blackout armed by
-// each cutover observed during the attack window.
+// TestRekeyCutSuppressAndBlackout checks the two timed weapons: exchange
+// suppression bounded at rekeyCutSuppress while attacking, and an exact
+// rekeyCutBlackout-packet blackout armed by each cutover seen during the
+// attack window.
 func TestRekeyCutSuppressAndBlackout(t *testing.T) {
-	c := NewRekeyCut(RekeyCutConfig{SuppressExchanges: 3, BlackoutPackets: 4})
-	sink := &sinkLink{}
-	gate := wire.NewGateLink(sink)
-	if err := c.Arm(gate); err != nil {
-		t.Fatal(err)
-	}
+	s := &sink{}
+	g := NewGate(s.deliver)
+	c := NewRekeyCut(g)
 
 	if c.SuppressExchange() {
 		t.Fatal("dormant campaign suppressed an exchange")
 	}
 	c.OnCutover() // dormant: observed, not weaponized
-	for i := 0; i < 5; i++ {
-		if err := gate.Send(seqPacket(uint64(i + 1))); err != nil {
-			t.Fatal(err)
-		}
+	for seq := uint64(1); seq <= 5; seq++ {
+		g.Send(espPacket(seq))
 	}
-	if st := c.Stats(); st.Cutovers != 1 || st.BlackoutDrops != 0 {
-		t.Fatalf("dormant: Cutovers=%d BlackoutDrops=%d, want 1/0", st.Cutovers, st.BlackoutDrops)
+	if c.Blackout != 0 || len(s.arrivals()) != 5 {
+		t.Fatalf("dormant: Blackout=%d arrivals=%d, want 0/5", c.Blackout, len(s.arrivals()))
 	}
 
 	c.Activate()
 	got := 0
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 2*rekeyCutSuppress; i++ {
 		if c.SuppressExchange() {
 			got++
 		}
 	}
-	if got != 3 {
-		t.Errorf("suppressed %d exchanges, want 3 (suppression is bounded)", got)
+	if got != 6 || c.Suppressed != 6 {
+		t.Errorf("suppressed %d exchanges (counted %d), want 6 (suppression is bounded)", got, c.Suppressed)
 	}
 
-	before := len(sink.arrivals())
 	c.OnCutover()
-	for i := 0; i < 10; i++ {
-		if err := gate.Send(seqPacket(uint64(100 + i))); err != nil {
-			t.Fatal(err)
-		}
+	for seq := uint64(100); seq < 160; seq++ {
+		g.Send(espPacket(seq))
 	}
-	st := c.Stats()
-	if st.BlackoutDrops != 4 {
-		t.Errorf("BlackoutDrops=%d, want 4", st.BlackoutDrops)
+	if c.Blackout != 48 {
+		t.Errorf("Blackout=%d, want 48", c.Blackout)
 	}
-	if gotN := len(sink.arrivals()) - before; gotN != 6 {
-		t.Errorf("post-cutover arrivals=%d, want 6", gotN)
+	if n := len(s.arrivals()) - 5; n != 60-48 {
+		t.Errorf("post-cutover arrivals=%d, want %d", n, 60-48)
 	}
 }
 
 // TestBlackoutFloodRecordsAndFloods checks the record-then-replay shape:
-// the wiretap captures passing traffic, and OnTakeover injects the most
-// recent MaxBurst datagrams only while the attack window is open.
+// the decider records passing traffic, and OnTakeover injects the most
+// recent floodBurst datagrams only while the attack window is open, none
+// of which a receiver window delivers a second time.
 func TestBlackoutFloodRecordsAndFloods(t *testing.T) {
-	c := NewBlackoutFlood(BlackoutFloodConfig{MaxBurst: 5})
-	sink := &sinkLink{}
-	gate := wire.NewGateLink(sink)
-	if err := c.Arm(gate); err != nil {
-		t.Fatal(err)
+	s := &sink{}
+	c := NewBlackoutFlood(NewGate(s.deliver))
+	const n = 300
+	for seq := uint64(1); seq <= n; seq++ {
+		c.gate.Send(espPacket(seq))
 	}
-	const n = 20
-	for s := uint64(1); s <= n; s++ {
-		if err := gate.Send(seqPacket(s)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if c.rec.Len() != n {
-		t.Fatalf("Recorded=%d, want %d", c.rec.Len(), n)
+	if c.Recorded != n {
+		t.Fatalf("Recorded=%d, want %d", c.Recorded, n)
 	}
 
-	c.OnTakeover(1) // dormant: no flood
-	if got := len(sink.arrivals()); got != n {
+	c.OnTakeover() // dormant: no flood
+	if got := len(s.arrivals()); got != n {
 		t.Fatalf("dormant flood injected: arrivals=%d, want %d", got, n)
 	}
 
 	c.Activate()
-	c.OnTakeover(2)
-	arrivals := sink.arrivals()
-	if len(arrivals) != n+5 {
-		t.Fatalf("arrivals=%d, want %d", len(arrivals), n+5)
+	c.OnTakeover()
+	arrivals := s.arrivals()
+	if len(arrivals) != n+floodBurst || c.Flooded != floodBurst {
+		t.Fatalf("arrivals=%d Flooded=%d, want %d/%d: the flood is capped at its burst",
+			len(arrivals), c.Flooded, n+floodBurst, floodBurst)
 	}
-	// The flood is the most recent 5 recordings, in capture order.
+	// The flood is the most recent recordings, in capture order.
 	for i, p := range arrivals[n:] {
-		want := uint64(n - 5 + 1 + i)
-		if s, _ := rawSeq(p); s != want {
-			t.Errorf("flooded[%d] = seq %d, want %d", i, s, want)
+		if seq, _ := espSeq(p); seq != uint64(n-floodBurst+1+i) {
+			t.Fatalf("flooded[%d] = seq %d, want %d", i, seq, n-floodBurst+1+i)
 		}
 	}
-	// Injection bypasses the wiretap: the flood must not re-record itself.
-	if c.rec.Len() != n {
-		t.Errorf("flood re-recorded: Recorded=%d, want %d", c.rec.Len(), n)
+	// Injection bypasses the decider: the flood does not re-record itself.
+	if c.Recorded != n {
+		t.Errorf("flood re-recorded: Recorded=%d, want %d", c.Recorded, n)
 	}
-	st := c.Stats()
-	if st.Floods != 1 || st.Flooded != 5 {
-		t.Errorf("Floods=%d Flooded=%d, want 1/5", st.Floods, st.Flooded)
+	if delivered, _, _ := admitAll(t, arrivals, 64); delivered != n {
+		t.Errorf("a W=64 window delivered %d of %d originals + %d replays, want %d: nothing twice",
+			delivered, n, floodBurst, n)
+	}
+}
+
+// TestRecorderTapAndMessages pins BlackoutFlood's recording: its decider
+// is the wiretap, so it records every datagram from the start, before the
+// attack window opens, in send order, and keeps its own copies, so a
+// sender that reuses one buffer does not rewrite what was recorded.
+func TestRecorderTapAndMessages(t *testing.T) {
+	s := &sink{}
+	c := NewBlackoutFlood(NewGate(s.deliver))
+	buf := make([]byte, 8)
+	for seq := uint64(1); seq <= 3; seq++ {
+		putSeq(buf, seq)
+		c.gate.Send(buf)
+	}
+	if c.Recorded != 3 || len(c.recording) != 3 {
+		t.Fatalf("Recorded=%d (%d kept), want 3", c.Recorded, len(c.recording))
+	}
+	for i, p := range c.recording {
+		if seq, _ := espSeq(p); seq != uint64(i+1) {
+			t.Errorf("recording[%d] = seq %d, want %d", i, seq, i+1)
+		}
+	}
+	c.Activate()
+	c.OnTakeover()
+	arrivals := s.arrivals()
+	if len(arrivals) != 6 {
+		t.Fatalf("arrivals=%d, want 3 sent + 3 flooded", len(arrivals))
+	}
+	for i, p := range arrivals[3:] {
+		if seq, _ := espSeq(p); seq != uint64(i+1) {
+			t.Errorf("flooded[%d] = seq %d, want %d: the recording is the flood's copy", i, seq, i+1)
+		}
+	}
+}
+
+// TestRecorderConcurrent is the -race check of BlackoutFlood's recording
+// decider under concurrent senders that reuse their buffers: it keeps
+// every datagram, and its pass verdict delivers each exactly once.
+func TestRecorderConcurrent(t *testing.T) {
+	s := &sink{}
+	c := NewBlackoutFlood(NewGate(s.deliver))
+	sendConcurrently(c.gate)
+	if c.Recorded != senders*each || len(c.recording) != senders*each {
+		t.Fatalf("recorded %d (%d kept), want %d", c.Recorded, len(c.recording), senders*each)
+	}
+	seen := make(map[uint64]bool)
+	for _, p := range c.recording {
+		seq, _ := espSeq(p)
+		seen[seq] = true
+	}
+	delivered := make(map[uint64]int)
+	for _, p := range s.arrivals() {
+		seq, _ := espSeq(p)
+		delivered[seq]++
+	}
+	for seq := uint64(1); seq <= senders*each; seq++ {
+		if !seen[seq] || delivered[seq] != 1 {
+			t.Fatalf("seq %d recorded=%v delivered %d times, want recorded and delivered once", seq, seen[seq], delivered[seq])
+		}
 	}
 }

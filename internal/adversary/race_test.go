@@ -15,7 +15,6 @@ import (
 	"antireplay/internal/ipsec"
 	"antireplay/internal/rekey"
 	"antireplay/internal/store"
-	"antireplay/internal/wire"
 )
 
 var (
@@ -50,24 +49,12 @@ func raceGateway(t *testing.T, name string) *ipsec.Gateway {
 	return g
 }
 
-// verifyLink is the bottom of the stacked adversary path: every datagram
-// that survives both gates is verified at the receiver gateway
-// immediately, in the goroutine that sent (or released, or injected) it.
-type verifyLink struct {
-	deliver func(p []byte)
-}
-
-func (l *verifyLink) Send(p []byte) error   { l.deliver(p); return nil }
-func (l *verifyLink) Recv() ([]byte, error) { return nil, wire.ErrNoDatagram }
-func (l *verifyLink) Close() error          { return nil }
-func (l *verifyLink) Stats() wire.Stats     { return wire.Stats{} }
-
 // TestRaceCampaignDatapath is the -race stress test for the adversary
 // layer against the live datapath: a window-edge snipe (holds, late
 // releases, duplicate injections) and a rekey-cutover campaign (exchange
 // suppression, post-cutover blackouts) run concurrently with
 // seal/open traffic, orchestrator-driven rollovers, and receiver
-// gateway resets. Two gates stack over the verify link, so snipe
+// gateway resets. Two gates stack over the receiver's verify, so snipe
 // releases, cutover blackouts, sealer sends, and dup injections all race
 // through the same path the campaigns interfere with.
 //
@@ -106,9 +93,11 @@ func TestRaceCampaignDatapath(t *testing.T) {
 		history   [][]byte
 		doubles   atomic.Uint64
 	)
-	pipe := &verifyLink{}
-	pipe.deliver = func(p []byte) {
-		// Open, not OpenAppend: deliver runs on every sending, releasing and
+	// verify is the bottom of the stacked path: every datagram that
+	// survives both gates is opened at the receiver gateway immediately,
+	// in the goroutine that sent (or released, or injected) it.
+	verify := func(p []byte) {
+		// Open, not OpenAppend: verify runs on every sending, releasing and
 		// injecting goroutine at once, so there is no one buffer to reuse.
 		if _, v, err := B.Open(p); err != nil || !v.Delivered() {
 			return
@@ -125,22 +114,10 @@ func TestRaceCampaignDatapath(t *testing.T) {
 	// The snipe gate's injections and releases bypass its own decider but
 	// cross the cutover gate's, and land on the same verify path as
 	// ordinary traffic.
-	cutGate := wire.NewGateLink(pipe)
-	snipeGate := wire.NewGateLink(cutGate)
-	snipeGate.Tap(func(p []byte) {
-		mu.Lock()
-		history = append(history, p)
-		mu.Unlock()
-	})
-
-	snipe := NewWindowEdgeSnipe(SnipeConfig{HoldEvery: 8, HoldDepth: 96, DupEvery: 5})
-	if err := snipe.Arm(snipeGate); err != nil {
-		t.Fatal(err)
-	}
-	cut := NewRekeyCut(RekeyCutConfig{SuppressExchanges: 4, BlackoutPackets: 32})
-	if err := cut.Arm(cutGate); err != nil {
-		t.Fatal(err)
-	}
+	cutGate := NewGate(verify)
+	snipeGate := NewGate(cutGate.Send)
+	snipe := NewWindowEdgeSnipe(snipeGate)
+	cut := NewRekeyCut(cutGate)
 	snipe.Activate()
 	cut.Activate()
 
@@ -148,12 +125,8 @@ func TestRaceCampaignDatapath(t *testing.T) {
 	o, err := rekey.New(rekey.Config{
 		A: A, B: B,
 		Grace:       20 * time.Millisecond,
-		MaxAttempts: 6, // outlasts SuppressExchanges=4 within one trigger
-		Observer: func(ev rekey.Event) {
-			if ev.Kind == rekey.EventCutover {
-				cut.OnCutover()
-			}
-		},
+		MaxAttempts: 8, // outlasts the six suppressed exchanges within one trigger
+		OnCutover:   cut.OnCutover,
 		Exchange: func(oldAB, oldBA uint32) (ike.ChildKeys, error) {
 			if cut.SuppressExchange() {
 				return ike.ChildKeys{}, errors.New("suppressed by rekey_cutover campaign")
@@ -176,10 +149,10 @@ func TestRaceCampaignDatapath(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
-	// Traffic: sealers seal at A and push every wire through the gated
-	// path; verification happens at the bottom of the stack. Each wire is
-	// sealed into a fresh buffer (SealAppend onto nil): the gates hold
-	// wires and the tap records them, so none can be reused.
+	// Traffic: sealers seal at A, record every wire at the wiretap
+	// position and push it through the gated path; verification happens
+	// at the bottom of the stack. Each wire is sealed into a fresh buffer
+	// (SealAppend onto nil): the history keeps every one.
 	const sealers = 4
 	payload := make([]byte, 256)
 	for s := 0; s < sealers; s++ {
@@ -202,10 +175,10 @@ func TestRaceCampaignDatapath(t *testing.T) {
 					time.Sleep(50 * time.Microsecond)
 					continue
 				}
-				if err := snipeGate.Send(w); err != nil {
-					t.Errorf("gate send: %v", err)
-					return
-				}
+				mu.Lock()
+				history = append(history, w)
+				mu.Unlock()
+				snipeGate.Send(w)
 			}
 		}()
 	}
@@ -266,12 +239,11 @@ func TestRaceCampaignDatapath(t *testing.T) {
 	if n := doubles.Load(); n != 0 {
 		t.Fatalf("%d wires delivered twice during the stress run", n)
 	}
-	sst, cst := snipe.Stats(), cut.Stats()
-	if sst.Held == 0 || sst.DupsInjected == 0 {
-		t.Fatalf("snipe campaign idle: %+v", sst)
+	if snipe.Held == 0 || snipe.Dups == 0 {
+		t.Fatalf("snipe campaign idle: held %d, dups %d", snipe.Held, snipe.Dups)
 	}
-	if cst.Suppressed == 0 {
-		t.Fatalf("rekey_cutover campaign idle: %+v", cst)
+	if cut.Suppressed == 0 {
+		t.Fatal("rekey_cutover campaign idle: no exchange suppressed")
 	}
 	if s := o.Stats(); s.Rollovers == 0 {
 		t.Fatalf("no rollovers completed under suppression: %+v", s)

@@ -86,22 +86,18 @@ type Config struct {
 	// replication runs lane-to-lane, so the key-to-lane hash must agree on
 	// both sides. Required.
 	Journal *store.Lanes
-	// K, W, ESN, Lifetime and Clock configure the warm gateway image
-	// exactly as ipsec.GatewayConfig does; they should match the primary's
-	// settings.
+	// K, W and Lifetime configure the warm gateway image exactly as
+	// ipsec.GatewayConfig does; they should match the primary's settings.
 	K        uint64
 	W        int
-	ESN      bool
 	Lifetime ipsec.Lifetime
-	Clock    func() time.Duration
 	// OnPromote, when set, is called during Takeover inside the wake
 	// window — after the deposed primary is fenced and the epoch durably
 	// bumped, immediately before the standby's gateway image wakes. It
 	// receives the new epoch. This is the cluster's most delicate
-	// instant, which is exactly why it is exposed: the adversary
-	// campaign layer (internal/adversary.BlackoutFlood) injects its
-	// recorded-traffic burst here, and operators hook promotion alerts
-	// here. The callback runs synchronously on the takeover path; keep
+	// instant, which is exactly why it is exposed: the adversary's
+	// blackout-flood campaign injects its recorded-traffic burst here,
+	// and operators hook promotion alerts here. The callback runs synchronously on the takeover path; keep
 	// it fast, and do not call back into the Standby.
 	OnPromote func(epoch uint64)
 	// OnLifecycle is passed through to the warm gateway image's
@@ -229,9 +225,7 @@ func NewStandby(cfg Config) (*Standby, error) {
 		Journal:     cfg.Journal,
 		K:           cfg.K,
 		W:           cfg.W,
-		ESN:         cfg.ESN,
 		Lifetime:    cfg.Lifetime,
-		Clock:       cfg.Clock,
 		OnLifecycle: cfg.OnLifecycle,
 	})
 	if err != nil {

@@ -272,12 +272,7 @@ func snipeRow(cfg CampaignsConfig, w int) (campRow, error) {
 		return campRow{}, err
 	}
 	defer p.Close()
-	snipe := adversary.NewWindowEdgeSnipe(adversary.SnipeConfig{
-		HoldEvery: 16, HoldDepth: 96, DupEvery: 10,
-	})
-	if err := snipe.Arm(p.Gate); err != nil {
-		return campRow{}, err
-	}
+	snipe := adversary.NewWindowEdgeSnipe(p.Gate)
 	snipe.Activate()
 	if _, err := p.send(cfg.Packets); err != nil {
 		return campRow{}, err
@@ -286,8 +281,7 @@ func snipeRow(cfg CampaignsConfig, w int) (campRow, error) {
 	if err := p.ReplayAll(); err != nil {
 		return campRow{}, err
 	}
-	st := snipe.Stats()
-	return p.row(fmt.Sprintf("held %d, dups %d", st.Held, st.DupsInjected), fmt.Sprintf("W=%d", w)), nil
+	return p.row(fmt.Sprintf("held %d, dups %d", snipe.Held, snipe.Dups), fmt.Sprintf("W=%d", w)), nil
 }
 
 // stormRow prices the SAVE-storm against SAVE interval k: the storm
@@ -301,13 +295,7 @@ func stormRow(cfg CampaignsConfig, k uint64) (campRow, error) {
 		return campRow{}, err
 	}
 	defer p.Close()
-	storm, err := adversary.NewSaveStorm(adversary.StormConfig{K: k})
-	if err != nil {
-		return campRow{}, err
-	}
-	if err := storm.Arm(p.Gate); err != nil {
-		return campRow{}, err
-	}
+	storm := adversary.NewSaveStorm(p.Gate, k)
 	storm.Activate()
 	if _, err := p.send(2 * cfg.Packets); err != nil {
 		return campRow{}, err
@@ -334,8 +322,7 @@ func stormRow(cfg CampaignsConfig, k uint64) (campRow, error) {
 	if err := p.ReplayAll(); err != nil {
 		return campRow{}, err
 	}
-	st := storm.Stats()
-	return p.row(fmt.Sprintf("dropped %d, parked reset", st.Dropped), fmt.Sprintf("K=%d", k)), nil
+	return p.row(fmt.Sprintf("dropped %d, parked reset", storm.Dropped), fmt.Sprintf("K=%d", k)), nil
 }
 
 func campIKE(seed int64, id string) ike.Config {
@@ -379,12 +366,7 @@ func rekeyCutRow(cfg CampaignsConfig, maxAttempts int) (campRow, rekey.Stats, er
 	}
 	defer p.Close()
 
-	cut := adversary.NewRekeyCut(adversary.RekeyCutConfig{
-		SuppressExchanges: 6, BlackoutPackets: 48,
-	})
-	if err := cut.Arm(p.Gate); err != nil {
-		return campRow{}, rekey.Stats{}, err
-	}
+	cut := adversary.NewRekeyCut(p.Gate)
 
 	res, err := ike.Establish(campIKE(cfg.Seed+201, "init"), campIKE(cfg.Seed+202, "resp"))
 	if err != nil {
@@ -406,11 +388,7 @@ func rekeyCutRow(cfg CampaignsConfig, maxAttempts int) (campRow, rekey.Stats, er
 		Grace:       time.Hour,
 		MaxAttempts: maxAttempts,
 		Clock:       func() time.Duration { vt += 10 * time.Microsecond; return vt },
-		Observer: func(ev rekey.Event) {
-			if ev.Kind == rekey.EventCutover {
-				cut.OnCutover()
-			}
-		},
+		OnCutover:   cut.OnCutover,
 		Exchange: func(oldAB, oldBA uint32) (ike.ChildKeys, error) {
 			if cut.SuppressExchange() {
 				return ike.ChildKeys{}, fmt.Errorf("exchange messages eaten by the adversary")
@@ -449,8 +427,8 @@ func rekeyCutRow(cfg CampaignsConfig, maxAttempts int) (campRow, rekey.Stats, er
 		return campRow{}, rekey.Stats{}, err
 	}
 
-	st, cs := o.Stats(), cut.Stats()
-	return p.row(fmt.Sprintf("suppressed %d, abandoned %d, blackout %d", cs.Suppressed, st.Abandoned, cs.BlackoutDrops),
+	st := o.Stats()
+	return p.row(fmt.Sprintf("suppressed %d, abandoned %d, blackout %d", cut.Suppressed, st.Abandoned, cut.Blackout),
 		fmt.Sprintf("MaxAttempts=%d", maxAttempts)), st, nil
 }
 
@@ -461,21 +439,19 @@ func rekeyCutRow(cfg CampaignsConfig, maxAttempts int) (campRow, rekey.Stats, er
 // acceptances even then; the k knob prices the wake window's
 // false-reject bill (bounded by leap + replication lag).
 func floodRow(cfg CampaignsConfig, k uint64) (campRow, error) {
-	flood := adversary.NewBlackoutFlood(adversary.BlackoutFloodConfig{MaxBurst: 256})
+	var flood *adversary.BlackoutFlood
 	p, err := oneSAPair(cfg, testbed.Config{
 		K: k, W: 64,
 		// The campaign's hook point: the flood fires inside the takeover
 		// wake window, between the epoch fence and the wake itself; the
 		// pair lands it on the promoted node as that comes up.
-		OnPromote: func(epoch uint64) { flood.OnTakeover(epoch) },
+		OnPromote: func(uint64) { flood.OnTakeover() },
 	})
 	if err != nil {
 		return campRow{}, err
 	}
 	defer p.Close()
-	if err := flood.Arm(p.Gate); err != nil {
-		return campRow{}, err
-	}
+	flood = adversary.NewBlackoutFlood(p.Gate)
 	if err := p.AddStandby(); err != nil {
 		return campRow{}, err
 	}
@@ -505,6 +481,5 @@ func floodRow(cfg CampaignsConfig, k uint64) (campRow, error) {
 		return campRow{}, err
 	}
 
-	st := flood.Stats()
-	return p.row(fmt.Sprintf("recorded %d, flooded %d", st.Recorded, st.Flooded), fmt.Sprintf("K=%d", k)), nil
+	return p.row(fmt.Sprintf("recorded %d, flooded %d", flood.Recorded, flood.Flooded), fmt.Sprintf("K=%d", k)), nil
 }

@@ -109,7 +109,7 @@ func convergenceReceiver() (*Table, error) {
 					}
 					f.Receiver.Wake()
 					f.Engine.After(2*fc.SaveDelay, func() {
-						f.Replayer.ReplayAllAt(f.Engine.Now(), fc.SendInterval)
+						f.ReplayAllAt(f.Engine.Now(), fc.SendInterval)
 						f.StartTraffic(time.Hour)
 					})
 				})
@@ -123,7 +123,7 @@ func convergenceReceiver() (*Table, error) {
 		lastRecv := trigger
 		resumed := fetched + 2*k
 		sacrificed := f.Matrix.FreshDiscarded()
-		replayed := f.Replayer.Injected()
+		replayed := f.Link.Stats().Injected
 		dups := f.DupDeliveries()
 		bound := 2 * k
 		ok := sacrificed <= bound && dups == 0

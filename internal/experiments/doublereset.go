@@ -137,7 +137,7 @@ func doubleResetReceiver(ablation bool) (dups uint64, err error) {
 
 	// The adversary replays everything recorded, including the
 	// vulnerable-window traffic.
-	f.Replayer.ReplayAllAt(f.Engine.Now(), fc.SendInterval)
+	f.ReplayAllAt(f.Engine.Now(), fc.SendInterval)
 	f.Run(f.Engine.Now() + time.Second)
 	return f.DupDeliveries(), nil
 }

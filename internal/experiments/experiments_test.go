@@ -139,6 +139,62 @@ func TestFlowDeterminism(t *testing.T) {
 	}
 }
 
+// replayFlow sends n packets over a flow whose link loses each with
+// probability loss, then collects the verdicts of everything ReplayAllAt
+// injects at start.
+func replayFlow(t *testing.T, n uint64, loss float64, start time.Duration) (*Flow, int, []Packet, []core.Verdict) {
+	t.Helper()
+	cfg := DefaultFlowConfig(1)
+	cfg.Link.LossProb = loss
+	f, err := NewFlow(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.AtSendCount(n, f.StopTraffic)
+	f.StartTraffic(time.Hour)
+	f.Run(time.Second)
+	var seen []Packet
+	var verdicts []core.Verdict
+	f.VerdictHook = func(seq uint64, fresh bool, v core.Verdict) {
+		seen = append(seen, Packet{Seq: seq, Fresh: fresh})
+		verdicts = append(verdicts, v)
+	}
+	scheduled := f.ReplayAllAt(f.Engine.Now()+start, 100*time.Microsecond)
+	f.Run(2 * time.Second)
+	return f, scheduled, seen, verdicts
+}
+
+// TestFlowReplayAllAtInOrder pins the paper's replay adversary: the
+// wiretap records every transmission, and ReplayAllAt injects replay-
+// marked copies in capture order, which an up receiver discards.
+func TestFlowReplayAllAtInOrder(t *testing.T) {
+	f, n, seen, verdicts := replayFlow(t, 5, 0, 10*time.Millisecond)
+	if n != 5 || len(seen) != 5 {
+		t.Fatalf("scheduled %d, observed %d, want 5/5", n, len(seen))
+	}
+	for i, p := range seen {
+		if p.Seq != uint64(i+1) || p.Fresh || verdicts[i].Delivered() {
+			t.Errorf("replay %d = %+v %v, want seq %d, not fresh, discarded", i, p, verdicts[i], i+1)
+		}
+	}
+	if got := f.Link.Stats().Injected; got != 5 {
+		t.Errorf("Injected = %d, want 5", got)
+	}
+}
+
+// TestFlowReplayBypassesLoss pins that the wiretap records transmissions
+// the link then loses, and that injections bypass the loss model: the
+// adversary controls its own transmissions.
+func TestFlowReplayBypassesLoss(t *testing.T) {
+	f, n, seen, _ := replayFlow(t, 3, 1, 0)
+	if f.Matrix.FreshDelivered() != 0 {
+		t.Fatalf("a lossy link delivered %d fresh packets", f.Matrix.FreshDelivered())
+	}
+	if n != 3 || len(seen) != 3 {
+		t.Errorf("scheduled %d, observed %d, want 3/3 (injections bypass loss)", n, len(seen))
+	}
+}
+
 func TestFig1Bounds(t *testing.T) {
 	tbl, err := fig1SenderReset()
 	if err != nil {

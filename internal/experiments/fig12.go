@@ -147,7 +147,7 @@ func fig2Row(off uint64) ([]string, error) {
 			}
 			f.Receiver.Wake()
 			// The adversary replays the full history right after the wake.
-			f.Replayer.ReplayAllAt(f.Engine.Now()+fc.SaveDelay+fc.Link.Delay, fc.SendInterval)
+			f.ReplayAllAt(f.Engine.Now()+fc.SaveDelay+fc.Link.Delay, fc.SendInterval)
 		})
 	})
 
@@ -157,7 +157,7 @@ func fig2Row(off uint64) ([]string, error) {
 
 	resumedEdge := fetched + 2*paperK
 	sacrificed := f.Matrix.FreshDiscarded()
-	replayed := f.Replayer.Injected()
+	replayed := f.Link.Stats().Injected
 	dups := f.DupDeliveries()
 	bound := uint64(2 * paperK)
 	saveState := "committed"

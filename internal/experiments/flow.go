@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"antireplay/internal/adversary"
 	"antireplay/internal/core"
 	"antireplay/internal/netsim"
 	"antireplay/internal/store"
@@ -62,8 +61,6 @@ type Flow struct {
 	Receiver *core.Receiver
 	Link     *netsim.Link[Packet]
 	Matrix   *Matrix
-	Recorder *adversary.Recorder[Packet]
-	Replayer *adversary.Replayer[Packet]
 
 	SenderStore   *store.Mem
 	ReceiverStore *store.Mem
@@ -85,6 +82,7 @@ type Flow struct {
 	observeHooks  map[uint64]func()
 	deliveredSeqs map[uint64]bool
 	dupDelivered  uint64
+	recorded      []uint64 // the adversary's wiretap: every sequence number sent
 }
 
 // fate is what became of one packet at the receiver.
@@ -135,7 +133,6 @@ func NewFlow(cfg FlowConfig) (*Flow, error) {
 	f := &Flow{
 		Engine:        netsim.NewEngine(cfg.Seed),
 		Matrix:        &Matrix{},
-		Recorder:      adversary.NewRecorder[Packet](),
 		SenderStore:   &store.Mem{},
 		ReceiverStore: &store.Mem{},
 		cfg:           cfg,
@@ -174,11 +171,7 @@ func NewFlow(cfg FlowConfig) (*Flow, error) {
 	f.Receiver = receiver
 
 	f.Link = netsim.NewLink(f.Engine, cfg.Link, f.deliver)
-	f.Link.Tap(func(p Packet) {
-		// The adversary's wiretap records replay-ready copies.
-		f.Recorder.Record(Packet{Seq: p.Seq, Fresh: false})
-	})
-	f.Replayer = adversary.NewReplayer[Packet](f.Engine, f.Link, f.Recorder)
+	f.Link.Tap(func(p Packet) { f.recorded = append(f.recorded, p.Seq) })
 	f.sendHooks = make(map[uint64]func())
 	f.observeHooks = make(map[uint64]func())
 	f.deliveredSeqs = make(map[uint64]bool)
@@ -280,6 +273,22 @@ func (f *Flow) recordVerdict(seq uint64, fresh bool, v core.Verdict) {
 		return
 	}
 	f.Matrix.add(fresh, discarded)
+}
+
+// ReplayAllAt schedules, starting at virtual time start, an in-order
+// replay of everything the wiretap recorded by then — lost transmissions
+// included, the adversary's antenna not being subject to the victim's
+// loss — one injection every gap. This is the §3 attack against a freshly
+// reset receiver: "an adversary can replay in order all the messages with
+// sequence numbers within the range from 1 to x". Injections bypass the
+// link's loss model (the adversary controls its own transmissions), and
+// the link counts them in Stats().Injected. It returns the number of
+// messages scheduled.
+func (f *Flow) ReplayAllAt(start, gap time.Duration) int {
+	for i, seq := range f.recorded {
+		f.Engine.At(start+time.Duration(i)*gap, func() { f.Link.Inject(Packet{Seq: seq}) })
+	}
+	return len(f.recorded)
 }
 
 // Run advances virtual time to t.

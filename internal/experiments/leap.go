@@ -82,7 +82,7 @@ func leapReceiverDamage(lambda float64) (uint64, error) {
 		f.Receiver.Reset()
 		f.Engine.After(time.Millisecond, func() {
 			f.Receiver.Wake()
-			f.Replayer.ReplayAllAt(f.Engine.Now()+fc.SaveDelay+fc.Link.Delay, fc.SendInterval)
+			f.ReplayAllAt(f.Engine.Now()+fc.SaveDelay+fc.Link.Delay, fc.SendInterval)
 		})
 	})
 	f.StartTraffic(time.Hour)

@@ -18,7 +18,7 @@ var signatureNeeded = []string{
 	"Flow",       // NewFlow's result
 	"FlowConfig", // NewFlow's parameter, DefaultFlowConfig's result
 	"Matrix",     // Flow.Matrix
-	"Packet",     // Flow.Link, Flow.Recorder and Flow.Replayer carry it
+	"Packet",     // Flow.Link carries it
 }
 
 // TestExportedNamesHaveUsers is the package's surface rule, the sibling of

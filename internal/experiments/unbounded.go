@@ -120,7 +120,7 @@ func receiverResetReplayDamage(x uint64, baseline bool) (uint64, error) {
 	f.Receiver.Reset()
 	f.Receiver.Wake()
 	f.Run(f.Engine.Now() + fc.SaveDelay*2) // let the post-wake save finish
-	f.Replayer.ReplayAllAt(f.Engine.Now(), fc.SendInterval)
+	f.ReplayAllAt(f.Engine.Now(), fc.SendInterval)
 	f.Run(f.Engine.Now() + time.Duration(x+10)*fc.SendInterval*2)
 
 	return f.DupDeliveries(), nil

@@ -10,7 +10,7 @@ import (
 // TestLinkTapRegistrationRace is the -race regression for the missed-tap
 // race: Link.Tap used to append to the tap slice with no synchronization
 // while Send (on the engine's goroutine) iterated it — the exact shape
-// of an adversary attaching its Recorder wiretap to a live link from a
+// of an adversary attaching its wiretap to a live link from a
 // campaign goroutine. Tap and Send must agree on the slice through the
 // link's mutex, and a Tap that has returned must be visible to every
 // subsequent Send.

@@ -118,62 +118,13 @@ type Config struct {
 	// runs ike.RekeyChild(IKEInit, IKEResp, oldAB, oldBA) in process. The
 	// returned keys' SPIInitToResp names the successor A->B SA.
 	Exchange func(oldAB, oldBA uint32) (ike.ChildKeys, error)
-	// Observer, when set, receives rollover lifecycle events: soft
-	// triggers, exchange failures, cutovers, abandonments, retirements.
-	// This is the timing surface the adversary campaign layer attacks
-	// (internal/adversary.RekeyCut aims blackouts at EventCutover) and
-	// operators monitor. The observer is called synchronously with the
+	// OnCutover, when set, is called once both outbound directions carry
+	// a rollover's successor generation — the rollover window's most
+	// delicate instant, the one the adversary's rekey-cutover campaign
+	// aims its blackout at. It is called synchronously with the
 	// orchestrator's lock held: it must be fast and must not call back
 	// into the Orchestrator.
-	Observer func(Event)
-}
-
-// EventKind classifies an orchestrator lifecycle event.
-type EventKind uint8
-
-// Lifecycle events, in the order a rollover produces them.
-const (
-	// EventSoftTrigger fires when Poll finds a soft-expired tunnel and
-	// begins a rollover.
-	EventSoftTrigger EventKind = iota + 1
-	// EventExchangeFailed fires per failed exchange attempt.
-	EventExchangeFailed
-	// EventAbandoned fires when a trigger exhausts MaxAttempts.
-	EventAbandoned
-	// EventCutover fires once both outbound directions carry the
-	// successor generation — the rollover window's most delicate instant.
-	EventCutover
-	// EventRetired fires when a drained old generation is removed.
-	EventRetired
-)
-
-// String returns the lower-case event name.
-func (k EventKind) String() string {
-	switch k {
-	case EventSoftTrigger:
-		return "soft-trigger"
-	case EventExchangeFailed:
-		return "exchange-failed"
-	case EventAbandoned:
-		return "abandoned"
-	case EventCutover:
-		return "cutover"
-	case EventRetired:
-		return "retired"
-	default:
-		return fmt.Sprintf("event(%d)", uint8(k))
-	}
-}
-
-// Event is one observable orchestrator transition.
-type Event struct {
-	// Kind classifies the transition.
-	Kind EventKind
-	// ABSPI and BASPI are the tunnel's live-generation SPIs at the time
-	// of the event (for EventCutover, the successor generation's).
-	ABSPI, BASPI uint32
-	// Attempt is the exchange attempt count (EventExchangeFailed only).
-	Attempt int
+	OnCutover func()
 }
 
 // Tunnel is one tracked gateway-to-gateway SA pair and its rollover state.
@@ -292,14 +243,6 @@ func (o *Orchestrator) Track(abSPI, baSPI uint32) (*Tunnel, error) {
 	return t, nil
 }
 
-// emit delivers an event to the configured observer (lock held).
-func (o *Orchestrator) emit(kind EventKind, t *Tunnel, attempt int) {
-	if o.cfg.Observer == nil {
-		return
-	}
-	o.cfg.Observer(Event{Kind: kind, ABSPI: t.abSPI, BASPI: t.baSPI, Attempt: attempt})
-}
-
 // exchange runs the configured (or default in-process) rekey exchange.
 func (o *Orchestrator) exchange(oldAB, oldBA uint32) (ike.ChildKeys, error) {
 	if o.cfg.Exchange != nil {
@@ -333,11 +276,9 @@ func (o *Orchestrator) rolloverLocked(t *Tunnel) error {
 	if err != nil {
 		o.stats.ExchangeFailures++
 		t.attempts++
-		o.emit(EventExchangeFailed, t, t.attempts)
 		if t.attempts >= o.cfg.MaxAttempts {
 			t.attempts = 0
 			o.stats.Abandoned++
-			o.emit(EventAbandoned, t, o.cfg.MaxAttempts)
 		}
 		return fmt.Errorf("rekey: exchange for A->B %#x: %w", t.abSPI, err)
 	}
@@ -392,7 +333,9 @@ func (o *Orchestrator) rolloverLocked(t *Tunnel) error {
 	t.drainFrom = o.now()
 	t.generation++
 	o.stats.Rollovers++
-	o.emit(EventCutover, t, 0)
+	if o.cfg.OnCutover != nil {
+		o.cfg.OnCutover()
+	}
 	return nil
 }
 
@@ -454,7 +397,6 @@ func (o *Orchestrator) retireLocked(t *Tunnel) {
 	t.oldAB, t.oldBA = 0, 0
 	t.state = StateSteady
 	o.stats.Retired++
-	o.emit(EventRetired, t, 0)
 }
 
 // needsRekey reports whether either outbound direction has reached its soft
@@ -486,7 +428,6 @@ func (o *Orchestrator) Poll() error {
 				continue
 			}
 			o.stats.SoftTriggers++
-			o.emit(EventSoftTrigger, t, 0)
 			if err := o.rolloverLocked(t); err != nil && first == nil {
 				first = err
 			}

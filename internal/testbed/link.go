@@ -12,7 +12,7 @@ type LinkKind uint8
 const (
 	// Direct hands each sent wire to B by a function call.
 	Direct LinkKind = iota
-	// Gated puts a wire.GateLink (Pair.Gate) on the A->B path: the
+	// Gated puts an adversary.Gate (Pair.Gate) on the A->B path: the
 	// adversary's position, where campaigns drop, hold and inject.
 	Gated
 	// UDP crosses a real UDP-encapsulated loopback socket pair (Pair.Tx,
@@ -23,20 +23,6 @@ const (
 
 // udpTimeout bounds the wait for one datagram to cross the loopback.
 const udpTimeout = 5 * time.Second
-
-// InlineLink is the far end of an in-process path, the link a
-// wire.GateLink wraps when the receiver is in the same process: Send hands
-// a copy of the datagram to Deliver, which must be set by then, on the
-// caller's goroutine. Nothing is ever queued, counted or limited.
-type InlineLink struct{ Deliver func(p []byte) }
-
-func (l *InlineLink) Send(p []byte) error {
-	l.Deliver(append([]byte(nil), p...))
-	return nil
-}
-func (l *InlineLink) Recv() ([]byte, error) { return nil, wire.ErrNoDatagram }
-func (l *InlineLink) Close() error          { return nil }
-func (l *InlineLink) Stats() wire.Stats     { return wire.Stats{} }
 
 // listenUDP opens the UDP kind's loopback socket pair: A's endpoint and
 // link Tx, B's endpoint and link Rx.

@@ -16,6 +16,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"antireplay/internal/adversary"
 	"antireplay/internal/cluster"
 	"antireplay/internal/core"
 	"antireplay/internal/ipsec"
@@ -93,15 +94,15 @@ type Pair struct {
 	C *Node
 	// Standby is the current cluster standby, nil before AddStandby.
 	Standby *cluster.Standby
-	// Gate is the A->B gate of a Gated pair.
-	Gate *wire.GateLink
+	// Gate is the A->B gate of a Gated pair, the adversary's position.
+	Gate *adversary.Gate
 	// Tx and Rx are A's and B's socket links of a UDP pair.
 	Tx, Rx *wire.UDPLink
 
 	cfg    Config
 	dir    string
 	ea, eb *wire.UDPEndpoint
-	// A Gated pair delivers inline from Gate.Send: arrivals during a
+	// A Gated pair delivers inline from the gate: arrivals during a
 	// takeover wait in held until the promoted node is up, and a stall
 	// error raised under the gate waits in err for Send to return it.
 	holding bool
@@ -122,7 +123,7 @@ func New(cfg Config) (*Pair, error) {
 	switch {
 	case err != nil:
 	case cfg.Link == Gated:
-		p.Gate = wire.NewGateLink(&InlineLink{Deliver: p.arrive})
+		p.Gate = adversary.NewGate(p.arrive)
 	case cfg.Link == UDP:
 		err = p.listenUDP()
 	}
@@ -384,10 +385,10 @@ func (p *Pair) OpenOn(n *Node, w []byte) ([]byte, core.Verdict, error) {
 	}
 }
 
-// arrive is the inline end of a Gated pair.
+// arrive is the inline end of a Gated pair, the gate's deliver.
 func (p *Pair) arrive(w []byte) {
 	if p.holding {
-		p.held = append(p.held, w)
+		p.held = append(p.held, append([]byte(nil), w...))
 		return
 	}
 	if _, _, err := p.Open(w); errors.Is(err, ErrStalled) && p.err == nil {
@@ -401,9 +402,7 @@ func (p *Pair) arrive(w []byte) {
 // zero, the audit holds the outcome, and only a stall is an error.
 func (p *Pair) Send(w []byte) ([]byte, core.Verdict, error) {
 	if p.Gate != nil {
-		if err := p.Gate.Send(w); err != nil {
-			return nil, 0, err
-		}
+		p.Gate.Send(w)
 		return nil, 0, p.err
 	}
 	got, err := p.cross(w)

@@ -12,7 +12,6 @@ import "antireplay/internal/telemetry"
 
 var (
 	_ telemetry.Collector = Stats{}
-	_ telemetry.Collector = GateStats{}
 	_ telemetry.Collector = (*UDPEndpoint)(nil)
 )
 
@@ -36,26 +35,4 @@ func (e *UDPEndpoint) CollectTelemetry(emit telemetry.Emit) {
 	emit("tx_syscalls_total", telemetry.KindCounter, float64(e.txCalls.Load()))
 	emit("rx_syscalls_total", telemetry.KindCounter, float64(e.rxCalls.Load()))
 	emit("tx_queue_depth", telemetry.KindGauge, float64(e.tx.depth()))
-}
-
-// CollectTelemetry emits the replay-gate's admission counters.
-func (s GateStats) CollectTelemetry(emit telemetry.Emit) {
-	emit("passed_total", telemetry.KindCounter, float64(s.Passed))
-	emit("dropped_total", telemetry.KindCounter, float64(s.Dropped))
-	emit("held_total", telemetry.KindCounter, float64(s.Held))
-	emit("released_total", telemetry.KindCounter, float64(s.Released))
-	emit("held_dropped_total", telemetry.KindCounter, float64(s.HeldDropped))
-	emit("injected_total", telemetry.KindCounter, float64(s.Injected))
-}
-
-// LinkCollector adapts a live Link: each scrape re-snapshots Stats, and
-// when the link is a GateLink its gate stats ride along under the same
-// prefix.
-func LinkCollector(l Link) telemetry.Collector {
-	return telemetry.CollectorFunc(func(emit telemetry.Emit) {
-		l.Stats().CollectTelemetry(emit)
-		if g, ok := l.(*GateLink); ok {
-			g.GateStats().CollectTelemetry(emit)
-		}
-	})
 }

@@ -159,22 +159,6 @@ func (e *UDPEndpoint) Link(peer netip.AddrPort, spis ...uint32) (*UDPLink, error
 	return l, nil
 }
 
-// RegisterSPI adds an inbound SPI to an existing link (a rekey's new
-// generation riding the same wire).
-func (e *UDPEndpoint) RegisterSPI(l *UDPLink, spi uint32) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if spi == 0 {
-		return fmt.Errorf("wire: SPI 0 is the non-ESP marker")
-	}
-	if cur, dup := e.bySPI[spi]; dup && cur != l {
-		return fmt.Errorf("wire: SPI %#x already registered", spi)
-	}
-	e.bySPI[spi] = l
-	l.spis = append(l.spis, spi)
-	return nil
-}
-
 // Close shuts the endpoint down: every link's pending Recv and every Send
 // blocked on a full ring return ErrClosed, what Send had already accepted
 // is handed to the kernel, and the socket closes. The writer goroutine has
@@ -425,7 +409,17 @@ func (e *UDPEndpoint) flush(head uint64, msgs []datagram) {
 	}
 }
 
-// UDPLink is one peer's channel over a shared endpoint socket.
+// UDPLink is one peer's channel over a shared endpoint socket: a
+// bidirectional point-to-point datagram channel. It is safe for one
+// concurrent sender and one concurrent receiver; Stats and Close may be
+// called from any goroutine.
+//
+// Send has copied the datagram when it returns and does not wait for the
+// network: it waits only while the endpoint's transmit ring is full, as a
+// blocking socket waits on a full send buffer. It returns ErrTooLarge for
+// a datagram above the UDP payload ceiling and ErrClosed after Close;
+// network loss is not an error. Recv blocks until a datagram arrives or
+// the link closes (ErrClosed).
 type UDPLink struct {
 	ep   *UDPEndpoint
 	peer netip.AddrPort
@@ -646,5 +640,3 @@ func (l *UDPLink) Stats() Stats {
 		Keepalives: c.keepalives.Load(),
 	}
 }
-
-var _ Link = (*UDPLink)(nil)

@@ -1,25 +1,13 @@
-// Package wire is the transport layer: the Link contract every socket and
-// adversary path in the repo rides, with two implementations —
-//
-//   - UDPLink is a real socket: RFC 3948-style UDP encapsulation of ESP
-//     with a non-ESP marker for control traffic, NAT-T keepalives, and
-//     per-peer demultiplexing by SPI at a shared UDPEndpoint;
-//   - GateLink is middleware that composes over any Link: scheduled
-//     drop/hold with the adversary's wiretap (Tap) and injection (Inject)
-//     positions.
+// Package wire is the transport layer: one link, UDPLink, a real socket
+// carrying RFC 3948-style UDP encapsulation of ESP with a non-ESP marker
+// for control traffic, NAT-T keepalives, and per-peer demultiplexing by
+// SPI at a shared UDPEndpoint. There is no link interface and no
+// middleware: the adversary's position is internal/adversary's Gate, and
+// deterministic runs use netsim's impaired channels or a function call.
 //
 // Links carry whole datagrams. ESP-in-UDP leaves fragmentation to IP, so
-// nothing here splits or reassembles; a socket link refuses a datagram
-// above the UDP payload ceiling.
-//
-// A Link carries opaque datagrams — here, sealed ESP packets — between
-// exactly two peers. Send has copied the datagram when it returns and does
-// not wait for the network: a socket send queues the datagram on its
-// endpoint's transmit ring for the endpoint's writer goroutine. It waits
-// only while that ring is full, as a blocking socket waits on a full send
-// buffer. Recv is pull-based and blocks until a datagram or Close.
-// Deterministic runs need no link of their own: they use netsim's impaired
-// channels, or a GateLink over a function call.
+// nothing here splits or reassembles; a link refuses a datagram above the
+// UDP payload ceiling.
 package wire
 
 import "errors"
@@ -36,40 +24,20 @@ var (
 )
 
 // Stats counts one link's traffic, both directions, as seen at this
-// endpoint. GateLink keeps its own additional counters; these are the
-// universal ones.
+// endpoint.
 type Stats struct {
 	// TxPackets and TxBytes count datagrams accepted by Send.
 	TxPackets, TxBytes uint64
 	// RxPackets and RxBytes count datagrams the link received for Recv.
 	RxPackets, RxBytes uint64
-	// TxDrops counts datagrams Send refused (oversize) and, on socket
-	// links, datagrams Send accepted that the kernel then refused.
+	// TxDrops counts datagrams Send refused (oversize) and datagrams Send
+	// accepted that the kernel then refused.
 	TxDrops uint64
 	// RxDrops counts inbound datagrams discarded before delivery
 	// (malformed encapsulation, demux miss, queue overflow).
 	RxDrops uint64
 	// Keepalives counts NAT-T keepalives received and absorbed.
 	Keepalives uint64
-}
-
-// Link is a bidirectional point-to-point datagram channel.
-//
-// Implementations are safe for one concurrent sender and one concurrent
-// receiver; Stats and Close may be called from any goroutine.
-type Link interface {
-	// Send transmits one datagram toward the peer. It has copied p when
-	// it returns. It returns ErrTooLarge when a socket link cannot carry
-	// the datagram and ErrClosed after Close; network loss is not an
-	// error.
-	Send(p []byte) error
-	// Recv returns the next datagram from the peer. Socket links block
-	// until traffic or Close (ErrClosed).
-	Recv() ([]byte, error)
-	// Close releases the link. Blocked Recvs return ErrClosed.
-	Close() error
-	// Stats returns a snapshot of the traffic counters.
-	Stats() Stats
 }
 
 // demuxSPI reads the leading 32-bit SPI of an ESP datagram, the key the
