@@ -57,7 +57,7 @@
 // AES-128-GCM, its nonce the SA's salt XOR its SPI and the 64-bit sequence
 // number (RFC 4106 with RFC 8750's implicit IV); EstablishSA runs a miniature IKE
 // handshake to derive keys; the DPD types implement dead-peer detection and
-// the paper's §6 prolonged-reset recovery (examples/vpn_tunnel composes them
+// the paper's §6 prolonged-reset recovery (ExampleNewDPDMonitor composes them
 // into a bidirectional host pair). Rekeying is RekeyOrchestrator's:
 // make-before-break rollover between two gateways.
 //

@@ -23,9 +23,9 @@ func chaosIKE(seed int64, id string) antireplay.IKEConfig {
 	}
 }
 
-// chaosHost is one host of the soak, built as examples/vpn_tunnel builds
-// its gateways: an outbound SA toward the peer and an inbound SA from it,
-// each over a strict-horizon endpoint saved to memory by a simulated disk.
+// chaosHost is one host of the soak, built as ExampleNewDPDMonitor builds
+// its hosts: an outbound SA toward the peer and an inbound SA from it, each
+// saved to memory by a simulated disk, but over strict-horizon endpoints.
 type chaosHost struct {
 	out  *antireplay.OutboundSA
 	in   *antireplay.InboundSA
