@@ -1,218 +1,16 @@
 package apn
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 )
 
-func TestChannelFIFO(t *testing.T) {
-	c := &Channel{name: "a->b"}
-	c.Send(Msg{Tag: "msg", Seq: 1})
-	c.Send(Msg{Tag: "msg", Seq: 2})
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
-	}
-	m, ok := c.receive()
-	if !ok || m.Seq != 1 {
-		t.Errorf("receive = %+v %v, want seq 1", m, ok)
-	}
-	m, ok = c.receive()
-	if !ok || m.Seq != 2 {
-		t.Errorf("receive = %+v %v, want seq 2", m, ok)
-	}
-	if _, ok := c.receive(); ok {
-		t.Error("receive on empty channel should report false")
-	}
-}
-
-func TestChannelDrop(t *testing.T) {
-	c := &Channel{}
-	c.Send(Msg{Seq: 1})
-	c.Send(Msg{Seq: 2})
-	c.Send(Msg{Seq: 3})
-	if !c.Drop(1) {
-		t.Fatal("Drop(1) = false")
-	}
-	if c.Drop(5) {
-		t.Error("Drop(5) on 2-element queue should be false")
-	}
-	m, _ := c.receive()
-	if m.Seq != 1 {
-		t.Errorf("head = %d, want 1", m.Seq)
-	}
-	m, _ = c.receive()
-	if m.Seq != 3 {
-		t.Errorf("next = %d, want 3 (2 was dropped)", m.Seq)
-	}
-}
-
-func TestChannelReorder(t *testing.T) {
-	c := &Channel{rng: rand.New(rand.NewSource(5)), reorder: true}
-	for i := uint64(1); i <= 100; i++ {
-		c.Send(Msg{Seq: i})
-	}
-	var got []uint64
-	for {
-		m, ok := c.receive()
-		if !ok {
-			break
-		}
-		got = append(got, m.Seq)
-	}
-	if len(got) != 100 {
-		t.Fatalf("received %d, want 100", len(got))
-	}
-	inOrder := true
-	for i := 1; i < len(got); i++ {
-		if got[i] < got[i-1] {
-			inOrder = false
-			break
-		}
-	}
-	if inOrder {
-		t.Error("reordering channel delivered in order; expected shuffling")
-	}
-}
-
-func TestSystemExecAndErrors(t *testing.T) {
-	sys := NewSystem(1)
-	n := 0
-	enabled := true
-	p := NewProcess("p")
-	p.Add(&Action{Name: "inc", Guard: func() bool { return enabled }, Body: func() { n++ }})
-	sys.Add(p)
-
-	if err := sys.Exec("p", "inc"); err != nil {
-		t.Fatalf("Exec: %v", err)
-	}
-	if n != 1 {
-		t.Fatalf("n = %d, want 1", n)
-	}
-	enabled = false
-	if err := sys.Exec("p", "inc"); !errors.Is(err, ErrNotEnabled) {
-		t.Errorf("Exec disabled = %v, want ErrNotEnabled", err)
-	}
-	if err := sys.Exec("p", "nope"); !errors.Is(err, ErrUnknownAction) {
-		t.Errorf("Exec unknown = %v, want ErrUnknownAction", err)
-	}
-	if err := sys.Exec("ghost", "inc"); !errors.Is(err, ErrUnknownAction) {
-		t.Errorf("Exec unknown proc = %v, want ErrUnknownAction", err)
-	}
-	if sys.Steps() != 1 {
-		t.Errorf("Steps = %d, want 1", sys.Steps())
-	}
-}
-
-func TestSystemStepWeakFairness(t *testing.T) {
-	// Two always-enabled actions: over many random steps both must run.
-	sys := NewSystem(7)
-	var a, b int
-	p := NewProcess("p")
-	p.Add(&Action{Name: "a", Body: func() { a++ }})
-	p.Add(&Action{Name: "b", Body: func() { b++ }})
-	sys.Add(p)
-	sys.Run(1000)
-	if a == 0 || b == 0 {
-		t.Errorf("fairness violated: a=%d b=%d", a, b)
-	}
-	if a+b != 1000 {
-		t.Errorf("total = %d, want 1000", a+b)
-	}
-}
-
-func TestSystemStepNoneEnabled(t *testing.T) {
-	sys := NewSystem(1)
-	p := NewProcess("p")
-	p.Add(&Action{Name: "never", Guard: func() bool { return false }, Body: func() {}})
-	sys.Add(p)
-	if sys.Step() {
-		t.Error("Step with no enabled actions should report false")
-	}
-	if got := sys.Run(10); got != 0 {
-		t.Errorf("Run = %d, want 0", got)
-	}
-	if refs := sys.Enabled(); len(refs) != 0 {
-		t.Errorf("Enabled = %v, want empty", refs)
-	}
-}
-
-func TestReceiveActionGuardedByChannel(t *testing.T) {
-	sys := NewSystem(1)
-	ch := sys.Chan("p", "q")
-	var got []uint64
-	q := NewProcess("q")
-	q.Add(&Action{Name: "rcv", From: ch, OnMsg: func(m Msg) { got = append(got, m.Seq) }})
-	sys.Add(q)
-
-	if len(sys.Enabled()) != 0 {
-		t.Fatal("receive enabled on empty channel")
-	}
-	ch.Send(Msg{Seq: 9})
-	refs := sys.Enabled()
-	if len(refs) != 1 || refs[0].Action != "rcv" {
-		t.Fatalf("Enabled = %v, want [q.rcv]", refs)
-	}
-	if !sys.Step() {
-		t.Fatal("Step = false")
-	}
-	if len(got) != 1 || got[0] != 9 {
-		t.Errorf("got = %v, want [9]", got)
-	}
-}
-
-func TestChanIdentity(t *testing.T) {
-	sys := NewSystem(1)
-	a := sys.Chan("p", "q")
-	b := sys.Chan("p", "q")
-	if a != b {
-		t.Error("Chan must return the same channel for the same pair")
-	}
-	c := sys.Chan("q", "p")
-	if a == c {
-		t.Error("opposite directions must be distinct channels")
-	}
-	if a.Name() != "p->q" {
-		t.Errorf("Name = %q, want p->q", a.Name())
-	}
-}
-
-func TestAddPanicsOnMalformedAction(t *testing.T) {
-	tests := []struct {
-		name string
-		a    *Action
-	}{
-		{"unnamed", &Action{Body: func() {}}},
-		{"no body", &Action{Name: "x"}},
-		{"both bodies", &Action{Name: "x", Body: func() {}, From: &Channel{}, OnMsg: func(Msg) {}}},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Error("Add should panic")
-				}
-			}()
-			NewProcess("p").Add(tt.a)
-		})
-	}
-}
-
 func TestPaperSenderBaselineStream(t *testing.T) {
-	sys := NewSystem(1)
-	ch := sys.Chan("p", "q")
-	p := NewPaperSender("p", ch, 0, false)
-	sys.Add(p.Process())
-
-	for i := 0; i < 5; i++ {
-		if err := sys.Exec("p", "send"); err != nil {
-			t.Fatalf("send: %v", err)
-		}
-	}
+	p := NewPaperSender(0, false)
 	for want := uint64(1); want <= 5; want++ {
-		m, ok := ch.receive()
-		if !ok || m.Seq != want {
-			t.Fatalf("msg = %+v %v, want seq %d", m, ok, want)
+		s, ok := p.Send()
+		if !ok || s != want {
+			t.Fatalf("Send = %d %v, want seq %d", s, ok, want)
 		}
 	}
 	if p.S != 6 {
@@ -221,27 +19,19 @@ func TestPaperSenderBaselineStream(t *testing.T) {
 }
 
 func TestPaperSenderBaselineResetForgets(t *testing.T) {
-	sys := NewSystem(1)
-	ch := sys.Chan("p", "q")
-	p := NewPaperSender("p", ch, 0, false)
-	sys.Add(p.Process())
-
+	p := NewPaperSender(0, false)
 	for i := 0; i < 10; i++ {
-		_ = sys.Exec("p", "send")
+		p.Send()
 	}
-	p.RequestReset()
-	if err := sys.Exec("p", "reset"); err != nil {
-		t.Fatalf("reset: %v", err)
-	}
+	p.Reset()
 	if !p.Wait {
 		t.Fatal("Wait = false after reset")
 	}
-	if err := sys.Exec("p", "send"); !errors.Is(err, ErrNotEnabled) {
-		t.Fatalf("send while down = %v, want ErrNotEnabled", err)
+	if _, ok := p.Send(); ok {
+		t.Fatal("send while down is enabled, want its guard false")
 	}
-	p.RequestWake()
-	if err := sys.Exec("p", "wake"); err != nil {
-		t.Fatalf("wake: %v", err)
+	if !p.Wake() {
+		t.Fatal("wake after reset not enabled")
 	}
 	if p.S != 1 {
 		t.Errorf("baseline S after wake = %d, want 1 (§3 vulnerability)", p.S)
@@ -250,15 +40,12 @@ func TestPaperSenderBaselineResetForgets(t *testing.T) {
 
 func TestPaperSenderSaveFetchLeap(t *testing.T) {
 	const k = 5
-	sys := NewSystem(1)
-	ch := sys.Chan("p", "q")
-	p := NewPaperSender("p", ch, k, true)
-	sys.Add(p.Process())
+	p := NewPaperSender(k, true)
 
 	// k sends trigger the background SAVE(k+1).
 	for i := 0; i < k; i++ {
-		if err := sys.Exec("p", "send"); err != nil {
-			t.Fatalf("send: %v", err)
+		if _, ok := p.Send(); !ok {
+			t.Fatal("send not enabled")
 		}
 	}
 	if !p.SavePending() {
@@ -267,18 +54,16 @@ func TestPaperSenderSaveFetchLeap(t *testing.T) {
 	if p.Lst != k+1 {
 		t.Fatalf("Lst = %d, want %d", p.Lst, k+1)
 	}
-	if err := sys.Exec("p", "save"); err != nil {
-		t.Fatalf("save: %v", err)
+	if !p.Save() {
+		t.Fatal("save not enabled")
 	}
 	if v, ok := p.Durable(); !ok || v != k+1 {
 		t.Fatalf("durable = %d %v, want %d", v, ok, k+1)
 	}
 
 	// Reset after the save committed: wake resumes at durable + 2K.
-	p.RequestReset()
-	_ = sys.Exec("p", "reset")
-	p.RequestWake()
-	_ = sys.Exec("p", "wake")
+	p.Reset()
+	p.Wake()
 	if want := uint64(k + 1 + 2*k); p.S != want {
 		t.Errorf("S after wake = %d, want %d", p.S, want)
 	}
@@ -289,30 +74,25 @@ func TestPaperSenderSaveFetchLeap(t *testing.T) {
 
 func TestPaperSenderTornSave(t *testing.T) {
 	const k = 5
-	sys := NewSystem(1)
-	ch := sys.Chan("p", "q")
-	p := NewPaperSender("p", ch, k, true)
-	sys.Add(p.Process())
+	p := NewPaperSender(k, true)
 
 	for i := 0; i < k; i++ {
-		_ = sys.Exec("p", "send")
+		p.Send()
 	}
-	_ = sys.Exec("p", "save") // durable k+1
+	p.Save() // durable k+1
 	for i := 0; i < k; i++ {
-		_ = sys.Exec("p", "send") // SAVE(2k+1) pending
+		p.Send() // SAVE(2k+1) pending
 	}
 	lastUsed := p.S - 1
 	if !p.SavePending() {
 		t.Fatal("expected pending save")
 	}
 	// Reset strikes before the save commits: the write is torn.
-	p.RequestReset()
-	_ = sys.Exec("p", "reset")
+	p.Reset()
 	if p.SavePending() {
 		t.Fatal("reset must tear the pending save")
 	}
-	p.RequestWake()
-	_ = sys.Exec("p", "wake")
+	p.Wake()
 	if want := uint64(k + 1 + 2*k); p.S != want {
 		t.Errorf("S after wake = %d, want %d (stale fetch + leap)", p.S, want)
 	}
@@ -321,119 +101,139 @@ func TestPaperSenderTornSave(t *testing.T) {
 	}
 }
 
-func TestPaperReceiverThreeCases(t *testing.T) {
-	sys := NewSystem(1)
-	ch := sys.Chan("p", "q")
-	q := NewPaperReceiver("q", ch, 64, 10, true)
-	sys.Add(q.Process())
-
-	admit := func(s uint64) bool {
-		t.Helper()
-		ch.Send(Msg{Tag: "msg", Seq: s})
-		if err := sys.Exec("q", "rcv"); err != nil {
-			t.Fatalf("rcv: %v", err)
-		}
-		return q.Log[len(q.Log)-1].Delivered
+// rcv runs q's receive action on s, failing t if its guard is false.
+func rcv(t *testing.T, q *PaperReceiver, s uint64) bool {
+	t.Helper()
+	delivered, ok := q.Rcv(s)
+	if !ok {
+		t.Fatalf("rcv %d not enabled", s)
 	}
+	return delivered
+}
 
-	if !admit(100) {
+func TestPaperReceiverThreeCases(t *testing.T) {
+	q := NewPaperReceiver(64, 10, true)
+
+	if !rcv(t, q, 100) {
 		t.Error("fresh 100 should deliver")
 	}
-	if q.R != 100 {
-		t.Errorf("R = %d, want 100", q.R)
+	if r := q.Wdw.Edge(); r != 100 {
+		t.Errorf("R = %d, want 100", r)
 	}
-	if !admit(80) {
+	if !rcv(t, q, 80) {
 		t.Error("in-window 80 should deliver")
 	}
-	if admit(80) {
+	if rcv(t, q, 80) {
 		t.Error("duplicate 80 should discard")
 	}
-	if admit(100) {
+	if rcv(t, q, 100) {
 		t.Error("replay of edge should discard")
 	}
-	if admit(36) {
+	if rcv(t, q, 36) {
 		t.Error("stale 36 should discard")
 	}
-	if !admit(37) {
+	if !rcv(t, q, 37) {
 		t.Error("left edge 37 should deliver")
 	}
 }
 
 func TestPaperReceiverWakeLeapsAndBlocksReplays(t *testing.T) {
 	const k = 10
-	sys := NewSystem(1)
-	ch := sys.Chan("p", "q")
-	q := NewPaperReceiver("q", ch, 32, k, true)
-	sys.Add(q.Process())
-
-	admit := func(s uint64) bool {
-		ch.Send(Msg{Tag: "msg", Seq: s})
-		if err := sys.Exec("q", "rcv"); err != nil {
-			t.Fatalf("rcv: %v", err)
-		}
-		return q.Log[len(q.Log)-1].Delivered
-	}
+	q := NewPaperReceiver(32, k, true)
 
 	for s := uint64(1); s <= k; s++ {
-		admit(s) // triggers SAVE(k)
+		rcv(t, q, s) // triggers SAVE(k)
 	}
 	if !q.SavePending() {
 		t.Fatal("no SAVE pending at edge k")
 	}
-	_ = sys.Exec("q", "save")
+	q.Save()
 	for s := uint64(k + 1); s <= k+5; s++ {
-		admit(s)
+		rcv(t, q, s)
 	}
 	lastReceived := uint64(k + 5)
 
-	q.RequestReset()
-	_ = sys.Exec("q", "reset")
-	q.RequestWake()
-	_ = sys.Exec("q", "wake")
+	q.Reset()
+	q.Wake()
 
-	if want := uint64(k + 2*k); q.R != want {
-		t.Errorf("R after wake = %d, want %d", q.R, want)
+	if want, r := uint64(k+2*k), q.Wdw.Edge(); r != want {
+		t.Errorf("R after wake = %d, want %d", r, want)
 	}
 	for s := uint64(1); s <= lastReceived; s++ {
-		if admit(s) {
+		if rcv(t, q, s) {
 			t.Fatalf("SAFETY: replay of %d delivered after wake", s)
 		}
 	}
-	if !admit(q.R + 1) {
+	if !rcv(t, q, q.Wdw.Edge()+1) {
 		t.Error("fresh message above new edge should deliver")
 	}
 }
 
 func TestPaperBaselineReceiverAcceptsReplaysAfterReset(t *testing.T) {
-	sys := NewSystem(1)
-	ch := sys.Chan("p", "q")
-	q := NewPaperReceiver("q", ch, 32, 0, false)
-	sys.Add(q.Process())
-
-	admit := func(s uint64) bool {
-		ch.Send(Msg{Tag: "msg", Seq: s})
-		if err := sys.Exec("q", "rcv"); err != nil {
-			t.Fatalf("rcv: %v", err)
-		}
-		return q.Log[len(q.Log)-1].Delivered
-	}
+	q := NewPaperReceiver(32, 0, false)
 	for s := uint64(1); s <= 50; s++ {
-		admit(s)
+		rcv(t, q, s)
 	}
-	q.RequestReset()
-	_ = sys.Exec("q", "reset")
-	q.RequestWake()
-	_ = sys.Exec("q", "wake")
+	q.Reset()
+	q.Wake()
 
 	accepted := 0
 	for s := uint64(1); s <= 50; s++ {
-		if admit(s) {
+		if rcv(t, q, s) {
 			accepted++
 		}
 	}
 	if accepted != 50 {
 		t.Errorf("baseline accepted %d of 50 replays, want all (§3)", accepted)
 	}
+}
+
+// system is p and q joined by a FIFO channel p -> q, with the reset and
+// wake requests of the environment, scheduled as the notation prescribes:
+// each step executes one action drawn uniformly from the enabled ones
+// (weak fairness), listed in declaration order — p's send, save, reset and
+// wake, then q's rcv, save, reset and wake. A reset is enabled once
+// requested; a wake once requested and its process is waiting.
+type system struct {
+	rng       *rand.Rand
+	p         *PaperSender
+	q         *PaperReceiver
+	ch        []uint64
+	reset     [2]bool // requested resets of p and q
+	wake      [2]bool // requested wakes of p and q
+	delivered []uint64
+}
+
+func (sys *system) step() bool {
+	var enabled []func()
+	add := func(guard bool, action func()) {
+		if guard {
+			enabled = append(enabled, action)
+		}
+	}
+	p, q := sys.p, sys.q
+	add(!p.Wait, func() {
+		s, _ := p.Send()
+		sys.ch = append(sys.ch, s)
+	})
+	add(p.SavePending(), func() { p.Save() })
+	add(sys.reset[0], func() { sys.reset[0] = false; p.Reset() })
+	add(sys.wake[0] && p.Wait, func() { sys.wake[0] = false; p.Wake() })
+	add(len(sys.ch) > 0 && !q.Wait, func() {
+		s := sys.ch[0]
+		sys.ch = sys.ch[1:]
+		if delivered, _ := q.Rcv(s); delivered {
+			sys.delivered = append(sys.delivered, s)
+		}
+	})
+	add(q.SavePending(), func() { q.Save() })
+	add(sys.reset[1], func() { sys.reset[1] = false; q.Reset() })
+	add(sys.wake[1] && q.Wait, func() { sys.wake[1] = false; q.Wake() })
+	if len(enabled) == 0 {
+		return false
+	}
+	enabled[sys.rng.Intn(len(enabled))]()
+	return true
 }
 
 // TestPaperSystemRandomizedNoDuplicateDelivery runs the full §4 protocol
@@ -446,57 +246,47 @@ func TestPaperSystemRandomizedNoDuplicateDelivery(t *testing.T) {
 
 func runRandomizedScenario(t *testing.T, seed int64) {
 	t.Helper()
-	sys := NewSystem(seed)
-	rng := rand.New(rand.NewSource(seed * 31))
-	ch := sys.Chan("p", "q")
 	const k = 7
-	p := NewPaperSender("p", ch, k, true)
-	q := NewPaperReceiver("q", ch, 16, k, true)
-	sys.Add(p.Process(), q.Process())
+	sys := &system{
+		rng: rand.New(rand.NewSource(seed)),
+		p:   NewPaperSender(k, true),
+		q:   NewPaperReceiver(16, k, true),
+	}
+	rng := rand.New(rand.NewSource(seed * 31))
+	p, q := sys.p, sys.q
 
-	var sent []Msg
+	var sent []uint64
 	for step := 0; step < 5000; step++ {
 		switch r := rng.Intn(100); {
 		case r == 0:
-			p.RequestReset()
+			sys.reset[0] = true
 		case r == 1:
-			q.RequestReset()
+			sys.reset[1] = true
 		case r < 6:
-			if p.Wait {
-				p.RequestWake()
-			}
-			if q.Wait {
-				q.RequestWake()
-			}
+			sys.wake[0] = sys.wake[0] || p.Wait
+			sys.wake[1] = sys.wake[1] || q.Wait
 		case r < 16 && len(sent) > 0:
-			ch.Inject(sent[rng.Intn(len(sent))]) // adversary replay
+			sys.ch = append(sys.ch, sent[rng.Intn(len(sent))]) // adversary replay
 		default:
 			before := p.S
-			sys.Step()
+			sys.step()
 			if p.S > before {
-				sent = append(sent, Msg{Tag: "msg", Seq: before})
+				sent = append(sent, before)
 			}
 		}
 	}
 	// Drain: wake everyone and let the system run dry of receive work.
-	if p.Wait {
-		p.RequestWake()
-	}
-	if q.Wait {
-		q.RequestWake()
-	}
-	for i := 0; i < 2000 && sys.Step(); i++ {
+	sys.wake[0] = sys.wake[0] || p.Wait
+	sys.wake[1] = sys.wake[1] || q.Wait
+	for i := 0; i < 2000 && sys.step(); i++ {
 	}
 
-	seen := make(map[uint64]int)
-	for _, ev := range q.Log {
-		if !ev.Delivered {
-			continue
+	seen := make(map[uint64]bool)
+	for _, s := range sys.delivered {
+		if seen[s] {
+			t.Fatalf("seed %d: SAFETY: sequence %d delivered twice", seed, s)
 		}
-		seen[ev.Seq]++
-		if seen[ev.Seq] > 1 {
-			t.Fatalf("seed %d: SAFETY: sequence %d delivered twice", seed, ev.Seq)
-		}
+		seen[s] = true
 	}
 }
 

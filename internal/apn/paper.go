@@ -1,17 +1,21 @@
+// Package apn holds the paper's processes p and q, written in its Abstract
+// Protocol Notation (Gouda, "Elements of Network Protocol Design") as
+// guarded actions, both the §2 baseline and the §4 SAVE/FETCH versions.
+// They are the oracle the production endpoints in internal/core are
+// differentially tested against.
+//
+// Each guarded action is one method. A method whose guard is false changes
+// nothing and reports false, so a test drives any interleaving of actions by
+// calling methods in that order. The §4 processes keep a durable cell (the
+// persistent memory) and model the background SAVE as a separate Save
+// action: once a SAVE has been started it is enabled until it executes, but
+// a scheduler may delay it arbitrarily, which is exactly the timing window
+// analysed in Figures 1 and 2. A Reset clears the pending save: the write
+// never reached the medium (torn save). Wake performs FETCH and the
+// synchronous SAVE atomically, as one guarded action, exactly as specified.
 package apn
 
-// This file encodes the paper's processes literally. The §4 processes keep
-// a durable cell (the persistent memory) and model the background SAVE as a
-// separate "save" action: once a SAVE has been started, the commit action is
-// continuously enabled and therefore eventually executes (weak fairness) —
-// but an adversarial scheduler may delay it arbitrarily, which is exactly
-// the timing window analysed in Figures 1 and 2. A reset clears the pending
-// save: the write never reached the medium (torn save). The wake-up action
-// performs FETCH and the synchronous SAVE atomically, as one guarded action,
-// exactly as specified.
-//
-// External events appear as request flags: the harness calls RequestReset /
-// RequestWake and the corresponding guarded action consumes the flag.
+import "antireplay/internal/seqwin"
 
 // PaperSender is process p. With Resilient it is the §4 version (SAVE/FETCH,
 // constants Kp and leap 2Kp); otherwise the §2 original whose wake-up
@@ -28,119 +32,92 @@ type PaperSender struct {
 	// Resilient selects the §4 process over the §2 baseline.
 	Resilient bool
 
-	durable      uint64 // persistent memory cell
-	durableSet   bool
-	pending      *uint64 // background SAVE in flight, if any
-	resetPending bool
-	wakePending  bool
-	proc         *Process
+	cell
 }
 
-// RequestReset arms the "(process p is reset)" guard.
-func (p *PaperSender) RequestReset() { p.resetPending = true }
-
-// RequestWake arms the "(process p wakes up after a reset)" guard.
-func (p *PaperSender) RequestWake() { p.wakePending = true }
+// cell is a process's persistent memory and the background SAVE in flight.
+type cell struct {
+	durable    uint64
+	durableSet bool
+	pending    *uint64
+}
 
 // Durable returns the persistent cell's value.
-func (p *PaperSender) Durable() (uint64, bool) { return p.durable, p.durableSet }
+func (c *cell) Durable() (uint64, bool) { return c.durable, c.durableSet }
 
 // SavePending reports whether a background SAVE is in flight.
-func (p *PaperSender) SavePending() bool { return p.pending != nil }
+func (c *cell) SavePending() bool { return c.pending != nil }
 
-// Process returns the APN process for registration with a System.
-func (p *PaperSender) Process() *Process { return p.proc }
+// Save is the background SAVE's commit, enabled once a SAVE has started.
+func (c *cell) Save() bool {
+	if c.pending == nil {
+		return false
+	}
+	c.durable, c.durableSet = *c.pending, true
+	c.pending = nil
+	return true
+}
 
-// NewPaperSender builds process p sending msg(s) into out. For the
-// resilient version the persistent cell starts at 1, matching lst's initial
-// value (the SA-establishment save).
-func NewPaperSender(name string, out *Channel, k uint64, resilient bool) *PaperSender {
+// startSave is the paper's "& SAVE(v)": v is written in the background.
+func (c *cell) startSave(v uint64) { c.pending = &v }
+
+// NewPaperSender returns process p. For the resilient version the
+// persistent cell starts at 1, matching lst's initial value (the
+// SA-establishment save).
+func NewPaperSender(k uint64, resilient bool) *PaperSender {
 	p := &PaperSender{S: 1, Lst: 1, K: k, Resilient: resilient}
 	if resilient {
 		p.durable, p.durableSet = 1, true
 	}
-	proc := NewProcess(name)
-
-	// true (and not reset) -> send msg(s) to q; s := s+1; maybe & SAVE(s)
-	proc.Add(&Action{
-		Name:  "send",
-		Guard: func() bool { return !p.Wait },
-		Body: func() {
-			out.Send(Msg{Tag: "msg", Seq: p.S})
-			p.S++
-			if p.Resilient && p.S >= p.K+p.Lst {
-				p.Lst = p.S
-				v := p.S
-				p.pending = &v // & SAVE(s) executed in background
-			}
-		},
-	})
-
-	if resilient {
-		// Background SAVE commit: continuously enabled once started.
-		proc.Add(&Action{
-			Name:  "save",
-			Guard: func() bool { return p.pending != nil },
-			Body: func() {
-				p.durable, p.durableSet = *p.pending, true
-				p.pending = nil
-			},
-		})
-	}
-
-	// (process p is reset) -> wait := true
-	proc.Add(&Action{
-		Name:  "reset",
-		Guard: func() bool { return p.resetPending },
-		Body: func() {
-			p.resetPending = false
-			p.Wait = true
-			p.pending = nil // the in-flight write is torn
-		},
-	})
-
-	// (process p wakes up after a reset) -> ...
-	proc.Add(&Action{
-		Name:  "wake",
-		Guard: func() bool { return p.wakePending && p.Wait },
-		Body: func() {
-			p.wakePending = false
-			if !p.Resilient {
-				// §3: the counter is forgotten; p resumes with s = 1.
-				p.S = 1
-				p.Lst = 1
-				p.Wait = false
-				return
-			}
-			// FETCH(s); SAVE(s+2Kp); s := s+2Kp; lst := s; wait := false
-			s := p.durable
-			s += 2 * p.K
-			p.durable, p.durableSet = s, true
-			p.S = s
-			p.Lst = s
-			p.Wait = false
-		},
-	})
-
-	p.proc = proc
 	return p
 }
 
-// RxEvent is one receive verdict of the paper receiver, for differential
-// tests against the production implementation.
-type RxEvent struct {
-	Seq       uint64
-	Delivered bool
+// Send is "~wait -> send msg(s) to q; s := s+1; if s >= Kp+lst -> lst := s
+// & SAVE(s) fi". It returns the number sent.
+func (p *PaperSender) Send() (uint64, bool) {
+	if p.Wait {
+		return 0, false
+	}
+	s := p.S
+	p.S++
+	if p.Resilient && p.S >= p.K+p.Lst {
+		p.Lst = p.S
+		p.startSave(p.S)
+	}
+	return s, true
+}
+
+// Reset is "(process p is reset) -> wait := true"; the in-flight write is
+// torn.
+func (p *PaperSender) Reset() {
+	p.Wait = true
+	p.pending = nil
+}
+
+// Wake is "(process p wakes up after a reset) -> FETCH(s); SAVE(s+2Kp);
+// s := s+2Kp; lst := s; wait := false". The baseline forgets its counter and
+// resumes with s = 1 (§3).
+func (p *PaperSender) Wake() bool {
+	if !p.Wait {
+		return false
+	}
+	p.Wait = false
+	if !p.Resilient {
+		p.S, p.Lst = 1, 1
+		return true
+	}
+	p.durable += 2 * p.K
+	p.S, p.Lst = p.durable, p.durable
+	return true
 }
 
 // PaperReceiver is process q. With Resilient it is the §4 version;
 // otherwise the §2 original whose wake-up restarts with r = 0 and a cleared
 // window (§3).
 type PaperReceiver struct {
-	// Wdw is the paper's window array, 1-indexed (index 0 unused).
-	Wdw []bool
-	// R is the paper's r: the right edge of the window, initially 0.
-	R uint64
+	// Wdw is the paper's window wdw with its right edge r (Wdw.Edge()),
+	// initially every entry true and r = 0.
+	Wdw *seqwin.Bool
 	// Lst is the paper's lst: last value handed to SAVE, initially 0.
 	Lst uint64
 	// Wait is the paper's wait flag.
@@ -149,154 +126,56 @@ type PaperReceiver struct {
 	K uint64
 	// Resilient selects the §4 process over the §2 baseline.
 	Resilient bool
-	// Log records every receive verdict in order.
-	Log []RxEvent
 
-	durable      uint64
-	durableSet   bool
-	pending      *uint64
-	resetPending bool
-	wakePending  bool
-	proc         *Process
+	cell
 }
 
-// RequestReset arms the "(process q is reset)" guard.
-func (q *PaperReceiver) RequestReset() { q.resetPending = true }
-
-// RequestWake arms the "(process q wakes up after a reset)" guard.
-func (q *PaperReceiver) RequestWake() { q.wakePending = true }
-
-// Durable returns the persistent cell's value.
-func (q *PaperReceiver) Durable() (uint64, bool) { return q.durable, q.durableSet }
-
-// SavePending reports whether a background SAVE is in flight.
-func (q *PaperReceiver) SavePending() bool { return q.pending != nil }
-
-// Process returns the APN process for registration with a System.
-func (q *PaperReceiver) Process() *Process { return q.proc }
-
-// W returns the window width.
-func (q *PaperReceiver) W() int { return len(q.Wdw) - 1 }
-
-// NewPaperReceiver builds process q receiving msg(s) from in, with window
-// width w. The §2 initial state is installed: every window entry true,
-// r = 0. For the resilient version the persistent cell starts at 0,
-// matching lst's initial value.
-func NewPaperReceiver(name string, in *Channel, w int, k uint64, resilient bool) *PaperReceiver {
-	if w < 1 {
-		panic("apn: window width must be >= 1")
-	}
-	q := &PaperReceiver{Wdw: make([]bool, w+1), K: k, Resilient: resilient}
-	for i := 1; i <= w; i++ {
-		q.Wdw[i] = true
-	}
-	if resilient {
-		q.durable, q.durableSet = 0, true
-	}
-	proc := NewProcess(name)
-
-	// rcv msg(s) from p -> the three-case window decision, then the SAVE
-	// trigger. The receive is guarded on ~wait: a machine that is down (or
-	// mid-wake, which in APN is atomic) does not execute receive actions.
-	proc.Add(&Action{
-		Name:  "rcv",
-		From:  in,
-		Guard: func() bool { return !q.Wait },
-		OnMsg: func(m Msg) {
-			q.receive(m.Seq)
-		},
-	})
-
-	if resilient {
-		proc.Add(&Action{
-			Name:  "save",
-			Guard: func() bool { return q.pending != nil },
-			Body: func() {
-				q.durable, q.durableSet = *q.pending, true
-				q.pending = nil
-			},
-		})
-	}
-
-	proc.Add(&Action{
-		Name:  "reset",
-		Guard: func() bool { return q.resetPending },
-		Body: func() {
-			q.resetPending = false
-			q.Wait = true
-			q.pending = nil
-		},
-	})
-
-	proc.Add(&Action{
-		Name:  "wake",
-		Guard: func() bool { return q.wakePending && q.Wait },
-		Body: func() {
-			q.wakePending = false
-			if !q.Resilient {
-				// §3: q resumes with r = 0 and every entry false.
-				q.R = 0
-				for i := 1; i < len(q.Wdw); i++ {
-					q.Wdw[i] = false
-				}
-				q.Wait = false
-				return
-			}
-			// FETCH(r); SAVE(r+2Kq); r := r+2Kq; lst := r;
-			// do i <= w -> wdw[i] := true od; wait := false
-			r := q.durable
-			r += 2 * q.K
-			q.durable, q.durableSet = r, true
-			q.R = r
-			q.Lst = r
-			for i := 1; i < len(q.Wdw); i++ {
-				q.Wdw[i] = true
-			}
-			q.Wait = false
-		},
-	})
-
-	q.proc = proc
+// NewPaperReceiver returns process q with window width w (>= 1). For the
+// resilient version the persistent cell starts at 0, matching lst's initial
+// value.
+func NewPaperReceiver(w int, k uint64, resilient bool) *PaperReceiver {
+	q := &PaperReceiver{Wdw: seqwin.NewBool(w), K: k, Resilient: resilient}
+	q.durableSet = resilient
 	return q
 }
 
-// receive is the verbatim body of the paper's receive action.
-func (q *PaperReceiver) receive(s uint64) {
-	w := uint64(len(q.Wdw) - 1)
-	delivered := false
-	switch {
-	case q.R >= w && s <= q.R-w:
-		// s <= r-w -> skip (discard)
-	case s <= q.R:
-		// r-w < s <= r: i := s-r+w
-		i := w - (q.R - s)
-		if q.Wdw[i] {
-			// discard
-		} else {
-			q.Wdw[i] = true
-			delivered = true
-		}
-	default:
-		// r < s: slide
-		i := s - q.R + 1
-		j := uint64(1)
-		q.R = s
-		for i <= w {
-			q.Wdw[j] = q.Wdw[i]
-			i++
-			j++
-		}
-		for j < w {
-			q.Wdw[j] = false
-			j++
-		}
-		delivered = true
+// Rcv is "~wait, rcv msg(s) from p -> the three-case window decision; if
+// r >= Kq+lst -> lst := r & SAVE(r) fi". It reports whether s was
+// delivered. A machine that is down (or mid-wake, which in the notation is
+// atomic) does not receive.
+func (q *PaperReceiver) Rcv(s uint64) (delivered, ok bool) {
+	if q.Wait {
+		return false, false
 	}
-	q.Log = append(q.Log, RxEvent{Seq: s, Delivered: delivered})
+	delivered = q.Wdw.Admit(s).Deliver()
+	if r := q.Wdw.Edge(); q.Resilient && r >= q.K+q.Lst {
+		q.Lst = r
+		q.startSave(r)
+	}
+	return delivered, true
+}
 
-	if q.Resilient && q.R >= q.K+q.Lst {
-		q.Lst = q.R
-		v := q.R
-		q.pending = &v
+// Reset is "(process q is reset) -> wait := true"; the in-flight write is
+// torn.
+func (q *PaperReceiver) Reset() {
+	q.Wait = true
+	q.pending = nil
+}
+
+// Wake is "(process q wakes up after a reset) -> FETCH(r); SAVE(r+2Kq);
+// r := r+2Kq; lst := r; do i <= w -> wdw[i] := true od; wait := false". The
+// baseline resumes with r = 0 and every entry false (§3).
+func (q *PaperReceiver) Wake() bool {
+	if !q.Wait {
+		return false
 	}
+	q.Wait = false
+	if !q.Resilient {
+		q.Wdw.Reinit(0, false)
+		return true
+	}
+	q.durable += 2 * q.K
+	q.Lst = q.durable
+	q.Wdw.Reinit(q.durable, true)
+	return true
 }
