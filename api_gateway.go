@@ -58,8 +58,7 @@ func NewLanes(dir string, opts ...LanesOption) (*Lanes, error) {
 }
 
 // LanesCount sets the lane count for a fresh lane directory (power of two,
-// up to 1024; default 64, matching the SAD's stripes; 1 is the
-// single-journal form).
+// up to 1024; default 64; 1 is the single-journal form).
 func LanesCount(n int) LanesOption { return store.LanesCount(n) }
 
 // LanesStrictRecovery refuses (ErrCorrupt) to open a lane whose first bad

@@ -36,8 +36,7 @@ func scale(sas int) (*Table, error) {
 			"so the laned append trades the single log's cross-saver write batching " +
 			"(BenchmarkJournalAppendParallel) for per-lane committers and " +
 			"fsyncs that parallelize across cores and devices. sa_heap installs the full inbound SA " +
-			"population over the laned medium and reports live heap per SA; its install rate is bound by " +
-			"the SAD's copy-on-write snapshots, not the journal.",
+			"population over the laned medium and reports live heap per SA.",
 		Columns: []string{"path", "ops", "ms", "per_sec", "detail"},
 	}
 	dir, err := os.MkdirTemp("", "scale-*")

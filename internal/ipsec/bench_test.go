@@ -3,6 +3,7 @@ package ipsec
 import (
 	"bytes"
 	"fmt"
+	"net/netip"
 	"testing"
 
 	"antireplay/internal/core"
@@ -97,4 +98,80 @@ func BenchmarkOpenReplayReject(b *testing.B) {
 			b.Fatal("replay delivered")
 		}
 	}
+}
+
+// installSelector is host route i, distinct for every i below 2^24.
+func installSelector(i int) Selector {
+	return Selector{
+		Src: netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)}), 32),
+		Dst: netip.PrefixFrom(netip.AddrFrom4([4]byte{11, byte(i >> 16), byte(i >> 8), byte(i)}), 32),
+	}
+}
+
+// BenchmarkGatewayInstall times installing n SAs into a fresh gateway over
+// a 64-lane medium without fsync: AddInbound, AddOutbound with one host
+// route each, and Adopt of a snapshot of n SAs, half each way (a standby's
+// mirror). An op is one whole install; ns/SA divides it out. The 1M rows
+// skip under -short.
+func BenchmarkGatewayInstall(b *testing.B) {
+	keys := KeyMaterial{
+		AuthKey: bytes.Repeat([]byte{1}, AuthKeySize),
+		EncKey:  bytes.Repeat([]byte{2}, EncKeySize),
+	}
+	run := func(b *testing.B, n int, install func(gw *Gateway) error) {
+		if n >= 1_000_000 && testing.Short() {
+			b.Skip("a million SAs take seconds and a gigabyte; skipped under -short")
+		}
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			lanes, err := store.OpenLanes(b.TempDir(), store.LanesWithoutSync())
+			if err != nil {
+				b.Fatal(err)
+			}
+			gw, err := NewGateway(GatewayConfig{Journal: lanes})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			err = install(gw)
+			b.StopTimer()
+			gw.Close()
+			lanes.Close()
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed())/float64(b.N*n), "ns/SA")
+	}
+	for _, n := range []int{10_000, 100_000, 1_000_000} {
+		b.Run(fmt.Sprintf("inbound/%d", n), func(b *testing.B) {
+			run(b, n, func(gw *Gateway) error {
+				for i := 0; i < n; i++ {
+					if _, err := gw.AddInbound(uint32(i+1), keys); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		})
+		b.Run(fmt.Sprintf("outbound/%d", n), func(b *testing.B) {
+			run(b, n, func(gw *Gateway) error {
+				for i := 0; i < n; i++ {
+					if _, err := gw.AddOutbound(uint32(i+1), keys, installSelector(i)); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		})
+	}
+	b.Run("adopt/100000", func(b *testing.B) {
+		const n = 100_000
+		var snap GatewaySnapshot
+		for i := 0; i < n/2; i++ {
+			snap.Outbound = append(snap.Outbound, OutboundSnapshot{SPI: uint32(i + 1), Keys: keys, Selectors: []Selector{installSelector(i)}})
+			snap.Inbound = append(snap.Inbound, InboundSnapshot{SPI: uint32(i + 1), Keys: keys})
+		}
+		run(b, n, func(gw *Gateway) error { return gw.Adopt(snap) })
+	})
 }

@@ -1,123 +1,193 @@
 package ipsec
 
 import (
-	"maps"
+	"encoding/binary"
+	"math/bits"
+	"math/rand/v2"
 	"net/netip"
 	"sync"
 	"sync/atomic"
 )
 
-// sadShardBits sets the number of shards in a SAD (a power of two so the
-// hash's top bits index directly). 64 shards keep writer contention
-// negligible well past 100k SAs while costing a few KB per database.
-const (
-	sadShardBits  = 6
-	sadShardCount = 1 << sadShardBits
-)
+// Both databases index with one scheme: an open-addressed table of
+// atomically published slots, probed linearly from the slot named by the
+// top bits of a 64-bit hash. A reader loads the table once, then the slots
+// of one probe run, each with an atomic load, and takes no lock. A writer,
+// serialized by its database's mutex, fills one slot in place, so an Add
+// costs a probe run and a store however many entries the table holds. An
+// insert that would fill a table past its maximum load copies the live
+// entries into a fresh table, twice the size (the same size when tombstones
+// are most of the use), and publishes it with one atomic store. A reader
+// still on the old table misses only the adds made since, as a reader of a
+// copy-on-write snapshot would. The copy is O(n) once per doubling, O(1)
+// amortized per Add.
+//
+// The maximum loads are lower than the 3/4 or 7/8 a hash map runs at,
+// because a linear-probing run grows steeply with the load a: a successful
+// search inspects (1 + 1/(1-a))/2 slots on average (2.5 at 3/4, 1.5 at
+// 1/2), and the longest run of a table of random keys far more. The SPD,
+// keyed by configuration, runs at most half full; the SAD, whose SPIs are
+// random and whose slots are 8 bytes, a quarter: at 16k random SPIs its
+// longest lookup then reads about 13 slots, where half load reads 20 to 50
+// (TestSADProbeLengths, TestSPDProbeLengths).
+const minTableSlots = 8
 
-// sadMap is one shard's immutable SPI table. Readers obtain it with a
-// single atomic load; writers rebuild a copy under the shard mutex and
-// publish the new map — RCU with the garbage collector standing in for the
-// grace period.
-type sadMap = map[uint32]*InboundSA
-
-type sadShard struct {
-	cur atomic.Pointer[sadMap] // always non-nil; the published snapshot
-	mu  sync.Mutex             // serializes writers (copy-on-write rebuilds)
+// mix64 is a multiply-xorshift finalizer: every input bit reaches the top
+// bits a table index is taken from, so sequential SPIs and host pairs that
+// differ only in their low octets spread like random keys.
+func mix64(x uint64) uint64 {
+	x *= 0x9e3779b97f4a7c15
+	x ^= x >> 32
+	return x * 0xd6e8feb86659fd93
 }
 
-// SAD is the security association database: inbound SAs keyed by SPI. Each
-// of the sadShardCount shards publishes an immutable map snapshot through
-// an atomic pointer, so the per-packet Lookup is wait-free — one atomic
-// load plus a map read, with no lock acquisition at all. Mutations
-// (Add/Delete) copy the shard's map under a writer mutex and swap the
-// pointer; at gateway scale they are control-plane rare while lookups run
-// per packet, exactly the asymmetry copy-on-write wants. Safe for
-// concurrent use.
+// tableShift is the right shift that turns a hash into a slot index for a
+// table of n slots, n a power of two.
+func tableShift(n int) uint8 { return uint8(64 - bits.TrailingZeros(uint(n))) }
+
+// sadTable is one generation of the SAD's index. A slot is empty (nil),
+// holds an SA, or holds sadTombstone where an SA was deleted: a tombstone
+// keeps the probe runs through it unbroken until the next rebuild.
+type sadTable struct {
+	slots []atomic.Pointer[InboundSA]
+	shift uint8
+}
+
+func newSADTable(n int) *sadTable {
+	return &sadTable{slots: make([]atomic.Pointer[InboundSA], n), shift: tableShift(n)}
+}
+
+// sadTombstone marks a deleted slot; no lookup ever returns it.
+var sadTombstone = new(InboundSA)
+
+// SAD is the security association database: inbound SAs keyed by SPI, in the
+// open-addressed table described at minTableSlots. The per-packet Lookup is
+// wait-free: one atomic table load, then one atomic load a slot along the
+// probe run. Add and Delete change one slot in place under a writer mutex;
+// at a quarter full Add republishes the table at twice the size. The hash is
+// keyed by a random seed per database, so a sender who reads SPIs off the
+// wire cannot aim forged SPIs at a long probe run. Safe for concurrent use.
 type SAD struct {
-	shards [sadShardCount]sadShard
+	tab  atomic.Pointer[sadTable] // always non-nil
+	live atomic.Int64             // registered SAs
+	seed uint64
+
+	mu   sync.Mutex // serializes writers
+	used int        // slots of tab holding an SA or a tombstone; under mu
 }
 
 // NewSAD returns an empty database.
 func NewSAD() *SAD {
-	d := &SAD{}
-	empty := sadMap{}
-	for i := range d.shards {
-		d.shards[i].cur.Store(&empty)
-	}
+	d := &SAD{seed: rand.Uint64()}
+	d.tab.Store(newSADTable(minTableSlots))
 	return d
 }
 
-// shard maps an SPI to its shard. SPIs are often allocated sequentially,
-// so the index comes from the top bits of a Fibonacci-hash multiply rather
-// than the SPI's own low bits.
-func (d *SAD) shard(spi uint32) *sadShard {
-	return &d.shards[(spi*2654435761)>>(32-sadShardBits)]
+// home returns the first slot of spi's probe run in t.
+func (d *SAD) home(t *sadTable, spi uint32) uint64 {
+	return mix64(uint64(spi)^d.seed) >> t.shift
 }
 
-// mutate rebuilds a shard's snapshot through fn under the writer mutex.
-func (s *sadShard) mutate(fn func(m sadMap)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	old := *s.cur.Load()
-	m := make(sadMap, len(old)+1)
-	for k, v := range old {
-		m[k] = v
+// find returns spi's slot in t and the SA it holds, or a nil SA.
+func (d *SAD) find(t *sadTable, spi uint32) (*atomic.Pointer[InboundSA], *InboundSA) {
+	mask := uint64(len(t.slots) - 1)
+	for i := d.home(t, spi); ; i = (i + 1) & mask {
+		sa := t.slots[i].Load()
+		if sa == nil || sa.spi == spi && sa != sadTombstone {
+			return &t.slots[i], sa
+		}
 	}
-	fn(m)
-	s.cur.Store(&m)
 }
 
 // Add registers sa, replacing any SA with the same SPI.
 func (d *SAD) Add(sa *InboundSA) {
-	d.shard(sa.SPI()).mutate(func(m sadMap) { m[sa.SPI()] = sa })
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	t := d.tab.Load()
+	mask := uint64(len(t.slots) - 1)
+	tomb := -1 // the run's first tombstone: where an absent SPI goes
+	for i := d.home(t, sa.spi); ; i = (i + 1) & mask {
+		switch cur := t.slots[i].Load(); {
+		case cur == nil:
+			switch {
+			case tomb >= 0:
+				t.slots[tomb].Store(sa)
+			case d.used < len(t.slots)/4:
+				t.slots[i].Store(sa)
+				d.used++
+			default:
+				d.rebuild(t, sa)
+			}
+			d.live.Add(1)
+			return
+		case cur == sadTombstone:
+			if tomb < 0 {
+				tomb = int(i)
+			}
+		case cur.spi == sa.spi:
+			t.slots[i].Store(sa)
+			return
+		}
+	}
+}
+
+// rebuild publishes a fresh table holding t's SAs and sa, without
+// tombstones: twice t's size, or t's size while the SAs fill at most an
+// eighth of it. Either way the new table is at most an eighth full, so an
+// eighth of its slots fill before the next rebuild.
+func (d *SAD) rebuild(t *sadTable, sa *InboundSA) {
+	n := len(t.slots)
+	if 8*(d.live.Load()+1) > int64(n) {
+		n *= 2
+	}
+	nt := newSADTable(n)
+	d.used = 0
+	place := func(sa *InboundSA) {
+		slot, _ := d.find(nt, sa.spi)
+		slot.Store(sa)
+		d.used++
+	}
+	for i := range t.slots {
+		if cur := t.slots[i].Load(); cur != nil && cur != sadTombstone {
+			place(cur)
+		}
+	}
+	place(sa)
+	d.tab.Store(nt)
 }
 
 // Delete removes the SA with the given SPI, reporting whether it existed.
-// Deleting an absent SPI is a read-only no-op (no snapshot republish).
+// Its slot becomes a tombstone; nothing is copied.
 func (d *SAD) Delete(spi uint32) bool {
-	s := d.shard(spi)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	old := *s.cur.Load()
-	if _, ok := old[spi]; !ok {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	slot, sa := d.find(d.tab.Load(), spi)
+	if sa == nil {
 		return false
 	}
-	m := make(sadMap, len(old))
-	for k, v := range old {
-		if k != spi {
-			m[k] = v
-		}
-	}
-	s.cur.Store(&m)
+	slot.Store(sadTombstone)
+	d.live.Add(-1)
 	return true
 }
 
-// Lookup returns the SA for spi. It is wait-free: one atomic snapshot load
-// and a map read, safe against any concurrent Add/Delete.
+// Lookup returns the SA for spi. It is wait-free: one atomic table load and
+// the probe run's atomic slot loads, safe against any concurrent Add/Delete.
 func (d *SAD) Lookup(spi uint32) (*InboundSA, bool) {
-	sa, ok := (*d.shard(spi).cur.Load())[spi]
-	return sa, ok
+	_, sa := d.find(d.tab.Load(), spi)
+	return sa, sa != nil
 }
 
 // Len returns the number of registered SAs.
-func (d *SAD) Len() int {
-	n := 0
-	for i := range d.shards {
-		n += len(*d.shards[i].cur.Load())
-	}
-	return n
-}
+func (d *SAD) Len() int { return int(d.live.Load()) }
 
 // Range calls fn for each registered SA until fn returns false. The
-// iteration walks each shard's published snapshot without blocking writers;
-// SAs added or deleted concurrently may or may not be observed.
+// iteration walks the published table without blocking writers; SAs added
+// or deleted concurrently may or may not be observed.
 func (d *SAD) Range(fn func(*InboundSA) bool) {
-	for i := range d.shards {
-		for _, sa := range *d.shards[i].cur.Load() {
-			if !fn(sa) {
-				return
-			}
+	t := d.tab.Load()
+	for i := range t.slots {
+		if sa := t.slots[i].Load(); sa != nil && sa != sadTombstone && !fn(sa) {
+			return
 		}
 	}
 }
@@ -136,35 +206,26 @@ func (s Selector) Matches(src, dst netip.Addr) bool {
 
 // spdView is an immutable snapshot of the policy database: the ordered
 // entry list plus the host-route index derived from it. Lookup consumes a
-// view with one atomic load; every mutation builds and publishes a fresh
-// view under the writer mutex, so a reader can never observe a half-updated
-// index — the property the old read-write lock provided, now without any
-// per-packet lock traffic.
-//
-// The index is two maps with disjoint keys: exact, and recent, which holds
-// the host routes added since exact was last rebuilt. An Add copies only
-// recent, and folds it into a new exact once len(recent)² outgrows
-// len(exact) — about √n copied per Add instead of n. Everything in exact
-// is older than everything in recent, so probing exact first is
-// first-match-wins, and a route that has reached exact costs the one probe
-// it always did.
+// view with one atomic load. Add publishes a new view over the same index,
+// filled in place (see minTableSlots); Replace and Remove publish a view
+// with a freshly built index, so a reader never observes a repointed entry
+// beside a stale route.
 type spdView struct {
-	entries       []spdEntry
-	exact, recent map[hostPair]*OutboundSA
-	scanAll       bool // a non-host selector exists; the ordered scan decides
+	entries []spdEntry
+	index   *spdTable // host routes; nil while empty and while scanAll
+	scanAll bool      // a non-host selector exists; the ordered scan decides
 }
 
 // SPD is the security policy database: an ordered list of selectors mapping
 // outbound traffic to SAs (first match wins). Host-route selectors (both
 // prefixes single-address, the common shape on a tunnel concentrator) are
-// additionally indexed in a hash map; while every entry is a host route,
-// Lookup is O(1) instead of a linear selector scan — the outbound analogue
-// of the SAD's sharding. One non-host selector falls Lookup back to the
-// ordered scan, preserving first-match-wins exactly. Reads are wait-free
-// against an atomically published immutable view; see spdView. Safe for
-// concurrent use.
+// also indexed by (src, dst) in an open-addressed table; while every entry
+// is a host route, Lookup is O(1) instead of a linear selector scan. One
+// non-host selector falls Lookup back to the ordered scan, preserving
+// first-match-wins exactly. Reads are wait-free against an atomically
+// published view; see spdView. Safe for concurrent use.
 type SPD struct {
-	mu  sync.Mutex // serializes writers (view rebuilds)
+	mu  sync.Mutex // serializes writers
 	cur atomic.Pointer[spdView]
 }
 
@@ -177,8 +238,88 @@ type hostPair struct {
 	src, dst netip.Addr
 }
 
-// emptySPDView backs zero-value and fresh SPDs.
-var emptySPDView = &spdView{}
+// spdSlot is one slot of an spdTable. pair is written once, before sa is
+// published by an atomic store, and read only after a non-nil sa is
+// loaded, so a reader never sees a half-written key. There is no delete in
+// place, and so no tombstone: Replace and Remove build a new table.
+type spdSlot struct {
+	pair hostPair
+	sa   atomic.Pointer[OutboundSA]
+}
+
+// spdTable is the SPD's host-route index, keyed inline so that a hit reads
+// one slot.
+type spdTable struct {
+	slots []spdSlot
+	shift uint8
+	used  int // filled slots; written only under the SPD's writer mutex
+}
+
+// newSPDTable returns an empty index sized for routes host routes.
+func newSPDTable(routes int) *spdTable {
+	n := minTableSlots
+	for n < 2*routes {
+		n *= 2
+	}
+	return &spdTable{slots: make([]spdSlot, n), shift: tableShift(n)}
+}
+
+// hashPair hashes a host pair. An IPv4 pair packs into one word; any other
+// pair folds its two 16-byte forms through mix64 a word at a time.
+func hashPair(src, dst netip.Addr) uint64 {
+	if src.Is4() && dst.Is4() {
+		s, d := src.As4(), dst.As4()
+		return mix64(uint64(binary.BigEndian.Uint32(s[:]))<<32 | uint64(binary.BigEndian.Uint32(d[:])))
+	}
+	s, d := src.As16(), dst.As16()
+	h := mix64(binary.BigEndian.Uint64(s[:8]))
+	h = mix64(h ^ binary.BigEndian.Uint64(s[8:]))
+	h = mix64(h ^ binary.BigEndian.Uint64(d[:8]))
+	return mix64(h ^ binary.BigEndian.Uint64(d[8:]))
+}
+
+// home returns the first slot of (src, dst)'s probe run in t.
+func (t *spdTable) home(src, dst netip.Addr) uint64 { return hashPair(src, dst) >> t.shift }
+
+// find returns (src, dst)'s slot in t and the SA it holds, or the empty slot
+// that ends the probe run and a nil SA.
+func (t *spdTable) find(src, dst netip.Addr) (*spdSlot, *OutboundSA) {
+	mask := uint64(len(t.slots) - 1)
+	for i := t.home(src, dst); ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		sa := s.sa.Load()
+		if sa == nil || s.pair.src == src && s.pair.dst == dst {
+			return s, sa
+		}
+	}
+}
+
+// add indexes pair to sa unless pair is indexed already (first match wins)
+// and returns the table to publish: t, filled in place, or at half load a
+// copy of t twice its size. A nil t is an empty index.
+func (t *spdTable) add(pair hostPair, sa *OutboundSA) *spdTable {
+	if t == nil {
+		t = newSPDTable(1)
+	}
+	s, cur := t.find(pair.src, pair.dst)
+	if cur != nil {
+		return t // a later duplicate never shadows the first
+	}
+	if t.used >= len(t.slots)/2 {
+		grown := newSPDTable(t.used + 1)
+		for i := range t.slots {
+			if old := t.slots[i].sa.Load(); old != nil {
+				grown = grown.add(t.slots[i].pair, old)
+			}
+		}
+		t = grown
+		s, _ = t.find(pair.src, pair.dst)
+	}
+	s.pair = pair
+	s.sa.Store(sa)
+	t.used++
+	return t
+}
 
 // NewSPD returns an empty policy database.
 func NewSPD() *SPD {
@@ -186,6 +327,9 @@ func NewSPD() *SPD {
 	p.cur.Store(emptySPDView)
 	return p
 }
+
+// emptySPDView backs zero-value and fresh SPDs.
+var emptySPDView = &spdView{}
 
 // view returns the current snapshot, tolerating a zero-value SPD.
 func (p *SPD) view() *spdView {
@@ -195,26 +339,16 @@ func (p *SPD) view() *spdView {
 	return emptySPDView
 }
 
-// rebuild derives a fresh view from an entry list: the host-route index is
-// reconstructed entry by entry so first-match-wins semantics are identical
-// to the ordered scan.
+// rebuildSPDView derives a fresh view from an entry list: the host-route
+// index is built entry by entry, so first-match-wins is identical to the
+// ordered scan.
 func rebuildSPDView(entries []spdEntry) *spdView {
-	v := &spdView{entries: entries, exact: make(map[hostPair]*OutboundSA, len(entries))}
+	v := &spdView{entries: entries, index: newSPDTable(len(entries))}
 	for _, e := range entries {
-		if e.sel.Src.IsSingleIP() && e.sel.Dst.IsSingleIP() {
-			pair := hostPair{src: e.sel.Src.Addr(), dst: e.sel.Dst.Addr()}
-			if _, dup := v.exact[pair]; !dup {
-				// First match wins; a later duplicate never shadows it.
-				v.exact[pair] = e.sa
-			}
-		} else {
-			v.scanAll = true
-			v.exact = nil // never consulted; the ordered scan decides
-			break
+		if !e.sel.Src.IsSingleIP() || !e.sel.Dst.IsSingleIP() {
+			return &spdView{entries: entries, scanAll: true}
 		}
-	}
-	if v.scanAll {
-		v.exact = nil
+		v.index = v.index.add(hostPair{src: e.sel.Src.Addr(), dst: e.sel.Dst.Addr()}, e.sa)
 	}
 	return v
 }
@@ -222,41 +356,22 @@ func rebuildSPDView(entries []spdEntry) *spdView {
 // Add appends a policy entry. The new view's entry list shares the old
 // backing array where capacity allows (published views only ever read
 // their own prefix, and in-place mutation happens solely on freshly copied
-// slices), so the slice work is amortized O(1); a host route copies the
-// recent half of the index — the price of lock-free readers, amortized
-// O(√n) per Add; see spdView.
+// slices), and a host route fills one index slot in place, so an Add is
+// amortized O(1) whatever the table holds.
 func (p *SPD) Add(sel Selector, sa *OutboundSA) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	old := p.view()
 	v := &spdView{entries: append(old.entries, spdEntry{sel: sel, sa: sa}),
-		exact: old.exact, recent: old.recent, scanAll: old.scanAll}
+		index: old.index, scanAll: old.scanAll}
 	switch {
 	case old.scanAll:
 		// The ordered scan already decides; no index to maintain.
 	case !sel.Src.IsSingleIP() || !sel.Dst.IsSingleIP():
 		// A non-host selector: the ordered scan decides from here on.
-		v.exact, v.recent, v.scanAll = nil, nil, true
+		v.index, v.scanAll = nil, true
 	default:
-		pair := hostPair{src: sel.Src.Addr(), dst: sel.Dst.Addr()}
-		_, inExact := old.exact[pair]
-		_, inRecent := old.recent[pair]
-		if inExact || inRecent {
-			break // first match wins; a later duplicate never shadows it
-		}
-		n := len(old.recent) + 1
-		fold := n*n > len(old.exact)
-		if fold {
-			n += len(old.exact)
-		}
-		grown := make(map[hostPair]*OutboundSA, n)
-		maps.Copy(grown, old.recent)
-		grown[pair] = sa
-		if v.recent = grown; fold {
-			// The fresh copy of recent absorbs exact and takes its place.
-			maps.Copy(grown, old.exact)
-			v.exact, v.recent = grown, nil
-		}
+		v.index = old.index.add(hostPair{src: sel.Src.Addr(), dst: sel.Dst.Addr()}, sa)
 	}
 	p.cur.Store(v)
 }
@@ -330,17 +445,16 @@ func (p *SPD) Range(fn func(Selector, *OutboundSA) bool) {
 }
 
 // Lookup returns the first SA whose selector covers (src, dst). It is
-// wait-free: one atomic view load, then a hash probe (all-host-route
+// wait-free: one atomic view load, then the index's probe run (all-host-route
 // tables) or the ordered scan.
 func (p *SPD) Lookup(src, dst netip.Addr) (*OutboundSA, bool) {
 	v := p.view()
 	if !v.scanAll {
-		pair := hostPair{src: src, dst: dst}
-		if sa, ok := v.exact[pair]; ok {
-			return sa, true
+		if v.index == nil {
+			return nil, false
 		}
-		sa, ok := v.recent[pair]
-		return sa, ok
+		_, sa := v.index.find(src, dst)
+		return sa, sa != nil
 	}
 	for _, e := range v.entries {
 		if e.sel.Matches(src, dst) {

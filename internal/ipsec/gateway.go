@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sync"
 	"time"
 
@@ -58,8 +59,8 @@ const DefaultGatewayK = 25
 // across SAs group-commit under shared fsyncs.
 //
 // Outbound SAs register into an SPD keyed by traffic selectors; inbound SAs
-// into a lock-striped SAD keyed by SPI. ResetAll / WakeAll drive the
-// paper's reset protocol across the whole SA population — the §3
+// into a SAD keyed by SPI; both are read without locks. ResetAll / WakeAll
+// drive the paper's reset protocol across the whole SA population — the §3
 // "host with multiple existing SAs" scenario — with recovery cost one
 // journal replay instead of one IKE renegotiation per SA.
 //
@@ -86,48 +87,42 @@ type Gateway struct {
 	closed bool
 	// outbound SAs are tracked here, not read back from the SPD: a drained
 	// predecessor stays registered after a cutover has taken it out of the
-	// SPD. Inbound SAs live only in the SAD (iterated via Range).
+	// SPD. The slice keeps registration order (snapshot and Snapshot list
+	// it, so a mirror's first-match-wins SPD matches ours); outSPI finds an
+	// SA by SPI. Inbound SAs live only in the SAD (iterated via Range).
 	outbound []*OutboundSA
+	outSPI   map[uint32]*OutboundSA
 	// cells holds the journal keys this gateway owns (released on
 	// RemoveInbound/RemoveOutbound and Close) mapped to each key's pool
-	// handle — nil between the claim and saver registration — so removal
-	// can flush in-flight background saves before tombstoning the cell (a
+	// handle, so removal can flush in-flight background saves before tombstoning the cell (a
 	// stale save landing after the tombstone would resurrect the retired
 	// counter). One map instead of a claim set plus a saver map: at
 	// million-SA scale the second map's per-entry overhead is real memory.
 	cells map[string]*store.PoolSaver
 }
 
-// claimCell claims the journal cell for key. An existing claim maps to
-// ErrDuplicateSPI (two endpoints over one cell would interleave counters);
-// other failures — e.g. a closed journal or gateway — pass through
-// untouched. The gateway mutex is held across the journal claim so a
-// concurrent Close cannot strand a claim outside the release set.
-func (g *Gateway) claimCell(key string, spi uint32, dir string) (*store.Cell, error) {
+// claimCell claims the journal cell for key and records the pool handle
+// that will save it. An existing claim maps to ErrDuplicateSPI (two
+// endpoints over one cell would interleave counters); other failures — e.g.
+// a closed journal or gateway — pass through untouched. The gateway mutex
+// is held across the journal claim so a concurrent Close cannot strand a
+// claim outside the release set.
+func (g *Gateway) claimCell(key string, spi uint32, dir string) (*store.Cell, *store.PoolSaver, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.closed {
-		return nil, fmt.Errorf("ipsec: gateway %s %#x: %w", dir, spi, store.ErrClosed)
+		return nil, nil, fmt.Errorf("ipsec: gateway %s %#x: %w", dir, spi, store.ErrClosed)
 	}
 	cell, err := g.cfg.Journal.ClaimCell(key)
 	if err != nil {
 		if errors.Is(err, store.ErrCellClaimed) {
-			return nil, fmt.Errorf("%w: %s %#x: %w", ErrDuplicateSPI, dir, spi, err)
+			return nil, nil, fmt.Errorf("%w: %s %#x: %w", ErrDuplicateSPI, dir, spi, err)
 		}
-		return nil, fmt.Errorf("ipsec: gateway %s %#x: %w", dir, spi, err)
+		return nil, nil, fmt.Errorf("ipsec: gateway %s %#x: %w", dir, spi, err)
 	}
-	g.cells[key] = nil
-	return cell, nil
-}
-
-// registerSaver records a claimed key's pool handle for removal-time
-// flushing; no-op if the claim was lost to a concurrent Close.
-func (g *Gateway) registerSaver(key string, s *store.PoolSaver) {
-	g.mu.Lock()
-	if _, claimed := g.cells[key]; claimed {
-		g.cells[key] = s
-	}
-	g.mu.Unlock()
+	saver := g.pool.Saver(cell)
+	g.cells[key] = saver
+	return cell, saver, nil
 }
 
 // releaseCell drops a claim taken by claimCell (failed registration, SA
@@ -155,11 +150,12 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		cfg.K = DefaultGatewayK
 	}
 	g := &Gateway{
-		cfg:   cfg,
-		pool:  cfg.Pool,
-		sad:   NewSAD(),
-		spd:   NewSPD(),
-		cells: make(map[string]*store.PoolSaver),
+		cfg:    cfg,
+		pool:   cfg.Pool,
+		sad:    NewSAD(),
+		spd:    NewSPD(),
+		outSPI: make(map[uint32]*OutboundSA),
+		cells:  make(map[string]*store.PoolSaver),
 	}
 	if g.pool == nil {
 		g.pool = store.NewSaverPool(0)
@@ -202,11 +198,10 @@ func (g *Gateway) buildOutbound(spi uint32, keys KeyMaterial, adopt bool) (*Outb
 		return nil, fmt.Errorf("ipsec: gateway outbound %#x: %w", spi, err)
 	}
 	key := OutboundKey(spi)
-	cell, err := g.claimCell(key, spi, "outbound")
+	cell, saver, err := g.claimCell(key, spi, "outbound")
 	if err != nil {
 		return nil, err
 	}
-	saver := g.pool.Saver(cell)
 	snd, err := core.NewSender(core.SenderConfig{
 		K:             g.cfg.K,
 		Store:         cell,
@@ -217,7 +212,6 @@ func (g *Gateway) buildOutbound(spi uint32, keys KeyMaterial, adopt bool) (*Outb
 		g.releaseCell(key)
 		return nil, fmt.Errorf("ipsec: gateway outbound %#x: %w", spi, err)
 	}
-	g.registerSaver(key, saver)
 	sa, err := NewOutboundSA(spi, keys, snd, g.cfg.ESN, g.cfg.Lifetime, g.cfg.Clock)
 	if err != nil {
 		g.releaseCell(key)
@@ -257,7 +251,7 @@ func (g *Gateway) AddOutbound(spi uint32, keys KeyMaterial, sel Selector) (*Outb
 		g.releaseCell(OutboundKey(spi))
 		return nil, fmt.Errorf("ipsec: gateway outbound %#x: %w", spi, store.ErrClosed)
 	}
-	g.outbound = append(g.outbound, sa)
+	g.registerOutboundLocked(sa)
 	g.spd.Add(sel, sa) // inside g.mu so Close cannot interleave
 	g.mu.Unlock()
 	return sa, nil
@@ -291,7 +285,7 @@ func (g *Gateway) RekeyOutbound(oldSPI, newSPI uint32, keys KeyMaterial) (*Outbo
 		g.releaseCell(OutboundKey(newSPI))
 		return nil, fmt.Errorf("ipsec: rekey outbound %#x: %w", newSPI, store.ErrClosed)
 	}
-	g.outbound = append(g.outbound, sa)
+	g.registerOutboundLocked(sa)
 	g.spd.Replace(old, sa) // the cutover: one atomic repoint under the SPD lock
 	g.mu.Unlock()
 	old.BeginDrain()
@@ -308,22 +302,12 @@ func (g *Gateway) RekeyOutbound(oldSPI, newSPI uint32, keys KeyMaterial) (*Outbo
 // ErrSaveLag, cleared by the endDrain below.
 func (g *Gateway) RevertOutbound(oldSPI, newSPI uint32) bool {
 	g.mu.Lock()
-	old := g.findOutboundLocked(oldSPI)
-	nu := g.findOutboundLocked(newSPI)
+	old, nu := g.outSPI[oldSPI], g.outSPI[newSPI]
 	if old == nil || nu == nil {
 		g.mu.Unlock()
 		return false
 	}
-	kept := g.outbound[:0]
-	for _, o := range g.outbound {
-		if o != nu {
-			kept = append(kept, o)
-		}
-	}
-	for i := len(kept); i < len(g.outbound); i++ {
-		g.outbound[i] = nil
-	}
-	g.outbound = kept
+	g.unregisterOutboundLocked(newSPI)
 	g.spd.Replace(nu, old)
 	g.mu.Unlock()
 	old.endDrain()
@@ -337,16 +321,27 @@ func (g *Gateway) RevertOutbound(oldSPI, newSPI uint32) bool {
 func (g *Gateway) findOutbound(spi uint32) *OutboundSA {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.findOutboundLocked(spi)
+	return g.outSPI[spi]
 }
 
-func (g *Gateway) findOutboundLocked(spi uint32) *OutboundSA {
-	for _, sa := range g.outbound {
-		if sa.SPI() == spi {
-			return sa
-		}
+// registerOutboundLocked records sa as registered, last in order.
+func (g *Gateway) registerOutboundLocked(sa *OutboundSA) {
+	g.outbound = append(g.outbound, sa)
+	g.outSPI[sa.SPI()] = sa
+}
+
+// unregisterOutboundLocked forgets the outbound SA for spi and returns it,
+// or nil if none is registered. Keeping the order costs a pass over the
+// registered SAs.
+func (g *Gateway) unregisterOutboundLocked(spi uint32) *OutboundSA {
+	sa := g.outSPI[spi]
+	if sa == nil {
+		return nil
 	}
-	return nil
+	delete(g.outSPI, spi)
+	i := slices.Index(g.outbound, sa)
+	g.outbound = slices.Delete(g.outbound, i, i+1)
+	return sa
 }
 
 // Outbound returns the registered outbound SA with the given SPI — the
@@ -366,11 +361,10 @@ func (g *Gateway) buildInbound(spi uint32, keys KeyMaterial, adopt bool) (*Inbou
 		return nil, fmt.Errorf("ipsec: gateway inbound %#x: %w", spi, err)
 	}
 	key := InboundKey(spi)
-	cell, err := g.claimCell(key, spi, "inbound")
+	cell, saver, err := g.claimCell(key, spi, "inbound")
 	if err != nil {
 		return nil, err
 	}
-	saver := g.pool.Saver(cell)
 	rcv, err := core.NewReceiver(core.ReceiverConfig{
 		K:             g.cfg.K,
 		W:             g.cfg.W,
@@ -382,7 +376,6 @@ func (g *Gateway) buildInbound(spi uint32, keys KeyMaterial, adopt bool) (*Inbou
 		g.releaseCell(key)
 		return nil, fmt.Errorf("ipsec: gateway inbound %#x: %w", spi, err)
 	}
-	g.registerSaver(key, saver)
 	sa, err := NewInboundSA(spi, keys, rcv, g.cfg.ESN, g.cfg.Lifetime, g.cfg.Clock)
 	if err != nil {
 		g.releaseCell(key)
@@ -626,9 +619,7 @@ func (g *Gateway) retireCell(key string) error {
 	if !owned {
 		return nil
 	}
-	if saver != nil {
-		saver.Flush()
-	}
+	saver.Flush()
 	err := g.cfg.Journal.Delete(key)
 	// A WakeAll whose snapshot predates the removal can race this path: if
 	// its FETCH runs after the tombstone it fails safely (no saved state,
@@ -637,14 +628,12 @@ func (g *Gateway) retireCell(key string) error {
 	// handle again and re-erases anything that slipped in; the wake's
 	// startSave is synchronous with its fetch, so one extra round is the
 	// realistic worst case and the loop bound is just paranoia.
-	if saver != nil {
-		for i := 0; i < 8; i++ {
-			saver.Flush()
-			if _, ok, ferr := g.cfg.Journal.Cell(key).Fetch(); ferr != nil || !ok {
-				break
-			}
-			err = g.cfg.Journal.Delete(key)
+	for i := 0; i < 8; i++ {
+		saver.Flush()
+		if _, ok, ferr := g.cfg.Journal.Cell(key).Fetch(); ferr != nil || !ok {
+			break
 		}
+		err = g.cfg.Journal.Delete(key)
 	}
 	g.cfg.Journal.ReleaseCell(key)
 	return err
@@ -679,23 +668,11 @@ func (g *Gateway) RemoveInbound(spi uint32) bool {
 // its counter and claim.
 func (g *Gateway) RemoveOutbound(spi uint32) bool {
 	g.mu.Lock()
-	var sa *OutboundSA
-	kept := g.outbound[:0]
-	for _, o := range g.outbound {
-		if o.SPI() == spi && sa == nil {
-			sa = o
-			continue
-		}
-		kept = append(kept, o)
-	}
+	sa := g.unregisterOutboundLocked(spi)
 	if sa == nil {
 		g.mu.Unlock()
 		return false
 	}
-	for i := len(kept); i < len(g.outbound); i++ {
-		g.outbound[i] = nil
-	}
-	g.outbound = kept
 	g.spd.Remove(spi)
 	g.mu.Unlock()
 	sa.BeginDrain()

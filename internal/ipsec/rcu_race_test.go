@@ -57,7 +57,8 @@ func TestRaceRCUDatapath(t *testing.T) {
 	)
 
 	// Writers: rekey the tunnel through successive generations, plus churn
-	// unrelated SAD/SPD entries so copy-on-write rebuilds overlap lookups.
+	// unrelated SAD/SPD entries so in-place fills, tombstones and the SPD's
+	// rebuilds overlap lookups.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

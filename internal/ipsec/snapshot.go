@@ -157,7 +157,7 @@ func (g *Gateway) Adopt(snap GatewaySnapshot) error {
 			g.releaseCell(OutboundKey(ob.SPI))
 			return fmt.Errorf("ipsec: adopt outbound %#x: %w", ob.SPI, store.ErrClosed)
 		}
-		g.outbound = append(g.outbound, sa)
+		g.registerOutboundLocked(sa)
 		for _, sel := range ob.Selectors {
 			g.spd.Add(sel, sa)
 		}
@@ -196,23 +196,11 @@ func (g *Gateway) Adopt(snap GatewaySnapshot) error {
 // replication stream instead. Reports whether the SA existed.
 func (g *Gateway) forgetOutbound(spi uint32) bool {
 	g.mu.Lock()
-	var sa *OutboundSA
-	kept := g.outbound[:0]
-	for _, o := range g.outbound {
-		if o.SPI() == spi && sa == nil {
-			sa = o
-			continue
-		}
-		kept = append(kept, o)
-	}
+	sa := g.unregisterOutboundLocked(spi)
 	if sa == nil {
 		g.mu.Unlock()
 		return false
 	}
-	for i := len(kept); i < len(g.outbound); i++ {
-		g.outbound[i] = nil
-	}
-	g.outbound = kept
 	g.spd.Remove(spi)
 	g.mu.Unlock()
 	sa.BeginDrain()

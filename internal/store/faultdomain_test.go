@@ -231,31 +231,31 @@ func TestJournalCompactRenameFailure(t *testing.T) {
 }
 
 // TestJournalSweepsStaleCompactTemps: a crash between CreateTemp and
-// Remove leaves an orphan; the next open must sweep it.
+// Remove leaves an orphan beside its lane log; the next OpenLanes of the
+// medium must sweep it.
 func TestJournalSweepsStaleCompactTemps(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "sa.journal")
-	j, err := openLane(path)
+	l, err := OpenLanes(dir, LanesCount(4))
 	if err != nil {
-		t.Fatalf("openLane: %v", err)
+		t.Fatalf("OpenLanes: %v", err)
 	}
-	if err := j.Cell("tx/1").Save(9); err != nil {
+	if err := l.Cell("tx/1").Save(9); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	j.Close()
-	stray := path + ".compact123456789"
+	stray := filepath.Join(dir, laneFileName(l.laneOf("tx/1"))+".compact123456789")
+	l.Close()
 	if err := os.WriteFile(stray, []byte("half a snapshot"), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	j2, err := openLane(path)
+	l2, err := OpenLanes(dir)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	defer j2.Close()
+	defer l2.Close()
 	if _, err := os.Stat(stray); !os.IsNotExist(err) {
 		t.Errorf("stale compact temp survived reopen (stat err %v)", err)
 	}
-	if v, ok, _ := j2.Cell("tx/1").Fetch(); !ok || v != 9 {
+	if v, ok, _ := l2.Cell("tx/1").Fetch(); !ok || v != 9 {
 		t.Errorf("recovered (%d, %v), want (9, true)", v, ok)
 	}
 }

@@ -241,23 +241,7 @@ func openJournal(path string, lane int, cfg *lanesConfig) (*Journal, error) {
 	if err := j.recover(); err != nil {
 		return nil, err
 	}
-	j.sweepStaleTemps()
 	return j, nil
-}
-
-// sweepStaleTemps removes compaction temp files a crash stranded next to the
-// log. Live temps are never visible here: compactLocked removes its temp on
-// every failure path, so anything matching the pattern at open time is a
-// leftover from a process that died mid-compaction — dead weight that would
-// otherwise accumulate one orphan per crash.
-func (j *Journal) sweepStaleTemps() {
-	stale, err := filepath.Glob(j.path + ".compact*")
-	if err != nil {
-		return
-	}
-	for _, p := range stale {
-		_ = j.cfg.fs.Remove(p)
-	}
 }
 
 // Key words. An SA key — "tx/xxxxxxxx" or "rx/xxxxxxxx", exactly eight

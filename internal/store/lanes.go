@@ -15,11 +15,10 @@ import (
 // independent Journals — each its own append-only CRC-framed segment with
 // its own staging buffer, elected committer, and fsync — behind one
 // cell/claim/fence surface; with LanesCount(1) it is the single-journal
-// form. Keys route to lanes by the same Fibonacci SPI hash the SAD uses for
-// its stripes, so the counters of SAs that never contend in the datapath
-// never contend in the commit path either: group commits parallelize across
-// lanes, cold-start recovery replays every lane concurrently and scales with
-// cores, and compaction stalls one lane instead of the world.
+// form. Keys route to lanes by a Fibonacci hash of the SPI: group commits
+// parallelize across lanes, cold-start recovery replays every lane
+// concurrently and scales with cores, and compaction stalls one lane
+// instead of the world.
 //
 // Durability per key is exactly its lane's — a key lives entirely in one
 // lane, so "SAVE completed" means "this record's lane fsynced it (and its
@@ -29,8 +28,7 @@ import (
 // SAs.
 
 // DefaultLaneCount is the lane count OpenLanes uses when LanesCount is not
-// given — aligned with the SAD's 64 stripes (and hashed identically), so a
-// datapath shard maps onto a commit lane one-to-one.
+// given.
 const DefaultLaneCount = 64
 
 // maxLaneCount bounds the manifest's lane count; beyond this the per-lane
@@ -208,7 +206,25 @@ func OpenLanes(dir string, opts ...LanesOption) (*Lanes, error) {
 			return nil, err
 		}
 	}
+	sweepStaleTemps(dir, cfg)
 	return &Lanes{dir: dir, lanes: lanes, laneBits: bits}, nil
+}
+
+// sweepStaleTemps removes the compaction temps a crash stranded beside the
+// lane logs. Live temps are never visible here: compactLocked removes its
+// temp on every failure path, and no lane compacts before OpenLanes
+// returns, so anything matching at open time is a leftover from a process
+// that died mid-compaction — dead weight that would otherwise accumulate
+// one orphan per crash. One glob serves every lane: each reads the whole
+// directory.
+func sweepStaleTemps(dir string, cfg *lanesConfig) {
+	stale, err := filepath.Glob(filepath.Join(dir, "lane-*.log.compact*"))
+	if err != nil {
+		return
+	}
+	for _, p := range stale {
+		_ = cfg.fs.Remove(p)
+	}
 }
 
 // readOrWriteManifest returns the directory's lane count, publishing the
@@ -281,10 +297,10 @@ func readOrWriteManifest(dir string, cfg *lanesConfig) (int, error) {
 }
 
 // laneOf routes a key to its lane. SA keys ("tx/xxxxxxxx", "rx/xxxxxxxx")
-// hash their SPI with the SAD's Fibonacci multiplier, so an SA's commit
-// lane is the same stripe its datapath admission runs on; other keys (the
-// cluster epoch, a probe cell) hash their bytes first. With one lane every
-// key maps to lane 0.
+// hash their SPI with a Fibonacci multiply, taking the top bits; other keys
+// (the cluster epoch, a probe cell) hash their bytes first. The route is
+// fixed for all time: a reopened medium finds each key's records in the lane
+// it routes to. With one lane every key maps to lane 0.
 func (l *Lanes) laneOf(key string) int {
 	if l.laneBits == 0 {
 		return 0

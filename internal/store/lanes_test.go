@@ -19,9 +19,9 @@ func overLaneCounts(t *testing.T, n int, fn func(t *testing.T, lanes int)) {
 }
 
 // TestLanesRouting pins the lane hash: deterministic, full coverage at the
-// default width, and — the property the design leans on — identical to the
-// SAD's stripe hash for SA keys, so a datapath shard and its commit lane
-// are the same stripe. With one lane every key routes to lane 0.
+// default width, and for SA keys the top bits of the SPI's Fibonacci
+// multiply, both directions of a tunnel in one lane. The route is on disk,
+// so it must never change. With one lane every key routes to lane 0.
 func TestLanesRouting(t *testing.T) {
 	overLaneCounts(t, 64, func(t *testing.T, lanes int) {
 		l, err := OpenLanes(t.TempDir(), LanesCount(lanes), LanesWithoutSync())
@@ -40,7 +40,7 @@ func TestLanesRouting(t *testing.T) {
 			// A 32-bit shift by 32 - 0 is 0 in Go, so the one-lane form is
 			// the same expression.
 			if want := int((spi * 2654435761) >> (32 - l.laneBits)); lane != want {
-				t.Fatalf("laneOf(%q) = %d, want SAD stripe %d", key, lane, want)
+				t.Fatalf("laneOf(%q) = %d, want lane %d", key, lane, want)
 			}
 			if rx := l.laneOf(fmt.Sprintf("rx/%08x", spi)); rx != lane {
 				t.Fatalf("rx lane %d != tx lane %d for SPI %#x", rx, lane, spi)
