@@ -23,9 +23,9 @@ type (
 	PoolSaver = store.PoolSaver
 	// Lanes is the durable multi-counter medium GatewayConfig.Journal and
 	// the cluster's Config take: a directory of commit-lane journals under
-	// one manifest, routed by the SAD's SPI hash, with parallel group
-	// commits and concurrent crash recovery. LanesCount(1) is the
-	// single-journal form.
+	// one manifest, routed by a hash of the SPI, committed by the saver
+	// pool's workers in parallel, and recovered concurrently.
+	// LanesCount(1) is the single-journal form.
 	Lanes = store.Lanes
 	// LanesOption configures OpenLanes.
 	LanesOption = store.LanesOption
@@ -58,7 +58,8 @@ func NewLanes(dir string, opts ...LanesOption) (*Lanes, error) {
 }
 
 // LanesCount sets the lane count for a fresh lane directory (power of two,
-// up to 1024; default 64; 1 is the single-journal form).
+// up to 1024; by default one lane per worker of a default SaverPool, 8; 1 is
+// the single-journal form).
 func LanesCount(n int) LanesOption { return store.LanesCount(n) }
 
 // LanesStrictRecovery refuses (ErrCorrupt) to open a lane whose first bad

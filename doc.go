@@ -63,9 +63,10 @@
 //
 // At gateway scale the same medium carries every SA: Lanes (NewLanes)
 // multiplexes the counters into append-only journal lanes with
-// group-committed fsyncs — one log file with LanesCount(1), 64 by default —
-// a SaverPool bounds the background-save workers, and Gateway binds a
-// lock-free SAD and SPD to both (see README.md, "Journal design notes").
+// group-committed fsyncs — one log file with LanesCount(1), by default one
+// lane per worker of a default SaverPool — a SaverPool bounds the
+// background-save workers, and Gateway binds a lock-free SAD and SPD to
+// both (see README.md, "Journal design notes").
 //
 // A Receiver left to build its own window (ReceiverConfig.Window nil) gets
 // an RFC 6479 ring of 64-bit words, and every Admit decides under the

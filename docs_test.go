@@ -3,10 +3,12 @@ package antireplay_test
 // The documentation gate as a tier-1 test: the same link check CI runs
 // (internal/tools/mdlinkcheck) plus structural assertions that keep the
 // docs wired together — README must link DESIGN.md, DESIGN.md must exist,
-// no tracked markdown file may reference files that are not there, and
-// every public name has a user.
+// no tracked markdown file may reference files that are not there, every
+// public name has a user, and the default lane count the docs state is the
+// code's.
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -15,10 +17,12 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
 	"antireplay/internal/doccheck"
+	"antireplay/internal/store"
 )
 
 var docFiles = []string{"README.md", "DESIGN.md", "CHANGES.md", "PAPER.md", "ROADMAP.md"}
@@ -51,6 +55,29 @@ func TestDesignCoversLayers(t *testing.T) {
 	for _, layer := range []string{"seqwin", "core", "store", "ipsec", "netsim", "rekey"} {
 		if !strings.Contains(string(data), layer) {
 			t.Errorf("DESIGN.md does not mention layer %q", layer)
+		}
+	}
+}
+
+// TestDocsStateDefaultLaneCount: README and DESIGN state the lane count a
+// medium opened without LanesCount gets ("default N lanes", "the default is
+// N commit lanes"), and each statement must be store.DefaultLaneCount, so a
+// change to the constant cannot leave the docs behind.
+func TestDocsStateDefaultLaneCount(t *testing.T) {
+	stated := regexp.MustCompile(`default (?:is )?(\d+) (?:commit )?lanes`)
+	for _, p := range []string{"README.md", "DESIGN.md"} {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms := stated.FindAllStringSubmatch(string(data), -1)
+		if len(ms) == 0 {
+			t.Errorf("%s states no default lane count (want %q)", p, fmt.Sprintf("default %d lanes", store.DefaultLaneCount))
+		}
+		for _, m := range ms {
+			if m[1] != strconv.Itoa(store.DefaultLaneCount) {
+				t.Errorf("%s says %q; store.DefaultLaneCount is %d", p, m[0], store.DefaultLaneCount)
+			}
 		}
 	}
 }

@@ -109,7 +109,7 @@ func installSelector(i int) Selector {
 }
 
 // BenchmarkGatewayInstall times installing n SAs into a fresh gateway over
-// a 64-lane medium without fsync: AddInbound, AddOutbound with one host
+// a default medium without fsync: AddInbound, AddOutbound with one host
 // route each, and Adopt of a snapshot of n SAs, half each way (a standby's
 // mirror). An op is one whole install; ns/SA divides it out. The 1M rows
 // skip under -short.

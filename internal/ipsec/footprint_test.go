@@ -23,7 +23,7 @@ const saHeapBudget = 1536
 
 // TestSAFootprint pins heap bytes per installed SA so the compact cell
 // representation can't silently regress. 100k inbound SAs are installed on
-// one gateway over a 64-lane medium — the ISSUE's million-SA configuration,
+// one gateway over a default medium — the million-SA configuration,
 // downscaled to keep the test seconds-long — and the before/after
 // runtime.ReadMemStats delta is divided out.
 func TestSAFootprint(t *testing.T) {

@@ -18,8 +18,8 @@ import (
 // one SA's save latency is not sized for that.
 type GatewayConfig struct {
 	// Journal is the shared durable medium for every SA's counter: one
-	// lane (store.LanesCount(1)) for a small tunnel endpoint, 64 for a
-	// million-SA gateway. Required.
+	// lane (store.LanesCount(1)) for a small tunnel endpoint, the default
+	// (one lane per pool worker) for a million-SA gateway. Required.
 	Journal *store.Lanes
 	// Pool executes the SAs' background SAVEs. Nil creates a pool of
 	// store.DefaultPoolWorkers workers owned (drained and stopped) by the
@@ -92,54 +92,53 @@ type Gateway struct {
 	// SA by SPI. Inbound SAs live only in the SAD (iterated via Range).
 	outbound []*OutboundSA
 	outSPI   map[uint32]*OutboundSA
-	// cells holds the journal keys this gateway owns (released on
-	// RemoveInbound/RemoveOutbound and Close) mapped to each key's pool
+	// cells holds the journal cells this gateway owns (released on
+	// RemoveInbound/RemoveOutbound and Close) mapped to each cell's pool
 	// handle, so removal can flush in-flight background saves before tombstoning the cell (a
 	// stale save landing after the tombstone would resurrect the retired
 	// counter). One map instead of a claim set plus a saver map: at
 	// million-SA scale the second map's per-entry overhead is real memory.
-	cells map[string]*store.PoolSaver
+	cells map[cellID]*store.PoolSaver
 }
 
-// claimCell claims the journal cell for key and records the pool handle
-// that will save it. An existing claim maps to ErrDuplicateSPI (two
-// endpoints over one cell would interleave counters); other failures — e.g.
-// a closed journal or gateway — pass through untouched. The gateway mutex
-// is held across the journal claim so a concurrent Close cannot strand a
-// claim outside the release set.
-func (g *Gateway) claimCell(key string, spi uint32, dir string) (*store.Cell, *store.PoolSaver, error) {
+// cellID is an SA's journal cell as one word: the SPI, with bit 32 set for
+// an inbound SA. The gateway keys its cells by it and formats the journal
+// key (OutboundKey, InboundKey) only where the journal takes one.
+type cellID uint64
+
+func outboundCell(spi uint32) cellID { return cellID(spi) }
+func inboundCell(spi uint32) cellID  { return 1<<32 | cellID(spi) }
+func (c cellID) key() string         { return spiKey([2]string{"tx/", "rx/"}[c>>32], uint32(c)) }
+
+// claimCell claims journal cell c and records the pool handle that will
+// save it. An existing claim maps to ErrDuplicateSPI (two endpoints over
+// one cell would interleave counters); other failures — e.g. a closed
+// journal or gateway — pass through untouched. The gateway mutex is held
+// across the journal claim so a concurrent Close cannot strand a claim
+// outside the release set.
+func (g *Gateway) claimCell(c cellID) (*store.Cell, *store.PoolSaver, error) {
+	dir := [2]string{"outbound", "inbound"}[c>>32]
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.closed {
-		return nil, nil, fmt.Errorf("ipsec: gateway %s %#x: %w", dir, spi, store.ErrClosed)
+		return nil, nil, fmt.Errorf("ipsec: gateway %s %#x: %w", dir, uint32(c), store.ErrClosed)
 	}
-	cell, err := g.cfg.Journal.ClaimCell(key)
+	cell, err := g.cfg.Journal.ClaimCell(c.key())
 	if err != nil {
 		if errors.Is(err, store.ErrCellClaimed) {
-			return nil, nil, fmt.Errorf("%w: %s %#x: %w", ErrDuplicateSPI, dir, spi, err)
+			return nil, nil, fmt.Errorf("%w: %s %#x: %w", ErrDuplicateSPI, dir, uint32(c), err)
 		}
-		return nil, nil, fmt.Errorf("ipsec: gateway %s %#x: %w", dir, spi, err)
+		return nil, nil, fmt.Errorf("ipsec: gateway %s %#x: %w", dir, uint32(c), err)
 	}
 	saver := g.pool.Saver(cell)
-	g.cells[key] = saver
+	g.cells[c] = saver
 	return cell, saver, nil
 }
 
-// releaseCell drops a claim taken by claimCell (failed registration, SA
-// removal, or a registration that lost a race with Close). The journal
-// release only happens while this gateway still owns the key: once Close
-// has taken the claim set and released it, the same key may already belong
-// to a successor gateway, and releasing it again would strip the
-// successor's exclusivity.
-func (g *Gateway) releaseCell(key string) {
-	g.mu.Lock()
-	_, owned := g.cells[key]
-	delete(g.cells, key)
-	g.mu.Unlock()
-	if owned {
-		g.cfg.Journal.ReleaseCell(key)
-	}
-}
+// releaseCell drops a claim taken by claimCell (failed registration, or a
+// registration that lost a race with Close); without a tombstone there is
+// no error to report.
+func (g *Gateway) releaseCell(c cellID) { g.retireCell(c, false) }
 
 // NewGateway validates cfg and returns an empty gateway.
 func NewGateway(cfg GatewayConfig) (*Gateway, error) {
@@ -155,7 +154,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		sad:    NewSAD(),
 		spd:    NewSPD(),
 		outSPI: make(map[uint32]*OutboundSA),
-		cells:  make(map[string]*store.PoolSaver),
+		cells:  make(map[cellID]*store.PoolSaver),
 	}
 	if g.pool == nil {
 		g.pool = store.NewSaverPool(0)
@@ -197,8 +196,8 @@ func (g *Gateway) buildOutbound(spi uint32, keys KeyMaterial, adopt bool) (*Outb
 	if err := keys.Validate(); err != nil {
 		return nil, fmt.Errorf("ipsec: gateway outbound %#x: %w", spi, err)
 	}
-	key := OutboundKey(spi)
-	cell, saver, err := g.claimCell(key, spi, "outbound")
+	c := outboundCell(spi)
+	cell, saver, err := g.claimCell(c)
 	if err != nil {
 		return nil, err
 	}
@@ -209,12 +208,12 @@ func (g *Gateway) buildOutbound(spi uint32, keys KeyMaterial, adopt bool) (*Outb
 		StrictHorizon: true,
 	})
 	if err != nil {
-		g.releaseCell(key)
+		g.releaseCell(c)
 		return nil, fmt.Errorf("ipsec: gateway outbound %#x: %w", spi, err)
 	}
 	sa, err := NewOutboundSA(spi, keys, snd, g.cfg.ESN, g.cfg.Lifetime, g.cfg.Clock)
 	if err != nil {
-		g.releaseCell(key)
+		g.releaseCell(c)
 		return nil, fmt.Errorf("ipsec: gateway outbound %#x: %w", spi, err)
 	}
 	if adopt {
@@ -248,7 +247,7 @@ func (g *Gateway) AddOutbound(spi uint32, keys KeyMaterial, sel Selector) (*Outb
 		// successor gateway can claim too. releaseCell no-ops if Close got
 		// there first.
 		g.mu.Unlock()
-		g.releaseCell(OutboundKey(spi))
+		g.releaseCell(outboundCell(spi))
 		return nil, fmt.Errorf("ipsec: gateway outbound %#x: %w", spi, store.ErrClosed)
 	}
 	g.registerOutboundLocked(sa)
@@ -282,7 +281,7 @@ func (g *Gateway) RekeyOutbound(oldSPI, newSPI uint32, keys KeyMaterial) (*Outbo
 	g.mu.Lock()
 	if g.closed {
 		g.mu.Unlock()
-		g.releaseCell(OutboundKey(newSPI))
+		g.releaseCell(outboundCell(newSPI))
 		return nil, fmt.Errorf("ipsec: rekey outbound %#x: %w", newSPI, store.ErrClosed)
 	}
 	g.registerOutboundLocked(sa)
@@ -313,7 +312,7 @@ func (g *Gateway) RevertOutbound(oldSPI, newSPI uint32) bool {
 	old.endDrain()
 	nu.BeginDrain()
 	nu.Sender().Reset()
-	g.retireCell(OutboundKey(newSPI)) //nolint:errcheck // see RemoveInbound
+	g.retireCell(outboundCell(newSPI), true) //nolint:errcheck // see removeInbound
 	return true
 }
 
@@ -360,8 +359,8 @@ func (g *Gateway) buildInbound(spi uint32, keys KeyMaterial, adopt bool) (*Inbou
 	if err := keys.Validate(); err != nil {
 		return nil, fmt.Errorf("ipsec: gateway inbound %#x: %w", spi, err)
 	}
-	key := InboundKey(spi)
-	cell, saver, err := g.claimCell(key, spi, "inbound")
+	c := inboundCell(spi)
+	cell, saver, err := g.claimCell(c)
 	if err != nil {
 		return nil, err
 	}
@@ -373,12 +372,12 @@ func (g *Gateway) buildInbound(spi uint32, keys KeyMaterial, adopt bool) (*Inbou
 		StrictHorizon: true,
 	})
 	if err != nil {
-		g.releaseCell(key)
+		g.releaseCell(c)
 		return nil, fmt.Errorf("ipsec: gateway inbound %#x: %w", spi, err)
 	}
 	sa, err := NewInboundSA(spi, keys, rcv, g.cfg.ESN, g.cfg.Lifetime, g.cfg.Clock)
 	if err != nil {
-		g.releaseCell(key)
+		g.releaseCell(c)
 		return nil, fmt.Errorf("ipsec: gateway inbound %#x: %w", spi, err)
 	}
 	if adopt {
@@ -400,7 +399,7 @@ func (g *Gateway) AddInbound(spi uint32, keys KeyMaterial) (*InboundSA, error) {
 	g.mu.Lock()
 	if g.closed {
 		g.mu.Unlock()
-		g.releaseCell(InboundKey(spi))
+		g.releaseCell(inboundCell(spi))
 		return nil, fmt.Errorf("ipsec: gateway inbound %#x: %w", spi, store.ErrClosed)
 	}
 	g.sad.Add(sa) // inside g.mu so Close cannot interleave
@@ -433,7 +432,7 @@ func (g *Gateway) RekeyInbound(oldSPI, newSPI uint32, keys KeyMaterial) (*Inboun
 	g.mu.Lock()
 	if g.closed {
 		g.mu.Unlock()
-		g.releaseCell(InboundKey(newSPI))
+		g.releaseCell(inboundCell(newSPI))
 		return nil, fmt.Errorf("ipsec: rekey inbound %#x: %w", newSPI, store.ErrClosed)
 	}
 	g.sad.Add(sa)
@@ -599,24 +598,31 @@ func (g *Gateway) snapshot() gatewaySnapshot {
 	return snap
 }
 
-// retireCell permanently disposes of an SA's journal cell. Ordering is the
-// whole function: the caller has already stopped the endpoint (Reset), so
-// no new saves can start; the pool handle is then flushed, so every save
-// already queued lands first; only then is the key erased with a
-// group-committed tombstone (the "final flush" — Delete returns once the
-// tombstone is durable) and the claim released. Skipping the flush would
-// let a straggler save drain after the tombstone and resurrect the retired
-// counter — the exact bug class removal exists to prevent. As with
-// releaseCell, disposal only runs while this gateway still owns the claim;
-// a best-effort error from the tombstone append is returned for
-// observability but the claim is released regardless (the claim map, not
-// the tombstone, guards double registration in-process).
-func (g *Gateway) retireCell(key string) error {
+// retireCell disposes of an SA's journal cell: with tombstone, permanently.
+// Ordering is the whole function: the caller has already stopped the
+// endpoint (Reset), so no new saves can start; the pool handle is then
+// flushed, so every save already queued lands first; only then is the key
+// erased with a group-committed tombstone (the "final flush" — Delete
+// returns once the tombstone is durable) and the claim released. Skipping
+// the flush would let a straggler save drain after the tombstone and
+// resurrect the retired counter — the exact bug class removal exists to
+// prevent. Disposal only runs while this gateway still owns the cell: once
+// Close has taken the claim set and released it, the same cell may already
+// belong to a successor gateway, and releasing it again would strip the
+// successor's exclusivity. A best-effort error from the tombstone append is
+// returned for observability but the claim is released regardless (the
+// claim map, not the tombstone, guards double registration in-process).
+func (g *Gateway) retireCell(c cellID, tombstone bool) error {
 	g.mu.Lock()
-	saver, owned := g.cells[key]
-	delete(g.cells, key)
+	saver, owned := g.cells[c]
+	delete(g.cells, c)
 	g.mu.Unlock()
 	if !owned {
+		return nil
+	}
+	key := c.key()
+	if !tombstone {
+		g.cfg.Journal.ReleaseCell(key)
 		return nil
 	}
 	saver.Flush()
@@ -646,16 +652,21 @@ func (g *Gateway) retireCell(key string) error {
 // a retired SA's window edge must not be resurrected for a new SA that
 // happens to reuse the SPI, since the new SA's sequence numbers restart
 // at 1 and would all fall below the old edge.
-func (g *Gateway) RemoveInbound(spi uint32) bool {
+func (g *Gateway) RemoveInbound(spi uint32) bool { return g.removeInbound(spi, true) }
+
+// removeInbound drops the inbound SA for spi from the SAD, stops it so no
+// further admission can trigger a save, and retires its cell (see
+// retireCell). Without tombstone the cell is only released: the mirror-side
+// removal of an SA retired on the primary, whose tombstone arrives through
+// replication. Reports whether the SA existed.
+func (g *Gateway) removeInbound(spi uint32, tombstone bool) bool {
 	sa, ok := g.sad.Lookup(spi)
 	if !ok || !g.sad.Delete(spi) {
 		return false
 	}
-	// Stop the endpoint so no further admission can trigger a save, then
-	// retire the cell (flush queued saves, tombstone, release).
 	sa.BeginDrain()
 	sa.Receiver().Reset()
-	g.retireCell(InboundKey(spi)) //nolint:errcheck // claim released either way; tombstone errors are journal-poisoning events the next save surfaces
+	g.retireCell(inboundCell(spi), tombstone) //nolint:errcheck // claim released either way; tombstone errors are journal-poisoning events the next save surfaces
 	return true
 }
 
@@ -666,7 +677,11 @@ func (g *Gateway) RemoveInbound(spi uint32) bool {
 // SPI afterwards starts a fresh life. After a rekey cutover the SPD no
 // longer references the old SA, so the removal is purely the retirement of
 // its counter and claim.
-func (g *Gateway) RemoveOutbound(spi uint32) bool {
+func (g *Gateway) RemoveOutbound(spi uint32) bool { return g.removeOutbound(spi, true) }
+
+// removeOutbound is removeInbound's outbound counterpart; it also removes
+// the SA's SPD entries.
+func (g *Gateway) removeOutbound(spi uint32, tombstone bool) bool {
 	g.mu.Lock()
 	sa := g.unregisterOutboundLocked(spi)
 	if sa == nil {
@@ -676,8 +691,8 @@ func (g *Gateway) RemoveOutbound(spi uint32) bool {
 	g.spd.Remove(spi)
 	g.mu.Unlock()
 	sa.BeginDrain()
-	sa.Sender().Reset()            // stop the counter so no further save can start
-	g.retireCell(OutboundKey(spi)) //nolint:errcheck // see RemoveInbound
+	sa.Sender().Reset()                        // stop the counter so no further save can start
+	g.retireCell(outboundCell(spi), tombstone) //nolint:errcheck // see removeInbound
 	return true
 }
 
@@ -699,8 +714,8 @@ func (g *Gateway) Close() error {
 	if g.ownPool {
 		g.pool.Close()
 	}
-	for key := range cells {
-		g.cfg.Journal.ReleaseCell(key)
+	for c := range cells {
+		g.cfg.Journal.ReleaseCell(c.key())
 	}
 	return nil
 }

@@ -602,13 +602,41 @@ func parkWorkers(pool *store.SaverPool) (release func()) {
 // commit, so 512 SAs over 64 lanes come back up for about one fsync per
 // lane — not one per SA — each resuming from exactly fetched + 2K.
 func TestGatewayWakeAllCommitsPerLane(t *testing.T) {
-	watchdog.Arm(t, 30*time.Second)
-	const lanes, pairs, k = 64, 256, 25
+	const lanes = 64
 	l, err := store.OpenLanes(t.TempDir(), store.LanesCount(lanes))
 	if err != nil {
 		t.Fatalf("OpenLanes: %v", err)
 	}
 	defer l.Close()
+	if got := wakeAllFsyncs(t, l); got > 2*lanes {
+		t.Errorf("waking 512 SAs over %d lanes cost %d fsyncs, want at most %d", lanes, got, 2*lanes)
+	}
+}
+
+// TestGatewayWakeAllDefaultMedium: a medium opened without LanesCount has
+// one lane per worker of a default pool, so a wake of 512 SAs over it costs
+// at most one fsync per lane, which is one per worker.
+func TestGatewayWakeAllDefaultMedium(t *testing.T) {
+	l, err := store.OpenLanes(t.TempDir())
+	if err != nil {
+		t.Fatalf("OpenLanes: %v", err)
+	}
+	defer l.Close()
+	got, lanes := wakeAllFsyncs(t, l), uint64(l.LaneCount())
+	if got > lanes || lanes > store.DefaultPoolWorkers {
+		t.Errorf("waking 512 SAs over the default %d lanes cost %d fsyncs, want at most one a lane and one a pool worker (%d)",
+			lanes, got, store.DefaultPoolWorkers)
+	}
+}
+
+// wakeAllFsyncs installs 256 SA pairs on a gateway over l with a default
+// pool, resets them all, and returns the fsyncs their WakeAll spends. The
+// pool's workers are parked until every post-wake SAVE is queued, so the
+// wake is one round a worker. Every SA must come back up at fetched + 2K.
+func wakeAllFsyncs(t *testing.T, l *store.Lanes) uint64 {
+	t.Helper()
+	watchdog.Arm(t, 30*time.Second)
+	const pairs, k = 256, 25
 	pool := store.NewSaverPool(0)
 	defer pool.Close()
 	g, err := NewGateway(GatewayConfig{Journal: l, Pool: pool, K: k, W: 64})
@@ -637,7 +665,7 @@ func TestGatewayWakeAllCommitsPerLane(t *testing.T) {
 	}
 	wg.Wait()
 	if t.Failed() {
-		return
+		t.FailNow()
 	}
 	fetched := func(key string) uint64 {
 		v, ok, err := l.Cell(key).Fetch()
@@ -649,12 +677,12 @@ func TestGatewayWakeAllCommitsPerLane(t *testing.T) {
 
 	g.ResetAll()
 	// Park every worker, start the wake, and let the workers go only once
-	// every SA's post-wake SAVE is queued: the wake is then one round each.
+	// every SA's post-wake SAVE is on a queue (the parked handles count one
+	// a worker): the wake is then one round each.
 	release := parkWorkers(pool)
-	queued := pool.SavesRequested()
 	woken := make(chan error, 1)
 	go func() { woken <- g.WakeAll() }()
-	for pool.SavesRequested() < queued+2*pairs {
+	for pool.QueueDepth() < 2*pairs+store.DefaultPoolWorkers {
 		time.Sleep(50 * time.Microsecond)
 	}
 	before := l.Syncs()
@@ -662,9 +690,7 @@ func TestGatewayWakeAllCommitsPerLane(t *testing.T) {
 	if err := <-woken; err != nil {
 		t.Fatalf("WakeAll: %v", err)
 	}
-	if got := l.Syncs() - before; got > 2*lanes {
-		t.Errorf("waking %d SAs over %d lanes cost %d fsyncs, want at most %d", 2*pairs, lanes, got, 2*lanes)
-	}
+	fsyncs := l.Syncs() - before
 	for i := 0; i < pairs; i++ {
 		spi := uint32(0x7000 + i)
 		out, _ := g.Outbound(spi)
@@ -683,6 +709,7 @@ func TestGatewayWakeAllCommitsPerLane(t *testing.T) {
 			t.Errorf("inbound %#x: Committed() = %d, durable %d, want both %d", spi, got, durable, 2*k)
 		}
 	}
+	return fsyncs
 }
 
 // wakeAllFixture is a gateway of pairs SA pairs (SPIs 0x7100+i) that has

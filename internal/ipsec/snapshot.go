@@ -121,7 +121,7 @@ func (g *Gateway) Adopt(snap GatewaySnapshot) error {
 	}
 	g.mu.Unlock()
 	for _, spi := range dropOut {
-		g.forgetOutbound(spi)
+		g.removeOutbound(spi, false)
 	}
 	var dropIn []uint32
 	g.sad.Range(func(sa *InboundSA) bool {
@@ -131,7 +131,7 @@ func (g *Gateway) Adopt(snap GatewaySnapshot) error {
 		return true
 	})
 	for _, spi := range dropIn {
-		g.forgetInbound(spi)
+		g.removeInbound(spi, false)
 	}
 
 	// Add (or update) the snapshot's SAs, preserving snapshot order so a
@@ -154,7 +154,7 @@ func (g *Gateway) Adopt(snap GatewaySnapshot) error {
 		g.mu.Lock()
 		if g.closed {
 			g.mu.Unlock()
-			g.releaseCell(OutboundKey(ob.SPI))
+			g.releaseCell(outboundCell(ob.SPI))
 			return fmt.Errorf("ipsec: adopt outbound %#x: %w", ob.SPI, store.ErrClosed)
 		}
 		g.registerOutboundLocked(sa)
@@ -181,42 +181,11 @@ func (g *Gateway) Adopt(snap GatewaySnapshot) error {
 		g.mu.Lock()
 		if g.closed {
 			g.mu.Unlock()
-			g.releaseCell(InboundKey(ib.SPI))
+			g.releaseCell(inboundCell(ib.SPI))
 			return fmt.Errorf("ipsec: adopt inbound %#x: %w", ib.SPI, store.ErrClosed)
 		}
 		g.sad.Add(sa)
 		g.mu.Unlock()
 	}
 	return nil
-}
-
-// forgetOutbound unregisters the outbound SA for spi and releases its
-// journal cell claim without tombstoning the cell — the mirror-side removal
-// for SAs retired on the primary, whose tombstone arrives through the
-// replication stream instead. Reports whether the SA existed.
-func (g *Gateway) forgetOutbound(spi uint32) bool {
-	g.mu.Lock()
-	sa := g.unregisterOutboundLocked(spi)
-	if sa == nil {
-		g.mu.Unlock()
-		return false
-	}
-	g.spd.Remove(spi)
-	g.mu.Unlock()
-	sa.BeginDrain()
-	sa.Sender().Reset() // stop the endpoint; no further saves can start
-	g.releaseCell(OutboundKey(spi))
-	return true
-}
-
-// forgetInbound is forgetOutbound's inbound counterpart.
-func (g *Gateway) forgetInbound(spi uint32) bool {
-	sa, ok := g.sad.Lookup(spi)
-	if !ok || !g.sad.Delete(spi) {
-		return false
-	}
-	sa.BeginDrain()
-	sa.Receiver().Reset()
-	g.releaseCell(InboundKey(spi))
-	return true
 }

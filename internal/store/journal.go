@@ -303,6 +303,15 @@ func wordOf[K string | []byte](j *Journal, key K) uint64 {
 	return w
 }
 
+// word is wordOf for a key whose packKey word pk a Cell holds (0: not an
+// SA key), so an SA key is parsed once per cell, not per record (mu held).
+func (j *Journal) word(key string, pk uint64) uint64 {
+	if pk != 0 {
+		return pk
+	}
+	return wordOf(j, key)
+}
+
 // appendKey appends word w's key to buf as its exact on-disk bytes (mu
 // held).
 func (j *Journal) appendKey(buf []byte, w uint64) []byte {
@@ -551,11 +560,11 @@ var framePool = sync.Pool{New: func() any {
 	return &b
 }}
 
-// append is the shared save/tombstone path (Cell.Save, Delete): stage the
+// append is the shared save/tombstone path (Cell.Save, retire): stage the
 // record, then wait until it is durable (or, without sync, written). Many
 // concurrent appends share one fsync.
-func (j *Journal) append(key string, v uint64, del bool) error {
-	seq, staged, err := j.stageRecord(key, v, del)
+func (j *Journal) append(key string, pk uint64, v uint64, del bool) error {
+	seq, staged, err := j.stageRecord(key, pk, v, del)
 	if !staged {
 		return err
 	}
@@ -567,8 +576,8 @@ func (j *Journal) append(key string, v uint64, del bool) error {
 // and map/ring bookkeeping: no CRC, no syscall, no allocation — and returns
 // the record's commit sequence number without waiting for durability. staged
 // is false when nothing was staged: an error, or a tombstone for a key with
-// no durable state (a no-op).
-func (j *Journal) stageRecord(key string, v uint64, del bool) (seq uint64, staged bool, err error) {
+// no durable state (a no-op). pk is key's packKey word, or 0.
+func (j *Journal) stageRecord(key string, pk uint64, v uint64, del bool) (seq uint64, staged bool, err error) {
 	if len(key) == 0 || len(key) > journalMaxKey {
 		return 0, false, fmt.Errorf("%w: length %d", ErrBadKey, len(key))
 	}
@@ -576,7 +585,7 @@ func (j *Journal) stageRecord(key string, v uint64, del bool) (seq uint64, stage
 	rec := appendRecord((*bp)[:0], key, v, del)
 	j.mu.Lock()
 	if err = j.usableLocked(); err == nil {
-		w := wordOf(j, key)
+		w := j.word(key, pk)
 		if _, seen := j.vals[w]; seen || !del {
 			seq, staged = j.stageLocked(w, key, v, del, rec), true
 		}
@@ -970,70 +979,49 @@ func (j *Journal) compactLocked() error {
 	return nil
 }
 
-// fetch returns the recovered/saved value for key.
-func (j *Journal) fetch(key string) (uint64, bool, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return 0, false, ErrClosed
-	}
-	v, ok := j.vals[wordOf(j, key)]
-	return v, ok, nil
+// Cell is one key of a Journal, seen through the Store interface. Lanes.Cell
+// parses the key once: pk is an SA key's word, or 0 for any other key, whose
+// word is interned under the lane mutex on first use (word).
+type Cell struct {
+	j   *Journal
+	key string
+	pk  uint64
 }
 
-// Cell returns a Store view of one key: core.Sender and core.Receiver take
-// it as their durable store, sharing the journal's single fsync stream with
-// every other cell.
-func (j *Journal) Cell(key string) *Cell { return &Cell{j: j, key: key} }
-
-// ClaimCell returns the cell for key after registering an exclusive
-// in-process claim on it. A second ClaimCell for the same key fails with
-// ErrCellClaimed until ReleaseCell: the journal's key namespace is global,
-// so two endpoints writing one cell would interleave counters — claims make
-// that a refusal instead of silent sequence reuse. (Cross-process exclusion
-// is the caller's concern, as with any store file.)
-func (j *Journal) ClaimCell(key string) (*Cell, error) {
+// claim registers the exclusive in-process claim on the cell's key; see
+// Lanes.ClaimCell.
+func (c *Cell) claim() (*Cell, error) {
+	j := c.j
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
 		return nil, ErrClosed
 	}
-	w := wordOf(j, key)
+	w := j.word(c.key, c.pk)
 	if j.claims[w] {
-		return nil, fmt.Errorf("%w: %q", ErrCellClaimed, key)
+		return nil, fmt.Errorf("%w: %q", ErrCellClaimed, c.key)
 	}
 	j.claims[w] = true
-	return &Cell{j: j, key: key}, nil
+	return c, nil
 }
 
-// ReleaseCell drops the exclusive claim on key, if held.
-func (j *Journal) ReleaseCell(key string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	delete(j.claims, wordOf(j, key))
+// release drops the claim on the cell's key, if held.
+func (c *Cell) release() {
+	c.j.mu.Lock()
+	defer c.j.mu.Unlock()
+	delete(c.j.claims, c.j.word(c.key, c.pk))
 }
 
-// Delete durably retires key: a tombstone record is appended and
-// group-committed, the key disappears from fetches and from the next
-// compaction, and a later save under the same key starts a fresh counter
-// life. This is the disposal half of an SA's journal cell — a removed or
-// rekeyed-away SA must not leave a counter behind for a re-established SPI
-// to resurrect. Deleting a key with no durable state is a no-op; any
-// in-process claim on the key is untouched (release it separately).
-func (j *Journal) Delete(key string) error { return j.append(key, 0, true) }
-
-// Cell is one key of a Journal, seen through the Store interface.
-type Cell struct {
-	j   *Journal
-	key string
-}
+// retire appends and commits a tombstone for the cell's key; see
+// Lanes.Delete.
+func (c *Cell) retire() error { return c.j.append(c.key, c.pk, 0, true) }
 
 var _ Store = (*Cell)(nil)
 var _ Stager = (*Cell)(nil)
 
 // Save durably appends v to the journal under the cell's key: Stage, then
 // WaitDurable.
-func (c *Cell) Save(v uint64) error { return c.j.append(c.key, v, false) }
+func (c *Cell) Save(v uint64) error { return c.j.append(c.key, c.pk, v, false) }
 
 // Stage appends v's record to the lane's staging buffer and returns its
 // commit sequence number without waiting for the record to be durable; the
@@ -1041,7 +1029,7 @@ func (c *Cell) Save(v uint64) error { return c.j.append(c.key, v, false) }
 // several cells stages them all and then waits for each, so one write and
 // one fsync per lane cover the lot (SaverPool's rounds).
 func (c *Cell) Stage(v uint64) (seq uint64, err error) {
-	seq, _, err = c.j.stageRecord(c.key, v, false)
+	seq, _, err = c.j.stageRecord(c.key, c.pk, v, false)
 	return seq, err
 }
 
@@ -1050,7 +1038,15 @@ func (c *Cell) Stage(v uint64) (seq uint64, err error) {
 func (c *Cell) WaitDurable(seq uint64) error { return c.j.waitDurable(seq) }
 
 // Fetch returns the cell's recovered or last saved value.
-func (c *Cell) Fetch() (uint64, bool, error) { return c.j.fetch(c.key) }
+func (c *Cell) Fetch() (uint64, bool, error) {
+	c.j.mu.Lock()
+	defer c.j.mu.Unlock()
+	if c.j.closed {
+		return 0, false, ErrClosed
+	}
+	v, ok := c.j.vals[c.j.word(c.key, c.pk)]
+	return v, ok, nil
+}
 
 // Lane returns the index of the commit lane this cell persists into.
 // SaverPool routes handles by this value, so all of one lane's background

@@ -20,6 +20,16 @@ func openLane(path string, opts ...LanesOption) (*Journal, error) {
 	return openJournal(path, 0, newLanesConfig(opts))
 }
 
+// A lane's per-key surface, for the suites that drive one lane directly;
+// a medium's keys go through Lanes, which routes them.
+func (j *Journal) Cell(key string) *Cell {
+	pk, _ := packKey(key)
+	return &Cell{j: j, key: key, pk: pk}
+}
+func (j *Journal) ClaimCell(key string) (*Cell, error) { return j.Cell(key).claim() }
+func (j *Journal) ReleaseCell(key string)              { j.Cell(key).release() }
+func (j *Journal) Delete(key string) error             { return j.Cell(key).retire() }
+
 func journalAt(t *testing.T, opts ...LanesOption) *Journal {
 	t.Helper()
 	j, err := openLane(filepath.Join(t.TempDir(), "sa.journal"), opts...)

@@ -15,10 +15,11 @@ import (
 // independent Journals — each its own append-only CRC-framed segment with
 // its own staging buffer, elected committer, and fsync — behind one
 // cell/claim/fence surface; with LanesCount(1) it is the single-journal
-// form. Keys route to lanes by a Fibonacci hash of the SPI: group commits
-// parallelize across lanes, cold-start recovery replays every lane
-// concurrently and scales with cores, and compaction stalls one lane
-// instead of the world.
+// form. Keys route to lanes by a Fibonacci hash of the SPI. Each lane is one
+// fsync stream, and a SaverPool drives each lane from one worker, so the
+// pool's workers, not the lanes, set how many group commits run at once.
+// Cold-start recovery replays every lane concurrently, and compaction stalls
+// one lane instead of the world.
 //
 // Durability per key is exactly its lane's — a key lives entirely in one
 // lane, so "SAVE completed" means "this record's lane fsynced it (and its
@@ -28,8 +29,11 @@ import (
 // SAs.
 
 // DefaultLaneCount is the lane count OpenLanes uses when LanesCount is not
-// given.
-const DefaultLaneCount = 64
+// given: one lane per worker of a default SaverPool. A worker commits its
+// lanes one after another, so a lane beyond the workers adds no commit
+// concurrency, only one more fsync a round; fewer lanes would leave workers
+// idle and grow each lane's fault domain, replay and compaction.
+const DefaultLaneCount = DefaultPoolWorkers
 
 // maxLaneCount bounds the manifest's lane count; beyond this the per-lane
 // fixed costs (file descriptors, staging slabs) dwarf any batching win.
@@ -296,25 +300,25 @@ func readOrWriteManifest(dir string, cfg *lanesConfig) (int, error) {
 	}
 }
 
-// laneOf routes a key to its lane. SA keys ("tx/xxxxxxxx", "rx/xxxxxxxx")
-// hash their SPI with a Fibonacci multiply, taking the top bits; other keys
-// (the cluster epoch, a probe cell) hash their bytes first. The route is
-// fixed for all time: a reopened medium finds each key's records in the lane
-// it routes to. With one lane every key maps to lane 0.
-func (l *Lanes) laneOf(key string) int {
+// route returns key's lane and key's packKey word (0 when key is not an SA
+// key), parsing the key once for both. SA keys ("tx/xxxxxxxx",
+// "rx/xxxxxxxx") hash their SPI with a Fibonacci multiply, taking the top
+// bits; other keys (the cluster epoch, a probe cell) hash their bytes first.
+// The route is fixed for all time: a reopened medium finds each key's
+// records in the lane it routes to. With one lane every key maps to lane 0.
+func (l *Lanes) route(key string) (lane int, pk uint64) {
+	pk, _ = packKey(key)
 	if l.laneBits == 0 {
-		return 0
+		return 0, pk
 	}
-	var h uint32
-	if pk, ok := packKey(key); ok {
-		h = uint32(pk)
-	} else {
+	h := uint32(pk)
+	if pk == 0 {
 		h = 2166136261 // FNV-1a over the key bytes
 		for i := 0; i < len(key); i++ {
 			h = (h ^ uint32(key[i])) * 16777619
 		}
 	}
-	return int((h * 2654435761) >> (32 - l.laneBits))
+	return int((h * 2654435761) >> (32 - l.laneBits)), pk
 }
 
 // LaneCount returns the number of commit lanes.
@@ -327,17 +331,27 @@ func (l *Lanes) LaneJournals() []*Journal { return l.lanes }
 // Path returns the manifest directory.
 func (l *Lanes) Path() string { return l.dir }
 
-// Cell returns a Store view of one key in its lane; see Journal.Cell.
-func (l *Lanes) Cell(key string) *Cell { return l.lanes[l.laneOf(key)].Cell(key) }
+// Cell returns key's cell in its lane: the Store core.Sender and
+// core.Receiver take as their durable store.
+func (l *Lanes) Cell(key string) *Cell {
+	lane, pk := l.route(key)
+	return &Cell{j: l.lanes[lane], key: key, pk: pk}
+}
 
-// ClaimCell claims key's cell in its lane; see Journal.ClaimCell.
-func (l *Lanes) ClaimCell(key string) (*Cell, error) { return l.lanes[l.laneOf(key)].ClaimCell(key) }
+// ClaimCell returns key's cell under an exclusive in-process claim: until
+// ReleaseCell, another claim fails with ErrCellClaimed, since two endpoints
+// writing one cell would interleave counters. (Cross-process exclusion is
+// the caller's concern, as with any store file.)
+func (l *Lanes) ClaimCell(key string) (*Cell, error) { return l.Cell(key).claim() }
 
-// ReleaseCell drops the claim on key, if held; see Journal.ReleaseCell.
-func (l *Lanes) ReleaseCell(key string) { l.lanes[l.laneOf(key)].ReleaseCell(key) }
+// ReleaseCell drops the claim on key, if held.
+func (l *Lanes) ReleaseCell(key string) { l.Cell(key).release() }
 
-// Delete durably retires key in its lane; see Journal.Delete.
-func (l *Lanes) Delete(key string) error { return l.lanes[l.laneOf(key)].Delete(key) }
+// Delete durably retires key: a group-committed tombstone erases it from
+// fetches and the next compaction, and a later save starts a fresh counter
+// life, so a re-established SPI cannot resume a retired SA's counter.
+// Deleting a key with no durable state is a no-op; a claim is untouched.
+func (l *Lanes) Delete(key string) error { return l.Cell(key).retire() }
 
 // Values merges every lane's live state. Keys are disjoint across lanes
 // (routing is deterministic), so the merge is a plain union.

@@ -18,6 +18,12 @@ func overLaneCounts(t *testing.T, n int, fn func(t *testing.T, lanes int)) {
 	}
 }
 
+// laneOf is key's lane alone, the form the tests compare.
+func (l *Lanes) laneOf(key string) int {
+	lane, _ := l.route(key)
+	return lane
+}
+
 // TestLanesRouting pins the lane hash: deterministic, full coverage at the
 // default width, and for SA keys the top bits of the SPI's Fibonacci
 // multiply, both directions of a tunnel in one lane. The route is on disk,
@@ -152,6 +158,66 @@ func TestLanesManifestAuthoritative(t *testing.T) {
 	}
 	if v, ok, err := l2.Cell("tx/0000beef").Fetch(); err != nil || !ok || v != 7 {
 		t.Fatalf("Fetch = (%d, %v, %v), want (7, true, nil)", v, ok, err)
+	}
+}
+
+// TestLanesOldDefaultReopens: a medium written at 64 lanes, the default
+// before DefaultLaneCount became one lane per pool worker, reopens without
+// options at its recorded 64 lanes with every value, and a key it has never
+// seen lands in the lane the 64-lane hash names.
+func TestLanesOldDefaultReopens(t *testing.T) {
+	const oldDefault, keys = 64, 1024
+	if DefaultLaneCount == oldDefault {
+		t.Fatalf("DefaultLaneCount is %d: the reopen would not tell the manifest from the default", oldDefault)
+	}
+	dir := t.TempDir()
+	l, err := OpenLanes(dir, LanesCount(oldDefault), LanesWithoutSync())
+	if err != nil {
+		t.Fatalf("OpenLanes: %v", err)
+	}
+	want := map[string]uint64{"cluster/epoch": 3}
+	used := make(map[int]bool)
+	for spi := uint32(1); spi <= keys; spi++ {
+		want[fmt.Sprintf("tx/%08x", spi)] = uint64(spi) << 8
+		want[fmt.Sprintf("rx/%08x", spi)] = uint64(spi)<<8 | 1
+		used[l.laneOf(fmt.Sprintf("tx/%08x", spi))] = true
+	}
+	if len(used) != oldDefault {
+		t.Fatalf("%d SPIs hit %d of %d lanes", keys, len(used), oldDefault)
+	}
+	for key, v := range want {
+		if err := l.Cell(key).Save(v); err != nil {
+			t.Fatalf("Save %s: %v", key, err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	l2, err := OpenLanes(dir)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer l2.Close()
+	if got := l2.LaneCount(); got != oldDefault {
+		t.Fatalf("LaneCount = %d, want the manifest's %d", got, oldDefault)
+	}
+	for key, v := range want {
+		if got, ok, err := l2.Cell(key).Fetch(); err != nil || !ok || got != v {
+			t.Errorf("Fetch %s = (%d, %v, %v), want (%d, true, nil)", key, got, ok, err, v)
+		}
+	}
+	spi := uint32(0x00abcdef)
+	lane := int((spi * 2654435761) >> (32 - 6))
+	key := fmt.Sprintf("rx/%08x", spi)
+	if err := l2.Cell(key).Save(9); err != nil {
+		t.Fatalf("Save %s: %v", key, err)
+	}
+	if got := l2.Cell(key).Lane(); got != lane {
+		t.Errorf("%s routes to lane %d, want the 64-lane hash's %d", key, got, lane)
+	}
+	if v, ok := l2.LaneJournals()[lane].Values()[key]; !ok || v != 9 {
+		t.Errorf("lane %d holds %s = (%d, %v), want (9, true)", lane, key, v, ok)
 	}
 }
 
