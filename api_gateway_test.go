@@ -121,11 +121,11 @@ func TestJournalConstructorsReturnUpOrError(t *testing.T) {
 				// The second round is the claim check: a failed
 				// constructor must have released the key.
 				snd, err := antireplay.NewJournalSender(j, "tx", k, pool)
-				if !errors.Is(err, store.ErrInjected) || errors.Is(err, antireplay.ErrCellClaimed) || snd != nil {
+				if !errors.Is(err, storefault.ErrInjected) || errors.Is(err, antireplay.ErrCellClaimed) || snd != nil {
 					t.Fatalf("NewJournalSender #%d over a failing disk: sender = %v, err = %v; want none and the injected error", i+1, snd != nil, err)
 				}
 				rcv, err := antireplay.NewJournalReceiver(j, "rx", k, 64, pool)
-				if !errors.Is(err, store.ErrInjected) || errors.Is(err, antireplay.ErrCellClaimed) || rcv != nil {
+				if !errors.Is(err, storefault.ErrInjected) || errors.Is(err, antireplay.ErrCellClaimed) || rcv != nil {
 					t.Fatalf("NewJournalReceiver #%d over a failing disk: receiver = %v, err = %v; want none and the injected error", i+1, rcv != nil, err)
 				}
 			}

@@ -17,8 +17,4 @@ var (
 	ErrCorrupt = store.ErrCorrupt
 	// ErrSaverClosed reports a save on a closed SaverPool.
 	ErrSaverClosed = store.ErrClosed
-	// ErrSaveRetriesExhausted wraps the final error of a save the
-	// SaverPool's bounded retry gave up on; the SA then stalls at its
-	// durable horizon instead of advancing on unsaved state.
-	ErrSaveRetriesExhausted = store.ErrSaveRetriesExhausted
 )

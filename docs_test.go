@@ -101,7 +101,7 @@ var signatureNeeded = []struct{ why, names string }{
 		ErrDown ErrDuplicateSPI ErrHardExpired ErrIKEAuthFailed ErrIKEBadMessage
 		ErrIKERekeyBinding ErrKeySize ErrNoPolicy ErrNoSavedState ErrPromoted
 		ErrRekeyUnknownTunnel ErrRolloverInProgress
-		ErrSaveRetriesExhausted ErrSaverClosed ErrSeqExhausted ErrShortPacket
+		ErrSaverClosed ErrSeqExhausted ErrShortPacket
 		ErrTailLagged ErrUnknownSPI ErrWaking ErrWireClosed ErrWireNoDatagram
 		ErrWireTooLarge`},
 	{"enum constants stay with their type, all values or none", `

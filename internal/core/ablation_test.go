@@ -19,15 +19,14 @@ import (
 // clears the numbers used before the crash.
 func TestLyingStorageBreaksTheLeapBound(t *testing.T) {
 	const k = 5
-	var m store.Mem
-	f := store.NewFaulty(&m)
+	f := &brokenMem{}
 	sv := &core.HeldSaver{Store: f}
 	s := mustSender(t, core.SenderConfig{K: k, Store: f, Saver: sv})
 
 	sendN(t, s, k) // SAVE(6)
 	sv.CommitAll()
 	// From here on, storage acknowledges but drops every write.
-	f.LoseSaves(1000)
+	f.lying = true
 	sendN(t, s, 4*k) // several "successful" saves, none durable
 	lastUsed := uint64(5 * k)
 
@@ -45,7 +44,7 @@ func TestLyingStorageBreaksTheLeapBound(t *testing.T) {
 		t.Fatalf("expected the lying storage to break the bound, but resume %d > last used %d — "+
 			"the ablation no longer demonstrates the durability requirement", resume, lastUsed)
 	}
-	if got := f.LostSaves(); got == 0 {
+	if f.lost == 0 {
 		t.Fatal("no saves were lost; the fault injection is broken")
 	}
 }

@@ -41,6 +41,35 @@ func sendN(t *testing.T, s *core.Sender, n int) uint64 {
 	return last
 }
 
+// errFetch is what brokenMem's failing Fetches return.
+var errFetch = errors.New("injected fetch fault")
+
+// brokenMem is a store.Mem whose next failFetches Fetches fail with
+// errFetch, and which acknowledges Saves without persisting them while
+// lying is set, counting them in lost. Its users save synchronously.
+type brokenMem struct {
+	store.Mem
+	failFetches int
+	lying       bool
+	lost        int
+}
+
+func (b *brokenMem) Fetch() (uint64, bool, error) {
+	if b.failFetches > 0 {
+		b.failFetches--
+		return 0, false, errFetch
+	}
+	return b.Mem.Fetch()
+}
+
+func (b *brokenMem) Save(v uint64) error {
+	if b.lying {
+		b.lost++
+		return nil
+	}
+	return b.Mem.Save(v)
+}
+
 func TestSenderConfigValidation(t *testing.T) {
 	var m store.Mem
 	tests := []struct {
@@ -329,17 +358,16 @@ func TestSenderDoubleResetAfterPostWakeSaveCommitted(t *testing.T) {
 }
 
 func TestSenderWakeFetchFailureStaysDown(t *testing.T) {
-	var m store.Mem
-	f := store.NewFaulty(&m)
+	f := &brokenMem{}
 	s := mustSender(t, core.SenderConfig{K: 5, Store: f})
 	s.Reset()
-	f.CorruptFetches(1)
+	f.failFetches = 1
 	s.Wake()
 	if got := s.State(); got != core.StateDown {
 		t.Fatalf("State = %v, want down after fetch failure", got)
 	}
-	if err := s.LastWakeError(); !errors.Is(err, store.ErrInjected) {
-		t.Errorf("LastWakeError = %v, want wrapped ErrInjected", err)
+	if err := s.LastWakeError(); !errors.Is(err, errFetch) {
+		t.Errorf("LastWakeError = %v, want wrapped errFetch", err)
 	}
 	// A later wake with healthy storage succeeds.
 	s.Wake()

@@ -303,17 +303,16 @@ func TestReceiverDoubleResetBeforePostWakeSave(t *testing.T) {
 }
 
 func TestReceiverWakeFetchFailure(t *testing.T) {
-	var m store.Mem
-	f := store.NewFaulty(&m)
+	f := &brokenMem{}
 	r := mustReceiver(t, core.ReceiverConfig{K: 5, Store: f})
 	r.Reset()
-	f.CorruptFetches(1)
+	f.failFetches = 1
 	r.Wake()
 	if got := r.State(); got != core.StateDown {
 		t.Fatalf("State = %v, want down", got)
 	}
-	if err := r.LastWakeError(); !errors.Is(err, store.ErrInjected) {
-		t.Errorf("LastWakeError = %v, want wrapped ErrInjected", err)
+	if err := r.LastWakeError(); !errors.Is(err, errFetch) {
+		t.Errorf("LastWakeError = %v, want wrapped errFetch", err)
 	}
 	r.Wake()
 	if got := r.State(); got != core.StateUp {

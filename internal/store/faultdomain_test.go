@@ -29,41 +29,51 @@ func faultyJournalAt(t *testing.T, opts ...LanesOption) (*Journal, *storefault.I
 	return j, in
 }
 
-// TestJournalFsyncPoison is the fsyncgate regression: ONE failed fsync
-// must poison the journal — every later save fails with the original
-// error, the durability watermark never advances past the failure, and no
-// later "successful" sync may launder it.
+// TestJournalFsyncPoison is the fsyncgate regression: ONE failed write or
+// fsync must poison the journal. Once the fault's budget is spent the disk
+// would "work" again, yet every later save fails with the original error
+// and no sync runs: retrying could succeed over holes the failure left.
+// That is why nothing above a cell retries a failed save.
 func TestJournalFsyncPoison(t *testing.T) {
-	j, in := faultyJournalAt(t)
-	defer j.Close()
-	c := j.Cell("tx/1")
-	if err := c.Save(7); err != nil {
-		t.Fatalf("clean Save: %v", err)
-	}
-
-	in.Arm(storefault.Fault{Op: storefault.OpSync, Count: 1, Err: syscall.EIO})
-	err := c.Save(8)
-	if !errors.Is(err, syscall.EIO) {
-		t.Fatalf("Save under failed fsync = %v, want EIO", err)
-	}
-	if perr := j.poisoned(); !errors.Is(perr, syscall.EIO) {
-		t.Fatalf("Poisoned() = %v, want the EIO", perr)
-	}
-
-	// The fault budget is spent: the disk would now "work" again. The
-	// journal must refuse anyway — retrying the sync could succeed over
-	// holes the failed fsync left.
-	atFailure := j.stats().Syncs
-	for i := 0; i < 3; i++ {
-		if err := c.Save(uint64(9 + i)); !errors.Is(err, syscall.EIO) {
-			t.Fatalf("Save after poison = %v, want the original EIO", err)
-		}
-	}
-	if err := j.Cell("tx/2").Save(1); !errors.Is(err, syscall.EIO) {
-		t.Fatalf("Save on a sibling cell after poison = %v, want the original EIO", err)
-	}
-	if got := j.stats().Syncs; got != atFailure {
-		t.Errorf("Syncs() grew %d -> %d after poison: a sync was retried", atFailure, got)
+	for _, tc := range []struct {
+		name  string
+		fault storefault.Fault
+	}{
+		{"sync EIO", storefault.Fault{Op: storefault.OpSync, Count: 1, Err: syscall.EIO}},
+		{"sync ENOSPC", storefault.Fault{Op: storefault.OpSync, Count: 1, Err: syscall.ENOSPC}},
+		{"write EIO", storefault.Fault{Op: storefault.OpWrite, Count: 1, Err: syscall.EIO}},
+		{"torn write", storefault.Fault{Op: storefault.OpWrite, Count: 1, Err: syscall.EIO, Short: 5}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			j, in := faultyJournalAt(t)
+			defer j.Close()
+			c := j.Cell("tx/1")
+			if err := c.Save(7); err != nil {
+				t.Fatalf("clean Save: %v", err)
+			}
+			in.Arm(tc.fault)
+			if err := c.Save(8); !errors.Is(err, tc.fault.Err) {
+				t.Fatalf("Save under the fault = %v, want %v", err, tc.fault.Err)
+			}
+			if perr := j.poisoned(); !errors.Is(perr, tc.fault.Err) {
+				t.Fatalf("poisoned() = %v, want %v", perr, tc.fault.Err)
+			}
+			atFailure := j.stats().Syncs
+			for i := 0; i < 3; i++ {
+				if err := c.Save(uint64(9 + i)); !errors.Is(err, tc.fault.Err) {
+					t.Fatalf("Save after poison = %v, want the original %v", err, tc.fault.Err)
+				}
+			}
+			if err := j.Cell("tx/2").Save(1); !errors.Is(err, tc.fault.Err) {
+				t.Fatalf("Save on a sibling cell after poison = %v, want the original %v", err, tc.fault.Err)
+			}
+			if got := j.stats().Syncs; got != atFailure {
+				t.Errorf("Syncs grew %d -> %d after poison: a sync was retried", atFailure, got)
+			}
+			if in.Fired() != 1 {
+				t.Errorf("injector fired %d times, want 1", in.Fired())
+			}
+		})
 	}
 }
 
@@ -426,54 +436,6 @@ func TestLanesRepairLane(t *testing.T) {
 	}
 }
 
-// TestPoolRetryTransient: a transient save failure is retried within the
-// budget and succeeds without surfacing an error.
-func TestPoolRetryTransient(t *testing.T) {
-	watchdog.Arm(t, 10*time.Second)
-	p := NewSaverPool(1)
-	defer p.Close()
-	f := NewFaulty(new(Mem))
-	f.FailSaves(1)
-	s := p.Saver(f)
-	errc := make(chan error, 1)
-	s.StartSave(42, func(err error) { errc <- err })
-	if err := <-errc; err != nil {
-		t.Fatalf("retried save surfaced %v, want nil", err)
-	}
-	if v, ok, _ := f.Fetch(); !ok || v != 42 {
-		t.Errorf("Fetch = (%d, %v), want (42, true)", v, ok)
-	}
-	if p.SaveRetries() == 0 {
-		t.Error("SaveRetries() = 0, want > 0")
-	}
-	if p.SaveGiveUps() != 0 {
-		t.Errorf("SaveGiveUps() = %d, want 0", p.SaveGiveUps())
-	}
-}
-
-// TestPoolRetryExhaustion: a failure outlasting the budget surfaces
-// ErrSaveRetriesExhausted wrapping the last underlying error.
-func TestPoolRetryExhaustion(t *testing.T) {
-	watchdog.Arm(t, 10*time.Second)
-	p := NewSaverPool(1)
-	defer p.Close()
-	f := NewFaulty(new(Mem))
-	f.FailSaves(100)
-	s := p.Saver(f)
-	errc := make(chan error, 1)
-	s.StartSave(42, func(err error) { errc <- err })
-	err := <-errc
-	if !errors.Is(err, ErrSaveRetriesExhausted) {
-		t.Fatalf("err = %v, want ErrSaveRetriesExhausted", err)
-	}
-	if !errors.Is(err, ErrInjected) {
-		t.Fatalf("err = %v, want the underlying ErrInjected preserved", err)
-	}
-	if p.SaveGiveUps() != 1 {
-		t.Errorf("SaveGiveUps() = %d, want 1", p.SaveGiveUps())
-	}
-}
-
 // TestPoolPoisonedFailsFast: a poisoned lane is a permanent failure — no
 // retry may re-sync it, and the original error comes back unwrapped.
 func TestPoolPoisonedFailsFast(t *testing.T) {
@@ -492,66 +454,6 @@ func TestPoolPoisonedFailsFast(t *testing.T) {
 	err := <-errc
 	if !errors.Is(err, syscall.EIO) {
 		t.Fatalf("err = %v, want the lane's EIO", err)
-	}
-	if errors.Is(err, ErrSaveRetriesExhausted) {
-		t.Fatal("poisoned-lane save was retried to exhaustion; must fail fast")
-	}
-	if p.SaveRetries() != 0 {
-		t.Errorf("SaveRetries() = %d, want 0 (no retry into a poisoned lane)", p.SaveRetries())
-	}
-}
-
-// TestFaultyReadFaults covers the consolidated read-path injection: fail,
-// corrupt (matching both sentinels), and latency — which slows saves too,
-// the slow medium the pool tests borrow.
-func TestFaultyReadFaults(t *testing.T) {
-	f := NewFaulty(new(Mem))
-	if err := f.Save(7); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	f.FailFetches(1)
-	if _, _, err := f.Fetch(); !errors.Is(err, ErrInjected) {
-		t.Fatalf("failed fetch = %v, want ErrInjected", err)
-	}
-	f.CorruptFetches(1)
-	_, _, err := f.Fetch()
-	if !errors.Is(err, ErrCorrupt) || !errors.Is(err, ErrInjected) {
-		t.Fatalf("corrupt fetch = %v, want both ErrCorrupt and ErrInjected", err)
-	}
-	if v, ok, err := f.Fetch(); err != nil || !ok || v != 7 {
-		t.Fatalf("clean fetch = (%d, %v, %v), want (7, true, nil)", v, ok, err)
-	}
-	f.SetLatency(2 * time.Millisecond)
-	start := time.Now()
-	if _, _, err := f.Fetch(); err != nil {
-		t.Fatalf("latent fetch: %v", err)
-	}
-	if d := time.Since(start); d < 2*time.Millisecond {
-		t.Errorf("latent fetch took %v, want >= 2ms", d)
-	}
-	start = time.Now()
-	if err := f.Save(9); err != nil {
-		t.Fatalf("latent save: %v", err)
-	}
-	if d := time.Since(start); d < 2*time.Millisecond {
-		t.Errorf("latent save took %v, want >= 2ms", d)
-	}
-	f.SetLatency(0)
-	if v, ok, err := f.Fetch(); err != nil || !ok || v != 9 {
-		t.Errorf("fetch after the latent save = (%d, %v, %v), want (9, true, nil)", v, ok, err)
-	}
-}
-
-// TestErrInjectedSharedSentinel: the store-level and file-level injection
-// vocabularies share one sentinel, so assertions compose across layers.
-func TestErrInjectedSharedSentinel(t *testing.T) {
-	if !errors.Is(ErrInjected, storefault.ErrInjected) {
-		t.Fatal("store.ErrInjected is not storefault.ErrInjected")
-	}
-	in := storefault.NewInjector(nil)
-	in.Arm(storefault.Fault{Op: storefault.OpRead})
-	if _, err := in.ReadFile(filepath.Join(t.TempDir(), "nope")); !errors.Is(err, ErrInjected) {
-		t.Fatalf("injected read = %v, want ErrInjected through the store alias", err)
 	}
 }
 

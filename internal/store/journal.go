@@ -1054,8 +1054,7 @@ func (c *Cell) Fetch() (uint64, bool, error) {
 func (c *Cell) Lane() int { return c.j.lane }
 
 // Poisoned returns the sticky I/O error that quarantined the cell's lane, or
-// nil. SaverPool uses it to fail a save into a poisoned lane fast instead of
-// retrying a sync whose page-cache state is undefined.
+// nil; every save into the lane fails with it until the lane is repaired.
 func (c *Cell) Poisoned() error { return c.j.poisoned() }
 
 // Close waits for any in-flight group commit, commits whatever is still

@@ -315,7 +315,7 @@ func TestLanesManifestCrash(t *testing.T) {
 			dir := t.TempDir()
 			in := storefault.NewInjector(nil)
 			in.Arm(fault)
-			if _, err := OpenLanes(dir, LanesCount(4), LanesWithFS(in)); !errors.Is(err, ErrInjected) {
+			if _, err := OpenLanes(dir, LanesCount(4), LanesWithFS(in)); !errors.Is(err, storefault.ErrInjected) {
 				t.Fatalf("OpenLanes under %s = %v, want ErrInjected", name, err)
 			}
 			if data, err := os.ReadFile(filepath.Join(dir, laneManifestName)); err == nil && len(data) != laneManifestLen {

@@ -1,12 +1,8 @@
 package store
 
 import (
-	"errors"
-	"fmt"
-	"math/rand/v2"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // SaverPool executes background SAVEs — the paper's "& SAVE(s) {SAVE(s)
@@ -22,7 +18,7 @@ import (
 // The pool is sharded: each worker owns a private queue, and a handle is
 // pinned to one shard for its lifetime. Journal cells report their commit
 // lane (Cell.Lane) and route by it, so a lane only ever sees one saver;
-// every other store (Mem, wrappers) round-robins.
+// every other store (Mem) round-robins.
 //
 // A worker runs in rounds. It swaps out its whole queue, takes each handle's
 // coalesced maximum and stages it (Cell.Stage: a memcpy under the lane
@@ -34,8 +30,13 @@ import (
 // work, not one per handle — a gateway's wake-up, which queues every SA's
 // post-wake SAVE at once, pays about one fsync per lane — and SAVEs that
 // arrive while the worker is inside an fsync share the next one. A worker
-// still commits its lanes one after another. Stores that cannot stage (Mem,
-// wrappers) take the same loop through saveStager.
+// still commits its lanes one after another. Stores that cannot stage (Mem)
+// take the same loop through saveStager.
+//
+// The pool does not retry a failed save: the callbacks get the store's error
+// as it is, once. A cell's errors are permanent (closed, fenced, a bad key, a
+// poisoned lane), and the paper's own retry is the endpoint's: a failed save
+// rolls its lst back, so the next trigger saves again.
 type SaverPool struct {
 	shards []poolShard
 	rr     atomic.Uint32 // round-robin cursor for handles over stores that are not cells
@@ -46,68 +47,6 @@ type SaverPool struct {
 	// pool's coalescing win — saves absorbed into a later write.
 	requested atomic.Uint64
 	persisted atomic.Uint64
-	// retries counts additional Save attempts after a transient failure;
-	// giveUps counts batches whose whole retry budget failed — each one
-	// surfaced to the callbacks as ErrSaveRetriesExhausted, stalling that
-	// SA at its durable horizon until the medium recovers.
-	retries atomic.Uint64
-	giveUps atomic.Uint64
-}
-
-// The pool's retry of transiently failing saves: a batch's Save is attempted
-// up to saveAttempts times total, sleeping a jittered, exponentially growing
-// delay (starting at saveRetryBase, capped at saveRetryMax) between attempts.
-// Permanent failures — a closed or fenced store, or a poisoned journal lane
-// (which must never see a retried sync reported as success) — are returned
-// immediately, unwrapped. A retry budget that runs out returns the last
-// error wrapped in ErrSaveRetriesExhausted. A couple of quick retries absorb
-// blips (a transient EINTR-class error, a store mid-reopen) without
-// materially delaying the worker, while anything longer-lived fails fast
-// enough that the SA's horizon stall — the paper's bounded-degradation
-// answer — takes over.
-const (
-	saveAttempts  = 3
-	saveRetryBase = 200 * time.Microsecond
-	saveRetryMax  = 5 * time.Millisecond
-)
-
-// poisoner is implemented by stores backed by a journal lane that can be
-// poisoned by an I/O failure; see Cell.Poisoned.
-type poisoner interface{ Poisoned() error }
-
-// permanentSaveErr reports whether err from st cannot be cured by retrying:
-// retrying a closed/fenced store is pointless, and retrying into a poisoned
-// lane is forbidden outright — after a failed fsync the medium's page-cache
-// state is undefined, so a retried sync could "succeed" over holes.
-func permanentSaveErr(st Store, err error) bool {
-	if errors.Is(err, ErrClosed) || errors.Is(err, ErrFenced) {
-		return true
-	}
-	if pz, ok := st.(poisoner); ok && pz.Poisoned() != nil {
-		return true
-	}
-	return false
-}
-
-// retrySave applies the pool's retry policy to a save of v into st whose
-// first attempt returned err.
-func (p *SaverPool) retrySave(st Store, v uint64, err error) error {
-	if err == nil || permanentSaveErr(st, err) {
-		return err
-	}
-	delay := saveRetryBase
-	for attempt := 1; attempt < saveAttempts; attempt++ {
-		p.retries.Add(1)
-		// Full jitter around the nominal delay so a burst of failing
-		// handles does not re-converge on the medium in lockstep.
-		time.Sleep(delay/2 + time.Duration(rand.Int64N(int64(delay/2)+1)))
-		delay = min(2*delay, saveRetryMax)
-		if err = st.Save(v); err == nil || permanentSaveErr(st, err) {
-			return err
-		}
-	}
-	p.giveUps.Add(1)
-	return fmt.Errorf("%w (%d attempts): %w", ErrSaveRetriesExhausted, saveAttempts, err)
 }
 
 // poolShard is one worker's private queue.
@@ -160,7 +99,7 @@ func (p *SaverPool) Saver(st Store) *PoolSaver {
 	} else {
 		shard = int(p.rr.Add(1)-1) % len(p.shards)
 	}
-	s := &PoolSaver{p: p, sh: &p.shards[shard], st: st}
+	s := &PoolSaver{p: p, sh: &p.shards[shard]}
 	if s.sg, _ = st.(Stager); s.sg == nil {
 		s.sg = saveStager{st}
 	}
@@ -175,13 +114,6 @@ func (p *SaverPool) SavesRequested() uint64 { return p.requested.Load() }
 // SavesPersisted returns how many coalesced writes reached the stores.
 // SavesRequested minus SavesPersisted is the coalescing win.
 func (p *SaverPool) SavesPersisted() uint64 { return p.persisted.Load() }
-
-// SaveRetries returns how many extra Save attempts transient failures cost.
-func (p *SaverPool) SaveRetries() uint64 { return p.retries.Load() }
-
-// SaveGiveUps returns how many batches exhausted their whole retry budget
-// (each surfaced as ErrSaveRetriesExhausted).
-func (p *SaverPool) SaveGiveUps() uint64 { return p.giveUps.Load() }
 
 // QueueDepth returns how many handles currently have unpersisted work
 // across all shards, queued or in a worker's current round — the backlog a
@@ -230,8 +162,7 @@ func (b saveBatch) done(err error) {
 type PoolSaver struct {
 	p  *SaverPool
 	sh *poolShard
-	st Store
-	sg Stager // st itself, or saveStager{st}
+	sg Stager // the store itself, or saveStager{store}
 
 	mu      sync.Mutex
 	idle    *sync.Cond // broadcast when active clears (Flush waiters)
@@ -291,12 +222,12 @@ func (s *PoolSaver) fail(err error) {
 }
 
 // roundSave is one handle's share of a worker round: the batch taken off the
-// handle, its maximum, and the staged record's sequence number or the error
-// staging returned.
+// handle and the staged record's sequence number, or the error staging or
+// waiting returned.
 type roundSave struct {
-	batch  saveBatch
-	v, seq uint64
-	err    error
+	batch saveBatch
+	seq   uint64
+	err   error
 }
 
 // worker runs the shard's rounds. Only it takes handles off the queue and a
@@ -329,8 +260,7 @@ func (p *SaverPool) worker(sh *poolShard) {
 			rs := roundSave{batch: h.pending}
 			h.pending = nil
 			h.mu.Unlock()
-			rs.v = rs.batch.max()
-			rs.seq, rs.err = h.sg.Stage(rs.v)
+			rs.seq, rs.err = h.sg.Stage(rs.batch.max())
 			round = append(round, rs)
 		}
 		p.persisted.Add(uint64(len(handles)))
@@ -340,7 +270,7 @@ func (p *SaverPool) worker(sh *poolShard) {
 			if rs.err == nil {
 				rs.err = h.sg.WaitDurable(rs.seq)
 			}
-			rs.batch.done(p.retrySave(h.st, rs.v, rs.err))
+			rs.batch.done(rs.err)
 
 			// The shard is updated inside the handle's lock (nothing takes
 			// the two the other way round), so QueueDepth never counts a

@@ -116,8 +116,7 @@ func TestPoolManyHandles(t *testing.T) {
 func TestPoolCloseDrains(t *testing.T) {
 	watchdog.Arm(t, 10*time.Second)
 	p := NewSaverPool(1)
-	slow := NewFaulty(&Mem{})
-	slow.SetLatency(2 * time.Millisecond)
+	slow := &slowStore{}
 	var calls atomic.Uint64
 	for h := 0; h < 10; h++ {
 		p.Saver(slow).StartSave(uint64(h+1), func(error) { calls.Add(1) })
@@ -245,6 +244,31 @@ func (g *gateStore) Save(v uint64) error {
 	return g.Mem.Save(v)
 }
 
+// slowStore is a Mem whose every save takes a couple of milliseconds.
+type slowStore struct{ Mem }
+
+func (s *slowStore) Save(v uint64) error {
+	time.Sleep(2 * time.Millisecond)
+	return s.Mem.Save(v)
+}
+
+// sickStore is a Mem whose saves fail with err, persisting nothing, while
+// err is set; it counts every Save attempt. A test changes err only while
+// no save is in flight.
+type sickStore struct {
+	Mem
+	err      error
+	attempts int
+}
+
+func (s *sickStore) Save(v uint64) error {
+	s.attempts++
+	if s.err != nil {
+		return s.err
+	}
+	return s.Mem.Save(v)
+}
+
 // holdWorkers parks all n workers of p inside a round and returns the
 // function that lets them go. Lane-less handles round-robin over the shards,
 // so n of them reach n workers as long as every lane-less handle p ever
@@ -326,8 +350,7 @@ func TestPoolQueueDepthCountsRound(t *testing.T) {
 // TestPoolRoundPoisonedLane: one round spans a lane whose fsync fails and
 // healthy lanes. Every handle of the sick lane — staged before the failure
 // or, in a later round, refused at staging — fails with the lane's original
-// error, unwrapped and without a single retry or a second fsync; the healthy
-// lanes' handles complete.
+// error, unwrapped; the healthy lanes' handles complete.
 func TestPoolRoundPoisonedLane(t *testing.T) {
 	watchdog.Arm(t, 10*time.Second)
 	in := storefault.NewInjector(nil)
@@ -381,10 +404,6 @@ func TestPoolRoundPoisonedLane(t *testing.T) {
 				}
 			}
 		}
-	}
-	if p.SaveRetries() != 0 || p.SaveGiveUps() != 0 {
-		t.Errorf("retries = %d, give-ups = %d, want 0 and 0: a poisoned lane fails fast",
-			p.SaveRetries(), p.SaveGiveUps())
 	}
 	if in.Fired() != 1 {
 		t.Errorf("injector fired %d times, want 1", in.Fired())
@@ -485,43 +504,49 @@ func TestPoolCloseDuringRound(t *testing.T) {
 	}
 }
 
-// TestPoolRoundRetriesTransient: inside a round of several handles a
-// transient failure still gets the pool's retry attempts, and a failure
-// that outlasts them surfaces ErrSaveRetriesExhausted over the cause,
-// without disturbing the round's other handles.
-func TestPoolRoundRetriesTransient(t *testing.T) {
+// TestPoolSurfacesSaveError: the pool does not retry. A failing store is
+// tried once and every callback of its batch gets the store's own error,
+// once; a healthy handle in the same round completes, and the failing
+// handle's next save goes through once the store heals — the retry is the
+// endpoint's next trigger, not the pool's.
+func TestPoolSurfacesSaveError(t *testing.T) {
 	watchdog.Arm(t, 10*time.Second)
 	p := NewSaverPool(1)
 	defer p.Close()
-	const attempts = saveAttempts
-	blip, dead, fine := NewFaulty(&Mem{}), NewFaulty(&Mem{}), &Mem{}
-	blip.FailSaves(attempts - 1)
-	dead.FailSaves(1 << 20)
+	errSick := errors.New("sick store")
+	sick, fine := &sickStore{err: errSick}, &Mem{}
 
+	const batch = 3
+	var got [batch]error
+	var calls [batch]atomic.Int32
 	release := holdWorkers(t, p, 1)
-	errs := make([]chan error, 3)
-	for i, st := range []Store{blip, dead, fine} {
-		c := make(chan error, 1)
-		errs[i] = c
-		p.Saver(st).StartSave(9, func(err error) { c <- err })
+	s := p.Saver(sick)
+	for i := range batch {
+		s.StartSave(uint64(i+1), func(err error) { got[i] = err; calls[i].Add(1) })
 	}
+	fineErr := make(chan error, 1)
+	p.Saver(fine).StartSave(9, func(err error) { fineErr <- err })
 	release()
-	if err := <-errs[0]; err != nil {
-		t.Errorf("transient failure surfaced %v, want nil after %d attempts", err, attempts)
-	}
-	if err := <-errs[1]; !errors.Is(err, ErrSaveRetriesExhausted) || !errors.Is(err, ErrInjected) {
-		t.Errorf("dead store: err = %v, want ErrSaveRetriesExhausted over ErrInjected", err)
-	}
-	if err := <-errs[2]; err != nil {
+	if err := <-fineErr; err != nil {
 		t.Errorf("healthy store in the same round: %v", err)
 	}
-	if v, ok, _ := blip.Fetch(); !ok || v != 9 {
-		t.Errorf("retried store = (%d, %v), want (9, true)", v, ok)
+	s.Flush()
+	for i := range batch {
+		if n := calls[i].Load(); n != 1 || got[i] != errSick {
+			t.Errorf("callback %d ran %d times with %v, want once with the store's own error", i, n, got[i])
+		}
 	}
-	if got, want := p.SaveRetries(), uint64(2*(attempts-1)); got != want {
-		t.Errorf("SaveRetries() = %d, want %d", got, want)
+	if n := sick.attempts; n != 1 {
+		t.Errorf("Save attempted %d times, want 1: the pool retried", n)
 	}
-	if p.SaveGiveUps() != 1 {
-		t.Errorf("SaveGiveUps() = %d, want 1", p.SaveGiveUps())
+
+	sick.err = nil
+	done := make(chan error, 1)
+	s.StartSave(4, func(err error) { done <- err })
+	if err := <-done; err != nil {
+		t.Fatalf("save after the store healed: %v", err)
+	}
+	if v, ok := sick.Peek(); !ok || v != 4 {
+		t.Errorf("healed store holds (%d, %v), want (4, true)", v, ok)
 	}
 }

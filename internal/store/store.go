@@ -13,34 +13,21 @@
 // single-journal form), each cell seen as a Store through Cell.
 //
 // SaverPool runs the paper's "& SAVE(s) executed in background" for any
-// number of stores on bounded workers, and Faulty injects faults and
-// latency at the Store level for the failure-mode tests.
+// number of stores on bounded workers. Faults are injected one layer down,
+// in the file layer (storefault.Injector), not around a Store.
 package store
 
 import (
 	"errors"
 	"sync"
-
-	"antireplay/internal/storefault"
 )
 
-// Sentinel errors returned by stores and wrappers.
+// Sentinel errors returned by stores.
 var (
 	// ErrCorrupt reports that the persisted record failed validation.
 	ErrCorrupt = errors.New("store: corrupt record")
 	// ErrClosed reports use of a closed saver.
 	ErrClosed = errors.New("store: closed")
-	// ErrInjected is the default error produced by fault injection. It is
-	// the same value as storefault.ErrInjected, so the toy single-cell
-	// Faulty wrapper and the file-layer fault schedules
-	// (storefault.Injector) share one injection vocabulary: a test can
-	// errors.Is against either name whichever layer injected the failure.
-	ErrInjected = storefault.ErrInjected
-	// ErrSaveRetriesExhausted reports that the saver pool's bounded retry
-	// budget ran out without a successful save; the last underlying error is
-	// wrapped alongside it. The affected SA stalls at its durable horizon
-	// (core.ErrSaveLag) until saves succeed again.
-	ErrSaveRetriesExhausted = errors.New("store: save retries exhausted")
 	// ErrBadKey reports an empty or over-long journal key.
 	ErrBadKey = errors.New("store: bad journal key")
 	// ErrCellClaimed reports a ClaimCell on a journal key another owner in

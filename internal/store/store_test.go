@@ -1,7 +1,6 @@
 package store
 
 import (
-	"errors"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -76,57 +75,5 @@ func TestMemSaveFetchRoundtripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestFaultyFailSaves(t *testing.T) {
-	var m Mem
-	f := NewFaulty(&m)
-	f.FailSaves(2)
-	if err := f.Save(1); !errors.Is(err, ErrInjected) {
-		t.Errorf("Save 1 = %v, want ErrInjected", err)
-	}
-	if err := f.Save(2); !errors.Is(err, ErrInjected) {
-		t.Errorf("Save 2 = %v, want ErrInjected", err)
-	}
-	if err := f.Save(3); err != nil {
-		t.Errorf("Save 3 = %v, want nil", err)
-	}
-	v, ok := m.Peek()
-	if !ok || v != 3 {
-		t.Errorf("Peek = (%d, %v), want (3, true)", v, ok)
-	}
-}
-
-func TestFaultyLoseSaves(t *testing.T) {
-	var m Mem
-	f := NewFaulty(&m)
-	if err := f.Save(1); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	f.LoseSaves(1)
-	if err := f.Save(2); err != nil {
-		t.Errorf("lost Save should report success, got %v", err)
-	}
-	v, _, _ := f.Fetch()
-	if v != 1 {
-		t.Errorf("Fetch = %d, want stale 1 (save was lost)", v)
-	}
-	if f.LostSaves() != 1 {
-		t.Errorf("LostSaves = %d, want 1", f.LostSaves())
-	}
-}
-
-func TestFaultyCorruptFetches(t *testing.T) {
-	var m Mem
-	_ = m.Save(9)
-	f := NewFaulty(&m)
-	f.CorruptFetches(1)
-	if _, _, err := f.Fetch(); !errors.Is(err, ErrInjected) {
-		t.Errorf("Fetch = %v, want ErrInjected", err)
-	}
-	v, ok, err := f.Fetch()
-	if err != nil || !ok || v != 9 {
-		t.Errorf("second Fetch = (%d, %v, %v), want (9, true, nil)", v, ok, err)
 	}
 }

@@ -71,6 +71,4 @@ func (p *SaverPool) CollectTelemetry(emit telemetry.Emit) {
 	emit("queue_depth", telemetry.KindGauge, float64(p.QueueDepth()))
 	emit("saves_requested_total", telemetry.KindCounter, float64(p.SavesRequested()))
 	emit("saves_persisted_total", telemetry.KindCounter, float64(p.SavesPersisted()))
-	emit("save_retries_total", telemetry.KindCounter, float64(p.SaveRetries()))
-	emit("save_give_ups_total", telemetry.KindCounter, float64(p.SaveGiveUps()))
 }

@@ -19,9 +19,7 @@ import (
 	"runtime"
 )
 
-// ErrInjected is the default error produced by fault injection. The store
-// package aliases it (store.ErrInjected), so the toy single-cell Faulty
-// wrapper and the file-layer Injector share one injection vocabulary.
+// ErrInjected is the error a Fault with no Err of its own injects.
 var ErrInjected = errors.New("store: injected fault")
 
 // File is the os.File-shaped surface the store's media actually use: the
