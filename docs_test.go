@@ -82,6 +82,39 @@ func TestDocsStateDefaultLaneCount(t *testing.T) {
 	}
 }
 
+// TestDocsStateDefaultCompactAt: README and DESIGN state the log size at
+// which a lane compacts ("64 KiB (`store.DefaultCompactAt`)", "compacts at
+// 64 KiB"), and each statement must be store.DefaultCompactAt, so a change
+// to the constant cannot leave the docs behind.
+func TestDocsStateDefaultCompactAt(t *testing.T) {
+	size, name := `(\d+) ([KM])iB`, "`(?:store\\.)?DefaultCompactAt`"
+	stated := regexp.MustCompile(size + ` \(` + name + `\)|` + name + ` \(` + size + `\)|compacts at ` + size)
+	for _, p := range []string{"README.md", "DESIGN.md"} {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms := stated.FindAllStringSubmatch(string(data), -1)
+		if len(ms) == 0 {
+			t.Errorf("%s states no compaction threshold (want %d KiB (`store.DefaultCompactAt`))", p, store.DefaultCompactAt>>10)
+		}
+		for _, m := range ms {
+			for i := 1; i < len(m); i += 2 {
+				if m[i] == "" {
+					continue
+				}
+				n, _ := strconv.Atoi(m[i])
+				if m[i+1] == "M" {
+					n <<= 10
+				}
+				if n<<10 != store.DefaultCompactAt {
+					t.Errorf("%s says %q; store.DefaultCompactAt is %d KiB", p, m[0], store.DefaultCompactAt>>10)
+				}
+			}
+		}
+	}
+}
+
 // signatureNeeded lists the public names that nothing outside the package
 // spells as antireplay.<Name> and that stay all the same, one reason a
 // group. A name not used by examples/, bench/, example_test.go, README.md,

@@ -68,3 +68,36 @@ func BenchmarkPoolOfOneThroughput(b *testing.B) {
 	}
 	p.Close()
 }
+
+// BenchmarkOpenLanes measures a cold start's replay: reopening a default
+// medium whose 2,048 SA keys were each saved 50 times. "live" wrote it with
+// the default compaction threshold, so frames/op is what a reopen replays;
+// "history" wrote it with compaction off, so every save is replayed and
+// ns/frame is the replay loop's cost per frame.
+func BenchmarkOpenLanes(b *testing.B) {
+	for _, bb := range []struct {
+		name      string
+		compactAt int64
+	}{
+		{"live", DefaultCompactAt},
+		{"history", 0},
+	} {
+		b.Run(bb.name, func(b *testing.B) {
+			dir := b.TempDir()
+			fillLanes(b, dir, 2048, 50, LanesCompactAt(bb.compactAt))
+			var frames uint64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				l, err := OpenLanes(dir, LanesWithoutSync())
+				if err != nil {
+					b.Fatal(err)
+				}
+				frames += l.RecoveryStats().FramesReplayed
+				l.Close()
+			}
+			b.ReportMetric(float64(frames)/float64(b.N), "frames/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(frames), "ns/frame")
+		})
+	}
+}

@@ -33,16 +33,18 @@ func faultyJournalAt(t *testing.T, opts ...LanesOption) (*Journal, *storefault.I
 // fsync must poison the journal. Once the fault's budget is spent the disk
 // would "work" again, yet every later save fails with the original error
 // and no sync runs: retrying could succeed over holes the failure left.
-// That is why nothing above a cell retries a failed save.
+// That is why nothing above a cell retries a failed save. Syncs counts the
+// fsyncs issued: the failed one in a sync row, none when the write failed.
 func TestJournalFsyncPoison(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		fault storefault.Fault
+		syncs uint64 // fsyncs the failing commit issues
 	}{
-		{"sync EIO", storefault.Fault{Op: storefault.OpSync, Count: 1, Err: syscall.EIO}},
-		{"sync ENOSPC", storefault.Fault{Op: storefault.OpSync, Count: 1, Err: syscall.ENOSPC}},
-		{"write EIO", storefault.Fault{Op: storefault.OpWrite, Count: 1, Err: syscall.EIO}},
-		{"torn write", storefault.Fault{Op: storefault.OpWrite, Count: 1, Err: syscall.EIO, Short: 5}},
+		{"sync EIO", storefault.Fault{Op: storefault.OpSync, Count: 1, Err: syscall.EIO}, 1},
+		{"sync ENOSPC", storefault.Fault{Op: storefault.OpSync, Count: 1, Err: syscall.ENOSPC}, 1},
+		{"write EIO", storefault.Fault{Op: storefault.OpWrite, Count: 1, Err: syscall.EIO}, 0},
+		{"torn write", storefault.Fault{Op: storefault.OpWrite, Count: 1, Err: syscall.EIO, Short: 5}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			j, in := faultyJournalAt(t)
@@ -52,8 +54,12 @@ func TestJournalFsyncPoison(t *testing.T) {
 				t.Fatalf("clean Save: %v", err)
 			}
 			in.Arm(tc.fault)
+			before := j.stats().Syncs
 			if err := c.Save(8); !errors.Is(err, tc.fault.Err) {
 				t.Fatalf("Save under the fault = %v, want %v", err, tc.fault.Err)
+			}
+			if got := j.stats().Syncs - before; got != tc.syncs {
+				t.Errorf("the failed commit counted %d fsyncs, want %d", got, tc.syncs)
 			}
 			if perr := j.poisoned(); !errors.Is(perr, tc.fault.Err) {
 				t.Fatalf("poisoned() = %v, want %v", perr, tc.fault.Err)

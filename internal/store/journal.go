@@ -53,8 +53,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 func journalCRC(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 
 // DefaultCompactAt is the log size, in bytes, at which a lane compacts
-// itself to one record per key.
-const DefaultCompactAt = 1 << 20
+// itself to one record per key (once the log is also twice its snapshot), so
+// a reopen replays at most this much history or twice the live state.
+const DefaultCompactAt = 64 << 10
 
 // Journal is one commit lane of a Lanes medium, and exists only as that: one
 // append-only, CRC-framed log file multiplexing the named counters of every
@@ -272,19 +273,32 @@ func packKey[K string | []byte](k K) (uint64, bool) {
 		return 0, false
 	}
 	var spi uint64
+	var bad byte
 	for i := 3; i < spiKeyLen; i++ {
-		c := k[i]
-		switch {
-		case c >= '0' && c <= '9':
-			spi = spi<<4 | uint64(c-'0')
-		case c >= 'a' && c <= 'f':
-			spi = spi<<4 | uint64(c-'a'+10)
-		default:
-			return 0, false
-		}
+		d := unhex[k[i]]
+		bad |= d
+		spi = spi<<4 | uint64(d&0xf)
+	}
+	if bad&badHex != 0 {
+		return 0, false
 	}
 	return packedMark | pk | spi, true
 }
+
+// unhex maps a lowercase hex digit to its value and any other byte to
+// badHex, so packKey's digit loop has no branch for a random SPI to
+// mispredict.
+var unhex = func() (t [256]byte) {
+	for i := range t {
+		t[i] = badHex
+	}
+	for i := 0; i < len(hexDigits); i++ {
+		t[hexDigits[i]] = byte(i)
+	}
+	return t
+}()
+
+const badHex = 0x10 // above every digit's value
 
 // wordOf returns key's word in j, interning a named key on first use (mu
 // held). Looking up a []byte key allocates nothing, so replay materializes
@@ -380,11 +394,11 @@ func (j *Journal) recover() error {
 	// LanesStrictRecovery instead refuses the open (ErrCorrupt), for
 	// deployments that want a human in the loop before trusting a medium
 	// that damaged an acknowledged record.
-	if len(data) > 64*journalFrameOverhead {
-		// Presize for replay: SA frames are spiKeyLen-keyed, so the frame
-		// count is close to size/(overhead+spiKeyLen); duplicates per key
-		// only make this an overestimate, which is what a presize wants.
-		j.vals = make(map[uint64]uint64, len(data)/(journalFrameOverhead+spiKeyLen))
+	if len(data) > 64*minRecordLen {
+		// Presize for replay by the frame count, as if every frame were an
+		// SA key's: compaction keeps a log past DefaultCompactAt under twice
+		// its snapshot, so a large lane's frames are at most twice its keys.
+		j.vals = make(map[uint64]uint64, len(data)/(minRecordLen+spiKeyLen))
 	}
 	off := journalHeaderLen
 	for off < len(data) {
@@ -483,12 +497,8 @@ func appendHeader(buf []byte) []byte {
 }
 
 // minRecordLen is the size of a frame with an empty key (which save()
-// rejects, so every real frame is larger); journalFrameOverhead is the
-// same quantity read as "frame bytes that are not key bytes".
-const (
-	minRecordLen         = 2 + 8 + 4
-	journalFrameOverhead = minRecordLen
-)
+// rejects, so every real frame is larger).
+const minRecordLen = 2 + 8 + 4
 
 // frameLen is the encoded size of a (non-tombstone) frame for key; every
 // save record of one key has the same size, which keeps the snapshot-size
@@ -845,9 +855,6 @@ func (j *Journal) commitBatchLocked() {
 	j.spare = nil // owned by this commit until it completes
 	target := j.appendSeq
 	f := j.f
-	if j.cfg.sync {
-		j.counts.Syncs++
-	}
 	j.mu.Unlock()
 
 	var werr error
@@ -861,6 +868,9 @@ func (j *Journal) commitBatchLocked() {
 	}
 
 	j.mu.Lock()
+	if syncStep {
+		j.counts.Syncs++ // issued, whatever it returned
+	}
 	j.syncing = false
 	j.spare = buf[:0]
 	if werr == nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -175,8 +176,11 @@ func TestTailSurvivesCompaction(t *testing.T) {
 // renamed over the log, and the parent directory fsynced — without the final
 // directory sync a power loss can roll the directory entry back to the old
 // (now-deleted) inode after compaction already reported the state durable.
+// The filesystem records each step, so a skipped fsync shows even where the
+// Syncs counter still counts it.
 func TestJournalCompactionDirFsync(t *testing.T) {
-	j, err := openLane(filepath.Join(t.TempDir(), "j.log"), LanesCompactAt(256))
+	rec := &opRecorder{FS: storefault.OS()}
+	j, err := openLane(filepath.Join(t.TempDir(), "j.log"), LanesCompactAt(256), LanesWithFS(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,6 +203,31 @@ func TestJournalCompactionDirFsync(t *testing.T) {
 			}
 		}
 	}
+	ops := rec.ops()
+	renamed := -1
+	var tmp string
+	for i, op := range ops {
+		if op.kind == "rename" && op.to == j.path {
+			renamed, tmp = i, op.path
+		}
+	}
+	if renamed < 0 {
+		t.Fatalf("compaction renamed nothing over the log: %v", ops)
+	}
+	synced := false
+	for _, op := range ops[:renamed] {
+		synced = synced || op == (fsOp{kind: "sync", path: tmp})
+	}
+	if !synced {
+		t.Errorf("temp file %s not fsynced before its rename: %v", tmp, ops)
+	}
+	dirSynced := false
+	for _, op := range ops[renamed+1:] {
+		dirSynced = dirSynced || op == (fsOp{kind: "syncdir", path: filepath.Dir(j.path)})
+	}
+	if !dirSynced {
+		t.Errorf("parent directory not fsynced after the rename: %v", ops)
+	}
 
 	// And the compacted state must actually be what a reopen recovers.
 	last := j.Values()["x"]
@@ -213,6 +242,64 @@ func TestJournalCompactionDirFsync(t *testing.T) {
 	if v, ok, _ := j2.Cell("x").Fetch(); !ok || v != last {
 		t.Fatalf("reopen after compaction: x = %d,%v, want %d,true", v, ok, last)
 	}
+}
+
+// opRecorder is a filesystem that records every file fsync, rename and
+// directory fsync, in order.
+type opRecorder struct {
+	storefault.FS
+	mu  sync.Mutex
+	log []fsOp
+}
+
+type fsOp struct{ kind, path, to string }
+
+func (r *opRecorder) add(op fsOp) {
+	r.mu.Lock()
+	r.log = append(r.log, op)
+	r.mu.Unlock()
+}
+
+func (r *opRecorder) ops() []fsOp {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]fsOp(nil), r.log...)
+}
+
+func (r *opRecorder) OpenFile(name string, flag int, perm os.FileMode) (storefault.File, error) {
+	f, err := r.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return recordedFile{f, r}, nil
+}
+
+func (r *opRecorder) CreateTemp(dir, pattern string) (storefault.File, error) {
+	f, err := r.FS.CreateTemp(dir, pattern)
+	if err != nil {
+		return nil, err
+	}
+	return recordedFile{f, r}, nil
+}
+
+func (r *opRecorder) Rename(oldpath, newpath string) error {
+	r.add(fsOp{kind: "rename", path: oldpath, to: newpath})
+	return r.FS.Rename(oldpath, newpath)
+}
+
+func (r *opRecorder) SyncDir(dir string) error {
+	r.add(fsOp{kind: "syncdir", path: dir})
+	return r.FS.SyncDir(dir)
+}
+
+type recordedFile struct {
+	storefault.File
+	r *opRecorder
+}
+
+func (f recordedFile) Sync() error {
+	f.r.add(fsOp{kind: "sync", path: f.Name()})
+	return f.File.Sync()
 }
 
 func TestSyncFollowerGatesSaves(t *testing.T) {
