@@ -15,7 +15,7 @@ type (
 	// StandbyConfig configures a Standby.
 	StandbyConfig = cluster.Config
 	// ReplicationStats reports a standby's replication progress: applied
-	// records, snapshot loads, and the instantaneous lag in records.
+	// records and the instantaneous lag in records.
 	ReplicationStats = cluster.ReplicationStats
 	// JournalTail is a cursor over one lane's committed record stream —
 	// the shipping half of journal replication (snapshot-then-tail).
@@ -40,16 +40,12 @@ var (
 	// ErrClusterFenced reports a replication stream refused because its
 	// source's epoch is below the local journal's.
 	ErrClusterFenced = cluster.ErrFenced
-	// ErrTailLagged reports a tailing reader that fell behind the
-	// journal's retained record window and must resynchronize by
-	// snapshot-then-tail.
-	ErrTailLagged = store.ErrTailLagged
 	// ErrPromoted reports use of a standby that has already taken over.
 	ErrPromoted = cluster.ErrPromoted
 )
 
 // NewStandby builds a cluster standby: the tail is attached to the source
-// journal and registered as its sync follower (the primary's saves then
+// journal as its sync follower (the primary's saves then
 // complete only once the standby has applied them — replication becomes
 // part of the durability contract), and a warm gateway image is created
 // over the follower journal. Call Start to begin replication, Mirror to

@@ -30,8 +30,8 @@ var (
 
 // ListenWireUDP opens a UDP endpoint ("" listens on loopback) whose links
 // carry RFC 3948-style UDP-encapsulated ESP: raw ESP demultiplexed by SPI,
-// IKE control behind the four-zero non-ESP marker, single-byte NAT-T
-// keepalives on idle.
+// IKE control behind the four-zero non-ESP marker; a peer's single-byte
+// NAT-T keepalives are absorbed and counted.
 func ListenWireUDP(addr string, cfg UDPWireConfig) (*UDPEndpoint, error) {
 	return wire.ListenUDP(addr, cfg)
 }

@@ -44,33 +44,11 @@ func BenchmarkParallelAdmission(b *testing.B) {
 // tail-buffer shift per record; the pipeline stages into reused slabs and
 // writes once per elected batch — 0 allocs/op and >= 3x the throughput.
 func BenchmarkJournalAppendParallel(b *testing.B) {
-	benchJournalAppend(b, false)
-}
-
-// BenchmarkJournalAppendLaggingFollower is BenchmarkJournalAppendParallel
-// with an attached tail that never reads: the retained record window stays
-// permanently full, so every append exercises the ring's trim path. With
-// the old slice-based buffer each overflow memmoved the whole retained
-// window; the ring advances its head instead, so appends must not degrade
-// against the no-follower benchmark beyond the cost of filling ring slots.
-func BenchmarkJournalAppendLaggingFollower(b *testing.B) {
-	benchJournalAppend(b, true)
-}
-
-func benchJournalAppend(b *testing.B, laggingFollower bool) {
-	b.Helper()
 	j, err := store.OpenLanes(filepath.Join(b.TempDir(), "j.log"), store.LanesCount(1), store.LanesWithoutSync())
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer j.Close()
-	if laggingFollower {
-		tl, err := j.LaneJournals()[0].Follow()
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer tl.Close() // attached but never reading: permanently lagging
-	}
 	const savers = 64
 	cells := make([]*store.Cell, savers)
 	for i := range cells {

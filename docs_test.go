@@ -135,7 +135,7 @@ var signatureNeeded = []struct{ why, names string }{
 		ErrIKERekeyBinding ErrKeySize ErrNoPolicy ErrNoSavedState ErrPromoted
 		ErrRekeyUnknownTunnel ErrRolloverInProgress
 		ErrSaverClosed ErrSeqExhausted ErrShortPacket
-		ErrTailLagged ErrUnknownSPI ErrWaking ErrWireClosed ErrWireNoDatagram
+		ErrUnknownSPI ErrWaking ErrWireClosed ErrWireNoDatagram
 		ErrWireTooLarge`},
 	{"enum constants stay with their type, all values or none", `
 		VerdictBuffered VerdictDown VerdictDuplicate VerdictInWindow VerdictNew

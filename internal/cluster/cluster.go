@@ -13,12 +13,12 @@
 //   - The standby tails the primary journal's committed record stream
 //     (store.Journal.Follow — snapshot-then-tail, tombstones included) and
 //     applies it to its own journal in group-committed batches.
-//   - The tail is registered as the primary journal's sync follower, so a
-//     SAVE completes only once the standby has applied it. The endpoints'
-//     "committed" — and with it the strict durable horizon that bounds
-//     every sequence number they hand out or deliver — then incorporates
-//     replication: every number that ever existed is below some value the
-//     standby holds, plus the leap. Waking from the standby's journal is
+//   - The tail is the primary journal's sync follower, so a SAVE completes
+//     only once the standby has applied it. The endpoints' "committed" —
+//     and with it the strict durable horizon that bounds every sequence
+//     number they hand out or deliver — then incorporates replication:
+//     every number that ever existed is below some value the standby
+//     holds, plus the leap. Waking from the standby's journal is
 //     therefore exactly as safe as waking from the primary's own disk.
 //   - Failover loss is bounded by replication lag, not by local-disk
 //     staleness: the false-reject window after takeover is (applied + leap)
@@ -70,11 +70,10 @@ var (
 	ErrNotRunning = errors.New("cluster: standby not running")
 )
 
-// batchMax bounds records per receive from the source's tail. The
-// replication loop coalesces consecutive receives that are already
-// committed, so one apply batch — one follower group commit and one Ack —
-// covers up to 4*batchMax records.
-const batchMax = 256
+// batchMax bounds records per receive from the source's tail: one receive
+// takes every committed record up to it, so one apply batch — one follower
+// group commit and one Ack — covers them all.
+const batchMax = 1024
 
 // Config parameterizes a Standby.
 type Config struct {
@@ -112,10 +111,6 @@ type ReplicationStats struct {
 	// AppliedRecords counts records durably applied to the follower
 	// journal (snapshot reconciliations not included).
 	AppliedRecords uint64
-	// SnapshotLoads counts snapshot-then-tail resynchronizations: the
-	// initial attach plus every ErrTailLagged recovery (e.g. across a
-	// retained-window overrun).
-	SnapshotLoads uint64
 	// LagRecords is the instantaneous replication lag in records:
 	// committed on the primary, not yet acknowledged by this standby.
 	// It is recomputed from the tails at snapshot time, NOT read from a
@@ -143,8 +138,7 @@ type Standby struct {
 	gw    *ipsec.Gateway
 	lanes []*laneRepl
 
-	applied   atomic.Uint64
-	snapshots atomic.Uint64
+	applied atomic.Uint64
 
 	// op serializes the control-plane operations that act on the gateway
 	// image — Mirror and Takeover — so a mirror can never run Adopt on an
@@ -164,10 +158,10 @@ type Standby struct {
 
 // laneRepl replicates one commit lane: the source lane's tail applied into
 // the same-numbered follower lane. Lanes replicate independently — each has
-// its own replication goroutine, sync-follower registration, and lag gauge
-// — so one lane's apply fsync never delays another lane's acks, and the
-// cluster's save-to-ack throughput scales with the lane parallelism the
-// medium already provides locally.
+// its own replication goroutine, follower tail, and lag gauge — so one
+// lane's apply fsync never delays another lane's acks, and the cluster's
+// save-to-ack throughput scales with the lane parallelism the medium
+// already provides locally.
 type laneRepl struct {
 	s   *Standby
 	idx int
@@ -196,9 +190,9 @@ func journalEpoch(m *store.Lanes) uint64 {
 }
 
 // NewStandby validates cfg, builds the warm gateway image over the follower
-// journal, attaches a tail to the source, and registers it as the source's
-// sync follower — from this moment the primary's saves complete only when
-// this standby has applied them. Replication does not flow until Start.
+// journal, and attaches a tail to each source lane as its sync follower —
+// from this moment the primary's saves complete only when this standby has
+// applied them. Replication does not flow until Start.
 //
 // The attachment is refused with ErrFenced when the source's epoch is below
 // the follower journal's: that shape means the "primary" is a deposed node
@@ -239,11 +233,6 @@ func NewStandby(cfg Config) (*Standby, error) {
 	}
 	for i := range srcLanes {
 		tl, err := srcLanes[i].Follow()
-		if err == nil {
-			if err = srcLanes[i].SyncFollower(tl); err != nil {
-				tl.Close()
-			}
-		}
 		if err != nil {
 			s.closeTails()
 			gw.Close()
@@ -318,51 +307,33 @@ func (s *Standby) totalLag() uint64 {
 // run is one lane's replication loop; it exits when the lane's tail closes
 // (Stop or Takeover) or on a terminal error, which tears down every lane.
 //
-// Receives are coalesced: after one blocking Recv the loop drains whatever
-// further records the source lane has already committed (Tail.TryRecv)
-// before applying, so a burst of primary group commits lands in the
-// follower lane as ONE Apply — one follower fsync — and is acknowledged
-// with ONE Ack. Since the sync-follower ack is what completes the primary's
-// saves, batching here directly raises the cluster's save-to-ack
-// throughput; with many lanes those applies also run in parallel across the
-// follower's lane files.
+// One receive takes every record the source lane has already committed, up
+// to batchMax, so a burst of primary group commits lands in the follower
+// lane as ONE Apply — one follower fsync — and is acknowledged with ONE
+// Ack. Since the sync-follower ack is what completes the primary's saves,
+// batching here directly raises the cluster's save-to-ack throughput; with
+// many lanes those applies also run in parallel across the follower's lane
+// files.
 func (l *laneRepl) run() {
 	s := l.s
 	defer s.wg.Done()
-	buf := make([]store.TailRecord, batchMax)
-	batch := make([]store.TailRecord, 0, 4*batchMax)
-	needSnap := true
-	for {
-		if needSnap {
-			if err := l.resync(); err != nil {
-				if !errors.Is(err, store.ErrClosed) {
-					s.fail(err)
-				}
-				return
-			}
-			needSnap = false
+	if err := l.resync(); err != nil {
+		if !errors.Is(err, store.ErrClosed) {
+			s.fail(err)
 		}
+		return
+	}
+	buf := make([]store.TailRecord, batchMax)
+	for {
 		n, err := l.tl.Recv(buf)
 		switch {
-		case errors.Is(err, store.ErrTailLagged):
-			needSnap = true
-			continue
 		case errors.Is(err, store.ErrClosed):
 			return // Stop/Takeover closed the tail, or the source closed
 		case err != nil:
 			s.fail(err)
 			return
 		}
-		batch = append(batch[:0], buf[:n]...)
-		for len(batch)+len(buf) <= 4*batchMax {
-			m, terr := l.tl.TryRecv(buf)
-			if terr != nil || m == 0 {
-				// Apply what we have; the next blocking Recv surfaces any
-				// error (lag, closure) in the switch above.
-				break
-			}
-			batch = append(batch, buf[:m]...)
-		}
+		batch := buf[:n]
 		for _, rec := range batch {
 			if rec.Key != EpochKey || rec.Del {
 				continue
@@ -376,8 +347,8 @@ func (l *laneRepl) run() {
 			s.fail(fmt.Errorf("cluster: apply batch (lane %d): %w", l.idx, err))
 			return
 		}
-		l.ack(batch[len(batch)-1].Seq + 1)
-		s.applied.Add(uint64(len(batch)))
+		l.ack(batch[n-1].Seq + 1)
+		s.applied.Add(uint64(n))
 	}
 }
 
@@ -419,7 +390,6 @@ func (l *laneRepl) resync() error {
 		return fmt.Errorf("cluster: apply snapshot (lane %d): %w", l.idx, err)
 	}
 	l.ack(next)
-	s.snapshots.Add(1)
 	return nil
 }
 
@@ -475,7 +445,6 @@ func (s *Standby) Stats() ReplicationStats {
 	}
 	return ReplicationStats{
 		AppliedRecords: s.applied.Load(),
-		SnapshotLoads:  s.snapshots.Load(),
 		LagRecords:     lag,
 		LastAckAge:     oldest,
 		SourceEpoch:    epoch,

@@ -17,7 +17,6 @@ var (
 // the primary's silent degradation to local-only durability loud.
 func (r ReplicationStats) CollectTelemetry(emit telemetry.Emit) {
 	emit("applied_records_total", telemetry.KindCounter, float64(r.AppliedRecords))
-	emit("snapshot_loads_total", telemetry.KindCounter, float64(r.SnapshotLoads))
 	emit("lag_records", telemetry.KindGauge, float64(r.LagRecords))
 	emit("last_ack_age_seconds", telemetry.KindGauge, r.LastAckAge.Seconds())
 	emit("source_epoch", telemetry.KindGauge, float64(r.SourceEpoch))

@@ -119,7 +119,7 @@ func TestStatsLagDrainsWhenRunning(t *testing.T) {
 // TestReplicationStatsCollector pins the snapshot struct's metric names.
 func TestReplicationStatsCollector(t *testing.T) {
 	r := telemetry.NewRegistry()
-	st := ReplicationStats{AppliedRecords: 5, SnapshotLoads: 1, LagRecords: 3,
+	st := ReplicationStats{AppliedRecords: 5, LagRecords: 3,
 		LastAckAge: 1500 * time.Millisecond, SourceEpoch: 2}
 	r.RegisterCollector("apn_cluster", st)
 

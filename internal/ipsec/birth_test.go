@@ -150,9 +150,6 @@ func TestGatewayBirthConcurrentFirstUse(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(tl.Close) // before the gateway's: Close must not wait on acks
-		if err := l.LaneJournals()[0].SyncFollower(tl); err != nil {
-			t.Fatal(err)
-		}
 		var acked atomic.Bool
 		return g, &acked, func() {
 			time.Sleep(20 * time.Millisecond)

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"syscall"
-	"time"
 
 	"antireplay/internal/storefault"
 )
@@ -114,15 +113,12 @@ type Journal struct {
 	poisonFired bool  // onPoison already notified for the current poison
 	fenceErr    error // sticky cluster fence; appends refused (see Fence)
 
-	// Replication state (see tail.go). tail is a ring of the most recent
-	// records of the logical append stream — bounded by cfg.tailCap — so
-	// attached Tails can ship them; tailMin is the sequence number of the
-	// ring's first record. syncTail, when set, gates save acknowledgment on
-	// the follower's applied position.
-	tails    map[*Tail]bool
+	// Replication state (see tail.go). follower, when attached, gates save
+	// acknowledgment on its applied position; tail holds every record it
+	// has not acknowledged, the first numbered tailMin.
+	follower *Tail
 	tail     tailRing
 	tailMin  uint64
-	syncTail *Tail
 
 	// Commit-pipeline state. Every staged record gets a sequence number; a
 	// record numbered n is durable once syncedSeq (the commit watermark,
@@ -145,11 +141,9 @@ type Journal struct {
 	counts LaneStats // the counters; stats fills in the rest
 }
 
-// tailRing is a ring buffer of recent TailRecords: pushes are O(1) and the
-// periodic trim back to the retained window advances the head instead of
-// memmoving the survivors — the O(window) shift the old slice-based buffer
-// paid on every overflow. The backing slice is a power of two, grown on
-// demand until the configured window fits.
+// tailRing is a ring buffer of the records a follower has not acknowledged:
+// pushes are O(1) and an ack advances the head instead of memmoving the
+// survivors. The backing slice is a power of two, grown on demand.
 type tailRing struct {
 	buf  []TailRecord // power-of-two length once allocated
 	head int          // index of the logical first record
@@ -730,25 +724,10 @@ func (j *Journal) stageLocked(w uint64, key string, v uint64, del bool, rec []by
 	mySeq := j.appendSeq
 	j.appendSeq++
 	j.stage = append(j.stage, rec...)
-	if len(j.tails) > 0 {
-		// The record joins the retained tail window even before it is
-		// durable; Recv gates delivery on syncedSeq, so readers never see it
-		// early. Trimming past a slow reader's cursor is fine — it
-		// resynchronizes by snapshot (ErrTailLagged). The ring trims by
-		// advancing its head: no memmove of the retained window, so a
-		// lagging follower costs staging nothing but the zeroing of the shed
-		// records.
+	if j.follower != nil {
+		// The record waits in the ring for the follower's ack; Recv gates
+		// delivery on syncedSeq, so the follower never sees it early.
 		j.tail.push(TailRecord{Seq: mySeq, Key: key, Val: v, Del: del})
-		if j.tail.n >= 2*j.cfg.tailCap {
-			over := j.tail.n - j.cfg.tailCap
-			j.tail.drop(over)
-			j.tailMin += uint64(over)
-		}
-	} else {
-		// No attached readers: retaining records would only churn the ring's
-		// cache lines. Keep the window empty and positioned at the stream
-		// head, where a future Follow will attach anyway.
-		j.tailMin = j.appendSeq
 	}
 	return mySeq
 }
@@ -760,9 +739,9 @@ func (j *Journal) stageLocked(w uint64, key string, v uint64, del bool, rec []by
 // and, outside the mutex, performs one write and (with sync enabled) one
 // fsync for the group, then advances the commit watermark over it — later
 // savers stage the next batch concurrently with the I/O. The rest wait on
-// the watermark. With a registered sync follower the save is only
-// acknowledged once the follower's Ack covers the record too — replication
-// joins fsync as part of the durability contract.
+// the watermark. With a follower attached the save is only acknowledged
+// once the follower's Ack covers the record too — replication joins fsync
+// as part of the durability contract.
 func (j *Journal) commitStagedLocked(mySeq uint64) error {
 	yielded := false
 	for {
@@ -776,7 +755,7 @@ func (j *Journal) commitStagedLocked(mySeq uint64) error {
 			return err
 		}
 		if j.syncedSeq.Load() > mySeq {
-			t := j.syncTail
+			t := j.follower
 			if t == nil || t.ackNext > mySeq || j.closed {
 				j.mu.Unlock()
 				return nil
@@ -827,14 +806,6 @@ func (j *Journal) commitStagedLocked(mySeq uint64) error {
 // covered by the watermark or recorded as failed.
 func (j *Journal) commitBatchLocked() {
 	j.syncing = true
-	if j.cfg.sync && j.cfg.batchDelay > 0 {
-		// Linger so concurrent saves can join this batch. mu is released:
-		// stagings proceed during the wait and are covered by the swap
-		// below.
-		j.mu.Unlock()
-		time.Sleep(j.cfg.batchDelay)
-		j.mu.Lock()
-	}
 	// Compact when the log is both past the threshold and at least twice
 	// what the snapshot would occupy — the second condition keeps a journal
 	// whose key population alone exceeds compactAt from re-compacting on

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"antireplay/internal/storefault"
 	"antireplay/internal/watchdog"
 )
 
@@ -555,11 +556,37 @@ func TestJournalNoCounterRegression(t *testing.T) {
 	}
 }
 
+// slowSyncFS is a filesystem whose file fsyncs each take d longer, as a
+// disk's do: a burst of saves queues behind the fsync in flight and the
+// next commit takes it whole, the batching a real medium relies on.
+type slowSyncFS struct {
+	storefault.FS
+	d time.Duration
+}
+
+func (s slowSyncFS) OpenFile(name string, flag int, perm os.FileMode) (storefault.File, error) {
+	f, err := s.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return slowSyncFile{f, s.d}, nil
+}
+
+type slowSyncFile struct {
+	storefault.File
+	d time.Duration
+}
+
+func (f slowSyncFile) Sync() error {
+	time.Sleep(f.d)
+	return f.File.Sync()
+}
+
 // TestJournalGroupCommit: concurrent saves must share fsyncs — that is the
 // journal's reason to exist.
 func TestJournalGroupCommit(t *testing.T) {
 	watchdog.Arm(t, 10*time.Second)
-	j := journalAt(t, func(c *lanesConfig) { c.batchDelay = 200 * time.Microsecond })
+	j := journalAt(t, LanesWithFS(slowSyncFS{storefault.OS(), 200 * time.Microsecond}))
 	defer j.Close()
 	base := j.stats().Syncs
 	const goroutines, saves = 16, 20

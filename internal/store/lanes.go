@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"antireplay/internal/storefault"
 )
@@ -62,16 +61,10 @@ type Lanes struct {
 }
 
 // lanesConfig is the medium's option set; every lane reads the one copy.
-// batchDelay (a lane's committer lingers that long before its fsync so more
-// concurrent SAVEs join the batch) has no option that sets it: it is zero
-// everywhere but in the two group-commit tests, whose fsync ratios need the
-// burst queued while the CPU is contended.
 type lanesConfig struct {
 	count          int
 	sync           bool
 	compactAt      int64
-	batchDelay     time.Duration
-	tailCap        int
 	strictRecovery bool
 	fs             storefault.FS
 	onPoison       func(lane int, err error)
@@ -83,7 +76,7 @@ type LanesOption func(*lanesConfig)
 func newLanesConfig(opts []LanesOption) *lanesConfig {
 	cfg := &lanesConfig{
 		count: DefaultLaneCount, sync: true, compactAt: DefaultCompactAt,
-		tailCap: DefaultTailBuffer, fs: storefault.OS(),
+		fs: storefault.OS(),
 	}
 	for _, o := range opts {
 		o(cfg)
@@ -109,14 +102,6 @@ func LanesWithoutSync() LanesOption {
 func LanesCompactAt(n int64) LanesOption {
 	return func(c *lanesConfig) { c.compactAt = n }
 }
-
-// DefaultTailBuffer is each lane's retained-record window for tailing
-// readers (Follow): at least that many recent records stay available, and
-// the buffer is trimmed back to it once it reaches twice that (amortizing
-// the trim to O(1) per append). A reader that falls behind the window
-// resynchronizes by snapshot-then-tail (ErrTailLagged), so the buffer bounds
-// replication memory, not correctness.
-const DefaultTailBuffer = 1 << 12
 
 // LanesStrictRecovery makes OpenLanes refuse (ErrCorrupt) when CRC-valid
 // records follow the first bad frame of a lane, instead of skipping the

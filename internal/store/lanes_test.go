@@ -431,10 +431,7 @@ func TestLanesKeyTables(t *testing.T) {
 		}
 	}
 
-	tl, err := l.LaneJournals()[0].Follow()
-	if err != nil {
-		t.Fatalf("Follow: %v", err)
-	}
+	fl := follow(t, l.LaneJournals()[0])
 	// Every key gets its own value band, so two keys aliasing one slot
 	// would show as the wrong (larger) value on one of them.
 	band := func(i int) uint64 { return uint64(1000 * (i + 1)) }
@@ -488,10 +485,10 @@ func TestLanesKeyTables(t *testing.T) {
 	check(l, "tombstone", 0, false)
 	saveAll(l, "re-save", 3)
 	check(l, "re-save", 3, true) // a fresh life, below the retired one
-	if err := f.LaneJournals()[0].Apply(drainTail(t, tl)); err != nil {
+	if err := f.LaneJournals()[0].Apply(fl.records()); err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
-	tl.Close()
+	fl.tl.Close()
 	check(f, "apply", 3, true)
 
 	two, err := OpenLanes(t.TempDir(), LanesCount(2), LanesWithoutSync())

@@ -195,7 +195,7 @@ func TestPoolJournalGroupCommit(t *testing.T) {
 		wg.Wait()
 	}
 
-	j := journalAt(t, func(c *lanesConfig) { c.batchDelay = 100 * time.Microsecond })
+	j := journalAt(t, LanesWithFS(slowSyncFS{storefault.OS(), 100 * time.Microsecond}))
 	burst(func(h int) Store { return j.Cell(fmt.Sprintf("sa/%d", h)) })
 	appends := j.stats().Appends
 	syncs := j.stats().Syncs

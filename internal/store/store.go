@@ -33,18 +33,12 @@ var (
 	// ErrCellClaimed reports a ClaimCell on a journal key another owner in
 	// this process already holds.
 	ErrCellClaimed = errors.New("store: journal cell already claimed")
-	// ErrTailLagged reports a tailing reader that fell behind the journal's
-	// retained record window and must resynchronize by snapshot-then-tail.
-	ErrTailLagged = errors.New("store: journal tail lagged past the retained window")
 	// ErrFenced reports a write to a journal fenced off by a cluster
 	// promotion: a deposed primary's appends are rejected so a split brain
 	// cannot advance counters the new primary owns.
 	ErrFenced = errors.New("store: journal fenced (deposed primary)")
-	// ErrBadTail reports a sync-follower registration with a tail that does
-	// not belong to the journal (or is closed).
-	ErrBadTail = errors.New("store: tail does not belong to this journal")
-	// ErrSyncFollower reports a second SyncFollower registration while
-	// another tail already holds the role.
+	// ErrSyncFollower reports a second Follow while another tail is
+	// attached as the journal's follower.
 	ErrSyncFollower = errors.New("store: journal already has a sync follower")
 )
 

@@ -2,13 +2,13 @@ package store
 
 import "fmt"
 
-// This file is the journal's replication surface: a Tail is a cursor over
-// the committed record stream, and the sync-follower registration turns an
-// attached Tail into part of the durability contract itself (a save is
-// acknowledged only once the follower has applied it). Together they make a
-// (primary journal, follower journal) pair behave as one logical persistent
-// medium, which is what lets cluster takeover reuse the paper's wake-up
-// protocol unchanged — FETCH from the follower's copy, leap, SAVE.
+// This file is the journal's replication surface: a Tail is the journal's
+// one follower, a cursor over the committed record stream that is also part
+// of the durability contract itself (a save is acknowledged only once the
+// follower has applied it). Together they make a (primary journal, follower
+// journal) pair behave as one logical persistent medium, which is what lets
+// cluster takeover reuse the paper's wake-up protocol unchanged — FETCH
+// from the follower's copy, leap, SAVE.
 
 // TailRecord is one journal record as seen by a tailing reader. Seq is the
 // journal-assigned append sequence number (dense, starting at 0); Del marks
@@ -20,20 +20,19 @@ type TailRecord struct {
 	Del bool
 }
 
-// Tail is a cursor over a Journal's committed record stream, the shipping
-// half of journal replication. Records become visible to Recv only once
-// their group commit has made them durable, in append order, tombstones
-// included — exactly the stream a follower journal must apply to mirror the
-// primary's recoverable state.
+// Tail is the journal's follower, the shipping half of journal
+// replication. Records become visible to Recv only once their group commit
+// has made them durable, in append order, tombstones included — exactly the
+// stream a follower journal must apply to mirror the primary's recoverable
+// state.
 //
-// The journal retains a bounded in-memory window of recent records (see
-// DefaultTailBuffer). A reader that falls behind the window — or that
-// attaches fresh — resynchronizes by snapshot-then-tail: Recv reports
-// ErrTailLagged, the reader calls Snapshot (the full live state plus the
-// cursor position that stream resumes from), applies it, and tails on. The
-// same path survives compaction: compaction rewrites the log file but never
-// disturbs the logical record stream or the retained window, so an attached
-// Tail observes every record exactly once across it.
+// The journal keeps every record staged since Follow that the tail has not
+// acknowledged, and nothing else: a follower cannot fall behind a window,
+// because an unacknowledged record is an uncompleted SAVE, and a cell's
+// record waits for its ack before that cell stages another. A slow follower
+// slows the savers; it never loses records. Compaction rewrites the log file
+// but not the record stream, so the follower observes every record exactly
+// once across it.
 //
 // A Tail is safe for concurrent use with journal writers, but a single Tail
 // must not be shared by concurrent Recv callers.
@@ -46,21 +45,28 @@ type Tail struct {
 	closed  bool
 }
 
-// Follow attaches a new tailing reader positioned at the end of the current
-// stream: only records appended after the call will be received. Call
-// Snapshot first to obtain the state those future records build on.
+// Follow attaches the journal's follower, positioned at the end of the
+// current stream (call Snapshot for the state later records build on), and
+// makes it the sync follower: from now on a Save (or Delete) is
+// acknowledged only once it is both locally durable and covered by one of
+// the tail's Acks. This is what makes replication a durability property
+// instead of an optimization — every sequence number an endpoint over this
+// journal ever uses is bounded by a value the follower holds, so a takeover
+// that wakes from the follower's copy can never reuse or re-accept one. A
+// journal has at most one follower: a second Follow is refused with
+// ErrSyncFollower until the first one's Close.
 func (j *Journal) Follow() (*Tail, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
 		return nil, ErrClosed
 	}
-	t := &Tail{j: j, next: j.appendSeq}
-	if j.tails == nil {
-		j.tails = make(map[*Tail]bool)
+	if j.follower != nil {
+		return nil, ErrSyncFollower
 	}
-	j.tails[t] = true
-	return t, nil
+	j.follower = &Tail{j: j, next: j.appendSeq}
+	j.tailMin = j.appendSeq
+	return j.follower, nil
 }
 
 // Snapshot returns a copy of the journal's full live state (every key's
@@ -88,10 +94,9 @@ func (t *Tail) Snapshot() (vals map[string]uint64, next uint64, err error) {
 }
 
 // Recv fills buf with the next committed records and returns how many were
-// delivered, blocking while none are available. It returns ErrTailLagged
-// when the cursor has fallen behind the journal's retained record window
-// (resynchronize with Snapshot), and ErrClosed once the journal or the tail
-// is closed and every remaining committed record has been delivered.
+// delivered, blocking while none are available. It returns ErrClosed once
+// the journal or the tail is closed and every remaining committed record
+// has been delivered.
 func (t *Tail) Recv(buf []TailRecord) (int, error) {
 	if len(buf) == 0 {
 		return 0, nil
@@ -100,9 +105,16 @@ func (t *Tail) Recv(buf []TailRecord) (int, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	for {
-		n, err := t.recvLocked(buf)
-		if n > 0 || err != nil {
-			return n, err
+		if t.closed {
+			return 0, ErrClosed
+		}
+		n := 0
+		for committed := j.syncedSeq.Load(); n < len(buf) && t.next < committed; n++ {
+			buf[n] = j.tail.at(int(t.next - j.tailMin))
+			t.next++
+		}
+		if n > 0 {
+			return n, nil
 		}
 		if j.closed && !j.syncing { // Close's last commit may still deliver
 			return 0, ErrClosed
@@ -111,56 +123,27 @@ func (t *Tail) Recv(buf []TailRecord) (int, error) {
 	}
 }
 
-// TryRecv is the non-blocking Recv: it fills buf with whatever committed
-// records are immediately available and returns 0 instead of waiting. A
-// follower uses it to drain the stream in gulps — one blocking Recv, then
-// TryRecv until empty — so a whole burst of group commits is applied and
-// acknowledged as one batch.
-func (t *Tail) TryRecv(buf []TailRecord) (int, error) {
-	if len(buf) == 0 {
-		return 0, nil
-	}
-	j := t.j
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return t.recvLocked(buf)
-}
-
-// recvLocked copies out up to len(buf) committed records at the cursor.
-func (t *Tail) recvLocked(buf []TailRecord) (int, error) {
-	j := t.j
-	if t.closed {
-		return 0, ErrClosed
-	}
-	if t.next < j.tailMin {
-		return 0, ErrTailLagged
-	}
-	n := 0
-	committed := j.syncedSeq.Load()
-	for n < len(buf) && t.next < committed && int(t.next-j.tailMin) < j.tail.n {
-		buf[n] = j.tail.at(int(t.next - j.tailMin))
-		t.next++
-		n++
-	}
-	return n, nil
-}
-
 // Ack records that every record with sequence number below next has been
-// durably applied downstream. When this tail is the journal's registered
-// sync follower (SyncFollower), the ack is what releases the corresponding
-// savers: their SAVE is complete only now, so the endpoint's notion of
-// "committed" — and with it the strict durable horizon — incorporates
-// replication. Acks are monotone; a stale ack is ignored.
+// durably applied downstream (an ack is capped at what Recv or Snapshot
+// delivered). The ack is what releases the corresponding savers: their
+// SAVE is complete only now, so the endpoint's notion of "committed" — and
+// with it the strict durable horizon — incorporates replication. The
+// journal drops the acknowledged records. Acks are monotone; a stale ack is
+// ignored.
 func (t *Tail) Ack(next uint64) {
 	j := t.j
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if next > t.ackNext {
-		t.ackNext = next
-		if j.syncTail == t {
-			j.cond.Broadcast()
-		}
+	next = min(next, t.next)
+	if t.closed || next <= t.ackNext {
+		return
 	}
+	t.ackNext = next
+	if next > j.tailMin {
+		j.tail.drop(int(next - j.tailMin))
+		j.tailMin = next
+	}
+	j.cond.Broadcast()
 }
 
 // Lag returns the number of committed records the follower has not yet
@@ -176,10 +159,10 @@ func (t *Tail) Lag() uint64 {
 	return 0
 }
 
-// Close detaches the reader. If it was the journal's sync follower the
-// registration is cleared, releasing any savers waiting on its acks — use
-// Fence first when the detachment is a promotion rather than a graceful
-// shutdown, or those saves complete as merely locally-durable.
+// Close detaches the follower, releasing any savers waiting on its acks —
+// use Fence first when the detachment is a promotion rather than a graceful
+// shutdown, or those saves complete as merely locally-durable. The journal
+// drops the records it kept for the tail, and a new Follow may attach.
 func (t *Tail) Close() {
 	j := t.j
 	j.mu.Lock()
@@ -188,44 +171,9 @@ func (t *Tail) Close() {
 		return
 	}
 	t.closed = true
-	delete(j.tails, t)
-	if j.syncTail == t {
-		j.syncTail = nil
-	}
-	if len(j.tails) == 0 && j.tail.n > 0 {
-		// Last reader gone: release the retained window (staging stops
-		// refilling it until someone follows again).
-		j.tail.drop(j.tail.n)
-		j.tailMin = j.appendSeq
-	}
+	j.follower = nil
+	j.tail.drop(j.tail.n)
 	j.cond.Broadcast()
-}
-
-// SyncFollower registers t as the journal's synchronous follower: from now
-// on a Save (or Delete) is acknowledged only once it is both locally
-// durable and covered by one of t's Acks. This is what makes replication a
-// durability property instead of an optimization — every sequence number an
-// endpoint over this journal ever uses is bounded by a value the follower
-// holds, so a takeover that wakes from the follower's copy can never reuse
-// or re-accept one. At most one sync follower can be registered; passing a
-// tail of a different journal or re-registering over a live one is refused.
-func (j *Journal) SyncFollower(t *Tail) error {
-	if t == nil || t.j != j {
-		return ErrBadTail
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return ErrClosed
-	}
-	if t.closed {
-		return ErrBadTail
-	}
-	if j.syncTail != nil && j.syncTail != t {
-		return ErrSyncFollower
-	}
-	j.syncTail = t
-	return nil
 }
 
 // Fence permanently rejects all further writes to the journal with err

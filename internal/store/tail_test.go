@@ -14,35 +14,66 @@ import (
 	"antireplay/internal/watchdog"
 )
 
-// drainTail pulls every currently-pending committed record from t.
-func drainTail(t *testing.T, tl *Tail) []TailRecord {
+// follower is a standby in miniature: it receives the journal's committed
+// records, collects them and acknowledges each batch once collected, so
+// saves on the journal complete as they do under a cluster standby. A save
+// that has returned has its record among records().
+type follower struct {
+	tl   *Tail
+	mu   sync.Mutex
+	recs []TailRecord
+	done chan struct{}
+	err  error // the Recv error that ended the loop, once done is closed
+}
+
+func follow(t *testing.T, j *Journal) *follower {
 	t.Helper()
-	var out []TailRecord
-	buf := make([]TailRecord, 16)
-	for {
-		n, err := tl.TryRecv(buf)
-		if err != nil {
-			t.Fatalf("TryRecv: %v", err)
-		}
-		if n == 0 {
-			return out
-		}
-		out = append(out, buf[:n]...)
+	tl, err := j.Follow()
+	if err != nil {
+		t.Fatalf("Follow: %v", err)
 	}
+	f := &follower{tl: tl, done: make(chan struct{})}
+	go func() {
+		defer close(f.done)
+		buf := make([]TailRecord, 16)
+		for {
+			n, err := tl.Recv(buf)
+			if err != nil {
+				f.err = err
+				return
+			}
+			f.mu.Lock()
+			f.recs = append(f.recs, buf[:n]...)
+			f.mu.Unlock()
+			tl.Ack(buf[n-1].Seq + 1)
+		}
+	}()
+	t.Cleanup(func() { f.tl.Close(); f.wait() })
+	return f
+}
+
+// records returns a copy of what the follower has collected so far.
+func (f *follower) records() []TailRecord {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]TailRecord(nil), f.recs...)
+}
+
+// wait blocks until the loop has ended and returns the error that ended it.
+func (f *follower) wait() error {
+	<-f.done
+	return f.err
 }
 
 func TestTailStreamsCommittedRecordsInOrder(t *testing.T) {
+	watchdog.Arm(t, 10*time.Second)
 	j, err := openLane(filepath.Join(t.TempDir(), "j.log"), LanesWithoutSync())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
 
-	tl, err := j.Follow()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tl.Close()
+	f := follow(t, j)
 
 	if err := j.Cell("a").Save(10); err != nil {
 		t.Fatal(err)
@@ -57,7 +88,7 @@ func TestTailStreamsCommittedRecordsInOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got := drainTail(t, tl)
+	got := f.records()
 	want := []TailRecord{
 		{Seq: 0, Key: "a", Val: 10},
 		{Seq: 1, Key: "b", Val: 20},
@@ -74,62 +105,59 @@ func TestTailStreamsCommittedRecordsInOrder(t *testing.T) {
 	}
 }
 
-func TestTailSnapshotThenTailAfterLag(t *testing.T) {
-	// A 4-record window guarantees a reader attached from the start lags
-	// out; it must resynchronize by snapshot and still converge on the
-	// journal's exact live state.
-	j, err := openLane(filepath.Join(t.TempDir(), "j.log"),
-		LanesWithoutSync(), func(c *lanesConfig) { c.tailCap = 4 })
+// TestTailKeepsEveryUnackedRecord: the journal keeps what its follower has
+// not acknowledged, however much that is. 10,000 cells of one lane stage
+// and commit while the follower receives without acking; it gets every
+// record, in order, and its one Ack leaves the journal holding none.
+func TestTailKeepsEveryUnackedRecord(t *testing.T) {
+	watchdog.Arm(t, 30*time.Second)
+	j, err := openLane(filepath.Join(t.TempDir(), "j.log"), LanesWithoutSync())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
-
 	tl, err := j.Follow()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tl.Close()
 
-	for i := 0; i < 64; i++ {
-		key := fmt.Sprintf("k%d", i%8)
-		if err := j.Cell(key).Save(uint64(100 + i)); err != nil {
+	const cells = 10000
+	var last uint64
+	var lastCell *Cell
+	for i := 0; i < cells; i++ {
+		c := j.Cell(fmt.Sprintf("tx/%08x", i+1))
+		if last, err = c.Stage(uint64(i + 1)); err != nil {
 			t.Fatal(err)
 		}
+		lastCell = c
 	}
+	committed := make(chan error, 1)
+	go func() { committed <- lastCell.WaitDurable(last) }()
 
-	buf := make([]TailRecord, 8)
-	if _, err := tl.Recv(buf); !errors.Is(err, ErrTailLagged) {
-		t.Fatalf("Recv after lag = %v, want ErrTailLagged", err)
-	}
-
-	// Snapshot-then-tail: the snapshot plus the remaining stream must
-	// reproduce the journal state exactly.
-	state, next, err := tl.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Cell("k1").Save(500); err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range drainTail(t, tl) {
-		if rec.Seq < next {
-			t.Errorf("record %d delivered although folded into the snapshot", rec.Seq)
+	var got []TailRecord
+	buf := make([]TailRecord, 256)
+	for len(got) < cells {
+		n, err := tl.Recv(buf)
+		if err != nil {
+			t.Fatalf("Recv after %d records: %v", len(got), err)
 		}
-		if rec.Del {
-			delete(state, rec.Key)
-		} else if rec.Val > state[rec.Key] {
-			state[rec.Key] = rec.Val
+		got = append(got, buf[:n]...)
+	}
+	for i, rec := range got {
+		if rec.Seq != uint64(i) || rec.Val != uint64(i+1) {
+			t.Fatalf("record %d = %+v, want seq %d val %d", i, rec, i, i+1)
 		}
 	}
-	want := j.Values()
-	if len(state) != len(want) {
-		t.Fatalf("follower state has %d keys, want %d", len(state), len(want))
+	tl.Ack(got[len(got)-1].Seq + 1)
+	if err := <-committed; err != nil {
+		t.Fatalf("commit: %v", err)
 	}
-	for k, v := range want {
-		if state[k] != v {
-			t.Errorf("follower %s = %d, want %d", k, state[k], v)
-		}
+	j.mu.Lock()
+	kept := j.tail.n
+	j.mu.Unlock()
+	if kept != 0 {
+		t.Fatalf("journal keeps %d records after the follower acked them all", kept)
 	}
 }
 
@@ -144,11 +172,7 @@ func TestTailSurvivesCompaction(t *testing.T) {
 	}
 	defer j.Close()
 
-	tl, err := j.Follow()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tl.Close()
+	f := follow(t, j)
 
 	const saves = 200
 	for i := 1; i <= saves; i++ {
@@ -160,7 +184,7 @@ func TestTailSurvivesCompaction(t *testing.T) {
 		t.Fatal("workload did not trigger compaction; shrink CompactAt")
 	}
 
-	got := drainTail(t, tl)
+	got := f.records()
 	if len(got) != saves {
 		t.Fatalf("received %d records across compaction, want %d", len(got), saves)
 	}
@@ -315,9 +339,6 @@ func TestSyncFollowerGatesSaves(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tl.Close()
-	if err := j.SyncFollower(tl); err != nil {
-		t.Fatal(err)
-	}
 
 	done := make(chan error, 1)
 	go func() { done <- j.Cell("a").Save(7) }()
@@ -362,9 +383,6 @@ func TestTailCloseReleasesSyncWaiters(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tl.Close()
-	if err := j.SyncFollower(tl); err != nil {
-		t.Fatal(err)
-	}
 	done := make(chan error, 1)
 	go func() { done <- j.Cell("a").Save(7) }()
 	time.Sleep(10 * time.Millisecond)
@@ -392,9 +410,6 @@ func TestFenceRejectsWritesAndReleasesWaiters(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tl.Close()
-	if err := j.SyncFollower(tl); err != nil {
-		t.Fatal(err)
-	}
 
 	// A save waiting on a replication ack is released with the fence error.
 	done := make(chan error, 1)
@@ -424,8 +439,9 @@ func TestFenceRejectsWritesAndReleasesWaiters(t *testing.T) {
 	if v, ok, err := j.Cell("a").Fetch(); err != nil || !ok || v != 7 {
 		t.Errorf("fetch on fenced journal = %d,%v,%v; want 7,true,nil", v, ok, err)
 	}
-	if got := drainTail(t, tl); len(got) != 1 || got[0].Val != 7 {
-		t.Errorf("drain after fence = %v, want the one record", got)
+	buf := make([]TailRecord, 4)
+	if n, err := tl.Recv(buf); err != nil || n != 1 || buf[0].Val != 7 {
+		t.Errorf("drain after fence = %v, %v, want the one record", buf[:n], err)
 	}
 }
 
@@ -492,11 +508,7 @@ func TestApplyMirrorsTombstoneLifecycle(t *testing.T) {
 	}
 	defer dst.Close()
 
-	tl, err := src.Follow()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tl.Close()
+	f := follow(t, src)
 
 	// A full key life on the source: grow, retire, fresh life at a LOWER
 	// value — the case max-wins recovery alone would get wrong without
@@ -511,7 +523,7 @@ func TestApplyMirrorsTombstoneLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := dst.Apply(drainTail(t, tl)); err != nil {
+	if err := dst.Apply(f.records()); err != nil {
 		t.Fatal(err)
 	}
 	if v, ok, _ := dst.Cell("k").Fetch(); !ok || v != 3 {
@@ -533,70 +545,48 @@ func TestApplyMirrorsTombstoneLifecycle(t *testing.T) {
 }
 
 func TestSyncFollowerRegistrationRules(t *testing.T) {
-	dir := t.TempDir()
-	j, err := openLane(filepath.Join(dir, "j.log"), LanesWithoutSync())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	other, err := openLane(filepath.Join(dir, "other.log"), LanesWithoutSync())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer other.Close()
-
-	tl, err := j.Follow()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ot, err := other.Follow()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.SyncFollower(ot); !errors.Is(err, ErrBadTail) {
-		t.Errorf("foreign tail registration = %v, want ErrBadTail", err)
-	}
-	if err := j.SyncFollower(tl); err != nil {
-		t.Fatal(err)
-	}
-	tl2, err := j.Follow()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.SyncFollower(tl2); !errors.Is(err, ErrSyncFollower) {
-		t.Errorf("second sync follower = %v, want ErrSyncFollower", err)
-	}
-	// Closing the registered follower clears the role; a successor can then
-	// register (the failback path).
-	tl.Close()
-	if err := j.SyncFollower(tl2); err != nil {
-		t.Errorf("re-registration after close: %v", err)
-	}
-}
-
-func TestTailRecvAfterJournalClose(t *testing.T) {
 	j, err := openLane(filepath.Join(t.TempDir(), "j.log"), LanesWithoutSync())
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer j.Close()
+
 	tl, err := j.Follow()
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := j.Follow(); !errors.Is(err, ErrSyncFollower) {
+		t.Errorf("second Follow = %v, want ErrSyncFollower", err)
+	}
+	// Closing the follower clears the role; a successor can then attach
+	// (the failback path).
+	tl.Close()
+	tl2, err := j.Follow()
+	if err != nil {
+		t.Fatalf("Follow after close: %v", err)
+	}
+	tl2.Close()
+}
+
+func TestTailRecvAfterJournalClose(t *testing.T) {
+	watchdog.Arm(t, 10*time.Second)
+	j, err := openLane(filepath.Join(t.TempDir(), "j.log"), LanesWithoutSync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := follow(t, j)
 	if err := j.Cell("a").Save(1); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The committed record is still delivered, then ErrClosed.
-	buf := make([]TailRecord, 4)
-	n, err := tl.Recv(buf)
-	if err != nil || n != 1 || buf[0].Val != 1 {
-		t.Fatalf("Recv after close = %d,%v", n, err)
+	// The committed record was delivered, then ErrClosed.
+	if err := f.wait(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Recv after close = %v, want ErrClosed", err)
 	}
-	if _, err := tl.Recv(buf); !errors.Is(err, ErrClosed) {
-		t.Fatalf("second Recv after close = %v, want ErrClosed", err)
+	if got := f.records(); len(got) != 1 || got[0].Val != 1 {
+		t.Fatalf("records before close = %v, want a=1", got)
 	}
 	if _, err := j.Follow(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Follow after close = %v, want ErrClosed", err)
@@ -610,9 +600,11 @@ func TestTailRecvAfterJournalClose(t *testing.T) {
 	if j, err = openLane(filepath.Join(t.TempDir(), "held.log"), LanesWithFS(g)); err != nil {
 		t.Fatal(err)
 	}
-	if tl, err = j.Follow(); err != nil {
+	tl, err := j.Follow()
+	if err != nil {
 		t.Fatal(err)
 	}
+	buf := make([]TailRecord, 4)
 	if _, err := j.Cell("b").Stage(2); err != nil {
 		t.Fatal(err)
 	}

@@ -126,9 +126,6 @@ func TestSealStalledSaverIsAnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.SyncFollower(tl); err != nil {
-		t.Fatal(err)
-	}
 	// Registered after newPair's cleanup, so it runs first: the gateway's
 	// Close must not wait on acks that never come.
 	t.Cleanup(tl.Close)
@@ -173,9 +170,6 @@ func TestSettleWaitsForReceiverSaves(t *testing.T) {
 	j := p.B.Medium.LaneJournals()[0]
 	tl, err := j.Follow()
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.SyncFollower(tl); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(tl.Close) // runs before newPair's cleanup closes the gateways
@@ -246,9 +240,6 @@ func TestFirstSealWaitsForSyncFollower(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(tl.Close)
-			if err := j.SyncFollower(tl); err != nil {
-				t.Fatal(err)
-			}
 			type sealed struct {
 				w   []byte
 				err error

@@ -6,6 +6,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"net"
 	"reflect"
 	"testing"
 	"time"
@@ -160,20 +161,25 @@ func TestTransportUDPRekeyExchange(t *testing.T) {
 	}
 }
 
-func TestTransportUDPKeepalive(t *testing.T) {
-	la, lb := udpPair(t, UDPConfig{KeepaliveInterval: 30 * time.Millisecond})
-
-	// Neither side transmits; keepalives must flow and be absorbed. A
-	// datagram leaves b's socket only through a receive, so b polls one, and
-	// no keepalive may ever come out of it.
+// TestTransportUDPKeepaliveAbsorbed: a peer's NAT-T keepalive (one 0xFF
+// byte) is counted on its link and never surfaces as a datagram. A
+// datagram leaves b's socket only through a receive, so b polls one.
+func TestTransportUDPKeepaliveAbsorbed(t *testing.T) {
+	la, lb := udpPair(t, UDPConfig{})
+	to := net.UDPAddrFromAddrPort(lb.ep.Addr())
+	if _, err := la.ep.conn.WriteToUDP([]byte{natKeepalive}, to); err != nil {
+		t.Fatal(err)
+	}
 	deadline := time.Now().Add(sockTimeout)
-	for time.Now().Before(deadline) {
+	for lb.Stats().Keepalives == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the peer's keepalive was never counted")
+		}
 		if p, err := lb.RecvTimeout(10 * time.Millisecond); err != ErrNoDatagram {
 			t.Fatalf("RecvTimeout = %x, %v; want ErrNoDatagram", p, err)
 		}
-		if lb.Stats().Keepalives > 0 && la.KeepalivesSent() > 0 {
-			return
-		}
 	}
-	t.Fatalf("keepalives: sent=%d seen=%d", la.KeepalivesSent(), lb.Stats().Keepalives)
+	if s := lb.Stats(); s.Keepalives != 1 || s.RxPackets != 0 {
+		t.Fatalf("receiver stats = %+v, want one keepalive and no packet", s)
+	}
 }

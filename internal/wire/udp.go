@@ -54,9 +54,6 @@ const (
 
 // UDPConfig parameterizes an endpoint and its links.
 type UDPConfig struct {
-	// KeepaliveInterval sends a NAT-T keepalive on each link that has
-	// been transmit-idle this long. 0 disables keepalives.
-	KeepaliveInterval time.Duration
 	// RecvQueue bounds each link's buffered inbound datagrams (beyond it
 	// they drop, as a socket buffer would). 0 means 512.
 	RecvQueue int
@@ -152,10 +149,6 @@ func (e *UDPEndpoint) Link(peer netip.AddrPort, spis ...uint32) (*UDPLink, error
 	}
 	l.spis = append(l.spis, spis...)
 	e.byAddr[peer] = l
-	if iv := e.cfg.KeepaliveInterval; iv > 0 {
-		l.lastTx.Store(time.Now().UnixNano())
-		l.keepalive(iv)
-	}
 	return l, nil
 }
 
@@ -430,9 +423,7 @@ type UDPLink struct {
 	done chan struct{}
 	once sync.Once
 
-	lastTx    atomic.Int64
-	keepsSent atomic.Uint64
-	ctr       struct { // Stats, field for field
+	ctr struct { // Stats, field for field
 		txPackets, txBytes, rxPackets, rxBytes, txDrops, rxDrops, keepalives atomic.Uint64
 	}
 }
@@ -456,9 +447,6 @@ func (l *UDPLink) queue(marker int, p []byte) error {
 	}
 	l.ctr.txPackets.Add(1)
 	l.ctr.txBytes.Add(uint64(n))
-	if l.ep.cfg.KeepaliveInterval > 0 { // only the keepalive timer reads it
-		l.lastTx.Store(time.Now().UnixNano())
-	}
 	return nil
 }
 
@@ -571,32 +559,6 @@ func take(ch chan []byte) ([]byte, bool) {
 		return nil, false
 	}
 }
-
-// keepalive arms the NAT-T keepalive timer: when the link has been
-// transmit-idle for iv, a 0xFF byte refreshes the NAT binding.
-func (l *UDPLink) keepalive(iv time.Duration) {
-	time.AfterFunc(iv, func() {
-		if l.isClosed() {
-			return
-		}
-		idle := time.Since(time.Unix(0, l.lastTx.Load()))
-		next := iv - idle
-		if idle >= iv {
-			if _, err := l.ep.conn.WriteToUDPAddrPort([]byte{natKeepalive}, l.peer); err == nil {
-				l.keepsSent.Add(1)
-				l.lastTx.Store(time.Now().UnixNano())
-			}
-			next = iv
-		}
-		if next <= 0 {
-			next = iv
-		}
-		l.keepalive(next)
-	})
-}
-
-// KeepalivesSent returns NAT-T keepalives this link transmitted.
-func (l *UDPLink) KeepalivesSent() uint64 { return l.keepsSent.Load() }
 
 // Peer returns the remote address.
 func (l *UDPLink) Peer() netip.AddrPort { return l.peer }

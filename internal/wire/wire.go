@@ -1,9 +1,9 @@
 // Package wire is the transport layer: one link, UDPLink, a real socket
 // carrying RFC 3948-style UDP encapsulation of ESP with a non-ESP marker
-// for control traffic, NAT-T keepalives, and per-peer demultiplexing by
-// SPI at a shared UDPEndpoint. There is no link interface and no
-// middleware: the adversary's position is internal/adversary's Gate, and
-// deterministic runs use netsim's impaired channels or a function call.
+// for control traffic, absorbed NAT-T keepalives, and per-peer
+// demultiplexing by SPI at a shared UDPEndpoint. There is no link interface
+// and no middleware: the adversary's position is internal/adversary's Gate,
+// and deterministic runs use netsim's impaired channels or a function call.
 //
 // Links carry whole datagrams. ESP-in-UDP leaves fragmentation to IP, so
 // nothing here splits or reassembles; a link refuses a datagram above the
