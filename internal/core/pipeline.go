@@ -13,7 +13,7 @@ import (
 // moved K past the last one saved, drop the saves a reset tears, and on
 // wake-up FETCH, leap 2K, SAVE the leaped value and only then resume.
 // Sender and Receiver embed it and add what is theirs — the counter, the
-// window — plus the install hook that puts a woken value into it.
+// window — and the install step that puts a woken value into it (endpoint).
 //
 // Two locks, never nested. mu guards the lifecycle (state, gen, wakeErr,
 // the completion counters) and the embedding endpoint's volatile state.
@@ -27,22 +27,19 @@ import (
 // either lock. The one thing a completion starts that needs the saver again
 // — deciding the messages a receiver buffered during the wake — runs after
 // the hand-off it completed has returned, never beneath it.
+//
+// A gateway holds one pipeline per SA, so the field order is the heap's:
+// the four one-byte fields share the last word.
 type savePipeline struct {
 	// Fixed at construction.
-	role             string // "sender" or "receiver", for error text
-	initial          uint64 // the paper's "lst initially 1" (p) / "initially 0" (q)
-	k                uint64 // SAVE interval; 0 selects the §2 baseline: no SAVE, no FETCH
-	leap             uint64 // Leap(K, LeapFactor)
-	store            store.Store
-	saver            BackgroundSaver
-	skipPostWakeSave bool
-	// install puts v — the leaped value, or initial on a baseline wake —
-	// into the endpoint's volatile state. It runs with mu held; a non-nil
-	// result runs once mu is released.
-	install func(v uint64) (afterWake func())
+	ep      endpoint // the Sender or Receiver that embeds this pipeline
+	initial uint64   // the paper's "lst initially 1" (p) / "initially 0" (q)
+	k       uint64   // SAVE interval; 0 selects the §2 baseline: no SAVE, no FETCH
+	leap    uint64   // Leap(K, LeapFactor)
+	store   store.Store
+	saver   BackgroundSaver
 
 	mu          sync.Mutex
-	state       State
 	gen         uint64 // bumped by Reset; stales in-flight completions
 	wakeErr     error
 	savesOK     uint64
@@ -61,12 +58,28 @@ type savePipeline struct {
 
 	saveMu  sync.Mutex
 	saveGen uint64     // mirrors gen for startSave's torn-save check
-	handing bool       // a caller is inside saver.StartSave
 	handed  *sync.Cond // on saveMu; allocated by the first caller that waits
 	// afterHandOff is a wake's afterWake step whose completion ran before
 	// the hand-off returned; the handing caller runs it once it has.
 	afterHandOff func()
 	wakeDone     func(error) // under mu, set while waking: owed the wake's outcome
+
+	skipPostWakeSave bool  // fixed at construction
+	strict           bool  // fixed: StrictHorizon && !Baseline
+	state            State // under mu
+	handing          bool  // under saveMu: a caller is inside saver.StartSave
+}
+
+// endpoint is what the embedding Sender or Receiver gives its pipeline.
+// Reaching it through the embedder itself, not through a closure over it,
+// saves an SA an object.
+type endpoint interface {
+	// role is "sender" or "receiver", for error text.
+	role() string
+	// installLocked puts v — the leaped value, or initial on a baseline
+	// wake — into the endpoint's volatile state. It runs with mu held; a
+	// non-nil result runs once mu is released.
+	installLocked(v uint64) (afterWake func())
 }
 
 // handoff is one triggered SAVE on its way to the saver.
@@ -122,7 +135,7 @@ func (p *savePipeline) open(baseline bool) error {
 	}
 	v, used, err := p.store.Fetch()
 	if err != nil {
-		return fmt.Errorf("core: probing %s store: %w", p.role, err)
+		return fmt.Errorf("core: probing %s store: %w", p.ep.role(), err)
 	}
 	if used {
 		p.state = StateDown
@@ -133,13 +146,13 @@ func (p *savePipeline) open(baseline bool) error {
 	if sg, ok := p.store.(store.Stager); ok {
 		seq, err := sg.Stage(p.initial)
 		if err != nil {
-			return fmt.Errorf("core: initializing %s store: %w", p.role, err)
+			return fmt.Errorf("core: initializing %s store: %w", p.ep.role(), err)
 		}
 		p.birth = seq + 1
 		return nil
 	}
 	if err := p.store.Save(p.initial); err != nil {
-		return fmt.Errorf("core: initializing %s store: %w", p.role, err)
+		return fmt.Errorf("core: initializing %s store: %w", p.ep.role(), err)
 	}
 	p.committed.Store(p.initial)
 	return nil
@@ -157,7 +170,7 @@ func (p *savePipeline) awaitBirthLocked() error {
 	case p.birth == 0 || p.gen != gen:
 		return nil
 	case err != nil:
-		return fmt.Errorf("core: %s birth: %w", p.role, err)
+		return fmt.Errorf("core: %s birth: %w", p.ep.role(), err)
 	}
 	p.birth = 0
 	p.committed.Store(p.initial)
@@ -321,8 +334,10 @@ func (p *savePipeline) Wake() { p.WakeNotify(nil) }
 func (p *savePipeline) WakeNotify(done func(error)) {
 	p.mu.Lock()
 	if p.state == StateWaking { // join the wake in flight
-		if first := p.wakeDone; done != nil {
-			p.wakeDone = func(err error) { first(err); done(err) }
+		// then, not done, is captured: a closure over the reassigned done
+		// would move it to the heap on every call, an up endpoint's too.
+		if first, then := p.wakeDone, done; then != nil {
+			p.wakeDone = func(err error) { first(err); then(err) }
 		}
 		p.mu.Unlock()
 		return
@@ -337,7 +352,7 @@ func (p *savePipeline) WakeNotify(done func(error)) {
 	}
 	if p.k == 0 {
 		p.lst.Store(p.initial)
-		afterWake := p.install(p.initial)
+		afterWake := p.ep.installLocked(p.initial)
 		p.state = StateUp
 		p.mu.Unlock()
 		done(nil)
@@ -358,7 +373,7 @@ func (p *savePipeline) WakeNotify(done func(error)) {
 	}
 	if err != nil {
 		p.mu.Lock()
-		p.failWakeAndUnlock(gen, fmt.Errorf("core: %s wake fetch: %w", p.role, err))
+		p.failWakeAndUnlock(gen, fmt.Errorf("core: %s wake fetch: %w", p.ep.role(), err))
 		return
 	}
 	leaped := v + p.leap
@@ -398,7 +413,7 @@ func (p *savePipeline) finishWake(gen, leaped uint64, err error) {
 	p.mu.Lock()
 	p.countDone(err)
 	if err != nil {
-		p.failWakeAndUnlock(gen, fmt.Errorf("core: %s post-wake save: %w", p.role, err))
+		p.failWakeAndUnlock(gen, fmt.Errorf("core: %s post-wake save: %w", p.ep.role(), err))
 		return
 	}
 	p.upAndUnlock(gen, leaped)
@@ -413,7 +428,7 @@ func (p *savePipeline) upAndUnlock(gen, leaped uint64) {
 	}
 	p.lst.Store(leaped)
 	p.committed.Store(leaped)
-	afterWake := p.install(leaped)
+	afterWake := p.ep.installLocked(leaped)
 	p.state = StateUp
 	p.settleWakeAndUnlock(nil)
 	if afterWake == nil {

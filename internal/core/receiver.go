@@ -161,21 +161,21 @@ func (c ReceiverConfig) Validate() error {
 // the paper's q is one serialized process, and only the SAVE hand-off runs
 // outside it. The window is reinstalled in place on wake.
 //
-// Locking discipline: state, win, buffer and the counters are guarded by
-// mu. The pipeline's lst and committed are atomics read without it.
+// Locking discipline: state, the window's contents, buffer and the
+// counters are guarded by mu. The pipeline's lst and committed are atomics
+// read without it.
 type Receiver struct {
 	savePipeline
-	width      int  // window width (immutable)
-	strict     bool // cfg.StrictHorizon && !cfg.Baseline
-	wakeBuffer int  // cap on buffer
+	wakeBuffer int // cap on buffer
 	drain      func(seq uint64, v Verdict)
+	win        seqwin.Window // cfg.Window, or &bitmap; never reassigned
 
 	// Guarded by mu.
-	win        seqwin.Window
 	buffer     []uint64 // messages held during StateWaking
 	overflowed uint64
 	delivered  uint64
 	discarded  uint64
+	bitmap     seqwin.Bitmap // the window unless cfg.Window overrides it
 }
 
 // NewReceiver validates cfg and returns a receiver: up at edge 0 over an
@@ -186,30 +186,29 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	win := cfg.Window
-	if win == nil {
+	r := &Receiver{
+		savePipeline: savePipeline{
+			initial: 0, k: cfg.K, leap: configuredLeap(cfg.K, cfg.LeapFactor),
+			store: cfg.Store, saver: cfg.Saver,
+			skipPostWakeSave: cfg.AblationSkipPostWakeSave,
+			strict:           cfg.StrictHorizon && !cfg.Baseline,
+		},
+		wakeBuffer: cfg.WakeBuffer,
+		drain:      cfg.Drain,
+		win:        cfg.Window,
+	}
+	r.ep = r
+	if r.win == nil {
 		w := cfg.W
 		if w == 0 {
 			w = 64
 		}
-		win = seqwin.NewBitmap(w)
-	}
-	r := &Receiver{
-		savePipeline: savePipeline{
-			role: "receiver", initial: 0, k: cfg.K, leap: configuredLeap(cfg.K, cfg.LeapFactor),
-			store: cfg.Store, saver: cfg.Saver,
-			skipPostWakeSave: cfg.AblationSkipPostWakeSave,
-		},
-		win:        win,
-		width:      win.W(),
-		strict:     cfg.StrictHorizon && !cfg.Baseline,
-		wakeBuffer: cfg.WakeBuffer,
-		drain:      cfg.Drain,
+		r.bitmap.Init(w)
+		r.win = &r.bitmap
 	}
 	if r.wakeBuffer == 0 {
 		r.wakeBuffer = DefaultWakeBuffer
 	}
-	r.install = r.installLocked
 	if err := r.open(cfg.Baseline); err != nil {
 		return nil, err
 	}
@@ -291,7 +290,9 @@ func (r *Receiver) Reset() {
 	r.reset(func() { r.buffer = nil })
 }
 
-// installLocked is the pipeline's install hook: it reinstalls the window
+func (r *Receiver) role() string { return "receiver" }
+
+// installLocked is the pipeline's install step: it reinstalls the window
 // at edge — after the leap with every entry marked received (paper: r :=
 // fetched + 2Kq; every entry of wdw set to true), on a baseline wake
 // cleared (§3: any previously used number is accepted again) — and returns
@@ -322,8 +323,9 @@ func (r *Receiver) Edge() uint64 {
 	return r.win.Edge()
 }
 
-// W returns the anti-replay window width.
-func (r *Receiver) W() int { return r.width }
+// W returns the anti-replay window width. A window's width never changes,
+// so it is read without the mutex.
+func (r *Receiver) W() int { return r.win.W() }
 
 // Occupancy returns how many numbers inside (edge-w, edge] the window has
 // marked seen, or -1 when the window implementation cannot report it. A

@@ -47,7 +47,6 @@ func (c SenderConfig) Validate() error {
 // pipeline). Safe for concurrent use.
 type Sender struct {
 	savePipeline
-	strict bool // cfg.StrictHorizon && !cfg.Baseline
 
 	// Guarded by mu.
 	s    uint64 // next sequence number to hand out (paper: s)
@@ -64,14 +63,14 @@ func NewSender(cfg SenderConfig) (*Sender, error) {
 	}
 	x := &Sender{
 		savePipeline: savePipeline{
-			role: "sender", initial: 1, k: cfg.K, leap: configuredLeap(cfg.K, cfg.LeapFactor),
+			initial: 1, k: cfg.K, leap: configuredLeap(cfg.K, cfg.LeapFactor),
 			store: cfg.Store, saver: cfg.Saver,
 			skipPostWakeSave: cfg.AblationSkipPostWakeSave,
+			strict:           cfg.StrictHorizon && !cfg.Baseline,
 		},
-		strict: cfg.StrictHorizon && !cfg.Baseline,
-		s:      1,
+		s: 1,
 	}
-	x.install = func(v uint64) func() { x.s = v; return nil }
+	x.ep = x
 	if err := x.open(cfg.Baseline); err != nil {
 		return nil, err
 	}
@@ -117,6 +116,14 @@ func (x *Sender) Next() (uint64, error) {
 		x.startSave(save)
 	}
 	return seq, nil
+}
+
+func (x *Sender) role() string { return "sender" }
+
+// installLocked is the pipeline's install step: the counter resumes at v.
+func (x *Sender) installLocked(v uint64) func() {
+	x.s = v
+	return nil
 }
 
 // Reset crashes the sender: all volatile state is considered lost and any

@@ -8,69 +8,105 @@ import (
 	"antireplay/internal/store"
 )
 
-// saHeapBudget is the pinned per-SA heap budget in bytes: gateway map
-// entries, the SAD's table slots, the inbound SA (window, keys, an AEAD
-// pointer that stays nil until the first packet, receiver), its journal
-// cell, and the pool handle. The compact cell representation is what keeps
-// the journal side near-zero (a packed uint64 key instead of map+string per
-// counter). Measured 2,154 B/SA while the inbound SA carried a 1 KiB
-// sharded tally block, 1,067 B/SA with four plain atomic counters and a
-// per-SA pool of HMAC states, 955 B/SA with the AES-GCM suite, and 973 B/SA
-// once the SAD's 64 shard maps became one table at most a quarter full
-// (2-vCPU Xeon, with and without -race); pinned with headroom so a regression
-// trips loudly, not flakily.
-const saHeapBudget = 1536
-
-// TestSAFootprint pins heap bytes per installed SA so the compact cell
-// representation can't silently regress. 100k inbound SAs are installed on
-// one gateway over a default medium — the million-SA configuration,
-// downscaled to keep the test seconds-long — and the before/after
-// runtime.ReadMemStats delta is divided out.
+// TestSAFootprint pins heap bytes per installed SA, each way, at the
+// default window and at the benchmark's W = 1024 with ESN, so the install
+// cannot silently grow. 100k SAs are installed on one gateway over a
+// default medium — the million-SA configuration, downscaled to keep the
+// test seconds-long — and the before/after runtime.ReadMemStats delta is
+// divided out: gateway map entries, the SAD's or SPD's table slots, the SA
+// (keys by value, an AEAD pointer that stays nil until the first packet),
+// its endpoint (a receiver's window embedded, its ring beside it), the
+// journal cell and key, and the pool handle.
+//
+// Each budget is at most 1.3x its reading (2-vCPU Xeon, with and without
+// -race): inbound at W = 64 read 2,154 B while the inbound SA carried a
+// 1 KiB sharded tally block, 1,067 with four plain counters and a per-SA
+// pool of HMAC states, 955 with the AES-GCM suite, 973 once the SAD became
+// one table at most a quarter full, and 749 once the SA held its keys and
+// window by value and nothing it does not use. The live figure, logged
+// after one packet per SA, adds the AES-GCM state the first packet builds.
 func TestSAFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("footprint measurement is slow")
 	}
 	const n = 100_000
-
-	lanes, err := store.OpenLanes(t.TempDir(), store.LanesWithoutSync())
-	if err != nil {
-		t.Fatalf("OpenLanes: %v", err)
-	}
-	defer lanes.Close()
-	gw, err := NewGateway(GatewayConfig{Journal: lanes})
-	if err != nil {
-		t.Fatalf("NewGateway: %v", err)
-	}
-	defer gw.Close()
-
 	keys := KeyMaterial{
 		AuthKey: bytes.Repeat([]byte{0x5A}, AuthKeySize),
 		EncKey:  bytes.Repeat([]byte{0xA5}, EncKeySize),
 	}
-	var before, after runtime.MemStats
+	var peer suite // seals what the inbound SAs open
+	peer.init(keys)
+
+	for _, c := range []struct {
+		name    string
+		inbound bool
+		w       int
+		esn     bool
+		budget  uint64
+	}{
+		{"inbound/W64", true, 0, false, 972},
+		{"outbound/W64", false, 0, false, 960},
+		{"inbound/W1024-ESN", true, 1024, true, 1284},
+		{"outbound/W1024-ESN", false, 1024, true, 960},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			lanes, err := store.OpenLanes(t.TempDir(), store.LanesWithoutSync())
+			if err != nil {
+				t.Fatalf("OpenLanes: %v", err)
+			}
+			defer lanes.Close()
+			gw, err := NewGateway(GatewayConfig{Journal: lanes, W: c.w, ESN: c.esn})
+			if err != nil {
+				t.Fatalf("NewGateway: %v", err)
+			}
+			defer gw.Close()
+
+			base := heapNow()
+			for i := 0; i < n; i++ {
+				if c.inbound {
+					_, err = gw.AddInbound(uint32(i+1), keys)
+				} else {
+					_, err = gw.AddOutbound(uint32(i+1), keys, installSelector(i))
+				}
+				if err != nil {
+					t.Fatalf("install %d: %v", i, err)
+				}
+			}
+			installed := (heapNow() - base) / n
+
+			// One packet per SA: the first packet waits for the SA's
+			// staged birth and builds its AES-GCM state.
+			payload := make([]byte, 64)
+			buf, wire := make([]byte, 0, 256), make([]byte, 0, 256)
+			for i := 0; i < n; i++ {
+				spi := uint32(i + 1)
+				if c.inbound {
+					_, v, err := gw.OpenAppend(buf, peer.seal(spi, 1, payload, wire))
+					if err != nil || !v.Delivered() {
+						t.Fatalf("open on %#x: %v, %v", spi, v, err)
+					}
+				} else {
+					sel := installSelector(i)
+					if _, err := gw.SealAppend(buf, sel.Src.Addr(), sel.Dst.Addr(), payload); err != nil {
+						t.Fatalf("seal on %#x: %v", spi, err)
+					}
+				}
+			}
+			live := (heapNow() - base) / n
+			t.Logf("%d SAs: %d bytes/SA installed (budget %d), %d live after one packet each",
+				n, installed, c.budget, live)
+			if installed > c.budget {
+				t.Errorf("heap footprint %d bytes/SA exceeds the %d budget", installed, c.budget)
+			}
+		})
+	}
+}
+
+// heapNow returns the live heap after a full collection.
+func heapNow() uint64 {
+	var ms runtime.MemStats
 	runtime.GC()
-	runtime.ReadMemStats(&before)
-
-	for i := 0; i < n; i++ {
-		if _, err := gw.AddInbound(uint32(i+1), keys); err != nil {
-			t.Fatalf("AddInbound %d: %v", i, err)
-		}
-	}
-
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	perSA := (after.HeapAlloc - before.HeapAlloc) / n
-	t.Logf("%d SAs: %.1f MiB heap, %d bytes/SA (budget %d)",
-		n, float64(after.HeapAlloc-before.HeapAlloc)/(1<<20), perSA, saHeapBudget)
-	if perSA > saHeapBudget {
-		t.Errorf("heap footprint %d bytes/SA exceeds the %d budget", perSA, saHeapBudget)
-	}
-
-	// The population must actually work: spot-check admission state exists
-	// on a few SAs across the SPI (and so lane) range.
-	for _, spi := range []uint32{1, n / 2, n} {
-		if _, ok := gw.SAD().Lookup(spi); !ok {
-			t.Errorf("SAD lacks SPI %#x", spi)
-		}
-	}
+	runtime.GC() // twice: the first only unlinks what sync.Pools still hold
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

@@ -566,8 +566,12 @@ func (g *Gateway) WakeAll() error {
 	}
 	for _, sa := range snap.inbound {
 		sa.Receiver().WakeNotify(func(err error) {
-			cur, _ := g.sad.Lookup(sa.SPI())
-			settle("inbound", sa.SPI(), err, errors.Is(err, core.ErrDown) && cur != sa)
+			removed := false
+			if errors.Is(err, core.ErrDown) {
+				cur, _ := g.sad.Lookup(sa.SPI())
+				removed = cur != sa
+			}
+			settle("inbound", sa.SPI(), err, removed)
 		})
 	}
 	pending.Wait()

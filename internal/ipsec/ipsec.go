@@ -78,10 +78,11 @@ const (
 // KeyMaterial is the symmetric keying of one SA direction.
 type KeyMaterial struct {
 	// AuthKey's first 4 bytes are the RFC 4106 salt, XORed with the SPI
-	// into the fixed part of every GCM nonce; the rest is unused. Must be AuthKeySize bytes. The
-	// name and size are those of the HMAC key the salt replaced, kept so
-	// that ike's key split and callers sizing keys by AuthKeySize stay
-	// valid.
+	// into the fixed part of every GCM nonce; the rest is unused (an SA
+	// keeps only the salt, and a snapshot reports the rest as zeros). Must
+	// be AuthKeySize bytes. The name and size are those of the HMAC key
+	// the salt replaced, kept so that ike's key split and callers sizing
+	// keys by AuthKeySize stay valid.
 	AuthKey []byte
 	// EncKey keys AES-128-GCM. Must be EncKeySize bytes.
 	EncKey []byte
@@ -98,26 +99,43 @@ func (k KeyMaterial) Validate() error {
 	return nil
 }
 
-// suite is one SA's validated keys and its AES-128-GCM state. The AEAD is
-// built on the SA's first seal or open, so an installed but idle SA pays one
-// pointer for it; cipher.AEAD is safe for concurrent use, so every packet
-// on the SA shares it.
+// suite is one SA's AES-128-GCM keying: the 16-byte key and the 4-byte
+// salt, by value — all an SA ever reads of its KeyMaterial — and the AEAD,
+// built on the SA's first seal or open, so an installed but idle SA pays
+// one pointer for it; cipher.AEAD is safe for concurrent use, so every
+// packet on the SA shares it.
 type suite struct {
-	keys KeyMaterial
 	aead atomic.Pointer[cipher.AEAD]
+	key  [EncKeySize]byte
+	salt uint32
+}
+
+// init copies validated keys into s.
+func (s *suite) init(keys KeyMaterial) {
+	copy(s.key[:], keys.EncKey)
+	s.salt = binary.BigEndian.Uint32(keys.AuthKey)
+}
+
+// keys returns the SA's key material in the form Validate accepts, freshly
+// allocated: AuthKey is the salt zero-padded to AuthKeySize, since nothing
+// past the salt was ever read.
+func (s *suite) keys() KeyMaterial {
+	auth := make([]byte, AuthKeySize)
+	binary.BigEndian.PutUint32(auth, s.salt)
+	return KeyMaterial{AuthKey: auth, EncKey: slices.Clone(s.key[:])}
 }
 
 func (s *suite) get() cipher.AEAD {
 	if a := s.aead.Load(); a != nil {
 		return *a
 	}
-	blk, err := aes.NewCipher(s.keys.EncKey)
+	blk, err := aes.NewCipher(s.key[:])
 	var a cipher.AEAD
 	if err == nil {
 		a, err = cipher.NewGCM(blk)
 	}
 	if err != nil {
-		// Validate pinned the key length; neither call fails on it.
+		// The key is an array of the one valid length; neither call fails.
 		panic(fmt.Sprintf("ipsec: aes-gcm: %v", err))
 	}
 	s.aead.CompareAndSwap(nil, &a)
@@ -135,7 +153,7 @@ var nonceAADPool = sync.Pool{New: func() any { return new(nonceAAD) }}
 
 func (s *suite) nonceAndAAD(spi uint32, seq64 uint64) *nonceAAD {
 	na := nonceAADPool.Get().(*nonceAAD)
-	binary.BigEndian.PutUint32(na.nonce[:saltLen], binary.BigEndian.Uint32(s.keys.AuthKey)^spi)
+	binary.BigEndian.PutUint32(na.nonce[:saltLen], s.salt^spi)
 	binary.BigEndian.PutUint64(na.nonce[saltLen:], seq64)
 	binary.BigEndian.PutUint32(na.aad[:4], spi)
 	binary.BigEndian.PutUint64(na.aad[4:], seq64)

@@ -118,7 +118,8 @@ func TestSealOpenRoundTrip(t *testing.T) {
 			keys.EncKey[i] = byte(i)
 		}
 		const spi, seq64 = 0x11223344, 0x0000000200000007
-		s := &suite{keys: keys}
+		s := new(suite)
+		s.init(keys)
 		wire := s.seal(spi, seq64, []byte("attack at dawn"), nil)
 		const want = "11223344" + "00000007" +
 			"ee15d17a46db95c50e245ebbf59b" + "a4c8f249762157796202c98b87286594"

@@ -60,20 +60,18 @@ func (s LifetimeState) String() string {
 // per-packet counters are atomics, so concurrent Seals serialize only on
 // the sender's own sequence allocation.
 type OutboundSA struct {
-	spi    uint32
 	crypto suite
 	seq    *core.Sender
-	esn    bool
-	life   Lifetime
-	now    func() time.Duration
-	born   time.Duration
+	bound  *bound // nil: no lifetime bound
 
 	// lineage: generation number within a rekey chain and the SPI of the
 	// predecessor generation (0 = first generation). Written once, by the
 	// gateway rekey path, before the SA is published.
 	generation uint64
+	spi        uint32
 	prevSPI    uint32
 	draining   atomic.Bool
+	esn        bool
 
 	bytes   atomic.Uint64
 	packets atomic.Uint64
@@ -91,11 +89,8 @@ func NewOutboundSA(spi uint32, keys KeyMaterial, sender *core.Sender, esn bool, 
 	if sender == nil {
 		return nil, fmt.Errorf("%w: nil sender", core.ErrConfig)
 	}
-	o := &OutboundSA{
-		spi: spi, crypto: suite{keys: keys},
-		seq: sender, esn: esn, life: life, now: clockOrZero(clock),
-	}
-	o.born = o.now()
+	o := &OutboundSA{seq: sender, bound: newBound(life, clock), spi: spi, esn: esn}
+	o.crypto.init(keys)
 	return o, nil
 }
 
@@ -140,26 +135,28 @@ func (o *OutboundSA) Draining() bool { return o.draining.Load() }
 // reached every later attempt fails. The one packet that crosses the
 // boundary is allowed, as with any in-flight packet at expiry.
 func (o *OutboundSA) reserve(n uint64) error {
-	if o.life.HardTime > 0 && o.now()-o.born >= o.life.HardTime {
-		return ErrHardExpired
-	}
-	if o.life.HardBytes == 0 {
-		// No byte bound: plain wait-free accounting, no CAS retries on the
-		// hot path.
-		o.bytes.Add(n)
-		o.packets.Add(1)
-		return nil
-	}
-	for {
-		cur := o.bytes.Load()
-		if o.life.HardBytes > 0 && cur >= o.life.HardBytes {
+	if b := o.bound; b != nil {
+		if b.life.HardTime > 0 && b.age() >= b.life.HardTime {
 			return ErrHardExpired
 		}
-		if o.bytes.CompareAndSwap(cur, cur+n) {
-			o.packets.Add(1)
-			return nil
+		if hard := b.life.HardBytes; hard > 0 {
+			for {
+				cur := o.bytes.Load()
+				if cur >= hard {
+					return ErrHardExpired
+				}
+				if o.bytes.CompareAndSwap(cur, cur+n) {
+					o.packets.Add(1)
+					return nil
+				}
+			}
 		}
 	}
+	// No byte bound: plain wait-free accounting, no CAS retries on the hot
+	// path.
+	o.bytes.Add(n)
+	o.packets.Add(1)
+	return nil
 }
 
 // unreserve rolls back a reserve whose seal failed.
@@ -228,9 +225,7 @@ func (o *OutboundSA) SealAppend(dst []byte, payload []byte) ([]byte, error) {
 }
 
 // State classifies the SA's lifetime position.
-func (o *OutboundSA) State() LifetimeState {
-	return lifetimeState(o.life, o.bytes.Load(), o.now()-o.born)
-}
+func (o *OutboundSA) State() LifetimeState { return o.bound.state(o.bytes.Load()) }
 
 // Counters returns bytes and packets sealed so far.
 func (o *OutboundSA) Counters() (bytes, packets uint64) {
@@ -242,23 +237,20 @@ func (o *OutboundSA) Counters() (bytes, packets uint64) {
 // concurrent use: concurrent Opens verify and decrypt in parallel and
 // serialize only on the receiver's admission.
 type InboundSA struct {
-	spi     uint32
-	crypto  suite
-	replay  *core.Receiver
-	esn     bool
-	winW    int  // receiver window width, immutable
-	hasLife bool // any lifetime bound set; false skips per-packet checks
-	life    Lifetime
-	now     func() time.Duration
-	born    time.Duration
+	crypto suite
+	replay *core.Receiver
+	winW   int    // receiver window width, immutable
+	bound  *bound // nil: no lifetime bound, no per-packet check
 
 	// lineage: see OutboundSA. An inbound SA keeps verifying while
 	// draining — the whole point of the drain window is that in-flight
 	// packets on the old SPI are still authenticated and admitted until
 	// the grace period retires the SA.
 	generation uint64
+	spi        uint32
 	prevSPI    uint32
 	draining   atomic.Bool
+	esn        bool
 
 	// Unsharded: every admitted packet already serializes on the receiver's
 	// mutex. Auth failures are the one count bumped without taking it.
@@ -274,12 +266,8 @@ func NewInboundSA(spi uint32, keys KeyMaterial, receiver *core.Receiver, esn boo
 	if receiver == nil {
 		return nil, fmt.Errorf("%w: nil receiver", core.ErrConfig)
 	}
-	i := &InboundSA{
-		spi: spi, crypto: suite{keys: keys}, replay: receiver,
-		esn: esn, winW: receiver.W(), hasLife: life != Lifetime{},
-		life: life, now: clockOrZero(clock),
-	}
-	i.born = i.now()
+	i := &InboundSA{replay: receiver, winW: receiver.W(), bound: newBound(life, clock), spi: spi, esn: esn}
+	i.crypto.init(keys)
 	return i, nil
 }
 
@@ -381,7 +369,7 @@ func (i *InboundSA) Open(wire []byte) ([]byte, core.Verdict, error) {
 // an inexact overlap, and a failed open clears its output, which in place
 // would wipe the ciphertext an ESN retry at a 2^32 boundary still needs.
 func (i *InboundSA) OpenAppend(dst []byte, wire []byte) (out []byte, v core.Verdict, err error) {
-	if i.hasLife && i.State() == LifetimeHard {
+	if i.bound != nil && i.State() == LifetimeHard {
 		return dst, 0, ErrHardExpired
 	}
 	out, v, err = i.verifyOneInto(dst, wire)
@@ -405,19 +393,42 @@ func (i *InboundSA) account(wire []byte, v core.Verdict, err error) {
 }
 
 // State classifies the SA's lifetime position.
-func (i *InboundSA) State() LifetimeState {
-	if !i.hasLife {
-		return LifetimeOK
-	}
-	return lifetimeState(i.life, i.bytes.Load(), i.now()-i.born)
-}
+func (i *InboundSA) State() LifetimeState { return i.bound.state(i.bytes.Load()) }
 
 // Counters returns (bytes, packets, authFailures, replayDiscards).
 func (i *InboundSA) Counters() (bytes, packets, authFails, replays uint64) {
 	return i.bytes.Load(), i.packets.Load(), i.authFails.Load(), i.replays.Load()
 }
 
-func lifetimeState(l Lifetime, bytes uint64, age time.Duration) LifetimeState {
+// bound is an SA's lifetime bound with the clock it is read on and the
+// SA's birth on that clock. An SA without a bound, a gateway's default,
+// holds a nil *bound and never reads a clock.
+type bound struct {
+	life Lifetime
+	now  func() time.Duration
+	born time.Duration
+}
+
+// newBound returns life's bound, starting now on clock (nil: a frozen
+// clock), or nil for the zero Lifetime.
+func newBound(life Lifetime, clock func() time.Duration) *bound {
+	if life == (Lifetime{}) {
+		return nil
+	}
+	b := &bound{life: life, now: clockOrZero(clock)}
+	b.born = b.now()
+	return b
+}
+
+func (b *bound) age() time.Duration { return b.now() - b.born }
+
+// state classifies an SA that has carried bytes; a nil bound is always
+// LifetimeOK.
+func (b *bound) state(bytes uint64) LifetimeState {
+	if b == nil {
+		return LifetimeOK
+	}
+	l, age := b.life, b.age()
 	if l.HardBytes > 0 && bytes >= l.HardBytes {
 		return LifetimeHard
 	}

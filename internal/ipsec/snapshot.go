@@ -1,7 +1,6 @@
 package ipsec
 
 import (
-	"bytes"
 	"fmt"
 
 	"antireplay/internal/store"
@@ -39,11 +38,6 @@ type InboundSnapshot struct {
 	Draining   bool
 }
 
-// copyKeys deep-copies key material so snapshots do not alias live SA state.
-func copyKeys(k KeyMaterial) KeyMaterial {
-	return KeyMaterial{AuthKey: bytes.Clone(k.AuthKey), EncKey: bytes.Clone(k.EncKey)}
-}
-
 // Snapshot exports the gateway's control-plane state for a standby's mirror
 // (Adopt on the standby's gateway). The snapshot is consistent per SA but
 // not across the population: SAs added or removed concurrently may or may
@@ -64,7 +58,7 @@ func (g *Gateway) Snapshot() GatewaySnapshot {
 	for _, sa := range outs {
 		snap.Outbound = append(snap.Outbound, OutboundSnapshot{
 			SPI:        sa.SPI(),
-			Keys:       copyKeys(sa.crypto.keys),
+			Keys:       sa.crypto.keys(),
 			Selectors:  append([]Selector(nil), sels[sa]...),
 			Generation: sa.Generation(),
 			PrevSPI:    sa.PrevSPI(),
@@ -74,7 +68,7 @@ func (g *Gateway) Snapshot() GatewaySnapshot {
 	g.sad.Range(func(sa *InboundSA) bool {
 		snap.Inbound = append(snap.Inbound, InboundSnapshot{
 			SPI:        sa.SPI(),
-			Keys:       copyKeys(sa.crypto.keys),
+			Keys:       sa.crypto.keys(),
 			Generation: sa.Generation(),
 			PrevSPI:    sa.PrevSPI(),
 			Draining:   sa.Draining(),
@@ -143,7 +137,7 @@ func (g *Gateway) Adopt(snap GatewaySnapshot) error {
 			}
 			continue
 		}
-		sa, err := g.buildOutbound(ob.SPI, copyKeys(ob.Keys), true)
+		sa, err := g.buildOutbound(ob.SPI, ob.Keys, true)
 		if err != nil {
 			return fmt.Errorf("ipsec: adopt outbound %#x: %w", ob.SPI, err)
 		}
@@ -170,7 +164,7 @@ func (g *Gateway) Adopt(snap GatewaySnapshot) error {
 			}
 			continue
 		}
-		sa, err := g.buildInbound(ib.SPI, copyKeys(ib.Keys), true)
+		sa, err := g.buildInbound(ib.SPI, ib.Keys, true)
 		if err != nil {
 			return fmt.Errorf("ipsec: adopt inbound %#x: %w", ib.SPI, err)
 		}

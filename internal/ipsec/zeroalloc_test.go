@@ -234,3 +234,56 @@ func TestKeyFormatCompat(t *testing.T) {
 		t.Errorf("InboundKey(0xdeadbeef) = %q, want %q", got, "rx/deadbeef")
 	}
 }
+
+// installAllocsMax is what an install may allocate, each way: the journal
+// cell and its key string, the pool handle, the endpoint, the SA, and
+// inbound the window's ring (the window itself is embedded in the
+// receiver), outbound the SPD's republished view. The tables' amortized
+// growth rounds away. A closure for the endpoint's install step, a
+// separate window, a Flush condvar built ahead of any Flush, or a wake
+// callback moved to the heap put it back above; before those went, an
+// install read 10 inbound and 9 outbound.
+const installAllocsMax = 6
+
+// TestInstallAllocs pins the objects one AddInbound and one AddOutbound
+// allocate on a warm gateway: what a million-SA install pays the allocator
+// and, for as long as the SAs live, the collector's mark work.
+func TestInstallAllocs(t *testing.T) {
+	skipUnderRace(t)
+	lanes, err := store.OpenLanes(t.TempDir(), store.LanesWithoutSync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lanes.Close()
+	gw, err := NewGateway(GatewayConfig{Journal: lanes, W: 1024, ESN: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	keys := testKeys()
+	spi := uint32(0)
+	for ; spi < 4096; spi++ { // warm: the tables past their first doublings
+		if _, err := gw.AddInbound(spi+1, keys); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := gw.AddOutbound(spi+1, keys, installSelector(int(spi))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	in := testing.AllocsPerRun(1000, func() {
+		spi++
+		if _, err := gw.AddInbound(spi, keys); err != nil {
+			t.Fatal(err)
+		}
+	})
+	out := testing.AllocsPerRun(1000, func() {
+		spi++
+		if _, err := gw.AddOutbound(spi, keys, installSelector(int(spi))); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocations per install: inbound %v, outbound %v (at most %d)", in, out, installAllocsMax)
+	if in > installAllocsMax || out > installAllocsMax {
+		t.Errorf("an install allocates %v inbound and %v outbound objects, want at most %d each", in, out, installAllocsMax)
+	}
+}

@@ -26,6 +26,15 @@ var _ Window = (*Bitmap)(nil)
 // DIV. Extra words only retain more already-stale history. It panics if
 // w < 1 (programmer error).
 func NewBitmap(w int) *Bitmap {
+	b := new(Bitmap)
+	b.Init(w)
+	return b
+}
+
+// Init makes b an empty window of width w in place, as NewBitmap does for a
+// new one: a window embedded by value in its owner costs one object less,
+// the ring. It panics if w < 1.
+func (b *Bitmap) Init(w int) {
 	if w < 1 {
 		panic(fmt.Sprintf("seqwin: window width %d < 1", w))
 	}
@@ -33,7 +42,7 @@ func NewBitmap(w int) *Bitmap {
 	for nwords < (w+63)/64+1 {
 		nwords <<= 1
 	}
-	return &Bitmap{words: make([]uint64, nwords), mask: uint64(nwords - 1), w: w}
+	*b = Bitmap{words: make([]uint64, nwords), mask: uint64(nwords - 1), w: w}
 }
 
 func (b *Bitmap) wordOf(s uint64) int { return int((s / 64) & b.mask) }

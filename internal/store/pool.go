@@ -103,7 +103,6 @@ func (p *SaverPool) Saver(st Store) *PoolSaver {
 	if s.sg, _ = st.(Stager); s.sg == nil {
 		s.sg = saveStager{st}
 	}
-	s.idle = sync.NewCond(&s.mu)
 	return s
 }
 
@@ -165,7 +164,7 @@ type PoolSaver struct {
 	sg Stager // the store itself, or saveStager{store}
 
 	mu      sync.Mutex
-	idle    *sync.Cond // broadcast when active clears (Flush waiters)
+	idle    *sync.Cond // broadcast when active clears; built by the first Flush that waits
 	pending saveBatch
 	active  bool // on the shard's queue or in its worker's current round
 }
@@ -205,9 +204,19 @@ func (s *PoolSaver) StartSave(v uint64, done func(error)) {
 func (s *PoolSaver) Flush() {
 	s.mu.Lock()
 	for s.active || len(s.pending) > 0 {
+		if s.idle == nil {
+			s.idle = sync.NewCond(&s.mu)
+		}
 		s.idle.Wait()
 	}
 	s.mu.Unlock()
+}
+
+// wakeIdleLocked wakes the Flush waiters, if any, once active has cleared.
+func (s *PoolSaver) wakeIdleLocked() {
+	if s.idle != nil {
+		s.idle.Broadcast()
+	}
 }
 
 // fail drains the handle's pending saves with err, without a worker.
@@ -216,7 +225,7 @@ func (s *PoolSaver) fail(err error) {
 	batch := s.pending
 	s.pending = nil
 	s.active = false
-	s.idle.Broadcast()
+	s.wakeIdleLocked()
 	s.mu.Unlock()
 	batch.done(err)
 }
@@ -285,7 +294,7 @@ func (p *SaverPool) worker(sh *poolShard) {
 			sh.mu.Unlock()
 			if !again {
 				h.active = false
-				h.idle.Broadcast()
+				h.wakeIdleLocked()
 			}
 			h.mu.Unlock()
 		}
