@@ -23,12 +23,13 @@ type (
 	// TailRecord is one committed journal record as seen by a tail.
 	TailRecord = store.TailRecord
 	// GatewaySnapshot is a gateway's control-plane state (SA population,
-	// keys, selectors, lineage), the input to Standby.Mirror.
+	// keys, lineage, and the SPD in order), the input to Standby.Mirror.
 	GatewaySnapshot = ipsec.GatewaySnapshot
-	// OutboundSnapshot describes one outbound SA within a GatewaySnapshot.
-	OutboundSnapshot = ipsec.OutboundSnapshot
-	// InboundSnapshot describes one inbound SA within a GatewaySnapshot.
-	InboundSnapshot = ipsec.InboundSnapshot
+	// SASnapshot describes one SA, either way, within a GatewaySnapshot.
+	SASnapshot = ipsec.SASnapshot
+	// PolicySnapshot is one SPD entry within a GatewaySnapshot: a selector
+	// and the SPI of the outbound SA it seals on.
+	PolicySnapshot = ipsec.PolicySnapshot
 )
 
 // Cluster and replication errors.

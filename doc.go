@@ -93,7 +93,9 @@
 // follower medium, lane to lane (snapshot-then-tail over the committed
 // record stream, registered as each lane's sync follower so replication
 // joins fsync in the durability contract) and keeps a warm, down-state
-// image of the SA population (Gateway.Snapshot / Standby.Mirror).
+// image of the SA population and of the SPD in order (Gateway.Snapshot, a
+// GatewaySnapshot of SASnapshot and PolicySnapshot records, applied by
+// Standby.Mirror).
 // Standby.Takeover is the epoch-fenced promotion: fence the deposed medium,
 // drain the stream, durably bump the cluster epoch, and wake every SA from
 // its replicated counter — the paper's wake-up, pointed at the replica, so

@@ -123,10 +123,10 @@ func TestDocsStateDefaultCompactAt(t *testing.T) {
 var signatureNeeded = []struct{ why, names string }{
 	{"result, parameter and field types of kept constructors, methods and config structs: a caller holding the value must be able to name it", `
 		BackgroundSaver ChildKeys Engine EstablishResult GatewaySnapshot
-		InboundSnapshot Journal JournalCell JournalTail LanesOption
-		LifetimeState LinkStats MetricKind MetricLabel MetricsEmit OutboundSnapshot
-		PoolSaver ReceiverStats RecoveryStats RekeyOrchestrator RekeyState
-		RekeyStats RekeyTunnel ReplicationStats SAD SAIntrospection SPD SenderStats
+		Journal JournalCell JournalTail LanesOption LifetimeState LinkStats
+		MetricKind MetricLabel MetricsEmit PolicySnapshot PoolSaver
+		ReceiverStats RecoveryStats RekeyOrchestrator RekeyState RekeyStats
+		RekeyTunnel ReplicationStats SAD SAIntrospection SASnapshot SPD SenderStats
 		SimSaver Standby State Store TailRecord UDPEndpoint Window WindowDecision
 		WireStats`},
 	{"error sentinels stay with the subsystem that returns them: a caller matches them with errors.Is whether or not a sample does", `

@@ -407,10 +407,13 @@ func (s *Standby) noteSourceEpoch(e uint64) error {
 }
 
 // Mirror reconciles the warm gateway image to the primary's control-plane
-// snapshot (ipsec.Gateway.Snapshot): SAs appear in the down state, retired
-// SAs are forgotten without touching their replicated cells. Call it after
-// population changes on the primary — initial setup, rekey rollovers,
-// SA removals. Refused after promotion (the image is live then).
+// snapshot (ipsec.Gateway.Snapshot, applied by ipsec.Gateway.Adopt): SAs
+// appear in the down state, retired SAs are forgotten without touching
+// their replicated cells, every SA takes the snapshot's drain mark, and the
+// image's SPD becomes the snapshot's policy in order, so the promoted
+// gateway's first match is the primary's. Call it after every population
+// change on the primary — setup, rekey rollovers and their reverts, SA
+// removals. Refused after promotion (the image is live then).
 func (s *Standby) Mirror(snap ipsec.GatewaySnapshot) error {
 	s.op.Lock()
 	defer s.op.Unlock()

@@ -237,6 +237,42 @@ func TestStandbyReplicationAndTakeover(t *testing.T) {
 	}
 }
 
+// TestMirrorAfterRolloverTakesOverOnSuccessor: Standby.Mirror after a rekey
+// rollover, then Takeover — the promoted gateway seals on the successor
+// SPI, as the primary did, and the peer delivers it. The image's SPD must
+// not keep the drained predecessor's entry ahead of the successor's, or
+// every Seal after the takeover fails with ErrDraining.
+func TestMirrorAfterRolloverTakesOverOnSuccessor(t *testing.T) {
+	h := newHAPair(t)
+	const successor = 0x22
+	if _, err := h.A.RekeyInbound(h.baSPI, successor, testKeys(3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.B.RekeyOutbound(h.baSPI, successor, testKeys(3)); err != nil {
+		t.Fatal(err)
+	}
+	w := sealRetry(t, h.B, testAddr(1), testAddr(0), []byte("rolled over"))
+	if v := openRetry(t, h.A, w); !v.Delivered() {
+		t.Fatalf("peer rejected the successor's packet: %v", v)
+	}
+	if err := h.standby.Mirror(h.B.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+
+	h.B.ResetAll()
+	gw2, _, err := h.standby.Takeover()
+	if err != nil {
+		t.Fatalf("takeover: %v", err)
+	}
+	w = sealRetry(t, gw2, testAddr(1), testAddr(0), []byte("after takeover"))
+	if spi, _ := ipsec.ParseSPI(w); spi != successor {
+		t.Fatalf("promoted gateway sealed on SPI %#x, want the successor %#x", spi, successor)
+	}
+	if v := openRetry(t, h.A, w); !v.Delivered() {
+		t.Fatalf("peer rejected the promoted gateway's packet: %v", v)
+	}
+}
+
 func TestStandbyRefusesStaleEpochSource(t *testing.T) {
 	dir := t.TempDir()
 	src := openJournal(t, filepath.Join(dir, "deposed.log"))

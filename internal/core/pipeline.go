@@ -458,6 +458,10 @@ func (p *savePipeline) LastStored() uint64 { return p.lst.Load() }
 // compare across reopen.
 func (p *savePipeline) Committed() uint64 { return p.committed.Load() }
 
+// Saver returns the saver the endpoint's SAVEs go through: its config's
+// Saver, or on a resilient endpoint the SyncSaver a nil one selects.
+func (p *savePipeline) Saver() BackgroundSaver { return p.saver }
+
 // State returns the lifecycle state.
 func (p *savePipeline) State() State {
 	p.mu.Lock()

@@ -169,8 +169,10 @@ func BenchmarkGatewayInstall(b *testing.B) {
 		const n = 100_000
 		var snap GatewaySnapshot
 		for i := 0; i < n/2; i++ {
-			snap.Outbound = append(snap.Outbound, OutboundSnapshot{SPI: uint32(i + 1), Keys: keys, Selectors: []Selector{installSelector(i)}})
-			snap.Inbound = append(snap.Inbound, InboundSnapshot{SPI: uint32(i + 1), Keys: keys})
+			sa := SASnapshot{SPI: uint32(i + 1), Keys: keys}
+			snap.Outbound = append(snap.Outbound, sa)
+			snap.Inbound = append(snap.Inbound, sa)
+			snap.Policy = append(snap.Policy, PolicySnapshot{Selector: installSelector(i), SPI: sa.SPI})
 		}
 		run(b, n, func(gw *Gateway) error { return gw.Adopt(snap) })
 	})

@@ -444,6 +444,13 @@ func (p *SPD) Range(fn func(Selector, *OutboundSA) bool) {
 	}
 }
 
+// set publishes entries, in order, as the whole policy.
+func (p *SPD) set(entries []spdEntry) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.cur.Store(rebuildSPDView(entries))
+}
+
 // Lookup returns the first SA whose selector covers (src, dst). It is
 // wait-free: one atomic view load, then the index's probe run (all-host-route
 // tables) or the ordered scan.

@@ -72,7 +72,7 @@ func TestSADProbeLengths(t *testing.T) {
 			d := NewSAD()
 			d.seed = seed * 0x9e3779b97f4a7c15
 			for _, spi := range c.spis {
-				d.Add(&InboundSA{spi: spi})
+				d.Add(&InboundSA{saBase: saBase{spi: spi}})
 			}
 			tab := d.tab.Load()
 			if len(tab.slots) != 4*n {
@@ -155,7 +155,7 @@ func TestDatabasesConcurrentGrowth(t *testing.T) {
 	var sadAdded atomic.Int64
 	inbound := make([][2]*InboundSA, n)
 	for k := range inbound {
-		inbound[k] = [2]*InboundSA{{spi: uint32(k + 1)}, {spi: uint32(k + 1)}}
+		inbound[k] = [2]*InboundSA{{saBase: saBase{spi: uint32(k + 1)}}, {saBase: saBase{spi: uint32(k + 1)}}}
 	}
 	read(&sadAdded, func(k int, added bool) {
 		sa, ok := d.Lookup(uint32(k + 1))
@@ -176,7 +176,7 @@ func TestDatabasesConcurrentGrowth(t *testing.T) {
 	var spdAdded atomic.Int64
 	outbound := make([][2]*OutboundSA, n)
 	for k := range outbound {
-		outbound[k] = [2]*OutboundSA{{spi: uint32(k + 1)}, {spi: uint32(n + k + 1)}}
+		outbound[k] = [2]*OutboundSA{{saBase: saBase{spi: uint32(k + 1)}}, {saBase: saBase{spi: uint32(n + k + 1)}}}
 	}
 	read(&spdAdded, func(k int, added bool) {
 		src, dst := gwAddr(k)
@@ -338,7 +338,7 @@ func BenchmarkLookup(b *testing.B) {
 		b.Run(fmt.Sprintf("SAD/%d", n), func(b *testing.B) {
 			d := NewSAD()
 			for i := 0; i < n; i++ {
-				d.Add(&InboundSA{spi: uint32(i + 256)})
+				d.Add(&InboundSA{saBase: saBase{spi: uint32(i + 256)}})
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -83,62 +83,66 @@ type Gateway struct {
 	sad     *SAD
 	spd     *SPD
 
+	// mu serializes registry writes (SAD, outbound list) with closed, so the
+	// cells the gateway owns are its registered SAs', which Close releases.
 	mu     sync.Mutex
 	closed bool
 	// outbound SAs are tracked here, not read back from the SPD: a drained
 	// predecessor stays registered after a cutover has taken it out of the
-	// SPD. The slice keeps registration order (snapshot and Snapshot list
-	// it, so a mirror's first-match-wins SPD matches ours); outSPI finds an
-	// SA by SPI. Inbound SAs live only in the SAD (iterated via Range).
+	// SPD. The slice keeps registration order, which is allocation order,
+	// so a walk over it (ResetAll, WakeAll) reads memory in the order it was
+	// laid out; outSPI finds an SA by SPI. Inbound SAs live only in the SAD.
 	outbound []*OutboundSA
 	outSPI   map[uint32]*OutboundSA
-	// cells holds the journal cells this gateway owns (released on
-	// RemoveInbound/RemoveOutbound and Close) mapped to each cell's pool
-	// handle, so removal can flush in-flight background saves before tombstoning the cell (a
-	// stale save landing after the tombstone would resurrect the retired
-	// counter). One map instead of a claim set plus a saver map: at
-	// million-SA scale the second map's per-entry overhead is real memory.
-	cells map[cellID]*store.PoolSaver
 }
 
 // cellID is an SA's journal cell as one word: the SPI, with bit 32 set for
-// an inbound SA. The gateway keys its cells by it and formats the journal
-// key (OutboundKey, InboundKey) only where the journal takes one.
+// an inbound SA. It formats the journal key (OutboundKey, InboundKey) only
+// where the journal takes one.
 type cellID uint64
 
 func outboundCell(spi uint32) cellID { return cellID(spi) }
 func inboundCell(spi uint32) cellID  { return 1<<32 | cellID(spi) }
 func (c cellID) key() string         { return spiKey([2]string{"tx/", "rx/"}[c>>32], uint32(c)) }
+func (c cellID) String() string {
+	return fmt.Sprintf("%s %#x", [2]string{"outbound", "inbound"}[c>>32], uint32(c))
+}
 
-// claimCell claims journal cell c and records the pool handle that will
-// save it. An existing claim maps to ErrDuplicateSPI (two endpoints over
-// one cell would interleave counters); other failures — e.g. a closed
-// journal or gateway — pass through untouched. The gateway mutex is held
-// across the journal claim so a concurrent Close cannot strand a claim
-// outside the release set.
-func (g *Gateway) claimCell(c cellID) (*store.Cell, *store.PoolSaver, error) {
-	dir := [2]string{"outbound", "inbound"}[c>>32]
+// claimCell claims journal cell c for an SA about to be built. An existing
+// claim maps to ErrDuplicateSPI (two endpoints over one cell would
+// interleave counters); other failures — e.g. a closed journal or gateway
+// — pass through untouched. The claim is the builder's until the SA is
+// registered (lockRegistry), the gateway's from then on.
+func (g *Gateway) claimCell(c cellID) (*store.Cell, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.closed {
-		return nil, nil, fmt.Errorf("ipsec: gateway %s %#x: %w", dir, uint32(c), store.ErrClosed)
+		return nil, fmt.Errorf("ipsec: gateway %v: %w", c, store.ErrClosed)
 	}
 	cell, err := g.cfg.Journal.ClaimCell(c.key())
-	if err != nil {
-		if errors.Is(err, store.ErrCellClaimed) {
-			return nil, nil, fmt.Errorf("%w: %s %#x: %w", ErrDuplicateSPI, dir, uint32(c), err)
-		}
-		return nil, nil, fmt.Errorf("ipsec: gateway %s %#x: %w", dir, uint32(c), err)
+	if errors.Is(err, store.ErrCellClaimed) {
+		return nil, fmt.Errorf("%w: %v: %w", ErrDuplicateSPI, c, err)
+	} else if err != nil {
+		return nil, fmt.Errorf("ipsec: gateway %v: %w", c, err)
 	}
-	saver := g.pool.Saver(cell)
-	g.cells[c] = saver
-	return cell, saver, nil
+	return cell, nil
 }
 
-// releaseCell drops a claim taken by claimCell (failed registration, or a
-// registration that lost a race with Close); without a tombstone there is
-// no error to report.
-func (g *Gateway) releaseCell(c cellID) { g.retireCell(c, false) }
+// releaseCell drops a claim an unregistered SA's build took.
+func (g *Gateway) releaseCell(c cellID) { g.cfg.Journal.ReleaseCell(c.key()) }
+
+// lockRegistry takes g.mu to register the SA built over cell c. Once Close
+// has run it instead releases the build's claim — Close released only the
+// registered SAs' — and returns ErrClosed with g.mu not held.
+func (g *Gateway) lockRegistry(c cellID) error {
+	g.mu.Lock()
+	if !g.closed {
+		return nil
+	}
+	g.mu.Unlock()
+	g.releaseCell(c)
+	return fmt.Errorf("ipsec: gateway %v: %w", c, store.ErrClosed)
+}
 
 // NewGateway validates cfg and returns an empty gateway.
 func NewGateway(cfg GatewayConfig) (*Gateway, error) {
@@ -154,7 +158,6 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		sad:    NewSAD(),
 		spd:    NewSPD(),
 		outSPI: make(map[uint32]*OutboundSA),
-		cells:  make(map[cellID]*store.PoolSaver),
 	}
 	if g.pool == nil {
 		g.pool = store.NewSaverPool(0)
@@ -197,14 +200,14 @@ func (g *Gateway) buildOutbound(spi uint32, keys KeyMaterial, adopt bool) (*Outb
 		return nil, fmt.Errorf("ipsec: gateway outbound %#x: %w", spi, err)
 	}
 	c := outboundCell(spi)
-	cell, saver, err := g.claimCell(c)
+	cell, err := g.claimCell(c)
 	if err != nil {
 		return nil, err
 	}
 	snd, err := core.NewSender(core.SenderConfig{
 		K:             g.cfg.K,
 		Store:         cell,
-		Saver:         saver,
+		Saver:         g.pool.Saver(cell),
 		StrictHorizon: true,
 	})
 	if err != nil {
@@ -240,18 +243,11 @@ func (g *Gateway) AddOutbound(spi uint32, keys KeyMaterial, sel Selector) (*Outb
 	if err != nil {
 		return nil, err
 	}
-	g.mu.Lock()
-	if g.closed {
-		// Close ran between the claim and here and already released the
-		// cell; completing registration would hand out an SA whose cell a
-		// successor gateway can claim too. releaseCell no-ops if Close got
-		// there first.
-		g.mu.Unlock()
-		g.releaseCell(outboundCell(spi))
-		return nil, fmt.Errorf("ipsec: gateway outbound %#x: %w", spi, store.ErrClosed)
+	if err := g.lockRegistry(outboundCell(spi)); err != nil {
+		return nil, err
 	}
 	g.registerOutboundLocked(sa)
-	g.spd.Add(sel, sa) // inside g.mu so Close cannot interleave
+	g.spd.Add(sel, sa)
 	g.mu.Unlock()
 	return sa, nil
 }
@@ -278,11 +274,8 @@ func (g *Gateway) RekeyOutbound(oldSPI, newSPI uint32, keys KeyMaterial) (*Outbo
 		return nil, err
 	}
 	sa.setLineage(old.Generation()+1, oldSPI)
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		g.releaseCell(outboundCell(newSPI))
-		return nil, fmt.Errorf("ipsec: rekey outbound %#x: %w", newSPI, store.ErrClosed)
+	if err := g.lockRegistry(outboundCell(newSPI)); err != nil {
+		return nil, err
 	}
 	g.registerOutboundLocked(sa)
 	g.spd.Replace(old, sa) // the cutover: one atomic repoint under the SPD lock
@@ -302,7 +295,7 @@ func (g *Gateway) RekeyOutbound(oldSPI, newSPI uint32, keys KeyMaterial) (*Outbo
 func (g *Gateway) RevertOutbound(oldSPI, newSPI uint32) bool {
 	g.mu.Lock()
 	old, nu := g.outSPI[oldSPI], g.outSPI[newSPI]
-	if old == nil || nu == nil {
+	if g.closed || old == nil || nu == nil {
 		g.mu.Unlock()
 		return false
 	}
@@ -312,7 +305,7 @@ func (g *Gateway) RevertOutbound(oldSPI, newSPI uint32) bool {
 	old.endDrain()
 	nu.BeginDrain()
 	nu.Sender().Reset()
-	g.retireCell(outboundCell(newSPI), true) //nolint:errcheck // see removeInbound
+	g.retireCell(outboundCell(newSPI), nu.Sender().Saver(), true) //nolint:errcheck // see removeInbound
 	return true
 }
 
@@ -360,7 +353,7 @@ func (g *Gateway) buildInbound(spi uint32, keys KeyMaterial, adopt bool) (*Inbou
 		return nil, fmt.Errorf("ipsec: gateway inbound %#x: %w", spi, err)
 	}
 	c := inboundCell(spi)
-	cell, saver, err := g.claimCell(c)
+	cell, err := g.claimCell(c)
 	if err != nil {
 		return nil, err
 	}
@@ -368,7 +361,7 @@ func (g *Gateway) buildInbound(spi uint32, keys KeyMaterial, adopt bool) (*Inbou
 		K:             g.cfg.K,
 		W:             g.cfg.W,
 		Store:         cell,
-		Saver:         saver,
+		Saver:         g.pool.Saver(cell),
 		StrictHorizon: true,
 	})
 	if err != nil {
@@ -396,13 +389,10 @@ func (g *Gateway) AddInbound(spi uint32, keys KeyMaterial) (*InboundSA, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		g.releaseCell(inboundCell(spi))
-		return nil, fmt.Errorf("ipsec: gateway inbound %#x: %w", spi, store.ErrClosed)
+	if err := g.lockRegistry(inboundCell(spi)); err != nil {
+		return nil, err
 	}
-	g.sad.Add(sa) // inside g.mu so Close cannot interleave
+	g.sad.Add(sa)
 	g.mu.Unlock()
 	return sa, nil
 }
@@ -429,11 +419,8 @@ func (g *Gateway) RekeyInbound(oldSPI, newSPI uint32, keys KeyMaterial) (*Inboun
 		return nil, err
 	}
 	sa.setLineage(old.Generation()+1, oldSPI)
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		g.releaseCell(inboundCell(newSPI))
-		return nil, fmt.Errorf("ipsec: rekey inbound %#x: %w", newSPI, store.ErrClosed)
+	if err := g.lockRegistry(inboundCell(newSPI)); err != nil {
+		return nil, err
 	}
 	g.sad.Add(sa)
 	g.mu.Unlock()
@@ -484,7 +471,11 @@ func (g *Gateway) OpenAppend(buf []byte, wire []byte) (out []byte, v core.Verdic
 	return sa.OpenAppend(buf, wire)
 }
 
-// SAD exposes the inbound database.
+// SAD exposes the inbound database for lookups. Its entries are the
+// gateway's own: an SA in it is one whose journal cell the gateway claimed
+// and Close releases, so inbound SAs are registered and removed through the
+// gateway (AddInbound, RekeyInbound, RemoveInbound, Adopt), never through
+// the SAD's Add or Delete.
 func (g *Gateway) SAD() *SAD { return g.sad }
 
 // SPD exposes the outbound policy database.
@@ -588,13 +579,16 @@ type gatewaySnapshot struct {
 	inbound  []*InboundSA
 }
 
-// snapshot copies the SA population: outbound from the gateway's own list,
-// inbound from the SAD (the single source of truth for registered inbound
-// SAs, including any the caller added directly).
+// snapshot copies the registered SA population: outbound from the
+// gateway's own list, in registration order, inbound from the SAD.
 func (g *Gateway) snapshot() gatewaySnapshot {
 	g.mu.Lock()
-	snap := gatewaySnapshot{outbound: append([]*OutboundSA(nil), g.outbound...)}
-	g.mu.Unlock()
+	defer g.mu.Unlock()
+	return g.snapshotLocked()
+}
+
+func (g *Gateway) snapshotLocked() gatewaySnapshot {
+	snap := gatewaySnapshot{outbound: slices.Clone(g.outbound)}
 	g.sad.Range(func(sa *InboundSA) bool {
 		snap.inbound = append(snap.inbound, sa)
 		return true
@@ -602,34 +596,29 @@ func (g *Gateway) snapshot() gatewaySnapshot {
 	return snap
 }
 
-// retireCell disposes of an SA's journal cell: with tombstone, permanently.
-// Ordering is the whole function: the caller has already stopped the
-// endpoint (Reset), so no new saves can start; the pool handle is then
-// flushed, so every save already queued lands first; only then is the key
+// retireCell disposes of a removed SA's journal cell: with tombstone,
+// permanently. The caller has unregistered the SA under g.mu while the
+// gateway was open, which makes the claim the caller's to release — once
+// Close has run, the cell may already belong to a successor gateway, and
+// releasing it again would strip the successor's exclusivity. Ordering is
+// the rest of the function: the caller has already stopped the endpoint
+// (Reset), so no new saves can start; saver, the endpoint's pool handle
+// (every SA the gateway builds saves through its pool), is then flushed, so
+// every save already queued lands first; only then is the key
 // erased with a group-committed tombstone (the "final flush" — Delete
 // returns once the tombstone is durable) and the claim released. Skipping
 // the flush would let a straggler save drain after the tombstone and
 // resurrect the retired counter — the exact bug class removal exists to
-// prevent. Disposal only runs while this gateway still owns the cell: once
-// Close has taken the claim set and released it, the same cell may already
-// belong to a successor gateway, and releasing it again would strip the
-// successor's exclusivity. A best-effort error from the tombstone append is
-// returned for observability but the claim is released regardless (the
-// claim map, not the tombstone, guards double registration in-process).
-func (g *Gateway) retireCell(c cellID, tombstone bool) error {
-	g.mu.Lock()
-	saver, owned := g.cells[c]
-	delete(g.cells, c)
-	g.mu.Unlock()
-	if !owned {
-		return nil
-	}
+// prevent. A best-effort error from the tombstone append is returned for
+// observability but the claim is released regardless.
+func (g *Gateway) retireCell(c cellID, saver core.BackgroundSaver, tombstone bool) error {
 	key := c.key()
 	if !tombstone {
 		g.cfg.Journal.ReleaseCell(key)
 		return nil
 	}
-	saver.Flush()
+	flush := saver.(*store.PoolSaver).Flush
+	flush()
 	err := g.cfg.Journal.Delete(key)
 	// A WakeAll whose snapshot predates the removal can race this path: if
 	// its FETCH runs after the tombstone it fails safely (no saved state,
@@ -639,7 +628,7 @@ func (g *Gateway) retireCell(c cellID, tombstone bool) error {
 	// startSave is synchronous with its fetch, so one extra round is the
 	// realistic worst case and the loop bound is just paranoia.
 	for i := 0; i < 8; i++ {
-		saver.Flush()
+		flush()
 		if _, ok, ferr := g.cfg.Journal.Cell(key).Fetch(); ferr != nil || !ok {
 			break
 		}
@@ -664,13 +653,17 @@ func (g *Gateway) RemoveInbound(spi uint32) bool { return g.removeInbound(spi, t
 // removal of an SA retired on the primary, whose tombstone arrives through
 // replication. Reports whether the SA existed.
 func (g *Gateway) removeInbound(spi uint32, tombstone bool) bool {
+	g.mu.Lock()
 	sa, ok := g.sad.Lookup(spi)
-	if !ok || !g.sad.Delete(spi) {
+	if g.closed || !ok {
+		g.mu.Unlock()
 		return false
 	}
+	g.sad.Delete(spi)
+	g.mu.Unlock()
 	sa.BeginDrain()
 	sa.Receiver().Reset()
-	g.retireCell(inboundCell(spi), tombstone) //nolint:errcheck // claim released either way; tombstone errors are journal-poisoning events the next save surfaces
+	g.retireCell(inboundCell(spi), sa.Receiver().Saver(), tombstone) //nolint:errcheck // claim released either way; tombstone errors are journal-poisoning events the next save surfaces
 	return true
 }
 
@@ -687,7 +680,10 @@ func (g *Gateway) RemoveOutbound(spi uint32) bool { return g.removeOutbound(spi,
 // the SA's SPD entries.
 func (g *Gateway) removeOutbound(spi uint32, tombstone bool) bool {
 	g.mu.Lock()
-	sa := g.unregisterOutboundLocked(spi)
+	var sa *OutboundSA
+	if !g.closed {
+		sa = g.unregisterOutboundLocked(spi)
+	}
 	if sa == nil {
 		g.mu.Unlock()
 		return false
@@ -695,14 +691,18 @@ func (g *Gateway) removeOutbound(spi uint32, tombstone bool) bool {
 	g.spd.Remove(spi)
 	g.mu.Unlock()
 	sa.BeginDrain()
-	sa.Sender().Reset()                        // stop the counter so no further save can start
-	g.retireCell(outboundCell(spi), tombstone) //nolint:errcheck // see removeInbound
+	// Stop the counter so no further save can start.
+	sa.Sender().Reset()
+	g.retireCell(outboundCell(spi), sa.Sender().Saver(), tombstone) //nolint:errcheck // see removeInbound
 	return true
 }
 
-// Close drains the pool if the gateway created it and releases the
-// gateway's journal cell claims, so a successor gateway can be built over
-// the same journal. The journal and any caller-provided pool belong to the
+// Close drains the pool if the gateway created it and releases the journal
+// cell claims of the registered SAs, so a successor gateway can be built
+// over the same journal. An SA unregistered before Close is its remover's
+// to release; one built but not yet registered, its builder's; after
+// Close, RemoveInbound, RemoveOutbound and RevertOutbound report false and
+// release nothing. The journal and any caller-provided pool belong to the
 // caller (both may be shared with other gateways): close the pool first,
 // then the gateway, then the journal. SAs must not be used afterwards.
 func (g *Gateway) Close() error {
@@ -712,14 +712,16 @@ func (g *Gateway) Close() error {
 		return nil
 	}
 	g.closed = true
-	cells := g.cells
-	g.cells = nil
+	owned := g.snapshotLocked()
 	g.mu.Unlock()
 	if g.ownPool {
 		g.pool.Close()
 	}
-	for c := range cells {
-		g.cfg.Journal.ReleaseCell(c.key())
+	for _, sa := range owned.outbound {
+		g.releaseCell(outboundCell(sa.spi))
+	}
+	for _, sa := range owned.inbound {
+		g.releaseCell(inboundCell(sa.spi))
 	}
 	return nil
 }

@@ -537,6 +537,100 @@ func TestGatewayAddAfterClose(t *testing.T) {
 	}
 }
 
+// TestGatewayCloseReleasesExactlyItsClaims: the journal cells a gateway
+// owns are those of its registered SAs. Removals and reverts race Close; a
+// successor gateway over the same journal, built as Close returns, then
+// claims every SPI the first one ever held (a claim the remover still held
+// is waited out, a leaked one never frees), and once it has, a third
+// gateway finds every one of them taken — no straggler of the first
+// released a claim of the successor's.
+func TestGatewayCloseReleasesExactlyItsClaims(t *testing.T) {
+	watchdog.Arm(t, 30*time.Second)
+	const n = 24
+	g, _ := testGateway(t)
+	j := g.Journal()
+	for i := 0; i < n; i++ {
+		if _, err := g.AddOutbound(uint32(0x100+i), testKeys(), gwSelector(i)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := g.AddInbound(uint32(0x100+i), testKeys()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := g.RekeyOutbound(uint32(0x100+i), uint32(0x200+i), testKeys2()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			switch spi := uint32(0x100 + i); i % 3 {
+			case 0:
+				g.RemoveInbound(spi)
+			case 1:
+				g.RemoveOutbound(spi)
+			default:
+				g.RevertOutbound(spi, spi+0x100)
+			}
+		}()
+	}
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	type cell struct {
+		spi     uint32
+		inbound bool
+	}
+	var cells []cell
+	for i := 0; i < n; i++ {
+		cells = append(cells, cell{uint32(0x100 + i), false}, cell{uint32(0x100 + i), true}, cell{uint32(0x200 + i), false})
+	}
+	claim := func(gw *Gateway, c cell) error {
+		if c.inbound {
+			_, err := gw.AddInbound(c.spi, testKeys())
+			return err
+		}
+		_, err := gw.AddOutbound(c.spi, testKeys(), gwSelector(int(c.spi)))
+		return err
+	}
+	g2, err := NewGateway(GatewayConfig{Journal: j, K: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g2.Close()
+	for _, c := range cells {
+		for {
+			err := claim(g2, c)
+			if err == nil {
+				break
+			}
+			if !errors.Is(err, ErrDuplicateSPI) {
+				t.Fatalf("successor claim of %+v: %v", c, err)
+			}
+			time.Sleep(50 * time.Microsecond) // a remover still holds it
+		}
+	}
+	wg.Wait()
+	// Late removals on the closed gateway release nothing either.
+	for i := 0; i < n; i++ {
+		if g.RemoveInbound(uint32(0x100+i)) || g.RemoveOutbound(uint32(0x100+i)) || g.RevertOutbound(uint32(0x100+i), uint32(0x200+i)) {
+			t.Fatalf("removal of %#x on a closed gateway reported success", 0x100+i)
+		}
+	}
+	g3, err := NewGateway(GatewayConfig{Journal: j, K: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g3.Close()
+	for _, c := range cells {
+		if err := claim(g3, c); !errors.Is(err, ErrDuplicateSPI) {
+			t.Errorf("third gateway's claim of %+v = %v, want ErrDuplicateSPI", c, err)
+		}
+	}
+}
+
 // TestGatewayDuplicateSPIAcrossGateways: the duplicate guard is scoped to
 // the journal, not the gateway — two gateways sharing one journal must not
 // both own an SPI's cell.

@@ -55,26 +55,80 @@ func (s LifetimeState) String() string {
 	}
 }
 
-// OutboundSA secures one direction of traffic: it numbers packets through
-// the reset-resilient sender and seals them. Safe for concurrent use; the
-// per-packet counters are atomics, so concurrent Seals serialize only on
-// the sender's own sequence allocation.
-type OutboundSA struct {
+// saBase is what an SA is in either direction: its AES-GCM keying, SPI and
+// ESN flag, its lifetime bound and the bytes and packets counted against
+// it, and the rekey lineage and drain mark the gateway writes.
+type saBase struct {
 	crypto suite
-	seq    *core.Sender
-	bound  *bound // nil: no lifetime bound
+	bound  *bound // nil: no lifetime bound, no per-packet check
 
 	// lineage: generation number within a rekey chain and the SPI of the
 	// predecessor generation (0 = first generation). Written once, by the
-	// gateway rekey path, before the SA is published.
+	// gateway's rekey or adopt path, before the SA is published.
 	generation uint64
 	spi        uint32
 	prevSPI    uint32
 	draining   atomic.Bool
 	esn        bool
 
-	bytes   atomic.Uint64
-	packets atomic.Uint64
+	bytes, packets atomic.Uint64
+}
+
+// init checks keys and fills the half both constructors share.
+func (b *saBase) init(spi uint32, keys KeyMaterial, esn bool, life Lifetime, clock func() time.Duration) error {
+	if err := keys.Validate(); err != nil {
+		return err
+	}
+	b.crypto.init(keys)
+	b.bound, b.spi, b.esn = newBound(life, clock), spi, esn
+	return nil
+}
+
+// SPI returns the SA's security parameter index.
+func (b *saBase) SPI() uint32 { return b.spi }
+
+// Generation returns the SA's position in its rekey chain (0 for an SA that
+// never rekeyed).
+func (b *saBase) Generation() uint64 { return b.generation }
+
+// PrevSPI returns the SPI of the generation this SA replaced (0 = none).
+func (b *saBase) PrevSPI() uint32 { return b.prevSPI }
+
+// setLineage records the rekey chain position; called by the gateway before
+// the SA is published.
+func (b *saBase) setLineage(gen uint64, prev uint32) {
+	b.generation, b.prevSPI = gen, prev
+}
+
+// BeginDrain marks the SA as superseded by a rekey. An outbound SA is
+// retired from new traffic: every later Seal fails with ErrDraining. The
+// rekey cutover marks the old generation the moment its successor owns the
+// SPD entry, so a stale handle cannot keep emitting packets the peer will
+// soon stop accepting; only Gateway.RevertOutbound, when a wider rollover
+// fails before the peer cut over, returns it to service. An inbound SA
+// still verifies and admits traffic — packets sealed under the old SPI
+// before the cutover must not be dropped — and the mark only tells
+// operators (and the rekey orchestrator's grace timer) that it is due for
+// removal.
+func (b *saBase) BeginDrain() { b.draining.Store(true) }
+
+// endDrain returns the SA to service; only the gateway's rollback path
+// (RevertOutbound) may call it.
+func (b *saBase) endDrain() { b.draining.Store(false) }
+
+// Draining reports whether BeginDrain has marked the SA.
+func (b *saBase) Draining() bool { return b.draining.Load() }
+
+// State classifies the SA's lifetime position.
+func (b *saBase) State() LifetimeState { return b.bound.state(b.bytes.Load()) }
+
+// OutboundSA secures one direction of traffic: it numbers packets through
+// the reset-resilient sender and seals them. Safe for concurrent use; the
+// per-packet counters are atomics, so concurrent Seals serialize only on
+// the sender's own sequence allocation.
+type OutboundSA struct {
+	saBase
+	seq *core.Sender
 }
 
 // NewOutboundSA builds an outbound SA. sender provides the sequence-number
@@ -83,50 +137,18 @@ type OutboundSA struct {
 // SA hard-fails with ErrSeqExhausted before the 32-bit wire number can
 // wrap; clock may be nil.
 func NewOutboundSA(spi uint32, keys KeyMaterial, sender *core.Sender, esn bool, life Lifetime, clock func() time.Duration) (*OutboundSA, error) {
-	if err := keys.Validate(); err != nil {
+	o := &OutboundSA{seq: sender}
+	if err := o.init(spi, keys, esn, life, clock); err != nil {
 		return nil, err
 	}
 	if sender == nil {
 		return nil, fmt.Errorf("%w: nil sender", core.ErrConfig)
 	}
-	o := &OutboundSA{seq: sender, bound: newBound(life, clock), spi: spi, esn: esn}
-	o.crypto.init(keys)
 	return o, nil
 }
 
-// SPI returns the SA's security parameter index.
-func (o *OutboundSA) SPI() uint32 { return o.spi }
-
 // Sender exposes the underlying sequence-number sender (for reset/wake).
 func (o *OutboundSA) Sender() *core.Sender { return o.seq }
-
-// Generation returns the SA's position in its rekey chain (0 for an SA that
-// never rekeyed).
-func (o *OutboundSA) Generation() uint64 { return o.generation }
-
-// PrevSPI returns the SPI of the generation this SA replaced (0 = none).
-func (o *OutboundSA) PrevSPI() uint32 { return o.prevSPI }
-
-// setLineage records the rekey chain position; called by the gateway before
-// the SA is published.
-func (o *OutboundSA) setLineage(gen uint64, prev uint32) {
-	o.generation, o.prevSPI = gen, prev
-}
-
-// BeginDrain retires the SA from new traffic: every later Seal fails with
-// ErrDraining. The rekey cutover calls this on the old generation the
-// moment its successor owns the SPD entry, so a stale handle cannot keep
-// emitting packets the peer will soon stop accepting. Reversed only by
-// Gateway.RevertOutbound when a wider rollover fails before the peer cut
-// over.
-func (o *OutboundSA) BeginDrain() { o.draining.Store(true) }
-
-// endDrain returns the SA to service; only the gateway's rollback path
-// (RevertOutbound) may call it.
-func (o *OutboundSA) endDrain() { o.draining.Store(false) }
-
-// Draining reports whether BeginDrain has retired the SA.
-func (o *OutboundSA) Draining() bool { return o.draining.Load() }
 
 // reserve atomically checks the hard lifetime and accounts n wire bytes and
 // one packet in a single step, so that concurrent Seals cannot all pass a
@@ -224,9 +246,6 @@ func (o *OutboundSA) SealAppend(dst []byte, payload []byte) ([]byte, error) {
 	return out, nil
 }
 
-// State classifies the SA's lifetime position.
-func (o *OutboundSA) State() LifetimeState { return o.bound.state(o.bytes.Load()) }
-
 // Counters returns bytes and packets sealed so far.
 func (o *OutboundSA) Counters() (bytes, packets uint64) {
 	return o.bytes.Load(), o.packets.Load()
@@ -237,68 +256,31 @@ func (o *OutboundSA) Counters() (bytes, packets uint64) {
 // concurrent use: concurrent Opens verify and decrypt in parallel and
 // serialize only on the receiver's admission.
 type InboundSA struct {
-	crypto suite
+	saBase
 	replay *core.Receiver
-	winW   int    // receiver window width, immutable
-	bound  *bound // nil: no lifetime bound, no per-packet check
-
-	// lineage: see OutboundSA. An inbound SA keeps verifying while
-	// draining — the whole point of the drain window is that in-flight
-	// packets on the old SPI are still authenticated and admitted until
-	// the grace period retires the SA.
-	generation uint64
-	spi        uint32
-	prevSPI    uint32
-	draining   atomic.Bool
-	esn        bool
+	winW   int // receiver window width, immutable
 
 	// Unsharded: every admitted packet already serializes on the receiver's
 	// mutex. Auth failures are the one count bumped without taking it.
-	bytes, packets, authFails, replays atomic.Uint64
+	authFails, replays atomic.Uint64
 }
 
 // NewInboundSA builds an inbound SA. receiver provides the anti-replay
 // service; esn enables 64-bit extended sequence number reconstruction.
 func NewInboundSA(spi uint32, keys KeyMaterial, receiver *core.Receiver, esn bool, life Lifetime, clock func() time.Duration) (*InboundSA, error) {
-	if err := keys.Validate(); err != nil {
+	i := &InboundSA{replay: receiver}
+	if err := i.init(spi, keys, esn, life, clock); err != nil {
 		return nil, err
 	}
 	if receiver == nil {
 		return nil, fmt.Errorf("%w: nil receiver", core.ErrConfig)
 	}
-	i := &InboundSA{replay: receiver, winW: receiver.W(), bound: newBound(life, clock), spi: spi, esn: esn}
-	i.crypto.init(keys)
+	i.winW = receiver.W()
 	return i, nil
 }
 
-// SPI returns the SA's security parameter index.
-func (i *InboundSA) SPI() uint32 { return i.spi }
-
 // Receiver exposes the underlying anti-replay receiver (for reset/wake).
 func (i *InboundSA) Receiver() *core.Receiver { return i.replay }
-
-// Generation returns the SA's position in its rekey chain (0 for an SA that
-// never rekeyed).
-func (i *InboundSA) Generation() uint64 { return i.generation }
-
-// PrevSPI returns the SPI of the generation this SA replaced (0 = none).
-func (i *InboundSA) PrevSPI() uint32 { return i.prevSPI }
-
-// setLineage records the rekey chain position; called by the gateway before
-// the SA is published.
-func (i *InboundSA) setLineage(gen uint64, prev uint32) {
-	i.generation, i.prevSPI = gen, prev
-}
-
-// BeginDrain marks the SA as superseded by a rekey. Unlike the outbound
-// side, a draining inbound SA still verifies and admits traffic — in-flight
-// packets sealed under the old SPI before the cutover must not be dropped —
-// but the mark tells operators (and the rekey orchestrator's grace timer)
-// that the SA is due for removal. Irreversible.
-func (i *InboundSA) BeginDrain() { i.draining.Store(true) }
-
-// Draining reports whether BeginDrain has marked the SA.
-func (i *InboundSA) Draining() bool { return i.draining.Load() }
 
 // verifyOneInto parses, authenticates, and admits one packet without
 // touching the SA counters. A delivered payload is appended to dst and is
@@ -391,9 +373,6 @@ func (i *InboundSA) account(wire []byte, v core.Verdict, err error) {
 		i.replays.Add(1)
 	}
 }
-
-// State classifies the SA's lifetime position.
-func (i *InboundSA) State() LifetimeState { return i.bound.state(i.bytes.Load()) }
 
 // Counters returns (bytes, packets, authFailures, replayDiscards).
 func (i *InboundSA) Counters() (bytes, packets, authFails, replays uint64) {

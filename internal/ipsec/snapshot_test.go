@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/netip"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -54,7 +55,7 @@ func TestGatewaySnapshotCapturesPopulation(t *testing.T) {
 		t.Fatalf("snapshot has %d outbound / %d inbound, want 2/1",
 			len(snap.Outbound), len(snap.Inbound))
 	}
-	bySPI := make(map[uint32]OutboundSnapshot)
+	bySPI := make(map[uint32]SASnapshot)
 	for _, ob := range snap.Outbound {
 		bySPI[ob.SPI] = ob
 	}
@@ -65,11 +66,9 @@ func TestGatewaySnapshotCapturesPopulation(t *testing.T) {
 	if nu.Draining || nu.Generation != 1 || nu.PrevSPI != 0x11 {
 		t.Errorf("successor snapshot = %+v, want gen 1 prev 0x11", nu)
 	}
-	if len(nu.Selectors) != 1 || nu.Selectors[0] != snapTestSelector(1) {
-		t.Errorf("successor selectors = %v, want the rekeyed-over entry", nu.Selectors)
-	}
-	if len(old.Selectors) != 0 {
-		t.Errorf("old SA still owns selectors %v after cutover", old.Selectors)
+	// The successor owns the rekeyed-over entry; the old SA owns none.
+	if want := []PolicySnapshot{{Selector: snapTestSelector(1), SPI: 0x12}}; !slices.Equal(snap.Policy, want) {
+		t.Errorf("policy = %v, want %v", snap.Policy, want)
 	}
 	// Keys are deep copies, not aliases.
 	snap.Inbound[0].Keys.AuthKey[0] ^= 0xff
@@ -190,7 +189,7 @@ func TestGatewayAdoptForgetsWithoutTombstone(t *testing.T) {
 	defer gw.Close()
 
 	snap := GatewaySnapshot{
-		Inbound: []InboundSnapshot{{SPI: 0x21, Keys: snapTestKeys(2)}},
+		Inbound: []SASnapshot{{SPI: 0x21, Keys: snapTestKeys(2)}},
 	}
 	if err := gw.Adopt(snap); err != nil {
 		t.Fatal(err)
@@ -214,5 +213,123 @@ func TestGatewayAdoptForgetsWithoutTombstone(t *testing.T) {
 	// And the released claim can be re-taken (re-adoption after a revert).
 	if err := gw.Adopt(snap); err != nil {
 		t.Fatalf("re-adopt after forget: %v", err)
+	}
+	// A policy entry must name an outbound SA the snapshot lists.
+	snap.Policy = []PolicySnapshot{{Selector: snapTestSelector(1), SPI: 0x99}}
+	if err := gw.Adopt(snap); !errors.Is(err, ErrUnknownSPI) || gw.SPD().Len() != 0 {
+		t.Fatalf("adopt of a policy naming no SA = %v (SPD %d entries), want ErrUnknownSPI and no entry", err, gw.SPD().Len())
+	}
+}
+
+// journalGateway returns a gateway over a fresh one-lane journal, closed
+// (gateway, then journal) when the test ends.
+func journalGateway(t *testing.T, name string) (*Gateway, *store.Lanes) {
+	t.Helper()
+	j, err := store.OpenLanes(filepath.Join(t.TempDir(), name), store.LanesCount(1), store.LanesWithoutSync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { j.Close() })
+	g, err := NewGateway(GatewayConfig{Journal: j, K: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { g.Close() })
+	return g, j
+}
+
+// policyOf lists p's entries in order as (selector, SPI) pairs.
+func policyOf(p *SPD) []PolicySnapshot {
+	var out []PolicySnapshot
+	p.Range(func(sel Selector, sa *OutboundSA) bool {
+		out = append(out, PolicySnapshot{Selector: sel, SPI: sa.SPI()})
+		return true
+	})
+	return out
+}
+
+// TestAdoptMirrorsPolicyInOrder: the SPD is an ordered list whose first
+// match wins (RFC 4301 §4.4.1), so a mirror must hold the primary's entries
+// in the primary's order, whatever order the SAs were registered, rekeyed
+// and reverted in — and a takeover's WakeAll must then seal where the
+// primary sealed. Each case ends with an adopt, a copy of the primary's
+// counters into the mirror's journal, a WakeAll and one Seal.
+func TestAdoptMirrorsPolicyInOrder(t *testing.T) {
+	wide := Selector{Src: netip.MustParsePrefix("0.0.0.0/0"), Dst: netip.MustParsePrefix("10.0.0.0/8")}
+	all := Selector{Src: netip.MustParsePrefix("0.0.0.0/0"), Dst: netip.MustParsePrefix("0.0.0.0/0")}
+	host := snapTestSelector(1)
+	// add registers spi on sel and seals once through sel, so the SA's
+	// birth is durable before the journal is copied.
+	add := func(t *testing.T, p *Gateway, spi uint32, sel Selector) {
+		t.Helper()
+		if _, err := p.AddOutbound(spi, snapTestKeys(byte(spi)), sel); err != nil {
+			t.Fatal(err)
+		}
+		gwSeal(t, p, sel.Src.Addr(), sel.Dst.Addr(), []byte("x"))
+	}
+	rekey := func(t *testing.T, p *Gateway, old, nu uint32, sel Selector) {
+		t.Helper()
+		if _, err := p.RekeyOutbound(old, nu, snapTestKeys(byte(nu))); err != nil {
+			t.Fatal(err)
+		}
+		gwSeal(t, p, sel.Src.Addr(), sel.Dst.Addr(), []byte("x"))
+	}
+	for _, c := range []struct {
+		name string
+		// steps drives the primary; adopt mirrors it as it stands.
+		steps    func(t *testing.T, p *Gateway, adopt func())
+		src, dst netip.Addr // the final Seal's route
+		want     uint32     // the SPI it must land on
+	}{
+		{"first adopt after a rekey", func(t *testing.T, p *Gateway, adopt func()) {
+			add(t, p, 1, wide)
+			add(t, p, 2, all)
+			rekey(t, p, 1, 3, wide)
+		}, netip.MustParseAddr("192.0.2.1"), netip.MustParseAddr("10.1.2.3"), 3},
+		{"re-adopt after a rekey", func(t *testing.T, p *Gateway, adopt func()) {
+			add(t, p, 1, host)
+			adopt()
+			rekey(t, p, 1, 3, host)
+		}, host.Src.Addr(), host.Dst.Addr(), 3},
+		{"re-adopt after a revert", func(t *testing.T, p *Gateway, adopt func()) {
+			add(t, p, 1, host)
+			adopt()
+			rekey(t, p, 1, 3, host)
+			adopt()
+			if !p.RevertOutbound(1, 3) {
+				t.Fatal("RevertOutbound reported missing SAs")
+			}
+		}, host.Src.Addr(), host.Dst.Addr(), 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			primary, jp := journalGateway(t, "primary")
+			mirror, jm := journalGateway(t, "mirror")
+			adopt := func() {
+				t.Helper()
+				if err := mirror.Adopt(primary.Snapshot()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c.steps(t, primary, adopt)
+			adopt()
+			if got, want := policyOf(mirror.SPD()), policyOf(primary.SPD()); !slices.Equal(got, want) {
+				t.Fatalf("mirror SPD = %v, primary SPD = %v", got, want)
+			}
+
+			var recs []store.TailRecord
+			for k, v := range jp.Values() {
+				recs = append(recs, store.TailRecord{Key: k, Val: v})
+			}
+			if err := jm.LaneJournals()[0].Apply(recs); err != nil {
+				t.Fatal(err)
+			}
+			if err := mirror.WakeAll(); err != nil {
+				t.Fatal(err)
+			}
+			wire := gwSeal(t, mirror, c.src, c.dst, []byte("after takeover"))
+			if spi, _ := ParseSPI(wire); spi != c.want {
+				t.Errorf("mirror sealed %v -> %v on SPI %#x, want %#x", c.src, c.dst, spi, c.want)
+			}
+		})
 	}
 }
