@@ -15,8 +15,14 @@ import (
 )
 
 // TestJournalSenderReceiverRoundTrip drives the public journal-backed
-// constructors through a reset on both endpoints sharing one journal.
+// constructors through a reset on both endpoints sharing one journal, and
+// holds the pair to the paper's convergence: no number is reused, no replay
+// is delivered, and the receiver, which may discard fresh numbers at or
+// below its wake edge (the sacrifice), delivers one within 2K+1 of them.
+// Which fresh numbers it discards depends on how far the background saves
+// had got before the reset, so the test asserts the bound, not a count.
 func TestJournalSenderReceiverRoundTrip(t *testing.T) {
+	const k = 10
 	path := filepath.Join(t.TempDir(), "pair.journal")
 	j, err := antireplay.NewLanes(path, antireplay.LanesCount(1))
 	if err != nil {
@@ -28,17 +34,19 @@ func TestJournalSenderReceiverRoundTrip(t *testing.T) {
 		j.Close()
 	}()
 
-	snd, err := antireplay.NewJournalSender(j, "p", 10, pool)
+	snd, err := antireplay.NewJournalSender(j, "p", k, pool)
 	if err != nil {
 		t.Fatalf("NewJournalSender: %v", err)
 	}
-	rcv, err := antireplay.NewJournalReceiver(j, "q", 10, 64, pool)
+	rcv, err := antireplay.NewJournalReceiver(j, "q", k, 64, pool)
 	if err != nil {
 		t.Fatalf("NewJournalReceiver: %v", err)
 	}
 
+	// 105 numbers: the sender's last save covers 101, so the numbers above
+	// it are what only the leap keeps a woken sender from reusing.
 	var lastSeq uint64
-	for i := 0; i < 100; i++ {
+	for i := 0; i < 105; i++ {
 		seq := nextSeq(t, snd)
 		lastSeq = seq
 		if v := admitSeq(rcv, seq); !v.Delivered() {
@@ -63,17 +71,27 @@ func TestJournalSenderReceiverRoundTrip(t *testing.T) {
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
+	edge := rcv.Edge() // the receiver's wake edge: its durable value + 2K
 
-	seq := nextSeq(t, snd)
-	if seq <= lastSeq {
-		t.Errorf("post-wake seq %d <= pre-reset %d — sequence reuse", seq, lastSeq)
-	}
 	// Pre-reset sequence numbers replayed at the woken receiver are stale.
 	if v := rcv.Admit(lastSeq); v.Delivered() {
 		t.Errorf("replayed seq %d delivered after wake, verdict %v", lastSeq, v)
 	}
-	if v := admitSeq(rcv, seq); !v.Delivered() {
-		t.Errorf("fresh post-wake seq %d = %v, want delivered", seq, v)
+	for fresh := 1; ; fresh++ {
+		seq := nextSeq(t, snd)
+		if seq <= lastSeq {
+			t.Fatalf("post-wake seq %d <= pre-reset %d — sequence reuse", seq, lastSeq)
+		}
+		v := admitSeq(rcv, seq)
+		if v.Delivered() {
+			break
+		}
+		if seq > edge {
+			t.Fatalf("fresh post-wake seq %d = %v above the receiver's wake edge %d, want delivered", seq, v, edge)
+		}
+		if fresh > 2*k {
+			t.Fatalf("%d fresh post-wake numbers discarded, up to seq %d (%v): the receiver did not converge within 2K+1", fresh, seq, v)
+		}
 	}
 }
 

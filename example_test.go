@@ -449,16 +449,16 @@ func ExampleGateway_WakeAll() {
 		fmt.Println(err)
 		return
 	}
-	// The wakes queue their SAVEs one by one, and a worker that starts a
-	// round before the last is queued commits again: 1 fsync, rarely 2 or 3.
-	fmt.Printf("  SAVE/FETCH recovery: 0 network messages, 0 DH operations, at most 8 fsyncs for %d SAs: %v\n",
-		2*pairs, gw.Journal().Syncs()-syncs <= 8)
+	// The wake stages every SA's leaped record in the one lane, then commits
+	// them together.
+	fmt.Printf("  SAVE/FETCH recovery: 0 network messages, 0 DH operations, %d fsync for %d SAs\n",
+		gw.Journal().Syncs()-syncs, 2*pairs)
 	// Output:
 	// gateway with 32 SA pairs, one per branch office
 	// persistence: 1 journal + 1 saver pool for all 64 counters
 	//
 	// gateway resets...
-	//   SAVE/FETCH recovery: 0 network messages, 0 DH operations, at most 8 fsyncs for 64 SAs: true
+	//   SAVE/FETCH recovery: 0 network messages, 0 DH operations, 1 fsync for 64 SAs
 }
 
 // The outbound half of a make-before-break rekey: the successor SA takes

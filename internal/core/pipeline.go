@@ -19,7 +19,8 @@ import (
 // the completion counters) and the embedding endpoint's volatile state.
 // saveMu guards the hand-off to the saver: triggers are decided under mu
 // but handed over after it is released, so everything that must be
-// consistent with the hand-off is decided in startSave, under saveMu.
+// consistent with the hand-off is decided in startSave (or, for a record
+// staged for its caller, BeginWake), under saveMu.
 //
 // Neither lock — no lock of this package — is ever held while the saver's
 // StartSave or a completion callback runs, so a saver may complete inline
@@ -211,7 +212,7 @@ func (p *savePipeline) due(live uint64) bool {
 // "SAVE in background" must have been issued before the caller uses another
 // K numbers, or a descheduled hand-off is outrun without limit and the 2K
 // bound is gone. What a completion starts never waits on the hand-off above
-// it (see finishWake). Dropped saves complete nothing: their callbacks are
+// it (see FinishWake). Dropped saves complete nothing: their callbacks are
 // stale or subsumed.
 func (p *savePipeline) startSave(h handoff) {
 	p.saveMu.Lock()
@@ -232,7 +233,7 @@ func (p *savePipeline) startSave(h handoff) {
 	p.savesStart.Add(1)
 	p.saver.StartSave(h.v, func(err error) {
 		if h.wake {
-			p.finishWake(h.gen, h.v, err)
+			p.FinishWake(PostWake{gen: h.gen, v: h.v}, err)
 		} else {
 			p.saveDone(h.gen, h.v, err)
 		}
@@ -332,6 +333,49 @@ func (p *savePipeline) Wake() { p.WakeNotify(nil) }
 // once the endpoint is up (at once if it already is), with the FETCH or SAVE
 // error that left it down, or with ErrDown when a Reset tears the wake.
 func (p *savePipeline) WakeNotify(done func(error)) {
+	if h, ok, _ := p.beginWake(done); ok {
+		p.startSave(h)
+	}
+}
+
+// PostWake is the post-wake record of a wake BeginWake began.
+type PostWake struct {
+	Seq    uint64 // its commit sequence number in the endpoint's store.Stager
+	gen, v uint64
+}
+
+// BeginWake is WakeNotify for a caller that commits the post-wake SAVEs of
+// many endpoints at once (ipsec's WakeAll): it stages the leaped value in the
+// store, a store.Stager, and with owed the caller owes FinishWake(w,
+// WaitDurable(w.Seq)). Otherwise err is the outcome: nil (up), the FETCH or
+// stage error, ErrDown (torn by Reset) or ErrWaking (in flight: join it).
+func (p *savePipeline) BeginWake() (w PostWake, owed bool, err error) {
+	h, ok, err := p.beginWake(nil)
+	if !ok {
+		return w, false, err
+	}
+	// Staged under saveMu, where Reset moves saveGen: a removal resets before
+	// its tombstone, so the record lands before that or not at all.
+	p.saveMu.Lock()
+	if h.gen != p.saveGen {
+		p.saveMu.Unlock()
+		return w, false, ErrDown
+	}
+	p.lst.Store(h.v)
+	p.savesStart.Add(1)
+	w = PostWake{gen: h.gen, v: h.v}
+	w.Seq, err = p.store.(store.Stager).Stage(h.v)
+	p.saveMu.Unlock()
+	if err != nil {
+		return w, false, p.FinishWake(w, err)
+	}
+	return w, true, nil
+}
+
+// beginWake joins a wake in flight (ErrWaking), settles an endpoint that is
+// up or a baseline one, or goes StateWaking, FETCHes and leaps; done is owed
+// the outcome. With ok the wake waits for h; otherwise err is the outcome.
+func (p *savePipeline) beginWake(done func(error)) (h handoff, ok bool, err error) {
 	p.mu.Lock()
 	if p.state == StateWaking { // join the wake in flight
 		// then, not done, is captured: a closure over the reassigned done
@@ -340,7 +384,7 @@ func (p *savePipeline) WakeNotify(done func(error)) {
 			p.wakeDone = func(err error) { first(err); then(err) }
 		}
 		p.mu.Unlock()
-		return
+		return h, false, ErrWaking
 	}
 	if done == nil {
 		done = func(error) {}
@@ -348,7 +392,7 @@ func (p *savePipeline) WakeNotify(done func(error)) {
 	if p.state == StateUp {
 		p.mu.Unlock()
 		done(nil)
-		return
+		return h, false, nil
 	}
 	if p.k == 0 {
 		p.lst.Store(p.initial)
@@ -359,7 +403,7 @@ func (p *savePipeline) WakeNotify(done func(error)) {
 		if afterWake != nil {
 			afterWake()
 		}
-		return
+		return h, false, nil
 	}
 	p.birth = 0 // the FETCH reads it, the post-wake SAVE lands after it
 	p.state = StateWaking
@@ -367,37 +411,36 @@ func (p *savePipeline) WakeNotify(done func(error)) {
 	gen := p.gen
 	p.mu.Unlock()
 
-	v, ok, err := p.store.Fetch()
-	if err == nil && !ok {
+	v, found, err := p.store.Fetch()
+	if err == nil && !found {
 		err = ErrNoSavedState
 	}
 	if err != nil {
 		p.mu.Lock()
-		p.failWakeAndUnlock(gen, fmt.Errorf("core: %s wake fetch: %w", p.ep.role(), err))
-		return
+		return h, false, p.failWakeAndUnlock(gen, fmt.Errorf("core: %s wake fetch: %w", p.ep.role(), err))
 	}
-	leaped := v + p.leap
+	h = handoff{gen: gen, v: v + p.leap, force: true, wake: true}
 	if p.skipPostWakeSave {
 		// UNSAFE ablation: resume without the durable leap record; the save
 		// still starts in the background, mimicking the naive fix.
-		p.startSave(handoff{gen: gen, v: leaped, force: true})
+		p.startSave(handoff{gen: gen, v: h.v, force: true})
 		p.mu.Lock()
-		p.upAndUnlock(gen, leaped)
-		return
+		return h, false, p.upAndUnlock(gen, h.v)
 	}
-	p.startSave(handoff{gen: gen, v: leaped, force: true, wake: true})
+	return h, true, nil
 }
 
 // failWakeAndUnlock leaves the endpoint down with err, unless a reset has
-// already superseded the wake-up of generation gen, and releases mu.
-func (p *savePipeline) failWakeAndUnlock(gen uint64, err error) {
+// already superseded the wake-up of generation gen (ErrDown), and releases mu.
+func (p *savePipeline) failWakeAndUnlock(gen uint64, err error) error {
 	if p.gen != gen {
 		p.mu.Unlock()
-		return
+		return ErrDown
 	}
 	p.state = StateDown
 	p.wakeErr = err
 	p.settleWakeAndUnlock(err)
+	return err
 }
 
 // settleWakeAndUnlock releases mu, then hands over the outcome of the wake.
@@ -408,23 +451,23 @@ func (p *savePipeline) settleWakeAndUnlock(err error) {
 	done(err)
 }
 
-// finishWake completes the wake-up once the post-wake SAVE has.
-func (p *savePipeline) finishWake(gen, leaped uint64, err error) {
+// FinishWake completes the wake-up once the post-wake SAVE has, with its
+// error, and returns the outcome as BeginWake's err.
+func (p *savePipeline) FinishWake(w PostWake, err error) error {
 	p.mu.Lock()
 	p.countDone(err)
 	if err != nil {
-		p.failWakeAndUnlock(gen, fmt.Errorf("core: %s post-wake save: %w", p.ep.role(), err))
-		return
+		return p.failWakeAndUnlock(w.gen, fmt.Errorf("core: %s post-wake save: %w", p.ep.role(), err))
 	}
-	p.upAndUnlock(gen, leaped)
+	return p.upAndUnlock(w.gen, w.v)
 }
 
 // upAndUnlock brings the endpoint up at leaped, unless a reset has already
-// superseded the wake-up of generation gen, and releases mu.
-func (p *savePipeline) upAndUnlock(gen, leaped uint64) {
+// superseded the wake-up of generation gen (ErrDown), and releases mu.
+func (p *savePipeline) upAndUnlock(gen, leaped uint64) error {
 	if p.gen != gen {
 		p.mu.Unlock()
-		return
+		return ErrDown
 	}
 	p.lst.Store(leaped)
 	p.committed.Store(leaped)
@@ -432,7 +475,7 @@ func (p *savePipeline) upAndUnlock(gen, leaped uint64) {
 	p.state = StateUp
 	p.settleWakeAndUnlock(nil)
 	if afterWake == nil {
-		return
+		return nil
 	}
 	// afterWake triggers saves. If this completion runs inside the wake's
 	// own hand-off — the saver completed inline, or faster than StartSave
@@ -446,6 +489,7 @@ func (p *savePipeline) upAndUnlock(gen, leaped uint64) {
 	if afterWake != nil {
 		afterWake()
 	}
+	return nil
 }
 
 // LastStored returns the last value handed to a SAVE (paper: lst).
@@ -457,6 +501,9 @@ func (p *savePipeline) LastStored() uint64 { return p.lst.Load() }
 // wake-up leap, so it is the regression witness disk-fault experiments
 // compare across reopen.
 func (p *savePipeline) Committed() uint64 { return p.committed.Load() }
+
+// Store returns the durable cell the endpoint SAVEs into and FETCHes from.
+func (p *savePipeline) Store() store.Store { return p.store }
 
 // Saver returns the saver the endpoint's SAVEs go through: its config's
 // Saver, or on a resilient endpoint the SyncSaver a nil one selects.

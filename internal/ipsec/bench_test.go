@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net/netip"
+	"os"
 	"testing"
 
 	"antireplay/internal/core"
@@ -176,4 +177,67 @@ func BenchmarkGatewayInstall(b *testing.B) {
 		}
 		run(b, n, func(gw *Gateway) error { return gw.Adopt(snap) })
 	})
+}
+
+// BenchmarkGatewayWake times the paper's reset of a whole host (§3): a
+// ResetAll and WakeAll of n SA pairs over a default medium with fsync on,
+// W = 1024 and ESN. An op is one reset and wake of every SA; ns/SA divides
+// it over the 2n SAs, and fsyncs/wake is what the medium synced for it. The
+// gateway is installed once per row, outside the timer. The 1M rows skip
+// under -short.
+func BenchmarkGatewayWake(b *testing.B) {
+	keys := KeyMaterial{
+		AuthKey: bytes.Repeat([]byte{1}, AuthKeySize),
+		EncKey:  bytes.Repeat([]byte{2}, EncKeySize),
+	}
+	for _, n := range []int{10_000, 100_000, 1_000_000} {
+		var (
+			dir   string
+			lanes *store.Lanes
+			gw    *Gateway
+		)
+		b.Run(fmt.Sprintf("pairs/%d", n), func(b *testing.B) {
+			if n >= 1_000_000 && testing.Short() {
+				b.Skip("a million SA pairs take seconds and gigabytes; skipped under -short")
+			}
+			if gw == nil { // once per row, not once per b.N probe
+				var err error
+				if dir, err = os.MkdirTemp("", "gateway-wake-*"); err != nil {
+					b.Fatal(err)
+				}
+				if lanes, err = store.OpenLanes(dir); err != nil {
+					b.Fatal(err)
+				}
+				if gw, err = NewGateway(GatewayConfig{Journal: lanes, W: 1024, ESN: true}); err != nil {
+					b.Fatal(err)
+				}
+				for i := 0; i < n; i++ {
+					if _, err := gw.AddInbound(uint32(i+1), keys); err != nil {
+						b.Fatal(err)
+					}
+					if _, err := gw.AddOutbound(uint32(i+1), keys, installSelector(i)); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			syncs := lanes.Syncs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				gw.ResetAll()
+				if err := gw.WakeAll(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed())/float64(b.N*2*n), "ns/SA")
+			b.ReportMetric(float64(lanes.Syncs()-syncs)/float64(b.N), "fsyncs/wake")
+		})
+		if gw != nil {
+			gw.Close()
+		}
+		if lanes != nil {
+			lanes.Close()
+		}
+		os.RemoveAll(dir)
+	}
 }

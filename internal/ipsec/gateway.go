@@ -6,6 +6,7 @@ import (
 	"net/netip"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"antireplay/internal/core"
@@ -518,60 +519,119 @@ func (g *Gateway) lifecycle(kind string, sas int) {
 
 // WakeAll runs the paper's wake-up (FETCH + leap + SAVE) on every SA and
 // blocks until every wake it issued has settled, returning the first
-// failure. A wake costs what its fsyncs cost. Every post-wake SAVE is queued
-// on the shared pool before any is waited for, and a pool worker stages
-// everything queued on it before it commits (store.SaverPool): one fsync per
-// commit lane with SAs on it — not one per SA — a worker's lanes committing
-// one after another, lanes/workers fsyncs deep whatever the SA count. Each
-// inbound SA's post-wake window is one pass over its ring's words
-// (seqwin.Bitmap.Reinit). Nothing polls: WakeAll blocks once, on a countdown
-// the wakes' own completions decrement (core's WakeNotify).
-// An SA Reset under the wake fails it with an error wrapping core.ErrDown,
-// unless it has left the registry: one removed while waking is skipped.
-// OnLifecycle sees "wake-failed" with the number that failed, or "wake-done".
+// failure. It goes commit lane by commit lane (wakeLane), on at most as many
+// goroutines as the pool has workers: one fsync a lane with SAs, and one
+// pass over an inbound SA's ring (seqwin.Bitmap.Reinit). A fenced or
+// poisoned lane fails its SAs' wakes with its error. An SA Reset under the
+// wake fails it with an error wrapping core.ErrDown, unless it has left the
+// registry. OnLifecycle sees "wake-failed" with the number that failed, or
+// "wake-done".
 func (g *Gateway) WakeAll() error {
 	snap := g.snapshot()
 	n := len(snap.outbound) + len(snap.inbound)
 	g.lifecycle("wake", n)
+	lanes := make([][]wakeItem, g.cfg.Journal.LaneCount())
+	add := func(it wakeItem) {
+		l := it.ep.Store().(*store.Cell).Lane()
+		if lanes[l] == nil { // sized for an even spread, and a quarter more
+			lanes[l] = make([]wakeItem, 0, n/len(lanes)*5/4+1)
+		}
+		lanes[l] = append(lanes[l], it)
+	}
+	for _, sa := range snap.outbound {
+		add(wakeItem{ep: sa.seq, c: outboundCell(sa.spi)})
+	}
+	for _, sa := range snap.inbound {
+		add(wakeItem{ep: sa.replay, c: inboundCell(sa.spi)})
+	}
 	var (
-		pending sync.WaitGroup
-		mu      sync.Mutex
-		failed  int
-		first   error // both under mu
+		wg     sync.WaitGroup
+		next   atomic.Int64
+		mu     sync.Mutex
+		failed int
+		first  error // both under mu: every lane's worker settles, and joined wakes
 	)
-	pending.Add(n)
-	settle := func(dir string, spi uint32, err error, removed bool) {
-		if err != nil && !removed {
+	settle := func(it wakeItem, err error) {
+		if err != nil && !(errors.Is(err, core.ErrDown) && g.removed(&it)) {
 			mu.Lock()
 			if failed++; first == nil {
-				first = fmt.Errorf("ipsec: gateway wake %s %#x: %w", dir, spi, err)
+				first = fmt.Errorf("ipsec: gateway wake %v: %w", it.c, err)
 			}
 			mu.Unlock()
 		}
-		pending.Done()
 	}
-	for _, sa := range snap.outbound {
-		sa.Sender().WakeNotify(func(err error) {
-			settle("outbound", sa.SPI(), err, errors.Is(err, core.ErrDown) && g.findOutbound(sa.SPI()) != sa)
-		})
-	}
-	for _, sa := range snap.inbound {
-		sa.Receiver().WakeNotify(func(err error) {
-			removed := false
-			if errors.Is(err, core.ErrDown) {
-				cur, _ := g.sad.Lookup(sa.SPI())
-				removed = cur != sa
+	for range min(g.pool.Workers(), len(lanes)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(len(lanes)); i = next.Add(1) - 1 {
+				g.wakeLane(lanes[i], settle)
 			}
-			settle("inbound", sa.SPI(), err, removed)
-		})
+		}()
 	}
-	pending.Wait()
+	wg.Wait()
 	if failed > 0 {
 		g.lifecycle("wake-failed", failed)
 		return first
 	}
 	g.lifecycle("wake-done", n)
 	return nil
+}
+
+// wakeItem is one SA of a lane's wake: its sender or receiver, its cell,
+// and the post-wake record it waits for.
+type wakeItem struct {
+	ep interface {
+		BeginWake() (core.PostWake, bool, error)
+		FinishWake(core.PostWake, error) error
+		WakeNotify(func(error))
+		Store() store.Store
+	}
+	c cellID
+	w core.PostWake
+}
+
+// wakeLane begins every wake of a lane (core's BeginWake stages the leaped
+// record), waits once, for the last record, and finishes every SA with that
+// result. A wake already in flight — through the SA's saver, or another
+// WakeAll's — is joined, and waited for once the lane's own have settled.
+// Every outcome goes to settle.
+func (g *Gateway) wakeLane(items []wakeItem, settle func(wakeItem, error)) {
+	var joined sync.WaitGroup
+	owed := items[:0] // filled in place, behind the loop
+	for _, it := range items {
+		w, ok, err := it.ep.BeginWake()
+		switch {
+		case ok:
+			it.w = w
+			owed = append(owed, it)
+		case errors.Is(err, core.ErrWaking):
+			joined.Add(1)
+			jt := it // captured, where a captured it would move to the heap for every SA
+			jt.ep.WakeNotify(func(err error) { settle(jt, err); joined.Done() })
+		default:
+			settle(it, err)
+		}
+	}
+	var err error
+	if len(owed) > 0 {
+		last := owed[len(owed)-1]
+		err = last.ep.Store().(store.Stager).WaitDurable(last.w.Seq)
+	}
+	for i := range owed {
+		settle(owed[i], owed[i].ep.FinishWake(owed[i].w, err))
+	}
+	joined.Wait()
+}
+
+// removed reports whether the SA of it has left the registry.
+func (g *Gateway) removed(it *wakeItem) bool {
+	if it.c>>32 == 0 {
+		sa := g.findOutbound(uint32(it.c))
+		return sa == nil || sa.seq != it.ep
+	}
+	sa, _ := g.sad.Lookup(uint32(it.c))
+	return sa == nil || sa.replay != it.ep
 }
 
 type gatewaySnapshot struct {
@@ -620,13 +680,9 @@ func (g *Gateway) retireCell(c cellID, saver core.BackgroundSaver, tombstone boo
 	flush := saver.(*store.PoolSaver).Flush
 	flush()
 	err := g.cfg.Journal.Delete(key)
-	// A WakeAll whose snapshot predates the removal can race this path: if
-	// its FETCH runs after the tombstone it fails safely (no saved state,
-	// the endpoint stays down), but one that fetched earlier can enqueue
-	// its post-wake save after the flush above. Each re-check flushes the
-	// handle again and re-erases anything that slipped in; the wake's
-	// startSave is synchronous with its fetch, so one extra round is the
-	// realistic worst case and the loop bound is just paranoia.
+	// A save accepted before the Reset can reach the handle after the flush
+	// above. Each re-check flushes the handle again and re-erases anything
+	// that slipped in; the loop bound is just paranoia.
 	for i := 0; i < 8; i++ {
 		flush()
 		if _, ok, ferr := g.cfg.Journal.Cell(key).Fetch(); ferr != nil || !ok {

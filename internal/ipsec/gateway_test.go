@@ -5,15 +5,18 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"antireplay/internal/core"
 	"antireplay/internal/store"
+	"antireplay/internal/storefault"
 	"antireplay/internal/watchdog"
 )
 
@@ -664,83 +667,105 @@ func TestGatewayDuplicateSPIAcrossGateways(t *testing.T) {
 	}
 }
 
-// gateStore is a lane-less store whose Save blocks until the gate opens: a
-// pool worker that takes it stays inside that round, so everything queued
-// meanwhile lands in the worker's next one.
-type gateStore struct {
-	store.Mem
-	entered, gate chan struct{}
+// holdFS is the real filesystem, except that while it is held every Sync
+// of a log it opened waits for the release: a wake's commit then stays in
+// flight, with everything the wake staged before it.
+type holdFS struct {
+	storefault.FS
+	gate    atomic.Pointer[chan struct{}]
+	waiting atomic.Int32 // Syncs waiting on the gate
 }
 
-func (g *gateStore) Save(v uint64) error {
-	g.entered <- struct{}{}
-	<-g.gate
-	return g.Mem.Save(v)
+type holdFile struct {
+	storefault.File
+	fs *holdFS
 }
 
-// parkWorkers parks every worker of a default-size pool inside a round and
-// returns the call that lets them go.
-func parkWorkers(pool *store.SaverPool) (release func()) {
-	hold := &gateStore{entered: make(chan struct{}), gate: make(chan struct{})}
-	for w := 0; w < store.DefaultPoolWorkers; w++ {
-		pool.Saver(hold).StartSave(1, nil)
+func (h *holdFS) OpenFile(name string, flag int, perm os.FileMode) (storefault.File, error) {
+	f, err := h.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
 	}
-	for w := 0; w < store.DefaultPoolWorkers; w++ {
-		<-hold.entered
-	}
-	return sync.OnceFunc(func() { close(hold.gate) })
+	return holdFile{f, h}, nil
 }
 
-// TestGatewayWakeAllCommitsPerLane: a wake-up queues every SA's post-wake
-// SAVE at once, and the pool's workers stage a whole round before they
-// commit, so 512 SAs over 64 lanes come back up for about one fsync per
-// lane — not one per SA — each resuming from exactly fetched + 2K.
+func (f holdFile) Sync() error {
+	if gate := f.fs.gate.Load(); gate != nil {
+		f.fs.waiting.Add(1)
+		<-*gate
+		f.fs.waiting.Add(-1)
+	}
+	return f.File.Sync()
+}
+
+// hold makes every later Sync wait until release is called.
+func (h *holdFS) hold() (release func()) {
+	gate := make(chan struct{})
+	h.gate.Store(&gate)
+	return sync.OnceFunc(func() {
+		h.gate.Store(nil)
+		close(gate)
+	})
+}
+
+// TestGatewayWakeAllCommitsPerLane: a wake-up goes lane by lane, so 512 SAs
+// over 64 lanes come back up for exactly one commit a lane — not one per
+// SA — each resuming from exactly fetched + 2K.
 func TestGatewayWakeAllCommitsPerLane(t *testing.T) {
-	const lanes = 64
-	l, err := store.OpenLanes(t.TempDir(), store.LanesCount(lanes))
+	l, err := store.OpenLanes(t.TempDir(), store.LanesCount(64))
 	if err != nil {
 		t.Fatalf("OpenLanes: %v", err)
 	}
 	defer l.Close()
-	if got := wakeAllFsyncs(t, l); got > 2*lanes {
-		t.Errorf("waking 512 SAs over %d lanes cost %d fsyncs, want at most %d", lanes, got, 2*lanes)
-	}
+	wakeAllCommits(t, l, 256)
 }
 
 // TestGatewayWakeAllDefaultMedium: a medium opened without LanesCount has
-// one lane per worker of a default pool, so a wake of 512 SAs over it costs
-// at most one fsync per lane, which is one per worker.
+// one lane per worker of a default pool, and a wake of 512 SAs over it
+// costs one commit a lane.
 func TestGatewayWakeAllDefaultMedium(t *testing.T) {
 	l, err := store.OpenLanes(t.TempDir())
 	if err != nil {
 		t.Fatalf("OpenLanes: %v", err)
 	}
 	defer l.Close()
-	got, lanes := wakeAllFsyncs(t, l), uint64(l.LaneCount())
-	if got > lanes || lanes > store.DefaultPoolWorkers {
-		t.Errorf("waking 512 SAs over the default %d lanes cost %d fsyncs, want at most one a lane and one a pool worker (%d)",
-			lanes, got, store.DefaultPoolWorkers)
+	if lanes := l.LaneCount(); lanes > store.DefaultPoolWorkers {
+		t.Errorf("a default medium has %d lanes, want at most one a pool worker (%d)", lanes, store.DefaultPoolWorkers)
 	}
+	wakeAllCommits(t, l, 256)
 }
 
-// wakeAllFsyncs installs 256 SA pairs on a gateway over l with a default
-// pool, resets them all, and returns the fsyncs their WakeAll spends. The
-// pool's workers are parked until every post-wake SAVE is queued, so the
-// wake is one round a worker. Every SA must come back up at fetched + 2K.
-func wakeAllFsyncs(t *testing.T, l *store.Lanes) uint64 {
+// TestGatewayWakeAllCommitsPerLaneAtScale: 40,000 SAs over the default
+// medium, nothing held, still come back up for one commit a lane. A wake
+// whose post-wake SAVEs reach the pool one by one pays a commit each time
+// a worker starts a round before the last SAVE is queued: three or four a
+// lane here.
+func TestGatewayWakeAllCommitsPerLaneAtScale(t *testing.T) {
+	l, err := store.OpenLanes(t.TempDir())
+	if err != nil {
+		t.Fatalf("OpenLanes: %v", err)
+	}
+	defer l.Close()
+	wakeAllCommits(t, l, 20_000)
+}
+
+// wakeAllCommits installs pairs SA pairs on a gateway over l, resets them
+// all and wakes them. Each lane with SAs must pay exactly one commit for
+// the wake — a compaction is that commit, for two syncs, the snapshot's and
+// its directory's — and every other lane none. Every SA must come back up
+// at fetched + 2K.
+func wakeAllCommits(t *testing.T, l *store.Lanes, pairs int) {
 	t.Helper()
-	watchdog.Arm(t, 30*time.Second)
-	const pairs, k = 256, 25
-	pool := store.NewSaverPool(0)
-	defer pool.Close()
-	g, err := NewGateway(GatewayConfig{Journal: l, Pool: pool, K: k, W: 64})
+	watchdog.Arm(t, 60*time.Second)
+	const k = 25
+	g, err := NewGateway(GatewayConfig{Journal: l, K: k, W: 64})
 	if err != nil {
 		t.Fatalf("NewGateway: %v", err)
 	}
 	defer g.Close()
 
 	// Four installers at once; every SA's birth is only staged, and the
-	// wake below clears it (its post-wake SAVE covers the record).
+	// wake below commits it with the post-wake record.
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -768,23 +793,28 @@ func wakeAllFsyncs(t *testing.T, l *store.Lanes) uint64 {
 		}
 		return v
 	}
+	busy := make([]bool, l.LaneCount())
+	for i := 0; i < pairs; i++ {
+		busy[l.Cell(OutboundKey(uint32(0x7000+i))).Lane()] = true
+		busy[l.Cell(InboundKey(uint32(0x7000+i))).Lane()] = true
+	}
 
 	g.ResetAll()
-	// Park every worker, start the wake, and let the workers go only once
-	// every SA's post-wake SAVE is on a queue (the parked handles count one
-	// a worker): the wake is then one round each.
-	release := parkWorkers(pool)
-	woken := make(chan error, 1)
-	go func() { woken <- g.WakeAll() }()
-	for pool.QueueDepth() < 2*pairs+store.DefaultPoolWorkers {
-		time.Sleep(50 * time.Microsecond)
-	}
-	before := l.Syncs()
-	release()
-	if err := <-woken; err != nil {
+	before := l.LaneStats()
+	if err := g.WakeAll(); err != nil {
 		t.Fatalf("WakeAll: %v", err)
 	}
-	fsyncs := l.Syncs() - before
+	for i, after := range l.LaneStats() {
+		syncs, compactions := after.Syncs-before[i].Syncs, after.Compactions-before[i].Compactions
+		want := uint64(0)
+		if busy[i] {
+			want = 1 + compactions
+		}
+		if syncs != want || compactions > 1 {
+			t.Errorf("lane %d: waking %d SAs cost %d syncs and %d compactions, want one commit a lane with SAs (%d syncs)",
+				i, 2*pairs, syncs, compactions, want)
+		}
+	}
 	for i := 0; i < pairs; i++ {
 		spi := uint32(0x7000 + i)
 		out, _ := g.Outbound(spi)
@@ -803,33 +833,32 @@ func wakeAllFsyncs(t *testing.T, l *store.Lanes) uint64 {
 			t.Errorf("inbound %#x: Committed() = %d, durable %d, want both %d", spi, got, durable, 2*k)
 		}
 	}
-	return fsyncs
 }
 
-// wakeAllFixture is a gateway of pairs SA pairs (SPIs 0x7100+i) that has
-// been ResetAll and whose every pool worker is parked inside a round, so a
-// WakeAll started on it fetches, queues its post-wake SAVEs and cannot
-// finish until release() is called. wait blocks until n of those SAVEs are
-// queued; events records what OnLifecycle saw.
+// wakeAllFixture is a gateway of pairs SA pairs (SPIs 0x7100+i) over a
+// one-lane medium that has been ResetAll and whose medium is held, so a
+// WakeAll started on it fetches, stages its post-wake records and cannot
+// finish until release() is called. The keys named by erased are deleted
+// before the hold. held blocks until the wake's commit is waiting on its
+// Sync; events records what OnLifecycle saw.
 type wakeAllFixture struct {
 	g       *Gateway
-	j       *store.Lanes
 	release func()
-	wait    func(n int)
+	held    func()
 	mu      sync.Mutex
 	events  []string
 }
 
-func newWakeAllFixture(t *testing.T, pairs int) *wakeAllFixture {
+func newWakeAllFixture(t *testing.T, pairs int, erased ...string) *wakeAllFixture {
 	t.Helper()
-	j, err := store.OpenLanes(filepath.Join(t.TempDir(), "gw.journal"), store.LanesCount(1))
+	fs := &holdFS{FS: storefault.OS()}
+	j, err := store.OpenLanes(filepath.Join(t.TempDir(), "gw.journal"), store.LanesCount(1), store.LanesWithFS(fs))
 	if err != nil {
 		t.Fatalf("OpenLanes: %v", err)
 	}
 	t.Cleanup(func() { j.Close() })
-	pool := store.NewSaverPool(0)
-	f := &wakeAllFixture{j: j}
-	f.g, err = NewGateway(GatewayConfig{Journal: j, Pool: pool, K: 5, W: 64,
+	f := &wakeAllFixture{}
+	f.g, err = NewGateway(GatewayConfig{Journal: j, K: 5, W: 64,
 		OnLifecycle: func(kind string, sas int) {
 			f.mu.Lock()
 			f.events = append(f.events, fmt.Sprintf("%s=%d", kind, sas))
@@ -847,11 +876,15 @@ func newWakeAllFixture(t *testing.T, pairs int) *wakeAllFixture {
 		}
 	}
 	f.g.ResetAll()
-	f.release = parkWorkers(pool)
-	t.Cleanup(func() { f.release(); pool.Close(); f.g.Close() })
-	queued := pool.SavesRequested()
-	f.wait = func(n int) {
-		for pool.SavesRequested() < queued+uint64(n) {
+	for _, key := range erased {
+		if err := j.Delete(key); err != nil {
+			t.Fatalf("Delete %s: %v", key, err)
+		}
+	}
+	f.release = fs.hold()
+	t.Cleanup(func() { f.release(); f.g.Close() })
+	f.held = func() {
+		for fs.waiting.Load() == 0 {
 			time.Sleep(50 * time.Microsecond)
 		}
 	}
@@ -879,13 +912,13 @@ func TestGatewayWakeAllResetDuringWake(t *testing.T) {
 	f := newWakeAllFixture(t, pairs)
 	woken := make(chan error, 1)
 	go func() { woken <- f.g.WakeAll() }()
-	f.wait(2 * pairs)
+	f.held()
 
 	torn, _ := f.g.SAD().Lookup(0x7103)
 	torn.Receiver().Reset()
 	gone, _ := f.g.Outbound(0x7105)
 	removed := make(chan bool, 1)
-	go func() { removed <- f.g.RemoveOutbound(0x7105) }() // flushes its saver: returns after release
+	go func() { removed <- f.g.RemoveOutbound(0x7105) }() // its tombstone commits after the held one: returns after release
 	for gone.Sender().State() != core.StateDown {
 		time.Sleep(50 * time.Microsecond)
 	}
@@ -927,15 +960,10 @@ func TestGatewayWakeAllResetDuringWake(t *testing.T) {
 func TestGatewayWakeAllWaitsForAllOnFailure(t *testing.T) {
 	watchdog.Arm(t, 30*time.Second)
 	const pairs = 8
-	f := newWakeAllFixture(t, pairs)
-	for _, key := range []string{OutboundKey(0x7100), InboundKey(0x7106)} {
-		if err := f.j.Delete(key); err != nil {
-			t.Fatalf("Delete %s: %v", key, err)
-		}
-	}
+	f := newWakeAllFixture(t, pairs, OutboundKey(0x7100), InboundKey(0x7106))
 	woken := make(chan error, 1)
 	go func() { woken <- f.g.WakeAll() }()
-	f.wait(2*pairs - 2)
+	f.held()
 	select {
 	case err := <-woken:
 		t.Fatalf("WakeAll returned %v with %d wakes still in flight", err, 2*pairs-2)
@@ -963,6 +991,68 @@ func TestGatewayWakeAllWaitsForAllOnFailure(t *testing.T) {
 		}
 		if st := in.Receiver().State(); st != want(spi == 0x7106) {
 			t.Errorf("inbound %#x is %v when WakeAll returns, want %v", spi, st, want(spi == 0x7106))
+		}
+	}
+}
+
+// TestGatewayWakeAllJoinsWakesInFlight: SAs added over used cells are
+// waking through the pool when WakeAll runs. WakeAll joins those wakes
+// rather than starting its own, and returns only once they have settled —
+// here held in the lane's fsync — with every SA up at fetched + 2K.
+func TestGatewayWakeAllJoinsWakesInFlight(t *testing.T) {
+	watchdog.Arm(t, 30*time.Second)
+	const pairs, k = 4, 5
+	fs := &holdFS{FS: storefault.OS()}
+	j, err := store.OpenLanes(t.TempDir(), store.LanesCount(1), store.LanesWithFS(fs))
+	if err != nil {
+		t.Fatalf("OpenLanes: %v", err)
+	}
+	defer j.Close()
+	install := func() *Gateway {
+		g, err := NewGateway(GatewayConfig{Journal: j, K: k, W: 64})
+		if err != nil {
+			t.Fatalf("NewGateway: %v", err)
+		}
+		for i := 0; i < pairs; i++ {
+			if _, err := g.AddOutbound(uint32(0x7200+i), testKeys(), gwSelector(i)); err != nil {
+				t.Fatalf("AddOutbound: %v", err)
+			}
+			if _, err := g.AddInbound(uint32(0x7200+i), testKeys()); err != nil {
+				t.Fatalf("AddInbound: %v", err)
+			}
+		}
+		return g
+	}
+	install().Close() // the first life: its births leave every cell used
+
+	release := fs.hold()
+	defer release()
+	g := install() // every SA is born down and wakes through the pool, held
+	defer g.Close()
+	syncs := j.Syncs()
+	woken := make(chan error, 1)
+	go func() { woken <- g.WakeAll() }()
+	select {
+	case err := <-woken:
+		t.Fatalf("WakeAll returned %v with the wakes it joined still held", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	release()
+	if err := <-woken; err != nil {
+		t.Fatalf("WakeAll: %v", err)
+	}
+	if got := j.Syncs() - syncs; got > 2 {
+		t.Errorf("the joined wakes cost %d syncs, want the pool's one commit, and one more at most", got)
+	}
+	for i := 0; i < pairs; i++ {
+		spi := uint32(0x7200 + i)
+		out, _ := g.Outbound(spi)
+		in, _ := g.SAD().Lookup(spi)
+		if st := out.Sender().State(); st != core.StateUp || out.Sender().Committed() != 1+2*k {
+			t.Errorf("outbound %#x is %v at %d after WakeAll, want up at %d", spi, st, out.Sender().Committed(), 1+2*k)
+		}
+		if st := in.Receiver().State(); st != core.StateUp || in.Receiver().Committed() != 2*k {
+			t.Errorf("inbound %#x is %v at %d after WakeAll, want up at %d", spi, st, in.Receiver().Committed(), 2*k)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package ipsec
 import (
 	"fmt"
 	"net/netip"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -285,5 +286,57 @@ func TestInstallAllocs(t *testing.T) {
 	t.Logf("allocations per install: inbound %v, outbound %v (at most %d)", in, out, installAllocsMax)
 	if in > installAllocsMax || out > installAllocsMax {
 		t.Errorf("an install allocates %v inbound and %v outbound objects, want at most %d each", in, out, installAllocsMax)
+	}
+}
+
+// wakeAllocsPerLane is what one WakeAll may allocate per commit lane: the
+// lane's share of the batch arrays and of the workers that run the lanes,
+// and a compaction when the wake's commit is one. Nothing is per SA: a
+// callback, a pool hand-off or a queued save per SA puts a wake of 2,048
+// pairs in the thousands, where it read about 12,000 while each post-wake
+// SAVE went through the pool.
+const wakeAllocsPerLane = 16
+
+// TestWakeAllAllocs pins the objects one WakeAll of 2,048 SA pairs over a
+// default medium allocates: bounded by the lanes, not by the SAs.
+func TestWakeAllAllocs(t *testing.T) {
+	skipUnderRace(t)
+	lanes, err := store.OpenLanes(t.TempDir(), store.LanesWithoutSync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lanes.Close()
+	gw, err := NewGateway(GatewayConfig{Journal: lanes, W: 1024, ESN: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	const pairs, rounds = 2048, 8
+	keys := testKeys()
+	for i := 0; i < pairs; i++ {
+		if _, err := gw.AddInbound(uint32(i+1), keys); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := gw.AddOutbound(uint32(i+1), keys, installSelector(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var allocs uint64
+	for r := 0; r <= rounds; r++ { // round 0 warms the lanes' staging slabs
+		gw.ResetAll()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := gw.WakeAll(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if r > 0 {
+			allocs += after.Mallocs - before.Mallocs
+		}
+	}
+	perWake, bound := allocs/rounds, uint64(wakeAllocsPerLane*lanes.LaneCount())
+	t.Logf("allocations per WakeAll of %d SAs over %d lanes: %d (at most %d)", 2*pairs, lanes.LaneCount(), perWake, bound)
+	if perWake > bound {
+		t.Errorf("a WakeAll of %d SAs allocates %d objects, want at most %d a lane (%d)", 2*pairs, perWake, wakeAllocsPerLane, bound)
 	}
 }

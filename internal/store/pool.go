@@ -27,11 +27,11 @@ import (
 // and one fsync, the rest return on the watermark. Callbacks run after each
 // handle's wait, and a handle that gained work meanwhile goes back on the
 // queue for the next round. A round therefore costs one fsync per lane with
-// work, not one per handle — a gateway's wake-up, which queues every SA's
-// post-wake SAVE at once, pays about one fsync per lane — and SAVEs that
-// arrive while the worker is inside an fsync share the next one. A worker
-// still commits its lanes one after another. Stores that cannot stage (Mem)
-// take the same loop through saveStager.
+// work, not one per handle — as a gateway's wake-up, which stages and
+// commits each lane itself, pays — and SAVEs that arrive while the worker
+// is inside an fsync share the next one. A worker still commits its lanes
+// one after another. Stores that cannot stage (Mem) take the same loop
+// through saveStager.
 //
 // The pool does not retry a failed save: the callbacks get the store's error
 // as it is, once. A cell's errors are permanent (closed, fenced, a bad key, a
@@ -105,6 +105,9 @@ func (p *SaverPool) Saver(st Store) *PoolSaver {
 	}
 	return s
 }
+
+// Workers returns the number of workers the pool runs.
+func (p *SaverPool) Workers() int { return len(p.shards) }
 
 // SavesRequested returns how many saves handles have queued (StartSave
 // calls) over the pool's lifetime.
