@@ -16,16 +16,20 @@ import (
 // divided out: the gateway's outbound index, the SAD's or SPD's table
 // slots, the SA (keys by value, an AEAD pointer that stays nil until the
 // first packet), its endpoint (a receiver's window embedded, its ring
-// beside it), the journal cell and key, and the pool handle.
+// beside it), the journal cell and its lane's table slot, and the pool
+// handle.
 //
 // Each budget is at most 1.3x its reading (2-vCPU Xeon, with and without
 // -race): inbound at W = 64 read 2,154 B while the inbound SA carried a
 // 1 KiB sharded tally block, 1,067 with four plain counters and a per-SA
 // pool of HMAC states, 955 with the AES-GCM suite, 973 once the SAD became
 // one table at most a quarter full, 749 once the SA held its keys and
-// window by value and nothing it does not use, and 725 once the gateway
-// stopped keeping a map of its cells beside its SAs. The live figure, logged
-// after one packet per SA, adds the AES-GCM state the first packet builds.
+// window by value and nothing it does not use, 725 once the gateway
+// stopped keeping a map of its cells beside its SAs, and 685 once the
+// journal cell became its key's one slot (no key string, no value and
+// claim maps beside it; outbound 787 to 747, inbound at W = 1024 965 to
+// 925). The live figure, logged after one packet per SA, adds the AES-GCM
+// state the first packet builds.
 func TestSAFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("footprint measurement is slow")
@@ -45,10 +49,10 @@ func TestSAFootprint(t *testing.T) {
 		esn     bool
 		budget  uint64
 	}{
-		{"inbound/W64", true, 0, false, 942},
-		{"outbound/W64", false, 0, false, 960},
-		{"inbound/W1024-ESN", true, 1024, true, 1254},
-		{"outbound/W1024-ESN", false, 1024, true, 960},
+		{"inbound/W64", true, 0, false, 890},
+		{"outbound/W64", false, 0, false, 910},
+		{"inbound/W1024-ESN", true, 1024, true, 1200},
+		{"outbound/W1024-ESN", false, 1024, true, 910},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			lanes, err := store.OpenLanes(t.TempDir(), store.LanesWithoutSync())

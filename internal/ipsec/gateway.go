@@ -648,7 +648,7 @@ func (g *Gateway) snapshot() gatewaySnapshot {
 }
 
 func (g *Gateway) snapshotLocked() gatewaySnapshot {
-	snap := gatewaySnapshot{outbound: slices.Clone(g.outbound)}
+	snap := gatewaySnapshot{outbound: slices.Clone(g.outbound), inbound: make([]*InboundSA, 0, g.sad.Len())}
 	g.sad.Range(func(sa *InboundSA) bool {
 		snap.inbound = append(snap.inbound, sa)
 		return true

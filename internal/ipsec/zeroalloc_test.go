@@ -237,14 +237,15 @@ func TestKeyFormatCompat(t *testing.T) {
 }
 
 // installAllocsMax is what an install may allocate, each way: the journal
-// cell and its key string, the pool handle, the endpoint, the SA, and
-// inbound the window's ring (the window itself is embedded in the
-// receiver), outbound the SPD's republished view. The tables' amortized
-// growth rounds away. A closure for the endpoint's install step, a
-// separate window, a Flush condvar built ahead of any Flush, or a wake
-// callback moved to the heap put it back above; before those went, an
-// install read 10 inbound and 9 outbound.
-const installAllocsMax = 6
+// cell, the pool handle, the endpoint, the SA, and inbound the window's
+// ring (the window itself is embedded in the receiver), outbound the SPD's
+// republished view. The tables' amortized growth rounds away, the lane's
+// key table included. A closure for the endpoint's install step, a
+// separate window, a Flush condvar built ahead of any Flush, a wake
+// callback moved to the heap, or a journal cell that keeps its key string
+// put it back above; before those went, an install read 10 inbound and 9
+// outbound, and 6 each way while the cell kept its key.
+const installAllocsMax = 5
 
 // TestInstallAllocs pins the objects one AddInbound and one AddOutbound
 // allocate on a warm gateway: what a million-SA install pays the allocator

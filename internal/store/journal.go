@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -60,20 +61,19 @@ const DefaultCompactAt = 64 << 10
 // append-only, CRC-framed log file multiplexing the named counters of every
 // SA routed to the lane, instead of one file + one fsync stream per SA.
 //
-// Save runs a pipelined group commit. The caller encodes its record frame
-// outside any lock (a stack buffer; appendRecord allocates nothing), then
-// holds the journal mutex only long enough to stage the frame — append its
-// bytes to the staging buffer, assign a commit sequence number, and update
-// the in-memory bookkeeping. The staged batch is drained by one elected
-// committer at a time: it swaps the staging buffer for a spare slab,
-// releases the mutex, and performs ONE write and ONE fsync for the whole
-// group while later savers keep staging the next batch concurrently.
-// Durability is acknowledged through a commit-sequence watermark (an atomic;
-// a record numbered n is durable once the watermark exceeds n), so the
-// commit pipeline — encode, stage, write+fsync, ack — keeps the per-record
-// critical section free of syscalls and allocations. Delete appends a
-// tombstone the same way, retiring a key when its SA is removed or rekeyed
-// away.
+// Each key is one Cell, found by its word in one table and holding the key's
+// state. A Cell is the key as a store.Store, so core.Sender / core.Receiver
+// run unchanged over a shared lane; the paper's per-key guarantees (2K leap
+// coverage, no replay acceptance) hold because each key's record stream is
+// independent and monotone.
+//
+// Save stages, then commits. Under the mutex the saver encodes its frame
+// from the key's word straight into the staging buffer, numbers it and
+// updates the Cell: a lane has one saver at a time (its SaverPool worker, or
+// a wake's lane batch), so encoding outside the lock would gain nothing. An
+// elected committer then writes and fsyncs the whole staged batch outside
+// the mutex, while later savers stage the next (commitStagedLocked). Delete
+// appends a tombstone the same way.
 //
 // Recovery (at OpenLanes) replays the log in order — keeping the maximum
 // value per key since the key's last tombstone — tolerates a torn tail (the
@@ -81,11 +81,6 @@ const DefaultCompactAt = 64 << 10
 // the tail away so appends resume from a clean frame. When the log outgrows
 // a threshold it is compacted to one record per live key (tombstoned keys
 // vanish) via write-temp + fsync + rename + dir-fsync.
-//
-// Cell projects one key as a store.Store, so core.Sender / core.Receiver
-// run unchanged over a shared lane; the paper's per-key guarantees (2K
-// leap coverage, no replay acceptance) are preserved because each key's
-// record stream is independent and monotone.
 //
 // Journal is safe for concurrent use.
 type Journal struct {
@@ -100,10 +95,10 @@ type Journal struct {
 	f storefault.File
 	// Every key is one word (see wordOf): an SA key packs into it, any
 	// other key (the cluster epoch, a probe cell) is interned into names on
-	// first use. vals and claims are the only key tables; on disk a key is
-	// always its exact bytes (appendKey).
-	vals        map[uint64]uint64
-	claims      map[uint64]bool
+	// first use. cells is the one key table: a key's Cell is in it while the
+	// key is live or claimed (see Cell). On disk a key is always its exact
+	// bytes (appendKey).
+	cells       map[uint64]*Cell
 	names       []string          // interned named keys, by word index
 	named       map[string]uint64 // named key -> word
 	logSize     int64
@@ -115,18 +110,15 @@ type Journal struct {
 
 	// Replication state (see tail.go). follower, when attached, gates save
 	// acknowledgment on its applied position; tail holds every record it
-	// has not acknowledged, the first numbered tailMin.
+	// has not acknowledged, the first numbered tailMin, each by its key's
+	// word.
 	follower *Tail
 	tail     tailRing
 	tailMin  uint64
 
-	// Commit-pipeline state. Every staged record gets a sequence number; a
-	// record numbered n is durable once syncedSeq (the commit watermark,
-	// readable with a single atomic load) exceeds n. stage accumulates the
-	// encoded frames of records not yet written; whoever finds no commit in
-	// flight becomes the committer: it swaps stage for the spare slab,
-	// snapshots appendSeq, writes and fsyncs the batch outside the mutex,
-	// and advances the watermark over everything it staged.
+	// Commit-pipeline state (see commitStagedLocked). A record numbered n
+	// is durable once syncedSeq, the commit watermark, exceeds n; stage
+	// holds the frames of records not yet written.
 	appendSeq uint64
 	syncedSeq atomic.Uint64
 	stage     []byte
@@ -138,48 +130,7 @@ type Journal struct {
 	cfg  *lanesConfig // the medium's options, shared by its lanes; read-only
 	lane int          // lane index within the Lanes medium
 
-	counts LaneStats // the counters; stats fills in the rest
-}
-
-// tailRing is a ring buffer of the records a follower has not acknowledged:
-// pushes are O(1) and an ack advances the head instead of memmoving the
-// survivors. The backing slice is a power of two, grown on demand.
-type tailRing struct {
-	buf  []TailRecord // power-of-two length once allocated
-	head int          // index of the logical first record
-	n    int          // live records
-}
-
-func (r *tailRing) push(rec TailRecord) {
-	if r.n == len(r.buf) {
-		r.grow()
-	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = rec
-	r.n++
-}
-
-func (r *tailRing) grow() {
-	size := 2 * len(r.buf)
-	if size == 0 {
-		size = 64
-	}
-	buf := make([]TailRecord, size)
-	for i := 0; i < r.n; i++ {
-		buf[i] = r.at(i)
-	}
-	r.buf, r.head = buf, 0
-}
-
-func (r *tailRing) at(i int) TailRecord { return r.buf[(r.head+i)&(len(r.buf)-1)] }
-
-// drop releases the k oldest records, zeroing them so their key strings are
-// collectable.
-func (r *tailRing) drop(k int) {
-	for i := 0; i < k; i++ {
-		r.buf[(r.head+i)&(len(r.buf)-1)] = TailRecord{}
-	}
-	r.head = (r.head + k) & (len(r.buf) - 1)
-	r.n -= k
+	counts LaneStats // the counters, Keys the live ones; stats fills in the rest
 }
 
 // RecoveryStats reports what one lane's open-time replay found: how many
@@ -213,7 +164,7 @@ func (j *Journal) stats() LaneStats {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	s := j.counts
-	s.Keys, s.LogSize, s.Poisoned = len(j.vals), j.logSize, j.ioErr
+	s.LogSize, s.Poisoned = j.logSize, j.ioErr
 	return s
 }
 
@@ -227,8 +178,7 @@ func openJournal(path string, lane int, cfg *lanesConfig) (*Journal, error) {
 		path:     path,
 		cfg:      cfg,
 		lane:     lane,
-		vals:     make(map[uint64]uint64),
-		claims:   make(map[uint64]bool),
+		cells:    make(map[uint64]*Cell),
 		named:    make(map[string]uint64),
 		snapSize: journalHeaderLen,
 	}
@@ -245,7 +195,8 @@ func openJournal(path string, lane int, cfg *lanesConfig) (*Journal, error) {
 // carries the direction, the low 32 bits the SPI. Any other key is interned
 // per journal on first use, and its word is namedMark plus its index into
 // names. appendKey inverts both, so the representation never changes which
-// bytes reach the log.
+// bytes reach the log. A bad key (empty, or longer than journalMaxKey) has
+// word 0, which no key table holds.
 const (
 	spiKeyLen   = 11
 	packedMark  = 1 << 33 // distinguishes a packed word from any zero value
@@ -294,34 +245,29 @@ var unhex = func() (t [256]byte) {
 
 const badHex = 0x10 // above every digit's value
 
-// wordOf returns key's word in j, interning a named key on first use (mu
-// held). Looking up a []byte key allocates nothing, so replay materializes
-// a string only the first time it meets a named key.
+// wordOf returns key's word in j, interning a copy of a named key on first
+// use, so no caller's key outlives the call (mu held). Looking up a []byte
+// key allocates nothing, so replay materializes a string only the first
+// time it meets a named key. A bad key returns 0 and is not interned.
 func wordOf[K string | []byte](j *Journal, key K) uint64 {
 	if w, ok := packKey(key); ok {
 		return w
 	}
+	if len(key) == 0 || len(key) > journalMaxKey {
+		return 0
+	}
 	if w, ok := j.named[string(key)]; ok {
 		return w
 	}
-	name := string(key)
+	name := strings.Clone(string(key))
 	w := namedMark | uint64(len(j.names))
 	j.names = append(j.names, name)
 	j.named[name] = w
 	return w
 }
 
-// word is wordOf for a key whose packKey word pk a Cell holds (0: not an
-// SA key), so an SA key is parsed once per cell, not per record (mu held).
-func (j *Journal) word(key string, pk uint64) uint64 {
-	if pk != 0 {
-		return pk
-	}
-	return wordOf(j, key)
-}
-
 // appendKey appends word w's key to buf as its exact on-disk bytes (mu
-// held).
+// held for a named key; a packed one reads nothing of j).
 func (j *Journal) appendKey(buf []byte, w uint64) []byte {
 	if w&namedMark != 0 {
 		return append(buf, j.names[w&^namedMark]...)
@@ -339,17 +285,20 @@ func (j *Journal) appendKey(buf []byte, w uint64) []byte {
 
 const hexDigits = "0123456789abcdef"
 
-// valuesInto copies the value table into out under the keys' string names
+// valuesInto copies the live values into out under the keys' string names
 // — the shape Values and Tail.Snapshot expose — and returns it (mu held).
 func (j *Journal) valuesInto(out map[string]uint64) map[string]uint64 {
 	var kb [spiKeyLen]byte
-	for w, v := range j.vals {
-		out[string(j.appendKey(kb[:0], w))] = v
+	for w, c := range j.cells {
+		if c.live {
+			out[string(j.appendKey(kb[:0], w))] = c.v
+		}
 	}
 	return out
 }
 
-// recover replays the log into j.vals and leaves j.f positioned for appends.
+// recover replays the log into j.cells and leaves j.f positioned for
+// appends.
 func (j *Journal) recover() error {
 	data, err := j.cfg.fs.ReadFile(j.path)
 	if os.IsNotExist(err) {
@@ -392,7 +341,7 @@ func (j *Journal) recover() error {
 		// Presize for replay by the frame count, as if every frame were an
 		// SA key's: compaction keeps a log past DefaultCompactAt under twice
 		// its snapshot, so a large lane's frames are at most twice its keys.
-		j.vals = make(map[uint64]uint64, len(data)/(minRecordLen+spiKeyLen))
+		j.cells = make(map[uint64]*Cell, len(data)/(minRecordLen+spiKeyLen))
 	}
 	off := journalHeaderLen
 	for off < len(data) {
@@ -411,18 +360,12 @@ func (j *Journal) recover() error {
 		}
 		j.counts.Recovery.FramesReplayed++
 		// One word per key: a packed key never materializes a string, so a
-		// million-record replay allocates nothing per record.
-		w := wordOf(j, kb)
-		if del {
-			if _, seen := j.vals[w]; seen {
-				j.snapSize -= int64(n)
-				delete(j.vals, w)
-			}
-		} else if cur, seen := j.vals[w]; !seen || v > cur {
-			if !seen {
-				j.snapSize += int64(n)
-			}
-			j.vals[w] = v
+		// million-record replay allocates one Cell per key life, nothing per
+		// record. No save writes an empty key; such a frame changes nothing.
+		if w := wordOf(j, kb); w != 0 && !del {
+			j.raise(j.slot(w), v, int64(n))
+		} else if c := j.cells[w]; c != nil && del {
+			j.drop(c, int64(n))
 		}
 		off += n
 	}
@@ -490,14 +433,9 @@ func appendHeader(buf []byte) []byte {
 	return append(buf, 0, 0)
 }
 
-// minRecordLen is the size of a frame with an empty key (which save()
-// rejects, so every real frame is larger).
+// minRecordLen is the size of a frame with an empty key (which a save
+// refuses, so every real frame is larger).
 const minRecordLen = 2 + 8 + 4
-
-// frameLen is the encoded size of a (non-tombstone) frame for key; every
-// save record of one key has the same size, which keeps the snapshot-size
-// accounting exact across deletes.
-func frameLen(key string) int64 { return int64(2 + 8 + len(key) + 4) }
 
 // parseFrame decodes one frame from b, returning the key (aliasing b —
 // replay consumes it without allocating), the value, the tombstone flag,
@@ -543,61 +481,19 @@ func probeValidFrame(data []byte, start int) int {
 	return -1
 }
 
-// appendRecord appends one frame for key, held as a string (a save) or as
-// bytes (compaction's appendKey output).
-func appendRecord[K string | []byte](buf []byte, key K, v uint64, del bool) []byte {
+// appendFrame appends word w's record frame to buf, the key spelled from
+// its word in place (mu held).
+func (j *Journal) appendFrame(buf []byte, w, v uint64, del bool) []byte {
 	start := len(buf)
-	lf := uint16(len(key))
+	buf = binary.BigEndian.AppendUint16(buf, 0) // the length field, set below
+	buf = binary.BigEndian.AppendUint64(buf, v)
+	buf = j.appendKey(buf, w)
+	lf := uint16(len(buf) - start - 2 - 8)
 	if del {
 		lf |= journalTombstone
 	}
-	buf = binary.BigEndian.AppendUint16(buf, lf)
-	buf = binary.BigEndian.AppendUint64(buf, v)
-	buf = append(buf, key...)
+	binary.BigEndian.PutUint16(buf[start:], lf)
 	return binary.BigEndian.AppendUint32(buf, journalCRC(buf[start:]))
-}
-
-// framePool recycles encode scratch buffers so record framing (CRC
-// included) runs outside the journal mutex without a per-record allocation.
-var framePool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 128)
-	return &b
-}}
-
-// append is the shared save/tombstone path (Cell.Save, retire): stage the
-// record, then wait until it is durable (or, without sync, written). Many
-// concurrent appends share one fsync.
-func (j *Journal) append(key string, pk uint64, v uint64, del bool) error {
-	seq, staged, err := j.stageRecord(key, pk, v, del)
-	if !staged {
-		return err
-	}
-	return j.waitDurable(seq)
-}
-
-// stageRecord is the first half of append: it encodes the frame into a pooled
-// scratch buffer before the mutex is taken — the mutex-held work is a memcpy
-// and map/ring bookkeeping: no CRC, no syscall, no allocation — and returns
-// the record's commit sequence number without waiting for durability. staged
-// is false when nothing was staged: an error, or a tombstone for a key with
-// no durable state (a no-op). pk is key's packKey word, or 0.
-func (j *Journal) stageRecord(key string, pk uint64, v uint64, del bool) (seq uint64, staged bool, err error) {
-	if len(key) == 0 || len(key) > journalMaxKey {
-		return 0, false, fmt.Errorf("%w: length %d", ErrBadKey, len(key))
-	}
-	bp := framePool.Get().(*[]byte)
-	rec := appendRecord((*bp)[:0], key, v, del)
-	j.mu.Lock()
-	if err = j.usableLocked(); err == nil {
-		w := j.word(key, pk)
-		if _, seen := j.vals[w]; seen || !del {
-			seq, staged = j.stageLocked(w, key, v, del, rec), true
-		}
-	}
-	j.mu.Unlock()
-	*bp = rec[:0] // staged (copied) or dropped; recycle the scratch, grown or not
-	framePool.Put(bp)
-	return seq, staged, err
 }
 
 // waitDurable is the second half of append: it blocks until the staged
@@ -647,15 +543,6 @@ func (j *Journal) poisonLocked(err error) {
 	}
 }
 
-// poisoned returns the sticky I/O error that quarantined this journal, or
-// nil. Unlike Save it never reports closed/fenced states: only a real media
-// failure shows here, which is exactly what lane-health checks key off.
-func (j *Journal) poisoned() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.ioErr
-}
-
 // repair clears a poisoned journal by rewriting the log from in-memory
 // state, optionally merged (max-wins) with donor values — the same lane of a
 // replication follower (Lanes.RepairLane), which may carry records the failed
@@ -683,9 +570,8 @@ func (j *Journal) repair(donor map[string]uint64) error {
 		return j.fenceErr
 	}
 	for key, v := range donor {
-		w := wordOf(j, key)
-		if cur, ok := j.vals[w]; !ok || v > cur {
-			j.vals[w] = v
+		if w := wordOf(j, key); w != 0 {
+			j.raise(j.slot(w), v, 0) // the compaction below sizes the snapshot
 		}
 	}
 	prev := j.ioErr
@@ -704,32 +590,63 @@ func (j *Journal) repair(donor map[string]uint64) error {
 	return nil
 }
 
-// stageLocked stages one encoded record frame: the bookkeeping that must be
-// atomic with sequence assignment (vals, sizes, the tail ring) plus a
-// memcpy of the frame into the staging buffer; w is key's word. The caller
-// holds mu and has already validated the key and journal state; durability
-// is the caller's next step (commitStagedLocked).
-func (j *Journal) stageLocked(w uint64, key string, v uint64, del bool, rec []byte) uint64 {
+// stageLocked encodes one record for c, the Cell holding its key's state,
+// into the staging buffer and numbers it, updating the Cell, the sizes and
+// the tail ring (mu held, journal usable). commitStagedLocked makes it
+// durable.
+func (j *Journal) stageLocked(c *Cell, v uint64, del bool) uint64 {
+	start := len(j.stage)
+	j.stage = j.appendFrame(j.stage, c.w, v, del)
+	n := int64(len(j.stage) - start)
 	j.counts.Appends++
-	j.logSize += int64(len(rec))
+	j.logSize += n
 	if del {
-		j.snapSize -= frameLen(key)
-		delete(j.vals, w)
-	} else if cur, seen := j.vals[w]; !seen || v > cur {
-		if !seen {
-			j.snapSize += int64(len(rec))
-		}
-		j.vals[w] = v
+		j.drop(c, n) // a tombstone frame is as long as its key's save frame
+	} else {
+		j.raise(c, v, n)
 	}
 	mySeq := j.appendSeq
 	j.appendSeq++
-	j.stage = append(j.stage, rec...)
 	if j.follower != nil {
 		// The record waits in the ring for the follower's ack; Recv gates
 		// delivery on syncedSeq, so the follower never sees it early.
-		j.tail.push(TailRecord{Seq: mySeq, Key: key, Val: v, Del: del})
+		j.tail.push(tailEntry{w: c.w, v: v, del: del})
 	}
 	return mySeq
+}
+
+// slot returns word w's table Cell, or a new one outside it (mu held).
+func (j *Journal) slot(w uint64) *Cell {
+	if c := j.cells[w]; c != nil {
+		return c
+	}
+	return &Cell{j: j, w: w}
+}
+
+// raise records v as c's value (mu held): a live key keeps the larger one,
+// and a key that is not live starts a life, its n-byte frame in the snapshot.
+func (j *Journal) raise(c *Cell, v uint64, n int64) {
+	if c.live {
+		c.v = max(c.v, v)
+		return
+	}
+	if !c.claimed {
+		j.cells[c.w] = c
+	}
+	c.v, c.live = v, true
+	j.counts.Keys++
+	j.snapSize += n
+}
+
+// drop ends live Cell c's life and its n-byte frame's place in the snapshot
+// (mu held).
+func (j *Journal) drop(c *Cell, n int64) {
+	c.v, c.live = 0, false
+	j.counts.Keys--
+	j.snapSize -= n
+	if !c.claimed {
+		delete(j.cells, c.w)
+	}
 }
 
 // commitStagedLocked drives the commit pipeline for the staged record
@@ -810,7 +727,7 @@ func (j *Journal) commitBatchLocked() {
 	// what the snapshot would occupy — the second condition keeps a journal
 	// whose key population alone exceeds compactAt from re-compacting on
 	// every save. Compaction subsumes this batch's write AND fsync: the
-	// snapshot is taken from j.vals, which already reflects every staged
+	// snapshot is taken from the Cells, which already reflect every staged
 	// record, so on success the staged frames are simply discarded. An
 	// early failure (old log intact) falls through to a normal commit; a
 	// late failure poisons the journal and the waiters surface it.
@@ -856,7 +773,7 @@ func (j *Journal) commitBatchLocked() {
 		// nothing was fsynced yet, the torn frame the partial write left is
 		// exactly what compaction's rename discards (the old inode goes away
 		// wholesale), and one record per key is the smallest this log can
-		// get. The snapshot is taken from j.vals, which already reflects the
+		// get. The snapshot is taken from the Cells, which already reflect the
 		// failed batch, so on success the batch is durable and the watermark
 		// covers it. If even the snapshot does not fit, compaction's own
 		// error poisons below. ENOSPC from the SYNC step never rescues:
@@ -885,8 +802,8 @@ func (j *Journal) commitBatchLocked() {
 // compactLocked rewrites the journal as one record per key (mu held). The
 // snapshot is written to a temp file, synced, and renamed over the log, so
 // a reset during compaction leaves the old log intact; afterwards every
-// value staged so far is durable — the snapshot is taken from j.vals, which
-// already reflects every staged record, so the staging buffer is discarded
+// value staged so far is durable — the snapshot is taken from the Cells,
+// which already reflect every staged record, so the staging buffer is discarded
 // and the watermark jumps to appendSeq. An early failure (before the
 // rename) leaves the journal fully usable on the old log and is retried at
 // the next threshold crossing; failures past the rename poison the journal
@@ -904,12 +821,12 @@ func (j *Journal) compactLocked() error {
 		return fmt.Errorf("store: journal compact %s: %w", step, cause)
 	}
 
-	buf := make([]byte, 0, journalHeaderLen+len(j.vals)*32)
+	buf := make([]byte, 0, journalHeaderLen+j.counts.Keys*32)
 	buf = appendHeader(buf)
-	var kb []byte
-	for w, v := range j.vals {
-		kb = j.appendKey(kb[:0], w)
-		buf = appendRecord(buf, kb, v, false)
+	for w, c := range j.cells {
+		if c.live {
+			buf = j.appendFrame(buf, w, c.v, false)
+		}
 	}
 	if _, err := tmp.Write(buf); err != nil {
 		return fail("write", err)
@@ -960,49 +877,99 @@ func (j *Journal) compactLocked() error {
 	return nil
 }
 
-// Cell is one key of a Journal, seen through the Store interface. Lanes.Cell
-// parses the key once: pk is an SA key's word, or 0 for any other key, whose
-// word is interned under the lane mutex on first use (word).
+// Cell is one key of a Journal, seen through the Store interface, and the
+// slot that holds the key's state: its value, and whether it is live (saved
+// since its last tombstone) and claimed. A Cell is in its lane's table while
+// it is live or claimed, so a tombstone on an unclaimed key or the release
+// of a key that is not live takes it out, and rekey churn never grows the
+// table. An operation on a Cell outside the table acts on the table's Cell
+// for its word, if there is one; a save or a claim puts this Cell in if
+// not. So a Cell kept past Delete and ReleaseCell still reads and writes the
+// key's one state. A bad key's Cell has word 0 and fails with ErrBadKey.
 type Cell struct {
-	j   *Journal
-	key string
-	pk  uint64
+	j             *Journal
+	w, v          uint64 // the key's word, and its value while live
+	live, claimed bool
 }
 
-// claim registers the exclusive in-process claim on the cell's key; see
-// Lanes.ClaimCell.
-func (c *Cell) claim() (*Cell, error) {
-	j := c.j
+// cell returns key's Cell: the table's, or a new one outside the table.
+func (j *Journal) cell(key string) *Cell {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.closed {
-		return nil, ErrClosed
+	return j.slot(wordOf(j, key))
+}
+
+// lock takes the lane mutex and returns the Cell holding c's key state: c
+// itself unless c is out of the table and the table has one for its word.
+func (c *Cell) lock() (*Cell, error) {
+	if c.w == 0 {
+		return nil, ErrBadKey
 	}
-	w := j.word(c.key, c.pk)
-	if j.claims[w] {
-		return nil, fmt.Errorf("%w: %q", ErrCellClaimed, c.key)
+	c.j.mu.Lock()
+	if !c.live && !c.claimed {
+		if s := c.j.cells[c.w]; s != nil {
+			return s, nil
+		}
 	}
-	j.claims[w] = true
 	return c, nil
 }
 
-// release drops the claim on the cell's key, if held.
-func (c *Cell) release() {
-	c.j.mu.Lock()
-	defer c.j.mu.Unlock()
-	delete(c.j.claims, c.j.word(c.key, c.pk))
+// claim takes (on) the exclusive in-process claim on the cell's key and
+// returns the key's table Cell, or drops it if held; see Lanes.ClaimCell.
+func (c *Cell) claim(on bool) (*Cell, error) {
+	s, err := c.lock()
+	if err != nil {
+		return nil, err
+	}
+	j := c.j
+	defer j.mu.Unlock()
+	switch {
+	case !on:
+		if s.claimed && !s.live {
+			delete(j.cells, s.w)
+		}
+	case j.closed:
+		return nil, ErrClosed
+	case s.claimed:
+		return nil, fmt.Errorf("%w: %q", ErrCellClaimed, j.appendKey(nil, s.w))
+	case !s.live:
+		j.cells[s.w] = s
+	}
+	s.claimed = on
+	return s, nil
 }
 
-// retire appends and commits a tombstone for the cell's key; see
-// Lanes.Delete.
-func (c *Cell) retire() error { return c.j.append(c.key, c.pk, 0, true) }
+// stage is the first half of a save or tombstone: it stages the record on
+// the key's Cell and returns its commit sequence number, staged false when
+// nothing was: an error, or a tombstone for a key that is not live.
+func (c *Cell) stage(v uint64, del bool) (seq uint64, staged bool, err error) {
+	s, err := c.lock()
+	if err != nil {
+		return 0, false, err
+	}
+	if err = c.j.usableLocked(); err == nil && (!del || s.live) {
+		seq, staged = c.j.stageLocked(s, v, del), true
+	}
+	c.j.mu.Unlock()
+	return seq, staged, err
+}
+
+// append stages a save or tombstone (Save, Lanes.Delete), then waits until
+// it is durable (or, without sync, written).
+func (c *Cell) append(v uint64, del bool) error {
+	seq, staged, err := c.stage(v, del)
+	if !staged {
+		return err
+	}
+	return c.j.waitDurable(seq)
+}
 
 var _ Store = (*Cell)(nil)
 var _ Stager = (*Cell)(nil)
 
 // Save durably appends v to the journal under the cell's key: Stage, then
 // WaitDurable.
-func (c *Cell) Save(v uint64) error { return c.j.append(c.key, c.pk, v, false) }
+func (c *Cell) Save(v uint64) error { return c.append(v, false) }
 
 // Stage appends v's record to the lane's staging buffer and returns its
 // commit sequence number without waiting for the record to be durable; the
@@ -1010,7 +977,7 @@ func (c *Cell) Save(v uint64) error { return c.j.append(c.key, c.pk, v, false) }
 // several cells stages them all and then waits for each, so one write and
 // one fsync per lane cover the lot (SaverPool's rounds).
 func (c *Cell) Stage(v uint64) (seq uint64, err error) {
-	seq, _, err = c.j.stageRecord(c.key, c.pk, v, false)
+	seq, _, err = c.stage(v, false)
 	return seq, err
 }
 
@@ -1020,13 +987,15 @@ func (c *Cell) WaitDurable(seq uint64) error { return c.j.waitDurable(seq) }
 
 // Fetch returns the cell's recovered or last saved value.
 func (c *Cell) Fetch() (uint64, bool, error) {
-	c.j.mu.Lock()
+	s, err := c.lock()
+	if err != nil {
+		return 0, false, err
+	}
 	defer c.j.mu.Unlock()
 	if c.j.closed {
 		return 0, false, ErrClosed
 	}
-	v, ok := c.j.vals[c.j.word(c.key, c.pk)]
-	return v, ok, nil
+	return s.v, s.live, nil
 }
 
 // Lane returns the index of the commit lane this cell persists into.
@@ -1036,7 +1005,7 @@ func (c *Cell) Lane() int { return c.j.lane }
 
 // Poisoned returns the sticky I/O error that quarantined the cell's lane, or
 // nil; every save into the lane fails with it until the lane is repaired.
-func (c *Cell) Poisoned() error { return c.j.poisoned() }
+func (c *Cell) Poisoned() error { return c.j.stats().Poisoned }
 
 // Close waits for any in-flight group commit, commits whatever is still
 // staged through the one commit path, and closes the log. Further saves and

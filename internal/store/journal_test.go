@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -23,13 +24,26 @@ func openLane(path string, opts ...LanesOption) (*Journal, error) {
 
 // A lane's per-key surface, for the suites that drive one lane directly;
 // a medium's keys go through Lanes, which routes them.
-func (j *Journal) Cell(key string) *Cell {
-	pk, _ := packKey(key)
-	return &Cell{j: j, key: key, pk: pk}
+func (j *Journal) Cell(key string) *Cell               { return j.cell(key) }
+func (j *Journal) ClaimCell(key string) (*Cell, error) { return j.Cell(key).claim(true) }
+func (j *Journal) ReleaseCell(key string)              { j.Cell(key).claim(false) }
+func (j *Journal) Delete(key string) error             { return j.Cell(key).append(0, true) }
+func (j *Journal) poisoned() error                     { return j.stats().Poisoned }
+
+// appendRecord appends one frame for key as the file layout in journal.go
+// spells it, written out independently of the journal's own encoder so the
+// suites that hand-build a log check that encoder too.
+func appendRecord(buf []byte, key string, v uint64, del bool) []byte {
+	start := len(buf)
+	lf := uint16(len(key))
+	if del {
+		lf |= journalTombstone
+	}
+	buf = binary.BigEndian.AppendUint16(buf, lf)
+	buf = binary.BigEndian.AppendUint64(buf, v)
+	buf = append(buf, key...)
+	return binary.BigEndian.AppendUint32(buf, journalCRC(buf[start:]))
 }
-func (j *Journal) ClaimCell(key string) (*Cell, error) { return j.Cell(key).claim() }
-func (j *Journal) ReleaseCell(key string)              { j.Cell(key).release() }
-func (j *Journal) Delete(key string) error             { return j.Cell(key).retire() }
 
 func journalAt(t *testing.T, opts ...LanesOption) *Journal {
 	t.Helper()
@@ -55,14 +69,18 @@ func TestJournalEmptyCellFetch(t *testing.T) {
 func TestJournalSaveFetchRoundTrip(t *testing.T) {
 	j := journalAt(t)
 	defer j.Close()
-	c := j.Cell("tx/1")
-	for _, v := range []uint64{1, 25, 1 << 40, ^uint64(0)} {
-		if err := c.Save(v); err != nil {
+	// Two Cells made for one key before any save: whichever saves, both
+	// fetch the key's one value.
+	cells := []*Cell{j.Cell("tx/1"), j.Cell("tx/1")}
+	for i, v := range []uint64{1, 25, 1 << 40, ^uint64(0)} {
+		if err := cells[i%2].Save(v); err != nil {
 			t.Fatalf("Save(%d): %v", v, err)
 		}
-		got, ok, err := c.Fetch()
-		if err != nil || !ok || got != v {
-			t.Errorf("Fetch = (%d, %v, %v), want (%d, true, nil)", got, ok, err, v)
+		for _, c := range cells {
+			got, ok, err := c.Fetch()
+			if err != nil || !ok || got != v {
+				t.Errorf("Fetch = (%d, %v, %v), want (%d, true, nil)", got, ok, err, v)
+			}
 		}
 	}
 }
@@ -395,6 +413,27 @@ func TestJournalBadKey(t *testing.T) {
 	if err := j.Cell(string(long)).Save(1); !errors.Is(err, ErrBadKey) {
 		t.Errorf("oversized key Save = %v, want ErrBadKey", err)
 	}
+	// Every operation on a bad key's Cell fails, and none interns the key
+	// or puts a Cell in the table.
+	for _, k := range []string{"", string(long)} {
+		c := j.Cell(k)
+		if _, err := c.Stage(1); !errors.Is(err, ErrBadKey) {
+			t.Errorf("bad key Stage = %v, want ErrBadKey", err)
+		}
+		if _, _, err := c.Fetch(); !errors.Is(err, ErrBadKey) {
+			t.Errorf("bad key Fetch = %v, want ErrBadKey", err)
+		}
+		if _, err := j.ClaimCell(k); !errors.Is(err, ErrBadKey) {
+			t.Errorf("bad key ClaimCell = %v, want ErrBadKey", err)
+		}
+		if err := j.Delete(k); !errors.Is(err, ErrBadKey) {
+			t.Errorf("bad key Delete = %v, want ErrBadKey", err)
+		}
+		j.ReleaseCell(k)
+	}
+	if len(j.names) != 0 || len(j.cells) != 0 {
+		t.Errorf("bad keys left %d names and %d cells, want none", len(j.names), len(j.cells))
+	}
 }
 
 func TestJournalClosed(t *testing.T) {
@@ -633,9 +672,15 @@ func TestJournalWithoutSync(t *testing.T) {
 }
 
 func TestJournalDeleteErasesKey(t *testing.T) {
-	j := journalAt(t)
-	defer j.Close()
-	c := j.Cell("rx/1")
+	path := filepath.Join(t.TempDir(), "sa.journal")
+	j, err := openLane(path)
+	if err != nil {
+		t.Fatalf("openLane: %v", err)
+	}
+	c, err := j.ClaimCell("rx/1")
+	if err != nil {
+		t.Fatalf("ClaimCell: %v", err)
+	}
 	if err := c.Save(500); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
@@ -648,13 +693,85 @@ func TestJournalDeleteErasesKey(t *testing.T) {
 	if j.stats().Keys != 0 {
 		t.Errorf("Keys after Delete = %d, want 0", j.stats().Keys)
 	}
-	// A fresh life under the same key must not see the old counter.
+	// Released, the key leaves the lane's table, but the old Cell still
+	// reads and writes its one state: a fresh life under the same key must
+	// not see the old counter, and a new Cell and a reopen both see the new
+	// life.
+	j.ReleaseCell("rx/1")
+	if n := len(j.cells); n != 0 {
+		t.Errorf("table holds %d cells after Delete and ReleaseCell, want 0", n)
+	}
 	if err := c.Save(1); err != nil {
 		t.Fatalf("Save after Delete: %v", err)
 	}
-	got, ok, err := c.Fetch()
-	if err != nil || !ok || got != 1 {
-		t.Errorf("Fetch of fresh life = (%d, %v, %v), want (1, true, nil)", got, ok, err)
+	for _, c := range []*Cell{c, j.Cell("rx/1")} {
+		got, ok, err := c.Fetch()
+		if err != nil || !ok || got != 1 {
+			t.Errorf("Fetch of fresh life = (%d, %v, %v), want (1, true, nil)", got, ok, err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	j, err = openLane(path)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer j.Close()
+	if got, ok, err := j.Cell("rx/1").Fetch(); err != nil || !ok || got != 1 {
+		t.Errorf("fresh life after reopen = (%d, %v, %v), want (1, true, nil)", got, ok, err)
+	}
+}
+
+// TestJournalClaimChurnKeepsTableSize runs 100k distinct SA lives through
+// one lane — claim, save, delete, release — and wants the lane's key table
+// back at its size before the first: a retired, released key leaves it, so
+// rekey churn does not grow a lane. The lives run a thousand at a time, each
+// step staged for all of them and committed once.
+func TestJournalClaimChurnKeepsTableSize(t *testing.T) {
+	j := journalAt(t, LanesWithoutSync())
+	defer j.Close()
+	if _, err := j.ClaimCell("cluster/epoch"); err != nil { // one key that stays
+		t.Fatal(err)
+	}
+	base := len(j.cells)
+	cells := make([]*Cell, 1000)
+	stage := func(c *Cell, v uint64, del bool) uint64 {
+		t.Helper()
+		seq, staged, err := c.stage(v, del)
+		if err != nil || !staged {
+			t.Fatalf("stage(%d, %v) = staged %v, %v", v, del, staged, err)
+		}
+		return seq
+	}
+	for round := 0; round < 100; round++ {
+		var seq uint64
+		for i := range cells {
+			key := fmt.Sprintf("tx/%08x", round*len(cells)+i)
+			c, err := j.ClaimCell(key)
+			if err != nil {
+				t.Fatalf("ClaimCell(%s): %v", key, err)
+			}
+			cells[i], seq = c, stage(c, uint64(i+1), false)
+		}
+		if err := j.waitDurable(seq); err != nil {
+			t.Fatalf("save round %d: %v", round, err)
+		}
+		for _, c := range cells {
+			seq = stage(c, 0, true)
+		}
+		if err := j.waitDurable(seq); err != nil {
+			t.Fatalf("tombstone round %d: %v", round, err)
+		}
+		for _, c := range cells {
+			c.claim(false) //nolint:errcheck // a release has no error
+		}
+	}
+	if n := len(j.cells); n != base {
+		t.Fatalf("table holds %d cells after the churn, want %d", n, base)
+	}
+	if n := j.stats().Keys; n != 0 {
+		t.Fatalf("Keys = %d after the churn, want 0", n)
 	}
 }
 

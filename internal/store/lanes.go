@@ -170,30 +170,18 @@ func OpenLanes(dir string, opts ...LanesOption) (*Lanes, error) {
 	// interleave. Each lane gets its index (cells report it for SaverPool
 	// routing).
 	lanes := make([]*Journal, count)
-	errs := make([]error, count)
-	var wg sync.WaitGroup
-	for i := 0; i < count; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			j, err := openJournal(filepath.Join(dir, laneFileName(i)), i, cfg)
-			if err != nil {
-				errs[i] = fmt.Errorf("store: lane %d: %w", i, err)
-				return
-			}
-			lanes[i] = j
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			for _, j := range lanes {
-				if j != nil {
-					j.Close()
-				}
-			}
-			return nil, err
+	if err := eachLane(count, func(i int) (err error) {
+		if lanes[i], err = openJournal(filepath.Join(dir, laneFileName(i)), i, cfg); err != nil {
+			return fmt.Errorf("store: lane %d: %w", i, err)
 		}
+		return nil
+	}); err != nil {
+		for _, j := range lanes {
+			if j != nil {
+				j.Close()
+			}
+		}
+		return nil, err
 	}
 	sweepStaleTemps(dir, cfg)
 	return &Lanes{dir: dir, lanes: lanes, laneBits: bits}, nil
@@ -285,17 +273,16 @@ func readOrWriteManifest(dir string, cfg *lanesConfig) (int, error) {
 	}
 }
 
-// route returns key's lane and key's packKey word (0 when key is not an SA
-// key), parsing the key once for both. SA keys ("tx/xxxxxxxx",
-// "rx/xxxxxxxx") hash their SPI with a Fibonacci multiply, taking the top
-// bits; other keys (the cluster epoch, a probe cell) hash their bytes first.
-// The route is fixed for all time: a reopened medium finds each key's
-// records in the lane it routes to. With one lane every key maps to lane 0.
-func (l *Lanes) route(key string) (lane int, pk uint64) {
-	pk, _ = packKey(key)
+// route returns key's lane. SA keys ("tx/xxxxxxxx", "rx/xxxxxxxx") hash
+// their SPI with a Fibonacci multiply, taking the top bits; other keys (the
+// cluster epoch, a probe cell) hash their bytes first. The route is fixed
+// for all time: a reopened medium finds each key's records in the lane it
+// routes to. With one lane every key maps to lane 0.
+func (l *Lanes) route(key string) int {
 	if l.laneBits == 0 {
-		return 0, pk
+		return 0
 	}
+	pk, _ := packKey(key)
 	h := uint32(pk)
 	if pk == 0 {
 		h = 2166136261 // FNV-1a over the key bytes
@@ -303,7 +290,7 @@ func (l *Lanes) route(key string) (lane int, pk uint64) {
 			h = (h ^ uint32(key[i])) * 16777619
 		}
 	}
-	return int((h * 2654435761) >> (32 - l.laneBits)), pk
+	return int((h * 2654435761) >> (32 - l.laneBits))
 }
 
 // LaneCount returns the number of commit lanes.
@@ -317,26 +304,23 @@ func (l *Lanes) LaneJournals() []*Journal { return l.lanes }
 func (l *Lanes) Path() string { return l.dir }
 
 // Cell returns key's cell in its lane: the Store core.Sender and
-// core.Receiver take as their durable store.
-func (l *Lanes) Cell(key string) *Cell {
-	lane, pk := l.route(key)
-	return &Cell{j: l.lanes[lane], key: key, pk: pk}
-}
+// core.Receiver take as their durable store. The key is not kept; see Cell.
+func (l *Lanes) Cell(key string) *Cell { return l.lanes[l.route(key)].cell(key) }
 
 // ClaimCell returns key's cell under an exclusive in-process claim: until
 // ReleaseCell, another claim fails with ErrCellClaimed, since two endpoints
 // writing one cell would interleave counters. (Cross-process exclusion is
 // the caller's concern, as with any store file.)
-func (l *Lanes) ClaimCell(key string) (*Cell, error) { return l.Cell(key).claim() }
+func (l *Lanes) ClaimCell(key string) (*Cell, error) { return l.Cell(key).claim(true) }
 
 // ReleaseCell drops the claim on key, if held.
-func (l *Lanes) ReleaseCell(key string) { l.Cell(key).release() }
+func (l *Lanes) ReleaseCell(key string) { l.Cell(key).claim(false) } //nolint:errcheck // a release has no error
 
 // Delete durably retires key: a group-committed tombstone erases it from
 // fetches and the next compaction, and a later save starts a fresh counter
 // life, so a re-established SPI cannot resume a retired SA's counter.
 // Deleting a key with no durable state is a no-op; a claim is untouched.
-func (l *Lanes) Delete(key string) error { return l.Cell(key).retire() }
+func (l *Lanes) Delete(key string) error { return l.Cell(key).append(0, true) }
 
 // Values merges every lane's live state. Keys are disjoint across lanes
 // (routing is deterministic), so the merge is a plain union.
@@ -401,8 +385,8 @@ func (l *Lanes) RecoveryStats() RecoveryStats { return sumStats(l.LaneStats()).R
 // is the lane, not the medium.
 func (l *Lanes) Quarantined() []int {
 	var out []int
-	for i, j := range l.lanes {
-		if j.poisoned() != nil {
+	for i, s := range l.LaneStats() {
+		if s.Poisoned != nil {
 			out = append(out, i)
 		}
 	}
@@ -455,14 +439,20 @@ func (l *Lanes) Fenced() error {
 // concurrently: each lane's final flush and fsync overlap the others',
 // exactly as their group commits do in steady state.
 func (l *Lanes) Close() error {
-	errs := make([]error, len(l.lanes))
+	return eachLane(len(l.lanes), func(i int) error { return l.lanes[i].Close() })
+}
+
+// eachLane runs fn for lanes 0..n-1 concurrently and returns the first
+// lane's error in lane order, or nil.
+func eachLane(n int, fn func(i int) error) error {
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i, j := range l.lanes {
-		wg.Add(1)
-		go func(i int, j *Journal) {
+	wg.Add(n)
+	for i := range errs {
+		go func() {
 			defer wg.Done()
-			errs[i] = j.Close()
-		}(i, j)
+			errs[i] = fn(i)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -20,8 +21,7 @@ func overLaneCounts(t *testing.T, n int, fn func(t *testing.T, lanes int)) {
 
 // laneOf is key's lane alone, the form the tests compare.
 func (l *Lanes) laneOf(key string) int {
-	lane, _ := l.route(key)
-	return lane
+	return l.route(key)
 }
 
 // TestLanesRouting pins the lane hash: deterministic, full coverage at the
@@ -535,6 +535,102 @@ func TestLanesKeyTables(t *testing.T) {
 		l.ReleaseCell(k)
 		if _, err := l.ClaimCell(k); err != nil {
 			t.Fatalf("ClaimCell(%q) after release: %v", k, err)
+		}
+	}
+}
+
+// TestLaneLogBytesPinned pins the bytes a lane appends. One lane, compaction
+// off, runs a fixed script of saves, stale saves, claims, releases and
+// tombstones over SA keys in both directions, a named key and the near
+// miss rx/0000002A; testdata/lane-script.log is the log that script wrote
+// when the journal still kept every key as its string. The same script must
+// append exactly those bytes, and reopening that file must recover the
+// script's values: however a lane holds its keys in memory, the log format
+// does not move.
+func TestLaneLogBytesPinned(t *testing.T) {
+	script := []struct {
+		op  byte // 's' save, 'd' delete, 'c' claim, 'r' release
+		key string
+		v   uint64
+	}{
+		{'d', "tx/00000000", 0}, // a tombstone for an absent key writes nothing
+		{'c', "tx/0000002a", 0},
+		{'s', "tx/0000002a", 1},
+		{'s', "rx/0000002a", 7},
+		{'s', "cluster/epoch", 3},
+		{'s', "rx/0000002A", 9},
+		{'s', "tx/0000002a", 26},
+		{'s', "rx/0000002a", 5}, // stale: on disk, but the value stays 7
+		{'s', "tx/deadbeef", 1 << 40},
+		{'d', "rx/0000002a", 0},
+		{'d', "rx/0000002A", 0},
+		{'c', "rx/0000002a", 0},
+		{'s', "rx/0000002a", 2}, // a fresh life, below the retired one
+		{'s', "cluster/epoch", 4},
+		{'d', "tx/deadbeef", 0},
+		{'r', "tx/0000002a", 0},
+		{'r', "rx/0000002a", 0},
+		{'s', "rx/ffffffff", 1<<63 - 1},
+		{'d', "tx/deadbeef", 0}, // twice retired: nothing more
+		{'s', "tx/deadbeef", 0}, // a fresh life at zero
+	}
+	want := map[string]uint64{
+		"tx/0000002a": 26, "rx/0000002a": 2, "cluster/epoch": 4,
+		"rx/ffffffff": 1<<63 - 1, "tx/deadbeef": 0,
+	}
+	opts := []LanesOption{LanesCount(1), LanesCompactAt(0), LanesWithoutSync()}
+	dir := t.TempDir()
+	l, err := OpenLanes(dir, opts...)
+	if err != nil {
+		t.Fatalf("OpenLanes: %v", err)
+	}
+	for i, s := range script {
+		switch s.op {
+		case 's':
+			err = l.Cell(s.key).Save(s.v)
+		case 'd':
+			err = l.Delete(s.key)
+		case 'c':
+			_, err = l.ClaimCell(s.key)
+		case 'r':
+			l.ReleaseCell(s.key)
+		}
+		if err != nil {
+			t.Fatalf("step %d (%c %q): %v", i, s.op, s.key, err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, laneFileName(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned, err := os.ReadFile(filepath.Join("testdata", "lane-script.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, pinned) {
+		t.Fatalf("the script appended\n% x\nwant the pinned\n% x", got, pinned)
+	}
+
+	// The pinned file, reopened as lane 0 of a fresh medium.
+	dir = t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, laneFileName(0)), pinned, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	l, err = OpenLanes(dir, opts...)
+	if err != nil {
+		t.Fatalf("reopen the pinned log: %v", err)
+	}
+	defer l.Close()
+	vals := l.Values()
+	if len(vals) != len(want) || l.Keys() != len(want) {
+		t.Fatalf("pinned log recovered %v (%d keys), want %v", vals, l.Keys(), want)
+	}
+	for k, v := range want {
+		if got, ok := vals[k]; !ok || got != v {
+			t.Fatalf("pinned log recovered %s = (%d, %v), want %d", k, got, ok, v)
 		}
 	}
 }

@@ -21,7 +21,7 @@ import (
 // every other store (Mem) round-robins.
 //
 // A worker runs in rounds. It swaps out its whole queue, takes each handle's
-// coalesced maximum and stages it (Cell.Stage: a memcpy under the lane
+// coalesced maximum and stages it (Cell.Stage: an encode under the lane
 // mutex), then waits for each record in turn (Cell.WaitDurable): the first
 // wait on a lane commits everything the round staged there with one write
 // and one fsync, the rest return on the watermark. Callbacks run after each

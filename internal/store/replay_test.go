@@ -130,7 +130,7 @@ func TestReplayBoundedByLiveState(t *testing.T) {
 		}
 	}
 	lanes := l.LaneCount()
-	bound := uint64(lanes * (64<<10/int(frameLen("tx/00000000")) + batch))
+	bound := uint64(lanes * (64<<10/(minRecordLen+spiKeyLen) + batch))
 	got := l.RecoveryStats().FramesReplayed
 	if got > bound {
 		t.Fatalf("reopen replayed %d frames for %d live keys over %d lanes, want <= %d", got, keys, lanes, bound)

@@ -43,6 +43,42 @@ type Tail struct {
 	next    uint64 // sequence number of the next record to deliver
 	ackNext uint64 // every record with seq < ackNext is applied downstream
 	closed  bool
+
+	words []uint64 // Recv's scratch: each delivered record's packed word, or 0
+}
+
+// tailRing is a ring buffer of the records a follower has not acknowledged:
+// pushes are O(1) and an ack advances the head instead of memmoving the
+// survivors. The backing slice is a power of two, grown on demand.
+type tailRing struct {
+	buf  []tailEntry // power-of-two length once allocated
+	head int         // index of the logical first record
+	n    int         // live records
+}
+
+// tailEntry is one record the follower has not acknowledged, its key held
+// as its word; its sequence number is tailMin plus its place in the ring.
+type tailEntry struct {
+	w, v uint64
+	del  bool
+}
+
+func (r *tailRing) push(e tailEntry) {
+	if r.n == len(r.buf) { // full: double it, the records first in order
+		buf := make([]tailEntry, max(64, 2*len(r.buf)))
+		copy(buf[copy(buf, r.buf[r.head:]):], r.buf[:r.head])
+		r.buf, r.head = buf, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = e
+	r.n++
+}
+
+func (r *tailRing) at(i int) tailEntry { return r.buf[(r.head+i)&(len(r.buf)-1)] }
+
+// drop releases the k oldest records.
+func (r *tailRing) drop(k int) {
+	r.head = (r.head + k) & (len(r.buf) - 1)
+	r.n -= k
 }
 
 // Follow attaches the journal's follower, positioned at the end of the
@@ -88,7 +124,7 @@ func (t *Tail) Snapshot() (vals map[string]uint64, next uint64, err error) {
 	if j.closed || t.closed {
 		return nil, 0, ErrClosed
 	}
-	vals = j.valuesInto(make(map[string]uint64, len(j.vals)))
+	vals = j.valuesInto(make(map[string]uint64, j.counts.Keys))
 	t.next = j.appendSeq
 	return vals, t.next, nil
 }
@@ -96,31 +132,40 @@ func (t *Tail) Snapshot() (vals map[string]uint64, next uint64, err error) {
 // Recv fills buf with the next committed records and returns how many were
 // delivered, blocking while none are available. It returns ErrClosed once
 // the journal or the tail is closed and every remaining committed record
-// has been delivered.
+// has been delivered. An SA key is spelled from its word once the lane mutex
+// is released, a short string per record; a named key is its interned one.
 func (t *Tail) Recv(buf []TailRecord) (int, error) {
 	if len(buf) == 0 {
 		return 0, nil
 	}
 	j := t.j
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	for {
-		if t.closed {
-			return 0, ErrClosed
-		}
-		n := 0
-		for committed := j.syncedSeq.Load(); n < len(buf) && t.next < committed; n++ {
-			buf[n] = j.tail.at(int(t.next - j.tailMin))
-			t.next++
-		}
-		if n > 0 {
-			return n, nil
-		}
-		if j.closed && !j.syncing { // Close's last commit may still deliver
-			return 0, ErrClosed
-		}
+	// Close's last commit may still deliver: a closed journal ends the
+	// stream once no commit is in flight.
+	for !t.closed && t.next >= j.syncedSeq.Load() && (!j.closed || j.syncing) {
 		j.cond.Wait()
 	}
+	if t.closed || t.next >= j.syncedSeq.Load() {
+		j.mu.Unlock()
+		return 0, ErrClosed
+	}
+	t.words = t.words[:0]
+	for committed := j.syncedSeq.Load(); len(t.words) < len(buf) && t.next < committed; t.next++ {
+		e := j.tail.at(int(t.next - j.tailMin))
+		buf[len(t.words)] = TailRecord{Seq: t.next, Val: e.v, Del: e.del}
+		if e.w&namedMark != 0 {
+			buf[len(t.words)].Key, e.w = j.names[e.w&^namedMark], 0
+		}
+		t.words = append(t.words, e.w)
+	}
+	j.mu.Unlock()
+	var kb [spiKeyLen]byte
+	for i, w := range t.words {
+		if w != 0 { // packed: appendKey reads nothing of the journal
+			buf[i].Key = string(j.appendKey(kb[:0], w))
+		}
+	}
+	return len(t.words), nil
 }
 
 // Ack records that every record with sequence number below next has been
@@ -213,7 +258,7 @@ func (j *Journal) Fenced() error {
 func (j *Journal) Values() map[string]uint64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.valuesInto(make(map[string]uint64, len(j.vals)))
+	return j.valuesInto(make(map[string]uint64, j.counts.Keys))
 }
 
 // Apply appends a batch of replicated records — the output of a Tail on
@@ -232,25 +277,19 @@ func (j *Journal) Apply(recs []TailRecord) error {
 		j.mu.Unlock()
 		return err
 	}
-	var arr [96]byte
 	var last uint64
 	wrote := false
 	for _, r := range recs {
-		if len(r.Key) == 0 || len(r.Key) > journalMaxKey {
+		w := wordOf(j, r.Key)
+		if w == 0 {
 			j.mu.Unlock()
 			return fmt.Errorf("%w: length %d", ErrBadKey, len(r.Key))
 		}
-		w := wordOf(j, r.Key) // after the check: a bad key is never interned
-		if cur, seen := j.vals[w]; r.Del && !seen || !r.Del && seen && r.Val <= cur {
+		c := j.slot(w)
+		if r.Del && !c.live || !r.Del && c.live && r.Val <= c.v {
 			continue
 		}
-		var rec []byte
-		if n := 2 + 8 + len(r.Key) + 4; n <= len(arr) {
-			rec = appendRecord(arr[:0], r.Key, r.Val, r.Del)
-		} else {
-			rec = appendRecord(make([]byte, 0, 2+8+len(r.Key)+4), r.Key, r.Val, r.Del)
-		}
-		last, wrote = j.stageLocked(w, r.Key, r.Val, r.Del, rec), true
+		last, wrote = j.stageLocked(c, r.Val, r.Del), true
 	}
 	if !wrote {
 		j.mu.Unlock()

@@ -11,9 +11,9 @@ import (
 )
 
 // TestZeroAllocJournalSave pins the commit pipeline's allocation contract:
-// a steady-state Cell.Save — encode in a pooled scratch, stage under the
-// mutex, elected commit, watermark ack — allocates nothing per record once
-// the staging slabs have warmed up. (Skipped under -race: the detector's
+// a steady-state Cell.Save — encode into the staging slab under the mutex,
+// elected commit, watermark ack — allocates nothing per record once the
+// staging slabs have warmed up. (Skipped under -race: the detector's
 // instrumentation allocates.)
 func TestZeroAllocJournalSave(t *testing.T) {
 	if raceflag.Enabled {
@@ -27,8 +27,7 @@ func TestZeroAllocJournalSave(t *testing.T) {
 	defer j.Close()
 	cell := j.Cell("rx/0000002a")
 	v := uint64(0)
-	// Warm up: the staging slab, spare slab, and frame scratch reach their
-	// steady capacities.
+	// Warm up: the staging and spare slabs reach their steady capacities.
 	for i := 0; i < 64; i++ {
 		v++
 		if err := cell.Save(v); err != nil {
@@ -142,8 +141,9 @@ func TestZeroAllocInstrumentedJournalSave(t *testing.T) {
 
 // TestZeroAllocReplay pins replay's allocation contract: reopening a lane
 // of 100k records over 1k packed SA keys and one named key allocates per
-// open (the file read, the presized table, the interned name), not per
-// record. A string materialized per record would read at least 1.
+// open and per key (the file read, the presized table, the interned name,
+// a Cell a key), not per record. A string materialized per record would
+// read at least 1.
 func TestZeroAllocReplay(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -173,4 +173,72 @@ func TestZeroAllocReplay(t *testing.T) {
 		t.Errorf("replay allocates %.4f per record, want <= 1/16", perRecord)
 	}
 	t.Logf("replay allocates %.4f per record", perRecord)
+}
+
+// TestReplicatedRecordAllocs logs what one save costs the allocator with a
+// sync follower attached: the save on the primary lane, its delivery
+// through Tail.Recv, the follower lane's Apply and the Ack that releases
+// the save. The ring keeps a record's key as its word, so the one object a
+// record may cost is the key string Recv spells for an SA key.
+func TestReplicatedRecordAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	dir := t.TempDir()
+	opts := []LanesOption{LanesWithoutSync(), LanesCompactAt(0)}
+	src, err := openLane(filepath.Join(dir, "src.log"), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	dst, err := openLane(filepath.Join(dir, "dst.log"), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Close()
+	tl, err := src.Follow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		buf := make([]TailRecord, 16)
+		for {
+			n, err := tl.Recv(buf)
+			if err != nil {
+				done <- nil
+				return
+			}
+			if err := dst.Apply(buf[:n]); err != nil {
+				done <- err
+				return
+			}
+			tl.Ack(buf[n-1].Seq + 1)
+		}
+	}()
+	cell := src.Cell("rx/0000002a")
+	v := uint64(0)
+	for i := 0; i < 64; i++ {
+		v++
+		if err := cell.Save(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perRecord := testing.AllocsPerRun(2000, func() {
+		v++
+		if err := cell.Save(v); err != nil {
+			t.Fatal(err)
+		}
+	})
+	tl.Close()
+	if err := <-done; err != nil {
+		t.Fatalf("follower: %v", err)
+	}
+	if got, _, _ := dst.Cell("rx/0000002a").Fetch(); got != v {
+		t.Fatalf("follower holds %d, want %d", got, v)
+	}
+	if perRecord > 1 {
+		t.Errorf("a replicated record allocates %v, want <= 1", perRecord)
+	}
+	t.Logf("a replicated record allocates %v", perRecord)
 }
