@@ -216,12 +216,7 @@ func (p *savePipeline) due(live uint64) bool {
 // stale or subsumed.
 func (p *savePipeline) startSave(h handoff) {
 	p.saveMu.Lock()
-	for p.handing {
-		if p.handed == nil {
-			p.handed = sync.NewCond(&p.saveMu)
-		}
-		p.handed.Wait()
-	}
+	p.awaitHandOffLocked()
 	if h.gen != p.saveGen || (!h.force && h.v <= p.lst.Load()) {
 		p.saveMu.Unlock()
 		return
@@ -249,6 +244,17 @@ func (p *savePipeline) startSave(h handoff) {
 	p.saveMu.Unlock()
 	if afterWake != nil {
 		afterWake()
+	}
+}
+
+// awaitHandOffLocked waits, saveMu held (and released while waiting), until
+// no caller is inside saver.StartSave.
+func (p *savePipeline) awaitHandOffLocked() {
+	for p.handing {
+		if p.handed == nil {
+			p.handed = sync.NewCond(&p.saveMu)
+		}
+		p.handed.Wait()
 	}
 }
 
@@ -305,7 +311,12 @@ func (p *savePipeline) reset(lose func()) {
 	p.wakeDone = nil
 	p.mu.Unlock()
 
+	// saveGen moves once no hand-off is in flight: when reset returns, every
+	// save the old life accepted is at the saver. The wait is never its own:
+	// beneath a hand-off runs only an inline completion, saveDone or
+	// FinishWake, whose WakeNotify done must not Reset (none here does).
 	p.saveMu.Lock()
+	p.awaitHandOffLocked()
 	p.saveGen = gen
 	p.saveMu.Unlock()
 
@@ -331,7 +342,8 @@ func (p *savePipeline) Wake() { p.WakeNotify(nil) }
 // WakeNotify is Wake with a completion: done (nil for none) runs exactly
 // once, on whichever goroutine settles the wake, holding no lock — with nil
 // once the endpoint is up (at once if it already is), with the FETCH or SAVE
-// error that left it down, or with ErrDown when a Reset tears the wake.
+// error that left it down, or with ErrDown when a Reset tears the wake. done
+// may run beneath the saver's StartSave, so it must not Reset the endpoint.
 func (p *savePipeline) WakeNotify(done func(error)) {
 	if h, ok, _ := p.beginWake(done); ok {
 		p.startSave(h)
@@ -348,7 +360,7 @@ type PostWake struct {
 // many endpoints at once (ipsec's WakeAll): it stages the leaped value in the
 // store, a store.Stager, and with owed the caller owes FinishWake(w,
 // WaitDurable(w.Seq)). Otherwise err is the outcome: nil (up), the FETCH or
-// stage error, ErrDown (torn by Reset) or ErrWaking (in flight: join it).
+// stage error, ErrDown (torn by Reset) or ErrWaking (a Wake is in flight).
 func (p *savePipeline) BeginWake() (w PostWake, owed bool, err error) {
 	h, ok, err := p.beginWake(nil)
 	if !ok {

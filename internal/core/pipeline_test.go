@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -271,5 +272,75 @@ func TestWakeNotify(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// gateSaver is a saver whose StartSave blocks until the test closes gate: a
+// hand-off held in flight. It reports each value it is handed on entered
+// and records it in got once through the gate.
+type gateSaver struct {
+	entered chan uint64
+	gate    chan struct{}
+	got     atomic.Uint64
+}
+
+func (s *gateSaver) StartSave(v uint64, done func(error)) {
+	s.entered <- v
+	<-s.gate
+	s.got.Store(v)
+	done(nil)
+}
+
+// TestConcurrentResetWaitsForHandOff: a Reset that races a save's hand-off
+// does not return while the saver's StartSave holds that save, and when it
+// does return the save has reached the saver — so a remover that resets an
+// endpoint and then flushes its saver once lands every save the old life
+// accepted before its tombstone.
+func TestConcurrentResetWaitsForHandOff(t *testing.T) {
+	endpoints := []struct {
+		name  string
+		build func(t *testing.T, s *gateSaver) (advance, reset func())
+	}{
+		{"sender", func(t *testing.T, s *gateSaver) (func(), func()) {
+			x, err := NewSender(SenderConfig{K: pipelineK, Store: &store.Mem{}, Saver: s})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return func() {
+				for i := 0; i < pipelineK; i++ {
+					x.Next()
+				}
+			}, x.Reset
+		}},
+		{"receiver", func(t *testing.T, s *gateSaver) (func(), func()) {
+			r, err := NewReceiver(ReceiverConfig{K: pipelineK, W: 64, Store: &store.Mem{}, Saver: s})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return func() { r.Admit(r.Edge() + pipelineK) }, r.Reset
+		}},
+	}
+	for _, ep := range endpoints {
+		t.Run(ep.name, func(t *testing.T) {
+			watchdog.Arm(t, 10*time.Second)
+			s := &gateSaver{entered: make(chan uint64, 4), gate: make(chan struct{})}
+			advance, reset := ep.build(t, s)
+			advanced := make(chan struct{})
+			go func() { advance(); close(advanced) }()
+			v := <-s.entered // the trigger's hand-off is inside StartSave
+			resetDone := make(chan struct{})
+			go func() { reset(); close(resetDone) }()
+			select {
+			case <-resetDone:
+				t.Fatalf("Reset returned while the hand-off of %d was held in StartSave", v)
+			case <-time.After(20 * time.Millisecond):
+			}
+			close(s.gate)
+			<-resetDone
+			if got := s.got.Load(); got != v {
+				t.Errorf("when Reset returned the saver had %d, want the held save %d", got, v)
+			}
+			<-advanced
+		})
 	}
 }

@@ -120,7 +120,7 @@ func TestGatewayBirthCrashBeforeFirstUse(t *testing.T) {
 	}
 
 	old := gwSeal(t, g, src, dst, []byte("p"))
-	g3, _, _ := crash("after-one-seal", true) // born down: AddOutbound's wake leaps
+	g3, _, _ := crash("after-one-seal", true) // born down, until WakeAll leaps
 	if err := g3.WakeAll(); err != nil {
 		t.Fatalf("WakeAll: %v", err)
 	}

@@ -95,6 +95,7 @@ type Gateway struct {
 	// laid out; outSPI finds an SA by SPI. Inbound SAs live only in the SAD.
 	outbound []*OutboundSA
 	outSPI   map[uint32]*OutboundSA
+	wakeMu   sync.Mutex // WakeAlls run one after another
 }
 
 // cellID is an SA's journal cell as one word: the SPI, with bit 32 set for
@@ -188,15 +189,14 @@ func OutboundKey(spi uint32) string { return spiKey("tx/", spi) }
 // InboundKey is the journal key of an inbound SA's window edge.
 func InboundKey(spi uint32) string { return spiKey("rx/", spi) }
 
-// buildOutbound claims the journal cell for spi, constructs the SA over a
-// resilient sender and wakes it (a no-op unless the cell's prior life left
-// it born down; see core). With adopt set the SA is instead held down
-// whatever the cell holds — a standby's warm image must not wake (and
-// thereby leap and write) until takeover, when a single WakeAll fetches the
-// freshest replicated counters. The SA is not yet registered; on error the
-// claim is already released. Keys are checked before the claim: a cell the
-// sender has touched holds its birth, and a retry over it would be born down.
-func (g *Gateway) buildOutbound(spi uint32, keys KeyMaterial, adopt bool) (*OutboundSA, error) {
+// buildOutbound claims the journal cell for spi and constructs the SA over a
+// resilient sender. Over an empty cell the SA is up with its birth staged;
+// over a cell a prior life used, core holds it down (StateDown) until the
+// caller's WakeAll wakes it with the rest of its lane. The SA is not yet
+// registered; on error the claim is already released. Keys are checked
+// before the claim: a cell the sender has touched holds its birth, and a
+// retry over it would be born down.
+func (g *Gateway) buildOutbound(spi uint32, keys KeyMaterial) (*OutboundSA, error) {
 	if err := keys.Validate(); err != nil {
 		return nil, fmt.Errorf("ipsec: gateway outbound %#x: %w", spi, err)
 	}
@@ -220,12 +220,6 @@ func (g *Gateway) buildOutbound(spi uint32, keys KeyMaterial, adopt bool) (*Outb
 		g.releaseCell(c)
 		return nil, fmt.Errorf("ipsec: gateway outbound %#x: %w", spi, err)
 	}
-	if adopt {
-		// Warm standby image: hold the SA down; takeover wakes it.
-		snd.Reset()
-	} else {
-		snd.Wake()
-	}
 	return sa, nil
 }
 
@@ -236,11 +230,11 @@ func (g *Gateway) buildOutbound(spi uint32, keys KeyMaterial, adopt bool) (*Outb
 // ErrDuplicateSPI, because two senders over one cell would emit overlapping
 // sequence numbers after a wake. Over an empty cell the SA is up at once;
 // its first Seal waits for the staged initial counter to be durable. If the
-// journal already holds state for the SPI (a prior process life), the SA
-// comes up through the paper's wake-up (FETCH + 2K leap + SAVE) and is
-// briefly StateWaking — WakeAll waits for it.
+// journal already holds state for the SPI (a prior process life), the SA is
+// down (core.ErrDown) until WakeAll runs the paper's wake-up (FETCH + 2K
+// leap + SAVE) on it with the rest of its commit lane.
 func (g *Gateway) AddOutbound(spi uint32, keys KeyMaterial, sel Selector) (*OutboundSA, error) {
-	sa, err := g.buildOutbound(spi, keys, false)
+	sa, err := g.buildOutbound(spi, keys)
 	if err != nil {
 		return nil, err
 	}
@@ -264,13 +258,14 @@ func (g *Gateway) AddOutbound(spi uint32, keys KeyMaterial, sel Selector) (*Outb
 // in-flight packets have drained.
 //
 // The successor records its lineage: Generation is the old SA's plus one and
-// PrevSPI names the old SPI.
+// PrevSPI names the old SPI. A successor whose SPI has a prior life in the
+// journal is down, as in AddOutbound, until the next WakeAll.
 func (g *Gateway) RekeyOutbound(oldSPI, newSPI uint32, keys KeyMaterial) (*OutboundSA, error) {
 	old := g.findOutbound(oldSPI)
 	if old == nil {
 		return nil, fmt.Errorf("ipsec: rekey outbound %#x: %w: no such SA", oldSPI, ErrUnknownSPI)
 	}
-	sa, err := g.buildOutbound(newSPI, keys, false)
+	sa, err := g.buildOutbound(newSPI, keys)
 	if err != nil {
 		return nil, err
 	}
@@ -347,9 +342,9 @@ func (g *Gateway) Outbound(spi uint32) (*OutboundSA, bool) {
 }
 
 // buildInbound claims the journal cell for spi and constructs the SA over a
-// resilient receiver; see buildOutbound (including the adopt
-// down-state semantics and why keys are checked first).
-func (g *Gateway) buildInbound(spi uint32, keys KeyMaterial, adopt bool) (*InboundSA, error) {
+// resilient receiver; see buildOutbound (including the down state over a
+// used cell and why keys are checked first).
+func (g *Gateway) buildInbound(spi uint32, keys KeyMaterial) (*InboundSA, error) {
 	if err := keys.Validate(); err != nil {
 		return nil, fmt.Errorf("ipsec: gateway inbound %#x: %w", spi, err)
 	}
@@ -374,19 +369,15 @@ func (g *Gateway) buildInbound(spi uint32, keys KeyMaterial, adopt bool) (*Inbou
 		g.releaseCell(c)
 		return nil, fmt.Errorf("ipsec: gateway inbound %#x: %w", spi, err)
 	}
-	if adopt {
-		rcv.Reset()
-	} else {
-		rcv.Wake()
-	}
 	return sa, nil
 }
 
 // AddInbound creates an inbound SA whose receiver persists into the shared
 // journal under InboundKey(spi), registers it in the SAD, and returns it.
-// Duplicate SPIs and prior journal state are handled as in AddOutbound.
+// Duplicate SPIs and prior journal state (down until WakeAll) are handled
+// as in AddOutbound.
 func (g *Gateway) AddInbound(spi uint32, keys KeyMaterial) (*InboundSA, error) {
-	sa, err := g.buildInbound(spi, keys, false)
+	sa, err := g.buildInbound(spi, keys)
 	if err != nil {
 		return nil, err
 	}
@@ -408,14 +399,14 @@ func (g *Gateway) AddInbound(spi uint32, keys KeyMaterial) (*InboundSA, error) {
 // cutover actually happens the old generation is simply live. The
 // orchestrator marks it draining (InboundSA.BeginDrain, advisory — it still
 // verifies) once both outbound sides have cut over, and retires it with
-// RemoveInbound after the grace window. The successor records its lineage
-// as in RekeyOutbound.
+// RemoveInbound after the grace window. The successor records its lineage,
+// and is down over a prior life until the next WakeAll, as in RekeyOutbound.
 func (g *Gateway) RekeyInbound(oldSPI, newSPI uint32, keys KeyMaterial) (*InboundSA, error) {
 	old, ok := g.sad.Lookup(oldSPI)
 	if !ok {
 		return nil, fmt.Errorf("ipsec: rekey inbound %#x: %w: no such SA", oldSPI, ErrUnknownSPI)
 	}
-	sa, err := g.buildInbound(newSPI, keys, false)
+	sa, err := g.buildInbound(newSPI, keys)
 	if err != nil {
 		return nil, err
 	}
@@ -517,16 +508,18 @@ func (g *Gateway) lifecycle(kind string, sas int) {
 	}
 }
 
-// WakeAll runs the paper's wake-up (FETCH + leap + SAVE) on every SA and
-// blocks until every wake it issued has settled, returning the first
-// failure. It goes commit lane by commit lane (wakeLane), on at most as many
-// goroutines as the pool has workers: one fsync a lane with SAs, and one
-// pass over an inbound SA's ring (seqwin.Bitmap.Reinit). A fenced or
-// poisoned lane fails its SAs' wakes with its error. An SA Reset under the
-// wake fails it with an error wrapping core.ErrDown, unless it has left the
-// registry. OnLifecycle sees "wake-failed" with the number that failed, or
-// "wake-done".
+// WakeAll runs the paper's wake-up (FETCH + leap + SAVE) on every SA that is
+// down — after ResetAll, Adopt or a re-add over a prior life — and blocks
+// until every wake has settled, returning the first failure. It goes lane by
+// commit lane (wakeLane), on at most the pool's worker count of goroutines:
+// one fsync a lane with SAs, one pass over an inbound SA's ring. WakeAlls run
+// one after another. A fenced or poisoned lane fails its SAs' wakes with its
+// error. An SA Reset under the wake fails with core.ErrDown unless it has
+// left the registry; one a caller woke directly (Wake), with core.ErrWaking.
+// OnLifecycle sees "wake-failed" with the number that failed, or "wake-done".
 func (g *Gateway) WakeAll() error {
+	g.wakeMu.Lock()
+	defer g.wakeMu.Unlock()
 	snap := g.snapshot()
 	n := len(snap.outbound) + len(snap.inbound)
 	g.lifecycle("wake", n)
@@ -549,7 +542,7 @@ func (g *Gateway) WakeAll() error {
 		next   atomic.Int64
 		mu     sync.Mutex
 		failed int
-		first  error // both under mu: every lane's worker settles, and joined wakes
+		first  error // both under mu: every lane's worker settles
 	)
 	settle := func(it wakeItem, err error) {
 		if err != nil && !(errors.Is(err, core.ErrDown) && g.removed(&it)) {
@@ -584,7 +577,6 @@ type wakeItem struct {
 	ep interface {
 		BeginWake() (core.PostWake, bool, error)
 		FinishWake(core.PostWake, error) error
-		WakeNotify(func(error))
 		Store() store.Store
 	}
 	c cellID
@@ -593,25 +585,18 @@ type wakeItem struct {
 
 // wakeLane begins every wake of a lane (core's BeginWake stages the leaped
 // record), waits once, for the last record, and finishes every SA with that
-// result. A wake already in flight — through the SA's saver, or another
-// WakeAll's — is joined, and waited for once the lane's own have settled.
+// result. An SA that is up settles at once, as does one BeginWake refuses.
 // Every outcome goes to settle.
 func (g *Gateway) wakeLane(items []wakeItem, settle func(wakeItem, error)) {
-	var joined sync.WaitGroup
 	owed := items[:0] // filled in place, behind the loop
 	for _, it := range items {
 		w, ok, err := it.ep.BeginWake()
-		switch {
-		case ok:
-			it.w = w
-			owed = append(owed, it)
-		case errors.Is(err, core.ErrWaking):
-			joined.Add(1)
-			jt := it // captured, where a captured it would move to the heap for every SA
-			jt.ep.WakeNotify(func(err error) { settle(jt, err); joined.Done() })
-		default:
+		if !ok {
 			settle(it, err)
+			continue
 		}
+		it.w = w
+		owed = append(owed, it)
 	}
 	var err error
 	if len(owed) > 0 {
@@ -621,7 +606,6 @@ func (g *Gateway) wakeLane(items []wakeItem, settle func(wakeItem, error)) {
 	for i := range owed {
 		settle(owed[i], owed[i].ep.FinishWake(owed[i].w, err))
 	}
-	joined.Wait()
 }
 
 // removed reports whether the SA of it has left the registry.
@@ -662,32 +646,17 @@ func (g *Gateway) snapshotLocked() gatewaySnapshot {
 // Close has run, the cell may already belong to a successor gateway, and
 // releasing it again would strip the successor's exclusivity. Ordering is
 // the rest of the function: the caller has already stopped the endpoint
-// (Reset), so no new saves can start; saver, the endpoint's pool handle
-// (every SA the gateway builds saves through its pool), is then flushed, so
-// every save already queued lands first; only then is the key
-// erased with a group-committed tombstone (the "final flush" — Delete
-// returns once the tombstone is durable) and the claim released. Skipping
-// the flush would let a straggler save drain after the tombstone and
-// resurrect the retired counter — the exact bug class removal exists to
-// prevent. A best-effort error from the tombstone append is returned for
-// observability but the claim is released regardless.
+// (Reset), which returns once every save the old life accepted is queued on
+// saver, its pool handle; one Flush lands them, and only then is the key
+// erased with a group-committed tombstone (Delete returns once it is
+// durable) and the claim released. Without the flush a straggler save could
+// drain after the tombstone and resurrect the retired counter. A tombstone
+// error is returned for observability; the claim is released regardless.
 func (g *Gateway) retireCell(c cellID, saver core.BackgroundSaver, tombstone bool) error {
 	key := c.key()
-	if !tombstone {
-		g.cfg.Journal.ReleaseCell(key)
-		return nil
-	}
-	flush := saver.(*store.PoolSaver).Flush
-	flush()
-	err := g.cfg.Journal.Delete(key)
-	// A save accepted before the Reset can reach the handle after the flush
-	// above. Each re-check flushes the handle again and re-erases anything
-	// that slipped in; the loop bound is just paranoia.
-	for i := 0; i < 8; i++ {
-		flush()
-		if _, ok, ferr := g.cfg.Journal.Cell(key).Fetch(); ferr != nil || !ok {
-			break
-		}
+	var err error
+	if tombstone {
+		saver.(*store.PoolSaver).Flush()
 		err = g.cfg.Journal.Delete(key)
 	}
 	g.cfg.Journal.ReleaseCell(key)

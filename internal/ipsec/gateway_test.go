@@ -717,7 +717,7 @@ func TestGatewayWakeAllCommitsPerLane(t *testing.T) {
 		t.Fatalf("OpenLanes: %v", err)
 	}
 	defer l.Close()
-	wakeAllCommits(t, l, 256)
+	wakeAllCommits(t, l, 256, resetAll)
 }
 
 // TestGatewayWakeAllDefaultMedium: a medium opened without LanesCount has
@@ -732,7 +732,7 @@ func TestGatewayWakeAllDefaultMedium(t *testing.T) {
 	if lanes := l.LaneCount(); lanes > store.DefaultPoolWorkers {
 		t.Errorf("a default medium has %d lanes, want at most one a pool worker (%d)", lanes, store.DefaultPoolWorkers)
 	}
-	wakeAllCommits(t, l, 256)
+	wakeAllCommits(t, l, 256, resetAll)
 }
 
 // TestGatewayWakeAllCommitsPerLaneAtScale: 40,000 SAs over the default
@@ -746,46 +746,78 @@ func TestGatewayWakeAllCommitsPerLaneAtScale(t *testing.T) {
 		t.Fatalf("OpenLanes: %v", err)
 	}
 	defer l.Close()
-	wakeAllCommits(t, l, 20_000)
+	wakeAllCommits(t, l, 20_000, resetAll)
 }
+
+// TestGatewayWakeAllColdStartAtScale: a cold start of 40,000 SAs over the
+// default medium — every SA re-added over the cell its prior life used,
+// then one WakeAll — pays no sync during the re-adds and one commit a lane
+// with SAs for the wake. Re-adds that woke each SA through its own pool
+// handle paid commits while they ran and left WakeAll nothing to batch.
+func TestGatewayWakeAllColdStartAtScale(t *testing.T) {
+	l, err := store.OpenLanes(t.TempDir())
+	if err != nil {
+		t.Fatalf("OpenLanes: %v", err)
+	}
+	defer l.Close()
+	wakeAllCommits(t, l, 20_000, coldStart)
+}
+
+// restart is how wakeAllCommits takes its SAs down: ResetAll, or a cold
+// start that closes the gateway and re-adds every SA on a new one over the
+// same medium.
+type restart int
+
+const (
+	resetAll restart = iota
+	coldStart
+)
 
 // wakeAllCommits installs pairs SA pairs on a gateway over l, resets them
 // all and wakes them. Each lane with SAs must pay exactly one commit for
 // the wake — a compaction is that commit, for two syncs, the snapshot's and
 // its directory's — and every other lane none. Every SA must come back up
-// at fetched + 2K.
-func wakeAllCommits(t *testing.T, l *store.Lanes, pairs int) {
+// at fetched + 2K. A cold start's re-adds must pay no sync and leave every
+// SA down.
+func wakeAllCommits(t *testing.T, l *store.Lanes, pairs int, how restart) {
 	t.Helper()
 	watchdog.Arm(t, 60*time.Second)
 	const k = 25
-	g, err := NewGateway(GatewayConfig{Journal: l, K: k, W: 64})
-	if err != nil {
-		t.Fatalf("NewGateway: %v", err)
+	newGateway := func() *Gateway {
+		g, err := NewGateway(GatewayConfig{Journal: l, K: k, W: 64})
+		if err != nil {
+			t.Fatalf("NewGateway: %v", err)
+		}
+		return g
 	}
-	defer g.Close()
+	g := newGateway()
+	defer func() { g.Close() }()
 
 	// Four installers at once; every SA's birth is only staged, and the
 	// wake below commits it with the post-wake record.
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < pairs; i += 4 {
-				spi := uint32(0x7000 + i)
-				if _, err := g.AddOutbound(spi, testKeys(), gwSelector(i)); err != nil {
-					t.Errorf("AddOutbound: %v", err)
+	install := func() {
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w; i < pairs; i += 4 {
+					spi := uint32(0x7000 + i)
+					if _, err := g.AddOutbound(spi, testKeys(), gwSelector(i)); err != nil {
+						t.Errorf("AddOutbound: %v", err)
+					}
+					if _, err := g.AddInbound(spi, testKeys()); err != nil {
+						t.Errorf("AddInbound: %v", err)
+					}
 				}
-				if _, err := g.AddInbound(spi, testKeys()); err != nil {
-					t.Errorf("AddInbound: %v", err)
-				}
-			}
-		}(w)
+			}(w)
+		}
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
 	}
-	wg.Wait()
-	if t.Failed() {
-		t.FailNow()
-	}
+	install()
 	fetched := func(key string) uint64 {
 		v, ok, err := l.Cell(key).Fetch()
 		if err != nil || !ok {
@@ -799,7 +831,27 @@ func wakeAllCommits(t *testing.T, l *store.Lanes, pairs int) {
 		busy[l.Cell(InboundKey(uint32(0x7000+i))).Lane()] = true
 	}
 
-	g.ResetAll()
+	if how == coldStart {
+		g.Close()
+		g = newGateway()
+		before := l.LaneStats()
+		install()
+		for i, after := range l.LaneStats() {
+			if syncs := after.Syncs - before[i].Syncs; syncs != 0 {
+				t.Errorf("lane %d: re-adding SAs over a prior life cost %d syncs, want none: WakeAll wakes them", i, syncs)
+			}
+		}
+		for i := 0; i < pairs; i++ {
+			spi := uint32(0x7000 + i)
+			out, _ := g.Outbound(spi)
+			in, _ := g.SAD().Lookup(spi)
+			if so, si := out.Sender().State(), in.Receiver().State(); so != core.StateDown || si != core.StateDown {
+				t.Fatalf("pair %#x re-added over a prior life is %v/%v, want down until WakeAll", spi, so, si)
+			}
+		}
+	} else {
+		g.ResetAll()
+	}
 	before := l.LaneStats()
 	if err := g.WakeAll(); err != nil {
 		t.Fatalf("WakeAll: %v", err)
@@ -995,11 +1047,11 @@ func TestGatewayWakeAllWaitsForAllOnFailure(t *testing.T) {
 	}
 }
 
-// TestGatewayWakeAllJoinsWakesInFlight: SAs added over used cells are
-// waking through the pool when WakeAll runs. WakeAll joins those wakes
-// rather than starting its own, and returns only once they have settled —
-// here held in the lane's fsync — with every SA up at fetched + 2K.
-func TestGatewayWakeAllJoinsWakesInFlight(t *testing.T) {
+// TestGatewayWakeAllColdStart: SAs re-added over cells a prior life used
+// are down, and the re-adds pay no sync. WakeAll wakes them in its lane
+// batch and returns only once that commit — here held in the lane's fsync —
+// is durable, with every SA up at fetched + 2K after exactly one commit.
+func TestGatewayWakeAllColdStart(t *testing.T) {
 	watchdog.Arm(t, 30*time.Second)
 	const pairs, k = 4, 5
 	fs := &holdFS{FS: storefault.OS()}
@@ -1025,24 +1077,41 @@ func TestGatewayWakeAllJoinsWakesInFlight(t *testing.T) {
 	}
 	install().Close() // the first life: its births leave every cell used
 
+	syncs := j.Syncs()
+	g := install()
+	defer g.Close()
+	if got := j.Syncs() - syncs; got != 0 {
+		t.Errorf("re-adding %d SAs over a prior life cost %d syncs, want none", 2*pairs, got)
+	}
+	for i := 0; i < pairs; i++ {
+		spi := uint32(0x7200 + i)
+		out, _ := g.Outbound(spi)
+		in, _ := g.SAD().Lookup(spi)
+		if so, si := out.Sender().State(), in.Receiver().State(); so != core.StateDown || si != core.StateDown {
+			t.Fatalf("pair %#x re-added over a prior life is %v/%v, want down until WakeAll", spi, so, si)
+		}
+	}
+
 	release := fs.hold()
 	defer release()
-	g := install() // every SA is born down and wakes through the pool, held
-	defer g.Close()
-	syncs := j.Syncs()
+	before := j.LaneStats()[0]
 	woken := make(chan error, 1)
 	go func() { woken <- g.WakeAll() }()
+	for fs.waiting.Load() == 0 {
+		time.Sleep(50 * time.Microsecond)
+	}
 	select {
 	case err := <-woken:
-		t.Fatalf("WakeAll returned %v with the wakes it joined still held", err)
+		t.Fatalf("WakeAll returned %v with its commit still held", err)
 	case <-time.After(20 * time.Millisecond):
 	}
 	release()
 	if err := <-woken; err != nil {
 		t.Fatalf("WakeAll: %v", err)
 	}
-	if got := j.Syncs() - syncs; got > 2 {
-		t.Errorf("the joined wakes cost %d syncs, want the pool's one commit, and one more at most", got)
+	after := j.LaneStats()[0]
+	if syncs, compactions := after.Syncs-before.Syncs, after.Compactions-before.Compactions; syncs != 1+compactions {
+		t.Errorf("the cold start's wake cost %d syncs (%d compactions), want one commit", syncs, compactions)
 	}
 	for i := 0; i < pairs; i++ {
 		spi := uint32(0x7200 + i)
@@ -1053,6 +1122,51 @@ func TestGatewayWakeAllJoinsWakesInFlight(t *testing.T) {
 		}
 		if st := in.Receiver().State(); st != core.StateUp || in.Receiver().Committed() != 2*k {
 			t.Errorf("inbound %#x is %v at %d after WakeAll, want up at %d", spi, st, in.Receiver().Committed(), 2*k)
+		}
+	}
+}
+
+// TestGatewayWakeAllConcurrent: two WakeAlls started at once after one
+// ResetAll, while the lane's commit is held, both return nil; every SA
+// wakes once — its Committed is fetched + 2K, not + 4K — and the two cost
+// one commit for the lane between them.
+func TestGatewayWakeAllConcurrent(t *testing.T) {
+	watchdog.Arm(t, 30*time.Second)
+	const pairs, k = 8, 5
+	f := newWakeAllFixture(t, pairs)
+	j := f.g.Journal()
+	before := j.LaneStats()[0]
+	woken := make(chan error, 2)
+	for range 2 {
+		go func() { woken <- f.g.WakeAll() }()
+	}
+	f.held()
+	select {
+	case err := <-woken:
+		t.Fatalf("a WakeAll returned %v with the lane's commit still held", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	f.release()
+	for range 2 {
+		if err := <-woken; err != nil {
+			t.Errorf("WakeAll: %v", err)
+		}
+	}
+	after := j.LaneStats()[0]
+	if syncs, compactions := after.Syncs-before.Syncs, after.Compactions-before.Compactions; syncs != 1+compactions {
+		t.Errorf("two WakeAlls cost %d syncs (%d compactions), want one commit", syncs, compactions)
+	}
+	n := 2 * pairs
+	f.wantEvents(t, fmt.Sprintf("wake=%d", n), fmt.Sprintf("wake-done=%d", n), fmt.Sprintf("wake=%d", n), fmt.Sprintf("wake-done=%d", n))
+	for i := 0; i < pairs; i++ {
+		spi := uint32(0x7100 + i)
+		out, _ := f.g.Outbound(spi)
+		in, _ := f.g.SAD().Lookup(spi)
+		if st := out.Sender().State(); st != core.StateUp || out.Sender().Committed() != 1+2*k {
+			t.Errorf("outbound %#x is %v at %d after two WakeAlls, want up at %d", spi, st, out.Sender().Committed(), 1+2*k)
+		}
+		if st := in.Receiver().State(); st != core.StateUp || in.Receiver().Committed() != 2*k {
+			t.Errorf("inbound %#x is %v at %d after two WakeAlls, want up at %d", spi, st, in.Receiver().Committed(), 2*k)
 		}
 	}
 }

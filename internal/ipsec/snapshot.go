@@ -100,16 +100,18 @@ func (g *Gateway) Adopt(snap GatewaySnapshot) error {
 		}
 	}
 
-	// Build the snapshot's new SAs down, and take every drain mark as the
-	// snapshot has it: a RevertOutbound on the primary returns an SA to
-	// service.
+	// Build the snapshot's new SAs down (Reset: even over an empty follower
+	// cell, which replication may raise before takeover), and take every drain
+	// mark as the snapshot has it: a RevertOutbound on the primary returns an
+	// SA to service.
 	for _, s := range snap.Outbound {
 		sa := g.findOutbound(s.SPI)
 		if sa == nil {
 			var err error
-			if sa, err = g.buildOutbound(s.SPI, s.Keys, true); err != nil {
+			if sa, err = g.buildOutbound(s.SPI, s.Keys); err != nil {
 				return fmt.Errorf("ipsec: adopt outbound %#x: %w", s.SPI, err)
 			}
+			sa.Sender().Reset()
 			sa.setLineage(s.Generation, s.PrevSPI)
 			if err := g.lockRegistry(outboundCell(s.SPI)); err != nil {
 				return fmt.Errorf("ipsec: adopt: %w", err)
@@ -123,9 +125,10 @@ func (g *Gateway) Adopt(snap GatewaySnapshot) error {
 		sa, ok := g.sad.Lookup(s.SPI)
 		if !ok {
 			var err error
-			if sa, err = g.buildInbound(s.SPI, s.Keys, true); err != nil {
+			if sa, err = g.buildInbound(s.SPI, s.Keys); err != nil {
 				return fmt.Errorf("ipsec: adopt inbound %#x: %w", s.SPI, err)
 			}
+			sa.Receiver().Reset()
 			sa.setLineage(s.Generation, s.PrevSPI)
 			if err := g.lockRegistry(inboundCell(s.SPI)); err != nil {
 				return fmt.Errorf("ipsec: adopt: %w", err)

@@ -892,10 +892,14 @@ type Cell struct {
 	live, claimed bool
 }
 
-// cell returns key's Cell: the table's, or a new one outside the table.
-func (j *Journal) cell(key string) *Cell {
+// cell returns key's Cell: the table's, or a new one outside the table. A
+// named key the lane never met is interned, or without intern has none (nil).
+func (j *Journal) cell(key string, intern bool) *Cell {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if _, packed := packKey(key); !intern && !packed && j.named[key] == 0 && len(key) > 0 && len(key) <= journalMaxKey {
+		return nil
+	}
 	return j.slot(wordOf(j, key))
 }
 

@@ -24,7 +24,7 @@ func openLane(path string, opts ...LanesOption) (*Journal, error) {
 
 // A lane's per-key surface, for the suites that drive one lane directly;
 // a medium's keys go through Lanes, which routes them.
-func (j *Journal) Cell(key string) *Cell               { return j.cell(key) }
+func (j *Journal) Cell(key string) *Cell               { return j.cell(key, true) }
 func (j *Journal) ClaimCell(key string) (*Cell, error) { return j.Cell(key).claim(true) }
 func (j *Journal) ReleaseCell(key string)              { j.Cell(key).claim(false) }
 func (j *Journal) Delete(key string) error             { return j.Cell(key).append(0, true) }
@@ -433,6 +433,39 @@ func TestJournalBadKey(t *testing.T) {
 	}
 	if len(j.names) != 0 || len(j.cells) != 0 {
 		t.Errorf("bad keys left %d names and %d cells, want none", len(j.names), len(j.cells))
+	}
+}
+
+// TestLanesNamedNoOpsInternNothing: releasing or tombstoning a named key
+// its lane has never met acts on nothing, so 10,000 such calls on distinct
+// keys leave every lane's name table empty; asking for the key's Cell,
+// through which a caller may save, interns it.
+func TestLanesNamedNoOpsInternNothing(t *testing.T) {
+	l, err := OpenLanes(t.TempDir(), LanesCount(4))
+	if err != nil {
+		t.Fatalf("OpenLanes: %v", err)
+	}
+	defer l.Close()
+	for i := 0; i < 10_000; i++ {
+		key := fmt.Sprintf("probe/%d", i)
+		l.ReleaseCell(key)
+		if err := l.Delete(key); err != nil {
+			t.Fatalf("Delete %s = %v, want nil", key, err)
+		}
+	}
+	for i, j := range l.lanes {
+		if len(j.names) != 0 || len(j.named) != 0 || len(j.cells) != 0 {
+			t.Errorf("lane %d: %d names, %d named and %d cells after releases and deletes of unmet keys, want none",
+				i, len(j.names), len(j.named), len(j.cells))
+		}
+	}
+	l.Cell("probe/0")
+	names := 0
+	for _, j := range l.lanes {
+		names += len(j.names)
+	}
+	if names != 1 {
+		t.Errorf("Cell(probe/0) interned %d names, want 1", names)
 	}
 }
 

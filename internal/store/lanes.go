@@ -305,7 +305,8 @@ func (l *Lanes) Path() string { return l.dir }
 
 // Cell returns key's cell in its lane: the Store core.Sender and
 // core.Receiver take as their durable store. The key is not kept; see Cell.
-func (l *Lanes) Cell(key string) *Cell { return l.lanes[l.route(key)].cell(key) }
+// A named key is interned here on first use: the caller may save through it.
+func (l *Lanes) Cell(key string) *Cell { return l.lanes[l.route(key)].cell(key, true) }
 
 // ClaimCell returns key's cell under an exclusive in-process claim: until
 // ReleaseCell, another claim fails with ErrCellClaimed, since two endpoints
@@ -313,14 +314,23 @@ func (l *Lanes) Cell(key string) *Cell { return l.lanes[l.route(key)].cell(key) 
 // the caller's concern, as with any store file.)
 func (l *Lanes) ClaimCell(key string) (*Cell, error) { return l.Cell(key).claim(true) }
 
-// ReleaseCell drops the claim on key, if held.
-func (l *Lanes) ReleaseCell(key string) { l.Cell(key).claim(false) } //nolint:errcheck // a release has no error
+// ReleaseCell drops the claim on key, if held, interning no named key.
+func (l *Lanes) ReleaseCell(key string) {
+	if c := l.lanes[l.route(key)].cell(key, false); c != nil {
+		c.claim(false) //nolint:errcheck // a release has no error
+	}
+}
 
 // Delete durably retires key: a group-committed tombstone erases it from
 // fetches and the next compaction, and a later save starts a fresh counter
 // life, so a re-established SPI cannot resume a retired SA's counter.
-// Deleting a key with no durable state is a no-op; a claim is untouched.
-func (l *Lanes) Delete(key string) error { return l.Cell(key).append(0, true) }
+// Deleting a key without state is a no-op, interning nothing; claims stay.
+func (l *Lanes) Delete(key string) error {
+	if c := l.lanes[l.route(key)].cell(key, false); c != nil {
+		return c.append(0, true)
+	}
+	return nil
+}
 
 // Values merges every lane's live state. Keys are disjoint across lanes
 // (routing is deterministic), so the merge is a plain union.
