@@ -247,8 +247,7 @@ func (p *savePipeline) startSave(h handoff) {
 	}
 }
 
-// awaitHandOffLocked waits, saveMu held (and released while waiting), until
-// no caller is inside saver.StartSave.
+// awaitHandOffLocked waits, saveMu held, until no caller is in StartSave.
 func (p *savePipeline) awaitHandOffLocked() {
 	for p.handing {
 		if p.handed == nil {
@@ -311,10 +310,9 @@ func (p *savePipeline) reset(lose func()) {
 	p.wakeDone = nil
 	p.mu.Unlock()
 
-	// saveGen moves once no hand-off is in flight: when reset returns, every
-	// save the old life accepted is at the saver. The wait is never its own:
-	// beneath a hand-off runs only an inline completion, saveDone or
-	// FinishWake, whose WakeNotify done must not Reset (none here does).
+	// saveGen moves once no hand-off is in flight: every save the old life
+	// accepted is at the saver when reset returns. Beneath a hand-off runs only
+	// an inline saveDone or FinishWake, and WakeNotify's done must not Reset.
 	p.saveMu.Lock()
 	p.awaitHandOffLocked()
 	p.saveGen = gen
@@ -366,8 +364,8 @@ func (p *savePipeline) BeginWake() (w PostWake, owed bool, err error) {
 	if !ok {
 		return w, false, err
 	}
-	// Staged under saveMu, where Reset moves saveGen: a removal resets before
-	// its tombstone, so the record lands before that or not at all.
+	// Staged under saveMu, where Reset moves saveGen: a Reset since beginWake
+	// drops the record. A caller that erases the key orders later wakes.
 	p.saveMu.Lock()
 	if h.gen != p.saveGen {
 		p.saveMu.Unlock()

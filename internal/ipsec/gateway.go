@@ -96,6 +96,11 @@ type Gateway struct {
 	outbound []*OutboundSA
 	outSPI   map[uint32]*OutboundSA
 	wakeMu   sync.Mutex // WakeAlls run one after another
+	// retireMu orders removals against WakeAll's lanes: retireCell holds it
+	// from Reset to tombstone and counts retired; a lane begins its wakes
+	// under a read hold and skips SAs removed since WakeAll's snapshot.
+	retireMu sync.RWMutex
+	retired  atomic.Uint64
 }
 
 // cellID is an SA's journal cell as one word: the SPI, with bit 32 set for
@@ -211,11 +216,10 @@ func (g *Gateway) buildOutbound(spi uint32, keys KeyMaterial) (*OutboundSA, erro
 		Saver:         g.pool.Saver(cell),
 		StrictHorizon: true,
 	})
-	if err != nil {
-		g.releaseCell(c)
-		return nil, fmt.Errorf("ipsec: gateway outbound %#x: %w", spi, err)
+	var sa *OutboundSA
+	if err == nil {
+		sa, err = NewOutboundSA(spi, keys, snd, g.cfg.ESN, g.cfg.Lifetime, g.cfg.Clock)
 	}
-	sa, err := NewOutboundSA(spi, keys, snd, g.cfg.ESN, g.cfg.Lifetime, g.cfg.Clock)
 	if err != nil {
 		g.releaseCell(c)
 		return nil, fmt.Errorf("ipsec: gateway outbound %#x: %w", spi, err)
@@ -295,13 +299,12 @@ func (g *Gateway) RevertOutbound(oldSPI, newSPI uint32) bool {
 		g.mu.Unlock()
 		return false
 	}
-	g.unregisterOutboundLocked(newSPI)
+	g.unregisterOutboundLocked(nu)
 	g.spd.Replace(nu, old)
 	g.mu.Unlock()
 	old.endDrain()
 	nu.BeginDrain()
-	nu.Sender().Reset()
-	g.retireCell(outboundCell(newSPI), nu.Sender().Saver(), true) //nolint:errcheck // see removeInbound
+	g.retireCell(outboundCell(newSPI), nu.Sender().Reset, nu.Sender().Saver(), true) //nolint:errcheck // see removeInbound
 	return true
 }
 
@@ -318,18 +321,12 @@ func (g *Gateway) registerOutboundLocked(sa *OutboundSA) {
 	g.outSPI[sa.SPI()] = sa
 }
 
-// unregisterOutboundLocked forgets the outbound SA for spi and returns it,
-// or nil if none is registered. Keeping the order costs a pass over the
-// registered SAs.
-func (g *Gateway) unregisterOutboundLocked(spi uint32) *OutboundSA {
-	sa := g.outSPI[spi]
-	if sa == nil {
-		return nil
-	}
-	delete(g.outSPI, spi)
+// unregisterOutboundLocked forgets the registered outbound SA sa. Keeping
+// the order costs a pass over the registered SAs.
+func (g *Gateway) unregisterOutboundLocked(sa *OutboundSA) {
+	delete(g.outSPI, sa.spi)
 	i := slices.Index(g.outbound, sa)
 	g.outbound = slices.Delete(g.outbound, i, i+1)
-	return sa
 }
 
 // Outbound returns the registered outbound SA with the given SPI — the
@@ -360,11 +357,10 @@ func (g *Gateway) buildInbound(spi uint32, keys KeyMaterial) (*InboundSA, error)
 		Saver:         g.pool.Saver(cell),
 		StrictHorizon: true,
 	})
-	if err != nil {
-		g.releaseCell(c)
-		return nil, fmt.Errorf("ipsec: gateway inbound %#x: %w", spi, err)
+	var sa *InboundSA
+	if err == nil {
+		sa, err = NewInboundSA(spi, keys, rcv, g.cfg.ESN, g.cfg.Lifetime, g.cfg.Clock)
 	}
-	sa, err := NewInboundSA(spi, keys, rcv, g.cfg.ESN, g.cfg.Lifetime, g.cfg.Clock)
 	if err != nil {
 		g.releaseCell(c)
 		return nil, fmt.Errorf("ipsec: gateway inbound %#x: %w", spi, err)
@@ -509,17 +505,20 @@ func (g *Gateway) lifecycle(kind string, sas int) {
 }
 
 // WakeAll runs the paper's wake-up (FETCH + leap + SAVE) on every SA that is
-// down — after ResetAll, Adopt or a re-add over a prior life — and blocks
-// until every wake has settled, returning the first failure. It goes lane by
-// commit lane (wakeLane), on at most the pool's worker count of goroutines:
-// one fsync a lane with SAs, one pass over an inbound SA's ring. WakeAlls run
-// one after another. A fenced or poisoned lane fails its SAs' wakes with its
-// error. An SA Reset under the wake fails with core.ErrDown unless it has
-// left the registry; one a caller woke directly (Wake), with core.ErrWaking.
-// OnLifecycle sees "wake-failed" with the number that failed, or "wake-done".
+// down — after ResetAll, Adopt or a re-add over a prior life — lane by
+// commit lane (wakeLane) on at most the pool's worker count of goroutines,
+// and returns the first failure once every wake has settled: one fsync a
+// lane with SAs, one pass over an inbound SA's ring. WakeAlls run one after
+// another. A fenced or poisoned lane fails its SAs' wakes with its error. An
+// SA removed under the wake is skipped or not reported; another SA Reset
+// under it fails with core.ErrDown, and one a caller woke directly (Wake),
+// with core.ErrWaking. OnLifecycle sees "wake-failed" with the number that
+// failed, or "wake-done"; it runs under the wake's mutex and must not call
+// WakeAll.
 func (g *Gateway) WakeAll() error {
 	g.wakeMu.Lock()
 	defer g.wakeMu.Unlock()
+	since := g.retired.Load() // a removal counted by now is not in snap
 	snap := g.snapshot()
 	n := len(snap.outbound) + len(snap.inbound)
 	g.lifecycle("wake", n)
@@ -558,7 +557,7 @@ func (g *Gateway) WakeAll() error {
 		go func() {
 			defer wg.Done()
 			for i := next.Add(1) - 1; i < int64(len(lanes)); i = next.Add(1) - 1 {
-				g.wakeLane(lanes[i], settle)
+				g.wakeLane(lanes[i], since, settle)
 			}
 		}()
 	}
@@ -585,11 +584,16 @@ type wakeItem struct {
 
 // wakeLane begins every wake of a lane (core's BeginWake stages the leaped
 // record), waits once, for the last record, and finishes every SA with that
-// result. An SA that is up settles at once, as does one BeginWake refuses.
-// Every outcome goes to settle.
-func (g *Gateway) wakeLane(items []wakeItem, settle func(wakeItem, error)) {
+// result. An SA that is up settles at once, as does one BeginWake refuses;
+// one removed after WakeAll's count since is skipped. Outcomes go to settle.
+func (g *Gateway) wakeLane(items []wakeItem, since uint64, settle func(wakeItem, error)) {
 	owed := items[:0] // filled in place, behind the loop
+	g.retireMu.RLock()
+	stale := g.retired.Load() != since // fixed while the read hold lasts
 	for _, it := range items {
+		if stale && g.removed(&it) {
+			continue
+		}
 		w, ok, err := it.ep.BeginWake()
 		if !ok {
 			settle(it, err)
@@ -598,6 +602,7 @@ func (g *Gateway) wakeLane(items []wakeItem, settle func(wakeItem, error)) {
 		it.w = w
 		owed = append(owed, it)
 	}
+	g.retireMu.RUnlock()
 	var err error
 	if len(owed) > 0 {
 		last := owed[len(owed)-1]
@@ -640,19 +645,21 @@ func (g *Gateway) snapshotLocked() gatewaySnapshot {
 	return snap
 }
 
-// retireCell disposes of a removed SA's journal cell: with tombstone,
-// permanently. The caller has unregistered the SA under g.mu while the
-// gateway was open, which makes the claim the caller's to release — once
-// Close has run, the cell may already belong to a successor gateway, and
-// releasing it again would strip the successor's exclusivity. Ordering is
-// the rest of the function: the caller has already stopped the endpoint
-// (Reset), which returns once every save the old life accepted is queued on
-// saver, its pool handle; one Flush lands them, and only then is the key
-// erased with a group-committed tombstone (Delete returns once it is
-// durable) and the claim released. Without the flush a straggler save could
-// drain after the tombstone and resurrect the retired counter. A tombstone
-// error is returned for observability; the claim is released regardless.
-func (g *Gateway) retireCell(c cellID, saver core.BackgroundSaver, tombstone bool) error {
+// retireCell stops a removed SA's endpoint (reset) and disposes of its
+// journal cell: with tombstone, permanently. The caller unregistered the SA
+// under g.mu while the gateway was open, so the claim is the caller's to
+// release (after Close the cell may be a successor gateway's). Under
+// retireMu, Reset returns once every save the old life accepted is queued on
+// saver, its pool handle; one Flush lands them, then a group-committed
+// tombstone erases the key and the claim is released. A save drained after
+// the tombstone, or a wake that FETCHed before it and staged after it, would
+// resurrect the retired counter. A tombstone error is returned for
+// observability; the claim is released regardless.
+func (g *Gateway) retireCell(c cellID, reset func(), saver core.BackgroundSaver, tombstone bool) error {
+	g.retireMu.Lock()
+	defer g.retireMu.Unlock()
+	g.retired.Add(1)
+	reset()
 	key := c.key()
 	var err error
 	if tombstone {
@@ -663,20 +670,15 @@ func (g *Gateway) retireCell(c cellID, saver core.BackgroundSaver, tombstone boo
 	return err
 }
 
-// RemoveInbound tears down the inbound SA for spi: it is dropped from the
-// SAD, its durable counter is erased from the journal (a group-committed
-// tombstone), and the cell claim is released. Reports whether the SA
-// existed. Re-establishing the same SPI later starts a fresh counter life —
-// a retired SA's window edge must not be resurrected for a new SA that
-// happens to reuse the SPI, since the new SA's sequence numbers restart
-// at 1 and would all fall below the old edge.
+// RemoveInbound tears down the inbound SA for spi: it leaves the SAD, its
+// window edge is erased from the journal (a group-committed tombstone) and
+// its claim released. Reports whether the SA existed. A later SA on the same
+// SPI starts a fresh life: its numbers restart at 1, below the old edge.
 func (g *Gateway) RemoveInbound(spi uint32) bool { return g.removeInbound(spi, true) }
 
-// removeInbound drops the inbound SA for spi from the SAD, stops it so no
-// further admission can trigger a save, and retires its cell (see
-// retireCell). Without tombstone the cell is only released: the mirror-side
-// removal of an SA retired on the primary, whose tombstone arrives through
-// replication. Reports whether the SA existed.
+// removeInbound drops the inbound SA for spi from the SAD, drains it and
+// retires its cell (retireCell); without tombstone the cell is only released:
+// the mirror's removal of an SA whose tombstone arrives through replication.
 func (g *Gateway) removeInbound(spi uint32, tombstone bool) bool {
 	g.mu.Lock()
 	sa, ok := g.sad.Lookup(spi)
@@ -687,38 +689,31 @@ func (g *Gateway) removeInbound(spi uint32, tombstone bool) bool {
 	g.sad.Delete(spi)
 	g.mu.Unlock()
 	sa.BeginDrain()
-	sa.Receiver().Reset()
-	g.retireCell(inboundCell(spi), sa.Receiver().Saver(), tombstone) //nolint:errcheck // claim released either way; tombstone errors are journal-poisoning events the next save surfaces
+	g.retireCell(inboundCell(spi), sa.Receiver().Reset, sa.Receiver().Saver(), tombstone) //nolint:errcheck // claim released either way; tombstone errors are journal-poisoning events the next save surfaces
 	return true
 }
 
-// RemoveOutbound tears down the outbound SA for spi: its SPD entries are
-// removed, the SA is retired from new traffic (BeginDrain), its durable
-// counter is erased from the journal, and the cell claim is released.
-// Reports whether the SA existed. As with RemoveInbound, re-adding the same
-// SPI afterwards starts a fresh life. After a rekey cutover the SPD no
-// longer references the old SA, so the removal is purely the retirement of
-// its counter and claim.
+// RemoveOutbound tears down the outbound SA for spi: its SPD entries go, it
+// drains (BeginDrain), its counter is erased from the journal and its claim
+// released. Reports whether the SA existed; as with RemoveInbound, the SPI
+// re-added starts a fresh life. After a rekey cutover the SPD no longer
+// references the old SA, so only its counter and claim are retired.
 func (g *Gateway) RemoveOutbound(spi uint32) bool { return g.removeOutbound(spi, true) }
 
 // removeOutbound is removeInbound's outbound counterpart; it also removes
 // the SA's SPD entries.
 func (g *Gateway) removeOutbound(spi uint32, tombstone bool) bool {
 	g.mu.Lock()
-	var sa *OutboundSA
-	if !g.closed {
-		sa = g.unregisterOutboundLocked(spi)
-	}
-	if sa == nil {
+	sa := g.outSPI[spi]
+	if g.closed || sa == nil {
 		g.mu.Unlock()
 		return false
 	}
+	g.unregisterOutboundLocked(sa)
 	g.spd.Remove(spi)
 	g.mu.Unlock()
 	sa.BeginDrain()
-	// Stop the counter so no further save can start.
-	sa.Sender().Reset()
-	g.retireCell(outboundCell(spi), sa.Sender().Saver(), tombstone) //nolint:errcheck // see removeInbound
+	g.retireCell(outboundCell(spi), sa.Sender().Reset, sa.Sender().Saver(), tombstone) //nolint:errcheck // see removeInbound
 	return true
 }
 

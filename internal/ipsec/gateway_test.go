@@ -1004,6 +1004,81 @@ func TestGatewayWakeAllResetDuringWake(t *testing.T) {
 	}
 }
 
+// TestGatewayWakeAllRemoveBeforeLaneBegins: SAs removed after WakeAll has
+// taken its snapshot but before their lane begins — here from the "wake"
+// lifecycle event — are not woken. WakeAll returns nil, a removed key stays
+// erased, and an SPI re-added over one keeps its fresh life's birth. The
+// stale wake used to FETCH after the tombstone and fail, or FETCH the new
+// life and stage its leap into the new SA's cell; with the tombstone
+// between that FETCH and the stage, it would have revived the retired one.
+func TestGatewayWakeAllRemoveBeforeLaneBegins(t *testing.T) {
+	watchdog.Arm(t, 30*time.Second)
+	const pairs, k = 4, 5
+	j, err := store.OpenLanes(t.TempDir(), store.LanesCount(1))
+	if err != nil {
+		t.Fatalf("OpenLanes: %v", err)
+	}
+	defer j.Close()
+	var g *Gateway
+	g, err = NewGateway(GatewayConfig{Journal: j, K: k, W: 64, OnLifecycle: func(kind string, _ int) {
+		if kind != "wake" {
+			return
+		}
+		// 0x7300 leaves; 0x7301 leaves and comes back as a fresh life.
+		for _, spi := range []uint32{0x7300, 0x7301} {
+			if !g.RemoveOutbound(spi) || !g.RemoveInbound(spi) {
+				t.Errorf("removing pair %#x under the wake's snapshot failed", spi)
+			}
+		}
+		if _, err := g.AddOutbound(0x7301, testKeys(), gwSelector(1)); err != nil {
+			t.Errorf("re-adding outbound 0x7301: %v", err)
+		}
+		if _, err := g.AddInbound(0x7301, testKeys()); err != nil {
+			t.Errorf("re-adding inbound 0x7301: %v", err)
+		}
+	}})
+	if err != nil {
+		t.Fatalf("NewGateway: %v", err)
+	}
+	defer g.Close()
+	for i := 0; i < pairs; i++ {
+		if _, err := g.AddOutbound(uint32(0x7300+i), testKeys(), gwSelector(i)); err != nil {
+			t.Fatalf("AddOutbound: %v", err)
+		}
+		if _, err := g.AddInbound(uint32(0x7300+i), testKeys()); err != nil {
+			t.Fatalf("AddInbound: %v", err)
+		}
+	}
+	g.ResetAll()
+	if err := g.WakeAll(); err != nil {
+		t.Fatalf("WakeAll: %v", err)
+	}
+
+	vals := j.Values()
+	for _, key := range []string{OutboundKey(0x7300), InboundKey(0x7300)} {
+		if v, ok := vals[key]; ok {
+			t.Errorf("removed key %s holds %d after WakeAll, want erased", key, v)
+		}
+	}
+	if v, ok := vals[OutboundKey(0x7301)]; !ok || v != 1 {
+		t.Errorf("re-added outbound 0x7301's cell holds %d (live %v), want its fresh birth 1", v, ok)
+	}
+	if v, ok := vals[InboundKey(0x7301)]; !ok || v != 0 {
+		t.Errorf("re-added inbound 0x7301's cell holds %d (live %v), want its fresh birth 0", v, ok)
+	}
+	for i := 1; i < pairs; i++ {
+		spi := uint32(0x7300 + i)
+		out, _ := g.Outbound(spi)
+		in, _ := g.SAD().Lookup(spi)
+		if st := out.Sender().State(); st != core.StateUp || (spi != 0x7301 && out.Sender().Committed() != 1+2*k) {
+			t.Errorf("outbound %#x is %v at %d after WakeAll, want up (at %d unless re-added)", spi, st, out.Sender().Committed(), 1+2*k)
+		}
+		if st := in.Receiver().State(); st != core.StateUp || (spi != 0x7301 && in.Receiver().Committed() != 2*k) {
+			t.Errorf("inbound %#x is %v at %d after WakeAll, want up (at %d unless re-added)", spi, st, in.Receiver().Committed(), 2*k)
+		}
+	}
+}
+
 // TestGatewayWakeAllWaitsForAllOnFailure: two SAs whose FETCH finds nothing
 // fail at once, while every other post-wake SAVE is still queued. WakeAll
 // used to return at the first of them, report sas=1 and leave the rest in

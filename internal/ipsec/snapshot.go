@@ -64,25 +64,21 @@ func (g *Gateway) Snapshot() GatewaySnapshot {
 }
 
 // Adopt reconciles the gateway's SA population to snap, building a warm
-// standby image: SAs in the snapshot but not yet registered are created in
-// the DOWN state (they hold their journal cell claims but neither send nor
-// receive — and crucially never wake, so the standby writes nothing into
-// cells the replication stream owns); SAs already registered take the
-// snapshot's drain marks; SAs no longer in the snapshot are forgotten —
-// dropped from the databases and their claims released WITHOUT a journal
-// tombstone, because on a follower journal the authoritative tombstone
-// arrives through the replication stream and a local one would race it.
-// Last, the snapshot's Policy replaces the SPD in one publication, so the
-// image's first match is the primary's whatever order its SAs were
-// registered or rekeyed in; a policy entry naming an SPI the snapshot does
-// not list fails with ErrUnknownSPI and leaves the SPD as it was.
+// standby image. SAs new to it are built down: they hold their cell claims
+// but neither send, receive nor wake, so the standby writes nothing into
+// cells the replication stream owns. Registered SAs take the snapshot's
+// drain marks. SAs gone from it are forgotten — dropped from the databases,
+// their claims released without a tombstone, which on a follower journal
+// arrives through replication and a local one would race. Last, snap.Policy
+// replaces the SPD in one publication, so the image's first match is the
+// primary's; an entry naming an SPI the snapshot does not list fails with
+// ErrUnknownSPI and leaves the SPD as it was.
 //
-// Adopt is idempotent: re-adopting the same snapshot is a no-op, and a
-// failed adoption (the first error is returned) can simply be retried with
-// the next snapshot. It is meant for gateways that are not serving traffic
-// — a cluster standby's image — not for live reconfiguration; takeover
-// turns the image live with ResetAll-free WakeAll (every adopted SA is
-// already down, so waking IS the paper's recovery).
+// Adopt is idempotent, and a failed adoption (the first error is returned)
+// can be retried with the next snapshot. It is meant for a gateway that
+// serves no traffic — a cluster standby's image — and takeover turns the
+// image live with WakeAll alone: every adopted SA is already down, so
+// waking is the paper's recovery.
 func (g *Gateway) Adopt(snap GatewaySnapshot) error {
 	wantOut, wantIn := spiSet(snap.Outbound), spiSet(snap.Inbound)
 
@@ -100,10 +96,9 @@ func (g *Gateway) Adopt(snap GatewaySnapshot) error {
 		}
 	}
 
-	// Build the snapshot's new SAs down (Reset: even over an empty follower
-	// cell, which replication may raise before takeover), and take every drain
-	// mark as the snapshot has it: a RevertOutbound on the primary returns an
-	// SA to service.
+	// Build new SAs down (Reset: even over an empty follower cell, which
+	// replication may raise before takeover), and take every drain mark as
+	// snap has it: a RevertOutbound on the primary returns an SA to service.
 	for _, s := range snap.Outbound {
 		sa := g.findOutbound(s.SPI)
 		if sa == nil {

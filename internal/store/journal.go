@@ -250,13 +250,7 @@ const badHex = 0x10 // above every digit's value
 // key allocates nothing, so replay materializes a string only the first
 // time it meets a named key. A bad key returns 0 and is not interned.
 func wordOf[K string | []byte](j *Journal, key K) uint64 {
-	if w, ok := packKey(key); ok {
-		return w
-	}
-	if len(key) == 0 || len(key) > journalMaxKey {
-		return 0
-	}
-	if w, ok := j.named[string(key)]; ok {
+	if w, met := metWord(j, key); met {
 		return w
 	}
 	name := strings.Clone(string(key))
@@ -264,6 +258,16 @@ func wordOf[K string | []byte](j *Journal, key K) uint64 {
 	j.names = append(j.names, name)
 	j.named[name] = w
 	return w
+}
+
+// metWord is wordOf without interning: met is false only for a named key
+// j has never interned; a bad key is met, with packKey's word 0 (mu held).
+func metWord[K string | []byte](j *Journal, key K) (uint64, bool) {
+	if w, ok := packKey(key); ok || len(key) == 0 || len(key) > journalMaxKey {
+		return w, true
+	}
+	w, met := j.named[string(key)]
+	return w, met
 }
 
 // appendKey appends word w's key to buf as its exact on-disk bytes (mu
@@ -892,15 +896,22 @@ type Cell struct {
 	live, claimed bool
 }
 
-// cell returns key's Cell: the table's, or a new one outside the table. A
-// named key the lane never met is interned, or without intern has none (nil).
-func (j *Journal) cell(key string, intern bool) *Cell {
+// cell returns key's Cell: the table's, or a new one outside the table.
+func (j *Journal) cell(key string) *Cell {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, packed := packKey(key); !intern && !packed && j.named[key] == 0 && len(key) > 0 && len(key) <= journalMaxKey {
-		return nil
-	}
 	return j.slot(wordOf(j, key))
+}
+
+// lookup is cell for a caller that only releases or erases: a named key
+// the lane never met has no state and no Cell (nil), and is not interned.
+func (j *Journal) lookup(key string) *Cell {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if w, met := metWord(j, key); met {
+		return j.slot(w)
+	}
+	return nil
 }
 
 // lock takes the lane mutex and returns the Cell holding c's key state: c

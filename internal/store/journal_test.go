@@ -24,7 +24,7 @@ func openLane(path string, opts ...LanesOption) (*Journal, error) {
 
 // A lane's per-key surface, for the suites that drive one lane directly;
 // a medium's keys go through Lanes, which routes them.
-func (j *Journal) Cell(key string) *Cell               { return j.cell(key, true) }
+func (j *Journal) Cell(key string) *Cell               { return j.cell(key) }
 func (j *Journal) ClaimCell(key string) (*Cell, error) { return j.Cell(key).claim(true) }
 func (j *Journal) ReleaseCell(key string)              { j.Cell(key).claim(false) }
 func (j *Journal) Delete(key string) error             { return j.Cell(key).append(0, true) }

@@ -306,7 +306,7 @@ func (l *Lanes) Path() string { return l.dir }
 // Cell returns key's cell in its lane: the Store core.Sender and
 // core.Receiver take as their durable store. The key is not kept; see Cell.
 // A named key is interned here on first use: the caller may save through it.
-func (l *Lanes) Cell(key string) *Cell { return l.lanes[l.route(key)].cell(key, true) }
+func (l *Lanes) Cell(key string) *Cell { return l.lanes[l.route(key)].cell(key) }
 
 // ClaimCell returns key's cell under an exclusive in-process claim: until
 // ReleaseCell, another claim fails with ErrCellClaimed, since two endpoints
@@ -316,7 +316,7 @@ func (l *Lanes) ClaimCell(key string) (*Cell, error) { return l.Cell(key).claim(
 
 // ReleaseCell drops the claim on key, if held, interning no named key.
 func (l *Lanes) ReleaseCell(key string) {
-	if c := l.lanes[l.route(key)].cell(key, false); c != nil {
+	if c := l.lanes[l.route(key)].lookup(key); c != nil {
 		c.claim(false) //nolint:errcheck // a release has no error
 	}
 }
@@ -326,7 +326,7 @@ func (l *Lanes) ReleaseCell(key string) {
 // life, so a re-established SPI cannot resume a retired SA's counter.
 // Deleting a key without state is a no-op, interning nothing; claims stay.
 func (l *Lanes) Delete(key string) error {
-	if c := l.lanes[l.route(key)].cell(key, false); c != nil {
+	if c := l.lanes[l.route(key)].lookup(key); c != nil {
 		return c.append(0, true)
 	}
 	return nil
