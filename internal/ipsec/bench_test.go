@@ -241,3 +241,107 @@ func BenchmarkGatewayWake(b *testing.B) {
 		os.RemoveAll(dir)
 	}
 }
+
+// rollover is the rollover an SA gets once a lifetime: RekeyOutbound (or
+// RekeyInbound) of SPI spi onto next, then RemoveOutbound (RemoveInbound)
+// of spi.
+func rollover(gw *Gateway, inbound bool, spi, next uint32, keys KeyMaterial) error {
+	var (
+		err     error
+		removed bool
+	)
+	if inbound {
+		if _, err = gw.RekeyInbound(spi, next, keys); err == nil {
+			removed = gw.RemoveInbound(spi)
+		}
+	} else if _, err = gw.RekeyOutbound(spi, next, keys); err == nil {
+		removed = gw.RemoveOutbound(spi)
+	}
+	if err == nil && !removed {
+		err = fmt.Errorf("rollover %#x -> %#x: the old SA was not registered", spi, next)
+	}
+	return err
+}
+
+// installRollover installs SAs 1..n one way into gw, outbound with one host
+// route each, for a rollover of generation 0 (rolloverSPI).
+func installRollover(gw *Gateway, inbound bool, n int, keys KeyMaterial) error {
+	for i := 0; i < n; i++ {
+		var err error
+		if inbound {
+			_, err = gw.AddInbound(uint32(i+1), keys)
+		} else {
+			_, err = gw.AddOutbound(uint32(i+1), keys, installSelector(i))
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// rolloverSPI is the SPI of SA i (0-based) of a population of n in
+// generation gen.
+func rolloverSPI(gen, n, i int) uint32 { return uint32(gen*n + i + 1) }
+
+// BenchmarkGatewayRekey times the rollover of every SA of a gateway of n
+// SAs over a default medium without fsync, as BenchmarkGatewayInstall
+// installs them: an outbound row rekeys each SA onto a fresh SPI and
+// removes the old one (RekeyOutbound, RemoveOutbound), an inbound row the
+// same with RekeyInbound and RemoveInbound. An op rolls the whole
+// population over once; ns/SA divides it out. The gateway is installed once
+// per row, outside the timer. The 1M rows skip under -short.
+func BenchmarkGatewayRekey(b *testing.B) {
+	keys := KeyMaterial{
+		AuthKey: bytes.Repeat([]byte{1}, AuthKeySize),
+		EncKey:  bytes.Repeat([]byte{2}, EncKeySize),
+	}
+	for _, n := range []int{10_000, 100_000, 1_000_000} {
+		for _, inbound := range []bool{false, true} {
+			var (
+				dir   string
+				lanes *store.Lanes
+				gw    *Gateway
+				gen   int
+			)
+			b.Run(fmt.Sprintf("%s/%d", map[bool]string{false: "outbound", true: "inbound"}[inbound], n), func(b *testing.B) {
+				if n >= 1_000_000 && testing.Short() {
+					b.Skip("a million SAs take seconds and a gigabyte; skipped under -short")
+				}
+				if gw == nil { // once per row, not once per b.N probe
+					var err error
+					if dir, err = os.MkdirTemp("", "gateway-rekey-*"); err != nil {
+						b.Fatal(err)
+					}
+					if lanes, err = store.OpenLanes(dir, store.LanesWithoutSync()); err != nil {
+						b.Fatal(err)
+					}
+					if gw, err = NewGateway(GatewayConfig{Journal: lanes}); err != nil {
+						b.Fatal(err)
+					}
+					if err := installRollover(gw, inbound, n, keys); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ResetTimer()
+				for range b.N {
+					for i := 0; i < n; i++ {
+						if err := rollover(gw, inbound, rolloverSPI(gen, n, i), rolloverSPI(gen+1, n, i), keys); err != nil {
+							b.Fatal(err)
+						}
+					}
+					gen++
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(b.Elapsed())/float64(b.N*n), "ns/SA")
+			})
+			if gw != nil {
+				gw.Close()
+			}
+			if lanes != nil {
+				lanes.Close()
+			}
+			os.RemoveAll(dir)
+		}
+	}
+}

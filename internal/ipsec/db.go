@@ -204,53 +204,98 @@ func (s Selector) Matches(src, dst netip.Addr) bool {
 	return s.Src.Contains(src) && s.Dst.Contains(dst)
 }
 
-// spdView is an immutable snapshot of the policy database: the ordered
-// entry list plus the host-route index derived from it. Lookup consumes a
-// view with one atomic load. Add publishes a new view over the same index,
-// filled in place (see minTableSlots); Replace and Remove publish a view
-// with a freshly built index, so a reader never observes a repointed entry
-// beside a stale route.
-type spdView struct {
-	entries []spdEntry
-	index   *spdTable // host routes; nil while empty and while scanAll
-	scanAll bool      // a non-host selector exists; the ordered scan decides
-}
+// isHost reports whether s is a host route: both prefixes single-address.
+func (s *Selector) isHost() bool { return s.Src.IsSingleIP() && s.Dst.IsSingleIP() }
 
 // SPD is the security policy database: an ordered list of selectors mapping
 // outbound traffic to SAs (first match wins). Host-route selectors (both
 // prefixes single-address, the common shape on a tunnel concentrator) are
-// also indexed by (src, dst) in an open-addressed table; while every entry
-// is a host route, Lookup is O(1) instead of a linear selector scan. One
-// non-host selector falls Lookup back to the ordered scan, preserving
-// first-match-wins exactly. Reads are wait-free against an atomically
-// published view; see spdView. Safe for concurrent use.
+// also indexed by (src, dst) in an open-addressed table; while every live
+// entry is a host route, Lookup is O(1) instead of a linear selector scan.
+// A live non-host selector falls Lookup back to the ordered scan, preserving
+// first-match-wins exactly.
+//
+// A write touches only the entries of the SA it names. Add appends one
+// entry and fills one index slot in place. Replace stores the successor
+// into each of the old SA's entries, found through a chain the writer keeps
+// (its head in the SA, its links in the entries), so a rekey keeps every
+// selector, position and slot. Remove tombstones the SA's entries. Entries
+// and index are rebuilt without tombstones once these pass half the
+// entries, and when the last live non-host selector goes. Reads are
+// wait-free against an atomically published view; see spdView. An SA is in
+// at most one SPD. Safe for concurrent use.
 type SPD struct {
-	mu  sync.Mutex // serializes writers
-	cur atomic.Pointer[spdView]
+	cur  atomic.Pointer[spdView]
+	live atomic.Int64 // live entries
+
+	mu       sync.Mutex // serializes writers
+	dead     int        // tombstones in cur; under mu
+	hostless int        // live non-host selectors; under mu
 }
 
+// spdEntry is one policy entry. sa is nil once the entry is removed: a
+// tombstone, which every reader skips and the next rebuild drops. next and
+// dup are the writer's links, each an entry position plus one (0 ends the
+// chain), never read by a lookup: next is the same SA's next entry, dup the
+// next entry of the same host pair, which inherits the pair's index slot
+// once the entries before it die.
 type spdEntry struct {
-	sel Selector
-	sa  *OutboundSA
+	sel       Selector
+	sa        atomic.Pointer[OutboundSA]
+	next, dup int32
 }
 
-type hostPair struct {
-	src, dst netip.Addr
+// spdView is one generation of the policy database: an append-only backing
+// array of entries, the count in use, and the host-route index over their
+// positions. Add fills the next entry and one index slot in place and then
+// stores the count; the view is republished only when the array or the
+// index doubles, when the first non-host selector takes the index away,
+// and by a rebuild. A reader loads the view once. The entries below its
+// count and the filled slots do not change after they are published, except
+// each entry's SA pointer, which Replace and Remove store atomically. A
+// reader still on a superseded view sees its array as the writer left it,
+// as a reader of a copy-on-write snapshot would.
+type spdView struct {
+	entries []spdEntry   // the backing array, all of its capacity
+	n       atomic.Int32 // entries in use, live or tombstoned
+	index   *spdTable    // host routes; nil while empty and while scanAll
+	scanAll bool         // a non-host selector is live; the ordered scan decides
 }
 
-// spdSlot is one slot of an spdTable. pair is written once, before sa is
-// published by an atomic store, and read only after a non-nil sa is
-// loaded, so a reader never sees a half-written key. There is no delete in
-// place, and so no tombstone: Replace and Remove build a new table.
-type spdSlot struct {
-	pair hostPair
-	sa   atomic.Pointer[OutboundSA]
+// emptySPDView backs an SPD nothing was added to. Its array has no room, so
+// the first Add grows a view of its own and this one is never written.
+var emptySPDView = &spdView{}
+
+// with returns a view of v's entries under another index.
+func (v *spdView) with(index *spdTable, scanAll bool) *spdView {
+	w := &spdView{entries: v.entries, index: index, scanAll: scanAll}
+	w.n.Store(v.n.Load())
+	return w
 }
 
-// spdTable is the SPD's host-route index, keyed inline so that a hit reads
-// one slot.
+// grown returns a view of v's entries copied into an array twice the size,
+// under v's index: positions do not move.
+func (v *spdView) grown() *spdView {
+	w := &spdView{entries: make([]spdEntry, max(minTableSlots, 2*len(v.entries))), index: v.index, scanAll: v.scanAll}
+	n := v.n.Load()
+	for i := range n {
+		from, to := &v.entries[i], &w.entries[i]
+		to.sel, to.next, to.dup = from.sel, from.next, from.dup
+		to.sa.Store(from.sa.Load())
+	}
+	w.n.Store(n)
+	return w
+}
+
+// spdTable is the SPD's host-route index: one word a slot, 0 while empty,
+// else an entry's position plus one in the low half and its host pair's
+// hash tag in the high half (the hash's low 32 bits; its top bits pick the
+// home slot). A lookup whose tag matches confirms the pair against the
+// entry's selector. A pair keeps its slot: the slot names the pair's first
+// live entry or, once all of them died, a dead one, which keeps the probe
+// runs through it unbroken and which the pair's next Add takes over.
 type spdTable struct {
-	slots []spdSlot
+	slots []atomic.Uint64
 	shift uint8
 	used  int // filled slots; written only under the SPD's writer mutex
 }
@@ -261,7 +306,7 @@ func newSPDTable(routes int) *spdTable {
 	for n < 2*routes {
 		n *= 2
 	}
-	return &spdTable{slots: make([]spdSlot, n), shift: tableShift(n)}
+	return &spdTable{slots: make([]atomic.Uint64, n), shift: tableShift(n)}
 }
 
 // hashPair hashes a host pair. An IPv4 pair packs into one word; any other
@@ -278,58 +323,93 @@ func hashPair(src, dst netip.Addr) uint64 {
 	return mix64(h ^ binary.BigEndian.Uint64(d[8:]))
 }
 
-// home returns the first slot of (src, dst)'s probe run in t.
-func (t *spdTable) home(src, dst netip.Addr) uint64 { return hashPair(src, dst) >> t.shift }
+// slotWord is the index word naming the entry at pos for a pair hashing to h.
+func slotWord(h uint64, pos int) uint64 { return h<<32 | uint64(pos+1) }
 
-// find returns (src, dst)'s slot in t and the SA it holds, or the empty slot
-// that ends the probe run and a nil SA.
-func (t *spdTable) find(src, dst netip.Addr) (*spdSlot, *OutboundSA) {
+// find returns the slot of t holding (src, dst), which hashes to h, and the
+// position of the entry it names; or the empty slot that ends the pair's
+// probe run, and -1. A slot naming a position past entries was filled after
+// a reader's view was superseded, for a pair added since, and is passed.
+func (t *spdTable) find(entries []spdEntry, h uint64, src, dst netip.Addr) (*atomic.Uint64, int) {
 	mask := uint64(len(t.slots) - 1)
-	for i := t.home(src, dst); ; i = (i + 1) & mask {
-		s := &t.slots[i]
-		sa := s.sa.Load()
-		if sa == nil || s.pair.src == src && s.pair.dst == dst {
-			return s, sa
+	for i := h >> t.shift; ; i = (i + 1) & mask {
+		s := t.slots[i].Load()
+		if s == 0 {
+			return &t.slots[i], -1
+		}
+		if pos := int(uint32(s)) - 1; s>>32 == h&(1<<32-1) && pos < len(entries) {
+			if sel := &entries[pos].sel; sel.Src.Addr() == src && sel.Dst.Addr() == dst {
+				return &t.slots[i], pos
+			}
 		}
 	}
 }
 
-// add indexes pair to sa unless pair is indexed already (first match wins)
-// and returns the table to publish: t, filled in place, or at half load a
-// copy of t twice its size. A nil t is an empty index.
-func (t *spdTable) add(pair hostPair, sa *OutboundSA) *spdTable {
+// add indexes the host route at entries[pos] and returns the table to
+// publish: t, filled in place, or at half load a copy twice its size. A
+// pair with a live entry keeps it (first match wins), and the new entry
+// joins the end of the pair's duplicates. A nil t is an empty index.
+func (t *spdTable) add(entries []spdEntry, pos int) *spdTable {
 	if t == nil {
 		t = newSPDTable(1)
 	}
-	s, cur := t.find(pair.src, pair.dst)
-	if cur != nil {
-		return t // a later duplicate never shadows the first
-	}
-	if t.used >= len(t.slots)/2 {
-		grown := newSPDTable(t.used + 1)
-		for i := range t.slots {
-			if old := t.slots[i].sa.Load(); old != nil {
-				grown = grown.add(t.slots[i].pair, old)
-			}
+	src, dst := entries[pos].sel.Src.Addr(), entries[pos].sel.Dst.Addr()
+	h := hashPair(src, dst)
+	slot, at := t.find(entries, h, src, dst)
+	switch {
+	case at >= 0 && entries[at].sa.Load() != nil:
+		for entries[at].dup != 0 {
+			at = int(entries[at].dup) - 1
 		}
-		t = grown
-		s, _ = t.find(pair.src, pair.dst)
+		entries[at].dup = int32(pos + 1)
+		return t
+	case at < 0 && t.used >= len(t.slots)/2:
+		t = t.grown(entries)
+		slot, _ = t.find(entries, h, src, dst)
+		fallthrough
+	case at < 0:
+		t.used++
 	}
-	s.pair = pair
-	s.sa.Store(sa)
-	t.used++
+	slot.Store(slotWord(h, pos))
 	return t
 }
 
-// NewSPD returns an empty policy database.
-func NewSPD() *SPD {
-	p := &SPD{}
-	p.cur.Store(emptySPDView)
-	return p
+// grown returns a table twice t's size holding t's slots that name a live
+// entry. A dead pair's slot stays behind with the probe runs it kept whole.
+func (t *spdTable) grown(entries []spdEntry) *spdTable {
+	g := newSPDTable(t.used + 1)
+	for i := range t.slots {
+		s := t.slots[i].Load()
+		if s == 0 || entries[uint32(s)-1].sa.Load() == nil {
+			continue
+		}
+		sel := &entries[uint32(s)-1].sel
+		slot, _ := g.find(entries, hashPair(sel.Src.Addr(), sel.Dst.Addr()), sel.Src.Addr(), sel.Dst.Addr())
+		slot.Store(s)
+		g.used++
+	}
+	return g
 }
 
-// emptySPDView backs zero-value and fresh SPDs.
-var emptySPDView = &spdView{}
+// unroute hands the slot naming entries[pos], about to die, to the pair's
+// next live duplicate. With none, the slot stays on the dead entry.
+func (t *spdTable) unroute(entries []spdEntry, pos int) {
+	src, dst := entries[pos].sel.Src.Addr(), entries[pos].sel.Dst.Addr()
+	h := hashPair(src, dst)
+	slot, at := t.find(entries, h, src, dst)
+	if at != pos {
+		return // a later duplicate: the slot names an earlier entry
+	}
+	for q := int(entries[pos].dup) - 1; q >= 0; q = int(entries[q].dup) - 1 {
+		if entries[q].sa.Load() != nil {
+			slot.Store(slotWord(h, q))
+			return
+		}
+	}
+}
+
+// NewSPD returns an empty policy database.
+func NewSPD() *SPD { return &SPD{} }
 
 // view returns the current snapshot, tolerating a zero-value SPD.
 func (p *SPD) view() *spdView {
@@ -339,133 +419,175 @@ func (p *SPD) view() *spdView {
 	return emptySPDView
 }
 
-// rebuildSPDView derives a fresh view from an entry list: the host-route
-// index is built entry by entry, so first-match-wins is identical to the
-// ordered scan.
-func rebuildSPDView(entries []spdEntry) *spdView {
-	v := &spdView{entries: entries, index: newSPDTable(len(entries))}
-	for _, e := range entries {
-		if !e.sel.Src.IsSingleIP() || !e.sel.Dst.IsSingleIP() {
-			return &spdView{entries: entries, scanAll: true}
-		}
-		v.index = v.index.add(hostPair{src: e.sel.Src.Addr(), dst: e.sel.Dst.Addr()}, e.sa)
+// put appends (sel, sa) to v, which only the writer holding mu changes,
+// and links it into sa's chain and into the index or the non-host count.
+// It returns the view to publish: v, filled in place, or a new one (see
+// spdView). The count is stored last, so a scan reads only whole entries.
+func (p *SPD) put(v *spdView, sel Selector, sa *OutboundSA) *spdView {
+	pos := int(v.n.Load())
+	if pos == len(v.entries) {
+		v = v.grown()
 	}
+	e := &v.entries[pos]
+	e.sel, e.next = sel, sa.spdHead
+	e.sa.Store(sa)
+	sa.spdHead = int32(pos + 1)
+	p.live.Add(1)
+	switch {
+	case !sel.isHost():
+		if p.hostless++; !v.scanAll {
+			v = v.with(nil, true)
+		}
+	case !v.scanAll:
+		if t := v.index.add(v.entries, pos); t != v.index {
+			v = v.with(t, false)
+		}
+	}
+	v.n.Store(int32(pos + 1))
 	return v
 }
 
-// Add appends a policy entry. The new view's entry list shares the old
-// backing array where capacity allows (published views only ever read
-// their own prefix, and in-place mutation happens solely on freshly copied
-// slices), and a host route fills one index slot in place, so an Add is
-// amortized O(1) whatever the table holds.
+// reset empties the writer's state of v, whose live SAs lose their chains,
+// and returns an empty view with room for size entries (mu held).
+func (p *SPD) reset(v *spdView, size int) *spdView {
+	for i := range v.n.Load() {
+		if sa := v.entries[i].sa.Load(); sa != nil {
+			sa.spdHead = 0
+		}
+	}
+	p.live.Store(0)
+	p.dead, p.hostless = 0, 0
+	return &spdView{entries: make([]spdEntry, max(minTableSlots, size))}
+}
+
+// rebuild publishes v's live entries alone, in order: a fresh array,
+// chains, duplicate links and index, without tombstones (mu held).
+func (p *SPD) rebuild(v *spdView) {
+	nv := p.reset(v, int(p.live.Load()))
+	for i := range v.n.Load() {
+		if sa := v.entries[i].sa.Load(); sa != nil {
+			nv = p.put(nv, v.entries[i].sel, sa)
+		}
+	}
+	p.cur.Store(nv)
+}
+
+// Add appends a policy entry: one entry and, for a host route, one index
+// slot, both filled in place (see spdView), so an Add is amortized O(1)
+// whatever the table holds.
 func (p *SPD) Add(sel Selector, sa *OutboundSA) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	old := p.view()
-	v := &spdView{entries: append(old.entries, spdEntry{sel: sel, sa: sa}),
-		index: old.index, scanAll: old.scanAll}
-	switch {
-	case old.scanAll:
-		// The ordered scan already decides; no index to maintain.
-	case !sel.Src.IsSingleIP() || !sel.Dst.IsSingleIP():
-		// A non-host selector: the ordered scan decides from here on.
-		v.index, v.scanAll = nil, true
-	default:
-		v.index = old.index.add(hostPair{src: sel.Src.Addr(), dst: sel.Dst.Addr()}, sa)
+	v := p.view()
+	if nv := p.put(v, sel, sa); nv != v {
+		p.cur.Store(nv)
 	}
-	p.cur.Store(v)
 }
 
 // Len returns the number of policy entries.
-func (p *SPD) Len() int { return len(p.view().entries) }
+func (p *SPD) Len() int { return int(p.live.Load()) }
 
 // Replace atomically repoints every entry carrying old to carry new,
 // preserving each entry's selector and position — the outbound cutover of a
 // make-before-break rekey: one moment the selectors seal on the old
 // generation, the next on its successor, with no window where a lookup can
-// miss. Returns the number of entries repointed.
+// miss. It walks old's chain, stores new into each entry and hands the
+// chain to new; nothing is copied or reindexed. Returns the number of
+// entries repointed.
 func (p *SPD) Replace(old, new *OutboundSA) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	v := p.view()
-	n := 0
-	for i := range v.entries {
-		if v.entries[i].sa == old {
-			n++
-		}
+	entries := p.view().entries
+	n, last := 0, -1
+	for pos := int(old.spdHead) - 1; pos >= 0; pos = int(entries[pos].next) - 1 {
+		entries[pos].sa.Store(new)
+		n, last = n+1, pos
 	}
-	if n == 0 {
-		return 0 // nothing matched; keep the published view
+	if n > 0 && old != new {
+		entries[last].next, new.spdHead, old.spdHead = new.spdHead, old.spdHead, 0
 	}
-	entries := make([]spdEntry, len(v.entries))
-	copy(entries, v.entries)
-	for i := range entries {
-		if entries[i].sa == old {
-			entries[i].sa = new
-		}
-	}
-	p.cur.Store(rebuildSPDView(entries))
 	return n
 }
 
-// Remove deletes every entry whose SA has the given SPI, returning how many
-// were removed. The published view is rebuilt from the surviving entries,
-// so first-match-wins semantics are preserved — and a removal that takes
-// out the only non-host selector restores O(1) lookups.
-func (p *SPD) Remove(spi uint32) int {
+// Remove deletes every entry of sa, returning how many were removed. Each
+// becomes a tombstone in place, so the entries that remain keep their
+// first-match order: a scan skips it, and a host route's index slot passes
+// to the pair's next live duplicate. Entries and index are rebuilt once
+// tombstones pass half the entries, and when the last live non-host
+// selector goes, which returns lookups to the index.
+func (p *SPD) Remove(sa *OutboundSA) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	v := p.view()
-	kept := make([]spdEntry, 0, len(v.entries))
 	n := 0
-	for _, e := range v.entries {
-		if e.sa.SPI() == spi {
-			n++
-			continue
+	for pos := int(sa.spdHead) - 1; pos >= 0; pos = int(v.entries[pos].next) - 1 {
+		e := &v.entries[pos]
+		switch {
+		case !e.sel.isHost():
+			p.hostless--
+		case !v.scanAll:
+			v.index.unroute(v.entries, pos)
 		}
-		kept = append(kept, e)
+		e.sa.Store(nil)
+		n++
 	}
 	if n == 0 {
 		return 0
 	}
-	p.cur.Store(rebuildSPDView(kept))
+	sa.spdHead = 0
+	p.live.Add(-int64(n))
+	if p.dead += n; 2*p.dead > int(v.n.Load()) || v.scanAll && p.hostless == 0 {
+		p.rebuild(v)
+	}
 	return n
 }
 
 // Range calls fn for each policy entry in order until fn returns false,
-// iterating a consistent published snapshot without blocking writers — the
-// iteration a control plane needs to export the policy table (e.g. for a
-// standby's mirror).
+// without blocking writers — the iteration a control plane needs to export
+// the policy table (e.g. for a standby's mirror). An entry a concurrent
+// write repoints or removes is seen before or after that write.
 func (p *SPD) Range(fn func(Selector, *OutboundSA) bool) {
-	for _, e := range p.view().entries {
-		if !fn(e.sel, e.sa) {
+	v := p.view()
+	for i := range v.n.Load() {
+		e := &v.entries[i]
+		if sa := e.sa.Load(); sa != nil && !fn(e.sel, sa) {
 			return
 		}
 	}
 }
 
-// set publishes entries, in order, as the whole policy.
-func (p *SPD) set(entries []spdEntry) {
+// set publishes policy, entry i sealing on sas[i], as the whole policy.
+func (p *SPD) set(policy []PolicySnapshot, sas []*OutboundSA) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.cur.Store(rebuildSPDView(entries))
+	v := p.reset(p.view(), len(policy))
+	for i := range policy {
+		v = p.put(v, policy[i].Selector, sas[i])
+	}
+	p.cur.Store(v)
 }
 
 // Lookup returns the first SA whose selector covers (src, dst). It is
-// wait-free: one atomic view load, then the index's probe run (all-host-route
-// tables) or the ordered scan.
+// wait-free: one atomic view load, then the index's probe run and the
+// entry its slot names (all-host-route tables), or the ordered scan.
 func (p *SPD) Lookup(src, dst netip.Addr) (*OutboundSA, bool) {
 	v := p.view()
 	if !v.scanAll {
 		if v.index == nil {
 			return nil, false
 		}
-		_, sa := v.index.find(src, dst)
+		_, pos := v.index.find(v.entries, hashPair(src, dst), src, dst)
+		if pos < 0 {
+			return nil, false
+		}
+		sa := v.entries[pos].sa.Load()
 		return sa, sa != nil
 	}
-	for _, e := range v.entries {
-		if e.sel.Matches(src, dst) {
-			return e.sa, true
+	for i := range v.n.Load() {
+		if e := &v.entries[i]; e.sel.Matches(src, dst) {
+			if sa := e.sa.Load(); sa != nil {
+				return sa, true
+			}
 		}
 	}
 	return nil, false

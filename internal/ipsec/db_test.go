@@ -107,17 +107,18 @@ func TestSPDProbeLengths(t *testing.T) {
 	for i := 0; i < n; i++ {
 		p.Add(gwSelector(i), &OutboundSA{})
 	}
-	tab := p.view().index
+	v := p.view()
+	tab := v.index
 	if len(tab.slots) != 2*n {
 		t.Fatalf("%d routes in %d slots, want the index at its maximum load (%d slots)", n, len(tab.slots), 2*n)
 	}
 	mean, worst := probeLengths(t, n, len(tab.slots),
 		func(k int) uint64 {
-			return tab.home(gwAddr(k))
+			return hashPair(gwAddr(k)) >> tab.shift
 		},
 		func(i uint64, k int) bool {
-			src, dst := gwAddr(k)
-			return tab.slots[i].pair == hostPair{src: src, dst: dst}
+			s := tab.slots[i].Load()
+			return s != 0 && v.entries[uint32(s)-1].sel == gwSelector(k)
 		})
 	t.Logf("gateway host pairs at half load: mean %.2f, worst %d slots", mean, worst)
 	if mean > maxMeanProbes || worst > maxWorstProbes {
@@ -126,11 +127,13 @@ func TestSPDProbeLengths(t *testing.T) {
 }
 
 // TestDatabasesConcurrentGrowth runs the SAD's Add/Delete and the SPD's
-// Add/Replace/Remove through several table doublings while readers look up
-// every key. A lookup returns nothing or an SA registered for exactly its
-// key: never a tombstone, another key's SA, or a half-written slot. A key
-// that was added before the lookup began and is never deleted is always
-// found, whatever is deleted, replaced or rebuilt around it.
+// Add/Replace/Remove through several table doublings, and the SPD through
+// its rebuilds and its switches between index and ordered scan, while
+// readers look up every key. A lookup returns nothing or an SA registered
+// for exactly its key: never a tombstone, another key's SA, or a
+// half-written slot. A key that was added before the lookup began and is
+// never deleted is always found, whatever is deleted, replaced or rebuilt
+// around it.
 func TestDatabasesConcurrentGrowth(t *testing.T) {
 	watchdog.Arm(t, 20*time.Second)
 	const n = 1024 // the SAD's 8 slots grow to 4096, the SPD's to 2048
@@ -169,10 +172,16 @@ func TestDatabasesConcurrentGrowth(t *testing.T) {
 		}
 	})
 
-	// SPD: route k is gwSelector(k). Replace repoints every sixteenth route
-	// to its second SA; Remove takes every route j with j%8 == 7 out, and
-	// an Add puts it back, so those are the unstable ones.
+	// SPD: route k is gwSelector(k), over the first of its two SAs. Replace
+	// moves every fourth route to its other SA and back. The routes j with
+	// j%8 == 7 are the unstable ones: Remove takes both of j's SAs out and
+	// an Add puts j back, twice for every route added, so tombstones pass
+	// half the entries and the SPD rebuilds again and again. A non-host
+	// selector that covers no route comes and goes, switching lookups to
+	// the ordered scan and, at its removal, back to the index.
 	p := NewSPD()
+	scan := &OutboundSA{saBase: saBase{spi: 3*n + 1}}
+	tombstoned := 0
 	var spdAdded atomic.Int64
 	outbound := make([][2]*OutboundSA, n)
 	for k := range outbound {
@@ -205,14 +214,29 @@ func TestDatabasesConcurrentGrowth(t *testing.T) {
 		}
 		p.Add(gwSelector(k), outbound[k][0])
 		spdAdded.Store(int64(k + 1))
-		if k%16 == 15 {
-			p.Replace(outbound[k/2][0], outbound[k/2][1])
+		if j := k / 2 &^ 3; k%2 == 1 {
+			pair := outbound[j]
+			if p.Replace(pair[0], pair[1]) == 0 {
+				p.Replace(pair[1], pair[0])
+			}
 		}
-		if k%32 == 31 {
-			j := k / 4
-			removed := p.Remove(outbound[j][0].SPI()) + p.Remove(outbound[j][1].SPI())
-			p.Add(gwSelector(j), outbound[j][removed%2])
+		for _, j := range []int{k / 8 * 8 / 2 &^ 7, k / 8 * 8} {
+			if j += 7; j <= k {
+				pair := outbound[j]
+				removed := p.Remove(pair[0]) + p.Remove(pair[1])
+				p.Add(gwSelector(j), pair[removed%2])
+				tombstoned += removed
+			}
 		}
+		switch k % 128 {
+		case 32:
+			p.Add(Selector{Src: netip.MustParsePrefix("192.168.0.0/16"), Dst: netip.MustParsePrefix("192.168.0.0/16")}, scan)
+		case 96:
+			p.Remove(scan)
+		}
+	}
+	if p.Len() != n || 2*tombstoned < n || p.dead == tombstoned {
+		t.Errorf("SPD.Len = %d, want %d; %d tombstones of %d since the last rebuild, want a rebuild", p.Len(), n, p.dead, tombstoned)
 	}
 	stop.Store(true)
 	wg.Wait()
@@ -255,28 +279,34 @@ func allocatedPerAdd(n int, add func(i int)) float64 {
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
 }
 
+// flatKeys keys the SAs of the flatness tests.
+var flatKeys = KeyMaterial{
+	AuthKey: bytes.Repeat([]byte{0x5A}, AuthKeySize),
+	EncKey:  bytes.Repeat([]byte{0xA5}, EncKeySize),
+}
+
+// flatGateway returns a gateway over a default medium without fsync, closed
+// with the test.
+func flatGateway(t *testing.T) *Gateway {
+	lanes, err := store.OpenLanes(t.TempDir(), store.LanesWithoutSync())
+	if err != nil {
+		t.Fatalf("OpenLanes: %v", err)
+	}
+	t.Cleanup(func() { lanes.Close() })
+	gw, err := NewGateway(GatewayConfig{Journal: lanes})
+	if err != nil {
+		t.Fatalf("NewGateway: %v", err)
+	}
+	t.Cleanup(func() { gw.Close() })
+	return gw
+}
+
 // TestAddAllocationFlat guards against a return of the quadratic install:
 // an Add that copies its database allocates in proportion to what the
 // database holds, so bytes per Add at 100k would be about ten times those
 // at 10k. A bounded Add stays under twice, whatever the host's speed.
 func TestAddAllocationFlat(t *testing.T) {
-	keys := KeyMaterial{
-		AuthKey: bytes.Repeat([]byte{0x5A}, AuthKeySize),
-		EncKey:  bytes.Repeat([]byte{0xA5}, EncKeySize),
-	}
-	gateway := func(t *testing.T) *Gateway {
-		lanes, err := store.OpenLanes(t.TempDir(), store.LanesWithoutSync())
-		if err != nil {
-			t.Fatalf("OpenLanes: %v", err)
-		}
-		t.Cleanup(func() { lanes.Close() })
-		gw, err := NewGateway(GatewayConfig{Journal: lanes})
-		if err != nil {
-			t.Fatalf("NewGateway: %v", err)
-		}
-		t.Cleanup(func() { gw.Close() })
-		return gw
-	}
+	keys, gateway := flatKeys, flatGateway
 	cases := []struct {
 		name string
 		// install returns the function that performs Add number i.
@@ -325,6 +355,52 @@ func TestAddAllocationFlat(t *testing.T) {
 			t.Logf("%.0f B an Add at 10k, %.0f B at 100k", small, large)
 			if large > 2*small {
 				t.Errorf("%.0f B an Add at 100k, more than twice the %.0f B at 10k", large, small)
+			}
+		})
+	}
+}
+
+// TestRolloverAllocationFlat is TestAddAllocationFlat for the rollover
+// every SA gets once a lifetime: a rekey onto a fresh SPI and the removal of
+// the old SA, each way, over every SA of a gateway of 10k and of 100k SAs.
+// A rollover that copies the SPD or scans the registry allocates in
+// proportion to the SAs installed (about 260 B each while the SPD was
+// republished per rekey and remove), ten times as much per SA at 100k. A
+// prefix of the 100k run that already allocates past the bound, plus room
+// for a table's doubling, fails at once instead of running the quadratic
+// rollover to its end.
+func TestRolloverAllocationFlat(t *testing.T) {
+	skipUnderRace(t)
+	for _, inbound := range []bool{false, true} {
+		t.Run(map[bool]string{false: "outbound", true: "inbound"}[inbound], func(t *testing.T) {
+			perSA := func(n int, bound float64) float64 {
+				gw := flatGateway(t)
+				if err := installRollover(gw, inbound, n, flatKeys); err != nil {
+					t.Fatal(err)
+				}
+				var before, now runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				for i := 0; i < n; i++ {
+					if err := rollover(gw, inbound, rolloverSPI(0, n, i), rolloverSPI(1, n, i), flatKeys); err != nil {
+						t.Fatal(err)
+					}
+					if done := i + 1; bound > 0 && done%256 == 0 {
+						runtime.ReadMemStats(&now)
+						if spent := float64(now.TotalAlloc - before.TotalAlloc); spent > bound*float64(done)+16<<20 {
+							t.Fatalf("%d of %d rollovers allocated %.0f B, %.0f B each, past the bound of %.0f B each",
+								done, n, spent, spent/float64(done), bound)
+						}
+					}
+				}
+				runtime.ReadMemStats(&now)
+				return float64(now.TotalAlloc-before.TotalAlloc) / float64(n)
+			}
+			small := perSA(10_000, 0)
+			large := perSA(100_000, 2*small)
+			t.Logf("%.0f B a rollover at 10k, %.0f B at 100k", small, large)
+			if large > 2*small {
+				t.Errorf("%.0f B a rollover at 100k, more than twice the %.0f B at 10k", large, small)
 			}
 		})
 	}

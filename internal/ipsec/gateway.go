@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -92,8 +91,11 @@ type Gateway struct {
 	// predecessor stays registered after a cutover has taken it out of the
 	// SPD. The slice keeps registration order, which is allocation order,
 	// so a walk over it (ResetAll, WakeAll) reads memory in the order it was
-	// laid out; outSPI finds an SA by SPI. Inbound SAs live only in the SAD.
+	// laid out; outSPI finds an SA by SPI. A removal leaves a nil hole at
+	// the SA's stamped position (OutboundSA.reg), and the holes are swept
+	// once they are half the slice. Inbound SAs live only in the SAD.
 	outbound []*OutboundSA
+	holes    int
 	outSPI   map[uint32]*OutboundSA
 	wakeMu   sync.Mutex // WakeAlls run one after another
 	// retireMu orders removals against WakeAll's lanes: retireCell holds it
@@ -317,16 +319,29 @@ func (g *Gateway) findOutbound(spi uint32) *OutboundSA {
 
 // registerOutboundLocked records sa as registered, last in order.
 func (g *Gateway) registerOutboundLocked(sa *OutboundSA) {
+	sa.reg = int32(len(g.outbound))
 	g.outbound = append(g.outbound, sa)
 	g.outSPI[sa.SPI()] = sa
 }
 
-// unregisterOutboundLocked forgets the registered outbound SA sa. Keeping
-// the order costs a pass over the registered SAs.
+// unregisterOutboundLocked forgets the registered outbound SA sa: its
+// position becomes a hole, and once holes are half the list one pass
+// closes them, keeping the order, so a removal is amortized O(1).
 func (g *Gateway) unregisterOutboundLocked(sa *OutboundSA) {
 	delete(g.outSPI, sa.spi)
-	i := slices.Index(g.outbound, sa)
-	g.outbound = slices.Delete(g.outbound, i, i+1)
+	g.outbound[sa.reg] = nil
+	if g.holes++; 2*g.holes <= len(g.outbound) {
+		return
+	}
+	kept := g.outbound[:0]
+	for _, o := range g.outbound {
+		if o != nil {
+			o.reg = int32(len(kept))
+			kept = append(kept, o)
+		}
+	}
+	clear(g.outbound[len(kept):])
+	g.outbound, g.holes = kept, 0
 }
 
 // Outbound returns the registered outbound SA with the given SPI — the
@@ -629,7 +644,8 @@ type gatewaySnapshot struct {
 }
 
 // snapshot copies the registered SA population: outbound from the
-// gateway's own list, in registration order, inbound from the SAD.
+// gateway's own list, in registration order and without its holes, inbound
+// from the SAD.
 func (g *Gateway) snapshot() gatewaySnapshot {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -637,7 +653,13 @@ func (g *Gateway) snapshot() gatewaySnapshot {
 }
 
 func (g *Gateway) snapshotLocked() gatewaySnapshot {
-	snap := gatewaySnapshot{outbound: slices.Clone(g.outbound), inbound: make([]*InboundSA, 0, g.sad.Len())}
+	snap := gatewaySnapshot{outbound: make([]*OutboundSA, 0, len(g.outbound)-g.holes),
+		inbound: make([]*InboundSA, 0, g.sad.Len())}
+	for _, sa := range g.outbound {
+		if sa != nil {
+			snap.outbound = append(snap.outbound, sa)
+		}
+	}
 	g.sad.Range(func(sa *InboundSA) bool {
 		snap.inbound = append(snap.inbound, sa)
 		return true
@@ -710,7 +732,7 @@ func (g *Gateway) removeOutbound(spi uint32, tombstone bool) bool {
 		return false
 	}
 	g.unregisterOutboundLocked(sa)
-	g.spd.Remove(spi)
+	g.spd.Remove(sa)
 	g.mu.Unlock()
 	sa.BeginDrain()
 	g.retireCell(outboundCell(spi), sa.Sender().Reset, sa.Sender().Saver(), tombstone) //nolint:errcheck // see removeInbound

@@ -3,6 +3,8 @@ package ipsec
 import (
 	"bytes"
 	"errors"
+	"net/netip"
+	"slices"
 	"testing"
 
 	"antireplay/internal/core"
@@ -197,7 +199,9 @@ func TestGatewayRevertOutbound(t *testing.T) {
 }
 
 // TestSPDReplaceAndRemove exercises the policy-database halves of the
-// cutover directly, including the host-route index rebuild.
+// cutover directly: Replace repoints an SA's entries in place, Remove
+// tombstones them, and the index, the ordered scan, Len, Range and the
+// rebuild all agree with first-match-wins over the live entries.
 func TestSPDReplaceAndRemove(t *testing.T) {
 	p := NewSPD()
 	mkSA := func(spi uint32) *OutboundSA {
@@ -217,13 +221,17 @@ func TestSPDReplaceAndRemove(t *testing.T) {
 	if got, _ := p.Lookup(src, dst); got != a {
 		t.Fatal("pre-replace lookup missed")
 	}
-	if n := p.Replace(a, mkSA(3)); n != 1 {
+	c := mkSA(3)
+	if n := p.Replace(a, c); n != 1 {
 		t.Errorf("Replace repointed %d entries, want 1", n)
 	}
 	if got, _ := p.Lookup(src, dst); got == nil || got.SPI() != 3 {
 		t.Error("post-replace lookup did not find the successor")
 	}
-	if n := p.Remove(3); n != 1 {
+	if n := p.Remove(a); n != 0 {
+		t.Errorf("Remove of the replaced SA removed %d entries, want 0", n)
+	}
+	if n := p.Remove(c); n != 1 {
 		t.Errorf("Remove removed %d entries, want 1", n)
 	}
 	if _, ok := p.Lookup(src, dst); ok {
@@ -231,10 +239,186 @@ func TestSPDReplaceAndRemove(t *testing.T) {
 	}
 	if src2, dst2 := gwAddr(2); true {
 		if got, _ := p.Lookup(src2, dst2); got != b {
-			t.Error("unrelated entry lost by Remove's index rebuild")
+			t.Error("unrelated entry lost by Remove")
 		}
 	}
 	if p.Len() != 1 {
 		t.Errorf("Len = %d, want 1", p.Len())
 	}
+
+	// policy lists the live entries in order, as Range yields them.
+	policy := func(p *SPD) []PolicySnapshot {
+		var out []PolicySnapshot
+		p.Range(func(sel Selector, sa *OutboundSA) bool {
+			out = append(out, PolicySnapshot{Selector: sel, SPI: sa.SPI()})
+			return true
+		})
+		if len(out) != p.Len() {
+			t.Errorf("Range yields %d entries, Len says %d", len(out), p.Len())
+		}
+		return out
+	}
+	sa := func(spi uint32) *OutboundSA { return &OutboundSA{saBase: saBase{spi: spi}} }
+
+	t.Run("duplicate host routes", func(t *testing.T) {
+		p := NewSPD()
+		first, second := sa(1), sa(2)
+		p.Add(gwSelector(5), first)
+		p.Add(gwSelector(6), sa(3))
+		p.Add(gwSelector(5), second)
+		src, dst := gwAddr(5)
+		if got, _ := p.Lookup(src, dst); got != first {
+			t.Fatalf("Lookup = %p, want the first of two duplicates", got)
+		}
+		p.Remove(first)
+		if got, _ := p.Lookup(src, dst); got != second {
+			t.Fatalf("after removing the first duplicate, Lookup = %p, want the second", got)
+		}
+		p.Remove(second)
+		if got, ok := p.Lookup(src, dst); ok {
+			t.Fatalf("after removing both duplicates, Lookup = %p", got)
+		}
+		third := sa(4)
+		p.Add(gwSelector(5), third)
+		if got, _ := p.Lookup(src, dst); got != third {
+			t.Fatalf("a pair re-added after its entries died: Lookup = %p, want the new SA", got)
+		}
+	})
+
+	t.Run("last non-host selector", func(t *testing.T) {
+		p := NewSPD()
+		broad, host := sa(1), sa(2)
+		p.Add(Selector{Src: netip.MustParsePrefix("10.0.0.0/8"), Dst: netip.MustParsePrefix("10.1.0.0/16")}, broad)
+		p.Add(gwSelector(1), host)
+		src, dst := gwAddr(1)
+		if got, _ := p.Lookup(src, dst); got != broad || !p.view().scanAll {
+			t.Fatalf("Lookup = %p on a scanning view (%v), want the broad first match", got, p.view().scanAll)
+		}
+		p.Remove(broad)
+		if v := p.view(); v.scanAll || v.index == nil {
+			t.Fatalf("after the only non-host selector went: scanAll %v, index %p; want lookups back on the index", v.scanAll, v.index)
+		}
+		if got, _ := p.Lookup(src, dst); got != host {
+			t.Fatalf("Lookup = %p, want the host route", got)
+		}
+	})
+
+	t.Run("Len and Range skip removed entries", func(t *testing.T) {
+		p := NewSPD()
+		sas := make([]*OutboundSA, 8)
+		for i := range sas {
+			sas[i] = sa(uint32(i + 1))
+			p.Add(gwSelector(i), sas[i])
+		}
+		p.Remove(sas[2])
+		p.Remove(sas[5])
+		var want []PolicySnapshot
+		for i := range sas {
+			if i != 2 && i != 5 {
+				want = append(want, PolicySnapshot{Selector: gwSelector(i), SPI: uint32(i + 1)})
+			}
+		}
+		if got := policy(p); !slices.Equal(got, want) {
+			t.Fatalf("Range = %v, want %v", got, want)
+		}
+	})
+
+	t.Run("rebuild keeps order and chains", func(t *testing.T) {
+		// SA i holds routes i and 1000+i, and every fourth SA also the
+		// duplicate of route 0, added behind the others; all but every
+		// fifth SA go, which rebuilds the entries at least once.
+		const n = 200
+		p := NewSPD()
+		sas := make([]*OutboundSA, n)
+		for i := range sas {
+			sas[i] = sa(uint32(i + 1))
+			p.Add(gwSelector(i), sas[i])
+		}
+		for i := range sas {
+			p.Add(gwSelector(1000+i), sas[i])
+		}
+		for i := 0; i < n; i += 4 {
+			p.Add(gwSelector(0), sas[i])
+		}
+		removed := 0
+		for i := range sas {
+			if i%5 != 0 {
+				got, want := p.Remove(sas[i]), 2+btoi(i%4 == 0)
+				if got != want {
+					t.Fatalf("Remove(SA %d) = %d entries, want %d", i, got, want)
+				}
+				removed += got
+			}
+		}
+		if p.dead == removed {
+			t.Fatalf("no rebuild after %d of %d entries died", removed, 2*n+n/4)
+		}
+		var want []PolicySnapshot
+		for _, route := range []int{0, 1000} {
+			for i := 0; i < n; i += 5 {
+				want = append(want, PolicySnapshot{Selector: gwSelector(route + i), SPI: uint32(i + 1)})
+			}
+		}
+		for i := 0; i < n; i += 20 {
+			want = append(want, PolicySnapshot{Selector: gwSelector(0), SPI: uint32(i + 1)})
+		}
+		if got := policy(p); !slices.Equal(got, want) {
+			t.Fatalf("after the rebuild Range = %v, want %v", got, want)
+		}
+		src, dst := gwAddr(0)
+		if got, _ := p.Lookup(src, dst); got != sas[0] {
+			t.Fatalf("Lookup(route 0) = %p, want SA 0, its first live entry", got)
+		}
+		// Every chain survived the renumbering: a successor takes all of
+		// its predecessor's entries, and a removal takes all of them out.
+		for i := 0; i < n; i += 5 {
+			next := sa(uint32(n + i + 1))
+			if got, want := p.Replace(sas[i], next), 2+btoi(i%20 == 0); got != want {
+				t.Fatalf("Replace(SA %d) = %d entries, want %d", i, got, want)
+			}
+			src, dst := gwAddr(1000 + i)
+			if got, _ := p.Lookup(src, dst); got != next {
+				t.Fatalf("route %d: Lookup = %p after the rekey, want the successor", 1000+i, got)
+			}
+			if i > 0 {
+				if got, want := p.Remove(next), 2+btoi(i%20 == 0); got != want {
+					t.Fatalf("Remove(successor of SA %d) = %d entries, want %d", i, got, want)
+				}
+			}
+		}
+		if p.Len() != 3 {
+			t.Fatalf("Len = %d, want SA 0's successor's three entries", p.Len())
+		}
+	})
+
+	t.Run("Replace after the entries grow", func(t *testing.T) {
+		p := NewSPD()
+		old := sa(1)
+		p.Add(gwSelector(0), old)
+		first := p.view()
+		for i := 1; i < 100; i++ {
+			p.Add(gwSelector(i), sa(uint32(i+1)))
+		}
+		p.Add(gwSelector(100), old)
+		if len(p.view().entries) <= len(first.entries) {
+			t.Fatalf("entries did not grow: %d, first %d", len(p.view().entries), len(first.entries))
+		}
+		next := sa(1000)
+		if n := p.Replace(old, next); n != 2 {
+			t.Fatalf("Replace = %d entries, want 2", n)
+		}
+		for _, route := range []int{0, 100} {
+			if got, _ := p.Lookup(gwAddr(route)); got != next {
+				t.Fatalf("route %d: Lookup = %p, want the successor", route, got)
+			}
+		}
+	})
+}
+
+// btoi is 1 for true, 0 for false.
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -129,6 +129,10 @@ func (b *saBase) State() LifetimeState { return b.bound.state(b.bytes.Load()) }
 type OutboundSA struct {
 	saBase
 	seq *core.Sender
+	// spdHead is the first of the SA's SPD entries (its position plus one,
+	// 0 for none), under the SPD's writer mutex; see SPD. reg is the SA's
+	// position in its gateway's outbound registry, under the gateway's.
+	spdHead, reg int32
 }
 
 // NewOutboundSA builds an outbound SA. sender provides the sequence-number

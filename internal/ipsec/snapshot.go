@@ -137,15 +137,13 @@ func (g *Gateway) Adopt(snap GatewaySnapshot) error {
 	// Publish the policy whole, in the snapshot's order.
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	entries := make([]spdEntry, len(snap.Policy))
+	sas := make([]*OutboundSA, len(snap.Policy))
 	for i, p := range snap.Policy {
-		sa := g.outSPI[p.SPI]
-		if sa == nil {
+		if sas[i] = g.outSPI[p.SPI]; sas[i] == nil {
 			return fmt.Errorf("ipsec: adopt policy %d: %w: outbound %#x", i, ErrUnknownSPI, p.SPI)
 		}
-		entries[i] = spdEntry{sel: p.Selector, sa: sa}
 	}
-	g.spd.set(entries)
+	g.spd.set(snap.Policy, sas)
 	return nil
 }
 

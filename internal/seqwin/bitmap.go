@@ -2,29 +2,32 @@ package seqwin
 
 import "fmt"
 
-// Bitmap is an RFC 6479-style anti-replay window: a ring of 64-bit words
-// holding seen-bits for sequence numbers, sized to at least the window width
-// plus one spare word so that whole words can be cleared as the window
+// Bitmap is an RFC 6479-style anti-replay window: a ring of ceil(w/64)+1
+// 64-bit words holding seen-bits for sequence numbers, the window width
+// plus the one spare word that lets whole words be cleared as the window
 // advances (no per-bit shifting).
 //
-// Bit for sequence number s lives at word (s/64) mod len(words), bit s%64.
-// Words between the old and new edge are zeroed on advance, which keeps the
-// invariant that every bit position in (edge-w, edge] faithfully records
-// whether that sequence number has been accepted.
+// The bit for sequence number s is bit s%64 of the word of its 64-number
+// block s/64. The edge's block lives at ring slot e, and every other block
+// relative to it: a block d blocks behind the edge's is at slot e-d, wrapped
+// once. A number in the window is at most ceil(w/64) blocks behind, less
+// than the ring size, so one compare-and-add wraps it: no DIV and no
+// power-of-two mask. Words between the old and new edge are zeroed on
+// advance, which keeps the invariant that every bit position in
+// (edge-w, edge] faithfully records whether that sequence number has been
+// accepted.
 type Bitmap struct {
 	words []uint64
-	mask  uint64 // len(words)-1; the ring size is a power of two
+	e     int    // ring slot of the edge's block
 	r     uint64 // right edge
 	w     int    // logical window width
 }
 
 var _ Window = (*Bitmap)(nil)
 
-// NewBitmap returns a window of width w (w >= 1). The ring holds at least
-// ceil(w/64)+1 words, the spare word RFC 6479 requires, rounded up to a
-// power of two so the per-packet block-to-word map is a mask instead of a
-// DIV. Extra words only retain more already-stale history. It panics if
-// w < 1 (programmer error).
+// NewBitmap returns a window of width w (w >= 1). The ring holds
+// ceil(w/64)+1 words: the window's blocks and the spare word RFC 6479
+// requires. It panics if w < 1 (programmer error).
 func NewBitmap(w int) *Bitmap {
 	b := new(Bitmap)
 	b.Init(w)
@@ -38,14 +41,18 @@ func (b *Bitmap) Init(w int) {
 	if w < 1 {
 		panic(fmt.Sprintf("seqwin: window width %d < 1", w))
 	}
-	nwords := 1
-	for nwords < (w+63)/64+1 {
-		nwords <<= 1
-	}
-	*b = Bitmap{words: make([]uint64, nwords), mask: uint64(nwords - 1), w: w}
+	*b = Bitmap{words: make([]uint64, (w+63)/64+1), w: w}
 }
 
-func (b *Bitmap) wordOf(s uint64) int { return int((s / 64) & b.mask) }
+// wordOf returns the ring slot of s's block; s is at most the edge and at
+// most ceil(w/64) blocks behind it.
+func (b *Bitmap) wordOf(s uint64) int {
+	i := b.e - int(b.r/64-s/64)
+	if i < 0 {
+		i += len(b.words)
+	}
+	return i
+}
 
 func (b *Bitmap) bit(s uint64) uint64 { return uint64(1) << (s % 64) }
 
@@ -56,8 +63,7 @@ func (b *Bitmap) Admit(s uint64) Decision {
 	}
 	if s > b.r {
 		b.advance(s)
-		b.words[b.wordOf(s)] |= b.bit(s)
-		b.r = s
+		b.words[b.e] |= b.bit(s)
 		return DecisionNew
 	}
 	wi, m := b.wordOf(s), b.bit(s)
@@ -68,17 +74,23 @@ func (b *Bitmap) Admit(s uint64) Decision {
 	return DecisionInWindow
 }
 
-// advance zeroes the ring words the edge passes over when moving from b.r
-// to s (exclusive of b.r's word, inclusive of s's word).
+// advance moves the edge from b.r up to s, stepping its slot over and
+// zeroing the ring words of the blocks it passes (exclusive of b.r's block,
+// inclusive of s's). A jump of the ring size or more clears the ring and
+// restarts it at slot 0.
 func (b *Bitmap) advance(s uint64) {
-	cur := b.r / 64
-	dst := s / 64
-	if dst-cur >= uint64(len(b.words)) {
+	steps := s/64 - b.r/64
+	b.r = s
+	if steps >= uint64(len(b.words)) {
 		clear(b.words)
+		b.e = 0
 		return
 	}
-	for wd := cur + 1; wd <= dst; wd++ {
-		b.words[wd&b.mask] = 0
+	for ; steps > 0; steps-- {
+		if b.e++; b.e == len(b.words) {
+			b.e = 0
+		}
+		b.words[b.e] = 0
 	}
 }
 
@@ -107,7 +119,7 @@ func (b *Bitmap) Seen(s uint64) bool {
 // receiver's wake-up pays the window.
 func (b *Bitmap) Reinit(edge uint64, allSeen bool) {
 	clear(b.words)
-	b.r = edge
+	b.r, b.e = edge, 0
 	if !allSeen {
 		return
 	}

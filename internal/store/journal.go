@@ -347,6 +347,8 @@ func (j *Journal) recover() error {
 		// its snapshot, so a large lane's frames are at most twice its keys.
 		j.cells = make(map[uint64]*Cell, len(data)/(minRecordLen+spiKeyLen))
 	}
+	var chunk []Cell // the Cells replay meets keys with; see Cell
+	grow := 16
 	off := journalHeaderLen
 	for off < len(data) {
 		kb, v, del, n, ok := parseFrame(data[off:])
@@ -364,10 +366,19 @@ func (j *Journal) recover() error {
 		}
 		j.counts.Recovery.FramesReplayed++
 		// One word per key: a packed key never materializes a string, so a
-		// million-record replay allocates one Cell per key life, nothing per
-		// record. No save writes an empty key; such a frame changes nothing.
+		// million-record replay allocates a chunk of Cells now and then,
+		// nothing per record. No save writes an empty key; such a frame
+		// changes nothing.
 		if w := wordOf(j, kb); w != 0 && !del {
-			j.raise(j.slot(w), v, int64(n))
+			c := j.cells[w]
+			if c == nil {
+				if len(chunk) == 0 {
+					chunk, grow = make([]Cell, grow), min(2*grow, 1024)
+				}
+				c, chunk = &chunk[0], chunk[1:]
+				c.j, c.w = j, w
+			}
+			j.raise(c, v, int64(n))
 		} else if c := j.cells[w]; c != nil && del {
 			j.drop(c, int64(n))
 		}
@@ -890,6 +901,13 @@ func (j *Journal) compactLocked() error {
 // for its word, if there is one; a save or a claim puts this Cell in if
 // not. So a Cell kept past Delete and ReleaseCell still reads and writes the
 // key's one state. A bad key's Cell has word 0 and fails with ErrBadKey.
+//
+// The Cells of the keys a reopen replays are carved from chunks, each twice
+// the one before (16 Cells, then 32, up to 1,024), so a lane's replay
+// allocates a few objects instead of one a key. A chunk stays while any of
+// its Cells is reachable, a dead key's among them. Only replay carves, and
+// no chunk is larger than the Cells carved before it plus 16, so chunks pin
+// at most about the replayed population.
 type Cell struct {
 	j             *Journal
 	w, v          uint64 // the key's word, and its value while live

@@ -141,9 +141,10 @@ func TestZeroAllocInstrumentedJournalSave(t *testing.T) {
 
 // TestZeroAllocReplay pins replay's allocation contract: reopening a lane
 // of 100k records over 1k packed SA keys and one named key allocates per
-// open and per key (the file read, the presized table, the interned name,
-// a Cell a key), not per record. A string materialized per record would
-// read at least 1.
+// open (the file read, the presized table, the interned name) and a chunk
+// of Cells now and then, not per record. It reads 0.0028 a record on a
+// 2-vCPU Xeon; a Cell a key read 0.013, and a string materialized per
+// record would read at least 1.
 func TestZeroAllocReplay(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -169,8 +170,8 @@ func TestZeroAllocReplay(t *testing.T) {
 		}
 		j.Close()
 	}) / records
-	if perRecord > 1.0/16 {
-		t.Errorf("replay allocates %.4f per record, want <= 1/16", perRecord)
+	if perRecord > 0.0036 {
+		t.Errorf("replay allocates %.4f per record, want <= 0.0036", perRecord)
 	}
 	t.Logf("replay allocates %.4f per record", perRecord)
 }
