@@ -356,18 +356,18 @@ func (t *spdTable) add(entries []spdEntry, pos int) *spdTable {
 	src, dst := entries[pos].sel.Src.Addr(), entries[pos].sel.Dst.Addr()
 	h := hashPair(src, dst)
 	slot, at := t.find(entries, h, src, dst)
-	switch {
-	case at >= 0 && entries[at].sa.Load() != nil:
+	if at >= 0 && entries[at].sa.Load() != nil {
 		for entries[at].dup != 0 {
 			at = int(entries[at].dup) - 1
 		}
 		entries[at].dup = int32(pos + 1)
 		return t
-	case at < 0 && t.used >= len(t.slots)/2:
-		t = t.grown(entries)
-		slot, _ = t.find(entries, h, src, dst)
-		fallthrough
-	case at < 0:
+	}
+	if at < 0 { // a new pair; a dead pair's slot is taken over in place
+		if t.used >= len(t.slots)/2 {
+			t = t.grown(entries)
+			slot, _ = t.find(entries, h, src, dst)
+		}
 		t.used++
 	}
 	slot.Store(slotWord(h, pos))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"antireplay/internal/store"
 )
@@ -116,4 +117,12 @@ func heapNow() uint64 {
 	runtime.GC() // twice: the first only unlinks what sync.Pools still hold
 	runtime.ReadMemStats(&ms)
 	return ms.HeapAlloc
+}
+
+// TestOutboundSASize keeps OutboundSA in the allocator's 96-byte size
+// class with its SPD chain head and registry stamp.
+func TestOutboundSASize(t *testing.T) {
+	if got := unsafe.Sizeof(OutboundSA{}); got > 96 {
+		t.Errorf("OutboundSA is %d B, past the 96-byte size class", got)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // TestBitmapDifferentialBoundaries runs Bitmap and the paper's Bool in
@@ -139,5 +140,13 @@ func checkReinstalled(t *testing.T, name string, bm *Bitmap, oracle *Bool, allSe
 	for s := edge + 3; s <= edge+w+130; s += 1 + s%7 {
 		admit(s)
 		admit(s - min(s-1, w/2))
+	}
+}
+
+// TestBitmapSize pins the window's header at 48 B: a receiver embeds it,
+// and the edge's ring slot took the place of the power-of-two mask.
+func TestBitmapSize(t *testing.T) {
+	if got := unsafe.Sizeof(Bitmap{}); got != 48 {
+		t.Errorf("Bitmap is %d B, want 48", got)
 	}
 }
