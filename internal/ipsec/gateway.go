@@ -93,7 +93,7 @@ type Gateway struct {
 	// so a walk over it (ResetAll, WakeAll) reads memory in the order it was
 	// laid out; outSPI finds an SA by SPI. A removal leaves a nil hole at
 	// the SA's stamped position (OutboundSA.reg), and the holes are swept
-	// once they are half the slice. Inbound SAs live only in the SAD.
+	// once they pass half the slice. Inbound SAs live only in the SAD.
 	outbound []*OutboundSA
 	holes    int
 	outSPI   map[uint32]*OutboundSA
@@ -325,7 +325,7 @@ func (g *Gateway) registerOutboundLocked(sa *OutboundSA) {
 }
 
 // unregisterOutboundLocked forgets the registered outbound SA sa: its
-// position becomes a hole, and once holes are half the list one pass
+// position becomes a hole, and once holes pass half the list one pass
 // closes them, keeping the order, so a removal is amortized O(1).
 func (g *Gateway) unregisterOutboundLocked(sa *OutboundSA) {
 	delete(g.outSPI, sa.spi)
